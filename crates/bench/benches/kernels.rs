@@ -16,7 +16,9 @@ use bookleaf_hydro::getpc::getpc;
 use bookleaf_hydro::getq::{getq, QCoeffs};
 use bookleaf_hydro::getrho::getrho;
 use bookleaf_hydro::reference::{getforce_reference, getq_reference};
-use bookleaf_hydro::{eos_fused, EosStages, FusedEos, HydroState, LocalRange, Threading};
+use bookleaf_hydro::{
+    eos_fused, viscforce, EosStages, FusedEos, HydroState, LocalRange, Subset, Threading, ViscForce,
+};
 use bookleaf_mesh::Mesh;
 
 const N: usize = 128;
@@ -60,6 +62,16 @@ fn bench_kernels(c: &mut Criterion) {
                     threading,
                 )
             });
+        });
+        // The fused sweep a step runs, against its two halves above.
+        group.bench_function(BenchmarkId::new("viscforce", tag), |b| {
+            let mut st = state.clone();
+            let sweep = ViscForce {
+                q: QCoeffs::default(),
+                hourglass: HourglassControl::default(),
+                dt: 1e-4,
+            };
+            b.iter(|| viscforce(&mesh, &mut st, range, sweep, threading, Subset::All));
         });
         group.bench_function(BenchmarkId::new("getgeom", tag), |b| {
             let mut st = state.clone();

@@ -12,9 +12,9 @@
 //! peaks are single-thread peaks, so achieved/bound ratios compare
 //! like with like.
 //!
-//! The artifact also records the three optimisation speedups this
-//! codebase carries against its kept reference implementations, on the
-//! largest swept mesh:
+//! The artifact also records the optimisation speedups this codebase
+//! carries against its kept reference implementations, on the largest
+//! swept mesh:
 //!
 //! * `eos_fused_vs_chain` — the fused `getgeom→getrho→getein→getpc`
 //!   sweep against the four separate kernels;
@@ -22,10 +22,14 @@
 //!   against the interleaved-layout reference;
 //! * `getq_hoisted_vs_reference` — the viscosity kernel with the
 //!   neighbour-stencil gathers hoisted out of the face loop against the
-//!   in-loop-gather reference.
+//!   in-loop-gather reference;
+//! * `viscforce_fused_vs_sequence` — the fused viscosity–force sweep a
+//!   step runs against `getq` then `getforce` in sequence, on a Noh
+//!   state a few steps into the implosion (the shock has left the walls,
+//!   so compressive and quiescent elements are both present).
 //!
-//! All three pairs are bitwise-identical in output (the equivalence
-//! suite pins that), so the ratios are pure layout/fusion wins.
+//! All pairs are bitwise-identical in output (the equivalence suite
+//! pins that), so the ratios are pure layout/fusion wins.
 //!
 //! ```text
 //! kernels [--meshes 64,128,256,512] [--repeats 5] [--out BENCH_kernels.json]
@@ -42,7 +46,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use bookleaf_bench::schema::{validate_kernels_json, KERNELS_SCHEMA};
-use bookleaf_core::decks;
+use bookleaf_core::{decks, Simulation};
 use bookleaf_device::{KernelCost, RawCost};
 use bookleaf_eos::MaterialTable;
 use bookleaf_hydro::getacc::getacc;
@@ -54,11 +58,24 @@ use bookleaf_hydro::getpc::getpc;
 use bookleaf_hydro::getq::{getq, QCoeffs};
 use bookleaf_hydro::getrho::getrho;
 use bookleaf_hydro::reference::{getforce_reference, getq_reference};
-use bookleaf_hydro::{eos_fused, AccMode, EosStages, FusedEos, HydroState, LocalRange, Threading};
+use bookleaf_hydro::{
+    eos_fused, viscforce, AccMode, EosStages, FusedEos, HydroState, LocalRange, Subset, Threading,
+    ViscForce,
+};
 use bookleaf_mesh::Mesh;
 use bookleaf_util::KernelId;
 
 const DT: f64 = 1e-6;
+
+/// The fused sweep with the coefficients `getq` + `getforce` are timed
+/// with.
+fn fused_sweep() -> ViscForce {
+    ViscForce {
+        q: QCoeffs::default(),
+        hourglass: HourglassControl::default(),
+        dt: DT,
+    }
+}
 
 struct Args {
     meshes: Vec<usize>,
@@ -206,6 +223,21 @@ fn prepared_state(n: usize) -> (Mesh, MaterialTable, HydroState) {
     (mesh, deck.materials, st)
 }
 
+/// The Noh deck at mesh `n` after [`STEPPED_STEPS`] real steps: the
+/// state the benchmark's Noh workloads spend their time in.
+fn stepped_state(n: usize) -> (Mesh, HydroState) {
+    let mut sim = Simulation::builder()
+        .deck(decks::noh(n))
+        .max_steps(STEPPED_STEPS)
+        .build()
+        .expect("valid deck");
+    sim.run().expect("noh steps");
+    (sim.mesh().clone(), sim.state().clone())
+}
+
+/// Steps [`stepped_state`] advances (the benchmark's Noh step count).
+const STEPPED_STEPS: usize = 20;
+
 /// Best-of-`repeats` seconds per call of `f`, with one warm-up call and
 /// enough calls per sample to dodge timer granularity on small meshes.
 fn time_best(elements: usize, repeats: usize, mut f: impl FnMut()) -> f64 {
@@ -269,6 +301,9 @@ fn kernel_seconds(
         KernelId::GetForce => time_best(n, repeats, || {
             getforce(mesh, st, range, HourglassControl::default(), DT, th);
         }),
+        KernelId::ViscForce => time_best(n, repeats, || {
+            viscforce(mesh, st, range, fused_sweep(), th, Subset::All);
+        }),
         KernelId::GetAcc => time_best(n, repeats, || {
             getacc(mesh, st, range, DT, AccMode::GatherSerial);
         }),
@@ -281,7 +316,7 @@ fn kernel_seconds(
 
 /// The kernels the sweep times, EOS chain first (raw counts), then the
 /// effective-count kernels.
-const SWEPT: [KernelId; 9] = [
+const SWEPT: [KernelId; 10] = [
     KernelId::GetGeom,
     KernelId::GetRho,
     KernelId::GetEin,
@@ -289,6 +324,7 @@ const SWEPT: [KernelId; 9] = [
     KernelId::EosFused,
     KernelId::GetQ,
     KernelId::GetForce,
+    KernelId::ViscForce,
     KernelId::GetAcc,
     KernelId::GetDt,
 ];
@@ -440,6 +476,31 @@ fn measure_speedups(mesh_n: usize, repeats: usize) -> Vec<Speedup> {
         },
     );
 
+    // Fused viscosity–force sweep vs getq then getforce, on a state a
+    // few real steps into the run.
+    let (mesh, st) = stepped_state(mesh_n);
+    let st = std::cell::RefCell::new(st);
+    let range = LocalRange::whole(&mesh);
+    let (sequence_s, viscforce_s) = time_pair_best(
+        n,
+        repeats,
+        || {
+            let st = &mut *st.borrow_mut();
+            getq(&mesh, st, range, QCoeffs::default(), th);
+            getforce(&mesh, st, range, HourglassControl::default(), DT, th);
+        },
+        || {
+            viscforce(
+                &mesh,
+                &mut st.borrow_mut(),
+                range,
+                fused_sweep(),
+                th,
+                Subset::All,
+            );
+        },
+    );
+
     vec![
         Speedup {
             name: "eos_fused_vs_chain",
@@ -458,6 +519,12 @@ fn measure_speedups(mesh_n: usize, repeats: usize) -> Vec<Speedup> {
             mesh: mesh_n,
             baseline_s: q_ref_s,
             optimised_s: q_s,
+        },
+        Speedup {
+            name: "viscforce_fused_vs_sequence",
+            mesh: mesh_n,
+            baseline_s: sequence_s,
+            optimised_s: viscforce_s,
         },
     ]
 }

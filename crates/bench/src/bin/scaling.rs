@@ -64,8 +64,10 @@ use bookleaf_util::{KernelId, TimerReport};
 /// also parallel now but the default decks run pure Lagrangian.) With
 /// the fused EOS sweep on by default, the chain's time lands in the
 /// `EosFused` timer instead of its four constituents, so the section
-/// must sum all nine buckets to stay comparable with older baselines.
-const PARALLEL_KERNELS: [KernelId; 9] = [
+/// must sum all nine buckets to stay comparable with older baselines;
+/// likewise viscosity and force now land in the fused `ViscForce`
+/// bucket (`GetQ`/`GetForce` read zero in a run).
+const PARALLEL_KERNELS: [KernelId; 10] = [
     KernelId::GetDt,
     KernelId::GetQ,
     KernelId::GetForce,
@@ -75,6 +77,7 @@ const PARALLEL_KERNELS: [KernelId; 9] = [
     KernelId::GetEin,
     KernelId::GetPc,
     KernelId::EosFused,
+    KernelId::ViscForce,
 ];
 
 fn kernel_section_seconds(rep: &TimerReport) -> f64 {

@@ -61,6 +61,7 @@ fn main() {
 
     println!();
     println!("--- measured on this host (Noh 60x60 to t = 0.2, 5-run mean) ---");
+    println!("(Viscosity = the fused viscosity + force sweep; getforce reads 0)");
     println!("{}", table2_header());
     let configs = [
         ("host serial", ExecutorKind::Serial),
@@ -86,6 +87,16 @@ fn main() {
         let mean_row: [f64; 7] =
             std::array::from_fn(|i| rows.iter().map(|r| r[i]).sum::<f64>() / rows.len() as f64);
         println!("{}", format_row(label, &mean_row));
+        // §V-B: "viscosity dominates" — read off the merged column,
+        // on the one row no oversubscribed rank thread can distort.
+        if exec == ExecutorKind::Serial {
+            let heaviest = mean_row[1..].iter().copied().fold(0.0f64, f64::max);
+            assert!(
+                mean_row[1] == heaviest,
+                "viscosity + force ({:.3}s) is not the heaviest kernel ({heaviest:.3}s)",
+                mean_row[1]
+            );
+        }
         let rsd = bookleaf_util::stats::rel_std_dev(&walls);
         println!(
             "{:<18} wall {:>6.3}s, run-to-run rel. std dev {:.1}%",

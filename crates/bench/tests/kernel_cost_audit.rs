@@ -143,14 +143,6 @@ impl TV {
     fn dot(self, o: TV) -> T {
         self.x * o.x + self.y * o.y
     }
-
-    fn norm(self) -> T {
-        self.dot(self).sqrt()
-    }
-
-    fn distance(self, o: TV) -> T {
-        (self - o).norm()
-    }
 }
 
 impl Add for TV {
@@ -210,18 +202,13 @@ fn corner_volumes_t(c: &[TV; 4]) -> [T; 4] {
     out
 }
 
-fn edge_lengths_t(c: &[TV; 4]) -> [T; 4] {
-    [
-        c[0].distance(c[1]),
-        c[1].distance(c[2]),
-        c[2].distance(c[3]),
-        c[3].distance(c[0]),
-    ]
-}
-
 fn char_length_t(c: &[TV; 4]) -> T {
     let area = quad_area_t(c).abs();
-    let longest = edge_lengths_t(c).into_iter().fold(T::lit(0.0), T::max);
+    let longest = [c[0] - c[1], c[1] - c[2], c[2] - c[3], c[3] - c[0]]
+        .into_iter()
+        .map(|d| d.dot(d))
+        .fold(T::lit(0.0), T::max)
+        .sqrt();
     if longest.0 == 0.0 {
         T::lit(0.0)
     } else {

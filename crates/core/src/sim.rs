@@ -947,14 +947,18 @@ mod tests {
             .unwrap();
         let s = sim.run().unwrap();
         for k in [
-            KernelId::GetQ,
+            KernelId::ViscForce,
             KernelId::GetAcc,
             KernelId::GetDt,
             KernelId::EosFused,
         ] {
             assert!(s.timers.calls(k) > 0, "{k:?} never timed");
         }
-        assert_eq!(s.timers.calls(KernelId::GetQ), 2 * s.steps as u64);
+        // Viscosity and forces are one fused sweep per predictor and
+        // corrector; the standalone buckets stay empty.
+        assert_eq!(s.timers.calls(KernelId::ViscForce), 2 * s.steps as u64);
+        assert_eq!(s.timers.calls(KernelId::GetQ), 0);
+        assert_eq!(s.timers.calls(KernelId::GetForce), 0);
         assert_eq!(s.timers.calls(KernelId::GetAcc), s.steps as u64);
         // With EOS fusion on by default, the four-kernel chain never runs
         // standalone inside the lagstep: its time lands in the fused bucket.

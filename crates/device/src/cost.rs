@@ -114,6 +114,17 @@ impl KernelCost {
                 calls_per_step: 0.0,
                 serial_fraction: 0.35,
             },
+            // The fused getq+getforce sweep, treated like EosFused: the
+            // paper platforms ran the two kernels separately, so it gets
+            // zero calls per step and pinned model outputs are
+            // unchanged. Effective counts are the constituents' sums
+            // (the sweep executes their arithmetic verbatim).
+            KernelId::ViscForce => KernelCost {
+                flops: 893.0,
+                bytes: 893.0,
+                calls_per_step: 0.0,
+                serial_fraction: 0.007,
+            },
             // Remap (when active): flux volumes + limited advection.
             KernelId::Ale => KernelCost {
                 flops: 260.0,
@@ -149,6 +160,10 @@ impl KernelCost {
             // lists, with the shared arrays (geometry, rho, ein, mass)
             // deduplicated.
             KernelId::EosFused => 14,
+            // Fused viscosity+force: the union of getq's and getforce's
+            // lists, the six shared inputs (x, y, u, v, rho, cs2)
+            // counted once.
+            KernelId::ViscForce => 15,
             KernelId::Ale => 9,
             KernelId::Comms | KernelId::Other => 0,
         }
@@ -185,11 +200,12 @@ impl RawCost {
     #[must_use]
     pub fn of(kernel: KernelId) -> Option<RawCost> {
         match kernel {
-            // quad_area 16 + corner_volumes 104 + char_length 41 flops;
+            // quad_area 16 + corner_volumes 104 + char_length 38 flops
+            // (one sqrt of the longest squared edge, not four);
             // touches 8 corner coordinates, writes volume + 4 corner
             // volumes + length: 14 doubles.
             KernelId::GetGeom => Some(RawCost {
-                flops: 161.0,
+                flops: 158.0,
                 bytes: 112.0,
             }),
             // One divide; reads mass and volume, writes rho: 3 doubles.
@@ -211,12 +227,12 @@ impl RawCost {
                 bytes: 32.0,
             }),
             // The fused sweep executes the chain's arithmetic verbatim
-            // (161 + 1 + 19 + 11) but touches the shared doubles once:
+            // (158 + 1 + 19 + 11) but touches the shared doubles once:
             // the chain's 39 distinct doubles collapse to 35 (volume,
             // mass, rho and ein are no longer re-read by the downstream
             // kernels).
             KernelId::EosFused => Some(RawCost {
-                flops: 192.0,
+                flops: 189.0,
                 bytes: 280.0,
             }),
             _ => None,
@@ -336,15 +352,16 @@ mod tests {
     }
 
     #[test]
-    fn fused_eos_never_launches_in_the_paper_models() {
-        // The paper platforms ran the unfused reference chain; the fused
-        // kernel must not perturb the pinned model outputs.
-        let c = KernelCost::of(KernelId::EosFused);
-        assert_eq!(c.calls_per_step, 0.0);
-        let w = WorkloadCount {
-            elements: 1000,
-            steps: 10,
-        };
-        assert_eq!(w.element_calls(KernelId::EosFused), 0.0);
+    fn fused_sweeps_never_launch_in_the_paper_models() {
+        // The paper platforms ran the unfused reference kernels; the
+        // fused sweeps must not perturb the pinned model outputs.
+        for k in [KernelId::EosFused, KernelId::ViscForce] {
+            assert_eq!(KernelCost::of(k).calls_per_step, 0.0);
+            let w = WorkloadCount {
+                elements: 1000,
+                steps: 10,
+            };
+            assert_eq!(w.element_calls(k), 0.0);
+        }
     }
 }

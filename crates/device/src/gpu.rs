@@ -122,6 +122,9 @@ impl GpuModel {
             // (calls_per_step is 0); the bandwidth-bound penalty matches
             // its streaming constituents.
             KernelId::GetRho | KernelId::GetEin | KernelId::EosFused | KernelId::Ale => 8.0,
+            // Nor does ViscForce; it would inherit the viscosity
+            // kernel's register-pressure penalty.
+            KernelId::ViscForce => Self::penalty(KernelId::GetQ, exec),
             KernelId::Comms | KernelId::Other => 0.0,
         }
     }

@@ -15,13 +15,15 @@
 //!    filter and stiffened by Caramana–Shashkov sub-zonal pressures, both
 //!    optional per deck.
 
-use bookleaf_mesh::geometry::{area_gradient, quad_centroid};
+use bookleaf_mesh::geometry::quad_centroid;
 use bookleaf_mesh::Mesh;
-use bookleaf_util::Vec2;
 use rayon::prelude::*;
 
 use crate::state::{HydroState, LocalRange};
-use crate::subset::Subset;
+use crate::viscforce::{
+    hourglass, pressure_force, sound_speed, store_force, viscous_pairs, Faces, Gathered,
+    HourglassInputs,
+};
 use crate::Threading;
 
 /// Which hourglass-suppression mechanisms are active.
@@ -53,10 +55,10 @@ impl HourglassControl {
     }
 }
 
-/// The hourglass mode sign pattern on a quad.
-const GAMMA: [f64; 4] = [1.0, -1.0, 1.0, -1.0];
-
-/// Assemble corner forces for the owned range.
+/// Assemble corner forces for the owned range from the stored
+/// `edge_q`: the force half of
+/// [`viscforce`](crate::viscforce::viscforce), which is what a
+/// production step runs.
 ///
 /// `dt` is the step the forces will be integrated over; the viscous pair
 /// forces are *momentum-limited* against it (an explicit damping force
@@ -69,22 +71,6 @@ pub fn getforce(
     hg: HourglassControl,
     dt: f64,
     threading: Threading,
-) {
-    getforce_subset(mesh, state, range, hg, dt, threading, Subset::All);
-}
-
-/// [`getforce`] over a [`Subset`] of the owned elements; corner forces
-/// outside the subset are left untouched. The force stencil (own
-/// corners, own nodal masses) is contained in the viscosity stencil, so
-/// the overlapped executor reuses the viscosity-phase boundary mask.
-pub fn getforce_subset(
-    mesh: &Mesh,
-    state: &mut HydroState,
-    range: LocalRange,
-    hg: HourglassControl,
-    dt: f64,
-    threading: Threading,
-    subset: Subset<'_>,
 ) {
     let n = range.n_owned_el;
     // Element-indexed reads sliced to the owned range so the sweeps
@@ -101,162 +87,38 @@ pub fn getforce_subset(
     let cnvol = &state.cnvol[..n];
     let volume = &state.volume[..n];
 
-    let body = |e: usize, force: &mut [Vec2; 4]| {
-        let corners = mesh.corners(e);
-        let grad = area_gradient(&corners);
-        let p = pressure[e];
-
-        // 1. Pressure force.
-        for c in 0..4 {
-            force[c] = grad[c] * p;
+    let body = |e: usize, fx: &mut [f64; 4], fy: &mut [f64; 4]| {
+        let g = Gathered::new(mesh, u, e);
+        let mut force = pressure_force(&g.x, pressure[e]);
+        if edge_q[e].iter().any(|&q| q != 0.0) {
+            let faces = Faces::new(&g);
+            let masses = g.nd.map(|nd| nd_mass[nd]);
+            viscous_pairs(&mut force, &faces, &faces.du_mag(), &edge_q[e], &masses, dt);
         }
-
-        // 2. Edge viscosity (Caramana et al.): an antisymmetric force
-        // pair on each compressive edge, directed along the corner
-        // velocity jump so it always opposes the relative approach —
-        // per element the pair sums to zero (momentum preserved), and
-        // its work Σ F·u = −q L |Δu| < 0 heats the element through the
-        // compatible energy update.
-        {
-            let nd = mesh.elnd[e];
-            for f in 0..4 {
-                let qf = edge_q[e][f];
-                if qf == 0.0 {
-                    continue;
-                }
-                let a = nd[f] as usize;
-                let b = nd[(f + 1) % 4] as usize;
-                let du = u[b] - u[a];
-                let dx = corners[(f + 1) % 4] - corners[f];
-                if du.dot(dx) >= 0.0 {
-                    continue; // expansion by the time forces assemble
-                }
-                let du_mag = du.norm();
-                if du_mag == 0.0 {
-                    continue;
-                }
-                // Momentum limit against the *reduced mass* of the node
-                // pair: an impulse of μ|Δu| is exactly what reverses the
-                // relative velocity, so capping each element's share at
-                // half that keeps the two elements sharing an interior
-                // edge jointly at or below reversal — the linear q term's
-                // damping rate can otherwise exceed 1/dt in dense, quiet
-                // regions (the Noh plateau) and explode, while legitimate
-                // shock-transit forces stay below this cap and dissipate
-                // fully.
-                let (ma, mb) = (nd_mass[a], nd_mass[b]);
-                let mu = if ma + mb > 0.0 {
-                    ma * mb / (ma + mb)
-                } else {
-                    0.0
-                };
-                let cap = if dt > 0.0 {
-                    0.25 * mu * du_mag / dt
-                } else {
-                    f64::INFINITY
-                };
-                let mag = (qf * dx.norm()).min(cap);
-                let pair = du * (mag / du_mag);
-                force[f] += pair;
-                force[(f + 1) % 4] -= pair;
-            }
-        }
-
-        // 3a. Hancock hourglass filter: damp the Γ velocity mode.
-        if hg.kappa_filter > 0.0 {
-            let nd = mesh.elnd[e];
-            let mut u_hg = Vec2::ZERO;
-            for c in 0..4 {
-                u_hg += u[nd[c] as usize] * GAMMA[c];
-            }
-            u_hg *= 0.25;
-            let cs = cs2[e].max(0.0).sqrt();
-            let scale = hg.kappa_filter * rho[e] * cs * volume[e].max(0.0).sqrt();
-            for c in 0..4 {
-                force[c] -= u_hg * (scale * GAMMA[c]);
-            }
-        }
-
-        // 3b. Sub-zonal pressures (Caramana–Shashkov): each corner's
-        // sub-zone carries its own Lagrangian mass; density deviations
-        // from the zone mean create restoring forces that stiffen
-        // hourglass motion (hourglass modes compress opposite sub-zones
-        // while leaving zone volume fixed). The force is the *full*
-        // variational gradient `Σ_c Δp_c ∂A_sz(c)/∂x_i` — the sub-zone
-        // quad's midpoints and centroid move with the corners, and
-        // dropping those chain terms leaves an unbalanced force field
-        // that pumps energy into skewed cells (it destabilised the
-        // Saltzmann piston before this was fixed).
-        if hg.zeta_subzonal > 0.0 {
-            let centre = quad_centroid(&corners);
-            for c in 0..4 {
-                let cv = cnvol[e][c];
-                if cv <= 0.0 {
-                    continue;
-                }
-                let rho_sub = cnmass[e][c] / cv;
-                let dp = hg.zeta_subzonal * cs2[e] * (rho_sub - rho[e]);
-                if dp == 0.0 {
-                    continue;
-                }
-                // Sub-zone quad v = (x_c, m_next, centre, m_prev) and the
-                // shoelace gradients g_k = ∂A/∂v_k = ½ R(v_{k+1} − v_{k−1})
-                // with R(w) = (w.y, −w.x).
-                let m_next = corners[c].midpoint(corners[(c + 1) % 4]);
-                let m_prev = corners[(c + 3) % 4].midpoint(corners[c]);
-                let v = [corners[c], m_next, centre, m_prev];
-                let rot = |w: Vec2| Vec2::new(w.y, -w.x);
-                let g = [
-                    rot(v[1] - v[3]) * 0.5,
-                    rot(v[2] - v[0]) * 0.5,
-                    rot(v[3] - v[1]) * 0.5,
-                    rot(v[0] - v[2]) * 0.5,
-                ];
-                // Chain rule through v0 = x_c, v1 = ½(x_c + x_{c+1}),
-                // v2 = ¼Σx, v3 = ½(x_{c−1} + x_c).
-                let quarter_g2 = g[2] * 0.25;
-                force[c] += (g[0] + (g[1] + g[3]) * 0.5 + quarter_g2) * dp;
-                force[(c + 1) % 4] += (g[1] * 0.5 + quarter_g2) * dp;
-                force[(c + 2) % 4] += quarter_g2 * dp;
-                force[(c + 3) % 4] += (g[3] * 0.5 + quarter_g2) * dp;
-            }
-        }
+        let el = HourglassInputs {
+            rho: rho[e],
+            cs2: cs2[e],
+            cs: sound_speed(cs2[e]),
+            volume: volume[e],
+            cnmass: &cnmass[e],
+            cnvol: &cnvol[e],
+        };
+        hourglass(&mut force, &g, quad_centroid(&g.x), &el, hg);
+        store_force(&force, fx, fy);
     };
 
-    // Store the assembled forces as SoA component rows (one dense
-    // `[f64; 4]` row per element and component — the state layout
-    // contract the energy update and halo pack rely on).
-    let store = |f: &[Vec2; 4], fx: &mut [f64; 4], fy: &mut [f64; 4]| {
-        for c in 0..4 {
-            fx[c] = f[c].x;
-            fy[c] = f[c].y;
-        }
-    };
+    let (fx, fy) = (&mut state.cnforce_x[..n], &mut state.cnforce_y[..n]);
     match threading {
         Threading::Serial => {
-            let fx_rows = &mut state.cnforce_x[..n];
-            let fy_rows = &mut state.cnforce_y[..n];
-            for (e, (fx, fy)) in fx_rows.iter_mut().zip(fy_rows.iter_mut()).enumerate() {
-                if !subset.contains(e) {
-                    continue;
-                }
-                let mut f = [Vec2::ZERO; 4];
-                body(e, &mut f);
-                store(&f, fx, fy);
+            for (e, (fx, fy)) in fx.iter_mut().zip(fy.iter_mut()).enumerate() {
+                body(e, fx, fy);
             }
         }
         Threading::Rayon => {
-            state.cnforce_x[..n]
-                .par_iter_mut()
-                .zip(state.cnforce_y[..n].par_iter_mut())
+            fx.par_iter_mut()
+                .zip(fy.par_iter_mut())
                 .enumerate()
-                .for_each(|(e, (fx, fy))| {
-                    if subset.contains(e) {
-                        let mut f = [Vec2::ZERO; 4];
-                        body(e, &mut f);
-                        store(&f, fx, fy);
-                    }
-                });
+                .for_each(|(e, (fx, fy))| body(e, fx, fy));
         }
     }
 }
@@ -264,9 +126,11 @@ pub fn getforce_subset(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::viscforce::GAMMA;
     use bookleaf_eos::{EosSpec, MaterialTable};
+    use bookleaf_mesh::geometry::area_gradient;
     use bookleaf_mesh::{generate_rect, RectSpec};
-    use bookleaf_util::approx_eq;
+    use bookleaf_util::{approx_eq, Vec2};
 
     fn setup(n: usize) -> (Mesh, HydroState) {
         let mesh = generate_rect(&RectSpec::unit_square(n), |_| 0).unwrap();
@@ -491,54 +355,6 @@ mod tests {
             st.cnforce(0, 2).norm() < f.norm(),
             "far corner should feel less"
         );
-    }
-
-    #[test]
-    fn split_sweeps_match_full_sweep_bitwise() {
-        let mesh = generate_rect(&RectSpec::unit_square(6), |_| 0).unwrap();
-        let mat = MaterialTable::single(EosSpec::ideal_gas(1.4));
-        let nodes = mesh.nodes.clone();
-        let mk = || {
-            let mut st = HydroState::new(
-                &mesh,
-                &mat,
-                |e| 1.0 + 0.01 * e as f64,
-                |_| 2.0,
-                |i| Vec2::new((3.0 * nodes[i].y).sin(), (2.0 * nodes[i].x).cos()),
-            )
-            .unwrap();
-            for e in 0..st.n_elements() {
-                st.edge_q[e] = [0.1, 0.0, 0.3, 0.05];
-            }
-            st
-        };
-        let range = LocalRange::whole(&mesh);
-        let mask: Vec<bool> = (0..mesh.n_elements()).map(|e| (e / 3) % 2 == 0).collect();
-        for th in [Threading::Serial, Threading::Rayon] {
-            let mut full = mk();
-            getforce(
-                &mesh,
-                &mut full,
-                range,
-                HourglassControl::default(),
-                1.0,
-                th,
-            );
-            let mut split = mk();
-            for keep in [true, false] {
-                getforce_subset(
-                    &mesh,
-                    &mut split,
-                    range,
-                    HourglassControl::default(),
-                    1.0,
-                    th,
-                    crate::subset::Subset::Mask { mask: &mask, keep },
-                );
-            }
-            assert_eq!(full.cnforce_x, split.cnforce_x, "{th:?}");
-            assert_eq!(full.cnforce_y, split.cnforce_y, "{th:?}");
-        }
     }
 
     #[test]

@@ -16,28 +16,13 @@
 //! kernel (≈ 64–70 % of single-node runtime on CPUs, Table II).
 
 use bookleaf_mesh::geometry::quad_centroid;
-use bookleaf_mesh::{Mesh, Neighbor, STENCIL_BOUNDARY};
-use bookleaf_util::constants::ZERO_CUT;
-use bookleaf_util::Vec2;
+use bookleaf_mesh::Mesh;
 use rayon::prelude::*;
-use std::cell::RefCell;
 
 use crate::state::{HydroState, LocalRange};
 use crate::subset::Subset;
+use crate::viscforce::{edge_q_lanes, sound_speed, with_cell_velocities, Faces, Gathered, QInputs};
 use crate::Threading;
-
-/// Reusable per-thread scratch for the cell-velocity precompute. The
-/// table is a megabyte-plus at production mesh sizes; reusing it skips
-/// a per-call allocation. Reuse is invisible to results: every entry
-/// the sweep reads is written first on every call.
-#[derive(Default)]
-struct Scratch {
-    cell_u: Vec<Vec2>,
-}
-
-thread_local! {
-    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
-}
 
 /// Artificial viscosity coefficients.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,7 +53,9 @@ pub fn monotonic_limiter(r: f64) -> f64 {
     (2.0 * r).min(0.5 * (1.0 + r)).clamp(0.0, 1.0)
 }
 
-/// Compute edge and element viscosities over the owned range.
+/// Compute edge and element viscosities over the owned range: the
+/// viscosity half of [`viscforce`](crate::viscforce::viscforce), which
+/// is what a production step runs.
 ///
 /// Requires ghost node velocities and positions to be current (exchange
 /// phase 1).
@@ -79,192 +66,48 @@ pub fn getq(
     coeffs: QCoeffs,
     threading: Threading,
 ) {
-    getq_subset(mesh, state, range, coeffs, threading, Subset::All);
-}
-
-/// [`getq`] over a [`Subset`] of the owned elements; entities outside
-/// the subset keep their previous `q`/`edge_q` values. Used by the
-/// overlapped executor: the interior subset must not reach any
-/// halo-received node through its own or its face neighbours' corners
-/// (see `bookleaf_mesh::OverlapSets`). The sweep structure (and the
-/// parallel split tree) is identical to the unsplit kernel.
-pub fn getq_subset(
-    mesh: &Mesh,
-    state: &mut HydroState,
-    range: LocalRange,
-    coeffs: QCoeffs,
-    threading: Threading,
-    subset: Subset<'_>,
-) {
     let n = range.n_owned_el;
-
-    // Cell-averaged velocities: the limiter reaches from each swept
-    // element into its face neighbours (ghost layer included). A split
-    // sweep only reads the entries its own elements and their
-    // neighbours touch, so restrict the precompute to those — the
-    // boundary pass then averages a handful of seam elements instead of
-    // the whole local mesh, and the interior pass never computes ghost
-    // entries from not-yet-exchanged velocities it would discard.
-    let needed: Option<Vec<bool>> = match subset {
-        Subset::All => None,
-        Subset::Mask { .. } => {
-            let mut needed = vec![false; mesh.n_elements()];
-            for e in 0..n {
-                if !subset.contains(e) {
-                    continue;
-                }
-                needed[e] = true;
-                for nb in &mesh.elel[e] {
-                    if let Neighbor::Element(en) = nb {
-                        needed[*en as usize] = true;
-                    }
-                }
-            }
-            Some(needed)
-        }
-    };
-    // The viscosity stencil's neighbour gathers, hoisted out of the
-    // face loop: the *indices* (and the boundary discrimination) are
-    // the packed per-edge table precomputed once per mesh —
-    // `Mesh::face_stencil` — streamed stride-1 here at half the bytes
-    // of the tagged `elel` rows; the *values* are the cell-averaged
-    // velocities precomputed below, so the heavy sqrt/divide face loop
-    // performs exactly one indexed read per compressive interior face.
-    // Both tables hold exactly the values the in-loop reads produced,
-    // so results are bitwise identical.
     let stencil = &mesh.face_stencil()[..n];
+    let u = &state.u;
+    let rho = &state.rho[..n];
+    let cs2 = &state.cs2[..n];
 
-    SCRATCH.with(|scratch| {
-        let mut scratch = scratch.borrow_mut();
-        let cell_u = &mut scratch.cell_u;
-        cell_u.resize(mesh.n_elements(), Vec2::ZERO);
-
-        let entry = |e: usize| match &needed {
-            Some(needed) if !needed[e] => Vec2::ZERO, // never read
-            _ => cell_velocity(mesh, &state.u, e),
-        };
-        match threading {
-            Threading::Serial => {
-                for (e, cu) in cell_u.iter_mut().enumerate() {
-                    *cu = entry(e);
-                }
-            }
-            Threading::Rayon => {
-                cell_u
-                    .par_iter_mut()
-                    .enumerate()
-                    .for_each(|(e, cu)| *cu = entry(e));
-            }
-        }
-
-        let cell_u = &*cell_u;
-        let u = &state.u;
-        let rho = &state.rho[..n];
-        let cs2 = &state.cs2[..n];
+    with_cell_velocities(mesh, u, n, threading, Subset::All, |cell_u| {
         let body = |e: usize, edge_q: &mut [f64; 4], q: &mut f64| {
-            let corners = mesh.corners(e);
-            let centre = quad_centroid(&corners);
-            let uc = cell_u[e];
-            let cs = cs2[e].max(0.0).sqrt();
-            let nd = mesh.elnd[e];
-            let nbr = &stencil[e];
-            let mut qmax = 0.0f64;
-            for f in 0..4 {
-                let a = nd[f] as usize;
-                let b = nd[(f + 1) % 4] as usize;
-                // Edge-centred velocity jump (Caramana et al.): the two
-                // corners of side f approaching each other is compression
-                // along that edge, whatever the mode (radial crush, shear
-                // sliver, hourglass) — this is what makes the edge form
-                // robust where a purely face-normal measure is blind.
-                let du = u[b] - u[a];
-                let dx = corners[(f + 1) % 4] - corners[f];
-                if du.dot(dx) >= -ZERO_CUT {
-                    edge_q[f] = 0.0;
-                    continue;
-                }
-                let du_mag = du.norm();
-                if du_mag <= ZERO_CUT {
-                    edge_q[f] = 0.0;
-                    continue;
-                }
-
-                // Limiter 1: smoothness across the face, measured by the
-                // continuation of the centre→face velocity difference into
-                // the neighbour (the term that needs the halo exchange),
-                // reached through the packed stencil row.
-                let xf = corners[f].midpoint(corners[(f + 1) % 4]);
-                let uf = u[a].midpoint_vel(u[b]);
-                let dir = (xf - centre).normalized();
-                let du_face = (uf - uc).dot(dir);
-                let psi_face = if nbr[f] == STENCIL_BOUNDARY {
-                    // Boundary faces: no smooth continuation exists; apply
-                    // full viscosity so wall shocks (Noh) stay stable.
-                    0.0
-                } else if du_face.abs() > ZERO_CUT {
-                    let du_nbr = (cell_u[nbr[f] as usize] - uf).dot(dir);
-                    monotonic_limiter(du_nbr / du_face)
-                } else {
-                    1.0
+            let g = Gathered::new(mesh, u, e);
+            let faces = Faces::new(&g);
+            if faces.any_compressive() {
+                let inputs = QInputs {
+                    e,
+                    rho: rho[e],
+                    cs: sound_speed(cs2[e]),
+                    nbr: &stencil[e],
+                    cell_u,
+                    coeffs,
                 };
-                // Limiter 2: smoothness along the element, comparing this
-                // edge's jump with the opposite edge traversed in the same
-                // sense (linear fields give ratio 1; oscillatory modes give
-                // negative ratios and full viscosity).
-                let du_opp = u[nd[(f + 3) % 4] as usize] - u[nd[(f + 2) % 4] as usize];
-                let r2 = -du_opp.dot(du) / (du_mag * du_mag);
-                let psi = psi_face.min(monotonic_limiter(r2));
-
-                edge_q[f] = (1.0 - psi) * rho[e] * du_mag * (coeffs.cq2 * du_mag + coeffs.cq1 * cs);
-                qmax = qmax.max(edge_q[f]);
+                let centre = quad_centroid(&g.x);
+                (*edge_q, *q) = edge_q_lanes(&g, &faces, &faces.du_mag(), centre, &inputs);
+            } else {
+                *edge_q = [0.0; 4];
+                *q = 0.0;
             }
-            *q = qmax;
         };
-
+        let (edge_q, q) = (&mut state.edge_q[..n], &mut state.q[..n]);
         match threading {
             Threading::Serial => {
-                for (e, (eq, qv)) in state.edge_q[..n]
-                    .iter_mut()
-                    .zip(state.q[..n].iter_mut())
-                    .enumerate()
-                {
-                    if subset.contains(e) {
-                        body(e, eq, qv);
-                    }
+                for (e, (eq, qv)) in edge_q.iter_mut().zip(q.iter_mut()).enumerate() {
+                    body(e, eq, qv);
                 }
             }
             Threading::Rayon => {
-                state.edge_q[..n]
+                edge_q
                     .par_iter_mut()
-                    .zip(state.q[..n].par_iter_mut())
+                    .zip(q.par_iter_mut())
                     .enumerate()
-                    .for_each(|(e, (eq, qv))| {
-                        if subset.contains(e) {
-                            body(e, eq, qv);
-                        }
-                    });
+                    .for_each(|(e, (eq, qv))| body(e, eq, qv));
             }
         }
     });
-}
-
-/// Cell-averaged velocity of element `e`.
-#[inline]
-fn cell_velocity(mesh: &Mesh, u: &[Vec2], e: usize) -> Vec2 {
-    let nd = mesh.elnd[e];
-    (u[nd[0] as usize] + u[nd[1] as usize] + u[nd[2] as usize] + u[nd[3] as usize]) * 0.25
-}
-
-/// Small extension trait: velocity midpoint (same as position midpoint,
-/// named for clarity at call sites).
-trait VelMid {
-    fn midpoint_vel(self, other: Self) -> Self;
-}
-impl VelMid for Vec2 {
-    #[inline]
-    fn midpoint_vel(self, other: Self) -> Self {
-        self.midpoint(other)
-    }
 }
 
 #[cfg(test)]
@@ -272,7 +115,7 @@ mod tests {
     use super::*;
     use bookleaf_eos::{EosSpec, MaterialTable};
     use bookleaf_mesh::{generate_rect, RectSpec};
-    use bookleaf_util::approx_eq;
+    use bookleaf_util::{approx_eq, Vec2};
 
     fn setup(n: usize, u_of: impl Fn(usize) -> Vec2) -> (Mesh, HydroState) {
         let mesh = generate_rect(&RectSpec::unit_square(n), |_| 0).unwrap();
@@ -445,76 +288,6 @@ mod tests {
         );
         assert_eq!(a.q, b.q);
         assert_eq!(a.edge_q, b.edge_q);
-    }
-
-    #[test]
-    fn split_sweeps_match_full_sweep_bitwise() {
-        let mesh = generate_rect(&RectSpec::unit_square(7), |_| 0).unwrap();
-        let mat = MaterialTable::single(EosSpec::ideal_gas(1.4));
-        let nodes = mesh.nodes.clone();
-        let mk = || {
-            HydroState::new(
-                &mesh,
-                &mat,
-                |e| 1.0 + 0.02 * (e % 5) as f64,
-                |_| 1.0,
-                |i| {
-                    Vec2::new(
-                        (7.0 * nodes[i].x).sin() * 0.3,
-                        (5.0 * nodes[i].y).cos() * 0.2,
-                    )
-                },
-            )
-            .unwrap()
-        };
-        let range = LocalRange::whole(&mesh);
-        // Arbitrary split: the union of a mask's two sides must equal
-        // the full sweep exactly (per-element independence).
-        let mask: Vec<bool> = (0..mesh.n_elements()).map(|e| e % 3 == 0).collect();
-        for th in [Threading::Serial, Threading::Rayon] {
-            let mut full = mk();
-            getq(&mesh, &mut full, range, QCoeffs::default(), th);
-            let mut split = mk();
-            for keep in [false, true] {
-                getq_subset(
-                    &mesh,
-                    &mut split,
-                    range,
-                    QCoeffs::default(),
-                    th,
-                    crate::subset::Subset::Mask { mask: &mask, keep },
-                );
-            }
-            assert_eq!(full.q, split.q, "{th:?}");
-            assert_eq!(full.edge_q, split.edge_q, "{th:?}");
-        }
-    }
-
-    #[test]
-    fn subset_leaves_excluded_elements_untouched() {
-        let (mesh, mut st) = setup(4, |i| Vec2::new(i as f64 * 0.01, -0.02));
-        let range = LocalRange::whole(&mesh);
-        let poison = 7.25;
-        st.q.fill(poison);
-        let mask: Vec<bool> = (0..mesh.n_elements()).map(|e| e < 8).collect();
-        getq_subset(
-            &mesh,
-            &mut st,
-            range,
-            QCoeffs::default(),
-            Threading::Serial,
-            crate::subset::Subset::Mask {
-                mask: &mask,
-                keep: true,
-            },
-        );
-        for e in 0..mesh.n_elements() {
-            if !mask[e] {
-                assert_eq!(st.q[e], poison, "element {e} outside subset was written");
-            } else {
-                assert_ne!(st.q[e], poison, "element {e} inside subset was skipped");
-            }
-        }
     }
 
     #[test]

@@ -21,13 +21,14 @@ use bookleaf_util::{KernelId, Result, TimerRegistry, Vec2};
 use crate::eos_fused::{eos_fused, EosStages, FusedEos};
 use crate::getacc::{getacc, getacc_subset, move_nodes, AccMode};
 use crate::getein::{getein, WorkVelocity};
-use crate::getforce::{getforce_subset, HourglassControl};
+use crate::getforce::HourglassControl;
 use crate::getgeom::getgeom;
 use crate::getpc::getpc;
-use crate::getq::{getq_subset, QCoeffs};
+use crate::getq::QCoeffs;
 use crate::getrho::getrho;
 use crate::state::{HydroState, LocalRange};
 use crate::subset::Subset;
+use crate::viscforce::{viscforce, ViscForce, SCRATCH};
 use crate::Threading;
 
 /// Communication hooks called at the paper's two exchange points (plus a
@@ -230,57 +231,89 @@ pub fn lagstep_timed<H: HaloOps>(
     timers: &TimerRegistry,
     split: Option<KernelSplit<'_>>,
 ) -> Result<()> {
-    let th = opts.threading;
     // Start-of-step node positions and internal energy: the corrector
     // advances both from t^n (the predictor's half-step values only feed
     // the corrector's *forces*), which is what makes the scheme
-    // second-order and exactly energy-conserving.
-    let x0: Vec<Vec2> = mesh.nodes[..range.n_active_nd].to_vec();
-    let ein0: Vec<f64> = state.ein[..range.n_owned_el].to_vec();
+    // second-order and exactly energy-conserving. The buffers are taken
+    // out of the thread's scratch for the step (the sweeps inside borrow
+    // the rest of it) and handed back afterwards, so a steady-state step
+    // allocates nothing.
+    let (mut x0, mut ein0) = SCRATCH.with(|scratch| {
+        let scratch = &mut *scratch.borrow_mut();
+        (
+            std::mem::take(&mut scratch.x0),
+            std::mem::take(&mut scratch.ein0),
+        )
+    });
+    x0.clear();
+    x0.extend_from_slice(&mesh.nodes[..range.n_active_nd]);
+    ein0.clear();
+    ein0.extend_from_slice(&state.ein[..range.n_owned_el]);
+    let result = step(
+        mesh, materials, state, range, dt, opts, halo, timers, split, &x0, &ein0,
+    );
+    SCRATCH.with(|scratch| {
+        let scratch = &mut *scratch.borrow_mut();
+        scratch.x0 = x0;
+        scratch.ein0 = ein0;
+    });
+    result
+}
 
-    // The viscosity and force kernels share the pre_viscosity exchange
-    // (the force stencil is contained in the viscosity stencil), so one
-    // post/complete brackets both.
-    let q_and_force =
-        |mesh: &mut Mesh, state: &mut HydroState, halo: &mut H, subset: Subset<'_>| -> Result<()> {
-            match subset {
-                Subset::All => timers.time(KernelId::Comms, || halo.pre_viscosity(mesh, state))?,
-                Subset::Mask { mask, .. } => {
-                    timers.time(KernelId::Comms, || halo.pre_viscosity_post(mesh, state))?;
-                    let interior = Subset::Mask { mask, keep: false };
-                    timers.time(KernelId::GetQ, || {
-                        getq_subset(mesh, state, range, opts.q, th, interior);
-                    });
-                    timers.time(KernelId::GetForce, || {
-                        getforce_subset(mesh, state, range, opts.hourglass, dt, th, interior);
-                    });
-                    timers.time(KernelId::Comms, || halo.pre_viscosity_complete(mesh, state))?;
-                }
+/// The body of [`lagstep_timed`], given the saved start-of-step node
+/// positions `x0` and internal energies `ein0`.
+#[allow(clippy::too_many_arguments)]
+fn step<H: HaloOps>(
+    mesh: &mut Mesh,
+    materials: &MaterialTable,
+    state: &mut HydroState,
+    range: LocalRange,
+    dt: f64,
+    opts: &LagOptions,
+    halo: &mut H,
+    timers: &TimerRegistry,
+    split: Option<KernelSplit<'_>>,
+    x0: &[Vec2],
+    ein0: &[f64],
+) -> Result<()> {
+    let th = opts.threading;
+
+    // Viscosity and forces are one fused sweep behind the pre_viscosity
+    // exchange. Overlapped, the interior elements are swept while the
+    // messages are in flight and the boundary elements after the
+    // exchange completes (the force stencil is contained in the
+    // viscosity stencil, so the viscosity-phase mask serves both).
+    let sweep = ViscForce {
+        q: opts.q,
+        hourglass: opts.hourglass,
+        dt,
+    };
+    let q_and_force = |mesh: &mut Mesh, state: &mut HydroState, halo: &mut H| -> Result<()> {
+        // What is left to sweep once the exchange has completed.
+        let rest = match split {
+            None => {
+                timers.time(KernelId::Comms, || halo.pre_viscosity(mesh, state))?;
+                Subset::All
             }
-            // The remaining sweep: everything for the blocking schedule,
-            // the boundary set for the overlapped one.
-            let rest = match subset {
-                Subset::All => Subset::All,
-                Subset::Mask { mask, .. } => Subset::Mask { mask, keep: true },
-            };
-            timers.time(KernelId::GetQ, || {
-                getq_subset(mesh, state, range, opts.q, th, rest);
-            });
-            timers.time(KernelId::GetForce, || {
-                getforce_subset(mesh, state, range, opts.hourglass, dt, th, rest);
-            });
-            Ok(())
+            Some(s) => {
+                let mask = s.el_boundary;
+                timers.time(KernelId::Comms, || halo.pre_viscosity_post(mesh, state))?;
+                timers.time(KernelId::ViscForce, || {
+                    let interior = Subset::Mask { mask, keep: false };
+                    viscforce(mesh, state, range, sweep, th, interior);
+                });
+                timers.time(KernelId::Comms, || halo.pre_viscosity_complete(mesh, state))?;
+                Subset::Mask { mask, keep: true }
+            }
         };
-    let visc_subset = match split {
-        None => Subset::All,
-        Some(s) => Subset::Mask {
-            mask: s.el_boundary,
-            keep: true,
-        },
+        timers.time(KernelId::ViscForce, || {
+            viscforce(mesh, state, range, sweep, th, rest);
+        });
+        Ok(())
     };
 
     // ---- Predictor: advance thermodynamic state to t + dt/2 ----
-    q_and_force(mesh, state, halo, visc_subset)?;
+    q_and_force(mesh, state, halo)?;
     // Move nodes a half step with the start-of-step velocity.
     state.ubar[..range.n_active_nd].copy_from_slice(&state.u[..range.n_active_nd]);
     move_nodes(mesh, state, range, 0.5 * dt);
@@ -310,7 +343,7 @@ pub fn lagstep_timed<H: HaloOps>(
     }
 
     // ---- Corrector: full step with time-centred quantities ----
-    q_and_force(mesh, state, halo, visc_subset)?;
+    q_and_force(mesh, state, halo)?;
     match split {
         None => {
             timers.time(KernelId::Comms, || halo.pre_acceleration(state))?;
@@ -355,7 +388,7 @@ pub fn lagstep_timed<H: HaloOps>(
         }
     }
     // Re-move nodes from the start-of-step positions by dt·ubar.
-    mesh.nodes[..range.n_active_nd].copy_from_slice(&x0);
+    mesh.nodes[..range.n_active_nd].copy_from_slice(x0);
     move_nodes(mesh, state, range, dt);
     if opts.fuse_eos {
         // The fused corrector integrates the energy straight from the
@@ -370,7 +403,7 @@ pub fn lagstep_timed<H: HaloOps>(
                 FusedEos {
                     dt,
                     which: WorkVelocity::TimeCentred,
-                    ein_from: Some(&ein0),
+                    ein_from: Some(ein0),
                     stages: EosStages::all(),
                 },
                 th,
@@ -379,7 +412,7 @@ pub fn lagstep_timed<H: HaloOps>(
     } else {
         timers.time(KernelId::GetGeom, || getgeom(mesh, state, range, th))?;
         timers.time(KernelId::GetRho, || getrho(state, range, th))?;
-        state.ein[..range.n_owned_el].copy_from_slice(&ein0);
+        state.ein[..range.n_owned_el].copy_from_slice(ein0);
         timers.time(KernelId::GetEin, || {
             getein(mesh, state, range, dt, WorkVelocity::TimeCentred, th);
         });

@@ -22,6 +22,7 @@
 //! | `getdt`      | [`getdt`]    | CFL + divergence time-step control |
 //! | `getq`       | [`getq`]     | artificial viscosity |
 //! | `getforce`   | [`getforce`] | corner forces: pressure, viscosity, hourglass |
+//! | (both)       | [`mod@viscforce`] | the two above as the one fused sweep a step runs |
 //! | `getacc`     | [`getacc`]   | nodal mass gather, acceleration, BCs, node motion |
 //! | `getgeom`    | [`getgeom`]  | volumes, corner volumes, characteristic lengths |
 //! | `getrho`     | [`getrho`]   | density from Lagrangian mass |
@@ -43,7 +44,7 @@
 //! and packed per corner in the order the interleaved layout used.
 //!
 //! The viscosity kernel's neighbour gathers are likewise shaped for
-//! streaming: [`getq`] walks a packed per-edge index table
+//! streaming: it walks a packed per-edge index table
 //! (`Mesh::face_stencil`, built lazily once per mesh — element→element
 //! topology is fixed at construction) instead of matching on the tagged
 //! `elel` rows in the face loop, and gathers cell velocities from a
@@ -60,12 +61,22 @@
 //! split. The unfused kernels remain the reference implementation; a
 //! [`EosStages`] mask fuses any subset of the chain, with a disabled
 //! stage reading current state exactly as the skipped kernel sequence
-//! would. `getq` and `getforce` must **not** be fused into this sweep:
-//! `getq` reads face-neighbour cell velocities (a halo-synchronised
-//! stencil), and `getforce` consumes `getq`'s output — both break the
-//! per-element-independence precondition. Pre-optimisation kernel shapes
-//! are preserved in [`mod@reference`] for the roofline bench and the
-//! equivalence suite.
+//! would.
+//!
+//! `getq` and `getforce` cannot join *that* sweep: nodes move between
+//! the viscosity/force phase and the EOS chain, and (in the corrector)
+//! `getacc` gathers the corner forces in between. But they do fuse with
+//! *each other*: both run on the same unchanged positions and
+//! velocities, `getq` reaches its face neighbours only through the
+//! cell-velocity table precomputed before the sweep, and `getforce`
+//! reads only its own element's `edge_q` — per-element independence
+//! holds. [`fn@viscforce`] is that single sweep (gather once, four faces
+//! as four lanes, one quiescent-element exit), bitwise identical to
+//! `getq` then `getforce` under any serial/rayon/subset split, and the
+//! only viscosity/force code a production step runs; the public `getq`
+//! and `getforce` are thin drivers over its per-element pieces.
+//! Pre-optimisation kernel shapes are preserved in [`mod@reference`]
+//! for the roofline bench and the equivalence suite.
 //!
 //! ## Threading
 //!
@@ -94,12 +105,14 @@ pub mod lagstep;
 pub mod reference;
 pub mod state;
 pub mod subset;
+pub mod viscforce;
 
 pub use eos_fused::{eos_fused, EosStages, FusedEos};
 pub use getacc::AccMode;
 pub use lagstep::{lagstep, lagstep_timed, HaloOps, KernelSplit, LagOptions, NoComm};
 pub use state::{HydroState, LocalRange};
 pub use subset::Subset;
+pub use viscforce::{viscforce, ViscForce};
 
 /// Intra-rank threading mode for the trivially parallel kernels.
 ///

@@ -100,10 +100,20 @@ pub fn edge_vectors(c: &[Vec2; NCORN]) -> [Vec2; NCORN] {
 /// the longest edge. For a square of side `h` this gives `h`; for
 /// squashed or distorted elements it shrinks conservatively, which is the
 /// behaviour the time-step control needs.
+///
+/// The longest edge is found among the *squared* lengths and rooted
+/// once: `sqrt` is monotone and correctly rounded, so
+/// `sqrt(max(aᵢ)) == max(sqrt(aᵢ))` bit for bit — one `sqrt` per
+/// element instead of four (NaN edges are skipped by the fold either
+/// way).
 #[must_use]
 pub fn char_length(c: &[Vec2; NCORN]) -> f64 {
     let area = quad_area(c).abs();
-    let longest = edge_lengths(c).into_iter().fold(0.0f64, f64::max);
+    let longest = [c[0] - c[1], c[1] - c[2], c[2] - c[3], c[3] - c[0]]
+        .into_iter()
+        .map(Vec2::norm2)
+        .fold(0.0f64, f64::max)
+        .sqrt();
     if longest == 0.0 {
         0.0
     } else {

@@ -34,6 +34,19 @@ impl Default for QuarantinePolicy {
     }
 }
 
+impl QuarantinePolicy {
+    /// The quarantine window at backoff `level` (how many quarantines
+    /// the tenant has had since its last healthy run): `base · 2^level`,
+    /// capped.
+    #[must_use]
+    pub fn window(&self, level: u32) -> Duration {
+        self.base
+            .checked_mul(1u32 << level.min(16))
+            .unwrap_or(self.cap)
+            .min(self.cap)
+    }
+}
+
 /// Why an admission was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmitError {
@@ -157,13 +170,7 @@ impl TenantLedger {
             RunOutcome::HealthFailure => {
                 state.consecutive_failures += 1;
                 if state.consecutive_failures >= self.policy.threshold {
-                    let exp = state.quarantine_level.min(16);
-                    let window = self
-                        .policy
-                        .base
-                        .checked_mul(1u32 << exp.min(16))
-                        .unwrap_or(self.policy.cap)
-                        .min(self.policy.cap);
+                    let window = self.policy.window(state.quarantine_level);
                     state.quarantined_until = Some(Instant::now() + window);
                     state.quarantine_level += 1;
                     // The streak restarts inside quarantine: the next
@@ -218,40 +225,50 @@ mod tests {
     }
 
     #[test]
+    fn windows_double_per_level_up_to_the_cap() {
+        let policy = fast_policy();
+        assert_eq!(policy.window(0), policy.base);
+        assert_eq!(policy.window(1), 2 * policy.base);
+        assert_eq!(policy.window(2), 4 * policy.base);
+        assert_eq!(policy.window(3), policy.cap);
+        assert_eq!(policy.window(u32::MAX), policy.cap);
+    }
+
+    #[test]
     fn quarantine_windows_double_and_heal_on_success() {
+        // Asserts on the backoff level and the stored deadline, never on
+        // a remaining duration: how long the test thread was descheduled
+        // between two calls must not matter.
         let ledger = TenantLedger::new(fast_policy(), 4);
+        let standing = |ledger: &TenantLedger| {
+            let tenants = ledger.tenants.lock().unwrap();
+            let state = &tenants["m"];
+            (state.quarantine_level, state.quarantined_until)
+        };
+        // Fail a full streak, return the level it left and wait the
+        // quarantine out.
         let trip = |ledger: &TenantLedger| {
             for _ in 0..2 {
                 ledger.admit("m").unwrap();
                 ledger.finish("m", RunOutcome::HealthFailure);
             }
+            let (level, until) = standing(ledger);
+            let until = until.expect("a full streak quarantines");
+            while let Some(left) = until.checked_duration_since(Instant::now()) {
+                std::thread::sleep(left + Duration::from_millis(1));
+            }
+            level
         };
-        trip(&ledger);
-        let AdmitError::Quarantined { retry_after: w1 } = ledger.admit("m").unwrap_err() else {
-            panic!("expected quarantine");
-        };
-        std::thread::sleep(w1 + Duration::from_millis(5));
-        // Released — and the next streak quarantines with a doubled window.
-        trip(&ledger);
-        let AdmitError::Quarantined { retry_after: w2 } = ledger.admit("m").unwrap_err() else {
-            panic!("expected re-quarantine");
-        };
-        assert!(
-            w2 > w1,
-            "window must grow: first {} ms, second {} ms",
-            w1.as_millis(),
-            w2.as_millis()
-        );
-        std::thread::sleep(w2 + Duration::from_millis(5));
+        assert_eq!(trip(&ledger), 1);
+        // Released — and the next streak quarantines one level up, i.e.
+        // with the doubled window.
+        assert_eq!(trip(&ledger), 2);
         // A healthy completion resets the level: the next streak gets
         // the base window again.
         ledger.admit("m").unwrap();
         ledger.finish("m", RunOutcome::Healthy);
-        trip(&ledger);
-        let AdmitError::Quarantined { retry_after: w3 } = ledger.admit("m").unwrap_err() else {
-            panic!("expected quarantine after reset");
-        };
-        assert!(w3 <= w1, "healthy run must reset the backoff level");
+        assert_eq!(standing(&ledger).0, 0);
+        assert_eq!(trip(&ledger), 1);
     }
 
     #[test]

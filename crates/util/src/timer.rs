@@ -36,6 +36,10 @@ pub enum KernelId {
     /// over corner coordinates and masses; the unfused kernels above
     /// remain the reference implementation).
     EosFused,
+    /// The fused `getq`+`getforce` element sweep — what a production
+    /// step runs, so `GetQ` and `GetForce` above read zero there; the
+    /// standalone kernels remain as thin drivers over the same pieces.
+    ViscForce,
     /// ALE remap phase (all four sub-steps).
     Ale,
     /// Halo exchanges and reductions.
@@ -44,9 +48,12 @@ pub enum KernelId {
     Other,
 }
 
+/// Number of timer buckets.
+const N_KERNELS: usize = 13;
+
 impl KernelId {
     /// All kernel ids in table order.
-    pub const ALL: [KernelId; 12] = [
+    pub const ALL: [KernelId; N_KERNELS] = [
         KernelId::GetDt,
         KernelId::GetQ,
         KernelId::GetForce,
@@ -56,6 +63,7 @@ impl KernelId {
         KernelId::GetEin,
         KernelId::GetPc,
         KernelId::EosFused,
+        KernelId::ViscForce,
         KernelId::Ale,
         KernelId::Comms,
         KernelId::Other,
@@ -74,6 +82,7 @@ impl KernelId {
             KernelId::GetEin => "getein",
             KernelId::GetPc => "getpc",
             KernelId::EosFused => "eos_fused",
+            KernelId::ViscForce => "viscosity+force",
             KernelId::Ale => "ale",
             KernelId::Comms => "comms",
             KernelId::Other => "other",
@@ -97,7 +106,7 @@ struct Bucket {
 /// Thread-safe accumulator of per-kernel wall time.
 #[derive(Debug, Default)]
 pub struct TimerRegistry {
-    buckets: Mutex<[Bucket; 12]>,
+    buckets: Mutex<[Bucket; N_KERNELS]>,
 }
 
 impl TimerRegistry {
@@ -143,8 +152,8 @@ impl TimerRegistry {
 /// Immutable snapshot of a [`TimerRegistry`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimerReport {
-    seconds: [f64; 12],
-    calls: [u64; 12],
+    seconds: [f64; N_KERNELS],
+    calls: [u64; N_KERNELS],
 }
 
 impl TimerReport {
@@ -152,8 +161,8 @@ impl TimerReport {
     #[must_use]
     pub fn zero() -> Self {
         TimerReport {
-            seconds: [0.0; 12],
-            calls: [0; 12],
+            seconds: [0.0; N_KERNELS],
+            calls: [0; N_KERNELS],
         }
     }
 

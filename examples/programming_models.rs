@@ -30,7 +30,7 @@ fn print_row(label: &str, report: &RunReport) {
         "{:<22} {:>10.3} {:>10.3}s {:>10.3}s {:>10.3}s",
         label,
         report.wall_seconds,
-        report.timers.seconds(KernelId::GetQ),
+        report.timers.seconds(KernelId::ViscForce),
         report.timers.seconds(KernelId::GetAcc),
         report.timers.seconds(KernelId::Comms),
     );
@@ -41,7 +41,7 @@ fn main() {
     println!("{}", "=".repeat(76));
     println!(
         "{:<22} {:>10} {:>11} {:>11} {:>11}",
-        "model", "wall (s)", "viscosity", "accel", "comms"
+        "model", "wall (s)", "visc+force", "accel", "comms"
     );
 
     let (serial, serial_report) = run(ExecutorKind::Serial);

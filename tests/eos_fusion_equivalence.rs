@@ -1,5 +1,8 @@
-//! Bitwise equivalence of the fused EOS sweep against the unfused
-//! `getgeom → getrho → getein → getpc` chain.
+//! Bitwise equivalence of the two fused sweeps against the kernels they
+//! fuse: the EOS sweep against the unfused
+//! `getgeom → getrho → getein → getpc` chain, and the viscosity–force
+//! sweep against `getq` then `getforce` and the kept reference shapes
+//! (end of this file).
 //!
 //! The fused sweep's contract (see `bookleaf::hydro::eos_fused`) is that
 //! it produces *bitwise identical* state to running the four kernels in
@@ -14,6 +17,7 @@
 //! * the error path on a tangled mesh (same error value, both routes).
 
 use bookleaf::core::decks::{self, Deck};
+use bookleaf::core::Simulation;
 use bookleaf::eos::MaterialTable;
 use bookleaf::hydro::getein::{getein, WorkVelocity};
 use bookleaf::hydro::getforce::{getforce, HourglassControl};
@@ -21,7 +25,10 @@ use bookleaf::hydro::getgeom::getgeom;
 use bookleaf::hydro::getpc::getpc;
 use bookleaf::hydro::getq::{getq, QCoeffs};
 use bookleaf::hydro::getrho::getrho;
-use bookleaf::hydro::{eos_fused, EosStages, FusedEos, HydroState, LocalRange, Threading};
+use bookleaf::hydro::reference::{getforce_reference, getq_reference};
+use bookleaf::hydro::{
+    eos_fused, viscforce, EosStages, FusedEos, HydroState, LocalRange, Subset, Threading, ViscForce,
+};
 use bookleaf::mesh::{generate_rect, Mesh, RectSpec};
 use bookleaf::util::Vec2;
 use proptest::prelude::*;
@@ -326,6 +333,111 @@ proptest! {
             run_chain(&mesh, &mat, &mut b, range, EosStages::all(),
                       WorkVelocity::Current, th);
             assert_bits_eq(&a, &b, &format!("random {th:?}"));
+        }
+    }
+}
+
+// ------------------------------------------- viscosity–force sweep
+
+/// `edge_q`, `q`, `cnforce_x`, `cnforce_y` as bit patterns.
+type ViscForceBits = (Vec<[u64; 4]>, Vec<u64>, Vec<[u64; 4]>, Vec<[u64; 4]>);
+
+fn viscforce_bits(st: &HydroState) -> ViscForceBits {
+    let rows = |rows: &[[f64; 4]]| rows.iter().map(|r| r.map(f64::to_bits)).collect();
+    (
+        rows(&st.edge_q),
+        st.q.iter().map(|q| q.to_bits()).collect(),
+        rows(&st.cnforce_x),
+        rows(&st.cnforce_y),
+    )
+}
+
+/// The end-of-run mesh and state of a serial run (every derived array
+/// populated the way the last step left it), and the last step's `dt`.
+fn end_of_run(builder: bookleaf::SimulationBuilder) -> (Mesh, HydroState, f64) {
+    let mut sim = builder.max_steps(40).build().expect("valid deck");
+    let report = sim.run().expect("run");
+    assert!(report.steps > 5, "only {} steps", report.steps);
+    let dt = report.time / report.steps as f64;
+    (sim.mesh().clone(), sim.state().clone(), dt)
+}
+
+/// The five named decks and the two-material example deck, at the end
+/// of a short run.
+fn end_of_run_states() -> Vec<(&'static str, Mesh, HydroState, f64)> {
+    let mut out: Vec<_> = standard_decks()
+        .into_iter()
+        .map(|(name, deck)| {
+            let (mesh, st, dt) = end_of_run(Simulation::builder().deck(deck));
+            (name, mesh, st, dt)
+        })
+        .collect();
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/decks/two_material.deck"
+    );
+    let (mesh, st, dt) = end_of_run(Simulation::builder().deck_file(path));
+    out.push(("two_material", mesh, st, dt));
+    out
+}
+
+#[test]
+fn viscforce_matches_getq_then_getforce_and_reference_on_every_deck() {
+    for (name, mesh, st0, dt) in end_of_run_states() {
+        let range = LocalRange::whole(&mesh);
+        let sweep = ViscForce {
+            q: QCoeffs::default(),
+            hourglass: HourglassControl::default(),
+            dt,
+        };
+        // The state must exercise both sides of the element exit.
+        let mut probe = st0.clone();
+        getq(&mesh, &mut probe, range, sweep.q, Threading::Serial);
+        let shocked = probe.q.iter().filter(|&&q| q > 0.0).count();
+        assert!(shocked > 0, "{name}: no viscosity anywhere");
+
+        for th in [Threading::Serial, Threading::Rayon] {
+            let mut fused = st0.clone();
+            viscforce(&mesh, &mut fused, range, sweep, th, Subset::All);
+
+            let mut sequence = st0.clone();
+            getq(&mesh, &mut sequence, range, sweep.q, th);
+            getforce(&mesh, &mut sequence, range, sweep.hourglass, dt, th);
+            assert_eq!(
+                viscforce_bits(&fused),
+                viscforce_bits(&sequence),
+                "{name} {th:?}: fused vs getq+getforce"
+            );
+
+            let mut reference = st0.clone();
+            getq_reference(&mesh, &mut reference, range, sweep.q, th);
+            let mut aos = Vec::new();
+            getforce_reference(&mesh, &reference, range, sweep.hourglass, dt, th, &mut aos);
+            for (e, row) in aos.iter().enumerate() {
+                reference.cnforce_x[e] = row.map(|f| f.x);
+                reference.cnforce_y[e] = row.map(|f| f.y);
+            }
+            assert_eq!(
+                viscforce_bits(&fused),
+                viscforce_bits(&reference),
+                "{name} {th:?}: fused vs reference"
+            );
+
+            // The overlapped schedule: interior then boundary (and the
+            // other way round) is the full sweep.
+            let mask: Vec<bool> = (0..mesh.n_elements()).map(|e| e % 5 < 2).collect();
+            for order in [[false, true], [true, false]] {
+                let mut split = st0.clone();
+                for keep in order {
+                    let side = Subset::Mask { mask: &mask, keep };
+                    viscforce(&mesh, &mut split, range, sweep, th, side);
+                }
+                assert_eq!(
+                    viscforce_bits(&fused),
+                    viscforce_bits(&split),
+                    "{name} {th:?}: split {order:?}"
+                );
+            }
         }
     }
 }

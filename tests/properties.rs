@@ -156,3 +156,42 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// `char_length` roots the longest *squared* edge once; the formula
+    /// it replaced rooted all four edges and took the maximum. `sqrt` is
+    /// monotone and correctly rounded, so the two agree bit for bit —
+    /// on random quads, on quads with coincident corners (zero-length
+    /// edges) and on fully collapsed ones.
+    #[test]
+    fn char_length_single_sqrt_matches_four_sqrt_bitwise(
+        x0 in -3.0f64..3.0, y0 in -3.0f64..3.0,
+        x1 in -3.0f64..3.0, y1 in -3.0f64..3.0,
+        x2 in -3.0f64..3.0, y2 in -3.0f64..3.0,
+        x3 in -3.0f64..3.0, y3 in -3.0f64..3.0,
+        // Tiny and huge quads: squared edges underflow to subnormals
+        // and zero at one end of the range, approach overflow at the
+        // other.
+        scale_exp in 0u32..1060,
+        collapse in 0usize..6,
+    ) {
+        use bookleaf::mesh::geometry::{char_length, edge_lengths, quad_area};
+        let scale = 2.0f64.powi(scale_exp as i32 - 540);
+        let mut c = [(x0, y0), (x1, y1), (x2, y2), (x3, y3)]
+            .map(|(x, y)| Vec2::new(x * scale, y * scale));
+        match collapse {
+            0 => c[1] = c[0], // one zero-length edge
+            1 => {
+                c[1] = c[0]; // two
+                c[3] = c[2];
+            }
+            2 => c = [c[0]; 4], // a point
+            _ => {}
+        }
+        let longest = edge_lengths(&c).into_iter().fold(0.0f64, f64::max);
+        let four_sqrt = if longest == 0.0 { 0.0 } else { quad_area(&c).abs() / longest };
+        prop_assert_eq!(char_length(&c).to_bits(), four_sqrt.to_bits());
+    }
+}

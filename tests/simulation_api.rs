@@ -171,8 +171,8 @@ fn run_report_symmetry_between_serial_and_distributed() {
     assert_eq!(serial.comm.messages_sent, 0);
     assert!(dist.comm.messages_sent > 0);
     assert!(dist.comm.phase("pre_viscosity").is_some());
-    assert!(serial.timers.calls(bookleaf::util::KernelId::GetQ) > 0);
-    assert!(dist.timers.calls(bookleaf::util::KernelId::GetQ) > 0);
+    assert!(serial.timers.calls(bookleaf::util::KernelId::ViscForce) > 0);
+    assert!(dist.timers.calls(bookleaf::util::KernelId::ViscForce) > 0);
     // Global energy accounting on both sides, and they agree.
     assert!(serial.energy_start > 0.0 && dist.energy_start > 0.0);
     assert!(approx_eq(serial.energy_start, dist.energy_start, 1e-9));
