@@ -68,11 +68,12 @@ pub struct SentinelOps<'s> {
 /// death fires and where a collective can time out against a dead peer.
 /// Continues from `cursor` and leaves it at the stop point.
 ///
-/// With `overlap` set (distributed ranks with the overlap toggle on),
-/// every halo phase is split: posted early, completed only before the
-/// boundary sweep of the kernels it feeds, with the interior swept while
-/// the messages are in flight — bitwise identical to the blocking
-/// schedule by the interior/boundary classification's guarantees.
+/// With `overlap` set (ranks that have neighbours, with the overlap
+/// toggle on), every halo phase is split: posted early, completed only
+/// before the boundary sweep of the kernels it feeds, with the interior
+/// swept while the messages are in flight — bitwise identical to the
+/// blocking schedule by the interior/boundary classification's
+/// guarantees.
 ///
 /// With `watch` set (and observers registered), the observer hooks fire
 /// at run begin/end, step begin/end and after each phase. Observers are
@@ -109,6 +110,9 @@ pub fn run_loop<H: HaloOps>(
     let split = overlap.map(|o| KernelSplit {
         el_boundary: &o.el_boundary,
         nd_boundary: &o.nd_boundary,
+        el_boundary_ids: &o.el_boundary_ids,
+        boundary_cells: &o.boundary_cells,
+        nd_boundary_ids: &o.nd_boundary_ids,
     });
 
     let watch = watch.filter(|w| !w.observers.is_empty());

@@ -21,6 +21,7 @@
 //! once across the team.
 
 use std::collections::HashMap;
+use std::sync::Mutex;
 
 use bookleaf_ale::Remapper;
 use bookleaf_hydro::{HydroState, LocalRange, Threading};
@@ -57,7 +58,8 @@ pub(crate) struct Assembled {
 }
 
 struct RankOut {
-    rank: usize,
+    /// Global ids of the rank's owned elements, in local order.
+    owned_el: Vec<u32>,
     rho: Vec<f64>,
     ein: Vec<f64>,
     pressure: Vec<f64>,
@@ -109,7 +111,11 @@ pub(crate) fn run_with_observers(
     };
     deck.validate()?;
     let owner = partition(&deck.mesh, ranks, Strategy::Rcb)?;
-    let subs = SubMeshPlan::build(&deck.mesh, &owner, ranks)?;
+    // Each rank takes its submesh (and works on that mesh) when it starts.
+    let subs: Vec<Mutex<Option<SubMesh>>> = SubMeshPlan::build(&deck.mesh, &owner, ranks)?
+        .into_iter()
+        .map(|sub| Mutex::new(Some(sub)))
+        .collect();
 
     let mut rank_config = *config;
     rank_config.lag.threading = if threads_per_rank > 1 {
@@ -120,7 +126,11 @@ pub(crate) fn run_with_observers(
 
     let start = std::time::Instant::now();
     let results: Vec<Result<RankOut>> = Typhon::run_with(ranks, typhon.clone(), |ctx| {
-        let sub = &subs[ctx.rank()];
+        let sub = subs[ctx.rank()]
+            .lock()
+            .expect("nothing panics holding a submesh slot")
+            .take()
+            .expect("each rank starts once");
         let body =
             || -> Result<RankOut> { run_rank(ctx, sub, deck, &rank_config, observers, resume) };
         if threads_per_rank > 1 {
@@ -165,8 +175,7 @@ pub(crate) fn run_with_observers(
     };
     for r in results {
         let r = r?;
-        let sub = &subs[r.rank];
-        for (l, &g) in sub.el_l2g[..sub.n_owned_el].iter().enumerate() {
+        for (l, &g) in r.owned_el.iter().enumerate() {
             fields.rho[g as usize] = r.rho[l];
             fields.ein[g as usize] = r.ein[l];
             fields.pressure[g as usize] = r.pressure[l];
@@ -205,25 +214,20 @@ pub(crate) fn run_with_observers(
 /// One rank's work: local state, halo hooks, the shared run loop.
 fn run_rank(
     ctx: &bookleaf_typhon::RankCtx,
-    sub: &SubMesh,
+    sub: SubMesh,
     deck: &Deck,
     config: &RunConfig,
     observers: &ObserverSet,
     resume: Option<&Snapshot>,
 ) -> Result<RankOut> {
-    let mut mesh = sub.mesh.clone();
-    let mut state = HydroState::new(
-        &mesh,
-        &deck.materials,
-        |e| deck.rho[sub.el_l2g[e] as usize],
-        |e| deck.ein[sub.el_l2g[e] as usize],
-        |n| deck.u[sub.nd_l2g[n] as usize],
-    )?;
-    let range = LocalRange {
-        n_owned_el: sub.n_owned_el,
-        n_active_nd: sub.n_active_nd,
-    };
-
+    // Interior/boundary classification, derived once per run: with the
+    // overlap toggle on, every halo phase is posted early and completed
+    // only before the boundary sweep (latency hiding; bitwise identical
+    // physics and identical message counts). A rank with no neighbour
+    // link has nothing in flight to hide work behind: it runs the
+    // blocking schedule, whose exchanges move nothing.
+    let overlap_sets =
+        (config.overlap && !sub.neighbour_ranks().is_empty()).then(|| sub.overlap_sets());
     // Map global piston nodes to local ids.
     let piston = deck.piston.as_ref().map(|p| {
         let g2l: HashMap<u32, u32> = sub
@@ -237,20 +241,44 @@ fn run_rank(
             velocity: p.velocity,
         }
     });
+    // Build the rank's aggregated exchange plan once; every halo hook
+    // then moves its whole phase as one message per neighbour.
+    let mut halo = TyphonHalo::new(ctx, &sub, piston);
+
+    // From here on the rank works on the submesh's own mesh.
+    let SubMesh {
+        mut mesh,
+        n_owned_el,
+        n_active_nd,
+        mut el_l2g,
+        nd_l2g,
+        nd_owner,
+        ..
+    } = sub;
+    let owns_node = |n: usize| nd_owner[n] as usize == ctx.rank();
+    let owned_nodes = || (0..n_active_nd).filter(|&n| owns_node(n));
+    let mut state = HydroState::new(
+        &mesh,
+        &deck.materials,
+        |e| deck.rho[el_l2g[e] as usize],
+        |e| deck.ein[el_l2g[e] as usize],
+        |n| deck.u[nd_l2g[n] as usize],
+    )?;
+    let range = LocalRange {
+        n_owned_el,
+        n_active_nd,
+    };
 
     // The remapper must capture the *deck-initial* node positions
     // (they are the Eulerian remap target), so it is built before any
     // checkpoint overwrites the mesh.
     let remapper = config.ale.map(|opts| Remapper::new(&mesh, opts));
-    // Build the rank's aggregated exchange plan once; every halo hook
-    // then moves its whole phase as one message per neighbour.
-    let mut halo = TyphonHalo::new(ctx, sub, piston);
 
     let mut cursor = crate::driver::LoopState::default();
     if let Some(snap) = resume {
         // Scatter the global checkpoint state onto the entities this
         // rank owns; ghosts are poised to arrive from their owners.
-        for (l, &g) in sub.el_l2g[..sub.n_owned_el].iter().enumerate() {
+        for (l, &g) in el_l2g[..n_owned_el].iter().enumerate() {
             let g = g as usize;
             state.mass[l] = snap.mass[g];
             state.rho[l] = snap.rho[g];
@@ -258,13 +286,11 @@ fn run_rank(
             state.q[l] = snap.q[g];
             state.cnmass[l] = snap.cnmass[g];
         }
-        for n in 0..sub.n_active_nd {
-            if sub.owns_node(n) {
-                let g = sub.nd_l2g[n] as usize;
-                mesh.nodes[n] = snap.nodes[g];
-                state.u[n] = snap.u[g];
-                state.nd_mass[n] = snap.nd_mass[g];
-            }
+        for n in owned_nodes() {
+            let g = nd_l2g[n] as usize;
+            mesh.nodes[n] = snap.nodes[g];
+            state.u[n] = snap.u[g];
+            state.nd_mass[n] = snap.nd_mass[g];
         }
         // One-shot restore exchange: every ghost element and halo node
         // receives its owner's checkpoint values — same plan machinery,
@@ -292,18 +318,13 @@ fn run_rank(
             dt_prev: snap.dt_prev,
         };
     }
-    // Interior/boundary classification, derived once per run: with the
-    // overlap toggle on, every halo phase is posted early and completed
-    // only before the boundary sweep (latency hiding; bitwise identical
-    // physics and identical message counts).
-    let overlap_sets = config.overlap.then(|| sub.overlap_sets());
     let timers = bookleaf_util::TimerRegistry::new();
 
     // This rank's energy contribution: owned elements, owned nodes —
     // partition-boundary nodes live on several ranks but are summed
     // exactly once across the team.
     let local_energy = |mesh: &Mesh, state: &HydroState| {
-        state.internal_energy(range) + state.kinetic_energy_where(mesh, range, |n| sub.owns_node(n))
+        state.internal_energy(range) + state.kinetic_energy_where(mesh, range, owns_node)
     };
     // All collective calls below (start/end energy, dt per step, any
     // sentinel or observer-driven reductions inside the loop) execute
@@ -352,27 +373,21 @@ fn run_rank(
     let energy_end = ctx.allreduce_sum(local_energy(&mesh, &state))?;
     let (steps, time) = (cursor.steps, cursor.t);
 
-    let u_owned: Vec<(u32, Vec2)> = (0..sub.n_active_nd)
-        .filter(|&n| sub.owns_node(n))
-        .map(|n| (sub.nd_l2g[n], state.u[n]))
+    let u_owned = owned_nodes().map(|n| (nd_l2g[n], state.u[n])).collect();
+    let x_owned = owned_nodes().map(|n| (nd_l2g[n], mesh.nodes[n])).collect();
+    let nd_mass_owned = owned_nodes()
+        .map(|n| (nd_l2g[n], state.nd_mass[n]))
         .collect();
-    let x_owned: Vec<(u32, Vec2)> = (0..sub.n_active_nd)
-        .filter(|&n| sub.owns_node(n))
-        .map(|n| (sub.nd_l2g[n], mesh.nodes[n]))
-        .collect();
-    let nd_mass_owned: Vec<(u32, f64)> = (0..sub.n_active_nd)
-        .filter(|&n| sub.owns_node(n))
-        .map(|n| (sub.nd_l2g[n], state.nd_mass[n]))
-        .collect();
+    el_l2g.truncate(n_owned_el);
 
     Ok(RankOut {
-        rank: ctx.rank(),
-        rho: state.rho[..sub.n_owned_el].to_vec(),
-        ein: state.ein[..sub.n_owned_el].to_vec(),
-        pressure: state.pressure[..sub.n_owned_el].to_vec(),
-        mass: state.mass[..sub.n_owned_el].to_vec(),
-        q: state.q[..sub.n_owned_el].to_vec(),
-        cnmass: state.cnmass[..sub.n_owned_el].to_vec(),
+        owned_el: el_l2g,
+        rho: state.rho[..n_owned_el].to_vec(),
+        ein: state.ein[..n_owned_el].to_vec(),
+        pressure: state.pressure[..n_owned_el].to_vec(),
+        mass: state.mass[..n_owned_el].to_vec(),
+        q: state.q[..n_owned_el].to_vec(),
+        cnmass: state.cnmass[..n_owned_el].to_vec(),
         u_owned,
         x_owned,
         nd_mass_owned,

@@ -23,6 +23,7 @@ use rayon::prelude::*;
 
 use crate::state::{HydroState, LocalRange};
 use crate::subset::Subset;
+use crate::viscforce::{Scratch, SCRATCH};
 
 /// How to accumulate corner masses/forces onto nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -47,12 +48,14 @@ pub fn getacc(mesh: &Mesh, state: &mut HydroState, range: LocalRange, dt: f64, m
     getacc_subset(mesh, state, range, dt, mode, Subset::All);
 }
 
-/// [`getacc`] over a [`Subset`] of the active nodes; velocities, `ubar`
-/// and nodal masses outside the subset are left untouched. Used by the
-/// overlapped executor: the interior subset must contain only nodes
-/// whose whole element adjacency is owned (see
+/// [`getacc`] over a [`Subset`] of the active nodes, in one pass over
+/// the active range; velocities, `ubar` and nodal masses outside the
+/// subset are left untouched. The overlapped executor runs this as its
+/// *interior* pass (`Subset::Mask { keep: false }` over the boundary
+/// mask) while the corner exchange is in flight: the interior must
+/// contain only nodes whose whole element adjacency is owned (see
 /// `bookleaf_mesh::OverlapSets`), so their gathers never read a ghost
-/// corner mass or force the in-flight exchange is about to rewrite.
+/// corner mass or force the exchange is about to rewrite.
 pub fn getacc_subset(
     mesh: &Mesh,
     state: &mut HydroState,
@@ -62,79 +65,115 @@ pub fn getacc_subset(
     subset: Subset<'_>,
 ) {
     let nn = range.n_active_nd;
-
-    // Accumulate nodal mass and force. Entries outside the subset are
-    // left at zero and never read below.
-    let (nd_mass, nd_force) = match mode {
-        AccMode::ScatterSerial => {
-            let mut nd_mass = vec![0.0f64; nn];
-            let mut nd_force = vec![Vec2::ZERO; nn];
-            // The scatter runs over *all* local elements so that active
-            // nodes adjacent to ghost elements receive those
-            // contributions too. Contributions to nodes outside the
-            // subset are skipped (their slots stay zero and unread), so
-            // a split sweep accumulates each node's sums exactly once —
-            // in the same element order as the unsplit scatter.
-            for e in 0..mesh.n_elements() {
-                for c in 0..4 {
-                    let nd = mesh.elnd[e][c] as usize;
-                    if nd < nn && subset.contains(nd) {
-                        nd_mass[nd] += state.cnmass[e][c];
-                        nd_force[nd] += state.cnforce(e, c);
+    SCRATCH.with(|scratch| {
+        // The thread's nodal-sum buffers (a steady-state step allocates
+        // nothing). Entries outside the subset are never read below.
+        let Scratch {
+            nd_mass, nd_force, ..
+        } = &mut *scratch.borrow_mut();
+        nd_mass.resize(nn, 0.0);
+        nd_force.resize(nn, Vec2::ZERO);
+        match mode {
+            AccMode::ScatterSerial => {
+                nd_mass.fill(0.0);
+                nd_force.fill(Vec2::ZERO);
+                // The scatter runs over *all* local elements so that
+                // active nodes adjacent to ghost elements receive those
+                // contributions too. Contributions to nodes outside the
+                // subset are skipped, so a split sweep accumulates each
+                // node's sums exactly once — in the same element order
+                // as the unsplit scatter.
+                for e in 0..mesh.n_elements() {
+                    for c in 0..4 {
+                        let nd = mesh.elnd[e][c] as usize;
+                        if nd < nn && subset.contains(nd) {
+                            nd_mass[nd] += state.cnmass[e][c];
+                            nd_force[nd] += state.cnforce(e, c);
+                        }
                     }
                 }
             }
-            (nd_mass, nd_force)
-        }
-        AccMode::GatherSerial => {
-            let mut nd_mass = vec![0.0f64; nn];
-            let mut nd_force = vec![Vec2::ZERO; nn];
-            for n in 0..nn {
-                if !subset.contains(n) {
-                    continue;
+            AccMode::GatherSerial => {
+                for n in (0..nn).filter(|&n| subset.contains(n)) {
+                    (nd_mass[n], nd_force[n]) = gather_node(mesh, state, n);
                 }
-                let (m, f) = gather_node(mesh, state, n);
-                nd_mass[n] = m;
-                nd_force[n] = f;
             }
-            (nd_mass, nd_force)
+            AccMode::GatherParallel => {
+                nd_mass
+                    .par_iter_mut()
+                    .zip(nd_force.par_iter_mut())
+                    .enumerate()
+                    .for_each(|(n, (m, f))| {
+                        if subset.contains(n) {
+                            (*m, *f) = gather_node(mesh, state, n);
+                        }
+                    });
+            }
         }
-        AccMode::GatherParallel => {
-            let mut nd_mass = vec![0.0f64; nn];
-            let mut nd_force = vec![Vec2::ZERO; nn];
-            nd_mass
-                .par_iter_mut()
-                .zip(nd_force.par_iter_mut())
-                .enumerate()
-                .for_each(|(n, (m, f))| {
-                    if subset.contains(n) {
-                        let (mm, ff) = gather_node(mesh, state, n);
-                        *m = mm;
-                        *f = ff;
-                    }
-                });
-            (nd_mass, nd_force)
+        for n in (0..nn).filter(|&n| subset.contains(n)) {
+            advance_node(mesh, state, n, nd_mass[n], nd_force[n], dt);
         }
-    };
+    });
+}
 
-    // Acceleration, BCs, velocity update, time-centred velocity.
-    for n in 0..nn {
-        if !subset.contains(n) {
-            continue;
+/// [`getacc`] over exactly the active nodes `ids` (ascending, unique)
+/// at a cost proportional to the list — the overlapped executor's
+/// *boundary* pass (`OverlapSets::nd_boundary_ids`), run once the corner
+/// exchange has completed. A masked [`getacc_subset`] pass and a listed
+/// pass over the mask's `true` positions are together bitwise the full
+/// sweep, in either order.
+pub fn getacc_listed(
+    mesh: &Mesh,
+    state: &mut HydroState,
+    range: LocalRange,
+    dt: f64,
+    mode: AccMode,
+    ids: &[u32],
+) {
+    assert!(
+        ids.last().is_none_or(|&n| (n as usize) < range.n_active_nd),
+        "listed node outside the active range"
+    );
+    SCRATCH.with(|scratch| {
+        // Sum `i` belongs to node `ids[i]`.
+        let Scratch {
+            nd_mass, nd_force, ..
+        } = &mut *scratch.borrow_mut();
+        nd_mass.resize(ids.len(), 0.0);
+        nd_force.resize(ids.len(), Vec2::ZERO);
+        let sums = nd_mass.iter_mut().zip(nd_force.iter_mut()).zip(ids);
+        match mode {
+            AccMode::ScatterSerial => {
+                sums.for_each(|((m, f), &n)| (*m, *f) = gather_node_as_scattered(mesh, state, n));
+            }
+            AccMode::GatherSerial => {
+                sums.for_each(|((m, f), &n)| (*m, *f) = gather_node(mesh, state, n as usize));
+            }
+            AccMode::GatherParallel => {
+                nd_mass
+                    .par_iter_mut()
+                    .zip(nd_force.par_iter_mut())
+                    .zip(ids.par_iter())
+                    .for_each(|((m, f), &n)| (*m, *f) = gather_node(mesh, state, n as usize));
+            }
         }
-        state.nd_mass[n] = nd_mass[n];
-        let bc = mesh.node_bc[n];
-        let m = nd_mass[n];
-        let a = if m > 0.0 {
-            bc.apply(nd_force[n] / m)
-        } else {
-            Vec2::ZERO
-        };
-        let u_old = bc.apply(state.u[n]);
-        let u_new = u_old + a * dt;
-        state.u[n] = u_new;
-        state.ubar[n] = (u_old + u_new) * 0.5;
-    }
+        for (i, &n) in ids.iter().enumerate() {
+            advance_node(mesh, state, n as usize, nd_mass[i], nd_force[i], dt);
+        }
+    });
+}
+
+/// Acceleration, BCs, velocity update and time-centred velocity of node
+/// `n`, given its mass `m` and force `f`.
+#[inline]
+fn advance_node(mesh: &Mesh, state: &mut HydroState, n: usize, m: f64, f: Vec2, dt: f64) {
+    state.nd_mass[n] = m;
+    let bc = mesh.node_bc[n];
+    let a = if m > 0.0 { bc.apply(f / m) } else { Vec2::ZERO };
+    let u_old = bc.apply(state.u[n]);
+    let u_new = u_old + a * dt;
+    state.u[n] = u_new;
+    state.ubar[n] = (u_old + u_new) * 0.5;
 }
 
 /// Mass and force gathered at node `n` from its adjacent elements.
@@ -149,6 +188,29 @@ fn gather_node(mesh: &Mesh, state: &HydroState, n: usize) -> (f64, Vec2) {
     for &(e, c) in mesh.elements_of_node(n) {
         m += state.cnmass[e as usize][c as usize];
         f += state.cnforce(e as usize, c as usize);
+    }
+    (m, f)
+}
+
+/// Mass and force at node `n` summed in the order the element scatter
+/// reaches them: ascending *local* (element, corner). A submesh lists a
+/// node's elements by global id instead, so the next entry is selected
+/// rather than assumed (a node has a handful).
+fn gather_node_as_scattered(mesh: &Mesh, state: &HydroState, n: u32) -> (f64, Vec2) {
+    let around = mesh.elements_of_node(n as usize);
+    let mut m = 0.0;
+    let mut f = Vec2::ZERO;
+    let mut done: Option<(u32, u8)> = None;
+    for _ in around {
+        let (e, c) = around
+            .iter()
+            .copied()
+            .filter(|&ec| done.is_none_or(|d| ec > d))
+            .min()
+            .expect("one entry per iteration");
+        m += state.cnmass[e as usize][c as usize];
+        f += state.cnforce(e as usize, c as usize);
+        done = Some((e, c));
     }
     (m, f)
 }
@@ -296,69 +358,121 @@ mod tests {
         assert!(approx_eq(dp.y, expected.y, 1e-12));
     }
 
-    #[test]
-    fn split_node_sweeps_match_full_sweep_bitwise() {
-        let (mesh, st0) = setup(5);
-        let range = LocalRange::whole(&mesh);
-        let prep = |st: &mut HydroState| {
-            for e in 0..st.n_elements() {
-                st.cnforce_x[e] = [0.1 * e as f64, -0.2, 0.05, 0.0];
-                st.cnforce_y[e] = [-0.05, 0.3, 0.05 * e as f64, -0.1];
-            }
-        };
-        let mask: Vec<bool> = (0..mesh.n_nodes()).map(|n| n % 4 == 1).collect();
-        for mode in [
-            AccMode::ScatterSerial,
-            AccMode::GatherSerial,
-            AccMode::GatherParallel,
-        ] {
+    const MODES: [AccMode; 3] = [
+        AccMode::ScatterSerial,
+        AccMode::GatherSerial,
+        AccMode::GatherParallel,
+    ];
+
+    /// Corner forces whose nodal sums depend on the summation order.
+    fn set_uneven_forces(st: &mut HydroState) {
+        for e in 0..st.n_elements() {
+            st.cnforce_x[e] = [0.1 * e as f64, -0.2, 0.05, 1.0 / 3.0];
+            st.cnforce_y[e] = [-0.05, 0.3, 0.05 * e as f64, -0.1];
+        }
+    }
+
+    fn true_positions(mask: &[bool]) -> Vec<u32> {
+        (0..mask.len() as u32)
+            .filter(|&n| mask[n as usize])
+            .collect()
+    }
+
+    /// Interior (masked range) pass + listed pass == the full sweep on
+    /// `u`, `ubar` and `nd_mass`, bit for bit, in either order.
+    fn assert_split_is_full(mesh: &Mesh, st0: &HydroState, range: LocalRange, mask: &[bool]) {
+        let ids = true_positions(mask);
+        let interior = Subset::Mask { mask, keep: false };
+        for mode in MODES {
             let mut full = st0.clone();
-            prep(&mut full);
-            getacc(&mesh, &mut full, range, 0.01, mode);
-            let mut split = st0.clone();
-            prep(&mut split);
-            for keep in [false, true] {
-                getacc_subset(
-                    &mesh,
-                    &mut split,
-                    range,
-                    0.01,
-                    mode,
-                    crate::subset::Subset::Mask { mask: &mask, keep },
-                );
-            }
-            for n in 0..mesh.n_nodes() {
-                assert_eq!(full.u[n], split.u[n], "{mode:?} u at node {n}");
-                assert_eq!(full.ubar[n], split.ubar[n], "{mode:?} ubar at node {n}");
-                assert_eq!(full.nd_mass[n], split.nd_mass[n], "{mode:?} nd_mass");
+            getacc(mesh, &mut full, range, 0.01, mode);
+            for listed_first in [false, true] {
+                let mut split = st0.clone();
+                if listed_first {
+                    getacc_listed(mesh, &mut split, range, 0.01, mode, &ids);
+                }
+                getacc_subset(mesh, &mut split, range, 0.01, mode, interior);
+                if !listed_first {
+                    getacc_listed(mesh, &mut split, range, 0.01, mode, &ids);
+                }
+                let what = format!("{mode:?}, listed first: {listed_first}");
+                assert_eq!(full.u, split.u, "u, {what}");
+                assert_eq!(full.ubar, split.ubar, "ubar, {what}");
+                let bits = |st: &HydroState| -> Vec<u64> {
+                    st.nd_mass.iter().map(|m| m.to_bits()).collect()
+                };
+                assert_eq!(bits(&full), bits(&split), "nd_mass, {what}");
             }
         }
     }
 
     #[test]
-    fn subset_leaves_excluded_nodes_untouched() {
-        let (mesh, mut st) = setup(3);
-        set_unit_forces(&mut st);
+    fn interior_pass_plus_listed_pass_is_the_full_sweep_bitwise() {
+        let (mesh, mut st) = setup(5);
+        set_uneven_forces(&mut st);
+        let mask: Vec<bool> = (0..mesh.n_nodes()).map(|n| n % 4 == 1).collect();
+        assert_split_is_full(&mesh, &st, LocalRange::whole(&mesh), &mask);
+    }
+
+    #[test]
+    fn listed_pass_sums_in_the_scatter_order_on_a_submesh() {
+        // On the right-hand rank of a stripe partition the ghosts have
+        // the *smaller* global ids: a seam node's adjacency (global-id
+        // order) lists them first, the element scatter (local order)
+        // reaches them last.
+        use bookleaf_mesh::SubMeshPlan;
+        let n = 6;
+        let global = generate_rect(&RectSpec::unit_square(n), |_| 0).unwrap();
+        let owner: Vec<usize> = (0..global.n_elements())
+            .map(|e| usize::from(e % n >= n / 2))
+            .collect();
+        let sub = SubMeshPlan::build(&global, &owner, 2).unwrap().remove(1);
+        let sets = sub.overlap_sets();
+        assert!(sets.nd_boundary_ids.iter().any(|&nd| {
+            let around = sub.mesh.elements_of_node(nd as usize);
+            around.windows(2).any(|w| w[0].0 > w[1].0)
+        }));
+        let mat = MaterialTable::single(EosSpec::ideal_gas(1.4));
+        let mut st = HydroState::new(&sub.mesh, &mat, |_| 1.0, |_| 2.5, |_| Vec2::ZERO).unwrap();
+        set_uneven_forces(&mut st);
+        let range = LocalRange {
+            n_owned_el: sub.n_owned_el,
+            n_active_nd: sub.n_active_nd,
+        };
+        assert_split_is_full(&sub.mesh, &st, range, &sets.nd_boundary);
+    }
+
+    #[test]
+    fn each_pass_leaves_the_other_passes_nodes_untouched() {
+        let (mesh, mut st0) = setup(3);
+        set_unit_forces(&mut st0);
         let range = LocalRange::whole(&mesh);
         let frozen = Vec2::new(9.0, -9.0);
-        st.u.fill(frozen);
+        st0.u.fill(frozen);
+        st0.ubar.fill(frozen);
+        st0.nd_mass.fill(-1.0);
         let mask: Vec<bool> = (0..mesh.n_nodes()).map(|n| n < 6).collect();
-        getacc_subset(
-            &mesh,
-            &mut st,
-            range,
-            0.1,
-            AccMode::GatherSerial,
-            crate::subset::Subset::Mask {
-                mask: &mask,
-                keep: false,
-            },
-        );
-        for n in 0..mesh.n_nodes() {
-            if mask[n] {
-                assert_eq!(st.u[n], frozen, "masked-out node {n} was updated");
-            } else {
-                assert_ne!(st.u[n], frozen, "in-subset node {n} was skipped");
+        let ids = true_positions(&mask);
+        for mode in MODES {
+            for listed in [false, true] {
+                let mut st = st0.clone();
+                if listed {
+                    getacc_listed(&mesh, &mut st, range, 0.1, mode, &ids);
+                } else {
+                    let interior = Subset::Mask {
+                        mask: &mask,
+                        keep: false,
+                    };
+                    getacc_subset(&mesh, &mut st, range, 0.1, mode, interior);
+                }
+                for n in 0..mesh.n_nodes() {
+                    let kept = (st.u[n], st.ubar[n], st.nd_mass[n]) == (frozen, frozen, -1.0);
+                    assert_eq!(
+                        kept,
+                        mask[n] != listed,
+                        "{mode:?} listed {listed}: node {n}"
+                    );
+                }
             }
         }
     }

@@ -20,7 +20,6 @@ use bookleaf_mesh::Mesh;
 use rayon::prelude::*;
 
 use crate::state::{HydroState, LocalRange};
-use crate::subset::Subset;
 use crate::viscforce::{edge_q_lanes, sound_speed, with_cell_velocities, Faces, Gathered, QInputs};
 use crate::Threading;
 
@@ -72,7 +71,7 @@ pub fn getq(
     let rho = &state.rho[..n];
     let cs2 = &state.cs2[..n];
 
-    with_cell_velocities(mesh, u, n, threading, Subset::All, |cell_u| {
+    with_cell_velocities(mesh, u, threading, None, |cell_u, _| {
         let body = |e: usize, edge_q: &mut [f64; 4], q: &mut f64| {
             let g = Gathered::new(mesh, u, e);
             let faces = Faces::new(&g);

@@ -19,7 +19,7 @@ use bookleaf_mesh::Mesh;
 use bookleaf_util::{KernelId, Result, TimerRegistry, Vec2};
 
 use crate::eos_fused::{eos_fused, EosStages, FusedEos};
-use crate::getacc::{getacc, getacc_subset, move_nodes, AccMode};
+use crate::getacc::{getacc, getacc_listed, getacc_subset, move_nodes, AccMode};
 use crate::getein::{getein, WorkVelocity};
 use crate::getforce::HourglassControl;
 use crate::getgeom::getgeom;
@@ -28,7 +28,7 @@ use crate::getq::QCoeffs;
 use crate::getrho::getrho;
 use crate::state::{HydroState, LocalRange};
 use crate::subset::Subset;
-use crate::viscforce::{viscforce, ViscForce, SCRATCH};
+use crate::viscforce::{viscforce, viscforce_listed, ViscForce, SCRATCH};
 use crate::Threading;
 
 /// Communication hooks called at the paper's two exchange points (plus a
@@ -54,13 +54,18 @@ use crate::Threading;
 ///
 /// 1. interior entities (no halo dependency, see
 ///    `bookleaf_mesh::OverlapSets`) are swept while the messages are in
-///    flight;
+///    flight — one pass over the full range that skips the boundary
+///    entities;
 /// 2. the phase is completed;
-/// 3. boundary entities are swept with the refreshed halo.
+/// 3. boundary entities are swept with the refreshed halo — from their
+///    id lists, visiting nothing else, so the split costs what the halo
+///    costs.
 ///
 /// Because interior sweeps touch no received value and boundary sweeps
 /// run after the same unpack a blocking exchange would have done, the
-/// split schedule is bitwise identical to the blocking one. A split
+/// split schedule is bitwise identical to the blocking one. A rank
+/// without neighbour links has nothing to overlap and is simply given
+/// the blocking schedule. A split
 /// pair must move exactly the messages the blocking hook moves (the
 /// message-count contract above applies per *pair*, not per call), and
 /// posts must be issued in the same global order on every rank.
@@ -138,9 +143,12 @@ pub trait HaloOps {
     }
 }
 
-/// Interior/boundary masks steering the overlapped Lagrangian step.
-/// Views into `bookleaf_mesh::OverlapSets` (or anything upholding the
-/// same guarantees — see the [`HaloOps`] ordering invariant).
+/// The interior/boundary classification steering the overlapped
+/// Lagrangian step: each boundary set as a mask (what the interior pass
+/// skips) and as the ascending list of its `true` positions (all the
+/// boundary pass visits). Views into `bookleaf_mesh::OverlapSets` (or
+/// anything upholding the same guarantees — see the [`HaloOps`]
+/// ordering invariant).
 #[derive(Debug, Clone, Copy)]
 pub struct KernelSplit<'a> {
     /// Per owned element: `true` ⇒ the viscosity-phase stencil touches
@@ -149,6 +157,13 @@ pub struct KernelSplit<'a> {
     /// Per active node: `true` ⇒ adjacent to a ghost element (swept
     /// only after the corner exchange completes).
     pub nd_boundary: &'a [bool],
+    /// The boundary elements.
+    pub el_boundary_ids: &'a [u32],
+    /// The cell-velocity entries the boundary elements read: themselves
+    /// and their face neighbours.
+    pub boundary_cells: &'a [u32],
+    /// The boundary nodes.
+    pub nd_boundary_ids: &'a [u32],
 }
 
 /// No-op hooks for serial (single-rank) runs.
@@ -216,7 +231,7 @@ pub fn lagstep<H: HaloOps>(
 ///
 /// With `split` set, each exchange phase is overlapped with the kernels
 /// it feeds: the phase is *posted*, interior entities are swept while
-/// the messages are in flight, the phase is *completed*, and the
+/// the messages are in flight, the phase is *completed*, and the listed
 /// boundary entities are swept last — bitwise identical to the blocking
 /// schedule (see the [`HaloOps`] ordering invariant).
 #[allow(clippy::too_many_arguments)]
@@ -280,35 +295,38 @@ fn step<H: HaloOps>(
 
     // Viscosity and forces are one fused sweep behind the pre_viscosity
     // exchange. Overlapped, the interior elements are swept while the
-    // messages are in flight and the boundary elements after the
+    // messages are in flight and the listed boundary elements after the
     // exchange completes (the force stencil is contained in the
-    // viscosity stencil, so the viscosity-phase mask serves both).
+    // viscosity stencil, so the viscosity-phase sets serve both).
     let sweep = ViscForce {
         q: opts.q,
         hourglass: opts.hourglass,
         dt,
     };
     let q_and_force = |mesh: &mut Mesh, state: &mut HydroState, halo: &mut H| -> Result<()> {
-        // What is left to sweep once the exchange has completed.
-        let rest = match split {
+        match split {
             None => {
                 timers.time(KernelId::Comms, || halo.pre_viscosity(mesh, state))?;
-                Subset::All
+                timers.time(KernelId::ViscForce, || {
+                    viscforce(mesh, state, range, sweep, th, Subset::All);
+                });
             }
             Some(s) => {
-                let mask = s.el_boundary;
                 timers.time(KernelId::Comms, || halo.pre_viscosity_post(mesh, state))?;
                 timers.time(KernelId::ViscForce, || {
-                    let interior = Subset::Mask { mask, keep: false };
+                    let interior = Subset::Mask {
+                        mask: s.el_boundary,
+                        keep: false,
+                    };
                     viscforce(mesh, state, range, sweep, th, interior);
                 });
                 timers.time(KernelId::Comms, || halo.pre_viscosity_complete(mesh, state))?;
-                Subset::Mask { mask, keep: true }
+                timers.time(KernelId::ViscForce, || {
+                    let (ids, cells) = (s.el_boundary_ids, s.boundary_cells);
+                    viscforce_listed(mesh, state, range, sweep, th, ids, cells);
+                });
             }
-        };
-        timers.time(KernelId::ViscForce, || {
-            viscforce(mesh, state, range, sweep, th, rest);
-        });
+        }
         Ok(())
     };
 
@@ -372,17 +390,7 @@ fn step<H: HaloOps>(
             });
             timers.time(KernelId::Comms, || halo.pre_acceleration_complete(state))?;
             timers.time(KernelId::GetAcc, || {
-                getacc_subset(
-                    mesh,
-                    state,
-                    range,
-                    dt,
-                    opts.acc_mode,
-                    Subset::Mask {
-                        mask: s.nd_boundary,
-                        keep: true,
-                    },
-                );
+                getacc_listed(mesh, state, range, dt, opts.acc_mode, s.nd_boundary_ids);
                 halo.post_acceleration(mesh, state)
             })?;
         }

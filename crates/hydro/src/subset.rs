@@ -3,12 +3,22 @@
 //! The overlapped halo exchange runs each hot kernel twice per phase:
 //! once over the *interior* entities while the phase's messages are in
 //! flight, once over the *boundary* entities after the exchange
-//! completes. Both sweeps iterate the **full** index range with the
-//! same parallel split tree as an unsplit sweep and merely skip the
-//! entities outside their subset — so the work distribution, and with
-//! it every reduction and write order, is a pure function of the range
-//! length exactly as in PR 2, and split results are bitwise identical
-//! to unsplit ones.
+//! completes. Every output is per entity and nothing is reduced across
+//! entities, so the two passes together are bitwise the unsplit sweep
+//! however the entities are divided between them.
+//!
+//! * The **interior** pass is a [`Subset`] sweep: it iterates the full
+//!   index range with the same parallel split tree as an unsplit sweep
+//!   and skips the entities outside the subset with one membership test
+//!   each. The interior is nearly the whole range, so this costs what
+//!   the unsplit sweep costs.
+//! * The **boundary** pass is *list-driven* (`viscforce_listed`,
+//!   `getacc_listed`): it visits the sorted ids of the boundary
+//!   entities and nothing else, so a distributed step pays for its halo,
+//!   not for a second trip over the mesh.
+//!
+//! The ALE remap's pre-post sweeps select both sides of their masks
+//! through [`Subset::Mask`].
 
 /// Which indices of a kernel's range to process.
 #[derive(Debug, Clone, Copy)]
@@ -16,8 +26,7 @@ pub enum Subset<'a> {
     /// Every index (the unsplit sweep).
     All,
     /// Only indices `i` with `mask[i] == keep`. With a boundary mask,
-    /// `keep == false` selects the interior sweep and `keep == true`
-    /// the boundary sweep.
+    /// `keep == false` selects the interior sweep.
     Mask {
         /// Per-index classification (at least as long as the range).
         mask: &'a [bool],

@@ -32,12 +32,14 @@
 //! shapes as the anchor), viscous pair forces are applied in face order
 //! 0..3, and nothing is reduced across elements — so the result is
 //! bitwise identical to `getq` then `getforce` under serial, rayon and
-//! any [`Subset`] split. The force stencil (own corners, own nodal
-//! masses) is contained in the viscosity stencil, so the overlapped
-//! executor's viscosity-phase boundary mask serves the fused sweep.
+//! any split into a masked range pass ([`viscforce`]) and a list-driven
+//! pass over the rest ([`viscforce_listed`]). The force stencil (own
+//! corners, own nodal masses) is contained in the viscosity stencil, so
+//! the overlapped executor's viscosity-phase boundary set serves the
+//! fused sweep.
 
 use bookleaf_mesh::geometry::{area_gradient, quad_centroid};
-use bookleaf_mesh::{Mesh, Neighbor, STENCIL_BOUNDARY};
+use bookleaf_mesh::{Mesh, STENCIL_BOUNDARY};
 use bookleaf_util::constants::ZERO_CUT;
 use bookleaf_util::Vec2;
 use rayon::prelude::*;
@@ -58,13 +60,21 @@ pub(crate) struct Scratch {
     /// Cell-averaged velocities (the viscosity limiter's neighbour
     /// values); a megabyte-plus at production mesh sizes.
     cell_u: Vec<Vec2>,
-    /// Which `cell_u` entries a masked sweep reads.
-    needed: Vec<bool>,
+    /// Outputs of a list-driven sweep, one row per listed element.
+    rows: Vec<Row>,
     /// Start-of-step node positions (`lagstep`).
     pub(crate) x0: Vec<Vec2>,
     /// Start-of-step internal energies (`lagstep`).
     pub(crate) ein0: Vec<f64>,
+    /// Nodal mass sums (`getacc`).
+    pub(crate) nd_mass: Vec<f64>,
+    /// Nodal force sums (`getacc`).
+    pub(crate) nd_force: Vec<Vec2>,
 }
+
+/// What the sweep produces for one element: `edge_q`, `q` and the
+/// corner force component rows.
+pub(crate) type Row = ([f64; 4], f64, [f64; 4], [f64; 4]);
 
 thread_local! {
     pub(crate) static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
@@ -81,59 +91,43 @@ fn cell_velocity(mesh: &Mesh, u: &[Vec2], e: usize) -> Vec2 {
 }
 
 /// Run `sweep` with the cell-averaged velocity table the viscosity
-/// limiter gathers its face neighbours from (ghost layer included).
+/// limiter gathers its face neighbours from (ghost layer included), and
+/// the thread's row buffer.
 ///
-/// A split sweep only reads the entries its own elements and their
-/// neighbours touch, so the precompute is restricted to those — the
-/// boundary pass then averages a handful of seam elements instead of
-/// the whole local mesh, and the interior pass never computes ghost
-/// entries from not-yet-exchanged velocities it would discard.
+/// With `cells` set only those entries are computed — a list-driven
+/// sweep names the handful its elements and their face neighbours read
+/// and pays for nothing else. A range sweep fills the whole table
+/// straight through; an interior pass never reads the entries that
+/// not-yet-exchanged ghost velocities went into.
 pub(crate) fn with_cell_velocities<R>(
     mesh: &Mesh,
     u: &[Vec2],
-    n_owned_el: usize,
     threading: Threading,
-    subset: Subset<'_>,
-    sweep: impl FnOnce(&[Vec2]) -> R,
+    cells: Option<&[u32]>,
+    sweep: impl FnOnce(&[Vec2], &mut Vec<Row>) -> R,
 ) -> R {
     SCRATCH.with(|scratch| {
-        let Scratch { cell_u, needed, .. } = &mut *scratch.borrow_mut();
-        let masked = matches!(subset, Subset::Mask { .. });
-        if masked {
-            needed.clear();
-            needed.resize(mesh.n_elements(), false);
-            for e in (0..n_owned_el).filter(|&e| subset.contains(e)) {
-                needed[e] = true;
-                for nb in &mesh.elel[e] {
-                    if let Neighbor::Element(en) = nb {
-                        needed[*en as usize] = true;
-                    }
-                }
-            }
-        }
-        let needed = &*needed;
-        let entry = |e: usize| {
-            if masked && !needed[e] {
-                Vec2::ZERO // never read
-            } else {
-                cell_velocity(mesh, u, e)
-            }
-        };
+        let Scratch { cell_u, rows, .. } = &mut *scratch.borrow_mut();
         cell_u.resize(mesh.n_elements(), Vec2::ZERO);
-        match threading {
-            Threading::Serial => {
-                for (e, cu) in cell_u.iter_mut().enumerate() {
-                    *cu = entry(e);
+        match (cells, threading) {
+            (Some(cells), _) => {
+                for &e in cells {
+                    cell_u[e as usize] = cell_velocity(mesh, u, e as usize);
                 }
             }
-            Threading::Rayon => {
+            (None, Threading::Serial) => {
+                for (e, cu) in cell_u.iter_mut().enumerate() {
+                    *cu = cell_velocity(mesh, u, e);
+                }
+            }
+            (None, Threading::Rayon) => {
                 cell_u
                     .par_iter_mut()
                     .enumerate()
-                    .for_each(|(e, cu)| *cu = entry(e));
+                    .for_each(|(e, cu)| *cu = cell_velocity(mesh, u, e));
             }
         }
-        sweep(cell_u)
+        sweep(cell_u, rows)
     })
 }
 
@@ -457,18 +451,28 @@ pub struct ViscForce {
     pub dt: f64,
 }
 
+/// The elements one sweep covers.
+#[derive(Clone, Copy)]
+enum Pass<'a> {
+    /// The owned range, one membership test per element.
+    Range(Subset<'a>),
+    /// Exactly `ids`, reading exactly the `cells` table entries.
+    Listed { ids: &'a [u32], cells: &'a [u32] },
+}
+
 /// Compute `edge_q`, `q` and the corner forces of the owned elements in
-/// `subset` in one pass — bitwise identical to
+/// `subset` in one pass over the owned range — bitwise identical to
 /// [`getq`](crate::getq::getq) followed by
 /// [`getforce`](crate::getforce::getforce). Elements outside the subset
 /// keep their previous values.
 ///
 /// Requires ghost node velocities and positions to be current (exchange
-/// phase 1). Used split by the overlapped executor: the interior subset
-/// must not reach any halo-received node through its own or its face
-/// neighbours' corners (see `bookleaf_mesh::OverlapSets`). The sweep
-/// structure (and the parallel split tree) does not depend on the
-/// subset.
+/// phase 1) for every element swept. The overlapped executor's
+/// *interior* pass (`Subset::Mask { keep: false }` over the boundary
+/// mask) runs while that exchange is in flight: it must not reach any
+/// halo-received node through its own or its face neighbours' corners
+/// (see `bookleaf_mesh::OverlapSets`). The parallel split tree does not
+/// depend on the subset.
 pub fn viscforce(
     mesh: &Mesh,
     state: &mut HydroState,
@@ -477,8 +481,39 @@ pub fn viscforce(
     threading: Threading,
     subset: Subset<'_>,
 ) {
+    sweep_pass(mesh, state, range, sweep, threading, Pass::Range(subset));
+}
+
+/// [`viscforce`] over exactly the owned elements `ids` (ascending,
+/// unique) at a cost proportional to the list — the overlapped
+/// executor's *boundary* pass. `cells` names the cell-velocity entries
+/// to compute: at least `ids` and their face neighbours
+/// (`OverlapSets::boundary_cells`). A masked range pass and a listed
+/// pass over the mask's `true` positions are together bitwise the full
+/// sweep, in either order.
+pub fn viscforce_listed(
+    mesh: &Mesh,
+    state: &mut HydroState,
+    range: LocalRange,
+    sweep: ViscForce,
+    threading: Threading,
+    ids: &[u32],
+    cells: &[u32],
+) {
+    let pass = Pass::Listed { ids, cells };
+    sweep_pass(mesh, state, range, sweep, threading, pass);
+}
+
+fn sweep_pass(
+    mesh: &Mesh,
+    state: &mut HydroState,
+    range: LocalRange,
+    sweep: ViscForce,
+    threading: Threading,
+    pass: Pass<'_>,
+) {
     let n = range.n_owned_el;
-    // Element-indexed reads sliced to the owned range so the sweep
+    // Element-indexed reads sliced to the owned range so the range sweep
     // (bounded by the same `n` through the output zip) indexes them
     // without bounds checks; `u` and `nd_mass` stay full-length — they
     // are gathered through node ids.
@@ -496,13 +531,14 @@ pub fn viscforce(
         hourglass: hg,
         dt,
     } = sweep;
+    let cells = match pass {
+        Pass::Range(_) => None,
+        Pass::Listed { cells, .. } => Some(cells),
+    };
 
-    with_cell_velocities(mesh, u, n, threading, subset, |cell_u| {
+    with_cell_velocities(mesh, u, threading, cells, |cell_u, rows| {
         let body =
             |e: usize, edge_q: &mut [f64; 4], q: &mut f64, fx: &mut [f64; 4], fy: &mut [f64; 4]| {
-                if !subset.contains(e) {
-                    return;
-                }
                 let g = Gathered::new(mesh, u, e);
                 let centre = quad_centroid(&g.x);
                 let cs = sound_speed(cs2[e]);
@@ -539,8 +575,8 @@ pub fn viscforce(
 
         let (edge_q, q) = (&mut state.edge_q[..n], &mut state.q[..n]);
         let (fx, fy) = (&mut state.cnforce_x[..n], &mut state.cnforce_y[..n]);
-        match threading {
-            Threading::Serial => {
+        match (pass, threading) {
+            (Pass::Range(subset), Threading::Serial) => {
                 for (e, (((eq, qv), fx), fy)) in edge_q
                     .iter_mut()
                     .zip(q.iter_mut())
@@ -548,17 +584,40 @@ pub fn viscforce(
                     .zip(fy.iter_mut())
                     .enumerate()
                 {
-                    body(e, eq, qv, fx, fy);
+                    if subset.contains(e) {
+                        body(e, eq, qv, fx, fy);
+                    }
                 }
             }
-            Threading::Rayon => {
+            (Pass::Range(subset), Threading::Rayon) => {
                 edge_q
                     .par_iter_mut()
                     .zip(q.par_iter_mut())
                     .zip(fx.par_iter_mut())
                     .zip(fy.par_iter_mut())
                     .enumerate()
-                    .for_each(|(e, (((eq, qv), fx), fy))| body(e, eq, qv, fx, fy));
+                    .for_each(|(e, (((eq, qv), fx), fy))| {
+                        if subset.contains(e) {
+                            body(e, eq, qv, fx, fy);
+                        }
+                    });
+            }
+            (Pass::Listed { ids, .. }, _) => {
+                // Computed into one dense row per listed element (the
+                // unit a threaded pass splits), then stored by id.
+                let row_body = |(row, &e): (&mut Row, &u32)| {
+                    body(e as usize, &mut row.0, &mut row.1, &mut row.2, &mut row.3);
+                };
+                rows.clear();
+                rows.resize(ids.len(), Row::default());
+                match threading {
+                    Threading::Serial => rows.iter_mut().zip(ids).for_each(row_body),
+                    Threading::Rayon => rows.par_iter_mut().zip(ids.par_iter()).for_each(row_body),
+                }
+                for (row, &e) in rows.iter().zip(ids) {
+                    let e = e as usize;
+                    (edge_q[e], q[e], fx[e], fy[e]) = *row;
+                }
             }
         }
     });
@@ -766,58 +825,98 @@ mod tests {
         assert!(out.cnforce_x.iter().flatten().all(|f| f.is_finite()));
     }
 
+    /// The `true` positions of an element mask, and with their face
+    /// neighbours: what `OverlapSets` hands the boundary pass.
+    fn lists_of(mesh: &Mesh, mask: &[bool]) -> (Vec<u32>, Vec<u32>) {
+        let ids: Vec<u32> = (0..mask.len() as u32)
+            .filter(|&e| mask[e as usize])
+            .collect();
+        let cells = mesh.with_face_neighbours(&ids);
+        (ids, cells)
+    }
+
     #[test]
-    fn split_sweeps_match_full_sweep_bitwise() {
+    fn interior_pass_plus_listed_pass_is_the_full_sweep_bitwise() {
         let (mesh, st0) = wavy(7);
         let range = LocalRange::whole(&mesh);
         let sweep = sweep_of(1.0, HourglassControl::default());
-        // Arbitrary split: the union of a mask's two sides must equal
-        // the full sweep exactly (per-element independence).
+        // Arbitrary split: the masked range pass and the list-driven
+        // pass over the rest must add up to the full sweep exactly
+        // (per-element independence), in either order.
         let mask: Vec<bool> = (0..mesh.n_elements()).map(|e| e % 3 == 0).collect();
+        let (ids, cells) = lists_of(&mesh, &mask);
+        let interior = Subset::Mask {
+            mask: &mask,
+            keep: false,
+        };
+        // A different velocity field, swept first on this thread: its
+        // cell velocities are what the scratch table holds wherever a
+        // listed pass does not refresh it.
+        let mut stale = st0.clone();
+        stale.u.iter_mut().for_each(|u| *u *= -3.0);
         for th in [Threading::Serial, Threading::Rayon] {
             let mut full = st0.clone();
             viscforce(&mesh, &mut full, range, sweep, th, Subset::All);
-            for order in [[false, true], [true, false]] {
+            for listed_first in [false, true] {
                 let mut split = st0.clone();
-                for keep in order {
-                    let side = Subset::Mask { mask: &mask, keep };
-                    viscforce(&mesh, &mut split, range, sweep, th, side);
+                if !listed_first {
+                    viscforce(&mesh, &mut split, range, sweep, th, interior);
                 }
-                assert_eq!(outputs(&full), outputs(&split), "{th:?} {order:?}");
+                viscforce(&mesh, &mut stale.clone(), range, sweep, th, Subset::All);
+                viscforce_listed(&mesh, &mut split, range, sweep, th, &ids, &cells);
+                if listed_first {
+                    viscforce(&mesh, &mut split, range, sweep, th, interior);
+                }
+                assert_eq!(outputs(&full), outputs(&split), "{th:?} {listed_first}");
             }
         }
     }
 
     #[test]
-    fn subset_leaves_excluded_elements_untouched() {
-        let (mesh, mut st) = wavy(4);
+    fn each_pass_leaves_the_other_passes_elements_untouched() {
+        let (mesh, st0) = wavy(4);
         let range = LocalRange::whole(&mesh);
+        let sweep = sweep_of(1e-2, HourglassControl::default());
         let poison = 7.25;
-        st.q.fill(poison);
-        st.edge_q.fill([poison; 4]);
-        st.cnforce_x.fill([poison; 4]);
-        st.cnforce_y.fill([poison; 4]);
         let mask: Vec<bool> = (0..mesh.n_elements()).map(|e| e < 8).collect();
-        viscforce(
-            &mesh,
-            &mut st,
-            range,
-            sweep_of(1e-2, HourglassControl::default()),
-            Threading::Serial,
-            Subset::Mask {
-                mask: &mask,
-                keep: true,
-            },
-        );
-        for e in 0..mesh.n_elements() {
-            let rows = [st.edge_q[e], st.cnforce_x[e], st.cnforce_y[e]];
-            if mask[e] {
-                assert_ne!(st.q[e], poison, "element {e} inside subset was skipped");
-                assert!(rows.iter().flatten().all(|&v| v != poison), "element {e}");
-            } else {
-                assert_eq!(st.q[e], poison, "element {e} outside subset was written");
-                assert!(rows.iter().flatten().all(|&v| v == poison), "element {e}");
+        let (ids, cells) = lists_of(&mesh, &mask);
+        for th in [Threading::Serial, Threading::Rayon] {
+            for listed in [false, true] {
+                let mut st = st0.clone();
+                st.q.fill(poison);
+                st.edge_q.fill([poison; 4]);
+                st.cnforce_x.fill([poison; 4]);
+                st.cnforce_y.fill([poison; 4]);
+                if listed {
+                    viscforce_listed(&mesh, &mut st, range, sweep, th, &ids, &cells);
+                } else {
+                    let interior = Subset::Mask {
+                        mask: &mask,
+                        keep: false,
+                    };
+                    viscforce(&mesh, &mut st, range, sweep, th, interior);
+                }
+                for e in 0..mesh.n_elements() {
+                    let rows = [st.edge_q[e], st.cnforce_x[e], st.cnforce_y[e]];
+                    if mask[e] == listed {
+                        assert_ne!(st.q[e], poison, "{th:?}: element {e} was skipped");
+                        assert!(rows.iter().flatten().all(|&v| v != poison), "element {e}");
+                    } else {
+                        assert_eq!(st.q[e], poison, "{th:?}: element {e} was written");
+                        assert!(rows.iter().flatten().all(|&v| v == poison), "element {e}");
+                    }
+                }
             }
         }
+    }
+
+    #[test]
+    fn empty_list_is_a_no_op() {
+        let (mesh, st0) = wavy(3);
+        let mut st = st0.clone();
+        let sweep = sweep_of(1e-2, HourglassControl::default());
+        let range = LocalRange::whole(&mesh);
+        viscforce_listed(&mesh, &mut st, range, sweep, Threading::Rayon, &[], &[]);
+        assert_eq!(outputs(&st), outputs(&st0));
     }
 }

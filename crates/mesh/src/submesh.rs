@@ -24,7 +24,7 @@
 //! order) are precomputed here, centrally, from the global mesh — the
 //! paper notes the reference partitioner is serial, and we mirror that.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use bookleaf_util::{BookLeafError, Result};
 
@@ -101,7 +101,7 @@ impl SubMesh {
     /// exchange schedules. The overlapped executor sweeps the interior
     /// sets while a phase's messages are in flight and only completes
     /// the exchange before the boundary sweep — see [`OverlapSets`] for
-    /// the exact guarantees each mask provides.
+    /// the exact guarantees each set provides.
     #[must_use]
     pub fn overlap_sets(&self) -> OverlapSets {
         let ne = self.mesh.n_elements();
@@ -169,18 +169,40 @@ impl SubMesh {
             }
         }
 
+        // The boundary sets again as id lists, so a boundary sweep costs
+        // what the halo costs, not what the mesh costs. A boundary
+        // element's viscosity limiter gathers the cell-averaged velocity
+        // of the element itself and of its face neighbours (ghosts
+        // included): those are the table entries a boundary sweep needs.
+        let el_boundary_ids = true_positions(&el_boundary);
+        let boundary_cells = self.mesh.with_face_neighbours(&el_boundary_ids);
+        let nd_boundary_ids = true_positions(&nd_boundary);
+
         OverlapSets {
             el_boundary,
             nd_boundary,
+            el_boundary_ids,
+            boundary_cells,
+            nd_boundary_ids,
             remap_pre_el,
             remap_pre_nd,
         }
     }
 }
 
-/// Interior/boundary masks for communication/computation overlap,
-/// derived from a [`SubMesh`]'s exchange schedules by
-/// [`SubMesh::overlap_sets`].
+/// The indices at which `mask` is `true`, ascending.
+fn true_positions(mask: &[bool]) -> Vec<u32> {
+    (0..mask.len() as u32)
+        .filter(|&i| mask[i as usize])
+        .collect()
+}
+
+/// Interior/boundary classification for communication/computation
+/// overlap, derived once per run from a [`SubMesh`]'s exchange schedules
+/// by [`SubMesh::overlap_sets`]: a mask per entity kind for the interior
+/// sweep (one membership test per entity of a straight full-range pass)
+/// and the boundary entities as sorted id lists for the boundary sweep
+/// (which visits nothing else).
 ///
 /// The guarantees, which make split (interior-first) kernel sweeps
 /// bitwise identical to full sweeps after a completed exchange:
@@ -209,6 +231,14 @@ pub struct OverlapSets {
     /// Per active node (`len == n_active_nd`): `true` ⇒ adjacent to at
     /// least one ghost element.
     pub nd_boundary: Vec<bool>,
+    /// The `true` positions of `el_boundary`, ascending.
+    pub el_boundary_ids: Vec<u32>,
+    /// Local elements (ghosts included) whose cell-averaged velocity a
+    /// sweep over `el_boundary_ids` reads: the boundary elements and
+    /// their face neighbours, ascending and unique.
+    pub boundary_cells: Vec<u32>,
+    /// The `true` positions of `nd_boundary`, ascending.
+    pub nd_boundary_ids: Vec<u32>,
     /// Per local element (`len == n_elements`, ghosts included):
     /// `true` ⇒ must be remapped before posting `post_remap`.
     pub remap_pre_el: Vec<bool>,
@@ -263,240 +293,222 @@ impl SubMeshPlan {
                 "element owner {bad} out of range for {n_ranks} ranks"
             )));
         }
-        for r in 0..n_ranks {
-            if !owner.contains(&r) {
+        // Node owner = min rank among adjacent elements.
+        let mut nd_owner_g = vec![u32::MAX; global.n_nodes()];
+        for (n, o) in nd_owner_g.iter_mut().enumerate() {
+            for &(e, _) in global.elements_of_node(n) {
+                *o = (*o).min(owner[e as usize] as u32);
+            }
+        }
+
+        // Global→local id tables, dense and shared by all ranks: a rank
+        // fills the entries of its own entities, uses them, and clears
+        // them again, so the work per rank is proportional to its local
+        // mesh. `ABSENT` marks an entity the current rank does not hold.
+        let mut el_g2l = vec![ABSENT; global.n_elements()];
+        let mut nd_g2l = vec![ABSENT; global.n_nodes()];
+
+        // Pass 1 — per rank: owned elements, then the ghost layer; active
+        // nodes, then outer nodes (each group sorted by global id); and
+        // what the rank receives from whom, as global ids.
+        let mut drafts: Vec<Draft> = (0..n_ranks).map(|_| Draft::default()).collect();
+        for (e, &r) in owner.iter().enumerate() {
+            drafts[r].els.push(e as u32);
+        }
+        for (r, d) in drafts.iter_mut().enumerate() {
+            d.n_owned = d.els.len();
+            if d.n_owned == 0 {
                 return Err(BookLeafError::Partition(format!(
                     "rank {r} owns no elements"
                 )));
             }
-        }
-
-        // Node owner = min rank among adjacent elements.
-        let mut nd_owner_g = vec![usize::MAX; global.n_nodes()];
-        for n in 0..global.n_nodes() {
-            for &(e, _) in global.elements_of_node(n) {
-                nd_owner_g[n] = nd_owner_g[n].min(owner[e as usize]);
-            }
-        }
-
-        // Per rank: owned elements (sorted), then ghost layer (sorted).
-        let mut subs = Vec::with_capacity(n_ranks);
-        // For schedule construction: for each global element, which ranks
-        // hold it as a ghost.
-        let mut ghost_holders: Vec<Vec<usize>> = vec![Vec::new(); global.n_elements()];
-        // Which ranks need each global node (hold it locally, not owning it).
-        let mut node_needers: Vec<Vec<usize>> = vec![Vec::new(); global.n_nodes()];
-
-        struct Draft {
-            owned: Vec<u32>,
-            ghost: Vec<u32>,
-            local_nodes: Vec<u32>, // active then outer, each sorted
-            n_active: usize,
-            el_g2l: HashMap<u32, u32>,
-            nd_g2l: HashMap<u32, u32>,
-        }
-        let mut drafts = Vec::with_capacity(n_ranks);
-
-        for r in 0..n_ranks {
-            let owned: Vec<u32> = (0..global.n_elements() as u32)
-                .filter(|&e| owner[e as usize] == r)
-                .collect();
 
             // Active nodes = nodes of owned elements.
-            let mut active: Vec<u32> = owned
-                .iter()
-                .flat_map(|&e| global.elnd[e as usize])
-                .collect();
-            active.sort_unstable();
-            active.dedup();
+            for &e in &d.els {
+                for &n in &global.elnd[e as usize] {
+                    if std::mem::replace(&mut nd_g2l[n as usize], 0) == ABSENT {
+                        d.nds.push(n);
+                    }
+                }
+            }
+            d.nds.sort_unstable();
+            d.n_active = d.nds.len();
 
             // Ghost layer: elements adjacent to an active node, not owned.
-            let mut ghost: Vec<u32> = active
-                .iter()
-                .flat_map(|&n| global.elements_of_node(n as usize).iter().map(|&(e, _)| e))
-                .filter(|&e| owner[e as usize] != r)
-                .collect();
-            ghost.sort_unstable();
-            ghost.dedup();
+            for &e in &d.els {
+                el_g2l[e as usize] = 0;
+            }
+            for &n in &d.nds {
+                for &(e, _) in global.elements_of_node(n as usize) {
+                    if std::mem::replace(&mut el_g2l[e as usize], 0) == ABSENT {
+                        d.els.push(e);
+                    }
+                }
+            }
+            d.els[d.n_owned..].sort_unstable();
 
             // Outer nodes = nodes of ghosts not already active.
-            let active_set: std::collections::HashSet<u32> = active.iter().copied().collect();
-            let mut outer: Vec<u32> = ghost
-                .iter()
-                .flat_map(|&e| global.elnd[e as usize])
-                .filter(|n| !active_set.contains(n))
-                .collect();
-            outer.sort_unstable();
-            outer.dedup();
-
-            for &e in &ghost {
-                ghost_holders[e as usize].push(r);
-            }
-
-            let mut local_nodes = active.clone();
-            local_nodes.extend_from_slice(&outer);
-            for &n in &local_nodes {
-                if nd_owner_g[n as usize] != r {
-                    node_needers[n as usize].push(r);
+            for &e in &d.els[d.n_owned..] {
+                for &n in &global.elnd[e as usize] {
+                    if std::mem::replace(&mut nd_g2l[n as usize], 0) == ABSENT {
+                        d.nds.push(n);
+                    }
                 }
             }
+            d.nds[d.n_active..].sort_unstable();
 
-            let el_g2l: HashMap<u32, u32> = owned
-                .iter()
-                .chain(ghost.iter())
-                .enumerate()
-                .map(|(l, &g)| (g, l as u32))
-                .collect();
-            let nd_g2l: HashMap<u32, u32> = local_nodes
-                .iter()
-                .enumerate()
-                .map(|(l, &g)| (g, l as u32))
-                .collect();
+            // Every ghost element arrives from its owner, every non-owned
+            // local node from its owner; both in global-id order.
+            for &e in &d.els[d.n_owned..] {
+                d.el_recv.entry(owner[e as usize]).or_default().push(e);
+            }
+            for &n in &d.nds {
+                let o = nd_owner_g[n as usize] as usize;
+                if o != r {
+                    d.nd_recv.entry(o).or_default().push(n);
+                }
+            }
+            for list in d.nd_recv.values_mut() {
+                list.sort_unstable(); // active and outer interleave
+            }
 
-            drafts.push(Draft {
-                owned,
-                ghost,
-                n_active: active.len(),
-                local_nodes,
-                el_g2l,
-                nd_g2l,
-            });
+            for &e in &d.els {
+                el_g2l[e as usize] = ABSENT;
+            }
+            for &n in &d.nds {
+                nd_g2l[n as usize] = ABSENT;
+            }
         }
 
-        // Build exchange schedules. Element: owner sends to every ghost
-        // holder. Node: owner sends to every needer. Both sides keep
-        // global-id order so packed buffers line up.
+        // Pass 2 — per rank: local ids, exchange schedules, local mesh.
+        let mut subs = Vec::with_capacity(n_ranks);
         for (r, d) in drafts.iter().enumerate() {
-            // el sends: my owned elements that appear in others' ghost lists.
-            let mut el_sched: HashMap<usize, (Vec<u32>, Vec<u32>)> = HashMap::new();
-            for &g in &d.owned {
-                for &holder in &ghost_holders[g as usize] {
-                    el_sched.entry(holder).or_default().0.push(d.el_g2l[&g]);
-                }
+            for (l, &e) in d.els.iter().enumerate() {
+                el_g2l[e as usize] = l as u32;
             }
-            for &g in &d.ghost {
-                let owner_rank = owner[g as usize];
-                el_sched.entry(owner_rank).or_default().1.push(d.el_g2l[&g]);
+            for (l, &n) in d.nds.iter().enumerate() {
+                nd_g2l[n as usize] = l as u32;
             }
 
-            let mut nd_sched: HashMap<usize, (Vec<u32>, Vec<u32>)> = HashMap::new();
-            for &n in &d.local_nodes {
-                let o = nd_owner_g[n as usize];
-                if o == r {
-                    for &needer in &node_needers[n as usize] {
-                        nd_sched.entry(needer).or_default().0.push(d.nd_g2l[&n]);
-                    }
-                } else {
-                    nd_sched.entry(o).or_default().1.push(d.nd_g2l[&n]);
-                }
-            }
+            let el_exchange = schedule(r, &drafts, |d| &d.el_recv, &el_g2l);
+            let nd_exchange = schedule(r, &drafts, |d| &d.nd_recv, &nd_g2l);
 
-            // Sort every pack/unpack list by *global* id so both ends of
-            // each channel agree on buffer order regardless of how local
-            // orderings interleave active and outer entries.
-            let mut el_exchange: Vec<ExchangeList> = el_sched
-                .into_iter()
-                .map(|(rank, (mut send, mut recv))| {
-                    let gid = |l: u32| {
-                        let l = l as usize;
-                        if l < d.owned.len() {
-                            d.owned[l]
-                        } else {
-                            d.ghost[l - d.owned.len()]
+            // Local mesh arrays. Both adjacencies are the parent's,
+            // restricted to local entities and renumbered: a face whose
+            // far side is not local becomes a boundary, and every node's
+            // element list keeps the parent's *global* element-id order —
+            // nodal gathers (acceleration, remap momentum) then sum in
+            // exactly the order the serial code uses, making distributed
+            // Lagrangian runs bitwise-identical to serial.
+            let elnd = d
+                .els
+                .iter()
+                .map(|&e| global.elnd[e as usize].map(|n| nd_g2l[n as usize]))
+                .collect();
+            let elel = d
+                .els
+                .iter()
+                .map(|&e| {
+                    global.elel[e as usize].map(|nb| match nb {
+                        Neighbor::Element(en) if el_g2l[en as usize] != ABSENT => {
+                            Neighbor::Element(el_g2l[en as usize])
                         }
-                    };
-                    send.sort_by_key(|&l| gid(l));
-                    recv.sort_by_key(|&l| gid(l));
-                    ExchangeList { rank, send, recv }
+                        _ => Neighbor::Boundary,
+                    })
                 })
                 .collect();
-            el_exchange.sort_by_key(|x| x.rank);
-            let mut nd_exchange: Vec<ExchangeList> = nd_sched
-                .into_iter()
-                .map(|(rank, (mut send, mut recv))| {
-                    send.sort_by_key(|&l| d.local_nodes[l as usize]);
-                    recv.sort_by_key(|&l| d.local_nodes[l as usize]);
-                    ExchangeList { rank, send, recv }
-                })
-                .collect();
-            nd_exchange.sort_by_key(|x| x.rank);
+            let mut ndel_off = Vec::with_capacity(d.nds.len() + 1);
+            let mut ndel = Vec::with_capacity(d.els.len() * NCORN);
+            ndel_off.push(0);
+            for &n in &d.nds {
+                for &(e, c) in global.elements_of_node(n as usize) {
+                    if el_g2l[e as usize] != ABSENT {
+                        ndel.push((el_g2l[e as usize], c));
+                    }
+                }
+                ndel_off.push(ndel.len() as u32);
+            }
+            let mesh = Mesh {
+                nodes: d.nds.iter().map(|&n| global.nodes[n as usize]).collect(),
+                elnd,
+                elel,
+                ndel_off,
+                ndel,
+                node_bc: d.nds.iter().map(|&n| global.node_bc[n as usize]).collect(),
+                region: d.els.iter().map(|&e| global.region[e as usize]).collect(),
+                stencil: Default::default(),
+            };
+            debug_assert!(mesh.validate().is_ok(), "{:?}", mesh.validate());
 
-            // Local mesh arrays.
-            let all_els: Vec<u32> = d.owned.iter().chain(d.ghost.iter()).copied().collect();
-            let elnd: Vec<[u32; NCORN]> = all_els
-                .iter()
-                .map(|&g| {
-                    let quad = global.elnd[g as usize];
-                    [
-                        d.nd_g2l[&quad[0]],
-                        d.nd_g2l[&quad[1]],
-                        d.nd_g2l[&quad[2]],
-                        d.nd_g2l[&quad[3]],
-                    ]
-                })
-                .collect();
-            let nodes = d
-                .local_nodes
-                .iter()
-                .map(|&n| global.nodes[n as usize])
-                .collect();
-            let node_bc = d
-                .local_nodes
-                .iter()
-                .map(|&n| global.node_bc[n as usize])
-                .collect();
-            let region = all_els.iter().map(|&g| global.region[g as usize]).collect();
-            let mut mesh = Mesh::from_raw(nodes, elnd, node_bc, region)?;
-            // Reorder every node's element adjacency by *global* element
-            // id. Nodal gathers (acceleration, remap momentum) then sum
-            // in exactly the order the serial code uses, making
-            // distributed Lagrangian runs bitwise-identical to serial.
-            for n in 0..mesh.n_nodes() {
-                let (lo, hi) = (mesh.ndel_off[n] as usize, mesh.ndel_off[n + 1] as usize);
-                mesh.ndel[lo..hi].sort_by_key(|&(e, _)| all_els[e as usize]);
+            for &e in &d.els {
+                el_g2l[e as usize] = ABSENT;
+            }
+            for &n in &d.nds {
+                nd_g2l[n as usize] = ABSENT;
             }
 
             subs.push(SubMesh {
                 rank: r,
                 mesh,
-                n_owned_el: d.owned.len(),
+                n_owned_el: d.n_owned,
                 n_active_nd: d.n_active,
-                el_l2g: all_els,
-                nd_l2g: d.local_nodes.clone(),
-                nd_owner: d
-                    .local_nodes
-                    .iter()
-                    .map(|&n| nd_owner_g[n as usize] as u32)
-                    .collect(),
+                el_l2g: d.els.clone(),
+                nd_l2g: d.nds.clone(),
+                nd_owner: d.nds.iter().map(|&n| nd_owner_g[n as usize]).collect(),
                 el_exchange,
                 nd_exchange,
             });
         }
-
-        // Cross-check: send and recv list lengths agree pairwise.
-        for r in 0..n_ranks {
-            for ex in &subs[r].el_exchange {
-                let peer = &subs[ex.rank];
-                let back = peer
-                    .el_exchange
-                    .iter()
-                    .find(|x| x.rank == r)
-                    .ok_or_else(|| {
-                        BookLeafError::Comm(format!(
-                            "rank {} missing peer schedule for {r}",
-                            ex.rank
-                        ))
-                    })?;
-                if ex.send.len() != back.recv.len() || ex.recv.len() != back.send.len() {
-                    return Err(BookLeafError::Comm(format!(
-                        "element schedule mismatch between ranks {r} and {}",
-                        ex.rank
-                    )));
-                }
-            }
-        }
         Ok(subs)
     }
+}
+
+/// Rank `r`'s exchange schedule for one entity kind, peers ascending.
+/// What `r` sends to a peer is what the peer receives from it — the
+/// same global ids in the same (global-id) order, so the two ends of a
+/// channel agree on buffer layout by construction.
+fn schedule(
+    r: usize,
+    drafts: &[Draft],
+    recv_of: impl Fn(&Draft) -> &Transfers,
+    g2l: &[u32],
+) -> Vec<ExchangeList> {
+    let local = |globals: Option<&Vec<u32>>| -> Vec<u32> {
+        globals.map_or_else(Vec::new, |ids| {
+            ids.iter().map(|&g| g2l[g as usize]).collect()
+        })
+    };
+    let mut lists = Vec::new();
+    for (rank, peer) in drafts.iter().enumerate() {
+        let (send, recv) = (recv_of(peer).get(&r), recv_of(&drafts[r]).get(&rank));
+        if send.is_some() || recv.is_some() {
+            lists.push(ExchangeList {
+                rank,
+                send: local(send),
+                recv: local(recv),
+            });
+        }
+    }
+    lists
+}
+
+/// "Not held by the current rank" in the global→local id tables.
+const ABSENT: u32 = u32::MAX;
+
+/// Global ids a rank receives, by sending rank.
+type Transfers = BTreeMap<usize, Vec<u32>>;
+
+/// One rank's entities in local order, as global ids.
+#[derive(Default)]
+struct Draft {
+    /// Owned elements, then ghosts; each group sorted.
+    els: Vec<u32>,
+    n_owned: usize,
+    /// Active nodes, then outer nodes; each group sorted.
+    nds: Vec<u32>,
+    n_active: usize,
+    el_recv: Transfers,
+    nd_recv: Transfers,
 }
 
 #[cfg(test)]

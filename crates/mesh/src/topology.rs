@@ -27,7 +27,7 @@ pub const STENCIL_BOUNDARY: u32 = u32::MAX;
 /// topology are equal whether or not either has built its cache) and
 /// from serialization (a restored mesh rebuilds on first use).
 #[derive(Default, Clone)]
-struct StencilCache(OnceLock<Vec<[u32; NCORN]>>);
+pub(crate) struct StencilCache(OnceLock<Vec<[u32; NCORN]>>);
 
 impl PartialEq for StencilCache {
     fn eq(&self, _: &Self) -> bool {
@@ -43,6 +43,9 @@ impl std::fmt::Debug for StencilCache {
         })
     }
 }
+
+/// CSR node→element adjacency: offsets, then (element, corner) items.
+type NodeAdjacency = (Vec<u32>, Vec<(u32, u8)>);
 
 /// What lies across a face of an element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -139,7 +142,7 @@ pub struct Mesh {
     /// call. `elel` is fixed at construction (no kernel mutates
     /// topology), so the cache can never go stale.
     #[serde(skip)]
-    stencil: StencilCache,
+    pub(crate) stencil: StencilCache,
 }
 
 impl Mesh {
@@ -213,43 +216,24 @@ impl Mesh {
         (0..NCORN).find(|&f| matches!(self.elel[e][f], Neighbor::Element(x) if x as usize == nb))
     }
 
-    /// Build the CSR node→element adjacency from `elnd`. Called by
-    /// constructors after element connectivity is known.
-    pub(crate) fn build_ndel(n_nodes: usize, elnd: &[[u32; NCORN]]) -> (Vec<u32>, Vec<(u32, u8)>) {
-        let mut counts = vec![0u32; n_nodes + 1];
-        for quad in elnd {
-            for &n in quad {
-                counts[n as usize + 1] += 1;
-            }
+    /// The elements `ids` together with their face neighbours, ascending
+    /// and unique — every element whose cell-centred data a face-stencil
+    /// sweep over `ids` reads.
+    #[must_use]
+    pub fn with_face_neighbours(&self, ids: &[u32]) -> Vec<u32> {
+        let mut cells = ids.to_vec();
+        for &e in ids {
+            cells.extend(self.elel[e as usize].iter().filter_map(|nb| nb.element()));
         }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
-        }
-        let offsets = counts.clone();
-        let mut items = vec![(0u32, 0u8); *offsets.last().unwrap_or(&0) as usize];
-        let mut cursor = offsets.clone();
-        for (e, quad) in elnd.iter().enumerate() {
-            for (c, &n) in quad.iter().enumerate() {
-                let slot = cursor[n as usize] as usize;
-                items[slot] = (e as u32, c as u8);
-                cursor[n as usize] += 1;
-            }
-        }
-        (offsets, items)
+        cells.sort_unstable();
+        cells.dedup();
+        cells
     }
 
-    /// Derive `elel` (face adjacency) from `elnd` by matching node pairs.
-    ///
-    /// Face `f` of element `e` joins nodes `elnd[e][f]` and
-    /// `elnd[e][(f+1)%4]`; two elements are neighbours across a face when
-    /// they reference the same unordered node pair.
-    pub(crate) fn build_elel(
-        n_nodes: usize,
-        elnd: &[[u32; NCORN]],
-    ) -> Result<Vec<[Neighbor; NCORN]>> {
-        use std::collections::HashMap;
-        let mut face_map: HashMap<(u32, u32), (u32, u8)> = HashMap::with_capacity(elnd.len() * 2);
-        let mut elel = vec![[Neighbor::Boundary; NCORN]; elnd.len()];
+    /// Check `elnd` (node ids in range, no face joining a node to itself)
+    /// and build the CSR node→element adjacency from it. Each node's items
+    /// come out in ascending (element, corner) order.
+    fn build_ndel(n_nodes: usize, elnd: &[[u32; NCORN]]) -> Result<NodeAdjacency> {
         for (e, quad) in elnd.iter().enumerate() {
             for f in 0..NCORN {
                 let a = quad[f];
@@ -264,14 +248,66 @@ impl Mesh {
                         "element {e} has a degenerate face {f} (repeated node {a})"
                     )));
                 }
-                let key = (a.min(b), a.max(b));
-                match face_map.remove(&key) {
-                    None => {
-                        face_map.insert(key, (e as u32, f as u8));
+            }
+        }
+        let mut counts = vec![0u32; n_nodes + 1];
+        for quad in elnd {
+            for &n in quad {
+                counts[n as usize + 1] += 1;
+            }
+        }
+        for i in 1..counts.len() {
+            counts[i] += counts[i - 1];
+        }
+        let offsets = counts;
+        let mut items = vec![(0u32, 0u8); *offsets.last().unwrap_or(&0) as usize];
+        let mut cursor = offsets.clone();
+        for (e, quad) in elnd.iter().enumerate() {
+            for (c, &n) in quad.iter().enumerate() {
+                let slot = cursor[n as usize] as usize;
+                items[slot] = (e as u32, c as u8);
+                cursor[n as usize] += 1;
+            }
+        }
+        Ok((offsets, items))
+    }
+
+    /// Derive `elel` (face adjacency) from `elnd` and the node→element
+    /// CSR built from it.
+    ///
+    /// Face `f` of element `e` joins nodes `a = elnd[e][f]` and
+    /// `b = elnd[e][(f+1)%4]`; the element across it is the other element
+    /// around `a` that holds `b` at a corner next to `a`'s — a handful of
+    /// compares per face, no hashing. A face more than two elements share
+    /// is a topology error.
+    fn build_elel(
+        elnd: &[[u32; NCORN]],
+        ndel_off: &[u32],
+        ndel: &[(u32, u8)],
+    ) -> Result<Vec<[Neighbor; NCORN]>> {
+        let mut elel = vec![[Neighbor::Boundary; NCORN]; elnd.len()];
+        for (e, (quad, faces)) in elnd.iter().zip(&mut elel).enumerate() {
+            for (f, across) in faces.iter_mut().enumerate() {
+                let a = quad[f];
+                let b = quad[(f + 1) % NCORN];
+                let around_a = ndel_off[a as usize] as usize..ndel_off[a as usize + 1] as usize;
+                for &(e2, c2) in &ndel[around_a] {
+                    let other = &elnd[e2 as usize];
+                    let c2 = c2 as usize;
+                    let shares_face =
+                        other[(c2 + 1) % NCORN] == b || other[(c2 + NCORN - 1) % NCORN] == b;
+                    if e2 as usize == e || !shares_face {
+                        continue;
                     }
-                    Some((e2, f2)) => {
-                        elel[e][f] = Neighbor::Element(e2);
-                        elel[e2 as usize][f2 as usize] = Neighbor::Element(e as u32);
+                    match *across {
+                        Neighbor::Boundary => *across = Neighbor::Element(e2),
+                        Neighbor::Element(first) if first == e2 => {}
+                        Neighbor::Element(first) => {
+                            return Err(BookLeafError::MeshTopology(format!(
+                                "face {f} of element {e} (nodes {a}, {b}) is shared by more \
+                                 than two elements ({e}, {first}, {e2})"
+                            )));
+                        }
                     }
                 }
             }
@@ -301,8 +337,8 @@ impl Mesh {
                 elnd.len()
             )));
         }
-        let elel = Mesh::build_elel(nodes.len(), &elnd)?;
-        let (ndel_off, ndel) = Mesh::build_ndel(nodes.len(), &elnd);
+        let (ndel_off, ndel) = Mesh::build_ndel(nodes.len(), &elnd)?;
+        let elel = Mesh::build_elel(&elnd, &ndel_off, &ndel)?;
         let mesh = Mesh {
             nodes,
             elnd,
@@ -485,6 +521,72 @@ mod tests {
         let elnd = vec![[0, 0, 1, 2]];
         let err = Mesh::from_raw(nodes, elnd, vec![NodeBc::FREE; 3], vec![0]).unwrap_err();
         assert!(matches!(err, BookLeafError::MeshTopology(_)));
+    }
+
+    #[test]
+    fn elel_is_the_pairwise_face_match() {
+        // Oracle: compare every face with every other face, on a
+        // rectangle and on three quads round one node (valence 3, as at
+        // an unstructured "o-grid" corner).
+        let mut meshes = vec![crate::generation::generate_rect(
+            &crate::generation::RectSpec::unit_square(5),
+            |_| 0,
+        )
+        .unwrap()];
+        let tri_star = vec![[0, 1, 2, 3], [0, 3, 4, 5], [0, 5, 6, 1]];
+        meshes.push(
+            Mesh::from_raw(
+                vec![Vec2::ZERO; 7],
+                tri_star,
+                vec![NodeBc::FREE; 7],
+                vec![0; 3],
+            )
+            .unwrap(),
+        );
+        for m in &meshes {
+            let face = |e: usize, f: usize| {
+                let (a, b) = (m.elnd[e][f], m.elnd[e][(f + 1) % NCORN]);
+                (a.min(b), a.max(b))
+            };
+            for e in 0..m.n_elements() {
+                for f in 0..NCORN {
+                    let across: Vec<u32> = (0..m.n_elements())
+                        .filter(|&e2| e2 != e && (0..NCORN).any(|f2| face(e2, f2) == face(e, f)))
+                        .map(|e2| e2 as u32)
+                        .collect();
+                    match m.elel[e][f] {
+                        Neighbor::Boundary => assert!(across.is_empty(), "el {e} face {f}"),
+                        Neighbor::Element(e2) => assert_eq!(across, [e2], "el {e} face {f}"),
+                    }
+                }
+            }
+        }
+        assert_eq!(meshes[1].n_interior_faces(), 3);
+    }
+
+    #[test]
+    fn face_shared_by_three_elements_rejected() {
+        // Three quads fanned around the edge 0–1 (a non-manifold "book").
+        let nodes = vec![Vec2::ZERO; 8];
+        let elnd = vec![[0, 1, 2, 3], [1, 0, 4, 5], [0, 1, 6, 7]];
+        let err = Mesh::from_raw(nodes, elnd, vec![NodeBc::FREE; 8], vec![0; 3]).unwrap_err();
+        match err {
+            BookLeafError::MeshTopology(msg) => {
+                assert!(msg.contains("shared by more than two elements"), "{msg}");
+            }
+            other => panic!("expected MeshTopology, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn first_bad_element_decides_the_error() {
+        // Element 0 has a degenerate face, element 1 an out-of-range
+        // node: the checks run element by element, so the degenerate
+        // face is what gets reported.
+        let nodes = vec![Vec2::ZERO; 4];
+        let elnd = vec![[0, 0, 1, 2], [0, 1, 2, 9]];
+        let err = Mesh::from_raw(nodes, elnd, vec![NodeBc::FREE; 4], vec![0; 2]).unwrap_err();
+        assert!(err.to_string().contains("degenerate face 0"), "{err}");
     }
 
     #[test]

@@ -20,8 +20,16 @@
 //! timeout window. All error payloads are deterministic (ranks, tags,
 //! steps — no wall-clock durations), so two runs of the same fault
 //! schedule fail identically.
+//!
+//! A rank that has been handed an error is **failed**, and the team
+//! knows it at once: a send to a failed rank, and a receive from one
+//! whose deadline expires, both report [`CommError::RankUnreachable`].
+//! What a survivor reports therefore does not depend on whether the
+//! failed rank's thread had already exited (closing its channel) when
+//! the survivor next reached for it.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -48,6 +56,8 @@ struct Collective {
     lock: Mutex<CollState>,
     cv: Condvar,
     n_ranks: usize,
+    /// Per rank: set the moment any of its operations returns an error.
+    failed: Vec<AtomicBool>,
 }
 
 #[derive(Default)]
@@ -71,6 +81,7 @@ impl Collective {
             }),
             cv: Condvar::new(),
             n_ranks,
+            failed: (0..n_ranks).map(|_| AtomicBool::new(false)).collect(),
         }
     }
 
@@ -106,6 +117,7 @@ impl Collective {
         // A timeout can race with the last arrival: trust the generation
         // counter, not the timeout flag.
         if timed_out && st.generation == gen {
+            self.failed[rank].store(true, Ordering::SeqCst);
             return Err(CommError::CollectiveTimeout { rank });
         }
         Ok(st.last_result)
@@ -248,16 +260,26 @@ impl RankCtx {
             match plan.action(self.attempt, step, self.rank) {
                 Some(FaultKind::Kill) => {
                     *self.killed_at.lock() = Some(step);
-                    return Err(CommError::Killed {
+                    return Err(self.fail(CommError::Killed {
                         rank: self.rank,
                         step,
-                    });
+                    }));
                 }
                 Some(point) => *self.armed.lock() = Some(point),
                 None => {}
             }
         }
         Ok(())
+    }
+
+    /// Mark this rank failed — it is about to be handed `error`.
+    fn fail(&self, error: CommError) -> CommError {
+        self.collective.failed[self.rank].store(true, Ordering::SeqCst);
+        error
+    }
+
+    fn has_failed(&self, rank: usize) -> bool {
+        self.collective.failed[rank].load(Ordering::SeqCst)
     }
 
     /// `Err(Killed)` once this rank's scheduled death has fired.
@@ -311,6 +333,9 @@ impl RankCtx {
         phase: Option<&'static str>,
     ) -> std::result::Result<(), CommError> {
         self.check_killed()?;
+        if self.has_failed(to) {
+            return Err(self.fail(CommError::RankUnreachable { to }));
+        }
         {
             let mut s = self.stats.lock();
             s.messages_sent += 1;
@@ -350,7 +375,7 @@ impl RankCtx {
                 payload,
                 checksum,
             })
-            .map_err(|_| CommError::RankUnreachable { to })
+            .map_err(|_| self.fail(CommError::RankUnreachable { to }))
     }
 
     /// A cleared payload buffer with at least `capacity` reserved, drawn
@@ -444,7 +469,7 @@ impl RankCtx {
             }
         }
         while let Ok(msg) = self.receiver.try_recv() {
-            Self::verify(&msg)?;
+            Self::verify(&msg).map_err(|e| self.fail(e))?;
             if msg.from == from && msg.tag == tag {
                 return Ok(Some(msg.payload));
             }
@@ -490,21 +515,28 @@ impl RankCtx {
         }
         let start = Instant::now();
         let deadline = start + self.recv_timeout;
+        // An expired deadline on a failed sender is its death, not a late
+        // message.
+        let expired = || {
+            self.fail(if self.has_failed(from) {
+                CommError::RankUnreachable { to: from }
+            } else {
+                CommError::RecvTimeout { from, tag }
+            })
+        };
         let payload = loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
-                return Err(CommError::RecvTimeout { from, tag });
+                return Err(expired());
             }
             let msg = match self.receiver.recv_timeout(remaining) {
                 Ok(msg) => msg,
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(CommError::RecvTimeout { from, tag });
-                }
+                Err(RecvTimeoutError::Timeout) => return Err(expired()),
                 Err(RecvTimeoutError::Disconnected) => {
-                    return Err(CommError::Disconnected { rank: self.rank });
+                    return Err(self.fail(CommError::Disconnected { rank: self.rank }));
                 }
             };
-            Self::verify(&msg)?;
+            Self::verify(&msg).map_err(|e| self.fail(e))?;
             if msg.from == from && msg.tag == tag {
                 break msg.payload;
             }
@@ -1179,6 +1211,56 @@ mod tests {
         let b = run();
         assert_eq!(a, b, "same fault schedule must fail byte-identically");
         assert_eq!(a[1], Err(CommError::Corrupt { from: 0, tag: 0 }));
+        // Rank 1 is failed from the moment its receive returns, whether
+        // or not its thread has exited by rank 0's next send: at that
+        // send, or at the receive after it, rank 0 learns the same thing.
+        assert_eq!(a[0], Err(CommError::RankUnreachable { to: 1 }));
+    }
+
+    #[test]
+    fn survivor_learns_of_a_failed_peer_whoever_gets_there_first() {
+        // Rank 0's first message is corrupt, so rank 1 fails at its first
+        // receive. Either rank 0 sends again before that happens (and
+        // its next receive expires on a failed peer), or after (and the
+        // send itself is refused): a signal forces each order in turn.
+        for send_before_failure in [true, false] {
+            let (tx, rx) = std::sync::mpsc::channel::<()>();
+            let rx = std::sync::Mutex::new(rx);
+            let wait = || rx.lock().unwrap().recv().unwrap();
+            let plan = FaultPlan::new(9).corrupt(0, 0);
+            let out = Typhon::run_with(2, fast(plan), |ctx| {
+                ctx.begin_step(0)?;
+                if ctx.rank() == 1 {
+                    ctx.send(0, 0, vec![1.0])?;
+                    if send_before_failure {
+                        wait();
+                    }
+                    let failed = ctx.recv(0, 0);
+                    if !send_before_failure {
+                        tx.send(()).unwrap();
+                    }
+                    return failed;
+                }
+                ctx.send(1, 0, vec![1.0])?;
+                ctx.recv(1, 0)?;
+                if !send_before_failure {
+                    wait();
+                }
+                let second = ctx.send(1, 1, vec![2.0]);
+                if send_before_failure {
+                    tx.send(()).unwrap();
+                }
+                second?;
+                ctx.recv(1, 1)
+            })
+            .unwrap();
+            assert_eq!(out[1], Err(CommError::Corrupt { from: 0, tag: 0 }));
+            assert_eq!(
+                out[0],
+                Err(CommError::RankUnreachable { to: 1 }),
+                "send before failure: {send_before_failure}"
+            );
+        }
     }
 
     #[test]

@@ -202,9 +202,10 @@ pub enum CommError {
         /// Doubles actually received.
         got: usize,
     },
-    /// A send could not be delivered: the destination rank is gone.
+    /// The peer rank is gone: a send to it could not be delivered, or a
+    /// receive from it expired after it had failed.
     RankUnreachable {
-        /// The unreachable destination rank.
+        /// The unreachable rank.
         to: usize,
     },
     /// The team's channels disconnected while this rank was receiving

@@ -27,7 +27,8 @@ use bookleaf::hydro::getq::{getq, QCoeffs};
 use bookleaf::hydro::getrho::getrho;
 use bookleaf::hydro::reference::{getforce_reference, getq_reference};
 use bookleaf::hydro::{
-    eos_fused, viscforce, EosStages, FusedEos, HydroState, LocalRange, Subset, Threading, ViscForce,
+    eos_fused, viscforce, viscforce_listed, EosStages, FusedEos, HydroState, LocalRange, Subset,
+    Threading, ViscForce,
 };
 use bookleaf::mesh::{generate_rect, Mesh, RectSpec};
 use bookleaf::util::Vec2;
@@ -423,14 +424,26 @@ fn viscforce_matches_getq_then_getforce_and_reference_on_every_deck() {
                 "{name} {th:?}: fused vs reference"
             );
 
-            // The overlapped schedule: interior then boundary (and the
-            // other way round) is the full sweep.
+            // The overlapped schedule: the masked interior pass then
+            // the listed boundary pass (and the other way round) is the
+            // full sweep.
             let mask: Vec<bool> = (0..mesh.n_elements()).map(|e| e % 5 < 2).collect();
+            let interior = Subset::Mask {
+                mask: &mask,
+                keep: false,
+            };
+            let ids: Vec<u32> = (0..mask.len() as u32)
+                .filter(|&e| mask[e as usize])
+                .collect();
+            let cells = mesh.with_face_neighbours(&ids);
             for order in [[false, true], [true, false]] {
                 let mut split = st0.clone();
-                for keep in order {
-                    let side = Subset::Mask { mask: &mask, keep };
-                    viscforce(&mesh, &mut split, range, sweep, th, side);
+                for listed in order {
+                    if listed {
+                        viscforce_listed(&mesh, &mut split, range, sweep, th, &ids, &cells);
+                    } else {
+                        viscforce(&mesh, &mut split, range, sweep, th, interior);
+                    }
                 }
                 assert_eq!(
                     viscforce_bits(&fused),
