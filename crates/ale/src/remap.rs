@@ -274,6 +274,24 @@ impl Remapper {
         }
         post_result?;
         halo.post_remap_complete(mesh, state)?;
+        // The exchange has the last word on halo node positions. Where
+        // an owner's target differs from the one computed here (Smooth:
+        // the owner's star sees fresher neighbour positions), re-evaluate
+        // the geometry of the owned elements round that node, so the
+        // remap leaves geometry that matches the mesh it leaves.
+        for n in 0..range.n_active_nd {
+            if mesh.nodes[n] != target[n] {
+                for &(e, _) in mesh.elements_of_node(n) {
+                    let e = e as usize;
+                    if e < range.n_owned_el {
+                        let corners = mesh.corners(e);
+                        state.volume[e] = quad_area(&corners);
+                        state.cnvol[e] = corner_volumes(&corners);
+                        state.length[e] = char_length(&corners);
+                    }
+                }
+            }
+        }
         Ok(())
     }
 }

@@ -61,8 +61,8 @@ use bookleaf_util::{KernelId, TimerReport};
 
 /// The kernels the pool parallelizes — the "kernel section" of the
 /// acceptance criterion. (Comms, ALE setup and I/O are excluded; ALE is
-/// also parallel now but the default decks run pure Lagrangian.) With
-/// the fused EOS sweep on by default, the chain's time lands in the
+/// also parallel now but the default decks run pure Lagrangian.) The
+/// EOS chain runs as one fused sweep, so its time lands in the
 /// `EosFused` timer instead of its four constituents, so the section
 /// must sum all nine buckets to stay comparable with older baselines;
 /// likewise viscosity and force now land in the fused `ViscForce`

@@ -20,6 +20,7 @@
 use bookleaf_ale::{RemapOverlap, Remapper};
 use bookleaf_eos::MaterialTable;
 use bookleaf_hydro::getdt::getdt;
+use bookleaf_hydro::getpc::getpc;
 use bookleaf_hydro::{lagstep_timed, HaloOps, HydroState, KernelSplit, LocalRange};
 use bookleaf_mesh::{Mesh, OverlapSets};
 use bookleaf_util::{BookLeafError, HealthDiagnosis, HealthField, KernelId, Result, TimerRegistry};
@@ -208,33 +209,31 @@ pub fn run_loop<H: HaloOps>(
 
         if let (Some(remapper), true) = (remapper, config.ale.is_some()) {
             if remapper.due(steps) {
-                match overlap {
-                    Some(o) => {
-                        // Overlapped remap: the exchange is posted and
-                        // completed inside the remap itself, so its cost
-                        // lands in the ALE bucket; the wait that could
-                        // not be hidden is in CommStats either way.
-                        timers.time(KernelId::Ale, || {
-                            remapper.step_overlapped(
-                                mesh,
-                                state,
-                                range,
-                                config.lag.threading,
-                                Some(RemapOverlap {
-                                    pre_el: &o.remap_pre_el,
-                                    pre_nd: &o.remap_pre_nd,
-                                }),
-                                halo,
-                            )
-                        })?;
-                    }
-                    None => {
-                        timers.time(KernelId::Ale, || {
-                            remapper.step_threaded(mesh, state, range, config.lag.threading)
-                        })?;
-                        timers.time(KernelId::Comms, || halo.post_remap(mesh, state))?;
-                    }
-                }
+                // The post-remap exchange is posted and completed inside
+                // the remap itself — around its deferred sweep when
+                // overlapped, back to back otherwise — so its cost lands
+                // in the ALE bucket; the wait that could not be hidden
+                // is in CommStats either way. The remap rewrote ρ and ε
+                // (the exchange has delivered the ghosts'), so the ALE
+                // step closes the way LAGSTEP does, with GETPC: pressure
+                // and sound speed are functions of (ρ, ε) at every step
+                // boundary — the state a restart re-derives.
+                timers.time(KernelId::Ale, || -> Result<()> {
+                    remapper.step_overlapped(
+                        mesh,
+                        state,
+                        range,
+                        config.lag.threading,
+                        overlap.map(|o| RemapOverlap {
+                            pre_el: &o.remap_pre_el,
+                            pre_nd: &o.remap_pre_nd,
+                        }),
+                        halo,
+                    )?;
+                    let whole = LocalRange::whole(mesh);
+                    getpc(mesh, materials, state, whole, config.lag.threading);
+                    Ok(())
+                })?;
                 if let Some(w) = watch {
                     let view = mid_view(w, steps, t + dt, dt, mesh, state, range);
                     w.observers.phase_end(StepPhase::Remap, &view);

@@ -11,9 +11,11 @@
 //!   §IV-B.
 //!
 //! Both use real message passing (Typhon) with the two halo-exchange
-//! phases and the single global dt reduction per step. Results are
-//! assembled back into global element/node order so validation code can
-//! compare executors directly.
+//! phases and the single global dt reduction per step. A team consumes
+//! and returns the same [`Snapshot`] a checkpoint carries: the restart
+//! fields assembled back into global element/node order, so validation
+//! code can compare executors directly and the next team — any shape —
+//! continues from where this one stopped.
 //!
 //! This module is driven through [`crate::Simulation`]. Observer hooks
 //! fire on every rank with the rank's partition view, and the run's
@@ -38,40 +40,19 @@ use crate::observer::{LoopWatch, ObserverSet};
 use crate::output::Snapshot;
 use crate::report::RunReport;
 
-/// The solution fields a distributed run assembles back into global
-/// element/node order — the full checkpointable field set, so a
-/// distributed run can be checkpointed (and re-resumed at any shape)
-/// from its assembled view.
-#[derive(Debug, Clone)]
-pub(crate) struct Assembled {
-    pub rho: Vec<f64>,
-    pub ein: Vec<f64>,
-    pub pressure: Vec<f64>,
-    pub u: Vec<Vec2>,
-    pub nodes: Vec<Vec2>,
-    pub mass: Vec<f64>,
-    pub q: Vec<f64>,
-    pub nd_mass: Vec<f64>,
-    pub cnmass: Vec<[f64; 4]>,
-    /// The team's loop cursor after the run (identical on every rank).
-    pub cursor: LoopState,
-}
-
 struct RankOut {
     /// Global ids of the rank's owned elements, in local order.
     owned_el: Vec<u32>,
     rho: Vec<f64>,
     ein: Vec<f64>,
-    pressure: Vec<f64>,
     mass: Vec<f64>,
     q: Vec<f64>,
     cnmass: Vec<[f64; 4]>,
     u_owned: Vec<(u32, Vec2)>,
     x_owned: Vec<(u32, Vec2)>,
     nd_mass_owned: Vec<(u32, f64)>,
-    steps: usize,
-    time: f64,
-    dt_prev: Option<f64>,
+    /// The team's loop cursor after the run (identical on every rank).
+    cursor: LoopState,
     timers: TimerReport,
     comm: CommStats,
     /// Globally reduced start/end energies (identical on every rank).
@@ -81,22 +62,22 @@ struct RankOut {
 
 /// The distributed run machinery behind [`crate::Simulation`]:
 /// partition, spawn the rank team, run the shared loop (observers
-/// firing per rank), assemble the global solution and the unified
+/// firing per rank), assemble the global restart state and the unified
 /// report.
 ///
-/// With `resume` set, every rank scatters its *owned* entities from the
-/// (global) checkpoint state, fills its ghosts through the one-shot
-/// `restore` halo exchange, re-derives the dependent fields, and
-/// continues the loop from the checkpoint's cursor — this is how a
+/// With `resume` set, every rank installs its piece — owned and ghost
+/// entities alike, read through its local→global maps — of the (global)
+/// restart state and continues the loop from its cursor; this is how a
 /// serial (or any-shape) checkpoint repartitions onto this executor's
-/// rank count.
+/// rank count. Without it (a team that has never run), each rank builds
+/// its state straight from the deck.
 pub(crate) fn run_with_observers(
     deck: &Deck,
     config: &RunConfig,
     observers: &ObserverSet,
     resume: Option<&Snapshot>,
     typhon: &TyphonOptions,
-) -> Result<(RunReport, Assembled)> {
+) -> Result<(RunReport, Snapshot)> {
     let (ranks, threads_per_rank) = match config.executor {
         ExecutorKind::FlatMpi { ranks } => (ranks, 0),
         ExecutorKind::Hybrid {
@@ -148,17 +129,18 @@ pub(crate) fn run_with_observers(
     // Assemble.
     let ne = deck.mesh.n_elements();
     let nn = deck.mesh.n_nodes();
-    let mut fields = Assembled {
+    let mut fields = Snapshot {
+        time: 0.0,
+        steps: 0,
+        dt_prev: None,
+        nodes: vec![Vec2::ZERO; nn],
+        u: vec![Vec2::ZERO; nn],
+        nd_mass: vec![0.0; nn],
+        mass: vec![0.0; ne],
         rho: vec![0.0; ne],
         ein: vec![0.0; ne],
-        pressure: vec![0.0; ne],
-        u: vec![Vec2::ZERO; nn],
-        nodes: vec![Vec2::ZERO; nn],
-        mass: vec![0.0; ne],
         q: vec![0.0; ne],
-        nd_mass: vec![0.0; nn],
         cnmass: vec![[0.0; 4]; ne],
-        cursor: LoopState::default(),
     };
     let mut report = RunReport {
         name: deck.name.to_string(),
@@ -178,7 +160,6 @@ pub(crate) fn run_with_observers(
         for (l, &g) in r.owned_el.iter().enumerate() {
             fields.rho[g as usize] = r.rho[l];
             fields.ein[g as usize] = r.ein[l];
-            fields.pressure[g as usize] = r.pressure[l];
             fields.mass[g as usize] = r.mass[l];
             fields.q[g as usize] = r.q[l];
             fields.cnmass[g as usize] = r.cnmass[l];
@@ -192,16 +173,14 @@ pub(crate) fn run_with_observers(
         for &(g, m) in &r.nd_mass_owned {
             fields.nd_mass[g as usize] = m;
         }
-        fields.cursor = LoopState {
-            t: r.time,
-            steps: r.steps,
-            dt_prev: r.dt_prev,
-        };
-        report.steps = report.steps.max(r.steps);
+        fields.time = r.cursor.t;
+        fields.steps = r.cursor.steps as u64;
+        fields.dt_prev = r.cursor.dt_prev;
+        report.steps = report.steps.max(r.cursor.steps);
         // Max, not last-writer-wins: every rank reports the same final
         // time, but a reordered result vector must not leave a stale
         // zero (or any one rank's value) in charge.
-        report.time = report.time.max(r.time);
+        report.time = report.time.max(r.cursor.t);
         report.timers = report.timers.max(&r.timers);
         report.comm = report.comm.merged(&r.comm);
         // Already globally reduced — identical on every rank.
@@ -271,53 +250,20 @@ fn run_rank(
 
     // The remapper must capture the *deck-initial* node positions
     // (they are the Eulerian remap target), so it is built before any
-    // checkpoint overwrites the mesh.
+    // restart state overwrites the mesh.
     let remapper = config.ale.map(|opts| Remapper::new(&mesh, opts));
 
-    let mut cursor = crate::driver::LoopState::default();
-    if let Some(snap) = resume {
-        // Scatter the global checkpoint state onto the entities this
-        // rank owns; ghosts are poised to arrive from their owners.
-        for (l, &g) in el_l2g[..n_owned_el].iter().enumerate() {
-            let g = g as usize;
-            state.mass[l] = snap.mass[g];
-            state.rho[l] = snap.rho[g];
-            state.ein[l] = snap.ein[g];
-            state.q[l] = snap.q[g];
-            state.cnmass[l] = snap.cnmass[g];
-        }
-        for n in owned_nodes() {
-            let g = nd_l2g[n] as usize;
-            mesh.nodes[n] = snap.nodes[g];
-            state.u[n] = snap.u[g];
-            state.nd_mass[n] = snap.nd_mass[g];
-        }
-        // One-shot restore exchange: every ghost element and halo node
-        // receives its owner's checkpoint values — same plan machinery,
-        // one message per neighbour.
-        halo.exchange_restore(&mut mesh, &mut state)?;
-        // Re-derive the dependent fields over the whole local mesh
-        // (owned and ghost): geometry and EoS are pure per-element
-        // functions of the restored fields, so every rank reproduces
-        // the owner's values bitwise.
-        let whole = LocalRange {
-            n_owned_el: mesh.n_elements(),
-            n_active_nd: mesh.n_nodes(),
-        };
-        bookleaf_hydro::getgeom::getgeom(&mesh, &mut state, whole, config.lag.threading)?;
-        bookleaf_hydro::getpc::getpc(
-            &mesh,
-            &deck.materials,
+    let mut cursor = match resume {
+        Some(snap) => snap.install(
+            &mut mesh,
             &mut state,
-            whole,
+            &deck.materials,
             config.lag.threading,
-        );
-        cursor = crate::driver::LoopState {
-            t: snap.time,
-            steps: snap.steps as usize,
-            dt_prev: snap.dt_prev,
-        };
-    }
+            |e| el_l2g[e] as usize,
+            |n| nd_l2g[n] as usize,
+        )?,
+        None => LoopState::default(),
+    };
     let timers = bookleaf_util::TimerRegistry::new();
 
     // This rank's energy contribution: owned elements, owned nodes —
@@ -371,8 +317,6 @@ fn run_rank(
         Some(&sentinel),
     )?;
     let energy_end = ctx.allreduce_sum(local_energy(&mesh, &state))?;
-    let (steps, time) = (cursor.steps, cursor.t);
-
     let u_owned = owned_nodes().map(|n| (nd_l2g[n], state.u[n])).collect();
     let x_owned = owned_nodes().map(|n| (nd_l2g[n], mesh.nodes[n])).collect();
     let nd_mass_owned = owned_nodes()
@@ -384,16 +328,13 @@ fn run_rank(
         owned_el: el_l2g,
         rho: state.rho[..n_owned_el].to_vec(),
         ein: state.ein[..n_owned_el].to_vec(),
-        pressure: state.pressure[..n_owned_el].to_vec(),
         mass: state.mass[..n_owned_el].to_vec(),
         q: state.q[..n_owned_el].to_vec(),
         cnmass: state.cnmass[..n_owned_el].to_vec(),
         u_owned,
         x_owned,
         nd_mass_owned,
-        steps,
-        time,
-        dt_prev: cursor.dt_prev,
+        cursor,
         timers: timers.report(),
         comm: ctx.stats(),
         energy_start,

@@ -16,11 +16,10 @@
 //!   the bytes on the wire are identical to the interleaved layout's;
 //! * **`post_remap`** — everything an ALE remap rewrites (masses, state,
 //!   volumes, corner masses, node kinematics): seven fields, one
-//!   message per neighbour;
-//! * **`restore`** — the checkpoint field set (node kinematics, nodal
-//!   masses, element mass/ρ/e/q, corner masses): eight fields, executed
-//!   **once** when a rank resumes from a checkpoint, filling every ghost
-//!   from its owner so the re-derivation sweep sees owner-exact values.
+//!   message per neighbour.
+//!
+//! Resuming moves no messages: the restart state is global, so a rank
+//! reads its ghosts' values where it reads its own (`Snapshot::install`).
 //!
 //! Per-phase message and volume counts land in the rank's
 //! [`bookleaf_typhon::CommStats`] breakdown under the phase names above.
@@ -80,7 +79,6 @@ pub struct TyphonHalo<'a> {
     pre_visc: PhaseId,
     pre_acc: PhaseId,
     post_remap: PhaseId,
-    restore: PhaseId,
     pending_visc: Option<PendingPhase>,
     pending_acc: Option<PendingPhase>,
     pending_remap: Option<PendingPhase>,
@@ -105,20 +103,6 @@ fn acc_fields(state: &mut HydroState) -> [FieldMut<'_>; 2] {
     [
         FieldMut::Corner4(&mut state.cnmass),
         FieldMut::CornerPair(&mut state.cnforce_x, &mut state.cnforce_y),
-    ]
-}
-
-/// The one-shot `restore` phase bindings (checkpoint resume).
-fn restore_fields<'s>(mesh: &'s mut Mesh, state: &'s mut HydroState) -> [FieldMut<'s>; 8] {
-    [
-        FieldMut::Vec2(&mut mesh.nodes),
-        FieldMut::Vec2(&mut state.u),
-        FieldMut::Scalar(&mut state.nd_mass),
-        FieldMut::Scalar(&mut state.mass),
-        FieldMut::Scalar(&mut state.rho),
-        FieldMut::Scalar(&mut state.ein),
-        FieldMut::Scalar(&mut state.q),
-        FieldMut::Corner4(&mut state.cnmass),
     ]
 }
 
@@ -171,26 +155,12 @@ impl<'a> TyphonHalo<'a> {
                 (Entity::Element, SlotKind::Corner4), // cnmass
             ],
         );
-        let restore = b.phase(
-            "restore",
-            &[
-                (Entity::Node, SlotKind::Vec2),       // mesh.nodes
-                (Entity::Node, SlotKind::Vec2),       // u
-                (Entity::Node, SlotKind::Scalar),     // nd_mass
-                (Entity::Element, SlotKind::Scalar),  // mass
-                (Entity::Element, SlotKind::Scalar),  // rho
-                (Entity::Element, SlotKind::Scalar),  // ein
-                (Entity::Element, SlotKind::Scalar),  // q
-                (Entity::Element, SlotKind::Corner4), // cnmass
-            ],
-        );
         TyphonHalo {
             ctx,
             plan: b.build(),
             pre_visc,
             pre_acc,
             post_remap,
-            restore,
             pending_visc: None,
             pending_acc: None,
             pending_remap: None,
@@ -202,22 +172,6 @@ impl<'a> TyphonHalo<'a> {
     #[must_use]
     pub fn plan(&self) -> &HaloPlan {
         &self.plan
-    }
-
-    /// Execute the one-shot `restore` exchange: after a resuming rank
-    /// scatters its owned entities from a checkpoint, this fills every
-    /// ghost element/halo node with its owner's values — one message
-    /// per neighbour, through the same plan machinery as the per-step
-    /// phases.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`bookleaf_util::CommError`] from the exchange as
-    /// a `BookLeafError::CommFault`.
-    pub fn exchange_restore(&mut self, mesh: &mut Mesh, state: &mut HydroState) -> Result<()> {
-        self.plan
-            .execute(self.ctx, self.restore, &mut restore_fields(mesh, state))?;
-        Ok(())
     }
 }
 

@@ -25,7 +25,8 @@
 //!   built on the Typhon runtime with real halo exchanges;
 //! * [`halo`] — the [`bookleaf_hydro::HaloOps`] implementation backed by
 //!   Typhon exchanges (and the piston hook for Saltzmann);
-//! * [`output`] — VTK visualisation files and binary restart snapshots;
+//! * [`output`] — VTK visualisation files and the portable checkpoint
+//!   format (the one carrier of restart state);
 //! * [`resilience`] — deterministic fault drills and supervised elastic
 //!   recovery: retention-managed [`CheckpointStore`]s with atomic
 //!   writes and verified readback, the [`AutoCheckpoint`] observer, and
@@ -54,7 +55,7 @@ pub use observer::{
     ConservationTracer, DtHistory, DtSample, EnergySample, FrameDumper, LoopWatch, Observer,
     ObserverNeeds, ObserverSet, ProgressLogger, Shared, StepPhase, StepView,
 };
-pub use output::{read_snapshot, write_vtk, Checkpoint, Snapshot, CHECKPOINT_VERSION};
+pub use output::{write_vtk, Checkpoint, Snapshot, CHECKPOINT_VERSION};
 pub use report::RunReport;
 pub use resilience::{
     AutoCheckpoint, CheckpointStore, RecoveryEvent, RecoveryLog, RecoveryPolicy, ReshapePolicy,

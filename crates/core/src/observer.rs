@@ -391,11 +391,10 @@ impl Observer for ConservationTracer {
     }
     fn run_begin(&mut self, view: &StepView<'_>) {
         // The run is (re)starting from `view.step`: drop any samples a
-        // previous trajectory recorded beyond it — a distributed
-        // `run()` re-executing from step 0 starts a fresh trace, and a
-        // `restore` rewinding to an earlier snapshot abandons the
-        // samples past the rewind point, keeping `samples()` in step
-        // order on one consistent trajectory.
+        // previous trajectory recorded beyond it — a supervised rewind
+        // to an earlier checkpoint abandons the samples past the rewind
+        // point, keeping `samples()` in step order on one consistent
+        // trajectory; a plain continuation drops nothing.
         if view.rank == 0 {
             self.samples.retain(|s| s.step <= view.step);
         }
@@ -451,11 +450,9 @@ impl Observer for DtHistory {
     fn run_begin(&mut self, view: &StepView<'_>) {
         // The run is (re)starting from `view.step`: the steps about to
         // execute are `view.step..`, so drop any samples a previous
-        // trajectory recorded for them — a distributed `run()`
-        // re-executing from step 0 starts fresh, a `restore` rewind
-        // abandons the samples past the snapshot, and a plain serial
-        // resume (nothing recorded past the pause step) keeps
-        // accumulating.
+        // trajectory recorded for them — a supervised rewind abandons
+        // the samples past the checkpoint, and a plain continuation
+        // (nothing recorded past the pause step) keeps accumulating.
         if view.rank == 0 {
             self.samples.retain(|s| s.step < view.step);
         }
@@ -527,8 +524,8 @@ impl FrameDumper {
     fn dump(&mut self, step: usize, view: &StepView<'_>) {
         let path = self.frame_path(step, view);
         // Always write: frames are deterministic, so rewriting a path
-        // (the final frame coinciding with a periodic one; a rerun of a
-        // distributed simulation re-executing from step 0) is an
+        // (the final frame coinciding with a periodic one; a continued
+        // run's first frame coinciding with the paused run's last) is an
         // idempotent overwrite — and it recreates files the user may
         // have moved away between runs. Only the bookkeeping dedups.
         let result = std::fs::create_dir_all(&self.dir).and_then(|()| {

@@ -1,14 +1,13 @@
-//! Simulation output: legacy-VTK visualisation files, binary state
-//! snapshots, and the portable checkpoint format.
+//! Simulation output: legacy-VTK visualisation files and the portable
+//! checkpoint format.
 //!
 //! * [`write_vtk`] emits an ASCII legacy `.vtk` unstructured-grid file
 //!   (cell data: ρ, P, ε, q; point data: velocity) loadable by ParaView
 //!   or VisIt — the standard way downstream users inspect hydro runs.
-//! * [`Snapshot`] serialises the solver state to a compact binary body
-//!   and restores it. It is the in-memory payload of a checkpoint; on
-//!   its own (via [`Snapshot::write`]/[`read_snapshot`]) it has a magic
-//!   but no deck and no checksum — use [`Checkpoint`] for files that
-//!   leave the process.
+//! * [`Snapshot`] is the restart state: the one in-memory carrier every
+//!   pause and continuation goes through — the payload of a checkpoint,
+//!   what a rank team consumes and hands back, what a supervised retry
+//!   rewinds to. It has exactly one byte format, the checkpoint's.
 //! * [`Checkpoint`] is the first-class restart artefact: the state
 //!   snapshot **plus the originating [`InputDeck`]**, behind a
 //!   magic+version header and guarded by a trailing CRC-32. A
@@ -45,8 +44,16 @@
 //! quantities that carry information from step *k* into step *k+1*
 //! (`q` feeds the next `getdt`; `nd_mass` feeds the next `getforce`
 //! momentum limiter). Everything else (volumes, pressures, sound
-//! speeds, corner scratch) is re-derived bitwise on load, which is what
-//! makes same-shape resume bit-exact.
+//! speeds, corner scratch) is re-derived on load by the one installer
+//! every resume path shares (`Snapshot::install`), and the invariant
+//! that makes same-shape resume bit-exact — Lagrangian or ALE, any
+//! executor — is that doing so changes nothing: at every step boundary
+//! the derived fields already *are* what `getgeom` + `getpc` make of
+//! the carried ones (a Lagrangian step ends with that evaluation; a
+//! remap leaves geometry matching the mesh it leaves and is followed by
+//! `getpc`). Pinned by
+//! `derived_state_is_a_pure_function_of_the_restart_fields` in
+//! `tests/hybrid_determinism.rs`.
 //!
 //! **Versioning policy.** The version integer identifies the byte
 //! layout above. Any change to the layout — field added, removed,
@@ -60,13 +67,15 @@
 //! interpreted; every failure path is a typed
 //! [`bookleaf_util::CheckpointError`], never a panic.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
-use bookleaf_hydro::HydroState;
+use bookleaf_eos::MaterialTable;
+use bookleaf_hydro::{HydroState, LocalRange, Threading};
 use bookleaf_mesh::Mesh;
-use bookleaf_util::{crc32, BookLeafError, CheckpointError, Result, Vec2};
+use bookleaf_util::{crc32, CheckpointError, Result, Vec2};
 
+use crate::driver::LoopState;
 use crate::input::{InputDeck, MAX_MESH_DIM};
 
 /// Write the current solution as a legacy ASCII VTK unstructured grid.
@@ -116,10 +125,6 @@ pub fn write_vtk(
     }
     Ok(())
 }
-
-/// Magic guarding the standalone snapshot body (bumped from `BLRSNAP1`
-/// when `q`/`nd_mass`/the dt-prev flag joined the field set).
-const SNAP_MAGIC: &[u8; 8] = b"BLRSNAP2";
 
 /// Magic opening a checkpoint file.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"BLFCKPT\0";
@@ -201,47 +206,55 @@ impl Snapshot {
         self.mass.len()
     }
 
-    /// Restore into an existing mesh/state pair (shapes must match the
-    /// deck the snapshot came from).
-    pub fn restore(&self, mesh: &mut Mesh, state: &mut HydroState) -> Result<()> {
-        if self.nodes.len() != mesh.n_nodes() || self.mass.len() != mesh.n_elements() {
-            return Err(BookLeafError::Checkpoint(CheckpointError::DeckMismatch {
-                message: format!(
-                    "snapshot shape ({} nodes, {} elements) does not match mesh ({}, {})",
-                    self.nodes.len(),
-                    self.mass.len(),
-                    mesh.n_nodes(),
-                    mesh.n_elements()
-                ),
-            }));
+    /// Make `(mesh, state)` the state this snapshot captured and return
+    /// the loop cursor to continue from: local element `e` / node `n`
+    /// takes the snapshot's `el(e)` / `nd(n)` (identity for the global
+    /// mesh; a rank's local→global maps for its piece, ghosts included),
+    /// then geometry and the EoS are re-derived over the whole of `mesh`.
+    /// The **one** place restart state becomes live state — builder
+    /// resume, supervised rewind, a rank team's scatter and the view a
+    /// finished team leaves behind all come through here — so "a pause
+    /// at a step boundary moves no bits" is this function's property,
+    /// not each caller's. Shapes are the caller's to check.
+    pub(crate) fn install(
+        &self,
+        mesh: &mut Mesh,
+        state: &mut HydroState,
+        materials: &MaterialTable,
+        threading: Threading,
+        el: impl Fn(usize) -> usize,
+        nd: impl Fn(usize) -> usize,
+    ) -> Result<LoopState> {
+        for e in 0..mesh.n_elements() {
+            let g = el(e);
+            state.mass[e] = self.mass[g];
+            state.rho[e] = self.rho[g];
+            state.ein[e] = self.ein[g];
+            state.q[e] = self.q[g];
+            state.cnmass[e] = self.cnmass[g];
         }
-        mesh.nodes.copy_from_slice(&self.nodes);
-        state.u.copy_from_slice(&self.u);
-        state.nd_mass.copy_from_slice(&self.nd_mass);
-        state.mass.copy_from_slice(&self.mass);
-        state.rho.copy_from_slice(&self.rho);
-        state.ein.copy_from_slice(&self.ein);
-        state.q.copy_from_slice(&self.q);
-        state.cnmass.copy_from_slice(&self.cnmass);
-        Ok(())
+        for n in 0..mesh.n_nodes() {
+            let g = nd(n);
+            mesh.nodes[n] = self.nodes[g];
+            state.u[n] = self.u[g];
+            state.nd_mass[n] = self.nd_mass[g];
+        }
+        let whole = LocalRange::whole(mesh);
+        bookleaf_hydro::getgeom::getgeom(mesh, state, whole, threading)?;
+        bookleaf_hydro::getpc::getpc(mesh, materials, state, whole, threading);
+        Ok(LoopState {
+            t: self.time,
+            steps: self.steps as usize,
+            dt_prev: self.dt_prev,
+        })
     }
 
-    /// Serialise to the standalone binary snapshot format (magic +
-    /// body, no checksum; files that leave the process should use
-    /// [`Checkpoint`]).
-    pub fn write(&self, w: &mut impl Write) -> io::Result<()> {
-        let mut out = Vec::with_capacity(8 + self.body_len());
-        out.extend_from_slice(SNAP_MAGIC);
-        self.write_body(&mut out);
-        w.write_all(&out)
-    }
-
-    /// Serialised body length in bytes (everything after the magic).
+    /// Serialised body length in bytes.
     fn body_len(&self) -> usize {
         body_len(self.nodes.len(), self.mass.len())
     }
 
-    /// Append the versioned body (shared by snapshot and checkpoint).
+    /// Append the versioned body.
     fn write_body(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.time.to_le_bytes());
         out.extend_from_slice(&self.steps.to_le_bytes());
@@ -341,32 +354,6 @@ const BODY_HEADER_LEN: usize = 8 + 8 + 1 + 8 + 8 + 8;
 /// Total body bytes for the given entity counts.
 fn body_len(n_nodes: usize, n_elements: usize) -> usize {
     BODY_HEADER_LEN + 40 * n_nodes + 64 * n_elements
-}
-
-/// Deserialise a snapshot from the binary format written by
-/// [`Snapshot::write`]. Failures are typed
-/// [`BookLeafError::Checkpoint`] values.
-pub fn read_snapshot(r: &mut impl Read) -> Result<Snapshot> {
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes).map_err(|e| CheckpointError::Io {
-        path: "<stream>".into(),
-        message: e.to_string(),
-    })?;
-    if bytes.len() < 8 {
-        return Err(CheckpointError::Truncated { what: "magic" }.into());
-    }
-    if &bytes[..8] != SNAP_MAGIC {
-        return Err(CheckpointError::BadMagic.into());
-    }
-    let mut cur = Cursor::new(&bytes[8..]);
-    let snap = Snapshot::read_body(&mut cur)?;
-    if cur.remaining() != 0 {
-        return Err(CheckpointError::Corrupt {
-            what: format!("{} trailing bytes after the snapshot body", cur.remaining()),
-        }
-        .into());
-    }
-    Ok(snap)
 }
 
 // ---------------------------------------------------------------------------
@@ -618,86 +605,6 @@ mod tests {
         assert_eq!(lines[0].trim(), "1");
     }
 
-    #[test]
-    fn snapshot_roundtrip_is_exact() {
-        let (mut mesh, mut st) = sample();
-        // Perturb so the snapshot is non-trivial.
-        st.u[3] = Vec2::new(0.5, -0.25);
-        st.ein[2] = 9.0;
-        st.q[1] = 0.375;
-        st.nd_mass[5] = 0.0625;
-        mesh.nodes[4] += Vec2::new(0.001, 0.002);
-        let snap = Snapshot::capture(&mesh, &st, 0.125, 42, Some(3e-4));
-
-        let mut bytes = Vec::new();
-        snap.write(&mut bytes).unwrap();
-        let back = read_snapshot(&mut bytes.as_slice()).unwrap();
-        assert_eq!(back, snap);
-
-        // Restore into a fresh state.
-        let (mut mesh2, mut st2) = sample();
-        back.restore(&mut mesh2, &mut st2).unwrap();
-        assert_eq!(mesh2.nodes, mesh.nodes);
-        assert_eq!(st2.u, st.u);
-        assert_eq!(st2.ein, st.ein);
-        assert_eq!(st2.q, st.q);
-        assert_eq!(st2.nd_mass, st.nd_mass);
-    }
-
-    #[test]
-    fn snapshot_preserves_missing_dt_prev() {
-        let (mesh, st) = sample();
-        let snap = Snapshot::capture(&mesh, &st, 0.0, 0, None);
-        let mut bytes = Vec::new();
-        snap.write(&mut bytes).unwrap();
-        let back = read_snapshot(&mut bytes.as_slice()).unwrap();
-        assert_eq!(back.dt_prev, None);
-    }
-
-    #[test]
-    fn snapshot_rejects_corruption() {
-        let (mesh, st) = sample();
-        let snap = Snapshot::capture(&mesh, &st, 0.0, 0, Some(1e-5));
-        let mut bytes = Vec::new();
-        snap.write(&mut bytes).unwrap();
-
-        // Truncated.
-        let half = &bytes[..bytes.len() / 2];
-        assert!(read_snapshot(&mut &half[..]).is_err());
-        // Wrong magic.
-        let mut corrupt = bytes.clone();
-        corrupt[0] = b'X';
-        let err = read_snapshot(&mut corrupt.as_slice()).unwrap_err();
-        assert!(
-            matches!(err, BookLeafError::Checkpoint(CheckpointError::BadMagic)),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn snapshot_rejects_shape_mismatch() {
-        let (mesh, st) = sample();
-        let snap = Snapshot::capture(&mesh, &st, 0.0, 0, Some(1e-5));
-        let other = decks::sod(10, 2);
-        let mut mesh2 = other.mesh.clone();
-        let mut st2 = HydroState::new(
-            &other.mesh,
-            &other.materials,
-            |e| other.rho[e],
-            |e| other.ein[e],
-            |n| other.u[n],
-        )
-        .unwrap();
-        let err = snap.restore(&mut mesh2, &mut st2).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                BookLeafError::Checkpoint(CheckpointError::DeckMismatch { .. })
-            ),
-            "{err}"
-        );
-    }
-
     fn sample_checkpoint() -> Checkpoint {
         let input = InputDeck::new(crate::input::ProblemSpec::Sod { nx: 8, ny: 2 });
         let (mesh, st) = sample();
@@ -707,12 +614,20 @@ mod tests {
 
     #[test]
     fn checkpoint_roundtrip_is_exact() {
-        let ckpt = sample_checkpoint();
-        let bytes = ckpt.to_bytes();
-        let back = Checkpoint::from_bytes(&bytes).unwrap();
-        assert_eq!(back, ckpt);
-        // The writer is deterministic.
-        assert_eq!(back.to_bytes(), bytes);
+        let mut ckpt = sample_checkpoint();
+        // Perturb so the payload is non-trivial.
+        ckpt.snap.u[3] = Vec2::new(0.5, -0.25);
+        ckpt.snap.q[1] = 0.375;
+        ckpt.snap.nd_mass[5] = 0.0625;
+        // With and without a previous dt (the flag byte).
+        for dt_prev in [Some(2e-4), None] {
+            ckpt.snap.dt_prev = dt_prev;
+            let bytes = ckpt.to_bytes();
+            let back = Checkpoint::from_bytes(&bytes).unwrap();
+            assert_eq!(back, ckpt);
+            // The writer is deterministic.
+            assert_eq!(back.to_bytes(), bytes);
+        }
     }
 
     #[test]

@@ -17,16 +17,20 @@
 //!   points without touching its driver code. It is read-only like
 //!   every observer: a run with auto-checkpointing is bitwise identical
 //!   to one without.
-//! * [`Simulation::run_resilient`] — the supervisor. It executes the
-//!   run in segments of `checkpoint_every_steps`, checkpoints each
-//!   segment boundary, and on any typed failure — an injected or real
+//! * [`Simulation::run_resilient`] — the supervisor. It drives
+//!   [`Simulation::run_segment`] in segments of
+//!   `checkpoint_every_steps` (the same bitwise continuation contract
+//!   every executor honours, so supervision moves no bits), checkpoints
+//!   each segment boundary, and on any typed failure — an injected or real
 //!   [`bookleaf_util::CommError`], a sentinel
 //!   [`bookleaf_util::BookLeafError::Unhealthy`] abort — rewinds to the
 //!   last good checkpoint, optionally **reshapes** the executor (a dead
 //!   node means fewer ranks: [`ReshapePolicy::Halve`]), backs off, and
-//!   retries within a bounded budget. Elastic recovery falls out of the
-//!   portable checkpoint format: a 4-rank segment's checkpoint resumes
-//!   unchanged on 2 ranks.
+//!   retries within a bounded budget. A rewind rebuilds the engine
+//!   through the same constructor and the same [`Snapshot`] installer a
+//!   builder resume uses, so elastic recovery falls out of the portable
+//!   restart state: a 4-rank segment's checkpoint continues unchanged
+//!   on 2 ranks.
 //!
 //! Everything the supervisor records ([`RecoveryLog`],
 //! [`RecoveryEvent`]) is a pure function of the run and its fault
@@ -629,8 +633,6 @@ impl Simulation {
     /// sleeping on.
     pub fn run_resilient(&mut self, policy: &RecoveryPolicy) -> Result<RunReport> {
         let store = CheckpointStore::new(&policy.dir, "auto", policy.keep);
-        let goal_time = self.config().final_time;
-        let goal_steps = self.config().max_steps;
         let base_attempt = self.typhon.attempt;
         // Merge the policy deadline into the run config (earliest
         // wins): the running segments abort symmetrically on it, and
@@ -649,19 +651,13 @@ impl Simulation {
         let initial = self.checkpoint()?;
         let mut last_good: Option<Checkpoint> = None;
         loop {
-            let seg_start = self.cursor().steps;
-            let cap = if policy.checkpoint_every_steps == 0 {
-                goal_steps
-            } else {
-                goal_steps.min(seg_start + policy.checkpoint_every_steps)
-            };
-            self.config_mut().max_steps = cap;
             self.typhon.attempt = base_attempt + failures;
-            let result = self.run();
-            self.config_mut().max_steps = goal_steps;
+            let result = match policy.checkpoint_every_steps {
+                0 => self.run(),
+                every => self.run_segment(every),
+            };
             match result {
                 Ok(mut report) => {
-                    let done = report.steps >= goal_steps || report.time >= goal_time - 1e-15;
                     let ckpt = self.checkpoint()?;
                     match store.save(&ckpt)? {
                         SaveOutcome::Written(_) => {}
@@ -681,11 +677,8 @@ impl Simulation {
                             path.display()
                         )),
                     }
-                    // The next segment (and any rewind-free retry of a
-                    // distributed run) resumes from here.
-                    self.prime_resume(&ckpt.snap);
                     last_good = Some(ckpt);
-                    if done {
+                    if self.complete() {
                         self.typhon.attempt = base_attempt;
                         self.config_mut().deadline = base_deadline;
                         report.recovery = log;
@@ -732,8 +725,7 @@ impl Simulation {
                     std::thread::sleep(delay);
                     failures += 1;
                     self.config_mut().executor = retry_executor;
-                    let snap = target.snap.clone();
-                    self.rewind_to(&snap)?;
+                    self.rewind_to(&target.snap)?;
                 }
             }
         }

@@ -35,7 +35,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bookleaf_ale::{AleOptions, Remapper};
-use bookleaf_eos::MaterialTable;
 use bookleaf_hydro::getdt::DtControls;
 use bookleaf_hydro::{HydroState, LocalRange};
 use bookleaf_mesh::Mesh;
@@ -223,7 +222,7 @@ impl SimulationBuilder {
                     .into(),
             ));
         };
-        let mut resume_snap: Option<Box<Snapshot>> = None;
+        let mut resume_snap: Option<Snapshot> = None;
         let (deck, input) = match source {
             DeckSource::Built(deck) => (*deck, None),
             DeckSource::Input(input) => (input.build_deck()?, Some(*input)),
@@ -234,13 +233,13 @@ impl SimulationBuilder {
             DeckSource::Resume(ckpt) => {
                 let Checkpoint { input, snap } = *ckpt;
                 let deck = input.build_deck()?;
-                resume_snap = Some(Box::new(snap));
+                resume_snap = Some(snap);
                 (deck, Some(input))
             }
             DeckSource::ResumeFile(path) => {
                 let ckpt = Checkpoint::read_from(&path)?;
                 let deck = ckpt.input.build_deck()?;
-                resume_snap = Some(Box::new(ckpt.snap));
+                resume_snap = Some(ckpt.snap);
                 (deck, Some(ckpt.input))
             }
             DeckSource::File(path) => {
@@ -297,41 +296,7 @@ impl SimulationBuilder {
         }
 
         deck.validate()?;
-        if let Some(snap) = &resume_snap {
-            // The file path validated the snapshot against the embedded
-            // deck already; this also covers in-memory checkpoints
-            // assembled by hand.
-            if snap.n_nodes() != deck.mesh.n_nodes() || snap.n_elements() != deck.mesh.n_elements()
-            {
-                return Err(CheckpointError::DeckMismatch {
-                    message: format!(
-                        "checkpoint carries {} nodes / {} elements but its deck builds a \
-                         {}-node / {}-element mesh",
-                        snap.n_nodes(),
-                        snap.n_elements(),
-                        deck.mesh.n_nodes(),
-                        deck.mesh.n_elements()
-                    ),
-                }
-                .into());
-            }
-        }
-        let engine = match config.executor {
-            ExecutorKind::Serial => {
-                let mut engine = SerialEngine::new(&deck, &config)?;
-                if let Some(snap) = &resume_snap {
-                    engine.install(snap, &deck, &config)?;
-                }
-                Engine::Serial(Box::new(engine))
-            }
-            ExecutorKind::FlatMpi { .. } | ExecutorKind::Hybrid { .. } => {
-                let mut view = AssembledView::new(&deck)?;
-                if let Some(snap) = &resume_snap {
-                    view.install(snap, &deck, &config)?;
-                }
-                Engine::Distributed(Box::new(view))
-            }
-        };
+        let engine = Engine::new(&deck, &config, resume_snap.as_ref())?;
         let mut typhon = TyphonOptions::default();
         if let Some(plan) = self.fault_plan {
             typhon.fault_plan = Some(Arc::new(plan));
@@ -345,7 +310,6 @@ impl SimulationBuilder {
             config,
             observers: ObserverSet::new(self.observers),
             engine,
-            resume: resume_snap,
             typhon,
         })
     }
@@ -360,85 +324,133 @@ impl std::fmt::Debug for SimulationBuilder {
     }
 }
 
-/// In-place serial execution state.
-struct SerialEngine {
-    mesh: Mesh,
-    materials: MaterialTable,
-    state: HydroState,
+/// The serial executor's in-place machinery (a distributed team builds
+/// its own per rank, per run).
+struct SerialExec {
     remapper: Option<Remapper>,
     hooks: SerialHooks,
     timers: TimerRegistry,
-    cursor: LoopState,
+    /// The trajectory's reference energy, pinned at the first run.
     energy_start: Option<f64>,
-    /// Cumulative wall seconds across every `run`/`advance_to` segment,
-    /// so a resumed run's report stays consistent with its cumulative
+    /// Cumulative wall seconds across every `run` segment, so a
+    /// continued run's report stays consistent with its cumulative
     /// steps/timers/energy.
     wall_seconds: f64,
 }
 
-impl SerialEngine {
-    fn new(deck: &Deck, config: &RunConfig) -> Result<Self> {
+/// Execution state: the global `(mesh, state)` pair and the loop cursor
+/// the next `run` continues from, under every executor. Serially they
+/// are the live solver state, stepped in place; a distributed run
+/// spawns a rank team per call, and they are the global view it
+/// continues from and leaves behind.
+struct Engine {
+    mesh: Mesh,
+    state: HydroState,
+    cursor: LoopState,
+    /// `Some` under the serial executor.
+    serial: Option<Box<SerialExec>>,
+    /// Does `(mesh, state)` hold restart state — installed from a
+    /// checkpoint or left by a finished team — that the next team must
+    /// pick up? A distributed engine that has never run builds its
+    /// per-rank state straight from the deck instead.
+    primed: bool,
+}
+
+impl Engine {
+    /// Build the engine `config.executor` asks for, at the deck's
+    /// initial state or — with `resume` — continuing from a snapshot.
+    /// The one constructor behind both the builder and a supervised
+    /// rewind.
+    fn new(deck: &Deck, config: &RunConfig, resume: Option<&Snapshot>) -> Result<Self> {
         let mesh = deck.mesh.clone();
         let state = deck.initial_state(&mesh)?;
-        let remapper = config.ale.map(|opts| Remapper::new(&mesh, opts));
-        let hooks = SerialHooks {
-            piston: deck.piston.as_ref().map(|p| LocalPiston {
-                nodes: p.nodes.clone(),
-                velocity: p.velocity,
-            }),
-        };
-        Ok(SerialEngine {
+        let serial = matches!(config.executor, ExecutorKind::Serial).then(|| {
+            Box::new(SerialExec {
+                // Built before any restart state overwrites the mesh:
+                // the deck-initial node positions are the Eulerian
+                // remap target.
+                remapper: config.ale.map(|opts| Remapper::new(&mesh, opts)),
+                hooks: SerialHooks {
+                    piston: deck.piston.as_ref().map(|p| LocalPiston {
+                        nodes: p.nodes.clone(),
+                        velocity: p.velocity,
+                    }),
+                },
+                timers: TimerRegistry::new(),
+                energy_start: None,
+                wall_seconds: 0.0,
+            })
+        });
+        let mut engine = Engine {
             mesh,
-            materials: deck.materials.clone(),
             state,
-            remapper,
-            hooks,
-            timers: TimerRegistry::new(),
             cursor: LoopState::default(),
-            energy_start: None,
-            wall_seconds: 0.0,
-        })
+            serial,
+            primed: false,
+        };
+        if let Some(snap) = resume {
+            engine.install(snap, deck, config)?;
+        }
+        Ok(engine)
     }
 
-    /// Load a snapshot into the live mesh/state, place the loop cursor
-    /// at its time/step, and re-derive the dependent fields the
-    /// snapshot omits (geometry, then pressure/sound speed).
+    /// Continue from `snap`: [`Snapshot::install`] over the global mesh.
     fn install(&mut self, snap: &Snapshot, deck: &Deck, config: &RunConfig) -> Result<()> {
-        snap.restore(&mut self.mesh, &mut self.state)?;
-        self.cursor = LoopState {
-            t: snap.time,
-            steps: snap.steps as usize,
-            dt_prev: snap.dt_prev,
-        };
-        let range = LocalRange::whole(&self.mesh);
-        bookleaf_hydro::getgeom::getgeom(&self.mesh, &mut self.state, range, config.lag.threading)?;
-        bookleaf_hydro::getpc::getpc(
-            &self.mesh,
-            &deck.materials,
+        if snap.n_nodes() != self.mesh.n_nodes() || snap.n_elements() != self.mesh.n_elements() {
+            return Err(CheckpointError::DeckMismatch {
+                message: format!(
+                    "checkpoint carries {} nodes / {} elements but its deck builds a \
+                     {}-node / {}-element mesh",
+                    snap.n_nodes(),
+                    snap.n_elements(),
+                    self.mesh.n_nodes(),
+                    self.mesh.n_elements()
+                ),
+            }
+            .into());
+        }
+        self.cursor = snap.install(
+            &mut self.mesh,
             &mut self.state,
-            range,
+            &deck.materials,
             config.lag.threading,
-        );
+            |e| e,
+            |n| n,
+        )?;
+        self.primed = true;
         Ok(())
     }
 
-    /// Run to `config.final_time`, firing `observers` along the way.
-    fn run(&mut self, config: &RunConfig, observers: &ObserverSet) -> Result<()> {
-        let start = std::time::Instant::now();
-        let result = self.run_inner(config, observers);
-        self.wall_seconds += start.elapsed().as_secs_f64();
-        result
+    /// The restart state at the cursor.
+    fn snapshot(&self) -> Snapshot {
+        let c = &self.cursor;
+        Snapshot::capture(&self.mesh, &self.state, c.t, c.steps as u64, c.dt_prev)
     }
 
-    fn run_inner(&mut self, config: &RunConfig, observers: &ObserverSet) -> Result<()> {
-        let range = LocalRange::whole(&self.mesh);
-        let energy_ref = *self
-            .energy_start
-            .get_or_insert_with(|| self.state.total_energy(&self.mesh, range));
-        let identity = |v: f64| -> Result<f64> { Ok(v) };
-        let no_comm = CommStats::default;
+    /// Continue from the cursor to `config`'s final time or step cap.
+    fn run(
+        &mut self,
+        deck: &Deck,
+        config: &RunConfig,
+        observers: &ObserverSet,
+        typhon: &TyphonOptions,
+    ) -> Result<RunReport> {
+        let Some(exec) = &mut self.serial else {
+            let resume = self.primed.then(|| self.snapshot());
+            let (report, snap) =
+                run_with_observers(deck, config, observers, resume.as_ref(), typhon)?;
+            self.install(&snap, deck, config)?;
+            return Ok(report);
+        };
+        let (mesh, state) = (&mut self.mesh, &mut self.state);
+        let range = LocalRange::whole(mesh);
         let whole_energy =
             |mesh: &Mesh, state: &HydroState| state.total_energy(mesh, LocalRange::whole(mesh));
+        let energy_start = *exec
+            .energy_start
+            .get_or_insert_with(|| whole_energy(mesh, state));
+        let identity = |v: f64| -> Result<f64> { Ok(v) };
+        let no_comm = CommStats::default;
         let watch = LoopWatch {
             observers,
             rank: 0,
@@ -452,87 +464,52 @@ impl SerialEngine {
             reduce_min: &identity,
             reduce_sum: &identity,
             local_energy: &whole_energy,
-            energy_ref,
+            energy_ref: energy_start,
         };
-        run_loop(
-            &mut self.mesh,
-            &self.materials,
-            &mut self.state,
+        let start = std::time::Instant::now();
+        let result = run_loop(
+            mesh,
+            &deck.materials,
+            state,
             range,
             config,
-            self.remapper.as_ref(),
-            &mut self.hooks,
+            exec.remapper.as_ref(),
+            &mut exec.hooks,
             |_step, dt| Ok(dt),
-            &self.timers,
+            &exec.timers,
             &mut self.cursor,
             None,
             Some(&watch),
             Some(&sentinel),
-        )
-    }
-}
-
-impl std::fmt::Debug for SerialEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SerialEngine")
-            .field("cursor", &self.cursor)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Post-run global view of a distributed run: the deck's mesh and
-/// initial state, overwritten with the assembled rank pieces after
-/// every run (ρ, ε, p, u and node positions — the fields the executors
-/// have always assembled; derived scratch fields keep their initial
-/// values).
-#[derive(Debug)]
-struct AssembledView {
-    mesh: Mesh,
-    state: HydroState,
-    /// The assembled time/step/dt cursor — default before any run,
-    /// the checkpoint's cursor after a resume install, the final
-    /// cursor after a run. Feeds [`Simulation::checkpoint`].
-    cursor: LoopState,
-}
-
-impl AssembledView {
-    fn new(deck: &Deck) -> Result<Self> {
-        let mesh = deck.mesh.clone();
-        let state = deck.initial_state(&mesh)?;
-        Ok(AssembledView {
-            mesh,
-            state,
-            cursor: LoopState::default(),
+        );
+        exec.wall_seconds += start.elapsed().as_secs_f64();
+        result?;
+        // Every quantity spans the whole trajectory so far — steps,
+        // timers, energy (pinned at the first run) and the cumulative
+        // wall clock — so continued runs report consistently.
+        Ok(RunReport {
+            name: deck.name.to_string(),
+            executor: config.executor,
+            ranks: 1,
+            steps: self.cursor.steps,
+            time: self.cursor.t,
+            wall_seconds: exec.wall_seconds,
+            timers: exec.timers.report(),
+            comm: CommStats::default(),
+            energy_start,
+            energy_end: whole_energy(mesh, state),
+            recovery: crate::resilience::RecoveryLog::default(),
         })
     }
-
-    /// Mirror of [`SerialEngine::install`] for the global view, so
-    /// `state()`/`checkpoint()` reflect the checkpoint even before the
-    /// resumed distributed run happens.
-    fn install(&mut self, snap: &Snapshot, deck: &Deck, config: &RunConfig) -> Result<()> {
-        snap.restore(&mut self.mesh, &mut self.state)?;
-        self.cursor = LoopState {
-            t: snap.time,
-            steps: snap.steps as usize,
-            dt_prev: snap.dt_prev,
-        };
-        let range = LocalRange::whole(&self.mesh);
-        bookleaf_hydro::getgeom::getgeom(&self.mesh, &mut self.state, range, config.lag.threading)?;
-        bookleaf_hydro::getpc::getpc(
-            &self.mesh,
-            &deck.materials,
-            &mut self.state,
-            range,
-            config.lag.threading,
-        );
-        Ok(())
-    }
 }
 
-#[derive(Debug)]
-enum Engine {
-    Serial(Box<SerialEngine>),
-    Distributed(Box<AssembledView>),
+impl std::fmt::Debug for Engine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Engine")
+            .field("cursor", &self.cursor)
+            .field("serial", &self.serial.is_some())
+            .finish_non_exhaustive()
+    }
 }
 
 /// One handle for a whole run, whatever the executor. Build with
@@ -545,10 +522,6 @@ pub struct Simulation {
     config: RunConfig,
     observers: ObserverSet,
     engine: Engine,
-    /// Snapshot to scatter across the ranks of a distributed run, when
-    /// the simulation was built from a checkpoint (serial engines
-    /// install it directly at build time instead).
-    resume: Option<Box<Snapshot>>,
     /// Comm-layer options for distributed runs: receive/collective
     /// deadline, fault schedule, recovery-attempt index.
     pub(crate) typhon: TyphonOptions,
@@ -560,60 +533,25 @@ impl Simulation {
         SimulationBuilder::default()
     }
 
-    /// Run to the configured final time and report.
+    /// Continue from the loop cursor to the configured final time (or
+    /// step cap) and report.
     ///
-    /// Serial simulations are resumable: a second `run` after raising
-    /// `final_time` (or a [`Simulation::restore`]) continues where the
-    /// first stopped. Distributed simulations execute the whole problem
-    /// each call.
+    /// One contract under every executor: a run stops at a step
+    /// boundary, the simulation stays resumable, and the next `run` —
+    /// after raising `final_time` / `max_steps`, or following a
+    /// [`Simulation::run_segment`] — continues where this one stopped,
+    /// **bitwise** on the trajectory of a single uninterrupted run of
+    /// the same executor shape (Lagrangian and ALE alike). A simulation
+    /// that has never run starts from the deck's initial state; one
+    /// built by [`SimulationBuilder::resume`] from the checkpoint's.
+    ///
+    /// The report's `steps` and `time` span the whole trajectory.
+    /// Serial timers, wall clock and start energy accumulate across
+    /// calls; a distributed call spawns a fresh rank team, so its
+    /// timers, comm stats, wall clock and start energy cover that call.
     pub fn run(&mut self) -> Result<RunReport> {
-        match &mut self.engine {
-            Engine::Serial(engine) => {
-                let range = LocalRange::whole(&engine.mesh);
-                let e0 = *engine
-                    .energy_start
-                    .get_or_insert_with(|| engine.state.total_energy(&engine.mesh, range));
-                engine.run(&self.config, &self.observers)?;
-                let e1 = engine.state.total_energy(&engine.mesh, range);
-                // Every quantity spans the whole trajectory so far —
-                // steps, timers, energy (pinned at t = 0) and the
-                // cumulative wall clock — so resumed runs report
-                // consistently.
-                Ok(RunReport {
-                    name: self.deck.name.to_string(),
-                    executor: self.config.executor,
-                    ranks: 1,
-                    steps: engine.cursor.steps,
-                    time: engine.cursor.t,
-                    wall_seconds: engine.wall_seconds,
-                    timers: engine.timers.report(),
-                    comm: CommStats::default(),
-                    energy_start: e0,
-                    energy_end: e1,
-                    recovery: crate::resilience::RecoveryLog::default(),
-                })
-            }
-            Engine::Distributed(view) => {
-                let (report, fields) = run_with_observers(
-                    &self.deck,
-                    &self.config,
-                    &self.observers,
-                    self.resume.as_deref(),
-                    &self.typhon,
-                )?;
-                view.mesh.nodes.copy_from_slice(&fields.nodes);
-                view.state.rho.copy_from_slice(&fields.rho);
-                view.state.ein.copy_from_slice(&fields.ein);
-                view.state.pressure.copy_from_slice(&fields.pressure);
-                view.state.u.copy_from_slice(&fields.u);
-                view.state.mass.copy_from_slice(&fields.mass);
-                view.state.q.copy_from_slice(&fields.q);
-                view.state.nd_mass.copy_from_slice(&fields.nd_mass);
-                view.state.cnmass.copy_from_slice(&fields.cnmass);
-                view.cursor = fields.cursor;
-                Ok(report)
-            }
-        }
+        self.engine
+            .run(&self.deck, &self.config, &self.observers, &self.typhon)
     }
 
     /// Has the run reached its goal — the configured final time or the
@@ -624,97 +562,23 @@ impl Simulation {
         c.t >= self.config.final_time - 1e-15 || c.steps >= self.config.max_steps
     }
 
-    /// Advance up to `steps` more steps (at least one) under **any**
-    /// executor, leaving the simulation resumable: the next
-    /// [`Simulation::run`] or `run_segment` continues where this one
-    /// stopped. Segments stop at step boundaries — no dt truncation —
-    /// so a segmented run reproduces the unsegmented trajectory
-    /// **bitwise** on the same executor shape (the mechanism
-    /// [`Simulation::run_resilient`] pins in its tests). This is the
-    /// cooperative-scheduling primitive `bookleaf serve` drains with:
-    /// a worker can pause between segments, checkpoint, and hand the
-    /// request back as a resumable handle.
-    ///
-    /// The returned report spans the whole trajectory so far (steps,
-    /// time, cumulative timers), not just this segment.
+    /// [`Simulation::run`] for at most `steps` more steps (at least
+    /// one): the same continuation contract, so a `run_segment` loop
+    /// reproduces one `run` bitwise under any executor. This is the
+    /// cooperative-scheduling primitive `bookleaf serve` drains with
+    /// and [`Simulation::run_resilient`] supervises: a worker can pause
+    /// between segments, checkpoint, and hand the request back as a
+    /// resumable handle.
     ///
     /// # Errors
     ///
     /// Everything [`Simulation::run`] can return.
     pub fn run_segment(&mut self, steps: usize) -> Result<RunReport> {
         let goal_steps = self.config.max_steps;
-        let seg_start = self.cursor().steps;
-        let cap = goal_steps.min(seg_start.saturating_add(steps.max(1)));
-        self.config_mut().max_steps = cap;
+        self.config.max_steps = goal_steps.min(self.cursor().steps.saturating_add(steps.max(1)));
         let result = self.run();
-        self.config_mut().max_steps = goal_steps;
-        let report = result?;
-        // Distributed engines re-execute from their resume snapshot on
-        // every `run` call; re-prime it from the assembled segment
-        // state so the next segment continues instead of restarting.
-        let done = self.complete();
-        let snap = match &self.engine {
-            Engine::Distributed(v) if !done => Some(Snapshot::capture(
-                &v.mesh,
-                &v.state,
-                v.cursor.t,
-                v.cursor.steps as u64,
-                v.cursor.dt_prev,
-            )),
-            _ => None,
-        };
-        if let Some(snap) = snap {
-            self.resume = Some(Box::new(snap));
-        }
-        Ok(report)
-    }
-
-    /// Advance a **serial** simulation to `t_target` (clamped to the
-    /// configured final time), leaving it resumable — the in-situ
-    /// output idiom. Errors under distributed executors.
-    pub fn advance_to(&mut self, t_target: f64) -> Result<&LoopState> {
-        let Engine::Serial(engine) = &mut self.engine else {
-            return Err(BookLeafError::InvalidDeck(
-                "advance_to requires the serial executor".into(),
-            ));
-        };
-        let range = LocalRange::whole(&engine.mesh);
-        engine
-            .energy_start
-            .get_or_insert_with(|| engine.state.total_energy(&engine.mesh, range));
-        let capped = RunConfig {
-            final_time: t_target.min(self.config.final_time),
-            ..self.config
-        };
-        engine.run(&capped, &self.observers)?;
-        Ok(&engine.cursor)
-    }
-
-    /// Capture a restart snapshot (serial executor only).
-    pub fn snapshot(&self) -> Result<Snapshot> {
-        let Engine::Serial(engine) = &self.engine else {
-            return Err(BookLeafError::InvalidDeck(
-                "snapshots require the serial executor".into(),
-            ));
-        };
-        Ok(Snapshot::capture(
-            &engine.mesh,
-            &engine.state,
-            engine.cursor.t,
-            engine.cursor.steps as u64,
-            engine.cursor.dt_prev,
-        ))
-    }
-
-    /// Restore a snapshot (shapes must match this simulation's deck)
-    /// and resume from its time/step cursor. Serial executor only.
-    pub fn restore(&mut self, snap: &Snapshot) -> Result<()> {
-        let Engine::Serial(engine) = &mut self.engine else {
-            return Err(BookLeafError::InvalidDeck(
-                "snapshots require the serial executor".into(),
-            ));
-        };
-        engine.install(snap, &self.deck, &self.config)
+        self.config.max_steps = goal_steps;
+        result
     }
 
     /// Capture a portable, versioned [`Checkpoint`]: the full restart
@@ -752,23 +616,10 @@ impl Simulation {
             ale: self.config.ale,
             executor: self.config.executor,
         };
-        let snap = match &self.engine {
-            Engine::Serial(e) => Snapshot::capture(
-                &e.mesh,
-                &e.state,
-                e.cursor.t,
-                e.cursor.steps as u64,
-                e.cursor.dt_prev,
-            ),
-            Engine::Distributed(v) => Snapshot::capture(
-                &v.mesh,
-                &v.state,
-                v.cursor.t,
-                v.cursor.steps as u64,
-                v.cursor.dt_prev,
-            ),
-        };
-        Ok(Checkpoint { input, snap })
+        Ok(Checkpoint {
+            input,
+            snap: self.engine.snapshot(),
+        })
     }
 
     /// Write [`Simulation::checkpoint`] to a file (see
@@ -778,46 +629,23 @@ impl Simulation {
         Ok(())
     }
 
-    /// The loop cursor: where the next `run` continues from (serial
-    /// engines advance it in place; distributed engines mirror the
-    /// team's cursor into the assembled view after each run).
+    /// The loop cursor: where the next `run` continues from.
     pub(crate) fn cursor(&self) -> &LoopState {
-        match &self.engine {
-            Engine::Serial(e) => &e.cursor,
-            Engine::Distributed(v) => &v.cursor,
-        }
+        &self.engine.cursor
     }
 
     /// Mutable configuration access for the resilience supervisor
-    /// (segment caps, executor reshapes).
+    /// (deadlines, executor reshapes).
     pub(crate) fn config_mut(&mut self) -> &mut RunConfig {
         &mut self.config
     }
 
-    /// Make the next distributed `run` start from `snap` (serial
-    /// engines carry their state in place and ignore this).
-    pub(crate) fn prime_resume(&mut self, snap: &Snapshot) {
-        self.resume = Some(Box::new(snap.clone()));
-    }
-
     /// Rewind for a supervised retry: rebuild the engine to match the
     /// *current* configured executor — the supervisor may have reshaped
-    /// it, including across the serial/distributed divide — and install
-    /// `snap` as the state the retry continues from.
+    /// it, including across the serial/distributed divide — continuing
+    /// from `snap`.
     pub(crate) fn rewind_to(&mut self, snap: &Snapshot) -> Result<()> {
-        self.engine = match self.config.executor {
-            ExecutorKind::Serial => {
-                let mut engine = SerialEngine::new(&self.deck, &self.config)?;
-                engine.install(snap, &self.deck, &self.config)?;
-                Engine::Serial(Box::new(engine))
-            }
-            ExecutorKind::FlatMpi { .. } | ExecutorKind::Hybrid { .. } => {
-                let mut view = AssembledView::new(&self.deck)?;
-                view.install(snap, &self.deck, &self.config)?;
-                Engine::Distributed(Box::new(view))
-            }
-        };
-        self.resume = Some(Box::new(snap.clone()));
+        self.engine = Engine::new(&self.deck, &self.config, Some(snap))?;
         Ok(())
     }
 
@@ -843,20 +671,15 @@ impl Simulation {
     /// assembled global view after distributed runs.
     #[must_use]
     pub fn mesh(&self) -> &Mesh {
-        match &self.engine {
-            Engine::Serial(e) => &e.mesh,
-            Engine::Distributed(v) => &v.mesh,
-        }
+        &self.engine.mesh
     }
 
     /// The current state (see [`Simulation::mesh`] for the semantics;
-    /// distributed runs assemble ρ, ε, p, u and node positions).
+    /// a distributed run assembles the restart fields and re-derives
+    /// geometry, pressure and sound speed from them).
     #[must_use]
     pub fn state(&self) -> &HydroState {
-        match &self.engine {
-            Engine::Serial(e) => &e.state,
-            Engine::Distributed(v) => &v.state,
-        }
+        &self.engine.state
     }
 }
 
@@ -960,8 +783,8 @@ mod tests {
         assert_eq!(s.timers.calls(KernelId::GetQ), 0);
         assert_eq!(s.timers.calls(KernelId::GetForce), 0);
         assert_eq!(s.timers.calls(KernelId::GetAcc), s.steps as u64);
-        // With EOS fusion on by default, the four-kernel chain never runs
-        // standalone inside the lagstep: its time lands in the fused bucket.
+        // The four-kernel EOS chain never runs standalone inside the
+        // lagstep: its time lands in the fused bucket.
         assert_eq!(s.timers.calls(KernelId::EosFused), 2 * s.steps as u64);
         assert_eq!(s.timers.calls(KernelId::GetGeom), 0);
     }
@@ -1072,35 +895,6 @@ mod tests {
         let watched = run(true);
         for (e, (a, b)) in plain.iter().zip(&watched).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "observer moved a bit at {e}");
-        }
-    }
-
-    #[test]
-    fn serial_run_is_resumable_via_advance_to() {
-        let mut sim = Simulation::builder()
-            .deck(decks::sod(16, 2))
-            .final_time(0.02)
-            .build()
-            .unwrap();
-        let cursor = sim.advance_to(0.01).unwrap();
-        assert!(cursor.t >= 0.01 - 1e-12 && cursor.t < 0.02);
-        let s = sim.run().unwrap();
-        assert!((s.time - 0.02).abs() < 1e-12);
-
-        // One-shot reference run. advance_to truncates one dt to land
-        // exactly on the pause target and the growth limiter ramps from
-        // that truncated value, so the dt *sequences* differ — physics
-        // must still agree closely (`tests/restart.rs` pins the same
-        // contract for snapshots).
-        let mut reference = Simulation::builder()
-            .deck(decks::sod(16, 2))
-            .final_time(0.02)
-            .build()
-            .unwrap();
-        reference.run().unwrap();
-        for e in 0..sim.state().rho.len() {
-            let (a, b) = (sim.state().rho[e], reference.state().rho[e]);
-            assert!((a - b).abs() < 1e-3, "rho diverged at {e}: {a} vs {b}");
         }
     }
 }

@@ -20,12 +20,9 @@ use bookleaf_util::{KernelId, Result, TimerRegistry, Vec2};
 
 use crate::eos_fused::{eos_fused, EosStages, FusedEos};
 use crate::getacc::{getacc, getacc_listed, getacc_subset, move_nodes, AccMode};
-use crate::getein::{getein, WorkVelocity};
+use crate::getein::WorkVelocity;
 use crate::getforce::HourglassControl;
-use crate::getgeom::getgeom;
-use crate::getpc::getpc;
 use crate::getq::QCoeffs;
-use crate::getrho::getrho;
 use crate::state::{HydroState, LocalRange};
 use crate::subset::Subset;
 use crate::viscforce::{viscforce, viscforce_listed, ViscForce, SCRATCH};
@@ -172,7 +169,7 @@ pub struct NoComm;
 impl HaloOps for NoComm {}
 
 /// Per-step options for the Lagrangian step.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct LagOptions {
     /// Threading of the trivially parallel kernels.
     pub threading: Threading,
@@ -182,23 +179,6 @@ pub struct LagOptions {
     pub q: QCoeffs,
     /// Hourglass control coefficients.
     pub hourglass: HourglassControl,
-    /// Run the EOS chain (`getgeom → getrho → getein → getpc`) as the
-    /// single fused sweep [`fn@crate::eos_fused`] (bitwise identical to the
-    /// unfused chain, one pass over the element arrays instead of four).
-    /// Default on; turn off to time the unfused reference kernels.
-    pub fuse_eos: bool,
-}
-
-impl Default for LagOptions {
-    fn default() -> Self {
-        LagOptions {
-            threading: Threading::default(),
-            acc_mode: AccMode::default(),
-            q: QCoeffs::default(),
-            hourglass: HourglassControl::default(),
-            fuse_eos: true,
-        }
-    }
 }
 
 /// Advance `state` by one Lagrangian step of size `dt`.
@@ -335,30 +315,23 @@ fn step<H: HaloOps>(
     // Move nodes a half step with the start-of-step velocity.
     state.ubar[..range.n_active_nd].copy_from_slice(&state.u[..range.n_active_nd]);
     move_nodes(mesh, state, range, 0.5 * dt);
-    if opts.fuse_eos {
-        timers.time(KernelId::EosFused, || {
-            eos_fused(
-                mesh,
-                materials,
-                state,
-                range,
-                FusedEos {
-                    dt: 0.5 * dt,
-                    which: WorkVelocity::Current,
-                    ein_from: None,
-                    stages: EosStages::all(),
-                },
-                th,
-            )
-        })?;
-    } else {
-        timers.time(KernelId::GetGeom, || getgeom(mesh, state, range, th))?;
-        timers.time(KernelId::GetRho, || getrho(state, range, th))?;
-        timers.time(KernelId::GetEin, || {
-            getein(mesh, state, range, 0.5 * dt, WorkVelocity::Current, th);
-        });
-        timers.time(KernelId::GetPc, || getpc(mesh, materials, state, range, th));
-    }
+    // The EOS chain (`getgeom → getrho → getein → getpc`) runs as one
+    // fused sweep, bitwise identical to the four standalone kernels.
+    timers.time(KernelId::EosFused, || {
+        eos_fused(
+            mesh,
+            materials,
+            state,
+            range,
+            FusedEos {
+                dt: 0.5 * dt,
+                which: WorkVelocity::Current,
+                ein_from: None,
+                stages: EosStages::all(),
+            },
+            th,
+        )
+    })?;
 
     // ---- Corrector: full step with time-centred quantities ----
     q_and_force(mesh, state, halo)?;
@@ -398,34 +371,23 @@ fn step<H: HaloOps>(
     // Re-move nodes from the start-of-step positions by dt·ubar.
     mesh.nodes[..range.n_active_nd].copy_from_slice(x0);
     move_nodes(mesh, state, range, dt);
-    if opts.fuse_eos {
-        // The fused corrector integrates the energy straight from the
-        // saved start-of-step buffer (`ein_from`), absorbing the unfused
-        // path's restore `copy_from_slice` into the sweep.
-        timers.time(KernelId::EosFused, || {
-            eos_fused(
-                mesh,
-                materials,
-                state,
-                range,
-                FusedEos {
-                    dt,
-                    which: WorkVelocity::TimeCentred,
-                    ein_from: Some(ein0),
-                    stages: EosStages::all(),
-                },
-                th,
-            )
-        })?;
-    } else {
-        timers.time(KernelId::GetGeom, || getgeom(mesh, state, range, th))?;
-        timers.time(KernelId::GetRho, || getrho(state, range, th))?;
-        state.ein[..range.n_owned_el].copy_from_slice(ein0);
-        timers.time(KernelId::GetEin, || {
-            getein(mesh, state, range, dt, WorkVelocity::TimeCentred, th);
-        });
-        timers.time(KernelId::GetPc, || getpc(mesh, materials, state, range, th));
-    }
+    // The fused corrector integrates the energy straight from the saved
+    // start-of-step buffer (`ein_from`) instead of restoring it first.
+    timers.time(KernelId::EosFused, || {
+        eos_fused(
+            mesh,
+            materials,
+            state,
+            range,
+            FusedEos {
+                dt,
+                which: WorkVelocity::TimeCentred,
+                ein_from: Some(ein0),
+                stages: EosStages::all(),
+            },
+            th,
+        )
+    })?;
 
     Ok(())
 }
@@ -623,55 +585,6 @@ mod tests {
         // Compression: total volume shrank, densities near piston rose.
         assert!(st.rho[0] > 1.0);
         assert_eq!(st.total_mass(range), m0);
-    }
-
-    #[test]
-    fn fused_eos_step_matches_unfused_bitwise() {
-        for threading in [Threading::Serial, Threading::Rayon] {
-            let (mesh0, mat, _) = setup(6);
-            let mk = |mesh: &Mesh| {
-                HydroState::new(
-                    mesh,
-                    &mat,
-                    |e| 1.0 + 0.05 * (e % 4) as f64,
-                    |e| 1.0 + 0.2 * (e % 3) as f64,
-                    |_| Vec2::ZERO,
-                )
-                .unwrap()
-            };
-            let range = LocalRange::whole(&mesh0);
-            let mut mesh_a = mesh0.clone();
-            let mut mesh_b = mesh0.clone();
-            let mut a = mk(&mesh_a);
-            let mut b = mk(&mesh_b);
-            let fused = LagOptions {
-                threading,
-                ..LagOptions::default()
-            };
-            let unfused = LagOptions {
-                fuse_eos: false,
-                ..fused
-            };
-            for _ in 0..10 {
-                lagstep(&mut mesh_a, &mat, &mut a, range, 1e-3, &fused, &mut NoComm).unwrap();
-                lagstep(
-                    &mut mesh_b,
-                    &mat,
-                    &mut b,
-                    range,
-                    1e-3,
-                    &unfused,
-                    &mut NoComm,
-                )
-                .unwrap();
-            }
-            assert_eq!(a.rho, b.rho, "{threading:?}");
-            assert_eq!(a.ein, b.ein, "{threading:?}");
-            assert_eq!(a.pressure, b.pressure, "{threading:?}");
-            assert_eq!(a.cs2, b.cs2, "{threading:?}");
-            assert_eq!(a.volume, b.volume, "{threading:?}");
-            assert_eq!(mesh_a.nodes, mesh_b.nodes, "{threading:?}");
-        }
     }
 
     #[test]

@@ -21,9 +21,6 @@
 //! * [`plan`] — the phase-aggregated exchange plan: register typed field
 //!   slots per phase once, then move each phase as **one** packed message
 //!   per neighbour, with per-phase traffic accounting;
-//! * [`exchange`] — the legacy single-field halo primitives (scalar,
-//!   vector, per-corner) over a [`bookleaf_mesh::SubMesh`], thin wrappers
-//!   over the plan's packing machinery;
 //! * [`stats`] — per-rank communication counters (messages, doubles
 //!   moved, per-phase breakdowns) consumed by the performance models;
 //! * [`fault`] — deterministic fault injection: a seeded [`FaultPlan`]
@@ -31,13 +28,11 @@
 //!   `(attempt, step, rank)` points, every failure surfacing as a typed
 //!   `CommError` within one bounded timeout window.
 
-pub mod exchange;
 pub mod fault;
 pub mod plan;
 pub mod runtime;
 pub mod stats;
 
-pub use exchange::{exchange_corner, exchange_scalar, exchange_vec2};
 pub use fault::{FaultEntry, FaultKind, FaultPlan};
 pub use plan::{Entity, FieldMut, HaloPlan, HaloPlanBuilder, PendingPhase, PhaseId, SlotKind};
 pub use runtime::{RankCtx, Typhon, TyphonOptions};

@@ -9,6 +9,10 @@
 //! `restart-matrix` job and uploads the checkpoint it produces as an
 //! artifact.
 //!
+//! The same matrix holds with the ALE remap on (`Eulerian` and
+//! `Smooth`): same-shape resume and `run_segment` loops are bitwise
+//! under every executor, shape changes agree at 1e-12.
+//!
 //! Alongside the matrix: the committed golden fixture
 //! `tests/fixtures/noh_v1.ckpt` pins the on-disk format (version bumps
 //! must be deliberate), and the failure-path tests pin that malformed
@@ -16,7 +20,8 @@
 
 use std::path::PathBuf;
 
-use bookleaf::core::decks;
+use bookleaf::ale::{AleMode, AleOptions};
+use bookleaf::core::{decks, Deck};
 use bookleaf::{
     Checkpoint, CheckpointError, ExecutorKind, ProblemSpec, Simulation, CHECKPOINT_VERSION,
 };
@@ -205,6 +210,184 @@ fn resume_without_overrides_continues_the_embedded_config() {
         resumed.input_deck().unwrap().problem,
         ProblemSpec::Noh { n: 16 }
     ));
+}
+
+/// A pause at a *time* rather than a step: the paused run truncates
+/// its last dt to land on t/2 and the growth limiter then ramps from
+/// that truncated value, so the resumed run takes a different dt
+/// sequence — the trajectory must still be the same one, in an
+/// integrated norm, with the conserved quantities exact.
+#[test]
+fn time_targeted_pause_continues_the_trajectory() {
+    use bookleaf::hydro::LocalRange;
+    use bookleaf::util::approx_eq;
+    let builder = || Simulation::builder().deck(decks::sod(60, 3));
+    let mut reference = builder().final_time(0.1).build().unwrap();
+    reference.run().unwrap();
+
+    let mut first = builder().final_time(0.05).build().unwrap();
+    first.run().unwrap();
+    let ckpt = Checkpoint::from_bytes(&first.checkpoint().unwrap().to_bytes()).unwrap();
+    assert!(approx_eq(ckpt.snap.time, 0.05, 1e-12));
+    let mut resumed = Simulation::builder()
+        .resume_from(ckpt)
+        .final_time(0.1)
+        .build()
+        .unwrap();
+    assert!(approx_eq(resumed.run().unwrap().time, 0.1, 1e-12));
+
+    let l1 = bookleaf::validate::norms::l1_error(
+        &reference.state().rho,
+        &resumed.state().rho,
+        &reference.state().volume,
+    );
+    assert!(l1 < 5e-4, "L1(rho) reference vs resumed = {l1:.2e}");
+    let range = LocalRange::whole(reference.mesh());
+    assert!(approx_eq(
+        reference.state().total_mass(range),
+        resumed.state().total_mass(range),
+        1e-12
+    ));
+    assert!(approx_eq(
+        reference.state().total_energy(reference.mesh(), range),
+        resumed.state().total_energy(resumed.mesh(), range),
+        1e-9
+    ));
+}
+
+// ------------------------------------------------------------ ALE rows
+
+/// Both remap flavours: Eulerian after every step, and a smoothing
+/// remap every second step — paused at an odd step below, so the remap
+/// cadence has to come from the absolute step index.
+const ALE_MODES: [AleOptions; 2] = [
+    AleOptions {
+        mode: AleMode::Eulerian,
+        frequency: 1,
+    },
+    AleOptions {
+        mode: AleMode::Smooth { alpha: 0.5 },
+        frequency: 2,
+    },
+];
+const ALE_STEPS: usize = 16;
+const ALE_PAUSE: usize = 7;
+
+/// Run `deck` with `ale` under `executor` to exactly `steps` steps —
+/// from the deck's initial state, or continuing `from` a checkpoint
+/// (which embeds deck and ALE options).
+fn ale_run(
+    deck: &Deck,
+    ale: AleOptions,
+    executor: ExecutorKind,
+    from: Option<Checkpoint>,
+    steps: usize,
+) -> Simulation {
+    let builder = match from {
+        Some(ckpt) => Simulation::builder().resume_from(ckpt),
+        None => Simulation::builder()
+            .deck(deck.clone())
+            .final_time(1.0)
+            .ale(Some(ale)),
+    };
+    let mut sim = builder.executor(executor).max_steps(steps).build().unwrap();
+    assert_eq!(sim.run().unwrap().steps, steps);
+    sim
+}
+
+/// The checkpoint a paused run hands over, through its byte format.
+fn through_bytes(sim: &Simulation) -> Checkpoint {
+    Checkpoint::from_bytes(&sim.checkpoint().unwrap().to_bytes()).unwrap()
+}
+
+const ALE_SHAPES: [ExecutorKind; 3] = [
+    ExecutorKind::Serial,
+    ExecutorKind::FlatMpi { ranks: 2 },
+    ExecutorKind::Hybrid {
+        ranks: 1,
+        threads_per_rank: 2,
+    },
+];
+
+/// Serial → serial and N → N with the remap on: a pause moves no bits.
+/// (Noh: the flow crosses the partition boundary from the first step.)
+#[test]
+fn ale_same_shape_resume_is_bitwise() {
+    let deck = decks::noh(12);
+    for ale in ALE_MODES {
+        for executor in ALE_SHAPES {
+            let reference = ale_run(&deck, ale, executor, None, ALE_STEPS);
+            let paused = ale_run(&deck, ale, executor, None, ALE_PAUSE);
+            let resumed = ale_run(
+                &deck,
+                ale,
+                executor,
+                Some(through_bytes(&paused)),
+                ALE_STEPS,
+            );
+            let label = format!("{:?} on {executor:?}", ale.mode);
+            assert_matches(&reference, &resumed, 0.0, &label);
+        }
+    }
+}
+
+/// A `run_segment(k)` loop is one `run()`, bitwise, under every
+/// executor — the in-process pause serve's drain loop and
+/// `run_resilient` are built on.
+#[test]
+fn segmented_ale_runs_match_one_run_bitwise() {
+    let deck = decks::noh(12);
+    for ale in ALE_MODES {
+        for executor in ALE_SHAPES {
+            let reference = ale_run(&deck, ale, executor, None, ALE_STEPS);
+            let mut segmented = Simulation::builder()
+                .deck(deck.clone())
+                .final_time(1.0)
+                .ale(Some(ale))
+                .executor(executor)
+                .max_steps(ALE_STEPS)
+                .build()
+                .unwrap();
+            while !segmented.complete() {
+                segmented.run_segment(5).unwrap();
+            }
+            let label = format!("segmented {:?} on {executor:?}", ale.mode);
+            assert_matches(&reference, &segmented, 0.0, &label);
+        }
+    }
+}
+
+/// 1 → 4 and 4 → 1 with the remap on, against the uninterrupted serial
+/// run. (Sedov: a distributed remap is first order at partition
+/// boundaries, so only a flow that has not reached one yet agrees with
+/// the serial remap this tightly.)
+#[test]
+fn ale_checkpoints_resume_across_shapes() {
+    let deck = decks::sedov(16);
+    let four = ExecutorKind::FlatMpi { ranks: 4 };
+    for ale in ALE_MODES {
+        let reference = ale_run(&deck, ale, ExecutorKind::Serial, None, ALE_STEPS);
+        for (from, to) in [(ExecutorKind::Serial, four), (four, ExecutorKind::Serial)] {
+            let paused = ale_run(&deck, ale, from, None, ALE_PAUSE);
+            let resumed = ale_run(&deck, ale, to, Some(through_bytes(&paused)), ALE_STEPS);
+            let label = format!("{:?} {from:?} -> {to:?}", ale.mode);
+            assert_matches(&reference, &resumed, TOL, &label);
+        }
+    }
+}
+
+/// Repartitioning itself is exact whatever the flow: a serial
+/// checkpoint scattered over four ranks and assembled straight back
+/// (no step taken) is the same restart state, to the bit.
+#[test]
+fn repartitioning_a_checkpoint_moves_no_bits() {
+    let deck = decks::noh(12);
+    let paused = ale_run(&deck, ALE_MODES[0], ExecutorKind::Serial, None, ALE_PAUSE);
+    let ckpt = through_bytes(&paused);
+    let four = ExecutorKind::FlatMpi { ranks: 4 };
+    let scattered = ale_run(&deck, ALE_MODES[0], four, Some(ckpt.clone()), ALE_PAUSE);
+    assert_eq!(scattered.checkpoint().unwrap().snap, ckpt.snap);
+    assert_matches(&paused, &scattered, 0.0, "scatter + assemble");
 }
 
 // ------------------------------------------------------------- fixture

@@ -11,19 +11,23 @@
 //! * a serial run and a hybrid (2 ranks × 2 threads) run agree at
 //!   1e-12;
 //! * symmetric setups (mirror-symmetric about the x = y diagonal)
-//!   stay symmetric under transposition of the solution.
+//!   stay symmetric under transposition of the solution;
+//! * with or without an `[ale]` section, serial or distributed: pause
+//!   at a random step, checkpoint through bytes, resume, finish — and
+//!   land on the uninterrupted run **bitwise**.
 //!
 //! The deck generator is *constructive*: every draw yields a valid
 //! deck by design (one bounded feature region layered over a
 //! whole-domain ambient region, so coverage and shadowing errors are
 //! impossible), rather than drawing freely and discarding failures.
 
+use bookleaf::ale::{AleMode, AleOptions};
 use bookleaf::core::scenario::{
     BoundarySpec, EnergyInit, GenericSpec, MeshSpec, NamedMaterial, RegionSpec, Shape, VelocityInit,
 };
 use bookleaf::eos::EosSpec;
 use bookleaf::util::Vec2;
-use bookleaf::{ExecutorKind, InputDeck, ProblemSpec, Simulation};
+use bookleaf::{Checkpoint, ExecutorKind, InputDeck, ProblemSpec, Simulation};
 use proptest::prelude::*;
 
 /// Uniform draw in `[lo, hi)` from the shim RNG.
@@ -316,5 +320,59 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// A pause at a step boundary moves no bits — any deck, Lagrangian
+    /// or remapped, any executor shape, any pause step.
+    #[test]
+    fn resume_from_a_random_step_is_bitwise(seed in 0u64..1_000_000_000) {
+        let mut rng = TestRng::from_name(&format!("deck-resume-{seed}"));
+        let mut input = random_deck(&mut rng);
+        let frequency = 1 + (rng.next_u64() % 3) as usize;
+        input.ale = match rng.next_u64() % 3 {
+            0 => None,
+            1 => Some(AleOptions { mode: AleMode::Eulerian, frequency }),
+            _ => Some(AleOptions {
+                mode: AleMode::Smooth { alpha: f(&mut rng, 0.1, 0.9) },
+                frequency,
+            }),
+        };
+        let executor = match rng.next_u64() % 3 {
+            0 => ExecutorKind::Serial,
+            1 => ExecutorKind::FlatMpi { ranks: 2 },
+            _ => ExecutorKind::Hybrid { ranks: 2, threads_per_rank: 2 },
+        };
+        let pause = 1 + (rng.next_u64() as usize) % (input.max_steps - 1);
+        let (whole, report) = run(&input, executor);
+
+        let mut short = input.clone();
+        short.max_steps = pause;
+        let (paused, _) = run(&short, executor);
+        let ckpt = Checkpoint::from_bytes(&paused.checkpoint().unwrap().to_bytes()).unwrap();
+        let mut resumed = Simulation::builder()
+            .resume_from(ckpt)
+            .max_steps(input.max_steps)
+            .build()
+            .unwrap();
+        let resumed_report = resumed.run().expect("resumed run must finish");
+
+        let label = format!("{:?} on {executor:?} paused at {pause}", input.ale);
+        prop_assert!(
+            (resumed_report.steps, resumed_report.time.to_bits())
+                == (report.steps, report.time.to_bits()),
+            "{label}: stopped at step {} t = {:e}, uninterrupted at step {} t = {:e}",
+            resumed_report.steps,
+            resumed_report.time,
+            report.steps,
+            report.time
+        );
+        prop_assert!(
+            bookleaf::serve::state_crc(&resumed) == bookleaf::serve::state_crc(&whole),
+            "{label}: the solution moved"
+        );
     }
 }

@@ -313,3 +313,98 @@ fn hybrid_eulerian_ale_is_bitwise_reproducible() {
         }
     }
 }
+
+/// Re-derives geometry and the EoS from a clone of the state at every
+/// step end and records any owned element whose derived fields move.
+struct DerivedStateAudit {
+    materials: bookleaf::eos::MaterialTable,
+    moved: Vec<String>,
+}
+
+impl bookleaf::Observer for DerivedStateAudit {
+    fn step_end(&mut self, view: &bookleaf::StepView<'_>) {
+        use bookleaf::hydro::{getgeom::getgeom, getpc::getpc, Threading};
+        let (was, mut now) = (view.state, view.state.clone());
+        getgeom(view.mesh, &mut now, view.range, Threading::Serial).unwrap();
+        getpc(
+            view.mesh,
+            &self.materials,
+            &mut now,
+            view.range,
+            Threading::Serial,
+        );
+        for e in 0..view.range.n_owned_el {
+            let fields = [
+                ("pressure", was.pressure[e], now.pressure[e]),
+                ("cs2", was.cs2[e], now.cs2[e]),
+                ("volume", was.volume[e], now.volume[e]),
+                ("length", was.length[e], now.length[e]),
+            ];
+            let corners = (0..4).map(|c| ("cnvol", was.cnvol[e][c], now.cnvol[e][c]));
+            for (name, a, b) in fields.into_iter().chain(corners) {
+                if a.to_bits() != b.to_bits() {
+                    self.moved.push(format!(
+                        "step {} rank {} element {e}: {name} {a:e} -> {b:e}",
+                        view.step, view.rank
+                    ));
+                }
+            }
+        }
+    }
+}
+
+/// The invariant every pause rests on: at each step boundary the
+/// derived fields (p, c², volume, corner volumes, length) already *are*
+/// what `getgeom` + `getpc` make of the restart fields — so installing
+/// a checkpoint, which re-derives them, moves no bits. Lagrangian and
+/// both ALE flavours, under serial, flat MPI and hybrid.
+#[test]
+fn derived_state_is_a_pure_function_of_the_restart_fields() {
+    use bookleaf::ale::{AleMode, AleOptions};
+    let deck = decks::noh(12);
+    let remaps = [
+        None,
+        Some(AleOptions {
+            mode: AleMode::Eulerian,
+            frequency: 1,
+        }),
+        Some(AleOptions {
+            mode: AleMode::Smooth { alpha: 0.5 },
+            frequency: 2,
+        }),
+    ];
+    let executors = [
+        ExecutorKind::Serial,
+        ExecutorKind::FlatMpi { ranks: 2 },
+        ExecutorKind::Hybrid {
+            ranks: 1,
+            threads_per_rank: 2,
+        },
+    ];
+    for ale in remaps {
+        for executor in executors {
+            let audit = Shared::new(DerivedStateAudit {
+                materials: deck.materials.clone(),
+                moved: Vec::new(),
+            });
+            let mut sim = Simulation::builder()
+                .deck(deck.clone())
+                .final_time(1.0)
+                .max_steps(12)
+                .ale(ale)
+                .executor(executor)
+                .observer(audit.clone())
+                .build()
+                .unwrap();
+            sim.run().unwrap();
+            audit.with(|a| {
+                assert!(
+                    a.moved.is_empty(),
+                    "{ale:?} on {executor:?}: re-deriving moved {} values, first: {}",
+                    a.moved.len(),
+                    a.moved[0]
+                );
+            });
+        }
+    }
+}

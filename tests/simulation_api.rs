@@ -215,43 +215,92 @@ fn deck_file_reproduces_the_programmatic_sod_deck_exactly() {
 }
 
 #[test]
-fn rerunning_a_distributed_simulation_restarts_observer_records() {
-    // Distributed simulations re-execute the whole problem on every
-    // run(); the shipped recorders must start a fresh trace instead of
-    // interleaving two runs' samples, and the frame dumper must write a
-    // fresh series rather than deduplicating everything away.
+fn continuing_a_distributed_simulation_extends_observer_records() {
+    // One continuation contract under every executor: a `run` after a
+    // `run_segment` continues from the cursor, so the shipped recorders
+    // keep one trace on one trajectory (no restart from step 0, no
+    // duplicate sample at the pause step) and the frame dumper extends
+    // its series — and a `run` on a finished simulation takes no step.
     use bookleaf::FrameDumper;
     let dir = std::env::temp_dir().join("bookleaf_rerun_frames");
-    let dumper = Shared::new(FrameDumper::new(&dir, "rerun", 1000));
+    let _ = std::fs::remove_dir_all(&dir);
+    let build = |dumper: &Shared<FrameDumper>, tracer: &Shared<ConservationTracer>| {
+        Simulation::builder()
+            .deck(decks::noh(10))
+            .final_time(0.01)
+            .executor(ExecutorKind::FlatMpi { ranks: 2 })
+            .observer(dumper.clone())
+            .observer(tracer.clone())
+            .build()
+            .unwrap()
+    };
+    let whole_tracer = Shared::new(ConservationTracer::new());
+    let whole_dumper = Shared::new(FrameDumper::new(dir.join("whole"), "rerun", 2));
+    let mut whole = build(&whole_dumper, &whole_tracer);
+    let reference = whole.run().expect("uninterrupted run");
+
     let tracer = Shared::new(ConservationTracer::new());
+    let dumper = Shared::new(FrameDumper::new(dir.join("paused"), "rerun", 2));
+    let mut sim = build(&dumper, &tracer);
+    let first = sim.run_segment(3).expect("first segment");
+    assert_eq!(first.steps, 3);
+    assert!(!sim.complete());
+    let second = sim.run().expect("continuation");
+    assert_eq!(second.steps, reference.steps);
+    assert_eq!(second.time.to_bits(), reference.time.to_bits());
+    assert!(sim.complete());
+    for (e, (a, b)) in whole.state().rho.iter().zip(&sim.state().rho).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "pausing moved a bit at {e}");
+    }
+    // Same trace as the uninterrupted run, sample for sample.
+    assert_eq!(
+        tracer.with(|t| t.samples().to_vec()),
+        whole_tracer.with(|t| t.samples().to_vec())
+    );
+    tracer.with(|t| assert_eq!(t.samples().len(), second.steps + 1));
+    // The paused series holds every frame of the uninterrupted one,
+    // plus the frame at the pause step.
+    let names = |d: &Shared<FrameDumper>| -> Vec<String> {
+        let mut names: Vec<String> = d.with(|d| {
+            d.written()
+                .iter()
+                .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
+                .collect()
+        });
+        names.sort();
+        names
+    };
+    let (paused, uninterrupted) = (names(&dumper), names(&whole_dumper));
+    assert!(uninterrupted.iter().all(|f| paused.contains(f)));
+    assert!(paused.iter().any(|f| f.contains("step000003")));
+    assert_eq!(dumper.with(|d| d.error().map(String::from)), None);
+
+    // Nothing left to do: another run is a no-op continuation.
+    let third = sim.run().expect("no-op run");
+    assert_eq!(third.steps, second.steps);
+    tracer.with(|t| assert_eq!(t.samples().len(), second.steps + 1));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn vtk_dump_of_a_real_run() {
     let mut sim = Simulation::builder()
-        .deck(decks::noh(10))
-        .final_time(0.01)
-        .executor(ExecutorKind::FlatMpi { ranks: 2 })
-        .observer(dumper.clone())
-        .observer(tracer.clone())
+        .deck(decks::sedov(16))
+        .final_time(0.05)
         .build()
         .unwrap();
-    let first = sim.run().expect("first run");
-    let frames_first = dumper.with(|d| d.written().len());
-    assert!(frames_first > 0, "no frames written on the first run");
-
-    let second = sim.run().expect("second run");
-    assert_eq!(second.steps, first.steps);
-    tracer.with(|tr| {
-        assert_eq!(
-            tr.samples().len(),
-            second.steps + 1,
-            "second run must not append to the first run's trace"
-        );
-        assert_eq!(tr.samples().first().unwrap().step, 0);
-    });
-    assert_eq!(
-        dumper.with(|d| (d.written().len(), d.error().map(String::from))),
-        (frames_first, None),
-        "second run must rewrite the same frame series"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+    sim.run().unwrap();
+    let mut out = Vec::new();
+    bookleaf::core::write_vtk(&mut out, sim.mesh(), sim.state(), "sedov t=0.05").unwrap();
+    let text = String::from_utf8(out).unwrap();
+    // Spot-check structure and that the blast is in the data.
+    assert!(text.contains("CELL_TYPES 256"));
+    let rho_section = text.split("SCALARS density").nth(1).unwrap();
+    assert!(rho_section
+        .lines()
+        .skip(2)
+        .take(256)
+        .all(|l| l.trim().parse::<f64>().is_ok()));
 }
 
 #[test]
