@@ -11,18 +11,24 @@
 //! weight, which conserves total momentum and leaves nodal velocities
 //! untouched in the zero-motion limit.
 //!
-//! Swept volumes are **bitwise antisymmetric** across faces (the
-//! canonical side computes, the other mirrors — see [`crate::fluxvol`]),
-//! so the two elements sharing a face derive bitwise-identical fluxes
-//! with exactly opposite signs and conservation of mass, energy and
-//! momentum is exact by construction. That also makes the accumulation
-//! element-local, which is what lets [`compute_fluxes`] run
-//! element-parallel under `Threading::Rayon`.
+//! Swept volumes are **bitwise antisymmetric** across faces (both sides
+//! evaluate the face in its one canonical orientation — see
+//! [`crate::fluxvol`]), so the two elements sharing a face derive
+//! bitwise-identical fluxes with exactly opposite signs and
+//! conservation of mass, energy and momentum is exact by construction.
+//! That also makes the accumulation element-local, which is what lets
+//! [`compute_fluxes`] run element-parallel under `Threading::Rayon`.
+//!
+//! `ALEGETFVOL` and `ALEADVECT` are one pass here: each element
+//! evaluates the swept volume of a face where it turns it into fluxes,
+//! so no swept-volume table is ever stored.
 
 use bookleaf_hydro::Threading;
-use bookleaf_mesh::{Mesh, Neighbor};
+use bookleaf_mesh::{Mesh, STENCIL_BOUNDARY};
 use bookleaf_util::Vec2;
 use rayon::prelude::*;
+
+use crate::fluxvol::face_swept_volume;
 
 /// Van Leer flux limiter: `φ(r) = (r + |r|) / (1 + |r|)`.
 ///
@@ -41,21 +47,6 @@ pub fn van_leer(r: f64) -> f64 {
             0.0
         }
     }
-}
-
-/// Element-field fluxes for one remap: the net amounts *leaving* each
-/// element. Momentum is advected as an element-centred field (the
-/// mass-weighted corner average); `remap` distributes each element's
-/// momentum change back to its corners, which is conservative and exact
-/// in the zero-motion limit.
-#[derive(Debug, Clone)]
-pub struct AdvectFluxes {
-    /// Net mass leaving each element.
-    pub d_mass: Vec<f64>,
-    /// Net internal energy (extensive, mass-weighted) leaving each element.
-    pub d_energy: Vec<f64>,
-    /// Net momentum leaving each element.
-    pub d_mom: Vec<Vec2>,
 }
 
 /// The face value of a quantity, second-order limited.
@@ -81,60 +72,58 @@ fn limited_face_value(donor: f64, down: f64, upstream: Option<f64>) -> f64 {
 /// Upstream of the donor: its neighbour across the face opposite the
 /// one joining it to `towards`.
 #[inline]
-fn upstream_of(mesh: &Mesh, donor: usize, towards: usize) -> Option<usize> {
+fn upstream_of(mesh: &Mesh, stencil: &[[u32; 4]], donor: usize, towards: usize) -> Option<usize> {
     let fd = mesh.face_towards(donor, towards)?;
-    match mesh.elel[donor][(fd + 2) % 4] {
-        Neighbor::Element(u) => Some(u as usize),
-        Neighbor::Boundary => None,
-    }
+    let up = stencil[donor][(fd + 2) % 4];
+    (up != STENCIL_BOUNDARY).then_some(up as usize)
 }
 
-/// Compute all advective fluxes given face swept volumes `fvol`
-/// (positive = leaving the element, **bitwise** antisymmetric across
-/// faces — what [`crate::fluxvol::face_flux_volumes`] now guarantees).
+/// The advective fluxes of one remap to `target`: the net mass,
+/// internal energy (extensive) and momentum *leaving* each element,
+/// written to `d_mass` / `d_energy` / `d_mom` — every entry, so reused
+/// buffers need no clearing.
 ///
 /// `cell_u[e]` is the donor-cell velocity used for momentum advection.
 ///
 /// The accumulation is *element-order*: every element walks its own
 /// four faces and sums the signed flux each contributes. Because the
-/// `(donor, receiver, vol)` triple derived from `fvol[e][f]` is bitwise
-/// identical from either side of a face, both sides compute bitwise-
-/// identical `dm`/`de`/`dmom` with exactly opposite signs — so
+/// `(donor, receiver, vol)` triple derived from a face's swept volume
+/// is bitwise identical from either side of it, both sides compute
+/// bitwise-identical `dm`/`de`/`dmom` with exactly opposite signs — so
 /// conservation stays exact by construction *and* every element's
 /// output is independent of every other's, which is what lets the
 /// `Threading::Rayon` path fan elements out across the pool (and makes
 /// serial and threaded results bitwise identical).
-#[must_use]
+#[allow(clippy::too_many_arguments)]
 pub fn compute_fluxes(
     mesh: &Mesh,
+    target: &[Vec2],
     rho: &[f64],
     ein: &[f64],
     cell_u: &[Vec2],
-    fvol: &[[f64; 4]],
+    d_mass: &mut [f64],
+    d_energy: &mut [f64],
+    d_mom: &mut [Vec2],
     threading: Threading,
-) -> AdvectFluxes {
-    let ne = mesh.n_elements();
-    let mut out = AdvectFluxes {
-        d_mass: vec![0.0; ne],
-        d_energy: vec![0.0; ne],
-        d_mom: vec![Vec2::ZERO; ne],
-    };
-
-    let eval = |e: usize, d_mass: &mut f64, d_energy: &mut f64, d_mom: &mut Vec2| {
+) {
+    let stencil = mesh.face_stencil();
+    let eval = |e: usize| -> (f64, f64, Vec2) {
+        let (mut d_mass, mut d_energy, mut d_mom) = (0.0, 0.0, Vec2::ZERO);
         for f in 0..4 {
-            let nb = match mesh.elel[e][f] {
-                Neighbor::Element(n) => n as usize,
-                Neighbor::Boundary => continue, // walls are impermeable
-            };
-            let v = fvol[e][f];
+            let nb = stencil[e][f];
+            if nb == STENCIL_BOUNDARY {
+                continue; // walls are impermeable
+            }
+            let v = face_swept_volume(mesh, target, e, f, nb);
             if v == 0.0 {
                 continue;
             }
+            let nb = nb as usize;
             // Donor = the element losing volume through this face. The
             // triple is a pure function of the face, not of which side
             // evaluates it.
             let (donor, receiver, vol) = if v > 0.0 { (e, nb, v) } else { (nb, e, -v) };
-            let up = upstream_of(mesh, donor, receiver);
+            let up = upstream_of(mesh, stencil, donor, receiver);
 
             let rho_face = limited_face_value(rho[donor], rho[receiver], up.map(|u| rho[u]));
             let ein_face = limited_face_value(ein[donor], ein[receiver], up.map(|u| ein[u]));
@@ -149,39 +138,67 @@ pub fn compute_fluxes(
             let dmom = Vec2::new(ux_face, uy_face) * dm;
 
             let sign = if donor == e { 1.0 } else { -1.0 };
-            *d_mass += sign * dm;
-            *d_energy += sign * de;
-            *d_mom += dmom * sign;
+            d_mass += sign * dm;
+            d_energy += sign * de;
+            d_mom += dmom * sign;
         }
+        (d_mass, d_energy, d_mom)
     };
 
     match threading {
         Threading::Serial => {
-            for e in 0..ne {
-                let (mut dm, mut de, mut dp) = (0.0, 0.0, Vec2::ZERO);
-                eval(e, &mut dm, &mut de, &mut dp);
-                out.d_mass[e] = dm;
-                out.d_energy[e] = de;
-                out.d_mom[e] = dp;
+            let out = d_mass.iter_mut().zip(d_energy).zip(d_mom);
+            for (e, ((dm, de), dp)) in out.enumerate() {
+                (*dm, *de, *dp) = eval(e);
             }
         }
         Threading::Rayon => {
-            out.d_mass
+            d_mass
                 .par_iter_mut()
-                .zip(out.d_energy.par_iter_mut())
-                .zip(out.d_mom.par_iter_mut())
+                .zip(d_energy.par_iter_mut())
+                .zip(d_mom.par_iter_mut())
                 .enumerate()
-                .for_each(|(e, ((dm, de), dp))| eval(e, dm, de, dp));
+                .for_each(|(e, ((dm, de), dp))| (*dm, *de, *dp) = eval(e));
         }
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fluxvol::tests::face_flux_volumes;
     use bookleaf_mesh::{generate_rect, RectSpec};
     use bookleaf_util::approx_eq;
+
+    /// The serial fluxes `(d_mass, d_energy, d_mom)` of a move to
+    /// `target`, computed into dirty buffers: every entry must be
+    /// written, none accumulated into.
+    fn fluxes(
+        mesh: &Mesh,
+        target: &[Vec2],
+        rho: &[f64],
+        ein: &[f64],
+        u: &[Vec2],
+    ) -> (Vec<f64>, Vec<f64>, Vec<Vec2>) {
+        let ne = mesh.n_elements();
+        let mut out = (
+            vec![f64::NAN; ne],
+            vec![f64::NAN; ne],
+            vec![Vec2::new(f64::NAN, f64::NAN); ne],
+        );
+        compute_fluxes(
+            mesh,
+            target,
+            rho,
+            ein,
+            u,
+            &mut out.0,
+            &mut out.1,
+            &mut out.2,
+            Threading::Serial,
+        );
+        out
+    }
 
     #[test]
     fn van_leer_properties() {
@@ -228,10 +245,9 @@ mod tests {
         let rho = vec![1.0; 9];
         let ein = vec![2.0; 9];
         let u = vec![Vec2::ZERO; 9];
-        let fvol = vec![[0.0; 4]; 9];
-        let fx = compute_fluxes(&mesh, &rho, &ein, &u, &fvol, Threading::Serial);
-        assert!(fx.d_mass.iter().all(|&m| m == 0.0));
-        assert!(fx.d_energy.iter().all(|&e| e == 0.0));
+        let (d_mass, d_energy, _) = fluxes(&mesh, &mesh.nodes, &rho, &ein, &u);
+        assert!(d_mass.iter().all(|&m| m == 0.0));
+        assert!(d_energy.iter().all(|&e| e == 0.0));
     }
 
     #[test]
@@ -240,7 +256,7 @@ mod tests {
         let rho: Vec<f64> = (0..16).map(|e| 1.0 + 0.1 * e as f64).collect();
         let ein: Vec<f64> = (0..16).map(|e| 2.0 - 0.05 * e as f64).collect();
         let u: Vec<Vec2> = (0..16).map(|e| Vec2::new(e as f64, -1.0)).collect();
-        // Arbitrary antisymmetric fvol: build from a node displacement.
+        // Arbitrary antisymmetric swept volumes: from a node displacement.
         let target: Vec<Vec2> = mesh
             .nodes
             .iter()
@@ -262,11 +278,10 @@ mod tests {
                 p + d
             })
             .collect();
-        let fvol = crate::fluxvol::face_flux_volumes(&mesh, &target, Threading::Serial);
-        let fx = compute_fluxes(&mesh, &rho, &ein, &u, &fvol, Threading::Serial);
-        let total_dm: f64 = fx.d_mass.iter().sum();
-        let total_de: f64 = fx.d_energy.iter().sum();
-        let total_dp: Vec2 = fx.d_mom.iter().copied().sum();
+        let (d_mass, d_energy, d_mom) = fluxes(&mesh, &target, &rho, &ein, &u);
+        let total_dm: f64 = d_mass.iter().sum();
+        let total_de: f64 = d_energy.iter().sum();
+        let total_dp: Vec2 = d_mom.iter().copied().sum();
         assert!(total_dm.abs() < 1e-13, "mass created: {total_dm}");
         assert!(total_de.abs() < 1e-13, "energy created: {total_de}");
         assert!(total_dp.norm() < 1e-12, "momentum created: {total_dp:?}");
@@ -292,11 +307,11 @@ mod tests {
                 p + d
             })
             .collect();
-        let fvol = crate::fluxvol::face_flux_volumes(&mesh, &target, Threading::Serial);
-        let fx = compute_fluxes(&mesh, &rho, &ein, &u, &fvol, Threading::Serial);
+        let fvol = face_flux_volumes(&mesh, &target);
+        let (d_mass, _, _) = fluxes(&mesh, &target, &rho, &ein, &u);
         for e in 0..9 {
             let net_v: f64 = fvol[e].iter().sum();
-            assert!(approx_eq(fx.d_mass[e], 2.0 * net_v, 1e-12));
+            assert!(approx_eq(d_mass[e], 2.0 * net_v, 1e-12));
         }
     }
 }

@@ -1,4 +1,5 @@
-//! `alegetfvol`: swept volume of every face.
+//! `alegetfvol`: the swept volume of a face — one expression,
+//! evaluated by the flux pass ([`crate::advect`]) where it is used.
 //!
 //! When the mesh moves from the Lagrangian (donor) positions to the
 //! target positions, each face sweeps out a quadrilateral. Its signed
@@ -10,93 +11,128 @@
 //! `(a_old, b_old, b_new, a_new)`; its shoelace area is positive when the
 //! face moves outward (the element grows), so the *flux out of `e`* is
 //! the negative... — sign conventions are easy to get wrong, so this
-//! module pins them with tests: `fvol[e][f] > 0` ⇔ element `e` *loses*
-//! volume through face `f` (the face moved inward).
+//! module pins them with tests: a positive swept volume ⇔ element `e`
+//! *loses* volume through face `f` (the face moved inward).
 
-use bookleaf_hydro::Threading;
 use bookleaf_mesh::geometry::quad_area;
-use bookleaf_mesh::{Mesh, Neighbor};
+use bookleaf_mesh::Mesh;
 use bookleaf_util::Vec2;
-use rayon::prelude::*;
 
-/// Swept volumes per element face. `fvol[e][f]` is the volume leaving
-/// element `e` through face `f` (negative = volume entering).
-/// **Bitwise** antisymmetric across interior faces: every interior face
-/// is evaluated once, from its lower-id element, and mirrored with an
-/// exact sign flip to the other side. (Evaluating the shoelace formula
-/// from each side independently agrees only to round-off; the advection
-/// step's exact conservation relies on the bitwise guarantee.)
+/// The volume leaving element `e` through its face `f` as the nodes
+/// move to `target` (negative = volume entering); `nb` is what lies
+/// across the face, as [`Mesh::face_stencil`] packs it.
+///
+/// **Bitwise** antisymmetric across interior faces: a face has one
+/// canonical orientation — its lower-id element's, which is also a
+/// boundary face's only one — and both sides evaluate the shoelace
+/// formula on that very corner sequence, the higher-id side negating
+/// the result. (Evaluating it from each side in its own orientation
+/// agrees only to round-off; the advection step's exact conservation
+/// rests on the bitwise guarantee.) Adjacent elements both list their
+/// nodes counter-clockwise, so they walk a shared face in opposite
+/// directions: seen from `e`, the neighbour's `a → b` is `b → a`.
+#[inline]
 #[must_use]
-pub fn face_flux_volumes(mesh: &Mesh, target: &[Vec2], threading: Threading) -> Vec<[f64; 4]> {
-    let ne = mesh.n_elements();
-    // Pass 1: canonical faces only (boundary faces, and interior faces
-    // seen from the lower element id).
-    let canonical = |e: usize| -> [f64; 4] {
-        let mut row = [0.0; 4];
-        for f in 0..4 {
-            let is_canonical = match mesh.elel[e][f] {
-                Neighbor::Boundary => true,
-                Neighbor::Element(nb) => e < nb as usize,
-            };
-            if !is_canonical {
-                continue;
-            }
-            let a = mesh.elnd[e][f] as usize;
-            let b = mesh.elnd[e][(f + 1) % 4] as usize;
-            // Swept quad (a_old, b_old, b_new, a_new): for a CCW element
-            // this winds CCW (positive area) exactly when the face moves
-            // *inward* — the element shrinks and volume leaves through
-            // the face — which is the positive-out convention we want.
-            row[f] = quad_area(&[mesh.nodes[a], mesh.nodes[b], target[b], target[a]]);
-        }
-        row
-    };
-    let canon: Vec<[f64; 4]> = match threading {
-        Threading::Serial => (0..ne).map(canonical).collect(),
-        Threading::Rayon => (0..ne).into_par_iter().map(canonical).collect(),
-    };
-    // Pass 2: mirror the canonical value onto the higher-id side. Reads
-    // only pass-1 (canonical) entries, writes only non-canonical ones,
-    // so the element-parallel version is race-free.
-    let mirror = |e: usize| -> [f64; 4] {
-        let mut row = canon[e];
-        for f in 0..4 {
-            if let Neighbor::Element(nb) = mesh.elel[e][f] {
-                let nb = nb as usize;
-                if nb < e {
-                    let back = mesh
-                        .face_towards(nb, e)
-                        .expect("elel adjacency must be symmetric");
-                    row[f] = -canon[nb][back];
-                }
-            }
-        }
-        row
-    };
-    match threading {
-        Threading::Serial => (0..ne).map(mirror).collect(),
-        Threading::Rayon => (0..ne).into_par_iter().map(mirror).collect(),
+pub fn face_swept_volume(mesh: &Mesh, target: &[Vec2], e: usize, f: usize, nb: u32) -> f64 {
+    let a = mesh.elnd[e][f] as usize;
+    let b = mesh.elnd[e][(f + 1) % 4] as usize;
+    let x = &mesh.nodes;
+    if e < nb as usize {
+        // Swept quad (a_old, b_old, b_new, a_new): for a CCW element
+        // this winds CCW (positive area) exactly when the face moves
+        // *inward* — the element shrinks and volume leaves through
+        // the face — which is the positive-out convention we want.
+        quad_area(&[x[a], x[b], target[b], target[a]])
+    } else {
+        -quad_area(&[x[b], x[a], target[a], target[b]])
     }
 }
 
-/// Sum of the four face fluxes of an element = exact volume it loses,
-/// i.e. `V_old − V_new`. Used as the aleupdate volume bookkeeping and by
-/// tests as an identity check.
-#[must_use]
-pub fn net_volume_loss(fvol: &[[f64; 4]], e: usize) -> f64 {
-    fvol[e].iter().sum()
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use bookleaf_mesh::{generate_rect, Neighbor, RectSpec};
     use bookleaf_util::approx_eq;
 
+    /// Every face's swept volume as a table: `fvol[e][f]`.
+    pub(crate) fn face_flux_volumes(mesh: &Mesh, target: &[Vec2]) -> Vec<[f64; 4]> {
+        let stencil = mesh.face_stencil();
+        (0..mesh.n_elements())
+            .map(|e| std::array::from_fn(|f| face_swept_volume(mesh, target, e, f, stencil[e][f])))
+            .collect()
+    }
+
+    /// Sum of an element's four face fluxes = the volume it loses.
+    fn net_volume_loss(fvol: &[[f64; 4]], e: usize) -> f64 {
+        fvol[e].iter().sum()
+    }
+
+    /// The table as it used to be built: every interior face evaluated
+    /// once, from its lower-id element, then mirrored with a sign flip
+    /// onto the matching face of the other side.
+    fn mirrored_table(mesh: &Mesh, target: &[Vec2]) -> Vec<[f64; 4]> {
+        let mut fvol = vec![[0.0; 4]; mesh.n_elements()];
+        for e in 0..mesh.n_elements() {
+            for f in 0..4 {
+                if mesh.elel[e][f].element().is_none_or(|nb| e < nb as usize) {
+                    let a = mesh.elnd[e][f] as usize;
+                    let b = mesh.elnd[e][(f + 1) % 4] as usize;
+                    fvol[e][f] = quad_area(&[mesh.nodes[a], mesh.nodes[b], target[b], target[a]]);
+                }
+            }
+        }
+        for e in 0..mesh.n_elements() {
+            for f in 0..4 {
+                if let Some(nb) = mesh.elel[e][f].element().filter(|&nb| (nb as usize) < e) {
+                    let back = mesh.face_towards(nb as usize, e).unwrap();
+                    fvol[e][f] = -fvol[nb as usize][back];
+                }
+            }
+        }
+        fvol
+    }
+
+    #[test]
+    fn each_face_on_the_spot_is_bitwise_the_mirrored_table() {
+        // A rectangle and a skewed, non-square one, nodes displaced
+        // everywhere (walls included: boundary faces sweep volume too).
+        for (nx, ny) in [(7, 5), (3, 9)] {
+            let mut mesh = generate_rect(
+                &RectSpec {
+                    nx,
+                    ny,
+                    origin: Vec2::ZERO,
+                    extent: Vec2::new(1.3, 0.7),
+                },
+                |_| 0,
+            )
+            .unwrap();
+            for (n, p) in mesh.nodes.iter_mut().enumerate() {
+                *p += Vec2::new(
+                    0.01 * (n as f64 * 0.7).sin(),
+                    0.008 * (n as f64 * 1.3).cos(),
+                );
+            }
+            let target: Vec<Vec2> = mesh
+                .nodes
+                .iter()
+                .enumerate()
+                .map(|(n, &p)| p + Vec2::new(0.013 * (n as f64).sin(), 0.011 * (n as f64).cos()))
+                .collect();
+            let table = face_flux_volumes(&mesh, &target);
+            let oracle = mirrored_table(&mesh, &target);
+            for (e, (row, want)) in table.iter().zip(&oracle).enumerate() {
+                for f in 0..4 {
+                    assert_eq!(row[f].to_bits(), want[f].to_bits(), "element {e} face {f}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn stationary_mesh_zero_flux() {
         let mesh = generate_rect(&RectSpec::unit_square(3), |_| 0).unwrap();
-        let fvol = face_flux_volumes(&mesh, &mesh.nodes, Threading::Serial);
+        let fvol = face_flux_volumes(&mesh, &mesh.nodes);
         assert!(fvol.iter().flatten().all(|&v| v == 0.0));
     }
 
@@ -125,7 +161,7 @@ mod tests {
                 p + d
             })
             .collect();
-        let fvol = face_flux_volumes(&mesh, &target, Threading::Serial);
+        let fvol = face_flux_volumes(&mesh, &target);
         for e in 0..mesh.n_elements() {
             for f in 0..4 {
                 if let Neighbor::Element(e2) = mesh.elel[e][f] {
@@ -168,7 +204,7 @@ mod tests {
                 p + d
             })
             .collect();
-        let fvol = face_flux_volumes(&mesh, &target, Threading::Serial);
+        let fvol = face_flux_volumes(&mesh, &target);
         for e in 0..mesh.n_elements() {
             let v_old = quad_area(&mesh.corners(e));
             let c = mesh.elnd[e];
@@ -195,7 +231,7 @@ mod tests {
         // Nodes 1 (1,0) and 3 (1,1) move to x = 0.8.
         target[1].x = 0.8;
         target[3].x = 0.8;
-        let fvol = face_flux_volumes(&mesh, &target, Threading::Serial);
+        let fvol = face_flux_volumes(&mesh, &target);
         // Face 1 is the right edge: element shrinks, volume leaves => +0.2.
         assert!(approx_eq(fvol[0][1], 0.2, 1e-13), "fvol = {}", fvol[0][1]);
         // Other faces: nodes a/b displaced only along the face or not at
@@ -223,7 +259,7 @@ mod tests {
                 t
             })
             .collect();
-        let fvol = face_flux_volumes(&mesh, &target, Threading::Serial);
+        let fvol = face_flux_volumes(&mesh, &target);
         for e in 0..mesh.n_elements() {
             for f in 0..4 {
                 if mesh.elel[e][f] == Neighbor::Boundary {
@@ -238,7 +274,7 @@ mod tests {
     }
 
     #[test]
-    fn antisymmetry_is_bitwise_and_threading_agnostic() {
+    fn antisymmetry_is_bitwise() {
         let mesh = generate_rect(&RectSpec::unit_square(6), |_| 0).unwrap();
         let target: Vec<Vec2> = mesh
             .nodes
@@ -261,17 +297,15 @@ mod tests {
                 p + d
             })
             .collect();
-        let serial = face_flux_volumes(&mesh, &target, Threading::Serial);
-        let rayon = face_flux_volumes(&mesh, &target, Threading::Rayon);
-        assert_eq!(serial, rayon, "threading changed swept volumes");
+        let fvol = face_flux_volumes(&mesh, &target);
         for e in 0..mesh.n_elements() {
             for f in 0..4 {
                 if let Neighbor::Element(e2) = mesh.elel[e][f] {
                     let f2 = (0..4)
                         .find(|&g| mesh.elel[e2 as usize][g] == Neighbor::Element(e as u32))
                         .unwrap();
-                    // Exact, not approximate: the mirror guarantees it.
-                    assert_eq!(serial[e][f], -serial[e2 as usize][f2]);
+                    // Exact, not approximate: one corner sequence per face.
+                    assert_eq!(fvol[e][f], -fvol[e2 as usize][f2]);
                 }
             }
         }

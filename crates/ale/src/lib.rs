@@ -14,11 +14,12 @@
 //! | paper        | module | role |
 //! |--------------|--------|------|
 //! | `ALEGETMESH` | [`mesh_motion`] | select the target (relaxed) mesh |
-//! | `ALEGETFVOL` | [`fluxvol`]     | swept volume of every face |
-//! | `ALEADVECT`  | [`advect`]      | advect independent variables (mass, energy) |
+//! | `ALEGETFVOL` + `ALEADVECT` | [`fluxvol`] + [`advect`] | one pass: each face's swept volume, evaluated where it becomes the mass / energy / momentum flux it carries |
 //! | `ALEUPDATE`  | [`remap`]       | rebuild dependent variables (ρ, ε, nodal u) |
 //!
-//! [`Remapper`] owns the reference mesh and orchestrates one full remap.
+//! [`Remapper`] owns the reference mesh and orchestrates one full remap
+//! in the Lagrangian step's idle scratch arrays: no swept-volume table,
+//! no allocation once warm.
 
 // Index-based loops over element/corner arrays are the house style of
 // these kernels (they mirror the reference Fortran and keep index math

@@ -30,21 +30,27 @@ pub enum AleMode {
     },
 }
 
-/// Compute target node positions for the whole local mesh.
+/// Target node positions for the whole local mesh.
 ///
-/// `x_ref` is the reference (initial) mesh for [`AleMode::Eulerian`];
-/// boundary constraints come from `mesh.node_bc` (fixed coordinates do
-/// not move).
+/// `x_ref` is the reference (initial) mesh and *is* the
+/// [`AleMode::Eulerian`] target, returned as it stands; a relaxed
+/// target is computed into `buf` (resized to fit, so a reused buffer
+/// costs no allocation). Boundary constraints come from `mesh.node_bc`
+/// (fixed coordinates do not move).
 #[must_use]
-pub fn target_positions(mesh: &Mesh, x_ref: &[Vec2], mode: AleMode) -> Vec<Vec2> {
+pub fn target_positions<'a>(
+    mesh: &Mesh,
+    x_ref: &'a [Vec2],
+    mode: AleMode,
+    buf: &'a mut Vec<Vec2>,
+) -> &'a [Vec2] {
     match mode {
-        AleMode::Eulerian => {
-            // Walls are identical in the reference mesh, so constraints
-            // hold by construction.
-            x_ref.to_vec()
-        }
+        // Walls are identical in the reference mesh, so constraints
+        // hold by construction.
+        AleMode::Eulerian => x_ref,
         AleMode::Smooth { alpha } => {
-            let mut target = mesh.nodes.clone();
+            buf.clear();
+            buf.extend_from_slice(&mesh.nodes);
             // Neighbour average via the elements around each node: use
             // all corner nodes of adjacent elements except the node
             // itself (the "star" of the node).
@@ -75,9 +81,9 @@ pub fn target_positions(mesh: &Mesh, x_ref: &[Vec2], mode: AleMode) -> Vec<Vec2>
                 if bc.fix_y {
                     t.y = x0.y;
                 }
-                target[n] = t;
+                buf[n] = t;
             }
-            target
+            buf
         }
     }
 }
@@ -94,7 +100,8 @@ mod tests {
         let x_ref = mesh.nodes.clone();
         // Perturb interior.
         mesh.nodes[6] += Vec2::new(0.01, -0.01);
-        let t = target_positions(&mesh, &x_ref, AleMode::Eulerian);
+        let mut buf = Vec::new();
+        let t = target_positions(&mesh, &x_ref, AleMode::Eulerian, &mut buf);
         assert_eq!(t, x_ref);
     }
 
@@ -104,7 +111,8 @@ mod tests {
         let x0 = mesh.nodes.clone();
         let n = 6; // interior node
         mesh.nodes[n] += Vec2::new(0.05, 0.05);
-        let t = target_positions(&mesh, &x0, AleMode::Smooth { alpha: 0.5 });
+        let mut buf = Vec::new();
+        let t = target_positions(&mesh, &x0, AleMode::Smooth { alpha: 0.5 }, &mut buf);
         // Must move back towards the regular position.
         let before = mesh.nodes[n].distance(x0[n]);
         let after = t[n].distance(x0[n]);
@@ -129,7 +137,8 @@ mod tests {
         )
         .unwrap();
         saltzmann_distort(&mut mesh, origin, extent);
-        let t = target_positions(&mesh, &mesh.nodes.clone(), AleMode::Smooth { alpha: 1.0 });
+        let mut buf = Vec::new();
+        let t = target_positions(&mesh, &[], AleMode::Smooth { alpha: 1.0 }, &mut buf);
         for n in 0..mesh.n_nodes() {
             let bc = mesh.node_bc[n];
             if bc.fix_x {
@@ -144,7 +153,8 @@ mod tests {
     #[test]
     fn smooth_on_uniform_mesh_is_fixed_point() {
         let mesh = generate_rect(&RectSpec::unit_square(5), |_| 0).unwrap();
-        let t = target_positions(&mesh, &mesh.nodes.clone(), AleMode::Smooth { alpha: 1.0 });
+        let mut buf = Vec::new();
+        let t = target_positions(&mesh, &[], AleMode::Smooth { alpha: 1.0 }, &mut buf);
         for n in 0..mesh.n_nodes() {
             // Interior nodes of a uniform grid sit exactly at their
             // star average (the 8-node stencil is symmetric).

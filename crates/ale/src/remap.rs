@@ -3,15 +3,21 @@
 //! [`Remapper::step`] performs one full ALE remap:
 //!
 //! 1. `alegetmesh` — target positions ([`crate::mesh_motion`]);
-//! 2. `alegetfvol` — face swept volumes ([`crate::fluxvol`]);
-//! 3. `aleadvect` — mass / energy / momentum fluxes ([`crate::advect`]);
-//! 4. `aleupdate` — this module: move the nodes, update element mass and
+//! 2. `alegetfvol` + `aleadvect` — one pass: each face's swept volume
+//!    ([`crate::fluxvol`]) is evaluated where it becomes mass / energy /
+//!    momentum fluxes ([`crate::advect`]);
+//! 3. `aleupdate` — this module: move the nodes, update element mass and
 //!    extensive energy, recompute geometry, densities and specific
 //!    energies, refresh corner masses (uniform sub-zonal density on the
 //!    new mesh) and distribute momentum changes to nodal velocities.
 //!
 //! Conservation: mass, total internal energy and total momentum are
 //! conserved to round-off by flux antisymmetry; tests pin this.
+//!
+//! A remap allocates nothing once warm: its work arrays are the
+//! Lagrangian step's per-thread scratch (`bookleaf_hydro::lend_scratch`),
+//! idle between steps, and an Eulerian target is the reference mesh
+//! itself.
 
 use bookleaf_mesh::geometry::{char_length, corner_volumes, quad_area};
 use bookleaf_mesh::Mesh;
@@ -20,10 +26,9 @@ use rayon::prelude::*;
 
 use bookleaf_hydro::state::{HydroState, LocalRange};
 use bookleaf_hydro::subset::Subset;
-use bookleaf_hydro::{HaloOps, Threading};
+use bookleaf_hydro::{lend_scratch, HaloOps, LentScratch, Threading};
 
 use crate::advect::compute_fluxes;
-use crate::fluxvol::face_flux_volumes;
 use crate::mesh_motion::{target_positions, AleMode};
 
 /// Masks steering the overlapped remap ([`Remapper::step_overlapped`]):
@@ -135,8 +140,29 @@ impl Remapper {
         overlap: Option<RemapOverlap<'_>>,
         halo: &mut H,
     ) -> Result<()> {
-        let target = target_positions(mesh, &self.x_ref, self.opts.mode);
-        let fvol = face_flux_volumes(mesh, &target, threading);
+        lend_scratch(|work| self.remap(mesh, state, range, threading, overlap, halo, work))
+    }
+
+    /// [`Remapper::step_overlapped`] in the work arrays `work`.
+    #[allow(clippy::too_many_arguments)]
+    fn remap<H: HaloOps>(
+        &self,
+        mesh: &mut Mesh,
+        state: &mut HydroState,
+        range: LocalRange,
+        threading: Threading,
+        overlap: Option<RemapOverlap<'_>>,
+        halo: &mut H,
+        work: &mut LentScratch,
+    ) -> Result<()> {
+        let [target, cell_u, mom] = &mut work.vectors;
+        let [d_mass, d_energy] = &mut work.scalars;
+        let ne = mesh.n_elements();
+        let target = target_positions(mesh, &self.x_ref, self.opts.mode, target);
+        cell_u.resize(ne, Vec2::ZERO);
+        mom.resize(ne, Vec2::ZERO);
+        d_mass.resize(ne, 0.0);
+        d_energy.resize(ne, 0.0);
 
         // Element-centred (mass-weighted corner) velocities for momentum.
         let u = &state.u;
@@ -155,48 +181,39 @@ impl Remapper {
                 Vec2::ZERO
             }
         };
-        let ne = mesh.n_elements();
-        let cell_u: Vec<Vec2> = match threading {
-            Threading::Serial => (0..ne).map(element_velocity).collect(),
-            Threading::Rayon => (0..ne).into_par_iter().map(element_velocity).collect(),
+        match threading {
+            Threading::Serial => {
+                for (e, cu) in cell_u.iter_mut().enumerate() {
+                    *cu = element_velocity(e);
+                }
+            }
+            Threading::Rayon => cell_u
+                .par_iter_mut()
+                .enumerate()
+                .for_each(|(e, cu)| *cu = element_velocity(e)),
+        }
+
+        // `mom` holds each element's momentum flux until its update
+        // turns the entry into the deficit it owes its corners.
+        compute_fluxes(
+            mesh, target, &state.rho, &state.ein, cell_u, d_mass, d_energy, mom, threading,
+        );
+        let fx = Fluxes {
+            cell_u,
+            d_mass,
+            d_energy,
         };
 
-        let fx = compute_fluxes(mesh, &state.rho, &state.ein, &cell_u, &fvol, threading);
-
         // --- Move the mesh and update element extensive quantities. ---
-        mesh.nodes[..range.n_active_nd].copy_from_slice(&target[..range.n_active_nd]);
-        // Ghost nodes also move (their owners move them identically from
+        // Ghost nodes move too (their owners move them identically from
         // the same deterministic inputs).
-        let nn = mesh.n_nodes();
-        mesh.nodes[range.n_active_nd..nn].copy_from_slice(&target[range.n_active_nd..nn]);
-
-        let mut mom_change = vec![Vec2::ZERO; ne];
-        // Pre-update nodal velocities: both the element updates (carried
-        // momentum) and the node updates read these, never the velocities
-        // the early node sweep writes — see the `RemapOverlap` invariant.
-        let u_old: Vec<Vec2> = state.u[..range.n_active_nd].to_vec();
+        mesh.nodes.copy_from_slice(target);
 
         let (failure, post_result) = match overlap {
             None => {
-                let failure = remap_elements(
-                    mesh,
-                    state,
-                    &cell_u,
-                    &fx,
-                    &mut mom_change,
-                    threading,
-                    Subset::All,
-                );
+                let failure = remap_elements(mesh, state, &fx, mom, threading, Subset::All);
                 if failure.is_none() {
-                    remap_nodes(
-                        mesh,
-                        state,
-                        &u_old,
-                        &mom_change,
-                        range,
-                        threading,
-                        Subset::All,
-                    );
+                    remap_nodes(mesh, state, mom, range, threading, Subset::All);
                 }
                 (failure, halo.post_remap_post(mesh, state))
             }
@@ -211,17 +228,9 @@ impl Remapper {
                     mask: o.pre_nd,
                     keep: true,
                 };
-                let f0 = remap_elements(
-                    mesh,
-                    state,
-                    &cell_u,
-                    &fx,
-                    &mut mom_change,
-                    threading,
-                    pre_el,
-                );
+                let f0 = remap_elements(mesh, state, &fx, mom, threading, pre_el);
                 if f0.is_none() {
-                    remap_nodes(mesh, state, &u_old, &mom_change, range, threading, pre_nd);
+                    remap_nodes(mesh, state, mom, range, threading, pre_nd);
                 }
                 let post_result = halo.post_remap_post(mesh, state);
                 // Deferred sweep while the messages are in flight.
@@ -233,17 +242,9 @@ impl Remapper {
                     mask: o.pre_nd,
                     keep: false,
                 };
-                let f1 = remap_elements(
-                    mesh,
-                    state,
-                    &cell_u,
-                    &fx,
-                    &mut mom_change,
-                    threading,
-                    rest_el,
-                );
+                let f1 = remap_elements(mesh, state, &fx, mom, threading, rest_el);
                 if f0.is_none() && f1.is_none() {
-                    remap_nodes(mesh, state, &u_old, &mom_change, range, threading, rest_nd);
+                    remap_nodes(mesh, state, mom, range, threading, rest_nd);
                 }
                 (first_fail(f0, f1), post_result)
             }
@@ -296,6 +297,17 @@ impl Remapper {
     }
 }
 
+/// What an element's update reads of the flux pass, besides the
+/// momentum flux it rewrites in place.
+struct Fluxes<'a> {
+    /// Element-centred velocities before the remap.
+    cell_u: &'a [Vec2],
+    /// Net mass leaving each element.
+    d_mass: &'a [f64],
+    /// Net internal energy (extensive) leaving each element.
+    d_energy: &'a [f64],
+}
+
 /// What went wrong in one element's update, if anything.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Fail {
@@ -314,18 +326,18 @@ fn first_fail(a: Option<(usize, Fail)>, b: Option<(usize, Fail)>) -> Option<(usi
 }
 
 /// Apply the advective fluxes to every element in `subset` (owned and
-/// ghost alike): masses, energy, geometry, corner masses, and the
-/// momentum deficit each element owes its corners. Reads the *frozen*
-/// pre-update nodal velocities; writes only element-local state.
-/// Failures (non-positive mass or volume) are returned, not raised, so
-/// the parallel path needs no early return; failed elements are left
-/// untouched.
+/// ghost alike): masses, energy, geometry, corner masses, and — in
+/// place of the momentum flux `mom[e]` came in with — the momentum
+/// deficit each element owes its corners. Reads only nodal velocities
+/// that no node sweep has rewritten yet (the `RemapOverlap` invariant);
+/// writes only element-local state. Failures (non-positive mass or
+/// volume) are returned, not raised, so the parallel path needs no early
+/// return; failed elements are left untouched.
 fn remap_elements(
     mesh: &Mesh,
     state: &mut HydroState,
-    cell_u: &[Vec2],
-    fx: &crate::advect::AdvectFluxes,
-    mom_change: &mut [Vec2],
+    fx: &Fluxes<'_>,
+    mom: &mut [Vec2],
     threading: Threading,
     subset: Subset<'_>,
 ) -> Option<(usize, Fail)> {
@@ -344,11 +356,11 @@ fn remap_elements(
      -> Option<(usize, Fail)> {
         let mass_old = *mass;
         let energy_old = mass_old * *ein;
-        let mom_old = cell_u[e] * mass_old;
+        let mom_old = fx.cell_u[e] * mass_old;
 
         let mass_new = mass_old - fx.d_mass[e];
         let energy_new = energy_old - fx.d_energy[e];
-        let mom_new = mom_old - fx.d_mom[e];
+        let mom_new = mom_old - *mom;
         if mass_new <= 0.0 {
             return Some((e, Fail::Mass));
         }
@@ -399,7 +411,7 @@ fn remap_elements(
                     &mut state.ein[e],
                     &mut state.cnvol[e],
                     &mut state.cnmass[e],
-                    &mut mom_change[e],
+                    &mut mom[e],
                 );
                 failure = first_fail(failure, f);
             }
@@ -413,7 +425,7 @@ fn remap_elements(
             .zip(state.ein[..ne].par_iter_mut())
             .zip(state.cnvol[..ne].par_iter_mut())
             .zip(state.cnmass[..ne].par_iter_mut())
-            .zip(mom_change.par_iter_mut())
+            .zip(mom.par_iter_mut())
             .enumerate()
             .map(
                 |(e, (((((((mass, volume), length), rho), ein), cnvol), cnmass), mom))| {
@@ -436,12 +448,12 @@ fn remap_elements(
 /// to round-off. Boundary conditions are *not* applied here — the next
 /// `getacc` projects wall-normal components, as in the reference code.
 /// Node-order gather (like `getacc`'s rewrite): each node owns its own
-/// velocity slot, so this fans out too. Every adjacent element of every
-/// node in `subset` must already be remapped.
+/// velocity slot — rewritten once, from its own pre-remap value — so
+/// this fans out too. Every adjacent element of every node in `subset`
+/// must already be remapped.
 fn remap_nodes(
     mesh: &Mesh,
     state: &mut HydroState,
-    u_old: &[Vec2],
     mom_change: &[Vec2],
     range: LocalRange,
     threading: Threading,
@@ -459,7 +471,7 @@ fn remap_nodes(
             m_new += cnmass[e][c];
         }
         if m_new > 0.0 {
-            *un = u_old[n] + dp / m_new;
+            *un += dp / m_new;
         }
     };
     match threading {

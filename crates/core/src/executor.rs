@@ -15,7 +15,10 @@
 //! and returns the same [`Snapshot`] a checkpoint carries: the restart
 //! fields assembled back into global element/node order, so validation
 //! code can compare executors directly and the next team — any shape —
-//! continues from where this one stopped.
+//! continues from where this one stopped. That snapshot is all that
+//! outlives a team: no global `HydroState` exists while ranks run, and
+//! the one [`crate::Simulation::state`] shows is derived from the
+//! snapshot on request.
 //!
 //! This module is driven through [`crate::Simulation`]. Observer hooks
 //! fire on every rank with the rank's partition view, and the run's
@@ -70,7 +73,9 @@ struct RankOut {
 /// restart state and continues the loop from its cursor; this is how a
 /// serial (or any-shape) checkpoint repartitions onto this executor's
 /// rank count. Without it (a team that has never run), each rank builds
-/// its state straight from the deck.
+/// its state straight from the deck. Either way the deck and the
+/// snapshot are the caller's to have validated (`Simulation`'s builder
+/// does, once): nothing here walks the global mesh to re-check it.
 pub(crate) fn run_with_observers(
     deck: &Deck,
     config: &RunConfig,
@@ -90,7 +95,6 @@ pub(crate) fn run_with_observers(
             ))
         }
     };
-    deck.validate()?;
     let owner = partition(&deck.mesh, ranks, Strategy::Rcb)?;
     // Each rank takes its submesh (and works on that mesh) when it starts.
     let subs: Vec<Mutex<Option<SubMesh>>> = SubMeshPlan::build(&deck.mesh, &owner, ranks)?

@@ -65,4 +65,4 @@ pub use scenario::{
     generic_equivalent, BoundarySpec, EnergyInit, GenericSpec, MeshSpec, NamedMaterial, RegionSpec,
     Shape, SideBc, SkewKind, VelocityInit,
 };
-pub use sim::{Simulation, SimulationBuilder};
+pub use sim::{Simulation, SimulationBuilder, SolutionFields};

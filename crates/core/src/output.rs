@@ -72,8 +72,9 @@ use std::path::Path;
 
 use bookleaf_eos::MaterialTable;
 use bookleaf_hydro::{HydroState, LocalRange, Threading};
+use bookleaf_mesh::geometry::quad_area;
 use bookleaf_mesh::Mesh;
-use bookleaf_util::{crc32, CheckpointError, Result, Vec2};
+use bookleaf_util::{crc32, BookLeafError, CheckpointError, Result, Vec2};
 
 use crate::driver::LoopState;
 use crate::input::{InputDeck, MAX_MESH_DIM};
@@ -212,8 +213,8 @@ impl Snapshot {
     /// mesh; a rank's local→global maps for its piece, ghosts included),
     /// then geometry and the EoS are re-derived over the whole of `mesh`.
     /// The **one** place restart state becomes live state — builder
-    /// resume, supervised rewind, a rank team's scatter and the view a
-    /// finished team leaves behind all come through here — so "a pause
+    /// resume, supervised rewind, a rank team's scatter and the global
+    /// view of a distributed run all come through here — so "a pause
     /// at a step boundary moves no bits" is this function's property,
     /// not each caller's. Shapes are the caller's to check.
     pub(crate) fn install(
@@ -242,11 +243,32 @@ impl Snapshot {
         let whole = LocalRange::whole(mesh);
         bookleaf_hydro::getgeom::getgeom(mesh, state, whole, threading)?;
         bookleaf_hydro::getpc::getpc(mesh, materials, state, whole, threading);
-        Ok(LoopState {
+        Ok(self.cursor())
+    }
+
+    /// The loop cursor this snapshot continues from.
+    pub(crate) fn cursor(&self) -> LoopState {
+        LoopState {
             t: self.time,
             steps: self.steps as usize,
             dt_prev: self.dt_prev,
-        })
+        }
+    }
+
+    /// Would [`Snapshot::install`] over `mesh`'s topology succeed? Its
+    /// only failure is a tangled element, so this is that check — same
+    /// element, same typed error — without a state to install into: how
+    /// a restart state nobody has installed yet (a distributed engine
+    /// keeps the snapshot, not a global state) is still refused when it
+    /// arrives.
+    pub(crate) fn check_geometry(&self, mesh: &Mesh) -> Result<()> {
+        for (e, nd) in mesh.elnd.iter().enumerate() {
+            let volume = quad_area(&nd.map(|n| self.nodes[n as usize]));
+            if volume <= 0.0 {
+                return Err(BookLeafError::NegativeVolume { element: e, volume });
+            }
+        }
+        Ok(())
     }
 
     /// Serialised body length in bytes.

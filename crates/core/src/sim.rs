@@ -21,9 +21,12 @@
 //! returns one unified [`RunReport`] (merged timers, team comm stats,
 //! global energy accounting) for all of them. Observers registered via
 //! [`SimulationBuilder::observer`] fire under every executor; after the
-//! run, [`Simulation::mesh`]/[`Simulation::state`] expose the solution
-//! (the rank pieces of a distributed run are assembled back into
-//! global order).
+//! run, [`Simulation::mesh`]/[`Simulation::state`] expose the solution.
+//! A serial simulation steps that pair in place. A distributed one
+//! keeps only the restart [`Snapshot`] its rank team assembled (global
+//! order) — what the next team, a checkpoint and
+//! [`Simulation::solution`] read — and builds the global pair from it
+//! when first asked.
 //!
 //! Configuration precedence, lowest to highest: the defaults, the text
 //! deck's own `[control]`/`[dt]`/`[ale]`/`[executor]` sections, a
@@ -31,7 +34,7 @@
 //! setters (`.executor(..)`, `.final_time(..)`, …).
 
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use bookleaf_ale::{AleOptions, Remapper};
@@ -39,7 +42,7 @@ use bookleaf_hydro::getdt::DtControls;
 use bookleaf_hydro::{HydroState, LocalRange};
 use bookleaf_mesh::Mesh;
 use bookleaf_typhon::{CommStats, FaultPlan, TyphonOptions};
-use bookleaf_util::{BookLeafError, DeckError, Result, TimerRegistry};
+use bookleaf_util::{BookLeafError, DeckError, Result, TimerRegistry, Vec2};
 
 use bookleaf_util::CheckpointError;
 
@@ -324,9 +327,11 @@ impl std::fmt::Debug for SimulationBuilder {
     }
 }
 
-/// The serial executor's in-place machinery (a distributed team builds
-/// its own per rank, per run).
+/// The serial executor: the live solver state, stepped in place, and
+/// the machinery that steps it.
 struct SerialExec {
+    mesh: Mesh,
+    state: HydroState,
     remapper: Option<Remapper>,
     hooks: SerialHooks,
     timers: TimerRegistry,
@@ -338,38 +343,107 @@ struct SerialExec {
     wall_seconds: f64,
 }
 
-/// Execution state: the global `(mesh, state)` pair and the loop cursor
-/// the next `run` continues from, under every executor. Serially they
-/// are the live solver state, stepped in place; a distributed run
-/// spawns a rank team per call, and they are the global view it
-/// continues from and leaves behind.
+/// A distributed executor between runs. Every `run` spawns a rank team
+/// that builds its own per-rank pieces, so all that is kept here is
+/// what a team consumes and leaves — the restart state. A process
+/// running ranks holds no second, global `HydroState` unless someone
+/// asks to look at one.
+struct TeamExec {
+    /// The restart state the next team continues from: installed from a
+    /// checkpoint or left by the last team. `None` until then — a team
+    /// that has never run builds its ranks straight from the deck.
+    snap: Option<Snapshot>,
+    /// The global `(mesh, state)` view of `snap` (of the deck's initial
+    /// state while `snap` is `None`): built on the first
+    /// [`Simulation::mesh`] / [`Simulation::state`] call, dropped when
+    /// the next team starts.
+    view: OnceLock<(Mesh, HydroState)>,
+}
+
+enum Exec {
+    Serial(SerialExec),
+    Team(TeamExec),
+}
+
+/// Execution state: the loop cursor the next `run` continues from —
+/// under every executor — and what the executor keeps between runs.
 struct Engine {
-    mesh: Mesh,
-    state: HydroState,
     cursor: LoopState,
-    /// `Some` under the serial executor.
-    serial: Option<Box<SerialExec>>,
-    /// Does `(mesh, state)` hold restart state — installed from a
-    /// checkpoint or left by a finished team — that the next team must
-    /// pick up? A distributed engine that has never run builds its
-    /// per-rank state straight from the deck instead.
-    primed: bool,
+    exec: Exec,
+}
+
+/// The deck's global `(mesh, state)` pair, at `snap` when there is one:
+/// [`Snapshot::install`] over the global mesh. Shapes and geometry are
+/// [`Engine::new`]'s to check.
+fn global_pair(
+    deck: &Deck,
+    config: &RunConfig,
+    snap: Option<&Snapshot>,
+) -> Result<(Mesh, HydroState, LoopState)> {
+    let mut mesh = deck.mesh.clone();
+    let mut state = deck.initial_state(&mesh)?;
+    let cursor = match snap {
+        Some(snap) => snap.install(
+            &mut mesh,
+            &mut state,
+            &deck.materials,
+            config.lag.threading,
+            |e| e,
+            |n| n,
+        )?,
+        None => LoopState::default(),
+    };
+    Ok((mesh, state, cursor))
 }
 
 impl Engine {
     /// Build the engine `config.executor` asks for, at the deck's
     /// initial state or — with `resume` — continuing from a snapshot.
     /// The one constructor behind both the builder and a supervised
-    /// rewind.
+    /// rewind. An unphysical deck or restart state is refused here with
+    /// the same typed error whichever executor was asked for.
     fn new(deck: &Deck, config: &RunConfig, resume: Option<&Snapshot>) -> Result<Self> {
-        let mesh = deck.mesh.clone();
-        let state = deck.initial_state(&mesh)?;
-        let serial = matches!(config.executor, ExecutorKind::Serial).then(|| {
-            Box::new(SerialExec {
-                // Built before any restart state overwrites the mesh:
-                // the deck-initial node positions are the Eulerian
-                // remap target.
-                remapper: config.ale.map(|opts| Remapper::new(&mesh, opts)),
+        let mesh = &deck.mesh;
+        if let Some(snap) = resume {
+            if snap.n_nodes() != mesh.n_nodes() || snap.n_elements() != mesh.n_elements() {
+                return Err(CheckpointError::DeckMismatch {
+                    message: format!(
+                        "checkpoint carries {} nodes / {} elements but its deck builds a \
+                         {}-node / {}-element mesh",
+                        snap.n_nodes(),
+                        snap.n_elements(),
+                        mesh.n_nodes(),
+                        mesh.n_elements()
+                    ),
+                }
+                .into());
+            }
+        }
+        if !matches!(config.executor, ExecutorKind::Serial) {
+            // Everything building the global pair would have refused,
+            // without building it.
+            deck.check_initial_state()?;
+            if let Some(snap) = resume {
+                snap.check_geometry(mesh)?;
+            }
+            return Ok(Engine {
+                cursor: resume.map(Snapshot::cursor).unwrap_or_default(),
+                exec: Exec::Team(TeamExec {
+                    snap: resume.cloned(),
+                    view: OnceLock::new(),
+                }),
+            });
+        }
+        // Built before any restart state overwrites the node positions:
+        // the deck-initial ones are the Eulerian remap target.
+        let remapper = config.ale.map(|opts| Remapper::new(mesh, opts));
+        let (mesh, state, cursor) = global_pair(deck, config, resume)?;
+        Ok(Engine {
+            cursor,
+            exec: Exec::Serial(SerialExec {
+                mesh,
+                state,
+                remapper,
                 hooks: SerialHooks {
                     piston: deck.piston.as_ref().map(|p| LocalPiston {
                         nodes: p.nodes.clone(),
@@ -379,52 +453,37 @@ impl Engine {
                 timers: TimerRegistry::new(),
                 energy_start: None,
                 wall_seconds: 0.0,
-            })
-        });
-        let mut engine = Engine {
-            mesh,
-            state,
-            cursor: LoopState::default(),
-            serial,
-            primed: false,
-        };
-        if let Some(snap) = resume {
-            engine.install(snap, deck, config)?;
-        }
-        Ok(engine)
+            }),
+        })
     }
 
-    /// Continue from `snap`: [`Snapshot::install`] over the global mesh.
-    fn install(&mut self, snap: &Snapshot, deck: &Deck, config: &RunConfig) -> Result<()> {
-        if snap.n_nodes() != self.mesh.n_nodes() || snap.n_elements() != self.mesh.n_elements() {
-            return Err(CheckpointError::DeckMismatch {
-                message: format!(
-                    "checkpoint carries {} nodes / {} elements but its deck builds a \
-                     {}-node / {}-element mesh",
-                    snap.n_nodes(),
-                    snap.n_elements(),
-                    self.mesh.n_nodes(),
-                    self.mesh.n_elements()
-                ),
+    /// The global `(mesh, state)`: the serial engine's live pair, a
+    /// distributed engine's view — built now if nobody asked before.
+    fn global(&self, deck: &Deck, config: &RunConfig) -> (&Mesh, &HydroState) {
+        match &self.exec {
+            Exec::Serial(exec) => (&exec.mesh, &exec.state),
+            Exec::Team(team) => {
+                let (mesh, state) = team.view.get_or_init(|| {
+                    let (mesh, state, _) = global_pair(deck, config, team.snap.as_ref())
+                        .expect("Engine::new admitted the deck and every installed snapshot");
+                    (mesh, state)
+                });
+                (mesh, state)
             }
-            .into());
         }
-        self.cursor = snap.install(
-            &mut self.mesh,
-            &mut self.state,
-            &deck.materials,
-            config.lag.threading,
-            |e| e,
-            |n| n,
-        )?;
-        self.primed = true;
-        Ok(())
     }
 
     /// The restart state at the cursor.
-    fn snapshot(&self) -> Snapshot {
+    fn snapshot(&self, deck: &Deck, config: &RunConfig) -> Snapshot {
+        if let Exec::Team(TeamExec {
+            snap: Some(snap), ..
+        }) = &self.exec
+        {
+            return snap.clone();
+        }
+        let (mesh, state) = self.global(deck, config);
         let c = &self.cursor;
-        Snapshot::capture(&self.mesh, &self.state, c.t, c.steps as u64, c.dt_prev)
+        Snapshot::capture(mesh, state, c.t, c.steps as u64, c.dt_prev)
     }
 
     /// Continue from the cursor to `config`'s final time or step cap.
@@ -435,14 +494,20 @@ impl Engine {
         observers: &ObserverSet,
         typhon: &TyphonOptions,
     ) -> Result<RunReport> {
-        let Some(exec) = &mut self.serial else {
-            let resume = self.primed.then(|| self.snapshot());
-            let (report, snap) =
-                run_with_observers(deck, config, observers, resume.as_ref(), typhon)?;
-            self.install(&snap, deck, config)?;
-            return Ok(report);
+        let exec = match &mut self.exec {
+            Exec::Serial(exec) => exec,
+            Exec::Team(team) => {
+                // The view shows the state this team is about to move
+                // on from, and the ranks need its memory more.
+                team.view.take();
+                let (report, snap) =
+                    run_with_observers(deck, config, observers, team.snap.as_ref(), typhon)?;
+                self.cursor = snap.cursor();
+                team.snap = Some(snap);
+                return Ok(report);
+            }
         };
-        let (mesh, state) = (&mut self.mesh, &mut self.state);
+        let (mesh, state) = (&mut exec.mesh, &mut exec.state);
         let range = LocalRange::whole(mesh);
         let whole_energy =
             |mesh: &Mesh, state: &HydroState| state.total_energy(mesh, LocalRange::whole(mesh));
@@ -507,9 +572,30 @@ impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("cursor", &self.cursor)
-            .field("serial", &self.serial.is_some())
+            .field(
+                "exec",
+                &match &self.exec {
+                    Exec::Serial(_) => "serial",
+                    Exec::Team(team) if team.view.get().is_some() => "team, view built",
+                    Exec::Team(_) => "team, no view",
+                },
+            )
             .finish_non_exhaustive()
     }
+}
+
+/// The solution fields of a [`Simulation`], in global element / node
+/// order (see [`Simulation::solution`]).
+#[derive(Debug, Clone, Copy)]
+pub struct SolutionFields<'a> {
+    /// Density per element.
+    pub rho: &'a [f64],
+    /// Specific internal energy per element.
+    pub ein: &'a [f64],
+    /// Velocity per node.
+    pub u: &'a [Vec2],
+    /// Position per node.
+    pub nodes: &'a [Vec2],
 }
 
 /// One handle for a whole run, whatever the executor. Build with
@@ -584,8 +670,8 @@ impl Simulation {
     /// Capture a portable, versioned [`Checkpoint`]: the full restart
     /// state plus the input deck that rebuilds this problem (so
     /// [`SimulationBuilder::resume`] needs nothing but the file). Works
-    /// under every executor — distributed runs checkpoint their
-    /// assembled global view — but requires a deck that carries a
+    /// under every executor — a distributed run hands out the restart
+    /// state its team assembled — but requires a deck that carries a
     /// problem spec ([`Deck::spec`]); hand-assembled decks cannot be
     /// checkpointed and return a typed
     /// [`CheckpointError::DeckMismatch`].
@@ -618,7 +704,7 @@ impl Simulation {
         };
         Ok(Checkpoint {
             input,
-            snap: self.engine.snapshot(),
+            snap: self.engine.snapshot(&self.deck, &self.config),
         })
     }
 
@@ -668,10 +754,12 @@ impl Simulation {
     }
 
     /// The current mesh: live solver state for serial runs, the
-    /// assembled global view after distributed runs.
+    /// assembled global view after distributed runs — built on the
+    /// first call after a run (with [`Simulation::state`]), so a
+    /// distributed simulation nobody looks into never holds one.
     #[must_use]
     pub fn mesh(&self) -> &Mesh {
-        &self.engine.mesh
+        self.engine.global(&self.deck, &self.config).0
     }
 
     /// The current state (see [`Simulation::mesh`] for the semantics;
@@ -679,7 +767,28 @@ impl Simulation {
     /// geometry, pressure and sound speed from them).
     #[must_use]
     pub fn state(&self) -> &HydroState {
-        &self.engine.state
+        self.engine.global(&self.deck, &self.config).1
+    }
+
+    /// The solution at the cursor, borrowed from whichever side holds
+    /// it — live serial state, the restart state a rank team left, or
+    /// the deck before any run. What a digest or a plot of a
+    /// distributed run needs without the global view
+    /// [`Simulation::state`] would build.
+    #[must_use]
+    pub fn solution(&self) -> SolutionFields<'_> {
+        let deck = &self.deck;
+        let (rho, ein, u, nodes) = match &self.engine.exec {
+            Exec::Serial(live) => (
+                &live.state.rho,
+                &live.state.ein,
+                &live.state.u,
+                &live.mesh.nodes,
+            ),
+            Exec::Team(TeamExec { snap: Some(s), .. }) => (&s.rho, &s.ein, &s.u, &s.nodes),
+            Exec::Team(_) => (&deck.rho, &deck.ein, &deck.u, &deck.mesh.nodes),
+        };
+        SolutionFields { rho, ein, u, nodes }
     }
 }
 
@@ -828,6 +937,127 @@ mod tests {
             matches!(err, BookLeafError::Deck(DeckError::Shape { .. })),
             "{err}"
         );
+    }
+
+    /// A distributed engine builds no global state, so the physical
+    /// checks building one makes must still run: same typed error as
+    /// serial, at `build()`.
+    #[test]
+    fn unphysical_decks_fail_at_build_under_every_executor() {
+        let mut tangled = crate::scenario::noh_generic(8).build().unwrap();
+        let centre = tangled.mesh.elnd[27][2] as usize;
+        tangled.mesh.nodes[centre] = Vec2::new(-5.0, -5.0);
+        let mut hollow = decks::sod(8, 2);
+        hollow.rho[5] = f64::NAN;
+        let executors = [
+            ExecutorKind::Serial,
+            ExecutorKind::FlatMpi { ranks: 2 },
+            ExecutorKind::Hybrid {
+                ranks: 1,
+                threads_per_rank: 2,
+            },
+        ];
+        for deck in [tangled, hollow] {
+            let errors = executors.map(|executor| {
+                let built = Simulation::builder()
+                    .deck(deck.clone())
+                    .executor(executor)
+                    .build();
+                built.expect_err("an unphysical deck built").to_string()
+            });
+            assert!(
+                errors[0].contains("volume") || errors[0].contains("density"),
+                "{}",
+                errors[0]
+            );
+            assert_eq!(errors[1], errors[0], "flat MPI");
+            assert_eq!(errors[2], errors[0], "hybrid");
+        }
+    }
+
+    /// The same for restart state that arrives from outside: a
+    /// checkpoint whose nodes tangle the mesh never becomes an engine.
+    #[test]
+    fn tangled_restart_state_fails_at_build_under_every_executor() {
+        let mut sim = Simulation::builder()
+            .deck(decks::noh(8))
+            .max_steps(2)
+            .build()
+            .unwrap();
+        sim.run().unwrap();
+        let mut ckpt = sim.checkpoint().unwrap();
+        ckpt.snap.nodes[40] = Vec2::new(-5.0, -5.0);
+        let errors = [ExecutorKind::Serial, ExecutorKind::FlatMpi { ranks: 2 }].map(|executor| {
+            let built = Simulation::builder()
+                .resume_from(ckpt.clone())
+                .executor(executor)
+                .build();
+            let err = built.expect_err("a tangled checkpoint built");
+            assert!(matches!(err, BookLeafError::NegativeVolume { .. }), "{err}");
+            err.to_string()
+        });
+        assert_eq!(errors[1], errors[0]);
+    }
+
+    fn distributed_noh(executor: ExecutorKind) -> Simulation {
+        Simulation::builder()
+            .deck(decks::noh(10))
+            .final_time(1.0)
+            .max_steps(8)
+            .executor(executor)
+            .build()
+            .unwrap()
+    }
+
+    fn view_built(sim: &Simulation) -> bool {
+        match &sim.engine.exec {
+            Exec::Team(team) => team.view.get().is_some(),
+            Exec::Serial(_) => panic!("a serial engine has no view"),
+        }
+    }
+
+    /// Running, checkpointing and reading the solution of a distributed
+    /// simulation never build the global state; asking for it does, and
+    /// the next team drops it again.
+    #[test]
+    fn a_distributed_simulation_builds_its_global_view_only_on_request() {
+        let mut sim = distributed_noh(ExecutorKind::FlatMpi { ranks: 2 });
+        assert_eq!(sim.solution().rho, &sim.deck().rho[..]);
+        sim.run_segment(4).unwrap();
+        let ckpt = sim.checkpoint().unwrap();
+        assert_eq!(sim.solution().rho, &ckpt.snap.rho[..]);
+        assert!(!view_built(&sim), "run / checkpoint / solution built it");
+
+        assert_eq!(sim.state().rho, ckpt.snap.rho);
+        assert_eq!(sim.mesh().nodes, ckpt.snap.nodes);
+        assert!(view_built(&sim));
+        sim.run().unwrap();
+        assert!(!view_built(&sim), "a stale view outlived the next team");
+        assert_ne!(sim.state().rho, ckpt.snap.rho);
+    }
+
+    /// Looking at the state between two segments is an observation: the
+    /// trajectory does not move.
+    #[test]
+    fn reading_the_state_between_segments_does_not_move_the_trajectory() {
+        let hybrid = ExecutorKind::Hybrid {
+            ranks: 1,
+            threads_per_rank: 2,
+        };
+        for executor in [ExecutorKind::FlatMpi { ranks: 2 }, hybrid] {
+            let mut watched = distributed_noh(executor);
+            let mut blind = distributed_noh(executor);
+            let _ = watched.state();
+            for sim in [&mut watched, &mut blind] {
+                sim.run_segment(3).unwrap();
+            }
+            assert!(watched.state().rho.iter().all(|r| r.is_finite()));
+            for sim in [&mut watched, &mut blind] {
+                sim.run().unwrap();
+            }
+            let (a, b) = (watched.checkpoint().unwrap(), blind.checkpoint().unwrap());
+            assert_eq!(a.to_bytes(), b.to_bytes(), "{executor:?}");
+        }
     }
 
     #[test]

@@ -112,7 +112,7 @@ pub use getacc::AccMode;
 pub use lagstep::{lagstep, lagstep_timed, HaloOps, KernelSplit, LagOptions, NoComm};
 pub use state::{HydroState, LocalRange};
 pub use subset::Subset;
-pub use viscforce::{viscforce, viscforce_listed, ViscForce};
+pub use viscforce::{lend_scratch, viscforce, viscforce_listed, LentScratch, ViscForce};
 
 /// Intra-rank threading mode for the trivially parallel kernels.
 ///

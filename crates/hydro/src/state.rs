@@ -95,6 +95,29 @@ pub struct HydroState {
     pub nd_mass: Vec<f64>,
 }
 
+/// The physical admission checks of one element's initial data.
+fn admit_element(e: usize, vol: f64, rho: f64, ein: f64) -> Result<()> {
+    if vol <= 0.0 {
+        return Err(BookLeafError::NegativeVolume {
+            element: e,
+            volume: vol,
+        });
+    }
+    if rho < 0.0 || !rho.is_finite() {
+        return Err(BookLeafError::InvalidState {
+            element: e,
+            what: format!("initial density {rho}"),
+        });
+    }
+    if !ein.is_finite() {
+        return Err(BookLeafError::InvalidState {
+            element: e,
+            what: format!("initial energy {ein}"),
+        });
+    }
+    Ok(())
+}
+
 impl HydroState {
     /// Initialise from a mesh plus per-element density/energy and
     /// per-node velocity initialisers.
@@ -135,26 +158,9 @@ impl HydroState {
         for e in 0..ne {
             let c = mesh.corners(e);
             let vol = quad_area(&c);
-            if vol <= 0.0 {
-                return Err(BookLeafError::NegativeVolume {
-                    element: e,
-                    volume: vol,
-                });
-            }
             let rho = rho_of(e);
             let ein = ein_of(e);
-            if rho < 0.0 || !rho.is_finite() {
-                return Err(BookLeafError::InvalidState {
-                    element: e,
-                    what: format!("initial density {rho}"),
-                });
-            }
-            if !ein.is_finite() {
-                return Err(BookLeafError::InvalidState {
-                    element: e,
-                    what: format!("initial energy {ein}"),
-                });
-            }
+            admit_element(e, vol, rho, ein)?;
             st.volume[e] = vol;
             st.length[e] = char_length(&c);
             st.rho[e] = rho;
@@ -177,6 +183,20 @@ impl HydroState {
                 .sum();
         }
         Ok(st)
+    }
+
+    /// Every reason [`HydroState::new`] would refuse these inputs, as
+    /// one pass that builds nothing: same checks, same order, same
+    /// typed error.
+    pub fn check_initial(
+        mesh: &Mesh,
+        materials: &MaterialTable,
+        rho_of: impl Fn(usize) -> f64,
+        ein_of: impl Fn(usize) -> f64,
+    ) -> Result<()> {
+        materials.check_regions(&mesh.region)?;
+        (0..mesh.n_elements())
+            .try_for_each(|e| admit_element(e, quad_area(&mesh.corners(e)), rho_of(e), ein_of(e)))
     }
 
     /// Number of local elements.

@@ -80,6 +80,41 @@ thread_local! {
     pub(crate) static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
+/// The step's per-thread work arrays, lent out between steps (see
+/// [`lend_scratch`]). Contents and lengths are unspecified: size each
+/// array and write an entry before reading it.
+#[derive(Debug, Default)]
+pub struct LentScratch {
+    /// Vector arrays (the step's saved positions, cell velocities and
+    /// nodal force sums).
+    pub vectors: [Vec<Vec2>; 3],
+    /// Scalar arrays (the step's saved energies and nodal mass sums).
+    pub scalars: [Vec<f64>; 2],
+}
+
+/// Run `work` with the calling thread's step scratch. Nothing in a
+/// Lagrangian step is live between steps, so whatever runs there on the
+/// same thread — the ALE remap — can work in these arrays instead of
+/// allocating (and keeping resident) a set of its own. The arrays are
+/// moved out for the call and handed back after it, so `work` may run
+/// any kernel of this crate.
+pub fn lend_scratch<R>(work: impl FnOnce(&mut LentScratch) -> R) -> R {
+    let mut lent = SCRATCH.with(|scratch| {
+        let s = &mut *scratch.borrow_mut();
+        LentScratch {
+            vectors: [&mut s.x0, &mut s.cell_u, &mut s.nd_force].map(std::mem::take),
+            scalars: [&mut s.ein0, &mut s.nd_mass].map(std::mem::take),
+        }
+    });
+    let result = work(&mut lent);
+    SCRATCH.with(|scratch| {
+        let s = &mut *scratch.borrow_mut();
+        [s.x0, s.cell_u, s.nd_force] = lent.vectors;
+        [s.ein0, s.nd_mass] = lent.scalars;
+    });
+    result
+}
+
 /// The hourglass mode sign pattern on a quad.
 pub(crate) const GAMMA: [f64; 4] = [1.0, -1.0, 1.0, -1.0];
 

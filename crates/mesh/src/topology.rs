@@ -213,7 +213,9 @@ impl Mesh {
     #[inline]
     #[must_use]
     pub fn face_towards(&self, e: usize, nb: usize) -> Option<usize> {
-        (0..NCORN).find(|&f| matches!(self.elel[e][f], Neighbor::Element(x) if x as usize == nb))
+        self.face_stencil()[e]
+            .iter()
+            .position(|&x| x as usize == nb)
     }
 
     /// The elements `ids` together with their face neighbours, ascending

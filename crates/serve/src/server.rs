@@ -504,18 +504,15 @@ fn parse_params(req: &Request, config: &ServeConfig) -> Result<RunParams, Protoc
 /// and the chaos suite — can compare against unloaded runs.
 #[must_use]
 pub fn state_crc(sim: &Simulation) -> u32 {
-    let state = sim.state();
-    let mesh = sim.mesh();
-    let mut values = Vec::with_capacity(2 * state.rho.len() + 4 * state.u.len());
-    values.extend_from_slice(&state.rho);
-    values.extend_from_slice(&state.ein);
-    for v in &state.u {
+    // Borrowed from whichever side holds the solution: digesting a
+    // distributed run does not build its global view.
+    let solution = sim.solution();
+    let mut values = Vec::with_capacity(2 * solution.rho.len() + 4 * solution.u.len());
+    values.extend_from_slice(solution.rho);
+    values.extend_from_slice(solution.ein);
+    for v in solution.u.iter().chain(solution.nodes) {
         values.push(v.x);
         values.push(v.y);
-    }
-    for p in &mesh.nodes {
-        values.push(p.x);
-        values.push(p.y);
     }
     crc32_f64s(&values)
 }
@@ -974,6 +971,28 @@ mod tests {
         assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some(2));
         assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some(3));
         assert_eq!(q.pop_timeout(Duration::from_millis(1)), None);
+    }
+
+    /// The digest of a distributed run reads the restart state its team
+    /// left; it neither builds the global view nor depends on whether
+    /// someone else did.
+    #[test]
+    fn state_crc_of_a_distributed_run_builds_no_global_state() {
+        let mut sim = Simulation::builder()
+            .deck(bookleaf_core::decks::noh(10))
+            .max_steps(4)
+            .executor(ExecutorKind::FlatMpi { ranks: 2 })
+            .build()
+            .unwrap();
+        let before = state_crc(&sim);
+        sim.run().unwrap();
+        let crc = state_crc(&sim);
+        assert_ne!(crc, before);
+        // `Engine`'s `Debug` names what the executor holds.
+        assert!(format!("{sim:?}").contains("team, no view"), "{sim:?}");
+        let _ = sim.state();
+        assert!(format!("{sim:?}").contains("team, view built"), "{sim:?}");
+        assert_eq!(state_crc(&sim), crc);
     }
 
     #[test]

@@ -121,20 +121,34 @@ pub mod channel {
         fn try_recv_does_not_block_behind_a_blocked_recv() {
             let (tx, rx) = super::unbounded::<u32>();
             let rx = Arc::new(rx);
-            let rx2 = Arc::clone(&rx);
             // Park a thread in a blocking recv on the empty channel.
-            let blocked = std::thread::spawn(move || rx2.recv());
-            std::thread::sleep(Duration::from_millis(5));
-            // try_recv from another thread must come back promptly with
-            // Empty, not wait for the blocked receiver's message.
-            let start = std::time::Instant::now();
-            let r = rx.try_recv();
-            assert!(r.is_err(), "channel is empty");
-            assert!(
-                start.elapsed() < Duration::from_millis(250),
-                "try_recv blocked behind recv for {:?}",
-                start.elapsed()
-            );
+            let (started_tx, started) = std::sync::mpsc::channel();
+            let rx2 = Arc::clone(&rx);
+            let blocked = std::thread::spawn(move || {
+                started_tx.send(()).unwrap();
+                rx2.recv()
+            });
+            started.recv().unwrap();
+            // try_recv from another thread must come back with Empty on
+            // its own: the message that ends the blocked recv is sent
+            // only once every probe has reported. A probe waiting behind
+            // that recv would never report, and the (generous, liveness
+            // only) timeout below fails the test instead of hanging it.
+            let (probed_tx, probed) = std::sync::mpsc::channel();
+            let rx3 = Arc::clone(&rx);
+            let prober = std::thread::spawn(move || {
+                for _ in 0..100 {
+                    probed_tx.send(rx3.try_recv()).unwrap();
+                    std::thread::yield_now();
+                }
+            });
+            for probe in 0..100 {
+                let r = probed
+                    .recv_timeout(Duration::from_secs(10))
+                    .unwrap_or_else(|_| panic!("try_recv {probe} blocked behind recv"));
+                assert_eq!(r, Err(super::TryRecvError::Empty));
+            }
+            prober.join().unwrap();
             tx.send(7).unwrap();
             assert_eq!(blocked.join().unwrap().unwrap(), 7);
         }

@@ -14,6 +14,7 @@
 
 use bookleaf::core::{decks, Deck, ExecutorKind, RunConfig, Simulation};
 use bookleaf::hydro::AccMode;
+use bookleaf::util::Vec2;
 use bookleaf::{ConservationTracer, RunReport, Shared};
 
 const TOL: f64 = 1e-12;
@@ -353,11 +354,49 @@ impl bookleaf::Observer for DerivedStateAudit {
     }
 }
 
+/// Every field of the global `(mesh, state)` pair, as bits.
+fn global_bits(sim: &Simulation) -> Vec<(&'static str, Vec<u64>)> {
+    let (mesh, st) = (sim.mesh(), sim.state());
+    let scalars = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let rows = |v: &[[f64; 4]]| scalars(v.as_flattened());
+    let vectors = |v: &[Vec2]| {
+        v.iter()
+            .flat_map(|p| [p.x.to_bits(), p.y.to_bits()])
+            .collect()
+    };
+    vec![
+        ("nodes", vectors(&mesh.nodes)),
+        ("mass", scalars(&st.mass)),
+        ("rho", scalars(&st.rho)),
+        ("ein", scalars(&st.ein)),
+        ("pressure", scalars(&st.pressure)),
+        ("cs2", scalars(&st.cs2)),
+        ("volume", scalars(&st.volume)),
+        ("length", scalars(&st.length)),
+        ("q", scalars(&st.q)),
+        ("div_u", scalars(&st.div_u)),
+        ("edge_q", rows(&st.edge_q)),
+        ("cnmass", rows(&st.cnmass)),
+        ("cnvol", rows(&st.cnvol)),
+        ("cnforce_x", rows(&st.cnforce_x)),
+        ("cnforce_y", rows(&st.cnforce_y)),
+        ("u", vectors(&st.u)),
+        ("ubar", vectors(&st.ubar)),
+        ("nd_mass", scalars(&st.nd_mass)),
+    ]
+}
+
 /// The invariant every pause rests on: at each step boundary the
 /// derived fields (p, c², volume, corner volumes, length) already *are*
 /// what `getgeom` + `getpc` make of the restart fields — so installing
 /// a checkpoint, which re-derives them, moves no bits. Lagrangian and
 /// both ALE flavours, under serial, flat MPI and hybrid.
+///
+/// A distributed simulation keeps only those restart fields between
+/// runs; the `mesh()` / `state()` it shows are built from them on
+/// request, by the same installer a resume goes through — so mid-run
+/// and at the end they equal, field for field and bitwise, the pair a
+/// serial resume of its checkpoint starts from.
 #[test]
 fn derived_state_is_a_pure_function_of_the_restart_fields() {
     use bookleaf::ale::{AleMode, AleOptions};
@@ -396,7 +435,26 @@ fn derived_state_is_a_pure_function_of_the_restart_fields() {
                 .observer(audit.clone())
                 .build()
                 .unwrap();
-            sim.run().unwrap();
+            for segment in [5, 7] {
+                sim.run_segment(segment).unwrap();
+                if executor == ExecutorKind::Serial {
+                    continue;
+                }
+                let installed = Simulation::builder()
+                    .resume_from(sim.checkpoint().unwrap())
+                    .executor(ExecutorKind::Serial)
+                    .build()
+                    .unwrap();
+                for (view, want) in global_bits(&sim).iter().zip(&global_bits(&installed)) {
+                    assert!(
+                        view == want,
+                        "{ale:?} on {executor:?}: the view's {} is not the installed \
+                         checkpoint's after the segment of {segment}",
+                        view.0
+                    );
+                }
+            }
+            assert!(sim.complete());
             audit.with(|a| {
                 assert!(
                     a.moved.is_empty(),

@@ -1,14 +1,18 @@
-//! A steady-state Lagrangian step allocates nothing.
+//! A steady-state Lagrangian step allocates nothing, and neither does
+//! the Eulerian remap after it.
 //!
 //! Every buffer a step needs beyond the state itself (start-of-step
 //! positions and energies, the cell-velocity table, the nodal sums, the
 //! listed pass's rows) lives in the thread's scratch and is reused, so
 //! after one warm-up step the allocator is not called again — split or
-//! unsplit, gather or scatter. A counting `#[global_allocator]` pins it.
+//! unsplit, gather or scatter. The remap works in that same scratch
+//! (idle between steps) and targets the reference mesh it already
+//! holds. A counting `#[global_allocator]` pins both.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use bookleaf::ale::{AleMode, AleOptions, Remapper};
 use bookleaf::eos::{EosSpec, MaterialTable};
 use bookleaf::hydro::{
     lagstep_timed, AccMode, HydroState, KernelSplit, LagOptions, LocalRange, NoComm,
@@ -118,4 +122,52 @@ fn a_warm_serial_step_performs_no_heap_allocation() {
             );
         }
     }
+}
+
+#[test]
+fn a_warm_serial_eulerian_remap_performs_no_heap_allocation() {
+    let mut mesh = generate_rect(&RectSpec::unit_square(12), |_| 0).unwrap();
+    let mat = MaterialTable::single(EosSpec::ideal_gas(1.4));
+    let range = LocalRange::whole(&mesh);
+    let nodes = mesh.nodes.clone();
+    // A converging flow over a density pattern: every step moves the
+    // mesh off the reference, every remap carries flux back.
+    let mut state = HydroState::new(
+        &mesh,
+        &mat,
+        |e| 1.0 + 0.01 * (e % 7) as f64,
+        |_| 2.5,
+        |i| (Vec2::new(0.5, 0.5) - nodes[i]) * 0.1,
+    )
+    .unwrap();
+    let remapper = Remapper::new(
+        &mesh,
+        AleOptions {
+            mode: AleMode::Eulerian,
+            frequency: 1,
+        },
+    );
+    let opts = LagOptions::default();
+    let timers = TimerRegistry::new();
+    // The first round is the warm-up that sizes the shared scratch.
+    for warm in [false, true, true] {
+        lagstep_timed(
+            &mut mesh,
+            &mat,
+            &mut state,
+            range,
+            1e-3,
+            &opts,
+            &mut NoComm,
+            &timers,
+            None,
+        )
+        .unwrap();
+        let before = ALLOCATIONS.with(Cell::get);
+        remapper.step(&mut mesh, &mut state, range).unwrap();
+        let made = ALLOCATIONS.with(Cell::get) - before;
+        assert!(!warm || made == 0, "{made} allocations in a warm remap");
+    }
+    // The remaps ran: the moved mesh is back on the reference.
+    assert_eq!(mesh.nodes, nodes);
 }
