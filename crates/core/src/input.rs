@@ -13,13 +13,9 @@
 //!
 //! The spec types carry serde derives so the format can swap to a real
 //! serde backend when the workspace vendors one; the shims' derives are
-//! no-ops (see `shims/README.md`), so the codec below is hand-rolled in
-//! the same field-per-key shape a serde TOML round trip would use.
-//!
-//! Errors are typed and line-anchored: a malformed file fails with
-//! [`DeckError::Text`] naming the 1-based offending line; an
-//! inconsistent but syntactically valid spec fails with
-//! [`DeckError::Config`].
+//! no-ops (see `shims/README.md`), so the codec below is hand-rolled —
+//! around one table of the grammar, which the parser, the validator
+//! and the table in these docs all read.
 //!
 //! # Named decks
 //!
@@ -44,43 +40,93 @@
 //! # Generic decks
 //!
 //! A deck with a `[mesh]` section (and no `problem` key) describes the
-//! scenario itself — see [`crate::scenario`] for the semantics. The
-//! full grammar:
+//! scenario itself — see [`crate::scenario`] for the semantics. Any
+//! number of `[material.<name>]` and `[region.<name>]` sections, with
+//! distinct names; region order is significant (first match wins). The
+//! `[control]`/`[dt]`/`[ale]`/`[executor]` sections are shared with
+//! named decks.
 //!
-//! | section | key | type | default | meaning |
-//! |---|---|---|---|---|
-//! | top level | `name` | ident | `generic` | scenario name (reports) |
-//! | `[mesh]` | `nx`, `ny` | int | required | elements per direction (≤ [`MAX_MESH_DIM`]) |
-//! | | `x0`, `y0` | float | `0` | domain lower-left corner |
-//! | | `x1`, `y1` | float | `1` | domain upper-right corner |
-//! | | `skew` | `saltzmann` | none | optional mesh distortion |
-//! | `[material.<name>]` | `eos` | `ideal_gas` \| `tait` \| `jwl` \| `void` | required | EoS form (`void` takes no parameters) |
-//! | | `gamma` | float | — | `ideal_gas` (> 1) and `tait` (≥ 1) |
-//! | | `p0`, `rho0` | float | — | `tait` reference pressure scale / density |
-//! | | `a`, `b`, `r1`, `r2`, `omega`, `rho0` | float | — | `jwl` parameters |
-//! | `[region.<name>]` | `shape` | `rect` \| `circle` \| `halfplane` | required | spatial predicate |
-//! | | `x0`, `y0`, `x1`, `y1` | float | — | `rect` bounds (inclusive) |
-//! | | `cx`, `cy`, `r` | float | — | `circle` centre and radius |
-//! | | `normal_x`, `normal_y`, `offset` | float | — | `halfplane`: inside iff `n·p ≤ offset` |
-//! | | `material` | ident | required | a `[material.<name>]` handle |
-//! | | `rho` | float | required | initial density (> 0) |
-//! | | `ein` *or* `p` | float | required | initial energy, direct or via pressure (exactly one) |
-//! | | `ux`, `uy` | float | `0` | uniform initial velocity |
-//! | | `u_radial` | float | — | radial velocity about the origin (excludes `ux`/`uy`) |
-//! | `[boundary]` | `left`, `right`, `bottom`, `top` | `reflective` \| `free` \| `piston` | `reflective` | per-side condition (≤ 1 piston) |
-//! | | `piston_ux`, `piston_uy` | float | `0` | piston velocity (piston side only) |
+//! # The grammar
 //!
-//! Sections may repeat `[material.<name>]`/`[region.<name>]` with
-//! distinct names; region order is significant (first match wins, see
-//! [`crate::scenario`]). Generic decks must set `final_time` under
-//! `[control]` — there is no standard end time to fall back on. The
-//! `[control]`/`[dt]`/`[ale]`/`[executor]` sections and their defaults
-//! are shared with named decks.
+//! One row per key, checked against the parser's own table by a test.
+//! *under* names the values of the section's discriminator key a row
+//! applies under (a key given under any other is an error at its
+//! line); a default of — means the key has none and may be absent.
+//! Mesh dimensions are capped at [`MAX_MESH_DIM`].
 //!
-//! Every value error is anchored to the offending line: a negative
-//! `rho` points at the `rho = ...` line, an unknown material at the
-//! `material = ...` line, a shadowed region is a [`DeckError::Config`]
-//! naming the region (mesh-dependent checks have no single line).
+//! | section | key | value | under | default | meaning |
+//! |---|---|---|---|---|---|
+//! | top level | `problem` | `sod` \| `noh` \| `sedov` \| `saltzmann` \| `underwater` |  | — | a standard problem; a deck without it is generic and needs `[mesh]` |
+//! | top level | `nx` | int, in 1..=8192 | `problem` = `sod` \| `saltzmann` | required | elements along the tube |
+//! | top level | `ny` | int, in 1..=8192 | `problem` = `sod` \| `saltzmann` | required | elements across the tube |
+//! | top level | `n` | int, in 1..=8192 | `problem` = `noh` \| `sedov` \| `underwater` | required | elements per side |
+//! | top level | `name` | name |  | generic | scenario name, for reports (generic decks only) |
+//! | `[mesh]` | `nx` | int, in 1..=8192 |  | required | elements in x |
+//! | `[mesh]` | `ny` | int, in 1..=8192 |  | required | elements in y |
+//! | `[mesh]` | `x0` | float |  | 0 | domain left edge |
+//! | `[mesh]` | `y0` | float |  | 0 | domain bottom edge |
+//! | `[mesh]` | `x1` | float |  | 1 | domain right edge, `x1 > x0` |
+//! | `[mesh]` | `y1` | float |  | 1 | domain top edge, `y1 > y0` |
+//! | `[mesh]` | `skew` | `saltzmann` |  | — | mesh distortion, applied after region assignment |
+//! | `[material.<name>]` | `eos` | `ideal_gas` \| `tait` \| `jwl` \| `void` |  | required | EoS form (`void` takes no parameters) |
+//! | `[material.<name>]` | `gamma` | float, greater than 1 | `eos` = `ideal_gas` | required | ratio of specific heats |
+//! | `[material.<name>]` | `gamma` | float, at least 1 | `eos` = `tait` | required | Tait exponent |
+//! | `[material.<name>]` | `p0` | float, positive | `eos` = `tait` | required | Tait reference pressure scale |
+//! | `[material.<name>]` | `rho0` | float, positive | `eos` = `tait` \| `jwl` | required | reference density |
+//! | `[material.<name>]` | `a` | float, non-negative | `eos` = `jwl` | required | JWL pressure coefficient |
+//! | `[material.<name>]` | `b` | float, non-negative | `eos` = `jwl` | required | JWL pressure coefficient |
+//! | `[material.<name>]` | `r1` | float, positive | `eos` = `jwl` | required | JWL decay rate |
+//! | `[material.<name>]` | `r2` | float, positive | `eos` = `jwl` | required | JWL decay rate |
+//! | `[material.<name>]` | `omega` | float, positive | `eos` = `jwl` | required | JWL Grüneisen coefficient |
+//! | `[region.<name>]` | `shape` | `rect` \| `circle` \| `halfplane` |  | required | spatial predicate |
+//! | `[region.<name>]` | `x0` | float | `shape` = `rect` | required | left edge (inclusive) |
+//! | `[region.<name>]` | `y0` | float | `shape` = `rect` | required | bottom edge (inclusive) |
+//! | `[region.<name>]` | `x1` | float | `shape` = `rect` | required | right edge (inclusive), `x1 >= x0` |
+//! | `[region.<name>]` | `y1` | float | `shape` = `rect` | required | top edge (inclusive), `y1 >= y0` |
+//! | `[region.<name>]` | `cx` | float | `shape` = `circle` | required | centre x |
+//! | `[region.<name>]` | `cy` | float | `shape` = `circle` | required | centre y |
+//! | `[region.<name>]` | `r` | float, positive | `shape` = `circle` | required | radius |
+//! | `[region.<name>]` | `normal_x` | float | `shape` = `halfplane` | required | normal x; inside iff `n·p ≤ offset` |
+//! | `[region.<name>]` | `normal_y` | float | `shape` = `halfplane` | required | normal y; the normal is non-zero |
+//! | `[region.<name>]` | `offset` | float | `shape` = `halfplane` | required | signed offset along the normal |
+//! | `[region.<name>]` | `material` | name |  | required | a `[material.<name>]` handle |
+//! | `[region.<name>]` | `rho` | float, positive |  | required | initial density |
+//! | `[region.<name>]` | `ein` | float, non-negative |  | — | initial specific internal energy (exactly one of `ein`, `p`) |
+//! | `[region.<name>]` | `p` | float, non-negative |  | — | initial pressure, inverted through the EoS (not `tait`/`void`) |
+//! | `[region.<name>]` | `ux` | float |  | 0 | uniform initial velocity, x |
+//! | `[region.<name>]` | `uy` | float |  | 0 | uniform initial velocity, y |
+//! | `[region.<name>]` | `u_radial` | float |  | — | radial velocity about the origin (excludes `ux`/`uy`) |
+//! | `[boundary]` | `left` | `reflective` \| `free` \| `piston` |  | reflective | condition on `x = x0` (at most one side is a piston) |
+//! | `[boundary]` | `right` | `reflective` \| `free` \| `piston` |  | reflective | condition on `x = x1` |
+//! | `[boundary]` | `bottom` | `reflective` \| `free` \| `piston` |  | reflective | condition on `y = y0` |
+//! | `[boundary]` | `top` | `reflective` \| `free` \| `piston` |  | reflective | condition on `y = y1` |
+//! | `[boundary]` | `piston_ux` | float |  | 0 | piston velocity, x (needs a piston side) |
+//! | `[boundary]` | `piston_uy` | float |  | 0 | piston velocity, y |
+//! | `[control]` | `final_time` | float, positive |  | standard | stop time; `standard` = the named problem's own, generic decks must set it |
+//! | `[control]` | `max_steps` | int, at least 1 |  | 100000 | hard step cap |
+//! | `[control]` | `overlap` | `true` \| `false` |  | true | overlap halo exchange with computation |
+//! | `[dt]` | `cfl_sf` | float, positive |  | 0.5 | CFL safety factor |
+//! | `[dt]` | `div_sf` | float, positive |  | 0.25 | divergence safety factor |
+//! | `[dt]` | `growth` | float, at least 1 |  | 1.02 | largest step-to-step growth of `dt` |
+//! | `[dt]` | `dt_initial` | float, positive |  | 0.00001 | first time step |
+//! | `[dt]` | `dt_max` | float, positive |  | 0.1 | largest time step |
+//! | `[dt]` | `dt_min` | float, positive |  | 0.000000000001 | smallest time step, `dt_min <= dt_max` |
+//! | `[ale]` | `mode` | `eulerian` \| `smooth` |  | required | remap target: back to the initial mesh, or a smoothed one |
+//! | `[ale]` | `alpha` | float, in (0, 1] | `mode` = `smooth` | required | smoothing weight |
+//! | `[ale]` | `frequency` | int, at least 1 |  | 1 | remap every this many steps |
+//! | `[executor]` | `model` | `serial` \| `flat_mpi` \| `hybrid` |  | serial | programming model |
+//! | `[executor]` | `ranks` | int, at least 1 | `model` = `flat_mpi` \| `hybrid` | required | rank threads |
+//! | `[executor]` | `threads_per_rank` | int, at least 1 | `model` = `hybrid` | required | rayon threads inside each rank |
+//!
+//! Errors are typed ([`DeckError`]), and every error of a text deck
+//! names its 1-based line ([`DeckError::Text`]): a syntax error,
+//! an unknown or duplicate key, a key that does not apply under the
+//! section's variant, and a value out of range point at the offending
+//! line; a missing key points at the variant's discriminator line, or
+//! at the section header. Only what has no line is a
+//! [`DeckError::Config`] — a generic deck without `final_time`, a
+//! shadowed region (mesh-dependent, found when the deck is built), and
+//! every error of a deck built in code.
 //!
 //! ```text
 //! name = hot-bubble
@@ -122,16 +168,16 @@ use std::str::FromStr;
 use serde::{Deserialize, Serialize};
 
 use bookleaf_ale::{AleMode, AleOptions};
+use bookleaf_eos::EosSpec;
 use bookleaf_hydro::getdt::DtControls;
 use bookleaf_util::{DeckError, Vec2};
 
 use crate::config::{ExecutorKind, RunConfig};
 use crate::decks::{self, Deck};
 use crate::scenario::{
-    is_ident, BoundarySpec, EnergyInit, GenericSpec, MeshSpec, NamedMaterial, RegionSpec, Shape,
-    SideBc, SkewKind, VelocityInit,
+    pressure_to_ein, BoundarySpec, EnergyInit, GenericSpec, MeshSpec, NamedMaterial, RegionSpec,
+    Shape, SideBc, SkewKind, VelocityInit,
 };
-use bookleaf_eos::EosSpec;
 
 /// Hard cap on a text deck's mesh dimensions: a typo'd `nx = 4000000`
 /// should fail fast, not allocate the machine away.
@@ -220,19 +266,6 @@ impl ProblemSpec {
             ProblemSpec::Generic(g) => g.mesh.cells(),
         }
     }
-
-    /// Named-problem resolution keys; `None` for generic scenarios.
-    fn dims(&self) -> Option<(usize, Option<usize>)> {
-        match *self {
-            ProblemSpec::Sod { nx, ny } | ProblemSpec::Saltzmann { nx, ny } => {
-                (nx, Some(ny)).into()
-            }
-            ProblemSpec::Noh { n } | ProblemSpec::Sedov { n } | ProblemSpec::Underwater { n } => {
-                (n, None).into()
-            }
-            ProblemSpec::Generic(_) => None,
-        }
-    }
 }
 
 /// A fully parsed input deck: problem spec plus every run option.
@@ -277,92 +310,17 @@ impl InputDeck {
     }
 
     /// Check every option for consistency (spec-level; the constructed
-    /// [`Deck`] is checked again by `Deck::validate`).
+    /// [`Deck`] is checked again by `Deck::validate`). The same `check`
+    /// the parser runs, over this deck's flat form — a deck built in
+    /// code has no source lines, so every error is a
+    /// [`DeckError::Config`].
     pub fn validate(&self) -> Result<(), DeckError> {
-        let bad = |message: String| Err(DeckError::Config { message });
-        match &self.problem {
-            ProblemSpec::Generic(g) => {
-                g.validate()?;
-                if self.final_time.is_none() {
-                    return bad("generic decks must set `final_time` in [control] \
-                         (no standard end time to fall back on)"
-                        .into());
-                }
-            }
-            named => {
-                let (a, b) = named.dims().expect("named problems have dims");
-                for d in [Some(a), b].into_iter().flatten() {
-                    if d == 0 || d > MAX_MESH_DIM {
-                        return bad(format!(
-                            "{}: mesh dimension {d} out of range 1..={MAX_MESH_DIM}",
-                            named.name()
-                        ));
-                    }
-                }
-            }
-        }
-        if let Some(t) = self.final_time {
-            if !(t > 0.0 && t.is_finite()) {
-                return bad(format!("final_time must be positive and finite, got {t}"));
-            }
-        }
-        if self.max_steps == 0 {
-            return bad("max_steps must be at least 1".into());
-        }
-        let dt = &self.dt;
-        for (key, v) in [
-            ("cfl_sf", dt.cfl_sf),
-            ("div_sf", dt.div_sf),
-            ("dt_initial", dt.dt_initial),
-            ("dt_max", dt.dt_max),
-            ("dt_min", dt.dt_min),
-        ] {
-            if !(v > 0.0 && v.is_finite()) {
-                return bad(format!("dt.{key} must be positive and finite, got {v}"));
-            }
-        }
-        if !(dt.growth >= 1.0 && dt.growth.is_finite()) {
-            return bad(format!("dt.growth must be at least 1, got {}", dt.growth));
-        }
-        if dt.dt_min > dt.dt_max {
-            return bad(format!(
-                "dt.dt_min ({}) exceeds dt.dt_max ({})",
-                dt.dt_min, dt.dt_max
-            ));
-        }
-        if let Some(ale) = self.ale {
-            if ale.frequency == 0 {
-                return bad("ale.frequency must be at least 1".into());
-            }
-            if let AleMode::Smooth { alpha } = ale.mode {
-                if !(alpha > 0.0 && alpha <= 1.0) {
-                    return bad(format!("ale.alpha must be in (0, 1], got {alpha}"));
-                }
-            }
-        }
-        match self.executor {
-            ExecutorKind::Serial => {}
-            ExecutorKind::FlatMpi { ranks } => {
-                if ranks == 0 {
-                    return bad("executor.ranks must be at least 1".into());
-                }
-            }
-            ExecutorKind::Hybrid {
-                ranks,
-                threads_per_rank,
-            } => {
-                if ranks == 0 || threads_per_rank == 0 {
-                    return bad(
-                        "executor.ranks and executor.threads_per_rank must be at least 1".into(),
-                    );
-                }
-            }
-        }
-        Ok(())
+        check(&collect(|out| self.flatten(out)), true)
     }
 
     /// Construct the runtime [`Deck`] this spec describes.
     pub fn build_deck(&self) -> Result<Deck, DeckError> {
+        // Fields are public and may have been edited since the parse.
         self.validate()?;
         Ok(match &self.problem {
             ProblemSpec::Sod { nx, ny } => decks::sod(*nx, *ny),
@@ -371,7 +329,7 @@ impl InputDeck {
             ProblemSpec::Saltzmann { nx, ny } => decks::saltzmann(*nx, *ny),
             ProblemSpec::Underwater { n } => decks::underwater(*n),
             ProblemSpec::Generic(g) => {
-                let mut deck = g.build()?;
+                let mut deck = g.build_validated()?;
                 // validate() above guarantees an explicit final_time.
                 if let Some(t) = self.final_time {
                     deck.recommended_final_time = t;
@@ -400,103 +358,1014 @@ impl InputDeck {
 }
 
 // ---------------------------------------------------------------------------
-// Writer.
+// The grammar, once, as data. The parser, `check`, the writer's flat
+// form and the table in the module docs all read `SCHEMA`.
 
-impl fmt::Display for InputDeck {
-    /// Canonical text form; `deck.to_string().parse()` reproduces the
-    /// deck exactly (floats print in shortest round-trip form). Named
-    /// decks keep the exact byte form the versioned checkpoint format
-    /// embeds — do not reorder their keys.
+/// Admissible range of a numeric value, on top of *finite*.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Range {
+    Any,
+    Positive,
+    NonNegative,
+    Above1,
+    AtLeast1,
+    UnitInterval,
+    MeshDim,
+}
+
+impl Range {
+    /// How the range reads in a message, and its test.
+    fn rule(self) -> (&'static str, fn(f64) -> bool) {
+        match self {
+            Range::Any => ("finite", |_| true),
+            Range::Positive => ("positive", |v| v > 0.0),
+            Range::NonNegative => ("non-negative", |v| v >= 0.0),
+            Range::Above1 => ("greater than 1", |v| v > 1.0),
+            Range::AtLeast1 => ("at least 1", |v| v >= 1.0),
+            Range::UnitInterval => ("in (0, 1]", |v| v > 0.0 && v <= 1.0),
+            Range::MeshDim => ("in 1..=8192", |v| v >= 1.0 && v <= MAX_MESH_DIM as f64),
+        }
+    }
+}
+
+/// The type of a key's value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Ty {
+    Int(Range),
+    Num(Range),
+    Bool,
+    /// A name in `[A-Za-z0-9_-]+`.
+    Ident,
+    /// One of a fixed list of words.
+    Word(&'static [&'static str]),
+}
+
+/// Whether a key must be present where it applies; `Opt` carries the
+/// default as the docs table prints it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Need {
+    Req,
+    Opt(&'static str),
+}
+
+/// One section of the grammar.
+#[derive(Debug)]
+struct SectionDef {
+    /// The header word; empty for the top level.
+    name: &'static str,
+    /// The key whose word selects which conditional rows apply.
+    disc: Option<&'static str>,
+    /// Instances are headed `[name.<instance>]`, any number of them.
+    named: bool,
+    /// Legal only in a deck that has a `[mesh]` section.
+    generic_only: bool,
+    /// The section's rows: a contiguous run of `SCHEMA`.
+    keys: &'static [KeyDef],
+}
+
+/// One row of the grammar: a key of a section. A key whose range
+/// depends on the variant (`gamma`) is one row per variant.
+#[derive(Debug)]
+struct KeyDef {
+    section: &'static str,
+    key: &'static str,
+    ty: Ty,
+    /// The discriminator words the key applies under; empty = always.
+    when: &'static [&'static str],
+    need: Need,
+}
+
+impl KeyDef {
+    /// Does the row apply under discriminator value `word`?
+    fn applies(&self, word: Option<&str>) -> bool {
+        self.when.is_empty() || word.is_some_and(|w| self.when.contains(&w))
+    }
+}
+
+const fn section(
+    name: &'static str,
+    disc: Option<&'static str>,
+    named: bool,
+    generic_only: bool,
+) -> SectionDef {
+    // The run of `SCHEMA` rows that name this section, found at
+    // compile time (`str` equality is not `const` yet: compare bytes).
+    let (mut start, mut end, mut i) = (0, 0, 0);
+    while i < SCHEMA.len() {
+        let (row, want) = (SCHEMA[i].section.as_bytes(), name.as_bytes());
+        let mut same = row.len() == want.len();
+        let mut b = 0;
+        while same && b < want.len() {
+            same = row[b] == want[b];
+            b += 1;
+        }
+        if same {
+            if end == 0 {
+                start = i;
+            }
+            assert!(end == 0 || end == i, "a section's rows are contiguous");
+            end = i + 1;
+        }
+        i += 1;
+    }
+    SectionDef {
+        name,
+        disc,
+        named,
+        generic_only,
+        keys: SCHEMA.split_at(end).0.split_at(start).1,
+    }
+}
+
+const fn key(
+    section: &'static str,
+    key: &'static str,
+    ty: Ty,
+    when: &'static [&'static str],
+    need: Need,
+) -> KeyDef {
+    KeyDef {
+        section,
+        key,
+        ty,
+        when,
+        need,
+    }
+}
+
+use Need::{Opt, Req};
+use Range::{Above1, Any, AtLeast1, MeshDim, NonNegative, Positive, UnitInterval};
+use Ty::{Ident, Int, Num, Word};
+
+/// (header word, discriminator key, named instances?, generic decks only?)
+const SECTIONS: &[SectionDef] = &[
+    section("", Some("problem"), false, false),
+    section("mesh", None, false, true),
+    section("material", Some("eos"), true, true),
+    section("region", Some("shape"), true, true),
+    section("boundary", None, false, true),
+    section("control", None, false, false),
+    section("dt", None, false, false),
+    section("ale", Some("mode"), false, false),
+    section("executor", Some("model"), false, false),
+];
+
+const PROBLEM: Ty = Word(&["sod", "noh", "sedov", "saltzmann", "underwater"]);
+const NX_NY: &[&str] = &["sod", "saltzmann"];
+const N: &[&str] = &["noh", "sedov", "underwater"];
+const EOS: Ty = Word(&["ideal_gas", "tait", "jwl", "void"]);
+const TAIT: &[&str] = &["tait"];
+const JWL: &[&str] = &["jwl"];
+const SHAPE: Ty = Word(&["rect", "circle", "halfplane"]);
+const RECT: &[&str] = &["rect"];
+const CIRCLE: &[&str] = &["circle"];
+const HALFPLANE: &[&str] = &["halfplane"];
+const SIDE_BC: Ty = Word(&["reflective", "free", "piston"]);
+const MODEL: Ty = Word(&["serial", "flat_mpi", "hybrid"]);
+const RANKED: &[&str] = &["flat_mpi", "hybrid"];
+const HYBRID: &[&str] = &["hybrid"];
+
+/// (section, key, type and range, applies under, required or default);
+/// a section's rows are contiguous.
+const SCHEMA: &[KeyDef] = &[
+    key("", "problem", PROBLEM, &[], Opt("—")),
+    key("", "nx", Int(MeshDim), NX_NY, Req),
+    key("", "ny", Int(MeshDim), NX_NY, Req),
+    key("", "n", Int(MeshDim), N, Req),
+    key("", "name", Ident, &[], Opt("generic")),
+    key("mesh", "nx", Int(MeshDim), &[], Req),
+    key("mesh", "ny", Int(MeshDim), &[], Req),
+    key("mesh", "x0", Num(Any), &[], Opt("0")),
+    key("mesh", "y0", Num(Any), &[], Opt("0")),
+    key("mesh", "x1", Num(Any), &[], Opt("1")),
+    key("mesh", "y1", Num(Any), &[], Opt("1")),
+    key("mesh", "skew", Word(&["saltzmann"]), &[], Opt("—")),
+    key("material", "eos", EOS, &[], Req),
+    key("material", "gamma", Num(Above1), &["ideal_gas"], Req),
+    key("material", "gamma", Num(AtLeast1), TAIT, Req),
+    key("material", "p0", Num(Positive), TAIT, Req),
+    key("material", "rho0", Num(Positive), &["tait", "jwl"], Req),
+    key("material", "a", Num(NonNegative), JWL, Req),
+    key("material", "b", Num(NonNegative), JWL, Req),
+    key("material", "r1", Num(Positive), JWL, Req),
+    key("material", "r2", Num(Positive), JWL, Req),
+    key("material", "omega", Num(Positive), JWL, Req),
+    key("region", "shape", SHAPE, &[], Req),
+    key("region", "x0", Num(Any), RECT, Req),
+    key("region", "y0", Num(Any), RECT, Req),
+    key("region", "x1", Num(Any), RECT, Req),
+    key("region", "y1", Num(Any), RECT, Req),
+    key("region", "cx", Num(Any), CIRCLE, Req),
+    key("region", "cy", Num(Any), CIRCLE, Req),
+    key("region", "r", Num(Positive), CIRCLE, Req),
+    key("region", "normal_x", Num(Any), HALFPLANE, Req),
+    key("region", "normal_y", Num(Any), HALFPLANE, Req),
+    key("region", "offset", Num(Any), HALFPLANE, Req),
+    key("region", "material", Ident, &[], Req),
+    key("region", "rho", Num(Positive), &[], Req),
+    key("region", "ein", Num(NonNegative), &[], Opt("—")),
+    key("region", "p", Num(NonNegative), &[], Opt("—")),
+    key("region", "ux", Num(Any), &[], Opt("0")),
+    key("region", "uy", Num(Any), &[], Opt("0")),
+    key("region", "u_radial", Num(Any), &[], Opt("—")),
+    key("boundary", "left", SIDE_BC, &[], Opt("reflective")),
+    key("boundary", "right", SIDE_BC, &[], Opt("reflective")),
+    key("boundary", "bottom", SIDE_BC, &[], Opt("reflective")),
+    key("boundary", "top", SIDE_BC, &[], Opt("reflective")),
+    key("boundary", "piston_ux", Num(Any), &[], Opt("0")),
+    key("boundary", "piston_uy", Num(Any), &[], Opt("0")),
+    key("control", "final_time", Num(Positive), &[], Opt("standard")),
+    key("control", "max_steps", Int(AtLeast1), &[], Opt("100000")),
+    key("control", "overlap", Ty::Bool, &[], Opt("true")),
+    key("dt", "cfl_sf", Num(Positive), &[], Opt("0.5")),
+    key("dt", "div_sf", Num(Positive), &[], Opt("0.25")),
+    key("dt", "growth", Num(AtLeast1), &[], Opt("1.02")),
+    key("dt", "dt_initial", Num(Positive), &[], Opt("0.00001")),
+    key("dt", "dt_max", Num(Positive), &[], Opt("0.1")),
+    key("dt", "dt_min", Num(Positive), &[], Opt("0.000000000001")),
+    key("ale", "mode", Word(&["eulerian", "smooth"]), &[], Req),
+    key("ale", "alpha", Num(UnitInterval), &["smooth"], Req),
+    key("ale", "frequency", Int(AtLeast1), &[], Opt("1")),
+    key("executor", "model", MODEL, &[], Opt("serial")),
+    key("executor", "ranks", Int(AtLeast1), RANKED, Req),
+    key("executor", "threads_per_rank", Int(AtLeast1), HYBRID, Req),
+];
+
+/// `` `a`, `b` or `c` `` — how a word list reads in a message.
+fn one_of(words: &[&str]) -> String {
+    let mut out = String::new();
+    for (i, word) in words.iter().enumerate() {
+        if i > 0 {
+            out.push_str(if i + 1 == words.len() { " or " } else { ", " });
+        }
+        out.push('`');
+        out.push_str(word);
+        out.push('`');
+    }
+    out
+}
+
+/// `[A-Za-z0-9_-]+` — the charset deck/material/region names must use
+/// so section headers like `[material.<name>]` stay parseable.
+fn is_ident(s: &str) -> bool {
+    !s.is_empty()
+        && s.chars()
+            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
+}
+
+impl Ty {
+    /// Parse `raw` as a value of this type.
+    fn parse<'a>(self, key: &str, raw: &'a str) -> Result<Val<'a>, String> {
+        match self {
+            Ty::Int(_) => raw
+                .parse()
+                .map(Val::Int)
+                .map_err(|_| format!("`{key}` expects an integer, got `{raw}`")),
+            // `inf`/`nan` parse as `f64`; no key admits them.
+            Ty::Num(_) => match raw.parse::<f64>() {
+                Ok(v) if v.is_finite() => Ok(Val::Num(v)),
+                Ok(_) => Err(format!("`{key}` expects a finite number, got `{raw}`")),
+                Err(_) => Err(format!("`{key}` expects a number, got `{raw}`")),
+            },
+            Ty::Bool => match raw {
+                "true" => Ok(Val::Bool(true)),
+                "false" => Ok(Val::Bool(false)),
+                _ => Err(format!("`{key}` expects `true` or `false`, got `{raw}`")),
+            },
+            Ty::Ident => Ok(Val::Text(raw)),
+            Ty::Word(words) if words.contains(&raw) => Ok(Val::Text(raw)),
+            Ty::Word(words) => Err(format!("`{key}` must be {}, got `{raw}`", one_of(words))),
+        }
+    }
+
+    /// What `val` would have to be to be admissible, when it is not.
+    fn violated(self, val: Val<'_>) -> Option<&'static str> {
+        let ((must_be, admits), v) = match (self, val) {
+            (Ty::Int(range), Val::Int(n)) => (range.rule(), n as f64),
+            (Ty::Num(range), Val::Num(v)) => (range.rule(), v),
+            (Ty::Ident, Val::Text(name)) if !is_ident(name) => {
+                return Some("a non-empty [A-Za-z0-9_-] name");
+            }
+            _ => return None,
+        };
+        // Every range implies *finite*.
+        (!(v.is_finite() && admits(v))).then_some(must_be)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The flat form: sections of typed `key = value` entries, each with its
+// 1-based source line (0 = built in code, not parsed).
+
+/// A typed value; strings borrow from the deck text or the typed deck.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Val<'a> {
+    Int(usize),
+    Num(f64),
+    Bool(bool),
+    Text(&'a str),
+}
+
+impl fmt::Display for Val<'_> {
+    /// Floats print in shortest round-trip form.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "# BookLeaf-rs input deck")?;
-        match &self.problem {
-            ProblemSpec::Generic(g) => write_generic(f, g)?,
-            named => {
-                writeln!(f, "problem = {}", named.name())?;
-                match named.dims().expect("named problems have dims") {
-                    (nx, Some(ny)) => {
-                        writeln!(f, "nx = {nx}")?;
-                        writeln!(f, "ny = {ny}")?;
-                    }
-                    (n, None) => writeln!(f, "n = {n}")?,
-                }
-            }
+        match self {
+            Val::Int(n) => n.fmt(f),
+            Val::Num(v) => v.fmt(f),
+            Val::Bool(b) => b.fmt(f),
+            Val::Text(s) => f.write_str(s),
         }
-        writeln!(f)?;
-        writeln!(f, "[control]")?;
-        if let Some(t) = self.final_time {
-            writeln!(f, "final_time = {t}")?;
+    }
+}
+
+#[derive(Debug)]
+struct Entry<'a> {
+    key: &'static str,
+    val: Val<'a>,
+    line: usize,
+}
+
+#[derive(Debug)]
+struct Section<'a> {
+    def: &'static SectionDef,
+    /// The instance name of a `[material.<name>]`-style section.
+    name: &'a str,
+    /// The header's line.
+    line: usize,
+    entries: Vec<Entry<'a>>,
+}
+
+impl fmt::Display for Section<'_> {
+    /// How messages name the section: `[dt]`, `[region.<name>]`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match (self.def.name, self.def.named) {
+            ("", _) => f.write_str("the top level"),
+            (word, false) => write!(f, "[{word}]"),
+            (word, true) => write!(f, "[{word}.{}]", self.name),
         }
-        writeln!(f, "max_steps = {}", self.max_steps)?;
-        writeln!(f, "overlap = {}", self.overlap)?;
-        writeln!(f)?;
-        writeln!(f, "[dt]")?;
-        writeln!(f, "cfl_sf = {}", self.dt.cfl_sf)?;
-        writeln!(f, "div_sf = {}", self.dt.div_sf)?;
-        writeln!(f, "growth = {}", self.dt.growth)?;
-        writeln!(f, "dt_initial = {}", self.dt.dt_initial)?;
-        writeln!(f, "dt_max = {}", self.dt.dt_max)?;
-        writeln!(f, "dt_min = {}", self.dt.dt_min)?;
-        if let Some(ale) = self.ale {
-            writeln!(f)?;
-            writeln!(f, "[ale]")?;
-            match ale.mode {
-                AleMode::Eulerian => writeln!(f, "mode = eulerian")?,
-                AleMode::Smooth { alpha } => {
-                    writeln!(f, "mode = smooth")?;
-                    writeln!(f, "alpha = {alpha}")?;
-                }
-            }
-            writeln!(f, "frequency = {}", ale.frequency)?;
+    }
+}
+
+const CHECKED: &str = "`check` guarantees required keys";
+
+impl<'a> Section<'a> {
+    fn new(def: &'static SectionDef, name: &'a str, line: usize) -> Self {
+        Section {
+            def,
+            name,
+            line,
+            entries: Vec::with_capacity(def.keys.len()),
         }
-        writeln!(f)?;
-        writeln!(f, "[executor]")?;
-        match self.executor {
-            ExecutorKind::Serial => writeln!(f, "model = serial")?,
-            ExecutorKind::FlatMpi { ranks } => {
-                writeln!(f, "model = flat_mpi")?;
-                writeln!(f, "ranks = {ranks}")?;
-            }
-            ExecutorKind::Hybrid {
-                ranks,
-                threads_per_rank,
-            } => {
-                writeln!(f, "model = hybrid")?;
-                writeln!(f, "ranks = {ranks}")?;
-                writeln!(f, "threads_per_rank = {threads_per_rank}")?;
+    }
+
+    fn get(&self, key: &str) -> Option<&Entry<'a>> {
+        self.entries.iter().find(|e| e.key == key)
+    }
+
+    fn num(&self, key: &str) -> Option<f64> {
+        match self.get(key)?.val {
+            Val::Num(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    fn int(&self, key: &str) -> Option<usize> {
+        match self.get(key)?.val {
+            Val::Int(n) => Some(n),
+            _ => None,
+        }
+    }
+
+    fn text(&self, key: &str) -> Option<&'a str> {
+        match self.get(key)?.val {
+            Val::Text(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// An error anchored at `at`'s line, else at the header's; a
+    /// [`DeckError::Config`] when there is no line to name.
+    fn err(&self, at: Option<&Entry<'_>>, message: impl Into<String>) -> DeckError {
+        let message = message.into();
+        match at.map_or(self.line, |e| e.line) {
+            0 => DeckError::Config { message },
+            line => DeckError::Text { line, message },
+        }
+    }
+
+    /// A named section's instance name: an identifier, used once.
+    fn check_name(&self, earlier: &[Section<'_>]) -> Result<(), DeckError> {
+        let word = self.def.name;
+        if !is_ident(self.name) {
+            let message = format!(
+                "{word} name `{}` must be non-empty [A-Za-z0-9_-]",
+                self.name
+            );
+            return Err(self.err(None, message));
+        }
+        if earlier
+            .iter()
+            .any(|s| s.def.name == word && s.name == self.name)
+        {
+            return Err(self.err(None, format!("duplicate section `{self}`")));
+        }
+        Ok(())
+    }
+
+    /// The table-driven checks of one section: required keys (in table
+    /// order), applicability under the discriminator, value ranges.
+    fn check_keys(&self) -> Result<(), DeckError> {
+        let def = self.def;
+        let disc = def.disc.and_then(|key| self.get(key));
+        let word = def.disc.and_then(|key| self.text(key));
+        let absent = |k: &&KeyDef| k.need == Req && k.applies(word) && self.get(k.key).is_none();
+        if let Some(k) = def.keys.iter().find(absent) {
+            // A variant misses its keys at the discriminator's line,
+            // the section every other at its header's.
+            let (at, who) = match disc {
+                Some(d) if !k.when.is_empty() => (disc, format!("`{} = {}`", d.key, d.val)),
+                _ => (None, self.to_string()),
+            };
+            let hint = match k.ty {
+                Ty::Word(words) => format!(" = {}", one_of(words)),
+                _ => String::new(),
+            };
+            return Err(self.err(at, format!("{who} requires `{}`{hint}", k.key)));
+        }
+        for e in &self.entries {
+            let key = e.key;
+            let Some(row) = def.keys.iter().find(|k| k.key == key && k.applies(word)) else {
+                let disc = def
+                    .disc
+                    .expect("only a discriminator makes a row conditional");
+                let message = match word {
+                    Some(word) => format!("`{key}` does not apply to `{disc} = {word}`"),
+                    None if def.name.is_empty() => format!("`{key}` requires a top-level `{disc}`"),
+                    None => format!("`{key}` requires an {} `{disc}`", def.name),
+                };
+                return Err(self.err(Some(e), message));
+            };
+            if let Some(must_be) = row.ty.violated(e.val) {
+                let message = format!("{self}: `{key}` must be {must_be}, got {}", e.val);
+                return Err(self.err(Some(e), message));
             }
         }
         Ok(())
     }
 }
 
-fn write_generic(f: &mut fmt::Formatter<'_>, g: &GenericSpec) -> fmt::Result {
-    writeln!(f, "name = {}", g.name)?;
-    writeln!(f)?;
-    writeln!(f, "[mesh]")?;
-    writeln!(f, "nx = {}", g.mesh.nx)?;
-    writeln!(f, "ny = {}", g.mesh.ny)?;
-    writeln!(f, "x0 = {}", g.mesh.origin.x)?;
-    writeln!(f, "y0 = {}", g.mesh.origin.y)?;
-    writeln!(f, "x1 = {}", g.mesh.extent.x)?;
-    writeln!(f, "y1 = {}", g.mesh.extent.y)?;
+fn text_err(line: usize, message: String) -> DeckError {
+    DeckError::Text { line, message }
+}
+
+fn sections<'s, 'a>(
+    flat: &'s [Section<'a>],
+    word: &'s str,
+) -> impl Iterator<Item = &'s Section<'a>> {
+    flat.iter().filter(move |s| s.def.name == word)
+}
+
+/// Tokenise `text` into the flat form: look every key up in `SCHEMA`,
+/// parse its value by the row's type, reject unknown and duplicate keys.
+fn parse(text: &str) -> Result<Vec<Section<'_>>, DeckError> {
+    let mut flat = vec![Section::new(&SECTIONS[0], "", 0)];
+    let mut current = 0;
+    for (idx, full_line) in text.lines().enumerate() {
+        let line = idx + 1;
+        // Strip comments and whitespace.
+        let code = full_line.split('#').next().unwrap_or("").trim();
+        if code.is_empty() {
+            continue;
+        }
+        if let Some(rest) = code.strip_prefix('[') {
+            let Some(header) = rest.strip_suffix(']') else {
+                return Err(text_err(line, format!("unterminated section `{code}`")));
+            };
+            let header = header.trim();
+            let (word, name) = match header.split_once('.') {
+                Some((word, name)) => (word, Some(name)),
+                None => (header, None),
+            };
+            let known = |d: &&SectionDef| d.name == word && d.named == name.is_some();
+            let Some(def) = SECTIONS[1..].iter().find(known) else {
+                return Err(text_err(line, format!("unknown section `[{header}]`")));
+            };
+            // A repeated `[control]` continues the first; a repeated
+            // `[material.<name>]` is a new instance (`check` rejects
+            // a duplicate name).
+            current = match flat.iter().position(|s| !def.named && s.def.name == word) {
+                Some(open) => open,
+                None => {
+                    flat.push(Section::new(def, name.unwrap_or(""), line));
+                    flat.len() - 1
+                }
+            };
+            continue;
+        }
+        let Some((key, raw)) = code.split_once('=') else {
+            let message = format!("expected `key = value` or `[section]`, got `{code}`");
+            return Err(text_err(line, message));
+        };
+        let (key, raw) = (key.trim(), raw.trim());
+        if raw.is_empty() {
+            return Err(text_err(line, format!("`{key}` has no value")));
+        }
+        let section = &mut flat[current];
+        let Some(def) = section.def.keys.iter().find(|k| k.key == key) else {
+            let message = format!("unknown key `{key}` in {section}");
+            return Err(text_err(line, message));
+        };
+        // Duplicate keys are last-wins in many loose formats; TOML (our
+        // subset) rejects them, and a silently ignored stale `nx = ..`
+        // is exactly the typo class a strict parser exists to catch.
+        if section.get(key).is_some() {
+            return Err(text_err(line, format!("duplicate key `{key}`")));
+        }
+        let val = def.ty.parse(key, raw).map_err(|m| text_err(line, m))?;
+        section.entries.push(Entry {
+            key: def.key,
+            val,
+            line,
+        });
+    }
+    Ok(flat)
+}
+
+/// The only validation a deck gets, text or typed: the table-driven
+/// per-section checks, then the rules that span keys. `whole_deck` is
+/// false for a bare [`GenericSpec`], which has no `[control]` to hold
+/// the `final_time` a generic *deck* must set.
+fn check(flat: &[Section<'_>], whole_deck: bool) -> Result<(), DeckError> {
+    let top = &flat[0];
+    let find = |word| sections(flat, word).next();
+    let mesh = find("mesh");
+    let problem = top.get("problem");
+    if mesh.is_none() {
+        if let Some(name) = top.get("name") {
+            let message = "`name` applies only to generic decks (add a [mesh] section)";
+            return Err(top.err(Some(name), message));
+        }
+        for def in SECTIONS.iter().filter(|d| d.generic_only) {
+            if let Some(s) = find(def.name) {
+                let message = format!("{s} applies only to generic decks (add a [mesh] section)");
+                return Err(s.err(None, message));
+            }
+        }
+        if problem.is_none() {
+            let message =
+                "deck needs a top-level `problem` key (named) or a [mesh] section (generic)";
+            return Err(top.err(None, message));
+        }
+    } else if problem.is_some() {
+        let message = "a deck gives either `problem` (named) or [mesh] (generic), not both";
+        return Err(top.err(problem, message));
+    }
+    for (i, section) in flat.iter().enumerate().filter(|(_, s)| s.def.named) {
+        section.check_name(&flat[..i])?;
+    }
+    for section in flat {
+        section.check_keys()?;
+    }
+
+    if let Some(mesh) = mesh {
+        let m = build_mesh(mesh);
+        for (lo, hi, a, b) in [
+            ("x0", "x1", m.origin.x, m.extent.x),
+            ("y0", "y1", m.origin.y, m.extent.y),
+        ] {
+            if b <= a {
+                let message = format!("mesh needs {hi} > {lo}, got [{a}, {b}]");
+                return Err(mesh.err(mesh.get(hi).or(mesh.get(lo)), message));
+            }
+        }
+        for kind in ["material", "region"] {
+            if find(kind).is_none() {
+                let message = format!("a generic deck needs at least one [{kind}.<name>] section");
+                return Err(mesh.err(mesh.get("nx"), message));
+            }
+        }
+        for region in sections(flat, "region") {
+            check_region(region, flat)?;
+        }
+        if let Some(boundary) = find("boundary") {
+            // In table (side) order, as the typed form lists them.
+            let keys = boundary.def.keys.iter();
+            let pistons: Vec<&Entry<'_>> = keys
+                .filter_map(|k| boundary.get(k.key))
+                .filter(|e| e.val == Val::Text("piston"))
+                .collect();
+            if let [_, second, ..] = pistons[..] {
+                let sides: Vec<&str> = pistons.iter().map(|e| e.key).collect();
+                let message = format!("at most one side may be a piston, got {}", sides.join(", "));
+                return Err(boundary.err(Some(second), message));
+            }
+            let velocity = boundary.get("piston_ux").or(boundary.get("piston_uy"));
+            if pistons.is_empty() && velocity.is_some() {
+                let message = "piston velocity given but no side is `piston`";
+                return Err(boundary.err(velocity, message));
+            }
+        }
+        if whole_deck && find("control").and_then(|c| c.get("final_time")).is_none() {
+            let message = "generic decks must set `final_time` in [control] \
+                           (no standard end time to fall back on)";
+            return Err(top.err(None, message));
+        }
+    }
+    // Against the defaults when only one of the two is given.
+    let dt = build_dt(find("dt"));
+    if dt.dt_min > dt.dt_max {
+        let s = find("dt").expect("the defaults are ordered, so a key was given");
+        let message = format!("[dt] dt_min ({}) exceeds dt_max ({})", dt.dt_min, dt.dt_max);
+        return Err(s.err(s.get("dt_min").or(s.get("dt_max")), message));
+    }
+    Ok(())
+}
+
+/// The cross-key rules of one `[region.<name>]`.
+fn check_region(r: &Section<'_>, flat: &[Section<'_>]) -> Result<(), DeckError> {
+    let handle = r.text("material").expect(CHECKED);
+    let Some(material) = sections(flat, "material").find(|m| m.name == handle) else {
+        let message = format!("{r} references unknown material `{handle}`");
+        return Err(r.err(r.get("material"), message));
+    };
+    match build_shape(r) {
+        Shape::Rect { x0, y0, x1, y1 } if x1 < x0 || y1 < y0 => {
+            let message = format!("{r} rect needs x1 >= x0 and y1 >= y0");
+            return Err(r.err(r.get("x1"), message));
+        }
+        Shape::HalfPlane {
+            normal_x, normal_y, ..
+        } if normal_x == 0.0 && normal_y == 0.0 => {
+            let message = format!("{r} half-plane normal must be non-zero");
+            return Err(r.err(r.get("normal_x"), message));
+        }
+        _ => {}
+    }
+    match (r.get("ein"), r.get("p")) {
+        (Some(_), Some(p)) => {
+            let message = format!("{r} gives both `ein` and `p`; pick one");
+            return Err(r.err(Some(p), message));
+        }
+        (None, None) => return Err(r.err(None, format!("{r} requires `ein` or `p`"))),
+        (None, Some(at)) => {
+            let (rho, p) = (r.num("rho").expect(CHECKED), r.num("p").expect(CHECKED));
+            if pressure_to_ein(&build_eos(material), rho, p).is_none() {
+                let message = format!(
+                    "{r}: material `{handle}` has a density-only EoS — \
+                     pressure does not determine energy; give `ein`"
+                );
+                return Err(r.err(Some(at), message));
+            }
+        }
+        (Some(_), None) => {}
+    }
+    if let (Some(_), Some(cartesian)) = (r.get("u_radial"), r.get("ux").or(r.get("uy"))) {
+        let message = format!("{r} `ux`/`uy` do not combine with `u_radial`");
+        return Err(r.err(Some(cartesian), message));
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// flat → typed. `check` has passed: required keys are present, so the
+// builders cannot fail.
+
+fn build(flat: &[Section<'_>]) -> InputDeck {
+    let top = &flat[0];
+    let find = |word| sections(flat, word).next();
+    let dims = (top.int("nx"), top.int("ny"), top.int("n"));
+    let problem = match (top.text("problem"), dims) {
+        (None, _) => ProblemSpec::Generic(Box::new(build_generic(flat))),
+        (Some("sod"), (Some(nx), Some(ny), _)) => ProblemSpec::Sod { nx, ny },
+        (Some("saltzmann"), (Some(nx), Some(ny), _)) => ProblemSpec::Saltzmann { nx, ny },
+        (Some("noh"), (.., Some(n))) => ProblemSpec::Noh { n },
+        (Some("sedov"), (.., Some(n))) => ProblemSpec::Sedov { n },
+        (Some("underwater"), (.., Some(n))) => ProblemSpec::Underwater { n },
+        _ => unreachable!("{CHECKED}"),
+    };
+    let control = find("control");
+    let defaults = RunConfig::default();
+    let ale = find("ale").map(|s| AleOptions {
+        mode: match s.text("mode") {
+            Some("smooth") => AleMode::Smooth {
+                alpha: s.num("alpha").expect(CHECKED),
+            },
+            _ => AleMode::Eulerian,
+        },
+        frequency: s.int("frequency").unwrap_or(1),
+    });
+    let executor = find("executor").map_or(ExecutorKind::Serial, |s| {
+        let count = |key| s.int(key).expect(CHECKED);
+        match s.text("model") {
+            Some("flat_mpi") => ExecutorKind::FlatMpi {
+                ranks: count("ranks"),
+            },
+            Some("hybrid") => ExecutorKind::Hybrid {
+                ranks: count("ranks"),
+                threads_per_rank: count("threads_per_rank"),
+            },
+            _ => ExecutorKind::Serial,
+        }
+    });
+    InputDeck {
+        problem,
+        final_time: control.and_then(|c| c.num("final_time")),
+        max_steps: control
+            .and_then(|c| c.int("max_steps"))
+            .unwrap_or(defaults.max_steps),
+        overlap: match control.and_then(|c| c.get("overlap")) {
+            Some(e) => e.val == Val::Bool(true),
+            None => defaults.overlap,
+        },
+        dt: build_dt(find("dt")),
+        ale,
+        executor,
+    }
+}
+
+fn build_dt(section: Option<&Section<'_>>) -> DtControls {
+    let d = DtControls::default();
+    let num = |key, default| section.and_then(|s| s.num(key)).unwrap_or(default);
+    DtControls {
+        cfl_sf: num("cfl_sf", d.cfl_sf),
+        div_sf: num("div_sf", d.div_sf),
+        growth: num("growth", d.growth),
+        dt_initial: num("dt_initial", d.dt_initial),
+        dt_max: num("dt_max", d.dt_max),
+        dt_min: num("dt_min", d.dt_min),
+    }
+}
+
+fn build_generic(flat: &[Section<'_>]) -> GenericSpec {
+    let material = |s: &Section<'_>| NamedMaterial {
+        name: s.name.into(),
+        eos: build_eos(s),
+    };
+    let mesh = sections(flat, "mesh").next().expect(CHECKED);
+    GenericSpec {
+        name: flat[0].text("name").unwrap_or("generic").into(),
+        mesh: build_mesh(mesh),
+        materials: sections(flat, "material").map(material).collect(),
+        regions: sections(flat, "region").map(build_region).collect(),
+        boundary: sections(flat, "boundary")
+            .next()
+            .map_or_else(BoundarySpec::default, build_boundary),
+    }
+}
+
+fn build_mesh(s: &Section<'_>) -> MeshSpec {
+    MeshSpec {
+        nx: s.int("nx").expect(CHECKED),
+        ny: s.int("ny").expect(CHECKED),
+        origin: Vec2::new(s.num("x0").unwrap_or(0.0), s.num("y0").unwrap_or(0.0)),
+        extent: Vec2::new(s.num("x1").unwrap_or(1.0), s.num("y1").unwrap_or(1.0)),
+        skew: s.get("skew").map(|_| SkewKind::Saltzmann),
+    }
+}
+
+fn build_eos(s: &Section<'_>) -> EosSpec {
+    let p = |key| s.num(key).expect(CHECKED);
+    match s.text("eos").expect(CHECKED) {
+        "void" => EosSpec::Void,
+        "ideal_gas" => EosSpec::IdealGas { gamma: p("gamma") },
+        "tait" => EosSpec::Tait {
+            p0: p("p0"),
+            rho0: p("rho0"),
+            gamma: p("gamma"),
+        },
+        _ => EosSpec::Jwl {
+            a: p("a"),
+            b: p("b"),
+            r1: p("r1"),
+            r2: p("r2"),
+            omega: p("omega"),
+            rho0: p("rho0"),
+        },
+    }
+}
+
+fn build_shape(s: &Section<'_>) -> Shape {
+    let p = |key| s.num(key).expect(CHECKED);
+    match s.text("shape").expect(CHECKED) {
+        "rect" => Shape::Rect {
+            x0: p("x0"),
+            y0: p("y0"),
+            x1: p("x1"),
+            y1: p("y1"),
+        },
+        "circle" => Shape::Circle {
+            cx: p("cx"),
+            cy: p("cy"),
+            r: p("r"),
+        },
+        _ => Shape::HalfPlane {
+            normal_x: p("normal_x"),
+            normal_y: p("normal_y"),
+            offset: p("offset"),
+        },
+    }
+}
+
+fn build_region(s: &Section<'_>) -> RegionSpec {
+    RegionSpec {
+        name: s.name.into(),
+        shape: build_shape(s),
+        material: s.text("material").expect(CHECKED).into(),
+        rho: s.num("rho").expect(CHECKED),
+        energy: match s.num("ein") {
+            Some(ein) => EnergyInit::Ein(ein),
+            None => EnergyInit::Pressure(s.num("p").expect(CHECKED)),
+        },
+        velocity: match s.num("u_radial") {
+            Some(speed) => VelocityInit::Radial { speed },
+            None => VelocityInit::Constant(Vec2::new(
+                s.num("ux").unwrap_or(0.0),
+                s.num("uy").unwrap_or(0.0),
+            )),
+        },
+    }
+}
+
+fn build_boundary(s: &Section<'_>) -> BoundarySpec {
+    let side = |key| match s.text(key) {
+        Some("free") => SideBc::Free,
+        Some("piston") => SideBc::Piston,
+        _ => SideBc::Reflective,
+    };
+    let sides = [side("left"), side("right"), side("bottom"), side("top")];
+    let [left, right, bottom, top] = sides;
+    BoundarySpec {
+        left,
+        right,
+        bottom,
+        top,
+        // `check` admits a piston velocity only beside a piston side.
+        piston_u: sides.contains(&SideBc::Piston).then(|| {
+            Vec2::new(
+                s.num("piston_ux").unwrap_or(0.0),
+                s.num("piston_uy").unwrap_or(0.0),
+            )
+        }),
+    }
+}
+
+impl FromStr for InputDeck {
+    type Err = DeckError;
+
+    fn from_str(text: &str) -> Result<Self, DeckError> {
+        let flat = parse(text)?;
+        check(&flat, true)?;
+        Ok(build(&flat))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// typed → flat, in the writer's order. `Display` prints the walk,
+// `validate` collects it for `check`.
+
+/// One step of a walk over a deck in canonical order: a section header
+/// `(word, instance name)` or a `(key, value)` entry of the open section.
+enum Item<'a> {
+    Section(&'static str, &'a str),
+    Entry(&'static str, Val<'a>),
+}
+
+/// The flat form of a typed deck (no source lines).
+fn collect<'a>(walk: impl FnOnce(&mut dyn FnMut(Item<'a>))) -> Vec<Section<'a>> {
+    let mut flat = vec![Section::new(&SECTIONS[0], "", 0)];
+    walk(&mut |item| match item {
+        Item::Section(word, name) => {
+            let def = SECTIONS.iter().find(|d| d.name == word);
+            flat.push(Section::new(def.expect("a grammar section"), name, 0));
+        }
+        Item::Entry(key, val) => {
+            let open = flat.last_mut().expect("starts with the top level");
+            open.entries.push(Entry { key, val, line: 0 });
+        }
+    });
+    flat
+}
+
+/// `check` over a bare [`GenericSpec`] — [`GenericSpec::validate`].
+pub(crate) fn check_generic(spec: &GenericSpec) -> Result<(), DeckError> {
+    check(&collect(|out| flatten_generic(spec, out)), false)
+}
+
+fn nums<'a>(out: &mut (impl FnMut(Item<'a>) + ?Sized), entries: &[(&'static str, f64)]) {
+    for &(key, v) in entries {
+        out(Item::Entry(key, Val::Num(v)));
+    }
+}
+
+/// A discriminator entry, then its variant's numeric entries.
+fn variant<'a>(
+    out: &mut (impl FnMut(Item<'a>) + ?Sized),
+    disc: &'static str,
+    word: &'static str,
+    entries: &[(&'static str, f64)],
+) {
+    out(Item::Entry(disc, Val::Text(word)));
+    nums(out, entries);
+}
+
+impl InputDeck {
+    /// Walk the deck in canonical order, omitting what the canonical
+    /// text omits (an absent `final_time`, a Lagrangian deck's `[ale]`).
+    /// Named decks keep the exact order the versioned checkpoint format
+    /// embeds — do not reorder their keys.
+    fn flatten<'a>(&'a self, out: &mut (impl FnMut(Item<'a>) + ?Sized)) {
+        use Item::{Entry, Section};
+        use Val::{Bool, Int, Text};
+        match self.problem {
+            ProblemSpec::Generic(ref g) => flatten_generic(g, out),
+            ProblemSpec::Sod { nx, ny } | ProblemSpec::Saltzmann { nx, ny } => {
+                out(Entry("problem", Text(self.problem.name())));
+                out(Entry("nx", Int(nx)));
+                out(Entry("ny", Int(ny)));
+            }
+            ProblemSpec::Noh { n } | ProblemSpec::Sedov { n } | ProblemSpec::Underwater { n } => {
+                out(Entry("problem", Text(self.problem.name())));
+                out(Entry("n", Int(n)));
+            }
+        }
+        out(Section("control", ""));
+        if let Some(t) = self.final_time {
+            out(Entry("final_time", Val::Num(t)));
+        }
+        out(Entry("max_steps", Int(self.max_steps)));
+        out(Entry("overlap", Bool(self.overlap)));
+        out(Section("dt", ""));
+        let dt = &self.dt;
+        nums(
+            out,
+            &[
+                ("cfl_sf", dt.cfl_sf),
+                ("div_sf", dt.div_sf),
+                ("growth", dt.growth),
+                ("dt_initial", dt.dt_initial),
+                ("dt_max", dt.dt_max),
+                ("dt_min", dt.dt_min),
+            ],
+        );
+        if let Some(ale) = self.ale {
+            out(Section("ale", ""));
+            match ale.mode {
+                AleMode::Eulerian => variant(out, "mode", "eulerian", &[]),
+                AleMode::Smooth { alpha } => variant(out, "mode", "smooth", &[("alpha", alpha)]),
+            }
+            out(Entry("frequency", Int(ale.frequency)));
+        }
+        out(Section("executor", ""));
+        match self.executor {
+            ExecutorKind::Serial => out(Entry("model", Text("serial"))),
+            ExecutorKind::FlatMpi { ranks } => {
+                out(Entry("model", Text("flat_mpi")));
+                out(Entry("ranks", Int(ranks)));
+            }
+            ExecutorKind::Hybrid {
+                ranks,
+                threads_per_rank,
+            } => {
+                out(Entry("model", Text("hybrid")));
+                out(Entry("ranks", Int(ranks)));
+                out(Entry("threads_per_rank", Int(threads_per_rank)));
+            }
+        }
+    }
+}
+
+fn flatten_generic<'a>(g: &'a GenericSpec, out: &mut (impl FnMut(Item<'a>) + ?Sized)) {
+    use Item::{Entry, Section};
+    use Val::{Int, Text};
+    out(Entry("name", Text(&g.name)));
+    out(Section("mesh", ""));
+    out(Entry("nx", Int(g.mesh.nx)));
+    out(Entry("ny", Int(g.mesh.ny)));
+    let (origin, extent) = (g.mesh.origin, g.mesh.extent);
+    nums(
+        out,
+        &[
+            ("x0", origin.x),
+            ("y0", origin.y),
+            ("x1", extent.x),
+            ("y1", extent.y),
+        ],
+    );
     if let Some(SkewKind::Saltzmann) = g.mesh.skew {
-        writeln!(f, "skew = saltzmann")?;
+        out(Entry("skew", Text("saltzmann")));
     }
     for mat in &g.materials {
-        writeln!(f)?;
-        writeln!(f, "[material.{}]", mat.name)?;
+        out(Section("material", &mat.name));
         match mat.eos {
-            EosSpec::Void => writeln!(f, "eos = void")?,
-            EosSpec::IdealGas { gamma } => {
-                writeln!(f, "eos = ideal_gas")?;
-                writeln!(f, "gamma = {gamma}")?;
-            }
+            EosSpec::Void => variant(out, "eos", "void", &[]),
+            EosSpec::IdealGas { gamma } => variant(out, "eos", "ideal_gas", &[("gamma", gamma)]),
             EosSpec::Tait { p0, rho0, gamma } => {
-                writeln!(f, "eos = tait")?;
-                writeln!(f, "p0 = {p0}")?;
-                writeln!(f, "rho0 = {rho0}")?;
-                writeln!(f, "gamma = {gamma}")?;
+                variant(
+                    out,
+                    "eos",
+                    "tait",
+                    &[("p0", p0), ("rho0", rho0), ("gamma", gamma)],
+                );
             }
             EosSpec::Jwl {
                 a,
@@ -506,1027 +1375,97 @@ fn write_generic(f: &mut fmt::Formatter<'_>, g: &GenericSpec) -> fmt::Result {
                 omega,
                 rho0,
             } => {
-                writeln!(f, "eos = jwl")?;
-                writeln!(f, "a = {a}")?;
-                writeln!(f, "b = {b}")?;
-                writeln!(f, "r1 = {r1}")?;
-                writeln!(f, "r2 = {r2}")?;
-                writeln!(f, "omega = {omega}")?;
-                writeln!(f, "rho0 = {rho0}")?;
+                let params = [
+                    ("a", a),
+                    ("b", b),
+                    ("r1", r1),
+                    ("r2", r2),
+                    ("omega", omega),
+                    ("rho0", rho0),
+                ];
+                variant(out, "eos", "jwl", &params);
             }
         }
     }
     for reg in &g.regions {
-        writeln!(f)?;
-        writeln!(f, "[region.{}]", reg.name)?;
+        out(Section("region", &reg.name));
         match reg.shape {
             Shape::Rect { x0, y0, x1, y1 } => {
-                writeln!(f, "shape = rect")?;
-                writeln!(f, "x0 = {x0}")?;
-                writeln!(f, "y0 = {y0}")?;
-                writeln!(f, "x1 = {x1}")?;
-                writeln!(f, "y1 = {y1}")?;
+                variant(
+                    out,
+                    "shape",
+                    "rect",
+                    &[("x0", x0), ("y0", y0), ("x1", x1), ("y1", y1)],
+                );
             }
             Shape::Circle { cx, cy, r } => {
-                writeln!(f, "shape = circle")?;
-                writeln!(f, "cx = {cx}")?;
-                writeln!(f, "cy = {cy}")?;
-                writeln!(f, "r = {r}")?;
+                variant(out, "shape", "circle", &[("cx", cx), ("cy", cy), ("r", r)]);
             }
             Shape::HalfPlane {
                 normal_x,
                 normal_y,
                 offset,
             } => {
-                writeln!(f, "shape = halfplane")?;
-                writeln!(f, "normal_x = {normal_x}")?;
-                writeln!(f, "normal_y = {normal_y}")?;
-                writeln!(f, "offset = {offset}")?;
+                let params = [
+                    ("normal_x", normal_x),
+                    ("normal_y", normal_y),
+                    ("offset", offset),
+                ];
+                variant(out, "shape", "halfplane", &params);
             }
         }
-        writeln!(f, "material = {}", reg.material)?;
-        writeln!(f, "rho = {}", reg.rho)?;
+        out(Entry("material", Text(&reg.material)));
+        nums(out, &[("rho", reg.rho)]);
         match reg.energy {
-            EnergyInit::Ein(e) => writeln!(f, "ein = {e}")?,
-            EnergyInit::Pressure(p) => writeln!(f, "p = {p}")?,
+            EnergyInit::Ein(e) => nums(out, &[("ein", e)]),
+            EnergyInit::Pressure(p) => nums(out, &[("p", p)]),
         }
         match reg.velocity {
-            VelocityInit::Constant(v) => {
-                writeln!(f, "ux = {}", v.x)?;
-                writeln!(f, "uy = {}", v.y)?;
-            }
-            VelocityInit::Radial { speed } => writeln!(f, "u_radial = {speed}")?,
+            VelocityInit::Constant(v) => nums(out, &[("ux", v.x), ("uy", v.y)]),
+            VelocityInit::Radial { speed } => nums(out, &[("u_radial", speed)]),
         }
     }
     if g.boundary != BoundarySpec::default() {
-        writeln!(f)?;
-        writeln!(f, "[boundary]")?;
-        for (side, bc) in [
-            ("left", g.boundary.left),
-            ("right", g.boundary.right),
-            ("bottom", g.boundary.bottom),
-            ("top", g.boundary.top),
-        ] {
+        out(Section("boundary", ""));
+        for (side, bc) in g.boundary.sides() {
             let word = match bc {
                 SideBc::Reflective => "reflective",
                 SideBc::Free => "free",
                 SideBc::Piston => "piston",
             };
-            writeln!(f, "{side} = {word}")?;
+            out(Entry(side, Text(word)));
         }
         if let Some(u) = g.boundary.piston_u {
-            writeln!(f, "piston_ux = {}", u.x)?;
-            writeln!(f, "piston_uy = {}", u.y)?;
+            nums(out, &[("piston_ux", u.x), ("piston_uy", u.y)]);
         }
     }
-    Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Parser.
-
-/// A value with the 1-based line it came from (for anchored errors).
-#[derive(Debug, Clone)]
-struct At<T> {
-    value: T,
-    line: usize,
-}
-
-/// Which section the parser is inside. `Material`/`Region` index into
-/// the raw accumulator's vectors (one entry per section header).
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Sec {
-    Top,
-    Control,
-    Dt,
-    Ale,
-    Executor,
-    Mesh,
-    Boundary,
-    Material(usize),
-    Region(usize),
-}
-
-#[derive(Default)]
-struct RawMaterial {
-    name: String,
-    line: usize,
-    eos: Option<At<&'static str>>,
-    params: Vec<(String, At<f64>)>,
-}
-
-#[derive(Default)]
-struct RawRegion {
-    name: String,
-    line: usize,
-    shape: Option<At<&'static str>>,
-    material: Option<At<String>>,
-    nums: Vec<(String, At<f64>)>,
-}
-
-#[derive(Default)]
-struct RawDeck {
-    problem: Option<At<&'static str>>,
-    nx: Option<At<usize>>,
-    ny: Option<At<usize>>,
-    n: Option<At<usize>>,
-    name: Option<At<String>>,
-    mesh: Option<usize>, // [mesh] header line
-    mesh_nx: Option<At<usize>>,
-    mesh_ny: Option<At<usize>>,
-    mesh_x0: Option<At<f64>>,
-    mesh_y0: Option<At<f64>>,
-    mesh_x1: Option<At<f64>>,
-    mesh_y1: Option<At<f64>>,
-    mesh_skew: Option<At<&'static str>>,
-    materials: Vec<RawMaterial>,
-    regions: Vec<RawRegion>,
-    boundary: Option<usize>,                  // [boundary] header line
-    bnd_sides: [Option<At<&'static str>>; 4], // left, right, bottom, top
-    bnd_piston_ux: Option<At<f64>>,
-    bnd_piston_uy: Option<At<f64>>,
-    final_time: Option<f64>,
-    max_steps: Option<usize>,
-    overlap: Option<bool>,
-    dt: DtControls,
-    ale_present: bool,
-    ale_mode: Option<At<&'static str>>,
-    ale_alpha: Option<At<f64>>,
-    ale_frequency: Option<usize>,
-    exec_model: Option<At<&'static str>>,
-    exec_ranks: Option<At<usize>>,
-    exec_threads: Option<At<usize>>,
-}
-
-fn text_err(line: usize, message: impl Into<String>) -> DeckError {
-    DeckError::Text {
-        line,
-        message: message.into(),
+impl fmt::Display for Item<'_> {
+    /// One line of canonical text (a header brings its blank line).
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Item::Section(word, "") => write!(f, "\n[{word}]\n"),
+            Item::Section(word, name) => write!(f, "\n[{word}.{name}]\n"),
+            Item::Entry(key, val) => {
+                f.write_str(key)?;
+                f.write_str(" = ")?;
+                val.fmt(f)?;
+                f.write_str("\n")
+            }
+        }
     }
 }
 
-fn parse_num<T: FromStr>(line: usize, key: &str, raw: &str, kind: &str) -> Result<T, DeckError> {
-    raw.parse::<T>()
-        .map_err(|_| text_err(line, format!("`{key}` expects {kind}, got `{raw}`")))
-}
-
-/// Floats in a deck must be finite — `inf`/`nan` parse as `f64` but
-/// would only fail later, unanchored, in `InputDeck::validate`; reject
-/// them here so the error keeps its line.
-fn parse_f64(line: usize, key: &str, raw: &str) -> Result<f64, DeckError> {
-    let v: f64 = parse_num(line, key, raw, "a number")?;
-    if !v.is_finite() {
-        return Err(text_err(
-            line,
-            format!("`{key}` expects a finite number, got `{raw}`"),
-        ));
+impl fmt::Display for InputDeck {
+    /// Canonical text form; `deck.to_string().parse()` reproduces the
+    /// deck exactly.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("# BookLeaf-rs input deck\n")?;
+        let mut result = Ok(());
+        self.flatten(&mut |item| result = result.and_then(|()| item.fmt(f)));
+        result
     }
-    Ok(v)
-}
-
-fn parse_bool(line: usize, key: &str, raw: &str) -> Result<bool, DeckError> {
-    match raw {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        _ => Err(text_err(
-            line,
-            format!("`{key}` expects `true` or `false`, got `{raw}`"),
-        )),
-    }
-}
-
-/// The section label used for duplicate-key tracking and line lookups
-/// (`material.<name>`-style for the dynamic sections).
-fn sec_label(raw: &RawDeck, sec: Sec) -> String {
-    match sec {
-        Sec::Top => String::new(),
-        Sec::Control => "control".into(),
-        Sec::Dt => "dt".into(),
-        Sec::Ale => "ale".into(),
-        Sec::Executor => "executor".into(),
-        Sec::Mesh => "mesh".into(),
-        Sec::Boundary => "boundary".into(),
-        Sec::Material(i) => format!("material.{}", raw.materials[i].name),
-        Sec::Region(i) => format!("region.{}", raw.regions[i].name),
-    }
-}
-
-impl FromStr for InputDeck {
-    type Err = DeckError;
-
-    fn from_str(text: &str) -> Result<Self, DeckError> {
-        let mut raw = RawDeck::default();
-        let mut section = Sec::Top;
-        // Duplicate keys are last-wins in many loose formats; TOML (our
-        // subset) rejects them, and a silently ignored stale `nx = ..`
-        // is exactly the typo class a strict parser exists to catch.
-        // The map doubles as the source-line index for anchoring
-        // value errors found after assembly.
-        let mut seen: std::collections::HashMap<(String, String), usize> =
-            std::collections::HashMap::new();
-        for (idx, full_line) in text.lines().enumerate() {
-            let lineno = idx + 1;
-            // Strip comments and whitespace.
-            let line = full_line.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(name) = line.strip_prefix('[') {
-                let Some(name) = name.strip_suffix(']') else {
-                    return Err(text_err(lineno, format!("unterminated section `{line}`")));
-                };
-                section = parse_section(&mut raw, lineno, name.trim())?;
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(text_err(
-                    lineno,
-                    format!("expected `key = value` or `[section]`, got `{line}`"),
-                ));
-            };
-            let (key, value) = (key.trim(), value.trim());
-            if value.is_empty() {
-                return Err(text_err(lineno, format!("`{key}` has no value")));
-            }
-            if seen
-                .insert((sec_label(&raw, section), key.to_string()), lineno)
-                .is_some()
-            {
-                return Err(text_err(lineno, format!("duplicate key `{key}`")));
-            }
-            parse_entry(&mut raw, section, lineno, key, value)?;
-        }
-        assemble(&raw, &seen)
-    }
-}
-
-/// Parse one `[section]` header, registering dynamic
-/// `material.<name>`/`region.<name>` sections in the accumulator.
-fn parse_section(raw: &mut RawDeck, line: usize, name: &str) -> Result<Sec, DeckError> {
-    Ok(match name {
-        "control" => Sec::Control,
-        "dt" => Sec::Dt,
-        "ale" => {
-            raw.ale_present = true;
-            Sec::Ale
-        }
-        "executor" => Sec::Executor,
-        "mesh" => {
-            raw.mesh.get_or_insert(line);
-            Sec::Mesh
-        }
-        "boundary" => {
-            raw.boundary.get_or_insert(line);
-            Sec::Boundary
-        }
-        other => {
-            if let Some(mat) = other.strip_prefix("material.") {
-                if !is_ident(mat) {
-                    return Err(text_err(
-                        line,
-                        format!("material name `{mat}` must be non-empty [A-Za-z0-9_-]"),
-                    ));
-                }
-                if raw.materials.iter().any(|m| m.name == mat) {
-                    return Err(text_err(line, format!("duplicate section `[{other}]`")));
-                }
-                raw.materials.push(RawMaterial {
-                    name: mat.to_string(),
-                    line,
-                    ..RawMaterial::default()
-                });
-                return Ok(Sec::Material(raw.materials.len() - 1));
-            }
-            if let Some(reg) = other.strip_prefix("region.") {
-                if !is_ident(reg) {
-                    return Err(text_err(
-                        line,
-                        format!("region name `{reg}` must be non-empty [A-Za-z0-9_-]"),
-                    ));
-                }
-                if raw.regions.iter().any(|r| r.name == reg) {
-                    return Err(text_err(line, format!("duplicate section `[{other}]`")));
-                }
-                raw.regions.push(RawRegion {
-                    name: reg.to_string(),
-                    line,
-                    ..RawRegion::default()
-                });
-                return Ok(Sec::Region(raw.regions.len() - 1));
-            }
-            return Err(text_err(line, format!("unknown section `[{other}]`")));
-        }
-    })
-}
-
-/// Every numeric key a `[region.*]` section understands, for
-/// unknown-key detection (applicability per shape is checked at
-/// assembly, anchored to the offending line).
-const REGION_NUM_KEYS: [&str; 16] = [
-    "x0", "y0", "x1", "y1", "cx", "cy", "r", "normal_x", "normal_y", "offset", "rho", "ein", "p",
-    "ux", "uy", "u_radial",
-];
-
-/// Every numeric key a `[material.*]` section understands.
-const MATERIAL_NUM_KEYS: [&str; 8] = ["gamma", "p0", "rho0", "a", "b", "r1", "r2", "omega"];
-
-/// Dispatch one `key = value` entry into the raw accumulator.
-fn parse_entry(
-    raw: &mut RawDeck,
-    section: Sec,
-    line: usize,
-    key: &str,
-    value: &str,
-) -> Result<(), DeckError> {
-    let place = sec_label(raw, section);
-    let unknown = |line: usize| {
-        let place = if place.is_empty() {
-            "the top level".to_string()
-        } else {
-            format!("[{place}]")
-        };
-        Err(text_err(line, format!("unknown key `{key}` in {place}")))
-    };
-    match section {
-        Sec::Top => match key {
-            "problem" => {
-                let name = match value {
-                    "sod" => "sod",
-                    "noh" => "noh",
-                    "sedov" => "sedov",
-                    "saltzmann" => "saltzmann",
-                    "underwater" => "underwater",
-                    other => {
-                        return Err(text_err(line, format!("unknown problem `{other}`")));
-                    }
-                };
-                raw.problem = Some(At { value: name, line });
-            }
-            "nx" => {
-                raw.nx = Some(At {
-                    value: parse_num(line, key, value, "an integer")?,
-                    line,
-                })
-            }
-            "ny" => {
-                raw.ny = Some(At {
-                    value: parse_num(line, key, value, "an integer")?,
-                    line,
-                })
-            }
-            "n" => {
-                raw.n = Some(At {
-                    value: parse_num(line, key, value, "an integer")?,
-                    line,
-                })
-            }
-            "name" => {
-                if !is_ident(value) {
-                    return Err(text_err(
-                        line,
-                        format!("deck name `{value}` must be non-empty [A-Za-z0-9_-]"),
-                    ));
-                }
-                raw.name = Some(At {
-                    value: value.to_string(),
-                    line,
-                });
-            }
-            _ => return unknown(line),
-        },
-        Sec::Control => match key {
-            "final_time" => raw.final_time = Some(parse_f64(line, key, value)?),
-            "max_steps" => raw.max_steps = Some(parse_num(line, key, value, "an integer")?),
-            "overlap" => raw.overlap = Some(parse_bool(line, key, value)?),
-            _ => return unknown(line),
-        },
-        Sec::Dt => {
-            let slot = match key {
-                "cfl_sf" => &mut raw.dt.cfl_sf,
-                "div_sf" => &mut raw.dt.div_sf,
-                "growth" => &mut raw.dt.growth,
-                "dt_initial" => &mut raw.dt.dt_initial,
-                "dt_max" => &mut raw.dt.dt_max,
-                "dt_min" => &mut raw.dt.dt_min,
-                _ => return unknown(line),
-            };
-            *slot = parse_f64(line, key, value)?;
-        }
-        Sec::Ale => match key {
-            "mode" => {
-                let mode = match value {
-                    "eulerian" => "eulerian",
-                    "smooth" => "smooth",
-                    other => {
-                        return Err(text_err(
-                            line,
-                            format!("ale mode must be `eulerian` or `smooth`, got `{other}`"),
-                        ));
-                    }
-                };
-                raw.ale_mode = Some(At { value: mode, line });
-            }
-            "alpha" => {
-                raw.ale_alpha = Some(At {
-                    value: parse_f64(line, key, value)?,
-                    line,
-                });
-            }
-            "frequency" => raw.ale_frequency = Some(parse_num(line, key, value, "an integer")?),
-            _ => return unknown(line),
-        },
-        Sec::Executor => match key {
-            "model" => {
-                let model = match value {
-                    "serial" => "serial",
-                    "flat_mpi" => "flat_mpi",
-                    "hybrid" => "hybrid",
-                    other => {
-                        return Err(text_err(
-                            line,
-                            format!(
-                                "executor model must be `serial`, `flat_mpi` or `hybrid`, \
-                                 got `{other}`"
-                            ),
-                        ));
-                    }
-                };
-                raw.exec_model = Some(At { value: model, line });
-            }
-            "ranks" => {
-                raw.exec_ranks = Some(At {
-                    value: parse_num(line, key, value, "an integer")?,
-                    line,
-                });
-            }
-            "threads_per_rank" => {
-                raw.exec_threads = Some(At {
-                    value: parse_num(line, key, value, "an integer")?,
-                    line,
-                });
-            }
-            _ => return unknown(line),
-        },
-        Sec::Mesh => match key {
-            "nx" => {
-                raw.mesh_nx = Some(At {
-                    value: parse_num(line, key, value, "an integer")?,
-                    line,
-                })
-            }
-            "ny" => {
-                raw.mesh_ny = Some(At {
-                    value: parse_num(line, key, value, "an integer")?,
-                    line,
-                })
-            }
-            "x0" | "y0" | "x1" | "y1" => {
-                let v = At {
-                    value: parse_f64(line, key, value)?,
-                    line,
-                };
-                match key {
-                    "x0" => raw.mesh_x0 = Some(v),
-                    "y0" => raw.mesh_y0 = Some(v),
-                    "x1" => raw.mesh_x1 = Some(v),
-                    _ => raw.mesh_y1 = Some(v),
-                }
-            }
-            "skew" => {
-                let skew = match value {
-                    "saltzmann" => "saltzmann",
-                    other => {
-                        return Err(text_err(
-                            line,
-                            format!("mesh skew must be `saltzmann`, got `{other}`"),
-                        ));
-                    }
-                };
-                raw.mesh_skew = Some(At { value: skew, line });
-            }
-            _ => return unknown(line),
-        },
-        Sec::Boundary => match key {
-            "left" | "right" | "bottom" | "top" => {
-                let bc = match value {
-                    "reflective" => "reflective",
-                    "free" => "free",
-                    "piston" => "piston",
-                    other => {
-                        return Err(text_err(
-                            line,
-                            format!(
-                                "boundary side must be `reflective`, `free` or `piston`, \
-                                 got `{other}`"
-                            ),
-                        ));
-                    }
-                };
-                let slot = match key {
-                    "left" => 0,
-                    "right" => 1,
-                    "bottom" => 2,
-                    _ => 3,
-                };
-                raw.bnd_sides[slot] = Some(At { value: bc, line });
-            }
-            "piston_ux" => {
-                raw.bnd_piston_ux = Some(At {
-                    value: parse_f64(line, key, value)?,
-                    line,
-                })
-            }
-            "piston_uy" => {
-                raw.bnd_piston_uy = Some(At {
-                    value: parse_f64(line, key, value)?,
-                    line,
-                })
-            }
-            _ => return unknown(line),
-        },
-        Sec::Material(i) => match key {
-            "eos" => {
-                let kind = match value {
-                    "ideal_gas" => "ideal_gas",
-                    "tait" => "tait",
-                    "jwl" => "jwl",
-                    "void" => "void",
-                    other => {
-                        return Err(text_err(
-                            line,
-                            format!(
-                                "eos must be `ideal_gas`, `tait`, `jwl` or `void`, got `{other}`"
-                            ),
-                        ));
-                    }
-                };
-                raw.materials[i].eos = Some(At { value: kind, line });
-            }
-            _ if MATERIAL_NUM_KEYS.contains(&key) => {
-                let v = At {
-                    value: parse_f64(line, key, value)?,
-                    line,
-                };
-                raw.materials[i].params.push((key.to_string(), v));
-            }
-            _ => return unknown(line),
-        },
-        Sec::Region(i) => match key {
-            "shape" => {
-                let kind = match value {
-                    "rect" => "rect",
-                    "circle" => "circle",
-                    "halfplane" => "halfplane",
-                    other => {
-                        return Err(text_err(
-                            line,
-                            format!("shape must be `rect`, `circle` or `halfplane`, got `{other}`"),
-                        ));
-                    }
-                };
-                raw.regions[i].shape = Some(At { value: kind, line });
-            }
-            "material" => {
-                raw.regions[i].material = Some(At {
-                    value: value.to_string(),
-                    line,
-                });
-            }
-            _ if REGION_NUM_KEYS.contains(&key) => {
-                let v = At {
-                    value: parse_f64(line, key, value)?,
-                    line,
-                };
-                raw.regions[i].nums.push((key.to_string(), v));
-            }
-            _ => return unknown(line),
-        },
-    }
-    Ok(())
-}
-
-/// Assemble (and cross-check) the raw key soup into a typed spec.
-fn assemble(
-    raw: &RawDeck,
-    seen: &std::collections::HashMap<(String, String), usize>,
-) -> Result<InputDeck, DeckError> {
-    let problem = if raw.mesh.is_some() {
-        assemble_generic(raw, seen)?
-    } else {
-        assemble_named(raw)?
-    };
-
-    let ale = if raw.ale_present {
-        let Some(mode) = &raw.ale_mode else {
-            return Err(DeckError::Config {
-                message: "[ale] section is missing `mode`".into(),
-            });
-        };
-        let mode_value = match mode.value {
-            "eulerian" => {
-                if let Some(alpha) = &raw.ale_alpha {
-                    return Err(text_err(
-                        alpha.line,
-                        "`alpha` applies only to `mode = smooth`",
-                    ));
-                }
-                AleMode::Eulerian
-            }
-            _ => {
-                let Some(alpha) = &raw.ale_alpha else {
-                    return Err(text_err(mode.line, "`mode = smooth` requires `alpha`"));
-                };
-                AleMode::Smooth { alpha: alpha.value }
-            }
-        };
-        Some(AleOptions {
-            mode: mode_value,
-            frequency: raw.ale_frequency.unwrap_or(1),
-        })
-    } else {
-        None
-    };
-
-    let executor = match &raw.exec_model {
-        None => {
-            if let Some(r) = &raw.exec_ranks {
-                return Err(text_err(r.line, "`ranks` requires an executor `model`"));
-            }
-            if let Some(t) = &raw.exec_threads {
-                return Err(text_err(
-                    t.line,
-                    "`threads_per_rank` requires an executor `model`",
-                ));
-            }
-            ExecutorKind::Serial
-        }
-        Some(model) => {
-            let forbid_threads = |slot: &Option<At<usize>>| match slot {
-                Some(t) => Err(text_err(
-                    t.line,
-                    format!(
-                        "`threads_per_rank` does not apply to `model = {}`",
-                        model.value
-                    ),
-                )),
-                None => Ok(()),
-            };
-            match model.value {
-                "serial" => {
-                    if let Some(r) = &raw.exec_ranks {
-                        return Err(text_err(
-                            r.line,
-                            "`ranks` does not apply to `model = serial`",
-                        ));
-                    }
-                    forbid_threads(&raw.exec_threads)?;
-                    ExecutorKind::Serial
-                }
-                "flat_mpi" => {
-                    forbid_threads(&raw.exec_threads)?;
-                    let Some(ranks) = &raw.exec_ranks else {
-                        return Err(text_err(model.line, "`model = flat_mpi` requires `ranks`"));
-                    };
-                    ExecutorKind::FlatMpi { ranks: ranks.value }
-                }
-                _ => {
-                    let Some(ranks) = &raw.exec_ranks else {
-                        return Err(text_err(model.line, "`model = hybrid` requires `ranks`"));
-                    };
-                    let Some(threads) = &raw.exec_threads else {
-                        return Err(text_err(
-                            model.line,
-                            "`model = hybrid` requires `threads_per_rank`",
-                        ));
-                    };
-                    ExecutorKind::Hybrid {
-                        ranks: ranks.value,
-                        threads_per_rank: threads.value,
-                    }
-                }
-            }
-        }
-    };
-
-    let defaults = RunConfig::default();
-    let deck = InputDeck {
-        problem,
-        final_time: raw.final_time,
-        max_steps: raw.max_steps.unwrap_or(defaults.max_steps),
-        overlap: raw.overlap.unwrap_or(defaults.overlap),
-        dt: raw.dt,
-        ale,
-        executor,
-    };
-    deck.validate()?;
-    Ok(deck)
-}
-
-/// Assemble a named-problem deck (`problem = ...` at the top level).
-fn assemble_named(raw: &RawDeck) -> Result<ProblemSpec, DeckError> {
-    // Generic-only pieces without a [mesh] section are misplaced.
-    if let Some(name) = &raw.name {
-        return Err(text_err(
-            name.line,
-            "`name` applies only to generic decks (add a [mesh] section)",
-        ));
-    }
-    if let Some(line) = raw
-        .materials
-        .first()
-        .map(|m| m.line)
-        .or_else(|| raw.regions.first().map(|r| r.line))
-        .or(raw.boundary)
-    {
-        return Err(text_err(
-            line,
-            "this section applies only to generic decks (add a [mesh] section)",
-        ));
-    }
-    let Some(problem) = &raw.problem else {
-        return Err(DeckError::Config {
-            message: "deck needs a top-level `problem` key (named) or a [mesh] section (generic)"
-                .into(),
-        });
-    };
-    let need = |slot: &Option<At<usize>>, key: &str| {
-        slot.as_ref().map(|s| s.value).ok_or_else(|| {
-            text_err(
-                problem.line,
-                format!("problem `{}` requires `{key}`", problem.value),
-            )
-        })
-    };
-    let forbid = |slot: &Option<At<usize>>, key: &str| match slot {
-        Some(s) => Err(text_err(
-            s.line,
-            format!("`{key}` does not apply to problem `{}`", problem.value),
-        )),
-        None => Ok(()),
-    };
-    Ok(match problem.value {
-        "sod" | "saltzmann" => {
-            forbid(&raw.n, "n")?;
-            let nx = need(&raw.nx, "nx")?;
-            let ny = need(&raw.ny, "ny")?;
-            if problem.value == "sod" {
-                ProblemSpec::Sod { nx, ny }
-            } else {
-                ProblemSpec::Saltzmann { nx, ny }
-            }
-        }
-        name => {
-            forbid(&raw.nx, "nx")?;
-            forbid(&raw.ny, "ny")?;
-            let n = need(&raw.n, "n")?;
-            match name {
-                "noh" => ProblemSpec::Noh { n },
-                "sedov" => ProblemSpec::Sedov { n },
-                _ => ProblemSpec::Underwater { n },
-            }
-        }
-    })
-}
-
-/// Take a named parameter out of a raw key list.
-fn take_param(params: &mut Vec<(String, At<f64>)>, key: &str) -> Option<At<f64>> {
-    params
-        .iter()
-        .position(|(k, _)| k == key)
-        .map(|i| params.remove(i).1)
-}
-
-/// Assemble a generic deck (`[mesh]` present): build the
-/// [`GenericSpec`] from the dynamic sections, then run the shared
-/// value validation with every error anchored to its source line.
-fn assemble_generic(
-    raw: &RawDeck,
-    seen: &std::collections::HashMap<(String, String), usize>,
-) -> Result<ProblemSpec, DeckError> {
-    let mesh_line = raw.mesh.expect("checked by caller");
-    if let Some(problem) = &raw.problem {
-        return Err(text_err(
-            problem.line,
-            "a deck gives either `problem` (named) or [mesh] (generic), not both",
-        ));
-    }
-    if let Some(s) = [&raw.nx, &raw.ny, &raw.n].into_iter().flatten().next() {
-        return Err(text_err(
-            s.line,
-            "top-level resolution keys apply to named problems; \
-             generic decks size the mesh in [mesh]",
-        ));
-    }
-    let name = raw
-        .name
-        .as_ref()
-        .map_or_else(|| "generic".to_string(), |n| n.value.clone());
-    let Some(nx) = &raw.mesh_nx else {
-        return Err(text_err(mesh_line, "[mesh] requires `nx`"));
-    };
-    let Some(ny) = &raw.mesh_ny else {
-        return Err(text_err(mesh_line, "[mesh] requires `ny`"));
-    };
-    let mesh = MeshSpec {
-        nx: nx.value,
-        ny: ny.value,
-        origin: Vec2::new(
-            raw.mesh_x0.as_ref().map_or(0.0, |v| v.value),
-            raw.mesh_y0.as_ref().map_or(0.0, |v| v.value),
-        ),
-        extent: Vec2::new(
-            raw.mesh_x1.as_ref().map_or(1.0, |v| v.value),
-            raw.mesh_y1.as_ref().map_or(1.0, |v| v.value),
-        ),
-        skew: raw.mesh_skew.as_ref().map(|_| SkewKind::Saltzmann),
-    };
-
-    let mut materials = Vec::with_capacity(raw.materials.len());
-    for m in &raw.materials {
-        let Some(eos) = &m.eos else {
-            return Err(text_err(
-                m.line,
-                format!(
-                    "[material.{}] requires `eos = ideal_gas`, `tait` or `jwl`",
-                    m.name
-                ),
-            ));
-        };
-        let mut params = m.params.clone();
-        let mut need = |key: &str| {
-            take_param(&mut params, key)
-                .map(|v| v.value)
-                .ok_or_else(|| text_err(eos.line, format!("eos `{}` requires `{key}`", eos.value)))
-        };
-        let spec = match eos.value {
-            "void" => EosSpec::Void,
-            "ideal_gas" => EosSpec::IdealGas {
-                gamma: need("gamma")?,
-            },
-            "tait" => EosSpec::Tait {
-                p0: need("p0")?,
-                rho0: need("rho0")?,
-                gamma: need("gamma")?,
-            },
-            _ => EosSpec::Jwl {
-                a: need("a")?,
-                b: need("b")?,
-                r1: need("r1")?,
-                r2: need("r2")?,
-                omega: need("omega")?,
-                rho0: need("rho0")?,
-            },
-        };
-        if let Some((key, v)) = params.first() {
-            return Err(text_err(
-                v.line,
-                format!("`{key}` does not apply to eos `{}`", eos.value),
-            ));
-        }
-        materials.push(NamedMaterial {
-            name: m.name.clone(),
-            eos: spec,
-        });
-    }
-
-    let mut regions = Vec::with_capacity(raw.regions.len());
-    for r in &raw.regions {
-        let Some(shape_kind) = &r.shape else {
-            return Err(text_err(
-                r.line,
-                format!(
-                    "[region.{}] requires `shape = rect`, `circle` or `halfplane`",
-                    r.name
-                ),
-            ));
-        };
-        let mut nums = r.nums.clone();
-        let mut need = |key: &str| {
-            take_param(&mut nums, key).map(|v| v.value).ok_or_else(|| {
-                text_err(
-                    shape_kind.line,
-                    format!("shape `{}` requires `{key}`", shape_kind.value),
-                )
-            })
-        };
-        let shape = match shape_kind.value {
-            "rect" => Shape::Rect {
-                x0: need("x0")?,
-                y0: need("y0")?,
-                x1: need("x1")?,
-                y1: need("y1")?,
-            },
-            "circle" => Shape::Circle {
-                cx: need("cx")?,
-                cy: need("cy")?,
-                r: need("r")?,
-            },
-            _ => Shape::HalfPlane {
-                normal_x: need("normal_x")?,
-                normal_y: need("normal_y")?,
-                offset: need("offset")?,
-            },
-        };
-        let Some(material) = &r.material else {
-            return Err(text_err(
-                r.line,
-                format!("[region.{}] requires `material`", r.name),
-            ));
-        };
-        let Some(rho) = take_param(&mut nums, "rho") else {
-            return Err(text_err(
-                r.line,
-                format!("[region.{}] requires `rho`", r.name),
-            ));
-        };
-        let ein = take_param(&mut nums, "ein");
-        let p = take_param(&mut nums, "p");
-        let energy = match (ein, p) {
-            (Some(e), None) => EnergyInit::Ein(e.value),
-            (None, Some(p)) => EnergyInit::Pressure(p.value),
-            (Some(_), Some(p)) => {
-                return Err(text_err(
-                    p.line,
-                    format!("[region.{}] gives both `ein` and `p`; pick one", r.name),
-                ));
-            }
-            (None, None) => {
-                return Err(text_err(
-                    r.line,
-                    format!("[region.{}] requires `ein` or `p`", r.name),
-                ));
-            }
-        };
-        let u_radial = take_param(&mut nums, "u_radial");
-        let ux = take_param(&mut nums, "ux");
-        let uy = take_param(&mut nums, "uy");
-        let velocity = match u_radial {
-            Some(speed) => {
-                if let Some(c) = ux.or(uy) {
-                    return Err(text_err(c.line, "`ux`/`uy` do not combine with `u_radial`"));
-                }
-                VelocityInit::Radial { speed: speed.value }
-            }
-            None => VelocityInit::Constant(Vec2::new(
-                ux.map_or(0.0, |v| v.value),
-                uy.map_or(0.0, |v| v.value),
-            )),
-        };
-        if let Some((key, v)) = nums.first() {
-            return Err(text_err(
-                v.line,
-                format!("`{key}` does not apply to shape `{}`", shape_kind.value),
-            ));
-        }
-        regions.push(RegionSpec {
-            name: r.name.clone(),
-            shape,
-            material: material.value.clone(),
-            rho: rho.value,
-            energy,
-            velocity,
-        });
-    }
-
-    let side = |i: usize| match &raw.bnd_sides[i] {
-        None => SideBc::Reflective,
-        Some(s) => match s.value {
-            "reflective" => SideBc::Reflective,
-            "free" => SideBc::Free,
-            _ => SideBc::Piston,
-        },
-    };
-    let boundary = BoundarySpec {
-        left: side(0),
-        right: side(1),
-        bottom: side(2),
-        top: side(3),
-        piston_u: if raw.bnd_piston_ux.is_some()
-            || raw.bnd_piston_uy.is_some()
-            || (0..4).any(|i| side(i) == SideBc::Piston)
-        {
-            Some(Vec2::new(
-                raw.bnd_piston_ux.as_ref().map_or(0.0, |v| v.value),
-                raw.bnd_piston_uy.as_ref().map_or(0.0, |v| v.value),
-            ))
-        } else {
-            None
-        },
-    };
-
-    let spec = GenericSpec {
-        name,
-        mesh,
-        materials,
-        regions,
-        boundary,
-    };
-    // Value checks, anchored back to the offending source line where
-    // one exists.
-    spec.validate_anchored(&|section: &str, key: &str| {
-        seen.get(&(section.to_string(), key.to_string())).copied()
-    })?;
-    Ok(ProblemSpec::Generic(Box::new(spec)))
 }
 
 #[cfg(test)]
@@ -1835,8 +1774,13 @@ final_time = 0.1
             deck.validate().unwrap_err(),
             DeckError::Config { .. }
         ));
+        // The same nonsense in a text deck names its line.
         let err = "problem = noh\nn = 0\n".parse::<InputDeck>().unwrap_err();
-        assert!(matches!(err, DeckError::Config { .. }), "{err:?}");
+        assert!(matches!(err, DeckError::Text { line: 2, .. }), "{err:?}");
+        let err = "problem = noh\nn = 8\n\n[control]\nmax_steps = 0\n"
+            .parse::<InputDeck>()
+            .unwrap_err();
+        assert!(matches!(err, DeckError::Text { line: 5, .. }), "{err:?}");
     }
 
     #[test]
@@ -1856,5 +1800,294 @@ final_time = 0.1
                 spec.name()
             );
         }
+    }
+
+    // -----------------------------------------------------------------
+    // Table-driven: every assertion below is made once per `SCHEMA` row.
+
+    /// Between them the fixtures hold every row of the grammar.
+    const FIXTURES: [&str; 3] = [
+        include_str!("../../../tests/fixtures/decks/kitchen_sink.deck"),
+        include_str!("../../../tests/fixtures/decks/named_sod.deck"),
+        include_str!("../../../tests/fixtures/decks/named_noh.deck"),
+    ];
+
+    fn section_of(row: &KeyDef) -> &'static SectionDef {
+        let found = SECTIONS.iter().find(|s| s.name == row.section);
+        found.unwrap_or_else(|| panic!("row `{}` names no section", row.key))
+    }
+
+    fn word_of<'a>(section: &Section<'a>) -> Option<&'a str> {
+        section.def.disc.and_then(|key| section.text(key))
+    }
+
+    /// The line `text` is rejected at.
+    fn rejected_at(text: &str, why: &str) -> usize {
+        match text.parse::<InputDeck>() {
+            Err(DeckError::Text { line, .. }) => line,
+            other => panic!("{why}: expected a line-anchored error, got {other:?}\n{text}"),
+        }
+    }
+
+    /// `text` with line `at` (1-based) removed, replaced or followed by
+    /// `with`.
+    fn edit(text: &str, at: usize, with: Option<&str>, keep: bool) -> String {
+        let mut out = String::new();
+        for (i, line) in text.lines().enumerate() {
+            if i + 1 != at || keep {
+                out.push_str(line);
+                out.push('\n');
+            }
+            if let (true, Some(with)) = (i + 1 == at, with) {
+                out.push_str(with);
+                out.push('\n');
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn schema_is_well_formed() {
+        for (i, row) in SCHEMA.iter().enumerate() {
+            let section = section_of(row);
+            // Contiguous sections: `Section::new` slices them out.
+            let first = SCHEMA
+                .iter()
+                .position(|k| k.section == row.section)
+                .unwrap();
+            assert!(
+                SCHEMA[first..=i].iter().all(|k| k.section == row.section),
+                "[{}] rows are split",
+                row.section
+            );
+            // A key with several rows has one type and disjoint variants.
+            for other in SCHEMA[..i].iter().filter(|k| k.section == row.section) {
+                if other.key == row.key {
+                    assert_eq!(
+                        std::mem::discriminant(&other.ty),
+                        std::mem::discriminant(&row.ty),
+                        "{}",
+                        row.key
+                    );
+                    assert!(!row.when.is_empty() && !other.when.is_empty());
+                    assert!(row.when.iter().all(|w| !other.when.contains(w)));
+                }
+            }
+            // Conditional rows name words of the section's discriminator.
+            if !row.when.is_empty() {
+                let disc = section
+                    .disc
+                    .expect("a conditional row needs a discriminator");
+                let words = SCHEMA
+                    .iter()
+                    .find(|k| k.section == row.section && k.key == disc)
+                    .map(|k| k.ty);
+                let Some(Ty::Word(words)) = words else {
+                    panic!("[{}] discriminator `{disc}` is not a word", row.section);
+                };
+                assert!(row.when.iter().all(|w| words.contains(w)), "{}", row.key);
+            }
+        }
+        assert!(Range::MeshDim.rule().0.contains(&MAX_MESH_DIM.to_string()));
+    }
+
+    #[test]
+    fn every_row_parses_prints_and_is_policed() {
+        for row in SCHEMA {
+            let why = format!("[{}] `{}` under {:?}", row.section, row.key, row.when);
+            // Where the row lives: fixture, section, entry.
+            let home = FIXTURES.iter().find_map(|text| {
+                let flat = parse(text).unwrap();
+                let hit = flat.iter().position(|s| {
+                    s.def.name == row.section && s.get(row.key).is_some() && row.applies(word_of(s))
+                })?;
+                Some((*text, flat, hit))
+            });
+            let (text, flat, hit) = home.unwrap_or_else(|| panic!("{why}: in no fixture"));
+            let section = &flat[hit];
+            let entry = section.get(row.key).unwrap();
+
+            // It survives the canonical print.
+            let canon = text.parse::<InputDeck>().unwrap().to_string();
+            let printed = parse(&canon).unwrap();
+            let same = |s: &&Section<'_>| s.def.name == row.section && s.name == section.name;
+            let reprinted = printed.iter().find(same).and_then(|s| s.get(row.key));
+            assert_eq!(reprinted.map(|e| e.val), Some(entry.val), "{why}");
+
+            // Required: deleting it is an error at the discriminator's
+            // line for a variant's key, else at the header's.
+            if row.need == Req {
+                let anchor = match section.def.disc.and_then(|d| section.get(d)) {
+                    Some(disc) if !row.when.is_empty() => disc.line,
+                    _ => section.line,
+                };
+                let shifted = anchor - usize::from(anchor > entry.line);
+                let got = rejected_at(&edit(text, entry.line, None, false), &why);
+                assert_eq!(got, shifted, "{why}: deleted");
+            }
+
+            // Conditional: under a variant it does not apply to, it is
+            // an error at its own line.
+            if !row.when.is_empty() {
+                let source = text.lines().nth(entry.line - 1).unwrap();
+                let host = FIXTURES.iter().find_map(|text| {
+                    let flat = parse(text).unwrap();
+                    let host = flat.iter().find(|s| {
+                        s.def.name == row.section
+                            && s.get(row.key).is_none()
+                            && word_of(s).is_some_and(|w| !row.when.contains(&w))
+                    })?;
+                    let disc = host.get(host.def.disc?)?;
+                    Some((*text, disc.line))
+                });
+                let (host, after) = host.unwrap_or_else(|| panic!("{why}: no other variant"));
+                let got = rejected_at(&edit(host, after, Some(source), true), &why);
+                assert_eq!(got, after + 1, "{why}: misplaced");
+            }
+
+            // Out of range (or of the wrong type): an error at its line.
+            let bad: &[&str] = match row.ty {
+                Ty::Int(Range::MeshDim) => &["0", "8193", "-1", "1.5"],
+                Ty::Int(_) => &["0", "-1", "many"],
+                Ty::Num(Range::Any) => &["inf", "nan", "fast"],
+                Ty::Num(Range::Positive) => &["0", "-1"],
+                Ty::Num(Range::NonNegative) => &["-1"],
+                Ty::Num(Range::Above1) => &["1", "0"],
+                Ty::Num(Range::AtLeast1) => &["0.5"],
+                Ty::Num(Range::UnitInterval) => &["0", "1.5"],
+                Ty::Num(Range::MeshDim) => unreachable!("mesh dimensions are integers"),
+                Ty::Bool => &["maybe", "1"],
+                Ty::Ident => &["no!", "a b"],
+                Ty::Word(_) => &["zz", "0"],
+            };
+            for value in bad {
+                let line = format!("{} = {value}", row.key);
+                let got = rejected_at(&edit(text, entry.line, Some(&line), false), &why);
+                assert_eq!(got, entry.line, "{why}: `{line}`");
+            }
+        }
+    }
+
+    /// The module-docs row of a grammar row, up to its free-text
+    /// "meaning" column.
+    fn doc_row(row: &KeyDef) -> String {
+        let section = section_of(row);
+        let place = match (section.name, section.named) {
+            ("", _) => "top level".to_string(),
+            (word, false) => format!("`[{word}]`"),
+            (word, true) => format!("`[{word}.<name>]`"),
+        };
+        let words = |list: &[&str]| {
+            let quoted: Vec<String> = list.iter().map(|w| format!("`{w}`")).collect();
+            quoted.join(" \\| ")
+        };
+        let ranged = |what: &str, range: Range| match range {
+            Range::Any => what.to_string(),
+            _ => format!("{what}, {}", range.rule().0),
+        };
+        let value = match row.ty {
+            Ty::Int(range) => ranged("int", range),
+            Ty::Num(range) => ranged("float", range),
+            Ty::Bool => words(&["true", "false"]),
+            Ty::Ident => "name".to_string(),
+            Ty::Word(list) => words(list),
+        };
+        let under = match (section.disc, row.when) {
+            (_, []) => String::new(),
+            (Some(disc), when) => format!("`{disc}` = {}", words(when)),
+            (None, _) => unreachable!("checked by schema_is_well_formed"),
+        };
+        let default = match row.need {
+            Req => "required",
+            Opt(default) => default,
+        };
+        format!(
+            "//! | {place} | `{}` | {value} | {under} | {default} |",
+            row.key
+        )
+    }
+
+    #[test]
+    fn module_docs_table_is_the_schema() {
+        let source = include_str!("input.rs");
+        let table: Vec<&str> = source
+            .lines()
+            .filter(|l| l.starts_with("//! | ") && !l.starts_with("//! | section"))
+            .collect();
+        let expected: Vec<String> = SCHEMA.iter().map(doc_row).collect();
+        let listing = expected.join("\n");
+        assert_eq!(
+            table.len(),
+            expected.len(),
+            "one docs row per key:\n{listing}"
+        );
+        for (have, want) in table.iter().zip(&expected) {
+            assert!(
+                have.starts_with(want.as_str()),
+                "docs row\n{have}\nwants\n{want}"
+            );
+        }
+    }
+
+    #[test]
+    fn documented_defaults_are_what_an_omitted_key_gets() {
+        // Whatever the canonical print adds to a deck that omitted it
+        // is that key's default.
+        let sparse = "\
+[mesh]
+nx = 2
+ny = 2
+[material.m]
+eos = void
+[region.r]
+shape = rect
+x0 = 0
+y0 = 0
+x1 = 1
+y1 = 1
+material = m
+rho = 1
+ein = 0
+[boundary]
+left = piston
+[ale]
+mode = eulerian
+[control]
+final_time = 1
+";
+        let given = parse(sparse).unwrap();
+        let canon = sparse.parse::<InputDeck>().unwrap().to_string();
+        let mut added = 0;
+        for section in parse(&canon).unwrap() {
+            let same = |s: &&Section<'_>| s.def.name == section.def.name;
+            for entry in &section.entries {
+                if given
+                    .iter()
+                    .find(same)
+                    .is_some_and(|s| s.get(entry.key).is_some())
+                {
+                    continue;
+                }
+                let row = section
+                    .def
+                    .keys
+                    .iter()
+                    .find(|k| k.key == entry.key)
+                    .unwrap();
+                let default = match row.need {
+                    Opt(default) => default,
+                    Req => "required",
+                };
+                assert_eq!(
+                    default,
+                    entry.val.to_string(),
+                    "[{}] {}",
+                    row.section,
+                    row.key
+                );
+                added += 1;
+            }
+        }
+        assert_eq!(added, 22, "{canon}");
     }
 }

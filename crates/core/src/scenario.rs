@@ -51,7 +51,7 @@ use bookleaf_mesh::{generate_rect, saltzmann_distort, RectSpec};
 use bookleaf_util::{DeckError, Vec2};
 
 use crate::decks::{Deck, PistonSpec, COLD, SEDOV_ALPHA};
-use crate::input::{ProblemSpec, MAX_MESH_DIM};
+use crate::input::ProblemSpec;
 
 /// The mesh section of a generic deck: a rectangular domain
 /// `[x0, x1] × [y0, y1]` meshed `nx × ny`, with an optional canonical
@@ -256,7 +256,7 @@ impl Default for BoundarySpec {
 }
 
 impl BoundarySpec {
-    fn sides(&self) -> [(&'static str, SideBc); 4] {
+    pub(crate) fn sides(&self) -> [(&'static str, SideBc); 4] {
         [
             ("left", self.left),
             ("right", self.right),
@@ -285,19 +285,6 @@ pub struct GenericSpec {
     /// Boundary conditions.
     pub boundary: BoundarySpec,
 }
-
-/// `[A-Za-z0-9_-]+` — the charset deck/material/region names must use
-/// so section headers like `[material.<name>]` stay parseable.
-pub(crate) fn is_ident(s: &str) -> bool {
-    !s.is_empty()
-        && s.chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
-}
-
-/// Where in a [`GenericSpec`] a validation error is anchored; the text
-/// parser maps these back to source lines, programmatic construction
-/// falls back to unanchored [`DeckError::Config`].
-pub(crate) type LineOf<'a> = &'a dyn Fn(&str, &str) -> Option<usize>;
 
 impl GenericSpec {
     /// A minimal valid spec: one ideal-gas material filling the whole
@@ -333,230 +320,11 @@ impl GenericSpec {
     /// Spec-level validation: mesh dimensions and extents, material
     /// names and EoS parameters, region names, material references,
     /// physical initial fields, shape geometry and boundary
-    /// consistency. Mesh-dependent checks (element coverage, shadowed
-    /// regions) happen in [`GenericSpec::build`].
+    /// consistency — the grammar's one `check` (see [`crate::input`])
+    /// over this spec's flat form. Mesh-dependent checks (element
+    /// coverage, shadowed regions) happen in [`GenericSpec::build`].
     pub fn validate(&self) -> Result<(), DeckError> {
-        self.validate_anchored(&|_, _| None)
-    }
-
-    /// [`GenericSpec::validate`] with a source-line lookup, so the
-    /// text parser can anchor value errors to the offending line.
-    pub(crate) fn validate_anchored(&self, line_of: LineOf<'_>) -> Result<(), DeckError> {
-        let err = |section: &str, key: &str, message: String| match line_of(section, key) {
-            Some(line) => Err(DeckError::Text { line, message }),
-            None => Err(DeckError::Config { message }),
-        };
-        if !is_ident(&self.name) {
-            return err(
-                "",
-                "name",
-                format!("deck name `{}` must be non-empty [A-Za-z0-9_-]", self.name),
-            );
-        }
-        let m = &self.mesh;
-        for (key, v) in [("nx", m.nx), ("ny", m.ny)] {
-            if v == 0 || v > MAX_MESH_DIM {
-                return err(
-                    "mesh",
-                    key,
-                    format!("mesh dimension {key} = {v} out of range 1..={MAX_MESH_DIM}"),
-                );
-            }
-        }
-        for (key, v) in [
-            ("x0", m.origin.x),
-            ("y0", m.origin.y),
-            ("x1", m.extent.x),
-            ("y1", m.extent.y),
-        ] {
-            if !v.is_finite() {
-                return err("mesh", key, format!("mesh `{key}` must be finite, got {v}"));
-            }
-        }
-        if m.extent.x <= m.origin.x {
-            return err(
-                "mesh",
-                "x1",
-                format!("mesh needs x1 > x0, got [{}, {}]", m.origin.x, m.extent.x),
-            );
-        }
-        if m.extent.y <= m.origin.y {
-            return err(
-                "mesh",
-                "y1",
-                format!("mesh needs y1 > y0, got [{}, {}]", m.origin.y, m.extent.y),
-            );
-        }
-        if self.materials.is_empty() {
-            return err(
-                "mesh",
-                "nx",
-                "a generic deck needs at least one [material.<name>] section".into(),
-            );
-        }
-        for (i, mat) in self.materials.iter().enumerate() {
-            let sec = format!("material.{}", mat.name);
-            if !is_ident(&mat.name) {
-                return err(
-                    &sec,
-                    "eos",
-                    format!(
-                        "material name `{}` must be non-empty [A-Za-z0-9_-]",
-                        mat.name
-                    ),
-                );
-            }
-            if self.materials[..i].iter().any(|m| m.name == mat.name) {
-                return err(&sec, "eos", format!("duplicate material `{}`", mat.name));
-            }
-            validate_eos(&mat.eos, &mat.name, &sec, &err)?;
-        }
-        if self.regions.is_empty() {
-            return err(
-                "mesh",
-                "nx",
-                "a generic deck needs at least one [region.<name>] section".into(),
-            );
-        }
-        for (i, reg) in self.regions.iter().enumerate() {
-            let sec = format!("region.{}", reg.name);
-            if !is_ident(&reg.name) {
-                return err(
-                    &sec,
-                    "shape",
-                    format!("region name `{}` must be non-empty [A-Za-z0-9_-]", reg.name),
-                );
-            }
-            if self.regions[..i].iter().any(|r| r.name == reg.name) {
-                return err(&sec, "shape", format!("duplicate region `{}`", reg.name));
-            }
-            let Some(mat) = self.materials.iter().find(|m| m.name == reg.material) else {
-                return err(
-                    &sec,
-                    "material",
-                    format!(
-                        "region `{}` references unknown material `{}`",
-                        reg.name, reg.material
-                    ),
-                );
-            };
-            validate_shape(&reg.shape, &reg.name, &sec, &err)?;
-            if !(reg.rho > 0.0 && reg.rho.is_finite()) {
-                return err(
-                    &sec,
-                    "rho",
-                    format!(
-                        "region `{}`: rho must be positive and finite, got {}",
-                        reg.name, reg.rho
-                    ),
-                );
-            }
-            match reg.energy {
-                EnergyInit::Ein(e) => {
-                    if !(e >= 0.0 && e.is_finite()) {
-                        return err(
-                            &sec,
-                            "ein",
-                            format!(
-                                "region `{}`: ein must be non-negative and finite, got {e}",
-                                reg.name
-                            ),
-                        );
-                    }
-                }
-                EnergyInit::Pressure(p) => {
-                    if !(p >= 0.0 && p.is_finite()) {
-                        return err(
-                            &sec,
-                            "p",
-                            format!(
-                                "region `{}`: p must be non-negative and finite, got {p}",
-                                reg.name
-                            ),
-                        );
-                    }
-                    if pressure_to_ein(&mat.eos, reg.rho, p).is_none() {
-                        return err(
-                            &sec,
-                            "p",
-                            format!(
-                                "region `{}`: material `{}` has a density-only EoS — \
-                                 pressure does not determine energy; give `ein`",
-                                reg.name, reg.material
-                            ),
-                        );
-                    }
-                }
-            }
-            match reg.velocity {
-                VelocityInit::Constant(v) => {
-                    if !(v.x.is_finite() && v.y.is_finite()) {
-                        return err(
-                            &sec,
-                            "ux",
-                            format!(
-                                "region `{}`: velocity must be finite, got ({}, {})",
-                                reg.name, v.x, v.y
-                            ),
-                        );
-                    }
-                }
-                VelocityInit::Radial { speed } => {
-                    if !speed.is_finite() {
-                        return err(
-                            &sec,
-                            "u_radial",
-                            format!(
-                                "region `{}`: u_radial must be finite, got {speed}",
-                                reg.name
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-        let pistons: Vec<&str> = self
-            .boundary
-            .sides()
-            .into_iter()
-            .filter(|(_, bc)| *bc == SideBc::Piston)
-            .map(|(side, _)| side)
-            .collect();
-        if pistons.len() > 1 {
-            return err(
-                "boundary",
-                pistons[1],
-                format!(
-                    "at most one side may be a piston, got {}",
-                    pistons.join(", ")
-                ),
-            );
-        }
-        match (&self.boundary.piston_u, pistons.first()) {
-            (Some(u), Some(_)) if !(u.x.is_finite() && u.y.is_finite()) => {
-                return err(
-                    "boundary",
-                    "piston_ux",
-                    format!("piston velocity must be finite, got ({}, {})", u.x, u.y),
-                );
-            }
-            (Some(_), None) => {
-                return err(
-                    "boundary",
-                    "piston_ux",
-                    "piston velocity given but no side is `piston`".into(),
-                );
-            }
-            (None, Some(side)) => {
-                return err(
-                    "boundary",
-                    side,
-                    format!("side `{side}` is a piston but no piston velocity is given"),
-                );
-            }
-            _ => {}
-        }
-        Ok(())
+        crate::input::check_generic(self)
     }
 
     /// Assemble the runtime [`Deck`] this spec describes: generate the
@@ -570,6 +338,11 @@ impl GenericSpec {
     /// [`crate::input::InputDeck::validate`]).
     pub fn build(&self) -> Result<Deck, DeckError> {
         self.validate()?;
+        self.build_validated()
+    }
+
+    /// [`GenericSpec::build`] for a spec the caller has just validated.
+    pub(crate) fn build_validated(&self) -> Result<Deck, DeckError> {
         let config = |message: String| DeckError::Config { message };
         let rect = self.mesh.rect();
         // First-match region-section index per element (u32::MAX =
@@ -730,6 +503,13 @@ impl GenericSpec {
             })
             .collect();
 
+        // A text deck's omitted `piston_ux`/`piston_uy` parse as zero,
+        // so only a spec built in code can drive a side with nothing.
+        if !piston_nodes.is_empty() && self.boundary.piston_u.is_none() {
+            return Err(config(
+                "a side is a piston but no piston velocity is given".into(),
+            ));
+        }
         let piston = self.boundary.piston_u.map(|velocity| {
             for &n in &piston_nodes {
                 u[n as usize] = velocity;
@@ -754,143 +534,10 @@ impl GenericSpec {
     }
 }
 
-fn validate_eos(
-    eos: &EosSpec,
-    name: &str,
-    sec: &str,
-    err: &dyn Fn(&str, &str, String) -> Result<(), DeckError>,
-) -> Result<(), DeckError> {
-    let bad = |key: &str, what: &str, v: f64| {
-        err(
-            sec,
-            key,
-            format!("material `{name}`: `{key}` must be {what}, got {v}"),
-        )
-    };
-    match *eos {
-        EosSpec::Void => {}
-        EosSpec::IdealGas { gamma } => {
-            if !(gamma > 1.0 && gamma.is_finite()) {
-                return bad("gamma", "finite and > 1", gamma);
-            }
-        }
-        EosSpec::Tait { p0, rho0, gamma } => {
-            if !(p0 > 0.0 && p0.is_finite()) {
-                return bad("p0", "positive and finite", p0);
-            }
-            if !(rho0 > 0.0 && rho0.is_finite()) {
-                return bad("rho0", "positive and finite", rho0);
-            }
-            if !(gamma >= 1.0 && gamma.is_finite()) {
-                return bad("gamma", "finite and >= 1", gamma);
-            }
-        }
-        EosSpec::Jwl {
-            a,
-            b,
-            r1,
-            r2,
-            omega,
-            rho0,
-        } => {
-            for (key, v, positive) in [
-                ("a", a, false),
-                ("b", b, false),
-                ("r1", r1, true),
-                ("r2", r2, true),
-                ("omega", omega, true),
-                ("rho0", rho0, true),
-            ] {
-                if positive {
-                    if !(v > 0.0 && v.is_finite()) {
-                        return bad(key, "positive and finite", v);
-                    }
-                } else if !(v >= 0.0 && v.is_finite()) {
-                    return bad(key, "non-negative and finite", v);
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-fn validate_shape(
-    shape: &Shape,
-    name: &str,
-    sec: &str,
-    err: &dyn Fn(&str, &str, String) -> Result<(), DeckError>,
-) -> Result<(), DeckError> {
-    match *shape {
-        Shape::Rect { x0, y0, x1, y1 } => {
-            for (key, v) in [("x0", x0), ("y0", y0), ("x1", x1), ("y1", y1)] {
-                if !v.is_finite() {
-                    return err(
-                        sec,
-                        key,
-                        format!("region `{name}`: `{key}` must be finite, got {v}"),
-                    );
-                }
-            }
-            if x1 < x0 || y1 < y0 {
-                return err(
-                    sec,
-                    "x1",
-                    format!("region `{name}`: rect needs x1 >= x0 and y1 >= y0"),
-                );
-            }
-        }
-        Shape::Circle { cx, cy, r } => {
-            for (key, v) in [("cx", cx), ("cy", cy)] {
-                if !v.is_finite() {
-                    return err(
-                        sec,
-                        key,
-                        format!("region `{name}`: `{key}` must be finite, got {v}"),
-                    );
-                }
-            }
-            if !(r > 0.0 && r.is_finite()) {
-                return err(
-                    sec,
-                    "r",
-                    format!("region `{name}`: circle radius must be positive, got {r}"),
-                );
-            }
-        }
-        Shape::HalfPlane {
-            normal_x,
-            normal_y,
-            offset,
-        } => {
-            for (key, v) in [
-                ("normal_x", normal_x),
-                ("normal_y", normal_y),
-                ("offset", offset),
-            ] {
-                if !v.is_finite() {
-                    return err(
-                        sec,
-                        key,
-                        format!("region `{name}`: `{key}` must be finite, got {v}"),
-                    );
-                }
-            }
-            if normal_x == 0.0 && normal_y == 0.0 {
-                return err(
-                    sec,
-                    "normal_x",
-                    format!("region `{name}`: half-plane normal must be non-zero"),
-                );
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Invert `p(rho, ein) = p` for `ein` where the EoS permits it:
 /// ideal gas `ein = p / ((γ−1) ρ)`, JWL in closed form; `None` for the
 /// density-only Tait form and the pressureless void.
-fn pressure_to_ein(eos: &EosSpec, rho: f64, p: f64) -> Option<f64> {
+pub(crate) fn pressure_to_ein(eos: &EosSpec, rho: f64, p: f64) -> Option<f64> {
     match *eos {
         EosSpec::IdealGas { gamma } => Some(p / ((gamma - 1.0) * rho)),
         EosSpec::Tait { .. } | EosSpec::Void => None,

@@ -11,25 +11,33 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::fmt::{self, Write as _};
 use std::sync::Mutex;
 
 use bookleaf_core::{Deck, InputDeck};
 use bookleaf_util::DeckError;
 
-/// FNV-1a 64 over `bytes` — tiny, dependency-free, stable.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// FNV-1a 64 over everything written to it — tiny, dependency-free,
+/// stable.
+struct Fnv1a64(u64);
+
+impl fmt::Write for Fnv1a64 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
     }
-    h
 }
 
-/// The cache key of a parsed deck: FNV-1a 64 of its canonical text.
+/// The cache key of a parsed deck: FNV-1a 64 of its canonical text,
+/// hashed as it is rendered (the text itself is never built).
 #[must_use]
 pub fn deck_cache_key(input: &InputDeck) -> u64 {
-    fnv1a64(input.to_string().as_bytes())
+    let mut hash = Fnv1a64(0xcbf2_9ce4_8422_2325);
+    write!(hash, "{input}").expect("hashing cannot fail");
+    hash.0
 }
 
 /// A bounded build-once deck cache with FIFO eviction.
@@ -124,6 +132,10 @@ mod tests {
             .parse()
             .unwrap();
         assert_eq!(deck_cache_key(&a), deck_cache_key(&b));
+        // Hashing the render equals hashing the rendered text.
+        let mut whole = Fnv1a64(0xcbf2_9ce4_8422_2325);
+        whole.write_str(&a.to_string()).unwrap();
+        assert_eq!(deck_cache_key(&a), whole.0);
     }
 
     #[test]

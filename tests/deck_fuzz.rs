@@ -16,6 +16,13 @@
 //!   at a random step, checkpoint through bytes, resume, finish — and
 //!   land on the uninterrupted run **bitwise**.
 //!
+//! And per random deck's canonical *text*, mutated one line at a time
+//! (a line deleted, duplicated, swapped with the next, everything after
+//! it cut off, a stray `[` injected, a value replaced by junk): the
+//! parser never panics, answers `Ok` (and then round-trips
+//! byte-exactly), `Config`, or `Text` naming a line that exists — and a
+//! rejected value is rejected *at its own line*.
+//!
 //! The deck generator is *constructive*: every draw yields a valid
 //! deck by design (one bounded feature region layered over a
 //! whole-domain ambient region, so coverage and shadowing errors are
@@ -26,7 +33,7 @@ use bookleaf::core::scenario::{
     BoundarySpec, EnergyInit, GenericSpec, MeshSpec, NamedMaterial, RegionSpec, Shape, VelocityInit,
 };
 use bookleaf::eos::EosSpec;
-use bookleaf::util::Vec2;
+use bookleaf::util::{DeckError, Vec2};
 use bookleaf::{Checkpoint, ExecutorKind, InputDeck, ProblemSpec, Simulation};
 use proptest::prelude::*;
 
@@ -374,5 +381,84 @@ proptest! {
             bookleaf::serve::state_crc(&resumed) == bookleaf::serve::state_crc(&whole),
             "{label}: the solution moved"
         );
+    }
+}
+
+/// What the parser said of a hostile text.
+enum Answer {
+    Accepted,
+    Config,
+    Line(usize),
+}
+
+/// Parse hostile `text` and check what any answer must satisfy.
+fn answer(text: &str, what: &str) -> Result<Answer, String> {
+    let lines = text.lines().count();
+    match text.parse::<InputDeck>() {
+        Ok(deck) => {
+            let canon = deck.to_string();
+            let again = canon.parse::<InputDeck>();
+            if again.as_ref() != Ok(&deck) || again.unwrap().to_string() != canon {
+                return Err(format!("{what}: accepted, but does not round-trip\n{text}"));
+            }
+            Ok(Answer::Accepted)
+        }
+        Err(DeckError::Config { .. }) => Ok(Answer::Config),
+        Err(DeckError::Text { line, .. }) if (1..=lines).contains(&line) => Ok(Answer::Line(line)),
+        Err(other) => Err(format!("{what}: {other:?} on a {lines}-line text\n{text}")),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// Hostile text: every single-line mutation of a valid deck's
+    /// canonical text gets a typed answer that names a real line.
+    #[test]
+    fn mutated_deck_text_gets_typed_line_anchored_answers(seed in 0u64..1_000_000_000) {
+        let mut rng = TestRng::from_name(&format!("deck-hostile-{seed}"));
+        let mut input = random_deck(&mut rng);
+        if rng.next_u64().is_multiple_of(2) {
+            input.ale = Some(AleOptions { mode: AleMode::Smooth { alpha: 0.5 }, frequency: 2 });
+            input.executor = ExecutorKind::Hybrid { ranks: 2, threads_per_rank: 2 };
+        }
+        let text = input.to_string();
+        let lines: Vec<&str> = text.lines().collect();
+        let joined = |lines: &[&str]| lines.join("\n") + "\n";
+        for at in 0..lines.len() {
+            let mut structural = vec![
+                ("delete", [&lines[..at], &lines[at + 1..]].concat()),
+                ("duplicate", [&lines[..=at], &lines[at..]].concat()),
+                ("truncate after", lines[..=at].to_vec()),
+                ("stray [ before", [&lines[..at], &["["], &lines[at..]].concat()),
+            ];
+            if at + 1 < lines.len() {
+                let mut swapped = lines.clone();
+                swapped.swap(at, at + 1);
+                structural.push(("swap", swapped));
+            }
+            for (how, mutated) in structural {
+                answer(&joined(&mutated), &format!("{how} line {}", at + 1))?;
+            }
+            let Some((key, _)) = lines[at].split_once(" = ") else { continue };
+            for junk in ["zz!", "-1", "0", "1e999", "99999999", ""] {
+                let replaced = format!("{key} = {junk}");
+                let mut mutated = lines.clone();
+                mutated[at] = &replaced;
+                let what = format!("`{replaced}` at line {}", at + 1);
+                let line = match answer(&joined(&mutated), &what)? {
+                    Answer::Accepted => continue,
+                    Answer::Config => return Err(format!("{what}: rejected without a line")),
+                    Answer::Line(line) => line,
+                };
+                // The one exception: a bound that crosses its partner
+                // (`x0` past `x1`) is reported at the upper bound's line.
+                let bounds = ["x0", "y0", "x1", "y1"];
+                let partner = bounds.contains(&key)
+                    && bounds.iter().any(|b| lines[line - 1].starts_with(b))
+                    && line.abs_diff(at + 1) < bounds.len();
+                prop_assert!(line == at + 1 || partner, "{what}: rejected at line {line}\n{text}");
+            }
+        }
     }
 }

@@ -1,7 +1,9 @@
 //! Input-deck text round trip: `decks::from_str(decks::to_string(d))`
 //! must reproduce every field of `d` — for the five standard problems,
 //! for randomized option combinations (proptest), and the failure mode
-//! must be a typed, line-anchored error.
+//! must be a typed, line-anchored error. The canonical text itself is
+//! pinned to bytes against `tests/fixtures/decks/*.canon` (checkpoints
+//! embed it).
 
 use bookleaf::ale::{AleMode, AleOptions};
 use bookleaf::core::decks::{self, InputDeck, ProblemSpec};
@@ -171,16 +173,109 @@ fn malformed_decks_fail_with_line_anchored_errors() {
 
 #[test]
 fn semantic_errors_are_typed_config_errors() {
-    for text in [
-        "problem = noh\nn = 0\n",
-        "problem = noh\nn = 8\n[control]\nmax_steps = 0\n",
-        "problem = noh\nn = 8\n[control]\nfinal_time = -1.0\n",
-        "problem = noh\nn = 8\n[executor]\nmodel = flat_mpi\nranks = 0\n",
-        "problem = noh\nn = 8\n[ale]\nmode = smooth\nalpha = 7.0\n",
-    ] {
+    // (text, the 1-based line of the nonsense value): a text deck's
+    // value errors name their line ...
+    let cases: &[(&str, usize)] = &[
+        ("problem = noh\nn = 0\n", 2),
+        ("problem = noh\nn = 8193\n", 2),
+        ("problem = sod\nnx = 8\nny = 0\n", 3),
+        ("problem = noh\nn = 8\n[control]\nmax_steps = 0\n", 4),
+        ("problem = noh\nn = 8\n[control]\nfinal_time = -1.0\n", 4),
+        ("problem = noh\nn = 8\n[dt]\ncfl_sf = 0\n", 4),
+        ("problem = noh\nn = 8\n[dt]\ngrowth = 0.5\n", 4),
+        ("problem = noh\nn = 8\n[dt]\ndt_max = 1e-3\ndt_min = 1\n", 5),
+        // ... against the default when its partner is absent.
+        ("problem = noh\nn = 8\n[dt]\n\ndt_min = 5\n", 5),
+        (
+            "problem = noh\nn = 8\n[ale]\nmode = eulerian\nfrequency = 0\n",
+            5,
+        ),
+        (
+            "problem = noh\nn = 8\n[ale]\nmode = smooth\nalpha = 7.0\n",
+            5,
+        ),
+        (
+            "problem = noh\nn = 8\n[executor]\nmodel = flat_mpi\nranks = 0\n",
+            5,
+        ),
+        (
+            "problem = noh\nn = 8\n[executor]\nmodel = hybrid\nranks = 2\nthreads_per_rank = 0\n",
+            6,
+        ),
+        // A section missing its discriminator: the header's line.
+        ("problem = noh\nn = 8\n\n[ale]\nfrequency = 2\n", 4),
+    ];
+    for (text, line) in cases {
         match decks::from_str(text) {
-            Err(DeckError::Config { .. }) => {}
-            other => panic!("{text:?}: expected a Config error, got {other:?}"),
+            Err(DeckError::Text { line: got, .. }) => assert_eq!(got, *line, "{text:?}"),
+            other => panic!("{text:?}: expected an error at line {line}, got {other:?}"),
         }
+    }
+    // ... and the same nonsense in a deck built in code, which has no
+    // lines, is a Config error.
+    let edits: [fn(&mut InputDeck); 6] = [
+        |d| d.problem = ProblemSpec::Noh { n: 0 },
+        |d| d.max_steps = 0,
+        |d| d.final_time = Some(-1.0),
+        |d| d.dt.dt_min = 5.0,
+        |d| d.executor = ExecutorKind::FlatMpi { ranks: 0 },
+        |d| {
+            d.ale = Some(AleOptions {
+                mode: AleMode::Smooth { alpha: 7.0 },
+                frequency: 1,
+            })
+        },
+    ];
+    for (i, edit) in edits.iter().enumerate() {
+        let mut deck = InputDeck::new(ProblemSpec::Noh { n: 8 });
+        edit(&mut deck);
+        match deck.validate() {
+            Err(DeckError::Config { .. }) => {}
+            other => panic!("edit {i}: expected a Config error, got {other:?}"),
+        }
+    }
+}
+
+/// Every committed example deck and the every-key fixtures, with the
+/// canonical text the writer produced for them when the goldens were
+/// cut (`tests/fixtures/decks/*.canon`).
+fn goldens() -> Vec<(String, String, String)> {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let read =
+        |path: String| std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let mut out = Vec::new();
+    for dir in ["examples/decks", "tests/fixtures/decks"] {
+        for entry in std::fs::read_dir(format!("{root}/{dir}")).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "deck") {
+                let stem = path.file_stem().unwrap().to_str().unwrap().to_string();
+                let canon = read(format!("{root}/tests/fixtures/decks/{stem}.canon"));
+                out.push((stem, read(path.display().to_string()), canon));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn canonical_text_is_pinned_to_bytes() {
+    let goldens = goldens();
+    assert_eq!(goldens.len(), 10, "7 example decks + 3 fixtures");
+    for (name, text, canon) in &goldens {
+        let deck = decks::from_str(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(
+            &decks::to_string(&deck),
+            canon,
+            "{name}: the writer moved a byte"
+        );
+        // The canonical text is a fixed point, and means the same deck.
+        let again = decks::from_str(canon).unwrap_or_else(|e| panic!("{name}.canon: {e}"));
+        assert_eq!(again, deck, "{name}");
+        assert_eq!(
+            &decks::to_string(&again),
+            canon,
+            "{name}: not a fixed point"
+        );
+        deck.build_deck().unwrap_or_else(|e| panic!("{name}: {e}"));
     }
 }

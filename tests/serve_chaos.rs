@@ -284,6 +284,17 @@ fn admission_rejections_are_line_anchored_and_typed() {
     assert!(error.contains("line 3"), "not line-anchored: {error}");
     assert!(error.contains("4096"), "should name the size: {error}");
 
+    // So is a value the grammar itself refuses: the parser's own
+    // rejections travel the same way, line and all.
+    let zero_steps = "problem = noh\nn = 8\n\n[control]\nmax_steps = 0\n";
+    let resp = client::post_run(addr, zero_steps, &[("X-Tenant", "alice")], T).unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    let doc = body_json(&resp);
+    assert_eq!(str_field(&doc, "kind"), "deck");
+    let error = str_field(&doc, "error");
+    assert!(error.contains("line 5"), "not line-anchored: {error}");
+    assert!(error.contains("max_steps"), "should name the key: {error}");
+
     // A deck typo never counts against the tenant's health.
     for _ in 0..5 {
         let resp = client::post_run(addr, "problem = nope\n", &[("X-Tenant", "alice")], T).unwrap();
