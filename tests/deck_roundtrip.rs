@@ -260,7 +260,7 @@ fn goldens() -> Vec<(String, String, String)> {
 #[test]
 fn canonical_text_is_pinned_to_bytes() {
     let goldens = goldens();
-    assert_eq!(goldens.len(), 10, "7 example decks + 3 fixtures");
+    assert_eq!(goldens.len(), 12, "7 example decks + 5 fixtures");
     for (name, text, canon) in &goldens {
         let deck = decks::from_str(text).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(
