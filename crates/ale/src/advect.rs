@@ -23,10 +23,9 @@
 //! evaluates the swept volume of a face where it turns it into fluxes,
 //! so no swept-volume table is ever stored.
 
-use bookleaf_hydro::Threading;
+use bookleaf_hydro::{sweep, Pass, Threading};
 use bookleaf_mesh::{Mesh, STENCIL_BOUNDARY};
 use bookleaf_util::Vec2;
-use rayon::prelude::*;
 
 use crate::fluxvol::face_swept_volume;
 
@@ -107,7 +106,7 @@ pub fn compute_fluxes(
     threading: Threading,
 ) {
     let stencil = mesh.face_stencil();
-    let eval = |e: usize| -> (f64, f64, Vec2) {
+    sweep(threading, Pass::All, (d_mass, d_energy, d_mom), |e, out| {
         let (mut d_mass, mut d_energy, mut d_mom) = (0.0, 0.0, Vec2::ZERO);
         for f in 0..4 {
             let nb = stencil[e][f];
@@ -142,25 +141,8 @@ pub fn compute_fluxes(
             d_energy += sign * de;
             d_mom += dmom * sign;
         }
-        (d_mass, d_energy, d_mom)
-    };
-
-    match threading {
-        Threading::Serial => {
-            let out = d_mass.iter_mut().zip(d_energy).zip(d_mom);
-            for (e, ((dm, de), dp)) in out.enumerate() {
-                (*dm, *de, *dp) = eval(e);
-            }
-        }
-        Threading::Rayon => {
-            d_mass
-                .par_iter_mut()
-                .zip(d_energy.par_iter_mut())
-                .zip(d_mom.par_iter_mut())
-                .enumerate()
-                .for_each(|(e, ((dm, de), dp))| (*dm, *de, *dp) = eval(e));
-        }
-    }
+        (*out.0, *out.1, *out.2) = (d_mass, d_energy, d_mom);
+    });
 }
 
 #[cfg(test)]

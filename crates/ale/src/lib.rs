@@ -32,4 +32,4 @@ pub mod mesh_motion;
 pub mod remap;
 
 pub use mesh_motion::AleMode;
-pub use remap::{AleOptions, RemapOverlap, Remapper};
+pub use remap::{AleOptions, Remapper};

@@ -20,32 +20,16 @@
 //! itself.
 
 use bookleaf_mesh::geometry::{char_length, corner_volumes, quad_area};
-use bookleaf_mesh::Mesh;
+use bookleaf_mesh::{Mesh, OverlapSets};
 use bookleaf_util::{BookLeafError, Result, Vec2};
-use rayon::prelude::*;
 
 use bookleaf_hydro::state::{HydroState, LocalRange};
-use bookleaf_hydro::subset::Subset;
-use bookleaf_hydro::{lend_scratch, HaloOps, LentScratch, Threading};
+use bookleaf_hydro::{
+    lend_scratch, sweep, sweep_reduce, HaloOps, LentScratch, NoComm, Pass, Phase, Threading,
+};
 
 use crate::advect::compute_fluxes;
 use crate::mesh_motion::{target_positions, AleMode};
-
-/// Masks steering the overlapped remap ([`Remapper::step_overlapped`]):
-/// which entities must be updated **before** the post-remap exchange can
-/// pack its send buffers. Views into `bookleaf_mesh::OverlapSets`, whose
-/// construction guarantees the invariant the deferred sweeps rely on: no
-/// element outside `pre_el` is adjacent to a node in `pre_nd`.
-#[derive(Debug, Clone, Copy)]
-pub struct RemapOverlap<'a> {
-    /// Per local element (owned *and* ghost): `true` ⇒ feeds the
-    /// exchange's send buffers (send-list elements plus the adjacency of
-    /// every send-list node) and is remapped in the early sweep.
-    pub pre_el: &'a [bool],
-    /// Per active node: `true` ⇒ packed by the exchange (send-list
-    /// nodes), velocity-updated in the early sweep.
-    pub pre_nd: &'a [bool],
-}
 
 /// Remap configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,60 +74,40 @@ impl Remapper {
         self.opts.frequency > 0 && (step_index + 1).is_multiple_of(self.opts.frequency)
     }
 
-    /// Perform one remap over the owned range, serial (see
-    /// [`Remapper::step_threaded`]).
+    /// Perform one remap over the owned range: serial, no halo.
     pub fn step(&self, mesh: &mut Mesh, state: &mut HydroState, range: LocalRange) -> Result<()> {
-        self.step_threaded(mesh, state, range, Threading::Serial)
+        let nothing = OverlapSets::default();
+        self.step_with(mesh, state, range, Threading::Serial, &nothing, &mut NoComm)
     }
 
-    /// Perform one remap over the owned range. Under
-    /// [`Threading::Rayon`] every phase (swept volumes, advective
+    /// Perform one remap over the owned range and refresh the halo, on
+    /// the `HaloOps` schedule (boundary-first): the entities feeding
+    /// the exchange's send buffers (`sets.remap_pre_*_ids`) are updated
+    /// first, the exchange is **posted**, the rest of the mesh is
+    /// updated (while the messages are in flight, if `halo` overlaps),
+    /// and the exchange **completes** last. The two sweeps run the same
+    /// per-entity bodies, so the result is bitwise the remap in one
+    /// sweep followed by a blocking exchange — which is what empty
+    /// lists give.
+    ///
+    /// Under [`Threading::Rayon`] every phase (swept volumes, advective
     /// fluxes, the element update and the nodal velocity distribution)
     /// runs element- or node-parallel across the current rayon pool;
-    /// the per-index arithmetic is identical to the serial path, so
-    /// both produce bitwise-identical results.
-    pub fn step_threaded(
+    /// the per-index arithmetic is the serial path's, so both produce
+    /// bitwise-identical results.
+    pub fn step_with<H: HaloOps>(
         &self,
         mesh: &mut Mesh,
         state: &mut HydroState,
         range: LocalRange,
         threading: Threading,
-    ) -> Result<()> {
-        self.step_overlapped(
-            mesh,
-            state,
-            range,
-            threading,
-            None,
-            &mut bookleaf_hydro::NoComm,
-        )
-    }
-
-    /// Perform one remap, overlapping the post-remap halo exchange with
-    /// the update itself (boundary-first): the entities feeding the
-    /// exchange's send buffers (`overlap.pre_*`) are updated first, the
-    /// exchange is **posted**, the rest of the mesh is updated while the
-    /// messages are in flight, and the exchange **completes** last. The
-    /// two split sweeps run the same loops with a membership skip, so
-    /// the result is bitwise identical to [`Remapper::step_threaded`]
-    /// followed by a blocking `post_remap`.
-    ///
-    /// With `overlap == None` the whole mesh is one sweep and the halo
-    /// hooks still run (post, then complete) after it — the blocking
-    /// schedule.
-    pub fn step_overlapped<H: HaloOps>(
-        &self,
-        mesh: &mut Mesh,
-        state: &mut HydroState,
-        range: LocalRange,
-        threading: Threading,
-        overlap: Option<RemapOverlap<'_>>,
+        sets: &OverlapSets,
         halo: &mut H,
     ) -> Result<()> {
-        lend_scratch(|work| self.remap(mesh, state, range, threading, overlap, halo, work))
+        lend_scratch(|work| self.remap(mesh, state, range, threading, sets, halo, work))
     }
 
-    /// [`Remapper::step_overlapped`] in the work arrays `work`.
+    /// [`Remapper::step_with`] in the work arrays `work`.
     #[allow(clippy::too_many_arguments)]
     fn remap<H: HaloOps>(
         &self,
@@ -151,7 +115,7 @@ impl Remapper {
         state: &mut HydroState,
         range: LocalRange,
         threading: Threading,
-        overlap: Option<RemapOverlap<'_>>,
+        sets: &OverlapSets,
         halo: &mut H,
         work: &mut LentScratch,
     ) -> Result<()> {
@@ -167,7 +131,7 @@ impl Remapper {
         // Element-centred (mass-weighted corner) velocities for momentum.
         let u = &state.u;
         let cnmass = &state.cnmass;
-        let element_velocity = |e: usize| {
+        sweep(threading, Pass::All, (&mut cell_u[..],), |e, (cu,)| {
             let mut p = Vec2::ZERO;
             let mut m = 0.0;
             for c in 0..4 {
@@ -175,23 +139,8 @@ impl Remapper {
                 p += u[nd] * cnmass[e][c];
                 m += cnmass[e][c];
             }
-            if m > 0.0 {
-                p / m
-            } else {
-                Vec2::ZERO
-            }
-        };
-        match threading {
-            Threading::Serial => {
-                for (e, cu) in cell_u.iter_mut().enumerate() {
-                    *cu = element_velocity(e);
-                }
-            }
-            Threading::Rayon => cell_u
-                .par_iter_mut()
-                .enumerate()
-                .for_each(|(e, cu)| *cu = element_velocity(e)),
-        }
+            *cu = if m > 0.0 { p / m } else { Vec2::ZERO };
+        });
 
         // `mom` holds each element's momentum flux until its update
         // turns the entry into the deficit it owes its corners.
@@ -209,46 +158,20 @@ impl Remapper {
         // the same deterministic inputs).
         mesh.nodes.copy_from_slice(target);
 
-        let (failure, post_result) = match overlap {
-            None => {
-                let failure = remap_elements(mesh, state, &fx, mom, threading, Subset::All);
-                if failure.is_none() {
-                    remap_nodes(mesh, state, mom, range, threading, Subset::All);
-                }
-                (failure, halo.post_remap_post(mesh, state))
-            }
-            Some(o) => {
-                // Early sweep: exactly what the exchange packs (and the
-                // adjacency those packed nodes gather over).
-                let pre_el = Subset::Mask {
-                    mask: o.pre_el,
-                    keep: true,
-                };
-                let pre_nd = Subset::Mask {
-                    mask: o.pre_nd,
-                    keep: true,
-                };
-                let f0 = remap_elements(mesh, state, &fx, mom, threading, pre_el);
-                if f0.is_none() {
-                    remap_nodes(mesh, state, mom, range, threading, pre_nd);
-                }
-                let post_result = halo.post_remap_post(mesh, state);
-                // Deferred sweep while the messages are in flight.
-                let rest_el = Subset::Mask {
-                    mask: o.pre_el,
-                    keep: false,
-                };
-                let rest_nd = Subset::Mask {
-                    mask: o.pre_nd,
-                    keep: false,
-                };
-                let f1 = remap_elements(mesh, state, &fx, mom, threading, rest_el);
-                if f0.is_none() && f1.is_none() {
-                    remap_nodes(mesh, state, mom, range, threading, rest_nd);
-                }
-                (first_fail(f0, f1), post_result)
-            }
-        };
+        // Early sweep: exactly what the exchange packs (and the
+        // adjacency those packed nodes gather over); the rest after the
+        // post.
+        let (pre_el, pre_nd) = (&sets.remap_pre_el_ids, &sets.remap_pre_nd_ids);
+        let early = remap_elements(mesh, state, &fx, mom, threading, Pass::Only(pre_el));
+        if early.is_none() {
+            remap_nodes(mesh, state, mom, range, threading, Pass::Only(pre_nd));
+        }
+        let posted = halo.post(Phase::PostRemap, mesh, state);
+        let late = remap_elements(mesh, state, &fx, mom, threading, Pass::Except(pre_el));
+        let failure = first_fail(early, late);
+        if failure.is_none() {
+            remap_nodes(mesh, state, mom, range, threading, Pass::Except(pre_nd));
+        }
         if let Some((e, kind)) = failure {
             // The failing element was left untouched, so its original
             // quantities reproduce the offending values exactly. If the
@@ -256,8 +179,8 @@ impl Remapper {
             // keeping the team's message sequence aligned while the
             // (more causal) remap error propagates; a comm failure on
             // this path is swallowed — the run is aborting either way.
-            if post_result.is_ok() {
-                let _ = halo.post_remap_complete(mesh, state);
+            if posted.is_ok() {
+                let _ = halo.complete(Phase::PostRemap, mesh, state);
             }
             return Err(match kind {
                 Fail::Mass => BookLeafError::InvalidState {
@@ -273,8 +196,8 @@ impl Remapper {
                 },
             });
         }
-        post_result?;
-        halo.post_remap_complete(mesh, state)?;
+        posted?;
+        halo.complete(Phase::PostRemap, mesh, state)?;
         // The exchange has the last word on halo node positions. Where
         // an owner's target differs from the one computed here (Smooth:
         // the owner's star sees fresher neighbour positions), re-evaluate
@@ -325,123 +248,86 @@ fn first_fail(a: Option<(usize, Fail)>, b: Option<(usize, Fail)>) -> Option<(usi
     }
 }
 
-/// Apply the advective fluxes to every element in `subset` (owned and
-/// ghost alike): masses, energy, geometry, corner masses, and — in
+/// Apply the advective fluxes to every element of `elements` (owned
+/// and ghost alike): masses, energy, geometry, corner masses, and — in
 /// place of the momentum flux `mom[e]` came in with — the momentum
 /// deficit each element owes its corners. Reads only nodal velocities
-/// that no node sweep has rewritten yet (the `RemapOverlap` invariant);
-/// writes only element-local state. Failures (non-positive mass or
-/// volume) are returned, not raised, so the parallel path needs no early
-/// return; failed elements are left untouched.
+/// that no node sweep has rewritten yet (the `OverlapSets` remap
+/// invariant); writes only element-local state. Failures (non-positive
+/// mass or volume) are returned, not raised, so the sweep needs no
+/// early return; failed elements are left untouched.
 fn remap_elements(
     mesh: &Mesh,
     state: &mut HydroState,
     fx: &Fluxes<'_>,
     mom: &mut [Vec2],
     threading: Threading,
-    subset: Subset<'_>,
+    elements: Pass<'_>,
 ) -> Option<(usize, Fail)> {
     let ne = mesh.n_elements();
     let u = &state.u;
-    #[allow(clippy::too_many_arguments)]
-    let update = |e: usize,
-                  mass: &mut f64,
-                  volume: &mut f64,
-                  length: &mut f64,
-                  rho: &mut f64,
-                  ein: &mut f64,
-                  cnvol: &mut [f64; 4],
-                  cnmass: &mut [f64; 4],
-                  mom: &mut Vec2|
-     -> Option<(usize, Fail)> {
-        let mass_old = *mass;
-        let energy_old = mass_old * *ein;
-        let mom_old = fx.cell_u[e] * mass_old;
+    let columns = (
+        &mut state.mass[..ne],
+        &mut state.volume[..ne],
+        &mut state.length[..ne],
+        &mut state.rho[..ne],
+        &mut state.ein[..ne],
+        &mut state.cnvol[..ne],
+        &mut state.cnmass[..ne],
+        mom,
+    );
+    sweep_reduce(
+        threading,
+        elements,
+        columns,
+        None,
+        first_fail,
+        |e, (mass, volume, length, rho, ein, cnvol, cnmass, mom)| {
+            let mass_old = *mass;
+            let energy_old = mass_old * *ein;
+            let mom_old = fx.cell_u[e] * mass_old;
 
-        let mass_new = mass_old - fx.d_mass[e];
-        let energy_new = energy_old - fx.d_energy[e];
-        let mom_new = mom_old - *mom;
-        if mass_new <= 0.0 {
-            return Some((e, Fail::Mass));
-        }
-
-        let corners = mesh.corners(e);
-        let vol = quad_area(&corners);
-        if vol <= 0.0 {
-            return Some((e, Fail::Volume));
-        }
-        *mass = mass_new;
-        *volume = vol;
-        *length = char_length(&corners);
-        *rho = mass_new / vol;
-        *ein = energy_new / mass_new;
-        let cv = corner_volumes(&corners);
-        *cnvol = cv;
-        // Uniform sub-zonal density on the fresh mesh: the remap
-        // resets sub-zonal pressure deviations (standard for
-        // single-material swept remaps; see DESIGN.md).
-        for c in 0..4 {
-            cnmass[c] = *rho * cv[c];
-        }
-        // Momentum deficit: what the element's corners must gain so
-        // that the new-mass-weighted nodal momentum matches the
-        // advected element momentum exactly.
-        let nd = mesh.elnd[e];
-        let mut carried = Vec2::ZERO;
-        for c in 0..4 {
-            carried += u[nd[c] as usize] * cnmass[c];
-        }
-        *mom = mom_new - carried;
-        None
-    };
-
-    match threading {
-        Threading::Serial => {
-            let mut failure = None;
-            for e in 0..ne {
-                if !subset.contains(e) {
-                    continue;
-                }
-                let f = update(
-                    e,
-                    &mut state.mass[e],
-                    &mut state.volume[e],
-                    &mut state.length[e],
-                    &mut state.rho[e],
-                    &mut state.ein[e],
-                    &mut state.cnvol[e],
-                    &mut state.cnmass[e],
-                    &mut mom[e],
-                );
-                failure = first_fail(failure, f);
+            let mass_new = mass_old - fx.d_mass[e];
+            let energy_new = energy_old - fx.d_energy[e];
+            let mom_new = mom_old - *mom;
+            if mass_new <= 0.0 {
+                return Some((e, Fail::Mass));
             }
-            failure
-        }
-        Threading::Rayon => state.mass[..ne]
-            .par_iter_mut()
-            .zip(state.volume[..ne].par_iter_mut())
-            .zip(state.length[..ne].par_iter_mut())
-            .zip(state.rho[..ne].par_iter_mut())
-            .zip(state.ein[..ne].par_iter_mut())
-            .zip(state.cnvol[..ne].par_iter_mut())
-            .zip(state.cnmass[..ne].par_iter_mut())
-            .zip(mom.par_iter_mut())
-            .enumerate()
-            .map(
-                |(e, (((((((mass, volume), length), rho), ein), cnvol), cnmass), mom))| {
-                    if subset.contains(e) {
-                        update(e, mass, volume, length, rho, ein, cnvol, cnmass, mom)
-                    } else {
-                        None
-                    }
-                },
-            )
-            .reduce(|| None, first_fail),
-    }
+
+            let corners = mesh.corners(e);
+            let vol = quad_area(&corners);
+            if vol <= 0.0 {
+                return Some((e, Fail::Volume));
+            }
+            *mass = mass_new;
+            *volume = vol;
+            *length = char_length(&corners);
+            *rho = mass_new / vol;
+            *ein = energy_new / mass_new;
+            let cv = corner_volumes(&corners);
+            *cnvol = cv;
+            // Uniform sub-zonal density on the fresh mesh: the remap
+            // resets sub-zonal pressure deviations (standard for
+            // single-material swept remaps; see DESIGN.md).
+            for c in 0..4 {
+                cnmass[c] = *rho * cv[c];
+            }
+            // Momentum deficit: what the element's corners must gain so
+            // that the new-mass-weighted nodal momentum matches the
+            // advected element momentum exactly.
+            let nd = mesh.elnd[e];
+            let mut carried = Vec2::ZERO;
+            for c in 0..4 {
+                carried += u[nd[c] as usize] * cnmass[c];
+            }
+            *mom = mom_new - carried;
+            None
+        },
+    )
 }
 
-/// Distribute momentum deficits to the velocities of every node in
-/// `subset`. Each element hands its corners a share of its deficit
+/// Distribute momentum deficits to the velocities of every node of
+/// `nodes`. Each element hands its corners a share of its deficit
 /// weighted by new corner mass; a node converts received momentum to a
 /// velocity change with its new mass. By construction
 /// Σ_n m_n^new u_n^new = Σ_e mom_new[e], so total momentum is conserved
@@ -449,19 +335,20 @@ fn remap_elements(
 /// `getacc` projects wall-normal components, as in the reference code.
 /// Node-order gather (like `getacc`'s rewrite): each node owns its own
 /// velocity slot — rewritten once, from its own pre-remap value — so
-/// this fans out too. Every adjacent element of every node in `subset`
-/// must already be remapped.
+/// this fans out too. Every adjacent element of every node swept must
+/// already be remapped.
 fn remap_nodes(
     mesh: &Mesh,
     state: &mut HydroState,
     mom_change: &[Vec2],
     range: LocalRange,
     threading: Threading,
-    subset: Subset<'_>,
+    nodes: Pass<'_>,
 ) {
     let cnmass = &state.cnmass;
     let mass = &state.mass;
-    let node_update = |n: usize, un: &mut Vec2| {
+    let columns = (&mut state.u[..range.n_active_nd],);
+    sweep(threading, nodes, columns, |n, (un,)| {
         let mut dp = Vec2::ZERO;
         let mut m_new = 0.0;
         for &(e, c) in mesh.elements_of_node(n) {
@@ -473,26 +360,7 @@ fn remap_nodes(
         if m_new > 0.0 {
             *un += dp / m_new;
         }
-    };
-    match threading {
-        Threading::Serial => {
-            for (n, un) in state.u[..range.n_active_nd].iter_mut().enumerate() {
-                if subset.contains(n) {
-                    node_update(n, un);
-                }
-            }
-        }
-        Threading::Rayon => {
-            state.u[..range.n_active_nd]
-                .par_iter_mut()
-                .enumerate()
-                .for_each(|(n, un)| {
-                    if subset.contains(n) {
-                        node_update(n, un);
-                    }
-                });
-        }
-    }
+    });
 }
 
 #[cfg(test)]
@@ -708,13 +576,12 @@ mod tests {
         assert!(after.max_skew <= before.max_skew + 1e-12);
     }
 
-    /// The overlapped (boundary-first, split-sweep) remap must be
-    /// bitwise identical to the plain remap for any mask pair upholding
-    /// the `RemapOverlap` invariant (no element outside `pre_el`
-    /// adjacent to a node in `pre_nd`).
+    /// The boundary-first, split-sweep remap must be bitwise identical
+    /// to the remap in one sweep for any pair of pre-post lists
+    /// upholding the `OverlapSets` invariant (no element outside
+    /// `remap_pre_el_ids` adjacent to a node in `remap_pre_nd_ids`).
     #[test]
     fn overlapped_remap_is_bitwise_identical_to_plain() {
-        use bookleaf_hydro::NoComm;
         let make = || {
             let (mut mesh, mut st) = setup(
                 8,
@@ -759,26 +626,28 @@ mod tests {
         }
         pre_el[40] = true; // an extra early element is always legal
 
+        let ids = |mask: &[bool]| -> Vec<u32> {
+            (0..mask.len() as u32)
+                .filter(|&i| mask[i as usize])
+                .collect()
+        };
+        let nothing = OverlapSets::default();
+        let split = OverlapSets {
+            remap_pre_el_ids: ids(&pre_el),
+            remap_pre_nd_ids: ids(&pre_nd),
+            ..OverlapSets::default()
+        };
+
         for th in [Threading::Serial, Threading::Rayon] {
             let (mut mesh_a, mut st_a) = make();
             let range = LocalRange::whole(&mesh_a);
             let remapper = Remapper::new(&mesh_a, AleOptions::default());
             remapper
-                .step_threaded(&mut mesh_a, &mut st_a, range, th)
+                .step_with(&mut mesh_a, &mut st_a, range, th, &nothing, &mut NoComm)
                 .unwrap();
             let (mut mesh_b, mut st_b) = make();
             remapper
-                .step_overlapped(
-                    &mut mesh_b,
-                    &mut st_b,
-                    range,
-                    th,
-                    Some(RemapOverlap {
-                        pre_el: &pre_el,
-                        pre_nd: &pre_nd,
-                    }),
-                    &mut NoComm,
-                )
+                .step_with(&mut mesh_b, &mut st_b, range, th, &split, &mut NoComm)
                 .unwrap();
             assert_eq!(st_a.rho, st_b.rho, "{th:?}");
             assert_eq!(st_a.ein, st_b.ein, "{th:?}");
@@ -817,16 +686,14 @@ mod tests {
             }
             (mesh, st)
         };
-        use bookleaf_hydro::Threading;
         let (mut mesh_s, mut st_s) = make();
         let range = LocalRange::whole(&mesh_s);
         let remapper = Remapper::new(&mesh_s, AleOptions::default());
-        remapper
-            .step_threaded(&mut mesh_s, &mut st_s, range, Threading::Serial)
-            .unwrap();
+        remapper.step(&mut mesh_s, &mut st_s, range).unwrap();
         let (mut mesh_p, mut st_p) = make();
+        let (th, nothing) = (Threading::Rayon, OverlapSets::default());
         remapper
-            .step_threaded(&mut mesh_p, &mut st_p, range, Threading::Rayon)
+            .step_with(&mut mesh_p, &mut st_p, range, th, &nothing, &mut NoComm)
             .unwrap();
         assert_eq!(st_s.rho, st_p.rho);
         assert_eq!(st_s.ein, st_p.ein);

@@ -17,7 +17,7 @@ use bookleaf_hydro::getq::{getq, QCoeffs};
 use bookleaf_hydro::getrho::getrho;
 use bookleaf_hydro::reference::{getforce_reference, getq_reference};
 use bookleaf_hydro::{
-    eos_fused, viscforce, EosStages, FusedEos, HydroState, LocalRange, Subset, Threading, ViscForce,
+    eos_fused, viscforce, EosStages, FusedEos, HydroState, LocalRange, Pass, Threading, ViscForce,
 };
 use bookleaf_mesh::Mesh;
 
@@ -71,7 +71,17 @@ fn bench_kernels(c: &mut Criterion) {
                 hourglass: HourglassControl::default(),
                 dt: 1e-4,
             };
-            b.iter(|| viscforce(&mesh, &mut st, range, sweep, threading, Subset::All));
+            b.iter(|| {
+                viscforce(
+                    &mesh,
+                    &mut st,
+                    range,
+                    sweep,
+                    threading,
+                    Pass::All,
+                    Pass::All,
+                )
+            });
         });
         group.bench_function(BenchmarkId::new("getgeom", tag), |b| {
             let mut st = state.clone();

@@ -59,7 +59,7 @@ use bookleaf_hydro::getq::{getq, QCoeffs};
 use bookleaf_hydro::getrho::getrho;
 use bookleaf_hydro::reference::{getforce_reference, getq_reference};
 use bookleaf_hydro::{
-    eos_fused, viscforce, AccMode, EosStages, FusedEos, HydroState, LocalRange, Subset, Threading,
+    eos_fused, viscforce, AccMode, EosStages, FusedEos, HydroState, LocalRange, Pass, Threading,
     ViscForce,
 };
 use bookleaf_mesh::Mesh;
@@ -302,7 +302,7 @@ fn kernel_seconds(
             getforce(mesh, st, range, HourglassControl::default(), DT, th);
         }),
         KernelId::ViscForce => time_best(n, repeats, || {
-            viscforce(mesh, st, range, fused_sweep(), th, Subset::All);
+            viscforce(mesh, st, range, fused_sweep(), th, Pass::All, Pass::All);
         }),
         KernelId::GetAcc => time_best(n, repeats, || {
             getacc(mesh, st, range, DT, AccMode::GatherSerial);
@@ -496,7 +496,8 @@ fn measure_speedups(mesh_n: usize, repeats: usize) -> Vec<Speedup> {
                 range,
                 fused_sweep(),
                 th,
-                Subset::All,
+                Pass::All,
+                Pass::All,
             );
         },
     );

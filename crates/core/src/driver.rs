@@ -17,11 +17,11 @@
 //! which the simulation's observers fire at run/step/phase boundaries.
 //!
 
-use bookleaf_ale::{RemapOverlap, Remapper};
+use bookleaf_ale::Remapper;
 use bookleaf_eos::MaterialTable;
 use bookleaf_hydro::getdt::getdt;
 use bookleaf_hydro::getpc::getpc;
-use bookleaf_hydro::{lagstep_timed, HaloOps, HydroState, KernelSplit, LocalRange};
+use bookleaf_hydro::{lagstep_timed, HaloOps, HydroState, LocalRange};
 use bookleaf_mesh::{Mesh, OverlapSets};
 use bookleaf_util::{BookLeafError, HealthDiagnosis, HealthField, KernelId, Result, TimerRegistry};
 
@@ -69,12 +69,10 @@ pub struct SentinelOps<'s> {
 /// death fires and where a collective can time out against a dead peer.
 /// Continues from `cursor` and leaves it at the stop point.
 ///
-/// With `overlap` set (ranks that have neighbours, with the overlap
-/// toggle on), every halo phase is split: posted early, completed only
-/// before the boundary sweep of the kernels it feeds, with the interior
-/// swept while the messages are in flight — bitwise identical to the
-/// blocking schedule by the interior/boundary classification's
-/// guarantees.
+/// `overlap` names the entities the kernels leave for after each halo
+/// phase's `complete` (see `bookleaf_hydro::HaloOps`): `halo`'s own
+/// lists when it overlaps communication with computation, empty lists
+/// when its exchanges block — and for a serial run.
 ///
 /// With `watch` set (and observers registered), the observer hooks fire
 /// at run begin/end, step begin/end and after each phase. Observers are
@@ -101,20 +99,13 @@ pub fn run_loop<H: HaloOps>(
     mut reduce_dt: impl FnMut(usize, f64) -> Result<f64>,
     timers: &TimerRegistry,
     cursor: &mut LoopState,
-    overlap: Option<&OverlapSets>,
+    overlap: &OverlapSets,
     watch: Option<&LoopWatch<'_>>,
     sentinel: Option<&SentinelOps<'_>>,
 ) -> Result<()> {
     let mut t = cursor.t;
     let mut steps = cursor.steps;
     let mut dt_prev = cursor.dt_prev;
-    let split = overlap.map(|o| KernelSplit {
-        el_boundary: &o.el_boundary,
-        nd_boundary: &o.nd_boundary,
-        el_boundary_ids: &o.el_boundary_ids,
-        boundary_cells: &o.boundary_cells,
-        nd_boundary_ids: &o.nd_boundary_ids,
-    });
 
     let watch = watch.filter(|w| !w.observers.is_empty());
     let needs = watch.map(|w| w.observers.needs()).unwrap_or_default();
@@ -200,7 +191,7 @@ pub fn run_loop<H: HaloOps>(
             &config.lag,
             halo,
             timers,
-            split,
+            overlap,
         )?;
         if let Some(w) = watch {
             let view = mid_view(w, steps, t + dt, dt, mesh, state, range);
@@ -210,26 +201,17 @@ pub fn run_loop<H: HaloOps>(
         if let (Some(remapper), true) = (remapper, config.ale.is_some()) {
             if remapper.due(steps) {
                 // The post-remap exchange is posted and completed inside
-                // the remap itself — around its deferred sweep when
-                // overlapped, back to back otherwise — so its cost lands
-                // in the ALE bucket; the wait that could not be hidden
-                // is in CommStats either way. The remap rewrote ρ and ε
-                // (the exchange has delivered the ghosts'), so the ALE
-                // step closes the way LAGSTEP does, with GETPC: pressure
-                // and sound speed are functions of (ρ, ε) at every step
-                // boundary — the state a restart re-derives.
+                // the remap itself, around its deferred sweep, so its
+                // cost lands in the ALE bucket; the wait that could not
+                // be hidden is in CommStats either way. The remap
+                // rewrote ρ and ε (the exchange has delivered the
+                // ghosts'), so the ALE step closes the way LAGSTEP does,
+                // with GETPC: pressure and sound speed are functions of
+                // (ρ, ε) at every step boundary — the state a restart
+                // re-derives.
                 timers.time(KernelId::Ale, || -> Result<()> {
-                    remapper.step_overlapped(
-                        mesh,
-                        state,
-                        range,
-                        config.lag.threading,
-                        overlap.map(|o| RemapOverlap {
-                            pre_el: &o.remap_pre_el,
-                            pre_nd: &o.remap_pre_nd,
-                        }),
-                        halo,
-                    )?;
+                    let threading = config.lag.threading;
+                    remapper.step_with(mesh, state, range, threading, overlap, halo)?;
                     let whole = LocalRange::whole(mesh);
                     getpc(mesh, materials, state, whole, config.lag.threading);
                     Ok(())

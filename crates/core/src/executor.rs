@@ -203,14 +203,6 @@ fn run_rank(
     observers: &ObserverSet,
     resume: Option<&Snapshot>,
 ) -> Result<RankOut> {
-    // Interior/boundary classification, derived once per run: with the
-    // overlap toggle on, every halo phase is posted early and completed
-    // only before the boundary sweep (latency hiding; bitwise identical
-    // physics and identical message counts). A rank with no neighbour
-    // link has nothing in flight to hide work behind: it runs the
-    // blocking schedule, whose exchanges move nothing.
-    let overlap_sets =
-        (config.overlap && !sub.neighbour_ranks().is_empty()).then(|| sub.overlap_sets());
     // Map global piston nodes to local ids.
     let piston = deck.piston.as_ref().map(|p| {
         let g2l: HashMap<u32, u32> = sub
@@ -224,9 +216,14 @@ fn run_rank(
             velocity: p.velocity,
         }
     });
-    // Build the rank's aggregated exchange plan once; every halo hook
-    // then moves its whole phase as one message per neighbour.
-    let mut halo = TyphonHalo::new(ctx, &sub, piston);
+    // Build the rank's aggregated exchange plan once; every halo phase
+    // then moves as one message per neighbour. With the overlap toggle
+    // on (and a neighbour to exchange with) a phase is posted early and
+    // completed only before the sweep over the boundary lists, derived
+    // here once per run — latency hiding; bitwise identical physics and
+    // identical message counts.
+    let mut halo = TyphonHalo::new(ctx, &sub, piston, config.overlap);
+    let overlap_sets = halo.overlap_sets(&sub);
 
     // From here on the rank works on the submesh's own mesh.
     let SubMesh {
@@ -316,7 +313,7 @@ fn run_rank(
         },
         &timers,
         &mut cursor,
-        overlap_sets.as_ref(),
+        &overlap_sets,
         Some(&watch),
         Some(&sentinel),
     )?;

@@ -1,10 +1,10 @@
 //! Typhon-backed halo operations and the piston hook.
 //!
 //! [`TyphonHalo`] implements [`bookleaf_hydro::HaloOps`] over a
-//! [`bookleaf_typhon::HaloPlan`]: each hook is one registered exchange
-//! *phase*, and every field a phase needs travels in a **single packed
-//! message per neighbouring rank** (the reference Typhon's aggregated
-//! quantity registration — see `bookleaf_typhon::plan`):
+//! [`bookleaf_typhon::HaloPlan`]: each [`Phase`] is one registered
+//! exchange phase, and every field a phase needs travels in a **single
+//! packed message per neighbouring rank** (the reference Typhon's
+//! aggregated quantity registration — see `bookleaf_typhon::plan`):
 //!
 //! * **`pre_viscosity`** — node kinematics (positions and velocities)
 //!   plus ghost element thermodynamic state (ρ, e, p, c²): six fields,
@@ -18,6 +18,12 @@
 //!   volumes, corner masses, node kinematics): seven fields, one
 //!   message per neighbour.
 //!
+//! The overlap toggle lives here and nowhere else: overlapping, `post`
+//! sends and `complete` receives, and the kernels between them sweep
+//! the interior named by [`TyphonHalo::overlap_sets`]; blocking, a phase
+//! exchanges in full inside one of the two calls and the sets are
+//! empty. The same messages move either way.
+//!
 //! Resuming moves no messages: the restart state is global, so a rank
 //! reads its ghosts' values where it reads its own (`Snapshot::install`).
 //!
@@ -27,8 +33,8 @@
 //! [`LocalPiston`] (and the piston part of `TyphonHalo`) imposes the
 //! Saltzmann driven wall after each acceleration.
 
-use bookleaf_hydro::{HaloOps, HydroState};
-use bookleaf_mesh::{Mesh, SubMesh};
+use bookleaf_hydro::{HaloOps, HydroState, Phase};
+use bookleaf_mesh::{Mesh, OverlapSets, SubMesh};
 use bookleaf_typhon::{
     Entity, FieldMut, HaloPlan, HaloPlanBuilder, PendingPhase, PhaseId, RankCtx, SlotKind,
 };
@@ -70,100 +76,101 @@ impl HaloOps for SerialHooks {
 }
 
 /// Distributed hooks: phase-aggregated Typhon exchanges plus optional
-/// piston. Every phase also supports the split post/complete protocol
-/// (see [`bookleaf_hydro::HaloOps`]); the in-flight tickets live here
-/// so a posted phase is completed exactly once.
+/// piston. The in-flight tickets live here so a posted phase is
+/// completed exactly once.
 pub struct TyphonHalo<'a> {
     ctx: &'a RankCtx,
     plan: HaloPlan,
-    pre_visc: PhaseId,
-    pre_acc: PhaseId,
-    post_remap: PhaseId,
-    pending_visc: Option<PendingPhase>,
-    pending_acc: Option<PendingPhase>,
-    pending_remap: Option<PendingPhase>,
+    /// Overlap communication with computation? Never on a rank without
+    /// neighbour links: nothing would be in flight to hide work behind.
+    overlap: bool,
+    /// Indexed by `Phase as usize`, like `pending`.
+    ids: [PhaseId; 3],
+    pending: [Option<PendingPhase>; 3],
     /// Piston with *local* node ids, if any land on this rank.
     pub piston: Option<LocalPiston>,
 }
 
-/// The `pre_viscosity` phase bindings, in registration order.
-fn visc_fields<'s>(mesh: &'s mut Mesh, state: &'s mut HydroState) -> [FieldMut<'s>; 6] {
-    [
-        FieldMut::Vec2(&mut mesh.nodes),
-        FieldMut::Vec2(&mut state.u),
-        FieldMut::Scalar(&mut state.rho),
-        FieldMut::Scalar(&mut state.ein),
-        FieldMut::Scalar(&mut state.pressure),
-        FieldMut::Scalar(&mut state.cs2),
-    ]
+/// What `phase` moves, in registration order (the wire layout of
+/// [`with_fields`]'s bindings).
+fn slots(phase: Phase) -> &'static [(Entity, SlotKind)] {
+    match phase {
+        Phase::PreViscosity => &[
+            (Entity::Node, SlotKind::Vec2),      // mesh.nodes
+            (Entity::Node, SlotKind::Vec2),      // u
+            (Entity::Element, SlotKind::Scalar), // rho
+            (Entity::Element, SlotKind::Scalar), // ein
+            (Entity::Element, SlotKind::Scalar), // pressure
+            (Entity::Element, SlotKind::Scalar), // cs2
+        ],
+        Phase::PreAcceleration => &[
+            (Entity::Element, SlotKind::Corner4),    // cnmass
+            (Entity::Element, SlotKind::CornerVec2), // cnforce
+        ],
+        Phase::PostRemap => &[
+            (Entity::Node, SlotKind::Vec2),       // mesh.nodes
+            (Entity::Node, SlotKind::Vec2),       // u
+            (Entity::Element, SlotKind::Scalar),  // mass
+            (Entity::Element, SlotKind::Scalar),  // rho
+            (Entity::Element, SlotKind::Scalar),  // ein
+            (Entity::Element, SlotKind::Scalar),  // volume
+            (Entity::Element, SlotKind::Corner4), // cnmass
+        ],
+    }
 }
 
-/// The `pre_acceleration` phase bindings.
-fn acc_fields(state: &mut HydroState) -> [FieldMut<'_>; 2] {
-    [
-        FieldMut::Corner4(&mut state.cnmass),
-        FieldMut::CornerPair(&mut state.cnforce_x, &mut state.cnforce_y),
-    ]
-}
-
-/// The `post_remap` phase bindings.
-fn remap_fields<'s>(mesh: &'s mut Mesh, state: &'s mut HydroState) -> [FieldMut<'s>; 7] {
-    [
-        FieldMut::Vec2(&mut mesh.nodes),
-        FieldMut::Vec2(&mut state.u),
-        FieldMut::Scalar(&mut state.mass),
-        FieldMut::Scalar(&mut state.rho),
-        FieldMut::Scalar(&mut state.ein),
-        FieldMut::Scalar(&mut state.volume),
-        FieldMut::Corner4(&mut state.cnmass),
-    ]
+/// Run `exchange` on `phase`'s field bindings.
+fn with_fields<R>(
+    phase: Phase,
+    mesh: &mut Mesh,
+    state: &mut HydroState,
+    exchange: impl FnOnce(&mut [FieldMut<'_>]) -> R,
+) -> R {
+    match phase {
+        Phase::PreViscosity => exchange(&mut [
+            FieldMut::Vec2(&mut mesh.nodes),
+            FieldMut::Vec2(&mut state.u),
+            FieldMut::Scalar(&mut state.rho),
+            FieldMut::Scalar(&mut state.ein),
+            FieldMut::Scalar(&mut state.pressure),
+            FieldMut::Scalar(&mut state.cs2),
+        ]),
+        Phase::PreAcceleration => exchange(&mut [
+            FieldMut::Corner4(&mut state.cnmass),
+            FieldMut::CornerPair(&mut state.cnforce_x, &mut state.cnforce_y),
+        ]),
+        Phase::PostRemap => exchange(&mut [
+            FieldMut::Vec2(&mut mesh.nodes),
+            FieldMut::Vec2(&mut state.u),
+            FieldMut::Scalar(&mut state.mass),
+            FieldMut::Scalar(&mut state.rho),
+            FieldMut::Scalar(&mut state.ein),
+            FieldMut::Scalar(&mut state.volume),
+            FieldMut::Corner4(&mut state.cnmass),
+        ]),
+    }
 }
 
 impl<'a> TyphonHalo<'a> {
     /// Build the rank's exchange plan from the submesh schedules and
-    /// register the three standard phases.
+    /// register the three phases. `overlap` asks for the split
+    /// schedule (granted if the rank has a neighbour).
     #[must_use]
-    pub fn new(ctx: &'a RankCtx, sub: &SubMesh, piston: Option<LocalPiston>) -> Self {
+    pub fn new(
+        ctx: &'a RankCtx,
+        sub: &SubMesh,
+        piston: Option<LocalPiston>,
+        overlap: bool,
+    ) -> Self {
         let mut b = HaloPlanBuilder::new(&sub.el_exchange, &sub.nd_exchange);
-        let pre_visc = b.phase(
-            "pre_viscosity",
-            &[
-                (Entity::Node, SlotKind::Vec2),      // mesh.nodes
-                (Entity::Node, SlotKind::Vec2),      // u
-                (Entity::Element, SlotKind::Scalar), // rho
-                (Entity::Element, SlotKind::Scalar), // ein
-                (Entity::Element, SlotKind::Scalar), // pressure
-                (Entity::Element, SlotKind::Scalar), // cs2
-            ],
-        );
-        let pre_acc = b.phase(
-            "pre_acceleration",
-            &[
-                (Entity::Element, SlotKind::Corner4),    // cnmass
-                (Entity::Element, SlotKind::CornerVec2), // cnforce
-            ],
-        );
-        let post_remap = b.phase(
-            "post_remap",
-            &[
-                (Entity::Node, SlotKind::Vec2),       // mesh.nodes
-                (Entity::Node, SlotKind::Vec2),       // u
-                (Entity::Element, SlotKind::Scalar),  // mass
-                (Entity::Element, SlotKind::Scalar),  // rho
-                (Entity::Element, SlotKind::Scalar),  // ein
-                (Entity::Element, SlotKind::Scalar),  // volume
-                (Entity::Element, SlotKind::Corner4), // cnmass
-            ],
-        );
+        let ids = Phase::ALL.map(|phase| b.phase(phase.name(), slots(phase)));
+        let plan = b.build();
         TyphonHalo {
             ctx,
-            plan: b.build(),
-            pre_visc,
-            pre_acc,
-            post_remap,
-            pending_visc: None,
-            pending_acc: None,
-            pending_remap: None,
+            overlap: overlap && plan.n_links() > 0,
+            plan,
+            ids,
+            pending: [None, None, None],
             piston,
         }
     }
@@ -173,18 +180,69 @@ impl<'a> TyphonHalo<'a> {
     pub fn plan(&self) -> &HaloPlan {
         &self.plan
     }
-}
 
-impl HaloOps for TyphonHalo<'_> {
-    fn pre_viscosity(&mut self, mesh: &mut Mesh, state: &mut HydroState) -> Result<()> {
-        self.plan
-            .execute(self.ctx, self.pre_visc, &mut visc_fields(mesh, state))?;
+    /// The boundary lists the kernels between this halo's `post` and
+    /// `complete` must leave for after the `complete`: `sub`'s when
+    /// overlapping, none when blocking.
+    #[must_use]
+    pub fn overlap_sets(&self, sub: &SubMesh) -> OverlapSets {
+        if self.overlap {
+            sub.overlap_sets()
+        } else {
+            OverlapSets::default()
+        }
+    }
+
+    /// Pack and send `phase`, keeping the ticket.
+    fn send(&mut self, phase: Phase, mesh: &mut Mesh, state: &mut HydroState) -> Result<()> {
+        let slot = phase as usize;
+        assert!(
+            self.pending[slot].is_none(),
+            "{} posted twice without a complete",
+            phase.name()
+        );
+        let posted = with_fields(phase, mesh, state, |fields| {
+            self.plan.post(self.ctx, self.ids[slot], fields)
+        })?;
+        self.pending[slot] = Some(posted);
         Ok(())
     }
 
-    fn pre_acceleration(&mut self, state: &mut HydroState) -> Result<()> {
-        self.plan
-            .execute(self.ctx, self.pre_acc, &mut acc_fields(state))?;
+    /// Receive and unpack the `phase` sent last.
+    fn receive(&mut self, phase: Phase, mesh: &mut Mesh, state: &mut HydroState) -> Result<()> {
+        let pending = self.pending[phase as usize]
+            .take()
+            .unwrap_or_else(|| panic!("{} completed without a post", phase.name()));
+        with_fields(phase, mesh, state, |fields| {
+            self.plan.complete(self.ctx, pending, fields)
+        })?;
+        Ok(())
+    }
+}
+
+impl HaloOps for TyphonHalo<'_> {
+    // Blocking, a phase exchanges in full inside the call by which
+    // everything it sends is final: `post` for a Lagrangian phase,
+    // `complete` for the remap's (posted mid-remap).
+    fn post(&mut self, phase: Phase, mesh: &mut Mesh, state: &mut HydroState) -> Result<()> {
+        if self.overlap {
+            return self.send(phase, mesh, state);
+        }
+        if phase != Phase::PostRemap {
+            self.send(phase, mesh, state)?;
+            self.receive(phase, mesh, state)?;
+        }
+        Ok(())
+    }
+
+    fn complete(&mut self, phase: Phase, mesh: &mut Mesh, state: &mut HydroState) -> Result<()> {
+        if self.overlap {
+            return self.receive(phase, mesh, state);
+        }
+        if phase == Phase::PostRemap {
+            self.send(phase, mesh, state)?;
+            self.receive(phase, mesh, state)?;
+        }
         Ok(())
     }
 
@@ -192,77 +250,6 @@ impl HaloOps for TyphonHalo<'_> {
         if let Some(p) = &self.piston {
             p.apply(state);
         }
-        Ok(())
-    }
-
-    fn post_remap(&mut self, mesh: &mut Mesh, state: &mut HydroState) -> Result<()> {
-        self.plan
-            .execute(self.ctx, self.post_remap, &mut remap_fields(mesh, state))?;
-        Ok(())
-    }
-
-    fn pre_viscosity_post(&mut self, mesh: &mut Mesh, state: &mut HydroState) -> Result<()> {
-        assert!(
-            self.pending_visc.is_none(),
-            "pre_viscosity posted twice without a complete"
-        );
-        self.pending_visc = Some(self.plan.post(
-            self.ctx,
-            self.pre_visc,
-            &visc_fields(mesh, state),
-        )?);
-        Ok(())
-    }
-
-    fn pre_viscosity_complete(&mut self, mesh: &mut Mesh, state: &mut HydroState) -> Result<()> {
-        let pending = self
-            .pending_visc
-            .take()
-            .expect("pre_viscosity_complete without a post");
-        self.plan
-            .complete(self.ctx, pending, &mut visc_fields(mesh, state))?;
-        Ok(())
-    }
-
-    fn pre_acceleration_post(&mut self, state: &mut HydroState) -> Result<()> {
-        assert!(
-            self.pending_acc.is_none(),
-            "pre_acceleration posted twice without a complete"
-        );
-        self.pending_acc = Some(self.plan.post(self.ctx, self.pre_acc, &acc_fields(state))?);
-        Ok(())
-    }
-
-    fn pre_acceleration_complete(&mut self, state: &mut HydroState) -> Result<()> {
-        let pending = self
-            .pending_acc
-            .take()
-            .expect("pre_acceleration_complete without a post");
-        self.plan
-            .complete(self.ctx, pending, &mut acc_fields(state))?;
-        Ok(())
-    }
-
-    fn post_remap_post(&mut self, mesh: &mut Mesh, state: &mut HydroState) -> Result<()> {
-        assert!(
-            self.pending_remap.is_none(),
-            "post_remap posted twice without a complete"
-        );
-        self.pending_remap = Some(self.plan.post(
-            self.ctx,
-            self.post_remap,
-            &remap_fields(mesh, state),
-        )?);
-        Ok(())
-    }
-
-    fn post_remap_complete(&mut self, mesh: &mut Mesh, state: &mut HydroState) -> Result<()> {
-        let pending = self
-            .pending_remap
-            .take()
-            .expect("post_remap_complete without a post");
-        self.plan
-            .complete(self.ctx, pending, &mut remap_fields(mesh, state))?;
         Ok(())
     }
 }
@@ -304,54 +291,137 @@ mod tests {
         assert_eq!(st.u[1], Vec2::new(-1.0, 0.0));
     }
 
-    /// Each hook sends exactly one message per neighbour link, and the
-    /// corner-force exchange round-trips through the native CornerVec2
-    /// packing (no scratch arrays, bit-exact values).
-    #[test]
-    fn hooks_are_one_message_per_neighbour_per_phase() {
-        let m = generate_rect(&RectSpec::unit_square(6), |_| 0).unwrap();
+    fn two_stripes(n: usize) -> (Mesh, Vec<SubMesh>) {
+        let m = generate_rect(&RectSpec::unit_square(n), |_| 0).unwrap();
         let owner: Vec<usize> = (0..m.n_elements())
-            .map(|e| usize::from(e % 6 >= 3))
+            .map(|e| usize::from(e % n >= n / 2))
             .collect();
         let subs = SubMeshPlan::build(&m, &owner, 2).unwrap();
+        (m, subs)
+    }
+
+    /// Each phase sends exactly one message per neighbour link, blocking
+    /// or overlapping, and the corner-force exchange round-trips through
+    /// the native CornerVec2 packing (no scratch arrays, bit-exact
+    /// values).
+    #[test]
+    fn phases_are_one_message_per_neighbour() {
+        let (_, subs) = two_stripes(6);
         let mat = MaterialTable::single(EosSpec::ideal_gas(1.4));
-        let out = Typhon::run(2, |ctx| {
-            let sub = &subs[ctx.rank()];
-            let mut mesh = sub.mesh.clone();
-            let mut st = HydroState::new(&mesh, &mat, |_| 1.0, |_| 1.0, |_| Vec2::ZERO).unwrap();
-            // Distinctive owned corner forces; ghosts poisoned.
-            for e in 0..mesh.n_elements() {
-                let g = sub.el_l2g[e] as f64;
-                for c in 0..4 {
-                    let f = if sub.owns_element(e) {
-                        Vec2::new(g + 0.1 * c as f64, -g - 0.1 * c as f64)
-                    } else {
-                        Vec2::new(f64::NAN, f64::NAN)
-                    };
-                    st.set_cnforce(e, c, f);
+        for overlap in [false, true] {
+            let out = Typhon::run(2, |ctx| {
+                let sub = &subs[ctx.rank()];
+                let mut mesh = sub.mesh.clone();
+                let mut st =
+                    HydroState::new(&mesh, &mat, |_| 1.0, |_| 1.0, |_| Vec2::ZERO).unwrap();
+                // Distinctive owned corner forces; ghosts poisoned.
+                for e in 0..mesh.n_elements() {
+                    let g = sub.el_l2g[e] as f64;
+                    for c in 0..4 {
+                        let f = if sub.owns_element(e) {
+                            Vec2::new(g + 0.1 * c as f64, -g - 0.1 * c as f64)
+                        } else {
+                            Vec2::new(f64::NAN, f64::NAN)
+                        };
+                        st.set_cnforce(e, c, f);
+                    }
+                }
+                let mut halo = TyphonHalo::new(ctx, sub, None, overlap);
+                for phase in Phase::ALL {
+                    halo.post(phase, &mut mesh, &mut st).unwrap();
+                    halo.complete(phase, &mut mesh, &mut st).unwrap();
+                }
+                let forces_ok = (0..mesh.n_elements()).all(|e| {
+                    let g = sub.el_l2g[e] as f64;
+                    (0..4).all(|c| {
+                        st.cnforce(e, c) == Vec2::new(g + 0.1 * c as f64, -g - 0.1 * c as f64)
+                    })
+                });
+                (ctx.stats(), halo.plan().n_links(), forces_ok)
+            })
+            .unwrap();
+            for (stats, n_links, forces_ok) in out {
+                assert!(forces_ok, "corner forces corrupted by aggregated packing");
+                // Three phases executed once each: 3 × links messages total.
+                assert_eq!(stats.messages_sent, 3 * n_links as u64);
+                for phase in Phase::ALL {
+                    let p = stats.phase(phase.name()).unwrap();
+                    assert_eq!(p.messages_sent, n_links as u64, "{phase:?}");
+                    assert!(p.doubles_sent > 0, "{phase:?} moved no data");
                 }
             }
-            let mut halo = TyphonHalo::new(ctx, sub, None);
-            halo.pre_viscosity(&mut mesh, &mut st).unwrap();
-            halo.pre_acceleration(&mut st).unwrap();
-            halo.post_remap(&mut mesh, &mut st).unwrap();
-            let forces_ok = (0..mesh.n_elements()).all(|e| {
-                let g = sub.el_l2g[e] as f64;
-                (0..4)
-                    .all(|c| st.cnforce(e, c) == Vec2::new(g + 0.1 * c as f64, -g - 0.1 * c as f64))
-            });
-            (ctx.stats(), halo.plan().n_links(), forces_ok)
-        })
-        .unwrap();
-        for (stats, n_links, forces_ok) in out {
-            assert!(forces_ok, "corner forces corrupted by aggregated packing");
-            // Three phases executed once each: 3 × links messages total.
-            assert_eq!(stats.messages_sent, 3 * n_links as u64);
-            for phase in ["pre_viscosity", "pre_acceleration", "post_remap"] {
-                let p = stats.phase(phase).unwrap();
-                assert_eq!(p.messages_sent, n_links as u64, "{phase}");
-                assert!(p.doubles_sent > 0, "{phase} moved no data");
+        }
+    }
+
+    /// A Lagrangian step and a remap on their one schedule, through a
+    /// blocking and through an overlapping `TyphonHalo`: 3 messages per
+    /// link for the step and a 4th for the remap, the same doubles, and
+    /// the same state to the bit.
+    #[test]
+    fn blocking_and_overlapping_move_identical_bytes() {
+        use bookleaf_ale::{AleOptions, Remapper};
+        use bookleaf_hydro::{lagstep_timed, LagOptions, LocalRange, Threading};
+        use bookleaf_util::TimerRegistry;
+
+        let (global, subs) = two_stripes(8);
+        let mat = MaterialTable::single(EosSpec::ideal_gas(1.4));
+        let run = |overlap: bool| {
+            Typhon::run(2, |ctx| {
+                let sub = &subs[ctx.rank()];
+                let mut mesh = sub.mesh.clone();
+                // A function of global ids: ghosts start as their owners do.
+                let mut st = HydroState::new(
+                    &mesh,
+                    &mat,
+                    |e| 1.0 + 0.1 * (sub.el_l2g[e] % 3) as f64,
+                    |e| 2.0 + 0.5 * (sub.el_l2g[e] % 5) as f64,
+                    |n| (Vec2::new(0.5, 0.5) - global.nodes[sub.nd_l2g[n] as usize]) * 0.2,
+                )
+                .unwrap();
+                let range = LocalRange {
+                    n_owned_el: sub.n_owned_el,
+                    n_active_nd: sub.n_active_nd,
+                };
+                let remapper = Remapper::new(&mesh, AleOptions::default());
+                let mut halo = TyphonHalo::new(ctx, sub, None, overlap);
+                let sets = halo.overlap_sets(sub);
+                assert_eq!(sets.el_boundary_ids.is_empty(), !overlap);
+                assert_eq!(sets.remap_pre_nd_ids.is_empty(), !overlap);
+                let (opts, timers) = (LagOptions::default(), TimerRegistry::new());
+                lagstep_timed(
+                    &mut mesh, &mat, &mut st, range, 1e-3, &opts, &mut halo, &timers, &sets,
+                )
+                .unwrap();
+                let step = ctx.stats();
+                let th = Threading::Serial;
+                remapper
+                    .step_with(&mut mesh, &mut st, range, th, &sets, &mut halo)
+                    .unwrap();
+                let bits: Vec<u64> = (st.rho.iter().chain(&st.ein))
+                    .chain(st.u.iter().chain(&mesh.nodes).flat_map(|v| [&v.x, &v.y]))
+                    .map(|x| x.to_bits())
+                    .collect();
+                (step, ctx.stats(), halo.plan().n_links() as u64, bits)
+            })
+            .unwrap()
+        };
+        let (blocking, overlapping) = (run(false), run(true));
+        for (b, o) in blocking.iter().zip(&overlapping) {
+            let (links, what) = (b.2, "blocking vs overlapping");
+            for (step, with_remap, ..) in [b, o] {
+                assert_eq!(step.messages_sent, 3 * links);
+                assert_eq!(with_remap.messages_sent, 4 * links);
             }
+            assert_eq!(b.0.doubles_sent, o.0.doubles_sent, "{what}: step doubles");
+            assert_eq!(b.1.doubles_sent, o.1.doubles_sent, "{what}: remap doubles");
+            for phase in Phase::ALL {
+                let of = |s: &bookleaf_typhon::CommStats| {
+                    let p = s.phase(phase.name()).unwrap();
+                    (p.messages_sent, p.doubles_sent)
+                };
+                assert_eq!(of(&b.1), of(&o.1), "{what}: {phase:?}");
+            }
+            assert_eq!(b.3, o.3, "{what}: state bits");
         }
     }
 }

@@ -40,7 +40,7 @@ use std::time::Duration;
 use bookleaf_ale::{AleOptions, Remapper};
 use bookleaf_hydro::getdt::DtControls;
 use bookleaf_hydro::{HydroState, LocalRange};
-use bookleaf_mesh::Mesh;
+use bookleaf_mesh::{Mesh, OverlapSets};
 use bookleaf_typhon::{CommStats, FaultPlan, TyphonOptions};
 use bookleaf_util::{BookLeafError, DeckError, Result, TimerRegistry, Vec2};
 
@@ -543,7 +543,7 @@ impl Engine {
             |_step, dt| Ok(dt),
             &exec.timers,
             &mut self.cursor,
-            None,
+            &OverlapSets::default(),
             Some(&watch),
             Some(&sentinel),
         );
@@ -887,11 +887,12 @@ mod tests {
             assert!(s.timers.calls(k) > 0, "{k:?} never timed");
         }
         // Viscosity and forces are one fused sweep per predictor and
-        // corrector; the standalone buckets stay empty.
-        assert_eq!(s.timers.calls(KernelId::ViscForce), 2 * s.steps as u64);
+        // corrector, timed as the two passes of the halo schedule (here
+        // everything and nothing); the standalone buckets stay empty.
+        assert_eq!(s.timers.calls(KernelId::ViscForce), 4 * s.steps as u64);
         assert_eq!(s.timers.calls(KernelId::GetQ), 0);
         assert_eq!(s.timers.calls(KernelId::GetForce), 0);
-        assert_eq!(s.timers.calls(KernelId::GetAcc), s.steps as u64);
+        assert_eq!(s.timers.calls(KernelId::GetAcc), 2 * s.steps as u64);
         // The four-kernel EOS chain never runs standalone inside the
         // lagstep: its time lands in the fused bucket.
         assert_eq!(s.timers.calls(KernelId::EosFused), 2 * s.steps as u64);

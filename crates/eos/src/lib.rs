@@ -6,8 +6,8 @@
 //! State relating pressure to density and specific internal energy.
 //! BookLeaf provides three EoS options — **ideal gas**, **Tait** and
 //! **JWL** — plus a **void** option; this crate implements all four with
-//! analytic sound speeds, a material table keyed by region id, and
-//! slice-level evaluation used by the `getpc` kernel.
+//! analytic sound speeds and a material table keyed by region id (what
+//! the `getpc` kernel looks each element's EoS up in).
 //!
 //! The adiabatic sound speed is evaluated from the exact thermodynamic
 //! identity

@@ -1,4 +1,4 @@
-//! Material table: region id → EoS, and slice-level evaluation.
+//! Material table: region id → EoS.
 //!
 //! The `getpc` kernel evaluates the EoS for every element. Elements carry
 //! a region (material) id; the table maps that id to an [`EosSpec`].
@@ -59,29 +59,6 @@ impl MaterialTable {
         }
         Ok(())
     }
-
-    /// Evaluate pressure and sound speed squared for every element.
-    ///
-    /// This is the vectorised body of `getpc`: inputs are per-element
-    /// density, internal energy and region; outputs are written in place.
-    pub fn eval_slice(
-        &self,
-        rho: &[f64],
-        ein: &[f64],
-        region: &[u32],
-        pressure: &mut [f64],
-        cs2: &mut [f64],
-    ) {
-        debug_assert_eq!(rho.len(), ein.len());
-        debug_assert_eq!(rho.len(), region.len());
-        debug_assert_eq!(rho.len(), pressure.len());
-        debug_assert_eq!(rho.len(), cs2.len());
-        for i in 0..rho.len() {
-            let (p, c) = self.spec(region[i]).pressure_cs2(rho[i], ein[i]);
-            pressure[i] = p;
-            cs2[i] = c;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -104,23 +81,6 @@ mod tests {
         let t = MaterialTable::single(EosSpec::ideal_gas(1.4));
         assert!(t.check_regions(&[0, 0, 0]).is_ok());
         assert!(t.check_regions(&[0, 1]).is_err());
-    }
-
-    #[test]
-    fn eval_slice_matches_scalar() {
-        let t = MaterialTable::new(vec![EosSpec::ideal_gas(1.4), EosSpec::Void]);
-        let rho = [1.0, 2.0, 0.5];
-        let ein = [1.0, 3.0, 2.0];
-        let region = [0, 0, 1];
-        let mut p = [0.0; 3];
-        let mut c = [0.0; 3];
-        t.eval_slice(&rho, &ein, &region, &mut p, &mut c);
-        for i in 0..3 {
-            let (ps, cs) = t.spec(region[i]).pressure_cs2(rho[i], ein[i]);
-            assert_eq!(p[i], ps);
-            assert_eq!(c[i], cs);
-        }
-        assert_eq!(p[2], 0.0); // void
     }
 
     #[test]

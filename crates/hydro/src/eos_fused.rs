@@ -19,11 +19,11 @@
 //! - every per-element expression is the same expression, in the same
 //!   evaluation order, as its unfused counterpart;
 //! - there are no floating-point reductions across elements, so any
-//!   split of the element range (serial, rayon, overlapped subsets)
-//!   yields the same bits;
-//! - the serial `getpc` path calls `MaterialTable::eval_slice`, which is
-//!   itself a per-element `spec(region).pressure_cs2(rho, ein)` loop —
-//!   exactly the call made here.
+//!   traversal [`mod@crate::sweep`] makes of the element range yields the
+//!   same bits;
+//! - `getpc`'s body is the per-element
+//!   `spec(region).pressure_cs2(rho, ein)` — exactly the call made
+//!   here.
 //!
 //! The only observable difference is the **error path**: the unfused
 //! chain stops at the first failing kernel (a tangled mesh aborts before
@@ -45,10 +45,10 @@ use bookleaf_eos::MaterialTable;
 use bookleaf_mesh::geometry::{char_length, corner_volumes, quad_area};
 use bookleaf_mesh::Mesh;
 use bookleaf_util::{BookLeafError, Result, Vec2};
-use rayon::prelude::*;
 
 use crate::getein::WorkVelocity;
 use crate::state::{HydroState, LocalRange};
+use crate::sweep::{sweep_reduce, Pass};
 use crate::Threading;
 
 /// Which stages of the `getgeom → getrho → getein → getpc` chain the
@@ -131,8 +131,9 @@ pub fn eos_fused(
     }
 
     // Slice the element-indexed reads to the owned range so the sweep
-    // loops (bounded by the same `n`) index them without bounds checks;
-    // `vel` stays full-length — it is gathered through node ids.
+    // (bounded by the same `n` through its columns) indexes them without
+    // bounds checks; `vel` stays full-length — it is gathered through
+    // node ids.
     let mass = &state.mass[..n];
     let fx = &state.cnforce_x[..n];
     let fy = &state.cnforce_y[..n];
@@ -145,15 +146,7 @@ pub fn eos_fused(
     // One loop body for the whole chain. Each stage is the verbatim
     // per-element expression of its unfused kernel; the boolean tracks
     // "no failure seen" exactly like `getgeom`'s sweep.
-    let body = |e: usize,
-                v: &mut f64,
-                cv: &mut [f64; 4],
-                l: &mut f64,
-                r: &mut f64,
-                ei: &mut f64,
-                p: &mut f64,
-                c2: &mut f64|
-     -> bool {
+    let body = |e: usize, (v, cv, l, r, ei, p, c2): Row<'_>| -> bool {
         let mut ok = true;
         if stages.geom {
             let c = mesh.corners(e);
@@ -192,15 +185,7 @@ pub fn eos_fused(
     // straight-line body: same expressions in the same order as `body`
     // with the four stage conditions constant-folded away, so the hot
     // sweep carries no per-element stage dispatch.
-    let body_full = |e: usize,
-                     v: &mut f64,
-                     cv: &mut [f64; 4],
-                     l: &mut f64,
-                     r: &mut f64,
-                     ei: &mut f64,
-                     p: &mut f64,
-                     c2: &mut f64|
-     -> bool {
+    let body_full = |e: usize, (v, cv, l, r, ei, p, c2): Row<'_>| -> bool {
         let c = mesh.corners(e);
         *v = quad_area(&c);
         *cv = corner_volumes(&c);
@@ -235,10 +220,11 @@ pub fn eos_fused(
         &mut state.pressure[..n],
         &mut state.cs2[..n],
     );
+    let both = |a, b| a && b;
     let ok = if stages == EosStages::all() {
-        run_sweep(threading, outs, body_full)
+        sweep_reduce(threading, Pass::All, outs, true, both, body_full)
     } else {
-        run_sweep(threading, outs, body)
+        sweep_reduce(threading, Pass::All, outs, true, both, body)
     };
 
     if !ok {
@@ -266,57 +252,17 @@ pub fn eos_fused(
     Ok(())
 }
 
-/// The seven output streams of the fused sweep, in chain order.
-type FusedOuts<'a> = (
-    &'a mut [f64],
-    &'a mut [[f64; 4]],
-    &'a mut [f64],
-    &'a mut [f64],
-    &'a mut [f64],
-    &'a mut [f64],
-    &'a mut [f64],
+/// One element's seven outputs, in chain order: volume, corner volumes,
+/// length, density, energy, pressure, sound speed squared.
+type Row<'a> = (
+    &'a mut f64,
+    &'a mut [f64; 4],
+    &'a mut f64,
+    &'a mut f64,
+    &'a mut f64,
+    &'a mut f64,
+    &'a mut f64,
 );
-
-/// Drive `body` over the owned range, zipped over the seven output
-/// streams (no per-element bounds checks), serially or via rayon.
-/// Monomorphised per body, so the full-chain body compiles to a
-/// branch-free loop.
-fn run_sweep<B>(threading: Threading, outs: FusedOuts<'_>, body: B) -> bool
-where
-    B: Fn(usize, &mut f64, &mut [f64; 4], &mut f64, &mut f64, &mut f64, &mut f64, &mut f64) -> bool
-        + Sync,
-{
-    let (volume, cnvol, length, rho, ein, pressure, cs2) = outs;
-    match threading {
-        Threading::Serial => {
-            let mut ok = true;
-            for (e, ((((((v, cv), l), r), ei), p), c2)) in volume
-                .iter_mut()
-                .zip(cnvol.iter_mut())
-                .zip(length.iter_mut())
-                .zip(rho.iter_mut())
-                .zip(ein.iter_mut())
-                .zip(pressure.iter_mut())
-                .zip(cs2.iter_mut())
-                .enumerate()
-            {
-                ok &= body(e, v, cv, l, r, ei, p, c2);
-            }
-            ok
-        }
-        Threading::Rayon => volume
-            .par_iter_mut()
-            .zip(cnvol.par_iter_mut())
-            .zip(length.par_iter_mut())
-            .zip(rho.par_iter_mut())
-            .zip(ein.par_iter_mut())
-            .zip(pressure.par_iter_mut())
-            .zip(cs2.par_iter_mut())
-            .enumerate()
-            .map(|(e, ((((((v, cv), l), r), ei), p), c2))| body(e, v, cv, l, r, ei, p, c2))
-            .reduce(|| true, |a, b| a && b),
-    }
-}
 
 #[cfg(test)]
 mod tests {

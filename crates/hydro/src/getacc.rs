@@ -19,11 +19,11 @@
 
 use bookleaf_mesh::Mesh;
 use bookleaf_util::Vec2;
-use rayon::prelude::*;
 
 use crate::state::{HydroState, LocalRange};
-use crate::subset::Subset;
+use crate::sweep::{sweep, Pass};
 use crate::viscforce::{Scratch, SCRATCH};
+use crate::Threading;
 
 /// How to accumulate corner masses/forces onto nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -45,175 +45,97 @@ pub enum AccMode {
 /// phase 2) so that partition-boundary nodes see their complete
 /// adjacency.
 pub fn getacc(mesh: &Mesh, state: &mut HydroState, range: LocalRange, dt: f64, mode: AccMode) {
-    getacc_subset(mesh, state, range, dt, mode, Subset::All);
+    getacc_pass(mesh, state, range, dt, mode, Pass::All);
 }
 
-/// [`getacc`] over a [`Subset`] of the active nodes, in one pass over
-/// the active range; velocities, `ubar` and nodal masses outside the
-/// subset are left untouched. The overlapped executor runs this as its
-/// *interior* pass (`Subset::Mask { keep: false }` over the boundary
-/// mask) while the corner exchange is in flight: the interior must
-/// contain only nodes whose whole element adjacency is owned (see
-/// `bookleaf_mesh::OverlapSets`), so their gathers never read a ghost
-/// corner mass or force the exchange is about to rewrite.
-pub fn getacc_subset(
+/// [`getacc`] over the active nodes of `nodes`; velocities, `ubar` and
+/// nodal masses of the others are left untouched. The overlapped
+/// schedule runs `Pass::Except` of the boundary nodes while the corner
+/// exchange is in flight — every node it visits has a wholly owned
+/// element adjacency (see `bookleaf_mesh::OverlapSets`), so no sum it
+/// uses reads a ghost corner mass or force the exchange is about to
+/// rewrite — and `Pass::Only` of them once it has completed.
+pub fn getacc_pass(
     mesh: &Mesh,
     state: &mut HydroState,
     range: LocalRange,
     dt: f64,
     mode: AccMode,
-    subset: Subset<'_>,
+    nodes: Pass<'_>,
 ) {
+    if matches!(nodes, Pass::Only([])) {
+        return;
+    }
     let nn = range.n_active_nd;
+    let (cnmass, fx, fy) = (&state.cnmass, &state.cnforce_x, &state.cnforce_y);
+    let columns = (
+        &mut state.nd_mass[..nn],
+        &mut state.u[..nn],
+        &mut state.ubar[..nn],
+    );
+    // Acceleration, BCs, velocity update and time-centred velocity of
+    // node `n`, given its mass `m` and force `f`.
+    let advance = |n: usize, (m, f): (f64, Vec2), (nd_mass, u, ubar): Row<'_>| {
+        *nd_mass = m;
+        let bc = mesh.node_bc[n];
+        let a = if m > 0.0 { bc.apply(f / m) } else { Vec2::ZERO };
+        let u_old = bc.apply(*u);
+        *u = u_old + a * dt;
+        *ubar = (u_old + *u) * 0.5;
+    };
+    // Mass and force gathered at node `n` from its adjacent elements.
+    // The CSR adjacency is ordered by element id, so the summation
+    // order is identical on every rank that can see the node —
+    // distributed and serial runs produce bitwise-identical updates.
+    let gather = |n: usize| {
+        let (mut m, mut f) = (0.0, Vec2::ZERO);
+        for &(e, c) in mesh.elements_of_node(n) {
+            let (e, c) = (e as usize, c as usize);
+            m += cnmass[e][c];
+            f += Vec2::new(fx[e][c], fy[e][c]);
+        }
+        (m, f)
+    };
+    if mode != AccMode::ScatterSerial {
+        let threading = if mode == AccMode::GatherParallel {
+            Threading::Rayon
+        } else {
+            Threading::Serial
+        };
+        return sweep(threading, nodes, columns, |n, row| {
+            advance(n, gather(n), row);
+        });
+    }
     SCRATCH.with(|scratch| {
         // The thread's nodal-sum buffers (a steady-state step allocates
-        // nothing). Entries outside the subset are never read below.
+        // nothing). The scatter runs over *all* local elements, so
+        // active nodes adjacent to ghost elements receive those
+        // contributions too, and it sums every node — in the one
+        // element order, whichever of them `nodes` then advances.
         let Scratch {
             nd_mass, nd_force, ..
         } = &mut *scratch.borrow_mut();
+        nd_mass.clear();
         nd_mass.resize(nn, 0.0);
+        nd_force.clear();
         nd_force.resize(nn, Vec2::ZERO);
-        match mode {
-            AccMode::ScatterSerial => {
-                nd_mass.fill(0.0);
-                nd_force.fill(Vec2::ZERO);
-                // The scatter runs over *all* local elements so that
-                // active nodes adjacent to ghost elements receive those
-                // contributions too. Contributions to nodes outside the
-                // subset are skipped, so a split sweep accumulates each
-                // node's sums exactly once — in the same element order
-                // as the unsplit scatter.
-                for e in 0..mesh.n_elements() {
-                    for c in 0..4 {
-                        let nd = mesh.elnd[e][c] as usize;
-                        if nd < nn && subset.contains(nd) {
-                            nd_mass[nd] += state.cnmass[e][c];
-                            nd_force[nd] += state.cnforce(e, c);
-                        }
-                    }
+        for e in 0..mesh.n_elements() {
+            for c in 0..4 {
+                let nd = mesh.elnd[e][c] as usize;
+                if nd < nn {
+                    nd_mass[nd] += cnmass[e][c];
+                    nd_force[nd] += Vec2::new(fx[e][c], fy[e][c]);
                 }
             }
-            AccMode::GatherSerial => {
-                for n in (0..nn).filter(|&n| subset.contains(n)) {
-                    (nd_mass[n], nd_force[n]) = gather_node(mesh, state, n);
-                }
-            }
-            AccMode::GatherParallel => {
-                nd_mass
-                    .par_iter_mut()
-                    .zip(nd_force.par_iter_mut())
-                    .enumerate()
-                    .for_each(|(n, (m, f))| {
-                        if subset.contains(n) {
-                            (*m, *f) = gather_node(mesh, state, n);
-                        }
-                    });
-            }
         }
-        for n in (0..nn).filter(|&n| subset.contains(n)) {
-            advance_node(mesh, state, n, nd_mass[n], nd_force[n], dt);
-        }
+        sweep(Threading::Serial, nodes, columns, |n, row| {
+            advance(n, (nd_mass[n], nd_force[n]), row);
+        });
     });
 }
 
-/// [`getacc`] over exactly the active nodes `ids` (ascending, unique)
-/// at a cost proportional to the list — the overlapped executor's
-/// *boundary* pass (`OverlapSets::nd_boundary_ids`), run once the corner
-/// exchange has completed. A masked [`getacc_subset`] pass and a listed
-/// pass over the mask's `true` positions are together bitwise the full
-/// sweep, in either order.
-pub fn getacc_listed(
-    mesh: &Mesh,
-    state: &mut HydroState,
-    range: LocalRange,
-    dt: f64,
-    mode: AccMode,
-    ids: &[u32],
-) {
-    assert!(
-        ids.last().is_none_or(|&n| (n as usize) < range.n_active_nd),
-        "listed node outside the active range"
-    );
-    SCRATCH.with(|scratch| {
-        // Sum `i` belongs to node `ids[i]`.
-        let Scratch {
-            nd_mass, nd_force, ..
-        } = &mut *scratch.borrow_mut();
-        nd_mass.resize(ids.len(), 0.0);
-        nd_force.resize(ids.len(), Vec2::ZERO);
-        let sums = nd_mass.iter_mut().zip(nd_force.iter_mut()).zip(ids);
-        match mode {
-            AccMode::ScatterSerial => {
-                sums.for_each(|((m, f), &n)| (*m, *f) = gather_node_as_scattered(mesh, state, n));
-            }
-            AccMode::GatherSerial => {
-                sums.for_each(|((m, f), &n)| (*m, *f) = gather_node(mesh, state, n as usize));
-            }
-            AccMode::GatherParallel => {
-                nd_mass
-                    .par_iter_mut()
-                    .zip(nd_force.par_iter_mut())
-                    .zip(ids.par_iter())
-                    .for_each(|((m, f), &n)| (*m, *f) = gather_node(mesh, state, n as usize));
-            }
-        }
-        for (i, &n) in ids.iter().enumerate() {
-            advance_node(mesh, state, n as usize, nd_mass[i], nd_force[i], dt);
-        }
-    });
-}
-
-/// Acceleration, BCs, velocity update and time-centred velocity of node
-/// `n`, given its mass `m` and force `f`.
-#[inline]
-fn advance_node(mesh: &Mesh, state: &mut HydroState, n: usize, m: f64, f: Vec2, dt: f64) {
-    state.nd_mass[n] = m;
-    let bc = mesh.node_bc[n];
-    let a = if m > 0.0 { bc.apply(f / m) } else { Vec2::ZERO };
-    let u_old = bc.apply(state.u[n]);
-    let u_new = u_old + a * dt;
-    state.u[n] = u_new;
-    state.ubar[n] = (u_old + u_new) * 0.5;
-}
-
-/// Mass and force gathered at node `n` from its adjacent elements.
-///
-/// The CSR adjacency is ordered by element id, so the summation order is
-/// identical on every rank that can see the node — distributed and serial
-/// runs produce bitwise-identical node updates.
-#[inline]
-fn gather_node(mesh: &Mesh, state: &HydroState, n: usize) -> (f64, Vec2) {
-    let mut m = 0.0;
-    let mut f = Vec2::ZERO;
-    for &(e, c) in mesh.elements_of_node(n) {
-        m += state.cnmass[e as usize][c as usize];
-        f += state.cnforce(e as usize, c as usize);
-    }
-    (m, f)
-}
-
-/// Mass and force at node `n` summed in the order the element scatter
-/// reaches them: ascending *local* (element, corner). A submesh lists a
-/// node's elements by global id instead, so the next entry is selected
-/// rather than assumed (a node has a handful).
-fn gather_node_as_scattered(mesh: &Mesh, state: &HydroState, n: u32) -> (f64, Vec2) {
-    let around = mesh.elements_of_node(n as usize);
-    let mut m = 0.0;
-    let mut f = Vec2::ZERO;
-    let mut done: Option<(u32, u8)> = None;
-    for _ in around {
-        let (e, c) = around
-            .iter()
-            .copied()
-            .filter(|&ec| done.is_none_or(|d| ec > d))
-            .min()
-            .expect("one entry per iteration");
-        m += state.cnmass[e as usize][c as usize];
-        f += state.cnforce(e as usize, c as usize);
-        done = Some((e, c));
-    }
-    (m, f)
-}
+/// One node's outputs: its mass, velocity and time-centred velocity.
+type Row<'a> = (&'a mut f64, &'a mut Vec2, &'a mut Vec2);
 
 /// Move nodes by `dt * ubar` (the corrector's time-centred motion; the
 /// predictor passes `u` copied into `ubar`).
@@ -349,7 +271,11 @@ mod tests {
         let mut dp = Vec2::ZERO; // Σ m du over free nodes
         let mut expected = Vec2::ZERO;
         for n in 0..mesh.n_nodes() {
-            let (m, f) = super::gather_node(&mesh, &st, n);
+            let (mut m, mut f) = (0.0, Vec2::ZERO);
+            for &(e, c) in mesh.elements_of_node(n) {
+                m += st.cnmass[e as usize][c as usize];
+                f += st.cnforce(e as usize, c as usize);
+            }
             let bc = mesh.node_bc[n];
             dp += st.u[n] * m;
             expected += bc.apply(f) * 0.2;
@@ -378,24 +304,22 @@ mod tests {
             .collect()
     }
 
-    /// Interior (masked range) pass + listed pass == the full sweep on
-    /// `u`, `ubar` and `nd_mass`, bit for bit, in either order.
+    /// Pass over all but the list + pass over the list == the full
+    /// sweep on `u`, `ubar` and `nd_mass`, bit for bit, in either order.
     fn assert_split_is_full(mesh: &Mesh, st0: &HydroState, range: LocalRange, mask: &[bool]) {
         let ids = true_positions(mask);
-        let interior = Subset::Mask { mask, keep: false };
         for mode in MODES {
             let mut full = st0.clone();
             getacc(mesh, &mut full, range, 0.01, mode);
-            for listed_first in [false, true] {
+            for order in [
+                [Pass::Except(&ids), Pass::Only(&ids)],
+                [Pass::Only(&ids), Pass::Except(&ids)],
+            ] {
                 let mut split = st0.clone();
-                if listed_first {
-                    getacc_listed(mesh, &mut split, range, 0.01, mode, &ids);
+                for pass in order {
+                    getacc_pass(mesh, &mut split, range, 0.01, mode, pass);
                 }
-                getacc_subset(mesh, &mut split, range, 0.01, mode, interior);
-                if !listed_first {
-                    getacc_listed(mesh, &mut split, range, 0.01, mode, &ids);
-                }
-                let what = format!("{mode:?}, listed first: {listed_first}");
+                let what = format!("{mode:?}, {order:?}");
                 assert_eq!(full.u, split.u, "u, {what}");
                 assert_eq!(full.ubar, split.ubar, "ubar, {what}");
                 let bits = |st: &HydroState| -> Vec<u64> {
@@ -415,11 +339,9 @@ mod tests {
     }
 
     #[test]
-    fn listed_pass_sums_in_the_scatter_order_on_a_submesh() {
-        // On the right-hand rank of a stripe partition the ghosts have
-        // the *smaller* global ids: a seam node's adjacency (global-id
-        // order) lists them first, the element scatter (local order)
-        // reaches them last.
+    fn split_passes_are_the_full_sweep_on_a_submesh() {
+        // The right-hand rank of a stripe partition: ghost elements,
+        // inactive nodes, and the boundary list the executor uses.
         use bookleaf_mesh::SubMeshPlan;
         let n = 6;
         let global = generate_rect(&RectSpec::unit_square(n), |_| 0).unwrap();
@@ -427,11 +349,10 @@ mod tests {
             .map(|e| usize::from(e % n >= n / 2))
             .collect();
         let sub = SubMeshPlan::build(&global, &owner, 2).unwrap().remove(1);
-        let sets = sub.overlap_sets();
-        assert!(sets.nd_boundary_ids.iter().any(|&nd| {
-            let around = sub.mesh.elements_of_node(nd as usize);
-            around.windows(2).any(|w| w[0].0 > w[1].0)
-        }));
+        let mut boundary = vec![false; sub.n_active_nd];
+        for &nd in &sub.overlap_sets().nd_boundary_ids {
+            boundary[nd as usize] = true;
+        }
         let mat = MaterialTable::single(EosSpec::ideal_gas(1.4));
         let mut st = HydroState::new(&sub.mesh, &mat, |_| 1.0, |_| 2.5, |_| Vec2::ZERO).unwrap();
         set_uneven_forces(&mut st);
@@ -439,7 +360,7 @@ mod tests {
             n_owned_el: sub.n_owned_el,
             n_active_nd: sub.n_active_nd,
         };
-        assert_split_is_full(&sub.mesh, &st, range, &sets.nd_boundary);
+        assert_split_is_full(&sub.mesh, &st, range, &boundary);
     }
 
     #[test]
@@ -456,15 +377,12 @@ mod tests {
         for mode in MODES {
             for listed in [false, true] {
                 let mut st = st0.clone();
-                if listed {
-                    getacc_listed(&mesh, &mut st, range, 0.1, mode, &ids);
+                let pass = if listed {
+                    Pass::Only(&ids)
                 } else {
-                    let interior = Subset::Mask {
-                        mask: &mask,
-                        keep: false,
-                    };
-                    getacc_subset(&mesh, &mut st, range, 0.1, mode, interior);
-                }
+                    Pass::Except(&ids)
+                };
+                getacc_pass(&mesh, &mut st, range, 0.1, mode, pass);
                 for n in 0..mesh.n_nodes() {
                     let kept = (st.u[n], st.ubar[n], st.nd_mass[n]) == (frozen, frozen, -1.0);
                     assert_eq!(
@@ -474,6 +392,21 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn empty_list_is_a_no_op() {
+        let (mesh, mut st0) = setup(3);
+        set_uneven_forces(&mut st0);
+        for mode in MODES {
+            let mut st = st0.clone();
+            let range = LocalRange::whole(&mesh);
+            getacc_pass(&mesh, &mut st, range, 0.1, mode, Pass::Only(&[]));
+            assert_eq!(
+                (st.u, st.ubar, st.nd_mass),
+                (st0.u.clone(), st0.ubar.clone(), st0.nd_mass.clone())
+            );
         }
     }
 

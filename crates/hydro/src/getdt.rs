@@ -21,9 +21,9 @@ use bookleaf_mesh::geometry::velocity_divergence;
 use bookleaf_mesh::Mesh;
 use bookleaf_util::constants;
 use bookleaf_util::{BookLeafError, Result};
-use rayon::prelude::*;
 
 use crate::state::{HydroState, LocalRange};
+use crate::sweep::{sweep, Pass};
 use crate::Threading;
 
 /// Time-step control parameters (deck-overridable).
@@ -101,40 +101,19 @@ pub fn getdt(
         Some(d) => d,
     };
 
-    // Per-element CFL ratio l²/c_eff² and divergence, tracking minima.
-    let eval = |e: usize| -> (f64, f64) {
-        let c = mesh.corners(e);
-        let nd = mesh.elnd[e];
-        let u = [
-            state.u[nd[0] as usize],
-            state.u[nd[1] as usize],
-            state.u[nd[2] as usize],
-            state.u[nd[3] as usize],
-        ];
-        let div = velocity_divergence(&c, &u);
-        let c_eff2 = state.cs2[e] + 2.0 * state.q[e] / state.rho[e].max(1e-300);
-        let l2 = state.length[e] * state.length[e];
-        let cfl_ratio = l2 / c_eff2.max(1e-300);
-        (cfl_ratio, div)
-    };
-
-    match threading {
-        Threading::Serial => {
-            for e in 0..n {
-                let (_, div) = eval(e);
-                state.div_u[e] = div;
-            }
-        }
-        Threading::Rayon => {
-            state.div_u[..n]
-                .par_iter_mut()
-                .enumerate()
-                .for_each(|(e, d)| *d = eval(e).1);
-        }
-    }
+    let u = &state.u;
+    sweep(
+        threading,
+        Pass::All,
+        (&mut state.div_u[..n],),
+        |e, (div,)| {
+            let corner_u = mesh.elnd[e].map(|n| u[n as usize]);
+            *div = velocity_divergence(&mesh.corners(e), &corner_u);
+        },
+    );
 
     // The min-scan (the MINVAL/MINLOC the paper discusses) — serial, it
-    // is O(n) with trivial cost next to the eval above.
+    // is O(n) with trivial cost next to the sweep above.
     let mut min_cfl = (f64::INFINITY, 0usize);
     let mut max_div = (0.0f64, 0usize);
     for e in 0..n {

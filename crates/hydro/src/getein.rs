@@ -15,9 +15,9 @@
 
 use bookleaf_mesh::Mesh;
 use bookleaf_util::Vec2;
-use rayon::prelude::*;
 
 use crate::state::{HydroState, LocalRange};
+use crate::sweep::{sweep, Pass};
 use crate::Threading;
 
 /// Which velocity the work term uses: the predictor half-step uses the
@@ -52,7 +52,7 @@ pub fn getein(
     // element; each corner contributes `fx·vx + fy·vy` — the same
     // grouping as the former `Vec2::dot`, so the sum is bitwise
     // identical to the interleaved layout.
-    let body = |e: usize, ein: &mut f64| {
+    sweep(threading, Pass::All, (&mut state.ein[..n],), |e, (ein,)| {
         let nd = mesh.elnd[e];
         let (rx, ry) = (&fx[e], &fy[e]);
         let mut work = 0.0;
@@ -61,23 +61,7 @@ pub fn getein(
             work += rx[c] * v.x + ry[c] * v.y;
         }
         *ein -= dt * work / mass[e];
-    };
-
-    match threading {
-        Threading::Serial => {
-            for e in 0..n {
-                let mut ein = state.ein[e];
-                body(e, &mut ein);
-                state.ein[e] = ein;
-            }
-        }
-        Threading::Rayon => {
-            state.ein[..n]
-                .par_iter_mut()
-                .enumerate()
-                .for_each(|(e, ein)| body(e, ein));
-        }
-    }
+    });
 }
 
 #[cfg(test)]

@@ -17,9 +17,9 @@
 
 use bookleaf_mesh::geometry::quad_centroid;
 use bookleaf_mesh::Mesh;
-use rayon::prelude::*;
 
 use crate::state::{HydroState, LocalRange};
+use crate::sweep::{sweep, Pass};
 use crate::viscforce::{
     hourglass, pressure_force, sound_speed, store_force, viscous_pairs, Faces, Gathered,
     HourglassInputs,
@@ -87,7 +87,8 @@ pub fn getforce(
     let cnvol = &state.cnvol[..n];
     let volume = &state.volume[..n];
 
-    let body = |e: usize, fx: &mut [f64; 4], fy: &mut [f64; 4]| {
+    let columns = (&mut state.cnforce_x[..n], &mut state.cnforce_y[..n]);
+    sweep(threading, Pass::All, columns, |e, (fx, fy)| {
         let g = Gathered::new(mesh, u, e);
         let mut force = pressure_force(&g.x, pressure[e]);
         if edge_q[e].iter().any(|&q| q != 0.0) {
@@ -105,22 +106,7 @@ pub fn getforce(
         };
         hourglass(&mut force, &g, quad_centroid(&g.x), &el, hg);
         store_force(&force, fx, fy);
-    };
-
-    let (fx, fy) = (&mut state.cnforce_x[..n], &mut state.cnforce_y[..n]);
-    match threading {
-        Threading::Serial => {
-            for (e, (fx, fy)) in fx.iter_mut().zip(fy.iter_mut()).enumerate() {
-                body(e, fx, fy);
-            }
-        }
-        Threading::Rayon => {
-            fx.par_iter_mut()
-                .zip(fy.par_iter_mut())
-                .enumerate()
-                .for_each(|(e, (fx, fy))| body(e, fx, fy));
-        }
-    }
+    });
 }
 
 #[cfg(test)]

@@ -7,9 +7,9 @@
 use bookleaf_mesh::geometry::{char_length, corner_volumes, quad_area};
 use bookleaf_mesh::Mesh;
 use bookleaf_util::{BookLeafError, Result};
-use rayon::prelude::*;
 
 use crate::state::{HydroState, LocalRange};
+use crate::sweep::{sweep_reduce, Pass};
 use crate::Threading;
 
 /// Recompute geometry for the owned range. Returns the first tangled
@@ -21,35 +21,25 @@ pub fn getgeom(
     threading: Threading,
 ) -> Result<()> {
     let n = range.n_owned_el;
-    let body = |e: usize, volume: &mut f64, cnvol: &mut [f64; 4], length: &mut f64| -> bool {
-        let c = mesh.corners(e);
-        let v = quad_area(&c);
-        *volume = v;
-        *cnvol = corner_volumes(&c);
-        *length = char_length(&c);
-        v > 0.0
-    };
-
-    let ok = match threading {
-        Threading::Serial => {
-            let mut ok = true;
-            for e in 0..n {
-                let (mut v, mut cv, mut l) = (0.0, [0.0; 4], 0.0);
-                ok &= body(e, &mut v, &mut cv, &mut l);
-                state.volume[e] = v;
-                state.cnvol[e] = cv;
-                state.length[e] = l;
-            }
-            ok
-        }
-        Threading::Rayon => state.volume[..n]
-            .par_iter_mut()
-            .zip(state.cnvol[..n].par_iter_mut())
-            .zip(state.length[..n].par_iter_mut())
-            .enumerate()
-            .map(|(e, ((v, cv), l))| body(e, v, cv, l))
-            .reduce(|| true, |a, b| a && b),
-    };
+    let columns = (
+        &mut state.volume[..n],
+        &mut state.cnvol[..n],
+        &mut state.length[..n],
+    );
+    let ok = sweep_reduce(
+        threading,
+        Pass::All,
+        columns,
+        true,
+        |a, b| a && b,
+        |e, (volume, cnvol, length)| {
+            let c = mesh.corners(e);
+            *volume = quad_area(&c);
+            *cnvol = corner_volumes(&c);
+            *length = char_length(&c);
+            *volume > 0.0
+        },
+    );
 
     if !ok {
         // Locate the offender for the error message (serial rescan).

@@ -6,9 +6,9 @@
 
 use bookleaf_eos::MaterialTable;
 use bookleaf_mesh::Mesh;
-use rayon::prelude::*;
 
 use crate::state::{HydroState, LocalRange};
+use crate::sweep::{sweep, Pass};
 use crate::Threading;
 
 /// Evaluate pressure and cs² over the owned range.
@@ -20,28 +20,11 @@ pub fn getpc(
     threading: Threading,
 ) {
     let n = range.n_owned_el;
-    match threading {
-        Threading::Serial => {
-            let (p, rest) = state.pressure.split_at_mut(n);
-            let _ = rest;
-            let (c, _) = state.cs2.split_at_mut(n);
-            materials.eval_slice(&state.rho[..n], &state.ein[..n], &mesh.region[..n], p, c);
-        }
-        Threading::Rayon => {
-            let rho = &state.rho;
-            let ein = &state.ein;
-            let region = &mesh.region;
-            state.pressure[..n]
-                .par_iter_mut()
-                .zip(state.cs2[..n].par_iter_mut())
-                .enumerate()
-                .for_each(|(e, (p, c))| {
-                    let (pe, ce) = materials.spec(region[e]).pressure_cs2(rho[e], ein[e]);
-                    *p = pe;
-                    *c = ce;
-                });
-        }
-    }
+    let (rho, ein, region) = (&state.rho[..n], &state.ein[..n], &mesh.region[..n]);
+    let columns = (&mut state.pressure[..n], &mut state.cs2[..n]);
+    sweep(threading, Pass::All, columns, |e, (pressure, cs2)| {
+        (*pressure, *cs2) = materials.spec(region[e]).pressure_cs2(rho[e], ein[e]);
+    });
 }
 
 #[cfg(test)]
@@ -79,6 +62,25 @@ mod tests {
                 (2.0 / 3.0) * 2.0
             };
             assert!(approx_eq(st.pressure[e], expect, 1e-12));
+        }
+    }
+
+    #[test]
+    fn every_element_gets_its_own_regions_eos_and_void_has_no_pressure() {
+        let (mesh, _, mut st) = setup();
+        let mat = MaterialTable::new(vec![EosSpec::ideal_gas(1.4), EosSpec::Void]);
+        for e in 0..st.n_elements() {
+            st.rho[e] = 0.5 + 0.1 * e as f64;
+            st.ein[e] = 1.0 + e as f64;
+        }
+        let range = LocalRange::whole(&mesh);
+        getpc(&mesh, &mat, &mut st, range, Threading::Serial);
+        for e in 0..st.n_elements() {
+            let expect = mat.spec(mesh.region[e]).pressure_cs2(st.rho[e], st.ein[e]);
+            assert_eq!((st.pressure[e], st.cs2[e]), expect, "element {e}");
+            if mesh.region[e] == 1 {
+                assert_eq!(st.pressure[e], 0.0, "void element {e}");
+            }
         }
     }
 

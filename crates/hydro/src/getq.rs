@@ -17,9 +17,9 @@
 
 use bookleaf_mesh::geometry::quad_centroid;
 use bookleaf_mesh::Mesh;
-use rayon::prelude::*;
 
 use crate::state::{HydroState, LocalRange};
+use crate::sweep::{sweep, Pass};
 use crate::viscforce::{edge_q_lanes, sound_speed, with_cell_velocities, Faces, Gathered, QInputs};
 use crate::Threading;
 
@@ -71,8 +71,9 @@ pub fn getq(
     let rho = &state.rho[..n];
     let cs2 = &state.cs2[..n];
 
-    with_cell_velocities(mesh, u, threading, None, |cell_u, _| {
-        let body = |e: usize, edge_q: &mut [f64; 4], q: &mut f64| {
+    let columns = (&mut state.edge_q[..n], &mut state.q[..n]);
+    with_cell_velocities(mesh, u, threading, Pass::All, |cell_u| {
+        sweep(threading, Pass::All, columns, |e, (edge_q, q)| {
             let g = Gathered::new(mesh, u, e);
             let faces = Faces::new(&g);
             if faces.any_compressive() {
@@ -90,22 +91,7 @@ pub fn getq(
                 *edge_q = [0.0; 4];
                 *q = 0.0;
             }
-        };
-        let (edge_q, q) = (&mut state.edge_q[..n], &mut state.q[..n]);
-        match threading {
-            Threading::Serial => {
-                for (e, (eq, qv)) in edge_q.iter_mut().zip(q.iter_mut()).enumerate() {
-                    body(e, eq, qv);
-                }
-            }
-            Threading::Rayon => {
-                edge_q
-                    .par_iter_mut()
-                    .zip(q.par_iter_mut())
-                    .enumerate()
-                    .for_each(|(e, (eq, qv))| body(e, eq, qv));
-            }
-        }
+        });
     });
 }
 

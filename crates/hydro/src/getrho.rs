@@ -5,29 +5,18 @@
 //! update.
 
 use bookleaf_util::{BookLeafError, Result};
-use rayon::prelude::*;
 
 use crate::state::{HydroState, LocalRange};
+use crate::sweep::{sweep, Pass};
 use crate::Threading;
 
 /// Update density over the owned range.
 pub fn getrho(state: &mut HydroState, range: LocalRange, threading: Threading) -> Result<()> {
     let n = range.n_owned_el;
-    match threading {
-        Threading::Serial => {
-            for e in 0..n {
-                state.rho[e] = state.mass[e] / state.volume[e];
-            }
-        }
-        Threading::Rayon => {
-            let mass = &state.mass;
-            let volume = &state.volume;
-            state.rho[..n]
-                .par_iter_mut()
-                .enumerate()
-                .for_each(|(e, r)| *r = mass[e] / volume[e]);
-        }
-    }
+    let (mass, volume) = (&state.mass[..n], &state.volume[..n]);
+    sweep(threading, Pass::All, (&mut state.rho[..n],), |e, (rho,)| {
+        *rho = mass[e] / volume[e];
+    });
     if let Some(e) = (0..n).find(|&e| !state.rho[e].is_finite() || state.rho[e] < 0.0) {
         return Err(BookLeafError::InvalidState {
             element: e,

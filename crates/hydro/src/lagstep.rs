@@ -15,64 +15,88 @@
 //! hooks so the same kernel code serves serial and distributed runs.
 
 use bookleaf_eos::MaterialTable;
-use bookleaf_mesh::Mesh;
+use bookleaf_mesh::{Mesh, OverlapSets};
 use bookleaf_util::{KernelId, Result, TimerRegistry, Vec2};
 
 use crate::eos_fused::{eos_fused, EosStages, FusedEos};
-use crate::getacc::{getacc, getacc_listed, getacc_subset, move_nodes, AccMode};
+use crate::getacc::{getacc_pass, move_nodes, AccMode};
 use crate::getein::WorkVelocity;
 use crate::getforce::HourglassControl;
 use crate::getq::QCoeffs;
 use crate::state::{HydroState, LocalRange};
-use crate::subset::Subset;
-use crate::viscforce::{viscforce, viscforce_listed, ViscForce, SCRATCH};
+use crate::sweep::Pass;
+use crate::viscforce::{viscforce, ViscForce, SCRATCH};
 use crate::Threading;
 
-/// Communication hooks called at the paper's two exchange points (plus a
+/// A halo exchange phase: the paper's two exchange points of the
+/// Lagrangian step, and the refresh after an ALE remap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// Immediately before each viscosity calculation (twice per step:
+    /// predictor and corrector): ghost node kinematics and ghost
+    /// element thermodynamic state.
+    PreViscosity,
+    /// Immediately before the acceleration: ghost corner masses and
+    /// forces.
+    PreAcceleration,
+    /// After an ALE remap: ghost copies of everything the remap rewrote
+    /// (masses, state, node kinematics).
+    PostRemap,
+}
+
+impl Phase {
+    /// Every phase, in declaration (= `as usize`) order.
+    pub const ALL: [Phase; 3] = [
+        Phase::PreViscosity,
+        Phase::PreAcceleration,
+        Phase::PostRemap,
+    ];
+
+    /// The name the phase's traffic is accounted under.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Phase::PreViscosity => "pre_viscosity",
+            Phase::PreAcceleration => "pre_acceleration",
+            Phase::PostRemap => "post_remap",
+        }
+    }
+}
+
+/// Communication hooks: the halo exchange phases, plus a
 /// post-acceleration hook used by driven-boundary decks such as the
-/// Saltzmann piston). Serial runs use [`NoComm`].
+/// Saltzmann piston. Serial runs use [`NoComm`].
 ///
-/// **Aggregation contract:** each hook is one *exchange phase*.
-/// Distributed implementations must register every field a phase needs
-/// up front and move the whole phase as a **single packed message per
-/// neighbouring rank** (see `bookleaf_typhon::plan`), so the per-step
-/// point-to-point message count is `phase executions × neighbour links`
-/// — never `fields × links`. The cluster cost model charges per message
-/// as well as per byte; a hook that sends one message per field inflates
-/// the modeled (and real) wire time several-fold.
+/// **One protocol: post, then complete.** Every [`Phase`] is a
+/// [`post`](HaloOps::post) — pack and send, as soon as every value the
+/// phase sends is final — and a [`complete`](HaloOps::complete) —
+/// receive and unpack. The callers run one schedule, whatever the
+/// implementation does behind it:
 ///
-/// **Split (post/complete) protocol:** every exchange phase also comes
-/// as a `*_post` / `*_complete` pair so the executor can overlap
-/// communication with computation. `post` packs and sends the phase's
-/// single message per neighbour immediately; `complete` receives and
-/// unpacks it. Between a phase's `post` and its `complete` the caller
-/// may compute anything that does not read a halo-received entity of
-/// that phase — the **interior/boundary ordering invariant**:
+/// ```text
+/// Lagrangian phase:  post; sweep(Except(boundary)); complete; sweep(Only(boundary))
+/// remap:             sweep(Only(pre)); post; sweep(Except(pre)); complete
+/// ```
 ///
-/// 1. interior entities (no halo dependency, see
-///    `bookleaf_mesh::OverlapSets`) are swept while the messages are in
-///    flight — one pass over the full range that skips the boundary
-///    entities;
-/// 2. the phase is completed;
-/// 3. boundary entities are swept with the refreshed halo — from their
-///    id lists, visiting nothing else, so the split costs what the halo
-///    costs.
+/// with the id lists of `bookleaf_mesh::OverlapSets`. Between a phase's
+/// `post` and its `complete` only entities that read no halo-received
+/// value of the phase are swept (the interior), the rest (the boundary,
+/// from its list, at the cost of the list) after the unpack — so the
+/// schedule is bitwise the blocking one. *Blocking* is an
+/// implementation that exchanges in full inside one of the two calls
+/// and does nothing in the other — inside `post` for a Lagrangian phase
+/// (every send value is final by then), inside `complete` for
+/// `PostRemap` (posted mid-remap, when only the pre-post entities are
+/// final) — and pairs with empty lists: the first sweep is then the
+/// whole range and the second a no-op. Serial runs, ranks without
+/// neighbours and `overlap = false` all run exactly that.
 ///
-/// Because interior sweeps touch no received value and boundary sweeps
-/// run after the same unpack a blocking exchange would have done, the
-/// split schedule is bitwise identical to the blocking one. A rank
-/// without neighbour links has nothing to overlap and is simply given
-/// the blocking schedule. A split
-/// pair must move exactly the messages the blocking hook moves (the
-/// message-count contract above applies per *pair*, not per call), and
-/// posts must be issued in the same global order on every rank.
-///
-/// The default implementations keep legacy hooks correct without
-/// opting into overlap: for the two Lagrangian phases `post` runs the
-/// full blocking exchange and `complete` is a no-op (every send value
-/// is final at post time); for `post_remap` — posted mid-remap, when
-/// only the pre-post entities are final — `post` is the no-op and
-/// `complete`, called after the full remap, runs the blocking exchange.
+/// **Aggregation contract:** a phase moves every field it needs as a
+/// **single packed message per neighbouring rank** (see
+/// `bookleaf_typhon::plan`), so the per-step point-to-point message
+/// count is `phase executions × neighbour links` — never
+/// `fields × links` — and the same whether the implementation blocks or
+/// overlaps. Posts are issued in the same global order on every rank.
 ///
 /// **Fallibility:** every hook returns a [`Result`] so that a
 /// communication failure — a dead peer, a timed-out receive, a payload
@@ -81,15 +105,13 @@ use crate::Threading;
 /// the next kernel. Serial hooks ([`NoComm`], piston drivers) simply
 /// return `Ok(())`.
 pub trait HaloOps {
-    /// Called immediately before each viscosity calculation (twice per
-    /// step: predictor and corrector): bring ghost node kinematics and
-    /// ghost element thermodynamic state up to date.
-    fn pre_viscosity(&mut self, _mesh: &mut Mesh, _state: &mut HydroState) -> Result<()> {
+    /// Pack and send `phase`.
+    fn post(&mut self, _phase: Phase, _mesh: &mut Mesh, _state: &mut HydroState) -> Result<()> {
         Ok(())
     }
-    /// Called immediately before the acceleration: bring ghost corner
-    /// masses and forces up to date.
-    fn pre_acceleration(&mut self, _state: &mut HydroState) -> Result<()> {
+    /// Receive and unpack `phase`; runs before any boundary entity of
+    /// the phase is read.
+    fn complete(&mut self, _phase: Phase, _mesh: &mut Mesh, _state: &mut HydroState) -> Result<()> {
         Ok(())
     }
     /// Called immediately after the acceleration: impose driven
@@ -97,70 +119,6 @@ pub trait HaloOps {
     fn post_acceleration(&mut self, _mesh: &Mesh, _state: &mut HydroState) -> Result<()> {
         Ok(())
     }
-    /// Called after an ALE remap: refresh ghost copies of everything the
-    /// remap rewrote (masses, state, node kinematics).
-    fn post_remap(&mut self, _mesh: &mut Mesh, _state: &mut HydroState) -> Result<()> {
-        Ok(())
-    }
-
-    /// Split form of [`HaloOps::pre_viscosity`]: pack and send without
-    /// waiting for the peers' payloads.
-    fn pre_viscosity_post(&mut self, mesh: &mut Mesh, state: &mut HydroState) -> Result<()> {
-        self.pre_viscosity(mesh, state)
-    }
-    /// Drain and unpack the exchange posted by
-    /// [`HaloOps::pre_viscosity_post`]; must run before any boundary
-    /// entity of the phase is read.
-    fn pre_viscosity_complete(&mut self, _mesh: &mut Mesh, _state: &mut HydroState) -> Result<()> {
-        Ok(())
-    }
-
-    /// Split form of [`HaloOps::pre_acceleration`]: pack and send
-    /// without waiting.
-    fn pre_acceleration_post(&mut self, state: &mut HydroState) -> Result<()> {
-        self.pre_acceleration(state)
-    }
-    /// Drain the exchange posted by [`HaloOps::pre_acceleration_post`].
-    fn pre_acceleration_complete(&mut self, _state: &mut HydroState) -> Result<()> {
-        Ok(())
-    }
-
-    /// Split form of [`HaloOps::post_remap`], called as soon as every
-    /// entity the pack reads (the remap pre-post sets) has been
-    /// remapped — *before* the rest of the remap runs.
-    fn post_remap_post(&mut self, _mesh: &mut Mesh, _state: &mut HydroState) -> Result<()> {
-        Ok(())
-    }
-    /// Drain the exchange posted by [`HaloOps::post_remap_post`], after
-    /// the full remap. The default runs the blocking exchange here, so
-    /// implementations that only provide [`HaloOps::post_remap`] stay
-    /// correct under the overlapped remap.
-    fn post_remap_complete(&mut self, mesh: &mut Mesh, state: &mut HydroState) -> Result<()> {
-        self.post_remap(mesh, state)
-    }
-}
-
-/// The interior/boundary classification steering the overlapped
-/// Lagrangian step: each boundary set as a mask (what the interior pass
-/// skips) and as the ascending list of its `true` positions (all the
-/// boundary pass visits). Views into `bookleaf_mesh::OverlapSets` (or
-/// anything upholding the same guarantees — see the [`HaloOps`]
-/// ordering invariant).
-#[derive(Debug, Clone, Copy)]
-pub struct KernelSplit<'a> {
-    /// Per owned element: `true` ⇒ the viscosity-phase stencil touches
-    /// a halo-received entity (swept only after the exchange completes).
-    pub el_boundary: &'a [bool],
-    /// Per active node: `true` ⇒ adjacent to a ghost element (swept
-    /// only after the corner exchange completes).
-    pub nd_boundary: &'a [bool],
-    /// The boundary elements.
-    pub el_boundary_ids: &'a [u32],
-    /// The cell-velocity entries the boundary elements read: themselves
-    /// and their face neighbours.
-    pub boundary_cells: &'a [u32],
-    /// The boundary nodes.
-    pub nd_boundary_ids: &'a [u32],
 }
 
 /// No-op hooks for serial (single-rank) runs.
@@ -181,9 +139,8 @@ pub struct LagOptions {
     pub hourglass: HourglassControl,
 }
 
-/// Advance `state` by one Lagrangian step of size `dt`.
-///
-/// Equivalent to [`lagstep_timed`] with a throwaway timer registry.
+/// Advance `state` by one Lagrangian step of size `dt`, with nothing
+/// classified as boundary (see [`lagstep_timed`]).
 pub fn lagstep<H: HaloOps>(
     mesh: &mut Mesh,
     materials: &MaterialTable,
@@ -202,18 +159,18 @@ pub fn lagstep<H: HaloOps>(
         opts,
         halo,
         &TimerRegistry::new(),
-        None,
+        &OverlapSets::default(),
     )
 }
 
 /// Advance `state` by one Lagrangian step, recording per-kernel wall
 /// time into `timers` (the buckets of the paper's Table II).
 ///
-/// With `split` set, each exchange phase is overlapped with the kernels
-/// it feeds: the phase is *posted*, interior entities are swept while
-/// the messages are in flight, the phase is *completed*, and the listed
-/// boundary entities are swept last — bitwise identical to the blocking
-/// schedule (see the [`HaloOps`] ordering invariant).
+/// Each exchange phase runs the [`HaloOps`] schedule around the kernel
+/// it feeds, with `sets` naming the boundary entities: the phase is
+/// *posted*, the other entities are swept (while the messages are in
+/// flight, if `halo` overlaps), the phase is *completed*, and the
+/// listed boundary entities are swept last.
 #[allow(clippy::too_many_arguments)]
 pub fn lagstep_timed<H: HaloOps>(
     mesh: &mut Mesh,
@@ -224,7 +181,7 @@ pub fn lagstep_timed<H: HaloOps>(
     opts: &LagOptions,
     halo: &mut H,
     timers: &TimerRegistry,
-    split: Option<KernelSplit<'_>>,
+    sets: &OverlapSets,
 ) -> Result<()> {
     // Start-of-step node positions and internal energy: the corrector
     // advances both from t^n (the predictor's half-step values only feed
@@ -245,7 +202,7 @@ pub fn lagstep_timed<H: HaloOps>(
     ein0.clear();
     ein0.extend_from_slice(&state.ein[..range.n_owned_el]);
     let result = step(
-        mesh, materials, state, range, dt, opts, halo, timers, split, &x0, &ein0,
+        mesh, materials, state, range, dt, opts, halo, timers, sets, &x0, &ein0,
     );
     SCRATCH.with(|scratch| {
         let scratch = &mut *scratch.borrow_mut();
@@ -267,46 +224,33 @@ fn step<H: HaloOps>(
     opts: &LagOptions,
     halo: &mut H,
     timers: &TimerRegistry,
-    split: Option<KernelSplit<'_>>,
+    sets: &OverlapSets,
     x0: &[Vec2],
     ein0: &[f64],
 ) -> Result<()> {
     let th = opts.threading;
 
-    // Viscosity and forces are one fused sweep behind the pre_viscosity
-    // exchange. Overlapped, the interior elements are swept while the
-    // messages are in flight and the listed boundary elements after the
-    // exchange completes (the force stencil is contained in the
-    // viscosity stencil, so the viscosity-phase sets serve both).
-    let sweep = ViscForce {
+    // Viscosity and forces are one fused sweep behind the pre-viscosity
+    // exchange (the force stencil is contained in the viscosity
+    // stencil, so the one boundary list serves both).
+    let visc = ViscForce {
         q: opts.q,
         hourglass: opts.hourglass,
         dt,
     };
+    let (boundary, cells) = (&sets.el_boundary_ids, &sets.boundary_cells);
     let q_and_force = |mesh: &mut Mesh, state: &mut HydroState, halo: &mut H| -> Result<()> {
-        match split {
-            None => {
-                timers.time(KernelId::Comms, || halo.pre_viscosity(mesh, state))?;
-                timers.time(KernelId::ViscForce, || {
-                    viscforce(mesh, state, range, sweep, th, Subset::All);
-                });
-            }
-            Some(s) => {
-                timers.time(KernelId::Comms, || halo.pre_viscosity_post(mesh, state))?;
-                timers.time(KernelId::ViscForce, || {
-                    let interior = Subset::Mask {
-                        mask: s.el_boundary,
-                        keep: false,
-                    };
-                    viscforce(mesh, state, range, sweep, th, interior);
-                });
-                timers.time(KernelId::Comms, || halo.pre_viscosity_complete(mesh, state))?;
-                timers.time(KernelId::ViscForce, || {
-                    let (ids, cells) = (s.el_boundary_ids, s.boundary_cells);
-                    viscforce_listed(mesh, state, range, sweep, th, ids, cells);
-                });
-            }
-        }
+        let phase = Phase::PreViscosity;
+        timers.time(KernelId::Comms, || halo.post(phase, mesh, state))?;
+        timers.time(KernelId::ViscForce, || {
+            let interior = Pass::Except(boundary);
+            viscforce(mesh, state, range, visc, th, interior, Pass::All);
+        });
+        timers.time(KernelId::Comms, || halo.complete(phase, mesh, state))?;
+        timers.time(KernelId::ViscForce, || {
+            let (boundary, cells) = (Pass::Only(boundary), Pass::Only(cells));
+            viscforce(mesh, state, range, visc, th, boundary, cells);
+        });
         Ok(())
     };
 
@@ -335,39 +279,27 @@ fn step<H: HaloOps>(
 
     // ---- Corrector: full step with time-centred quantities ----
     q_and_force(mesh, state, halo)?;
-    match split {
-        None => {
-            timers.time(KernelId::Comms, || halo.pre_acceleration(state))?;
-            timers.time(KernelId::GetAcc, || {
-                getacc(mesh, state, range, dt, opts.acc_mode);
-                halo.post_acceleration(mesh, state)
-            })?;
-        }
-        Some(s) => {
-            // Post the corner exchange, gather the interior nodes while
-            // the ghost corners travel, complete, then the boundary
-            // nodes. The piston runs after both sweeps, as always.
-            timers.time(KernelId::Comms, || halo.pre_acceleration_post(state))?;
-            timers.time(KernelId::GetAcc, || {
-                getacc_subset(
-                    mesh,
-                    state,
-                    range,
-                    dt,
-                    opts.acc_mode,
-                    Subset::Mask {
-                        mask: s.nd_boundary,
-                        keep: false,
-                    },
-                );
-            });
-            timers.time(KernelId::Comms, || halo.pre_acceleration_complete(state))?;
-            timers.time(KernelId::GetAcc, || {
-                getacc_listed(mesh, state, range, dt, opts.acc_mode, s.nd_boundary_ids);
-                halo.post_acceleration(mesh, state)
-            })?;
-        }
-    }
+    // The nodes whose whole adjacency is owned are gathered while the
+    // ghost corners travel, the boundary nodes once they have arrived.
+    // The piston runs after both sweeps.
+    let phase = Phase::PreAcceleration;
+    let boundary = &sets.nd_boundary_ids;
+    timers.time(KernelId::Comms, || halo.post(phase, mesh, state))?;
+    timers.time(KernelId::GetAcc, || {
+        getacc_pass(
+            mesh,
+            state,
+            range,
+            dt,
+            opts.acc_mode,
+            Pass::Except(boundary),
+        );
+    });
+    timers.time(KernelId::Comms, || halo.complete(phase, mesh, state))?;
+    timers.time(KernelId::GetAcc, || {
+        getacc_pass(mesh, state, range, dt, opts.acc_mode, Pass::Only(boundary));
+        halo.post_acceleration(mesh, state)
+    })?;
     // Re-move nodes from the start-of-step positions by dt·ubar.
     mesh.nodes[..range.n_active_nd].copy_from_slice(x0);
     move_nodes(mesh, state, range, dt);

@@ -15,24 +15,30 @@
 //! pressures.
 //!
 //! Each kernel of the reference implementation's hydro loop
-//! (Algorithm 1 of the paper) is one module here:
+//! (Algorithm 1 of the paper) is one module here, and each is the same
+//! shape: a per-entity *body* — what one element or node computes from
+//! the state — and one call of [`fn@sweep`], which owns how the index
+//! range is traversed (serial or threaded; whole, or split round a halo
+//! exchange):
 //!
-//! | paper kernel | module | role |
-//! |--------------|--------|------|
-//! | `getdt`      | [`getdt`]    | CFL + divergence time-step control |
-//! | `getq`       | [`getq`]     | artificial viscosity |
-//! | `getforce`   | [`getforce`] | corner forces: pressure, viscosity, hourglass |
-//! | (both)       | [`mod@viscforce`] | the two above as the one fused sweep a step runs |
-//! | `getacc`     | [`getacc`]   | nodal mass gather, acceleration, BCs, node motion |
-//! | `getgeom`    | [`getgeom`]  | volumes, corner volumes, characteristic lengths |
-//! | `getrho`     | [`getrho`]   | density from Lagrangian mass |
-//! | `getein`     | [`getein`]   | compatible internal-energy update |
-//! | `getpc`      | [`getpc`]    | EoS evaluation |
+//! | paper kernel | module | body, per |
+//! |--------------|--------|-----------|
+//! | `getdt`      | [`getdt`]    | element: velocity divergence (then the CFL / divergence min-scan) |
+//! | `getq`       | [`getq`]     | element: artificial viscosity |
+//! | `getforce`   | [`getforce`] | element: corner forces — pressure, viscosity, hourglass |
+//! | (both)       | [`mod@viscforce`] | element: the two above fused — what a step runs |
+//! | `getacc`     | [`getacc`]   | node: mass and force gather, acceleration, BCs, velocity |
+//! | `getgeom`    | [`getgeom`]  | element: volume, corner volumes, characteristic length |
+//! | `getrho`     | [`getrho`]   | element: density from Lagrangian mass |
+//! | `getein`     | [`getein`]   | element: compatible internal-energy update |
+//! | `getpc`      | [`getpc`]    | element: EoS evaluation |
+//! | (last four)  | [`mod@eos_fused`] | element: the chain fused — what a step runs |
 //!
 //! [`lagstep()`] composes them into the predictor–corrector step, with
-//! halo-exchange hooks at exactly the two points the paper identifies
+//! halo exchanges at exactly the two points the paper identifies
 //! (immediately before the viscosity calculation and immediately before
-//! the acceleration).
+//! the acceleration), each on the one post / complete schedule
+//! documented on [`HaloOps`].
 //!
 //! ## Corner-data layout
 //!
@@ -54,38 +60,43 @@
 //!
 //! ## Kernel fusion rules
 //!
-//! The four EOS-chain kernels (`getgeom → getrho → getein → getpc`) are
-//! per-element independent with no floating-point reductions, so they
-//! fuse into one element sweep — [`fn@eos_fused`] — that is *bitwise
-//! identical* to running the chain unfused under any serial/rayon/subset
-//! split. The unfused kernels remain the reference implementation; a
-//! [`EosStages`] mask fuses any subset of the chain, with a disabled
-//! stage reading current state exactly as the skipped kernel sequence
-//! would.
+//! Bodies that are per-element independent on the same inputs fuse by
+//! concatenation into one sweep. The four EOS-chain kernels
+//! (`getgeom → getrho → getein → getpc`) have no floating-point
+//! reductions and read nothing another element writes, so
+//! [`fn@eos_fused`] runs them back to back per element, *bitwise
+//! identical* to the chain of four sweeps; the unfused kernels remain
+//! the reference implementation, and an [`EosStages`] mask fuses any
+//! subset of the chain, a disabled stage reading current state exactly
+//! as the skipped kernel sequence would.
 //!
 //! `getq` and `getforce` cannot join *that* sweep: nodes move between
 //! the viscosity/force phase and the EOS chain, and (in the corrector)
 //! `getacc` gathers the corner forces in between. But they do fuse with
 //! *each other*: both run on the same unchanged positions and
 //! velocities, `getq` reaches its face neighbours only through the
-//! cell-velocity table precomputed before the sweep, and `getforce`
-//! reads only its own element's `edge_q` — per-element independence
-//! holds. [`fn@viscforce`] is that single sweep (gather once, four faces
-//! as four lanes, one quiescent-element exit), bitwise identical to
-//! `getq` then `getforce` under any serial/rayon/subset split, and the
-//! only viscosity/force code a production step runs; the public `getq`
-//! and `getforce` are thin drivers over its per-element pieces.
+//! cell-velocity table computed (by a sweep of its own) before the
+//! element sweep, and `getforce` reads only its own element's `edge_q`.
+//! [`fn@viscforce`] is that single sweep (gather once, four faces as
+//! four lanes, one quiescent-element exit), bitwise identical to `getq`
+//! then `getforce`, and the only viscosity/force code a production step
+//! runs; the public `getq` and `getforce` sweep its per-element pieces.
 //! Pre-optimisation kernel shapes are preserved in [`mod@reference`]
 //! for the roofline bench and the equivalence suite.
 //!
-//! ## Threading
+//! ## Threading and splitting
 //!
-//! Per the paper's §IV-B, most kernels are trivially parallelisable and
-//! accept a [`Threading`] mode (serial or rayon). The acceleration kernel
-//! carries a genuine scatter data dependency; [`getacc`] exposes the
-//! reference *serial scatter* (what the paper shipped) and a
-//! conflict-free *gather* rewrite (the fix the paper left as future
-//! work), which the ablation benches compare.
+//! Per the paper's §IV-B, most kernels are trivially parallelisable:
+//! nothing is reduced across entities, so a body gives the same bits
+//! under any traversal. [`mod@sweep`] is the one place that knows the
+//! traversals — a [`Threading`] mode (serial loops, or a fork-join tree
+//! over the rayon pool) and a [`Pass`] (every entity, all but a sorted
+//! id list, or exactly the list: the interior and boundary passes of an
+//! overlapped exchange). The acceleration kernel carries a genuine
+//! scatter data dependency; [`getacc`] keeps the reference *serial
+//! scatter* (what the paper shipped) beside the conflict-free per-node
+//! *gather* (the fix the paper left as future work) that sweeps like
+//! everything else; the ablation benches compare them.
 
 // Index-based loops over element/corner arrays are the house style of
 // these kernels (they mirror the reference Fortran and keep index math
@@ -104,15 +115,15 @@ pub mod getrho;
 pub mod lagstep;
 pub mod reference;
 pub mod state;
-pub mod subset;
+pub mod sweep;
 pub mod viscforce;
 
 pub use eos_fused::{eos_fused, EosStages, FusedEos};
 pub use getacc::AccMode;
-pub use lagstep::{lagstep, lagstep_timed, HaloOps, KernelSplit, LagOptions, NoComm};
+pub use lagstep::{lagstep, lagstep_timed, HaloOps, LagOptions, NoComm, Phase};
 pub use state::{HydroState, LocalRange};
-pub use subset::Subset;
-pub use viscforce::{lend_scratch, viscforce, viscforce_listed, LentScratch, ViscForce};
+pub use sweep::{sweep, sweep_reduce, Pass};
+pub use viscforce::{lend_scratch, viscforce, LentScratch, ViscForce};
 
 /// Intra-rank threading mode for the trivially parallel kernels.
 ///

@@ -31,9 +31,9 @@
 //! scalar kernel's order (`hydro::reference` keeps the original loop
 //! shapes as the anchor), viscous pair forces are applied in face order
 //! 0..3, and nothing is reduced across elements — so the result is
-//! bitwise identical to `getq` then `getforce` under serial, rayon and
-//! any split into a masked range pass ([`viscforce`]) and a list-driven
-//! pass over the rest ([`viscforce_listed`]). The force stencil (own
+//! bitwise identical to `getq` then `getforce` under every traversal
+//! [`mod@crate::sweep`] offers: serial, rayon, and split into a pass over
+//! all but a list and a pass over the list. The force stencil (own
 //! corners, own nodal masses) is contained in the viscosity stencil, so
 //! the overlapped executor's viscosity-phase boundary set serves the
 //! fused sweep.
@@ -42,14 +42,13 @@ use bookleaf_mesh::geometry::{area_gradient, quad_centroid};
 use bookleaf_mesh::{Mesh, STENCIL_BOUNDARY};
 use bookleaf_util::constants::ZERO_CUT;
 use bookleaf_util::Vec2;
-use rayon::prelude::*;
 use std::array::from_fn;
 use std::cell::RefCell;
 
 use crate::getforce::HourglassControl;
 use crate::getq::{monotonic_limiter, QCoeffs};
 use crate::state::{HydroState, LocalRange};
-use crate::subset::Subset;
+use crate::sweep::{sweep, Pass};
 use crate::Threading;
 
 /// Reusable per-thread buffers of the Lagrangian step, so a step in
@@ -60,21 +59,15 @@ pub(crate) struct Scratch {
     /// Cell-averaged velocities (the viscosity limiter's neighbour
     /// values); a megabyte-plus at production mesh sizes.
     cell_u: Vec<Vec2>,
-    /// Outputs of a list-driven sweep, one row per listed element.
-    rows: Vec<Row>,
     /// Start-of-step node positions (`lagstep`).
     pub(crate) x0: Vec<Vec2>,
     /// Start-of-step internal energies (`lagstep`).
     pub(crate) ein0: Vec<f64>,
-    /// Nodal mass sums (`getacc`).
+    /// Nodal mass sums (`getacc`'s reference scatter).
     pub(crate) nd_mass: Vec<f64>,
-    /// Nodal force sums (`getacc`).
+    /// Nodal force sums (`getacc`'s reference scatter).
     pub(crate) nd_force: Vec<Vec2>,
 }
-
-/// What the sweep produces for one element: `edge_q`, `q` and the
-/// corner force component rows.
-pub(crate) type Row = ([f64; 4], f64, [f64; 4], [f64; 4]);
 
 thread_local! {
     pub(crate) static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
@@ -125,44 +118,26 @@ fn cell_velocity(mesh: &Mesh, u: &[Vec2], e: usize) -> Vec2 {
     (u[nd[0] as usize] + u[nd[1] as usize] + u[nd[2] as usize] + u[nd[3] as usize]) * 0.25
 }
 
-/// Run `sweep` with the cell-averaged velocity table the viscosity
-/// limiter gathers its face neighbours from (ghost layer included), and
-/// the thread's row buffer.
-///
-/// With `cells` set only those entries are computed — a list-driven
-/// sweep names the handful its elements and their face neighbours read
-/// and pays for nothing else. A range sweep fills the whole table
-/// straight through; an interior pass never reads the entries that
-/// not-yet-exchanged ghost velocities went into.
+/// Run `kernel` with the cell-averaged velocity table the viscosity
+/// limiter gathers its face neighbours from (ghost layer included),
+/// its `cells` entries freshly computed: every one for a whole or
+/// interior pass (which never reads the entries that not-yet-exchanged
+/// ghost velocities went into), or the listed handful a boundary pass
+/// and its face neighbours read.
 pub(crate) fn with_cell_velocities<R>(
     mesh: &Mesh,
     u: &[Vec2],
     threading: Threading,
-    cells: Option<&[u32]>,
-    sweep: impl FnOnce(&[Vec2], &mut Vec<Row>) -> R,
+    cells: Pass<'_>,
+    kernel: impl FnOnce(&[Vec2]) -> R,
 ) -> R {
     SCRATCH.with(|scratch| {
-        let Scratch { cell_u, rows, .. } = &mut *scratch.borrow_mut();
+        let cell_u = &mut scratch.borrow_mut().cell_u;
         cell_u.resize(mesh.n_elements(), Vec2::ZERO);
-        match (cells, threading) {
-            (Some(cells), _) => {
-                for &e in cells {
-                    cell_u[e as usize] = cell_velocity(mesh, u, e as usize);
-                }
-            }
-            (None, Threading::Serial) => {
-                for (e, cu) in cell_u.iter_mut().enumerate() {
-                    *cu = cell_velocity(mesh, u, e);
-                }
-            }
-            (None, Threading::Rayon) => {
-                cell_u
-                    .par_iter_mut()
-                    .enumerate()
-                    .for_each(|(e, cu)| *cu = cell_velocity(mesh, u, e));
-            }
-        }
-        sweep(cell_u, rows)
+        sweep(threading, cells, (&mut cell_u[..],), |e, (cu,)| {
+            *cu = cell_velocity(mesh, u, e);
+        });
+        kernel(cell_u)
     })
 }
 
@@ -486,70 +461,33 @@ pub struct ViscForce {
     pub dt: f64,
 }
 
-/// The elements one sweep covers.
-#[derive(Clone, Copy)]
-enum Pass<'a> {
-    /// The owned range, one membership test per element.
-    Range(Subset<'a>),
-    /// Exactly `ids`, reading exactly the `cells` table entries.
-    Listed { ids: &'a [u32], cells: &'a [u32] },
-}
-
 /// Compute `edge_q`, `q` and the corner forces of the owned elements in
-/// `subset` in one pass over the owned range — bitwise identical to
-/// [`getq`](crate::getq::getq) followed by
-/// [`getforce`](crate::getforce::getforce). Elements outside the subset
-/// keep their previous values.
+/// `elements` — bitwise identical to [`getq`](crate::getq::getq)
+/// followed by [`getforce`](crate::getforce::getforce). Elements outside
+/// the pass keep their previous values. `cells` names the cell-velocity
+/// table entries (over all local elements, ghosts included) to compute
+/// first: at least the swept elements and their face neighbours —
+/// `Pass::All` for a whole or interior sweep,
+/// `Pass::Only(OverlapSets::boundary_cells)` for the boundary pass.
 ///
 /// Requires ghost node velocities and positions to be current (exchange
-/// phase 1) for every element swept. The overlapped executor's
-/// *interior* pass (`Subset::Mask { keep: false }` over the boundary
-/// mask) runs while that exchange is in flight: it must not reach any
-/// halo-received node through its own or its face neighbours' corners
-/// (see `bookleaf_mesh::OverlapSets`). The parallel split tree does not
-/// depend on the subset.
+/// phase 1) for every element swept. The overlapped schedule's
+/// *interior* pass (`Pass::Except` of the boundary elements) runs while
+/// that exchange is in flight: it must not reach any halo-received node
+/// through its own or its face neighbours' corners (see
+/// `bookleaf_mesh::OverlapSets`).
 pub fn viscforce(
     mesh: &Mesh,
     state: &mut HydroState,
     range: LocalRange,
-    sweep: ViscForce,
+    visc: ViscForce,
     threading: Threading,
-    subset: Subset<'_>,
-) {
-    sweep_pass(mesh, state, range, sweep, threading, Pass::Range(subset));
-}
-
-/// [`viscforce`] over exactly the owned elements `ids` (ascending,
-/// unique) at a cost proportional to the list — the overlapped
-/// executor's *boundary* pass. `cells` names the cell-velocity entries
-/// to compute: at least `ids` and their face neighbours
-/// (`OverlapSets::boundary_cells`). A masked range pass and a listed
-/// pass over the mask's `true` positions are together bitwise the full
-/// sweep, in either order.
-pub fn viscforce_listed(
-    mesh: &Mesh,
-    state: &mut HydroState,
-    range: LocalRange,
-    sweep: ViscForce,
-    threading: Threading,
-    ids: &[u32],
-    cells: &[u32],
-) {
-    let pass = Pass::Listed { ids, cells };
-    sweep_pass(mesh, state, range, sweep, threading, pass);
-}
-
-fn sweep_pass(
-    mesh: &Mesh,
-    state: &mut HydroState,
-    range: LocalRange,
-    sweep: ViscForce,
-    threading: Threading,
-    pass: Pass<'_>,
+    elements: Pass<'_>,
+    cells: Pass<'_>,
 ) {
     let n = range.n_owned_el;
-    // Element-indexed reads sliced to the owned range so the range sweep
-    // (bounded by the same `n` through the output zip) indexes them
+    // Element-indexed reads sliced to the owned range so the sweep
+    // (bounded by the same `n` through its columns) indexes them
     // without bounds checks; `u` and `nd_mass` stay full-length — they
     // are gathered through node ids.
     let stencil = &mesh.face_stencil()[..n];
@@ -565,96 +503,49 @@ fn sweep_pass(
         q: coeffs,
         hourglass: hg,
         dt,
-    } = sweep;
-    let cells = match pass {
-        Pass::Range(_) => None,
-        Pass::Listed { cells, .. } => Some(cells),
-    };
+    } = visc;
+    let columns = (
+        &mut state.edge_q[..n],
+        &mut state.q[..n],
+        &mut state.cnforce_x[..n],
+        &mut state.cnforce_y[..n],
+    );
 
-    with_cell_velocities(mesh, u, threading, cells, |cell_u, rows| {
-        let body =
-            |e: usize, edge_q: &mut [f64; 4], q: &mut f64, fx: &mut [f64; 4], fy: &mut [f64; 4]| {
-                let g = Gathered::new(mesh, u, e);
-                let centre = quad_centroid(&g.x);
-                let cs = sound_speed(cs2[e]);
-                let faces = Faces::new(&g);
-                let mut force = pressure_force(&g.x, pressure[e]);
-                if faces.any_compressive() {
-                    let du_mag = faces.du_mag();
-                    let inputs = QInputs {
-                        e,
-                        rho: rho[e],
-                        cs,
-                        nbr: &stencil[e],
-                        cell_u,
-                        coeffs,
-                    };
-                    (*edge_q, *q) = edge_q_lanes(&g, &faces, &du_mag, centre, &inputs);
-                    let masses = g.nd.map(|nd| nd_mass[nd]);
-                    viscous_pairs(&mut force, &faces, &du_mag, edge_q, &masses, dt);
-                } else {
-                    *edge_q = [0.0; 4];
-                    *q = 0.0;
-                }
-                let el = HourglassInputs {
+    with_cell_velocities(mesh, u, threading, cells, |cell_u| {
+        sweep(threading, elements, columns, |e, (edge_q, q, fx, fy)| {
+            let g = Gathered::new(mesh, u, e);
+            let centre = quad_centroid(&g.x);
+            let cs = sound_speed(cs2[e]);
+            let faces = Faces::new(&g);
+            let mut force = pressure_force(&g.x, pressure[e]);
+            if faces.any_compressive() {
+                let du_mag = faces.du_mag();
+                let inputs = QInputs {
+                    e,
                     rho: rho[e],
-                    cs2: cs2[e],
                     cs,
-                    volume: volume[e],
-                    cnmass: &cnmass[e],
-                    cnvol: &cnvol[e],
+                    nbr: &stencil[e],
+                    cell_u,
+                    coeffs,
                 };
-                hourglass(&mut force, &g, centre, &el, hg);
-                store_force(&force, fx, fy);
+                (*edge_q, *q) = edge_q_lanes(&g, &faces, &du_mag, centre, &inputs);
+                let masses = g.nd.map(|nd| nd_mass[nd]);
+                viscous_pairs(&mut force, &faces, &du_mag, edge_q, &masses, dt);
+            } else {
+                *edge_q = [0.0; 4];
+                *q = 0.0;
+            }
+            let el = HourglassInputs {
+                rho: rho[e],
+                cs2: cs2[e],
+                cs,
+                volume: volume[e],
+                cnmass: &cnmass[e],
+                cnvol: &cnvol[e],
             };
-
-        let (edge_q, q) = (&mut state.edge_q[..n], &mut state.q[..n]);
-        let (fx, fy) = (&mut state.cnforce_x[..n], &mut state.cnforce_y[..n]);
-        match (pass, threading) {
-            (Pass::Range(subset), Threading::Serial) => {
-                for (e, (((eq, qv), fx), fy)) in edge_q
-                    .iter_mut()
-                    .zip(q.iter_mut())
-                    .zip(fx.iter_mut())
-                    .zip(fy.iter_mut())
-                    .enumerate()
-                {
-                    if subset.contains(e) {
-                        body(e, eq, qv, fx, fy);
-                    }
-                }
-            }
-            (Pass::Range(subset), Threading::Rayon) => {
-                edge_q
-                    .par_iter_mut()
-                    .zip(q.par_iter_mut())
-                    .zip(fx.par_iter_mut())
-                    .zip(fy.par_iter_mut())
-                    .enumerate()
-                    .for_each(|(e, (((eq, qv), fx), fy))| {
-                        if subset.contains(e) {
-                            body(e, eq, qv, fx, fy);
-                        }
-                    });
-            }
-            (Pass::Listed { ids, .. }, _) => {
-                // Computed into one dense row per listed element (the
-                // unit a threaded pass splits), then stored by id.
-                let row_body = |(row, &e): (&mut Row, &u32)| {
-                    body(e as usize, &mut row.0, &mut row.1, &mut row.2, &mut row.3);
-                };
-                rows.clear();
-                rows.resize(ids.len(), Row::default());
-                match threading {
-                    Threading::Serial => rows.iter_mut().zip(ids).for_each(row_body),
-                    Threading::Rayon => rows.par_iter_mut().zip(ids.par_iter()).for_each(row_body),
-                }
-                for (row, &e) in rows.iter().zip(ids) {
-                    let e = e as usize;
-                    (edge_q[e], q[e], fx[e], fy[e]) = *row;
-                }
-            }
-        }
+            hourglass(&mut force, &g, centre, &el, hg);
+            store_force(&force, fx, fy);
+        });
     });
 }
 
@@ -666,6 +557,12 @@ mod tests {
     use crate::reference::{getforce_reference, getq_reference};
     use bookleaf_eos::{EosSpec, MaterialTable};
     use bookleaf_mesh::{generate_rect, RectSpec};
+
+    /// The unsplit sweep.
+    fn viscforce_all(mesh: &Mesh, st: &mut HydroState, visc: ViscForce, th: Threading) {
+        let range = LocalRange::whole(mesh);
+        viscforce(mesh, st, range, visc, th, Pass::All, Pass::All);
+    }
 
     fn sweep_of(dt: f64, hg: HourglassControl) -> ViscForce {
         ViscForce {
@@ -719,7 +616,7 @@ mod tests {
         let range = LocalRange::whole(mesh);
         for th in [Threading::Serial, Threading::Rayon] {
             let mut fused = st0.clone();
-            viscforce(mesh, &mut fused, range, sweep_of(dt, hg), th, Subset::All);
+            viscforce_all(mesh, &mut fused, sweep_of(dt, hg), th);
 
             let mut sequence = st0.clone();
             getq(mesh, &mut sequence, range, QCoeffs::default(), th);
@@ -761,9 +658,8 @@ mod tests {
             st.q.fill(3.5);
             st.edge_q.fill([3.5; 4]);
             assert_all_shapes_agree(&mesh, &st, 1e-2, HourglassControl::default());
-            let range = LocalRange::whole(&mesh);
             let sweep = sweep_of(1e-2, HourglassControl::default());
-            viscforce(&mesh, &mut st, range, sweep, Threading::Serial, Subset::All);
+            viscforce_all(&mesh, &mut st, sweep, Threading::Serial);
             assert!(st.q.iter().all(|&q| q == 0.0));
             assert!(st.edge_q.iter().flatten().all(|&q| q == 0.0));
         }
@@ -790,16 +686,8 @@ mod tests {
             .unwrap();
             assert_all_shapes_agree(&mesh, &st, 1e-3, HourglassControl::default());
             let mut out = st.clone();
-            let range = LocalRange::whole(&mesh);
             let sweep = sweep_of(1e-3, HourglassControl::default());
-            viscforce(
-                &mesh,
-                &mut out,
-                range,
-                sweep,
-                Threading::Serial,
-                Subset::All,
-            );
+            viscforce_all(&mesh, &mut out, sweep, Threading::Serial);
             if n == 1 {
                 assert!(out.edge_q[0].iter().all(|&q| q > 0.0), "{:?}", out.edge_q);
             }
@@ -845,16 +733,8 @@ mod tests {
         .unwrap();
         assert_all_shapes_agree(&mesh, &st, 1e-2, HourglassControl::default());
         let mut out = st.clone();
-        let range = LocalRange::whole(&mesh);
         let sweep = sweep_of(1e-2, HourglassControl::default());
-        viscforce(
-            &mesh,
-            &mut out,
-            range,
-            sweep,
-            Threading::Serial,
-            Subset::All,
-        );
+        viscforce_all(&mesh, &mut out, sweep, Threading::Serial);
         assert!(out.q.iter().any(|&q| q > 0.0));
         assert!(out.edge_q.iter().flatten().all(|q| q.is_finite()));
         assert!(out.cnforce_x.iter().flatten().all(|f| f.is_finite()));
@@ -875,15 +755,11 @@ mod tests {
         let (mesh, st0) = wavy(7);
         let range = LocalRange::whole(&mesh);
         let sweep = sweep_of(1.0, HourglassControl::default());
-        // Arbitrary split: the masked range pass and the list-driven
-        // pass over the rest must add up to the full sweep exactly
+        // Arbitrary split: the pass over all but the list and the pass
+        // over the list must add up to the full sweep exactly
         // (per-element independence), in either order.
         let mask: Vec<bool> = (0..mesh.n_elements()).map(|e| e % 3 == 0).collect();
         let (ids, cells) = lists_of(&mesh, &mask);
-        let interior = Subset::Mask {
-            mask: &mask,
-            keep: false,
-        };
         // A different velocity field, swept first on this thread: its
         // cell velocities are what the scratch table holds wherever a
         // listed pass does not refresh it.
@@ -891,16 +767,20 @@ mod tests {
         stale.u.iter_mut().for_each(|u| *u *= -3.0);
         for th in [Threading::Serial, Threading::Rayon] {
             let mut full = st0.clone();
-            viscforce(&mesh, &mut full, range, sweep, th, Subset::All);
+            viscforce_all(&mesh, &mut full, sweep, th);
+            let interior = |st: &mut HydroState| {
+                viscforce(&mesh, st, range, sweep, th, Pass::Except(&ids), Pass::All);
+            };
             for listed_first in [false, true] {
                 let mut split = st0.clone();
                 if !listed_first {
-                    viscforce(&mesh, &mut split, range, sweep, th, interior);
+                    interior(&mut split);
                 }
-                viscforce(&mesh, &mut stale.clone(), range, sweep, th, Subset::All);
-                viscforce_listed(&mesh, &mut split, range, sweep, th, &ids, &cells);
+                viscforce_all(&mesh, &mut stale.clone(), sweep, th);
+                let (only, cells) = (Pass::Only(&ids), Pass::Only(&cells));
+                viscforce(&mesh, &mut split, range, sweep, th, only, cells);
                 if listed_first {
-                    viscforce(&mesh, &mut split, range, sweep, th, interior);
+                    interior(&mut split);
                 }
                 assert_eq!(outputs(&full), outputs(&split), "{th:?} {listed_first}");
             }
@@ -922,15 +802,12 @@ mod tests {
                 st.edge_q.fill([poison; 4]);
                 st.cnforce_x.fill([poison; 4]);
                 st.cnforce_y.fill([poison; 4]);
-                if listed {
-                    viscforce_listed(&mesh, &mut st, range, sweep, th, &ids, &cells);
+                let (elements, table) = if listed {
+                    (Pass::Only(&ids), Pass::Only(&cells))
                 } else {
-                    let interior = Subset::Mask {
-                        mask: &mask,
-                        keep: false,
-                    };
-                    viscforce(&mesh, &mut st, range, sweep, th, interior);
-                }
+                    (Pass::Except(&ids), Pass::All)
+                };
+                viscforce(&mesh, &mut st, range, sweep, th, elements, table);
                 for e in 0..mesh.n_elements() {
                     let rows = [st.edge_q[e], st.cnforce_x[e], st.cnforce_y[e]];
                     if mask[e] == listed {
@@ -951,7 +828,8 @@ mod tests {
         let mut st = st0.clone();
         let sweep = sweep_of(1e-2, HourglassControl::default());
         let range = LocalRange::whole(&mesh);
-        viscforce_listed(&mesh, &mut st, range, sweep, Threading::Rayon, &[], &[]);
+        let none = Pass::Only(&[]);
+        viscforce(&mesh, &mut st, range, sweep, Threading::Rayon, none, none);
         assert_eq!(outputs(&st), outputs(&st0));
     }
 }

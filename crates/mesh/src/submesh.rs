@@ -169,23 +169,19 @@ impl SubMesh {
             }
         }
 
-        // The boundary sets again as id lists, so a boundary sweep costs
-        // what the halo costs, not what the mesh costs. A boundary
-        // element's viscosity limiter gathers the cell-averaged velocity
-        // of the element itself and of its face neighbours (ghosts
-        // included): those are the table entries a boundary sweep needs.
+        // The sets leave as sorted id lists: a sweep over a set costs
+        // what the halo costs, a sweep over the rest merge-walks the
+        // list. A boundary element's viscosity limiter gathers the
+        // cell-averaged velocity of the element itself and of its face
+        // neighbours (ghosts included): those are the table entries a
+        // boundary sweep needs.
         let el_boundary_ids = true_positions(&el_boundary);
-        let boundary_cells = self.mesh.with_face_neighbours(&el_boundary_ids);
-        let nd_boundary_ids = true_positions(&nd_boundary);
-
         OverlapSets {
-            el_boundary,
-            nd_boundary,
+            boundary_cells: self.mesh.with_face_neighbours(&el_boundary_ids),
             el_boundary_ids,
-            boundary_cells,
-            nd_boundary_ids,
-            remap_pre_el,
-            remap_pre_nd,
+            nd_boundary_ids: true_positions(&nd_boundary),
+            remap_pre_el_ids: true_positions(&remap_pre_el),
+            remap_pre_nd_ids: true_positions(&remap_pre_nd),
         }
     }
 }
@@ -199,64 +195,61 @@ fn true_positions(mask: &[bool]) -> Vec<u32> {
 
 /// Interior/boundary classification for communication/computation
 /// overlap, derived once per run from a [`SubMesh`]'s exchange schedules
-/// by [`SubMesh::overlap_sets`]: a mask per entity kind for the interior
-/// sweep (one membership test per entity of a straight full-range pass)
-/// and the boundary entities as sorted id lists for the boundary sweep
-/// (which visits nothing else).
+/// by [`SubMesh::overlap_sets`]: each boundary set as a strictly
+/// ascending id list. A boundary sweep visits the list and nothing else;
+/// the interior sweep is the full range minus the list.
+/// `OverlapSets::default()` — every list empty — says "nothing is
+/// boundary": what a serial run, a rank without neighbours and a
+/// blocking exchange use.
 ///
 /// The guarantees, which make split (interior-first) kernel sweeps
 /// bitwise identical to full sweeps after a completed exchange:
 ///
-/// * An owned element with `el_boundary == false` reads **no** entity
-///   any recv list touches through the viscosity/force stencil (its own
+/// * An owned element outside `el_boundary_ids` reads **no** entity any
+///   recv list touches through the viscosity/force stencil (its own
 ///   nodes, its face neighbours, and their nodes) — `getq`/`getforce`
-///   may process it before the `pre_viscosity` exchange completes.
-/// * An active node with `nd_boundary == false` is adjacent to owned
-///   elements only — `getacc` may gather it before the
-///   `pre_acceleration` exchange completes.
-/// * `remap_pre_el` / `remap_pre_nd` are the entities (elements owned
-///   *and* ghost; active nodes) whose remap update feeds the
-///   `post_remap` send buffers: every send-list element, every
-///   send-list node, and every element adjacent to a send-list node.
-///   Updating exactly these first makes it safe to post the exchange,
-///   remap the rest during flight, and complete at the end. By
-///   construction no element *outside* `remap_pre_el` is adjacent to a
-///   node in `remap_pre_nd`, so the deferred element sweep never reads
-///   a velocity the early node sweep rewrote.
-#[derive(Debug, Clone)]
+///   may process it before the pre-viscosity exchange completes.
+/// * An active node outside `nd_boundary_ids` is adjacent to owned
+///   elements only — `getacc` may gather it before the pre-acceleration
+///   exchange completes.
+/// * `remap_pre_el_ids` / `remap_pre_nd_ids` are the entities (elements
+///   owned *and* ghost; active nodes) whose remap update feeds the
+///   post-remap send buffers: every send-list element, every send-list
+///   node, and every element adjacent to a send-list node. Updating
+///   exactly these first makes it safe to post the exchange, remap the
+///   rest during flight, and complete at the end. By construction no
+///   element *outside* `remap_pre_el_ids` is adjacent to a node in
+///   `remap_pre_nd_ids`, so the deferred element sweep never reads a
+///   velocity the early node sweep rewrote.
+#[derive(Debug, Clone, Default)]
 pub struct OverlapSets {
-    /// Per owned element (`len == n_owned_el`): `true` ⇒ the
-    /// viscosity-phase stencil reaches a halo-received entity.
-    pub el_boundary: Vec<bool>,
-    /// Per active node (`len == n_active_nd`): `true` ⇒ adjacent to at
-    /// least one ghost element.
-    pub nd_boundary: Vec<bool>,
-    /// The `true` positions of `el_boundary`, ascending.
+    /// Owned elements whose viscosity-phase stencil reaches a
+    /// halo-received entity.
     pub el_boundary_ids: Vec<u32>,
     /// Local elements (ghosts included) whose cell-averaged velocity a
     /// sweep over `el_boundary_ids` reads: the boundary elements and
-    /// their face neighbours, ascending and unique.
+    /// their face neighbours.
     pub boundary_cells: Vec<u32>,
-    /// The `true` positions of `nd_boundary`, ascending.
+    /// Active nodes adjacent to at least one ghost element.
     pub nd_boundary_ids: Vec<u32>,
-    /// Per local element (`len == n_elements`, ghosts included):
-    /// `true` ⇒ must be remapped before posting `post_remap`.
-    pub remap_pre_el: Vec<bool>,
-    /// Per active node: `true` ⇒ packed by the `post_remap` exchange.
-    pub remap_pre_nd: Vec<bool>,
+    /// Local elements (ghosts included) that must be remapped before
+    /// the post-remap exchange is posted.
+    pub remap_pre_el_ids: Vec<u32>,
+    /// Active nodes the post-remap exchange packs.
+    pub remap_pre_nd_ids: Vec<u32>,
 }
 
 impl OverlapSets {
-    /// Number of interior (overlappable) owned elements.
+    /// Number of interior (overlappable) elements among `n_owned_el`.
     #[must_use]
-    pub fn n_interior_el(&self) -> usize {
-        self.el_boundary.iter().filter(|&&b| !b).count()
+    pub fn n_interior_el(&self, n_owned_el: usize) -> usize {
+        n_owned_el - self.el_boundary_ids.len()
     }
 
-    /// Number of interior (overlappable) active nodes.
+    /// Number of interior (overlappable) nodes among `n_active_nd`.
     #[must_use]
-    pub fn n_interior_nd(&self) -> usize {
-        self.nd_boundary.iter().filter(|&&b| !b).count()
+    pub fn n_interior_nd(&self, n_active_nd: usize) -> usize {
+        n_active_nd - self.nd_boundary_ids.len()
     }
 }
 
@@ -677,15 +670,27 @@ mod tests {
         let subs = SubMeshPlan::build(&m, &owner, 4).unwrap();
         for s in &subs {
             let o = s.overlap_sets();
-            assert_eq!(o.el_boundary.len(), s.n_owned_el);
-            assert_eq!(o.nd_boundary.len(), s.n_active_nd);
-            assert_eq!(o.remap_pre_el.len(), s.mesh.n_elements());
-            assert_eq!(o.remap_pre_nd.len(), s.n_active_nd);
+            // The lists as masks over their ranges (an id outside its
+            // range fails the indexing).
+            let mask = |ids: &[u32], n: usize| {
+                assert!(ids.windows(2).all(|w| w[0] < w[1]), "not ascending");
+                let mut mask = vec![false; n];
+                for &i in ids {
+                    mask[i as usize] = true;
+                }
+                mask
+            };
+            let el_boundary = mask(&o.el_boundary_ids, s.n_owned_el);
+            let nd_boundary = mask(&o.nd_boundary_ids, s.n_active_nd);
+            let remap_pre_el = mask(&o.remap_pre_el_ids, s.mesh.n_elements());
+            let remap_pre_nd = mask(&o.remap_pre_nd_ids, s.n_active_nd);
             // A distributed rank must have real boundary *and* real
             // interior on this mesh size.
-            assert!(o.n_interior_el() > 0, "rank {} all boundary", s.rank);
-            assert!(o.el_boundary.iter().any(|&b| b));
-            assert!(o.nd_boundary.iter().any(|&b| b));
+            let interior = o.n_interior_el(s.n_owned_el);
+            assert!(interior > 0, "rank {} all boundary", s.rank);
+            assert_eq!(interior, el_boundary.iter().filter(|&&b| !b).count());
+            assert!(!o.el_boundary_ids.is_empty());
+            assert!(!o.nd_boundary_ids.is_empty());
 
             let mut nd_recv = vec![false; s.mesh.n_nodes()];
             for ex in &s.nd_exchange {
@@ -701,7 +706,7 @@ mod tests {
             }
             // Interior elements: stencil free of recv'd entities.
             for e in 0..s.n_owned_el {
-                if o.el_boundary[e] {
+                if el_boundary[e] {
                     continue;
                 }
                 assert!(s.mesh.elnd[e].iter().all(|&n| !nd_recv[n as usize]));
@@ -715,7 +720,7 @@ mod tests {
             }
             // Interior nodes: adjacency entirely owned.
             for n in 0..s.n_active_nd {
-                if !o.nd_boundary[n] {
+                if !nd_boundary[n] {
                     for &(e, _) in s.mesh.elements_of_node(n) {
                         assert!(s.owns_element(e as usize));
                     }
@@ -725,14 +730,14 @@ mod tests {
             // send nodes, and the full adjacency of every send node.
             for ex in &s.el_exchange {
                 for &e in &ex.send {
-                    assert!(o.remap_pre_el[e as usize]);
+                    assert!(remap_pre_el[e as usize]);
                 }
             }
             for ex in &s.nd_exchange {
                 for &n in &ex.send {
-                    assert!(o.remap_pre_nd[n as usize]);
+                    assert!(remap_pre_nd[n as usize]);
                     for &(e, _) in s.mesh.elements_of_node(n as usize) {
-                        assert!(o.remap_pre_el[e as usize]);
+                        assert!(remap_pre_el[e as usize]);
                     }
                 }
             }
@@ -740,11 +745,11 @@ mod tests {
             // relies on: no element outside remap_pre_el touches a node
             // in remap_pre_nd.
             for e in 0..s.mesh.n_elements() {
-                if !o.remap_pre_el[e] {
+                if !remap_pre_el[e] {
                     for &n in &s.mesh.elnd[e] {
                         let n = n as usize;
                         assert!(
-                            n >= s.n_active_nd || !o.remap_pre_nd[n],
+                            n >= s.n_active_nd || !remap_pre_nd[n],
                             "deferred element {e} adjacent to early node {n}"
                         );
                     }
@@ -758,10 +763,10 @@ mod tests {
         let m = grid(4);
         let subs = SubMeshPlan::build(&m, &vec![0; m.n_elements()], 1).unwrap();
         let o = subs[0].overlap_sets();
-        assert_eq!(o.n_interior_el(), m.n_elements());
-        assert_eq!(o.n_interior_nd(), m.n_nodes());
-        assert!(o.remap_pre_el.iter().all(|&b| !b));
-        assert!(o.remap_pre_nd.iter().all(|&b| !b));
+        assert_eq!(o.n_interior_el(m.n_elements()), m.n_elements());
+        assert_eq!(o.n_interior_nd(m.n_nodes()), m.n_nodes());
+        assert!(o.remap_pre_el_ids.is_empty());
+        assert!(o.remap_pre_nd_ids.is_empty());
     }
 
     #[test]

@@ -559,15 +559,9 @@ where
 {
     match current_worker() {
         Some(w) => join_on_worker(w, oper_a, oper_b),
-        // Not inside any pool: plain sequential execution (rayon would
-        // bounce through the global pool; the drivers in `iter` already
-        // do that hop once per chain, so a bare external `join` is only
-        // reachable through direct API use).
-        None => {
-            let ra = oper_a();
-            let rb = oper_b();
-            (ra, rb)
-        }
+        // Not inside any pool: bounce through the global pool, as rayon
+        // does (and as the drivers in `iter` do once per chain).
+        None => global_registry().install(|| join(oper_a, oper_b)),
     }
 }
 

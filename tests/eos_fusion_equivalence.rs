@@ -27,8 +27,7 @@ use bookleaf::hydro::getq::{getq, QCoeffs};
 use bookleaf::hydro::getrho::getrho;
 use bookleaf::hydro::reference::{getforce_reference, getq_reference};
 use bookleaf::hydro::{
-    eos_fused, viscforce, viscforce_listed, EosStages, FusedEos, HydroState, LocalRange, Subset,
-    Threading, ViscForce,
+    eos_fused, viscforce, EosStages, FusedEos, HydroState, LocalRange, Pass, Threading, ViscForce,
 };
 use bookleaf::mesh::{generate_rect, Mesh, RectSpec};
 use bookleaf::util::Vec2;
@@ -399,7 +398,7 @@ fn viscforce_matches_getq_then_getforce_and_reference_on_every_deck() {
 
         for th in [Threading::Serial, Threading::Rayon] {
             let mut fused = st0.clone();
-            viscforce(&mesh, &mut fused, range, sweep, th, Subset::All);
+            viscforce(&mesh, &mut fused, range, sweep, th, Pass::All, Pass::All);
 
             let mut sequence = st0.clone();
             getq(&mesh, &mut sequence, range, sweep.q, th);
@@ -424,26 +423,22 @@ fn viscforce_matches_getq_then_getforce_and_reference_on_every_deck() {
                 "{name} {th:?}: fused vs reference"
             );
 
-            // The overlapped schedule: the masked interior pass then
-            // the listed boundary pass (and the other way round) is the
-            // full sweep.
-            let mask: Vec<bool> = (0..mesh.n_elements()).map(|e| e % 5 < 2).collect();
-            let interior = Subset::Mask {
-                mask: &mask,
-                keep: false,
-            };
-            let ids: Vec<u32> = (0..mask.len() as u32)
-                .filter(|&e| mask[e as usize])
+            // The overlapped schedule: the interior pass (all but the
+            // list) then the listed boundary pass (and the other way
+            // round) is the full sweep.
+            let ids: Vec<u32> = (0..mesh.n_elements() as u32)
+                .filter(|e| e % 5 < 2)
                 .collect();
             let cells = mesh.with_face_neighbours(&ids);
             for order in [[false, true], [true, false]] {
                 let mut split = st0.clone();
                 for listed in order {
-                    if listed {
-                        viscforce_listed(&mesh, &mut split, range, sweep, th, &ids, &cells);
+                    let (elements, table) = if listed {
+                        (Pass::Only(&ids), Pass::Only(&cells))
                     } else {
-                        viscforce(&mesh, &mut split, range, sweep, th, interior);
-                    }
+                        (Pass::Except(&ids), Pass::All)
+                    };
+                    viscforce(&mesh, &mut split, range, sweep, th, elements, table);
                 }
                 assert_eq!(
                     viscforce_bits(&fused),

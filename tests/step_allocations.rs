@@ -2,12 +2,12 @@
 //! the Eulerian remap after it.
 //!
 //! Every buffer a step needs beyond the state itself (start-of-step
-//! positions and energies, the cell-velocity table, the nodal sums, the
-//! listed pass's rows) lives in the thread's scratch and is reused, so
-//! after one warm-up step the allocator is not called again — split or
-//! unsplit, gather or scatter. The remap works in that same scratch
-//! (idle between steps) and targets the reference mesh it already
-//! holds. A counting `#[global_allocator]` pins both.
+//! positions and energies, the cell-velocity table, the scatter's nodal
+//! sums) lives in the thread's scratch and is reused, so after one
+//! warm-up step the allocator is not called again — with or without
+//! boundary lists, gather or scatter. The remap works in that same
+//! scratch (idle between steps) and targets the reference mesh it
+//! already holds. A counting `#[global_allocator]` pins both.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -15,10 +15,10 @@ use std::cell::Cell;
 use bookleaf::ale::{AleMode, AleOptions, Remapper};
 use bookleaf::eos::{EosSpec, MaterialTable};
 use bookleaf::hydro::{
-    lagstep_timed, AccMode, HydroState, KernelSplit, LagOptions, LocalRange, NoComm,
+    lagstep_timed, AccMode, HaloOps, HydroState, LagOptions, LocalRange, NoComm, Phase, Threading,
 };
-use bookleaf::mesh::{generate_rect, RectSpec};
-use bookleaf::util::{TimerRegistry, Vec2};
+use bookleaf::mesh::{generate_rect, Mesh, OverlapSets, RectSpec};
+use bookleaf::util::{Result, TimerRegistry, Vec2};
 
 thread_local! {
     /// Heap allocations (and growing reallocations) made by this thread.
@@ -50,35 +50,53 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Any split is a valid split without a halo: two element columns and
+/// their nodes play the boundary of the Lagrangian phases, and what an
+/// exchange would pack of the remap (the pre nodes' whole adjacency is
+/// pre, as `OverlapSets` guarantees).
+fn some_boundary(mesh: &Mesh, n: usize) -> OverlapSets {
+    let ids = |keep: &dyn Fn(usize) -> bool, len: usize| -> Vec<u32> {
+        (0..len as u32).filter(|&i| keep(i as usize)).collect()
+    };
+    let el_boundary_ids = ids(&|e| e % n < 2, mesh.n_elements());
+    OverlapSets {
+        boundary_cells: mesh.with_face_neighbours(&el_boundary_ids),
+        el_boundary_ids,
+        nd_boundary_ids: ids(&|i| i % (n + 1) < 3, mesh.n_nodes()),
+        remap_pre_el_ids: ids(&|e| e % n < 3, mesh.n_elements()),
+        remap_pre_nd_ids: ids(&|i| i % (n + 1) < 3, mesh.n_nodes()),
+    }
+}
+
+/// Hooks that count their calls and move nothing.
+#[derive(Default)]
+struct CountingHooks {
+    posts: [u32; 3],
+    completes: [u32; 3],
+}
+
+impl HaloOps for CountingHooks {
+    fn post(&mut self, phase: Phase, _: &mut Mesh, _: &mut HydroState) -> Result<()> {
+        self.posts[phase as usize] += 1;
+        Ok(())
+    }
+    fn complete(&mut self, phase: Phase, _: &mut Mesh, _: &mut HydroState) -> Result<()> {
+        self.completes[phase as usize] += 1;
+        Ok(())
+    }
+}
+
 #[test]
 fn a_warm_serial_step_performs_no_heap_allocation() {
     let n = 12;
     let mesh0 = generate_rect(&RectSpec::unit_square(n), |_| 0).unwrap();
     let mat = MaterialTable::single(EosSpec::ideal_gas(1.4));
     let range = LocalRange::whole(&mesh0);
-    // Any split is a valid split without a halo: two element columns and
-    // their nodes play the boundary.
-    let el_boundary: Vec<bool> = (0..mesh0.n_elements()).map(|e| e % n < 2).collect();
-    let nd_boundary: Vec<bool> = (0..mesh0.n_nodes()).map(|i| i % (n + 1) < 3).collect();
-    let ids = |mask: &[bool]| -> Vec<u32> {
-        (0..mask.len() as u32)
-            .filter(|&i| mask[i as usize])
-            .collect()
-    };
-    let el_boundary_ids = ids(&el_boundary);
-    let boundary_cells = mesh0.with_face_neighbours(&el_boundary_ids);
-    let nd_boundary_ids = ids(&nd_boundary);
-    let split = KernelSplit {
-        el_boundary: &el_boundary,
-        nd_boundary: &nd_boundary,
-        el_boundary_ids: &el_boundary_ids,
-        boundary_cells: &boundary_cells,
-        nd_boundary_ids: &nd_boundary_ids,
-    };
+    let (nothing, split) = (OverlapSets::default(), some_boundary(&mesh0, n));
     let timers = TimerRegistry::new();
 
     for acc_mode in [AccMode::GatherSerial, AccMode::ScatterSerial] {
-        for split in [None, Some(split)] {
+        for sets in [&nothing, &split] {
             let mut mesh = mesh0.clone();
             let nodes = mesh.nodes.clone();
             // A converging flow: viscosity, forces and motion all live.
@@ -104,7 +122,7 @@ fn a_warm_serial_step_performs_no_heap_allocation() {
                     &opts,
                     &mut NoComm,
                     &timers,
-                    split,
+                    sets,
                 )
                 .unwrap();
             };
@@ -114,11 +132,10 @@ fn a_warm_serial_step_performs_no_heap_allocation() {
             step();
             step();
             let made = ALLOCATIONS.with(Cell::get) - before;
+            let split = !sets.el_boundary_ids.is_empty();
             assert_eq!(
-                made,
-                0,
-                "{acc_mode:?}, split: {}: {made} allocations in two warm steps",
-                split.is_some()
+                made, 0,
+                "{acc_mode:?}, split: {split}: {made} allocations in two warm steps"
             );
         }
     }
@@ -126,22 +143,13 @@ fn a_warm_serial_step_performs_no_heap_allocation() {
 
 #[test]
 fn a_warm_serial_eulerian_remap_performs_no_heap_allocation() {
-    let mut mesh = generate_rect(&RectSpec::unit_square(12), |_| 0).unwrap();
+    let n = 12;
+    let mesh0 = generate_rect(&RectSpec::unit_square(n), |_| 0).unwrap();
     let mat = MaterialTable::single(EosSpec::ideal_gas(1.4));
-    let range = LocalRange::whole(&mesh);
-    let nodes = mesh.nodes.clone();
-    // A converging flow over a density pattern: every step moves the
-    // mesh off the reference, every remap carries flux back.
-    let mut state = HydroState::new(
-        &mesh,
-        &mat,
-        |e| 1.0 + 0.01 * (e % 7) as f64,
-        |_| 2.5,
-        |i| (Vec2::new(0.5, 0.5) - nodes[i]) * 0.1,
-    )
-    .unwrap();
+    let range = LocalRange::whole(&mesh0);
+    let nodes = mesh0.nodes.clone();
     let remapper = Remapper::new(
-        &mesh,
+        &mesh0,
         AleOptions {
             mode: AleMode::Eulerian,
             frequency: 1,
@@ -149,25 +157,43 @@ fn a_warm_serial_eulerian_remap_performs_no_heap_allocation() {
     );
     let opts = LagOptions::default();
     let timers = TimerRegistry::new();
-    // The first round is the warm-up that sizes the shared scratch.
-    for warm in [false, true, true] {
-        lagstep_timed(
-            &mut mesh,
+    // One sweep, and split around the counted post of an exchange.
+    for sets in [OverlapSets::default(), some_boundary(&mesh0, n)] {
+        let mut mesh = mesh0.clone();
+        // A converging flow over a density pattern: every step moves
+        // the mesh off the reference, every remap carries flux back.
+        let mut state = HydroState::new(
+            &mesh,
             &mat,
-            &mut state,
-            range,
-            1e-3,
-            &opts,
-            &mut NoComm,
-            &timers,
-            None,
+            |e| 1.0 + 0.01 * (e % 7) as f64,
+            |_| 2.5,
+            |i| (Vec2::new(0.5, 0.5) - nodes[i]) * 0.1,
         )
         .unwrap();
-        let before = ALLOCATIONS.with(Cell::get);
-        remapper.step(&mut mesh, &mut state, range).unwrap();
-        let made = ALLOCATIONS.with(Cell::get) - before;
-        assert!(!warm || made == 0, "{made} allocations in a warm remap");
+        let mut hooks = CountingHooks::default();
+        // The first round is the warm-up that sizes the shared scratch.
+        for warm in [false, true, true] {
+            lagstep_timed(
+                &mut mesh, &mat, &mut state, range, 1e-3, &opts, &mut hooks, &timers, &sets,
+            )
+            .unwrap();
+            let before = ALLOCATIONS.with(Cell::get);
+            let th = Threading::Serial;
+            remapper
+                .step_with(&mut mesh, &mut state, range, th, &sets, &mut hooks)
+                .unwrap();
+            let made = ALLOCATIONS.with(Cell::get) - before;
+            let split = !sets.remap_pre_el_ids.is_empty();
+            assert!(
+                !warm || made == 0,
+                "split: {split}: {made} allocations in a warm remap"
+            );
+        }
+        // Three rounds ran their whole schedule: two viscosity phases,
+        // one acceleration phase and one remap phase each.
+        assert_eq!(hooks.posts, [6, 3, 3]);
+        assert_eq!(hooks.completes, hooks.posts);
+        // The remaps ran: the moved mesh is back on the reference.
+        assert_eq!(mesh.nodes, nodes);
     }
-    // The remaps ran: the moved mesh is back on the reference.
-    assert_eq!(mesh.nodes, nodes);
 }

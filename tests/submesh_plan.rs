@@ -11,7 +11,8 @@ use std::collections::BTreeSet;
 
 use bookleaf::mesh::submesh::ExchangeList;
 use bookleaf::mesh::{
-    generate_rect, saltzmann_distort, Mesh, RectSpec, SubMesh, SubMeshPlan, STENCIL_BOUNDARY,
+    generate_rect, saltzmann_distort, Mesh, Neighbor, RectSpec, SubMesh, SubMeshPlan,
+    STENCIL_BOUNDARY,
 };
 use bookleaf::partition::{partition, Strategy};
 use bookleaf::util::Vec2;
@@ -250,14 +251,63 @@ fn is_strictly_ascending(ids: &[u32]) -> bool {
     ids.windows(2).all(|w| w[0] < w[1])
 }
 
+/// The boundary sets as masks, from their definitions and this file's
+/// own reading of the exchange schedules: `(el_boundary, nd_boundary,
+/// remap_pre_el, remap_pre_nd)`.
+fn overlap_masks(sub: &SubMesh) -> [Vec<bool>; 4] {
+    let mesh = &sub.mesh;
+    let flag = |len: usize, lists: &mut dyn Iterator<Item = &Vec<u32>>| {
+        let mut mask = vec![false; len];
+        for &i in lists.flatten() {
+            mask[i as usize] = true;
+        }
+        mask
+    };
+    let (ne, nn) = (mesh.n_elements(), mesh.n_nodes());
+    let el_recv = flag(ne, &mut sub.el_exchange.iter().map(|x| &x.recv));
+    let nd_recv = flag(nn, &mut sub.nd_exchange.iter().map(|x| &x.recv));
+    let el_send = flag(ne, &mut sub.el_exchange.iter().map(|x| &x.send));
+    let nd_send = flag(nn, &mut sub.nd_exchange.iter().map(|x| &x.send));
+
+    // An owned element is boundary when the viscosity stencil — its
+    // nodes, its face neighbours, their nodes — holds a received entity.
+    let receives = |e: usize| mesh.elnd[e].iter().any(|&n| nd_recv[n as usize]);
+    let el_boundary = (0..sub.n_owned_el)
+        .map(|e| {
+            receives(e)
+                || mesh.elel[e].iter().any(|nb| match *nb {
+                    Neighbor::Element(nb) => el_recv[nb as usize] || receives(nb as usize),
+                    Neighbor::Boundary => false,
+                })
+        })
+        .collect();
+    // An active node is boundary when it touches a received element.
+    let around = |n: usize| mesh.elements_of_node(n).iter().map(|&(e, _)| e as usize);
+    let nd_boundary = (0..sub.n_active_nd)
+        .map(|n| around(n).any(|e| el_recv[e]))
+        .collect();
+    // The remap runs first on what the exchange packs, and on every
+    // element round a packed node.
+    let remap_pre_el = (0..ne)
+        .map(|e| el_send[e] || mesh.elnd[e].iter().any(|&n| nd_send[n as usize]))
+        .collect();
+    let packed_nodes = nd_send[..sub.n_active_nd].to_vec();
+    [el_boundary, nd_boundary, remap_pre_el, packed_nodes]
+}
+
 fn check_overlap_lists(what: &str, sub: &SubMesh) {
     let o = sub.overlap_sets();
-    // The lists are their masks: sorted, unique, nothing else.
-    assert_eq!(o.el_boundary_ids, true_positions(&o.el_boundary), "{what}");
-    assert_eq!(o.nd_boundary_ids, true_positions(&o.nd_boundary), "{what}");
-    assert!(is_strictly_ascending(&o.el_boundary_ids), "{what}");
-    assert!(is_strictly_ascending(&o.nd_boundary_ids), "{what}");
+    // The lists are the oracle's masks: sorted, unique, nothing else.
+    let [el_boundary, nd_boundary, remap_pre_el, remap_pre_nd] = overlap_masks(sub);
+    assert_eq!(o.el_boundary_ids, true_positions(&el_boundary), "{what}");
+    assert_eq!(o.nd_boundary_ids, true_positions(&nd_boundary), "{what}");
+    assert_eq!(o.remap_pre_el_ids, true_positions(&remap_pre_el), "{what}");
+    assert_eq!(o.remap_pre_nd_ids, true_positions(&remap_pre_nd), "{what}");
     assert!(is_strictly_ascending(&o.boundary_cells), "{what}");
+    let interior = el_boundary.iter().filter(|&&b| !b).count();
+    assert_eq!(o.n_interior_el(sub.n_owned_el), interior, "{what}");
+    let interior = nd_boundary.iter().filter(|&&b| !b).count();
+    assert_eq!(o.n_interior_nd(sub.n_active_nd), interior, "{what}");
     // Every table entry a boundary element's limiter gathers is listed:
     // the element itself and whatever its packed stencil row names.
     let stencil = sub.mesh.face_stencil();
@@ -274,7 +324,7 @@ fn check_overlap_lists(what: &str, sub: &SubMesh) {
     }
     // And nothing is listed without a reason.
     for &c in &o.boundary_cells {
-        let wanted = o.el_boundary.get(c as usize).copied().unwrap_or(false)
+        let wanted = el_boundary.get(c as usize).copied().unwrap_or(false)
             || o.el_boundary_ids
                 .iter()
                 .any(|&e| stencil[e as usize].contains(&c));
@@ -284,6 +334,8 @@ fn check_overlap_lists(what: &str, sub: &SubMesh) {
         assert!(o.el_boundary_ids.is_empty(), "{what}");
         assert!(o.boundary_cells.is_empty(), "{what}");
         assert!(o.nd_boundary_ids.is_empty(), "{what}");
+        assert!(o.remap_pre_el_ids.is_empty(), "{what}");
+        assert!(o.remap_pre_nd_ids.is_empty(), "{what}");
     } else {
         assert!(!o.el_boundary_ids.is_empty(), "{what}");
         assert!(!o.nd_boundary_ids.is_empty(), "{what}");
