@@ -20,7 +20,7 @@
 //! itself.
 
 use bookleaf_mesh::geometry::{char_length, corner_volumes, quad_area};
-use bookleaf_mesh::{Mesh, OverlapSets};
+use bookleaf_mesh::Mesh;
 use bookleaf_util::{BookLeafError, Result, Vec2};
 
 use bookleaf_hydro::state::{HydroState, LocalRange};
@@ -76,13 +76,12 @@ impl Remapper {
 
     /// Perform one remap over the owned range: serial, no halo.
     pub fn step(&self, mesh: &mut Mesh, state: &mut HydroState, range: LocalRange) -> Result<()> {
-        let nothing = OverlapSets::default();
-        self.step_with(mesh, state, range, Threading::Serial, &nothing, &mut NoComm)
+        self.step_with(mesh, state, range, Threading::Serial, &mut NoComm)
     }
 
     /// Perform one remap over the owned range and refresh the halo, on
     /// the `HaloOps` schedule (boundary-first): the entities feeding
-    /// the exchange's send buffers (`sets.remap_pre_*_ids`) are updated
+    /// the exchange's send buffers (`halo.boundary().remap_pre_*_ids`) are updated
     /// first, the exchange is **posted**, the rest of the mesh is
     /// updated (while the messages are in flight, if `halo` overlaps),
     /// and the exchange **completes** last. The two sweeps run the same
@@ -101,21 +100,18 @@ impl Remapper {
         state: &mut HydroState,
         range: LocalRange,
         threading: Threading,
-        sets: &OverlapSets,
         halo: &mut H,
     ) -> Result<()> {
-        lend_scratch(|work| self.remap(mesh, state, range, threading, sets, halo, work))
+        lend_scratch(|work| self.remap(mesh, state, range, threading, halo, work))
     }
 
     /// [`Remapper::step_with`] in the work arrays `work`.
-    #[allow(clippy::too_many_arguments)]
     fn remap<H: HaloOps>(
         &self,
         mesh: &mut Mesh,
         state: &mut HydroState,
         range: LocalRange,
         threading: Threading,
-        sets: &OverlapSets,
         halo: &mut H,
         work: &mut LentScratch,
     ) -> Result<()> {
@@ -161,12 +157,15 @@ impl Remapper {
         // Early sweep: exactly what the exchange packs (and the
         // adjacency those packed nodes gather over); the rest after the
         // post.
+        let sets = halo.boundary();
         let (pre_el, pre_nd) = (&sets.remap_pre_el_ids, &sets.remap_pre_nd_ids);
         let early = remap_elements(mesh, state, &fx, mom, threading, Pass::Only(pre_el));
         if early.is_none() {
             remap_nodes(mesh, state, mom, range, threading, Pass::Only(pre_nd));
         }
         let posted = halo.post(Phase::PostRemap, mesh, state);
+        let sets = halo.boundary();
+        let (pre_el, pre_nd) = (&sets.remap_pre_el_ids, &sets.remap_pre_nd_ids);
         let late = remap_elements(mesh, state, &fx, mom, threading, Pass::Except(pre_el));
         let failure = first_fail(early, late);
         if failure.is_none() {
@@ -367,7 +366,7 @@ fn remap_nodes(
 mod tests {
     use super::*;
     use bookleaf_eos::{EosSpec, MaterialTable};
-    use bookleaf_mesh::{generate_rect, RectSpec};
+    use bookleaf_mesh::{generate_rect, OverlapSets, RectSpec};
     use bookleaf_util::approx_eq;
 
     fn setup(
@@ -631,23 +630,29 @@ mod tests {
                 .filter(|&i| mask[i as usize])
                 .collect()
         };
-        let nothing = OverlapSets::default();
-        let split = OverlapSets {
+        /// Hooks that exchange nothing and name `0` as their lists.
+        struct Split(OverlapSets);
+        impl HaloOps for Split {
+            fn boundary(&self) -> &OverlapSets {
+                &self.0
+            }
+        }
+        let mut split = Split(OverlapSets {
             remap_pre_el_ids: ids(&pre_el),
             remap_pre_nd_ids: ids(&pre_nd),
             ..OverlapSets::default()
-        };
+        });
 
         for th in [Threading::Serial, Threading::Rayon] {
             let (mut mesh_a, mut st_a) = make();
             let range = LocalRange::whole(&mesh_a);
             let remapper = Remapper::new(&mesh_a, AleOptions::default());
             remapper
-                .step_with(&mut mesh_a, &mut st_a, range, th, &nothing, &mut NoComm)
+                .step_with(&mut mesh_a, &mut st_a, range, th, &mut NoComm)
                 .unwrap();
             let (mut mesh_b, mut st_b) = make();
             remapper
-                .step_with(&mut mesh_b, &mut st_b, range, th, &split, &mut NoComm)
+                .step_with(&mut mesh_b, &mut st_b, range, th, &mut split)
                 .unwrap();
             assert_eq!(st_a.rho, st_b.rho, "{th:?}");
             assert_eq!(st_a.ein, st_b.ein, "{th:?}");
@@ -691,9 +696,8 @@ mod tests {
         let remapper = Remapper::new(&mesh_s, AleOptions::default());
         remapper.step(&mut mesh_s, &mut st_s, range).unwrap();
         let (mut mesh_p, mut st_p) = make();
-        let (th, nothing) = (Threading::Rayon, OverlapSets::default());
         remapper
-            .step_with(&mut mesh_p, &mut st_p, range, th, &nothing, &mut NoComm)
+            .step_with(&mut mesh_p, &mut st_p, range, Threading::Rayon, &mut NoComm)
             .unwrap();
         assert_eq!(st_s.rho, st_p.rho);
         assert_eq!(st_s.ein, st_p.ein);

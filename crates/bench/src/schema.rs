@@ -20,9 +20,6 @@ pub const SCALING_SCHEMA: &str = "bookleaf-scaling-v3";
 /// The schema version the per-kernel roofline bench (`kernels`) emits.
 pub const KERNELS_SCHEMA: &str = "bookleaf-kernels-v1";
 
-/// The schema version the serve load bench (`serve_load`) emits.
-pub const SERVE_SCHEMA: &str = "bookleaf-serve-v1";
-
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -419,53 +416,6 @@ pub fn validate_kernels_json(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Validate a `BENCH_serve.json` document against schema v1: the
-/// header keys describing the server shape, and one entry per load
-/// phase carrying request counts, the typed-error tally, throughput
-/// and the p50/p99/p999 latency quantiles. The chaos phases measure
-/// the healthy tail *under* fault injection, so the latency columns
-/// are always over healthy responses only.
-pub fn validate_serve_json(text: &str) -> Result<(), String> {
-    let doc = Json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
-    if !matches!(doc, Json::Obj(_)) {
-        return Err("top level must be an object".into());
-    }
-    match expect(&doc, "schema", "string", "top level")? {
-        Json::Str(s) if s == SERVE_SCHEMA => {}
-        Json::Str(s) => {
-            return Err(format!(
-                "schema is {s:?} but this checker validates {SERVE_SCHEMA:?}"
-            ))
-        }
-        _ => unreachable!(),
-    }
-    for key in ["host_cores", "workers", "queue_depth", "pool_threads"] {
-        expect(&doc, key, "number", "top level")?;
-    }
-    let Json::Arr(phases) = expect(&doc, "phases", "array", "top level")? else {
-        unreachable!()
-    };
-    if phases.is_empty() {
-        return Err("phases array is empty".into());
-    }
-    for (p, phase) in phases.iter().enumerate() {
-        let at = format!("phases[{p}]");
-        expect(phase, "name", "string", &at)?;
-        for key in [
-            "requests",
-            "completed",
-            "typed_errors",
-            "throughput_rps",
-            "p50_ms",
-            "p99_ms",
-            "p999_ms",
-        ] {
-            expect(phase, key, "number", &at)?;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,32 +494,5 @@ mod tests {
         let no_speedups = text.replacen("\"speedups\"", "\"speedwas\"", 1);
         let err = validate_kernels_json(&no_speedups).unwrap_err();
         assert!(err.contains("speedups"), "{err}");
-    }
-
-    #[test]
-    fn committed_serve_baseline_passes_schema_v1() {
-        let text = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_serve.json"
-        ))
-        .expect("committed BENCH_serve.json");
-        validate_serve_json(&text).unwrap();
-    }
-
-    #[test]
-    fn serve_violations_are_named_with_their_path() {
-        let text = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_serve.json"
-        ))
-        .unwrap();
-        let broken = text.replacen("\"p999_ms\"", "\"p998_ms\"", 1);
-        let err = validate_serve_json(&broken).unwrap_err();
-        assert!(err.contains("p999_ms"), "{err}");
-        assert!(err.contains("phases[0]"), "{err}");
-
-        let wrong_schema = text.replacen("bookleaf-serve-v1", "bookleaf-serve-v0", 1);
-        let err = validate_serve_json(&wrong_schema).unwrap_err();
-        assert!(err.contains("v0"), "{err}");
     }
 }

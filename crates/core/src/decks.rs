@@ -120,32 +120,16 @@ impl Deck {
         Ok(())
     }
 
-    /// Everything [`Deck::initial_state`] would refuse — a tangled
-    /// element, an unphysical density or energy — with the same typed
-    /// error and without building a state: the admission check of the
-    /// executors that never build the global one.
+    /// Everything building this deck's initial state would refuse — a
+    /// tangled element, an unphysical density or energy — with the same
+    /// typed error and without building a state: the admission check of
+    /// the executors that never build the global one.
     pub fn check_initial_state(&self) -> bookleaf_util::Result<()> {
         bookleaf_hydro::HydroState::check_initial(
             &self.mesh,
             &self.materials,
             |e| self.rho[e],
             |e| self.ein[e],
-        )
-    }
-
-    /// The initial hydrodynamic state this deck describes, on `mesh`
-    /// (the deck's own mesh or a clone of it). The one constructor the
-    /// serial engine and the post-run assembled view both use, so the
-    /// deck-to-state mapping cannot silently diverge between them; the
-    /// distributed ranks apply the same mapping through their
-    /// local-to-global index tables.
-    pub fn initial_state(&self, mesh: &Mesh) -> bookleaf_util::Result<bookleaf_hydro::HydroState> {
-        bookleaf_hydro::HydroState::new(
-            mesh,
-            &self.materials,
-            |e| self.rho[e],
-            |e| self.ein[e],
-            |n| self.u[n],
         )
     }
 }

@@ -11,24 +11,29 @@
 //! end procedure
 //! ```
 //!
-//! [`run_loop`] is the one loop every executor drives: the serial
-//! engine and the distributed ranks both call it, injecting their halo
-//! hooks, the dt reduction, and (optionally) a [`LoopWatch`] through
-//! which the simulation's observers fire at run/step/phase boundaries.
-//!
+//! `run_loop` is the one loop, and the rank engine of
+//! [`crate::executor`] its one caller: a serial run and every
+//! rank of a team drive it the same way. Everything a step needs from
+//! the rest of the team — the halo phases and their boundary lists, the
+//! dt reduction, the collectives behind the health sentinel and the
+//! observers' global energy — comes through the one [`Team`] it is
+//! handed; a serial run's is a team of one.
 
 use bookleaf_ale::Remapper;
 use bookleaf_eos::MaterialTable;
 use bookleaf_hydro::getdt::getdt;
 use bookleaf_hydro::getpc::getpc;
-use bookleaf_hydro::{lagstep_timed, HaloOps, HydroState, LocalRange};
-use bookleaf_mesh::{Mesh, OverlapSets};
-use bookleaf_util::{BookLeafError, HealthDiagnosis, HealthField, KernelId, Result, TimerRegistry};
+use bookleaf_hydro::{lagstep_timed, HydroState, LocalRange};
+use bookleaf_mesh::Mesh;
+use bookleaf_util::{
+    BookLeafError, HealthDiagnosis, HealthField, KernelId, Result, TimerRegistry, TimerReport,
+};
 
 use crate::config::RunConfig;
-use crate::observer::{LoopWatch, StepPhase, StepView};
+use crate::halo::Team;
+use crate::observer::{ObserverNeeds, ObserverSet, StepPhase, StepView};
 
-/// Mutable loop bookkeeping, persisted across [`run_loop`] calls so
+/// Mutable loop bookkeeping, persisted across `run_loop` calls so
 /// drivers can resume (restart files, incremental advancement).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LoopState {
@@ -40,89 +45,74 @@ pub struct LoopState {
     pub dt_prev: Option<f64>,
 }
 
-/// The collectives the health sentinel needs, plus the drift
-/// reference. Identity reductions serially; Typhon collectives on a
-/// rank. The loop calls them at identical points on every rank (gated
-/// only by the team-shared [`crate::SentinelConfig`] and the step
-/// counter), which is what keeps them deadlock-free.
-pub struct SentinelOps<'s> {
-    /// This rank's id (0 for serial) — stamped into field diagnoses.
-    pub rank: usize,
-    /// Global min reduction for the encoded health word.
-    pub reduce_min: &'s dyn Fn(f64) -> Result<f64>,
-    /// Global sum reduction for the drift check.
-    pub reduce_sum: &'s dyn Fn(f64) -> Result<f64>,
-    /// This rank's energy contribution (each partition counted once).
-    pub local_energy: &'s dyn Fn(&Mesh, &HydroState) -> f64,
-    /// The run's starting global energy — the drift reference.
-    pub energy_ref: f64,
+/// This rank's share of the global energy: its owned elements, and the
+/// active nodes `team` says it counts — partition-boundary nodes live
+/// on several ranks but are summed exactly once across the team. With
+/// every node counted it is `HydroState::total_energy`, to the bit.
+pub(crate) fn local_energy<T: Team>(
+    mesh: &Mesh,
+    state: &HydroState,
+    range: LocalRange,
+    team: &T,
+) -> f64 {
+    state.internal_energy(range) + state.kinetic_energy_where(mesh, range, |n| team.owns_node(n))
 }
 
-/// The reusable hydro loop: serial and distributed drivers share it.
+/// The hydro loop: continues from `cursor`, leaves it at the stop point
+/// and returns this call's per-kernel timings.
 ///
-/// `reduce_dt` turns a local dt proposal into the global step (identity
-/// for serial; Typhon `allreduce_min` for distributed runs — BookLeaf's
-/// single global reduction per step). It receives the 0-based index of
-/// the step about to execute, the one per-step point where a rank
-/// announces progress to the comm layer (`RankCtx::begin_step`) — and
-/// it is fallible, because that announcement is where a scheduled rank
-/// death fires and where a collective can time out against a dead peer.
-/// Continues from `cursor` and leaves it at the stop point.
+/// Once per step `team.begin_step` turns the local dt proposal into the
+/// global one. It receives the 0-based index of the step about to
+/// execute — the point where a rank announces progress to the comm
+/// layer — and it is fallible, because that announcement is where a
+/// scheduled rank death fires and where a collective can time out
+/// against a dead peer. The kernels run `team`'s halo schedule against
+/// `team.boundary()`.
 ///
-/// `overlap` names the entities the kernels leave for after each halo
-/// phase's `complete` (see `bookleaf_hydro::HaloOps`): `halo`'s own
-/// lists when it overlaps communication with computation, empty lists
-/// when its exchanges block — and for a serial run.
+/// With observers registered, their hooks fire at run begin/end, step
+/// begin/end and after each phase. Observers are read-only, so a
+/// watched run is bitwise identical to an unwatched one. When they ask
+/// for the global energy, every rank issues the extra `reduce_sum` at
+/// the same loop points — the symmetry that makes the collective safe.
 ///
-/// With `watch` set (and observers registered), the observer hooks fire
-/// at run begin/end, step begin/end and after each phase. Observers are
-/// read-only, so a watched run is bitwise identical to an unwatched
-/// one. When the observers ask for the global energy, every rank issues
-/// the extra `reduce_sum` at the same loop points — the symmetry that
-/// makes the collective safe.
-///
-/// With `sentinel` set and `config.sentinel` enabled, the health sweep
-/// runs after every `config.sentinel.every`-th step: rank-local NaN/Inf
-/// and positivity checks are min-reduced into one team-wide verdict, so
-/// **all ranks abort together** with the same typed
-/// [`BookLeafError::Unhealthy`] diagnosis; the reduced dt is checked
-/// against the configured floor before each step executes.
+/// With `config.sentinel` enabled, the health sweep runs after every
+/// `config.sentinel.every`-th step: rank-local NaN/Inf and positivity
+/// checks are min-reduced into one team-wide verdict, so **all ranks
+/// abort together** with the same typed [`BookLeafError::Unhealthy`]
+/// diagnosis; the conservation-drift check compares the global energy
+/// with `energy_ref`, the trajectory's starting energy; the reduced dt
+/// is checked against the configured floor before each step executes.
 #[allow(clippy::too_many_arguments)]
-pub fn run_loop<H: HaloOps>(
+pub(crate) fn run_loop<T: Team>(
     mesh: &mut Mesh,
     materials: &MaterialTable,
     state: &mut HydroState,
     range: LocalRange,
     config: &RunConfig,
     remapper: Option<&Remapper>,
-    halo: &mut H,
-    mut reduce_dt: impl FnMut(usize, f64) -> Result<f64>,
-    timers: &TimerRegistry,
+    team: &mut T,
     cursor: &mut LoopState,
-    overlap: &OverlapSets,
-    watch: Option<&LoopWatch<'_>>,
-    sentinel: Option<&SentinelOps<'_>>,
-) -> Result<()> {
+    observers: &ObserverSet,
+    energy_ref: f64,
+) -> Result<TimerReport> {
+    let timers = TimerRegistry::new();
     let mut t = cursor.t;
     let mut steps = cursor.steps;
     let mut dt_prev = cursor.dt_prev;
 
-    let watch = watch.filter(|w| !w.observers.is_empty());
-    let needs = watch.map(|w| w.observers.needs()).unwrap_or_default();
-    let sentry = sentinel.filter(|_| config.sentinel.enabled());
+    let watched = !observers.is_empty();
+    let needs = observers.needs();
+    let mid_step = ObserverNeeds::default();
+    let at_step_begin = ObserverNeeds {
+        comm_stats: needs.comm_stats,
+        ..mid_step
+    };
+    let sentry = config.sentinel.enabled();
 
-    if let Some(w) = watch {
-        let view = boundary_view(
-            w,
-            needs,
-            steps,
-            t,
-            dt_prev.unwrap_or(0.0),
-            mesh,
-            state,
-            range,
-        )?;
-        w.observers.run_begin(&view);
+    if watched {
+        let dt = dt_prev.unwrap_or(0.0);
+        let view = step_view(team, needs, steps, t, dt, mesh, state, range)?;
+        observers.each(|o| o.run_begin(&view));
     }
 
     while t < config.final_time - 1e-15 && steps < config.max_steps {
@@ -148,7 +138,7 @@ pub fn run_loop<H: HaloOps>(
                 local_dt = -1.0;
             }
         }
-        let mut dt = timers.time(KernelId::Comms, || reduce_dt(steps, local_dt))?;
+        let mut dt = timers.time(KernelId::Comms, || team.begin_step(steps, local_dt))?;
         if dt < 0.0 {
             return Err(BookLeafError::DeadlineExceeded { step: steps });
         }
@@ -156,7 +146,7 @@ pub fn run_loop<H: HaloOps>(
         // final-step truncation below legitimately produces a tiny dt).
         // The reduced dt is identical on every rank, so the abort is
         // symmetric without further communication.
-        if sentry.is_some() {
+        if sentry {
             let floor = config.sentinel.dt_floor;
             if dt < floor {
                 return Err(BookLeafError::Unhealthy {
@@ -167,19 +157,9 @@ pub fn run_loop<H: HaloOps>(
         }
         dt = dt.min(config.final_time - t);
 
-        if let Some(w) = watch {
-            w.observers.step_begin(&StepView {
-                step: steps,
-                time: t,
-                dt,
-                mesh,
-                state,
-                range,
-                rank: w.rank,
-                n_ranks: w.n_ranks,
-                comm: needs.comm_stats.then(|| (w.comm_stats)()),
-                global_energy: None,
-            });
+        if watched {
+            let view = step_view(team, at_step_begin, steps, t, dt, mesh, state, range)?;
+            observers.each(|o| o.step_begin(&view));
         }
 
         lagstep_timed(
@@ -189,13 +169,12 @@ pub fn run_loop<H: HaloOps>(
             range,
             dt,
             &config.lag,
-            halo,
-            timers,
-            overlap,
+            team,
+            &timers,
         )?;
-        if let Some(w) = watch {
-            let view = mid_view(w, steps, t + dt, dt, mesh, state, range);
-            w.observers.phase_end(StepPhase::Lagrangian, &view);
+        if watched {
+            let view = step_view(team, mid_step, steps, t + dt, dt, mesh, state, range)?;
+            observers.each(|o| o.phase_end(StepPhase::Lagrangian, &view));
         }
 
         if let (Some(remapper), true) = (remapper, config.ale.is_some()) {
@@ -211,14 +190,14 @@ pub fn run_loop<H: HaloOps>(
                 // re-derives.
                 timers.time(KernelId::Ale, || -> Result<()> {
                     let threading = config.lag.threading;
-                    remapper.step_with(mesh, state, range, threading, overlap, halo)?;
+                    remapper.step_with(mesh, state, range, threading, team)?;
                     let whole = LocalRange::whole(mesh);
                     getpc(mesh, materials, state, whole, config.lag.threading);
                     Ok(())
                 })?;
-                if let Some(w) = watch {
-                    let view = mid_view(w, steps, t + dt, dt, mesh, state, range);
-                    w.observers.phase_end(StepPhase::Remap, &view);
+                if watched {
+                    let view = step_view(team, mid_step, steps, t + dt, dt, mesh, state, range)?;
+                    observers.each(|o| o.phase_end(StepPhase::Remap, &view));
                 }
             }
         }
@@ -229,33 +208,23 @@ pub fn run_loop<H: HaloOps>(
 
         // Health sweep: gated purely by the team-shared config and the
         // step counter, so every rank reduces (or skips) together.
-        if let Some(s) = sentry {
-            if steps.is_multiple_of(config.sentinel.every) {
-                sentinel_check(s, config, steps - 1, mesh, state, range)?;
-            }
+        if sentry && steps.is_multiple_of(config.sentinel.every) {
+            sentinel_check(team, config, energy_ref, steps - 1, mesh, state, range)?;
         }
 
-        if let Some(w) = watch {
-            let view = boundary_view(w, needs, steps - 1, t, dt, mesh, state, range)?;
-            w.observers.step_end(&view);
+        if watched {
+            let view = step_view(team, needs, steps - 1, t, dt, mesh, state, range)?;
+            observers.each(|o| o.step_end(&view));
         }
     }
     *cursor = LoopState { t, steps, dt_prev };
 
-    if let Some(w) = watch {
-        let view = boundary_view(
-            w,
-            needs,
-            steps,
-            t,
-            dt_prev.unwrap_or(0.0),
-            mesh,
-            state,
-            range,
-        )?;
-        w.observers.run_end(&view);
+    if watched {
+        let dt = dt_prev.unwrap_or(0.0);
+        let view = step_view(team, needs, steps, t, dt, mesh, state, range)?;
+        observers.each(|o| o.run_end(&view));
     }
-    Ok(())
+    Ok(timers.report())
 }
 
 // ---------------------------------------------------------------------------
@@ -320,24 +289,25 @@ fn sentinel_sweep(state: &HydroState, range: LocalRange, rank: usize) -> f64 {
 }
 
 /// One sentinel firing: sweep, min-reduce the verdict, then (opt-in)
-/// the conservation-drift check. `step` is the 0-based index of the
-/// step whose results are being inspected.
-fn sentinel_check(
-    s: &SentinelOps<'_>,
+/// the conservation-drift check against `energy_ref`. `step` is the
+/// 0-based index of the step whose results are being inspected.
+fn sentinel_check<T: Team>(
+    team: &T,
     config: &RunConfig,
+    energy_ref: f64,
     step: usize,
     mesh: &Mesh,
     state: &HydroState,
     range: LocalRange,
 ) -> Result<()> {
-    let verdict = (s.reduce_min)(sentinel_sweep(state, range, s.rank))?;
+    let verdict = team.reduce_min(sentinel_sweep(state, range, team.rank()))?;
     if let Some(diagnosis) = decode_health(verdict) {
         return Err(BookLeafError::Unhealthy { step, diagnosis });
     }
     if let Some(tol) = config.sentinel.drift_tol {
-        let energy = (s.reduce_sum)((s.local_energy)(mesh, state))?;
-        if s.energy_ref != 0.0 {
-            let drift = ((energy - s.energy_ref) / s.energy_ref).abs();
+        let energy = team.reduce_sum(local_energy(mesh, state, range, team))?;
+        if energy_ref != 0.0 {
+            let drift = ((energy - energy_ref) / energy_ref).abs();
             if drift > tol {
                 return Err(BookLeafError::Unhealthy {
                     step,
@@ -349,16 +319,18 @@ fn sentinel_check(
     Ok(())
 }
 
-/// Run/step-boundary view: snapshots the comm counters and reduces the
-/// global energy when the observers asked for them. The energy
-/// reduction is collective, so whether it runs depends only on the
-/// team-shared observer needs and the hook point — never on anything
-/// rank-local. Fallible because that reduction can time out against a
-/// dead rank.
+/// The view a hook gets, with the extras `needs` names: this rank's
+/// comm counters, and the global energy. The energy reduction is
+/// collective, so whether it runs depends only on the team-shared
+/// observer needs and the hook point — never on anything rank-local —
+/// and it is what makes this fallible: it can time out against a dead
+/// rank. Step begin asks for no energy; phase hooks ask for nothing,
+/// because they fire a different number of times on remapping and
+/// non-remapping steps.
 #[allow(clippy::too_many_arguments)]
-fn boundary_view<'a>(
-    w: &LoopWatch<'_>,
-    needs: crate::observer::ObserverNeeds,
+fn step_view<'a, T: Team>(
+    team: &T,
+    needs: ObserverNeeds,
     step: usize,
     time: f64,
     dt: f64,
@@ -367,7 +339,7 @@ fn boundary_view<'a>(
     range: LocalRange,
 ) -> Result<StepView<'a>> {
     let global_energy = if needs.global_energy {
-        Some((w.reduce_sum)((w.local_energy)(mesh, state))?)
+        Some(team.reduce_sum(local_energy(mesh, state, range, team))?)
     } else {
         None
     };
@@ -378,38 +350,11 @@ fn boundary_view<'a>(
         mesh,
         state,
         range,
-        rank: w.rank,
-        n_ranks: w.n_ranks,
-        comm: needs.comm_stats.then(|| (w.comm_stats)()),
+        rank: team.rank(),
+        n_ranks: team.n_ranks(),
+        comm: needs.comm_stats.then(|| team.comm_stats()),
         global_energy,
     })
-}
-
-/// Mid-step view (phase hooks): no comm snapshot, no energy reduction —
-/// phase hooks may fire a different number of times per step on
-/// remapping vs non-remapping steps, so nothing collective is allowed
-/// here.
-fn mid_view<'a>(
-    w: &LoopWatch<'_>,
-    step: usize,
-    time: f64,
-    dt: f64,
-    mesh: &'a Mesh,
-    state: &'a HydroState,
-    range: LocalRange,
-) -> StepView<'a> {
-    StepView {
-        step,
-        time,
-        dt,
-        mesh,
-        state,
-        range,
-        rank: w.rank,
-        n_ranks: w.n_ranks,
-        comm: None,
-        global_energy: None,
-    }
 }
 
 #[cfg(test)]
@@ -467,7 +412,15 @@ mod sentinel_tests {
     #[test]
     fn sweep_finds_the_first_bad_entry_in_scan_order() {
         let deck = decks::sod(8, 2);
-        let mut state = deck.initial_state(&deck.mesh).unwrap();
+        let (mesh, materials) = (&deck.mesh, &deck.materials);
+        let mut state = HydroState::new(
+            mesh,
+            materials,
+            |e| deck.rho[e],
+            |e| deck.ein[e],
+            |n| deck.u[n],
+        )
+        .unwrap();
         let range = LocalRange::whole(&deck.mesh);
         assert_eq!(sentinel_sweep(&state, range, 0), f64::INFINITY);
 

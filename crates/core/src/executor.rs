@@ -1,4 +1,16 @@
-//! Distributed execution: the paper's flat-MPI and hybrid models.
+//! Execution: the one rank engine, and the rank teams of the paper's
+//! flat-MPI and hybrid models.
+//!
+//! `Rank` is one rank's work, written once: build the state of a
+//! piece of the deck's mesh (the whole mesh, or a `SubMesh`), install a
+//! restart [`Snapshot`] into it if there is one, run the shared loop to
+//! the configured stop, and gather the owned entities back into a
+//! snapshot. What it needs from the rest of the team comes through its
+//! [`Team`]. A serial run is a rank with nobody to talk to — the whole
+//! mesh, [`crate::halo::SerialHooks`], no thread, no Typhon, no
+//! partition — that [`crate::Simulation`] keeps alive between runs.
+//! `run_team` builds one rank per Typhon rank thread, each with a
+//! [`TyphonHalo`]:
 //!
 //! * **Flat MPI** — one rank (thread) per simulated core; kernels run
 //!   serially inside each rank; all parallelism comes from the domain
@@ -12,77 +24,242 @@
 //!
 //! Both use real message passing (Typhon) with the two halo-exchange
 //! phases and the single global dt reduction per step. A team consumes
-//! and returns the same [`Snapshot`] a checkpoint carries: the restart
-//! fields assembled back into global element/node order, so validation
-//! code can compare executors directly and the next team — any shape —
-//! continues from where this one stopped. That snapshot is all that
-//! outlives a team: no global `HydroState` exists while ranks run, and
-//! the one [`crate::Simulation::state`] shows is derived from the
-//! snapshot on request.
+//! and returns the same [`Snapshot`] a checkpoint carries: its ranks
+//! gather their owned entities straight into it, in global
+//! element/node order, so validation code can compare executors
+//! directly and the next team — any shape — continues from where this
+//! one stopped. That snapshot is all that outlives a team: no global
+//! `HydroState` exists while ranks run, and the one
+//! [`crate::Simulation::state`] shows is derived from the snapshot on
+//! request.
 //!
 //! This module is driven through [`crate::Simulation`]. Observer hooks
 //! fire on every rank with the rank's partition view, and the run's
 //! energy accounting counts each owned element and owned node exactly
 //! once across the team.
 
-use std::collections::HashMap;
 use std::sync::Mutex;
+use std::time::Instant;
 
 use bookleaf_ale::Remapper;
 use bookleaf_hydro::{HydroState, LocalRange, Threading};
 use bookleaf_mesh::{Mesh, SubMesh, SubMeshPlan};
 use bookleaf_partition::{partition, Strategy};
 use bookleaf_typhon::{CommStats, Typhon, TyphonOptions};
-use bookleaf_util::{BookLeafError, Result, TimerReport, Vec2};
+use bookleaf_util::{BookLeafError, Result, TimerReport};
 
 use crate::config::{ExecutorKind, RunConfig};
 use crate::decks::Deck;
-use crate::driver::{run_loop, LoopState, SentinelOps};
-use crate::halo::{LocalPiston, TyphonHalo};
-use crate::observer::{LoopWatch, ObserverSet};
+use crate::driver::{local_energy, run_loop, LoopState};
+use crate::halo::{LocalPiston, Team, TyphonHalo};
+use crate::observer::ObserverSet;
 use crate::output::Snapshot;
-use crate::report::RunReport;
 
-struct RankOut {
-    /// Global ids of the rank's owned elements, in local order.
-    owned_el: Vec<u32>,
-    rho: Vec<f64>,
-    ein: Vec<f64>,
-    mass: Vec<f64>,
-    q: Vec<f64>,
-    cnmass: Vec<[f64; 4]>,
-    u_owned: Vec<(u32, Vec2)>,
-    x_owned: Vec<(u32, Vec2)>,
-    nd_mass_owned: Vec<(u32, f64)>,
-    /// The team's loop cursor after the run (identical on every rank).
-    cursor: LoopState,
-    timers: TimerReport,
-    comm: CommStats,
-    /// Globally reduced start/end energies (identical on every rank).
-    energy_start: f64,
-    energy_end: f64,
+/// Local→global element and node ids of a piece; `None` for the whole
+/// mesh, where they are the identity.
+struct L2g(Option<(Vec<u32>, Vec<u32>)>);
+
+impl L2g {
+    fn el(&self, e: usize) -> usize {
+        self.0.as_ref().map_or(e, |(el, _)| el[e] as usize)
+    }
+
+    fn nd(&self, n: usize) -> usize {
+        self.0.as_ref().map_or(n, |(_, nd)| nd[n] as usize)
+    }
 }
 
-/// The distributed run machinery behind [`crate::Simulation`]:
-/// partition, spawn the rank team, run the shared loop (observers
-/// firing per rank), assemble the global restart state and the unified
-/// report.
-///
-/// With `resume` set, every rank installs its piece — owned and ghost
-/// entities alike, read through its local→global maps — of the (global)
-/// restart state and continues the loop from its cursor; this is how a
-/// serial (or any-shape) checkpoint repartitions onto this executor's
-/// rank count. Without it (a team that has never run), each rank builds
-/// its state straight from the deck. Either way the deck and the
-/// snapshot are the caller's to have validated (`Simulation`'s builder
-/// does, once): nothing here walks the global mesh to re-check it.
-pub(crate) fn run_with_observers(
+/// The piece of the deck's mesh one rank works on.
+pub(crate) struct Piece {
+    mesh: Mesh,
+    range: LocalRange,
+    l2g: L2g,
+}
+
+impl Piece {
+    /// The whole mesh: a serial run's piece.
+    pub(crate) fn whole(mesh: &Mesh) -> Piece {
+        Piece {
+            mesh: mesh.clone(),
+            range: LocalRange::whole(mesh),
+            l2g: L2g(None),
+        }
+    }
+
+    /// A team rank's piece.
+    fn of(sub: SubMesh) -> Piece {
+        Piece {
+            mesh: sub.mesh,
+            range: LocalRange {
+                n_owned_el: sub.n_owned_el,
+                n_active_nd: sub.n_active_nd,
+            },
+            l2g: L2g(Some((sub.el_l2g, sub.nd_l2g))),
+        }
+    }
+}
+
+/// What one [`Rank::run`] did: the stretch of the trajectory since the
+/// previous stop. [`crate::Simulation`] adds the stretches up.
+pub(crate) struct Segment {
+    /// Team size.
+    pub(crate) ranks: usize,
+    /// Where the loop stopped (identical on every rank of a team).
+    pub(crate) cursor: LoopState,
+    pub(crate) wall_seconds: f64,
+    pub(crate) timers: TimerReport,
+    pub(crate) comm: CommStats,
+    /// The global energy the trajectory started with: `energy_ref`, or
+    /// reduced over the team at this segment's start.
+    pub(crate) energy_start: f64,
+    /// This rank's share of the energy at the stop.
+    pub(crate) energy_end: f64,
+}
+
+/// One rank: the live state of a piece, and what steps it.
+pub(crate) struct Rank<T: Team> {
+    pub(crate) mesh: Mesh,
+    pub(crate) state: HydroState,
+    range: LocalRange,
+    l2g: L2g,
+    remapper: Option<Remapper>,
+    team: T,
+    cursor: LoopState,
+}
+
+impl<T: Team> Rank<T> {
+    /// The deck's initial state on `piece` — or, with `resume`, the
+    /// snapshot's: owned and ghost entities alike are read straight from
+    /// the (global) restart state through the piece's local→global maps,
+    /// which is how a checkpoint of any executor shape repartitions onto
+    /// this one. The deck and the snapshot are the caller's to have
+    /// validated (`Simulation`'s builder does, once).
+    pub(crate) fn new(
+        deck: &Deck,
+        config: &RunConfig,
+        piece: Piece,
+        team: T,
+        resume: Option<&Snapshot>,
+    ) -> Result<Self> {
+        let Piece {
+            mut mesh,
+            range,
+            l2g,
+        } = piece;
+        let mut state = HydroState::new(
+            &mesh,
+            &deck.materials,
+            |e| deck.rho[l2g.el(e)],
+            |e| deck.ein[l2g.el(e)],
+            |n| deck.u[l2g.nd(n)],
+        )?;
+        // Built before any restart state overwrites the node positions:
+        // the deck-initial ones are the Eulerian remap target.
+        let remapper = config.ale.map(|opts| Remapper::new(&mesh, opts));
+        let cursor = match resume {
+            Some(snap) => snap.install(
+                &mut mesh,
+                &mut state,
+                &deck.materials,
+                config.lag.threading,
+                |e| l2g.el(e),
+                |n| l2g.nd(n),
+            )?,
+            None => LoopState::default(),
+        };
+        Ok(Rank {
+            mesh,
+            state,
+            range,
+            l2g,
+            remapper,
+            team,
+            cursor,
+        })
+    }
+
+    /// Continue from the cursor to `config`'s final time or step cap.
+    /// `energy_ref` is the trajectory's starting energy, when an earlier
+    /// segment pinned it; without one, the team reduces it now. Every
+    /// collective — that one, dt per step, any sentinel or
+    /// observer-driven reduction inside the loop — executes in the same
+    /// order on every rank.
+    pub(crate) fn run(
+        &mut self,
+        deck: &Deck,
+        config: &RunConfig,
+        observers: &ObserverSet,
+        energy_ref: Option<f64>,
+    ) -> Result<Segment> {
+        let start = Instant::now();
+        let Rank {
+            mesh,
+            state,
+            range,
+            remapper,
+            team,
+            cursor,
+            ..
+        } = self;
+        let range = *range;
+        let energy_start = match energy_ref {
+            Some(energy) => energy,
+            None => team.reduce_sum(local_energy(mesh, state, range, team))?,
+        };
+        let timers = run_loop(
+            mesh,
+            &deck.materials,
+            state,
+            range,
+            config,
+            remapper.as_ref(),
+            team,
+            cursor,
+            observers,
+            energy_start,
+        )?;
+        Ok(Segment {
+            ranks: team.n_ranks(),
+            cursor: *cursor,
+            wall_seconds: start.elapsed().as_secs_f64(),
+            timers,
+            comm: team.comm_stats(),
+            energy_start,
+            energy_end: local_energy(mesh, state, range, team),
+        })
+    }
+
+    /// Write this rank's owned entities, and the cursor, into `snap`.
+    pub(crate) fn gather(&self, snap: &mut Snapshot) {
+        snap.gather(
+            &self.mesh,
+            &self.state,
+            self.range,
+            |e| self.l2g.el(e),
+            |n| self.l2g.nd(n),
+            |n| self.team.owns_node(n),
+        );
+        snap.time = self.cursor.t;
+        snap.steps = self.cursor.steps as u64;
+        snap.dt_prev = self.cursor.dt_prev;
+    }
+}
+
+/// One run of a rank team: partition, spawn the ranks, let each build
+/// its piece (from the deck, or from `resume`), run the shared loop
+/// (observers firing per rank) and gather into the restart state the
+/// team leaves. The returned segment is the team's: timers max over
+/// ranks (how an MPI code experiences time), comm counters merged, end
+/// energy summed in rank order, and a wall clock that also covers
+/// spawning the ranks and building their pieces.
+pub(crate) fn run_team(
     deck: &Deck,
     config: &RunConfig,
     observers: &ObserverSet,
     resume: Option<&Snapshot>,
     typhon: &TyphonOptions,
-) -> Result<(RunReport, Snapshot)> {
+    energy_ref: Option<f64>,
+) -> Result<(Segment, Snapshot)> {
     let (ranks, threads_per_rank) = match config.executor {
         ExecutorKind::FlatMpi { ranks } => (ranks, 0),
         ExecutorKind::Hybrid {
@@ -101,6 +278,9 @@ pub(crate) fn run_with_observers(
         .into_iter()
         .map(|sub| Mutex::new(Some(sub)))
         .collect();
+    // The restart state the team leaves, allocated by the first rank to
+    // finish: while the ranks step, only their own pieces are live.
+    let gathered: Mutex<Option<Snapshot>> = Mutex::new(None);
 
     let mut rank_config = *config;
     rank_config.lag.threading = if threads_per_rank > 1 {
@@ -109,15 +289,26 @@ pub(crate) fn run_with_observers(
         Threading::Serial
     };
 
-    let start = std::time::Instant::now();
-    let results: Vec<Result<RankOut>> = Typhon::run_with(ranks, typhon.clone(), |ctx| {
+    let start = Instant::now();
+    let results: Vec<Result<Segment>> = Typhon::run_with(ranks, typhon.clone(), |ctx| {
         let sub = subs[ctx.rank()]
             .lock()
             .expect("nothing panics holding a submesh slot")
             .take()
             .expect("each rank starts once");
-        let body =
-            || -> Result<RankOut> { run_rank(ctx, sub, deck, &rank_config, observers, resume) };
+        let body = || -> Result<Segment> {
+            // The rank's aggregated exchange plan, built once; every
+            // halo phase then moves as one message per neighbour.
+            let piston = LocalPiston::of(deck, Some(&sub.nd_l2g));
+            let halo = TyphonHalo::new(ctx, &sub, piston, config.overlap);
+            let mut rank = Rank::new(deck, &rank_config, Piece::of(sub), halo, resume)?;
+            let segment = rank.run(deck, &rank_config, observers, energy_ref)?;
+            let mut gathered = gathered.lock().expect("gathering does not panic");
+            rank.gather(gathered.get_or_insert_with(|| {
+                Snapshot::sized(deck.mesh.n_nodes(), deck.mesh.n_elements())
+            }));
+            Ok(segment)
+        };
         if threads_per_rank > 1 {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads_per_rank)
@@ -128,219 +319,19 @@ pub(crate) fn run_with_observers(
             body()
         }
     })?;
-    let wall = start.elapsed().as_secs_f64();
+    let wall_seconds = start.elapsed().as_secs_f64();
 
-    // Assemble.
-    let ne = deck.mesh.n_elements();
-    let nn = deck.mesh.n_nodes();
-    let mut fields = Snapshot {
-        time: 0.0,
-        steps: 0,
-        dt_prev: None,
-        nodes: vec![Vec2::ZERO; nn],
-        u: vec![Vec2::ZERO; nn],
-        nd_mass: vec![0.0; nn],
-        mass: vec![0.0; ne],
-        rho: vec![0.0; ne],
-        ein: vec![0.0; ne],
-        q: vec![0.0; ne],
-        cnmass: vec![[0.0; 4]; ne],
-    };
-    let mut report = RunReport {
-        name: deck.name.to_string(),
-        executor: config.executor,
-        ranks,
-        steps: 0,
-        time: 0.0,
-        wall_seconds: wall,
-        timers: TimerReport::zero(),
-        comm: CommStats::default(),
-        energy_start: 0.0,
-        energy_end: 0.0,
-        recovery: crate::resilience::RecoveryLog::default(),
-    };
-    for r in results {
-        let r = r?;
-        for (l, &g) in r.owned_el.iter().enumerate() {
-            fields.rho[g as usize] = r.rho[l];
-            fields.ein[g as usize] = r.ein[l];
-            fields.mass[g as usize] = r.mass[l];
-            fields.q[g as usize] = r.q[l];
-            fields.cnmass[g as usize] = r.cnmass[l];
-        }
-        for &(g, v) in &r.u_owned {
-            fields.u[g as usize] = v;
-        }
-        for &(g, p) in &r.x_owned {
-            fields.nodes[g as usize] = p;
-        }
-        for &(g, m) in &r.nd_mass_owned {
-            fields.nd_mass[g as usize] = m;
-        }
-        fields.time = r.cursor.t;
-        fields.steps = r.cursor.steps as u64;
-        fields.dt_prev = r.cursor.dt_prev;
-        report.steps = report.steps.max(r.cursor.steps);
-        // Max, not last-writer-wins: every rank reports the same final
-        // time, but a reordered result vector must not leave a stale
-        // zero (or any one rank's value) in charge.
-        report.time = report.time.max(r.cursor.t);
-        report.timers = report.timers.max(&r.timers);
-        report.comm = report.comm.merged(&r.comm);
-        // Already globally reduced — identical on every rank.
-        report.energy_start = r.energy_start;
-        report.energy_end = r.energy_end;
+    let mut segments = results.into_iter();
+    let mut team = segments.next().expect("a team has at least one rank")?;
+    for segment in segments {
+        let segment = segment?;
+        team.timers = team.timers.max(&segment.timers);
+        team.comm = team.comm.merged(&segment.comm);
+        team.energy_end += segment.energy_end;
     }
-    Ok((report, fields))
-}
-
-/// One rank's work: local state, halo hooks, the shared run loop.
-fn run_rank(
-    ctx: &bookleaf_typhon::RankCtx,
-    sub: SubMesh,
-    deck: &Deck,
-    config: &RunConfig,
-    observers: &ObserverSet,
-    resume: Option<&Snapshot>,
-) -> Result<RankOut> {
-    // Map global piston nodes to local ids.
-    let piston = deck.piston.as_ref().map(|p| {
-        let g2l: HashMap<u32, u32> = sub
-            .nd_l2g
-            .iter()
-            .enumerate()
-            .map(|(l, &g)| (g, l as u32))
-            .collect();
-        LocalPiston {
-            nodes: p.nodes.iter().filter_map(|g| g2l.get(g).copied()).collect(),
-            velocity: p.velocity,
-        }
-    });
-    // Build the rank's aggregated exchange plan once; every halo phase
-    // then moves as one message per neighbour. With the overlap toggle
-    // on (and a neighbour to exchange with) a phase is posted early and
-    // completed only before the sweep over the boundary lists, derived
-    // here once per run — latency hiding; bitwise identical physics and
-    // identical message counts.
-    let mut halo = TyphonHalo::new(ctx, &sub, piston, config.overlap);
-    let overlap_sets = halo.overlap_sets(&sub);
-
-    // From here on the rank works on the submesh's own mesh.
-    let SubMesh {
-        mut mesh,
-        n_owned_el,
-        n_active_nd,
-        mut el_l2g,
-        nd_l2g,
-        nd_owner,
-        ..
-    } = sub;
-    let owns_node = |n: usize| nd_owner[n] as usize == ctx.rank();
-    let owned_nodes = || (0..n_active_nd).filter(|&n| owns_node(n));
-    let mut state = HydroState::new(
-        &mesh,
-        &deck.materials,
-        |e| deck.rho[el_l2g[e] as usize],
-        |e| deck.ein[el_l2g[e] as usize],
-        |n| deck.u[nd_l2g[n] as usize],
-    )?;
-    let range = LocalRange {
-        n_owned_el,
-        n_active_nd,
-    };
-
-    // The remapper must capture the *deck-initial* node positions
-    // (they are the Eulerian remap target), so it is built before any
-    // restart state overwrites the mesh.
-    let remapper = config.ale.map(|opts| Remapper::new(&mesh, opts));
-
-    let mut cursor = match resume {
-        Some(snap) => snap.install(
-            &mut mesh,
-            &mut state,
-            &deck.materials,
-            config.lag.threading,
-            |e| el_l2g[e] as usize,
-            |n| nd_l2g[n] as usize,
-        )?,
-        None => LoopState::default(),
-    };
-    let timers = bookleaf_util::TimerRegistry::new();
-
-    // This rank's energy contribution: owned elements, owned nodes —
-    // partition-boundary nodes live on several ranks but are summed
-    // exactly once across the team.
-    let local_energy = |mesh: &Mesh, state: &HydroState| {
-        state.internal_energy(range) + state.kinetic_energy_where(mesh, range, owns_node)
-    };
-    // All collective calls below (start/end energy, dt per step, any
-    // sentinel or observer-driven reductions inside the loop) execute
-    // in the same order on every rank.
-    let energy_start = ctx.allreduce_sum(local_energy(&mesh, &state))?;
-    let reduce_sum = |v: f64| -> Result<f64> { Ok(ctx.allreduce_sum(v)?) };
-    let reduce_min = |v: f64| -> Result<f64> { Ok(ctx.allreduce_min(v)?) };
-    let comm_stats = || ctx.stats();
-    let watch = LoopWatch {
-        observers,
-        rank: ctx.rank(),
-        n_ranks: ctx.n_ranks(),
-        reduce_sum: &reduce_sum,
-        comm_stats: &comm_stats,
-        local_energy: &local_energy,
-    };
-    let sentinel = SentinelOps {
-        rank: ctx.rank(),
-        reduce_min: &reduce_min,
-        reduce_sum: &reduce_sum,
-        local_energy: &local_energy,
-        energy_ref: energy_start,
-    };
-
-    run_loop(
-        &mut mesh,
-        &deck.materials,
-        &mut state,
-        range,
-        config,
-        remapper.as_ref(),
-        &mut halo,
-        // The one per-step progress announcement: arms scheduled point
-        // faults for this step and fires a scheduled rank death, then
-        // the single global dt reduction.
-        |step, dt| {
-            ctx.begin_step(step)?;
-            Ok(ctx.allreduce_min(dt)?)
-        },
-        &timers,
-        &mut cursor,
-        &overlap_sets,
-        Some(&watch),
-        Some(&sentinel),
-    )?;
-    let energy_end = ctx.allreduce_sum(local_energy(&mesh, &state))?;
-    let u_owned = owned_nodes().map(|n| (nd_l2g[n], state.u[n])).collect();
-    let x_owned = owned_nodes().map(|n| (nd_l2g[n], mesh.nodes[n])).collect();
-    let nd_mass_owned = owned_nodes()
-        .map(|n| (nd_l2g[n], state.nd_mass[n]))
-        .collect();
-    el_l2g.truncate(n_owned_el);
-
-    Ok(RankOut {
-        owned_el: el_l2g,
-        rho: state.rho[..n_owned_el].to_vec(),
-        ein: state.ein[..n_owned_el].to_vec(),
-        mass: state.mass[..n_owned_el].to_vec(),
-        q: state.q[..n_owned_el].to_vec(),
-        cnmass: state.cnmass[..n_owned_el].to_vec(),
-        u_owned,
-        x_owned,
-        nd_mass_owned,
-        cursor,
-        timers: timers.report(),
-        comm: ctx.stats(),
-        energy_start,
-        energy_end,
-    })
+    team.wall_seconds = wall_seconds;
+    let gathered = gathered.into_inner().expect("gathering does not panic");
+    Ok((team, gathered.expect("every rank gathered its piece")))
 }
 
 #[cfg(test)]
@@ -459,14 +450,9 @@ mod tests {
             executor: ExecutorKind::Serial,
             ..RunConfig::default()
         };
-        assert!(run_with_observers(
-            &deck,
-            &config,
-            &ObserverSet::default(),
-            None,
-            &TyphonOptions::default()
-        )
-        .is_err());
+        let observers = ObserverSet::default();
+        let typhon = TyphonOptions::default();
+        assert!(run_team(&deck, &config, &observers, None, &typhon, None).is_err());
     }
 
     #[test]

@@ -1,10 +1,19 @@
-//! Typhon-backed halo operations and the piston hook.
+//! The team context: everything a step needs from the rest of the
+//! team, behind one object.
 //!
-//! [`TyphonHalo`] implements [`bookleaf_hydro::HaloOps`] over a
-//! [`bookleaf_typhon::HaloPlan`]: each [`Phase`] is one registered
-//! exchange phase, and every field a phase needs travels in a **single
-//! packed message per neighbouring rank** (the reference Typhon's
-//! aggregated quantity registration — see `bookleaf_typhon::plan`):
+//! [`Team`] extends [`bookleaf_hydro::HaloOps`] (the halo phases, the
+//! boundary lists their schedule runs against, the piston hook) with
+//! what the run loop asks of the other ranks: who am I, the per-step
+//! progress announcement and dt reduction, the min/sum collectives of
+//! the sentinel and the observers, the comm counters, and which nodes
+//! this rank counts in a global sum. It is implemented twice.
+//! [`SerialHooks`] is a rank with nobody to talk to — every default, no
+//! thread, no Typhon, no partition. [`TyphonHalo`] is a rank of a
+//! Typhon team, over a [`bookleaf_typhon::HaloPlan`]: each [`Phase`] is
+//! one registered exchange phase, and every field a phase needs travels
+//! in a **single packed message per neighbouring rank** (the reference
+//! Typhon's aggregated quantity registration — see
+//! `bookleaf_typhon::plan`):
 //!
 //! * **`pre_viscosity`** — node kinematics (positions and velocities)
 //!   plus ghost element thermodynamic state (ρ, e, p, c²): six fields,
@@ -20,9 +29,10 @@
 //!
 //! The overlap toggle lives here and nowhere else: overlapping, `post`
 //! sends and `complete` receives, and the kernels between them sweep
-//! the interior named by [`TyphonHalo::overlap_sets`]; blocking, a phase
-//! exchanges in full inside one of the two calls and the sets are
-//! empty. The same messages move either way.
+//! the interior its `boundary()` leaves (the submesh's
+//! [`SubMesh::overlap_sets`]); blocking, a phase exchanges in full
+//! inside one of the two calls and `boundary()` is empty. The same
+//! messages move either way.
 //!
 //! Resuming moves no messages: the restart state is global, so a rank
 //! reads its ghosts' values where it reads its own (`Snapshot::install`).
@@ -33,12 +43,59 @@
 //! [`LocalPiston`] (and the piston part of `TyphonHalo`) imposes the
 //! Saltzmann driven wall after each acceleration.
 
+use std::collections::HashMap;
+
 use bookleaf_hydro::{HaloOps, HydroState, Phase};
 use bookleaf_mesh::{Mesh, OverlapSets, SubMesh};
 use bookleaf_typhon::{
-    Entity, FieldMut, HaloPlan, HaloPlanBuilder, PendingPhase, PhaseId, RankCtx, SlotKind,
+    CommStats, Entity, FieldMut, HaloPlan, HaloPlanBuilder, PendingPhase, PhaseId, RankCtx,
+    SlotKind,
 };
 use bookleaf_util::{Result, Vec2};
+
+use crate::decks::Deck;
+
+/// What the run loop needs from the rest of the team, on top of the
+/// halo schedule. Every default is the answer of a team of one. The
+/// loop calls the collectives at identical points on every rank (gated
+/// only by the team-shared configuration, the observers' needs and the
+/// step counter), which is what keeps them deadlock-free; they are
+/// fallible because a collective can time out against a dead rank.
+pub trait Team: HaloOps {
+    /// This rank's id.
+    fn rank(&self) -> usize {
+        0
+    }
+    /// Team size.
+    fn n_ranks(&self) -> usize {
+        1
+    }
+    /// Announce that 0-based step `step` is about to execute — the one
+    /// per-step point where a scheduled fault is armed and a scheduled
+    /// rank death fires — and turn the local dt proposal into the
+    /// team's: BookLeaf's single global reduction per step.
+    fn begin_step(&mut self, _step: usize, dt: f64) -> Result<f64> {
+        Ok(dt)
+    }
+    /// Global minimum.
+    fn reduce_min(&self, value: f64) -> Result<f64> {
+        Ok(value)
+    }
+    /// Global sum.
+    fn reduce_sum(&self, value: f64) -> Result<f64> {
+        Ok(value)
+    }
+    /// This rank's communication counters so far.
+    fn comm_stats(&self) -> CommStats {
+        CommStats::default()
+    }
+    /// Does this rank count active node `n` in a global sum?
+    /// Partition-boundary nodes live on several ranks and are counted
+    /// by exactly one.
+    fn owns_node(&self, _n: usize) -> bool {
+        true
+    }
+}
 
 /// Node-local piston description (local node ids).
 #[derive(Debug, Clone, Default)]
@@ -50,6 +107,28 @@ pub struct LocalPiston {
 }
 
 impl LocalPiston {
+    /// The deck's piston on a piece of its mesh whose local node `l` is
+    /// global node `nd_l2g[l]` (`None`: the whole mesh). A piece none of
+    /// the driven nodes land on gets an empty piston.
+    #[must_use]
+    pub fn of(deck: &Deck, nd_l2g: Option<&[u32]>) -> Option<LocalPiston> {
+        let p = deck.piston.as_ref()?;
+        let nodes = match nd_l2g {
+            None => p.nodes.clone(),
+            Some(l2g) => {
+                let local: HashMap<u32, u32> = (0u32..).zip(l2g).map(|(l, &g)| (g, l)).collect();
+                p.nodes
+                    .iter()
+                    .filter_map(|g| local.get(g).copied())
+                    .collect()
+            }
+        };
+        Some(LocalPiston {
+            nodes,
+            velocity: p.velocity,
+        })
+    }
+
     /// Apply the piston to `u` and `ubar`.
     pub fn apply(&self, state: &mut HydroState) {
         for &n in &self.nodes {
@@ -59,7 +138,7 @@ impl LocalPiston {
     }
 }
 
-/// Serial hooks: no communication, optional piston.
+/// A team of one: no communication, optional piston.
 #[derive(Debug, Default)]
 pub struct SerialHooks {
     /// Piston, if the deck has one.
@@ -75,15 +154,21 @@ impl HaloOps for SerialHooks {
     }
 }
 
-/// Distributed hooks: phase-aggregated Typhon exchanges plus optional
-/// piston. The in-flight tickets live here so a posted phase is
-/// completed exactly once.
+impl Team for SerialHooks {}
+
+/// One rank of a Typhon team: phase-aggregated exchanges, the team's
+/// collectives, and the optional piston. The in-flight tickets live
+/// here so a posted phase is completed exactly once.
 pub struct TyphonHalo<'a> {
     ctx: &'a RankCtx,
     plan: HaloPlan,
     /// Overlap communication with computation? Never on a rank without
     /// neighbour links: nothing would be in flight to hide work behind.
     overlap: bool,
+    /// The submesh's boundary lists when overlapping, empty otherwise.
+    boundary: OverlapSets,
+    /// Owner rank of each local node.
+    nd_owner: Vec<u32>,
     /// Indexed by `Phase as usize`, like `pending`.
     ids: [PhaseId; 3],
     pending: [Option<PendingPhase>; 3],
@@ -165,9 +250,16 @@ impl<'a> TyphonHalo<'a> {
         let mut b = HaloPlanBuilder::new(&sub.el_exchange, &sub.nd_exchange);
         let ids = Phase::ALL.map(|phase| b.phase(phase.name(), slots(phase)));
         let plan = b.build();
+        let overlap = overlap && plan.n_links() > 0;
         TyphonHalo {
             ctx,
-            overlap: overlap && plan.n_links() > 0,
+            overlap,
+            boundary: if overlap {
+                sub.overlap_sets()
+            } else {
+                OverlapSets::default()
+            },
+            nd_owner: sub.nd_owner.clone(),
             plan,
             ids,
             pending: [None, None, None],
@@ -179,18 +271,6 @@ impl<'a> TyphonHalo<'a> {
     #[must_use]
     pub fn plan(&self) -> &HaloPlan {
         &self.plan
-    }
-
-    /// The boundary lists the kernels between this halo's `post` and
-    /// `complete` must leave for after the `complete`: `sub`'s when
-    /// overlapping, none when blocking.
-    #[must_use]
-    pub fn overlap_sets(&self, sub: &SubMesh) -> OverlapSets {
-        if self.overlap {
-            sub.overlap_sets()
-        } else {
-            OverlapSets::default()
-        }
     }
 
     /// Pack and send `phase`, keeping the ticket.
@@ -252,6 +332,35 @@ impl HaloOps for TyphonHalo<'_> {
         }
         Ok(())
     }
+
+    fn boundary(&self) -> &OverlapSets {
+        &self.boundary
+    }
+}
+
+impl Team for TyphonHalo<'_> {
+    fn rank(&self) -> usize {
+        self.ctx.rank()
+    }
+    fn n_ranks(&self) -> usize {
+        self.ctx.n_ranks()
+    }
+    fn begin_step(&mut self, step: usize, dt: f64) -> Result<f64> {
+        self.ctx.begin_step(step)?;
+        Ok(self.ctx.allreduce_min(dt)?)
+    }
+    fn reduce_min(&self, value: f64) -> Result<f64> {
+        Ok(self.ctx.allreduce_min(value)?)
+    }
+    fn reduce_sum(&self, value: f64) -> Result<f64> {
+        Ok(self.ctx.allreduce_sum(value)?)
+    }
+    fn comm_stats(&self) -> CommStats {
+        self.ctx.stats()
+    }
+    fn owns_node(&self, n: usize) -> bool {
+        self.nd_owner[n] as usize == self.ctx.rank()
+    }
 }
 
 #[cfg(test)]
@@ -298,6 +407,30 @@ mod tests {
             .collect();
         let subs = SubMeshPlan::build(&m, &owner, 2).unwrap();
         (m, subs)
+    }
+
+    /// The lists a halo answers `boundary()` with are its own submesh's
+    /// when it overlaps, and empty when it blocks — by request, or
+    /// because the rank has no neighbour to hide work behind.
+    #[test]
+    fn boundary_is_the_submeshs_lists_only_when_overlapping() {
+        let (m, subs) = two_stripes(6);
+        Typhon::run(2, |ctx| {
+            let sub = &subs[ctx.rank()];
+            let overlapping = TyphonHalo::new(ctx, sub, None, true);
+            assert_eq!(*overlapping.boundary(), sub.overlap_sets());
+            assert!(!overlapping.boundary().el_boundary_ids.is_empty());
+            let blocking = TyphonHalo::new(ctx, sub, None, false);
+            assert_eq!(*blocking.boundary(), OverlapSets::default());
+        })
+        .unwrap();
+        let alone = SubMeshPlan::build(&m, &vec![0; m.n_elements()], 1).unwrap();
+        Typhon::run(1, |ctx| {
+            let halo = TyphonHalo::new(ctx, &alone[0], None, true);
+            assert_eq!(*halo.boundary(), OverlapSets::default());
+        })
+        .unwrap();
+        assert_eq!(*SerialHooks::default().boundary(), OverlapSets::default());
     }
 
     /// Each phase sends exactly one message per neighbour link, blocking
@@ -384,18 +517,15 @@ mod tests {
                 };
                 let remapper = Remapper::new(&mesh, AleOptions::default());
                 let mut halo = TyphonHalo::new(ctx, sub, None, overlap);
-                let sets = halo.overlap_sets(sub);
-                assert_eq!(sets.el_boundary_ids.is_empty(), !overlap);
-                assert_eq!(sets.remap_pre_nd_ids.is_empty(), !overlap);
                 let (opts, timers) = (LagOptions::default(), TimerRegistry::new());
                 lagstep_timed(
-                    &mut mesh, &mat, &mut st, range, 1e-3, &opts, &mut halo, &timers, &sets,
+                    &mut mesh, &mat, &mut st, range, 1e-3, &opts, &mut halo, &timers,
                 )
                 .unwrap();
                 let step = ctx.stats();
                 let th = Threading::Serial;
                 remapper
-                    .step_with(&mut mesh, &mut st, range, th, &sets, &mut halo)
+                    .step_with(&mut mesh, &mut st, range, th, &mut halo)
                     .unwrap();
                 let bits: Vec<u64> = (st.rho.iter().chain(&st.ein))
                     .chain(st.u.iter().chain(&mesh.nodes).flat_map(|v| [&v.x, &v.y]))

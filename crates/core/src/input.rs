@@ -315,7 +315,9 @@ impl InputDeck {
     /// code has no source lines, so every error is a
     /// [`DeckError::Config`].
     pub fn validate(&self) -> Result<(), DeckError> {
-        check(&collect(|out| self.flatten(out)), true)
+        let mut flat = Vec::new();
+        self.flatten(&mut collector(&mut flat));
+        check(&flat, true)
     }
 
     /// Construct the runtime [`Deck`] this spec describes.
@@ -1230,10 +1232,11 @@ enum Item<'a> {
     Entry(&'static str, Val<'a>),
 }
 
-/// The flat form of a typed deck (no source lines).
-fn collect<'a>(walk: impl FnOnce(&mut dyn FnMut(Item<'a>))) -> Vec<Section<'a>> {
-    let mut flat = vec![Section::new(&SECTIONS[0], "", 0)];
-    walk(&mut |item| match item {
+/// The sink that collects a walk into `flat`, the flat form of a typed
+/// deck (no source lines).
+fn collector<'a, 'f>(flat: &'f mut Vec<Section<'a>>) -> impl FnMut(Item<'a>) + 'f {
+    flat.push(Section::new(&SECTIONS[0], "", 0));
+    |item| match item {
         Item::Section(word, name) => {
             let def = SECTIONS.iter().find(|d| d.name == word);
             flat.push(Section::new(def.expect("a grammar section"), name, 0));
@@ -1242,13 +1245,14 @@ fn collect<'a>(walk: impl FnOnce(&mut dyn FnMut(Item<'a>))) -> Vec<Section<'a>> 
             let open = flat.last_mut().expect("starts with the top level");
             open.entries.push(Entry { key, val, line: 0 });
         }
-    });
-    flat
+    }
 }
 
 /// `check` over a bare [`GenericSpec`] — [`GenericSpec::validate`].
 pub(crate) fn check_generic(spec: &GenericSpec) -> Result<(), DeckError> {
-    check(&collect(|out| flatten_generic(spec, out)), false)
+    let mut flat = Vec::new();
+    flatten_generic(spec, &mut collector(&mut flat));
+    check(&flat, false)
 }
 
 fn nums<'a>(out: &mut (impl FnMut(Item<'a>) + ?Sized), entries: &[(&'static str, f64)]) {

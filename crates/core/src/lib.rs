@@ -18,21 +18,27 @@
 //! * [`observer`] — step-level instrumentation hooks ([`Observer`],
 //!   [`StepView`]) with shipped implementations (conservation tracer,
 //!   dt history, VTK frame dumper, progress logger);
-//! * [`driver`] — the shared hydro loop (`getdt` → `lagstep` →
-//!   optional `alestep`) every executor runs;
-//! * [`executor`] — distributed execution: flat MPI (one rank thread
-//!   per "core") and hybrid MPI+OpenMP (rank threads × rayon), both
-//!   built on the Typhon runtime with real halo exchanges;
-//! * [`halo`] — the [`bookleaf_hydro::HaloOps`] implementation backed by
-//!   Typhon exchanges (and the piston hook for Saltzmann);
+//! * [`driver`] — the one hydro loop (`getdt` → `lagstep` → optional
+//!   `alestep`), with the health sentinel and the observer hooks in it;
+//! * [`halo`] — the one team context behind that loop ([`Team`], over
+//!   [`bookleaf_hydro::HaloOps`]): everything a step needs from the
+//!   other ranks — halo phases and their boundary lists, the dt
+//!   reduction, the collectives, the piston hook — implemented for a
+//!   team of one ([`halo::SerialHooks`]) and for a rank of a Typhon
+//!   team ([`halo::TyphonHalo`]);
+//! * [`executor`] — the one rank engine (build a piece's state, install
+//!   restart state, run the loop, gather) that a serial run keeps alive
+//!   and that flat MPI (one rank thread per "core") and hybrid
+//!   MPI+OpenMP (rank threads × rayon) build per Typhon rank;
 //! * [`output`] — VTK visualisation files and the portable checkpoint
-//!   format (the one carrier of restart state);
+//!   format (the one carrier of restart state: `Snapshot::install` and
+//!   its inverse `Snapshot::gather`);
 //! * [`resilience`] — deterministic fault drills and supervised elastic
 //!   recovery: retention-managed [`CheckpointStore`]s with atomic
-//!   writes and verified readback, the [`AutoCheckpoint`] observer, and
-//!   [`Simulation::run_resilient`] (rewind to the last good checkpoint,
-//!   reshape the executor, retry within a budget — with a deterministic
-//!   [`RecoveryLog`] on the report).
+//!   writes and verified readback, and [`Simulation::run_resilient`]
+//!   (rewind to the last good checkpoint, reshape the executor, retry
+//!   within a budget — with a deterministic [`RecoveryLog`] on the
+//!   report).
 
 pub mod config;
 pub mod decks;
@@ -49,17 +55,17 @@ pub mod sim;
 
 pub use config::{ExecutorKind, RunConfig, SentinelConfig};
 pub use decks::Deck;
-pub use driver::{run_loop, LoopState};
+pub use driver::LoopState;
+pub use halo::Team;
 pub use input::{InputDeck, ProblemSpec};
 pub use observer::{
-    ConservationTracer, DtHistory, DtSample, EnergySample, FrameDumper, LoopWatch, Observer,
-    ObserverNeeds, ObserverSet, ProgressLogger, Shared, StepPhase, StepView,
+    ConservationTracer, DtHistory, DtSample, EnergySample, FrameDumper, Observer, ObserverNeeds,
+    ObserverSet, ProgressLogger, Shared, StepPhase, StepView,
 };
 pub use output::{write_vtk, Checkpoint, Snapshot, CHECKPOINT_VERSION};
 pub use report::RunReport;
 pub use resilience::{
-    AutoCheckpoint, CheckpointStore, RecoveryEvent, RecoveryLog, RecoveryPolicy, ReshapePolicy,
-    SaveOutcome,
+    CheckpointStore, RecoveryEvent, RecoveryLog, RecoveryPolicy, ReshapePolicy, SaveOutcome,
 };
 pub use scenario::{
     generic_equivalent, BoundarySpec, EnergyInit, GenericSpec, MeshSpec, NamedMaterial, RegionSpec,

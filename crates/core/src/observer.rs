@@ -252,65 +252,12 @@ impl ObserverSet {
         self.needs
     }
 
-    /// Fire `run_begin` on every observer.
-    pub fn run_begin(&self, view: &StepView<'_>) {
+    /// Call `hook` on every observer in registration order.
+    pub fn each(&self, mut hook: impl FnMut(&mut dyn Observer)) {
         for o in &self.observers {
-            o.lock().run_begin(view);
+            hook(&mut **o.lock());
         }
     }
-
-    /// Fire `step_begin` on every observer.
-    pub fn step_begin(&self, view: &StepView<'_>) {
-        for o in &self.observers {
-            o.lock().step_begin(view);
-        }
-    }
-
-    /// Fire `phase_end` on every observer.
-    pub fn phase_end(&self, phase: StepPhase, view: &StepView<'_>) {
-        for o in &self.observers {
-            o.lock().phase_end(phase, view);
-        }
-    }
-
-    /// Fire `step_end` on every observer.
-    pub fn step_end(&self, view: &StepView<'_>) {
-        for o in &self.observers {
-            o.lock().step_end(view);
-        }
-    }
-
-    /// Fire `run_end` on every observer.
-    pub fn run_end(&self, view: &StepView<'_>) {
-        for o in &self.observers {
-            o.lock().run_end(view);
-        }
-    }
-}
-
-/// Everything the run loop needs to fire observers on one rank: the
-/// shared set plus rank-local providers for the loop-computed extras.
-///
-/// `reduce_sum` must be a *collective* sum in distributed runs (every
-/// rank calls it at the same loop points — the loop guarantees the
-/// symmetry) and the identity serially; it is fallible because a
-/// distributed collective can time out against a dead rank
-/// ([`bookleaf_util::CommError`]). `local_energy` must count every
-/// partition exactly once across the team (serial: the whole problem;
-/// distributed: owned elements plus owned nodes only).
-pub struct LoopWatch<'a> {
-    /// The simulation's observers (shared across ranks).
-    pub observers: &'a ObserverSet,
-    /// This rank's id.
-    pub rank: usize,
-    /// Team size.
-    pub n_ranks: usize,
-    /// Global sum reduction (identity for serial runs).
-    pub reduce_sum: &'a dyn Fn(f64) -> bookleaf_util::Result<f64>,
-    /// Snapshot of this rank's communication counters.
-    pub comm_stats: &'a dyn Fn() -> CommStats,
-    /// This rank's energy contribution (no double-counted nodes).
-    pub local_energy: &'a dyn Fn(&Mesh, &HydroState) -> f64,
 }
 
 // ---------------------------------------------------------------------------

@@ -171,7 +171,7 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Capture the solver state.
+    /// Capture the solver state: `Snapshot::gather` of the whole mesh.
     #[must_use]
     pub fn capture(
         mesh: &Mesh,
@@ -180,18 +180,64 @@ impl Snapshot {
         steps: u64,
         dt_prev: Option<f64>,
     ) -> Self {
-        Snapshot {
+        let mut snap = Snapshot {
             time,
             steps,
             dt_prev,
-            nodes: mesh.nodes.clone(),
-            u: state.u.clone(),
-            nd_mass: state.nd_mass.clone(),
-            mass: state.mass.clone(),
-            rho: state.rho.clone(),
-            ein: state.ein.clone(),
-            q: state.q.clone(),
-            cnmass: state.cnmass.clone(),
+            ..Snapshot::sized(mesh.n_nodes(), mesh.n_elements())
+        };
+        snap.gather(mesh, state, LocalRange::whole(mesh), |e| e, |n| n, |_| true);
+        snap
+    }
+
+    /// An all-zero snapshot of `n_nodes` nodes and `n_elements`
+    /// elements, for [`Snapshot::gather`] to fill.
+    pub(crate) fn sized(n_nodes: usize, n_elements: usize) -> Self {
+        Snapshot {
+            time: 0.0,
+            steps: 0,
+            dt_prev: None,
+            nodes: vec![Vec2::ZERO; n_nodes],
+            u: vec![Vec2::ZERO; n_nodes],
+            nd_mass: vec![0.0; n_nodes],
+            mass: vec![0.0; n_elements],
+            rho: vec![0.0; n_elements],
+            ein: vec![0.0; n_elements],
+            q: vec![0.0; n_elements],
+            cnmass: vec![[0.0; 4]; n_elements],
+        }
+    }
+
+    /// The inverse of [`Snapshot::install`], and the **one** place live
+    /// state becomes restart state: write the owned entities of
+    /// `(mesh, state)` — elements below `range.n_owned_el`, active nodes
+    /// `owns_node` selects — at their global ids `el(e)` / `nd(n)`. The
+    /// whole mesh gathers through the identity maps
+    /// ([`Snapshot::capture`]); the ranks of a team each gather their
+    /// piece into the team's one snapshot, and between them write every
+    /// entity exactly once. The cursor fields are the caller's to stamp.
+    pub(crate) fn gather(
+        &mut self,
+        mesh: &Mesh,
+        state: &HydroState,
+        range: LocalRange,
+        el: impl Fn(usize) -> usize,
+        nd: impl Fn(usize) -> usize,
+        owns_node: impl Fn(usize) -> bool,
+    ) {
+        for e in 0..range.n_owned_el {
+            let g = el(e);
+            self.mass[g] = state.mass[e];
+            self.rho[g] = state.rho[e];
+            self.ein[g] = state.ein[e];
+            self.q[g] = state.q[e];
+            self.cnmass[g] = state.cnmass[e];
+        }
+        for n in (0..range.n_active_nd).filter(|&n| owns_node(n)) {
+            let g = nd(n);
+            self.nodes[g] = mesh.nodes[n];
+            self.u[g] = state.u[n];
+            self.nd_mass[g] = state.nd_mass[n];
         }
     }
 
@@ -603,6 +649,111 @@ mod tests {
         )
         .unwrap();
         (deck.mesh, st)
+    }
+
+    /// `gather` is the inverse of `install`: a snapshot of random fields
+    /// installed into every piece of a 2-, 3- and 4-rank plan — ghosts
+    /// included — and gathered back piece by piece is the original to
+    /// the bit, and each global entity is written by exactly one rank.
+    #[test]
+    fn gather_after_install_is_the_identity_over_every_rank_count() {
+        use bookleaf_mesh::SubMeshPlan;
+        use bookleaf_partition::{partition, Strategy};
+
+        let deck = decks::noh(9);
+        let (nn, ne) = (deck.mesh.n_nodes(), deck.mesh.n_elements());
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut random = move || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut original = Snapshot {
+            time: 0.25,
+            steps: 7,
+            dt_prev: Some(1e-3),
+            ..Snapshot::sized(nn, ne)
+        };
+        // Nodes stay within a twentieth of a cell of the mesh's own, so
+        // every piece installs without tangling.
+        let jitter = 0.05 / 9.0;
+        for n in 0..nn {
+            original.nodes[n] = deck.mesh.nodes[n] + Vec2::new(random(), random()) * jitter;
+            original.u[n] = Vec2::new(random() - 0.5, random() - 0.5);
+            original.nd_mass[n] = 0.5 + random();
+        }
+        for e in 0..ne {
+            original.mass[e] = 0.5 + random();
+            original.rho[e] = 0.5 + random();
+            original.ein[e] = 0.5 + random();
+            original.q[e] = random();
+            original.cnmass[e] = [random(), random(), random(), random()];
+        }
+
+        for ranks in [2, 3, 4] {
+            let owner = partition(&deck.mesh, ranks, Strategy::Rcb).unwrap();
+            let mut gathered = Snapshot::sized(nn, ne);
+            let (mut el_writers, mut nd_writers) = (vec![0; ne], vec![0; nn]);
+            for mut sub in SubMeshPlan::build(&deck.mesh, &owner, ranks).unwrap() {
+                let (el_l2g, nd_l2g) = (&sub.el_l2g, &sub.nd_l2g);
+                let el = |e: usize| el_l2g[e] as usize;
+                let nd = |n: usize| nd_l2g[n] as usize;
+                let materials = &deck.materials;
+                let mut state =
+                    HydroState::new(&sub.mesh, materials, |_| 1.0, |_| 1.0, |_| Vec2::ZERO)
+                        .unwrap();
+                let cursor = original
+                    .install(
+                        &mut sub.mesh,
+                        &mut state,
+                        materials,
+                        Threading::Serial,
+                        el,
+                        nd,
+                    )
+                    .unwrap();
+                assert_eq!((cursor.t, cursor.steps), (0.25, 7), "{ranks} ranks");
+                for e in 0..sub.mesh.n_elements() {
+                    assert_eq!(
+                        state.ein[e],
+                        original.ein[el(e)],
+                        "{ranks} ranks: element {e}"
+                    );
+                }
+                for n in 0..sub.mesh.n_nodes() {
+                    assert_eq!(state.u[n], original.u[nd(n)], "{ranks} ranks: node {n}");
+                }
+
+                let range = LocalRange {
+                    n_owned_el: sub.n_owned_el,
+                    n_active_nd: sub.n_active_nd,
+                };
+                let owns = |n: usize| sub.owns_node(n);
+                gathered.gather(&sub.mesh, &state, range, el, nd, owns);
+                // What this rank alone writes: everything else stays NaN.
+                let mut alone = Snapshot::sized(nn, ne);
+                alone.rho.fill(f64::NAN);
+                alone.nd_mass.fill(f64::NAN);
+                alone.gather(&sub.mesh, &state, range, el, nd, owns);
+                for (e, rho) in alone.rho.iter().enumerate() {
+                    el_writers[e] += usize::from(!rho.is_nan());
+                }
+                for (n, mass) in alone.nd_mass.iter().enumerate() {
+                    nd_writers[n] += usize::from(!mass.is_nan());
+                }
+            }
+            assert!(el_writers.iter().all(|&w| w == 1), "{ranks} ranks");
+            assert!(nd_writers.iter().all(|&w| w == 1), "{ranks} ranks");
+            // The cursor fields are the caller's to stamp.
+            (gathered.time, gathered.steps, gathered.dt_prev) = (0.25, 7, Some(1e-3));
+            let bytes = |snap: &Snapshot| {
+                let mut out = Vec::new();
+                snap.write_body(&mut out);
+                out
+            };
+            assert_eq!(bytes(&gathered), bytes(&original), "{ranks} ranks");
+        }
     }
 
     #[test]

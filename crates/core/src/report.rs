@@ -6,7 +6,8 @@
 //! MPI code experiences time), team-merged [`CommStats`] (all zeros for
 //! a serial run: no wire traffic), and the global start/end energies
 //! (partition-exact in distributed runs: boundary nodes are counted
-//! once).
+//! once). A continued run's report spans the whole trajectory since the
+//! simulation was built (or last rewound), under every executor.
 
 use bookleaf_typhon::CommStats;
 use bookleaf_util::TimerReport;
@@ -27,13 +28,15 @@ pub struct RunReport {
     pub steps: usize,
     /// Final simulated time.
     pub time: f64,
-    /// Wall-clock seconds for the whole run (team wall for distributed).
+    /// Wall-clock seconds, summed over every `run` of the trajectory
+    /// (team wall for distributed).
     pub wall_seconds: f64,
     /// Per-kernel timing (Table II buckets), max over ranks.
     pub timers: TimerReport,
     /// Team-merged communication counters (zero for serial runs).
     pub comm: CommStats,
-    /// Total energy at t = 0 (internal + kinetic, global).
+    /// Total energy the trajectory started with (internal + kinetic,
+    /// global), pinned by the first `run`.
     pub energy_start: f64,
     /// Total energy at the end (global).
     pub energy_end: f64,

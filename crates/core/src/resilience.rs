@@ -1,9 +1,9 @@
-//! Resilient execution: auto-checkpointing, retention-managed
-//! checkpoint stores, and supervised elastic recovery.
+//! Resilient execution: retention-managed checkpoint stores and
+//! supervised elastic recovery.
 //!
 //! A long hydro run dies for mundane reasons — a node is drained, a NIC
 //! flakes, a rank is OOM-killed. This module turns those deaths from
-//! lost runs into bounded replays, built on three pieces:
+//! lost runs into bounded replays, built on two pieces:
 //!
 //! * [`CheckpointStore`] — a directory of atomically-written
 //!   checkpoints with keep-the-newest-K retention and verified
@@ -12,11 +12,6 @@
 //!   counts, and prunes older files beyond the retention budget; a
 //!   checkpoint that fails its own readback is deleted and reported as
 //!   a warning ([`SaveOutcome::Rejected`]), never silently trusted.
-//! * [`AutoCheckpoint`] — an [`Observer`] that checkpoints a running
-//!   simulation every N steps through a store, so any run gains rewind
-//!   points without touching its driver code. It is read-only like
-//!   every observer: a run with auto-checkpointing is bitwise identical
-//!   to one without.
 //! * [`Simulation::run_resilient`] — the supervisor. It drives
 //!   [`Simulation::run_segment`] in segments of
 //!   `checkpoint_every_steps` (the same bitwise continuation contract
@@ -27,7 +22,7 @@
 //!   last good checkpoint, optionally **reshapes** the executor (a dead
 //!   node means fewer ranks: [`ReshapePolicy::Halve`]), backs off, and
 //!   retries within a bounded budget. A rewind rebuilds the engine
-//!   through the same constructor and the same [`Snapshot`] installer a
+//!   through the same constructor and the same [`crate::Snapshot`] installer a
 //!   builder resume uses, so elastic recovery falls out of the portable
 //!   restart state: a 4-rank segment's checkpoint continues unchanged
 //!   on 2 ranks.
@@ -64,9 +59,7 @@ use std::time::Duration;
 use bookleaf_util::{BookLeafError, CheckpointError, CommError, Result};
 
 use crate::config::ExecutorKind;
-use crate::input::InputDeck;
-use crate::observer::{Observer, StepView};
-use crate::output::{Checkpoint, Snapshot};
+use crate::output::Checkpoint;
 use crate::report::RunReport;
 use crate::sim::Simulation;
 
@@ -265,160 +258,6 @@ impl CheckpointStore {
             .into_iter()
             .rev()
             .find_map(|(step, path)| Some((step, Checkpoint::read_from(&path).ok()?)))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// AutoCheckpoint: periodic rewind points as an observer.
-
-/// An [`Observer`] that checkpoints the running simulation into a
-/// [`CheckpointStore`] every `every` steps (and once more at run end).
-///
-/// The observer needs the [`InputDeck`] that rebuilds the problem —
-/// checkpoints are self-describing — so it is constructed with one.
-/// Saves that fail their verification readback are **skipped with a
-/// recorded warning** (see [`AutoCheckpoint::warnings`]), never an
-/// abort: a sick disk must not kill a healthy run. Under distributed
-/// executors the per-rank observer views are partition pieces, not the
-/// global problem, so the observer records one warning and stands down
-/// — distributed runs get their rewind points from
-/// [`Simulation::run_resilient`]'s segment boundaries instead.
-///
-/// Wrap in [`crate::Shared`] and keep a clone to inspect
-/// [`AutoCheckpoint::written`]/[`AutoCheckpoint::warnings`] after the
-/// run.
-#[derive(Debug)]
-pub struct AutoCheckpoint {
-    store: CheckpointStore,
-    every: usize,
-    min_interval: Option<Duration>,
-    input: InputDeck,
-    last_write: Option<std::time::Instant>,
-    written: Vec<PathBuf>,
-    warnings: Vec<String>,
-    stood_down: bool,
-}
-
-impl AutoCheckpoint {
-    /// Checkpoint through `store` every `every` steps (clamped to at
-    /// least 1); `input` is the deck a resume rebuilds the problem
-    /// from.
-    #[must_use]
-    pub fn new(store: CheckpointStore, every: usize, input: InputDeck) -> Self {
-        AutoCheckpoint {
-            store,
-            every: every.max(1),
-            min_interval: None,
-            input,
-            last_write: None,
-            written: Vec::new(),
-            warnings: Vec::new(),
-            stood_down: false,
-        }
-    }
-
-    /// Additionally rate-limit writes in wall time: a step that is due
-    /// by count is skipped while the last write is younger than
-    /// `interval`. (The *step* cadence is deterministic; this throttle
-    /// only thins it for runs whose steps are much cheaper than their
-    /// checkpoints.)
-    #[must_use]
-    pub fn min_interval(mut self, interval: Duration) -> Self {
-        self.min_interval = Some(interval);
-        self
-    }
-
-    /// Paths of every checkpoint written (and verified) so far.
-    #[must_use]
-    pub fn written(&self) -> &[PathBuf] {
-        &self.written
-    }
-
-    /// Warnings recorded so far: rejected readbacks, I/O failures, a
-    /// distributed stand-down. Warnings never abort the run.
-    #[must_use]
-    pub fn warnings(&self) -> &[String] {
-        &self.warnings
-    }
-
-    /// The store this observer writes through.
-    #[must_use]
-    pub fn store(&self) -> &CheckpointStore {
-        &self.store
-    }
-
-    fn save(&mut self, view: &StepView<'_>, step: usize) {
-        if view.n_ranks > 1 {
-            if !self.stood_down {
-                self.warnings.push(
-                    "auto-checkpoint: distributed observer views are partition pieces; \
-                     standing down (use Simulation::run_resilient for distributed rewind points)"
-                        .into(),
-                );
-                self.stood_down = true;
-            }
-            return;
-        }
-        if let (Some(interval), Some(last)) = (self.min_interval, self.last_write) {
-            if last.elapsed() < interval {
-                return;
-            }
-        }
-        let snap = Snapshot::capture(
-            view.mesh,
-            view.state,
-            view.time,
-            step as u64,
-            (view.dt > 0.0).then_some(view.dt),
-        );
-        let ckpt = Checkpoint {
-            input: self.input.clone(),
-            snap,
-        };
-        match self.store.save(&ckpt) {
-            Ok(SaveOutcome::Written(path)) => {
-                self.last_write = Some(std::time::Instant::now());
-                if !self.written.contains(&path) {
-                    self.written.push(path);
-                }
-            }
-            Ok(SaveOutcome::WrittenOverBudget {
-                path,
-                bytes,
-                budget,
-            }) => {
-                self.last_write = Some(std::time::Instant::now());
-                self.warnings.push(format!(
-                    "auto-checkpoint: step {step}: {} is {bytes} B, over the \
-                     store's {budget} B budget",
-                    path.display()
-                ));
-                if !self.written.contains(&path) {
-                    self.written.push(path);
-                }
-            }
-            Ok(SaveOutcome::Rejected { path, reason }) => self.warnings.push(format!(
-                "auto-checkpoint: skipped step {step}: {} failed readback: {reason}",
-                path.display()
-            )),
-            Err(e) => self
-                .warnings
-                .push(format!("auto-checkpoint: skipped step {step}: {e}")),
-        }
-    }
-}
-
-impl Observer for AutoCheckpoint {
-    fn step_end(&mut self, view: &StepView<'_>) {
-        if (view.step + 1).is_multiple_of(self.every) {
-            self.save(view, view.step + 1);
-        }
-    }
-
-    fn run_end(&mut self, view: &StepView<'_>) {
-        // The final state is always worth a rewind point, whatever the
-        // step cadence says (idempotent when it coincides with one).
-        self.save(view, view.step);
     }
 }
 
@@ -736,7 +575,6 @@ impl Simulation {
 mod tests {
     use super::*;
     use crate::decks;
-    use crate::input::ProblemSpec;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -930,98 +768,6 @@ mod tests {
             !dir.join("state.ckpt.tmp").exists(),
             "temporary must not linger"
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn auto_checkpoint_writes_on_cadence_and_retains_k() {
-        let dir = tmp_dir("auto");
-        let store = CheckpointStore::new(&dir, "noh", 2);
-        let auto = crate::Shared::new(AutoCheckpoint::new(
-            store.clone(),
-            3,
-            InputDeck::new(ProblemSpec::Noh { n: 8 }),
-        ));
-        let mut sim = Simulation::builder()
-            .deck(decks::noh(8))
-            .final_time(1.0)
-            .max_steps(10)
-            .observer(auto.clone())
-            .build()
-            .unwrap();
-        sim.run().unwrap();
-        // Cadence 3 over 10 steps → steps 3, 6, 9 plus the final step
-        // 10; retention 2 keeps only the newest two on disk.
-        assert_eq!(auto.with(|a| a.written().len()), 4);
-        assert!(auto.with(|a| a.warnings().is_empty()));
-        let steps: Vec<u64> = store.list().into_iter().map(|(s, _)| s).collect();
-        assert_eq!(steps, vec![9, 10]);
-        // And the newest one resumes.
-        let (_, ckpt) = store.latest_valid().unwrap();
-        let mut resumed = Simulation::builder()
-            .resume_from(ckpt)
-            .max_steps(10)
-            .build()
-            .unwrap();
-        assert_eq!(resumed.run().unwrap().steps, 10);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn auto_checkpoint_is_bitwise_invisible() {
-        let dir = tmp_dir("invisible");
-        let run = |observed: bool| {
-            let mut b = Simulation::builder().deck(decks::noh(8)).final_time(0.05);
-            if observed {
-                b = b.observer(AutoCheckpoint::new(
-                    CheckpointStore::new(&dir, "inv", 2),
-                    2,
-                    InputDeck::new(ProblemSpec::Noh { n: 8 }),
-                ));
-            }
-            let mut sim = b.build().unwrap();
-            sim.run().unwrap();
-            sim.state().rho.clone()
-        };
-        let plain = run(false);
-        let watched = run(true);
-        for (e, (a, b)) in plain.iter().zip(&watched).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "auto-checkpoint moved a bit at {e}"
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn auto_checkpoint_skips_unwritable_store_with_a_warning() {
-        let dir = tmp_dir("unwritable");
-        std::fs::create_dir_all(&dir).unwrap();
-        let store = CheckpointStore::new(&dir, "bad", 2);
-        // Squat a directory on every path the observer will try, so the
-        // atomic rename fails (cannot rename a file over a directory).
-        for step in [2u64, 4] {
-            std::fs::create_dir_all(store.path_for(step)).unwrap();
-        }
-        let auto = crate::Shared::new(AutoCheckpoint::new(
-            store,
-            2,
-            InputDeck::new(ProblemSpec::Noh { n: 8 }),
-        ));
-        let mut sim = Simulation::builder()
-            .deck(decks::noh(8))
-            .final_time(1.0)
-            .max_steps(4)
-            .observer(auto.clone())
-            .build()
-            .unwrap();
-        // The run itself must complete: checkpoint trouble is a
-        // warning, never an abort.
-        assert_eq!(sim.run().unwrap().steps, 4);
-        assert!(auto.with(|a| !a.warnings().is_empty()));
-        assert_eq!(auto.with(|a| a.written().len()), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

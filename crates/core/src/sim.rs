@@ -22,11 +22,14 @@
 //! global energy accounting) for all of them. Observers registered via
 //! [`SimulationBuilder::observer`] fire under every executor; after the
 //! run, [`Simulation::mesh`]/[`Simulation::state`] expose the solution.
-//! A serial simulation steps that pair in place. A distributed one
-//! keeps only the restart [`Snapshot`] its rank team assembled (global
-//! order) — what the next team, a checkpoint and
-//! [`Simulation::solution`] read — and builds the global pair from it
-//! when first asked.
+//! Every executor runs the one rank engine ([`crate::executor`]). A
+//! serial simulation keeps its one rank alive and steps that pair in
+//! place. A distributed one keeps only the restart [`Snapshot`] its
+//! rank team gathered (global order) — what the next team, a checkpoint
+//! and [`Simulation::solution`] read — and builds the global pair from
+//! it when first asked. The report is accumulated here, above the
+//! executors, so a continued run reports the same way under all of
+//! them.
 //!
 //! Configuration precedence, lowest to highest: the defaults, the text
 //! deck's own `[control]`/`[dt]`/`[ale]`/`[executor]` sections, a
@@ -37,22 +40,22 @@ use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use bookleaf_ale::{AleOptions, Remapper};
+use bookleaf_ale::AleOptions;
 use bookleaf_hydro::getdt::DtControls;
-use bookleaf_hydro::{HydroState, LocalRange};
-use bookleaf_mesh::{Mesh, OverlapSets};
+use bookleaf_hydro::HydroState;
+use bookleaf_mesh::Mesh;
 use bookleaf_typhon::{CommStats, FaultPlan, TyphonOptions};
-use bookleaf_util::{BookLeafError, DeckError, Result, TimerRegistry, Vec2};
+use bookleaf_util::{BookLeafError, DeckError, Result, TimerReport, Vec2};
 
 use bookleaf_util::CheckpointError;
 
 use crate::config::{ExecutorKind, RunConfig};
 use crate::decks::Deck;
-use crate::driver::{run_loop, LoopState, SentinelOps};
-use crate::executor::run_with_observers;
+use crate::driver::LoopState;
+use crate::executor::{run_team, Piece, Rank};
 use crate::halo::{LocalPiston, SerialHooks};
 use crate::input::InputDeck;
-use crate::observer::{LoopWatch, Observer, ObserverSet};
+use crate::observer::{Observer, ObserverSet};
 use crate::output::{Checkpoint, Snapshot};
 use crate::report::RunReport;
 
@@ -327,22 +330,6 @@ impl std::fmt::Debug for SimulationBuilder {
     }
 }
 
-/// The serial executor: the live solver state, stepped in place, and
-/// the machinery that steps it.
-struct SerialExec {
-    mesh: Mesh,
-    state: HydroState,
-    remapper: Option<Remapper>,
-    hooks: SerialHooks,
-    timers: TimerRegistry,
-    /// The trajectory's reference energy, pinned at the first run.
-    energy_start: Option<f64>,
-    /// Cumulative wall seconds across every `run` segment, so a
-    /// continued run's report stays consistent with its cumulative
-    /// steps/timers/energy.
-    wall_seconds: f64,
-}
-
 /// A distributed executor between runs. Every `run` spawns a rank team
 /// that builds its own per-rank pieces, so all that is kept here is
 /// what a team consumes and leaves — the restart state. A process
@@ -361,39 +348,39 @@ struct TeamExec {
 }
 
 enum Exec {
-    Serial(SerialExec),
+    /// The serial executor: one rank with nobody to talk to, kept alive
+    /// between runs and stepped in place — no thread, no Typhon team, no
+    /// partition.
+    Serial(Rank<SerialHooks>),
     Team(TeamExec),
 }
 
-/// Execution state: the loop cursor the next `run` continues from —
-/// under every executor — and what the executor keeps between runs.
+/// Execution state: the loop cursor the next `run` continues from, what
+/// the executor keeps between runs, and — under every executor alike —
+/// the account of the trajectory since the engine was built.
 struct Engine {
     cursor: LoopState,
     exec: Exec,
+    /// The trajectory's reference energy, pinned by the first run: what
+    /// every report starts from and the sentinel measures drift against.
+    energy_start: Option<f64>,
+    /// Wall seconds, timers and comm counters summed over every `run`.
+    wall_seconds: f64,
+    timers: TimerReport,
+    comm: CommStats,
 }
 
-/// The deck's global `(mesh, state)` pair, at `snap` when there is one:
-/// [`Snapshot::install`] over the global mesh. Shapes and geometry are
-/// [`Engine::new`]'s to check.
-fn global_pair(
+/// The whole-mesh rank of `deck`, at `snap` when there is one: the
+/// serial executor, and the global view of a distributed one.
+fn whole_rank(
     deck: &Deck,
     config: &RunConfig,
     snap: Option<&Snapshot>,
-) -> Result<(Mesh, HydroState, LoopState)> {
-    let mut mesh = deck.mesh.clone();
-    let mut state = deck.initial_state(&mesh)?;
-    let cursor = match snap {
-        Some(snap) => snap.install(
-            &mut mesh,
-            &mut state,
-            &deck.materials,
-            config.lag.threading,
-            |e| e,
-            |n| n,
-        )?,
-        None => LoopState::default(),
+) -> Result<Rank<SerialHooks>> {
+    let hooks = SerialHooks {
+        piston: LocalPiston::of(deck, None),
     };
-    Ok((mesh, state, cursor))
+    Rank::new(deck, config, Piece::whole(&deck.mesh), hooks, snap)
 }
 
 impl Engine {
@@ -419,41 +406,27 @@ impl Engine {
                 .into());
             }
         }
-        if !matches!(config.executor, ExecutorKind::Serial) {
-            // Everything building the global pair would have refused,
-            // without building it.
+        let exec = if matches!(config.executor, ExecutorKind::Serial) {
+            Exec::Serial(whole_rank(deck, config, resume)?)
+        } else {
+            // Everything building the whole-mesh rank would have
+            // refused, without building it.
             deck.check_initial_state()?;
             if let Some(snap) = resume {
                 snap.check_geometry(mesh)?;
             }
-            return Ok(Engine {
-                cursor: resume.map(Snapshot::cursor).unwrap_or_default(),
-                exec: Exec::Team(TeamExec {
-                    snap: resume.cloned(),
-                    view: OnceLock::new(),
-                }),
-            });
-        }
-        // Built before any restart state overwrites the node positions:
-        // the deck-initial ones are the Eulerian remap target.
-        let remapper = config.ale.map(|opts| Remapper::new(mesh, opts));
-        let (mesh, state, cursor) = global_pair(deck, config, resume)?;
+            Exec::Team(TeamExec {
+                snap: resume.cloned(),
+                view: OnceLock::new(),
+            })
+        };
         Ok(Engine {
-            cursor,
-            exec: Exec::Serial(SerialExec {
-                mesh,
-                state,
-                remapper,
-                hooks: SerialHooks {
-                    piston: deck.piston.as_ref().map(|p| LocalPiston {
-                        nodes: p.nodes.clone(),
-                        velocity: p.velocity,
-                    }),
-                },
-                timers: TimerRegistry::new(),
-                energy_start: None,
-                wall_seconds: 0.0,
-            }),
+            cursor: resume.map(Snapshot::cursor).unwrap_or_default(),
+            exec,
+            energy_start: None,
+            wall_seconds: 0.0,
+            timers: TimerReport::zero(),
+            comm: CommStats::default(),
         })
     }
 
@@ -461,12 +434,12 @@ impl Engine {
     /// distributed engine's view — built now if nobody asked before.
     fn global(&self, deck: &Deck, config: &RunConfig) -> (&Mesh, &HydroState) {
         match &self.exec {
-            Exec::Serial(exec) => (&exec.mesh, &exec.state),
+            Exec::Serial(rank) => (&rank.mesh, &rank.state),
             Exec::Team(team) => {
                 let (mesh, state) = team.view.get_or_init(|| {
-                    let (mesh, state, _) = global_pair(deck, config, team.snap.as_ref())
+                    let rank = whole_rank(deck, config, team.snap.as_ref())
                         .expect("Engine::new admitted the deck and every installed snapshot");
-                    (mesh, state)
+                    (rank.mesh, rank.state)
                 });
                 (mesh, state)
             }
@@ -486,7 +459,9 @@ impl Engine {
         Snapshot::capture(mesh, state, c.t, c.steps as u64, c.dt_prev)
     }
 
-    /// Continue from the cursor to `config`'s final time or step cap.
+    /// Continue from the cursor to `config`'s final time or step cap,
+    /// and add the segment to the account: the report spans the whole
+    /// trajectory since the engine was built, whichever executor ran.
     fn run(
         &mut self,
         deck: &Deck,
@@ -494,75 +469,34 @@ impl Engine {
         observers: &ObserverSet,
         typhon: &TyphonOptions,
     ) -> Result<RunReport> {
-        let exec = match &mut self.exec {
-            Exec::Serial(exec) => exec,
+        let segment = match &mut self.exec {
+            Exec::Serial(rank) => rank.run(deck, config, observers, self.energy_start)?,
             Exec::Team(team) => {
                 // The view shows the state this team is about to move
                 // on from, and the ranks need its memory more.
                 team.view.take();
-                let (report, snap) =
-                    run_with_observers(deck, config, observers, team.snap.as_ref(), typhon)?;
-                self.cursor = snap.cursor();
+                let resume = team.snap.as_ref();
+                let (segment, snap) =
+                    run_team(deck, config, observers, resume, typhon, self.energy_start)?;
                 team.snap = Some(snap);
-                return Ok(report);
+                segment
             }
         };
-        let (mesh, state) = (&mut exec.mesh, &mut exec.state);
-        let range = LocalRange::whole(mesh);
-        let whole_energy =
-            |mesh: &Mesh, state: &HydroState| state.total_energy(mesh, LocalRange::whole(mesh));
-        let energy_start = *exec
-            .energy_start
-            .get_or_insert_with(|| whole_energy(mesh, state));
-        let identity = |v: f64| -> Result<f64> { Ok(v) };
-        let no_comm = CommStats::default;
-        let watch = LoopWatch {
-            observers,
-            rank: 0,
-            n_ranks: 1,
-            reduce_sum: &identity,
-            comm_stats: &no_comm,
-            local_energy: &whole_energy,
-        };
-        let sentinel = SentinelOps {
-            rank: 0,
-            reduce_min: &identity,
-            reduce_sum: &identity,
-            local_energy: &whole_energy,
-            energy_ref: energy_start,
-        };
-        let start = std::time::Instant::now();
-        let result = run_loop(
-            mesh,
-            &deck.materials,
-            state,
-            range,
-            config,
-            exec.remapper.as_ref(),
-            &mut exec.hooks,
-            |_step, dt| Ok(dt),
-            &exec.timers,
-            &mut self.cursor,
-            &OverlapSets::default(),
-            Some(&watch),
-            Some(&sentinel),
-        );
-        exec.wall_seconds += start.elapsed().as_secs_f64();
-        result?;
-        // Every quantity spans the whole trajectory so far — steps,
-        // timers, energy (pinned at the first run) and the cumulative
-        // wall clock — so continued runs report consistently.
+        self.cursor = segment.cursor;
+        self.wall_seconds += segment.wall_seconds;
+        self.timers = self.timers.add(&segment.timers);
+        self.comm = self.comm.merged(&segment.comm);
         Ok(RunReport {
             name: deck.name.to_string(),
             executor: config.executor,
-            ranks: 1,
+            ranks: segment.ranks,
             steps: self.cursor.steps,
             time: self.cursor.t,
-            wall_seconds: exec.wall_seconds,
-            timers: exec.timers.report(),
-            comm: CommStats::default(),
-            energy_start,
-            energy_end: whole_energy(mesh, state),
+            wall_seconds: self.wall_seconds,
+            timers: self.timers.clone(),
+            comm: self.comm.clone(),
+            energy_start: *self.energy_start.get_or_insert(segment.energy_start),
+            energy_end: segment.energy_end,
             recovery: crate::resilience::RecoveryLog::default(),
         })
     }
@@ -631,10 +565,10 @@ impl Simulation {
     /// that has never run starts from the deck's initial state; one
     /// built by [`SimulationBuilder::resume`] from the checkpoint's.
     ///
-    /// The report's `steps` and `time` span the whole trajectory.
-    /// Serial timers, wall clock and start energy accumulate across
-    /// calls; a distributed call spawns a fresh rank team, so its
-    /// timers, comm stats, wall clock and start energy cover that call.
+    /// Every quantity of the report — steps, time, timers, comm
+    /// counters, wall clock, start energy — spans the whole trajectory
+    /// since this simulation was built (or last rewound), under every
+    /// executor: a `run_segment` loop's last report is one `run`'s.
     pub fn run(&mut self) -> Result<RunReport> {
         self.engine
             .run(&self.deck, &self.config, &self.observers, &self.typhon)
@@ -779,11 +713,11 @@ impl Simulation {
     pub fn solution(&self) -> SolutionFields<'_> {
         let deck = &self.deck;
         let (rho, ein, u, nodes) = match &self.engine.exec {
-            Exec::Serial(live) => (
-                &live.state.rho,
-                &live.state.ein,
-                &live.state.u,
-                &live.mesh.nodes,
+            Exec::Serial(rank) => (
+                &rank.state.rho,
+                &rank.state.ein,
+                &rank.state.u,
+                &rank.mesh.nodes,
             ),
             Exec::Team(TeamExec { snap: Some(s), .. }) => (&s.rho, &s.ein, &s.u, &s.nodes),
             Exec::Team(_) => (&deck.rho, &deck.ein, &deck.u, &deck.mesh.nodes),
@@ -1035,6 +969,34 @@ mod tests {
         sim.run().unwrap();
         assert!(!view_built(&sim), "a stale view outlived the next team");
         assert_ne!(sim.state().rho, ckpt.snap.rho);
+    }
+
+    /// A serial simulation is one rank with nobody to talk to: the
+    /// whole-mesh rank behind `Exec::Serial`, stepped on the calling
+    /// thread (every observer hook fires there, as a team of one), with
+    /// no Typhon team behind it — not one message, not one collective.
+    #[test]
+    fn a_serial_simulation_is_one_rank_on_the_calling_thread() {
+        #[derive(Default)]
+        struct Where(Vec<(std::thread::ThreadId, usize)>);
+        impl Observer for Where {
+            fn step_end(&mut self, view: &crate::StepView<'_>) {
+                self.0.push((std::thread::current().id(), view.n_ranks));
+            }
+        }
+        let seen = Shared::new(Where::default());
+        let mut sim = Simulation::builder()
+            .deck(decks::noh(8))
+            .max_steps(3)
+            .observer(seen.clone())
+            .build()
+            .unwrap();
+        let report = sim.run().unwrap();
+        assert!(matches!(sim.engine.exec, Exec::Serial(_)));
+        assert_eq!(seen.with(|w| w.0.len()), 3);
+        let here = std::thread::current().id();
+        assert!(seen.with(|w| w.0.iter().all(|&at| at == (here, 1))));
+        assert_eq!((report.ranks, &report.comm), (1, &CommStats::default()));
     }
 
     /// Looking at the state between two segments is an observation: the

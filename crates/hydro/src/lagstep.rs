@@ -78,7 +78,7 @@ impl Phase {
 /// remap:             sweep(Only(pre)); post; sweep(Except(pre)); complete
 /// ```
 ///
-/// with the id lists of `bookleaf_mesh::OverlapSets`. Between a phase's
+/// with the id lists of [`boundary`](HaloOps::boundary). Between a phase's
 /// `post` and its `complete` only entities that read no halo-received
 /// value of the phase are swept (the interior), the rest (the boundary,
 /// from its list, at the cost of the list) after the unpack — so the
@@ -87,9 +87,11 @@ impl Phase {
 /// and does nothing in the other — inside `post` for a Lagrangian phase
 /// (every send value is final by then), inside `complete` for
 /// `PostRemap` (posted mid-remap, when only the pre-post entities are
-/// final) — and pairs with empty lists: the first sweep is then the
-/// whole range and the second a no-op. Serial runs, ranks without
-/// neighbours and `overlap = false` all run exactly that.
+/// final) — and answers `boundary` with empty lists: the first sweep is
+/// then the whole range and the second a no-op. Serial runs, ranks
+/// without neighbours and `overlap = false` all run exactly that. The
+/// lists come from the implementation that exchanges, so a schedule can
+/// never run against another halo's lists.
 ///
 /// **Aggregation contract:** a phase moves every field it needs as a
 /// **single packed message per neighbouring rank** (see
@@ -119,6 +121,12 @@ pub trait HaloOps {
     fn post_acceleration(&mut self, _mesh: &Mesh, _state: &mut HydroState) -> Result<()> {
         Ok(())
     }
+    /// The entities a sweep between a phase's `post` and its `complete`
+    /// must leave for after the `complete`: none, unless the
+    /// implementation overlaps its exchanges with computation.
+    fn boundary(&self) -> &OverlapSets {
+        OverlapSets::NONE
+    }
 }
 
 /// No-op hooks for serial (single-rank) runs.
@@ -139,8 +147,8 @@ pub struct LagOptions {
     pub hourglass: HourglassControl,
 }
 
-/// Advance `state` by one Lagrangian step of size `dt`, with nothing
-/// classified as boundary (see [`lagstep_timed`]).
+/// Advance `state` by one Lagrangian step of size `dt` (see
+/// [`lagstep_timed`]), keeping no timings.
 pub fn lagstep<H: HaloOps>(
     mesh: &mut Mesh,
     materials: &MaterialTable,
@@ -159,7 +167,6 @@ pub fn lagstep<H: HaloOps>(
         opts,
         halo,
         &TimerRegistry::new(),
-        &OverlapSets::default(),
     )
 }
 
@@ -167,10 +174,10 @@ pub fn lagstep<H: HaloOps>(
 /// time into `timers` (the buckets of the paper's Table II).
 ///
 /// Each exchange phase runs the [`HaloOps`] schedule around the kernel
-/// it feeds, with `sets` naming the boundary entities: the phase is
-/// *posted*, the other entities are swept (while the messages are in
-/// flight, if `halo` overlaps), the phase is *completed*, and the
-/// listed boundary entities are swept last.
+/// it feeds, with `halo.boundary()` naming the boundary entities: the
+/// phase is *posted*, the other entities are swept (while the messages
+/// are in flight, if `halo` overlaps), the phase is *completed*, and
+/// the listed boundary entities are swept last.
 #[allow(clippy::too_many_arguments)]
 pub fn lagstep_timed<H: HaloOps>(
     mesh: &mut Mesh,
@@ -181,7 +188,6 @@ pub fn lagstep_timed<H: HaloOps>(
     opts: &LagOptions,
     halo: &mut H,
     timers: &TimerRegistry,
-    sets: &OverlapSets,
 ) -> Result<()> {
     // Start-of-step node positions and internal energy: the corrector
     // advances both from t^n (the predictor's half-step values only feed
@@ -202,7 +208,7 @@ pub fn lagstep_timed<H: HaloOps>(
     ein0.clear();
     ein0.extend_from_slice(&state.ein[..range.n_owned_el]);
     let result = step(
-        mesh, materials, state, range, dt, opts, halo, timers, sets, &x0, &ein0,
+        mesh, materials, state, range, dt, opts, halo, timers, &x0, &ein0,
     );
     SCRATCH.with(|scratch| {
         let scratch = &mut *scratch.borrow_mut();
@@ -224,7 +230,6 @@ fn step<H: HaloOps>(
     opts: &LagOptions,
     halo: &mut H,
     timers: &TimerRegistry,
-    sets: &OverlapSets,
     x0: &[Vec2],
     ein0: &[f64],
 ) -> Result<()> {
@@ -238,17 +243,18 @@ fn step<H: HaloOps>(
         hourglass: opts.hourglass,
         dt,
     };
-    let (boundary, cells) = (&sets.el_boundary_ids, &sets.boundary_cells);
     let q_and_force = |mesh: &mut Mesh, state: &mut HydroState, halo: &mut H| -> Result<()> {
         let phase = Phase::PreViscosity;
         timers.time(KernelId::Comms, || halo.post(phase, mesh, state))?;
         timers.time(KernelId::ViscForce, || {
-            let interior = Pass::Except(boundary);
+            let interior = Pass::Except(&halo.boundary().el_boundary_ids);
             viscforce(mesh, state, range, visc, th, interior, Pass::All);
         });
         timers.time(KernelId::Comms, || halo.complete(phase, mesh, state))?;
         timers.time(KernelId::ViscForce, || {
-            let (boundary, cells) = (Pass::Only(boundary), Pass::Only(cells));
+            let sets = halo.boundary();
+            let boundary = Pass::Only(&sets.el_boundary_ids);
+            let cells = Pass::Only(&sets.boundary_cells);
             viscforce(mesh, state, range, visc, th, boundary, cells);
         });
         Ok(())
@@ -283,21 +289,15 @@ fn step<H: HaloOps>(
     // ghost corners travel, the boundary nodes once they have arrived.
     // The piston runs after both sweeps.
     let phase = Phase::PreAcceleration;
-    let boundary = &sets.nd_boundary_ids;
     timers.time(KernelId::Comms, || halo.post(phase, mesh, state))?;
     timers.time(KernelId::GetAcc, || {
-        getacc_pass(
-            mesh,
-            state,
-            range,
-            dt,
-            opts.acc_mode,
-            Pass::Except(boundary),
-        );
+        let interior = Pass::Except(&halo.boundary().nd_boundary_ids);
+        getacc_pass(mesh, state, range, dt, opts.acc_mode, interior);
     });
     timers.time(KernelId::Comms, || halo.complete(phase, mesh, state))?;
     timers.time(KernelId::GetAcc, || {
-        getacc_pass(mesh, state, range, dt, opts.acc_mode, Pass::Only(boundary));
+        let boundary = Pass::Only(&halo.boundary().nd_boundary_ids);
+        getacc_pass(mesh, state, range, dt, opts.acc_mode, boundary);
         halo.post_acceleration(mesh, state)
     })?;
     // Re-move nodes from the start-of-step positions by dt·ubar.

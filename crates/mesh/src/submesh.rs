@@ -198,7 +198,7 @@ fn true_positions(mask: &[bool]) -> Vec<u32> {
 /// by [`SubMesh::overlap_sets`]: each boundary set as a strictly
 /// ascending id list. A boundary sweep visits the list and nothing else;
 /// the interior sweep is the full range minus the list.
-/// `OverlapSets::default()` — every list empty — says "nothing is
+/// [`OverlapSets::NONE`] — every list empty — says "nothing is
 /// boundary": what a serial run, a rank without neighbours and a
 /// blocking exchange use.
 ///
@@ -221,7 +221,7 @@ fn true_positions(mask: &[bool]) -> Vec<u32> {
 ///   element *outside* `remap_pre_el_ids` is adjacent to a node in
 ///   `remap_pre_nd_ids`, so the deferred element sweep never reads a
 ///   velocity the early node sweep rewrote.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OverlapSets {
     /// Owned elements whose viscosity-phase stencil reaches a
     /// halo-received entity.
@@ -240,6 +240,15 @@ pub struct OverlapSets {
 }
 
 impl OverlapSets {
+    /// Nothing is boundary: every list empty.
+    pub const NONE: &'static OverlapSets = &OverlapSets {
+        el_boundary_ids: Vec::new(),
+        boundary_cells: Vec::new(),
+        nd_boundary_ids: Vec::new(),
+        remap_pre_el_ids: Vec::new(),
+        remap_pre_nd_ids: Vec::new(),
+    };
+
     /// Number of interior (overlappable) elements among `n_owned_el`.
     #[must_use]
     pub fn n_interior_el(&self, n_owned_el: usize) -> usize {

@@ -6,8 +6,8 @@
 use bookleaf::core::decks;
 use bookleaf::util::approx_eq;
 use bookleaf::{
-    ConservationTracer, Deck, ExecutorKind, Observer, RunReport, Shared, Simulation, StepPhase,
-    StepView,
+    ConservationTracer, Deck, ExecutorKind, Observer, RunConfig, RunReport, Shared, Simulation,
+    StepPhase, StepView,
 };
 
 /// Counts every hook invocation (all ranks), recording where it fired.
@@ -330,4 +330,102 @@ fn text_deck_runs_distributed_from_its_own_executor_section() {
     counter.with(|c| {
         assert_eq!(c.step_end, 2 * report.steps);
     });
+}
+
+const EXECUTORS: [ExecutorKind; 3] = [
+    ExecutorKind::Serial,
+    ExecutorKind::FlatMpi { ranks: 2 },
+    ExecutorKind::Hybrid {
+        ranks: 2,
+        threads_per_rank: 2,
+    },
+];
+
+#[test]
+fn a_segment_loop_reports_like_one_run_under_every_executor() {
+    // The report is accumulated above the executors, so a continued
+    // run's spans the whole trajectory whichever of them ran the
+    // segments: steps, per-kernel timer calls, comm counters and the
+    // energy pinned at the first segment are those of one `run()`.
+    use bookleaf::util::KernelId;
+    for executor in EXECUTORS {
+        let build = || {
+            Simulation::builder()
+                .deck(decks::noh(12))
+                .final_time(1.0)
+                .max_steps(9)
+                .executor(executor)
+                .build()
+                .unwrap()
+        };
+        let whole = build().run().expect("uninterrupted run");
+        let mut sim = build();
+        let mut wall = 0.0;
+        let last = loop {
+            // 4 + 4 + 1 steps: the last segment is a short one.
+            let report = sim.run_segment(4).expect("segment");
+            assert!(report.wall_seconds >= wall, "{executor:?}: wall went back");
+            wall = report.wall_seconds;
+            if sim.complete() {
+                break report;
+            }
+        };
+        assert_eq!(last.steps, whole.steps, "{executor:?}");
+        assert_eq!(last.time.to_bits(), whole.time.to_bits(), "{executor:?}");
+        for kernel in KernelId::ALL {
+            let (a, b) = (last.timers.calls(kernel), whole.timers.calls(kernel));
+            assert_eq!(a, b, "{executor:?}: {kernel:?} calls");
+        }
+        let counters = |r: &RunReport| {
+            let c = &r.comm;
+            (c.messages_sent, c.doubles_sent, c.collectives)
+        };
+        assert_eq!(counters(&last), counters(&whole), "{executor:?}");
+        let energies = |r: &RunReport| (r.energy_start.to_bits(), r.energy_end.to_bits());
+        assert_eq!(energies(&last), energies(&whole), "{executor:?}");
+    }
+}
+
+#[test]
+fn the_sentinels_drift_reference_is_the_trajectorys_under_every_executor() {
+    // The piston does work on the gas every step, so the energy drifts
+    // steadily from the trajectory's start. A tolerance the first six
+    // steps just stay within aborts the uninterrupted run soon after —
+    // and a run continued in three-step segments at the same step with
+    // the same diagnosis, because its reference is the trajectory's
+    // start, not the start of whichever segment is running.
+    use bookleaf::core::SentinelConfig;
+    for executor in EXECUTORS {
+        let build = |drift_tol: Option<f64>| {
+            let config = RunConfig {
+                final_time: 1.0,
+                max_steps: 14,
+                executor,
+                sentinel: SentinelConfig {
+                    drift_tol,
+                    ..SentinelConfig::default()
+                },
+                ..RunConfig::default()
+            };
+            Simulation::builder()
+                .deck(decks::saltzmann(16, 4))
+                .config(config)
+                .build()
+                .unwrap()
+        };
+        let tol = build(None).run_segment(6).unwrap().energy_drift();
+        assert!(tol > 0.0, "{executor:?}: the piston did no work");
+        let whole = build(Some(tol))
+            .run()
+            .expect_err("drifted past the tolerance");
+        assert!(whole.to_string().contains("drift"), "{executor:?}: {whole}");
+        let mut sim = build(Some(tol));
+        let paused = loop {
+            match sim.run_segment(3) {
+                Ok(_) => assert!(!sim.complete(), "{executor:?}: never tripped"),
+                Err(err) => break err,
+            }
+        };
+        assert_eq!(paused.to_string(), whole.to_string(), "{executor:?}");
+    }
 }

@@ -15,7 +15,7 @@ use std::cell::Cell;
 use bookleaf::ale::{AleMode, AleOptions, Remapper};
 use bookleaf::eos::{EosSpec, MaterialTable};
 use bookleaf::hydro::{
-    lagstep_timed, AccMode, HaloOps, HydroState, LagOptions, LocalRange, NoComm, Phase, Threading,
+    lagstep_timed, AccMode, HaloOps, HydroState, LagOptions, LocalRange, Phase, Threading,
 };
 use bookleaf::mesh::{generate_rect, Mesh, OverlapSets, RectSpec};
 use bookleaf::util::{Result, TimerRegistry, Vec2};
@@ -68,9 +68,11 @@ fn some_boundary(mesh: &Mesh, n: usize) -> OverlapSets {
     }
 }
 
-/// Hooks that count their calls and move nothing.
+/// Hooks that count their calls, move nothing, and name `boundary` as
+/// the lists of their schedule.
 #[derive(Default)]
 struct CountingHooks {
+    boundary: OverlapSets,
     posts: [u32; 3],
     completes: [u32; 3],
 }
@@ -84,6 +86,9 @@ impl HaloOps for CountingHooks {
         self.completes[phase as usize] += 1;
         Ok(())
     }
+    fn boundary(&self) -> &OverlapSets {
+        &self.boundary
+    }
 }
 
 #[test]
@@ -92,11 +97,15 @@ fn a_warm_serial_step_performs_no_heap_allocation() {
     let mesh0 = generate_rect(&RectSpec::unit_square(n), |_| 0).unwrap();
     let mat = MaterialTable::single(EosSpec::ideal_gas(1.4));
     let range = LocalRange::whole(&mesh0);
-    let (nothing, split) = (OverlapSets::default(), some_boundary(&mesh0, n));
     let timers = TimerRegistry::new();
 
     for acc_mode in [AccMode::GatherSerial, AccMode::ScatterSerial] {
-        for sets in [&nothing, &split] {
+        for boundary in [OverlapSets::default(), some_boundary(&mesh0, n)] {
+            let split = !boundary.el_boundary_ids.is_empty();
+            let mut hooks = CountingHooks {
+                boundary,
+                ..CountingHooks::default()
+            };
             let mut mesh = mesh0.clone();
             let nodes = mesh.nodes.clone();
             // A converging flow: viscosity, forces and motion all live.
@@ -114,15 +123,7 @@ fn a_warm_serial_step_performs_no_heap_allocation() {
             };
             let mut step = || {
                 lagstep_timed(
-                    &mut mesh,
-                    &mat,
-                    &mut state,
-                    range,
-                    1e-3,
-                    &opts,
-                    &mut NoComm,
-                    &timers,
-                    sets,
+                    &mut mesh, &mat, &mut state, range, 1e-3, &opts, &mut hooks, &timers,
                 )
                 .unwrap();
             };
@@ -132,7 +133,6 @@ fn a_warm_serial_step_performs_no_heap_allocation() {
             step();
             step();
             let made = ALLOCATIONS.with(Cell::get) - before;
-            let split = !sets.el_boundary_ids.is_empty();
             assert_eq!(
                 made, 0,
                 "{acc_mode:?}, split: {split}: {made} allocations in two warm steps"
@@ -158,7 +158,8 @@ fn a_warm_serial_eulerian_remap_performs_no_heap_allocation() {
     let opts = LagOptions::default();
     let timers = TimerRegistry::new();
     // One sweep, and split around the counted post of an exchange.
-    for sets in [OverlapSets::default(), some_boundary(&mesh0, n)] {
+    for boundary in [OverlapSets::default(), some_boundary(&mesh0, n)] {
+        let split = !boundary.remap_pre_el_ids.is_empty();
         let mut mesh = mesh0.clone();
         // A converging flow over a density pattern: every step moves
         // the mesh off the reference, every remap carries flux back.
@@ -170,20 +171,22 @@ fn a_warm_serial_eulerian_remap_performs_no_heap_allocation() {
             |i| (Vec2::new(0.5, 0.5) - nodes[i]) * 0.1,
         )
         .unwrap();
-        let mut hooks = CountingHooks::default();
+        let mut hooks = CountingHooks {
+            boundary,
+            ..CountingHooks::default()
+        };
         // The first round is the warm-up that sizes the shared scratch.
         for warm in [false, true, true] {
             lagstep_timed(
-                &mut mesh, &mat, &mut state, range, 1e-3, &opts, &mut hooks, &timers, &sets,
+                &mut mesh, &mat, &mut state, range, 1e-3, &opts, &mut hooks, &timers,
             )
             .unwrap();
             let before = ALLOCATIONS.with(Cell::get);
             let th = Threading::Serial;
             remapper
-                .step_with(&mut mesh, &mut state, range, th, &sets, &mut hooks)
+                .step_with(&mut mesh, &mut state, range, th, &mut hooks)
                 .unwrap();
             let made = ALLOCATIONS.with(Cell::get) - before;
-            let split = !sets.remap_pre_el_ids.is_empty();
             assert!(
                 !warm || made == 0,
                 "split: {split}: {made} allocations in a warm remap"
