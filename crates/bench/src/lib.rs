@@ -1,7 +1,6 @@
 //! # bookleaf-bench
 //!
-//! The benchmark harness that regenerates every table and figure of the
-//! BookLeaf paper (see DESIGN.md §4 for the experiment index):
+//! Regenerates every table and figure of the BookLeaf paper:
 //!
 //! | binary | artefact |
 //! |--------|----------|
@@ -12,14 +11,20 @@
 //! | `fig3`   | Fig 3 — Sod strong scaling, 8–64 nodes |
 //! | `fig4`   | Fig 4a/4b — per-kernel strong scaling |
 //! | `ablation_dope` | §IV-D dope-vector optimisation |
+//! | `ablation_hourglass` | §III-A hourglass filter / sub-zonal pressures, Saltzmann piston |
 //! | `ablation_scatter` | §IV-B acceleration scatter vs gather rewrite |
 //!
 //! Each binary prints (a) the *modeled* paper-platform numbers produced
 //! by `bookleaf-device` (our substitution for the Cray XC50 / GPU
-//! testbeds — see DESIGN.md §3) next to the paper's published values,
-//! and, where meaningful, (b) *measured* wall-clock numbers from real
-//! runs on the host machine. Criterion micro-benches for the kernels
-//! live under `benches/`.
+//! testbeds) next to the paper's published values, and, where
+//! meaningful, (b) *measured* wall-clock numbers from real runs on the
+//! host machine.
+//!
+//! One more binary, `kernels`, is the interleaved A/B of the production
+//! kernels against the kept reference shapes (`BENCH_kernels.json`).
+//! Every other timing of this code is the harness's — `benchmark/`, the
+//! measurement of record; its README's layer table says which metric
+//! covers which crate.
 
 use bookleaf_core::{decks, Deck, ExecutorKind, Simulation};
 use bookleaf_device::WorkloadCount;

@@ -11,11 +11,9 @@
 //! `Simulation::builder().deck_str(..)` / `.deck_file(..)` accept the
 //! text directly — new scenarios are data, not code.
 //!
-//! The spec types carry serde derives so the format can swap to a real
-//! serde backend when the workspace vendors one; the shims' derives are
-//! no-ops (see `shims/README.md`), so the codec below is hand-rolled —
-//! around one table of the grammar, which the parser, the validator
-//! and the table in these docs all read.
+//! The codec below is hand-rolled around one table of the grammar,
+//! which the parser, the validator and the table in these docs all
+//! read.
 //!
 //! # Named decks
 //!
@@ -165,8 +163,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use bookleaf_ale::{AleMode, AleOptions};
 use bookleaf_eos::EosSpec;
 use bookleaf_hydro::getdt::DtControls;
@@ -185,7 +181,7 @@ pub const MAX_MESH_DIM: usize = 8192;
 
 /// Which scenario a text deck sets up: one of the five standard
 /// problems at a resolution, or a fully generic description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ProblemSpec {
     /// Sod's shock tube, `nx × ny` elements.
     Sod {
@@ -273,7 +269,7 @@ impl ProblemSpec {
 /// Converts to the runtime pair with [`InputDeck::build_deck`] (the
 /// [`Deck`]) and [`InputDeck::run_config`] (the [`RunConfig`], with
 /// `final_time` defaulting to the problem's standard end time).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InputDeck {
     /// Problem and resolution.
     pub problem: ProblemSpec,

@@ -44,8 +44,6 @@
 //! five standard problems re-expressed in it are available through
 //! [`generic_equivalent`].
 
-use serde::{Deserialize, Serialize};
-
 use bookleaf_eos::{EosSpec, MaterialTable};
 use bookleaf_mesh::{generate_rect, saltzmann_distort, RectSpec};
 use bookleaf_util::{DeckError, Vec2};
@@ -56,7 +54,7 @@ use crate::input::ProblemSpec;
 /// The mesh section of a generic deck: a rectangular domain
 /// `[x0, x1] × [y0, y1]` meshed `nx × ny`, with an optional canonical
 /// distortion.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MeshSpec {
     /// Elements in x.
     pub nx: usize,
@@ -100,7 +98,7 @@ impl MeshSpec {
 }
 
 /// Mesh distortions a deck can request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SkewKind {
     /// The canonical Saltzmann piston distortion
     /// ([`bookleaf_mesh::saltzmann_distort`]).
@@ -109,7 +107,7 @@ pub enum SkewKind {
 
 /// A named material: a handle regions refer to, mapped onto the
 /// [`EosSpec`] menu (ideal gas, Tait, JWL).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NamedMaterial {
     /// The handle `[region.*]` sections reference.
     pub name: String,
@@ -118,7 +116,7 @@ pub struct NamedMaterial {
 }
 
 /// A spatial predicate selecting part of the domain.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Shape {
     /// Axis-aligned rectangle; contains `p` iff
     /// `x0 ≤ p.x ≤ x1 && y0 ≤ p.y ≤ y1`.
@@ -170,7 +168,7 @@ impl Shape {
 }
 
 /// How a region's specific internal energy is given.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EnergyInit {
     /// Directly, as specific internal energy.
     Ein(f64),
@@ -181,7 +179,7 @@ pub enum EnergyInit {
 }
 
 /// A region's initial velocity field.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum VelocityInit {
     /// Uniform velocity.
     Constant(Vec2),
@@ -195,7 +193,7 @@ pub enum VelocityInit {
 
 /// One `[region.<name>]` section: a spatial predicate plus the initial
 /// fields and material inside it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegionSpec {
     /// Region name (for error messages and the text form).
     pub name: String,
@@ -212,7 +210,7 @@ pub struct RegionSpec {
 }
 
 /// Boundary condition on one side of the domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SideBc {
     /// Reflective wall: the wall-normal velocity component is pinned
     /// to zero (the default on every side).
@@ -226,7 +224,7 @@ pub enum SideBc {
 
 /// The `[boundary]` section: one condition per side, plus the piston
 /// velocity when a side is driven. At most one side may be a piston.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundarySpec {
     /// Condition on `x = x0`.
     pub left: SideBc,
@@ -270,7 +268,7 @@ impl BoundarySpec {
 /// conditions as data. The typed form of a `[mesh]`-style text deck
 /// (see [`crate::input`] for the grammar) and the substrate the five
 /// named constructors in [`crate::decks`] are built on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GenericSpec {
     /// Scenario name (reports, error messages); defaults to
     /// `"generic"` in the text form.

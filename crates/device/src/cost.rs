@@ -106,8 +106,7 @@ impl KernelCost {
             // unchanged. Flops are the exact sum of the chain; bytes
             // drop to one traversal of the shared element arrays
             // (corners, mass, rho, ein read once instead of once per
-            // kernel) — the raw audit in [`RawCost`] carries the
-            // per-array breakdown.
+            // kernel).
             KernelId::EosFused => KernelCost {
                 flops: 106.0,
                 bytes: 74.0,
@@ -166,76 +165,6 @@ impl KernelCost {
             KernelId::ViscForce => 15,
             KernelId::Ale => 9,
             KernelId::Comms | KernelId::Other => 0,
-        }
-    }
-}
-
-/// Raw audited work counts for the EOS-chain kernels and their fused
-/// sweep: exactly one flop per `add`/`sub`/`mul`/`div`/`sqrt` executed
-/// per element (comparisons, `abs`, `min`/`max` are free), and 8 bytes
-/// per *distinct* double the element touches (a value read and written
-/// in place counts once; no cache model, no gather amplification).
-///
-/// These are the counts a traced instrumented run of each kernel
-/// reproduces (see the `kernel_cost_audit` test in `bookleaf-bench`,
-/// which mirrors each kernel's per-element arithmetic with a counting
-/// scalar type, checks the mirror against the real kernel bitwise, and
-/// compares its tallies to this table). They deliberately differ from
-/// [`KernelCost::of`], whose *effective* counts are calibrated so the
-/// platform models reproduce the paper's Table II proportions.
-///
-/// The EOS-evaluation flop count is for the ideal-gas form (the form
-/// every standard deck uses); other EOS forms execute more arithmetic
-/// in `getpc` but move the same bytes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RawCost {
-    /// Double-precision flops per element per invocation.
-    pub flops: f64,
-    /// Bytes per element per invocation (8 × distinct doubles touched).
-    pub bytes: f64,
-}
-
-impl RawCost {
-    /// The audit table. `None` for kernels outside the EOS chain.
-    #[must_use]
-    pub fn of(kernel: KernelId) -> Option<RawCost> {
-        match kernel {
-            // quad_area 16 + corner_volumes 104 + char_length 38 flops
-            // (one sqrt of the longest squared edge, not four);
-            // touches 8 corner coordinates, writes volume + 4 corner
-            // volumes + length: 14 doubles.
-            KernelId::GetGeom => Some(RawCost {
-                flops: 158.0,
-                bytes: 112.0,
-            }),
-            // One divide; reads mass and volume, writes rho: 3 doubles.
-            KernelId::GetRho => Some(RawCost {
-                flops: 1.0,
-                bytes: 24.0,
-            }),
-            // 4 corners × (2 mul + 2 add) + mul + div + sub; reads the
-            // two 4-wide force rows, 4 nodal velocities (8 doubles) and
-            // mass, updates ein in place: 18 doubles.
-            KernelId::GetEin => Some(RawCost {
-                flops: 19.0,
-                bytes: 144.0,
-            }),
-            // Ideal gas: p = (γ−1)ρε (3), ∂p/∂ρ (2), ∂p/∂ε (2), cs²
-            // assembly (4); reads rho + ein, writes p + cs²: 4 doubles.
-            KernelId::GetPc => Some(RawCost {
-                flops: 11.0,
-                bytes: 32.0,
-            }),
-            // The fused sweep executes the chain's arithmetic verbatim
-            // (158 + 1 + 19 + 11) but touches the shared doubles once:
-            // the chain's 39 distinct doubles collapse to 35 (volume,
-            // mass, rho and ein are no longer re-read by the downstream
-            // kernels).
-            KernelId::EosFused => Some(RawCost {
-                flops: 189.0,
-                bytes: 280.0,
-            }),
-            _ => None,
         }
     }
 }
@@ -308,47 +237,6 @@ mod tests {
         let c = KernelCost::of(KernelId::Comms);
         assert_eq!(c.flops, 0.0);
         assert_eq!(c.bytes, 0.0);
-    }
-
-    const EOS_CHAIN: [KernelId; 4] = [
-        KernelId::GetGeom,
-        KernelId::GetRho,
-        KernelId::GetEin,
-        KernelId::GetPc,
-    ];
-
-    #[test]
-    fn fused_eos_executes_the_chain_arithmetic_verbatim() {
-        // Fusion never changes the arithmetic — that is the bitwise
-        // contract — so the raw flop count must be the exact chain sum.
-        let chain: f64 = EOS_CHAIN
-            .iter()
-            .map(|&k| RawCost::of(k).expect("chain kernel audited").flops)
-            .sum();
-        let fused = RawCost::of(KernelId::EosFused).expect("audited");
-        assert_eq!(fused.flops, chain);
-    }
-
-    #[test]
-    fn fused_eos_moves_fewer_bytes_than_the_chain() {
-        // The saving is exactly the shared doubles the chain re-reads:
-        // volume, mass, rho, ein — 4 doubles = 32 bytes per element.
-        let chain: f64 = EOS_CHAIN
-            .iter()
-            .map(|&k| RawCost::of(k).expect("chain kernel audited").bytes)
-            .sum();
-        let fused = RawCost::of(KernelId::EosFused).expect("audited");
-        assert!(fused.bytes < chain);
-        assert_eq!(chain - fused.bytes, 32.0);
-    }
-
-    #[test]
-    fn raw_audit_covers_exactly_the_eos_chain() {
-        for k in KernelId::ALL {
-            let audited = RawCost::of(k).is_some();
-            let in_chain = EOS_CHAIN.contains(&k) || k == KernelId::EosFused;
-            assert_eq!(audited, in_chain, "{k:?}");
-        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod gpu;
 pub mod platform;
 
 pub use cluster::ClusterModel;
-pub use cost::{KernelCost, RawCost, WorkloadCount};
+pub use cost::{KernelCost, WorkloadCount};
 pub use cpu::{CpuExecution, CpuModel};
 pub use gpu::{GpuExecution, GpuModel};
 pub use platform::{CpuPlatform, GpuPlatform, Interconnect};

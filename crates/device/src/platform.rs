@@ -1,9 +1,7 @@
 //! Platform descriptions — the machines of the paper's Table I.
 
-use serde::{Deserialize, Serialize};
-
 /// A dual-socket CPU node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuPlatform {
     /// Marketing name.
     pub name: &'static str,
@@ -62,7 +60,7 @@ impl CpuPlatform {
 }
 
 /// A PCIe-attached GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuPlatform {
     /// Marketing name.
     pub name: &'static str,
@@ -107,7 +105,7 @@ impl GpuPlatform {
 }
 
 /// The inter-node network (Cray Aries on the XC50).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interconnect {
     /// Per-message latency (µs).
     pub latency_us: f64,

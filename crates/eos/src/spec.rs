@@ -1,11 +1,9 @@
 //! The four EoS forms and their analytic derivatives.
 
-use serde::{Deserialize, Serialize};
-
 use crate::CS2_FLOOR;
 
 /// An equation of state `p = p(ρ, ε)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EosSpec {
     /// Ideal (gamma-law) gas: `p = (γ−1) ρ ε`.
     IdealGas {

@@ -82,7 +82,7 @@
 //! then `getforce`, and the only viscosity/force code a production step
 //! runs; the public `getq` and `getforce` sweep its per-element pieces.
 //! Pre-optimisation kernel shapes are preserved in [`mod@reference`]
-//! for the roofline bench and the equivalence suite.
+//! for the `kernels` A/B and the equivalence suite.
 //!
 //! ## Threading and splitting
 //!

@@ -6,42 +6,34 @@
 //! EOS chain can run fused (see
 //! [`fn@crate::eos_fused`]). This module keeps the *original* loop shapes —
 //! in-loop neighbour gathers, interleaved `Vec2` corner forces — as the
-//! measurement baseline for the kernel roofline bench and as the anchor
-//! of the bitwise-equivalence suite. They are algorithmically identical
-//! to the production kernels; only the memory-access structure differs.
+//! baseline of the `kernels` bin's interleaved A/B and as the anchor of
+//! the bitwise-equivalence suite. They are algorithmically identical to
+//! the production kernels; only the memory-access structure differs.
 //!
 //! Nothing here runs in a production step. Do not "fix" these to match
 //! future optimisations — their value is being the unoptimised shape.
+//! They walk their elements serially: an anchor's value is its
+//! arithmetic order, which no traversal changes.
 
 use bookleaf_mesh::geometry::{area_gradient, quad_centroid};
 use bookleaf_mesh::{Mesh, Neighbor};
 use bookleaf_util::constants::ZERO_CUT;
 use bookleaf_util::Vec2;
-use rayon::prelude::*;
 
 use crate::getforce::HourglassControl;
 use crate::getq::{monotonic_limiter, QCoeffs};
 use crate::state::{HydroState, LocalRange};
-use crate::Threading;
 
 /// Pre-hoist `getq`: the limiter reaches into `cell_u[elel[e][f]]`
 /// *inside* the face loop (one indirect gather per compressive face),
 /// exactly as the kernel was shaped before the stencil hoist. Writes
 /// `state.q` / `state.edge_q` like the production kernel.
-pub fn getq_reference(
-    mesh: &Mesh,
-    state: &mut HydroState,
-    range: LocalRange,
-    coeffs: QCoeffs,
-    threading: Threading,
-) {
+pub fn getq_reference(mesh: &Mesh, state: &mut HydroState, range: LocalRange, coeffs: QCoeffs) {
     let n = range.n_owned_el;
 
-    let entry = |e: usize| cell_velocity(mesh, &state.u, e);
-    let cell_u: Vec<Vec2> = match threading {
-        Threading::Serial => (0..mesh.n_elements()).map(entry).collect(),
-        Threading::Rayon => (0..mesh.n_elements()).into_par_iter().map(entry).collect(),
-    };
+    let cell_u: Vec<Vec2> = (0..mesh.n_elements())
+        .map(|e| cell_velocity(mesh, &state.u, e))
+        .collect();
 
     let u = &state.u;
     let rho = &state.rho;
@@ -92,22 +84,8 @@ pub fn getq_reference(
         *q = qmax;
     };
 
-    match threading {
-        Threading::Serial => {
-            for e in 0..n {
-                let (mut eq, mut qv) = ([0.0; 4], 0.0);
-                body(e, &mut eq, &mut qv);
-                state.edge_q[e] = eq;
-                state.q[e] = qv;
-            }
-        }
-        Threading::Rayon => {
-            state.edge_q[..n]
-                .par_iter_mut()
-                .zip(state.q[..n].par_iter_mut())
-                .enumerate()
-                .for_each(|(e, (eq, qv))| body(e, eq, qv));
-        }
+    for e in 0..n {
+        body(e, &mut state.edge_q[e], &mut state.q[e]);
     }
 }
 
@@ -124,7 +102,6 @@ pub fn getforce_reference(
     range: LocalRange,
     hg: HourglassControl,
     dt: f64,
-    threading: Threading,
     out: &mut Vec<[Vec2; 4]>,
 ) {
     let n = range.n_owned_el;
@@ -231,18 +208,8 @@ pub fn getforce_reference(
         }
     };
 
-    match threading {
-        Threading::Serial => {
-            for (e, row) in out.iter_mut().enumerate() {
-                body(e, row);
-            }
-        }
-        Threading::Rayon => {
-            out[..n]
-                .par_iter_mut()
-                .enumerate()
-                .for_each(|(e, row)| body(e, row));
-        }
+    for (e, row) in out.iter_mut().enumerate() {
+        body(e, row);
     }
 }
 
@@ -258,6 +225,7 @@ mod tests {
     use super::*;
     use crate::getforce::getforce;
     use crate::getq::getq;
+    use crate::Threading;
     use bookleaf_eos::{EosSpec, MaterialTable};
     use bookleaf_mesh::{generate_rect, RectSpec};
 
@@ -286,11 +254,11 @@ mod tests {
 
     #[test]
     fn hoisted_getq_matches_reference_bitwise() {
+        let (mesh, st0) = setup(9);
+        let range = LocalRange::whole(&mesh);
+        let mut a = st0.clone();
+        getq_reference(&mesh, &mut a, range, QCoeffs::default());
         for th in [Threading::Serial, Threading::Rayon] {
-            let (mesh, st0) = setup(9);
-            let range = LocalRange::whole(&mesh);
-            let mut a = st0.clone();
-            getq_reference(&mesh, &mut a, range, QCoeffs::default(), th);
             let mut b = st0.clone();
             getq(&mesh, &mut b, range, QCoeffs::default(), th);
             assert_eq!(a.q, b.q, "{th:?}");
@@ -300,21 +268,14 @@ mod tests {
 
     #[test]
     fn soa_getforce_matches_reference_bitwise() {
+        let (mesh, st0) = setup(8);
+        let range = LocalRange::whole(&mesh);
+        let hg = HourglassControl::default();
+        let mut aos = Vec::new();
+        getforce_reference(&mesh, &st0, range, hg, 1e-2, &mut aos);
         for th in [Threading::Serial, Threading::Rayon] {
-            let (mesh, st0) = setup(8);
-            let range = LocalRange::whole(&mesh);
-            let mut aos = Vec::new();
-            getforce_reference(
-                &mesh,
-                &st0,
-                range,
-                HourglassControl::default(),
-                1e-2,
-                th,
-                &mut aos,
-            );
             let mut st = st0.clone();
-            getforce(&mesh, &mut st, range, HourglassControl::default(), 1e-2, th);
+            getforce(&mesh, &mut st, range, hg, 1e-2, th);
             for e in 0..st.n_elements() {
                 for c in 0..4 {
                     assert_eq!(st.cnforce(e, c), aos[e][c], "element {e} corner {c} {th:?}");

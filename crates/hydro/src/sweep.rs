@@ -20,9 +20,9 @@
 //!   every entity exactly once, and since nothing is reduced across
 //!   entities the pair is bitwise the `All` sweep.
 //!
-//! This module is the only place in `hydro` and `ale` (apart from the
-//! frozen kernel shapes in [`crate::reference`]) that names `rayon` or
-//! branches on [`Threading`]; `scripts/one_sweep.sh` holds the line.
+//! This module is the only place in `hydro` and `ale` that names
+//! `rayon` or branches on [`Threading`]; `scripts/one_sweep.sh` holds
+//! the line.
 //!
 //! The fork-join tree halves down to about four leaves per pool thread,
 //! like rayon's own indexed iterators. Its shape depends on the length,

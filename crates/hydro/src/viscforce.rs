@@ -624,9 +624,9 @@ mod tests {
             assert_eq!(outputs(&fused), outputs(&sequence), "sequence, {th:?}");
 
             let mut reference = st0.clone();
-            getq_reference(mesh, &mut reference, range, QCoeffs::default(), th);
+            getq_reference(mesh, &mut reference, range, QCoeffs::default());
             let mut aos = Vec::new();
-            getforce_reference(mesh, &reference, range, hg, dt, th, &mut aos);
+            getforce_reference(mesh, &reference, range, hg, dt, &mut aos);
             for (e, row) in aos.iter().enumerate() {
                 reference.cnforce_x[e] = row.map(|f| f.x);
                 reference.cnforce_y[e] = row.map(|f| f.y);

@@ -13,7 +13,6 @@
 //!   what makes the mesh *unstructured*.
 
 use bookleaf_util::{BookLeafError, Result, Vec2};
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 use crate::NCORN;
@@ -48,7 +47,7 @@ impl std::fmt::Debug for StencilCache {
 type NodeAdjacency = (Vec<u32>, Vec<(u32, u8)>);
 
 /// What lies across a face of an element.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Neighbor {
     /// Interior face shared with another element (global element id).
     Element(u32),
@@ -72,7 +71,7 @@ impl Neighbor {
 /// BookLeaf's walls are reflective: the velocity component normal to the
 /// wall is pinned to zero (or to a prescribed wall velocity for the
 /// Saltzmann piston, handled by the driver).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NodeBc {
     /// Zero the x velocity component (node on an x = const wall).
     pub fix_x: bool,
@@ -122,7 +121,7 @@ impl NodeBc {
 }
 
 /// An unstructured 2-D quadrilateral mesh.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mesh {
     /// Node positions (Lagrangian: these move during the run).
     pub nodes: Vec<Vec2>,
@@ -141,7 +140,6 @@ pub struct Mesh {
     /// Packed face-neighbour table, built on first [`Mesh::face_stencil`]
     /// call. `elel` is fixed at construction (no kernel mutates
     /// topology), so the cache can never go stale.
-    #[serde(skip)]
     pub(crate) stencil: StencilCache,
 }
 

@@ -1,20 +1,18 @@
 #!/bin/sh
-# One sweep: `crates/hydro/src/sweep.rs` is the only non-reference code
-# in `hydro` and `ale` that names rayon's parallel iterators or
-# `rayon::join`, or branches on `Threading` — a kernel is its
-# per-entity body plus one `sweep` call. Fails, naming the lines, if
-# `par_iter`, `rayon::join` or a `Threading::Serial =>` /
-# `Threading::Rayon =>` match arm occurs anywhere else above a file's
-# first `#[cfg(test)]` (the cut `scripts/loc.sh` uses). `reference.rs`
-# keeps the pre-optimisation kernel shapes the equivalence suite is
-# anchored to and is exempt. Run from anywhere:
+# One sweep: `crates/hydro/src/sweep.rs` is the only code in `hydro`
+# and `ale` that names `rayon::join` (or a parallel iterator) or
+# branches on `Threading` — a kernel is its per-entity body plus one
+# `sweep` call. Fails, naming the lines, if `par_iter`, `rayon::join`
+# or a `Threading::Serial =>` / `Threading::Rayon =>` match arm occurs
+# anywhere else above a file's first `#[cfg(test)]` (the cut
+# `scripts/loc.sh` uses). Run from anywhere:
 #
 #   scripts/one_sweep.sh
 set -eu
 cd "$(dirname "$0")/.."
 
 found=$(find crates/hydro/src crates/ale/src -name '*.rs' \
-    ! -name sweep.rs ! -name reference.rs | sort | xargs awk '
+    ! -name sweep.rs | sort | xargs awk '
     FNR == 1 { in_test = 0 }
     /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
     !in_test && /par_iter|rayon::join|Threading::(Serial|Rayon)[[:space:]]*=>/ {

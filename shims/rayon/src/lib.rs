@@ -1,47 +1,35 @@
-//! Offline stand-in for the `rayon` crate — now a **real fork-join
+//! Offline stand-in for the `rayon` crate: a **real fork-join
 //! work-stealing thread pool**, not a sequential mirror.
 //!
 //! The build environment has no access to crates.io, so this crate
-//! provides the exact API subset the workspace uses — `par_iter()`,
-//! `par_iter_mut()`, `into_par_iter()`, the chain combinators
-//! (`zip`/`enumerate`/`map`/`with_min_len`) and consumers
-//! (`for_each`/`reduce`/`sum`/`collect`), plus [`join`],
-//! [`ThreadPoolBuilder`]/[`ThreadPool`] and [`current_num_threads`] —
-//! implemented over `std` threads and sync primitives only. Call sites
-//! compile unchanged; swapping in the real rayon remains a one-line
-//! change in the workspace manifest.
+//! provides the exact API subset the workspace uses — [`join`],
+//! [`ThreadPoolBuilder`] / [`ThreadPool`] and [`current_num_threads`] —
+//! implemented over `std` threads and sync primitives only. (The
+//! workspace forks with `join` alone, from `hydro::sweep`; the shim
+//! carries no parallel iterators.) Call sites compile unchanged;
+//! swapping in the real rayon remains a one-line change in the
+//! workspace manifest.
 //!
-//! How it executes (see [`pool`] and [`iter`] for details):
+//! How it executes (see [`pool`] for details):
 //!
 //! * each [`ThreadPool`] owns persistent worker threads with per-worker
 //!   deques plus a shared injector; idle workers steal oldest-first;
 //! * [`ThreadPool::install`] moves the closure onto a worker, making
-//!   that pool the thread-local *current pool* for every nested
-//!   `par_iter`/`join` (and for [`current_num_threads`]);
-//! * indexed parallel iterators recursively split index ranges/slices
-//!   and fork with [`join`], so the hybrid executor's kernels genuinely
-//!   run across `threads_per_rank` workers inside each rank;
-//! * `par_iter` chains outside any `install` run on a lazily spawned
-//!   global pool sized to the host, exactly like real rayon;
+//!   that pool the thread-local *current pool* for every nested `join`
+//!   (and for [`current_num_threads`]);
+//! * a `join` outside any `install` hops onto a lazily spawned global
+//!   pool sized to the host, exactly like real rayon;
 //! * panics in workers are captured and re-raised on the calling
 //!   thread.
 //!
-//! The split tree is a pure function of length and pool width — never
-//! of runtime stealing — so reductions combine in a fixed order and
-//! repeated runs are bitwise reproducible.
+//! Stealing decides only *where* a forked closure runs, never what it
+//! computes or in which order its caller combines the two results — so
+//! a split tree that is a pure function of length and pool width (as
+//! `hydro::sweep`'s is) gives bitwise reproducible reductions.
 
-pub mod iter;
 pub mod pool;
 
 pub use pool::{current_num_threads, join};
-
-pub mod prelude {
-    //! Mirror of `rayon::prelude`.
-    pub use crate::iter::{
-        FromParallelIterator, IntoParallelIterator, IntoParallelRefIterator,
-        IntoParallelRefMutIterator, ParallelIterator,
-    };
-}
 
 use std::error::Error;
 use std::fmt;
@@ -115,8 +103,8 @@ impl ThreadPool {
     }
 
     /// Execute `op` on a worker of this pool, establishing the pool as
-    /// the current one for every `par_iter`/`join`/
-    /// [`current_num_threads`] reached from inside it. Blocks until the
+    /// the current one for every `join` / [`current_num_threads`]
+    /// reached from inside it. Blocks until the
     /// closure returns; panics inside it propagate to the caller. When
     /// called from one of this pool's own workers the closure runs in
     /// place (nested `install`).

@@ -504,7 +504,7 @@ fn default_num_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// The pool `par_iter` chains use outside any `install`: spawned on
+/// The pool a `join` outside any `install` runs on: spawned on
 /// first use with one worker per available core, never torn down
 /// (workers are daemon threads, like real rayon's global pool).
 pub(crate) fn global_registry() -> &'static Arc<Registry> {
@@ -513,22 +513,6 @@ pub(crate) fn global_registry() -> &'static Arc<Registry> {
             spawn_registry(default_num_threads()).expect("failed to spawn the global rayon pool");
         registry
     })
-}
-
-/// Run `op` on *some* pool: in place when the current thread is already
-/// a pool worker, else on the global pool. Entry point for the parallel
-/// iterator drivers, so that every `join` they perform lands on a
-/// worker.
-pub(crate) fn in_pool<R, OP>(op: OP) -> R
-where
-    R: Send,
-    OP: FnOnce() -> R + Send,
-{
-    if current_worker().is_some() {
-        op()
-    } else {
-        global_registry().install(op)
-    }
 }
 
 /// Width of the pool the calling thread executes in: the installed
@@ -560,7 +544,7 @@ where
     match current_worker() {
         Some(w) => join_on_worker(w, oper_a, oper_b),
         // Not inside any pool: bounce through the global pool, as rayon
-        // does (and as the drivers in `iter` do once per chain).
+        // does.
         None => global_registry().install(|| join(oper_a, oper_b)),
     }
 }
@@ -607,7 +591,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::iter::{IntoParallelIterator, ParallelIterator};
     use crate::ThreadPoolBuilder;
     use std::collections::HashSet;
     use std::thread::ThreadId;
@@ -615,6 +598,17 @@ mod tests {
 
     fn pool(n: usize) -> crate::ThreadPool {
         ThreadPoolBuilder::new().num_threads(n).build().unwrap()
+    }
+
+    /// Sum of `f(i)` over `lo..hi`, halved with [`join`] down to `leaf`
+    /// items — the way `hydro::sweep` forks a range.
+    fn fork_sum(lo: usize, hi: usize, leaf: usize, f: &(impl Fn(usize) -> usize + Sync)) -> usize {
+        if hi - lo <= leaf {
+            return (lo..hi).map(f).sum();
+        }
+        let mid = lo + (hi - lo) / 2;
+        let (a, b) = join(|| fork_sum(lo, mid, leaf, f), || fork_sum(mid, hi, leaf, f));
+        a + b
     }
 
     #[test]
@@ -660,18 +654,13 @@ mod tests {
     }
 
     #[test]
-    fn reduce_over_large_range_matches_sequential() {
+    fn forked_reduce_over_large_range_matches_sequential() {
         let p = pool(4);
         let n = 100_000usize;
-        let par: usize = p.install(|| {
-            (0..n)
-                .into_par_iter()
-                .map(|i| i * i)
-                .reduce(|| 0, |a, b| a + b)
-        });
+        let par = p.install(|| fork_sum(0, n, n / 64, &|i| i * i));
         let seq: usize = (0..n).map(|i| i * i).sum();
         assert_eq!(par, seq);
-        let par_sum: usize = p.install(|| (0..n).into_par_iter().sum());
+        let par_sum = p.install(|| fork_sum(0, n, 1, &|i| i));
         assert_eq!(par_sum, n * (n - 1) / 2);
     }
 
@@ -689,13 +678,14 @@ mod tests {
     }
 
     #[test]
-    fn panic_inside_parallel_iter_propagates() {
+    fn panic_inside_forked_work_propagates() {
         let p = pool(4);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             p.install(|| {
-                (0..10_000usize).into_par_iter().for_each(|i| {
+                fork_sum(0, 10_000, 16, &|i| {
                     assert!(i != 7_777, "found the poison element");
-                });
+                    i
+                })
             });
         }));
         assert!(caught.is_err());
@@ -703,36 +693,17 @@ mod tests {
     }
 
     #[test]
-    fn zero_and_one_element_splits() {
-        let p = pool(4);
-        p.install(|| {
-            (0..0usize)
-                .into_par_iter()
-                .for_each(|_| panic!("empty range produced items"));
-            let empty: Vec<usize> = (0..0usize).into_par_iter().map(|i| i).collect();
-            assert!(empty.is_empty());
-            assert_eq!((0..0usize).into_par_iter().reduce(|| 9, |a, b| a + b), 9);
-            let one: Vec<usize> = (5..6usize).into_par_iter().map(|i| i * 2).collect();
-            assert_eq!(one, vec![10]);
-            assert_eq!((5..6usize).into_par_iter().reduce(|| 0, |a, b| a + b), 5);
-            let mut single = [3.0f64];
-            use crate::iter::IntoParallelRefMutIterator;
-            single.par_iter_mut().for_each(|x| *x *= 2.0);
-            assert_eq!(single[0], 6.0);
-        });
-    }
-
-    #[test]
     fn work_actually_distributes_across_workers() {
         let p = pool(4);
         let seen: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
         p.install(|| {
-            (0..64usize).into_par_iter().for_each(|_| {
+            fork_sum(0, 64, 1, &|i| {
                 seen.lock().unwrap().insert(std::thread::current().id());
                 // Give other workers a chance to steal even on a
                 // single-core host.
                 std::thread::sleep(Duration::from_millis(1));
-            });
+                i
+            })
         });
         let seen = seen.into_inner().unwrap();
         assert!(

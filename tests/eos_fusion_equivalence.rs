@@ -410,9 +410,9 @@ fn viscforce_matches_getq_then_getforce_and_reference_on_every_deck() {
             );
 
             let mut reference = st0.clone();
-            getq_reference(&mesh, &mut reference, range, sweep.q, th);
+            getq_reference(&mesh, &mut reference, range, sweep.q);
             let mut aos = Vec::new();
-            getforce_reference(&mesh, &reference, range, sweep.hourglass, dt, th, &mut aos);
+            getforce_reference(&mesh, &reference, range, sweep.hourglass, dt, &mut aos);
             for (e, row) in aos.iter().enumerate() {
                 reference.cnforce_x[e] = row.map(|f| f.x);
                 reference.cnforce_y[e] = row.map(|f| f.y);

@@ -5,13 +5,16 @@
 //! one message per neighbour link per exchange phase — `pre_viscosity`
 //! twice per step (predictor + corrector), `pre_acceleration` once, and
 //! `post_remap` once per remapped step. These tests pin that contract
-//! through [`bookleaf::typhon::CommStats`], and check that aggregation
-//! changed only the wire format, not the physics.
+//! through [`bookleaf::typhon::CommStats`] under the overlapped and the
+//! blocking schedule — overlap changes *when* receives drain, never what
+//! flows — and check that aggregation changed only the wire format, not
+//! the physics.
 
 use bookleaf::ale::{AleMode, AleOptions};
 use bookleaf::core::{decks, Deck, ExecutorKind, RunConfig, Simulation};
 use bookleaf::mesh::SubMeshPlan;
 use bookleaf::partition::{partition, Strategy};
+use bookleaf::typhon::CommStats;
 
 /// Total directed neighbour links of the run's partition (Σ over ranks
 /// of that rank's neighbour count), reproduced with the same
@@ -20,6 +23,20 @@ fn directed_links(deck: &Deck, ranks: usize) -> usize {
     let owner = partition(&deck.mesh, ranks, Strategy::Rcb).unwrap();
     let subs = SubMeshPlan::build(&deck.mesh, &owner, ranks).unwrap();
     subs.iter().map(|s| s.neighbour_ranks().len()).sum()
+}
+
+/// What a run put on the wire: steps, total messages and doubles, and
+/// `(name, messages, doubles)` per phase, by name.
+type Traffic = (usize, u64, u64, Vec<(&'static str, u64, u64)>);
+
+fn traffic(steps: usize, comm: &CommStats) -> Traffic {
+    let mut phases: Vec<_> = comm
+        .phases
+        .iter()
+        .map(|p| (p.name, p.messages_sent, p.doubles_sent))
+        .collect();
+    phases.sort_unstable();
+    (steps, comm.messages_sent, comm.doubles_sent, phases)
 }
 
 #[test]
@@ -31,31 +48,7 @@ fn lagrangian_step_is_three_messages_per_link() {
         executor: ExecutorKind::FlatMpi { ranks },
         ..RunConfig::default()
     };
-    let mut dist = Simulation::builder()
-        .deck(deck.clone())
-        .config(config)
-        .build()
-        .unwrap();
-    let report = dist.run().unwrap();
     let links = directed_links(&deck, ranks);
-    assert!(report.steps > 0 && links > 0);
-
-    // Pure Lagrangian: 2 × pre_viscosity + 1 × pre_acceleration.
-    assert_eq!(report.comm.messages_sent, (report.steps * 3 * links) as u64);
-    let visc = report.comm.phase("pre_viscosity").unwrap();
-    assert_eq!(visc.messages_sent, (report.steps * 2 * links) as u64);
-    let acc = report.comm.phase("pre_acceleration").unwrap();
-    assert_eq!(acc.messages_sent, (report.steps * links) as u64);
-    assert!(report.comm.phase("post_remap").is_none(), "no remap ran");
-    // Phase volumes account for every double on the wire.
-    assert_eq!(
-        report.comm.doubles_sent,
-        visc.doubles_sent + acc.doubles_sent
-    );
-
-    // Aggregation must not perturb the physics: the distributed
-    // Lagrangian run still agrees with the serial executor, reached
-    // through the same builder.
     let mut serial = Simulation::builder()
         .deck(deck.clone())
         .config(RunConfig {
@@ -65,18 +58,48 @@ fn lagrangian_step_is_three_messages_per_link() {
         .build()
         .unwrap();
     serial.run().unwrap();
-    for e in 0..deck.mesh.n_elements() {
-        assert!(
-            (serial.state().rho[e] - dist.state().rho[e]).abs() <= 1e-12,
-            "rho diverged at element {e}: {} vs {}",
-            serial.state().rho[e],
-            dist.state().rho[e]
+
+    let mut by_mode = Vec::new();
+    for overlap in [true, false] {
+        let mut dist = Simulation::builder()
+            .deck(deck.clone())
+            .config(RunConfig { overlap, ..config })
+            .build()
+            .unwrap();
+        let report = dist.run().unwrap();
+        assert!(report.steps > 0 && links > 0);
+
+        // Pure Lagrangian: 2 × pre_viscosity + 1 × pre_acceleration.
+        assert_eq!(report.comm.messages_sent, (report.steps * 3 * links) as u64);
+        let visc = report.comm.phase("pre_viscosity").unwrap();
+        assert_eq!(visc.messages_sent, (report.steps * 2 * links) as u64);
+        let acc = report.comm.phase("pre_acceleration").unwrap();
+        assert_eq!(acc.messages_sent, (report.steps * links) as u64);
+        assert!(report.comm.phase("post_remap").is_none(), "no remap ran");
+        // Phase volumes account for every double on the wire.
+        assert_eq!(
+            report.comm.doubles_sent,
+            visc.doubles_sent + acc.doubles_sent
         );
-        assert!(
-            (serial.state().ein[e] - dist.state().ein[e]).abs() <= 1e-12,
-            "ein diverged at element {e}"
-        );
+
+        // Aggregation must not perturb the physics: the distributed
+        // Lagrangian run still agrees with the serial executor, reached
+        // through the same builder.
+        for e in 0..deck.mesh.n_elements() {
+            assert!(
+                (serial.state().rho[e] - dist.state().rho[e]).abs() <= 1e-12,
+                "overlap={overlap}: rho diverged at element {e}: {} vs {}",
+                serial.state().rho[e],
+                dist.state().rho[e]
+            );
+            assert!(
+                (serial.state().ein[e] - dist.state().ein[e]).abs() <= 1e-12,
+                "overlap={overlap}: ein diverged at element {e}"
+            );
+        }
+        by_mode.push(traffic(report.steps, &report.comm));
     }
+    assert_eq!(by_mode[0], by_mode[1], "overlap on vs off");
 }
 
 /// The ISSUE acceptance bar: with ALE enabled (remap every step), the
@@ -86,29 +109,35 @@ fn lagrangian_step_is_three_messages_per_link() {
 fn ale_step_is_at_most_four_messages_per_link() {
     let deck = decks::sod(24, 3);
     let ranks = 3;
-    let config = RunConfig {
-        final_time: 0.01,
-        ale: Some(AleOptions {
-            mode: AleMode::Eulerian,
-            frequency: 1,
-        }),
-        executor: ExecutorKind::FlatMpi { ranks },
-        ..RunConfig::default()
-    };
-    let report = Simulation::builder()
-        .deck(deck.clone())
-        .config(config)
-        .build()
-        .unwrap()
-        .run()
-        .unwrap();
     let links = directed_links(&deck, ranks);
-    assert!(report.steps > 0 && links > 0);
+    let mut by_mode = Vec::new();
+    for overlap in [true, false] {
+        let config = RunConfig {
+            final_time: 0.01,
+            ale: Some(AleOptions {
+                mode: AleMode::Eulerian,
+                frequency: 1,
+            }),
+            executor: ExecutorKind::FlatMpi { ranks },
+            overlap,
+            ..RunConfig::default()
+        };
+        let report = Simulation::builder()
+            .deck(deck.clone())
+            .config(config)
+            .build()
+            .unwrap()
+            .run()
+            .unwrap();
+        assert!(report.steps > 0 && links > 0);
 
-    // 2 × pre_viscosity + pre_acceleration + post_remap = 4 phases/step:
-    // exactly 4 messages per neighbour link per step, which also pins
-    // the ISSUE's ≤ 4 acceptance bound.
-    assert_eq!(report.comm.messages_sent, (report.steps * 4 * links) as u64);
-    let remap = report.comm.phase("post_remap").unwrap();
-    assert_eq!(remap.messages_sent, (report.steps * links) as u64);
+        // 2 × pre_viscosity + pre_acceleration + post_remap = 4
+        // phases/step: exactly 4 messages per neighbour link per step,
+        // which also pins the ISSUE's ≤ 4 acceptance bound.
+        assert_eq!(report.comm.messages_sent, (report.steps * 4 * links) as u64);
+        let remap = report.comm.phase("post_remap").unwrap();
+        assert_eq!(remap.messages_sent, (report.steps * links) as u64);
+        by_mode.push(traffic(report.steps, &report.comm));
+    }
+    assert_eq!(by_mode[0], by_mode[1], "overlap on vs off");
 }
