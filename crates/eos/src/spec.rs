@@ -51,6 +51,7 @@ impl EosSpec {
     }
 
     /// Pressure from density and specific internal energy.
+    #[inline(always)]
     #[must_use]
     pub fn pressure(&self, rho: f64, ein: f64) -> f64 {
         match *self {
@@ -74,6 +75,7 @@ impl EosSpec {
     }
 
     /// `(∂p/∂ρ)|ε` — analytic.
+    #[inline(always)]
     #[must_use]
     pub fn dp_drho(&self, rho: f64, ein: f64) -> f64 {
         match *self {
@@ -100,6 +102,7 @@ impl EosSpec {
     }
 
     /// `(∂p/∂ε)|ρ` — analytic.
+    #[inline(always)]
     #[must_use]
     pub fn dp_dein(&self, rho: f64) -> f64 {
         match *self {
@@ -125,6 +128,12 @@ impl EosSpec {
 
     /// Pressure and sound speed squared in one call (the `getpc` kernel
     /// needs both; this avoids re-deriving `p`).
+    ///
+    /// Always inlined, with the three forms it is made of: the EOS sweeps
+    /// call it per element, and out of line the `match` on the form is
+    /// taken three times behind a call (`scripts/hot_loops.sh` holds the
+    /// line).
+    #[inline(always)]
     #[must_use]
     pub fn pressure_cs2(&self, rho: f64, ein: f64) -> (f64, f64) {
         let p = self.pressure(rho, ein);

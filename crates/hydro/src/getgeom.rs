@@ -37,22 +37,33 @@ pub fn getgeom(
             *volume = quad_area(&c);
             *cnvol = corner_volumes(&c);
             *length = char_length(&c);
-            *volume > 0.0
+            untangled(*volume)
         },
     );
 
     if !ok {
-        // Locate the offender for the error message (serial rescan).
-        for e in 0..n {
-            if state.volume[e] <= 0.0 {
-                return Err(BookLeafError::NegativeVolume {
-                    element: e,
-                    volume: state.volume[e],
-                });
-            }
-        }
+        first_tangled(&state.volume[..n])?;
     }
     Ok(())
+}
+
+/// The sweeps' per-element test: a positive volume. A NaN volume — a
+/// NaN node coordinate — is neither `> 0` nor `<= 0`, and is tangled.
+#[inline(always)]
+pub(crate) fn untangled(volume: f64) -> bool {
+    volume > 0.0
+}
+
+/// The first element that fails [`untangled`], as the error that names
+/// it (a serial rescan, off the hot path).
+pub(crate) fn first_tangled(volume: &[f64]) -> Result<()> {
+    match volume.iter().position(|&v| !untangled(v)) {
+        Some(element) => Err(BookLeafError::NegativeVolume {
+            element,
+            volume: volume[element],
+        }),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -110,6 +121,18 @@ mod tests {
         mesh.nodes[4] = Vec2::new(-5.0, -5.0);
         let err = getgeom(&mesh, &mut st, range, Threading::Serial).unwrap_err();
         assert!(matches!(err, BookLeafError::NegativeVolume { .. }));
+    }
+
+    #[test]
+    fn a_nan_node_is_tangled_not_ok() {
+        let (mut mesh, mut st) = setup(2);
+        let range = LocalRange::whole(&mesh);
+        mesh.nodes[4].y = f64::NAN; // the centre node: every element has it
+        let err = getgeom(&mesh, &mut st, range, Threading::Serial).unwrap_err();
+        assert!(
+            matches!(err, BookLeafError::NegativeVolume { element: 0, volume } if volume.is_nan()),
+            "{err:?}"
+        );
     }
 
     #[test]

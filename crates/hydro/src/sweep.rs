@@ -244,7 +244,7 @@ impl<R: Copy + Send + Sync, M: Fn(R, R) -> R + Sync, B> Run<R, M, B> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// Deterministic xorshift: the tests' only source of randomness.
@@ -326,7 +326,7 @@ mod tests {
 
     /// `check(threading, what)` under serial loops and under rayon in
     /// pools of width 1, 2 and 4.
-    fn under_every_driver(check: impl Fn(Threading, &str) + Sync) {
+    pub(crate) fn under_every_driver(check: impl Fn(Threading, &str) + Sync) {
         check(Threading::Serial, "serial");
         for width in [1, 2, 4] {
             let pool = rayon::ThreadPoolBuilder::new()

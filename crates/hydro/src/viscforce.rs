@@ -111,8 +111,9 @@ pub fn lend_scratch<R>(work: impl FnOnce(&mut LentScratch) -> R) -> R {
 /// The hourglass mode sign pattern on a quad.
 pub(crate) const GAMMA: [f64; 4] = [1.0, -1.0, 1.0, -1.0];
 
-/// Cell-averaged velocity of element `e`.
-#[inline]
+/// Cell-averaged velocity of element `e`. Always inlined — it is a
+/// whole sweep's body (`scripts/hot_loops.sh` holds the line).
+#[inline(always)]
 fn cell_velocity(mesh: &Mesh, u: &[Vec2], e: usize) -> Vec2 {
     let nd = mesh.elnd[e];
     (u[nd[0] as usize] + u[nd[1] as usize] + u[nd[2] as usize] + u[nd[3] as usize]) * 0.25
@@ -486,10 +487,13 @@ pub fn viscforce(
     cells: Pass<'_>,
 ) {
     let n = range.n_owned_el;
-    // Element-indexed reads sliced to the owned range so the sweep
-    // (bounded by the same `n` through its columns) indexes them
-    // without bounds checks; `u` and `nd_mass` stay full-length — they
-    // are gathered through node ids.
+    // Element-indexed reads sliced to the owned range, so a state
+    // shorter than the range panics here and not mid-sweep. The sweep
+    // hands the body `e`, not a proof that `e < n`: each of these reads
+    // keeps its (never taken) bounds check, as does every gather — two
+    // dozen compare-and-branch pairs in the release body. Only the four
+    // written columns arrive zipped. `u` and `nd_mass` stay full-length
+    // — they are gathered through node ids.
     let stencil = &mesh.face_stencil()[..n];
     let u = &state.u;
     let rho = &state.rho[..n];

@@ -159,7 +159,11 @@ impl Mesh {
     }
 
     /// The four corner positions of element `e`, in CCW order.
-    #[inline]
+    ///
+    /// Always inlined: every geometry sweep calls it per element, and out
+    /// of line its 64 bytes come back through memory
+    /// (`scripts/hot_loops.sh` holds the line).
+    #[inline(always)]
     #[must_use]
     pub fn corners(&self, e: usize) -> [Vec2; NCORN] {
         let nd = self.elnd[e];

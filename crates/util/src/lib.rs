@@ -1,8 +1,9 @@
 //! # bookleaf-util
 //!
 //! Shared numerical utilities for the BookLeaf-rs workspace: 2-D vector
-//! algebra, compensated summation, typed errors, hierarchical per-kernel
-//! timers and small statistics helpers.
+//! algebra, lane-wise arithmetic for kernels that take several elements
+//! per iteration, compensated summation, typed errors, hierarchical
+//! per-kernel timers and small statistics helpers.
 //!
 //! Everything in this crate is dependency-light and deterministic; the
 //! heavier physics crates build on top of it.
@@ -10,6 +11,7 @@
 pub mod constants;
 pub mod error;
 pub mod hash;
+pub mod lanes;
 pub mod stats;
 pub mod sum;
 pub mod timer;
@@ -19,6 +21,7 @@ pub use error::{
     BookLeafError, CheckpointError, CommError, DeckError, HealthDiagnosis, HealthField, Result,
 };
 pub use hash::{crc32, crc32_f64s};
+pub use lanes::Lanes;
 pub use sum::{kahan_sum, NeumaierSum};
 pub use timer::{KernelId, TimerRegistry, TimerReport};
 pub use vec2::Vec2;

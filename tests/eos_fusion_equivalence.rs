@@ -12,7 +12,8 @@
 //! * the full chain, on every standard deck, serial and rayon;
 //! * the corrector form (`ein_from`) against restore-then-advance;
 //! * every one of the 16 stage-subset masks against the matching
-//!   kernel subsequence;
+//!   kernel subsequence, on owned ranges of 0, 1, 2, 3, an odd and an
+//!   even number of elements (the sweep takes two per row);
 //! * a property test over randomised valid states;
 //! * the error path on a tangled mesh (same error value, both routes).
 
@@ -224,38 +225,42 @@ fn corrector_ein_from_matches_restore_then_advance() {
 
 #[test]
 fn every_stage_subset_matches_its_kernel_subsequence() {
-    // All 16 masks, including the empty one (a no-op on both routes).
-    let (mesh, mat, st0, range) = prepared(&decks::noh(12));
-    for bits in 0u8..16 {
-        let stages = EosStages {
-            geom: bits & 1 != 0,
-            rho: bits & 2 != 0,
-            ein: bits & 4 != 0,
-            pc: bits & 8 != 0,
+    // All 16 masks, including the empty one (a no-op on both routes),
+    // over owned ranges that end before, inside and on a row of the
+    // two-elements-per-row sweep (144 elements: 143 leaves an odd last
+    // one), from the live energies and from a saved buffer.
+    let (mesh, mat, st0, whole) = prepared(&decks::noh(12));
+    let saved: Vec<f64> = st0.ein.iter().map(|e| 1.25 * e).collect();
+    for n_owned_el in [0, 1, 2, 3, 143, 144] {
+        let range = LocalRange {
+            n_owned_el,
+            ..whole
         };
-        for th in [Threading::Serial, Threading::Rayon] {
-            let mut a = st0.clone();
-            let mut b = st0.clone();
-            run_fused(
-                &mesh,
-                &mat,
-                &mut a,
-                range,
-                stages,
-                WorkVelocity::Current,
-                None,
-                th,
-            );
-            run_chain(
-                &mesh,
-                &mat,
-                &mut b,
-                range,
-                stages,
-                WorkVelocity::Current,
-                th,
-            );
-            assert_bits_eq(&a, &b, &format!("mask {bits:04b} {th:?}"));
+        for bits in 0u8..16 {
+            let stages = EosStages {
+                geom: bits & 1 != 0,
+                rho: bits & 2 != 0,
+                ein: bits & 4 != 0,
+                pc: bits & 8 != 0,
+            };
+            for ein_from in [None, Some(&saved[..])] {
+                for th in [Threading::Serial, Threading::Rayon] {
+                    let which = WorkVelocity::Current;
+                    let mut a = st0.clone();
+                    let mut b = st0.clone();
+                    run_fused(&mesh, &mat, &mut a, range, stages, which, ein_from, th);
+                    if let (true, Some(saved)) = (stages.ein, ein_from) {
+                        b.ein[..n_owned_el].copy_from_slice(&saved[..n_owned_el]);
+                    }
+                    run_chain(&mesh, &mat, &mut b, range, stages, which, th);
+                    let source = if ein_from.is_some() { "saved" } else { "live" };
+                    assert_bits_eq(
+                        &a,
+                        &b,
+                        &format!("{n_owned_el} owned, mask {bits:04b}, {source} ein, {th:?}"),
+                    );
+                }
+            }
         }
     }
 }
