@@ -6,6 +6,18 @@ use bookleaf_hydro::LagOptions;
 
 /// Which programming model executes the run (the paper's evaluation
 /// axis, §V).
+///
+/// A shape of **one rank** — `Serial`, `FlatMpi { ranks: 1 }`,
+/// `Hybrid { ranks: 1, threads_per_rank }` — is not a team of one: it
+/// runs the serial engine, the whole mesh stepped in place (a hybrid
+/// rank of several threads inside its own pool, built once per
+/// simulation). So, like `Serial`, it partitions nothing, sends no
+/// message and makes no collective (its report's `comm` is all zero), a
+/// [`bookleaf_typhon::FaultPlan`] has nothing to fault on it, and a
+/// panic inside it — an observer's, say — unwinds to the caller instead
+/// of becoming a [`bookleaf_util::BookLeafError::RankPanic`]. Its
+/// report still names the executor asked for, with `ranks` 1, and its
+/// answer is bitwise the serial one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutorKind {
     /// Single-threaded reference.

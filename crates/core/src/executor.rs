@@ -6,11 +6,13 @@
 //! restart [`Snapshot`] into it if there is one, run the shared loop to
 //! the configured stop, and gather the owned entities back into a
 //! snapshot. What it needs from the rest of the team comes through its
-//! [`Team`]. A serial run is a rank with nobody to talk to — the whole
-//! mesh, [`crate::halo::SerialHooks`], no thread, no Typhon, no
-//! partition — that [`crate::Simulation`] keeps alive between runs.
-//! `run_team` builds one rank per Typhon rank thread, each with a
-//! [`TyphonHalo`]:
+//! [`Team`]. A run of one rank is a rank with nobody to talk to — the
+//! whole mesh, [`crate::halo::SerialHooks`], no Typhon, no partition, no
+//! gather — that [`crate::Simulation`] keeps alive between runs: the
+//! serial executor, and the flat-MPI and hybrid shapes with `ranks: 1`
+//! (a hybrid rank of several threads steps inside its own pool, built
+//! once). `run_team` builds one rank per Typhon rank thread for two or
+//! more ranks, each with a [`TyphonHalo`]:
 //!
 //! * **Flat MPI** — one rank (thread) per simulated core; kernels run
 //!   serially inside each rank; all parallelism comes from the domain
@@ -97,6 +99,58 @@ impl Piece {
             l2g: L2g(Some((sub.el_l2g, sub.nd_l2g))),
         }
     }
+
+    /// The deck's initial state on this piece.
+    fn initial_state(&self, deck: &Deck) -> Result<HydroState> {
+        let l2g = &self.l2g;
+        HydroState::new(
+            &self.mesh,
+            &deck.materials,
+            |e| deck.rho[l2g.el(e)],
+            |e| deck.ein[l2g.el(e)],
+            |n| deck.u[l2g.nd(n)],
+        )
+    }
+
+    /// Move the piece's mesh and `state` to `resume`, when there is one:
+    /// owned and ghost entities alike are read straight from the
+    /// (global) restart state through the piece's local→global maps,
+    /// which is how a checkpoint of any executor shape repartitions onto
+    /// this one. Returns the cursor the state stands at.
+    fn resume(
+        &mut self,
+        state: &mut HydroState,
+        deck: &Deck,
+        config: &RunConfig,
+        resume: Option<&Snapshot>,
+    ) -> Result<LoopState> {
+        let Some(snap) = resume else {
+            return Ok(LoopState::default());
+        };
+        let l2g = &self.l2g;
+        snap.install(
+            &mut self.mesh,
+            state,
+            &deck.materials,
+            config.lag.threading,
+            |e| l2g.el(e),
+            |n| l2g.nd(n),
+        )
+    }
+}
+
+/// The whole mesh and its state at `snap` — the deck's initial state
+/// without one: the pair a whole-mesh rank would step, without building
+/// the rank (no remapper, no hooks).
+pub(crate) fn whole_state(
+    deck: &Deck,
+    config: &RunConfig,
+    snap: Option<&Snapshot>,
+) -> Result<(Mesh, HydroState)> {
+    let mut piece = Piece::whole(&deck.mesh);
+    let mut state = piece.initial_state(deck)?;
+    piece.resume(&mut state, deck, config, snap)?;
+    Ok((piece.mesh, state))
 }
 
 /// What one [`Rank::run`] did: the stretch of the trajectory since the
@@ -129,44 +183,22 @@ pub(crate) struct Rank<T: Team> {
 
 impl<T: Team> Rank<T> {
     /// The deck's initial state on `piece` — or, with `resume`, the
-    /// snapshot's: owned and ghost entities alike are read straight from
-    /// the (global) restart state through the piece's local→global maps,
-    /// which is how a checkpoint of any executor shape repartitions onto
-    /// this one. The deck and the snapshot are the caller's to have
-    /// validated (`Simulation`'s builder does, once).
+    /// snapshot's (see [`Piece::resume`]). The deck and the snapshot are
+    /// the caller's to have validated (`Simulation`'s builder does,
+    /// once).
     pub(crate) fn new(
         deck: &Deck,
         config: &RunConfig,
-        piece: Piece,
+        mut piece: Piece,
         team: T,
         resume: Option<&Snapshot>,
     ) -> Result<Self> {
-        let Piece {
-            mut mesh,
-            range,
-            l2g,
-        } = piece;
-        let mut state = HydroState::new(
-            &mesh,
-            &deck.materials,
-            |e| deck.rho[l2g.el(e)],
-            |e| deck.ein[l2g.el(e)],
-            |n| deck.u[l2g.nd(n)],
-        )?;
+        let mut state = piece.initial_state(deck)?;
         // Built before any restart state overwrites the node positions:
         // the deck-initial ones are the Eulerian remap target.
-        let remapper = config.ale.map(|opts| Remapper::new(&mesh, opts));
-        let cursor = match resume {
-            Some(snap) => snap.install(
-                &mut mesh,
-                &mut state,
-                &deck.materials,
-                config.lag.threading,
-                |e| l2g.el(e),
-                |n| l2g.nd(n),
-            )?,
-            None => LoopState::default(),
-        };
+        let remapper = config.ale.map(|opts| Remapper::new(&piece.mesh, opts));
+        let cursor = piece.resume(&mut state, deck, config, resume)?;
+        let Piece { mesh, range, l2g } = piece;
         Ok(Rank {
             mesh,
             state,
@@ -245,13 +277,67 @@ impl<T: Team> Rank<T> {
     }
 }
 
-/// One run of a rank team: partition, spawn the ranks, let each build
-/// its piece (from the deck, or from `resume`), run the shared loop
-/// (observers firing per rank) and gather into the restart state the
-/// team leaves. The returned segment is the team's: timers max over
-/// ranks (how an MPI code experiences time), comm counters merged, end
-/// energy summed in rank order, and a wall clock that also covers
-/// spawning the ranks and building their pieces.
+/// `(ranks, threads per rank)` of an executor: the serial one is one
+/// rank of one thread.
+pub(crate) fn shape(executor: ExecutorKind) -> (usize, usize) {
+    match executor {
+        ExecutorKind::Serial => (1, 1),
+        ExecutorKind::FlatMpi { ranks } => (ranks, 1),
+        ExecutorKind::Hybrid {
+            ranks,
+            threads_per_rank,
+        } => (ranks, threads_per_rank),
+    }
+}
+
+/// `config` as each rank of its executor runs it: kernels threaded
+/// ([`Threading::Rayon`]) iff a rank has more than one thread.
+pub(crate) fn rank_config(config: &RunConfig) -> RunConfig {
+    let mut rank_config = *config;
+    rank_config.lag.threading = if shape(config.executor).1 > 1 {
+        Threading::Rayon
+    } else {
+        Threading::Serial
+    };
+    rank_config
+}
+
+/// The pool a rank of `executor` installs around its work: its threads,
+/// or `None` for a rank of one thread.
+pub(crate) fn rank_pool(executor: ExecutorKind) -> Result<Option<rayon::ThreadPool>> {
+    let threads = shape(executor).1;
+    (threads > 1)
+        .then(|| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .map_err(|e| BookLeafError::Comm(format!("rayon pool: {e}")))
+        })
+        .transpose()
+}
+
+/// Run `op` inside `pool`, or on the calling thread without one.
+pub(crate) fn installed<R: Send>(
+    pool: Option<&rayon::ThreadPool>,
+    op: impl FnOnce() -> R + Send,
+) -> R {
+    match pool {
+        Some(pool) => pool.install(op),
+        None => op(),
+    }
+}
+
+/// One run of a rank team of two or more: partition, spawn the ranks,
+/// let each build its piece (from the deck, or from `resume`), run the
+/// shared loop (observers firing per rank) and gather into the restart
+/// state the team leaves. The returned segment is the team's: timers
+/// max over ranks (how an MPI code experiences time), comm counters
+/// merged, end energy summed in rank order, and a wall clock that also
+/// covers spawning the ranks and building their pieces. A team of one
+/// is not a team: it is the whole-mesh rank `Simulation` keeps alive.
+///
+/// # Panics
+/// With fewer than two ranks.
 pub(crate) fn run_team(
     deck: &Deck,
     config: &RunConfig,
@@ -260,18 +346,8 @@ pub(crate) fn run_team(
     typhon: &TyphonOptions,
     energy_ref: Option<f64>,
 ) -> Result<(Segment, Snapshot)> {
-    let (ranks, threads_per_rank) = match config.executor {
-        ExecutorKind::FlatMpi { ranks } => (ranks, 0),
-        ExecutorKind::Hybrid {
-            ranks,
-            threads_per_rank,
-        } => (ranks, threads_per_rank),
-        ExecutorKind::Serial => {
-            return Err(BookLeafError::InvalidDeck(
-                "distributed run requested with the serial executor".into(),
-            ))
-        }
-    };
+    let ranks = shape(config.executor).0;
+    assert!(ranks >= 2, "a rank team of {ranks}: one rank runs whole");
     let owner = partition(&deck.mesh, ranks, Strategy::Rcb)?;
     // Each rank takes its submesh (and works on that mesh) when it starts.
     let subs: Vec<Mutex<Option<SubMesh>>> = SubMeshPlan::build(&deck.mesh, &owner, ranks)?
@@ -281,13 +357,7 @@ pub(crate) fn run_team(
     // The restart state the team leaves, allocated by the first rank to
     // finish: while the ranks step, only their own pieces are live.
     let gathered: Mutex<Option<Snapshot>> = Mutex::new(None);
-
-    let mut rank_config = *config;
-    rank_config.lag.threading = if threads_per_rank > 1 {
-        Threading::Rayon
-    } else {
-        Threading::Serial
-    };
+    let rank_config = rank_config(config);
 
     let start = Instant::now();
     let results: Vec<Result<Segment>> = Typhon::run_with(ranks, typhon.clone(), |ctx| {
@@ -309,15 +379,7 @@ pub(crate) fn run_team(
             }));
             Ok(segment)
         };
-        if threads_per_rank > 1 {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads_per_rank)
-                .build()
-                .map_err(|e| BookLeafError::Comm(format!("rayon pool: {e}")))?;
-            pool.install(body)
-        } else {
-            body()
-        }
+        installed(rank_pool(config.executor)?.as_ref(), body)
     })?;
     let wall_seconds = start.elapsed().as_secs_f64();
 
@@ -443,16 +505,51 @@ mod tests {
         );
     }
 
+    /// A team of one is never spawned: every one-rank shape is refused
+    /// by the team machinery, and threads only where a rank has two.
     #[test]
-    fn serial_executor_is_rejected_by_the_distributed_machinery() {
+    fn a_team_of_one_is_not_a_team() {
         let deck = decks::sod(8, 2);
-        let config = RunConfig {
-            executor: ExecutorKind::Serial,
-            ..RunConfig::default()
+        let (observers, typhon) = (ObserverSet::default(), TyphonOptions::default());
+        for executor in [
+            ExecutorKind::Serial,
+            ExecutorKind::FlatMpi { ranks: 1 },
+            ExecutorKind::Hybrid {
+                ranks: 1,
+                threads_per_rank: 2,
+            },
+        ] {
+            let config = RunConfig {
+                executor,
+                ..RunConfig::default()
+            };
+            let spawned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_team(&deck, &config, &observers, None, &typhon, None).map(|_| ())
+            }));
+            assert!(spawned.is_err(), "{executor:?} ran as a team");
+        }
+        let threading = |executor| {
+            let config = RunConfig {
+                executor,
+                ..RunConfig::default()
+            };
+            let pool = rank_pool(executor).unwrap();
+            (
+                rank_config(&config).lag.threading,
+                pool.map(|p| p.current_num_threads()),
+            )
         };
-        let observers = ObserverSet::default();
-        let typhon = TyphonOptions::default();
-        assert!(run_team(&deck, &config, &observers, None, &typhon, None).is_err());
+        assert_eq!(threading(ExecutorKind::Serial), (Threading::Serial, None));
+        assert_eq!(
+            threading(ExecutorKind::FlatMpi { ranks: 2 }),
+            (Threading::Serial, None)
+        );
+        let hybrid = |threads_per_rank| ExecutorKind::Hybrid {
+            ranks: 1,
+            threads_per_rank,
+        };
+        assert_eq!(threading(hybrid(1)), (Threading::Serial, None));
+        assert_eq!(threading(hybrid(3)), (Threading::Rayon, Some(3)));
     }
 
     #[test]

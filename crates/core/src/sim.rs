@@ -23,11 +23,13 @@
 //! [`SimulationBuilder::observer`] fire under every executor; after the
 //! run, [`Simulation::mesh`]/[`Simulation::state`] expose the solution.
 //! Every executor runs the one rank engine ([`crate::executor`]). A
-//! serial simulation keeps its one rank alive and steps that pair in
-//! place. A distributed one keeps only the restart [`Snapshot`] its
-//! rank team gathered (global order) — what the next team, a checkpoint
-//! and [`Simulation::solution`] read — and builds the global pair from
-//! it when first asked. The report is accumulated here, above the
+//! simulation of one rank — serial, or a flat-MPI / hybrid shape with
+//! `ranks: 1` — keeps that rank alive and steps its pair in place (a
+//! hybrid rank inside its own pool of threads, built once). One of two
+//! or more ranks keeps only the restart [`Snapshot`] its rank team
+//! gathered (global order) — what the next team, a checkpoint and
+//! [`Simulation::solution`] read — and builds the global pair from it
+//! when first asked. The report is accumulated here, above the
 //! executors, so a continued run reports the same way under all of
 //! them.
 //!
@@ -52,7 +54,9 @@ use bookleaf_util::CheckpointError;
 use crate::config::{ExecutorKind, RunConfig};
 use crate::decks::Deck;
 use crate::driver::LoopState;
-use crate::executor::{run_team, Piece, Rank};
+use crate::executor::{
+    installed, rank_config, rank_pool, run_team, shape, whole_state, Piece, Rank,
+};
 use crate::halo::{LocalPiston, SerialHooks};
 use crate::input::InputDeck;
 use crate::observer::{Observer, ObserverSet};
@@ -188,8 +192,10 @@ impl SimulationBuilder {
     }
 
     /// Inject a deterministic [`FaultPlan`] into the communication
-    /// layer (distributed executors only; serial runs have no comm
-    /// layer to fault). Every scheduled fault surfaces as a typed
+    /// layer (executors of two or more ranks only: a run of one rank —
+    /// serial, `FlatMpi { ranks: 1 }`, `Hybrid { ranks: 1, .. }` — has
+    /// no comm layer to fault, and runs as if no plan were given). Every
+    /// scheduled fault surfaces as a typed
     /// [`bookleaf_util::CommError`] — never a hang or a panic — which
     /// is what the resilience test matrix and
     /// [`Simulation::run_resilient`] drills are built on.
@@ -330,7 +336,7 @@ impl std::fmt::Debug for SimulationBuilder {
     }
 }
 
-/// A distributed executor between runs. Every `run` spawns a rank team
+/// A team of two or more ranks between runs. Every `run` spawns a team
 /// that builds its own per-rank pieces, so all that is kept here is
 /// what a team consumes and leaves — the restart state. A process
 /// running ranks holds no second, global `HydroState` unless someone
@@ -348,10 +354,16 @@ struct TeamExec {
 }
 
 enum Exec {
-    /// The serial executor: one rank with nobody to talk to, kept alive
-    /// between runs and stepped in place — no thread, no Typhon team, no
-    /// partition.
-    Serial(Rank<SerialHooks>),
+    /// One rank with nobody to talk to — the serial executor, and the
+    /// flat-MPI and hybrid shapes of one rank — kept alive between runs
+    /// and stepped in place: no Typhon team, no partition, no gather.
+    Serial {
+        rank: Rank<SerialHooks>,
+        /// A hybrid rank's threads, built once and installed around
+        /// everything the rank does; `None` for a rank of one thread.
+        pool: Option<rayon::ThreadPool>,
+    },
+    /// Two or more ranks.
     Team(TeamExec),
 }
 
@@ -370,17 +382,18 @@ struct Engine {
     comm: CommStats,
 }
 
-/// The whole-mesh rank of `deck`, at `snap` when there is one: the
-/// serial executor, and the global view of a distributed one.
-fn whole_rank(
-    deck: &Deck,
-    config: &RunConfig,
-    snap: Option<&Snapshot>,
-) -> Result<Rank<SerialHooks>> {
+/// The whole-mesh rank of `deck`, at `snap` when there is one, and the
+/// pool it steps in: the engine of every one-rank executor. The rank is
+/// built on the calling thread, as the serial engine's always was
+/// (built on a pool worker, the harness's in-process `build()` of Noh
+/// 251×261 read 19–21 ms instead of 6–8).
+fn whole_rank(deck: &Deck, config: &RunConfig, snap: Option<&Snapshot>) -> Result<Exec> {
     let hooks = SerialHooks {
         piston: LocalPiston::of(deck, None),
     };
-    Rank::new(deck, config, Piece::whole(&deck.mesh), hooks, snap)
+    let rank = Rank::new(deck, config, Piece::whole(&deck.mesh), hooks, snap)?;
+    let pool = rank_pool(config.executor)?;
+    Ok(Exec::Serial { rank, pool })
 }
 
 impl Engine {
@@ -406,19 +419,25 @@ impl Engine {
                 .into());
             }
         }
-        let exec = if matches!(config.executor, ExecutorKind::Serial) {
-            Exec::Serial(whole_rank(deck, config, resume)?)
-        } else {
-            // Everything building the whole-mesh rank would have
-            // refused, without building it.
-            deck.check_initial_state()?;
-            if let Some(snap) = resume {
-                snap.check_geometry(mesh)?;
+        let exec = match shape(config.executor).0 {
+            0 => {
+                return Err(BookLeafError::Partition(
+                    "cannot partition into 0 parts".into(),
+                ))
             }
-            Exec::Team(TeamExec {
-                snap: resume.cloned(),
-                view: OnceLock::new(),
-            })
+            1 => whole_rank(deck, config, resume)?,
+            _ => {
+                // Everything building the whole-mesh rank would have
+                // refused, without building it.
+                deck.check_initial_state()?;
+                if let Some(snap) = resume {
+                    snap.check_geometry(mesh)?;
+                }
+                Exec::Team(TeamExec {
+                    snap: resume.cloned(),
+                    view: OnceLock::new(),
+                })
+            }
         };
         Ok(Engine {
             cursor: resume.map(Snapshot::cursor).unwrap_or_default(),
@@ -430,16 +449,15 @@ impl Engine {
         })
     }
 
-    /// The global `(mesh, state)`: the serial engine's live pair, a
-    /// distributed engine's view — built now if nobody asked before.
+    /// The global `(mesh, state)`: the one rank's live pair, a team's
+    /// view — built now if nobody asked before.
     fn global(&self, deck: &Deck, config: &RunConfig) -> (&Mesh, &HydroState) {
         match &self.exec {
-            Exec::Serial(rank) => (&rank.mesh, &rank.state),
+            Exec::Serial { rank, .. } => (&rank.mesh, &rank.state),
             Exec::Team(team) => {
                 let (mesh, state) = team.view.get_or_init(|| {
-                    let rank = whole_rank(deck, config, team.snap.as_ref())
-                        .expect("Engine::new admitted the deck and every installed snapshot");
-                    (rank.mesh, rank.state)
+                    whole_state(deck, config, team.snap.as_ref())
+                        .expect("Engine::new admitted the deck and every installed snapshot")
                 });
                 (mesh, state)
             }
@@ -469,15 +487,21 @@ impl Engine {
         observers: &ObserverSet,
         typhon: &TyphonOptions,
     ) -> Result<RunReport> {
+        let energy_ref = self.energy_start;
         let segment = match &mut self.exec {
-            Exec::Serial(rank) => rank.run(deck, config, observers, self.energy_start)?,
+            Exec::Serial { rank, pool } => {
+                let config = rank_config(config);
+                installed(pool.as_ref(), || {
+                    rank.run(deck, &config, observers, energy_ref)
+                })?
+            }
             Exec::Team(team) => {
                 // The view shows the state this team is about to move
                 // on from, and the ranks need its memory more.
                 team.view.take();
                 let resume = team.snap.as_ref();
                 let (segment, snap) =
-                    run_team(deck, config, observers, resume, typhon, self.energy_start)?;
+                    run_team(deck, config, observers, resume, typhon, energy_ref)?;
                 team.snap = Some(snap);
                 segment
             }
@@ -509,9 +533,14 @@ impl std::fmt::Debug for Engine {
             .field(
                 "exec",
                 &match &self.exec {
-                    Exec::Serial(_) => "serial",
-                    Exec::Team(team) if team.view.get().is_some() => "team, view built",
-                    Exec::Team(_) => "team, no view",
+                    Exec::Serial { pool: None, .. } => "serial".to_string(),
+                    Exec::Serial {
+                        pool: Some(pool), ..
+                    } => {
+                        format!("serial, {} threads", pool.current_num_threads())
+                    }
+                    Exec::Team(team) if team.view.get().is_some() => "team, view built".into(),
+                    Exec::Team(_) => "team, no view".into(),
                 },
             )
             .finish_non_exhaustive()
@@ -687,8 +716,8 @@ impl Simulation {
         &self.config
     }
 
-    /// The current mesh: live solver state for serial runs, the
-    /// assembled global view after distributed runs — built on the
+    /// The current mesh: live solver state for runs of one rank, the
+    /// assembled global view after runs of several — built on the
     /// first call after a run (with [`Simulation::state`]), so a
     /// distributed simulation nobody looks into never holds one.
     #[must_use]
@@ -705,7 +734,7 @@ impl Simulation {
     }
 
     /// The solution at the cursor, borrowed from whichever side holds
-    /// it — live serial state, the restart state a rank team left, or
+    /// it — the one rank's live state, the restart state a team left, or
     /// the deck before any run. What a digest or a plot of a
     /// distributed run needs without the global view
     /// [`Simulation::state`] would build.
@@ -713,7 +742,7 @@ impl Simulation {
     pub fn solution(&self) -> SolutionFields<'_> {
         let deck = &self.deck;
         let (rho, ein, u, nodes) = match &self.engine.exec {
-            Exec::Serial(rank) => (
+            Exec::Serial { rank, .. } => (
                 &rank.state.rho,
                 &rank.state.ein,
                 &rank.state.u,
@@ -884,13 +913,15 @@ mod tests {
         tangled.mesh.nodes[centre] = Vec2::new(-5.0, -5.0);
         let mut hollow = decks::sod(8, 2);
         hollow.rho[5] = f64::NAN;
+        let hybrid = |ranks| ExecutorKind::Hybrid {
+            ranks,
+            threads_per_rank: 2,
+        };
         let executors = [
             ExecutorKind::Serial,
             ExecutorKind::FlatMpi { ranks: 2 },
-            ExecutorKind::Hybrid {
-                ranks: 1,
-                threads_per_rank: 2,
-            },
+            hybrid(1),
+            hybrid(2),
         ];
         for deck in [tangled, hollow] {
             let errors = executors.map(|executor| {
@@ -905,8 +936,9 @@ mod tests {
                 "{}",
                 errors[0]
             );
-            assert_eq!(errors[1], errors[0], "flat MPI");
-            assert_eq!(errors[2], errors[0], "hybrid");
+            for (executor, error) in executors.iter().zip(&errors) {
+                assert_eq!(error, &errors[0], "{executor:?}");
+            }
         }
     }
 
@@ -934,20 +966,74 @@ mod tests {
         assert_eq!(errors[1], errors[0]);
     }
 
-    fn distributed_noh(executor: ExecutorKind) -> Simulation {
+    fn distributed_noh_builder(executor: ExecutorKind) -> SimulationBuilder {
         Simulation::builder()
             .deck(decks::noh(10))
             .final_time(1.0)
             .max_steps(8)
             .executor(executor)
-            .build()
-            .unwrap()
+    }
+
+    fn distributed_noh(executor: ExecutorKind) -> Simulation {
+        distributed_noh_builder(executor).build().unwrap()
     }
 
     fn view_built(sim: &Simulation) -> bool {
         match &sim.engine.exec {
             Exec::Team(team) => team.view.get().is_some(),
-            Exec::Serial(_) => panic!("a serial engine has no view"),
+            Exec::Serial { .. } => panic!("a serial engine has no view"),
+        }
+    }
+
+    /// A shape of no ranks is refused at `build()` with the typed error
+    /// the partitioner gave it when it first ran.
+    #[test]
+    fn zero_ranks_is_a_typed_error() {
+        for executor in [
+            ExecutorKind::FlatMpi { ranks: 0 },
+            ExecutorKind::Hybrid {
+                ranks: 0,
+                threads_per_rank: 2,
+            },
+        ] {
+            let err = distributed_noh_builder(executor).build().unwrap_err();
+            assert!(matches!(err, BookLeafError::Partition(_)), "{err}");
+        }
+    }
+
+    /// Every one-rank shape builds the serial engine — a hybrid rank of
+    /// two threads with its pool of two — and reads its live state: no
+    /// view to build, no message, no collective, and the report names
+    /// the executor that was asked for.
+    #[test]
+    fn single_rank_executors_build_the_serial_engine() {
+        let mut serial = distributed_noh(ExecutorKind::Serial);
+        assert!(format!("{serial:?}").contains("exec: \"serial\""));
+        serial.run().unwrap();
+        let want = serial.checkpoint().unwrap().snap;
+        let hybrid = ExecutorKind::Hybrid {
+            ranks: 1,
+            threads_per_rank: 2,
+        };
+        for (executor, debug) in [
+            (ExecutorKind::FlatMpi { ranks: 1 }, "exec: \"serial\""),
+            (hybrid, "exec: \"serial, 2 threads\""),
+        ] {
+            let mut sim = distributed_noh(executor);
+            assert!(format!("{sim:?}").contains(debug), "{sim:?}");
+            let report = sim.run_segment(4).unwrap();
+            assert_eq!((report.executor, report.ranks), (executor, 1));
+            assert_eq!(report.comm, CommStats::default(), "{executor:?}");
+            let live: *const HydroState = sim.state();
+            let Exec::Serial { rank, .. } = &sim.engine.exec else {
+                panic!("{executor:?} built a team");
+            };
+            assert!(
+                std::ptr::eq(live, &rank.state),
+                "state() is not the live state"
+            );
+            sim.run().unwrap();
+            assert_eq!(sim.checkpoint().unwrap().snap, want, "{executor:?}");
         }
     }
 
@@ -992,7 +1078,7 @@ mod tests {
             .build()
             .unwrap();
         let report = sim.run().unwrap();
-        assert!(matches!(sim.engine.exec, Exec::Serial(_)));
+        assert!(matches!(sim.engine.exec, Exec::Serial { pool: None, .. }));
         assert_eq!(seen.with(|w| w.0.len()), 3);
         let here = std::thread::current().id();
         assert!(seen.with(|w| w.0.iter().all(|&at| at == (here, 1))));
@@ -1003,11 +1089,11 @@ mod tests {
     /// trajectory does not move.
     #[test]
     fn reading_the_state_between_segments_does_not_move_the_trajectory() {
-        let hybrid = ExecutorKind::Hybrid {
-            ranks: 1,
+        let hybrid = |ranks| ExecutorKind::Hybrid {
+            ranks,
             threads_per_rank: 2,
         };
-        for executor in [ExecutorKind::FlatMpi { ranks: 2 }, hybrid] {
+        for executor in [ExecutorKind::FlatMpi { ranks: 2 }, hybrid(1), hybrid(2)] {
             let mut watched = distributed_noh(executor);
             let mut blind = distributed_noh(executor);
             let _ = watched.state();

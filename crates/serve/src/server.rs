@@ -28,7 +28,7 @@ use bookleaf_core::{
     CheckpointStore, ExecutorKind, Observer, RunReport, SaveOutcome, Simulation, StepView,
 };
 use bookleaf_typhon::{FaultKind, FaultPlan};
-use bookleaf_util::{crc32_f64s, BookLeafError, CheckpointError, DeckError};
+use bookleaf_util::{BookLeafError, CheckpointError, Crc32F64s, DeckError};
 
 use crate::cache::DeckCache;
 use crate::limits::{admit_deck, ResourceLimits};
@@ -504,17 +504,17 @@ fn parse_params(req: &Request, config: &ServeConfig) -> Result<RunParams, Protoc
 /// and the chaos suite — can compare against unloaded runs.
 #[must_use]
 pub fn state_crc(sim: &Simulation) -> u32 {
-    // Borrowed from whichever side holds the solution: digesting a
-    // distributed run does not build its global view.
+    // Borrowed from whichever side holds the solution, and streamed
+    // through the CRC as it lies: digesting a run copies nothing, and a
+    // distributed one does not build its global view.
     let solution = sim.solution();
-    let mut values = Vec::with_capacity(2 * solution.rho.len() + 4 * solution.u.len());
-    values.extend_from_slice(solution.rho);
-    values.extend_from_slice(solution.ein);
+    let mut crc = Crc32F64s::new();
+    crc.update(solution.rho);
+    crc.update(solution.ein);
     for v in solution.u.iter().chain(solution.nodes) {
-        values.push(v.x);
-        values.push(v.y);
+        crc.update(&[v.x, v.y]);
     }
-    crc32_f64s(&values)
+    crc.finish()
 }
 
 fn executor_name(executor: ExecutorKind) -> String {
@@ -828,24 +828,8 @@ fn execute(
         sink.lock().expect("stream sink poisoned").head();
     }
 
-    // Segmented supervised execution on the shared kernel pool, panics
-    // caught at the request boundary.
-    let shared2 = Arc::clone(shared);
-    let tenant = params.tenant.clone();
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        run_supervised(&shared2, &tenant, sim)
-    }));
-    let end = match run {
-        Ok(end) => end,
-        Err(panic) => {
-            let message = panic
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic payload".into());
-            RunEnd::Failed(BookLeafError::RankPanic { rank: 0, message })
-        }
-    };
+    // Segmented supervised execution on the shared kernel pool.
+    let end = at_request_boundary(|| run_supervised(shared, &params.tenant, sim));
 
     // Streaming: the final chunk carries the JSON verdict, then the
     // terminator; the fixed-length responder must not also fire.
@@ -875,6 +859,21 @@ fn execute(
         return (end, cached, true);
     }
     (end, cached, false)
+}
+
+/// Run `op`, catching a panic at the request boundary as a typed
+/// `RankPanic` of rank 0. A team's rank panics already arrive typed;
+/// a run of one rank has no team, so its panics — an observer's, say —
+/// unwind to here, as a serial run's always did.
+fn at_request_boundary(op: impl FnOnce() -> RunEnd) -> RunEnd {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(op)).unwrap_or_else(|panic| {
+        let message = panic
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "opaque panic payload".into());
+        RunEnd::Failed(BookLeafError::RankPanic { rank: 0, message })
+    })
 }
 
 /// The segment loop: run `drain_check_steps` at a time, checkpointing
@@ -993,6 +992,38 @@ mod tests {
         let _ = sim.state();
         assert!(format!("{sim:?}").contains("team, view built"), "{sim:?}");
         assert_eq!(state_crc(&sim), crc);
+    }
+
+    /// A run of one rank has no team to type its panics: an observer's
+    /// unwinds the run, and the request boundary turns it into the same
+    /// typed answer a team's rank panic gets.
+    #[test]
+    fn a_panic_in_a_run_of_one_rank_is_caught_at_the_request_boundary() {
+        struct PanicAtStep(usize);
+        impl Observer for PanicAtStep {
+            fn step_end(&mut self, view: &StepView<'_>) {
+                assert!(view.step + 1 != self.0, "injected observer panic");
+            }
+        }
+        let executor = ExecutorKind::Hybrid {
+            ranks: 1,
+            threads_per_rank: 2,
+        };
+        let mut sim = Simulation::builder()
+            .deck(bookleaf_core::decks::noh(8))
+            .max_steps(5)
+            .executor(executor)
+            .observer(PanicAtStep(3))
+            .build()
+            .unwrap();
+        let end = at_request_boundary(move || match sim.run() {
+            Ok(report) => RunEnd::Done(Box::new(sim), Box::new(report)),
+            Err(err) => RunEnd::Failed(err),
+        });
+        let RunEnd::Failed(BookLeafError::RankPanic { rank: 0, message }) = end else {
+            panic!("the panic did not arrive as a typed RankPanic");
+        };
+        assert!(message.contains("injected observer panic"), "{message}");
     }
 
     #[test]

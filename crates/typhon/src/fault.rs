@@ -93,6 +93,12 @@ pub struct FaultEntry {
 /// Built either from explicit entries (the builder methods) or derived
 /// from a seed with [`FaultPlan::seeded`]; both are pure data, cheap to
 /// clone, and shared read-only by every rank of a team.
+///
+/// A plan acts only where a team of two or more ranks runs: a
+/// simulation of one rank (`bookleaf_core`'s serial executor and its
+/// one-rank flat-MPI and hybrid shapes) spawns no team, so no entry —
+/// kill included — ever fires there, and the run is bitwise the
+/// fault-free one.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     seed: u64,

@@ -107,20 +107,72 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// pattern, so any in-flight bit flip is detected.
 #[must_use]
 pub fn crc32_f64s(values: &[f64]) -> u32 {
-    // The eight little-endian bytes of a double are its bits, low word
-    // first: two doubles make one sixteen-byte step.
-    let words = |v: f64| (v.to_bits() as u32, (v.to_bits() >> 32) as u32);
-    let mut c = 0xFFFF_FFFFu32;
-    let mut pairs = values.chunks_exact(2);
-    for pair in &mut pairs {
-        let ((a, b), (d, e)) = (words(pair[0]), words(pair[1]));
-        c = fold16(c, [a, b, d, e]);
+    let mut crc = Crc32F64s::new();
+    crc.update(values);
+    crc.finish()
+}
+
+/// [`crc32_f64s`] of a sequence of doubles that arrives in pieces: the
+/// CRC of the concatenation, bit for bit, without building it. An odd
+/// double at the end of one piece waits for the first of the next, so
+/// every piece folds in sixteen-byte steps.
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32F64s {
+    /// The running (pre-inverted) value.
+    c: u32,
+    /// The double waiting for its pair.
+    odd: Option<f64>,
+}
+
+impl Default for Crc32F64s {
+    fn default() -> Self {
+        Self::new()
     }
-    for &v in pairs.remainder() {
-        let (lo, hi) = words(v);
-        c = fold8(c, lo, hi);
+}
+
+impl Crc32F64s {
+    /// The CRC of nothing yet.
+    #[must_use]
+    pub fn new() -> Self {
+        Crc32F64s {
+            c: 0xFFFF_FFFF,
+            odd: None,
+        }
     }
-    c ^ 0xFFFF_FFFF
+
+    /// Append `values`.
+    #[inline]
+    pub fn update(&mut self, mut values: &[f64]) {
+        // The eight little-endian bytes of a double are its bits, low
+        // word first: two doubles make one sixteen-byte step.
+        let words = |v: f64| (v.to_bits() as u32, (v.to_bits() >> 32) as u32);
+        let mut c = self.c;
+        if let (Some(first), [second, rest @ ..]) = (self.odd, values) {
+            let ((a, b), (d, e)) = (words(first), words(*second));
+            c = fold16(c, [a, b, d, e]);
+            self.odd = None;
+            values = rest;
+        }
+        let mut pairs = values.chunks_exact(2);
+        for pair in &mut pairs {
+            let ((a, b), (d, e)) = (words(pair[0]), words(pair[1]));
+            c = fold16(c, [a, b, d, e]);
+        }
+        if let [last] = pairs.remainder() {
+            self.odd = Some(*last);
+        }
+        self.c = c;
+    }
+
+    /// The CRC of everything appended.
+    #[must_use]
+    pub fn finish(self) -> u32 {
+        let c = match self.odd {
+            Some(v) => fold8(self.c, v.to_bits() as u32, (v.to_bits() >> 32) as u32),
+            None => self.c,
+        };
+        c ^ 0xFFFF_FFFF
+    }
 }
 
 #[cfg(test)]
@@ -180,6 +232,32 @@ mod tests {
                 bytes.extend_from_slice(&v.to_le_bytes());
             }
             assert_eq!(crc32_f64s(&values[..n]), crc32(&bytes), "{n} doubles");
+        }
+    }
+
+    /// Streaming a sequence in pieces is the one-shot CRC, wherever the
+    /// pieces split it: at every one and two split points of random
+    /// sequences of odd and even length, empty pieces included.
+    #[test]
+    fn streamed_matches_one_shot_at_every_split() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for n in [0usize, 1, 2, 7, 10, 33] {
+            let values: Vec<f64> = (0..n)
+                .map(|_| {
+                    x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    f64::from_bits(x)
+                })
+                .collect();
+            let whole = crc32_f64s(&values);
+            for i in 0..=n {
+                for j in i..=n {
+                    let mut crc = Crc32F64s::new();
+                    for piece in [&values[..i], &values[i..j], &values[j..]] {
+                        crc.update(piece);
+                    }
+                    assert_eq!(crc.finish(), whole, "{n} doubles split at {i}, {j}");
+                }
+            }
         }
     }
 

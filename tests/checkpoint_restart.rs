@@ -300,11 +300,15 @@ fn through_bytes(sim: &Simulation) -> Checkpoint {
     Checkpoint::from_bytes(&sim.checkpoint().unwrap().to_bytes()).unwrap()
 }
 
-const ALE_SHAPES: [ExecutorKind; 3] = [
+const ALE_SHAPES: [ExecutorKind; 4] = [
     ExecutorKind::Serial,
     ExecutorKind::FlatMpi { ranks: 2 },
     ExecutorKind::Hybrid {
         ranks: 1,
+        threads_per_rank: 2,
+    },
+    ExecutorKind::Hybrid {
+        ranks: 2,
         threads_per_rank: 2,
     },
 ];

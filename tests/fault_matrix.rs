@@ -16,7 +16,8 @@ use bookleaf::core::{
     decks, ExecutorKind, Observer, RecoveryPolicy, ReshapePolicy, Simulation, SimulationBuilder,
     StepView,
 };
-use bookleaf::typhon::{FaultKind, FaultPlan};
+use bookleaf::serve::state_crc;
+use bookleaf::typhon::{CommStats, FaultKind, FaultPlan};
 use bookleaf::util::BookLeafError;
 
 /// A Noh builder on 4 ranks; `ale` switches the frame (the remap adds
@@ -251,6 +252,94 @@ fn retry_budget_exhaustion_returns_the_typed_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The shapes of one rank: no team runs them, so nothing can fault.
+const ONE_RANK: [ExecutorKind; 3] = [
+    ExecutorKind::Serial,
+    ExecutorKind::FlatMpi { ranks: 1 },
+    ExecutorKind::Hybrid {
+        ranks: 1,
+        threads_per_rank: 2,
+    },
+];
+
+/// A fault plan is inert on a run of one rank: it has no messages to
+/// corrupt, drop or delay and no rank to kill, so every fault class in
+/// both frames finishes bitwise on the fault-free run, and no message
+/// or collective is counted.
+#[test]
+fn a_fault_plan_is_inert_on_one_rank() {
+    for ale in [false, true] {
+        let mut clean = noh4(ale).executor(ExecutorKind::Serial).build().unwrap();
+        clean.run().unwrap();
+        let want = state_crc(&clean);
+        for executor in ONE_RANK {
+            for kind in [
+                FaultKind::Corrupt,
+                FaultKind::Drop,
+                FaultKind::Delay,
+                FaultKind::Kill,
+            ] {
+                let mut sim = noh4(ale)
+                    .executor(executor)
+                    .fault_plan(FaultPlan::new(11).with(kind, 3, 0))
+                    .comm_timeout(FAST)
+                    .build()
+                    .unwrap();
+                let report = sim.run().unwrap();
+                let what = format!("{kind} on {executor:?} (ale={ale})");
+                assert_eq!(report.steps, 12, "{what}");
+                assert_eq!(report.comm, CommStats::default(), "{what}");
+                assert_eq!(state_crc(&sim), want, "{what}");
+            }
+        }
+    }
+}
+
+/// Halving onto one rank still recovers: the 2-rank team dies, the
+/// retry runs whole — where the plan's kill for that attempt has
+/// nothing to kill — and finishes bitwise on the uninterrupted run.
+#[test]
+fn elastic_recovery_onto_one_rank_runs_whole() {
+    let dir = std::env::temp_dir().join(format!("bl_halve_to_one_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut uninterrupted = noh4(false).executor(ExecutorKind::Serial).build().unwrap();
+    uninterrupted.run().unwrap();
+    for (two, one) in [
+        (
+            ExecutorKind::FlatMpi { ranks: 2 },
+            ExecutorKind::FlatMpi { ranks: 1 },
+        ),
+        (
+            ExecutorKind::Hybrid {
+                ranks: 2,
+                threads_per_rank: 2,
+            },
+            ExecutorKind::Hybrid {
+                ranks: 1,
+                threads_per_rank: 2,
+            },
+        ),
+    ] {
+        let mut sim = noh4(false)
+            .executor(two)
+            .fault_plan(FaultPlan::new(3).kill(6, 1).kill(8, 0).on_attempt(1))
+            .comm_timeout(FAST)
+            .build()
+            .unwrap();
+        let policy = RecoveryPolicy::new(&dir)
+            .checkpoint_every_steps(4)
+            .max_retries(1)
+            .reshape(ReshapePolicy::Halve);
+        let report = sim.run_resilient(&policy).unwrap();
+        assert_eq!(report.steps, 12);
+        assert_eq!(report.recovery.retries(), 1, "{two:?}");
+        assert_eq!(report.recovery.events[0].retry_executor, one);
+        assert_eq!((report.executor, report.ranks), (one, 1));
+        assert_eq!(state_crc(&sim), state_crc(&uninterrupted), "{two:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// An observer that panics at a chosen step on rank 0 — stands in for
 /// any bug that unwinds a rank thread mid-run.
 struct PanicAt(usize);
@@ -261,6 +350,36 @@ impl Observer for PanicAt {
             !(view.rank == 0 && view.step + 1 == self.0),
             "injected observer panic"
         );
+    }
+}
+
+/// On one rank there is no team to turn a panic into a typed
+/// `RankPanic`: a panicking observer unwinds the run to the caller, as
+/// under `Serial` — out of a hybrid rank's pool too — and the next run
+/// is healthy.
+#[test]
+fn a_panicking_observer_unwinds_a_run_of_one_rank() {
+    for executor in ONE_RANK {
+        let unwound = std::panic::catch_unwind(|| {
+            let mut sim = noh4(false)
+                .executor(executor)
+                .observer(PanicAt(3))
+                .build()
+                .unwrap();
+            sim.run().map(|report| report.steps)
+        });
+        let payload = unwound.expect_err("the observer's panic was swallowed");
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        assert!(
+            message.contains("injected observer panic"),
+            "{executor:?}: {message:?}"
+        );
+        let mut healthy = noh4(false).executor(executor).build().unwrap();
+        assert_eq!(healthy.run().unwrap().steps, 12, "{executor:?}");
     }
 }
 

@@ -6,7 +6,8 @@
 //! guard needs no wall clock and no RSS sampling: a `#[global_allocator]`
 //! tracks live heap bytes (atomically — rank threads allocate too), and
 //! build → run → digest under two flat-MPI ranks must peak within a
-//! fixed multiple of what the same deck peaks at serially.
+//! fixed multiple of what the same deck peaks at serially, and a run of
+//! one flat-MPI or hybrid rank at what it does serially.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -88,4 +89,23 @@ fn two_flat_ranks_peak_within_a_fixed_multiple_of_serial() {
         "flat MPI x2 peaks at {ratio:.2}x the serial footprint ({flat} vs {serial} B): \
          is a global state alive while the ranks run?"
     );
+    // A shape of one rank is the serial engine: no partition, no
+    // sub-mesh plan, no gathered snapshot beside the live pair. Any of
+    // them costs a tenth of the serial peak or more.
+    for executor in [
+        ExecutorKind::FlatMpi { ranks: 1 },
+        ExecutorKind::Hybrid {
+            ranks: 1,
+            threads_per_rank: 2,
+        },
+    ] {
+        let one = peak_bytes(executor);
+        let ratio = one as f64 / serial as f64;
+        println!("peak live heap: {executor:?} {one} B, ratio {ratio:.3}");
+        assert!(
+            ratio <= 1.05,
+            "{executor:?} peaks at {ratio:.2}x the serial footprint ({one} vs {serial} B): \
+             is one rank run as a team?"
+        );
+    }
 }
