@@ -306,8 +306,8 @@ fn remap_elements(
             let cv = corner_volumes(&corners);
             *cnvol = cv;
             // Uniform sub-zonal density on the fresh mesh: the remap
-            // resets sub-zonal pressure deviations (standard for
-            // single-material swept remaps; see DESIGN.md).
+            // resets sub-zonal pressure deviations (its fluxes carry
+            // element totals only, as single-material swept remaps do).
             for c in 0..4 {
                 cnmass[c] = *rho * cv[c];
             }

@@ -1,8 +1,8 @@
 //! Regenerate **Table I** — the experimental configuration.
 //!
 //! The paper's Table I lists the five hardware/compiler configurations
-//! used in the evaluation. Ours lists the corresponding *modeled
-//! platforms* (the substitution of DESIGN.md §3) with the parameters the
+//! used in the evaluation. Ours lists the `bookleaf-device` *modeled
+//! platforms* standing in for those machines, with the parameters the
 //! performance models use, plus the execution models attached to each.
 
 use bookleaf_device::{CpuPlatform, GpuPlatform, Interconnect};

@@ -47,7 +47,7 @@ use bookleaf_ale::Remapper;
 use bookleaf_hydro::{HydroState, LocalRange, Threading};
 use bookleaf_mesh::{Mesh, SubMesh, SubMeshPlan};
 use bookleaf_partition::{partition, Strategy};
-use bookleaf_typhon::{CommStats, Typhon, TyphonOptions};
+use bookleaf_typhon::{CommStats, HaloPlan, Typhon, TyphonOptions};
 use bookleaf_util::{BookLeafError, Result, TimerReport};
 
 use crate::config::{ExecutorKind, RunConfig};
@@ -85,18 +85,6 @@ impl Piece {
             mesh: mesh.clone(),
             range: LocalRange::whole(mesh),
             l2g: L2g(None),
-        }
-    }
-
-    /// A team rank's piece.
-    fn of(sub: SubMesh) -> Piece {
-        Piece {
-            mesh: sub.mesh,
-            range: LocalRange {
-                n_owned_el: sub.n_owned_el,
-                n_active_nd: sub.n_active_nd,
-            },
-            l2g: L2g(Some((sub.el_l2g, sub.nd_l2g))),
         }
     }
 
@@ -367,11 +355,35 @@ pub(crate) fn run_team(
             .take()
             .expect("each rank starts once");
         let body = || -> Result<Segment> {
-            // The rank's aggregated exchange plan, built once; every
-            // halo phase then moves as one message per neighbour.
+            // The piston and the overlap lists are read off the submesh
+            // first; then its parts move, none copied: the exchange
+            // lists into the rank's exchange plan (every halo phase then
+            // moves as one message per neighbour), the mesh and maps
+            // into its piece.
             let piston = LocalPiston::of(deck, Some(&sub.nd_l2g));
-            let halo = TyphonHalo::new(ctx, &sub, piston, config.overlap);
-            let mut rank = Rank::new(deck, &rank_config, Piece::of(sub), halo, resume)?;
+            let boundary = config.overlap.then(|| sub.overlap_sets());
+            let SubMesh {
+                mesh,
+                n_owned_el,
+                n_active_nd,
+                el_l2g,
+                nd_l2g,
+                nd_owner,
+                el_exchange,
+                nd_exchange,
+                ..
+            } = sub;
+            let plan = HaloPlan::new(el_exchange, nd_exchange);
+            let halo = TyphonHalo::new(ctx, plan, nd_owner, boundary, piston);
+            let piece = Piece {
+                mesh,
+                range: LocalRange {
+                    n_owned_el,
+                    n_active_nd,
+                },
+                l2g: L2g(Some((el_l2g, nd_l2g))),
+            };
+            let mut rank = Rank::new(deck, &rank_config, piece, halo, resume)?;
             let segment = rank.run(deck, &rank_config, observers, energy_ref)?;
             let mut gathered = gathered.lock().expect("gathering does not panic");
             rank.gather(gathered.get_or_insert_with(|| {
@@ -595,8 +607,10 @@ mod tests {
             .build()
             .unwrap();
         dist.run().unwrap();
-        // ALE at partition boundaries falls back to first order for the
-        // limiter stencil (see DESIGN.md), so agreement is looser.
+        // ALE at partition boundaries falls back to first order wherever
+        // the limiter's upstream neighbour lies beyond the one ghost
+        // layer, and the remap reads ghost state last refreshed before
+        // the viscosity, so agreement is looser.
         for e in 0..deck.mesh.n_elements() {
             assert!(
                 approx_eq(serial.state().rho[e], dist.state().rho[e], 5e-2),

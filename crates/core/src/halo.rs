@@ -9,20 +9,21 @@
 //! this rank counts in a global sum. It is implemented twice.
 //! [`SerialHooks`] is a rank with nobody to talk to — every default, no
 //! thread, no Typhon, no partition. [`TyphonHalo`] is a rank of a
-//! Typhon team, over a [`bookleaf_typhon::HaloPlan`]: each [`Phase`] is
-//! one registered exchange phase, and every field a phase needs travels
-//! in a **single packed message per neighbouring rank** (the reference
-//! Typhon's aggregated quantity registration — see
-//! `bookleaf_typhon::plan`):
+//! Typhon team, over a [`bookleaf_typhon::HaloPlan`]: every field a
+//! [`Phase`] needs travels in a **single packed message per
+//! neighbouring rank** (the reference Typhon's aggregated exchange — see
+//! `bookleaf_typhon::plan`). What a phase moves is written once, as the
+//! field bindings of `with_fields`, and those bindings in their order
+//! are the wire layout:
 //!
 //! * **`pre_viscosity`** — node kinematics (positions and velocities)
 //!   plus ghost element thermodynamic state (ρ, e, p, c²): six fields,
 //!   one message per neighbour;
 //! * **`pre_acceleration`** — ghost corner masses and corner forces, so
 //!   every rank can close the nodal gather for its nodes. Corner forces
-//!   travel as `CornerVec2` wire entries packed straight from the SoA
-//!   component rows (`FieldMut::CornerPair`) — no scratch arrays, and
-//!   the bytes on the wire are identical to the interleaved layout's;
+//!   are packed straight from the SoA component rows
+//!   (`FieldMut::CornerPair`, eight doubles per element: `x`, `y`
+//!   interleaved corner by corner) — no staging copies;
 //! * **`post_remap`** — everything an ALE remap rewrites (masses, state,
 //!   volumes, corner masses, node kinematics): seven fields, one
 //!   message per neighbour.
@@ -30,9 +31,9 @@
 //! The overlap toggle lives here and nowhere else: overlapping, `post`
 //! sends and `complete` receives, and the kernels between them sweep
 //! the interior its `boundary()` leaves (the submesh's
-//! [`SubMesh::overlap_sets`]); blocking, a phase exchanges in full
-//! inside one of the two calls and `boundary()` is empty. The same
-//! messages move either way.
+//! [`bookleaf_mesh::SubMesh::overlap_sets`]); blocking, a phase
+//! exchanges in full inside one of the two calls and `boundary()` is
+//! empty. The same messages move either way.
 //!
 //! Resuming moves no messages: the restart state is global, so a rank
 //! reads its ghosts' values where it reads its own (`Snapshot::install`).
@@ -46,11 +47,8 @@
 use std::collections::HashMap;
 
 use bookleaf_hydro::{HaloOps, HydroState, Phase};
-use bookleaf_mesh::{Mesh, OverlapSets, SubMesh};
-use bookleaf_typhon::{
-    CommStats, Entity, FieldMut, HaloPlan, HaloPlanBuilder, PendingPhase, PhaseId, RankCtx,
-    SlotKind,
-};
+use bookleaf_mesh::{Mesh, OverlapSets};
+use bookleaf_typhon::{Binding, CommStats, Entity, FieldMut, HaloPlan, PendingPhase, RankCtx};
 use bookleaf_util::{Result, Vec2};
 
 use crate::decks::Deck;
@@ -169,108 +167,71 @@ pub struct TyphonHalo<'a> {
     boundary: OverlapSets,
     /// Owner rank of each local node.
     nd_owner: Vec<u32>,
-    /// Indexed by `Phase as usize`, like `pending`.
-    ids: [PhaseId; 3],
+    /// Indexed by `Phase as usize`.
     pending: [Option<PendingPhase>; 3],
     /// Piston with *local* node ids, if any land on this rank.
     pub piston: Option<LocalPiston>,
 }
 
-/// What `phase` moves, in registration order (the wire layout of
-/// [`with_fields`]'s bindings).
-fn slots(phase: Phase) -> &'static [(Entity, SlotKind)] {
-    match phase {
-        Phase::PreViscosity => &[
-            (Entity::Node, SlotKind::Vec2),      // mesh.nodes
-            (Entity::Node, SlotKind::Vec2),      // u
-            (Entity::Element, SlotKind::Scalar), // rho
-            (Entity::Element, SlotKind::Scalar), // ein
-            (Entity::Element, SlotKind::Scalar), // pressure
-            (Entity::Element, SlotKind::Scalar), // cs2
-        ],
-        Phase::PreAcceleration => &[
-            (Entity::Element, SlotKind::Corner4),    // cnmass
-            (Entity::Element, SlotKind::CornerVec2), // cnforce
-        ],
-        Phase::PostRemap => &[
-            (Entity::Node, SlotKind::Vec2),       // mesh.nodes
-            (Entity::Node, SlotKind::Vec2),       // u
-            (Entity::Element, SlotKind::Scalar),  // mass
-            (Entity::Element, SlotKind::Scalar),  // rho
-            (Entity::Element, SlotKind::Scalar),  // ein
-            (Entity::Element, SlotKind::Scalar),  // volume
-            (Entity::Element, SlotKind::Corner4), // cnmass
-        ],
-    }
-}
-
-/// Run `exchange` on `phase`'s field bindings.
+/// Run `exchange` on `phase`'s field bindings: the one description of
+/// what a phase moves, in wire order.
 fn with_fields<R>(
     phase: Phase,
     mesh: &mut Mesh,
     state: &mut HydroState,
-    exchange: impl FnOnce(&mut [FieldMut<'_>]) -> R,
+    exchange: impl FnOnce(&mut [Binding<'_>]) -> R,
 ) -> R {
+    use Entity::{Element as El, Node as Nd};
     match phase {
         Phase::PreViscosity => exchange(&mut [
-            FieldMut::Vec2(&mut mesh.nodes),
-            FieldMut::Vec2(&mut state.u),
-            FieldMut::Scalar(&mut state.rho),
-            FieldMut::Scalar(&mut state.ein),
-            FieldMut::Scalar(&mut state.pressure),
-            FieldMut::Scalar(&mut state.cs2),
+            (Nd, FieldMut::Vec2(&mut mesh.nodes)),
+            (Nd, FieldMut::Vec2(&mut state.u)),
+            (El, FieldMut::Scalar(&mut state.rho)),
+            (El, FieldMut::Scalar(&mut state.ein)),
+            (El, FieldMut::Scalar(&mut state.pressure)),
+            (El, FieldMut::Scalar(&mut state.cs2)),
         ]),
         Phase::PreAcceleration => exchange(&mut [
-            FieldMut::Corner4(&mut state.cnmass),
-            FieldMut::CornerPair(&mut state.cnforce_x, &mut state.cnforce_y),
+            (El, FieldMut::Corner4(&mut state.cnmass)),
+            (
+                El,
+                FieldMut::CornerPair(&mut state.cnforce_x, &mut state.cnforce_y),
+            ),
         ]),
         Phase::PostRemap => exchange(&mut [
-            FieldMut::Vec2(&mut mesh.nodes),
-            FieldMut::Vec2(&mut state.u),
-            FieldMut::Scalar(&mut state.mass),
-            FieldMut::Scalar(&mut state.rho),
-            FieldMut::Scalar(&mut state.ein),
-            FieldMut::Scalar(&mut state.volume),
-            FieldMut::Corner4(&mut state.cnmass),
+            (Nd, FieldMut::Vec2(&mut mesh.nodes)),
+            (Nd, FieldMut::Vec2(&mut state.u)),
+            (El, FieldMut::Scalar(&mut state.mass)),
+            (El, FieldMut::Scalar(&mut state.rho)),
+            (El, FieldMut::Scalar(&mut state.ein)),
+            (El, FieldMut::Scalar(&mut state.volume)),
+            (El, FieldMut::Corner4(&mut state.cnmass)),
         ]),
     }
 }
 
 impl<'a> TyphonHalo<'a> {
-    /// Build the rank's exchange plan from the submesh schedules and
-    /// register the three phases. `overlap` asks for the split
-    /// schedule (granted if the rank has a neighbour).
+    /// A rank over its exchange `plan`, with its nodes' owner ranks.
+    /// `boundary` (the submesh's overlap sets) asks for the split
+    /// schedule, granted if the rank has a neighbour; `None` blocks.
     #[must_use]
     pub fn new(
         ctx: &'a RankCtx,
-        sub: &SubMesh,
+        plan: HaloPlan,
+        nd_owner: Vec<u32>,
+        boundary: Option<OverlapSets>,
         piston: Option<LocalPiston>,
-        overlap: bool,
     ) -> Self {
-        let mut b = HaloPlanBuilder::new(&sub.el_exchange, &sub.nd_exchange);
-        let ids = Phase::ALL.map(|phase| b.phase(phase.name(), slots(phase)));
-        let plan = b.build();
-        let overlap = overlap && plan.n_links() > 0;
+        let boundary = boundary.filter(|_| plan.n_links() > 0);
         TyphonHalo {
             ctx,
-            overlap,
-            boundary: if overlap {
-                sub.overlap_sets()
-            } else {
-                OverlapSets::default()
-            },
-            nd_owner: sub.nd_owner.clone(),
+            overlap: boundary.is_some(),
+            boundary: boundary.unwrap_or_default(),
+            nd_owner,
             plan,
-            ids,
             pending: [None, None, None],
             piston,
         }
-    }
-
-    /// The rank's frozen exchange plan (for accounting and tests).
-    #[must_use]
-    pub fn plan(&self) -> &HaloPlan {
-        &self.plan
     }
 
     /// Pack and send `phase`, keeping the ticket.
@@ -282,7 +243,7 @@ impl<'a> TyphonHalo<'a> {
             phase.name()
         );
         let posted = with_fields(phase, mesh, state, |fields| {
-            self.plan.post(self.ctx, self.ids[slot], fields)
+            self.plan.post(self.ctx, phase.name(), fields)
         })?;
         self.pending[slot] = Some(posted);
         Ok(())
@@ -367,7 +328,7 @@ impl Team for TyphonHalo<'_> {
 mod tests {
     use super::*;
     use bookleaf_eos::{EosSpec, MaterialTable};
-    use bookleaf_mesh::{generate_rect, RectSpec, SubMeshPlan};
+    use bookleaf_mesh::{generate_rect, RectSpec, SubMesh, SubMeshPlan};
     use bookleaf_typhon::Typhon;
 
     #[test]
@@ -409,6 +370,13 @@ mod tests {
         (m, subs)
     }
 
+    /// A halo over copies of `sub`'s lists, overlapping if asked.
+    fn halo_of<'a>(ctx: &'a RankCtx, sub: &SubMesh, overlap: bool) -> TyphonHalo<'a> {
+        let plan = HaloPlan::new(sub.el_exchange.clone(), sub.nd_exchange.clone());
+        let boundary = overlap.then(|| sub.overlap_sets());
+        TyphonHalo::new(ctx, plan, sub.nd_owner.clone(), boundary, None)
+    }
+
     /// The lists a halo answers `boundary()` with are its own submesh's
     /// when it overlaps, and empty when it blocks — by request, or
     /// because the rank has no neighbour to hide work behind.
@@ -417,16 +385,16 @@ mod tests {
         let (m, subs) = two_stripes(6);
         Typhon::run(2, |ctx| {
             let sub = &subs[ctx.rank()];
-            let overlapping = TyphonHalo::new(ctx, sub, None, true);
+            let overlapping = halo_of(ctx, sub, true);
             assert_eq!(*overlapping.boundary(), sub.overlap_sets());
             assert!(!overlapping.boundary().el_boundary_ids.is_empty());
-            let blocking = TyphonHalo::new(ctx, sub, None, false);
+            let blocking = halo_of(ctx, sub, false);
             assert_eq!(*blocking.boundary(), OverlapSets::default());
         })
         .unwrap();
         let alone = SubMeshPlan::build(&m, &vec![0; m.n_elements()], 1).unwrap();
         Typhon::run(1, |ctx| {
-            let halo = TyphonHalo::new(ctx, &alone[0], None, true);
+            let halo = halo_of(ctx, &alone[0], true);
             assert_eq!(*halo.boundary(), OverlapSets::default());
         })
         .unwrap();
@@ -434,9 +402,8 @@ mod tests {
     }
 
     /// Each phase sends exactly one message per neighbour link, blocking
-    /// or overlapping, and the corner-force exchange round-trips through
-    /// the native CornerVec2 packing (no scratch arrays, bit-exact
-    /// values).
+    /// or overlapping, and the corner forces round-trip bit-exact
+    /// through the `CornerPair` packing of their SoA rows.
     #[test]
     fn phases_are_one_message_per_neighbour() {
         let (_, subs) = two_stripes(6);
@@ -459,7 +426,7 @@ mod tests {
                         st.set_cnforce(e, c, f);
                     }
                 }
-                let mut halo = TyphonHalo::new(ctx, sub, None, overlap);
+                let mut halo = halo_of(ctx, sub, overlap);
                 for phase in Phase::ALL {
                     halo.post(phase, &mut mesh, &mut st).unwrap();
                     halo.complete(phase, &mut mesh, &mut st).unwrap();
@@ -470,7 +437,7 @@ mod tests {
                         st.cnforce(e, c) == Vec2::new(g + 0.1 * c as f64, -g - 0.1 * c as f64)
                     })
                 });
-                (ctx.stats(), halo.plan().n_links(), forces_ok)
+                (ctx.stats(), sub.neighbour_ranks().len(), forces_ok)
             })
             .unwrap();
             for (stats, n_links, forces_ok) in out {
@@ -516,7 +483,7 @@ mod tests {
                     n_active_nd: sub.n_active_nd,
                 };
                 let remapper = Remapper::new(&mesh, AleOptions::default());
-                let mut halo = TyphonHalo::new(ctx, sub, None, overlap);
+                let mut halo = halo_of(ctx, sub, overlap);
                 let (opts, timers) = (LagOptions::default(), TimerRegistry::new());
                 lagstep_timed(
                     &mut mesh, &mat, &mut st, range, 1e-3, &opts, &mut halo, &timers,
@@ -531,7 +498,8 @@ mod tests {
                     .chain(st.u.iter().chain(&mesh.nodes).flat_map(|v| [&v.x, &v.y]))
                     .map(|x| x.to_bits())
                     .collect();
-                (step, ctx.stats(), halo.plan().n_links() as u64, bits)
+                let links = sub.neighbour_ranks().len() as u64;
+                (step, ctx.stats(), links, bits)
             })
             .unwrap()
         };

@@ -9,18 +9,20 @@
 //! "MPI rank" is an OS thread owning a disjoint mesh partition, and
 //! point-to-point messages travel over `crossbeam` channels. The
 //! *communication structure* — who sends what to whom, and when — is
-//! identical to the MPI original; only the transport differs (see
-//! DESIGN.md §3, substitution 1). Multi-node wire costs are recovered by
-//! the `bookleaf-device` cluster model.
+//! identical to the MPI original; only the transport differs: a team
+//! lives in one process, where a channel does what an MPI point-to-point
+//! call does without a launcher or an MPI library to link. Multi-node
+//! wire costs are recovered by the `bookleaf-device` cluster model.
 //!
 //! ## Pieces
 //!
 //! * [`runtime`] — the rank team: spawn N rank threads, point-to-point
 //!   send/recv with tag matching, barriers and global min/sum reductions,
 //!   plus a per-rank payload-buffer recycle pool;
-//! * [`plan`] — the phase-aggregated exchange plan: register typed field
-//!   slots per phase once, then move each phase as **one** packed message
-//!   per neighbour, with per-phase traffic accounting;
+//! * [`plan`] — the phase-aggregated exchange plan: a rank's neighbour
+//!   links, over which each phase moves as **one** packed message per
+//!   neighbour. Nothing is registered: the field bindings a phase is
+//!   posted with are its layout. Per-phase traffic is accounted;
 //! * [`stats`] — per-rank communication counters (messages, doubles
 //!   moved, per-phase breakdowns) consumed by the performance models;
 //! * [`fault`] — deterministic fault injection: a seeded [`FaultPlan`]
@@ -34,6 +36,6 @@ pub mod runtime;
 pub mod stats;
 
 pub use fault::{FaultEntry, FaultKind, FaultPlan};
-pub use plan::{Entity, FieldMut, HaloPlan, HaloPlanBuilder, PendingPhase, PhaseId, SlotKind};
+pub use plan::{Binding, Entity, FieldMut, HaloPlan, PendingPhase};
 pub use runtime::{RankCtx, Typhon, TyphonOptions};
 pub use stats::{CommStats, PhaseStats};

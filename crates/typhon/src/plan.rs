@@ -1,35 +1,33 @@
 //! Phase-aggregated halo exchange: one message per neighbour per phase.
 //!
-//! The reference Typhon registers every quantity a communication *phase*
-//! needs up front and then moves the whole phase in a single packed
-//! buffer per neighbouring process — the cluster cost model (see
-//! [`crate::stats`]) charges per message as well as per byte, so message
-//! count is a first-order term. The naive port sent one tagged message
-//! per field (6 before viscosity, 3 before acceleration, 7 after an ALE
-//! remap); a [`HaloPlan`] collapses each phase to exactly **one** send
-//! and **one** receive per neighbour link.
+//! The reference Typhon moves every quantity a communication *phase*
+//! needs in a single packed buffer per neighbouring process — the
+//! cluster cost model (see [`crate::stats`]) charges per message as well
+//! as per byte, so message count is a first-order term. A [`HaloPlan`]
+//! holds one rank's neighbour links and moves each phase as exactly
+//! **one** send and **one** receive per link.
 //!
 //! ## Packed-buffer layout
 //!
-//! A plan is built once per rank from the submesh's element and node
-//! [`ExchangeList`]s. Phases are registered with
-//! [`HaloPlanBuilder::phase`] as an ordered list of typed *slots*:
+//! Nothing is registered: the [`Binding`]s a phase is posted and
+//! completed with *are* its wire format. Each binding names the local
+//! index space of its field ([`Entity`]) and the field ([`FieldMut`]):
 //!
-//! | [`SlotKind`]  | entity payload        | doubles per entry |
-//! |---------------|-----------------------|-------------------|
-//! | `Scalar`      | `f64`                 | 1                 |
-//! | `Vec2`        | [`Vec2`]              | 2 (`x`, `y`)      |
-//! | `Corner4`     | `[f64; 4]`            | 4 (corner order)  |
-//! | `CornerVec2`  | `[Vec2; 4]`           | 8 (`x`,`y` × 4)   |
+//! | [`FieldMut`]  | entity payload                   | doubles per entry |
+//! |---------------|----------------------------------|-------------------|
+//! | `Scalar`      | `f64`                            | 1                 |
+//! | `Vec2`        | [`Vec2`]                         | 2 (`x`, `y`)      |
+//! | `Corner4`     | `[f64; 4]`                       | 4 (corner order)  |
+//! | `CornerPair`  | `[f64; 4]` of `x` and one of `y` | 8 (`x`,`y` × 4)   |
 //!
-//! The send buffer for neighbour `r` in a phase is the concatenation of
-//! the registered slots **in registration order**; within a slot,
-//! entries follow the schedule's index list, which both ends keep sorted
-//! by global id. Because every rank registers the same phases with the
-//! same slot order (the plan is built by the same code path on all
-//! ranks), sender and receiver agree on the layout without exchanging
-//! any metadata; per-neighbour, per-slot offsets are precomputed at
-//! build time so unpacking indexes straight into the received payload.
+//! The buffer for neighbour `r` is the bindings' entries concatenated
+//! **in binding order**; within a binding, entries follow the link's
+//! index list for its entity, which both ends keep sorted by global id.
+//! Every rank describes a phase with the same bindings in the same order
+//! (one function names them), so sender and receiver agree on the
+//! layout without exchanging any metadata. A link's send size and each
+//! binding's offset into a received payload are running sums over the
+//! bindings, taken as the exchange runs: no layout table, no allocation.
 //!
 //! Ranks whose element or node lists are empty in one direction still
 //! exchange one (possibly empty) message per phase — that keeps the
@@ -42,9 +40,9 @@
 //!
 //! ## Split-phase execution (communication/computation overlap)
 //!
-//! [`HaloPlan::execute`] is sugar for the two-step protocol:
+//! A phase moves in two steps:
 //!
-//! 1. [`HaloPlan::post`] packs every slot and sends one message per
+//! 1. [`HaloPlan::post`] packs every binding and sends one message per
 //!    neighbour immediately, returning a [`PendingPhase`] ticket;
 //! 2. [`HaloPlan::complete`] receives and unpacks one message per
 //!    neighbour, consuming the ticket.
@@ -55,10 +53,9 @@
 //! peers' payloads are late shows up as `recv_wait_seconds` in the
 //! phase's [`crate::PhaseStats`] instead of stalling useful work. The
 //! wall time the ticket stayed open is recorded as
-//! `overlap_window_seconds`. Posts consume a tag exactly like
-//! `execute`, so every rank must issue its posts in the same global
-//! order; completes may drain in any order (out-of-order payloads park
-//! in the mailbox).
+//! `overlap_window_seconds`. Each post consumes a tag, so every rank
+//! must issue its posts in the same global order; completes may drain
+//! in any order (out-of-order payloads park in the mailbox).
 
 use std::time::Instant;
 
@@ -67,7 +64,7 @@ use bookleaf_util::{CommError, Vec2};
 
 use crate::runtime::RankCtx;
 
-/// Which local index space a slot's field lives in.
+/// Which local index space a binding's field lives in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Entity {
     /// Element-indexed (uses the element exchange schedule).
@@ -76,318 +73,149 @@ pub enum Entity {
     Node,
 }
 
-/// The shape of one registered field slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlotKind {
-    /// One double per entry.
-    Scalar,
-    /// A [`Vec2`] per entry.
-    Vec2,
-    /// Four doubles per entry (per-corner element data).
-    Corner4,
-    /// Four [`Vec2`]s per entry (per-corner vector data, e.g. corner
-    /// forces) — packed natively, no component scratch arrays needed.
-    CornerVec2,
-}
-
-impl SlotKind {
-    /// Doubles per schedule entry.
-    #[must_use]
-    pub fn width(self) -> usize {
-        match self {
-            SlotKind::Scalar => 1,
-            SlotKind::Vec2 => 2,
-            SlotKind::Corner4 => 4,
-            SlotKind::CornerVec2 => 8,
-        }
-    }
-}
-
-/// A mutable field bound to a slot at execution time.
+/// A mutable field a phase moves; its variant fixes how many doubles
+/// each entry takes on the wire.
 pub enum FieldMut<'a> {
-    /// Binds a [`SlotKind::Scalar`] slot.
+    /// One double per entry.
     Scalar(&'a mut [f64]),
-    /// Binds a [`SlotKind::Vec2`] slot.
+    /// A [`Vec2`] per entry: `x`, `y`.
     Vec2(&'a mut [Vec2]),
-    /// Binds a [`SlotKind::Corner4`] slot.
+    /// Four doubles per entry (per-corner element data), in corner order.
     Corner4(&'a mut [[f64; 4]]),
-    /// Binds a [`SlotKind::CornerVec2`] slot.
-    CornerVec2(&'a mut [[Vec2; 4]]),
-    /// Binds a [`SlotKind::CornerVec2`] slot from a *pair* of SoA
-    /// component rows (x, y) — the corner-force layout `HydroState`
-    /// uses. The wire format is byte-identical to
-    /// [`FieldMut::CornerVec2`]: per entry, `(x, y)` interleaved corner
-    /// by corner.
+    /// Four vectors per entry held as a *pair* of component rows (x, y)
+    /// — the corner-force layout `HydroState` uses — packed with no
+    /// staging copies: per entry, `(x, y)` interleaved corner by corner.
     CornerPair(&'a mut [[f64; 4]], &'a mut [[f64; 4]]),
 }
 
 impl FieldMut<'_> {
-    /// The [`SlotKind`] this binding satisfies.
-    #[must_use]
-    pub fn kind(&self) -> SlotKind {
-        match self {
-            FieldMut::Scalar(_) => SlotKind::Scalar,
-            FieldMut::Vec2(_) => SlotKind::Vec2,
-            FieldMut::Corner4(_) => SlotKind::Corner4,
-            FieldMut::CornerVec2(_) | FieldMut::CornerPair(..) => SlotKind::CornerVec2,
-        }
-    }
-
     /// Entries in the bound slice.
-    #[must_use]
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         match self {
             FieldMut::Scalar(f) => f.len(),
             FieldMut::Vec2(f) => f.len(),
             FieldMut::Corner4(f) => f.len(),
-            FieldMut::CornerVec2(f) => f.len(),
             FieldMut::CornerPair(fx, fy) => fx.len().min(fy.len()),
         }
     }
 
-    /// True when the bound slice is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Doubles per entry on the wire.
+    fn width(&self) -> usize {
+        match self {
+            FieldMut::Scalar(_) => 1,
+            FieldMut::Vec2(_) => 2,
+            FieldMut::Corner4(_) => 4,
+            FieldMut::CornerPair(..) => 8,
+        }
     }
 }
 
-/// Handle for a registered phase (index into the plan's phase table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseId(usize);
+/// One field of a phase and the index space it lives in. A phase is an
+/// ordered list of bindings, and that list is its wire format.
+pub type Binding<'a> = (Entity, FieldMut<'a>);
 
-/// One neighbour link: the element and node index lists agreed with one
-/// peer rank. Lists are owned copies so the plan has no lifetime
-/// coupling to the submesh.
-#[derive(Debug, Clone)]
+/// One neighbour link: the index lists agreed with one peer rank, each
+/// pair indexed by `Entity as usize`.
+#[derive(Debug)]
 struct Link {
     rank: usize,
-    el_send: Vec<u32>,
-    el_recv: Vec<u32>,
-    nd_send: Vec<u32>,
-    nd_recv: Vec<u32>,
+    send: [Vec<u32>; 2],
+    recv: [Vec<u32>; 2],
 }
 
-impl Link {
-    fn send_list(&self, entity: Entity) -> &[u32] {
-        match entity {
-            Entity::Element => &self.el_send,
-            Entity::Node => &self.nd_send,
+/// Doubles `fields` take along `lists` (one link's send or recv lists).
+fn doubles(lists: &[Vec<u32>; 2], fields: &[Binding<'_>]) -> usize {
+    fields
+        .iter()
+        .map(|(entity, field)| lists[*entity as usize].len() * field.width())
+        .sum()
+}
+
+/// The `(send, recv)` lists `lists` holds for `rank`, moved out; empty
+/// when it has none.
+fn take(lists: &mut Vec<ExchangeList>, rank: usize) -> (Vec<u32>, Vec<u32>) {
+    match lists.iter().position(|x| x.rank == rank) {
+        Some(i) => {
+            let x = lists.swap_remove(i);
+            (x.send, x.recv)
         }
-    }
-
-    fn recv_list(&self, entity: Entity) -> &[u32] {
-        match entity {
-            Entity::Element => &self.el_recv,
-            Entity::Node => &self.nd_recv,
-        }
+        None => Default::default(),
     }
 }
 
-/// Precomputed buffer layout of one phase on one link.
-#[derive(Debug, Clone)]
-struct LinkLayout {
-    /// Total doubles this rank packs for the link.
-    send_total: usize,
-    /// Total doubles this rank expects from the link.
-    recv_total: usize,
-    /// Per-slot start offsets into the received payload.
-    recv_off: Vec<usize>,
-}
-
-#[derive(Debug, Clone)]
-struct PhasePlan {
-    name: &'static str,
-    slots: Vec<(Entity, SlotKind)>,
-    /// Parallel to [`HaloPlan::links`].
-    layouts: Vec<LinkLayout>,
-}
-
-/// Registers phases against a pair of exchange schedules, then
-/// [`HaloPlanBuilder::build`]s the immutable [`HaloPlan`].
-#[derive(Debug)]
-pub struct HaloPlanBuilder {
-    links: Vec<Link>,
-    phases: Vec<(&'static str, Vec<(Entity, SlotKind)>)>,
-}
-
-impl HaloPlanBuilder {
-    /// Start a plan over a submesh's element and node schedules. The
-    /// neighbour set is the union of both schedules' peer ranks, sorted
-    /// ascending (identical on every rank by construction) — computed by
-    /// [`bookleaf_mesh::neighbour_union`], the same helper
-    /// `SubMesh::neighbour_ranks` uses, so the plan's link set cannot
-    /// drift from the mesh layer's.
-    #[must_use]
-    pub fn new(el: &[ExchangeList], nd: &[ExchangeList]) -> Self {
-        let links = bookleaf_mesh::neighbour_union(el, nd)
-            .into_iter()
-            .map(|rank| {
-                let e = el.iter().find(|x| x.rank == rank);
-                let n = nd.iter().find(|x| x.rank == rank);
-                Link {
-                    rank,
-                    el_send: e.map(|x| x.send.clone()).unwrap_or_default(),
-                    el_recv: e.map(|x| x.recv.clone()).unwrap_or_default(),
-                    nd_send: n.map(|x| x.send.clone()).unwrap_or_default(),
-                    nd_recv: n.map(|x| x.recv.clone()).unwrap_or_default(),
-                }
-            })
-            .collect();
-        HaloPlanBuilder {
-            links,
-            phases: Vec::new(),
-        }
-    }
-
-    /// Register a phase: an ordered list of `(entity, kind)` slots.
-    /// Every rank must register the same phases in the same order with
-    /// the same slots — that shared registration *is* the wire format.
-    pub fn phase(&mut self, name: &'static str, slots: &[(Entity, SlotKind)]) -> PhaseId {
-        self.phases.push((name, slots.to_vec()));
-        PhaseId(self.phases.len() - 1)
-    }
-
-    /// Freeze registration and precompute every per-link buffer layout.
-    #[must_use]
-    pub fn build(self) -> HaloPlan {
-        // Minimum field length per entity: the largest local index any
-        // schedule touches, +1. Lets execute() reject a field bound to
-        // the wrong index space (or simply too short) with a diagnostic
-        // instead of shipping garbage or panicking deep in pack().
-        let min_len = |lists: fn(&Link) -> [&[u32]; 2]| {
-            self.links
-                .iter()
-                .flat_map(|l| lists(l).into_iter().flatten())
-                .map(|&i| i as usize + 1)
-                .max()
-                .unwrap_or(0)
-        };
-        let el_min_len = min_len(|l| [&l.el_send, &l.el_recv]);
-        let nd_min_len = min_len(|l| [&l.nd_send, &l.nd_recv]);
-        let phases = self
-            .phases
-            .into_iter()
-            .map(|(name, slots)| {
-                let layouts = self
-                    .links
-                    .iter()
-                    .map(|link| {
-                        let mut send_total = 0;
-                        let mut recv_total = 0;
-                        let mut recv_off = Vec::with_capacity(slots.len());
-                        for &(entity, kind) in &slots {
-                            send_total += link.send_list(entity).len() * kind.width();
-                            recv_off.push(recv_total);
-                            recv_total += link.recv_list(entity).len() * kind.width();
-                        }
-                        LinkLayout {
-                            send_total,
-                            recv_total,
-                            recv_off,
-                        }
-                    })
-                    .collect();
-                PhasePlan {
-                    name,
-                    slots,
-                    layouts,
-                }
-            })
-            .collect();
-        HaloPlan {
-            links: self.links,
-            phases,
-            el_min_len,
-            nd_min_len,
-        }
-    }
-}
-
-/// The frozen exchange plan of one rank: neighbour links, registered
-/// phases, and their precomputed packed-buffer layouts. See the module
+/// The exchange plan of one rank: its neighbour links. See the module
 /// docs for the wire format.
 #[derive(Debug)]
 pub struct HaloPlan {
     links: Vec<Link>,
-    phases: Vec<PhasePlan>,
-    /// Minimum length an element-indexed field must have (largest
-    /// element index any schedule touches, +1).
-    el_min_len: usize,
-    /// Minimum length a node-indexed field must have.
-    nd_min_len: usize,
+    /// Minimum length a field must have, by `Entity as usize`: the
+    /// largest index any list of that entity touches, +1.
+    min_len: [usize; 2],
 }
 
 impl HaloPlan {
-    /// Number of neighbour links (= messages sent per phase execution).
+    /// A plan over a submesh's element and node schedules, whose lists
+    /// it keeps. The neighbour set is the union of both schedules' peer
+    /// ranks, sorted ascending (identical on every rank by construction)
+    /// — computed by [`bookleaf_mesh::neighbour_union`], the same helper
+    /// `SubMesh::neighbour_ranks` uses, so the plan's link set cannot
+    /// drift from the mesh layer's.
+    #[must_use]
+    pub fn new(el: Vec<ExchangeList>, nd: Vec<ExchangeList>) -> Self {
+        let ranks = bookleaf_mesh::neighbour_union(&el, &nd);
+        let mut lists = [el, nd];
+        let links: Vec<Link> = ranks
+            .into_iter()
+            .map(|rank| {
+                let [(el_send, el_recv), (nd_send, nd_recv)] =
+                    lists.each_mut().map(|l| take(l, rank));
+                Link {
+                    rank,
+                    send: [el_send, nd_send],
+                    recv: [el_recv, nd_recv],
+                }
+            })
+            .collect();
+        let min_len = [0, 1].map(|k| {
+            links
+                .iter()
+                .flat_map(|l| l.send[k].iter().chain(&l.recv[k]))
+                .map(|&i| i as usize + 1)
+                .max()
+                .unwrap_or(0)
+        });
+        HaloPlan { links, min_len }
+    }
+
+    /// Number of neighbour links (= messages sent per phase).
     #[must_use]
     pub fn n_links(&self) -> usize {
         self.links.len()
     }
 
-    /// Peer ranks of this plan's links, ascending.
-    #[must_use]
-    pub fn link_ranks(&self) -> Vec<usize> {
-        self.links.iter().map(|l| l.rank).collect()
-    }
-
-    /// The registered name of `phase`.
-    #[must_use]
-    pub fn phase_name(&self, phase: PhaseId) -> &'static str {
-        self.phases[phase.0].name
-    }
-
-    /// Doubles this rank sends per execution of `phase` (all links).
-    #[must_use]
-    pub fn doubles_per_execution(&self, phase: PhaseId) -> usize {
-        self.phases[phase.0]
-            .layouts
-            .iter()
-            .map(|l| l.send_total)
-            .sum()
-    }
-
-    /// Check `fields` against the phase registration (count, kind, and
-    /// index-space length).
-    fn validate_fields(&self, ph: &PhasePlan, fields: &[FieldMut<'_>]) {
-        assert_eq!(
-            fields.len(),
-            ph.slots.len(),
-            "phase {:?}: {} fields bound to {} registered slots",
-            ph.name,
-            fields.len(),
-            ph.slots.len()
-        );
-        for (i, (field, &(entity, kind))) in fields.iter().zip(&ph.slots).enumerate() {
-            assert_eq!(
-                field.kind(),
-                kind,
-                "phase {:?}: slot {i} bound to a {:?} field but registered as {kind:?}",
-                ph.name,
-                field.kind()
-            );
-            let need = match entity {
-                Entity::Element => self.el_min_len,
-                Entity::Node => self.nd_min_len,
-            };
+    /// Refuse a field bound to the wrong index space (or simply too
+    /// short) up front, instead of shipping garbage or panicking deep
+    /// in `pack`.
+    fn check(&self, phase: &str, fields: &[Binding<'_>]) {
+        for (i, (entity, field)) in fields.iter().enumerate() {
+            let need = self.min_len[*entity as usize];
             assert!(
                 field.len() >= need,
-                "phase {:?}: slot {i} ({entity:?}) bound to a field of length {} \
+                "phase {phase:?}: binding {i} ({entity:?}) is a field of length {} \
                  but the schedules index up to {need} — wrong index space?",
-                ph.name,
                 field.len()
             );
         }
     }
 
-    /// Pack every registered slot from `fields` and send one buffer per
-    /// neighbour link immediately, without waiting for anything. The
-    /// returned [`PendingPhase`] ticket must be handed to
-    /// [`HaloPlan::complete`] (with the same fields) before the next
-    /// use of any recv-list entity.
+    /// Pack `fields` and send one buffer per neighbour link under
+    /// `phase`, without waiting for anything. The returned
+    /// [`PendingPhase`] ticket must be handed to [`HaloPlan::complete`]
+    /// (with the same bindings) before the next use of any recv-list
+    /// entity.
     ///
     /// Consumes one tag; every rank must post its phases in the same
-    /// global order.
+    /// global order, each with the same bindings.
     ///
     /// # Errors
     ///
@@ -396,23 +224,23 @@ impl HaloPlan {
     ///
     /// # Panics
     ///
-    /// If `fields` disagrees with the phase registration.
+    /// If a field is shorter than its entity's lists index.
     pub fn post(
         &self,
         ctx: &RankCtx,
-        phase: PhaseId,
-        fields: &[FieldMut<'_>],
+        phase: &'static str,
+        fields: &[Binding<'_>],
     ) -> std::result::Result<PendingPhase, CommError> {
-        let ph = &self.phases[phase.0];
-        self.validate_fields(ph, fields);
+        self.check(phase, fields);
         let tag = ctx.next_tag();
-        for (link, layout) in self.links.iter().zip(&ph.layouts) {
-            let mut buf = ctx.take_buffer(layout.send_total);
-            for (field, &(entity, _)) in fields.iter().zip(&ph.slots) {
-                pack(&mut buf, link.send_list(entity), field);
+        for link in &self.links {
+            let size = doubles(&link.send, fields);
+            let mut buf = ctx.take_buffer(size);
+            for (entity, field) in fields {
+                pack(&mut buf, &link.send[*entity as usize], field);
             }
-            debug_assert_eq!(buf.len(), layout.send_total);
-            ctx.send_in_phase(link.rank, tag, buf, ph.name)?;
+            debug_assert_eq!(buf.len(), size);
+            ctx.send_in_phase(link.rank, tag, buf, phase)?;
         }
         Ok(PendingPhase {
             phase,
@@ -429,94 +257,59 @@ impl HaloPlan {
     /// # Errors
     ///
     /// A [`CommError`] when a receive times out, a payload fails its
-    /// checksum, or a received payload has the wrong length for the
-    /// phase layout ([`CommError::Malformed`] — peer plan mismatch).
+    /// checksum, or a received payload is not the length `fields` take
+    /// along the link's recv lists ([`CommError::Malformed`] — the peer
+    /// packed other bindings; nothing of that payload is unpacked).
     ///
     /// # Panics
     ///
-    /// If `fields` disagrees with the phase registration.
+    /// If a field is shorter than its entity's lists index.
     pub fn complete(
         &self,
         ctx: &RankCtx,
         pending: PendingPhase,
-        fields: &mut [FieldMut<'_>],
+        fields: &mut [Binding<'_>],
     ) -> std::result::Result<(), CommError> {
-        let ph = &self.phases[pending.phase.0];
-        self.validate_fields(ph, fields);
+        let PendingPhase { phase, tag, posted } = pending;
+        self.check(phase, fields);
         if !self.links.is_empty() {
-            ctx.record_overlap_window(ph.name, pending.posted.elapsed().as_secs_f64());
+            ctx.record_overlap_window(phase, posted.elapsed().as_secs_f64());
         }
-        for (link, layout) in self.links.iter().zip(&ph.layouts) {
-            let payload = ctx.recv_in_phase(link.rank, pending.tag, ph.name)?;
-            if payload.len() != layout.recv_total {
+        for link in &self.links {
+            let payload = ctx.recv_in_phase(link.rank, tag, phase)?;
+            let expected = doubles(&link.recv, fields);
+            if payload.len() != expected {
                 return Err(CommError::Malformed {
                     from: link.rank,
-                    tag: pending.tag,
-                    expected: layout.recv_total,
+                    tag,
+                    expected,
                     got: payload.len(),
                 });
             }
-            for ((field, &(entity, _)), &off) in
-                fields.iter_mut().zip(&ph.slots).zip(&layout.recv_off)
-            {
-                unpack(&payload[off..], link.recv_list(entity), field);
+            let mut rest = payload.as_slice();
+            for (entity, field) in fields.iter_mut() {
+                rest = unpack(rest, &link.recv[*entity as usize], field);
             }
             ctx.recycle_buffer(payload);
         }
         Ok(())
     }
-
-    /// Execute `phase`: pack every registered slot from `fields` into
-    /// one buffer per neighbour, post all sends, then receive and unpack
-    /// one buffer per neighbour. Equivalent to [`HaloPlan::post`]
-    /// followed immediately by [`HaloPlan::complete`] (a zero-width
-    /// overlap window).
-    ///
-    /// `fields` must match the phase's registered slots in order and
-    /// kind (checked). Like the legacy primitives, all ranks must
-    /// execute their phases in the same global order so tags match.
-    ///
-    /// # Errors
-    ///
-    /// A [`CommError`] from either half of the exchange (see
-    /// [`HaloPlan::post`] and [`HaloPlan::complete`]).
-    ///
-    /// # Panics
-    ///
-    /// If `fields` disagrees with the phase registration.
-    pub fn execute(
-        &self,
-        ctx: &RankCtx,
-        phase: PhaseId,
-        fields: &mut [FieldMut<'_>],
-    ) -> std::result::Result<(), CommError> {
-        let pending = self.post(ctx, phase, fields)?;
-        self.complete(ctx, pending, fields)
-    }
 }
 
-/// Ticket for a posted-but-not-completed phase execution: proof that the
-/// sends are in flight and a reminder that the receives still have to be
-/// drained. Not `Clone` — each post is completed exactly once.
+/// Ticket for a posted-but-not-completed phase: proof that the sends are
+/// in flight and a reminder that the receives still have to be drained.
+/// Not `Clone` — each post is completed exactly once.
 #[must_use = "a posted phase must be completed, or its receives are never drained"]
 #[derive(Debug)]
 pub struct PendingPhase {
-    phase: PhaseId,
+    phase: &'static str,
     tag: u64,
     /// When the sends were posted (for the overlap-window attribution).
     posted: Instant,
 }
 
-impl PendingPhase {
-    /// The phase this ticket belongs to.
-    #[must_use]
-    pub fn phase(&self) -> PhaseId {
-        self.phase
-    }
-}
-
 /// Append `field`'s entries along `idx` to `buf`.
-pub(crate) fn pack(buf: &mut Vec<f64>, idx: &[u32], field: &FieldMut<'_>) {
+fn pack(buf: &mut Vec<f64>, idx: &[u32], field: &FieldMut<'_>) {
     match field {
         FieldMut::Scalar(f) => {
             buf.extend(idx.iter().map(|&l| f[l as usize]));
@@ -533,16 +326,7 @@ pub(crate) fn pack(buf: &mut Vec<f64>, idx: &[u32], field: &FieldMut<'_>) {
                 buf.extend_from_slice(&f[l as usize]);
             }
         }
-        FieldMut::CornerVec2(f) => {
-            for &l in idx {
-                for v in &f[l as usize] {
-                    buf.push(v.x);
-                    buf.push(v.y);
-                }
-            }
-        }
         FieldMut::CornerPair(fx, fy) => {
-            // Same wire order as CornerVec2: (x, y) per corner.
             for &l in idx {
                 let (rx, ry) = (&fx[l as usize], &fy[l as usize]);
                 for c in 0..4 {
@@ -554,41 +338,36 @@ pub(crate) fn pack(buf: &mut Vec<f64>, idx: &[u32], field: &FieldMut<'_>) {
     }
 }
 
-/// Scatter `payload` (starting at the slot's offset) into `field` along
-/// `idx`.
-pub(crate) fn unpack(payload: &[f64], idx: &[u32], field: &mut FieldMut<'_>) {
+/// Scatter the head of `payload` into `field` along `idx`; returns the
+/// rest, where the next binding's entries start.
+fn unpack<'p>(payload: &'p [f64], idx: &[u32], field: &mut FieldMut<'_>) -> &'p [f64] {
+    let (head, rest) = payload.split_at(idx.len() * field.width());
     match field {
         FieldMut::Scalar(f) => {
-            for (&l, &v) in idx.iter().zip(payload) {
+            for (&l, &v) in idx.iter().zip(head) {
                 f[l as usize] = v;
             }
         }
         FieldMut::Vec2(f) => {
-            for (i, &l) in idx.iter().enumerate() {
-                f[l as usize] = Vec2::new(payload[2 * i], payload[2 * i + 1]);
+            for (&l, v) in idx.iter().zip(head.chunks_exact(2)) {
+                f[l as usize] = Vec2::new(v[0], v[1]);
             }
         }
         FieldMut::Corner4(f) => {
-            for (i, &l) in idx.iter().enumerate() {
-                f[l as usize].copy_from_slice(&payload[4 * i..4 * i + 4]);
-            }
-        }
-        FieldMut::CornerVec2(f) => {
-            for (i, &l) in idx.iter().enumerate() {
-                for (c, v) in f[l as usize].iter_mut().enumerate() {
-                    *v = Vec2::new(payload[8 * i + 2 * c], payload[8 * i + 2 * c + 1]);
-                }
+            for (&l, v) in idx.iter().zip(head.chunks_exact(4)) {
+                f[l as usize].copy_from_slice(v);
             }
         }
         FieldMut::CornerPair(fx, fy) => {
-            for (i, &l) in idx.iter().enumerate() {
+            for (&l, v) in idx.iter().zip(head.chunks_exact(8)) {
                 for c in 0..4 {
-                    fx[l as usize][c] = payload[8 * i + 2 * c];
-                    fy[l as usize][c] = payload[8 * i + 2 * c + 1];
+                    fx[l as usize][c] = v[2 * c];
+                    fy[l as usize][c] = v[2 * c + 1];
                 }
             }
         }
     }
+    rest
 }
 
 #[cfg(test)]
@@ -606,102 +385,109 @@ mod tests {
         SubMeshPlan::build(&m, &owner, 2).unwrap()
     }
 
-    fn build_state_plan(sub: &SubMesh) -> (HaloPlan, PhaseId) {
-        let mut b = HaloPlanBuilder::new(&sub.el_exchange, &sub.nd_exchange);
-        let id = b.phase(
-            "state",
-            &[
-                (Entity::Node, SlotKind::Vec2),
-                (Entity::Element, SlotKind::Scalar),
-                (Entity::Element, SlotKind::Corner4),
-                (Entity::Element, SlotKind::CornerVec2),
-            ],
-        );
-        (b.build(), id)
+    fn plan_of(sub: &SubMesh) -> HaloPlan {
+        HaloPlan::new(sub.el_exchange.clone(), sub.nd_exchange.clone())
     }
 
-    #[test]
-    fn aggregated_phase_moves_every_slot_in_one_message() {
-        let subs = two_stripes();
-        let out = Typhon::run(2, |ctx| {
-            let sub = &subs[ctx.rank()];
-            let (plan, phase) = build_state_plan(sub);
+    /// Post `fields` under `phase` and complete them at once.
+    fn exchange(
+        plan: &HaloPlan,
+        ctx: &RankCtx,
+        phase: &'static str,
+        fields: &mut [Binding<'_>],
+    ) -> std::result::Result<(), CommError> {
+        let pending = plan.post(ctx, phase, fields)?;
+        plan.complete(ctx, pending, fields)
+    }
 
-            let mut nd: Vec<Vec2> = (0..sub.mesh.n_nodes())
-                .map(|n| {
-                    if sub.owns_node(n) {
-                        let g = sub.nd_l2g[n] as f64;
-                        Vec2::new(g, 2.0 * g)
-                    } else {
-                        Vec2::new(-1.0, -1.0)
-                    }
-                })
-                .collect();
-            let mut sc: Vec<f64> = (0..sub.mesh.n_elements())
-                .map(|e| {
-                    if sub.owns_element(e) {
-                        sub.el_l2g[e] as f64
-                    } else {
-                        -1.0
-                    }
-                })
-                .collect();
-            let mut c4: Vec<[f64; 4]> = (0..sub.mesh.n_elements())
-                .map(|e| {
-                    let g = sub.el_l2g[e] as f64;
-                    if sub.owns_element(e) {
-                        [g, g + 0.25, g + 0.5, g + 0.75]
-                    } else {
-                        [f64::NAN; 4]
-                    }
-                })
-                .collect();
-            let mut cv: Vec<[Vec2; 4]> = (0..sub.mesh.n_elements())
-                .map(|e| {
-                    let g = sub.el_l2g[e] as f64;
-                    if sub.owns_element(e) {
-                        std::array::from_fn(|c| Vec2::new(g + c as f64, g - c as f64))
-                    } else {
-                        [Vec2::new(f64::NAN, f64::NAN); 4]
-                    }
-                })
-                .collect();
+    /// The four-binding "state" phase of these tests: one of each
+    /// field shape, node- and element-indexed.
+    struct StateFields {
+        nd: Vec<Vec2>,
+        sc: Vec<f64>,
+        c4: Vec<[f64; 4]>,
+        cx: Vec<[f64; 4]>,
+        cy: Vec<[f64; 4]>,
+    }
 
-            plan.execute(
+    impl StateFields {
+        fn zeros(sub: &SubMesh) -> Self {
+            let ne = sub.mesh.n_elements();
+            StateFields {
+                nd: vec![Vec2::ZERO; sub.mesh.n_nodes()],
+                sc: vec![0.0; ne],
+                c4: vec![[0.0; 4]; ne],
+                cx: vec![[0.0; 4]; ne],
+                cy: vec![[0.0; 4]; ne],
+            }
+        }
+
+        fn exchange(&mut self, plan: &HaloPlan, ctx: &RankCtx) {
+            exchange(
+                plan,
                 ctx,
-                phase,
+                "state",
                 &mut [
-                    FieldMut::Vec2(&mut nd),
-                    FieldMut::Scalar(&mut sc),
-                    FieldMut::Corner4(&mut c4),
-                    FieldMut::CornerVec2(&mut cv),
+                    (Entity::Node, FieldMut::Vec2(&mut self.nd)),
+                    (Entity::Element, FieldMut::Scalar(&mut self.sc)),
+                    (Entity::Element, FieldMut::Corner4(&mut self.c4)),
+                    (
+                        Entity::Element,
+                        FieldMut::CornerPair(&mut self.cx, &mut self.cy),
+                    ),
                 ],
             )
             .unwrap();
+        }
+    }
 
-            let nd_ok = nd.iter().enumerate().all(|(n, v)| {
+    #[test]
+    fn aggregated_phase_moves_every_binding_in_one_message() {
+        let subs = two_stripes();
+        let out = Typhon::run(2, |ctx| {
+            let sub = &subs[ctx.rank()];
+            let plan = plan_of(sub);
+            // Owned entries carry their global id; ghosts are poisoned.
+            let mut f = StateFields::zeros(sub);
+            for n in 0..sub.mesh.n_nodes() {
+                let g = sub.nd_l2g[n] as f64;
+                f.nd[n] = if sub.owns_node(n) {
+                    Vec2::new(g, 2.0 * g)
+                } else {
+                    Vec2::new(-1.0, -1.0)
+                };
+            }
+            for e in 0..sub.mesh.n_elements() {
+                let g = if sub.owns_element(e) {
+                    sub.el_l2g[e] as f64
+                } else {
+                    f64::NAN
+                };
+                f.sc[e] = g;
+                f.c4[e] = [g, g + 0.25, g + 0.5, g + 0.75];
+                f.cx[e] = std::array::from_fn(|c| g + c as f64);
+                f.cy[e] = std::array::from_fn(|c| g - c as f64);
+            }
+
+            f.exchange(&plan, ctx);
+
+            let nd_ok = f.nd.iter().enumerate().all(|(n, v)| {
                 let g = sub.nd_l2g[n] as f64;
                 *v == Vec2::new(g, 2.0 * g)
             });
-            let sc_ok = sc
-                .iter()
-                .enumerate()
-                .all(|(e, &v)| v == sub.el_l2g[e] as f64);
-            let c4_ok = c4.iter().enumerate().all(|(e, cf)| {
+            let el_ok = (0..sub.mesh.n_elements()).all(|e| {
                 let g = sub.el_l2g[e] as f64;
-                cf[0] == g && cf[3] == g + 0.75
+                f.sc[e] == g
+                    && f.c4[e] == [g, g + 0.25, g + 0.5, g + 0.75]
+                    && (0..4).all(|c| f.cx[e][c] == g + c as f64 && f.cy[e][c] == g - c as f64)
             });
-            let cv_ok = cv.iter().enumerate().all(|(e, cf)| {
-                let g = sub.el_l2g[e] as f64;
-                (0..4).all(|c| cf[c] == Vec2::new(g + c as f64, g - c as f64))
-            });
-            let stats = ctx.stats();
-            (nd_ok && sc_ok && c4_ok && cv_ok, stats, plan.n_links())
+            (nd_ok && el_ok, ctx.stats(), plan.n_links())
         })
         .unwrap();
         for (ok, stats, n_links) in out {
             assert!(ok, "ghost data wrong after aggregated exchange");
-            // ONE message per neighbour for the whole four-slot phase.
+            assert_eq!(n_links, 1, "two stripes share one link");
+            // ONE message per neighbour for the whole four-binding phase.
             assert_eq!(stats.messages_sent, n_links as u64);
             let ph = stats.phase("state").unwrap();
             assert_eq!(ph.messages_sent, n_links as u64);
@@ -710,90 +496,74 @@ mod tests {
     }
 
     #[test]
-    fn doubles_per_execution_matches_traffic() {
-        let subs = two_stripes();
-        let out = Typhon::run(2, |ctx| {
-            let sub = &subs[ctx.rank()];
-            let (plan, phase) = build_state_plan(sub);
-            let mut nd = vec![Vec2::ZERO; sub.mesh.n_nodes()];
-            let mut sc = vec![0.0; sub.mesh.n_elements()];
-            let mut c4 = vec![[0.0; 4]; sub.mesh.n_elements()];
-            let mut cv = vec![[Vec2::ZERO; 4]; sub.mesh.n_elements()];
-            plan.execute(
-                ctx,
-                phase,
-                &mut [
-                    FieldMut::Vec2(&mut nd),
-                    FieldMut::Scalar(&mut sc),
-                    FieldMut::Corner4(&mut c4),
-                    FieldMut::CornerVec2(&mut cv),
-                ],
-            )
-            .unwrap();
-            (ctx.stats().doubles_sent, plan.doubles_per_execution(phase))
-        })
-        .unwrap();
-        for (sent, predicted) in out {
-            assert_eq!(sent, predicted as u64);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "registered as Scalar")]
-    fn kind_mismatch_is_rejected() {
-        let subs = two_stripes();
-        let sub = &subs[0];
-        let mut b = HaloPlanBuilder::new(&sub.el_exchange, &sub.nd_exchange);
-        let phase = b.phase("p", &[(Entity::Element, SlotKind::Scalar)]);
-        let plan = b.build();
-        let wrong = vec![Vec2::ZERO; sub.mesh.n_elements()];
-        Typhon::run(1, |ctx| {
-            let _ = plan.execute(ctx, phase, &mut [FieldMut::Vec2(&mut wrong.clone())]);
-        })
-        .unwrap();
-    }
-
-    #[test]
     #[should_panic(expected = "wrong index space")]
     fn entity_misbinding_is_rejected() {
         let subs = two_stripes();
         let sub = &subs[0];
-        let mut b = HaloPlanBuilder::new(&sub.el_exchange, &sub.nd_exchange);
-        // Registered node-indexed, but we will bind an element-sized
-        // field: the node schedules index past the element count on
-        // this decomposition, so execute must refuse up front.
-        let phase = b.phase("p", &[(Entity::Node, SlotKind::Scalar)]);
-        let plan = b.build();
+        let plan = plan_of(sub);
+        // Bound node-indexed, but to an element-sized field: the node
+        // schedules index past the element count on this decomposition,
+        // so post must refuse up front.
         assert!(sub.mesh.n_elements() < sub.mesh.n_nodes());
         let wrong = vec![0.0; sub.mesh.n_elements()];
         Typhon::run(1, |ctx| {
-            let _ = plan.execute(ctx, phase, &mut [FieldMut::Scalar(&mut wrong.clone())]);
+            let mut wrong = wrong.clone();
+            let _ = plan.post(ctx, "p", &[(Entity::Node, FieldMut::Scalar(&mut wrong))]);
         })
         .unwrap();
     }
 
+    /// A peer payload one double short or one double long is a typed
+    /// `Malformed` naming the peer, the tag and both lengths — never a
+    /// panic — and nothing of it is unpacked.
     #[test]
-    fn plan_metadata_reflects_registration() {
+    fn payload_of_the_wrong_length_is_malformed() {
         let subs = two_stripes();
-        let (plan, phase) = build_state_plan(&subs[0]);
-        assert_eq!(plan.phase_name(phase), "state");
-        // The plan's link set is exactly the submesh's neighbour set.
-        assert_eq!(plan.link_ranks(), subs[0].neighbour_ranks());
-        assert_eq!(plan.n_links(), 1, "two stripes share one link");
+        for delta in [-1, 1] {
+            let out = Typhon::run(2, |ctx| {
+                let sub = &subs[ctx.rank()];
+                if ctx.rank() == 1 {
+                    // The peer draws the phase's tag and sends on it what
+                    // an element scalar phase would, one double off.
+                    let tag = ctx.next_tag();
+                    let len = sub.el_exchange[0].send.len();
+                    let len = len.checked_add_signed(delta).unwrap();
+                    ctx.send(0, tag, vec![7.0; len]).unwrap();
+                    ctx.barrier().unwrap(); // alive until rank 0 is done
+                    return None;
+                }
+                let plan = plan_of(sub);
+                let mut sc = vec![-1.0; sub.mesh.n_elements()];
+                let mut fields = [(Entity::Element, FieldMut::Scalar(&mut sc))];
+                let pending = plan.post(ctx, "p", &fields).unwrap();
+                let err = plan.complete(ctx, pending, &mut fields).unwrap_err();
+                ctx.barrier().unwrap();
+                Some((err, sc.iter().all(|&v| v == -1.0)))
+            })
+            .unwrap();
+            let (err, untouched) = out[0].clone().unwrap();
+            let expected = subs[0].el_exchange[0].recv.len();
+            assert_eq!(
+                err,
+                CommError::Malformed {
+                    from: 1,
+                    tag: 0, // the first tag either rank draws
+                    expected,
+                    got: expected.checked_add_signed(delta).unwrap(),
+                }
+            );
+            assert!(untouched, "a malformed payload was unpacked");
+        }
     }
 
-    /// Split post/complete must move exactly the same data as execute,
-    /// even with two phases in flight at once and completes drained in
-    /// reverse order.
+    /// Split post/complete moves exactly the same data even with two
+    /// phases in flight at once and completes drained in reverse order.
     #[test]
     fn split_post_complete_with_two_phases_in_flight() {
         let subs = two_stripes();
         let out = Typhon::run(2, |ctx| {
             let sub = &subs[ctx.rank()];
-            let mut b = HaloPlanBuilder::new(&sub.el_exchange, &sub.nd_exchange);
-            let pa = b.phase("a", &[(Entity::Element, SlotKind::Scalar)]);
-            let pb = b.phase("b", &[(Entity::Node, SlotKind::Vec2)]);
-            let plan = b.build();
+            let plan = plan_of(sub);
 
             let mut sc: Vec<f64> = (0..sub.mesh.n_elements())
                 .map(|e| {
@@ -814,10 +584,10 @@ mod tests {
                 })
                 .collect();
 
-            let mut fa = [FieldMut::Scalar(&mut sc)];
-            let mut fb = [FieldMut::Vec2(&mut nd)];
-            let ta = plan.post(ctx, pa, &fa).unwrap();
-            let tb = plan.post(ctx, pb, &fb).unwrap();
+            let mut fa = [(Entity::Element, FieldMut::Scalar(&mut sc))];
+            let mut fb = [(Entity::Node, FieldMut::Vec2(&mut nd))];
+            let ta = plan.post(ctx, "a", &fa).unwrap();
+            let tb = plan.post(ctx, "b", &fb).unwrap();
             // Complete in reverse post order: the mailbox sorts it out.
             plan.complete(ctx, tb, &mut fb).unwrap();
             plan.complete(ctx, ta, &mut fa).unwrap();
@@ -855,29 +625,13 @@ mod tests {
         let subs = two_stripes();
         let out = Typhon::run(2, |ctx| {
             let sub = &subs[ctx.rank()];
-            let (plan, phase) = build_state_plan(sub);
-            let mut nd = vec![Vec2::ZERO; sub.mesh.n_nodes()];
-            let mut sc = vec![0.0; sub.mesh.n_elements()];
-            let mut c4 = vec![[0.0; 4]; sub.mesh.n_elements()];
-            let mut cv = vec![[Vec2::ZERO; 4]; sub.mesh.n_elements()];
-            let mut run_once = |ctx: &crate::runtime::RankCtx| {
-                plan.execute(
-                    ctx,
-                    phase,
-                    &mut [
-                        FieldMut::Vec2(&mut nd),
-                        FieldMut::Scalar(&mut sc),
-                        FieldMut::Corner4(&mut c4),
-                        FieldMut::CornerVec2(&mut cv),
-                    ],
-                )
-                .unwrap();
-            };
-            run_once(ctx);
+            let plan = plan_of(sub);
+            let mut f = StateFields::zeros(sub);
+            f.exchange(&plan, ctx);
             ctx.barrier().unwrap(); // all first-round payloads delivered & recycled
             let after_warmup = ctx.pool_len();
             for _ in 0..5 {
-                run_once(ctx);
+                f.exchange(&plan, ctx);
                 ctx.barrier().unwrap();
             }
             (after_warmup, ctx.pool_len())
@@ -897,24 +651,10 @@ mod tests {
         let m = generate_rect(&RectSpec::unit_square(3), |_| 0).unwrap();
         let subs = SubMeshPlan::build(&m, &vec![0; m.n_elements()], 1).unwrap();
         let sub = &subs[0];
-        let (plan, phase) = build_state_plan(sub);
+        let plan = plan_of(sub);
         assert_eq!(plan.n_links(), 0);
         let out = Typhon::run(1, |ctx| {
-            let mut nd = vec![Vec2::ZERO; sub.mesh.n_nodes()];
-            let mut sc = vec![0.0; sub.mesh.n_elements()];
-            let mut c4 = vec![[0.0; 4]; sub.mesh.n_elements()];
-            let mut cv = vec![[Vec2::ZERO; 4]; sub.mesh.n_elements()];
-            plan.execute(
-                ctx,
-                phase,
-                &mut [
-                    FieldMut::Vec2(&mut nd),
-                    FieldMut::Scalar(&mut sc),
-                    FieldMut::Corner4(&mut c4),
-                    FieldMut::CornerVec2(&mut cv),
-                ],
-            )
-            .unwrap();
+            StateFields::zeros(sub).exchange(&plan, ctx);
             ctx.stats().messages_sent
         })
         .unwrap();

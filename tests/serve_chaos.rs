@@ -24,12 +24,19 @@ const POISON: &str = "problem = noh\nn = 8\n[control]\nmax_steps = 40\n[dt]\ndt_
 const DIST_NOH: &str =
     "problem = noh\nn = 10\n[control]\nmax_steps = 12\n[executor]\nmodel = flat_mpi\nranks = 2\n";
 
-/// A long run (tiny mesh, huge budgets) for drain/deadline/in-flight
+/// A long run (tiny mesh, huge budgets) for deadline/in-flight
 /// tests: cheap per step, far too long to finish before the test acts.
 /// `dt_max` is pinned low so the step count (and hence the run's
 /// duration) is deterministic — CFL never gets a say on this mesh.
 const LONG_RUN: &str =
     "problem = noh\nn = 4\n[control]\nfinal_time = 10\nmax_steps = 50000\n[dt]\ndt_max = 2e-4\n";
+
+/// `LONG_RUN` cut to 10 000 steps for the drain test: still far too
+/// long to finish between its admission and the drain, while running it
+/// to the end (once directly, once resumed) stays well inside `T` on a
+/// loaded one-core box.
+const DRAIN_RUN: &str =
+    "problem = noh\nn = 4\n[control]\nfinal_time = 2\nmax_steps = 50000\n[dt]\ndt_max = 2e-4\n";
 
 const T: Duration = Duration::from_secs(30);
 
@@ -74,6 +81,20 @@ fn direct_crc(deck: &str) -> u32 {
         .expect("valid deck");
     sim.run().expect("direct run");
     state_crc(&sim)
+}
+
+/// Wait (bounded by `T`) until the server's deck cache holds a deck: a
+/// request whose deck is cached has been admitted and is running.
+fn wait_until_admitted(addr: std::net::SocketAddr) {
+    let start = std::time::Instant::now();
+    loop {
+        let health = client::get_health(addr, T).unwrap();
+        if num_field(&body_json(&health), "cached_decks") >= 1.0 {
+            return;
+        }
+        assert!(start.elapsed() < T, "no run was admitted within {T:?}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 #[test]
@@ -351,7 +372,7 @@ fn per_tenant_inflight_ceiling_draws_429() {
         )
         .unwrap()
     });
-    std::thread::sleep(Duration::from_millis(50));
+    wait_until_admitted(addr);
     let resp = client::post_run(addr, HEALTHY_NOH, &[("X-Tenant", "alice")], T).unwrap();
     assert_eq!(resp.status, 429, "{}", resp.text());
     assert_eq!(str_field(&body_json(&resp), "kind"), "too_many_in_flight");
@@ -375,7 +396,7 @@ fn per_tenant_inflight_ceiling_draws_429() {
 /// a run that was never interrupted.
 #[test]
 fn drain_checkpoints_inflight_and_resume_is_bitwise() {
-    let crc_full = direct_crc(LONG_RUN);
+    let crc_full = direct_crc(DRAIN_RUN);
     let drain_dir =
         std::env::temp_dir().join(format!("bookleaf_serve_drain_test_{}", std::process::id()));
 
@@ -386,10 +407,10 @@ fn drain_checkpoints_inflight_and_resume_is_bitwise() {
     });
     let addr = server.addr();
     let inflight = std::thread::spawn(move || {
-        client::post_run(addr, LONG_RUN, &[("X-Tenant", "alice")], T).unwrap()
+        client::post_run(addr, DRAIN_RUN, &[("X-Tenant", "alice")], T).unwrap()
     });
-    // Let the run get going, then drain.
-    std::thread::sleep(Duration::from_millis(50));
+    // Drain once the run is in flight.
+    wait_until_admitted(addr);
     let drained = server.drain(Duration::from_secs(20));
     assert_eq!(drained, 1, "the in-flight run must drain to a checkpoint");
 

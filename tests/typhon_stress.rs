@@ -4,7 +4,7 @@
 //! must not exist.
 
 use bookleaf::mesh::{generate_rect, RectSpec, SubMesh, SubMeshPlan};
-use bookleaf::typhon::{Entity, FieldMut, HaloPlanBuilder, SlotKind, Typhon};
+use bookleaf::typhon::{Entity, FieldMut, HaloPlan, Typhon};
 use bookleaf::util::Vec2;
 
 #[test]
@@ -131,33 +131,27 @@ fn l_shaped_partition_has_unequal_neighbour_sets() {
     assert_eq!(links[3], vec![0, 1, 2]);
 }
 
-/// Repeated-phase tag stress through the aggregated plan on the L-shaped
-/// topology: many rounds of two multi-slot phases, ghost data verified
-/// every round, and the message-count invariant
-/// `messages_sent == phase executions × neighbour links` held exactly —
-/// per rank and per phase — despite the unequal neighbour sets.
-#[test]
-fn l_shaped_halo_plan_tag_stress() {
+/// How a round of [`l_shaped_rounds`] drains its two phases.
+#[derive(Debug, Clone, Copy)]
+enum Completion {
+    /// Each phase completes before the next is posted.
+    PhaseByPhase,
+    /// Both phases are posted, then completed in reverse order: two
+    /// exchanges in flight at once.
+    BothPostedThenReversed,
+}
+
+/// Many rounds of two multi-binding phases through the aggregated plan
+/// on the L-shaped topology, drained in `order`. Ghost data is verified
+/// every round, and `messages_sent == phase executions × neighbour
+/// links` holds exactly, per rank and per phase, despite the unequal
+/// neighbour sets: how the receives drain never changes what flows.
+fn l_shaped_rounds(order: Completion) {
     let subs = l_shaped_submeshes();
     let rounds = 25;
     let out = Typhon::run(4, |ctx| {
         let sub = &subs[ctx.rank()];
-        let mut b = HaloPlanBuilder::new(&sub.el_exchange, &sub.nd_exchange);
-        let state = b.phase(
-            "state",
-            &[
-                (Entity::Element, SlotKind::Scalar),
-                (Entity::Node, SlotKind::Vec2),
-            ],
-        );
-        let corners = b.phase(
-            "corners",
-            &[
-                (Entity::Element, SlotKind::Corner4),
-                (Entity::Element, SlotKind::CornerVec2),
-            ],
-        );
-        let plan = b.build();
+        let plan = HaloPlan::new(sub.el_exchange.clone(), sub.nd_exchange.clone());
 
         let ne = sub.mesh.n_elements();
         let nn = sub.mesh.n_nodes();
@@ -182,196 +176,87 @@ fn l_shaped_halo_plan_tag_stress() {
                     }
                 })
                 .collect();
-            let mut c4: Vec<[f64; 4]> = (0..ne)
-                .map(|e| {
-                    if sub.owns_element(e) {
-                        let g = sub.el_l2g[e] as f64 + salt;
-                        [g, g + 0.25, g + 0.5, g + 0.75]
-                    } else {
-                        [-1.0; 4]
-                    }
-                })
-                .collect();
-            let mut cv: Vec<[Vec2; 4]> = (0..ne)
-                .map(|e| {
-                    if sub.owns_element(e) {
-                        let g = sub.el_l2g[e] as f64 + salt;
-                        std::array::from_fn(|c| Vec2::new(g + c as f64, g - c as f64))
-                    } else {
-                        [Vec2::new(-1.0, -1.0); 4]
-                    }
-                })
-                .collect();
+            // Owned: global id + salt, plus `step` per corner.
+            let corner = |e: usize, step: f64| -> [f64; 4] {
+                if sub.owns_element(e) {
+                    let g = sub.el_l2g[e] as f64 + salt;
+                    std::array::from_fn(|c| g + step * c as f64)
+                } else {
+                    [-1.0; 4]
+                }
+            };
+            let mut c4: Vec<[f64; 4]> = (0..ne).map(|e| corner(e, 0.25)).collect();
+            let mut cx: Vec<[f64; 4]> = (0..ne).map(|e| corner(e, 1.0)).collect();
+            let mut cy: Vec<[f64; 4]> = (0..ne).map(|e| corner(e, -1.0)).collect();
 
-            plan.execute(
-                ctx,
-                state,
-                &mut [FieldMut::Scalar(&mut sc), FieldMut::Vec2(&mut nd)],
-            )
-            .unwrap();
-            plan.execute(
-                ctx,
-                corners,
-                &mut [FieldMut::Corner4(&mut c4), FieldMut::CornerVec2(&mut cv)],
-            )
-            .unwrap();
+            let mut f_state = [
+                (Entity::Element, FieldMut::Scalar(&mut sc)),
+                (Entity::Node, FieldMut::Vec2(&mut nd)),
+            ];
+            let mut f_corners = [
+                (Entity::Element, FieldMut::Corner4(&mut c4)),
+                (Entity::Element, FieldMut::CornerPair(&mut cx, &mut cy)),
+            ];
+            match order {
+                Completion::PhaseByPhase => {
+                    let t = plan.post(ctx, "state", &f_state).unwrap();
+                    plan.complete(ctx, t, &mut f_state).unwrap();
+                    let t = plan.post(ctx, "corners", &f_corners).unwrap();
+                    plan.complete(ctx, t, &mut f_corners).unwrap();
+                }
+                Completion::BothPostedThenReversed => {
+                    let t_state = plan.post(ctx, "state", &f_state).unwrap();
+                    let t_corners = plan.post(ctx, "corners", &f_corners).unwrap();
+                    plan.complete(ctx, t_corners, &mut f_corners).unwrap();
+                    plan.complete(ctx, t_state, &mut f_state).unwrap();
+                }
+            }
 
             ok &= (0..ne).all(|e| sc[e] == sub.el_l2g[e] as f64 + salt);
             ok &= (0..nn).all(|n| nd[n] == Vec2::new(sub.nd_l2g[n] as f64 + salt, round as f64));
             ok &= (0..ne).all(|e| {
                 let g = sub.el_l2g[e] as f64 + salt;
                 c4[e] == [g, g + 0.25, g + 0.5, g + 0.75]
-                    && (0..4).all(|c| cv[e][c] == Vec2::new(g + c as f64, g - c as f64))
+                    && (0..4).all(|c| cx[e][c] == g + c as f64 && cy[e][c] == g - c as f64)
             });
         }
-        (ctx.stats(), plan.link_ranks(), ok)
+        (ctx.stats(), ok)
     })
     .unwrap();
 
-    for (rank, (stats, link_ranks, ok)) in out.into_iter().enumerate() {
-        assert!(ok, "rank {rank}: ghost data corrupted under tag stress");
+    for (rank, (stats, ok)) in out.into_iter().enumerate() {
+        assert!(ok, "rank {rank}, {order:?}: ghost data corrupted");
+        let n_links = subs[rank].neighbour_ranks().len();
+        // Two phases per round, one message per link per phase.
         assert_eq!(
-            link_ranks,
-            subs[rank].neighbour_ranks(),
-            "rank {rank}: plan links disagree with the submesh schedules"
-        );
-        let n_links = link_ranks.len();
-        // Two phases per round, one message per link per phase execution.
-        let expect = (2 * rounds * n_links) as u64;
-        assert_eq!(
-            stats.messages_sent, expect,
-            "rank {rank}: messages_sent != active_phases × neighbour_links"
+            stats.messages_sent,
+            (2 * rounds * n_links) as u64,
+            "rank {rank}, {order:?}: messages_sent != phases × neighbour links"
         );
         for name in ["state", "corners"] {
             let p = stats.phase(name).unwrap();
             assert_eq!(
                 p.messages_sent,
                 (rounds * n_links) as u64,
-                "rank {rank}, phase {name}"
+                "rank {rank}, {order:?}, phase {name}"
+            );
+            // Every ticket stayed open from its post to its complete.
+            assert!(
+                p.overlap_window_seconds > 0.0,
+                "rank {rank}, {order:?}, phase {name}: no overlap window recorded"
             );
         }
     }
 }
 
-/// The split post/complete path under stress: on the L-shaped 4-rank
-/// topology, both phases are posted back-to-back each round (two
-/// exchanges in flight at once, on ranks with *unequal* neighbour sets)
-/// and completed in reverse order, for many rounds. No tag collisions —
-/// every ghost value verified every round — and the message-count
-/// invariant holds exactly: splitting a phase never changes what flows,
-/// only when the receives drain.
+#[test]
+fn l_shaped_halo_plan_tag_stress() {
+    l_shaped_rounds(Completion::PhaseByPhase);
+}
+
 #[test]
 fn l_shaped_split_post_complete_interleaved_phases() {
-    let subs = l_shaped_submeshes();
-    let rounds = 25;
-    let out = Typhon::run(4, |ctx| {
-        let sub = &subs[ctx.rank()];
-        let mut b = HaloPlanBuilder::new(&sub.el_exchange, &sub.nd_exchange);
-        let state = b.phase(
-            "state",
-            &[
-                (Entity::Element, SlotKind::Scalar),
-                (Entity::Node, SlotKind::Vec2),
-            ],
-        );
-        let corners = b.phase(
-            "corners",
-            &[
-                (Entity::Element, SlotKind::Corner4),
-                (Entity::Element, SlotKind::CornerVec2),
-            ],
-        );
-        let plan = b.build();
-
-        let ne = sub.mesh.n_elements();
-        let nn = sub.mesh.n_nodes();
-        let mut ok = true;
-        for round in 0..rounds {
-            let salt = 10_000.0 * round as f64;
-            let mut sc: Vec<f64> = (0..ne)
-                .map(|e| {
-                    if sub.owns_element(e) {
-                        sub.el_l2g[e] as f64 + salt
-                    } else {
-                        -1.0
-                    }
-                })
-                .collect();
-            let mut nd: Vec<Vec2> = (0..nn)
-                .map(|n| {
-                    if sub.owns_node(n) {
-                        Vec2::new(sub.nd_l2g[n] as f64 + salt, round as f64)
-                    } else {
-                        Vec2::new(-1.0, -1.0)
-                    }
-                })
-                .collect();
-            let mut c4: Vec<[f64; 4]> = (0..ne)
-                .map(|e| {
-                    if sub.owns_element(e) {
-                        let g = sub.el_l2g[e] as f64 + salt;
-                        [g, g + 0.25, g + 0.5, g + 0.75]
-                    } else {
-                        [-1.0; 4]
-                    }
-                })
-                .collect();
-            let mut cv: Vec<[Vec2; 4]> = (0..ne)
-                .map(|e| {
-                    if sub.owns_element(e) {
-                        let g = sub.el_l2g[e] as f64 + salt;
-                        std::array::from_fn(|c| Vec2::new(g + c as f64, g - c as f64))
-                    } else {
-                        [Vec2::new(-1.0, -1.0); 4]
-                    }
-                })
-                .collect();
-
-            // Post both phases before completing either, and complete
-            // them out of order.
-            let mut f_state = [FieldMut::Scalar(&mut sc), FieldMut::Vec2(&mut nd)];
-            let mut f_corners = [FieldMut::Corner4(&mut c4), FieldMut::CornerVec2(&mut cv)];
-            let t_state = plan.post(ctx, state, &f_state).unwrap();
-            let t_corners = plan.post(ctx, corners, &f_corners).unwrap();
-            plan.complete(ctx, t_corners, &mut f_corners).unwrap();
-            plan.complete(ctx, t_state, &mut f_state).unwrap();
-
-            ok &= (0..ne).all(|e| sc[e] == sub.el_l2g[e] as f64 + salt);
-            ok &= (0..nn).all(|n| nd[n] == Vec2::new(sub.nd_l2g[n] as f64 + salt, round as f64));
-            ok &= (0..ne).all(|e| {
-                let g = sub.el_l2g[e] as f64 + salt;
-                c4[e] == [g, g + 0.25, g + 0.5, g + 0.75]
-                    && (0..4).all(|c| cv[e][c] == Vec2::new(g + c as f64, g - c as f64))
-            });
-        }
-        (ctx.stats(), plan.link_ranks(), ok)
-    })
-    .unwrap();
-
-    for (rank, (stats, link_ranks, ok)) in out.into_iter().enumerate() {
-        assert!(ok, "rank {rank}: ghost data corrupted by split exchanges");
-        assert_eq!(link_ranks, subs[rank].neighbour_ranks());
-        let n_links = link_ranks.len();
-        let expect = (2 * rounds * n_links) as u64;
-        assert_eq!(
-            stats.messages_sent, expect,
-            "rank {rank}: split posts changed the message count"
-        );
-        for name in ["state", "corners"] {
-            let p = stats.phase(name).unwrap();
-            assert_eq!(
-                p.messages_sent,
-                (rounds * n_links) as u64,
-                "rank {rank}, phase {name}"
-            );
-            // The tickets stayed open across the interleaving: every
-            // phase accumulated a real overlap window.
-            assert!(
-                p.overlap_window_seconds > 0.0,
-                "rank {rank}, phase {name}: no overlap window recorded"
-            );
-        }
-    }
+    l_shaped_rounds(Completion::BothPostedThenReversed);
 }
 
 #[test]
