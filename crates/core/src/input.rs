@@ -12,8 +12,11 @@
 //! text directly — new scenarios are data, not code.
 //!
 //! The codec below is hand-rolled around one table of the grammar,
-//! which the parser, the validator and the table in these docs all
-//! read.
+//! which the parser, the validator, the table in these docs, the writer
+//! and the reader all read. The table says which keys there are; one
+//! description per typed section says which typed field each key is,
+//! and the writer (typed → text) and the reader (checked text → typed)
+//! both run that one description.
 //!
 //! # Named decks
 //!
@@ -161,6 +164,7 @@
 //! ```
 
 use std::fmt;
+use std::mem::discriminant;
 use std::str::FromStr;
 
 use bookleaf_ale::{AleMode, AleOptions};
@@ -312,7 +316,7 @@ impl InputDeck {
     /// [`DeckError::Config`].
     pub fn validate(&self) -> Result<(), DeckError> {
         let mut flat = Vec::new();
-        self.flatten(&mut collector(&mut flat));
+        self.emit(collector(&mut flat));
         check(&flat, true)
     }
 
@@ -356,8 +360,9 @@ impl InputDeck {
 }
 
 // ---------------------------------------------------------------------------
-// The grammar, once, as data. The parser, `check`, the writer's flat
-// form and the table in the module docs all read `SCHEMA`.
+// The grammar, once, as data. The parser, `check`, the descriptions in
+// `keys` (the writer and the reader) and the table in the module docs
+// all read `SCHEMA`.
 
 /// Admissible range of a numeric value, on top of *finite*.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -508,25 +513,29 @@ const SECTIONS: &[SectionDef] = &[
     section("executor", Some("model"), false, false),
 ];
 
-const PROBLEM: Ty = Word(&["sod", "noh", "sedov", "saltzmann", "underwater"]);
+// The words of each discriminator, in the order its description in
+// `keys` lists the variants they name.
+const PROBLEM: &[&str] = &["sod", "noh", "sedov", "saltzmann", "underwater"];
 const NX_NY: &[&str] = &["sod", "saltzmann"];
 const N: &[&str] = &["noh", "sedov", "underwater"];
-const EOS: Ty = Word(&["ideal_gas", "tait", "jwl", "void"]);
+const SKEW: &[&str] = &["saltzmann"];
+const EOS: &[&str] = &["ideal_gas", "tait", "jwl", "void"];
 const TAIT: &[&str] = &["tait"];
 const JWL: &[&str] = &["jwl"];
-const SHAPE: Ty = Word(&["rect", "circle", "halfplane"]);
+const SHAPE: &[&str] = &["rect", "circle", "halfplane"];
 const RECT: &[&str] = &["rect"];
 const CIRCLE: &[&str] = &["circle"];
 const HALFPLANE: &[&str] = &["halfplane"];
-const SIDE_BC: Ty = Word(&["reflective", "free", "piston"]);
-const MODEL: Ty = Word(&["serial", "flat_mpi", "hybrid"]);
+const SIDE_BC: &[&str] = &["reflective", "free", "piston"];
+const ALE_MODE: &[&str] = &["eulerian", "smooth"];
+const MODEL: &[&str] = &["serial", "flat_mpi", "hybrid"];
 const RANKED: &[&str] = &["flat_mpi", "hybrid"];
 const HYBRID: &[&str] = &["hybrid"];
 
 /// (section, key, type and range, applies under, required or default);
 /// a section's rows are contiguous.
 const SCHEMA: &[KeyDef] = &[
-    key("", "problem", PROBLEM, &[], Opt("—")),
+    key("", "problem", Word(PROBLEM), &[], Opt("—")),
     key("", "nx", Int(MeshDim), NX_NY, Req),
     key("", "ny", Int(MeshDim), NX_NY, Req),
     key("", "n", Int(MeshDim), N, Req),
@@ -537,8 +546,8 @@ const SCHEMA: &[KeyDef] = &[
     key("mesh", "y0", Num(Any), &[], Opt("0")),
     key("mesh", "x1", Num(Any), &[], Opt("1")),
     key("mesh", "y1", Num(Any), &[], Opt("1")),
-    key("mesh", "skew", Word(&["saltzmann"]), &[], Opt("—")),
-    key("material", "eos", EOS, &[], Req),
+    key("mesh", "skew", Word(SKEW), &[], Opt("—")),
+    key("material", "eos", Word(EOS), &[], Req),
     key("material", "gamma", Num(Above1), &["ideal_gas"], Req),
     key("material", "gamma", Num(AtLeast1), TAIT, Req),
     key("material", "p0", Num(Positive), TAIT, Req),
@@ -548,7 +557,7 @@ const SCHEMA: &[KeyDef] = &[
     key("material", "r1", Num(Positive), JWL, Req),
     key("material", "r2", Num(Positive), JWL, Req),
     key("material", "omega", Num(Positive), JWL, Req),
-    key("region", "shape", SHAPE, &[], Req),
+    key("region", "shape", Word(SHAPE), &[], Req),
     key("region", "x0", Num(Any), RECT, Req),
     key("region", "y0", Num(Any), RECT, Req),
     key("region", "x1", Num(Any), RECT, Req),
@@ -566,10 +575,10 @@ const SCHEMA: &[KeyDef] = &[
     key("region", "ux", Num(Any), &[], Opt("0")),
     key("region", "uy", Num(Any), &[], Opt("0")),
     key("region", "u_radial", Num(Any), &[], Opt("—")),
-    key("boundary", "left", SIDE_BC, &[], Opt("reflective")),
-    key("boundary", "right", SIDE_BC, &[], Opt("reflective")),
-    key("boundary", "bottom", SIDE_BC, &[], Opt("reflective")),
-    key("boundary", "top", SIDE_BC, &[], Opt("reflective")),
+    key("boundary", "left", Word(SIDE_BC), &[], Opt("reflective")),
+    key("boundary", "right", Word(SIDE_BC), &[], Opt("reflective")),
+    key("boundary", "bottom", Word(SIDE_BC), &[], Opt("reflective")),
+    key("boundary", "top", Word(SIDE_BC), &[], Opt("reflective")),
     key("boundary", "piston_ux", Num(Any), &[], Opt("0")),
     key("boundary", "piston_uy", Num(Any), &[], Opt("0")),
     key("control", "final_time", Num(Positive), &[], Opt("standard")),
@@ -581,10 +590,10 @@ const SCHEMA: &[KeyDef] = &[
     key("dt", "dt_initial", Num(Positive), &[], Opt("0.00001")),
     key("dt", "dt_max", Num(Positive), &[], Opt("0.1")),
     key("dt", "dt_min", Num(Positive), &[], Opt("0.000000000001")),
-    key("ale", "mode", Word(&["eulerian", "smooth"]), &[], Req),
+    key("ale", "mode", Word(ALE_MODE), &[], Req),
     key("ale", "alpha", Num(UnitInterval), &["smooth"], Req),
     key("ale", "frequency", Int(AtLeast1), &[], Opt("1")),
-    key("executor", "model", MODEL, &[], Opt("serial")),
+    key("executor", "model", Word(MODEL), &[], Opt("serial")),
     key("executor", "ranks", Int(AtLeast1), RANKED, Req),
     key("executor", "threads_per_rank", Int(AtLeast1), HYBRID, Req),
 ];
@@ -704,8 +713,6 @@ impl fmt::Display for Section<'_> {
     }
 }
 
-const CHECKED: &str = "`check` guarantees required keys";
-
 impl<'a> Section<'a> {
     fn new(def: &'static SectionDef, name: &'a str, line: usize) -> Self {
         Section {
@@ -720,25 +727,8 @@ impl<'a> Section<'a> {
         self.entries.iter().find(|e| e.key == key)
     }
 
-    fn num(&self, key: &str) -> Option<f64> {
-        match self.get(key)?.val {
-            Val::Num(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    fn int(&self, key: &str) -> Option<usize> {
-        match self.get(key)?.val {
-            Val::Int(n) => Some(n),
-            _ => None,
-        }
-    }
-
     fn text(&self, key: &str) -> Option<&'a str> {
-        match self.get(key)?.val {
-            Val::Text(s) => Some(s),
-            _ => None,
-        }
+        Field::of(self.get(key)?.val)
     }
 
     /// An error anchored at `at`'s line, else at the header's; a
@@ -926,7 +916,7 @@ fn check(flat: &[Section<'_>], whole_deck: bool) -> Result<(), DeckError> {
     }
 
     if let Some(mesh) = mesh {
-        let m = build_mesh(mesh);
+        let m = keys::mesh(&mut Fill(Some(mesh)), &MeshSpec::unit_square(0));
         for (lo, hi, a, b) in [
             ("x0", "x1", m.origin.x, m.extent.x),
             ("y0", "y1", m.origin.y, m.extent.y),
@@ -970,7 +960,7 @@ fn check(flat: &[Section<'_>], whole_deck: bool) -> Result<(), DeckError> {
         }
     }
     // Against the defaults when only one of the two is given.
-    let dt = build_dt(find("dt"));
+    let dt = keys::dt(&mut Fill(find("dt")), DtControls::default());
     if dt.dt_min > dt.dt_max {
         let s = find("dt").expect("the defaults are ordered, so a key was given");
         let message = format!("[dt] dt_min ({}) exceeds dt_max ({})", dt.dt_min, dt.dt_max);
@@ -981,12 +971,12 @@ fn check(flat: &[Section<'_>], whole_deck: bool) -> Result<(), DeckError> {
 
 /// The cross-key rules of one `[region.<name>]`.
 fn check_region(r: &Section<'_>, flat: &[Section<'_>]) -> Result<(), DeckError> {
-    let handle = r.text("material").expect(CHECKED);
+    let (shape, handle, rho, energy, _) = keys::region(&mut Fill(Some(r)), keys::BLANK_REGION);
     let Some(material) = sections(flat, "material").find(|m| m.name == handle) else {
         let message = format!("{r} references unknown material `{handle}`");
         return Err(r.err(r.get("material"), message));
     };
-    match build_shape(r) {
+    match shape {
         Shape::Rect { x0, y0, x1, y1 } if x1 < x0 || y1 < y0 => {
             let message = format!("{r} rect needs x1 >= x0 and y1 >= y0");
             return Err(r.err(r.get("x1"), message));
@@ -1005,17 +995,17 @@ fn check_region(r: &Section<'_>, flat: &[Section<'_>]) -> Result<(), DeckError> 
             return Err(r.err(Some(p), message));
         }
         (None, None) => return Err(r.err(None, format!("{r} requires `ein` or `p`"))),
-        (None, Some(at)) => {
-            let (rho, p) = (r.num("rho").expect(CHECKED), r.num("p").expect(CHECKED));
-            if pressure_to_ein(&build_eos(material), rho, p).is_none() {
-                let message = format!(
-                    "{r}: material `{handle}` has a density-only EoS — \
-                     pressure does not determine energy; give `ein`"
-                );
-                return Err(r.err(Some(at), message));
-            }
+        _ => {}
+    }
+    if let EnergyInit::Pressure(p) = energy {
+        let eos = keys::eos(&mut Fill(Some(material)), EosSpec::Void);
+        if pressure_to_ein(&eos, rho, p).is_none() {
+            let message = format!(
+                "{r}: material `{handle}` has a density-only EoS — \
+                 pressure does not determine energy; give `ein`"
+            );
+            return Err(r.err(r.get("p"), message));
         }
-        (Some(_), None) => {}
     }
     if let (Some(_), Some(cartesian)) = (r.get("u_radial"), r.get("ux").or(r.get("uy"))) {
         let message = format!("{r} `ux`/`uy` do not combine with `u_radial`");
@@ -1025,185 +1015,353 @@ fn check_region(r: &Section<'_>, flat: &[Section<'_>]) -> Result<(), DeckError> 
 }
 
 // ---------------------------------------------------------------------------
-// flat → typed. `check` has passed: required keys are present, so the
-// builders cannot fail.
+// The one description of each typed section: its keys in canonical
+// order, each handed its typed field. Run through `Emit` it is the
+// writer (typed → items); run through `Fill` over a section `check` has
+// passed, it is the reader (flat → typed).
 
-fn build(flat: &[Section<'_>]) -> InputDeck {
-    let top = &flat[0];
-    let find = |word| sections(flat, word).next();
-    let dims = (top.int("nx"), top.int("ny"), top.int("n"));
-    let problem = match (top.text("problem"), dims) {
-        (None, _) => ProblemSpec::Generic(Box::new(build_generic(flat))),
-        (Some("sod"), (Some(nx), Some(ny), _)) => ProblemSpec::Sod { nx, ny },
-        (Some("saltzmann"), (Some(nx), Some(ny), _)) => ProblemSpec::Saltzmann { nx, ny },
-        (Some("noh"), (.., Some(n))) => ProblemSpec::Noh { n },
-        (Some("sedov"), (.., Some(n))) => ProblemSpec::Sedov { n },
-        (Some("underwater"), (.., Some(n))) => ProblemSpec::Underwater { n },
-        _ => unreachable!("{CHECKED}"),
-    };
-    let control = find("control");
-    let defaults = RunConfig::default();
-    let ale = find("ale").map(|s| AleOptions {
-        mode: match s.text("mode") {
-            Some("smooth") => AleMode::Smooth {
-                alpha: s.num("alpha").expect(CHECKED),
-            },
-            _ => AleMode::Eulerian,
-        },
-        frequency: s.int("frequency").unwrap_or(1),
-    });
-    let executor = find("executor").map_or(ExecutorKind::Serial, |s| {
-        let count = |key| s.int(key).expect(CHECKED);
-        match s.text("model") {
-            Some("flat_mpi") => ExecutorKind::FlatMpi {
-                ranks: count("ranks"),
-            },
-            Some("hybrid") => ExecutorKind::Hybrid {
-                ranks: count("ranks"),
-                threads_per_rank: count("threads_per_rank"),
-            },
-            _ => ExecutorKind::Serial,
+/// A field type a key's value converts to and from.
+trait Field<'a>: Copy {
+    fn to_val(self) -> Val<'a>;
+    fn of(val: Val<'a>) -> Option<Self>;
+}
+
+macro_rules! field {
+    ($($ty:ty => $v:ident),*) => {$(
+        impl<'a> Field<'a> for $ty {
+            fn to_val(self) -> Val<'a> {
+                Val::$v(self)
+            }
+            fn of(val: Val<'a>) -> Option<Self> {
+                match val {
+                    Val::$v(v) => Some(v),
+                    _ => None,
+                }
+            }
         }
-    });
-    InputDeck {
-        problem,
-        final_time: control.and_then(|c| c.num("final_time")),
-        max_steps: control
-            .and_then(|c| c.int("max_steps"))
-            .unwrap_or(defaults.max_steps),
-        overlap: match control.and_then(|c| c.get("overlap")) {
-            Some(e) => e.val == Val::Bool(true),
-            None => defaults.overlap,
-        },
-        dt: build_dt(find("dt")),
-        ale,
-        executor,
+    )*};
+}
+
+field!(usize => Int, f64 => Num, bool => Bool, &'a str => Text);
+
+/// One direction of a description.
+trait Io<'a> {
+    /// An optional key, present iff `v` is `Some`: emitting writes `v`
+    /// and returns it; filling returns what the section gives the key.
+    fn opt<T: Field<'a>>(&mut self, key: &'static str, v: Option<T>) -> Option<T>;
+
+    /// A key with a value: emitting writes `v`; filling keeps `v` (the
+    /// default) where the section does not give the key.
+    fn val<T: Field<'a>>(&mut self, key: &'static str, v: T) -> T {
+        self.opt(key, Some(v)).unwrap_or(v)
+    }
+
+    /// A discriminator: `key`'s `words` name `all` the variants, in that
+    /// order and with their fields zeroed. Emitting writes the word of
+    /// `v`'s variant (nothing for a variant `all` leaves out); filling
+    /// turns `v` into the variant the section names — zeroed, for the
+    /// description to fill next — and keeps `v` where it names none.
+    fn pick<T: Clone>(&mut self, key: &'static str, words: &[&'a str], v: T, all: &[T]) -> T {
+        let same = |other: &T| discriminant(other) == discriminant(&v);
+        let word = all.iter().position(same).map(|i| words[i]);
+        let named = self
+            .opt(key, word)
+            .and_then(|w| words.iter().position(|&x| x == w));
+        match named {
+            Some(i) if !same(&all[i]) => all[i].clone(),
+            _ => v,
+        }
     }
 }
 
-fn build_dt(section: Option<&Section<'_>>) -> DtControls {
-    let d = DtControls::default();
-    let num = |key, default| section.and_then(|s| s.num(key)).unwrap_or(default);
-    DtControls {
-        cfl_sf: num("cfl_sf", d.cfl_sf),
-        div_sf: num("div_sf", d.div_sf),
-        growth: num("growth", d.growth),
-        dt_initial: num("dt_initial", d.dt_initial),
-        dt_max: num("dt_max", d.dt_max),
-        dt_min: num("dt_min", d.dt_min),
+/// The writer: each key a description hands over is an [`Item`].
+struct Emit<F>(F);
+
+impl<F> Emit<F> {
+    fn header<'a>(&mut self, word: &'static str, name: &'a str)
+    where
+        F: FnMut(Item<'a>),
+    {
+        (self.0)(Item::Section(word, name));
     }
 }
 
-fn build_generic(flat: &[Section<'_>]) -> GenericSpec {
-    let material = |s: &Section<'_>| NamedMaterial {
-        name: s.name.into(),
-        eos: build_eos(s),
-    };
-    let mesh = sections(flat, "mesh").next().expect(CHECKED);
-    GenericSpec {
-        name: flat[0].text("name").unwrap_or("generic").into(),
-        mesh: build_mesh(mesh),
-        materials: sections(flat, "material").map(material).collect(),
-        regions: sections(flat, "region").map(build_region).collect(),
-        boundary: sections(flat, "boundary")
-            .next()
-            .map_or_else(BoundarySpec::default, build_boundary),
+impl<'a, F: FnMut(Item<'a>)> Io<'a> for Emit<F> {
+    fn opt<T: Field<'a>>(&mut self, key: &'static str, v: Option<T>) -> Option<T> {
+        if let Some(v) = v {
+            (self.0)(Item::Entry(key, v.to_val()));
+        }
+        v
     }
 }
 
-fn build_mesh(s: &Section<'_>) -> MeshSpec {
-    MeshSpec {
-        nx: s.int("nx").expect(CHECKED),
-        ny: s.int("ny").expect(CHECKED),
-        origin: Vec2::new(s.num("x0").unwrap_or(0.0), s.num("y0").unwrap_or(0.0)),
-        extent: Vec2::new(s.num("x1").unwrap_or(1.0), s.num("y1").unwrap_or(1.0)),
-        skew: s.get("skew").map(|_| SkewKind::Saltzmann),
+/// The reader: each key takes the value a checked section gives it;
+/// `None` is a section the deck omits, where every key keeps its default.
+struct Fill<'s, 'a>(Option<&'s Section<'a>>);
+
+impl<'a> Io<'a> for Fill<'_, 'a> {
+    fn opt<T: Field<'a>>(&mut self, key: &'static str, _: Option<T>) -> Option<T> {
+        T::of(self.0?.get(key)?.val)
     }
 }
 
-fn build_eos(s: &Section<'_>) -> EosSpec {
-    let p = |key| s.num(key).expect(CHECKED);
-    match s.text("eos").expect(CHECKED) {
-        "void" => EosSpec::Void,
-        "ideal_gas" => EosSpec::IdealGas { gamma: p("gamma") },
-        "tait" => EosSpec::Tait {
-            p0: p("p0"),
-            rho0: p("rho0"),
-            gamma: p("gamma"),
-        },
-        _ => EosSpec::Jwl {
-            a: p("a"),
-            b: p("b"),
-            r1: p("r1"),
-            r2: p("r2"),
-            omega: p("omega"),
-            rho0: p("rho0"),
-        },
-    }
+/// An enum described by its discriminator: `key`'s `words` name the
+/// variants listed (in that order), and each field of a variant is the
+/// key of its own name.
+macro_rules! variants {
+    ($io:ident, $key:expr, $words:expr, $v:expr, $ty:ident {
+        $($variant:ident { $($field:ident),* }),* $(,)?
+    }) => {{
+        let zeroed = [$($ty::$variant { $($field: Default::default()),* }),*];
+        match $io.pick($key, $words, $v, &zeroed) {
+            $($ty::$variant { $($field),* } => $ty::$variant {
+                $($field: $io.val(stringify!($field), $field)),*
+            },)*
+            // A variant the list leaves out (a generic `ProblemSpec`).
+            #[allow(unreachable_patterns)]
+            other => other,
+        }
+    }};
 }
 
-fn build_shape(s: &Section<'_>) -> Shape {
-    let p = |key| s.num(key).expect(CHECKED);
-    match s.text("shape").expect(CHECKED) {
-        "rect" => Shape::Rect {
-            x0: p("x0"),
-            y0: p("y0"),
-            x1: p("x1"),
-            y1: p("y1"),
-        },
-        "circle" => Shape::Circle {
-            cx: p("cx"),
-            cy: p("cy"),
-            r: p("r"),
-        },
-        _ => Shape::HalfPlane {
-            normal_x: p("normal_x"),
-            normal_y: p("normal_y"),
-            offset: p("offset"),
-        },
-    }
-}
+/// One description per typed section. Each takes the typed value to
+/// emit — or, to fill, its defaults — and returns what the direction
+/// made of it.
+mod keys {
+    use super::*;
 
-fn build_region(s: &Section<'_>) -> RegionSpec {
-    RegionSpec {
-        name: s.name.into(),
-        shape: build_shape(s),
-        material: s.text("material").expect(CHECKED).into(),
-        rho: s.num("rho").expect(CHECKED),
-        energy: match s.num("ein") {
+    /// What `[region.<name>]` describes: its [`RegionSpec`] less the
+    /// name, with the material handle borrowed.
+    pub(super) type Region<'a> = (Shape, &'a str, f64, EnergyInit, VelocityInit);
+
+    /// A region for the reader to fill: its velocity `(0, 0)` is what an
+    /// omitted `ux` / `uy` reads as; the rest is required, so any value
+    /// will do.
+    pub(super) const BLANK_REGION: Region<'static> = (
+        Shape::Circle {
+            cx: 0.0,
+            cy: 0.0,
+            r: 0.0,
+        },
+        "",
+        0.0,
+        EnergyInit::Ein(0.0),
+        VelocityInit::Constant(Vec2::ZERO),
+    );
+
+    /// The top level: a named deck's `problem` and its dimensions, or a
+    /// generic deck's `name` (`named` is `None`).
+    pub(super) fn top<'a>(
+        io: &mut impl Io<'a>,
+        named: Option<ProblemSpec>,
+        name: &'a str,
+    ) -> (Option<ProblemSpec>, &'a str) {
+        let Some(problem) = named else {
+            return (None, io.val("name", name));
+        };
+        let problem = variants!(io, "problem", PROBLEM, problem, ProblemSpec {
+            Sod { nx, ny },
+            Noh { n },
+            Sedov { n },
+            Saltzmann { nx, ny },
+            Underwater { n },
+        });
+        (Some(problem), name)
+    }
+
+    /// `[mesh]`.
+    pub(super) fn mesh<'a>(io: &mut impl Io<'a>, m: &MeshSpec) -> MeshSpec {
+        MeshSpec {
+            nx: io.val("nx", m.nx),
+            ny: io.val("ny", m.ny),
+            origin: Vec2::new(io.val("x0", m.origin.x), io.val("y0", m.origin.y)),
+            extent: Vec2::new(io.val("x1", m.extent.x), io.val("y1", m.extent.y)),
+            skew: io.pick("skew", SKEW, m.skew, &[Some(SkewKind::Saltzmann)]),
+        }
+    }
+
+    /// `[material.<name>]`: the material's EoS.
+    pub(super) fn eos<'a>(io: &mut impl Io<'a>, eos: EosSpec) -> EosSpec {
+        variants!(io, "eos", EOS, eos, EosSpec {
+            IdealGas { gamma },
+            Tait { p0, rho0, gamma },
+            Jwl { a, b, r1, r2, omega, rho0 },
+            Void {},
+        })
+    }
+
+    /// `[region.<name>]`: the shape, `material`, `rho`, the energy as
+    /// `ein` or else `p`, the velocity as `u_radial` or else `ux` / `uy`
+    /// (`check` admits one of each, so the order the two are asked in
+    /// does not show in the text).
+    pub(super) fn region<'a>(io: &mut impl Io<'a>, r: Region<'a>) -> Region<'a> {
+        let (shape, material, rho, energy, velocity) = r;
+        let shape = variants!(io, "shape", SHAPE, shape, Shape {
+            Rect { x0, y0, x1, y1 },
+            Circle { cx, cy, r },
+            HalfPlane { normal_x, normal_y, offset },
+        });
+        let (material, rho) = (io.val("material", material), io.val("rho", rho));
+        let (ein, p) = match energy {
+            EnergyInit::Ein(ein) => (Some(ein), 0.0),
+            EnergyInit::Pressure(p) => (None, p),
+        };
+        let energy = match io.opt("ein", ein) {
             Some(ein) => EnergyInit::Ein(ein),
-            None => EnergyInit::Pressure(s.num("p").expect(CHECKED)),
-        },
-        velocity: match s.num("u_radial") {
+            None => EnergyInit::Pressure(io.val("p", p)),
+        };
+        let (speed, u) = match velocity {
+            VelocityInit::Radial { speed } => (Some(speed), Vec2::ZERO),
+            VelocityInit::Constant(u) => (None, u),
+        };
+        let velocity = match io.opt("u_radial", speed) {
             Some(speed) => VelocityInit::Radial { speed },
-            None => VelocityInit::Constant(Vec2::new(
-                s.num("ux").unwrap_or(0.0),
-                s.num("uy").unwrap_or(0.0),
-            )),
-        },
+            None => VelocityInit::Constant(Vec2::new(io.val("ux", u.x), io.val("uy", u.y))),
+        };
+        (shape, material, rho, energy, velocity)
+    }
+
+    /// `[boundary]`. The piston velocity is there iff a side is a
+    /// piston (`check` admits it only then); an omitted component is 0.
+    pub(super) fn boundary<'a>(io: &mut impl Io<'a>, b: BoundarySpec) -> BoundarySpec {
+        use SideBc::{Free, Piston, Reflective};
+        let mut side = |key, bc| io.pick(key, SIDE_BC, bc, &[Reflective, Free, Piston]);
+        let (left, right) = (side("left", b.left), side("right", b.right));
+        let (bottom, top) = (side("bottom", b.bottom), side("top", b.top));
+        let ux = io.opt("piston_ux", b.piston_u.map(|u| u.x));
+        let uy = io.opt("piston_uy", b.piston_u.map(|u| u.y));
+        let piston = [left, right, bottom, top].contains(&Piston);
+        let piston_u = piston.then(|| Vec2::new(ux.unwrap_or(0.0), uy.unwrap_or(0.0)));
+        BoundarySpec {
+            left,
+            right,
+            bottom,
+            top,
+            piston_u,
+        }
+    }
+
+    /// `[control]`: `final_time`, `max_steps`, `overlap`.
+    pub(super) fn control<'a>(io: &mut impl Io<'a>, d: &InputDeck) -> (Option<f64>, usize, bool) {
+        let final_time = io.opt("final_time", d.final_time);
+        let max_steps = io.val("max_steps", d.max_steps);
+        (final_time, max_steps, io.val("overlap", d.overlap))
+    }
+
+    /// `[dt]`.
+    pub(super) fn dt<'a>(io: &mut impl Io<'a>, d: DtControls) -> DtControls {
+        DtControls {
+            cfl_sf: io.val("cfl_sf", d.cfl_sf),
+            div_sf: io.val("div_sf", d.div_sf),
+            growth: io.val("growth", d.growth),
+            dt_initial: io.val("dt_initial", d.dt_initial),
+            dt_max: io.val("dt_max", d.dt_max),
+            dt_min: io.val("dt_min", d.dt_min),
+        }
+    }
+
+    /// `[ale]`.
+    pub(super) fn ale<'a>(io: &mut impl Io<'a>, a: AleOptions) -> AleOptions {
+        let mode =
+            variants!(io, "mode", ALE_MODE, a.mode, AleMode { Eulerian {}, Smooth { alpha } });
+        let frequency = io.val("frequency", a.frequency);
+        AleOptions { mode, frequency }
+    }
+
+    /// `[executor]`.
+    pub(super) fn executor<'a>(io: &mut impl Io<'a>, e: ExecutorKind) -> ExecutorKind {
+        variants!(io, "model", MODEL, e, ExecutorKind {
+            Serial {},
+            FlatMpi { ranks },
+            Hybrid { ranks, threads_per_rank },
+        })
     }
 }
 
-fn build_boundary(s: &Section<'_>) -> BoundarySpec {
-    let side = |key| match s.text(key) {
-        Some("free") => SideBc::Free,
-        Some("piston") => SideBc::Piston,
-        _ => SideBc::Reflective,
-    };
-    let sides = [side("left"), side("right"), side("bottom"), side("top")];
-    let [left, right, bottom, top] = sides;
-    BoundarySpec {
-        left,
-        right,
-        bottom,
-        top,
-        // `check` admits a piston velocity only beside a piston side.
-        piston_u: sides.contains(&SideBc::Piston).then(|| {
-            Vec2::new(
-                s.num("piston_ux").unwrap_or(0.0),
-                s.num("piston_uy").unwrap_or(0.0),
-            )
-        }),
+impl InputDeck {
+    /// The writer: the deck through the descriptions, in canonical
+    /// order, omitting what the canonical text omits (an absent
+    /// `final_time`, a Lagrangian deck's `[ale]`, a default
+    /// `[boundary]`). Named decks keep the exact order the versioned
+    /// checkpoint format embeds — do not reorder their keys.
+    fn emit<'a>(&'a self, out: impl FnMut(Item<'a>)) {
+        let io = &mut Emit(out);
+        match &self.problem {
+            ProblemSpec::Generic(g) => emit_generic(io, g),
+            named => _ = keys::top(io, Some(named.clone()), ""),
+        }
+        io.header("control", "");
+        keys::control(io, self);
+        io.header("dt", "");
+        keys::dt(io, self.dt);
+        if let Some(ale) = self.ale {
+            io.header("ale", "");
+            keys::ale(io, ale);
+        }
+        io.header("executor", "");
+        keys::executor(io, self.executor);
+    }
+
+    /// The reader: the deck a flat form `check` has passed describes.
+    fn fill(flat: &[Section<'_>]) -> InputDeck {
+        let find = |word| sections(flat, word).next();
+        let at = |word| Fill(find(word));
+        let named = find("mesh").is_none().then_some(ProblemSpec::Noh { n: 0 });
+        let (named, name) = keys::top(&mut Fill(Some(&flat[0])), named, "generic");
+        let problem = named.unwrap_or_else(|| {
+            let material = |s: &Section<'_>| NamedMaterial {
+                name: s.name.into(),
+                eos: keys::eos(&mut Fill(Some(s)), EosSpec::Void),
+            };
+            let region = |s: &Section<'_>| {
+                let blank = keys::BLANK_REGION;
+                let (shape, material, rho, energy, velocity) =
+                    keys::region(&mut Fill(Some(s)), blank);
+                let (name, material) = (s.name.into(), material.into());
+                RegionSpec {
+                    name,
+                    shape,
+                    material,
+                    rho,
+                    energy,
+                    velocity,
+                }
+            };
+            ProblemSpec::Generic(Box::new(GenericSpec {
+                name: name.into(),
+                mesh: keys::mesh(&mut at("mesh"), &MeshSpec::unit_square(0)),
+                materials: sections(flat, "material").map(material).collect(),
+                regions: sections(flat, "region").map(region).collect(),
+                boundary: find("boundary").map_or_else(BoundarySpec::default, |s| {
+                    keys::boundary(&mut Fill(Some(s)), BoundarySpec::default())
+                }),
+            }))
+        });
+        let mut d = InputDeck::new(problem);
+        (d.final_time, d.max_steps, d.overlap) = keys::control(&mut at("control"), &d);
+        d.dt = keys::dt(&mut at("dt"), d.dt);
+        d.ale = find("ale").map(|s| keys::ale(&mut Fill(Some(s)), AleOptions::default()));
+        d.executor = keys::executor(&mut at("executor"), d.executor);
+        d
+    }
+}
+
+/// The generic half of [`InputDeck::emit`]: all of a [`GenericSpec`].
+fn emit_generic<'a>(io: &mut Emit<impl FnMut(Item<'a>)>, g: &'a GenericSpec) {
+    keys::top(io, None, &g.name);
+    io.header("mesh", "");
+    keys::mesh(io, &g.mesh);
+    for m in &g.materials {
+        io.header("material", &m.name);
+        keys::eos(io, m.eos);
+    }
+    for r in &g.regions {
+        io.header("region", &r.name);
+        keys::region(io, (r.shape, &r.material, r.rho, r.energy, r.velocity));
+    }
+    if g.boundary != BoundarySpec::default() {
+        io.header("boundary", "");
+        keys::boundary(io, g.boundary);
     }
 }
 
@@ -1213,13 +1371,21 @@ impl FromStr for InputDeck {
     fn from_str(text: &str) -> Result<Self, DeckError> {
         let flat = parse(text)?;
         check(&flat, true)?;
-        Ok(build(&flat))
+        Ok(InputDeck::fill(&flat))
     }
 }
 
-// ---------------------------------------------------------------------------
-// typed → flat, in the writer's order. `Display` prints the walk,
-// `validate` collects it for `check`.
+/// The 1-based line at which deck `text` sets `key` in `section` (`""`
+/// for the top level, else its header word, e.g. `"control"`): where
+/// to anchor an error about a value the parser accepted, such as an
+/// admission limit. `None` when the text does not set the key or does
+/// not parse.
+#[must_use]
+pub fn key_line(text: &str, section: &str, key: &str) -> Option<usize> {
+    let flat = parse(text).ok()?;
+    let entry = sections(&flat, section).find_map(|s| s.get(key))?;
+    Some(entry.line)
+}
 
 /// One step of a walk over a deck in canonical order: a section header
 /// `(word, instance name)` or a `(key, value)` entry of the open section.
@@ -1247,198 +1413,8 @@ fn collector<'a, 'f>(flat: &'f mut Vec<Section<'a>>) -> impl FnMut(Item<'a>) + '
 /// `check` over a bare [`GenericSpec`] — [`GenericSpec::validate`].
 pub(crate) fn check_generic(spec: &GenericSpec) -> Result<(), DeckError> {
     let mut flat = Vec::new();
-    flatten_generic(spec, &mut collector(&mut flat));
+    emit_generic(&mut Emit(collector(&mut flat)), spec);
     check(&flat, false)
-}
-
-fn nums<'a>(out: &mut (impl FnMut(Item<'a>) + ?Sized), entries: &[(&'static str, f64)]) {
-    for &(key, v) in entries {
-        out(Item::Entry(key, Val::Num(v)));
-    }
-}
-
-/// A discriminator entry, then its variant's numeric entries.
-fn variant<'a>(
-    out: &mut (impl FnMut(Item<'a>) + ?Sized),
-    disc: &'static str,
-    word: &'static str,
-    entries: &[(&'static str, f64)],
-) {
-    out(Item::Entry(disc, Val::Text(word)));
-    nums(out, entries);
-}
-
-impl InputDeck {
-    /// Walk the deck in canonical order, omitting what the canonical
-    /// text omits (an absent `final_time`, a Lagrangian deck's `[ale]`).
-    /// Named decks keep the exact order the versioned checkpoint format
-    /// embeds — do not reorder their keys.
-    fn flatten<'a>(&'a self, out: &mut (impl FnMut(Item<'a>) + ?Sized)) {
-        use Item::{Entry, Section};
-        use Val::{Bool, Int, Text};
-        match self.problem {
-            ProblemSpec::Generic(ref g) => flatten_generic(g, out),
-            ProblemSpec::Sod { nx, ny } | ProblemSpec::Saltzmann { nx, ny } => {
-                out(Entry("problem", Text(self.problem.name())));
-                out(Entry("nx", Int(nx)));
-                out(Entry("ny", Int(ny)));
-            }
-            ProblemSpec::Noh { n } | ProblemSpec::Sedov { n } | ProblemSpec::Underwater { n } => {
-                out(Entry("problem", Text(self.problem.name())));
-                out(Entry("n", Int(n)));
-            }
-        }
-        out(Section("control", ""));
-        if let Some(t) = self.final_time {
-            out(Entry("final_time", Val::Num(t)));
-        }
-        out(Entry("max_steps", Int(self.max_steps)));
-        out(Entry("overlap", Bool(self.overlap)));
-        out(Section("dt", ""));
-        let dt = &self.dt;
-        nums(
-            out,
-            &[
-                ("cfl_sf", dt.cfl_sf),
-                ("div_sf", dt.div_sf),
-                ("growth", dt.growth),
-                ("dt_initial", dt.dt_initial),
-                ("dt_max", dt.dt_max),
-                ("dt_min", dt.dt_min),
-            ],
-        );
-        if let Some(ale) = self.ale {
-            out(Section("ale", ""));
-            match ale.mode {
-                AleMode::Eulerian => variant(out, "mode", "eulerian", &[]),
-                AleMode::Smooth { alpha } => variant(out, "mode", "smooth", &[("alpha", alpha)]),
-            }
-            out(Entry("frequency", Int(ale.frequency)));
-        }
-        out(Section("executor", ""));
-        match self.executor {
-            ExecutorKind::Serial => out(Entry("model", Text("serial"))),
-            ExecutorKind::FlatMpi { ranks } => {
-                out(Entry("model", Text("flat_mpi")));
-                out(Entry("ranks", Int(ranks)));
-            }
-            ExecutorKind::Hybrid {
-                ranks,
-                threads_per_rank,
-            } => {
-                out(Entry("model", Text("hybrid")));
-                out(Entry("ranks", Int(ranks)));
-                out(Entry("threads_per_rank", Int(threads_per_rank)));
-            }
-        }
-    }
-}
-
-fn flatten_generic<'a>(g: &'a GenericSpec, out: &mut (impl FnMut(Item<'a>) + ?Sized)) {
-    use Item::{Entry, Section};
-    use Val::{Int, Text};
-    out(Entry("name", Text(&g.name)));
-    out(Section("mesh", ""));
-    out(Entry("nx", Int(g.mesh.nx)));
-    out(Entry("ny", Int(g.mesh.ny)));
-    let (origin, extent) = (g.mesh.origin, g.mesh.extent);
-    nums(
-        out,
-        &[
-            ("x0", origin.x),
-            ("y0", origin.y),
-            ("x1", extent.x),
-            ("y1", extent.y),
-        ],
-    );
-    if let Some(SkewKind::Saltzmann) = g.mesh.skew {
-        out(Entry("skew", Text("saltzmann")));
-    }
-    for mat in &g.materials {
-        out(Section("material", &mat.name));
-        match mat.eos {
-            EosSpec::Void => variant(out, "eos", "void", &[]),
-            EosSpec::IdealGas { gamma } => variant(out, "eos", "ideal_gas", &[("gamma", gamma)]),
-            EosSpec::Tait { p0, rho0, gamma } => {
-                variant(
-                    out,
-                    "eos",
-                    "tait",
-                    &[("p0", p0), ("rho0", rho0), ("gamma", gamma)],
-                );
-            }
-            EosSpec::Jwl {
-                a,
-                b,
-                r1,
-                r2,
-                omega,
-                rho0,
-            } => {
-                let params = [
-                    ("a", a),
-                    ("b", b),
-                    ("r1", r1),
-                    ("r2", r2),
-                    ("omega", omega),
-                    ("rho0", rho0),
-                ];
-                variant(out, "eos", "jwl", &params);
-            }
-        }
-    }
-    for reg in &g.regions {
-        out(Section("region", &reg.name));
-        match reg.shape {
-            Shape::Rect { x0, y0, x1, y1 } => {
-                variant(
-                    out,
-                    "shape",
-                    "rect",
-                    &[("x0", x0), ("y0", y0), ("x1", x1), ("y1", y1)],
-                );
-            }
-            Shape::Circle { cx, cy, r } => {
-                variant(out, "shape", "circle", &[("cx", cx), ("cy", cy), ("r", r)]);
-            }
-            Shape::HalfPlane {
-                normal_x,
-                normal_y,
-                offset,
-            } => {
-                let params = [
-                    ("normal_x", normal_x),
-                    ("normal_y", normal_y),
-                    ("offset", offset),
-                ];
-                variant(out, "shape", "halfplane", &params);
-            }
-        }
-        out(Entry("material", Text(&reg.material)));
-        nums(out, &[("rho", reg.rho)]);
-        match reg.energy {
-            EnergyInit::Ein(e) => nums(out, &[("ein", e)]),
-            EnergyInit::Pressure(p) => nums(out, &[("p", p)]),
-        }
-        match reg.velocity {
-            VelocityInit::Constant(v) => nums(out, &[("ux", v.x), ("uy", v.y)]),
-            VelocityInit::Radial { speed } => nums(out, &[("u_radial", speed)]),
-        }
-    }
-    if g.boundary != BoundarySpec::default() {
-        out(Section("boundary", ""));
-        for (side, bc) in g.boundary.sides() {
-            let word = match bc {
-                SideBc::Reflective => "reflective",
-                SideBc::Free => "free",
-                SideBc::Piston => "piston",
-            };
-            out(Entry(side, Text(word)));
-        }
-        if let Some(u) = g.boundary.piston_u {
-            nums(out, &[("piston_ux", u.x), ("piston_uy", u.y)]);
-        }
-    }
 }
 
 impl fmt::Display for Item<'_> {
@@ -1463,7 +1439,7 @@ impl fmt::Display for InputDeck {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("# BookLeaf-rs input deck\n")?;
         let mut result = Ok(());
-        self.flatten(&mut |item| result = result.and_then(|()| item.fmt(f)));
+        self.emit(|item| result = result.and_then(|()| item.fmt(f)));
         result
     }
 }

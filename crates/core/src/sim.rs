@@ -228,11 +228,12 @@ impl SimulationBuilder {
     /// construct the [`Simulation`].
     pub fn build(self) -> Result<Simulation> {
         let Some(source) = self.source else {
-            return Err(BookLeafError::InvalidDeck(
-                "Simulation::builder() needs a deck: call .deck(..), .deck_str(..), \
-                 .deck_file(..) or .resume(..)"
-                    .into(),
-            ));
+            let message = "Simulation::builder() needs a deck: call .deck(..), .deck_str(..), \
+                           .deck_file(..) or .resume(..)";
+            return Err(DeckError::Config {
+                message: message.into(),
+            }
+            .into());
         };
         let mut resume_snap: Option<Snapshot> = None;
         let (deck, input) = match source {
@@ -255,11 +256,8 @@ impl SimulationBuilder {
                 (deck, Some(ckpt.input))
             }
             DeckSource::File(path) => {
-                let text = std::fs::read_to_string(&path).map_err(|e| {
-                    BookLeafError::InvalidDeck(format!(
-                        "cannot read deck file {}: {e}",
-                        path.display()
-                    ))
+                let text = std::fs::read_to_string(&path).map_err(|e| DeckError::Config {
+                    message: format!("cannot read deck file {}: {e}", path.display()),
                 })?;
                 // Keep errors typed (and line-anchored where the parser
                 // anchored them), but name the file they belong to.
@@ -889,7 +887,10 @@ mod tests {
     #[test]
     fn builder_without_deck_is_rejected() {
         let err = Simulation::builder().final_time(0.1).build().unwrap_err();
-        assert!(matches!(err, BookLeafError::InvalidDeck(_)), "{err}");
+        assert!(
+            matches!(err, BookLeafError::Deck(DeckError::Config { .. })),
+            "{err}"
+        );
     }
 
     #[test]

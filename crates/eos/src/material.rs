@@ -3,7 +3,7 @@
 //! The `getpc` kernel evaluates the EoS for every element. Elements carry
 //! a region (material) id; the table maps that id to an [`EosSpec`].
 
-use bookleaf_util::{BookLeafError, Result};
+use bookleaf_util::{DeckError, Result};
 
 use crate::spec::EosSpec;
 
@@ -52,10 +52,11 @@ impl MaterialTable {
     /// Validate that every region id in `regions` has an entry.
     pub fn check_regions(&self, regions: &[u32]) -> Result<()> {
         if let Some(&bad) = regions.iter().find(|&&r| r as usize >= self.specs.len()) {
-            return Err(BookLeafError::InvalidDeck(format!(
+            let message = format!(
                 "region {bad} has no material (table has {} entries)",
                 self.specs.len()
-            )));
+            );
+            return Err(DeckError::Config { message }.into());
         }
         Ok(())
     }

@@ -7,7 +7,7 @@
 //! sides, an arbitrary region-id function for multi-material decks (Sod's
 //! two gases), and the Saltzmann distortion for the piston problem.
 
-use bookleaf_util::{BookLeafError, Result, Vec2};
+use bookleaf_util::{DeckError, Result, Vec2};
 
 use crate::topology::{Mesh, NodeBc};
 
@@ -55,15 +55,14 @@ impl RectSpec {
 /// corners both. `region_of` assigns a region (material) id from each
 /// element's centroid.
 pub fn generate_rect(spec: &RectSpec, region_of: impl Fn(Vec2) -> u32) -> Result<Mesh> {
+    let config = |message: &str| DeckError::Config {
+        message: message.into(),
+    };
     if spec.nx == 0 || spec.ny == 0 {
-        return Err(BookLeafError::InvalidDeck(
-            "mesh must have nx, ny >= 1".into(),
-        ));
+        return Err(config("mesh must have nx, ny >= 1").into());
     }
     if spec.extent.x <= spec.origin.x || spec.extent.y <= spec.origin.y {
-        return Err(BookLeafError::InvalidDeck(
-            "mesh extent must exceed origin".into(),
-        ));
+        return Err(config("mesh extent must exceed origin").into());
     }
     let (nx, ny) = (spec.nx, spec.ny);
     let d = spec.spacing();

@@ -7,6 +7,7 @@
 //! parser itself uses — so a tenant's tooling can jump straight to the
 //! `nx = 4096` that was over budget.
 
+use bookleaf_core::input::key_line;
 use bookleaf_core::{InputDeck, ProblemSpec};
 use bookleaf_util::DeckError;
 
@@ -34,18 +35,6 @@ impl Default for ResourceLimits {
     }
 }
 
-/// The 1-based line where `key` is assigned in `text`, if any — the
-/// anchor for limit rejections.
-fn anchor_line(text: &str, key: &str) -> Option<usize> {
-    text.lines()
-        .position(|line| {
-            let line = line.trim_start();
-            line.strip_prefix(key)
-                .is_some_and(|rest| rest.trim_start().starts_with('='))
-        })
-        .map(|i| i + 1)
-}
-
 /// Parse and validate deck `text` against `limits`.
 ///
 /// # Errors
@@ -55,7 +44,8 @@ fn anchor_line(text: &str, key: &str) -> Option<usize> {
 /// * the parser's own line-anchored [`DeckError::Text`] for syntax and
 ///   semantic deck errors;
 /// * [`DeckError::Text`] anchored at the offending assignment when the
-///   mesh or step budget exceeds the limits.
+///   mesh (at its largest dimension) or step budget exceeds the limits;
+///   the parser says which line that is ([`key_line`]).
 pub fn admit_deck(text: &str, limits: &ResourceLimits) -> Result<InputDeck, DeckError> {
     if text.len() > limits.max_deck_bytes {
         return Err(DeckError::Config {
@@ -69,16 +59,15 @@ pub fn admit_deck(text: &str, limits: &ResourceLimits) -> Result<InputDeck, Deck
     let input: InputDeck = text.parse()?;
     let cells = input.problem.cells();
     if cells > limits.max_mesh_cells {
-        // Generic decks size the mesh with [mesh] nx/ny; anchor_line
-        // finds the first `nx = ...` assignment either way.
-        let key = match input.problem {
-            ProblemSpec::Noh { .. }
-            | ProblemSpec::Sedov { .. }
-            | ProblemSpec::Underwater { .. } => "n",
-            _ => "nx",
+        // At the largest dimension: the one to shrink.
+        let larger = |nx, ny| if ny > nx { "ny" } else { "nx" };
+        let (section, key) = match &input.problem {
+            ProblemSpec::Sod { nx, ny } | ProblemSpec::Saltzmann { nx, ny } => ("", larger(nx, ny)),
+            ProblemSpec::Generic(g) => ("mesh", larger(&g.mesh.nx, &g.mesh.ny)),
+            _ => ("", "n"),
         };
         return Err(DeckError::Text {
-            line: anchor_line(text, key).unwrap_or(1),
+            line: key_line(text, section, key).unwrap_or(1),
             message: format!(
                 "mesh of {cells} elements exceeds the {}-element admission limit",
                 limits.max_mesh_cells
@@ -87,7 +76,7 @@ pub fn admit_deck(text: &str, limits: &ResourceLimits) -> Result<InputDeck, Deck
     }
     if input.max_steps > limits.max_steps {
         return Err(DeckError::Text {
-            line: anchor_line(text, "max_steps").unwrap_or(1),
+            line: key_line(text, "control", "max_steps").unwrap_or(1),
             message: format!(
                 "max_steps = {} exceeds the {}-step admission limit",
                 input.max_steps, limits.max_steps
@@ -158,6 +147,45 @@ final_time = 0.1
         // A fitting generic deck is admitted.
         let ok = admit_deck(text, &ResourceLimits::default()).unwrap();
         assert_eq!(ok.problem.cells(), 4096);
+    }
+
+    #[test]
+    fn oversized_mesh_is_rejected_at_its_largest_dimension() {
+        let limits = ResourceLimits {
+            max_mesh_cells: 100,
+            ..ResourceLimits::default()
+        };
+        let generic = "\
+[mesh]
+nx = 2
+ny = 64
+
+[material.gas]
+eos = ideal_gas
+gamma = 1.4
+
+[region.all]
+shape = rect
+x0 = 0
+y0 = 0
+x1 = 1
+y1 = 1
+material = gas
+rho = 1
+ein = 1
+
+[control]
+final_time = 0.1
+";
+        let named = "problem = sod\nnx = 2\n# padding\nny = 64\n";
+        for (text, want) in [(generic, 3), (named, 4)] {
+            let err = admit_deck(text, &limits).unwrap_err();
+            let DeckError::Text { line, message } = err else {
+                panic!("want line-anchored rejection, got {err:?}");
+            };
+            assert_eq!(line, want, "must anchor at the `ny = 64` assignment");
+            assert!(message.contains("128 elements"), "{message}");
+        }
     }
 
     #[test]

@@ -533,10 +533,9 @@ fn executor_name(executor: ExecutorKind) -> String {
 /// and checkpoint mistakes never do.
 fn classify_run_error(err: &BookLeafError) -> (u16, &'static str, &'static str, RunOutcome) {
     match err {
-        BookLeafError::Deck(_)
-        | BookLeafError::InvalidDeck(_)
-        | BookLeafError::MeshTopology(_)
-        | BookLeafError::Partition(_) => (400, "Bad Request", "deck", RunOutcome::Unrelated),
+        BookLeafError::Deck(_) | BookLeafError::MeshTopology(_) | BookLeafError::Partition(_) => {
+            (400, "Bad Request", "deck", RunOutcome::Unrelated)
+        }
         BookLeafError::Checkpoint(_) => (400, "Bad Request", "checkpoint", RunOutcome::Unrelated),
         BookLeafError::NegativeVolume { .. }
         | BookLeafError::TimestepCollapse { .. }
@@ -786,9 +785,9 @@ fn execute(
             })?;
             let input = admit_deck(text, &config.limits).map_err(BookLeafError::Deck)?;
             if params.stream_steps && input.executor != ExecutorKind::Serial {
-                return Err(BookLeafError::InvalidDeck(
-                    "X-Stream requires the serial executor".into(),
-                ));
+                return Err(BookLeafError::Deck(DeckError::Config {
+                    message: "X-Stream requires the serial executor".into(),
+                }));
             }
             let (deck, hit) = shared
                 .cache
@@ -940,8 +939,12 @@ mod tests {
 
     #[test]
     fn error_classification_separates_health_from_deck_mistakes() {
-        let deck = BookLeafError::InvalidDeck("nope".into());
-        assert_eq!(classify_run_error(&deck).3, RunOutcome::Unrelated);
+        let deck = BookLeafError::Deck(DeckError::Config {
+            message: "X-Stream requires the serial executor".into(),
+        });
+        let (status, _, kind, outcome) = classify_run_error(&deck);
+        assert_eq!((status, kind), (400, "deck"));
+        assert_eq!(outcome, RunOutcome::Unrelated);
         let sentinel = BookLeafError::Unhealthy {
             step: 3,
             diagnosis: bookleaf_util::HealthDiagnosis::NonFinite {

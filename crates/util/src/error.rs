@@ -2,7 +2,7 @@
 //!
 //! BookLeaf's Fortran reference aborts on fatal conditions (tangled mesh,
 //! vanished time step…). The Rust port surfaces the same conditions as
-//! values so that drivers, tests and the failure-injection suite can assert
+//! values so that drivers, tests and the fault-matrix suite can assert
 //! on them.
 
 use std::fmt;
@@ -72,7 +72,7 @@ impl From<DeckError> for BookLeafError {
 /// as a typed value.
 ///
 /// Produced by the checkpoint codec in `bookleaf_core::output` and by
-/// `SimulationBuilder::resume`. The failure-injection suite pins the
+/// `SimulationBuilder::resume`. The checkpoint-restart suite pins the
 /// contract that a damaged file — truncated, bit-flipped, stale-version,
 /// wrong problem — always surfaces as one of these variants and never a
 /// panic.
@@ -403,10 +403,9 @@ pub enum BookLeafError {
     InvalidState { element: usize, what: String },
     /// Mesh construction or connectivity invariants were violated.
     MeshTopology(String),
-    /// An input deck was inconsistent or out of range (typed detail).
+    /// An input deck was missing, unreadable, inconsistent or out of
+    /// range (typed detail).
     Deck(DeckError),
-    /// A miscellaneous input/configuration problem (snapshots, CLI…).
-    InvalidDeck(String),
     /// Domain decomposition failed (empty part, unbalanced beyond limits…).
     Partition(String),
     /// A checkpoint file could not be read, parsed or applied.
@@ -473,7 +472,6 @@ impl fmt::Display for BookLeafError {
             }
             BookLeafError::MeshTopology(msg) => write!(f, "mesh topology error: {msg}"),
             BookLeafError::Deck(e) => write!(f, "invalid input deck: {e}"),
-            BookLeafError::InvalidDeck(msg) => write!(f, "invalid input deck: {msg}"),
             BookLeafError::Partition(msg) => write!(f, "partitioning error: {msg}"),
             BookLeafError::Checkpoint(e) => write!(f, "{e}"),
             BookLeafError::Comm(msg) => write!(f, "communication error: {msg}"),

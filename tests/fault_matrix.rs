@@ -8,17 +8,26 @@
 //! *elastically* onto half the ranks, then demands the recovered
 //! trajectory match a fault-free run of the same shape sequence
 //! bitwise.
+//!
+//! The same contract holds for the failures no fault plan injects — a
+//! tangled mesh, a collapsing time step, a corrupt or malformed deck, an
+//! infeasible partition, a panicking rank: each is a typed error, never
+//! UB, a wrong answer or a hang (the tests after the matrix).
 
 use std::time::Duration;
 
 use bookleaf::ale::{AleMode, AleOptions};
 use bookleaf::core::{
-    decks, ExecutorKind, Observer, RecoveryPolicy, ReshapePolicy, Simulation, SimulationBuilder,
-    StepView,
+    decks, ExecutorKind, Observer, RecoveryPolicy, ReshapePolicy, RunConfig, Simulation,
+    SimulationBuilder, StepView,
 };
+use bookleaf::eos::{EosSpec, MaterialTable};
+use bookleaf::hydro::getdt::DtControls;
+use bookleaf::hydro::{HydroState, LocalRange};
+use bookleaf::mesh::{generate_rect, Mesh, NodeBc, RectSpec, SubMeshPlan};
 use bookleaf::serve::state_crc;
-use bookleaf::typhon::{CommStats, FaultKind, FaultPlan};
-use bookleaf::util::BookLeafError;
+use bookleaf::typhon::{CommStats, FaultKind, FaultPlan, Typhon};
+use bookleaf::util::{BookLeafError, DeckError, Vec2};
 
 /// A Noh builder on 4 ranks; `ale` switches the frame (the remap adds
 /// its own halo phases, widening the faultable surface).
@@ -421,4 +430,199 @@ fn a_panicked_hybrid_run_is_typed_and_the_next_run_is_healthy() {
     let report = healthy.run().unwrap();
     assert_eq!(report.steps, 8);
     assert!(report.energy_end.is_finite());
+}
+
+// ---------------------------------------------------------------------------
+// Failures without an injected fault.
+
+#[test]
+fn tangled_mesh_reports_negative_volume() {
+    let mut mesh = generate_rect(&RectSpec::unit_square(3), |_| 0).unwrap();
+    let mat = MaterialTable::single(EosSpec::ideal_gas(1.4));
+    let mut st = HydroState::new(&mesh, &mat, |_| 1.0, |_| 1.0, |_| Vec2::ZERO).unwrap();
+    let range = LocalRange::whole(&mesh);
+    // Fling an interior node across the domain.
+    mesh.nodes[5] = Vec2::new(9.0, 9.0);
+    let err = bookleaf::hydro::getgeom::getgeom(
+        &mesh,
+        &mut st,
+        range,
+        bookleaf::hydro::Threading::Serial,
+    )
+    .unwrap_err();
+    assert!(matches!(err, BookLeafError::NegativeVolume { .. }), "{err}");
+}
+
+#[test]
+fn dt_collapse_is_a_typed_error() {
+    // dt_min above any feasible CFL step: the first computed dt (after
+    // the initial-dt step) must collapse.
+    let deck = decks::sod(16, 2);
+    let config = RunConfig {
+        final_time: 0.2,
+        dt: DtControls {
+            dt_min: 0.1,
+            ..DtControls::default()
+        },
+        ..RunConfig::default()
+    };
+    let mut sim = Simulation::builder()
+        .deck(deck)
+        .config(config)
+        .build()
+        .unwrap();
+    let err = sim.run().unwrap_err();
+    assert!(
+        matches!(err, BookLeafError::TimestepCollapse { .. }),
+        "{err}"
+    );
+}
+
+#[test]
+fn corrupt_deck_is_rejected_before_running() {
+    let mut deck = decks::noh(6);
+    deck.ein.truncate(3);
+    // Shape corruption surfaces as the typed DeckError::Shape.
+    let err = Simulation::builder().deck(deck).build().unwrap_err();
+    assert!(
+        matches!(err, BookLeafError::Deck(DeckError::Shape { .. })),
+        "{err}"
+    );
+}
+
+#[test]
+fn deck_with_unknown_material_is_rejected() {
+    let mut deck = decks::sod(8, 2);
+    deck.materials = MaterialTable::single(EosSpec::ideal_gas(1.4)); // loses region 1
+    let err = Simulation::builder().deck(deck).build().unwrap_err();
+    assert!(
+        matches!(err, BookLeafError::Deck(DeckError::Invalid { .. })),
+        "{err}"
+    );
+}
+
+#[test]
+fn malformed_text_deck_is_line_anchored() {
+    // Line 3 holds the typo; the typed error must carry that line.
+    let err = Simulation::builder()
+        .deck_str("problem = noh\nn = 8\nfrequenzy = 2\n")
+        .build()
+        .unwrap_err();
+    match err {
+        BookLeafError::Deck(DeckError::Text { line, ref message }) => {
+            assert_eq!(line, 3);
+            assert!(message.contains("frequenzy"), "{message}");
+        }
+        other => panic!("expected a line-anchored deck error, got {other}"),
+    }
+}
+
+#[test]
+fn negative_initial_density_is_rejected() {
+    let mesh = generate_rect(&RectSpec::unit_square(2), |_| 0).unwrap();
+    let mat = MaterialTable::single(EosSpec::ideal_gas(1.4));
+    let err = HydroState::new(
+        &mesh,
+        &mat,
+        |e| if e == 1 { -2.0 } else { 1.0 },
+        |_| 1.0,
+        |_| Vec2::ZERO,
+    )
+    .unwrap_err();
+    assert!(
+        matches!(err, BookLeafError::InvalidState { element: 1, .. }),
+        "{err}"
+    );
+}
+
+#[test]
+fn rank_panic_surfaces_with_rank_id() {
+    let err = Typhon::run(3, |ctx| {
+        if ctx.rank() == 2 {
+            panic!("injected rank failure");
+        }
+        ctx.rank()
+    })
+    .unwrap_err();
+    match err {
+        BookLeafError::RankPanic { rank, message } => {
+            assert_eq!(rank, 2);
+            assert!(message.contains("injected rank failure"));
+        }
+        other => panic!("unexpected error: {other}"),
+    }
+}
+
+#[test]
+fn infeasible_partitions_are_rejected() {
+    let mesh = generate_rect(&RectSpec::unit_square(2), |_| 0).unwrap();
+    // More ranks than elements.
+    let err =
+        bookleaf::partition::partition(&mesh, 9, bookleaf::partition::Strategy::Rcb).unwrap_err();
+    assert!(matches!(err, BookLeafError::Partition(_)), "{err}");
+    // Poisoned owner array: element assigned to a missing rank.
+    let err = SubMeshPlan::build(&mesh, &[0, 0, 0, 7], 2).unwrap_err();
+    assert!(matches!(err, BookLeafError::Partition(_)), "{err}");
+}
+
+#[test]
+fn bowtie_input_mesh_is_rejected() {
+    // A self-intersecting quad passes shoelace positivity checks only if
+    // mis-ordered; Mesh::from_raw + HydroState must reject it one way or
+    // another.
+    let nodes = vec![
+        Vec2::new(0.0, 0.0),
+        Vec2::new(1.0, 0.0),
+        Vec2::new(0.0, 1.0),
+        Vec2::new(1.0, 1.0),
+    ];
+    // Bowtie ordering: (0,0) -> (1,0) -> (0,1) -> (1,1).
+    let elnd = vec![[0u32, 1, 2, 3]];
+    let mesh = Mesh::from_raw(nodes, elnd, vec![NodeBc::FREE; 4], vec![0]);
+    let failed = match mesh {
+        Err(_) => true,
+        Ok(m) => {
+            let mat = MaterialTable::single(EosSpec::ideal_gas(1.4));
+            HydroState::new(&m, &mat, |_| 1.0, |_| 1.0, |_| Vec2::ZERO).is_err()
+        }
+    };
+    assert!(failed, "bowtie element slipped through setup");
+}
+
+#[test]
+fn distributed_run_propagates_rank_errors() {
+    // A deck that collapses dt must fail identically under the
+    // distributed executor (no hang, no partial result).
+    let deck = decks::sod(16, 2);
+    let config = RunConfig {
+        final_time: 0.2,
+        dt: DtControls {
+            dt_min: 0.1,
+            ..DtControls::default()
+        },
+        executor: ExecutorKind::FlatMpi { ranks: 2 },
+        ..RunConfig::default()
+    };
+    let err = Simulation::builder()
+        .deck(deck)
+        .config(config)
+        .build()
+        .unwrap()
+        .run()
+        .unwrap_err();
+    assert!(
+        matches!(err, BookLeafError::TimestepCollapse { .. }),
+        "{err}"
+    );
+}
+
+#[test]
+fn error_messages_locate_the_offender() {
+    let e = BookLeafError::NegativeVolume {
+        element: 1234,
+        volume: -3.5e-9,
+    };
+    let msg = e.to_string();
+    assert!(msg.contains("1234"));
+    assert!(msg.contains("-3.5"));
 }

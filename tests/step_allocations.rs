@@ -7,17 +7,22 @@
 //! warm-up step the allocator is not called again — with or without
 //! boundary lists, gather or scatter. The remap works in that same
 //! scratch (idle between steps) and targets the reference mesh it
-//! already holds. A counting `#[global_allocator]` pins both.
+//! already holds. A counting `#[global_allocator]` pins both — and that
+//! rendering a deck's canonical text (to hash it or to write it) makes
+//! no allocation either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::fmt::Write as _;
 
 use bookleaf::ale::{AleMode, AleOptions, Remapper};
+use bookleaf::core::InputDeck;
 use bookleaf::eos::{EosSpec, MaterialTable};
 use bookleaf::hydro::{
     lagstep_timed, AccMode, HaloOps, HydroState, LagOptions, LocalRange, Phase, Threading,
 };
 use bookleaf::mesh::{generate_rect, Mesh, OverlapSets, RectSpec};
+use bookleaf::serve::deck_cache_key;
 use bookleaf::util::{Result, TimerRegistry, Vec2};
 
 thread_local! {
@@ -138,6 +143,28 @@ fn a_warm_serial_step_performs_no_heap_allocation() {
                 "{acc_mode:?}, split: {split}: {made} allocations in two warm steps"
             );
         }
+    }
+}
+
+/// The canonical text is rendered as it is written: hashing it into a
+/// deck-cache key, or writing it into a `String` that already has room,
+/// never allocates.
+#[test]
+fn rendering_and_hashing_a_deck_performs_no_heap_allocation() {
+    for text in [
+        include_str!("fixtures/decks/kitchen_sink.deck"),
+        include_str!("fixtures/decks/named_sod.deck"),
+    ] {
+        let input: InputDeck = text.parse().unwrap();
+        let canon = input.to_string();
+        let mut out = String::with_capacity(canon.len());
+        let before = ALLOCATIONS.with(Cell::get);
+        let key = deck_cache_key(&input);
+        write!(out, "{input}").unwrap();
+        let made = ALLOCATIONS.with(Cell::get) - before;
+        assert_eq!(made, 0, "{made} allocations rendering\n{canon}");
+        assert_eq!(out, canon);
+        assert_eq!(key, deck_cache_key(&canon.parse().unwrap()));
     }
 }
 
