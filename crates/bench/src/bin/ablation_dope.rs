@@ -11,7 +11,7 @@
 //! dominated), and sweep problem size to show where the overhead stops
 //! mattering.
 
-use bookleaf_device::{GpuExecution, GpuModel, WorkloadCount};
+use bookleaf_bench::device::{GpuExecution, GpuModel, WorkloadCount};
 use bookleaf_util::KernelId;
 
 fn main() {

@@ -1,8 +1,8 @@
 //! Regenerate **Figure 1** — overall performance for the Noh problem on
 //! a single node, as a text bar chart over the seven configurations.
 
+use bookleaf_bench::device::{CpuExecution, CpuModel, CpuPlatform, GpuExecution, GpuModel};
 use bookleaf_bench::{NOH_MODEL_WORKLOAD, PAPER_TABLE2};
-use bookleaf_device::{CpuExecution, CpuModel, CpuPlatform, GpuExecution, GpuModel};
 
 fn main() {
     let w = NOH_MODEL_WORKLOAD;

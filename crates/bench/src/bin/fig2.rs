@@ -7,8 +7,8 @@
 //! and hybrid, while the acceleration kernel — serialised by its data
 //! dependency under OpenMP — blows up ~2.4x.
 
+use bookleaf_bench::device::{CpuExecution, CpuModel, CpuPlatform, GpuExecution, GpuModel};
 use bookleaf_bench::{NOH_MODEL_WORKLOAD, PAPER_TABLE2};
-use bookleaf_device::{CpuExecution, CpuModel, CpuPlatform, GpuExecution, GpuModel};
 use bookleaf_util::{KernelId, TimerReport};
 
 fn reports() -> Vec<(&'static str, TimerReport)> {

@@ -12,9 +12,9 @@
 //! host's core count, it demonstrates the mechanics rather than the
 //! 64-node regime.
 
+use bookleaf_bench::device::{ClusterModel, CpuExecution, CpuPlatform};
 use bookleaf_bench::{measured_sod, SOD_SCALING_WORKLOAD};
 use bookleaf_core::ExecutorKind;
-use bookleaf_device::{ClusterModel, CpuExecution, CpuPlatform};
 
 fn main() {
     println!("Figure 3: Sod strong scaling, overall time (hybrid MPI+OpenMP)");

@@ -6,8 +6,8 @@
 //! well parallelised and dominate application performance at scale",
 //! and the communications they contain stay out of the way.
 
+use bookleaf_bench::device::{ClusterModel, CpuExecution, CpuPlatform};
 use bookleaf_bench::SOD_SCALING_WORKLOAD;
-use bookleaf_device::{ClusterModel, CpuExecution, CpuPlatform};
 use bookleaf_util::KernelId;
 
 fn panel(title: &str, kernel: KernelId) {

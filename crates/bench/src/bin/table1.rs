@@ -1,11 +1,12 @@
 //! Regenerate **Table I** — the experimental configuration.
 //!
 //! The paper's Table I lists the five hardware/compiler configurations
-//! used in the evaluation. Ours lists the `bookleaf-device` *modeled
-//! platforms* standing in for those machines, with the parameters the
-//! performance models use, plus the execution models attached to each.
+//! used in the evaluation. Ours lists the [`bookleaf_bench::device`]
+//! *modeled platforms* standing in for those machines, with the
+//! parameters the performance models use, plus the execution models
+//! attached to each.
 
-use bookleaf_device::{CpuPlatform, GpuPlatform, Interconnect};
+use bookleaf_bench::device::{CpuPlatform, GpuPlatform, Interconnect};
 
 fn main() {
     println!("Table I: experimental configuration (modeled platforms)");

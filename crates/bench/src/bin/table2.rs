@@ -2,7 +2,7 @@
 //! Noh problem on a single node, across all seven configurations.
 //!
 //! Part 1 prints the *modeled* seconds for the paper's platforms (the
-//! `bookleaf-device` substitution) side by side with the paper's
+//! `bookleaf_bench::device` substitution) side by side with the paper's
 //! published values and the ratio, so the reproduction quality is
 //! visible per cell.
 //!
@@ -12,11 +12,11 @@
 //! draws (flat MPI beats hybrid; viscosity dominates; the acceleration
 //! kernel degrades under threading).
 
+use bookleaf_bench::device::{CpuExecution, CpuModel, CpuPlatform, GpuExecution, GpuModel};
 use bookleaf_bench::{
     format_row, measured_noh, table2_header, table2_row, NOH_MODEL_WORKLOAD, PAPER_TABLE2,
 };
 use bookleaf_core::ExecutorKind;
-use bookleaf_device::{CpuExecution, CpuModel, CpuPlatform, GpuExecution, GpuModel};
 use bookleaf_util::TimerReport;
 
 fn modeled_reports() -> Vec<(&'static str, TimerReport)> {

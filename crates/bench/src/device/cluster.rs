@@ -9,7 +9,7 @@
 //!
 //! The model captures exactly those terms:
 //!
-//! * compute: the single-node roofline of [`crate::cpu`] divided across
+//! * compute: the single-node roofline of [`super::cpu`] divided across
 //!   nodes, with the platform's `cache_boost` applied when a core's
 //!   working-set share fits its cache (the super-linear regime);
 //! * communication: per-step messages (2 exchanges × neighbours) at
@@ -21,9 +21,9 @@
 
 use bookleaf_util::{KernelId, TimerReport};
 
-use crate::cost::WorkloadCount;
-use crate::cpu::{CpuExecution, CpuModel};
-use crate::platform::{CpuPlatform, Interconnect};
+use super::cost::WorkloadCount;
+use super::cpu::{CpuExecution, CpuModel};
+use super::platform::{CpuPlatform, Interconnect};
 
 /// Bytes of state per element that must stream each step (for the cache
 /// residency test): the full SoA field set.

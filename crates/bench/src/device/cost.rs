@@ -1,11 +1,9 @@
 //! Per-kernel work counts.
 //!
 //! The roofline models need, for every kernel, the floating-point
-//! operations and bytes moved per element per invocation. These counts
-//! were audited against the `bookleaf-hydro` kernel implementations
-//! (counting one flop per add/mul/div/sqrt and 8 bytes per distinct
-//! double touched, with gather-amplified traffic for the
-//! neighbour-reaching kernels).
+//! operations and bytes moved per element per invocation. These are
+//! *effective* counts, calibrated so the roofline reproduces Table II's
+//! per-kernel proportions — not an audit of this code's kernels.
 
 use bookleaf_util::KernelId;
 
@@ -27,7 +25,7 @@ pub struct KernelCost {
 }
 
 impl KernelCost {
-    /// The audited cost table.
+    /// The calibrated cost table.
     #[must_use]
     pub fn of(kernel: KernelId) -> KernelCost {
         match kernel {

@@ -11,8 +11,8 @@
 
 use bookleaf_util::{KernelId, TimerReport};
 
-use crate::cost::{KernelCost, WorkloadCount};
-use crate::platform::CpuPlatform;
+use super::cost::{KernelCost, WorkloadCount};
+use super::platform::CpuPlatform;
 
 /// How the node is programmed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,7 +94,6 @@ impl CpuModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::platform::CpuPlatform;
 
     /// The paper's Noh single-node run: a workload sized so Skylake flat
     /// MPI lands near Table II's 76 s overall.

@@ -19,8 +19,8 @@
 
 use bookleaf_util::{KernelId, TimerReport};
 
-use crate::cost::{KernelCost, WorkloadCount};
-use crate::platform::GpuPlatform;
+use super::cost::{KernelCost, WorkloadCount};
+use super::platform::GpuPlatform;
 
 /// GPU programming model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -276,8 +276,8 @@ mod tests {
     #[test]
     fn gpus_slower_than_skylake_flat_mpi() {
         // Fig 1's headline: single-GPU configs lose to the CPU node.
-        use crate::cpu::{CpuExecution, CpuModel};
-        use crate::platform::CpuPlatform;
+        use crate::device::cpu::{CpuExecution, CpuModel};
+        use crate::device::platform::CpuPlatform;
         let cpu = CpuModel::new(CpuPlatform::skylake())
             .report(noh_like(), CpuExecution::FlatMpi)
             .total_seconds();

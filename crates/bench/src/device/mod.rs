@@ -1,17 +1,15 @@
-//! # bookleaf-device
-//!
 //! Hardware performance models standing in for the paper's testbeds.
 //!
 //! The paper evaluates BookLeaf on Cray XC50 nodes (Intel Xeon Platinum
 //! 8176 "Skylake", Xeon E5-2699 v4 "Broadwell") and NVIDIA P100/V100
-//! GPUs. We cannot measure those machines; instead this crate provides
+//! GPUs. We cannot measure those machines; instead this module provides
 //! analytic cost models that map *counted work* (elements × steps ×
 //! per-kernel cost) onto *modeled platforms*, reproducing the mechanisms
 //! behind every effect the paper reports:
 //!
-//! * **Roofline kernel costs** — each kernel has a flop and byte count
-//!   per element (audited against `bookleaf-hydro`'s code); platform
-//!   time is `max(flops/peak, bytes/bandwidth)`.
+//! * **Roofline kernel costs** — each kernel has an effective flop and
+//!   byte count per element, calibrated to Table II's per-kernel
+//!   proportions; platform time is `max(flops/peak, bytes/bandwidth)`.
 //! * **Amdahl intra-rank serialisation** — the hybrid MPI+OpenMP model
 //!   runs each kernel's serial fraction once per rank instead of once
 //!   per core; the acceleration kernel's scatter dependency (§IV-B) and
@@ -29,10 +27,9 @@
 //!   message latency/bandwidth, and the serial partitioner term the
 //!   paper calls out in §V-C.
 //!
-//! Calibration constants are documented inline and recorded in
-//! EXPERIMENTS.md; the *shapes* (who wins, by what factor, where the
-//! crossovers sit) emerge from the mechanisms, not from curve fitting to
-//! every cell.
+//! Calibration constants are documented inline; the *shapes* (who wins,
+//! by what factor, where the crossovers sit) emerge from the mechanisms,
+//! not from curve fitting to every cell.
 
 pub mod cluster;
 pub mod cost;

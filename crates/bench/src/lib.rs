@@ -15,10 +15,9 @@
 //! | `ablation_scatter` | §IV-B acceleration scatter vs gather rewrite |
 //!
 //! Each binary prints (a) the *modeled* paper-platform numbers produced
-//! by `bookleaf-device` (our substitution for the Cray XC50 / GPU
-//! testbeds) next to the paper's published values, and, where
-//! meaningful, (b) *measured* wall-clock numbers from real runs on the
-//! host machine.
+//! by [`device`] (our substitution for the Cray XC50 / GPU testbeds)
+//! next to the paper's published values, and, where meaningful, (b)
+//! *measured* wall-clock numbers from real runs on the host machine.
 //!
 //! One more binary, `kernels`, is the interleaved A/B of the production
 //! kernels against the kept reference shapes (`BENCH_kernels.json`).
@@ -27,9 +26,11 @@
 //! covers which crate.
 
 use bookleaf_core::{decks, Deck, ExecutorKind, Simulation};
-use bookleaf_device::WorkloadCount;
 use bookleaf_util::{KernelId, TimerReport};
 
+use device::WorkloadCount;
+
+pub mod device;
 pub mod schema;
 
 /// The modeled workload standing in for the paper's (unpublished) Noh

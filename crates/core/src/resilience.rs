@@ -72,18 +72,6 @@ pub enum SaveOutcome {
     /// The checkpoint was written atomically, read back, verified, and
     /// now lives at this path.
     Written(PathBuf),
-    /// The checkpoint was written and verified, but this single file is
-    /// larger than the store's whole byte budget. It is kept — deleting
-    /// the only rewind point to satisfy a quota would be worse — while
-    /// every older checkpoint was evicted. A warning, not an abort.
-    WrittenOverBudget {
-        /// Where the oversized checkpoint lives.
-        path: PathBuf,
-        /// Size of the written file in bytes.
-        bytes: u64,
-        /// The store's configured byte budget it exceeds.
-        budget: u64,
-    },
     /// The checkpoint was written but failed its verification readback;
     /// the file was deleted so it can never be resumed from. The run
     /// keeps going — a rejected rewind point is a warning, not an
@@ -113,7 +101,6 @@ pub struct CheckpointStore {
     dir: PathBuf,
     prefix: String,
     keep: usize,
-    max_total_bytes: Option<u64>,
 }
 
 impl CheckpointStore {
@@ -125,27 +112,7 @@ impl CheckpointStore {
             dir: dir.into(),
             prefix: prefix.into(),
             keep: keep.max(1),
-            max_total_bytes: None,
         }
-    }
-
-    /// Additionally cap the store's total on-disk size: retention keeps
-    /// the newest checkpoints while they fit in **both** the keep-K
-    /// count and this byte budget, evicting oldest-first. The newest
-    /// checkpoint always survives, even alone over budget — the save
-    /// then reports [`SaveOutcome::WrittenOverBudget`] instead of
-    /// silently breaking the quota. This is what keeps a draining
-    /// server's emergency checkpoints from filling the disk.
-    #[must_use]
-    pub fn max_total_bytes(mut self, budget: u64) -> Self {
-        self.max_total_bytes = Some(budget);
-        self
-    }
-
-    /// The configured byte budget, if any.
-    #[must_use]
-    pub fn byte_budget(&self) -> Option<u64> {
-        self.max_total_bytes
     }
 
     /// The directory this store writes into.
@@ -193,34 +160,14 @@ impl CheckpointStore {
             });
         }
         // Only a verified write earns the right to evict older files.
-        // Newest-first, a file survives while it fits in both the
-        // keep-K count and the byte budget; the just-written file
-        // always survives (a quota must never delete the only rewind
-        // point).
+        // Newest-first, a file survives while the keep-K count has room;
+        // the just-written file always survives.
         let mut kept = 0usize;
-        let mut kept_bytes = 0u64;
         for (_, old) in self.list().into_iter().rev() {
-            let size = std::fs::metadata(&old).map_or(0, |m| m.len());
-            let survives = old == path
-                || (kept < self.keep
-                    && self
-                        .max_total_bytes
-                        .is_none_or(|budget| kept_bytes + size <= budget));
-            if survives {
+            if old == path || kept < self.keep {
                 kept += 1;
-                kept_bytes += size;
             } else {
                 let _ = std::fs::remove_file(&old);
-            }
-        }
-        if let Some(budget) = self.max_total_bytes {
-            let bytes = std::fs::metadata(&path).map_or(0, |m| m.len());
-            if bytes > budget {
-                return Ok(SaveOutcome::WrittenOverBudget {
-                    path,
-                    bytes,
-                    budget,
-                });
             }
         }
         Ok(SaveOutcome::Written(path))
@@ -500,16 +447,6 @@ impl Simulation {
                     let ckpt = self.checkpoint()?;
                     match store.save(&ckpt)? {
                         SaveOutcome::Written(_) => {}
-                        SaveOutcome::WrittenOverBudget {
-                            path,
-                            bytes,
-                            budget,
-                        } => log.warnings.push(format!(
-                            "segment checkpoint at step {}: {} is {bytes} B, over the \
-                             store's {budget} B budget",
-                            ckpt.snap.steps,
-                            path.display()
-                        )),
                         SaveOutcome::Rejected { path, reason } => log.warnings.push(format!(
                             "segment checkpoint at step {} skipped: {} failed readback: {reason}",
                             ckpt.snap.steps,
@@ -630,56 +567,6 @@ mod tests {
         let (step, latest) = store.latest_valid().unwrap();
         assert_eq!(step, 6);
         assert_eq!(latest.snap.steps, 6);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn byte_budget_evicts_oldest_first() {
-        let dir = tmp_dir("byte_budget");
-        // Learn one checkpoint's on-disk size, then budget for ~1.5 of
-        // them: keep-K alone would retain three, the byte budget must
-        // trim that to the newest one.
-        let probe = CheckpointStore::new(&dir, "probe", 1);
-        let SaveOutcome::Written(path) = probe.save(&noh_checkpoint(2)).unwrap() else {
-            panic!("probe write rejected");
-        };
-        let one = std::fs::metadata(&path).unwrap().len();
-        let _ = std::fs::remove_file(&path);
-
-        let store = CheckpointStore::new(&dir, "auto", 3).max_total_bytes(one + one / 2);
-        for step in [2u64, 4, 6] {
-            assert!(matches!(
-                store.save(&noh_checkpoint(step)).unwrap(),
-                SaveOutcome::Written(_)
-            ));
-        }
-        assert_eq!(
-            store.list().iter().map(|(s, _)| *s).collect::<Vec<_>>(),
-            vec![6],
-            "byte budget must evict oldest-first down to the newest"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn single_over_budget_checkpoint_survives_with_typed_warning() {
-        let dir = tmp_dir("over_budget");
-        let store = CheckpointStore::new(&dir, "auto", 3).max_total_bytes(16);
-        match store.save(&noh_checkpoint(2)).unwrap() {
-            SaveOutcome::WrittenOverBudget {
-                path,
-                bytes,
-                budget,
-            } => {
-                assert!(path.exists(), "the only rewind point must survive");
-                assert!(bytes > budget);
-                assert_eq!(budget, 16);
-            }
-            other => panic!("expected WrittenOverBudget, got {other:?}"),
-        }
-        // And it still resumes.
-        let (step, _) = store.latest_valid().unwrap();
-        assert_eq!(step, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

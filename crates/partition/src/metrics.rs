@@ -1,8 +1,7 @@
 //! Partition quality metrics.
 //!
-//! Used by tests (to bound imbalance and edge cut of both strategies) and
-//! by the bench harness (halo size feeds the communication cost model of
-//! the strong-scaling figures).
+//! Used by tests (to bound the imbalance and edge cut of RCB) and by the
+//! benchmark harness (`partition.edge_cut`, `partition.imbalance`).
 
 use bookleaf_mesh::{Mesh, Neighbor};
 use bookleaf_util::{BookLeafError, Result};

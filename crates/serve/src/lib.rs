@@ -88,8 +88,8 @@
 //! [`server::Server::drain`] stops admissions (`503 draining`) and
 //! flips a flag every in-flight run observes at its next segment
 //! boundary (at most `drain_check_steps` steps away): the run
-//! checkpoints through a byte-budgeted
-//! [`bookleaf_core::CheckpointStore`] and its tenant receives `202`
+//! checkpoints through a [`bookleaf_core::CheckpointStore`] of its own
+//! and its tenant receives `202`
 //! with a resumable handle. Submitting the handle back via `X-Resume`
 //! — to this or any other server sharing the drain directory —
 //! continues the run bitwise-identically to one that was never

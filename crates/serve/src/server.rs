@@ -113,8 +113,6 @@ pub struct ServeConfig {
     pub quarantine: QuarantinePolicy,
     /// Where drain checkpoints are written and resume handles resolved.
     pub drain_dir: PathBuf,
-    /// Byte budget for each drained request's checkpoint store.
-    pub drain_budget_bytes: u64,
     /// Steps between drain-flag checks while a run executes.
     pub drain_check_steps: usize,
     /// Parsed-deck cache capacity (decks, FIFO eviction).
@@ -139,7 +137,6 @@ impl Default for ServeConfig {
             allow_fault_injection: false,
             quarantine: QuarantinePolicy::default(),
             drain_dir: std::env::temp_dir().join("bookleaf_serve_drain"),
-            drain_budget_bytes: 64 * 1024 * 1024,
             drain_check_steps: 10,
             cache_entries: 32,
             pool_threads: 2,
@@ -234,7 +231,8 @@ impl Server {
     /// Stop admitting and wait (bounded by `timeout`) for in-flight
     /// work to finish or checkpoint. Running requests observe the
     /// drain flag at their next segment boundary, checkpoint through a
-    /// byte-budgeted [`CheckpointStore`], and answer
+    /// [`CheckpointStore`] of their own (one file, named for the tenant
+    /// and a server-wide sequence number), and answer
     /// `202 {"status":"checkpointed","handle":...}`. Returns the
     /// number of requests that drained to checkpoints.
     pub fn drain(&self, timeout: Duration) -> usize {
@@ -886,12 +884,9 @@ fn run_supervised(shared: &Arc<Shared>, tenant: &str, mut sim: Simulation) -> Ru
             };
             let seq = shared.seq.fetch_add(1, Ordering::SeqCst);
             let prefix = format!("{}_{seq:06}", sanitize(tenant));
-            let store = CheckpointStore::new(&shared.config.drain_dir, &prefix, 1)
-                .max_total_bytes(shared.config.drain_budget_bytes);
+            let store = CheckpointStore::new(&shared.config.drain_dir, &prefix, 1);
             let path = match store.save(&ckpt) {
-                Ok(SaveOutcome::Written(path) | SaveOutcome::WrittenOverBudget { path, .. }) => {
-                    path
-                }
+                Ok(SaveOutcome::Written(path)) => path,
                 Ok(SaveOutcome::Rejected { reason, .. }) => {
                     return RunEnd::Failed(BookLeafError::Checkpoint(CheckpointError::Corrupt {
                         what: reason,

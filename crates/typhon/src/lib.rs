@@ -12,7 +12,8 @@
 //! identical to the MPI original; only the transport differs: a team
 //! lives in one process, where a channel does what an MPI point-to-point
 //! call does without a launcher or an MPI library to link. Multi-node
-//! wire costs are recovered by the `bookleaf-device` cluster model.
+//! wire costs are recovered by the cluster model of the `bookleaf-bench`
+//! paper-figure crate.
 //!
 //! ## Pieces
 //!

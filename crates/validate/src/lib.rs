@@ -1,8 +1,9 @@
 //! # bookleaf-validate
 //!
 //! Analytic reference solutions for BookLeaf's four standard test
-//! problems, plus error norms. The integration tests compare full runs
-//! against these solutions; EXPERIMENTS.md records the results.
+//! problems, plus error norms. The integration tests
+//! (`tests/*_validation.rs`) compare full runs against these solutions
+//! and bound the error.
 //!
 //! * [`riemann`] — exact solution of Sod's shock tube (exact Riemann
 //!   solver for the ideal-gas Euler equations);

@@ -17,9 +17,9 @@ count() {
 }
 
 if [ $# -eq 1 ]; then
-    for f in crates/"$1"/src/*.rs; do
+    for f in $(find crates/"$1"/src -name '*.rs' | sort); do
         set -- $(count "$f")
-        printf '%-36s %6d / %6d\n' "$f" "$1" "$2"
+        printf '%-44s %6d / %6d\n' "$f" "$1" "$2"
     done
     exit 0
 fi

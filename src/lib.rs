@@ -9,7 +9,8 @@
 //!
 //! * [`mesh`] — unstructured quadrilateral mesh, generation, geometry;
 //! * [`eos`] — equations of state (ideal gas, Tait, JWL, void);
-//! * [`partition`] — RCB and multilevel graph mesh decomposition;
+//! * [`partition`] — recursive coordinate bisection (RCB) mesh
+//!   decomposition;
 //! * [`typhon`] — the distributed communication runtime (halo exchange,
 //!   global reductions) over rank threads;
 //! * [`hydro`] — the Lagrangian kernels (`getdt`, `getq`, `getforce`, …);
@@ -17,11 +18,14 @@
 //! * [`core`] — the front door: [`Simulation`] and its builder, the
 //!   five standard decks, text input decks, observers, and the
 //!   programming-model executors;
-//! * [`device`] — hardware performance models for the paper's platforms;
 //! * [`validate`] — analytic solutions and error norms;
 //! * [`util`] — shared numerics;
 //! * [`serve`] — the hardened multi-tenant simulation service
 //!   (admission control, deadlines, tenant quarantine, graceful drain).
+//!
+//! The analytic models of the paper's Cray XC50 and P100/V100 testbeds
+//! are not part of the product: they live with the paper-figure bins in
+//! the `bookleaf-bench` crate (`bookleaf_bench::device`).
 //!
 //! ## Quickstart
 //!
@@ -72,7 +76,6 @@
 
 pub use bookleaf_ale as ale;
 pub use bookleaf_core as core;
-pub use bookleaf_device as device;
 pub use bookleaf_eos as eos;
 pub use bookleaf_hydro as hydro;
 pub use bookleaf_mesh as mesh;

@@ -38,6 +38,11 @@ const LONG_RUN: &str =
 const DRAIN_RUN: &str =
     "problem = noh\nn = 4\n[control]\nfinal_time = 2\nmax_steps = 50000\n[dt]\ndt_max = 2e-4\n";
 
+/// A second, smaller drain deck (3² elements, ~5 000 steps), posted by
+/// another tenant so two runs drain at once.
+const DRAIN_RUN_SMALL: &str =
+    "problem = noh\nn = 3\n[control]\nfinal_time = 1\nmax_steps = 50000\n[dt]\ndt_max = 2e-4\n";
+
 const T: Duration = Duration::from_secs(30);
 
 fn chaos_server(mutate: impl FnOnce(&mut ServeConfig)) -> Server {
@@ -83,16 +88,20 @@ fn direct_crc(deck: &str) -> u32 {
     state_crc(&sim)
 }
 
-/// Wait (bounded by `T`) until the server's deck cache holds a deck: a
-/// request whose deck is cached has been admitted and is running.
-fn wait_until_admitted(addr: std::net::SocketAddr) {
+/// Wait (bounded by `T`) until the server's deck cache holds `decks`
+/// decks: a request whose deck is cached has been admitted and is
+/// running.
+fn wait_until_admitted(addr: std::net::SocketAddr, decks: usize) {
     let start = std::time::Instant::now();
     loop {
         let health = client::get_health(addr, T).unwrap();
-        if num_field(&body_json(&health), "cached_decks") >= 1.0 {
+        if num_field(&body_json(&health), "cached_decks") >= decks as f64 {
             return;
         }
-        assert!(start.elapsed() < T, "no run was admitted within {T:?}");
+        assert!(
+            start.elapsed() < T,
+            "{decks} runs were not admitted within {T:?}"
+        );
         std::thread::sleep(Duration::from_millis(5));
     }
 }
@@ -372,7 +381,7 @@ fn per_tenant_inflight_ceiling_draws_429() {
         )
         .unwrap()
     });
-    wait_until_admitted(addr);
+    wait_until_admitted(addr, 1);
     let resp = client::post_run(addr, HEALTHY_NOH, &[("X-Tenant", "alice")], T).unwrap();
     assert_eq!(resp.status, 429, "{}", resp.text());
     assert_eq!(str_field(&body_json(&resp), "kind"), "too_many_in_flight");
@@ -392,11 +401,13 @@ fn per_tenant_inflight_ceiling_draws_429() {
 }
 
 /// Graceful drain: in-flight runs checkpoint out with a resumable
-/// handle, and resuming elsewhere completes **bitwise identically** to
-/// a run that was never interrupted.
+/// handle each, and resuming elsewhere completes **bitwise identically**
+/// to a run that was never interrupted. Two tenants' runs drain at once,
+/// each through a store of its own: two handles, two files.
 #[test]
 fn drain_checkpoints_inflight_and_resume_is_bitwise() {
-    let crc_full = direct_crc(DRAIN_RUN);
+    let runs = [("alice", DRAIN_RUN), ("carol", DRAIN_RUN_SMALL)];
+    let crc_full = runs.map(|(_, deck)| direct_crc(deck));
     let drain_dir =
         std::env::temp_dir().join(format!("bookleaf_serve_drain_test_{}", std::process::id()));
 
@@ -406,20 +417,27 @@ fn drain_checkpoints_inflight_and_resume_is_bitwise() {
         c.drain_check_steps = 10;
     });
     let addr = server.addr();
-    let inflight = std::thread::spawn(move || {
-        client::post_run(addr, DRAIN_RUN, &[("X-Tenant", "alice")], T).unwrap()
+    let inflight = runs.map(|(tenant, deck)| {
+        std::thread::spawn(move || {
+            client::post_run(addr, deck, &[("X-Tenant", tenant)], T).unwrap()
+        })
     });
-    // Drain once the run is in flight.
-    wait_until_admitted(addr);
+    // Drain once both runs are in flight.
+    wait_until_admitted(addr, runs.len());
     let drained = server.drain(Duration::from_secs(20));
-    assert_eq!(drained, 1, "the in-flight run must drain to a checkpoint");
+    assert_eq!(drained, 2, "both in-flight runs must drain to a checkpoint");
 
-    let resp = inflight.join().unwrap();
-    assert_eq!(resp.status, 202, "{}", resp.text());
-    let doc = body_json(&resp);
-    assert_eq!(str_field(&doc, "status"), "checkpointed");
-    let handle = str_field(&doc, "handle");
-    assert!(handle.ends_with(".ckpt"), "handle {handle}");
+    let handles = inflight.map(|run| {
+        let resp = run.join().unwrap();
+        assert_eq!(resp.status, 202, "{}", resp.text());
+        let doc = body_json(&resp);
+        assert_eq!(str_field(&doc, "status"), "checkpointed");
+        let handle = str_field(&doc, "handle");
+        assert!(handle.ends_with(".ckpt"), "handle {handle}");
+        assert!(drain_dir.join(&handle).is_file(), "no file for {handle}");
+        handle
+    });
+    assert_ne!(handles[0], handles[1], "two drains must leave two files");
 
     // A draining server refuses new admissions, typed.
     let refused = client::post_run(addr, HEALTHY_NOH, &[("X-Tenant", "bob")], T).unwrap();
@@ -427,27 +445,28 @@ fn drain_checkpoints_inflight_and_resume_is_bitwise() {
     assert_eq!(str_field(&body_json(&refused), "kind"), "draining");
     server.shutdown();
 
-    // A fresh server sharing the drain directory resumes the handle to
-    // completion — bitwise identical to the uninterrupted run.
+    // A fresh server sharing the drain directory resumes each handle to
+    // completion — bitwise identical to its uninterrupted run.
     let dir = drain_dir.clone();
     let server = chaos_server(move |c| c.drain_dir = dir);
     let addr = server.addr();
-    let resp = client::request(
-        addr,
-        "POST",
-        "/run",
-        &[("X-Tenant", "alice"), ("X-Resume", handle.as_str())],
-        &[],
-        T,
-    )
-    .unwrap();
-    assert_eq!(resp.status, 200, "{}", resp.text());
-    let doc = body_json(&resp);
-    let crc = num_field(&doc, "state_crc") as u32;
-    assert_eq!(
-        crc, crc_full,
-        "resumed run diverged from the uninterrupted one"
-    );
+    for (((tenant, _), handle), crc_full) in runs.iter().zip(&handles).zip(crc_full) {
+        let resp = client::request(
+            addr,
+            "POST",
+            "/run",
+            &[("X-Tenant", tenant), ("X-Resume", handle.as_str())],
+            &[],
+            T,
+        )
+        .unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.text());
+        let crc = num_field(&body_json(&resp), "state_crc") as u32;
+        assert_eq!(
+            crc, crc_full,
+            "{tenant}'s resumed run diverged from the uninterrupted one"
+        );
+    }
 
     // Unknown and malicious handles are typed, never path traversal.
     let resp = client::request(
