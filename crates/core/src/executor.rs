@@ -19,10 +19,12 @@
 //!   decomposition. This is the reference code's default and the paper's
 //!   best single-node configuration.
 //! * **Hybrid MPI+OpenMP** — one rank per simulated NUMA region with a
-//!   rayon pool (the OpenMP analogue) inside. The acceleration kernel's
-//!   scatter dependency keeps it serial within each rank unless the
-//!   conflict-free gather rewrite is selected (`AccMode`), mirroring
-//!   §IV-B.
+//!   rayon pool (the OpenMP analogue) inside. The acceleration kernel
+//!   stays serial within each rank, as in §IV-B, though what runs is
+//!   the default `AccMode::GatherSerial` — the conflict-free node-order
+//!   gather, run serially — not the paper's element-order scatter.
+//!   Nothing here selects another mode; a caller can, through
+//!   `RunConfig::lag.acc_mode`, as the `ablation_scatter` bench does.
 //!
 //! Both use real message passing (Typhon) with the two halo-exchange
 //! phases and the single global dt reduction per step. A team consumes

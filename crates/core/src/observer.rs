@@ -29,9 +29,7 @@
 
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::Arc;
-
-use parking_lot::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use bookleaf_hydro::{HydroState, LocalRange};
 use bookleaf_mesh::Mesh;
@@ -152,6 +150,10 @@ pub trait Observer: Send {
 /// sim.run().unwrap();
 /// assert!(tracer.with(|t| t.samples().len()) > 1);
 /// ```
+///
+/// A hook that panicked leaves the observer readable: the lock recovers
+/// from poisoning, so what it recorded up to the panic can still be
+/// inspected.
 pub struct Shared<O>(Arc<Mutex<O>>);
 
 impl<O> Shared<O> {
@@ -162,12 +164,7 @@ impl<O> Shared<O> {
 
     /// Run `f` with the observer locked.
     pub fn with<R>(&self, f: impl FnOnce(&mut O) -> R) -> R {
-        f(&mut self.0.lock())
-    }
-
-    /// Lock the observer directly.
-    pub fn lock(&self) -> MutexGuard<'_, O> {
-        self.0.lock()
+        f(&mut self.0.lock().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
@@ -179,22 +176,22 @@ impl<O> Clone for Shared<O> {
 
 impl<O: Observer> Observer for Shared<O> {
     fn needs(&self) -> ObserverNeeds {
-        self.0.lock().needs()
+        self.with(|o| o.needs())
     }
     fn run_begin(&mut self, view: &StepView<'_>) {
-        self.0.lock().run_begin(view);
+        self.with(|o| o.run_begin(view));
     }
     fn step_begin(&mut self, view: &StepView<'_>) {
-        self.0.lock().step_begin(view);
+        self.with(|o| o.step_begin(view));
     }
     fn phase_end(&mut self, phase: StepPhase, view: &StepView<'_>) {
-        self.0.lock().phase_end(phase, view);
+        self.with(|o| o.phase_end(phase, view));
     }
     fn step_end(&mut self, view: &StepView<'_>) {
-        self.0.lock().step_end(view);
+        self.with(|o| o.step_end(view));
     }
     fn run_end(&mut self, view: &StepView<'_>) {
-        self.0.lock().run_end(view);
+        self.with(|o| o.run_end(view));
     }
 }
 
@@ -202,7 +199,10 @@ impl<O: Observer> Observer for Shared<O> {
 ///
 /// Each observer sits behind its own mutex; ranks fire hooks in
 /// registration order, locking one observer at a time, so per-observer
-/// state stays consistent without serialising the whole team.
+/// state stays consistent without serialising the whole team. Observer
+/// code runs under these locks, so they recover from poisoning: a rank
+/// that reaches an observer another rank's panic poisoned carries on
+/// instead of panicking too.
 #[derive(Default)]
 pub struct ObserverSet {
     observers: Vec<Arc<Mutex<Box<dyn Observer>>>>,
@@ -255,7 +255,7 @@ impl ObserverSet {
     /// Call `hook` on every observer in registration order.
     pub fn each(&self, mut hook: impl FnMut(&mut dyn Observer)) {
         for o in &self.observers {
-            hook(&mut **o.lock());
+            hook(&mut **o.lock().unwrap_or_else(PoisonError::into_inner));
         }
     }
 }

@@ -36,7 +36,7 @@ use crate::protocol::{json_escape, parse_request, write_response, ProtocolError,
 use crate::quarantine::{AdmitError, QuarantinePolicy, RunOutcome, TenantLedger};
 
 // ---------------------------------------------------------------------------
-// Bounded queue (the crossbeam shim only has unbounded channels).
+// Bounded queue (a std channel has one consumer; the workers are many).
 
 /// A fixed-capacity MPMC queue on `Mutex<VecDeque>` + `Condvar`:
 /// `try_push` never blocks (shedding is the caller's job), `pop` waits

@@ -7,7 +7,7 @@
 //!
 //! This Rust port reproduces Typhon's semantics on a single machine: each
 //! "MPI rank" is an OS thread owning a disjoint mesh partition, and
-//! point-to-point messages travel over `crossbeam` channels. The
+//! point-to-point messages travel over `std::sync::mpsc` channels. The
 //! *communication structure* — who sends what to whom, and when — is
 //! identical to the MPI original; only the transport differs: a team
 //! lives in one process, where a channel does what an MPI point-to-point

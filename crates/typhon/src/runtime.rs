@@ -28,13 +28,11 @@
 //! failed rank's thread had already exited (closing its channel) when
 //! the survivor next reached for it.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::{Condvar, Mutex};
 
 use bookleaf_util::{crc32_f64s, BookLeafError, CommError, Result};
 
@@ -95,7 +93,7 @@ impl Collective {
         value: f64,
         timeout: Duration,
     ) -> std::result::Result<(f64, f64), CommError> {
-        let mut st = self.lock.lock();
+        let mut st = self.lock.lock().expect("collective poisoned");
         let gen = st.generation;
         st.acc_min = st.acc_min.min(value);
         st.acc_sum += value;
@@ -111,12 +109,13 @@ impl Collective {
             self.cv.notify_all();
             return Ok(out);
         }
-        let timed_out = self
+        // std reports a timeout only with the condition still holding, so
+        // a last arrival that races the deadline is never lost.
+        let (st, wait) = self
             .cv
-            .wait_while_for(&mut st, |s| s.generation == gen, timeout);
-        // A timeout can race with the last arrival: trust the generation
-        // counter, not the timeout flag.
-        if timed_out && st.generation == gen {
+            .wait_timeout_while(st, timeout, |s| s.generation == gen)
+            .expect("collective poisoned");
+        if wait.timed_out() {
             self.failed[rank].store(true, Ordering::SeqCst);
             return Err(CommError::CollectiveTimeout { rank });
         }
@@ -124,9 +123,14 @@ impl Collective {
     }
 }
 
-/// Out-of-order messages parked by (source rank, tag). Parked payloads
-/// have already passed checksum verification.
-type Mailbox = HashMap<(usize, u64), Vec<Vec<f64>>>;
+/// A rank's receive side: its channel, and the messages drawn from it
+/// that no receive has asked for yet.
+struct Inbox {
+    rx: Receiver<Message>,
+    /// Out-of-order messages parked by (source rank, tag). Parked
+    /// payloads have already passed checksum verification.
+    parked: HashMap<(usize, u64), VecDeque<Vec<f64>>>,
+}
 
 /// Cap on pooled payload buffers per rank: enough for every in-flight
 /// neighbour message of a phase plus slack, small enough that a burst
@@ -193,17 +197,24 @@ impl TyphonOptions {
 }
 
 /// Per-rank handle used inside the rank closure.
+///
+/// One thread drives a rank's context at a time: the rank's own thread,
+/// or — for a hybrid rank, which steps inside `pool.install` — whichever
+/// pool thread runs that step. The context is `Sync` only so it can
+/// cross into the pool; its locks are never contended, which is what
+/// lets a blocking receive hold the inbox while it waits, and its
+/// counters (`phase`, `step`) are `Relaxed` atomics that publish nothing.
 pub struct RankCtx {
     rank: usize,
     n_ranks: usize,
+    /// One channel end per rank of the team, this one's own included.
     senders: Vec<Sender<Message>>,
-    receiver: Receiver<Message>,
-    // Mutex rather than RefCell: a rank may drive its kernels from a
-    // rayon pool (the hybrid model), so the context must be Sync. The
-    // locks are uncontended (one logical owner per rank).
-    mailbox: Mutex<Mailbox>,
+    /// Mutex rather than RefCell because the context must be `Sync`; a
+    /// std `Receiver` is not.
+    inbox: Mutex<Inbox>,
     collective: Arc<Collective>,
-    phase: Mutex<u64>,
+    /// Next phase tag, drawn by [`RankCtx::next_tag`].
+    phase: AtomicU64,
     stats: Mutex<CommStats>,
     /// Recycled payload buffers. Buffers circulate through the team:
     /// a send moves its buffer to the receiving rank, which recycles it
@@ -218,7 +229,7 @@ pub struct RankCtx {
     /// Recovery attempt the schedule is evaluated against.
     attempt: usize,
     /// Current simulation step, advanced by [`RankCtx::begin_step`].
-    step: Mutex<usize>,
+    step: AtomicUsize,
     /// One-shot point fault armed for this rank's next send.
     armed: Mutex<Option<FaultKind>>,
     /// `Some(step)` once this rank's kill fired: every subsequent
@@ -254,18 +265,18 @@ impl RankCtx {
     /// rank's next send. Ranks not running a stepped simulation never
     /// need to call this.
     pub fn begin_step(&self, step: usize) -> std::result::Result<(), CommError> {
-        *self.step.lock() = step;
+        self.step.store(step, Ordering::Relaxed);
         self.check_killed()?;
         if let Some(plan) = &self.fault {
             match plan.action(self.attempt, step, self.rank) {
                 Some(FaultKind::Kill) => {
-                    *self.killed_at.lock() = Some(step);
+                    *self.killed_at.lock().expect("kill state poisoned") = Some(step);
                     return Err(self.fail(CommError::Killed {
                         rank: self.rank,
                         step,
                     }));
                 }
-                Some(point) => *self.armed.lock() = Some(point),
+                Some(point) => *self.armed.lock().expect("armed fault poisoned") = Some(point),
                 None => {}
             }
         }
@@ -284,7 +295,7 @@ impl RankCtx {
 
     /// `Err(Killed)` once this rank's scheduled death has fired.
     fn check_killed(&self) -> std::result::Result<(), CommError> {
-        if let Some(step) = *self.killed_at.lock() {
+        if let Some(step) = *self.killed_at.lock().expect("kill state poisoned") {
             return Err(CommError::Killed {
                 rank: self.rank,
                 step,
@@ -297,10 +308,7 @@ impl RankCtx {
     /// operations in the same order, so matching calls draw matching tags
     /// — exactly the discipline an MPI code with per-phase tags follows.
     pub fn next_tag(&self) -> u64 {
-        let mut phase = self.phase.lock();
-        let t = *phase;
-        *phase += 1;
-        t
+        self.phase.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Non-blocking send of `payload` to `to` under `tag`.
@@ -337,7 +345,7 @@ impl RankCtx {
             return Err(self.fail(CommError::RankUnreachable { to }));
         }
         {
-            let mut s = self.stats.lock();
+            let mut s = self.stats.lock().expect("comm stats poisoned");
             s.messages_sent += 1;
             s.doubles_sent += payload.len() as u64;
             if let Some(name) = phase {
@@ -349,7 +357,7 @@ impl RankCtx {
         // Checksum the *true* payload; injected corruption mutates it
         // afterwards so the receiver's verification must fail.
         let mut checksum = crc32_f64s(&payload);
-        match self.armed.lock().take() {
+        match self.armed.lock().expect("armed fault poisoned").take() {
             Some(FaultKind::Corrupt) => {
                 if let Some(first) = payload.first_mut() {
                     *first = f64::from_bits(first.to_bits() ^ 1);
@@ -362,7 +370,7 @@ impl RankCtx {
             Some(FaultKind::Drop) => return Ok(()), // lost in flight
             Some(FaultKind::Delay) => {
                 if let Some(plan) = &self.fault {
-                    let step = *self.step.lock();
+                    let step = self.step.load(Ordering::Relaxed);
                     std::thread::sleep(plan.delay_for(self.attempt, step, self.rank));
                 }
             }
@@ -391,7 +399,7 @@ impl RankCtx {
     #[must_use]
     pub fn take_buffer(&self, capacity: usize) -> Vec<f64> {
         let recycled = {
-            let mut pool = self.pool.lock();
+            let mut pool = self.pool.lock().expect("buffer pool poisoned");
             let mut best: Option<(usize, usize)> = None; // (index, capacity)
             for (i, buf) in pool.iter().enumerate() {
                 let c = buf.capacity();
@@ -422,7 +430,7 @@ impl RankCtx {
     /// Number of buffers currently pooled (accounting tests only).
     #[cfg(test)]
     pub(crate) fn pool_len(&self) -> usize {
-        self.pool.lock().len()
+        self.pool.lock().expect("buffer pool poisoned").len()
     }
 
     /// Return a finished payload buffer (typically one produced by
@@ -433,51 +441,60 @@ impl RankCtx {
         if buf.capacity() == 0 || buf.capacity() > BUFFER_POOL_MAX_DOUBLES {
             return;
         }
-        let mut pool = self.pool.lock();
+        let mut pool = self.pool.lock().expect("buffer pool poisoned");
         if pool.len() < BUFFER_POOL_CAP {
             pool.push(buf);
         }
     }
 
-    /// Verify an incoming message's checksum before it is handed out or
-    /// parked. A mismatch is in-flight corruption.
-    fn verify(msg: &Message) -> std::result::Result<(), CommError> {
+    /// Verify an arrival's checksum — a mismatch is in-flight
+    /// corruption — then hand its payload back if it is the one asked
+    /// for, or park it.
+    fn accept(
+        &self,
+        inbox: &mut Inbox,
+        msg: Message,
+        from: usize,
+        tag: u64,
+    ) -> std::result::Result<Option<Vec<f64>>, CommError> {
         if crc32_f64s(&msg.payload) != msg.checksum {
-            return Err(CommError::Corrupt {
+            return Err(self.fail(CommError::Corrupt {
                 from: msg.from,
                 tag: msg.tag,
-            });
+            }));
         }
-        Ok(())
+        if msg.from == from && msg.tag == tag {
+            return Ok(Some(msg.payload));
+        }
+        inbox
+            .parked
+            .entry((msg.from, msg.tag))
+            .or_default()
+            .push_back(msg.payload);
+        Ok(None)
     }
 
     /// Non-blocking receive from `from` under `tag`: the matching
-    /// payload if it has already been delivered (mailbox or channel),
-    /// `None` otherwise. Messages for other `(source, tag)` pairs
-    /// encountered while draining the channel are parked in the mailbox,
-    /// exactly as the blocking receive does. Corruption of *any* drained
-    /// message (matching or stranger) surfaces here.
+    /// payload if it has already been delivered (parked or in the
+    /// channel), `None` otherwise. Messages for other `(source, tag)`
+    /// pairs encountered while draining the channel are parked, exactly
+    /// as the blocking receive does. Corruption of *any* drained message
+    /// (matching or stranger) surfaces here.
     pub fn try_recv(
         &self,
         from: usize,
         tag: u64,
     ) -> std::result::Result<Option<Vec<f64>>, CommError> {
         self.check_killed()?;
-        if let Some(q) = self.mailbox.lock().get_mut(&(from, tag)) {
-            if !q.is_empty() {
-                return Ok(Some(q.remove(0)));
-            }
+        let mut inbox = self.inbox.lock().expect("inbox poisoned");
+        let parked = inbox.parked.get_mut(&(from, tag));
+        if let Some(payload) = parked.and_then(VecDeque::pop_front) {
+            return Ok(Some(payload));
         }
-        while let Ok(msg) = self.receiver.try_recv() {
-            Self::verify(&msg).map_err(|e| self.fail(e))?;
-            if msg.from == from && msg.tag == tag {
-                return Ok(Some(msg.payload));
+        while let Ok(msg) = inbox.rx.try_recv() {
+            if let Some(payload) = self.accept(&mut inbox, msg, from, tag)? {
+                return Ok(Some(payload));
             }
-            self.mailbox
-                .lock()
-                .entry((msg.from, msg.tag))
-                .or_default()
-                .push(msg.payload);
         }
         Ok(None)
     }
@@ -513,41 +530,34 @@ impl RankCtx {
         if let Some(payload) = self.try_recv(from, tag)? {
             return Ok(payload);
         }
+        // Nobody else drives this context, so the inbox stays locked
+        // across the wait.
+        let mut inbox = self.inbox.lock().expect("inbox poisoned");
         let start = Instant::now();
         let deadline = start + self.recv_timeout;
-        // An expired deadline on a failed sender is its death, not a late
-        // message.
-        let expired = || {
-            self.fail(if self.has_failed(from) {
-                CommError::RankUnreachable { to: from }
-            } else {
-                CommError::RecvTimeout { from, tag }
-            })
-        };
         let payload = loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(expired());
-            }
-            let msg = match self.receiver.recv_timeout(remaining) {
+            let msg = match inbox.rx.recv_timeout(remaining) {
                 Ok(msg) => msg,
-                Err(RecvTimeoutError::Timeout) => return Err(expired()),
+                // An expired deadline on a failed sender is its death,
+                // not a late message.
+                Err(RecvTimeoutError::Timeout) if self.has_failed(from) => {
+                    return Err(self.fail(CommError::RankUnreachable { to: from }));
+                }
+                Err(RecvTimeoutError::Timeout) => {
+                    return Err(self.fail(CommError::RecvTimeout { from, tag }));
+                }
                 Err(RecvTimeoutError::Disconnected) => {
                     return Err(self.fail(CommError::Disconnected { rank: self.rank }));
                 }
             };
-            Self::verify(&msg).map_err(|e| self.fail(e))?;
-            if msg.from == from && msg.tag == tag {
-                break msg.payload;
+            if let Some(payload) = self.accept(&mut inbox, msg, from, tag)? {
+                break payload;
             }
-            self.mailbox
-                .lock()
-                .entry((msg.from, msg.tag))
-                .or_default()
-                .push(msg.payload);
         };
+        drop(inbox);
         let waited = start.elapsed().as_secs_f64();
-        let mut s = self.stats.lock();
+        let mut s = self.stats.lock().expect("comm stats poisoned");
         s.recv_wait_seconds += waited;
         if let Some(name) = phase {
             s.phase_mut(name).recv_wait_seconds += waited;
@@ -558,7 +568,7 @@ impl RankCtx {
     /// Record a completed post→complete overlap window for `phase` (used
     /// by the split-phase exchange plan).
     pub(crate) fn record_overlap_window(&self, phase: &'static str, seconds: f64) {
-        let mut s = self.stats.lock();
+        let mut s = self.stats.lock().expect("comm stats poisoned");
         s.overlap_window_seconds += seconds;
         s.phase_mut(phase).overlap_window_seconds += seconds;
     }
@@ -568,7 +578,7 @@ impl RankCtx {
     /// contributes surfaces as [`CommError::CollectiveTimeout`].
     pub fn allreduce_min(&self, value: f64) -> std::result::Result<f64, CommError> {
         self.check_killed()?;
-        self.stats.lock().collectives += 1;
+        self.stats.lock().expect("comm stats poisoned").collectives += 1;
         Ok(self
             .collective
             .reduce(self.rank, value, self.recv_timeout)?
@@ -578,7 +588,7 @@ impl RankCtx {
     /// Global sum across all ranks (used by diagnostics and tests).
     pub fn allreduce_sum(&self, value: f64) -> std::result::Result<f64, CommError> {
         self.check_killed()?;
-        self.stats.lock().collectives += 1;
+        self.stats.lock().expect("comm stats poisoned").collectives += 1;
         Ok(self
             .collective
             .reduce(self.rank, value, self.recv_timeout)?
@@ -588,7 +598,7 @@ impl RankCtx {
     /// Barrier.
     pub fn barrier(&self) -> std::result::Result<(), CommError> {
         self.check_killed()?;
-        self.stats.lock().collectives += 1;
+        self.stats.lock().expect("comm stats poisoned").collectives += 1;
         self.collective.reduce(self.rank, 0.0, self.recv_timeout)?;
         Ok(())
     }
@@ -596,7 +606,7 @@ impl RankCtx {
     /// Snapshot of this rank's communication counters.
     #[must_use]
     pub fn stats(&self) -> CommStats {
-        self.stats.lock().clone()
+        self.stats.lock().expect("comm stats poisoned").clone()
     }
 }
 
@@ -628,34 +638,30 @@ impl Typhon {
                 "team must have at least one rank".into(),
             ));
         }
-        let mut senders = Vec::with_capacity(n_ranks);
-        let mut receivers = Vec::with_capacity(n_ranks);
-        for _ in 0..n_ranks {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(Some(rx));
-        }
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..n_ranks).map(|_| channel()).unzip();
         let collective = Arc::new(Collective::new(n_ranks));
 
         let results: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
             let handles: Vec<_> = receivers
-                .iter_mut()
+                .into_iter()
                 .enumerate()
                 .map(|(rank, rx)| {
                     let ctx = RankCtx {
                         rank,
                         n_ranks,
                         senders: senders.clone(),
-                        receiver: rx.take().expect("receiver taken once"),
-                        mailbox: Mutex::new(HashMap::new()),
+                        inbox: Mutex::new(Inbox {
+                            rx,
+                            parked: HashMap::new(),
+                        }),
                         collective: Arc::clone(&collective),
-                        phase: Mutex::new(0),
+                        phase: AtomicU64::new(0),
                         stats: Mutex::new(CommStats::default()),
                         pool: Mutex::new(Vec::new()),
                         recv_timeout: options.recv_timeout,
                         fault: options.fault_plan.clone(),
                         attempt: options.attempt,
-                        step: Mutex::new(0),
+                        step: AtomicUsize::new(0),
                         armed: Mutex::new(None),
                         killed_at: Mutex::new(None),
                     };

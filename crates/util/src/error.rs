@@ -441,17 +441,6 @@ pub enum BookLeafError {
     },
 }
 
-impl BookLeafError {
-    /// The typed comm failure inside, if this is one.
-    #[must_use]
-    pub fn as_comm_fault(&self) -> Option<&CommError> {
-        match self {
-            BookLeafError::CommFault(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for BookLeafError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

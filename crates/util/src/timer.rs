@@ -6,11 +6,12 @@
 //! kernel call in [`TimerRegistry::time`] and the bench harness renders the
 //! table from a [`TimerReport`].
 //!
-//! The registry is thread-safe: rank threads in the Typhon runtime each
-//! record into their own registry which are then merged (max across ranks,
-//! matching how an MPI code experiences time).
+//! Each rank times into a registry of its own, and the team's reports
+//! are merged with [`TimerReport::max`] (the slowest rank gates
+//! progress, as in an MPI code). The registry is nonetheless `Sync`, so
+//! a hybrid rank can time from inside its pool.
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// The kernels the paper reports individually, plus a catch-all.
@@ -124,10 +125,9 @@ impl TimerRegistry {
         out
     }
 
-    /// Record an externally measured duration (used by the device models,
-    /// which charge *modeled* rather than measured time).
-    pub fn record(&self, id: KernelId, d: Duration) {
-        let mut buckets = self.buckets.lock();
+    /// Add one interval of `d` to the bucket of `id`.
+    fn record(&self, id: KernelId, d: Duration) {
+        let mut buckets = self.buckets.lock().expect("timer buckets poisoned");
         let b = &mut buckets[id.index()];
         b.total += d;
         b.calls += 1;
@@ -136,16 +136,11 @@ impl TimerRegistry {
     /// Snapshot into an immutable report.
     #[must_use]
     pub fn report(&self) -> TimerReport {
-        let buckets = self.buckets.lock();
+        let buckets = self.buckets.lock().expect("timer buckets poisoned");
         TimerReport {
             seconds: KernelId::ALL.map(|k| buckets[k.index()].total.as_secs_f64()),
             calls: KernelId::ALL.map(|k| buckets[k.index()].calls),
         }
-    }
-
-    /// Reset all buckets.
-    pub fn reset(&self) {
-        *self.buckets.lock() = Default::default();
     }
 }
 
@@ -218,17 +213,6 @@ impl TimerReport {
         out
     }
 
-    /// Scale every bucket by `factor` (used by the device models to map
-    /// host-measured work onto modeled platforms).
-    #[must_use]
-    pub fn scaled(&self, factor: f64) -> TimerReport {
-        let mut out = self.clone();
-        for s in &mut out.seconds {
-            *s *= factor;
-        }
-        out
-    }
-
     /// Overwrite the seconds of a single bucket.
     pub fn set_seconds(&mut self, id: KernelId, s: f64) {
         self.seconds[id.index()] = s;
@@ -284,22 +268,6 @@ mod tests {
             r.report()
         };
         assert_eq!(a.max(&b).seconds(KernelId::GetQ), 3.0);
-    }
-
-    #[test]
-    fn scaled_multiplies_seconds() {
-        let r = TimerRegistry::new();
-        r.record(KernelId::GetGeom, Duration::from_secs(1));
-        let rep = r.report().scaled(2.5);
-        assert!((rep.seconds(KernelId::GetGeom) - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let reg = TimerRegistry::new();
-        reg.record(KernelId::Other, Duration::from_secs(1));
-        reg.reset();
-        assert_eq!(reg.report(), TimerReport::zero());
     }
 
     #[test]

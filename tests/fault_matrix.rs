@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use bookleaf::ale::{AleMode, AleOptions};
 use bookleaf::core::{
-    decks, ExecutorKind, Observer, RecoveryPolicy, ReshapePolicy, RunConfig, Simulation,
+    decks, ExecutorKind, Observer, RecoveryPolicy, ReshapePolicy, RunConfig, Shared, Simulation,
     SimulationBuilder, StepView,
 };
 use bookleaf::eos::{EosSpec, MaterialTable};
@@ -364,15 +364,16 @@ impl Observer for PanicAt {
 
 /// On one rank there is no team to turn a panic into a typed
 /// `RankPanic`: a panicking observer unwinds the run to the caller, as
-/// under `Serial` — out of a hybrid rank's pool too — and the next run
-/// is healthy.
+/// under `Serial` — out of a hybrid rank's pool too — the observer it
+/// poisoned stays readable, and the next run is healthy.
 #[test]
 fn a_panicking_observer_unwinds_a_run_of_one_rank() {
     for executor in ONE_RANK {
+        let observer = Shared::new(PanicAt(3));
         let unwound = std::panic::catch_unwind(|| {
             let mut sim = noh4(false)
                 .executor(executor)
-                .observer(PanicAt(3))
+                .observer(observer.clone())
                 .build()
                 .unwrap();
             sim.run().map(|report| report.steps)
@@ -387,6 +388,7 @@ fn a_panicking_observer_unwinds_a_run_of_one_rank() {
             message.contains("injected observer panic"),
             "{executor:?}: {message:?}"
         );
+        assert_eq!(observer.with(|p| p.0), 3, "{executor:?}");
         let mut healthy = noh4(false).executor(executor).build().unwrap();
         assert_eq!(healthy.run().unwrap().steps, 12, "{executor:?}");
     }
@@ -395,7 +397,9 @@ fn a_panicking_observer_unwinds_a_run_of_one_rank() {
 #[test]
 fn a_panicked_hybrid_run_is_typed_and_the_next_run_is_healthy() {
     // Rank 0 unwinds inside its rayon pool mid-run; the team must
-    // surface a typed RankPanic (peers time out, the scope joins) …
+    // surface a typed RankPanic (peers time out, the scope joins), and
+    // the observer it poisoned stays readable …
+    let observer = Shared::new(PanicAt(3));
     let err = Simulation::builder()
         .deck(decks::noh(12))
         .executor(ExecutorKind::Hybrid {
@@ -405,7 +409,7 @@ fn a_panicked_hybrid_run_is_typed_and_the_next_run_is_healthy() {
         .final_time(0.1)
         .max_steps(8)
         .comm_timeout(FAST)
-        .observer(PanicAt(3))
+        .observer(observer.clone())
         .build()
         .unwrap()
         .run()
@@ -414,6 +418,7 @@ fn a_panicked_hybrid_run_is_typed_and_the_next_run_is_healthy() {
         matches!(err, BookLeafError::RankPanic { rank: 0, .. }),
         "{err:?}"
     );
+    assert_eq!(observer.with(|p| p.0), 3);
 
     // … and a fresh simulation right after must run to completion:
     // nothing global — rayon pools, locks, channels — stays poisoned.
