@@ -24,7 +24,7 @@
 //! so no swept-volume table is ever stored.
 
 use bookleaf_hydro::{sweep, Pass, Threading};
-use bookleaf_mesh::{Mesh, STENCIL_BOUNDARY};
+use bookleaf_mesh::{Mesh, Topology, STENCIL_BOUNDARY};
 use bookleaf_util::Vec2;
 
 use crate::fluxvol::face_swept_volume;
@@ -71,9 +71,9 @@ fn limited_face_value(donor: f64, down: f64, upstream: Option<f64>) -> f64 {
 /// Upstream of the donor: its neighbour across the face opposite the
 /// one joining it to `towards`.
 #[inline]
-fn upstream_of(mesh: &Mesh, stencil: &[[u32; 4]], donor: usize, towards: usize) -> Option<usize> {
-    let fd = mesh.face_towards(donor, towards)?;
-    let up = stencil[donor][(fd + 2) % 4];
+fn upstream_of(topology: &Topology, donor: usize, towards: usize) -> Option<usize> {
+    let fd = topology.face_towards(donor, towards)?;
+    let up = topology.face_stencil()[donor][(fd + 2) % 4];
     (up != STENCIL_BOUNDARY).then_some(up as usize)
 }
 
@@ -105,7 +105,8 @@ pub fn compute_fluxes(
     d_mom: &mut [Vec2],
     threading: Threading,
 ) {
-    let stencil = mesh.face_stencil();
+    let topology: &Topology = mesh;
+    let (elnd, stencil, x) = (&topology.elnd, topology.face_stencil(), &mesh.nodes);
     sweep(threading, Pass::All, (d_mass, d_energy, d_mom), |e, out| {
         let (mut d_mass, mut d_energy, mut d_mom) = (0.0, 0.0, Vec2::ZERO);
         for f in 0..4 {
@@ -113,7 +114,7 @@ pub fn compute_fluxes(
             if nb == STENCIL_BOUNDARY {
                 continue; // walls are impermeable
             }
-            let v = face_swept_volume(mesh, target, e, f, nb);
+            let v = face_swept_volume(x, target, elnd[e], e, f, nb);
             if v == 0.0 {
                 continue;
             }
@@ -122,7 +123,7 @@ pub fn compute_fluxes(
             // triple is a pure function of the face, not of which side
             // evaluates it.
             let (donor, receiver, vol) = if v > 0.0 { (e, nb, v) } else { (nb, e, -v) };
-            let up = upstream_of(mesh, stencil, donor, receiver);
+            let up = upstream_of(topology, donor, receiver);
 
             let rho_face = limited_face_value(rho[donor], rho[receiver], up.map(|u| rho[u]));
             let ein_face = limited_face_value(ein[donor], ein[receiver], up.map(|u| ein[u]));

@@ -15,12 +15,12 @@
 //! *loses* volume through face `f` (the face moved inward).
 
 use bookleaf_mesh::geometry::quad_area;
-use bookleaf_mesh::Mesh;
 use bookleaf_util::Vec2;
 
-/// The volume leaving element `e` through its face `f` as the nodes
-/// move to `target` (negative = volume entering); `nb` is what lies
-/// across the face, as [`Mesh::face_stencil`] packs it.
+/// The volume leaving element `e`, of corners `nd`, through its face `f`
+/// as the nodes move from `x` to `target` (negative = volume entering);
+/// `nb` is what lies across the face, as
+/// [`bookleaf_mesh::Topology::face_stencil`] packs it.
 ///
 /// **Bitwise** antisymmetric across interior faces: a face has one
 /// canonical orientation — its lower-id element's, which is also a
@@ -33,10 +33,15 @@ use bookleaf_util::Vec2;
 /// directions: seen from `e`, the neighbour's `a → b` is `b → a`.
 #[inline]
 #[must_use]
-pub fn face_swept_volume(mesh: &Mesh, target: &[Vec2], e: usize, f: usize, nb: u32) -> f64 {
-    let a = mesh.elnd[e][f] as usize;
-    let b = mesh.elnd[e][(f + 1) % 4] as usize;
-    let x = &mesh.nodes;
+pub fn face_swept_volume(
+    x: &[Vec2],
+    target: &[Vec2],
+    nd: [u32; 4],
+    e: usize,
+    f: usize,
+    nb: u32,
+) -> f64 {
+    let (a, b) = (nd[f] as usize, nd[(f + 1) % 4] as usize);
     if e < nb as usize {
         // Swept quad (a_old, b_old, b_new, a_new): for a CCW element
         // this winds CCW (positive area) exactly when the face moves
@@ -51,14 +56,17 @@ pub fn face_swept_volume(mesh: &Mesh, target: &[Vec2], e: usize, f: usize, nb: u
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use bookleaf_mesh::{generate_rect, Neighbor, RectSpec};
+    use bookleaf_mesh::{generate_rect, Mesh, Neighbor, RectSpec};
     use bookleaf_util::approx_eq;
 
     /// Every face's swept volume as a table: `fvol[e][f]`.
     pub(crate) fn face_flux_volumes(mesh: &Mesh, target: &[Vec2]) -> Vec<[f64; 4]> {
-        let stencil = mesh.face_stencil();
+        let (x, stencil) = (&mesh.nodes, mesh.face_stencil());
         (0..mesh.n_elements())
-            .map(|e| std::array::from_fn(|f| face_swept_volume(mesh, target, e, f, stencil[e][f])))
+            .map(|e| {
+                let nd = mesh.elnd[e];
+                std::array::from_fn(|f| face_swept_volume(x, target, nd, e, f, stencil[e][f]))
+            })
             .collect()
     }
 
@@ -74,7 +82,7 @@ pub(crate) mod tests {
         let mut fvol = vec![[0.0; 4]; mesh.n_elements()];
         for e in 0..mesh.n_elements() {
             for f in 0..4 {
-                if mesh.elel[e][f].element().is_none_or(|nb| e < nb as usize) {
+                if !matches!(mesh.neighbors(e)[f], Neighbor::Element(nb) if (nb as usize) < e) {
                     let a = mesh.elnd[e][f] as usize;
                     let b = mesh.elnd[e][(f + 1) % 4] as usize;
                     fvol[e][f] = quad_area(&[mesh.nodes[a], mesh.nodes[b], target[b], target[a]]);
@@ -83,9 +91,11 @@ pub(crate) mod tests {
         }
         for e in 0..mesh.n_elements() {
             for f in 0..4 {
-                if let Some(nb) = mesh.elel[e][f].element().filter(|&nb| (nb as usize) < e) {
-                    let back = mesh.face_towards(nb as usize, e).unwrap();
-                    fvol[e][f] = -fvol[nb as usize][back];
+                if let Neighbor::Element(nb) = mesh.neighbors(e)[f] {
+                    if (nb as usize) < e {
+                        let back = mesh.face_towards(nb as usize, e).unwrap();
+                        fvol[e][f] = -fvol[nb as usize][back];
+                    }
                 }
             }
         }
@@ -164,10 +174,10 @@ pub(crate) mod tests {
         let fvol = face_flux_volumes(&mesh, &target);
         for e in 0..mesh.n_elements() {
             for f in 0..4 {
-                if let Neighbor::Element(e2) = mesh.elel[e][f] {
+                if let Neighbor::Element(e2) = mesh.neighbors(e)[f] {
                     // Find the matching face on the neighbour.
                     let f2 = (0..4)
-                        .find(|&g| mesh.elel[e2 as usize][g] == Neighbor::Element(e as u32))
+                        .find(|&g| mesh.neighbors(e2 as usize)[g] == Neighbor::Element(e as u32))
                         .unwrap();
                     assert!(
                         approx_eq(fvol[e][f], -fvol[e2 as usize][f2], 1e-13),
@@ -262,7 +272,7 @@ pub(crate) mod tests {
         let fvol = face_flux_volumes(&mesh, &target);
         for e in 0..mesh.n_elements() {
             for f in 0..4 {
-                if mesh.elel[e][f] == Neighbor::Boundary {
+                if mesh.neighbors(e)[f] == Neighbor::Boundary {
                     assert!(
                         fvol[e][f].abs() < 1e-13,
                         "boundary face leaked volume: {}",
@@ -300,9 +310,9 @@ pub(crate) mod tests {
         let fvol = face_flux_volumes(&mesh, &target);
         for e in 0..mesh.n_elements() {
             for f in 0..4 {
-                if let Neighbor::Element(e2) = mesh.elel[e][f] {
+                if let Neighbor::Element(e2) = mesh.neighbors(e)[f] {
                     let f2 = (0..4)
-                        .find(|&g| mesh.elel[e2 as usize][g] == Neighbor::Element(e as u32))
+                        .find(|&g| mesh.neighbors(e2 as usize)[g] == Neighbor::Element(e as u32))
                         .unwrap();
                     // Exact, not approximate: one corner sequence per face.
                     assert_eq!(fvol[e][f], -fvol[e2 as usize][f2]);

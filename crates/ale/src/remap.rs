@@ -20,7 +20,7 @@
 //! itself.
 
 use bookleaf_mesh::geometry::{char_length, corner_volumes, quad_area};
-use bookleaf_mesh::Mesh;
+use bookleaf_mesh::{Mesh, Topology};
 use bookleaf_util::{BookLeafError, Result, Vec2};
 
 use bookleaf_hydro::state::{HydroState, LocalRange};
@@ -125,13 +125,12 @@ impl Remapper {
         d_energy.resize(ne, 0.0);
 
         // Element-centred (mass-weighted corner) velocities for momentum.
-        let u = &state.u;
-        let cnmass = &state.cnmass;
+        let (elnd, u, cnmass) = (&mesh.elnd, &state.u, &state.cnmass);
         sweep(threading, Pass::All, (&mut cell_u[..],), |e, (cu,)| {
             let mut p = Vec2::ZERO;
             let mut m = 0.0;
             for c in 0..4 {
-                let nd = mesh.elnd[e][c] as usize;
+                let nd = elnd[e][c] as usize;
                 p += u[nd] * cnmass[e][c];
                 m += cnmass[e][c];
             }
@@ -264,7 +263,7 @@ fn remap_elements(
     elements: Pass<'_>,
 ) -> Option<(usize, Fail)> {
     let ne = mesh.n_elements();
-    let u = &state.u;
+    let (elnd, x, u) = (&mesh.elnd[..ne], &mesh.nodes, &state.u);
     let columns = (
         &mut state.mass[..ne],
         &mut state.volume[..ne],
@@ -293,7 +292,8 @@ fn remap_elements(
                 return Some((e, Fail::Mass));
             }
 
-            let corners = mesh.corners(e);
+            let nd = elnd[e];
+            let corners = nd.map(|n| x[n as usize]);
             let vol = quad_area(&corners);
             if vol <= 0.0 {
                 return Some((e, Fail::Volume));
@@ -314,7 +314,6 @@ fn remap_elements(
             // Momentum deficit: what the element's corners must gain so
             // that the new-mass-weighted nodal momentum matches the
             // advected element momentum exactly.
-            let nd = mesh.elnd[e];
             let mut carried = Vec2::ZERO;
             for c in 0..4 {
                 carried += u[nd[c] as usize] * cnmass[c];
@@ -344,13 +343,13 @@ fn remap_nodes(
     threading: Threading,
     nodes: Pass<'_>,
 ) {
-    let cnmass = &state.cnmass;
-    let mass = &state.mass;
+    let topology: &Topology = mesh;
+    let (cnmass, mass) = (&state.cnmass, &state.mass);
     let columns = (&mut state.u[..range.n_active_nd],);
     sweep(threading, nodes, columns, |n, (un,)| {
         let mut dp = Vec2::ZERO;
         let mut m_new = 0.0;
-        for &(e, c) in mesh.elements_of_node(n) {
+        for &(e, c) in topology.elements_of_node(n) {
             let (e, c) = (e as usize, c as usize);
             let w = cnmass[e][c] / mass[e].max(1e-300);
             dp += mom_change[e] * w;

@@ -81,7 +81,8 @@ pub(crate) struct Piece {
 }
 
 impl Piece {
-    /// The whole mesh: a serial run's piece.
+    /// The whole mesh: a serial run's piece — its own nodes on the
+    /// deck's (shared) topology.
     pub(crate) fn whole(mesh: &Mesh) -> Piece {
         Piece {
             mesh: mesh.clone(),

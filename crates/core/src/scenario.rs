@@ -45,7 +45,7 @@
 //! [`generic_equivalent`].
 
 use bookleaf_eos::{EosSpec, MaterialTable};
-use bookleaf_mesh::{generate_rect, saltzmann_distort, RectSpec};
+use bookleaf_mesh::{rect_parts, saltzmann_distort, Mesh, RectSpec};
 use bookleaf_util::{DeckError, Vec2};
 
 use crate::decks::{Deck, PistonSpec, COLD, SEDOV_ALPHA};
@@ -349,7 +349,7 @@ impl GenericSpec {
         // match ignoring paint order, to tell an overlap mistake
         // (shadowed region) from a region merely below resolution.
         let would_match = std::cell::RefCell::new(vec![0usize; self.regions.len()]);
-        let mesh = generate_rect(&rect, |c| {
+        let parts = rect_parts(&rect, |c| {
             let mut first = u32::MAX;
             let mut matches = would_match.borrow_mut();
             for (i, r) in self.regions.iter().enumerate() {
@@ -362,11 +362,14 @@ impl GenericSpec {
             }
             first
         });
-        let mut mesh = mesh.map_err(|e| DeckError::Invalid {
+        let invalid = |e| DeckError::Invalid {
             deck: self.name.clone(),
             source: Box::new(e),
-        })?;
-        let section: Vec<u32> = mesh.region.clone();
+        };
+        // Regions and boundary overrides are painted on the topology
+        // before `Mesh::new` below freezes it.
+        let (nodes, mut topology) = parts.map_err(invalid)?;
+        let section: Vec<u32> = std::mem::take(&mut topology.region);
         // Coverage: every element must land in a region. A region that
         // claims no element is an error only when earlier regions
         // *stole* everything it covers (the overlap mistake class); a
@@ -410,13 +413,7 @@ impl GenericSpec {
                     .expect("validated material reference") as u32
             })
             .collect();
-        for (e, &s) in section.iter().enumerate() {
-            mesh.region[e] = mat_of[s as usize];
-        }
-
-        if let Some(SkewKind::Saltzmann) = self.mesh.skew {
-            saltzmann_distort(&mut mesh, rect.origin, rect.extent);
-        }
+        topology.region = section.iter().map(|&s| mat_of[s as usize]).collect();
 
         // Boundary overrides. Side membership is decided by grid
         // index (row-major node numbering), not coordinates, so it is
@@ -441,14 +438,19 @@ impl GenericSpec {
                 // Release the wall-normal constraint; tangential
                 // constraints (from adjoining walls) are kept.
                 if horizontal {
-                    mesh.node_bc[n].fix_y = false;
+                    topology.node_bc[n].fix_y = false;
                 } else {
-                    mesh.node_bc[n].fix_x = false;
+                    topology.node_bc[n].fix_x = false;
                 }
                 if bc == SideBc::Piston {
                     piston_nodes.push(n as u32);
                 }
             }
+        }
+
+        let mut mesh = Mesh::new(nodes, topology).map_err(invalid)?;
+        if let Some(SkewKind::Saltzmann) = self.mesh.skew {
+            saltzmann_distort(&mut mesh, rect.origin, rect.extent);
         }
 
         // Per-region energy, with pressure inverted through the

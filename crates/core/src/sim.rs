@@ -1086,6 +1086,47 @@ mod tests {
         assert_eq!((report.ranks, &report.comm), (1, &CommStats::default()));
     }
 
+    /// A run of one rank steps the deck's own topology — built, resumed
+    /// from checkpoint bytes, or rebuilt by a supervised rewind — and so
+    /// does a team's global view: each mesh owns its nodes and shares
+    /// everything else.
+    #[test]
+    fn every_engine_shares_the_decks_topology() {
+        let shares = |sim: &Simulation, what: &str| {
+            let (live, deck) = (sim.mesh(), &sim.deck().mesh);
+            assert!(live.shares_topology(deck), "{what}");
+            assert!(
+                std::ptr::eq(live.face_stencil(), deck.face_stencil()),
+                "{what}"
+            );
+        };
+        for executor in [
+            ExecutorKind::Serial,
+            ExecutorKind::FlatMpi { ranks: 1 },
+            ExecutorKind::Hybrid {
+                ranks: 1,
+                threads_per_rank: 2,
+            },
+            ExecutorKind::FlatMpi { ranks: 2 },
+        ] {
+            let mut sim = distributed_noh(executor);
+            shares(&sim, &format!("{executor:?} built"));
+            sim.run_segment(3).unwrap();
+            assert_ne!(sim.mesh().nodes, sim.deck().mesh.nodes, "{executor:?}");
+            shares(&sim, &format!("{executor:?} stepped"));
+
+            let ckpt = sim.checkpoint().unwrap();
+            let bytes = Checkpoint::from_bytes(&ckpt.to_bytes()).unwrap();
+            let resumed = distributed_noh_builder(executor)
+                .resume_from(bytes)
+                .build()
+                .unwrap();
+            shares(&resumed, &format!("{executor:?} resumed"));
+            sim.rewind_to(&ckpt.snap).unwrap();
+            shares(&sim, &format!("{executor:?} rewound"));
+        }
+    }
+
     /// Looking at the state between two segments is an observation: the
     /// trajectory does not move.
     #[test]

@@ -472,8 +472,10 @@ mod tests {
         };
         for offender in [0, 1, 4, 5, 8] {
             // Clockwise corners: this element alone has negative area.
-            let mut tangled = mesh.clone();
-            tangled.elnd[offender].reverse();
+            let mut elnd = mesh.elnd.clone();
+            elnd[offender].reverse();
+            let (bc, region) = (mesh.node_bc.clone(), mesh.region.clone());
+            let tangled = Mesh::from_raw(mesh.nodes.clone(), elnd, bc, region).unwrap();
             let err = errors(&tangled, &st0);
             assert!(
                 matches!(err, BookLeafError::NegativeVolume { element, volume }

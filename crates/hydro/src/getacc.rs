@@ -17,7 +17,7 @@
 //!   thread (the fix the paper describes as possible "by rewriting the
 //!   kernel"). The ablation bench `ablation_scatter` quantifies the gap.
 
-use bookleaf_mesh::Mesh;
+use bookleaf_mesh::{Mesh, Topology};
 use bookleaf_util::Vec2;
 
 use crate::state::{HydroState, LocalRange};
@@ -68,6 +68,7 @@ pub fn getacc_pass(
     }
     let nn = range.n_active_nd;
     let (cnmass, fx, fy) = (&state.cnmass, &state.cnforce_x, &state.cnforce_y);
+    let topology: &Topology = mesh;
     let columns = (
         &mut state.nd_mass[..nn],
         &mut state.u[..nn],
@@ -77,7 +78,7 @@ pub fn getacc_pass(
     // node `n`, given its mass `m` and force `f`.
     let advance = |n: usize, (m, f): (f64, Vec2), (nd_mass, u, ubar): Row<'_>| {
         *nd_mass = m;
-        let bc = mesh.node_bc[n];
+        let bc = topology.node_bc[n];
         let a = if m > 0.0 { bc.apply(f / m) } else { Vec2::ZERO };
         let u_old = bc.apply(*u);
         *u = u_old + a * dt;
@@ -89,7 +90,7 @@ pub fn getacc_pass(
     // distributed and serial runs produce bitwise-identical updates.
     let gather = |n: usize| {
         let (mut m, mut f) = (0.0, Vec2::ZERO);
-        for &(e, c) in mesh.elements_of_node(n) {
+        for &(e, c) in topology.elements_of_node(n) {
             let (e, c) = (e as usize, c as usize);
             m += cnmass[e][c];
             f += Vec2::new(fx[e][c], fy[e][c]);

@@ -101,14 +101,14 @@ pub fn getdt(
         Some(d) => d,
     };
 
-    let u = &state.u;
+    let (elnd, x, u) = (&mesh.elnd[..n], &mesh.nodes, &state.u);
     sweep(
         threading,
         Pass::All,
         (&mut state.div_u[..n],),
         |e, (div,)| {
-            let corner_u = mesh.elnd[e].map(|n| u[n as usize]);
-            *div = velocity_divergence(&mesh.corners(e), &corner_u);
+            let nd = elnd[e].map(|n| n as usize);
+            *div = velocity_divergence(&nd.map(|n| x[n]), &nd.map(|n| u[n]));
         },
     );
 

@@ -47,13 +47,14 @@ pub fn getein(
     let fx = &state.cnforce_x;
     let fy = &state.cnforce_y;
     let mass = &state.mass;
+    let elnd = &mesh.elnd[..n];
 
     // The work term reads the two dense SoA component rows of the
     // element; each corner contributes `fx·vx + fy·vy` — the same
     // grouping as the former `Vec2::dot`, so the sum is bitwise
     // identical to the interleaved layout.
     sweep(threading, Pass::All, (&mut state.ein[..n],), |e, (ein,)| {
-        let nd = mesh.elnd[e];
+        let nd = elnd[e];
         let (rx, ry) = (&fx[e], &fy[e]);
         let mut work = 0.0;
         for c in 0..4 {

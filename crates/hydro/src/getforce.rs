@@ -75,9 +75,9 @@ pub fn getforce(
     let n = range.n_owned_el;
     // Element-indexed reads sliced to the owned range so the sweeps
     // (bounded by the same `n` through the force-row zip) index them
-    // without bounds checks; `u` and `nd_mass` stay full-length — they
-    // are gathered through node ids.
-    let u = &state.u;
+    // without bounds checks; `x`, `u` and `nd_mass` stay full-length —
+    // they are gathered through node ids.
+    let (elnd, x, u) = (&mesh.elnd[..n], &mesh.nodes, &state.u);
     let rho = &state.rho[..n];
     let cs2 = &state.cs2[..n];
     let pressure = &state.pressure[..n];
@@ -89,7 +89,7 @@ pub fn getforce(
 
     let columns = (&mut state.cnforce_x[..n], &mut state.cnforce_y[..n]);
     sweep(threading, Pass::All, columns, |e, (fx, fy)| {
-        let g = Gathered::new(mesh, u, e);
+        let g = Gathered::new(elnd[e], x, u);
         let mut force = pressure_force(&g.x, pressure[e]);
         if edge_q[e].iter().any(|&q| q != 0.0) {
             let faces = Faces::new(&g);

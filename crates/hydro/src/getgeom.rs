@@ -21,6 +21,7 @@ pub fn getgeom(
     threading: Threading,
 ) -> Result<()> {
     let n = range.n_owned_el;
+    let (elnd, x) = (&mesh.elnd[..n], &mesh.nodes);
     let columns = (
         &mut state.volume[..n],
         &mut state.cnvol[..n],
@@ -33,7 +34,7 @@ pub fn getgeom(
         true,
         |a, b| a && b,
         |e, (volume, cnvol, length)| {
-            let c = mesh.corners(e);
+            let c = elnd[e].map(|n| x[n as usize]);
             *volume = quad_area(&c);
             *cnvol = corner_volumes(&c);
             *length = char_length(&c);

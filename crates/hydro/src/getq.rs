@@ -66,7 +66,7 @@ pub fn getq(
     threading: Threading,
 ) {
     let n = range.n_owned_el;
-    let stencil = &mesh.face_stencil()[..n];
+    let (elnd, stencil, x) = (&mesh.elnd[..n], &mesh.face_stencil()[..n], &mesh.nodes);
     let u = &state.u;
     let rho = &state.rho[..n];
     let cs2 = &state.cs2[..n];
@@ -74,7 +74,7 @@ pub fn getq(
     let columns = (&mut state.edge_q[..n], &mut state.q[..n]);
     with_cell_velocities(mesh, u, threading, Pass::All, |cell_u| {
         sweep(threading, Pass::All, columns, |e, (edge_q, q)| {
-            let g = Gathered::new(mesh, u, e);
+            let g = Gathered::new(elnd[e], x, u);
             let faces = Faces::new(&g);
             if faces.any_compressive() {
                 let inputs = QInputs {

@@ -50,13 +50,11 @@
 //! and packed per corner in the order the interleaved layout used.
 //!
 //! The viscosity kernel's neighbour gathers are likewise shaped for
-//! streaming: it walks a packed per-edge index table
-//! (`Mesh::face_stencil`, built lazily once per mesh — element→element
-//! topology is fixed at construction) instead of matching on the tagged
-//! `elel` rows in the face loop, and gathers cell velocities from a
-//! per-call dense scratch row. Indices only — the gathered *values* are
-//! exactly the in-loop reads' values, so the output is bitwise
-//! unchanged.
+//! streaming: it walks the mesh's packed per-face index table
+//! (`Topology::face_stencil`, the one face-adjacency table a mesh
+//! stores) and gathers cell velocities from a per-call dense scratch
+//! row. Indices only — the gathered *values* are exactly the in-loop
+//! reads' values, so the output is bitwise unchanged.
 //!
 //! ## Kernel fusion rules
 //!

@@ -1,8 +1,8 @@
 //! Reference (pre-optimisation) kernel implementations.
 //!
 //! The hot kernels were reshaped for stride-1 inner loops: `getq` drives
-//! its neighbour gathers through the packed once-per-mesh index table
-//! (`Mesh::face_stencil`), `getforce` writes SoA component rows, and the
+//! its neighbour gathers through the packed index table
+//! (`Topology::face_stencil`), `getforce` writes SoA component rows, and the
 //! EOS chain can run fused (see
 //! [`fn@crate::eos_fused`]). This module keeps the *original* loop shapes —
 //! in-loop neighbour gathers, interleaved `Vec2` corner forces — as the
@@ -24,7 +24,7 @@ use crate::getforce::HourglassControl;
 use crate::getq::{monotonic_limiter, QCoeffs};
 use crate::state::{HydroState, LocalRange};
 
-/// Pre-hoist `getq`: the limiter reaches into `cell_u[elel[e][f]]`
+/// Pre-hoist `getq`: the limiter reaches into `cell_u[neighbors(e)[f]]`
 /// *inside* the face loop (one indirect gather per compressive face),
 /// exactly as the kernel was shaped before the stencil hoist. Writes
 /// `state.q` / `state.edge_q` like the production kernel.
@@ -66,7 +66,7 @@ pub fn getq_reference(mesh: &Mesh, state: &mut HydroState, range: LocalRange, co
             let du_face = (uf - uc).dot(dir);
             // The gather the production kernel hoists: an indirect read
             // through the element-to-element table mid-loop.
-            let psi_face = match mesh.elel[e][f] {
+            let psi_face = match mesh.neighbors(e)[f] {
                 Neighbor::Element(en) if du_face.abs() > ZERO_CUT => {
                     let du_nbr = (cell_u[en as usize] - uf).dot(dir);
                     monotonic_limiter(du_nbr / du_face)

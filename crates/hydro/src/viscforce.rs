@@ -114,8 +114,7 @@ pub(crate) const GAMMA: [f64; 4] = [1.0, -1.0, 1.0, -1.0];
 /// Cell-averaged velocity of element `e`. Always inlined — it is a
 /// whole sweep's body (`scripts/hot_loops.sh` holds the line).
 #[inline(always)]
-fn cell_velocity(mesh: &Mesh, u: &[Vec2], e: usize) -> Vec2 {
-    let nd = mesh.elnd[e];
+fn cell_velocity(nd: [u32; 4], u: &[Vec2]) -> Vec2 {
     (u[nd[0] as usize] + u[nd[1] as usize] + u[nd[2] as usize] + u[nd[3] as usize]) * 0.25
 }
 
@@ -132,17 +131,20 @@ pub(crate) fn with_cell_velocities<R>(
     cells: Pass<'_>,
     kernel: impl FnOnce(&[Vec2]) -> R,
 ) -> R {
+    let elnd = &mesh.elnd[..];
     SCRATCH.with(|scratch| {
         let cell_u = &mut scratch.borrow_mut().cell_u;
-        cell_u.resize(mesh.n_elements(), Vec2::ZERO);
+        cell_u.resize(elnd.len(), Vec2::ZERO);
         sweep(threading, cells, (&mut cell_u[..],), |e, (cu,)| {
-            *cu = cell_velocity(mesh, u, e);
+            *cu = cell_velocity(elnd[e], u);
         });
         kernel(cell_u)
     })
 }
 
-/// What both halves of the sweep gather once per element.
+/// What both halves of the sweep gather once per element: the corners
+/// `nd` of the mesh's `elnd` row, at node positions `x` and velocities
+/// `u`. A kernel takes the `elnd` and `x` slices once, at entry.
 pub(crate) struct Gathered {
     /// Node ids of the four corners.
     pub(crate) nd: [usize; 4],
@@ -154,11 +156,11 @@ pub(crate) struct Gathered {
 
 impl Gathered {
     #[inline(always)]
-    pub(crate) fn new(mesh: &Mesh, u: &[Vec2], e: usize) -> Gathered {
-        let nd = mesh.elnd[e].map(|n| n as usize);
+    pub(crate) fn new(nd: [u32; 4], x: &[Vec2], u: &[Vec2]) -> Gathered {
+        let nd = nd.map(|n| n as usize);
         Gathered {
             nd,
-            x: nd.map(|n| mesh.nodes[n]),
+            x: nd.map(|n| x[n]),
             u: nd.map(|n| u[n]),
         }
     }
@@ -220,7 +222,7 @@ pub(crate) struct QInputs<'a> {
     pub(crate) e: usize,
     pub(crate) rho: f64,
     pub(crate) cs: f64,
-    /// Packed face-neighbour row of `e` (`Mesh::face_stencil`).
+    /// Packed face-neighbour row of `e` (`Topology::face_stencil`).
     pub(crate) nbr: &'a [u32; 4],
     pub(crate) cell_u: &'a [Vec2],
     pub(crate) coeffs: QCoeffs,
@@ -492,9 +494,10 @@ pub fn viscforce(
     // hands the body `e`, not a proof that `e < n`: each of these reads
     // keeps its (never taken) bounds check, as does every gather — two
     // dozen compare-and-branch pairs in the release body. Only the four
-    // written columns arrive zipped. `u` and `nd_mass` stay full-length
-    // — they are gathered through node ids.
-    let stencil = &mesh.face_stencil()[..n];
+    // written columns arrive zipped. `x`, `u` and `nd_mass` stay
+    // full-length — they are gathered through node ids. The topology
+    // rows are taken here, once, not through the mesh per element.
+    let (elnd, stencil, x) = (&mesh.elnd[..n], &mesh.face_stencil()[..n], &mesh.nodes);
     let u = &state.u;
     let rho = &state.rho[..n];
     let cs2 = &state.cs2[..n];
@@ -517,7 +520,7 @@ pub fn viscforce(
 
     with_cell_velocities(mesh, u, threading, cells, |cell_u| {
         sweep(threading, elements, columns, |e, (edge_q, q, fx, fy)| {
-            let g = Gathered::new(mesh, u, e);
+            let g = Gathered::new(elnd[e], x, u);
             let centre = quad_centroid(&g.x);
             let cs = sound_speed(cs2[e]);
             let faces = Faces::new(&g);

@@ -9,7 +9,7 @@
 
 use bookleaf_util::{DeckError, Result, Vec2};
 
-use crate::topology::{Mesh, NodeBc};
+use crate::topology::{Mesh, NodeBc, Topology};
 
 /// Specification of a rectangular mesh.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,6 +55,17 @@ impl RectSpec {
 /// corners both. `region_of` assigns a region (material) id from each
 /// element's centroid.
 pub fn generate_rect(spec: &RectSpec, region_of: impl Fn(Vec2) -> u32) -> Result<Mesh> {
+    let (nodes, topology) = rect_parts(spec, region_of)?;
+    Mesh::new(nodes, topology)
+}
+
+/// [`generate_rect`] before [`Mesh::new`] shares the topology: the node
+/// positions, and a topology whose regions and boundary conditions the
+/// caller may still paint.
+pub fn rect_parts(
+    spec: &RectSpec,
+    region_of: impl Fn(Vec2) -> u32,
+) -> Result<(Vec<Vec2>, Topology)> {
     let config = |message: &str| DeckError::Config {
         message: message.into(),
     };
@@ -100,7 +111,7 @@ pub fn generate_rect(spec: &RectSpec, region_of: impl Fn(Vec2) -> u32) -> Result
         }
     }
 
-    Mesh::from_raw(nodes, elnd, node_bc, region)
+    Ok((nodes, Topology::from_raw(elnd, node_bc, region)?))
 }
 
 /// Apply the Saltzmann distortion in place.
@@ -179,14 +190,13 @@ mod tests {
     fn neighbor_structure_of_grid() {
         let m = generate_rect(&RectSpec::unit_square(3), |_| 0).unwrap();
         // Element 4 is the centre: all four faces interior.
-        assert!(m.elel[4]
+        assert!(m
+            .neighbors(4)
             .iter()
             .all(|nb| matches!(nb, Neighbor::Element(_))));
         // Element 0 is the corner: faces 0 (bottom) and 3 (left) boundary.
-        assert_eq!(m.elel[0][0], Neighbor::Boundary);
-        assert_eq!(m.elel[0][3], Neighbor::Boundary);
-        assert_eq!(m.elel[0][1], Neighbor::Element(1));
-        assert_eq!(m.elel[0][2], Neighbor::Element(3));
+        use Neighbor::{Boundary, Element};
+        assert_eq!(m.neighbors(0), [Boundary, Element(1), Element(3), Boundary]);
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //!
 //! This crate provides:
 //!
-//! * [`Mesh`] — node coordinates + full connectivity (element→node,
-//!   element→element across faces, CSR node→element) + boundary
-//!   conditions + per-element region ids;
+//! * [`Mesh`] — node coordinates, owned by whoever holds the mesh, over
+//!   an immutable, shared [`Topology`]: element→node, element→element
+//!   across faces (one packed `u32` row per element), CSR node→element,
+//!   boundary conditions and per-element region ids;
 //! * [`generation`] — deck-driven mesh generation (rectangular regions,
 //!   the Saltzmann distorted mesh);
 //! * [`geometry`] — quadrilateral geometry kernels (areas, corner
@@ -34,9 +35,9 @@ pub mod quality;
 pub mod submesh;
 mod topology;
 
-pub use generation::{generate_rect, saltzmann_distort, RectSpec};
+pub use generation::{generate_rect, rect_parts, saltzmann_distort, RectSpec};
 pub use submesh::{neighbour_union, OverlapSets, SubMesh, SubMeshPlan};
-pub use topology::{Mesh, Neighbor, NodeBc, STENCIL_BOUNDARY};
+pub use topology::{Mesh, Neighbor, NodeBc, Topology, STENCIL_BOUNDARY};
 
 /// Number of corners / faces of a quadrilateral element.
 pub const NCORN: usize = bookleaf_util::constants::NCORN;

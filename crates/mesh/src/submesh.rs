@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 
 use bookleaf_util::{BookLeafError, Result};
 
-use crate::topology::{Mesh, Neighbor};
+use crate::topology::{Mesh, Topology, STENCIL_BOUNDARY};
 use crate::NCORN;
 
 /// One direction of a per-neighbour exchange schedule: the local indices
@@ -129,27 +129,28 @@ impl SubMesh {
         // an owned element into its own nodes, its face neighbours, and
         // those neighbours' nodes (cell-averaged velocities). If any of
         // them is refreshed by the exchange, the element is boundary.
+        let stencil = self.mesh.face_stencil();
         let nodes_hit = |e: usize| self.mesh.elnd[e].iter().any(|&n| nd_recv[n as usize]);
-        let mut el_boundary = vec![false; self.n_owned_el];
-        for (e, flag) in el_boundary.iter_mut().enumerate() {
-            *flag = nodes_hit(e)
-                || self.mesh.elel[e].iter().any(|nb| match nb {
-                    Neighbor::Element(en) => el_recv[*en as usize] || nodes_hit(*en as usize),
-                    Neighbor::Boundary => false,
-                });
-        }
+        let el_boundary_ids: Vec<u32> = (0..self.n_owned_el as u32)
+            .filter(|&e| {
+                nodes_hit(e as usize)
+                    || stencil[e as usize].iter().any(|&en| {
+                        en != STENCIL_BOUNDARY && (el_recv[en as usize] || nodes_hit(en as usize))
+                    })
+            })
+            .collect();
 
         // Acceleration-phase node split: the nodal gather reads corner
         // masses/forces of every adjacent element; ghost contributions
         // arrive in the exchange.
-        let mut nd_boundary = vec![false; self.n_active_nd];
-        for (n, flag) in nd_boundary.iter_mut().enumerate() {
-            *flag = self
-                .mesh
-                .elements_of_node(n)
-                .iter()
-                .any(|&(e, _)| el_recv[e as usize]);
-        }
+        let nd_boundary_ids: Vec<u32> = (0..self.n_active_nd as u32)
+            .filter(|&n| {
+                self.mesh
+                    .elements_of_node(n as usize)
+                    .iter()
+                    .any(|&(e, _)| el_recv[e as usize])
+            })
+            .collect();
 
         // Post-remap pre-post sets: everything that must be remapped
         // *before* the exchange can pack — the send-list elements, the
@@ -171,15 +172,15 @@ impl SubMesh {
 
         // The sets leave as sorted id lists: a sweep over a set costs
         // what the halo costs, a sweep over the rest merge-walks the
-        // list. A boundary element's viscosity limiter gathers the
-        // cell-averaged velocity of the element itself and of its face
-        // neighbours (ghosts included): those are the table entries a
-        // boundary sweep needs.
-        let el_boundary_ids = true_positions(&el_boundary);
+        // list. The remap sets are marked out of order, so they leave
+        // through their masks. A boundary element's viscosity limiter
+        // gathers the cell-averaged velocity of the element itself and
+        // of its face neighbours (ghosts included): those are the table
+        // entries a boundary sweep needs.
         OverlapSets {
             boundary_cells: self.mesh.with_face_neighbours(&el_boundary_ids),
             el_boundary_ids,
-            nd_boundary_ids: true_positions(&nd_boundary),
+            nd_boundary_ids,
             remap_pre_el_ids: true_positions(&remap_pre_el),
             remap_pre_nd_ids: true_positions(&remap_pre_nd),
         }
@@ -407,15 +408,15 @@ impl SubMeshPlan {
                 .iter()
                 .map(|&e| global.elnd[e as usize].map(|n| nd_g2l[n as usize]))
                 .collect();
-            let elel = d
+            let stencil = d
                 .els
                 .iter()
                 .map(|&e| {
-                    global.elel[e as usize].map(|nb| match nb {
-                        Neighbor::Element(en) if el_g2l[en as usize] != ABSENT => {
-                            Neighbor::Element(el_g2l[en as usize])
+                    global.face_stencil()[e as usize].map(|en| match en {
+                        en if en != STENCIL_BOUNDARY && el_g2l[en as usize] != ABSENT => {
+                            el_g2l[en as usize]
                         }
-                        _ => Neighbor::Boundary,
+                        _ => STENCIL_BOUNDARY,
                     })
                 })
                 .collect();
@@ -430,16 +431,16 @@ impl SubMeshPlan {
                 }
                 ndel_off.push(ndel.len() as u32);
             }
-            let mesh = Mesh {
-                nodes: d.nds.iter().map(|&n| global.nodes[n as usize]).collect(),
+            let topology = Topology {
                 elnd,
-                elel,
+                stencil,
                 ndel_off,
                 ndel,
                 node_bc: d.nds.iter().map(|&n| global.node_bc[n as usize]).collect(),
                 region: d.els.iter().map(|&e| global.region[e as usize]).collect(),
-                stencil: Default::default(),
             };
+            let nodes = d.nds.iter().map(|&n| global.nodes[n as usize]).collect();
+            let mesh = Mesh::new(nodes, topology)?;
             debug_assert!(mesh.validate().is_ok(), "{:?}", mesh.validate());
 
             for &e in &d.els {
@@ -517,6 +518,7 @@ struct Draft {
 mod tests {
     use super::*;
     use crate::generation::{generate_rect, RectSpec};
+    use crate::topology::Neighbor;
 
     fn grid(n: usize) -> Mesh {
         generate_rect(&RectSpec::unit_square(n), |_| 0).unwrap()
@@ -719,9 +721,9 @@ mod tests {
                     continue;
                 }
                 assert!(s.mesh.elnd[e].iter().all(|&n| !nd_recv[n as usize]));
-                for nb in &s.mesh.elel[e] {
+                for nb in s.mesh.neighbors(e) {
                     if let Neighbor::Element(en) = nb {
-                        let en = *en as usize;
+                        let en = en as usize;
                         assert!(!el_recv[en], "interior el {e} beside ghost {en}");
                         assert!(s.mesh.elnd[en].iter().all(|&n| !nd_recv[n as usize]));
                     }

@@ -1,47 +1,32 @@
 //! Mesh storage and connectivity invariants.
 //!
+//! A [`Mesh`] is an immutable, shared [`Topology`] — connectivity,
+//! boundary conditions, regions — plus the node positions its owner
+//! moves: cloning a mesh copies the nodes and a pointer.
+//!
 //! Storage conventions (mirroring the BookLeaf reference arrays):
 //!
 //! * `elnd[e] = [n0, n1, n2, n3]` — the four nodes of element `e`, listed
 //!   counter-clockwise (positive shoelace area).
 //! * Face `f` of element `e` joins corner `f` and corner `(f+1) % 4`.
-//! * `elel[e][f]` — what lies across face `f`: another element or a
-//!   boundary.
+//! * `face_stencil()[e][f]` — the element across face `f`, or
+//!   [`STENCIL_BOUNDARY`] for a face on the boundary: one packed `u32`
+//!   per face, the table the kernels stream. [`Topology::neighbors`]
+//!   reads a row as typed [`Neighbor`]s.
 //! * Node→element adjacency is CSR: for node `n`, the elements touching it
 //!   (with the corner index `n` occupies in each) are
 //!   `ndel[ndel_off[n]..ndel_off[n+1]]`. Valence is arbitrary — this is
 //!   what makes the mesh *unstructured*.
 
+use std::ops::Deref;
+use std::sync::Arc;
+
 use bookleaf_util::{BookLeafError, Result, Vec2};
-use std::sync::OnceLock;
 
 use crate::NCORN;
 
-/// Sentinel in [`Mesh::face_stencil`] rows marking a boundary face.
+/// Sentinel in [`Topology::face_stencil`] rows marking a boundary face.
 pub const STENCIL_BOUNDARY: u32 = u32::MAX;
-
-/// Lazily built packed face stencil (see [`Mesh::face_stencil`]).
-///
-/// Pure derived data: excluded from equality (two meshes with the same
-/// topology are equal whether or not either has built its cache) and
-/// from serialization (a restored mesh rebuilds on first use).
-#[derive(Default, Clone)]
-pub(crate) struct StencilCache(OnceLock<Vec<[u32; NCORN]>>);
-
-impl PartialEq for StencilCache {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-
-impl std::fmt::Debug for StencilCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self.0.get() {
-            Some(_) => "StencilCache(built)",
-            None => "StencilCache(empty)",
-        })
-    }
-}
 
 /// CSR node→element adjacency: offsets, then (element, corner) items.
 type NodeAdjacency = (Vec<u32>, Vec<(u32, u8)>);
@@ -53,17 +38,6 @@ pub enum Neighbor {
     Element(u32),
     /// Face on the physical boundary.
     Boundary,
-}
-
-impl Neighbor {
-    /// The neighbouring element id, if any.
-    #[must_use]
-    pub fn element(self) -> Option<u32> {
-        match self {
-            Neighbor::Element(e) => Some(e),
-            Neighbor::Boundary => None,
-        }
-    }
 }
 
 /// Kinematic boundary condition applied to a node.
@@ -120,15 +94,18 @@ impl NodeBc {
     }
 }
 
-/// An unstructured 2-D quadrilateral mesh.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Mesh {
-    /// Node positions (Lagrangian: these move during the run).
-    pub nodes: Vec<Vec2>,
+/// The fixed part of a mesh: everything but the node positions. An
+/// owned `Topology` may still be painted (a deck sets regions and
+/// boundary conditions); [`Mesh::new`] moves it behind an [`Arc`], and
+/// from then on nothing can write it, so its face table and `elnd`
+/// cannot disagree.
+#[derive(Debug, PartialEq)]
+pub struct Topology {
     /// Element → node connectivity, counter-clockwise.
     pub elnd: Vec<[u32; NCORN]>,
-    /// Element → neighbour across each face.
-    pub elel: Vec<[Neighbor; NCORN]>,
+    /// Element → element across each face ([`STENCIL_BOUNDARY`] on the
+    /// boundary); read through [`Topology::face_stencil`].
+    pub(crate) stencil: Vec<[u32; NCORN]>,
     /// CSR offsets for node→element adjacency (length `nnodes + 1`).
     pub ndel_off: Vec<u32>,
     /// CSR items: (element id, corner index this node occupies).
@@ -137,42 +114,42 @@ pub struct Mesh {
     pub node_bc: Vec<NodeBc>,
     /// Region (material) id per element.
     pub region: Vec<u32>,
-    /// Packed face-neighbour table, built on first [`Mesh::face_stencil`]
-    /// call. `elel` is fixed at construction (no kernel mutates
-    /// topology), so the cache can never go stale.
-    pub(crate) stencil: StencilCache,
 }
 
-impl Mesh {
+impl Topology {
+    /// Derive face and node adjacency from `elnd` and validate every
+    /// invariant. The node count is `node_bc.len()`.
+    pub fn from_raw(
+        elnd: Vec<[u32; NCORN]>,
+        node_bc: Vec<NodeBc>,
+        region: Vec<u32>,
+    ) -> Result<Topology> {
+        if region.len() != elnd.len() {
+            return Err(BookLeafError::MeshTopology(format!(
+                "region length {} != element count {}",
+                region.len(),
+                elnd.len()
+            )));
+        }
+        let (ndel_off, ndel) = build_ndel(node_bc.len(), &elnd)?;
+        let stencil = build_stencil(&elnd, &ndel_off, &ndel)?;
+        let topology = Topology {
+            elnd,
+            stencil,
+            ndel_off,
+            ndel,
+            node_bc,
+            region,
+        };
+        topology.validate()?;
+        Ok(topology)
+    }
+
     /// Number of elements.
     #[inline]
     #[must_use]
     pub fn n_elements(&self) -> usize {
         self.elnd.len()
-    }
-
-    /// Number of nodes.
-    #[inline]
-    #[must_use]
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The four corner positions of element `e`, in CCW order.
-    ///
-    /// Always inlined: every geometry sweep calls it per element, and out
-    /// of line its 64 bytes come back through memory
-    /// (`scripts/hot_loops.sh` holds the line).
-    #[inline(always)]
-    #[must_use]
-    pub fn corners(&self, e: usize) -> [Vec2; NCORN] {
-        let nd = self.elnd[e];
-        [
-            self.nodes[nd[0] as usize],
-            self.nodes[nd[1] as usize],
-            self.nodes[nd[2] as usize],
-            self.nodes[nd[3] as usize],
-        ]
     }
 
     /// Elements adjacent to node `n`: `(element, corner)` pairs.
@@ -184,27 +161,22 @@ impl Mesh {
 
     /// The face-neighbour table packed for stride-1 sweeps: row `e`
     /// holds the element across each face of `e`, with
-    /// [`STENCIL_BOUNDARY`] marking boundary faces. Semantically
-    /// identical to `elel`, but half the bytes (a bare `u32` per face
-    /// instead of a tagged `Neighbor`), so stencil-hungry inner loops
-    /// (the artificial viscosity limiter) stream it instead of matching
-    /// on the enum. Built lazily, once per mesh — topology never
-    /// changes after construction.
+    /// [`STENCIL_BOUNDARY`] marking boundary faces — a bare `u32` per
+    /// face, so stencil-hungry inner loops (the artificial viscosity
+    /// limiter, the remap's donor walk) stream it without matching on a
+    /// tag.
+    #[inline]
     #[must_use]
     pub fn face_stencil(&self) -> &[[u32; NCORN]] {
-        self.stencil.0.get_or_init(|| {
-            self.elel
-                .iter()
-                .map(|row| {
-                    let mut packed = [STENCIL_BOUNDARY; NCORN];
-                    for (slot, nb) in packed.iter_mut().zip(row.iter()) {
-                        if let Neighbor::Element(en) = *nb {
-                            *slot = en;
-                        }
-                    }
-                    packed
-                })
-                .collect()
+        &self.stencil
+    }
+
+    /// Row `e` of [`Topology::face_stencil`] as typed values.
+    #[must_use]
+    pub fn neighbors(&self, e: usize) -> [Neighbor; NCORN] {
+        self.stencil[e].map(|en| match en {
+            STENCIL_BOUNDARY => Neighbor::Boundary,
+            en => Neighbor::Element(en),
         })
     }
 
@@ -215,9 +187,7 @@ impl Mesh {
     #[inline]
     #[must_use]
     pub fn face_towards(&self, e: usize, nb: usize) -> Option<usize> {
-        self.face_stencil()[e]
-            .iter()
-            .position(|&x| x as usize == nb)
+        self.stencil[e].iter().position(|&x| x as usize == nb)
     }
 
     /// The elements `ids` together with their face neighbours, ascending
@@ -227,179 +197,58 @@ impl Mesh {
     pub fn with_face_neighbours(&self, ids: &[u32]) -> Vec<u32> {
         let mut cells = ids.to_vec();
         for &e in ids {
-            cells.extend(self.elel[e as usize].iter().filter_map(|nb| nb.element()));
+            let row = self.stencil[e as usize];
+            cells.extend(row.into_iter().filter(|&en| en != STENCIL_BOUNDARY));
         }
         cells.sort_unstable();
         cells.dedup();
         cells
     }
 
-    /// Check `elnd` (node ids in range, no face joining a node to itself)
-    /// and build the CSR node→element adjacency from it. Each node's items
-    /// come out in ascending (element, corner) order.
-    fn build_ndel(n_nodes: usize, elnd: &[[u32; NCORN]]) -> Result<NodeAdjacency> {
-        for (e, quad) in elnd.iter().enumerate() {
-            for f in 0..NCORN {
-                let a = quad[f];
-                let b = quad[(f + 1) % NCORN];
-                if a as usize >= n_nodes || b as usize >= n_nodes {
-                    return Err(BookLeafError::MeshTopology(format!(
-                        "element {e} references node out of range"
-                    )));
-                }
-                if a == b {
-                    return Err(BookLeafError::MeshTopology(format!(
-                        "element {e} has a degenerate face {f} (repeated node {a})"
-                    )));
-                }
-            }
-        }
-        let mut counts = vec![0u32; n_nodes + 1];
-        for quad in elnd {
-            for &n in quad {
-                counts[n as usize + 1] += 1;
-            }
-        }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
-        }
-        let offsets = counts;
-        let mut items = vec![(0u32, 0u8); *offsets.last().unwrap_or(&0) as usize];
-        let mut cursor = offsets.clone();
-        for (e, quad) in elnd.iter().enumerate() {
-            for (c, &n) in quad.iter().enumerate() {
-                let slot = cursor[n as usize] as usize;
-                items[slot] = (e as u32, c as u8);
-                cursor[n as usize] += 1;
-            }
-        }
-        Ok((offsets, items))
-    }
-
-    /// Derive `elel` (face adjacency) from `elnd` and the node→element
-    /// CSR built from it.
-    ///
-    /// Face `f` of element `e` joins nodes `a = elnd[e][f]` and
-    /// `b = elnd[e][(f+1)%4]`; the element across it is the other element
-    /// around `a` that holds `b` at a corner next to `a`'s — a handful of
-    /// compares per face, no hashing. A face more than two elements share
-    /// is a topology error.
-    fn build_elel(
-        elnd: &[[u32; NCORN]],
-        ndel_off: &[u32],
-        ndel: &[(u32, u8)],
-    ) -> Result<Vec<[Neighbor; NCORN]>> {
-        let mut elel = vec![[Neighbor::Boundary; NCORN]; elnd.len()];
-        for (e, (quad, faces)) in elnd.iter().zip(&mut elel).enumerate() {
-            for (f, across) in faces.iter_mut().enumerate() {
-                let a = quad[f];
-                let b = quad[(f + 1) % NCORN];
-                let around_a = ndel_off[a as usize] as usize..ndel_off[a as usize + 1] as usize;
-                for &(e2, c2) in &ndel[around_a] {
-                    let other = &elnd[e2 as usize];
-                    let c2 = c2 as usize;
-                    let shares_face =
-                        other[(c2 + 1) % NCORN] == b || other[(c2 + NCORN - 1) % NCORN] == b;
-                    if e2 as usize == e || !shares_face {
-                        continue;
-                    }
-                    match *across {
-                        Neighbor::Boundary => *across = Neighbor::Element(e2),
-                        Neighbor::Element(first) if first == e2 => {}
-                        Neighbor::Element(first) => {
-                            return Err(BookLeafError::MeshTopology(format!(
-                                "face {f} of element {e} (nodes {a}, {b}) is shared by more \
-                                 than two elements ({e}, {first}, {e2})"
-                            )));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(elel)
-    }
-
-    /// Construct a mesh from raw node + element arrays, deriving face and
-    /// node adjacency and validating all invariants.
-    pub fn from_raw(
-        nodes: Vec<Vec2>,
-        elnd: Vec<[u32; NCORN]>,
-        node_bc: Vec<NodeBc>,
-        region: Vec<u32>,
-    ) -> Result<Mesh> {
-        if node_bc.len() != nodes.len() {
-            return Err(BookLeafError::MeshTopology(format!(
-                "node_bc length {} != node count {}",
-                node_bc.len(),
-                nodes.len()
-            )));
-        }
-        if region.len() != elnd.len() {
-            return Err(BookLeafError::MeshTopology(format!(
-                "region length {} != element count {}",
-                region.len(),
-                elnd.len()
-            )));
-        }
-        let (ndel_off, ndel) = Mesh::build_ndel(nodes.len(), &elnd)?;
-        let elel = Mesh::build_elel(&elnd, &ndel_off, &ndel)?;
-        let mesh = Mesh {
-            nodes,
-            elnd,
-            elel,
-            ndel_off,
-            ndel,
-            node_bc,
-            region,
-            stencil: StencilCache::default(),
-        };
-        mesh.validate()?;
-        Ok(mesh)
-    }
-
-    /// Check every connectivity invariant. Cheap enough to run in tests
-    /// and after partitioning; not called per time step.
+    /// Check every connectivity invariant against `node_bc.len()` nodes.
+    /// Cheap enough to run in tests and after partitioning; not called
+    /// per time step.
     pub fn validate(&self) -> Result<()> {
-        // Element node references in range, faces non-degenerate.
+        let n_nodes = self.node_bc.len();
+        // Element node references in range.
         for (e, quad) in self.elnd.iter().enumerate() {
             for &n in quad {
-                if n as usize >= self.nodes.len() {
+                if n as usize >= n_nodes {
                     return Err(BookLeafError::MeshTopology(format!(
-                        "element {e} references node {n} >= {}",
-                        self.nodes.len()
+                        "element {e} references node {n} >= {n_nodes}"
                     )));
                 }
             }
         }
         // Face adjacency is symmetric and consistent.
-        for (e, faces) in self.elel.iter().enumerate() {
-            for (f, nb) in faces.iter().enumerate() {
-                if let Neighbor::Element(e2) = *nb {
-                    if e2 as usize >= self.n_elements() {
-                        return Err(BookLeafError::MeshTopology(format!(
-                            "element {e} face {f} references element {e2} out of range"
-                        )));
-                    }
-                    let back = self.elel[e2 as usize].contains(&Neighbor::Element(e as u32));
-                    if !back {
-                        return Err(BookLeafError::MeshTopology(format!(
-                            "face adjacency not symmetric between {e} and {e2}"
-                        )));
-                    }
-                    // The two elements must share the face's node pair.
-                    let a = self.elnd[e][f];
-                    let b = self.elnd[e][(f + 1) % NCORN];
-                    let shares = |n: u32| self.elnd[e2 as usize].contains(&n);
-                    if !(shares(a) && shares(b)) {
-                        return Err(BookLeafError::MeshTopology(format!(
-                            "elements {e} and {e2} marked adjacent but do not share face nodes"
-                        )));
-                    }
+        for (e, row) in self.stencil.iter().enumerate() {
+            for (f, &e2) in row.iter().enumerate() {
+                if e2 == STENCIL_BOUNDARY {
+                    continue;
+                }
+                if e2 as usize >= self.n_elements() {
+                    return Err(BookLeafError::MeshTopology(format!(
+                        "element {e} face {f} references element {e2} out of range"
+                    )));
+                }
+                if !self.stencil[e2 as usize].contains(&(e as u32)) {
+                    return Err(BookLeafError::MeshTopology(format!(
+                        "face adjacency not symmetric between {e} and {e2}"
+                    )));
+                }
+                // The two elements must share the face's node pair.
+                let a = self.elnd[e][f];
+                let b = self.elnd[e][(f + 1) % NCORN];
+                let shares = |n: u32| self.elnd[e2 as usize].contains(&n);
+                if !(shares(a) && shares(b)) {
+                    return Err(BookLeafError::MeshTopology(format!(
+                        "elements {e} and {e2} marked adjacent but do not share face nodes"
+                    )));
                 }
             }
         }
         // CSR consistency.
-        if self.ndel_off.len() != self.n_nodes() + 1 {
+        if self.ndel_off.len() != n_nodes + 1 {
             return Err(BookLeafError::MeshTopology(
                 "ndel_off length mismatch".into(),
             ));
@@ -407,7 +256,7 @@ impl Mesh {
         if *self.ndel_off.last().unwrap() as usize != self.ndel.len() {
             return Err(BookLeafError::MeshTopology("ndel CSR tail mismatch".into()));
         }
-        for n in 0..self.n_nodes() {
+        for n in 0..n_nodes {
             for &(e, c) in self.elements_of_node(n) {
                 if self.elnd[e as usize][c as usize] != n as u32 {
                     return Err(BookLeafError::MeshTopology(format!(
@@ -422,23 +271,189 @@ impl Mesh {
     /// Total number of interior faces (each counted once).
     #[must_use]
     pub fn n_interior_faces(&self) -> usize {
-        self.elel
-            .iter()
-            .flat_map(|faces| faces.iter())
-            .filter(|nb| matches!(nb, Neighbor::Element(_)))
-            .count()
-            / 2
+        (self.stencil.len() * NCORN - self.n_boundary_faces()) / 2
     }
 
     /// Total number of boundary faces.
     #[must_use]
     pub fn n_boundary_faces(&self) -> usize {
-        self.elel
+        self.stencil
             .iter()
-            .flat_map(|faces| faces.iter())
-            .filter(|nb| matches!(nb, Neighbor::Boundary))
+            .flatten()
+            .filter(|&&en| en == STENCIL_BOUNDARY)
             .count()
     }
+}
+
+/// Check `elnd` (node ids in range, no face joining a node to itself)
+/// and build the CSR node→element adjacency from it. Each node's items
+/// come out in ascending (element, corner) order.
+fn build_ndel(n_nodes: usize, elnd: &[[u32; NCORN]]) -> Result<NodeAdjacency> {
+    for (e, quad) in elnd.iter().enumerate() {
+        for f in 0..NCORN {
+            let a = quad[f];
+            let b = quad[(f + 1) % NCORN];
+            if a as usize >= n_nodes || b as usize >= n_nodes {
+                return Err(BookLeafError::MeshTopology(format!(
+                    "element {e} references node out of range"
+                )));
+            }
+            if a == b {
+                return Err(BookLeafError::MeshTopology(format!(
+                    "element {e} has a degenerate face {f} (repeated node {a})"
+                )));
+            }
+        }
+    }
+    let mut counts = vec![0u32; n_nodes + 1];
+    for quad in elnd {
+        for &n in quad {
+            counts[n as usize + 1] += 1;
+        }
+    }
+    for i in 1..counts.len() {
+        counts[i] += counts[i - 1];
+    }
+    let offsets = counts;
+    let mut items = vec![(0u32, 0u8); *offsets.last().unwrap_or(&0) as usize];
+    let mut cursor = offsets.clone();
+    for (e, quad) in elnd.iter().enumerate() {
+        for (c, &n) in quad.iter().enumerate() {
+            let slot = cursor[n as usize] as usize;
+            items[slot] = (e as u32, c as u8);
+            cursor[n as usize] += 1;
+        }
+    }
+    Ok((offsets, items))
+}
+
+/// Derive the face table from `elnd` and the node→element CSR built
+/// from it.
+///
+/// Face `f` of element `e` joins nodes `a = elnd[e][f]` and
+/// `b = elnd[e][(f+1)%4]`; the element across it is the other element
+/// around `a` that holds `b` at a corner next to `a`'s — a handful of
+/// compares per face, no hashing. A face more than two elements share
+/// is a topology error.
+fn build_stencil(
+    elnd: &[[u32; NCORN]],
+    ndel_off: &[u32],
+    ndel: &[(u32, u8)],
+) -> Result<Vec<[u32; NCORN]>> {
+    let mut stencil = vec![[STENCIL_BOUNDARY; NCORN]; elnd.len()];
+    for (e, (quad, faces)) in elnd.iter().zip(&mut stencil).enumerate() {
+        for (f, across) in faces.iter_mut().enumerate() {
+            let a = quad[f];
+            let b = quad[(f + 1) % NCORN];
+            let around_a = ndel_off[a as usize] as usize..ndel_off[a as usize + 1] as usize;
+            for &(e2, c2) in &ndel[around_a] {
+                let other = &elnd[e2 as usize];
+                let c2 = c2 as usize;
+                let shares_face =
+                    other[(c2 + 1) % NCORN] == b || other[(c2 + NCORN - 1) % NCORN] == b;
+                if e2 as usize == e || !shares_face || *across == e2 {
+                    continue;
+                }
+                if *across != STENCIL_BOUNDARY {
+                    return Err(BookLeafError::MeshTopology(format!(
+                        "face {f} of element {e} (nodes {a}, {b}) is shared by more \
+                         than two elements ({e}, {}, {e2})",
+                        *across
+                    )));
+                }
+                *across = e2;
+            }
+        }
+    }
+    Ok(stencil)
+}
+
+/// An unstructured 2-D quadrilateral mesh: a shared [`Topology`], which
+/// it dereferences to (`mesh.elnd[e]`), and the node positions it owns.
+/// `clone` copies the positions and shares the topology.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Mesh {
+    topology: Arc<Topology>,
+    /// Node positions (Lagrangian: these move during the run).
+    pub nodes: Vec<Vec2>,
+}
+
+impl Deref for Mesh {
+    type Target = Topology;
+
+    /// Always inlined: kernels read the topology through it per entity
+    /// (`scripts/hot_loops.sh` holds the line).
+    #[inline(always)]
+    fn deref(&self) -> &Topology {
+        &self.topology
+    }
+}
+
+impl Mesh {
+    /// A mesh of `nodes` on `topology`, which from here on is shared and
+    /// read-only.
+    pub fn new(nodes: Vec<Vec2>, topology: Topology) -> Result<Mesh> {
+        check_node_count(&nodes, &topology.node_bc)?;
+        Ok(Mesh {
+            topology: Arc::new(topology),
+            nodes,
+        })
+    }
+
+    /// Construct a mesh from raw node + element arrays, deriving face and
+    /// node adjacency and validating all invariants.
+    pub fn from_raw(
+        nodes: Vec<Vec2>,
+        elnd: Vec<[u32; NCORN]>,
+        node_bc: Vec<NodeBc>,
+        region: Vec<u32>,
+    ) -> Result<Mesh> {
+        Mesh::new(nodes, Topology::from_raw(elnd, node_bc, region)?)
+    }
+
+    /// Number of nodes.
+    #[inline]
+    #[must_use]
+    pub fn n_nodes(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// True when `self` and `other` read one and the same topology (not
+    /// merely equal ones).
+    #[must_use]
+    pub fn shares_topology(&self, other: &Mesh) -> bool {
+        Arc::ptr_eq(&self.topology, &other.topology)
+    }
+
+    /// The four corner positions of element `e`, in CCW order.
+    ///
+    /// Always inlined: every geometry sweep calls it per element, and out
+    /// of line its 64 bytes come back through memory
+    /// (`scripts/hot_loops.sh` holds the line).
+    #[inline(always)]
+    #[must_use]
+    pub fn corners(&self, e: usize) -> [Vec2; NCORN] {
+        self.elnd[e].map(|n| self.nodes[n as usize])
+    }
+
+    /// Check every connectivity invariant, and that there is a position
+    /// per node.
+    pub fn validate(&self) -> Result<()> {
+        check_node_count(&self.nodes, &self.node_bc)?;
+        self.topology.validate()
+    }
+}
+
+/// One boundary condition per node position.
+fn check_node_count(nodes: &[Vec2], node_bc: &[NodeBc]) -> Result<()> {
+    if node_bc.len() != nodes.len() {
+        return Err(BookLeafError::MeshTopology(format!(
+            "node_bc length {} != node count {}",
+            node_bc.len(),
+            nodes.len()
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -470,8 +485,8 @@ mod tests {
     fn adjacency_across_shared_face() {
         let m = two_quads();
         // Element 0's right face (corner 1 -> corner 2: nodes 1,4) borders element 1.
-        assert_eq!(m.elel[0][1], Neighbor::Element(1));
-        assert_eq!(m.elel[1][3], Neighbor::Element(0));
+        assert_eq!(m.neighbors(0)[1], Neighbor::Element(1));
+        assert_eq!(m.neighbors(1)[3], Neighbor::Element(0));
         assert_eq!(m.n_interior_faces(), 1);
         assert_eq!(m.n_boundary_faces(), 6);
     }
@@ -497,22 +512,51 @@ mod tests {
     }
 
     #[test]
-    fn face_stencil_packs_elel() {
+    fn clone_shares_the_topology_and_copies_the_nodes() {
         let m = two_quads();
-        let st = m.face_stencil();
-        assert_eq!(st.len(), m.n_elements());
-        for e in 0..m.n_elements() {
-            for f in 0..NCORN {
-                match m.elel[e][f] {
-                    Neighbor::Element(en) => assert_eq!(st[e][f], en),
-                    Neighbor::Boundary => assert_eq!(st[e][f], STENCIL_BOUNDARY),
-                }
-            }
-        }
-        // Cache survives clone and equality ignores it.
+        let mut moved = m.clone();
+        assert!(moved.shares_topology(&m));
+        assert!(std::ptr::eq(moved.face_stencil(), m.face_stencil()));
+        moved.nodes[4].x += 0.5;
+        assert_eq!(m.nodes[4], Vec2::new(1.0, 1.0));
+        // Equal topologies built apart are equal, not shared.
         let fresh = two_quads();
         assert_eq!(m, fresh);
-        assert_eq!(m.clone().face_stencil(), st);
+        assert!(!fresh.shares_topology(&m));
+    }
+
+    /// `two_quads`' topology with face `f` of element `e` rewritten.
+    fn with_face(e: usize, f: usize, across: u32) -> Topology {
+        let mut t = Topology::from_raw(
+            vec![[0, 1, 4, 3], [1, 2, 5, 4]],
+            vec![NodeBc::FREE; 6],
+            vec![0, 0],
+        )
+        .unwrap();
+        t.stencil[e][f] = across;
+        t
+    }
+
+    #[test]
+    fn neighbour_out_of_range_rejected() {
+        let err = with_face(0, 0, 7).validate().unwrap_err();
+        assert!(matches!(err, BookLeafError::MeshTopology(_)));
+        assert!(
+            err.to_string()
+                .contains("references element 7 out of range"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn asymmetric_neighbour_pair_rejected() {
+        // Element 0 still names 1 across its right face; 1 forgets 0.
+        let err = with_face(1, 3, STENCIL_BOUNDARY).validate().unwrap_err();
+        assert!(matches!(err, BookLeafError::MeshTopology(_)));
+        assert!(
+            err.to_string().contains("not symmetric between 0 and 1"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -528,7 +572,7 @@ mod tests {
     }
 
     #[test]
-    fn elel_is_the_pairwise_face_match() {
+    fn face_stencil_is_the_pairwise_face_match() {
         // Oracle: compare every face with every other face, on a
         // rectangle and on three quads round one node (valence 3, as at
         // an unstructured "o-grid" corner).
@@ -558,7 +602,7 @@ mod tests {
                         .filter(|&e2| e2 != e && (0..NCORN).any(|f2| face(e2, f2) == face(e, f)))
                         .map(|e2| e2 as u32)
                         .collect();
-                    match m.elel[e][f] {
+                    match m.neighbors(e)[f] {
                         Neighbor::Boundary => assert!(across.is_empty(), "el {e} face {f}"),
                         Neighbor::Element(e2) => assert_eq!(across, [e2], "el {e} face {f}"),
                     }

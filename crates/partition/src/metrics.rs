@@ -45,7 +45,7 @@ pub fn assess_partition(mesh: &Mesh, owner: &[usize], n_parts: usize) -> Result<
     let mut boundary_elements = vec![0usize; n_parts];
     for e in 0..mesh.n_elements() {
         let mut on_boundary = false;
-        for nb in mesh.elel[e] {
+        for nb in mesh.neighbors(e) {
             if let Neighbor::Element(e2) = nb {
                 if owner[e2 as usize] != owner[e] {
                     edge_cut += 1;

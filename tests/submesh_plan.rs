@@ -217,11 +217,10 @@ fn every_child_matches_the_oracle() {
             assert_eq!(sub.mesh.elnd, oracle.elnd, "{what}: elnd");
             assert_eq!(sub.mesh.node_bc, oracle.node_bc, "{what}: node_bc");
             assert_eq!(sub.mesh.region, oracle.region, "{what}: region");
-            assert_eq!(sub.mesh.elel, oracle.elel, "{what}: elel");
             assert_eq!(
                 sub.mesh.face_stencil(),
                 oracle.face_stencil(),
-                "{what}: stencil"
+                "{what}: face rows"
             );
             assert_eq!(sub.mesh.ndel_off, oracle.ndel_off, "{what}: ndel_off");
             // Each node's elements in *global* element-id order.
@@ -275,7 +274,7 @@ fn overlap_masks(sub: &SubMesh) -> [Vec<bool>; 4] {
     let el_boundary = (0..sub.n_owned_el)
         .map(|e| {
             receives(e)
-                || mesh.elel[e].iter().any(|nb| match *nb {
+                || mesh.neighbors(e).iter().any(|nb| match *nb {
                     Neighbor::Element(nb) => el_recv[nb as usize] || receives(nb as usize),
                     Neighbor::Boundary => false,
                 })
