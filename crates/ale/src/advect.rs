@@ -35,7 +35,7 @@ use crate::fluxvol::face_swept_volume;
 /// (first order, monotone).
 #[inline]
 #[must_use]
-pub fn van_leer(r: f64) -> f64 {
+fn van_leer(r: f64) -> f64 {
     if r.is_finite() {
         (r + r.abs()) / (1.0 + r.abs())
     } else {

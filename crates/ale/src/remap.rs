@@ -544,7 +544,7 @@ mod tests {
 
     #[test]
     fn smooth_mode_improves_quality() {
-        use bookleaf_mesh::quality::assess;
+        use bookleaf_validate::quality::assess;
         let (mut mesh, mut st) = setup(6, |_| 1.0, |_| Vec2::ZERO);
         let range = LocalRange::whole(&mesh);
         let remapper = Remapper::new(

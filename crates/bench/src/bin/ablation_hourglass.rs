@@ -12,7 +12,7 @@
 
 use bookleaf_core::{decks, RunConfig, Simulation};
 use bookleaf_hydro::getforce::HourglassControl;
-use bookleaf_mesh::quality::assess;
+use bookleaf_validate::quality::assess;
 
 fn run(hg: HourglassControl) -> std::result::Result<(f64, f64, f64, usize), String> {
     let deck = decks::saltzmann(100, 10);

@@ -35,9 +35,8 @@ fn kernel_seconds(n: usize, mode: AccMode, calls: usize) -> f64 {
     .expect("state");
     // Synthetic corner forces so the kernel has real work.
     for e in 0..st.n_elements() {
-        for c in 0..4 {
-            st.set_cnforce(e, c, bookleaf_util::Vec2::new(0.01 * (e % 7) as f64, -0.02));
-        }
+        st.cnforce_x[e] = [0.01 * (e % 7) as f64; 4];
+        st.cnforce_y[e] = [-0.02; 4];
     }
     let range = LocalRange::whole(&mesh);
     // Warm up.

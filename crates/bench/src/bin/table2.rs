@@ -97,11 +97,11 @@ fn main() {
                 mean_row[1]
             );
         }
-        let rsd = bookleaf_util::stats::rel_std_dev(&walls);
+        let rsd = bookleaf_bench::stats::rel_std_dev(&walls);
         println!(
             "{:<18} wall {:>6.3}s, run-to-run rel. std dev {:.1}%",
             "",
-            bookleaf_util::stats::mean(&walls),
+            bookleaf_bench::stats::mean(&walls),
             100.0 * rsd
         );
     }

@@ -32,6 +32,7 @@ use device::WorkloadCount;
 
 pub mod device;
 pub mod schema;
+pub mod stats;
 
 /// The modeled workload standing in for the paper's (unpublished) Noh
 /// single-node problem size: chosen so the Skylake flat-MPI roofline

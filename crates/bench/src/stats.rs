@@ -1,8 +1,8 @@
-//! Small statistics helpers for the benchmark harness.
+//! Run-to-run statistics for `table2`.
 //!
 //! The paper reports "the average runtime of five executions" with
-//! "statistically insignificant deviation"; the harness reproduces that
-//! protocol and uses these helpers to summarise repeated runs.
+//! "statistically insignificant deviation"; `table2` reproduces that
+//! protocol and uses these helpers to summarise its repeated runs.
 
 /// Arithmetic mean. Returns 0 for an empty slice.
 #[must_use]
@@ -23,24 +23,6 @@ pub fn std_dev(values: &[f64]) -> f64 {
     let m = mean(values);
     let var = values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / (values.len() - 1) as f64;
     var.sqrt()
-}
-
-/// Minimum of a slice; `None` when empty.
-#[must_use]
-pub fn min(values: &[f64]) -> Option<f64> {
-    values.iter().copied().fold(None, |acc, v| match acc {
-        None => Some(v),
-        Some(a) => Some(a.min(v)),
-    })
-}
-
-/// Maximum of a slice; `None` when empty.
-#[must_use]
-pub fn max(values: &[f64]) -> Option<f64> {
-    values.iter().copied().fold(None, |acc, v| match acc {
-        None => Some(v),
-        Some(a) => Some(a.max(v)),
-    })
 }
 
 /// Relative standard deviation (coefficient of variation), used to check
@@ -76,15 +58,6 @@ mod tests {
     fn std_dev_degenerate() {
         assert_eq!(std_dev(&[5.0]), 0.0);
         assert_eq!(std_dev(&[]), 0.0);
-    }
-
-    #[test]
-    fn min_max() {
-        let v = [3.0, -1.0, 2.0];
-        assert_eq!(min(&v), Some(-1.0));
-        assert_eq!(max(&v), Some(3.0));
-        assert_eq!(min(&[]), None);
-        assert_eq!(max(&[]), None);
     }
 
     #[test]

@@ -302,7 +302,7 @@ pub(crate) fn rank_pool(executor: ExecutorKind) -> Result<Option<rayon::ThreadPo
             rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
-                .map_err(|e| BookLeafError::Comm(format!("rayon pool: {e}")))
+                .map_err(|_| BookLeafError::ThreadSpawn { threads })
         })
         .transpose()
 }

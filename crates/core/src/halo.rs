@@ -423,7 +423,7 @@ mod tests {
                         } else {
                             Vec2::new(f64::NAN, f64::NAN)
                         };
-                        st.set_cnforce(e, c, f);
+                        (st.cnforce_x[e][c], st.cnforce_y[e][c]) = (f.x, f.y);
                     }
                 }
                 let mut halo = halo_of(ctx, sub, overlap);
@@ -434,7 +434,8 @@ mod tests {
                 let forces_ok = (0..mesh.n_elements()).all(|e| {
                     let g = sub.el_l2g[e] as f64;
                     (0..4).all(|c| {
-                        st.cnforce(e, c) == Vec2::new(g + 0.1 * c as f64, -g - 0.1 * c as f64)
+                        Vec2::new(st.cnforce_x[e][c], st.cnforce_y[e][c])
+                            == Vec2::new(g + 0.1 * c as f64, -g - 0.1 * c as f64)
                     })
                 });
                 (ctx.stats(), sub.neighbour_ranks().len(), forces_ok)

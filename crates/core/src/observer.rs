@@ -56,7 +56,7 @@ pub struct ObserverNeeds {
 impl ObserverNeeds {
     /// Union of two need sets.
     #[must_use]
-    pub fn union(self, other: ObserverNeeds) -> ObserverNeeds {
+    fn union(self, other: ObserverNeeds) -> ObserverNeeds {
         ObserverNeeds {
             global_energy: self.global_energy || other.global_energy,
             comm_stats: self.comm_stats || other.comm_stats,
@@ -519,22 +519,16 @@ impl Observer for FrameDumper {
 /// team-merged totals arrive in the final `RunReport`).
 pub struct ProgressLogger {
     every: usize,
-    out: Box<dyn Write + Send>,
+    out: std::io::Stdout,
 }
 
 impl ProgressLogger {
     /// Log to stdout.
     #[must_use]
     pub fn stdout(every: usize) -> Self {
-        Self::to_writer(every, Box::new(std::io::stdout()))
-    }
-
-    /// Log to an arbitrary writer (tests, files).
-    #[must_use]
-    pub fn to_writer(every: usize, out: Box<dyn Write + Send>) -> Self {
         ProgressLogger {
             every: every.max(1),
-            out,
+            out: std::io::stdout(),
         }
     }
 }

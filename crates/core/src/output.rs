@@ -128,7 +128,7 @@ pub fn write_vtk(
 }
 
 /// Magic opening a checkpoint file.
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"BLFCKPT\0";
+const CHECKPOINT_MAGIC: &[u8; 8] = b"BLFCKPT\0";
 
 /// The checkpoint format version this build writes (and the only one it
 /// currently reads). See the module docs for the versioning policy.

@@ -53,7 +53,7 @@
 //! }
 //! ```
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Duration;
 
 use bookleaf_util::{BookLeafError, CheckpointError, CommError, Result};
@@ -93,9 +93,7 @@ pub enum SaveOutcome {
 /// fully re-parses the file (magic, version, CRC, shape against the
 /// embedded deck), and only then prunes older checkpoints down to the
 /// retention budget — a bad write can therefore never evict a good
-/// rewind point. [`CheckpointStore::latest_valid`] walks the files
-/// newest-first and returns the first that parses, skipping corrupt
-/// ones.
+/// rewind point.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     dir: PathBuf,
@@ -115,21 +113,8 @@ impl CheckpointStore {
         }
     }
 
-    /// The directory this store writes into.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Retention budget: how many checkpoints survive a save.
-    #[must_use]
-    pub fn keep(&self) -> usize {
-        self.keep
-    }
-
     /// The file path a given step's checkpoint lives at.
-    #[must_use]
-    pub fn path_for(&self, step: u64) -> PathBuf {
+    fn path_for(&self, step: u64) -> PathBuf {
         self.dir
             .join(format!("{}_step{step:010}.ckpt", self.prefix))
     }
@@ -194,17 +179,6 @@ impl CheckpointStore {
             .collect();
         out.sort();
         out
-    }
-
-    /// The newest checkpoint that still parses (magic, version, CRC,
-    /// shape), skipping — not deleting — any that do not. `None` when
-    /// the store holds no valid checkpoint at all.
-    #[must_use]
-    pub fn latest_valid(&self) -> Option<(u64, Checkpoint)> {
-        self.list()
-            .into_iter()
-            .rev()
-            .find_map(|(step, path)| Some((step, Checkpoint::read_from(&path).ok()?)))
     }
 }
 
@@ -561,12 +535,9 @@ mod tests {
             vec![4, 6],
             "K = 2 must keep exactly the two newest"
         );
-        for (_, path) in &listed {
-            Checkpoint::read_from(path).unwrap();
+        for (step, path) in &listed {
+            assert_eq!(Checkpoint::read_from(path).unwrap().snap.steps, *step);
         }
-        let (step, latest) = store.latest_valid().unwrap();
-        assert_eq!(step, 6);
-        assert_eq!(latest.snap.steps, 6);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -602,27 +573,6 @@ mod tests {
         );
         // Supervision must restore the run's own (unset) deadline.
         assert!(sim.config().deadline.is_none());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn latest_valid_skips_a_corrupt_newest_file() {
-        let dir = tmp_dir("skip_corrupt");
-        let store = CheckpointStore::new(&dir, "auto", 3);
-        store.save(&noh_checkpoint(2)).unwrap();
-        store.save(&noh_checkpoint(4)).unwrap();
-        // Corrupt the newest file in place (flip a payload byte; the
-        // CRC trailer catches it).
-        let newest = store.path_for(4);
-        let mut bytes = std::fs::read(&newest).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        std::fs::write(&newest, &bytes).unwrap();
-        let (step, ckpt) = store.latest_valid().unwrap();
-        assert_eq!(step, 2, "corrupt newest must be skipped, not trusted");
-        assert_eq!(ckpt.snap.steps, 2);
-        // The corrupt file is skipped, not deleted: forensics matter.
-        assert!(newest.exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

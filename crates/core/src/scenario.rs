@@ -285,11 +285,10 @@ pub struct GenericSpec {
 }
 
 impl GenericSpec {
-    /// A minimal valid spec: one ideal-gas material filling the whole
-    /// domain at rest. A convenient starting point for programmatic
-    /// construction (and the fuzzer's guaranteed-coverage base).
+    /// A minimal valid spec: one material filling the whole domain at
+    /// rest — the base the named decks' generic forms start from.
     #[must_use]
-    pub fn uniform(name: &str, mesh: MeshSpec, eos: EosSpec, rho: f64, ein: f64) -> Self {
+    fn uniform(name: &str, mesh: MeshSpec, eos: EosSpec, rho: f64, ein: f64) -> Self {
         let whole = Shape::Rect {
             x0: mesh.origin.x,
             y0: mesh.origin.y,

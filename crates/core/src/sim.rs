@@ -417,13 +417,14 @@ impl Engine {
                 .into());
             }
         }
-        let exec = match shape(config.executor).0 {
-            0 => {
-                return Err(BookLeafError::Partition(
-                    "cannot partition into 0 parts".into(),
-                ))
+        let exec = match shape(config.executor) {
+            (0, _) => return Err(BookLeafError::EmptyExecutor { field: "ranks" }),
+            (_, 0) => {
+                return Err(BookLeafError::EmptyExecutor {
+                    field: "threads_per_rank",
+                })
             }
-            1 => whole_rank(deck, config, resume)?,
+            (1, _) => whole_rank(deck, config, resume)?,
             _ => {
                 // Everything building the whole-mesh rank would have
                 // refused, without building it.
@@ -986,19 +987,36 @@ mod tests {
         }
     }
 
-    /// A shape of no ranks is refused at `build()` with the typed error
-    /// the partitioner gave it when it first ran.
+    /// A shape of no ranks or of no threads per rank is refused at
+    /// `build()`, with one typed error naming the count that was zero.
     #[test]
-    fn zero_ranks_is_a_typed_error() {
-        for executor in [
-            ExecutorKind::FlatMpi { ranks: 0 },
-            ExecutorKind::Hybrid {
-                ranks: 0,
-                threads_per_rank: 2,
-            },
+    fn an_empty_executor_shape_is_a_typed_error() {
+        for (executor, field) in [
+            (ExecutorKind::FlatMpi { ranks: 0 }, "ranks"),
+            (
+                ExecutorKind::Hybrid {
+                    ranks: 0,
+                    threads_per_rank: 2,
+                },
+                "ranks",
+            ),
+            (
+                ExecutorKind::Hybrid {
+                    ranks: 1,
+                    threads_per_rank: 0,
+                },
+                "threads_per_rank",
+            ),
+            (
+                ExecutorKind::Hybrid {
+                    ranks: 2,
+                    threads_per_rank: 0,
+                },
+                "threads_per_rank",
+            ),
         ] {
             let err = distributed_noh_builder(executor).build().unwrap_err();
-            assert!(matches!(err, BookLeafError::Partition(_)), "{err}");
+            assert_eq!(err, BookLeafError::EmptyExecutor { field }, "{executor:?}");
         }
     }
 

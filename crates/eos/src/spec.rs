@@ -77,7 +77,7 @@ impl EosSpec {
     /// `(∂p/∂ρ)|ε` — analytic.
     #[inline(always)]
     #[must_use]
-    pub fn dp_drho(&self, rho: f64, ein: f64) -> f64 {
+    fn dp_drho(&self, rho: f64, ein: f64) -> f64 {
         match *self {
             EosSpec::IdealGas { gamma } => (gamma - 1.0) * ein,
             EosSpec::Tait { p0, rho0, gamma } => p0 * gamma * (rho / rho0).powf(gamma - 1.0) / rho0,
@@ -104,26 +104,13 @@ impl EosSpec {
     /// `(∂p/∂ε)|ρ` — analytic.
     #[inline(always)]
     #[must_use]
-    pub fn dp_dein(&self, rho: f64) -> f64 {
+    fn dp_dein(&self, rho: f64) -> f64 {
         match *self {
             EosSpec::IdealGas { gamma } => (gamma - 1.0) * rho,
             EosSpec::Tait { .. } => 0.0,
             EosSpec::Jwl { omega, .. } => omega * rho,
             EosSpec::Void => 0.0,
         }
-    }
-
-    /// Adiabatic sound speed squared, floored at [`CS2_FLOOR`].
-    ///
-    /// Uses `cs² = (∂p/∂ρ)|ε + (p/ρ²)(∂p/∂ε)|ρ`.
-    #[must_use]
-    pub fn sound_speed2(&self, rho: f64, ein: f64) -> f64 {
-        if matches!(self, EosSpec::Void) || rho <= 0.0 {
-            return CS2_FLOOR;
-        }
-        let p = self.pressure(rho, ein);
-        let cs2 = self.dp_drho(rho, ein) + p / (rho * rho) * self.dp_dein(rho);
-        cs2.max(CS2_FLOOR)
     }
 
     /// Pressure and sound speed squared in one call (the `getpc` kernel
@@ -156,7 +143,7 @@ mod tests {
         let (rho, ein) = (1.0, 2.5);
         let p = eos.pressure(rho, ein);
         assert!(approx_eq(p, 1.0, 1e-14)); // (1.4-1)*1*2.5 = 1
-        let cs2 = eos.sound_speed2(rho, ein);
+        let cs2 = eos.pressure_cs2(rho, ein).1;
         assert!(approx_eq(cs2, 1.4 * p / rho, 1e-12)); // γp/ρ
     }
 
@@ -204,14 +191,14 @@ mod tests {
     #[test]
     fn void_is_inert() {
         assert_eq!(EosSpec::Void.pressure(1.0, 1.0), 0.0);
-        assert_eq!(EosSpec::Void.sound_speed2(1.0, 1.0), CS2_FLOOR);
+        assert_eq!(EosSpec::Void.pressure_cs2(1.0, 1.0).1, CS2_FLOOR);
     }
 
     #[test]
     fn cs2_floored_for_cold_gas() {
         let eos = EosSpec::ideal_gas(1.4);
-        assert_eq!(eos.sound_speed2(1.0, 0.0), CS2_FLOOR);
-        assert_eq!(eos.sound_speed2(-1.0, 1.0), CS2_FLOOR);
+        assert_eq!(eos.pressure_cs2(1.0, 0.0).1, CS2_FLOOR);
+        assert_eq!(eos.pressure_cs2(-1.0, 1.0).1, CS2_FLOOR);
     }
 
     /// Finite-difference validation of the analytic derivatives for every
@@ -264,7 +251,9 @@ mod tests {
         };
         let (p, cs2) = eos.pressure_cs2(1.9, 3.0);
         assert_eq!(p, eos.pressure(1.9, 3.0));
-        assert_eq!(cs2, eos.sound_speed2(1.9, 3.0));
+        let (rho, ein) = (1.9, 3.0);
+        let expected = eos.dp_drho(rho, ein) + p / (rho * rho) * eos.dp_dein(rho);
+        assert_eq!(cs2, expected.max(CS2_FLOOR));
     }
 
     #[test]
@@ -278,7 +267,7 @@ mod tests {
             rho0: 1.6,
         };
         for rho in [0.5, 1.0, 1.6, 2.5] {
-            assert!(eos.sound_speed2(rho, 4.0) > 0.0, "rho = {rho}");
+            assert!(eos.pressure_cs2(rho, 4.0).1 > 0.0, "rho = {rho}");
         }
     }
 }

@@ -168,32 +168,61 @@ mod tests {
         }
     }
 
+    /// Every mode adds a node's corners in element-id order — the
+    /// gathers walk the CSR adjacency, which is sorted by element id,
+    /// and the scatter visits elements in order — so all three agree
+    /// bit for bit, the threaded gather in pools of width 1, 2 and 4
+    /// included. Nodes, masses, forces and velocities are not dyadic,
+    /// so the sums round and a different order would show.
     #[test]
-    fn all_modes_agree() {
-        let (mesh, st0) = setup(5);
-        let range = LocalRange::whole(&mesh);
-        let mut outputs = Vec::new();
-        for mode in [
-            AccMode::ScatterSerial,
-            AccMode::GatherSerial,
-            AccMode::GatherParallel,
-        ] {
-            let mut st = st0.clone();
-            for e in 0..st.n_elements() {
-                st.cnforce_x[e] = [0.1 * e as f64, -0.2, 0.05, 0.0];
-                st.cnforce_y[e] = [-0.05, 0.3, 0.05 * e as f64, -0.1];
-            }
-            getacc(&mesh, &mut st, range, 0.01, mode);
-            outputs.push((st.u.clone(), st.ubar.clone()));
+    fn all_modes_agree_bitwise() {
+        let mut mesh = generate_rect(&RectSpec::unit_square(9), |_| 0).unwrap();
+        for (i, p) in mesh.nodes.iter_mut().enumerate() {
+            *p += Vec2::new(0.01 * (i as f64).sin(), 0.01 * (1.7 * i as f64).cos());
         }
-        // Scatter and gather may differ in summation order but on this
-        // small mesh with exact dyadic values they match bitwise; compare
-        // with tolerance to be safe.
-        for i in 1..outputs.len() {
-            for n in 0..outputs[0].0.len() {
-                assert!(approx_eq(outputs[0].0[n].x, outputs[i].0[n].x, 1e-13));
-                assert!(approx_eq(outputs[0].0[n].y, outputs[i].0[n].y, 1e-13));
-            }
+        let mat = MaterialTable::single(EosSpec::ideal_gas(1.4));
+        let mut st0 = HydroState::new(
+            &mesh,
+            &mat,
+            |e| 1.0 + 0.1 * (0.7 * e as f64).sin(),
+            |_| 2.5,
+            |n| Vec2::new(0.1 * (n as f64).sin(), 0.1 * (n as f64).cos()),
+        )
+        .unwrap();
+        for e in 0..st0.n_elements() {
+            let wave = |k: f64| (k * e as f64 + 0.3).sin() / 3.0;
+            st0.cnforce_x[e] = [wave(1.3), wave(0.9), wave(2.1), wave(0.4)];
+            st0.cnforce_y[e] = [wave(0.5), wave(1.1), wave(1.9), wave(0.7)];
+        }
+        let rounds = (0..mesh.n_nodes()).any(|n| {
+            let adj = mesh.elements_of_node(n);
+            let add = |s: f64, &(e, c): &(u32, u8)| s + st0.cnforce_x[e as usize][c as usize];
+            adj.iter().fold(0.0, add).to_bits() != adj.iter().rev().fold(0.0, add).to_bits()
+        });
+        assert!(
+            rounds,
+            "no nodal sum rounds: the pin would hold in any order"
+        );
+
+        let range = LocalRange::whole(&mesh);
+        let run = |mode: AccMode| {
+            let mut st = st0.clone();
+            getacc(&mesh, &mut st, range, 0.013, mode);
+            let bits = |v: &[Vec2]| -> Vec<[u64; 2]> {
+                v.iter().map(|p| [p.x.to_bits(), p.y.to_bits()]).collect()
+            };
+            let mass: Vec<u64> = st.nd_mass.iter().map(|m| m.to_bits()).collect();
+            (bits(&st.u), bits(&st.ubar), mass)
+        };
+        let reference = run(AccMode::GatherSerial);
+        assert_eq!(run(AccMode::ScatterSerial), reference, "ScatterSerial");
+        for width in [1, 2, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(width)
+                .build()
+                .unwrap();
+            let threaded = pool.install(|| run(AccMode::GatherParallel));
+            assert_eq!(threaded, reference, "GatherParallel x{width}");
         }
     }
 
@@ -275,7 +304,10 @@ mod tests {
             let (mut m, mut f) = (0.0, Vec2::ZERO);
             for &(e, c) in mesh.elements_of_node(n) {
                 m += st.cnmass[e as usize][c as usize];
-                f += st.cnforce(e as usize, c as usize);
+                f += Vec2::new(
+                    st.cnforce_x[e as usize][c as usize],
+                    st.cnforce_y[e as usize][c as usize],
+                );
             }
             let bc = mesh.node_bc[n];
             dp += st.u[n] * m;

@@ -108,7 +108,8 @@ mod tests {
         st.pressure[0] = p;
         let g = area_gradient(&mesh.corners(0));
         for c in 0..4 {
-            st.set_cnforce(0, c, g[c] * p);
+            let f = g[c] * p;
+            (st.cnforce_x[0][c], st.cnforce_y[0][c]) = (f.x, f.y);
         }
         // u = position (pure expansion about the origin).
         for n in 0..mesh.n_nodes() {
@@ -138,7 +139,7 @@ mod tests {
         let (mesh, mut st) = setup(1);
         let g = area_gradient(&mesh.corners(0));
         for c in 0..4 {
-            st.set_cnforce(0, c, g[c] * 1.0);
+            (st.cnforce_x[0][c], st.cnforce_y[0][c]) = (g[c].x, g[c].y);
         }
         for n in 0..mesh.n_nodes() {
             st.u[n] = -mesh.nodes[n]; // converging flow
@@ -158,9 +159,8 @@ mod tests {
     #[test]
     fn time_centred_uses_ubar() {
         let (mesh, mut st) = setup(1);
-        for c in 0..4 {
-            st.set_cnforce(0, c, Vec2::new(1.0, 0.0));
-        }
+        st.cnforce_x[0] = [1.0; 4];
+        st.cnforce_y[0] = [0.0; 4];
         // u says "no work", ubar says "work".
         for n in 0..mesh.n_nodes() {
             st.u[n] = Vec2::ZERO;

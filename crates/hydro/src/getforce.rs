@@ -118,6 +118,10 @@ mod tests {
     use bookleaf_mesh::{generate_rect, RectSpec};
     use bookleaf_util::{approx_eq, Vec2};
 
+    fn corner_force(st: &HydroState, e: usize, c: usize) -> Vec2 {
+        Vec2::new(st.cnforce_x[e][c], st.cnforce_y[e][c])
+    }
+
     fn setup(n: usize) -> (Mesh, HydroState) {
         let mesh = generate_rect(&RectSpec::unit_square(n), |_| 0).unwrap();
         let mat = MaterialTable::single(EosSpec::ideal_gas(1.4));
@@ -140,8 +144,8 @@ mod tests {
             let g = area_gradient(&mesh.corners(e));
             for c in 0..4 {
                 let expect = g[c] * st.pressure[e];
-                assert!(approx_eq(st.cnforce(e, c).x, expect.x, 1e-13));
-                assert!(approx_eq(st.cnforce(e, c).y, expect.y, 1e-13));
+                assert!(approx_eq(corner_force(&st, e, c).x, expect.x, 1e-13));
+                assert!(approx_eq(corner_force(&st, e, c).y, expect.y, 1e-13));
             }
         }
     }
@@ -158,7 +162,7 @@ mod tests {
             Threading::Serial,
         );
         for e in 0..st.n_elements() {
-            let total: Vec2 = (0..4).map(|c| st.cnforce(e, c)).sum();
+            let total: Vec2 = (0..4).map(|c| corner_force(&st, e, c)).sum();
             assert!(total.norm() < 1e-13, "element {e}: net force {total:?}");
         }
     }
@@ -178,7 +182,7 @@ mod tests {
         let n = 2 * 5 + 2; // interior node of the 5x5 node grid
         let mut f = Vec2::ZERO;
         for &(e, c) in mesh.elements_of_node(n) {
-            f += st.cnforce(e as usize, c as usize);
+            f += corner_force(&st, e as usize, c as usize);
         }
         assert!(f.norm() < 1e-13);
     }
@@ -203,21 +207,21 @@ mod tests {
         // du = (-2, 0), |du| = 2, edge length 1: pair = du/|du| * q * L
         // = (-2, 0). Corner 0 gets +pair, corner 1 gets -pair — each
         // force opposes that corner's motion.
-        assert!(approx_eq(st.cnforce(0, 0).x, -2.0, 1e-13));
-        assert!(approx_eq(st.cnforce(0, 1).x, 2.0, 1e-13));
+        assert!(approx_eq(corner_force(&st, 0, 0).x, -2.0, 1e-13));
+        assert!(approx_eq(corner_force(&st, 0, 1).x, 2.0, 1e-13));
         assert!(
-            st.cnforce(0, 0).x * st.u[0].x < 0.0,
+            corner_force(&st, 0, 0).x * st.u[0].x < 0.0,
             "must decelerate corner 0"
         );
         assert!(
-            st.cnforce(0, 1).x * st.u[1].x < 0.0,
+            corner_force(&st, 0, 1).x * st.u[1].x < 0.0,
             "must decelerate corner 1"
         );
         // Pair force: zero net on the element.
-        let net: Vec2 = (0..4).map(|c| st.cnforce(0, c)).sum();
+        let net: Vec2 = (0..4).map(|c| corner_force(&st, 0, c)).sum();
         assert!(net.norm() < 1e-13);
-        assert_eq!(st.cnforce(0, 2), Vec2::ZERO);
-        assert_eq!(st.cnforce(0, 3), Vec2::ZERO);
+        assert_eq!(corner_force(&st, 0, 2), Vec2::ZERO);
+        assert_eq!(corner_force(&st, 0, 3), Vec2::ZERO);
         // Expanding corners feel nothing even with q set.
         st.u[0] = Vec2::new(-1.0, 0.0);
         st.u[1] = Vec2::new(1.0, 0.0);
@@ -229,7 +233,7 @@ mod tests {
             0.01,
             Threading::Serial,
         );
-        assert_eq!(st.cnforce(0, 0), Vec2::ZERO);
+        assert_eq!(corner_force(&st, 0, 0), Vec2::ZERO);
     }
 
     #[test]
@@ -250,7 +254,7 @@ mod tests {
         );
         // Nodal masses on a single element are the corner masses (0.25);
         // mu = 0.125, cap = 0.25 * 0.125 * 2 / 0.1 = 0.625.
-        let mag = st.cnforce(0, 0).norm();
+        let mag = corner_force(&st, 0, 0).norm();
         assert!(approx_eq(mag, 0.625, 1e-12), "capped magnitude {mag}");
         // The applied impulse never reverses the relative velocity.
         assert!(mag * dt <= 0.125 * 2.0 + 1e-12);
@@ -286,8 +290,11 @@ mod tests {
         );
         // Force must oppose the mode: sign opposite to GAMMA * u_hg.
         for c in 0..4 {
-            assert!(st.cnforce(0, c).x * GAMMA[c] < 0.0, "corner {c} not damped");
-            assert!(st.cnforce(0, c).y.abs() < 1e-13);
+            assert!(
+                corner_force(&st, 0, c).x * GAMMA[c] < 0.0,
+                "corner {c} not damped"
+            );
+            assert!(corner_force(&st, 0, c).y.abs() < 1e-13);
         }
         // And a rigid translation is untouched by the filter.
         let mut st2 =
@@ -302,7 +309,7 @@ mod tests {
             Threading::Serial,
         );
         for c in 0..4 {
-            assert!(st2.cnforce(0, c).norm() < 1e-13);
+            assert!(corner_force(&st2, 0, c).norm() < 1e-13);
         }
     }
 
@@ -327,7 +334,7 @@ mod tests {
         );
         // The restoring force must push corner 0 outward (towards -x,-y
         // for the bottom-left corner of a unit square).
-        let f = st.cnforce(0, 0);
+        let f = corner_force(&st, 0, 0);
         assert!(
             f.x < 0.0 && f.y < 0.0,
             "restoring force {f:?} should point outward"
@@ -335,10 +342,10 @@ mod tests {
         // The variational force distributes over all corners but sums to
         // zero (no net thrust on the element) and is dominated by the
         // compressed corner.
-        let net: Vec2 = (0..4).map(|c| st.cnforce(0, c)).sum();
+        let net: Vec2 = (0..4).map(|c| corner_force(&st, 0, c)).sum();
         assert!(net.norm() < 1e-13, "net subzonal force {net:?}");
         assert!(
-            st.cnforce(0, 2).norm() < f.norm(),
+            corner_force(&st, 0, 2).norm() < f.norm(),
             "far corner should feel less"
         );
     }

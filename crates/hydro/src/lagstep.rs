@@ -394,7 +394,7 @@ mod tests {
             ((e_end - e_start) / e_start).abs()
         );
         // And something actually happened.
-        let ke = st.kinetic_energy(&mesh, range);
+        let ke = st.kinetic_energy_where(&mesh, range, |_| true);
         assert!(ke > 1e-6, "blast should produce motion, ke = {ke}");
     }
 

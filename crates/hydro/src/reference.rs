@@ -278,7 +278,11 @@ mod tests {
             getforce(&mesh, &mut st, range, hg, 1e-2, th);
             for e in 0..st.n_elements() {
                 for c in 0..4 {
-                    assert_eq!(st.cnforce(e, c), aos[e][c], "element {e} corner {c} {th:?}");
+                    assert_eq!(
+                        Vec2::new(st.cnforce_x[e][c], st.cnforce_y[e][c]),
+                        aos[e][c],
+                        "element {e} corner {c} {th:?}"
+                    );
                 }
             }
         }

@@ -15,9 +15,7 @@
 //! into separate x and y row arrays ([`HydroState::cnforce_x`] /
 //! [`HydroState::cnforce_y`]) rather than stored as `[Vec2; 4]`: a
 //! component sweep then touches one dense `[f64; 4]` row per element
-//! with no interleaving. The [`HydroState::cnforce`] /
-//! [`HydroState::set_cnforce`] accessors give `Vec2`-typed access for
-//! code (and tests) that are not on the hot path. The halo layer packs
+//! with no interleaving. The halo layer packs
 //! the pair in the same `x, y` per-corner wire order as an interleaved
 //! `[Vec2; 4]` field, so the split is invisible on the wire, and the
 //! checkpoint body never contains corner forces (they are re-derived),
@@ -205,22 +203,6 @@ impl HydroState {
         self.rho.len()
     }
 
-    /// Corner force `c` of element `e` as a vector (convenience view
-    /// over the SoA rows; not for hot loops).
-    #[inline]
-    #[must_use]
-    pub fn cnforce(&self, e: usize, c: usize) -> Vec2 {
-        Vec2::new(self.cnforce_x[e][c], self.cnforce_y[e][c])
-    }
-
-    /// Set corner force `c` of element `e` (convenience over the SoA
-    /// rows; not for hot loops).
-    #[inline]
-    pub fn set_cnforce(&mut self, e: usize, c: usize, f: Vec2) {
-        self.cnforce_x[e][c] = f.x;
-        self.cnforce_y[e][c] = f.y;
-    }
-
     /// Number of local nodes.
     #[must_use]
     pub fn n_nodes(&self) -> usize {
@@ -237,14 +219,8 @@ impl HydroState {
         s.value()
     }
 
-    /// Total kinetic energy over owned nodes: `Σ ½ m_n |u|²` with nodal
-    /// mass gathered from adjacent corner masses.
-    #[must_use]
-    pub fn kinetic_energy(&self, mesh: &Mesh, range: LocalRange) -> f64 {
-        self.kinetic_energy_where(mesh, range, |_| true)
-    }
-
-    /// Kinetic energy over the active nodes selected by `owns`. Serial
+    /// Kinetic energy `Σ ½ m_n |u|²`, with nodal mass gathered from
+    /// adjacent corner masses, over the active nodes selected by `owns`. Serial
     /// drivers pass `|_| true`; distributed ranks pass their node
     /// ownership predicate so partition-boundary nodes (present on
     /// several ranks) are counted exactly once in a global sum.
@@ -272,7 +248,7 @@ impl HydroState {
     /// Total energy (internal + kinetic) over the owned partition.
     #[must_use]
     pub fn total_energy(&self, mesh: &Mesh, range: LocalRange) -> f64 {
-        self.internal_energy(range) + self.kinetic_energy(mesh, range)
+        self.internal_energy(range) + self.kinetic_energy_where(mesh, range, |_| true)
     }
 
     /// Total mass over owned elements.
@@ -332,7 +308,11 @@ mod tests {
         let range = LocalRange::whole(&mesh);
         // IE = m*ein = 2*1.5 = 3 ; KE = ½ * 2 * 25 = 25.
         assert!(approx_eq(st.internal_energy(range), 3.0, 1e-12));
-        assert!(approx_eq(st.kinetic_energy(&mesh, range), 25.0, 1e-12));
+        assert!(approx_eq(
+            st.kinetic_energy_where(&mesh, range, |_| true),
+            25.0,
+            1e-12
+        ));
         assert!(approx_eq(st.total_energy(&mesh, range), 28.0, 1e-12));
     }
 

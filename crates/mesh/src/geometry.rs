@@ -132,27 +132,6 @@ pub fn corner_volumes_lanes<const N: usize>(c: &CornerLanes<N>) -> [Lanes<N>; NC
     })
 }
 
-/// Edge lengths, edge `i` joining corner `i` to corner `i+1`.
-#[inline]
-#[must_use]
-pub fn edge_lengths(c: &[Vec2; NCORN]) -> [f64; NCORN] {
-    [
-        c[0].distance(c[1]),
-        c[1].distance(c[2]),
-        c[2].distance(c[3]),
-        c[3].distance(c[0]),
-    ]
-}
-
-/// Outward-ish edge midpoint normals scaled by edge length: the vector
-/// `(edge).perp()` for each edge, pointing out of a CCW quad after
-/// negation. Used by the swept-volume remap.
-#[inline]
-#[must_use]
-pub fn edge_vectors(c: &[Vec2; NCORN]) -> [Vec2; NCORN] {
-    [c[1] - c[0], c[2] - c[1], c[3] - c[2], c[0] - c[3]]
-}
-
 /// Characteristic length for the CFL condition: element area divided by
 /// the longest edge. For a square of side `h` this gives `h`; for
 /// squashed or distorted elements it shrinks conservatively, which is the
@@ -213,42 +192,6 @@ pub fn velocity_divergence(c: &[Vec2; NCORN], u: &[Vec2; NCORN]) -> f64 {
         da += g[i].dot(u[i]);
     }
     da / area
-}
-
-/// Jacobian determinant of the bilinear map at a parametric point
-/// `(ξ, η) ∈ [−1,1]²`. Positive everywhere iff the quad is convex and
-/// counter-clockwise (untangled).
-#[must_use]
-pub fn jacobian_at(c: &[Vec2; NCORN], xi: f64, eta: f64) -> f64 {
-    // Bilinear shape function derivatives at (xi, eta):
-    // N = ¼(1±ξ)(1±η) with corner signs (−,−), (+,−), (+,+), (−,+).
-    let dn_dxi = [
-        -0.25 * (1.0 - eta),
-        0.25 * (1.0 - eta),
-        0.25 * (1.0 + eta),
-        -0.25 * (1.0 + eta),
-    ];
-    let dn_deta = [
-        -0.25 * (1.0 - xi),
-        -0.25 * (1.0 + xi),
-        0.25 * (1.0 + xi),
-        0.25 * (1.0 - xi),
-    ];
-    let mut dx_dxi = Vec2::ZERO;
-    let mut dx_deta = Vec2::ZERO;
-    for i in 0..NCORN {
-        dx_dxi += c[i] * dn_dxi[i];
-        dx_deta += c[i] * dn_deta[i];
-    }
-    dx_dxi.cross(dx_deta)
-}
-
-/// True when the element is untangled: the bilinear Jacobian is positive
-/// at all four corners (sufficient for straight-sided quads).
-#[must_use]
-pub fn is_untangled(c: &[Vec2; NCORN]) -> bool {
-    const PTS: [(f64, f64); 4] = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)];
-    PTS.iter().all(|&(xi, eta)| jacobian_at(c, xi, eta) > 0.0)
 }
 
 #[cfg(test)]
@@ -481,47 +424,7 @@ mod tests {
         let u = [Vec2::new(3.0, -1.0); 4];
         assert!(velocity_divergence(&c, &u).abs() < 1e-14);
         // Rotation about origin: u = ω × x = ω(-y, x).
-        let rot = [c[0].perp(), c[1].perp(), c[2].perp(), c[3].perp()];
+        let rot = c.map(|x| Vec2::new(-x.y, x.x));
         assert!(velocity_divergence(&c, &rot).abs() < 1e-13);
-    }
-
-    #[test]
-    fn jacobian_positive_for_convex_ccw() {
-        assert!(is_untangled(&unit_square()));
-        assert!(is_untangled(&skewed_quad()));
-    }
-
-    #[test]
-    fn jacobian_detects_tangled() {
-        // Bow-tie: corners 2 and 3 swapped.
-        let c = [
-            Vec2::new(0.0, 0.0),
-            Vec2::new(1.0, 0.0),
-            Vec2::new(0.0, 1.0),
-            Vec2::new(1.0, 1.0),
-        ];
-        assert!(!is_untangled(&c));
-    }
-
-    #[test]
-    fn jacobian_integrates_to_area() {
-        // ∫ J dξdη over [-1,1]² = area; 2x2 Gauss quadrature is exact for
-        // bilinear J. Gauss points ±1/√3, weight 1.
-        let c = skewed_quad();
-        let gp = 1.0 / 3.0f64.sqrt();
-        let mut integral = 0.0;
-        for &xi in &[-gp, gp] {
-            for &eta in &[-gp, gp] {
-                integral += jacobian_at(&c, xi, eta);
-            }
-        }
-        assert!(approx_eq(integral, quad_area(&c), 1e-12));
-    }
-
-    #[test]
-    fn edge_vectors_close_loop() {
-        let ev = edge_vectors(&skewed_quad());
-        let s: Vec2 = ev.into_iter().sum();
-        assert!(s.norm() < 1e-15);
     }
 }

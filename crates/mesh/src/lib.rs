@@ -20,9 +20,7 @@
 //!   volumes for sub-zonal pressures, iso-parametric gradients,
 //!   characteristic lengths);
 //! * [`submesh`] — extraction of per-rank local meshes with ghost
-//!   layers, used by the Typhon runtime;
-//! * [`quality`] — mesh-quality metrics used by tests and the ALE
-//!   mesh-selection step.
+//!   layers, used by the Typhon runtime.
 
 // Index-based loops over element/corner arrays are the house style of
 // these kernels (they mirror the reference Fortran and keep index math
@@ -31,7 +29,6 @@
 
 pub mod generation;
 pub mod geometry;
-pub mod quality;
 pub mod submesh;
 mod topology;
 

@@ -181,21 +181,20 @@ impl TenantLedger {
             }
         }
     }
-
-    /// Is `tenant` currently quarantined?
-    #[must_use]
-    pub fn is_quarantined(&self, tenant: &str) -> bool {
-        let tenants = self.tenants.lock().expect("tenant ledger poisoned");
-        tenants
-            .get(tenant)
-            .and_then(|s| s.quarantined_until)
-            .is_some_and(|until| Instant::now() < until)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether the ledger holds a quarantine window for `tenant`, open
+    /// or not yet cleared by an admission.
+    fn quarantined(ledger: &TenantLedger, tenant: &str) -> bool {
+        let tenants = ledger.tenants.lock().unwrap();
+        tenants
+            .get(tenant)
+            .is_some_and(|s| s.quarantined_until.is_some())
+    }
 
     fn fast_policy() -> QuarantinePolicy {
         QuarantinePolicy {
@@ -211,12 +210,12 @@ mod tests {
         ledger.admit("mallory").unwrap();
         ledger.finish("mallory", RunOutcome::HealthFailure);
         assert!(
-            !ledger.is_quarantined("mallory"),
+            !quarantined(&ledger, "mallory"),
             "one failure is not a streak"
         );
         ledger.admit("mallory").unwrap();
         ledger.finish("mallory", RunOutcome::HealthFailure);
-        assert!(ledger.is_quarantined("mallory"));
+        assert!(quarantined(&ledger, "mallory"));
         let err = ledger.admit("mallory").unwrap_err();
         assert!(matches!(err, AdmitError::Quarantined { .. }), "{err}");
         // An unrelated tenant is untouched.
@@ -278,7 +277,7 @@ mod tests {
             ledger.admit("typo").unwrap();
             ledger.finish("typo", RunOutcome::Unrelated);
         }
-        assert!(!ledger.is_quarantined("typo"));
+        assert!(!quarantined(&ledger, "typo"));
     }
 
     #[test]

@@ -531,7 +531,10 @@ fn executor_name(executor: ExecutorKind) -> String {
 /// and checkpoint mistakes never do.
 fn classify_run_error(err: &BookLeafError) -> (u16, &'static str, &'static str, RunOutcome) {
     match err {
-        BookLeafError::Deck(_) | BookLeafError::MeshTopology(_) | BookLeafError::Partition(_) => {
+        BookLeafError::Deck(_)
+        | BookLeafError::MeshTopology(_)
+        | BookLeafError::Partition(_)
+        | BookLeafError::EmptyExecutor { .. } => {
             (400, "Bad Request", "deck", RunOutcome::Unrelated)
         }
         BookLeafError::Checkpoint(_) => (400, "Bad Request", "checkpoint", RunOutcome::Unrelated),
@@ -544,7 +547,7 @@ fn classify_run_error(err: &BookLeafError) -> (u16, &'static str, &'static str, 
             "unhealthy",
             RunOutcome::HealthFailure,
         ),
-        BookLeafError::Comm(_) | BookLeafError::CommFault(_) => (
+        BookLeafError::CommFault(_) => (
             500,
             "Internal Server Error",
             "comm_fault",
@@ -555,6 +558,12 @@ fn classify_run_error(err: &BookLeafError) -> (u16, &'static str, &'static str, 
             "Internal Server Error",
             "rank_panic",
             RunOutcome::HealthFailure,
+        ),
+        BookLeafError::ThreadSpawn { .. } => (
+            500,
+            "Internal Server Error",
+            "thread_spawn",
+            RunOutcome::Unrelated,
         ),
         BookLeafError::DeadlineExceeded { .. } => (
             504,

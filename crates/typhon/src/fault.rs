@@ -90,9 +90,8 @@ pub struct FaultEntry {
 
 /// A deterministic fault schedule. See the module docs for semantics.
 ///
-/// Built either from explicit entries (the builder methods) or derived
-/// from a seed with [`FaultPlan::seeded`]; both are pure data, cheap to
-/// clone, and shared read-only by every rank of a team.
+/// Built from explicit entries (the builder methods): pure data, cheap
+/// to clone, and shared read-only by every rank of a team.
 ///
 /// A plan acts only where a team of two or more ranks runs: a
 /// simulation of one rank (`bookleaf_core`'s serial executor and its
@@ -106,7 +105,7 @@ pub struct FaultPlan {
 }
 
 /// SplitMix64: the standard 64-bit finalizer, used to derive per-entry
-/// jitter (delay durations) and seeded schedules. Pure and portable.
+/// jitter (delay durations). Pure and portable.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = x;
@@ -124,35 +123,6 @@ impl FaultPlan {
             seed,
             entries: Vec::new(),
         }
-    }
-
-    /// A pseudo-random schedule: for every `(step, rank)` in
-    /// `0..n_steps × 0..n_ranks`, a fault of `kind` fires with
-    /// probability `rate_percent`/100, decided by a pure hash of
-    /// `(seed, step, rank)`. Attempt 0 only.
-    #[must_use]
-    pub fn seeded(
-        seed: u64,
-        n_steps: usize,
-        n_ranks: usize,
-        kind: FaultKind,
-        rate_percent: u64,
-    ) -> Self {
-        let mut plan = FaultPlan::new(seed);
-        for step in 0..n_steps {
-            for rank in 0..n_ranks {
-                let h = splitmix64(seed ^ (step as u64) << 20 ^ rank as u64);
-                if h % 100 < rate_percent {
-                    plan.entries.push(FaultEntry {
-                        attempt: 0,
-                        step,
-                        rank,
-                        kind,
-                    });
-                }
-            }
-        }
-        plan
     }
 
     /// Schedule `kind` for `rank` at `step`, attempt 0.
@@ -185,12 +155,6 @@ impl FaultPlan {
     #[must_use]
     pub fn corrupt(self, step: usize, rank: usize) -> Self {
         self.with(FaultKind::Corrupt, step, rank)
-    }
-
-    /// Shorthand: drop `rank`'s next message at `step`.
-    #[must_use]
-    pub fn drop_message(self, step: usize, rank: usize) -> Self {
-        self.with(FaultKind::Drop, step, rank)
     }
 
     /// Shorthand: delay `rank`'s next send at `step`.
@@ -279,7 +243,7 @@ mod tests {
 
     #[test]
     fn attempt_scoping_retargets_the_last_entry() {
-        let p = FaultPlan::new(0).drop_message(5, 2).on_attempt(1);
+        let p = FaultPlan::new(0).with(FaultKind::Drop, 5, 2).on_attempt(1);
         assert_eq!(p.action(0, 5, 2), None);
         assert_eq!(p.action(1, 5, 2), Some(FaultKind::Drop));
     }
@@ -290,18 +254,6 @@ mod tests {
         assert_eq!(p.action(0, 4, 1), Some(FaultKind::Kill));
         let p = FaultPlan::new(0).kill(4, 1).corrupt(4, 1);
         assert_eq!(p.action(0, 4, 1), Some(FaultKind::Kill));
-    }
-
-    #[test]
-    fn seeded_schedule_is_reproducible_and_rate_bounded() {
-        let a = FaultPlan::seeded(42, 100, 4, FaultKind::Drop, 10);
-        let b = FaultPlan::seeded(42, 100, 4, FaultKind::Drop, 10);
-        assert_eq!(a, b);
-        let c = FaultPlan::seeded(43, 100, 4, FaultKind::Drop, 10);
-        assert_ne!(a, c, "different seeds should differ");
-        // 400 slots at 10%: expect roughly 40, certainly not 0 or 400.
-        let n = a.entries().len();
-        assert!(n > 5 && n < 150, "implausible seeded fault count {n}");
     }
 
     #[test]

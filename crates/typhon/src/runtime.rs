@@ -172,15 +172,6 @@ impl Default for TyphonOptions {
 }
 
 impl TyphonOptions {
-    /// Options with a fault plan attached (attempt 0, default timeout).
-    #[must_use]
-    pub fn with_faults(plan: FaultPlan) -> Self {
-        TyphonOptions {
-            fault_plan: Some(Arc::new(plan)),
-            ..TyphonOptions::default()
-        }
-    }
-
     /// Replace the receive/collective deadline.
     #[must_use]
     pub fn timeout(mut self, recv_timeout: Duration) -> Self {
@@ -634,9 +625,7 @@ impl Typhon {
         F: Fn(&RankCtx) -> R + Sync,
     {
         if n_ranks == 0 {
-            return Err(BookLeafError::Comm(
-                "team must have at least one rank".into(),
-            ));
+            return Err(BookLeafError::EmptyExecutor { field: "ranks" });
         }
         let (senders, receivers): (Vec<_>, Vec<_>) = (0..n_ranks).map(|_| channel()).unzip();
         let collective = Arc::new(Collective::new(n_ranks));
@@ -702,7 +691,10 @@ mod tests {
 
     #[test]
     fn zero_ranks_rejected() {
-        assert!(Typhon::run(0, |_| ()).is_err());
+        assert_eq!(
+            Typhon::run(0, |_| ()).unwrap_err(),
+            BookLeafError::EmptyExecutor { field: "ranks" }
+        );
     }
 
     #[test]
@@ -1056,7 +1048,11 @@ mod tests {
     /// Short deadline for tests that *expect* a timeout: long enough for
     /// healthy traffic, short enough to keep the suite fast.
     fn fast(plan: FaultPlan) -> TyphonOptions {
-        TyphonOptions::with_faults(plan).timeout(Duration::from_millis(250))
+        TyphonOptions {
+            fault_plan: Some(Arc::new(plan)),
+            ..TyphonOptions::default()
+        }
+        .timeout(Duration::from_millis(250))
     }
 
     #[test]
@@ -1100,7 +1096,7 @@ mod tests {
 
     #[test]
     fn dropped_message_times_out_typed() {
-        let plan = FaultPlan::new(2).drop_message(0, 0);
+        let plan = FaultPlan::new(2).with(FaultKind::Drop, 0, 0);
         let out = Typhon::run_with(2, fast(plan), |ctx| {
             ctx.begin_step(0)?;
             let tag = ctx.next_tag();
@@ -1271,7 +1267,7 @@ mod tests {
 
     #[test]
     fn attempt_scoped_fault_does_not_refire() {
-        let plan = FaultPlan::new(5).drop_message(0, 0);
+        let plan = FaultPlan::new(5).with(FaultKind::Drop, 0, 0);
         let round = |attempt: usize| {
             Typhon::run_with(
                 2,

@@ -33,9 +33,6 @@ pub const KAPPA_HG: f64 = 0.7;
 /// Sub-zonal pressure restoring coefficient (Caramana–Shashkov).
 pub const ZETA_SZ: f64 = 0.3;
 
-/// Cut-off below which densities are treated as void.
-pub const DENSITY_CUT: f64 = 1.0e-8;
-
 /// Cut-off for velocity magnitudes treated as zero in limiters.
 pub const ZERO_CUT: f64 = 1.0e-40;
 

@@ -410,8 +410,13 @@ pub enum BookLeafError {
     Partition(String),
     /// A checkpoint file could not be read, parsed or applied.
     Checkpoint(CheckpointError),
-    /// A communication-layer failure (mismatched schedule, dead rank…).
-    Comm(String),
+    /// An executor or rank team shaped to run nowhere: zero ranks, or
+    /// zero threads per rank. `field` names the count that was zero
+    /// (`ranks`, `threads_per_rank`), as the deck grammar spells it.
+    EmptyExecutor { field: &'static str },
+    /// The host would not spawn the `threads` workers of a rank's
+    /// thread pool.
+    ThreadSpawn { threads: usize },
     /// A typed communication failure: timeout, corruption, dead rank…
     /// (see [`CommError`]). The comm layer's bounded waits and payload
     /// checksums make these the *only* way comm failures surface —
@@ -463,7 +468,12 @@ impl fmt::Display for BookLeafError {
             BookLeafError::Deck(e) => write!(f, "invalid input deck: {e}"),
             BookLeafError::Partition(msg) => write!(f, "partitioning error: {msg}"),
             BookLeafError::Checkpoint(e) => write!(f, "{e}"),
-            BookLeafError::Comm(msg) => write!(f, "communication error: {msg}"),
+            BookLeafError::EmptyExecutor { field } => {
+                write!(f, "executor: `{field}` must be at least 1, got 0")
+            }
+            BookLeafError::ThreadSpawn { threads } => {
+                write!(f, "could not spawn a pool of {threads} threads")
+            }
             BookLeafError::CommFault(e) => write!(f, "communication error: {e}"),
             BookLeafError::Unhealthy { step, diagnosis } => {
                 write!(f, "unhealthy state after step {step}: {diagnosis}")
@@ -514,7 +524,11 @@ mod tests {
 
     #[test]
     fn error_trait_object_works() {
-        let e: Box<dyn std::error::Error> = Box::new(BookLeafError::Comm("late".into()));
-        assert!(e.to_string().contains("late"));
+        let e: Box<dyn std::error::Error> = Box::new(BookLeafError::EmptyExecutor {
+            field: "threads_per_rank",
+        });
+        assert!(e
+            .to_string()
+            .contains("`threads_per_rank` must be at least 1"));
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Shared numerical utilities for the BookLeaf-rs workspace: 2-D vector
 //! algebra, lane-wise arithmetic for kernels that take several elements
-//! per iteration, compensated summation, typed errors, hierarchical
-//! per-kernel timers and small statistics helpers.
+//! per iteration, Neumaier-compensated summation, typed errors and
+//! hierarchical per-kernel timers.
 //!
 //! Everything in this crate is dependency-light and deterministic; the
 //! heavier physics crates build on top of it.
@@ -12,7 +12,6 @@ pub mod constants;
 pub mod error;
 pub mod hash;
 pub mod lanes;
-pub mod stats;
 pub mod sum;
 pub mod timer;
 pub mod vec2;
@@ -22,7 +21,7 @@ pub use error::{
 };
 pub use hash::{crc32, crc32_f64s, Crc32F64s};
 pub use lanes::Lanes;
-pub use sum::{kahan_sum, NeumaierSum};
+pub use sum::NeumaierSum;
 pub use timer::{KernelId, TimerRegistry, TimerReport};
 pub use vec2::Vec2;
 

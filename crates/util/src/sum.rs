@@ -2,23 +2,9 @@
 //!
 //! Energy-conservation checks in the integration tests need sums over
 //! millions of elements that are accurate to near round-off; naive
-//! accumulation loses several digits. We provide Kahan summation and the
-//! slightly stronger Neumaier variant (which also handles the case where
-//! the addend is larger than the running sum).
-
-/// Kahan-compensated sum of a slice.
-#[must_use]
-pub fn kahan_sum(values: &[f64]) -> f64 {
-    let mut sum = 0.0;
-    let mut c = 0.0;
-    for &v in values {
-        let y = v - c;
-        let t = sum + y;
-        c = (t - sum) - y;
-        sum = t;
-    }
-    sum
-}
+//! accumulation loses several digits. We provide the Neumaier variant of
+//! Kahan summation, which also handles the case where the addend is
+//! larger than the running sum.
 
 /// Streaming Neumaier (improved Kahan–Babuška) accumulator.
 ///
@@ -81,24 +67,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kahan_exact_on_small_ints() {
-        let v: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(kahan_sum(&v), 5050.0);
-    }
-
-    #[test]
-    fn kahan_beats_naive_on_small_increments() {
-        // Adding 4096 ones to 1e16: naive accumulation absorbs every
-        // increment (ulp at 1e16 is 2), Kahan's compensation retains them.
-        let mut v = vec![1e16];
-        v.extend(std::iter::repeat_n(1.0, 4096));
-        let naive: f64 = v.iter().sum();
-        assert_eq!(naive, 1e16); // demonstrates the failure Kahan fixes
-        let k = kahan_sum(&v);
-        assert!((k - (1e16 + 4096.0)).abs() <= 8.0, "kahan={k}");
-    }
-
-    #[test]
     fn neumaier_handles_large_addend() {
         let mut s = NeumaierSum::new();
         s.add(1.0);
@@ -124,7 +92,6 @@ mod tests {
 
     #[test]
     fn empty_sums_are_zero() {
-        assert_eq!(kahan_sum(&[]), 0.0);
         assert_eq!(NeumaierSum::new().value(), 0.0);
     }
 }

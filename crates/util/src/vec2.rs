@@ -70,13 +70,6 @@ impl Vec2 {
         }
     }
 
-    /// Vector rotated 90° counter-clockwise: the left normal of an edge.
-    #[inline]
-    #[must_use]
-    pub fn perp(self) -> Vec2 {
-        Vec2::new(-self.y, self.x)
-    }
-
     /// Component-wise midpoint of two points.
     #[inline]
     #[must_use]
@@ -201,10 +194,11 @@ mod tests {
     #[test]
     fn dot_and_cross_orthogonality() {
         let a = Vec2::new(3.0, 4.0);
-        assert_eq!(a.dot(a.perp()), 0.0);
+        let left_normal = Vec2::new(-a.y, a.x);
+        assert_eq!(a.dot(left_normal), 0.0);
         assert_eq!(a.cross(a), 0.0);
-        // cross of perp equals norm squared
-        assert_eq!(a.cross(a.perp()), a.norm2());
+        // cross with the left normal equals norm squared
+        assert_eq!(a.cross(left_normal), a.norm2());
     }
 
     #[test]

@@ -10,10 +10,15 @@
 //! * [`noh`] — exact solution of the cylindrical Noh implosion;
 //! * [`sedov`] — the Sedov–Taylor point-blast similarity solution
 //!   (shock trajectory and Rankine–Hugoniot front states);
-//! * [`norms`] — L1/L2 error norms of mesh fields against references.
+//! * [`norms`] — L1/L2 error norms of mesh fields against references;
+//! * [`quality`] — mesh-quality metrics (aspect ratio, skewness, the
+//!   whole-mesh [`quality::QualityReport`], and whether a quad is untangled) that
+//!   the Saltzmann validation, the ALE smoothing test and the hourglass
+//!   ablation measure a mesh by.
 
 pub mod noh;
 pub mod norms;
+pub mod quality;
 pub mod riemann;
 pub mod sedov;
 

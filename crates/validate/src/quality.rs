@@ -1,19 +1,19 @@
-//! Mesh quality metrics.
-//!
-//! Used in three places: test assertions on generated meshes, the ALE
-//! mesh-selection step (`alegetmesh` smooths where quality degrades), and
-//! diagnostics printed by the driver when a run tangles.
+//! Mesh quality metrics: what the Saltzmann validation, the ALE
+//! smoothing test and the hourglass ablation measure a mesh by.
 
+use bookleaf_mesh::geometry::quad_area;
+use bookleaf_mesh::{Mesh, NCORN};
 use bookleaf_util::Vec2;
-
-use crate::geometry::{edge_lengths, quad_area};
-use crate::topology::Mesh;
-use crate::NCORN;
 
 /// Aspect ratio of a quad: longest edge over shortest edge (≥ 1).
 #[must_use]
 pub fn aspect_ratio(c: &[Vec2; NCORN]) -> f64 {
-    let l = edge_lengths(c);
+    let l = [
+        c[0].distance(c[1]),
+        c[1].distance(c[2]),
+        c[2].distance(c[3]),
+        c[3].distance(c[0]),
+    ];
     let lo = l.into_iter().fold(f64::INFINITY, f64::min);
     let hi = l.into_iter().fold(0.0f64, f64::max);
     if lo == 0.0 {
@@ -77,11 +77,55 @@ pub fn assess(mesh: &Mesh) -> QualityReport {
     rep
 }
 
+/// Jacobian determinant of the bilinear map at a parametric point
+/// `(ξ, η) ∈ [−1,1]²`. Positive everywhere iff the quad is convex and
+/// counter-clockwise (untangled).
+fn jacobian_at(c: &[Vec2; NCORN], xi: f64, eta: f64) -> f64 {
+    // Bilinear shape function derivatives at (xi, eta):
+    // N = ¼(1±ξ)(1±η) with corner signs (−,−), (+,−), (+,+), (−,+).
+    let dn_dxi = [
+        -0.25 * (1.0 - eta),
+        0.25 * (1.0 - eta),
+        0.25 * (1.0 + eta),
+        -0.25 * (1.0 + eta),
+    ];
+    let dn_deta = [
+        -0.25 * (1.0 - xi),
+        -0.25 * (1.0 + xi),
+        0.25 * (1.0 + xi),
+        0.25 * (1.0 - xi),
+    ];
+    let mut dx_dxi = Vec2::ZERO;
+    let mut dx_deta = Vec2::ZERO;
+    for i in 0..NCORN {
+        dx_dxi += c[i] * dn_dxi[i];
+        dx_deta += c[i] * dn_deta[i];
+    }
+    dx_dxi.cross(dx_deta)
+}
+
+/// True when the element is untangled: the bilinear Jacobian is positive
+/// at all four corners (sufficient for straight-sided quads).
+#[must_use]
+pub fn is_untangled(c: &[Vec2; NCORN]) -> bool {
+    const PTS: [(f64, f64); 4] = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)];
+    PTS.iter().all(|&(xi, eta)| jacobian_at(c, xi, eta) > 0.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generation::{generate_rect, saltzmann_distort, RectSpec};
+    use bookleaf_mesh::{generate_rect, saltzmann_distort, RectSpec};
     use bookleaf_util::approx_eq;
+
+    fn skewed_quad() -> [Vec2; 4] {
+        [
+            Vec2::new(0.0, 0.0),
+            Vec2::new(2.0, 0.3),
+            Vec2::new(2.2, 1.4),
+            Vec2::new(-0.3, 1.1),
+        ]
+    }
 
     #[test]
     fn square_is_perfect() {
@@ -147,5 +191,47 @@ mod tests {
         assert_eq!(after.n_tangled, 0);
         assert!(after.max_skew > before.max_skew);
         assert!(after.min_area > 0.0);
+        for e in 0..m.n_elements() {
+            assert!(is_untangled(&m.corners(e)), "element {e} tangled");
+        }
+    }
+
+    #[test]
+    fn jacobian_positive_for_convex_ccw() {
+        let square = [
+            Vec2::new(0.0, 0.0),
+            Vec2::new(1.0, 0.0),
+            Vec2::new(1.0, 1.0),
+            Vec2::new(0.0, 1.0),
+        ];
+        assert!(is_untangled(&square));
+        assert!(is_untangled(&skewed_quad()));
+    }
+
+    #[test]
+    fn jacobian_detects_tangled() {
+        // Bow-tie: corners 2 and 3 swapped.
+        let c = [
+            Vec2::new(0.0, 0.0),
+            Vec2::new(1.0, 0.0),
+            Vec2::new(0.0, 1.0),
+            Vec2::new(1.0, 1.0),
+        ];
+        assert!(!is_untangled(&c));
+    }
+
+    #[test]
+    fn jacobian_integrates_to_area() {
+        // ∫ J dξdη over [-1,1]² = area; 2x2 Gauss quadrature is exact for
+        // bilinear J. Gauss points ±1/√3, weight 1.
+        let c = skewed_quad();
+        let gp = 1.0 / 3.0f64.sqrt();
+        let mut integral = 0.0;
+        for &xi in &[-gp, gp] {
+            for &eta in &[-gp, gp] {
+                integral += jacobian_at(&c, xi, eta);
+            }
+        }
+        assert!(approx_eq(integral, quad_area(&c), 1e-12));
     }
 }

@@ -9,7 +9,7 @@
 use bookleaf::core::{decks, RunConfig, Simulation};
 use bookleaf::hydro::getforce::HourglassControl;
 use bookleaf::mesh::geometry::quad_centroid;
-use bookleaf::mesh::quality::assess;
+use bookleaf::validate::quality::assess;
 
 fn run_saltzmann(t_final: f64, hg: HourglassControl) -> Result<Simulation, String> {
     let deck = decks::saltzmann(100, 10);

@@ -429,3 +429,48 @@ fn the_sentinels_drift_reference_is_the_trajectorys_under_every_executor() {
         assert_eq!(paused.to_string(), whole.to_string(), "{executor:?}");
     }
 }
+
+/// An executor shape with no ranks or no threads per rank runs nowhere:
+/// the builder refuses it with one typed error naming the zero count,
+/// and `bookleaf run` exits non-zero with that message on stderr.
+#[test]
+fn an_empty_executor_shape_is_refused_by_the_builder_and_the_cli() {
+    use bookleaf::util::BookLeafError;
+    for (executor, field) in [
+        (ExecutorKind::FlatMpi { ranks: 0 }, "ranks"),
+        (
+            ExecutorKind::Hybrid {
+                ranks: 2,
+                threads_per_rank: 0,
+            },
+            "threads_per_rank",
+        ),
+    ] {
+        let err = Simulation::builder()
+            .deck(decks::sod(16, 2))
+            .executor(executor)
+            .build()
+            .unwrap_err();
+        assert_eq!(err, BookLeafError::EmptyExecutor { field }, "{executor:?}");
+    }
+
+    let deck = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/decks/sod.deck");
+    for (flags, field) in [
+        (&["--ranks", "2", "--threads", "0"][..], "threads_per_rank"),
+        (&["--threads", "0"][..], "threads_per_rank"),
+        (&["--ranks", "0"][..], "ranks"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_bookleaf"))
+            .args(["run", deck])
+            .args(flags)
+            .output()
+            .expect("spawn bookleaf");
+        assert!(!out.status.success(), "{flags:?} ran");
+        assert!(out.stdout.is_empty(), "{flags:?} printed a digest");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("`{field}` must be at least 1, got 0")),
+            "{flags:?}: {stderr}"
+        );
+    }
+}

@@ -56,7 +56,8 @@ fn pinwheel_connectivity() {
 
 #[test]
 fn pinwheel_geometry_is_sound() {
-    use bookleaf::mesh::geometry::{corner_volumes, is_untangled, quad_area};
+    use bookleaf::mesh::geometry::{corner_volumes, quad_area};
+    use bookleaf::validate::quality::is_untangled;
     let m = pinwheel();
     let mut total = 0.0;
     for e in 0..5 {
