@@ -15,7 +15,7 @@
 //! volumes to remain small; `Smooth`'s `alpha` and the Eulerian step-wise
 //! application both guarantee that in practice.
 
-use bookleaf_mesh::Mesh;
+use bookleaf_mesh::{split_corner, Mesh};
 use bookleaf_util::Vec2;
 
 /// Remap target-mesh strategy.
@@ -61,8 +61,8 @@ pub fn target_positions<'a>(
                 }
                 let mut sum = Vec2::ZERO;
                 let mut count = 0.0;
-                for &(e, _) in mesh.elements_of_node(n) {
-                    for &m in &mesh.elnd[e as usize] {
+                for &id in mesh.elements_of_node(n) {
+                    for &m in &mesh.elnd[split_corner(id).0] {
                         if m as usize != n {
                             sum += mesh.nodes[m as usize];
                             count += 1.0;

@@ -19,8 +19,8 @@
 //! idle between steps, and an Eulerian target is the reference mesh
 //! itself.
 
-use bookleaf_mesh::geometry::{char_length, corner_volumes, quad_area};
-use bookleaf_mesh::{Mesh, Topology};
+use bookleaf_mesh::geometry::{corner_volumes, quad_area};
+use bookleaf_mesh::{split_corner, Mesh, Topology};
 use bookleaf_util::{BookLeafError, Result, Vec2};
 
 use bookleaf_hydro::state::{HydroState, LocalRange};
@@ -199,17 +199,14 @@ impl Remapper {
         // The exchange has the last word on halo node positions. Where
         // an owner's target differs from the one computed here (Smooth:
         // the owner's star sees fresher neighbour positions), re-evaluate
-        // the geometry of the owned elements round that node, so the
-        // remap leaves geometry that matches the mesh it leaves.
+        // the volume of the owned elements round that node, so the remap
+        // leaves geometry that matches the mesh it leaves.
         for n in 0..range.n_active_nd {
             if mesh.nodes[n] != target[n] {
-                for &(e, _) in mesh.elements_of_node(n) {
-                    let e = e as usize;
+                for &id in mesh.elements_of_node(n) {
+                    let e = split_corner(id).0;
                     if e < range.n_owned_el {
-                        let corners = mesh.corners(e);
-                        state.volume[e] = quad_area(&corners);
-                        state.cnvol[e] = corner_volumes(&corners);
-                        state.length[e] = char_length(&corners);
+                        state.volume[e] = quad_area(&mesh.corners(e));
                     }
                 }
             }
@@ -247,7 +244,7 @@ fn first_fail(a: Option<(usize, Fail)>, b: Option<(usize, Fail)>) -> Option<(usi
 }
 
 /// Apply the advective fluxes to every element of `elements` (owned
-/// and ghost alike): masses, energy, geometry, corner masses, and — in
+/// and ghost alike): masses, energy, volume, corner masses, and — in
 /// place of the momentum flux `mom[e]` came in with — the momentum
 /// deficit each element owes its corners. Reads only nodal velocities
 /// that no node sweep has rewritten yet (the `OverlapSets` remap
@@ -267,10 +264,8 @@ fn remap_elements(
     let columns = (
         &mut state.mass[..ne],
         &mut state.volume[..ne],
-        &mut state.length[..ne],
         &mut state.rho[..ne],
         &mut state.ein[..ne],
-        &mut state.cnvol[..ne],
         &mut state.cnmass[..ne],
         mom,
     );
@@ -280,7 +275,7 @@ fn remap_elements(
         columns,
         None,
         first_fail,
-        |e, (mass, volume, length, rho, ein, cnvol, cnmass, mom)| {
+        |e, (mass, volume, rho, ein, cnmass, mom)| {
             let mass_old = *mass;
             let energy_old = mass_old * *ein;
             let mom_old = fx.cell_u[e] * mass_old;
@@ -300,11 +295,9 @@ fn remap_elements(
             }
             *mass = mass_new;
             *volume = vol;
-            *length = char_length(&corners);
             *rho = mass_new / vol;
             *ein = energy_new / mass_new;
             let cv = corner_volumes(&corners);
-            *cnvol = cv;
             // Uniform sub-zonal density on the fresh mesh: the remap
             // resets sub-zonal pressure deviations (its fluxes carry
             // element totals only, as single-material swept remaps do).
@@ -344,16 +337,16 @@ fn remap_nodes(
     nodes: Pass<'_>,
 ) {
     let topology: &Topology = mesh;
-    let (cnmass, mass) = (&state.cnmass, &state.mass);
+    let (cnmass, mass) = (state.cnmass.as_flattened(), &state.mass);
     let columns = (&mut state.u[..range.n_active_nd],);
     sweep(threading, nodes, columns, |n, (un,)| {
         let mut dp = Vec2::ZERO;
         let mut m_new = 0.0;
-        for &(e, c) in topology.elements_of_node(n) {
-            let (e, c) = (e as usize, c as usize);
-            let w = cnmass[e][c] / mass[e].max(1e-300);
+        for &id in topology.elements_of_node(n) {
+            let e = split_corner(id).0;
+            let w = cnmass[id as usize] / mass[e].max(1e-300);
             dp += mom_change[e] * w;
-            m_new += cnmass[e][c];
+            m_new += cnmass[id as usize];
         }
         if m_new > 0.0 {
             *un += dp / m_new;
@@ -445,7 +438,6 @@ mod tests {
             st.volume[e] = quad_area(&c);
             st.rho[e] = st.mass[e] / st.volume[e];
             let cv = corner_volumes(&c);
-            st.cnvol[e] = cv;
             for k in 0..4 {
                 st.cnmass[e][k] = st.rho[e] * cv[k];
             }
@@ -457,7 +449,7 @@ mod tests {
             let m: f64 = mesh
                 .elements_of_node(n)
                 .iter()
-                .map(|&(e, c)| st.cnmass[e as usize][c as usize])
+                .map(|&id| st.cnmass.as_flattened()[id as usize])
                 .sum();
             mom0 += st.u[n] * m;
         }
@@ -474,7 +466,7 @@ mod tests {
             let m: f64 = mesh
                 .elements_of_node(n)
                 .iter()
-                .map(|&(e, c)| st.cnmass[e as usize][c as usize])
+                .map(|&id| st.cnmass.as_flattened()[id as usize])
                 .sum();
             mom1 += st.u[n] * m;
         }
@@ -600,7 +592,6 @@ mod tests {
                 st.volume[e] = quad_area(&c);
                 st.rho[e] = st.mass[e] / st.volume[e];
                 let cv = corner_volumes(&c);
-                st.cnvol[e] = cv;
                 for k in 0..4 {
                     st.cnmass[e][k] = st.rho[e] * cv[k];
                 }
@@ -617,8 +608,8 @@ mod tests {
         let mut pre_el = vec![false; mesh0.n_elements()];
         for (n, &is_pre) in pre_nd.iter().enumerate() {
             if is_pre {
-                for &(e, _) in mesh0.elements_of_node(n) {
-                    pre_el[e as usize] = true;
+                for &id in mesh0.elements_of_node(n) {
+                    pre_el[split_corner(id).0] = true;
                 }
             }
         }
@@ -683,7 +674,6 @@ mod tests {
                 st.volume[e] = quad_area(&c);
                 st.rho[e] = st.mass[e] / st.volume[e];
                 let cv = corner_volumes(&c);
-                st.cnvol[e] = cv;
                 for k in 0..4 {
                     st.cnmass[e][k] = st.rho[e] * cv[k];
                 }

@@ -62,9 +62,7 @@
 //! kernels.
 
 use bookleaf_eos::MaterialTable;
-use bookleaf_mesh::geometry::{
-    char_length_lanes, corner_volumes_lanes, quad_area_lanes, CornerLanes,
-};
+use bookleaf_mesh::geometry::{quad_area_lanes, CornerLanes};
 use bookleaf_mesh::Mesh;
 use bookleaf_util::{BookLeafError, Lanes, Result, Vec2};
 
@@ -80,7 +78,7 @@ use crate::Threading;
 /// dataflow as skipping that kernel in the unfused sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EosStages {
-    /// Recompute volume, corner volumes and characteristic length.
+    /// Recompute the volume.
     pub geom: bool,
     /// Recompute density from mass and volume.
     pub rho: bool,
@@ -169,8 +167,6 @@ pub fn eos_fused(
     };
     let outs = (
         &mut state.volume[..n],
-        &mut state.cnvol[..n],
-        &mut state.length[..n],
         &mut state.rho[..n],
         &mut state.ein[..n],
         &mut state.pressure[..n],
@@ -202,12 +198,9 @@ pub fn eos_fused(
     Ok(())
 }
 
-/// The seven output columns of the chain, in chain order: volume,
-/// corner volumes, length, density, energy, pressure, sound speed
-/// squared.
+/// The five output columns of the chain, in chain order: volume,
+/// density, energy, pressure, sound speed squared.
 type Outs<'a> = (
-    &'a mut [f64],
-    &'a mut [[f64; 4]],
     &'a mut [f64],
     &'a mut [f64],
     &'a mut [f64],
@@ -246,13 +239,11 @@ impl Chain<'_> {
     /// lane. Returns "no element failed", as `getgeom`'s and `getrho`'s
     /// sweeps do.
     fn sweep<const N: usize>(&self, first: usize, outs: Outs<'_>, threading: Threading) -> bool {
-        let (v, cv, l, r, ei, p, c2) = outs;
+        let (v, r, ei, p, c2) = outs;
         let els = first..first + v.len();
         assert!(v.len() % N == 0, "{} elements in rows of {N}", v.len());
         let columns = (
             v.as_chunks_mut::<N>().0,
-            cv.as_chunks_mut::<N>().0,
-            l.as_chunks_mut::<N>().0,
             r.as_chunks_mut::<N>().0,
             ei.as_chunks_mut::<N>().0,
             p.as_chunks_mut::<N>().0,
@@ -273,14 +264,10 @@ impl Chain<'_> {
             columns,
             true,
             both,
-            |i, (v, cv, l, r, ei, p, c2)| {
+            |i, (v, r, ei, p, c2)| {
                 let mut ok = true;
                 if stages.geom {
-                    let c = CornerLanes::gather(self.nodes, &elnd[i]);
-                    *v = quad_area_lanes(&c).0;
-                    let corner = corner_volumes_lanes(&c);
-                    *cv = std::array::from_fn(|lane| corner.map(|vol| vol.0[lane]));
-                    *l = char_length_lanes(&c).0;
+                    *v = quad_area_lanes(&CornerLanes::gather(self.nodes, &elnd[i])).0;
                     ok = v.iter().all(|&v| untangled(v));
                 }
                 if stages.rho {
@@ -387,20 +374,11 @@ mod tests {
         Ok(())
     }
 
-    /// The chain's seven output arrays, whole (ghost entries too), as
+    /// The chain's five output arrays, whole (ghost entries too), as
     /// bit patterns.
     fn output_bits(st: &HydroState) -> Vec<u64> {
-        let scalars = [
-            &st.volume,
-            &st.length,
-            &st.rho,
-            &st.ein,
-            &st.pressure,
-            &st.cs2,
-        ];
-        let scalars = scalars.into_iter().flatten();
-        let all = scalars.chain(st.cnvol.iter().flatten());
-        all.map(|v| v.to_bits()).collect()
+        let scalars = [&st.volume, &st.rho, &st.ein, &st.pressure, &st.cs2];
+        scalars.into_iter().flatten().map(|v| v.to_bits()).collect()
     }
 
     /// The predictor's sweep: every stage, the live energies.

@@ -68,6 +68,8 @@ pub fn getacc_pass(
     }
     let nn = range.n_active_nd;
     let (cnmass, fx, fy) = (&state.cnmass, &state.cnforce_x, &state.cnforce_y);
+    // The gathers index the corner rows by flat corner id.
+    let (cnmass_at, fx_at, fy_at) = (cnmass.as_flattened(), fx.as_flattened(), fy.as_flattened());
     let topology: &Topology = mesh;
     let columns = (
         &mut state.nd_mass[..nn],
@@ -84,16 +86,17 @@ pub fn getacc_pass(
         *u = u_old + a * dt;
         *ubar = (u_old + *u) * 0.5;
     };
-    // Mass and force gathered at node `n` from its adjacent elements.
+    // Mass and force gathered at node `n` from its adjacent corners,
+    // each a flat corner id `4e + c` straight into the flattened rows.
     // The CSR adjacency is ordered by element id, so the summation
     // order is identical on every rank that can see the node —
     // distributed and serial runs produce bitwise-identical updates.
     let gather = |n: usize| {
         let (mut m, mut f) = (0.0, Vec2::ZERO);
-        for &(e, c) in topology.elements_of_node(n) {
-            let (e, c) = (e as usize, c as usize);
-            m += cnmass[e][c];
-            f += Vec2::new(fx[e][c], fy[e][c]);
+        for &id in topology.elements_of_node(n) {
+            let id = id as usize;
+            m += cnmass_at[id];
+            f += Vec2::new(fx_at[id], fy_at[id]);
         }
         (m, f)
     };
@@ -150,7 +153,7 @@ pub fn move_nodes(mesh: &mut Mesh, state: &HydroState, range: LocalRange, dt: f6
 mod tests {
     use super::*;
     use bookleaf_eos::{EosSpec, MaterialTable};
-    use bookleaf_mesh::{generate_rect, RectSpec};
+    use bookleaf_mesh::{generate_rect, split_corner, RectSpec};
     use bookleaf_util::approx_eq;
 
     fn setup(n: usize) -> (Mesh, HydroState) {
@@ -196,7 +199,7 @@ mod tests {
         }
         let rounds = (0..mesh.n_nodes()).any(|n| {
             let adj = mesh.elements_of_node(n);
-            let add = |s: f64, &(e, c): &(u32, u8)| s + st0.cnforce_x[e as usize][c as usize];
+            let add = |s: f64, &id: &u32| s + st0.cnforce_x.as_flattened()[id as usize];
             adj.iter().fold(0.0, add).to_bits() != adj.iter().rev().fold(0.0, add).to_bits()
         });
         assert!(
@@ -302,12 +305,10 @@ mod tests {
         let mut expected = Vec2::ZERO;
         for n in 0..mesh.n_nodes() {
             let (mut m, mut f) = (0.0, Vec2::ZERO);
-            for &(e, c) in mesh.elements_of_node(n) {
-                m += st.cnmass[e as usize][c as usize];
-                f += Vec2::new(
-                    st.cnforce_x[e as usize][c as usize],
-                    st.cnforce_y[e as usize][c as usize],
-                );
+            for &id in mesh.elements_of_node(n) {
+                let (e, c) = split_corner(id);
+                m += st.cnmass[e][c];
+                f += Vec2::new(st.cnforce_x[e][c], st.cnforce_y[e][c]);
             }
             let bc = mesh.node_bc[n];
             dp += st.u[n] * m;

@@ -55,10 +55,14 @@ impl HourglassControl {
     }
 }
 
-/// Assemble corner forces for the owned range from the stored
-/// `edge_q`: the force half of
-/// [`viscforce`](crate::viscforce::viscforce), which is what a
-/// production step runs.
+/// Assemble corner forces for the owned range from the edge
+/// viscosities [`getq`](crate::getq::getq) stored in `state.edge_q`:
+/// the force half of [`viscforce`](crate::viscforce::viscforce), which
+/// is what a production step runs.
+///
+/// # Panics
+/// If `state.edge_q` holds fewer rows than the owned range (run `getq`
+/// first).
 ///
 /// `dt` is the step the forces will be integrated over; the viscous pair
 /// forces are *momentum-limited* against it (an explicit damping force
@@ -73,6 +77,12 @@ pub fn getforce(
     threading: Threading,
 ) {
     let n = range.n_owned_el;
+    assert!(
+        state.edge_q.len() >= n,
+        "getforce reads the edge viscosities `getq` stores: {} rows for {n} owned \
+         elements (run `getq` first)",
+        state.edge_q.len()
+    );
     // Element-indexed reads sliced to the owned range so the sweeps
     // (bounded by the same `n` through the force-row zip) index them
     // without bounds checks; `x`, `u` and `nd_mass` stay full-length —
@@ -84,7 +94,6 @@ pub fn getforce(
     let edge_q = &state.edge_q[..n];
     let nd_mass = &state.nd_mass;
     let cnmass = &state.cnmass[..n];
-    let cnvol = &state.cnvol[..n];
     let volume = &state.volume[..n];
 
     let columns = (&mut state.cnforce_x[..n], &mut state.cnforce_y[..n]);
@@ -102,7 +111,6 @@ pub fn getforce(
             cs: sound_speed(cs2[e]),
             volume: volume[e],
             cnmass: &cnmass[e],
-            cnvol: &cnvol[e],
         };
         hourglass(&mut force, &g, quad_centroid(&g.x), &el, hg);
         store_force(&force, fx, fy);
@@ -115,18 +123,40 @@ mod tests {
     use crate::viscforce::GAMMA;
     use bookleaf_eos::{EosSpec, MaterialTable};
     use bookleaf_mesh::geometry::area_gradient;
-    use bookleaf_mesh::{generate_rect, RectSpec};
+    use bookleaf_mesh::{generate_rect, split_corner, RectSpec};
     use bookleaf_util::{approx_eq, Vec2};
 
     fn corner_force(st: &HydroState, e: usize, c: usize) -> Vec2 {
         Vec2::new(st.cnforce_x[e][c], st.cnforce_y[e][c])
     }
 
+    /// `st` with zero edge viscosities, as `getq` would size them.
+    fn with_edge_q(mut st: HydroState) -> HydroState {
+        st.edge_q = vec![[0.0; 4]; st.n_elements()];
+        st
+    }
+
     fn setup(n: usize) -> (Mesh, HydroState) {
         let mesh = generate_rect(&RectSpec::unit_square(n), |_| 0).unwrap();
         let mat = MaterialTable::single(EosSpec::ideal_gas(1.4));
         let st = HydroState::new(&mesh, &mat, |_| 1.0, |_| 2.5, |_| Vec2::ZERO).unwrap();
-        (mesh, st)
+        (mesh, with_edge_q(st))
+    }
+
+    #[test]
+    #[should_panic(expected = "run `getq` first")]
+    fn without_getq_there_is_nothing_to_read() {
+        let (mesh, mut st) = setup(2);
+        st.edge_q.clear();
+        let range = LocalRange::whole(&mesh);
+        getforce(
+            &mesh,
+            &mut st,
+            range,
+            HourglassControl::none(),
+            1.0,
+            Threading::Serial,
+        );
     }
 
     #[test]
@@ -181,8 +211,9 @@ mod tests {
         // Gather at an interior node: contributions cancel.
         let n = 2 * 5 + 2; // interior node of the 5x5 node grid
         let mut f = Vec2::ZERO;
-        for &(e, c) in mesh.elements_of_node(n) {
-            f += corner_force(&st, e as usize, c as usize);
+        for &id in mesh.elements_of_node(n) {
+            let (e, c) = split_corner(id);
+            f += corner_force(&st, e, c);
         }
         assert!(f.norm() < 1e-13);
     }
@@ -267,14 +298,16 @@ mod tests {
         // Hourglass velocity pattern: alternate +x/-x *in corner order*.
         // The single element's corners are nodes [0, 1, 3, 2].
         let corner_of_node = [0usize, 1, 3, 2]; // node -> corner
-        let mut st = HydroState::new(
-            &mesh,
-            &mat,
-            |_| 1.0,
-            |_| 2.5,
-            |i| Vec2::new(GAMMA[corner_of_node[i]], 0.0),
-        )
-        .unwrap();
+        let mut st = with_edge_q(
+            HydroState::new(
+                &mesh,
+                &mat,
+                |_| 1.0,
+                |_| 2.5,
+                |i| Vec2::new(GAMMA[corner_of_node[i]], 0.0),
+            )
+            .unwrap(),
+        );
         st.pressure[0] = 0.0;
         let hg = HourglassControl {
             kappa_filter: 0.5,
@@ -297,8 +330,8 @@ mod tests {
             assert!(corner_force(&st, 0, c).y.abs() < 1e-13);
         }
         // And a rigid translation is untouched by the filter.
-        let mut st2 =
-            HydroState::new(&mesh, &mat, |_| 1.0, |_| 2.5, |_| Vec2::new(1.0, 0.0)).unwrap();
+        let st2 = HydroState::new(&mesh, &mat, |_| 1.0, |_| 2.5, |_| Vec2::new(1.0, 0.0));
+        let mut st2 = with_edge_q(st2.unwrap());
         st2.pressure[0] = 0.0;
         getforce(
             &mesh,
@@ -317,9 +350,9 @@ mod tests {
     fn subzonal_pressure_resists_corner_compression() {
         let (mesh, mut st) = setup(1);
         st.pressure[0] = 0.0;
-        // Pretend corner 0's sub-zone got compressed: its volume halved
-        // while mass is fixed -> sub-zonal density doubled.
-        st.cnvol[0][0] *= 0.5;
+        // Pretend corner 0's sub-zone got compressed: its mass doubled
+        // in the same volume -> sub-zonal density doubled.
+        st.cnmass[0][0] *= 2.0;
         let hg = HourglassControl {
             kappa_filter: 0.0,
             zeta_subzonal: 0.5,
@@ -363,9 +396,7 @@ mod tests {
             |i| Vec2::new((3.0 * nodes[i].y).sin(), (2.0 * nodes[i].x).cos()),
         )
         .unwrap();
-        for e in 0..a.n_elements() {
-            a.edge_q[e] = [0.1, 0.0, 0.3, 0.05];
-        }
+        a.edge_q = vec![[0.1, 0.0, 0.3, 0.05]; a.n_elements()];
         let mut b = a.clone();
         getforce(
             &mesh,

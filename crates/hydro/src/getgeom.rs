@@ -1,10 +1,12 @@
 //! `getgeom`: update element geometry after node motion.
 //!
-//! Recomputes, for every owned element: volume (signed area), corner
-//! volumes, and the CFL characteristic length. A non-positive volume
-//! means the mesh tangled — a fatal error in the reference code too.
+//! Recomputes every owned element's volume (signed area) — the one
+//! piece of geometry another kernel reads. A non-positive volume means
+//! the mesh tangled — a fatal error in the reference code too. (Corner
+//! volumes and the CFL length are computed where they are read, by
+//! `viscforce` and `getdt`.)
 
-use bookleaf_mesh::geometry::{char_length, corner_volumes, quad_area};
+use bookleaf_mesh::geometry::quad_area;
 use bookleaf_mesh::Mesh;
 use bookleaf_util::{BookLeafError, Result};
 
@@ -12,7 +14,7 @@ use crate::state::{HydroState, LocalRange};
 use crate::sweep::{sweep_reduce, Pass};
 use crate::Threading;
 
-/// Recompute geometry for the owned range. Returns the first tangled
+/// Recompute the volumes of the owned range. Returns the first tangled
 /// element as an error.
 pub fn getgeom(
     mesh: &Mesh,
@@ -22,22 +24,14 @@ pub fn getgeom(
 ) -> Result<()> {
     let n = range.n_owned_el;
     let (elnd, x) = (&mesh.elnd[..n], &mesh.nodes);
-    let columns = (
-        &mut state.volume[..n],
-        &mut state.cnvol[..n],
-        &mut state.length[..n],
-    );
     let ok = sweep_reduce(
         threading,
         Pass::All,
-        columns,
+        (&mut state.volume[..n],),
         true,
         |a, b| a && b,
-        |e, (volume, cnvol, length)| {
-            let c = elnd[e].map(|n| x[n as usize]);
-            *volume = quad_area(&c);
-            *cnvol = corner_volumes(&c);
-            *length = char_length(&c);
+        |e, (volume,)| {
+            *volume = quad_area(&elnd[e].map(|n| x[n as usize]));
             untangled(*volume)
         },
     );
@@ -92,10 +86,7 @@ mod tests {
         getgeom(&mesh, &mut st, range, Threading::Serial).unwrap();
         let v: f64 = st.volume.iter().sum();
         assert!(approx_eq(v, 2.0, 1e-12));
-        for e in 0..st.n_elements() {
-            let cv: f64 = st.cnvol[e].iter().sum();
-            assert!(approx_eq(cv, st.volume[e], 1e-12));
-        }
+        assert!(st.volume.iter().all(|&v| approx_eq(v, 0.5, 1e-12)));
     }
 
     #[test]
@@ -110,8 +101,6 @@ mod tests {
         getgeom(&mesh, &mut st_a, range, Threading::Serial).unwrap();
         getgeom(&mesh, &mut st_b, range, Threading::Rayon).unwrap();
         assert_eq!(st_a.volume, st_b.volume);
-        assert_eq!(st_a.cnvol, st_b.cnvol);
-        assert_eq!(st_a.length, st_b.length);
     }
 
     #[test]

@@ -54,7 +54,9 @@ pub fn monotonic_limiter(r: f64) -> f64 {
 
 /// Compute edge and element viscosities over the owned range: the
 /// viscosity half of [`viscforce`](crate::viscforce::viscforce), which
-/// is what a production step runs.
+/// is what a production step runs. The edge viscosities are stored in
+/// `state.edge_q` (sized here to the local elements) for
+/// [`getforce`](crate::getforce::getforce) to read.
 ///
 /// Requires ghost node velocities and positions to be current (exchange
 /// phase 1).
@@ -67,6 +69,7 @@ pub fn getq(
 ) {
     let n = range.n_owned_el;
     let (elnd, stencil, x) = (&mesh.elnd[..n], &mesh.face_stencil()[..n], &mesh.nodes);
+    state.edge_q.resize(state.n_elements(), [0.0; 4]);
     let u = &state.u;
     let rho = &state.rho[..n];
     let cs2 = &state.cs2[..n];

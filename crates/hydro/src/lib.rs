@@ -23,12 +23,12 @@
 //!
 //! | paper kernel | module | body, per |
 //! |--------------|--------|-----------|
-//! | `getdt`      | [`getdt`]    | element: velocity divergence (then the CFL / divergence min-scan) |
+//! | `getdt`      | [`getdt`]    | element: CFL length, velocity divergence, both extrema (a reduction) |
 //! | `getq`       | [`getq`]     | element: artificial viscosity |
 //! | `getforce`   | [`getforce`] | element: corner forces — pressure, viscosity, hourglass |
 //! | (both)       | [`mod@viscforce`] | element: the two above fused — what a step runs |
 //! | `getacc`     | [`getacc`]   | node: mass and force gather, acceleration, BCs, velocity |
-//! | `getgeom`    | [`getgeom`]  | element: volume, corner volumes, characteristic length |
+//! | `getgeom`    | [`getgeom`]  | element: volume |
 //! | `getrho`     | [`getrho`]   | element: density from Lagrangian mass |
 //! | `getein`     | [`getein`]   | element: compatible internal-energy update |
 //! | `getpc`      | [`getpc`]    | element: EoS evaluation |
@@ -74,11 +74,13 @@
 //! *each other*: both run on the same unchanged positions and
 //! velocities, `getq` reaches its face neighbours only through the
 //! cell-velocity table computed (by a sweep of its own) before the
-//! element sweep, and `getforce` reads only its own element's `edge_q`.
-//! [`fn@viscforce`] is that single sweep (gather once, four faces as
-//! four lanes, one quiescent-element exit), bitwise identical to `getq`
-//! then `getforce`, and the only viscosity/force code a production step
-//! runs; the public `getq` and `getforce` sweep its per-element pieces.
+//! element sweep, and `getforce` reads only its own element's edge
+//! viscosities. [`fn@viscforce`] is that single sweep (gather once,
+//! four faces as four lanes, one quiescent-element exit, the edge
+//! viscosities handed from one half to the other in a local), bitwise
+//! identical to `getq` then `getforce`, and the only viscosity/force
+//! code a production step runs; the public `getq` and `getforce` sweep
+//! its per-element pieces, handing over through `HydroState::edge_q`.
 //! Pre-optimisation kernel shapes are preserved in [`mod@reference`]
 //! for the `kernels` A/B and the equivalence suite.
 //!

@@ -3,33 +3,98 @@
 //! The hot kernels were reshaped for stride-1 inner loops: `getq` drives
 //! its neighbour gathers through the packed index table
 //! (`Topology::face_stencil`), `getforce` writes SoA component rows, and the
-//! EOS chain can run fused (see
-//! [`fn@crate::eos_fused`]). This module keeps the *original* loop shapes —
-//! in-loop neighbour gathers, interleaved `Vec2` corner forces — as the
-//! baseline of the `kernels` bin's interleaved A/B and as the anchor of
-//! the bitwise-equivalence suite. They are algorithmically identical to
-//! the production kernels; only the memory-access structure differs.
+//! EOS chain runs fused (see [`fn@crate::eos_fused`]). This module keeps
+//! the *original* loop shapes — in-loop neighbour gathers, interleaved
+//! `Vec2` corner forces, one scalar loop per EOS stage — as the baseline
+//! of the `kernels` bin's interleaved A/B and as the anchor of the
+//! bitwise-equivalence suite. They are algorithmically identical to the
+//! production kernels; only the memory-access structure differs.
 //!
 //! Nothing here runs in a production step. Do not "fix" these to match
 //! future optimisations — their value is being the unoptimised shape.
 //! They walk their elements serially: an anchor's value is its
 //! arithmetic order, which no traversal changes.
 
-use bookleaf_mesh::geometry::{area_gradient, quad_centroid};
+use bookleaf_eos::MaterialTable;
+use bookleaf_mesh::geometry::{area_gradient, corner_volumes, quad_area, quad_centroid};
 use bookleaf_mesh::{Mesh, Neighbor};
 use bookleaf_util::constants::ZERO_CUT;
-use bookleaf_util::Vec2;
+use bookleaf_util::{BookLeafError, Result, Vec2};
 
+use crate::eos_fused::FusedEos;
+use crate::getein::WorkVelocity;
 use crate::getforce::HourglassControl;
+use crate::getgeom::first_tangled;
 use crate::getq::{monotonic_limiter, QCoeffs};
 use crate::state::{HydroState, LocalRange};
+
+/// The `getgeom → getrho → getein → getpc` chain as four scalar element
+/// loops, one per stage `sweep.stages` selects: what
+/// [`eos_fused`](fn@crate::eos_fused) computes, in the unfused order. A
+/// stage that is off leaves its outputs alone, and the stages after it
+/// read what the state holds. The energy update integrates from
+/// `sweep.ein_from` when given, else from the live energies.
+///
+/// Stops at the first stage that fails, with its error: the first
+/// tangled element, then the first non-finite or negative density.
+pub fn eos_chain_reference(
+    mesh: &Mesh,
+    materials: &MaterialTable,
+    state: &mut HydroState,
+    range: LocalRange,
+    sweep: FusedEos<'_>,
+) -> Result<()> {
+    let n = range.n_owned_el;
+    let stages = sweep.stages;
+    if stages.geom {
+        for e in 0..n {
+            state.volume[e] = quad_area(&mesh.corners(e));
+        }
+        first_tangled(&state.volume[..n])?;
+    }
+    if stages.rho {
+        for e in 0..n {
+            state.rho[e] = state.mass[e] / state.volume[e];
+        }
+        if let Some(e) = (0..n).find(|&e| !state.rho[e].is_finite() || state.rho[e] < 0.0) {
+            return Err(BookLeafError::InvalidState {
+                element: e,
+                what: format!("density {} after getrho", state.rho[e]),
+            });
+        }
+    }
+    if stages.ein {
+        let vel = match sweep.which {
+            WorkVelocity::Current => &state.u,
+            WorkVelocity::TimeCentred => &state.ubar,
+        };
+        for e in 0..n {
+            let mut work = 0.0;
+            for c in 0..4 {
+                let v = vel[mesh.elnd[e][c] as usize];
+                work += state.cnforce_x[e][c] * v.x + state.cnforce_y[e][c] * v.y;
+            }
+            let from = sweep.ein_from.map_or(state.ein[e], |src| src[e]);
+            state.ein[e] = from - sweep.dt * work / state.mass[e];
+        }
+    }
+    if stages.pc {
+        for e in 0..n {
+            let spec = materials.spec(mesh.region[e]);
+            (state.pressure[e], state.cs2[e]) = spec.pressure_cs2(state.rho[e], state.ein[e]);
+        }
+    }
+    Ok(())
+}
 
 /// Pre-hoist `getq`: the limiter reaches into `cell_u[neighbors(e)[f]]`
 /// *inside* the face loop (one indirect gather per compressive face),
 /// exactly as the kernel was shaped before the stencil hoist. Writes
-/// `state.q` / `state.edge_q` like the production kernel.
+/// `state.q`, and the edge viscosities into `state.edge_q` (sized here)
+/// for [`getforce_reference`], like the standalone `getq`.
 pub fn getq_reference(mesh: &Mesh, state: &mut HydroState, range: LocalRange, coeffs: QCoeffs) {
     let n = range.n_owned_el;
+    state.edge_q.resize(state.n_elements(), [0.0; 4]);
 
     let cell_u: Vec<Vec2> = (0..mesh.n_elements())
         .map(|e| cell_velocity(mesh, &state.u, e))
@@ -92,10 +157,13 @@ pub fn getq_reference(mesh: &Mesh, state: &mut HydroState, range: LocalRange, co
 /// The hourglass mode sign pattern on a quad (mirror of `getforce`).
 const GAMMA: [f64; 4] = [1.0, -1.0, 1.0, -1.0];
 
-/// Pre-SoA `getforce`: assembles the same corner forces but stores them
-/// as interleaved `[Vec2; 4]` rows in a caller-provided buffer — the
-/// layout `HydroState` used before the component-row split. The buffer
-/// is resized to the owned range.
+/// Pre-SoA `getforce`: assembles the same corner forces from the edge
+/// viscosities [`getq_reference`] stored, but stores them as interleaved
+/// `[Vec2; 4]` rows in a caller-provided buffer — the layout
+/// `HydroState` used before the component-row split. The buffer is
+/// resized to the owned range. Each element's corner volumes are
+/// computed in its own iteration, where the sub-zonal pressure reads
+/// them.
 pub fn getforce_reference(
     mesh: &Mesh,
     state: &HydroState,
@@ -115,7 +183,6 @@ pub fn getforce_reference(
     let edge_q = &state.edge_q;
     let nd_mass = &state.nd_mass;
     let cnmass = &state.cnmass;
-    let cnvol = &state.cnvol;
     let volume = &state.volume;
 
     let body = |e: usize, force: &mut [Vec2; 4]| {
@@ -179,8 +246,9 @@ pub fn getforce_reference(
 
         if hg.zeta_subzonal > 0.0 {
             let centre = quad_centroid(&corners);
+            let cnvol = corner_volumes(&corners);
             for c in 0..4 {
-                let cv = cnvol[e][c];
+                let cv = cnvol[c];
                 if cv <= 0.0 {
                     continue;
                 }
@@ -246,9 +314,7 @@ mod tests {
             },
         )
         .unwrap();
-        for e in 0..st.n_elements() {
-            st.edge_q[e] = [0.1, 0.0, 0.3, 0.05];
-        }
+        st.edge_q = vec![[0.1, 0.0, 0.3, 0.05]; st.n_elements()];
         (mesh, st)
     }
 

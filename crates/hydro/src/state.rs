@@ -20,9 +20,20 @@
 //! `[Vec2; 4]` field, so the split is invisible on the wire, and the
 //! checkpoint body never contains corner forces (they are re-derived),
 //! so the layout is invisible to the checkpoint format too.
+//!
+//! ## What is a field
+//!
+//! A quantity is stored here iff a restart reads it or it crosses a
+//! kernel boundary: one kernel writes it and another one reads it.
+//! Whatever only the kernel that makes it reads is computed where it is
+//! read, from the corners that kernel gathers anyway — the CFL length
+//! and the velocity divergence inside `getdt`'s reduction, the corner
+//! volumes inside `viscforce`'s sub-zonal pressure, each face's edge
+//! viscosity inside `viscforce`'s element body — so a step streams, and
+//! a run holds, only what is handed on.
 
 use bookleaf_eos::MaterialTable;
-use bookleaf_mesh::geometry::{char_length, corner_volumes, quad_area};
+use bookleaf_mesh::geometry::{corner_volumes, quad_area};
 use bookleaf_mesh::Mesh;
 use bookleaf_util::{BookLeafError, NeumaierSum, Result, Vec2};
 
@@ -60,22 +71,23 @@ pub struct HydroState {
     pub pressure: Vec<f64>,
     /// Adiabatic sound speed squared.
     pub cs2: Vec<f64>,
-    /// Current element volume (area in 2-D).
+    /// Current element volume (area in 2-D): read by the density
+    /// update, the hourglass filter and the sentinel.
     pub volume: Vec<f64>,
-    /// Characteristic length for the CFL condition.
-    pub length: Vec<f64>,
-    /// Element-level artificial viscosity scalar (max of edge values).
+    /// Element-level artificial viscosity scalar (max of edge values):
+    /// read by the next step's `getdt`, and a restart field.
     pub q: Vec<f64>,
-    /// Velocity divergence (for the divergence dt limit).
-    pub div_u: Vec<f64>,
 
     // --- corner fields (length = n local elements, 4 per element) ---
-    /// Edge viscous pressures, one per element side.
+    /// Edge viscous pressures, one per element side — the hand-off
+    /// between the standalone [`getq`](crate::getq::getq), which sizes
+    /// and writes it, and [`getforce`](crate::getforce::getforce), which
+    /// reads it. Empty otherwise: no production step stores edge
+    /// viscosities ([`viscforce`](crate::viscforce::viscforce) keeps
+    /// each element's row in a local).
     pub edge_q: Vec<[f64; 4]>,
     /// Corner (sub-zonal) masses, fixed in the Lagrangian frame.
     pub cnmass: Vec<[f64; 4]>,
-    /// Current corner volumes.
-    pub cnvol: Vec<[f64; 4]>,
     /// x component of the total corner force on each corner node from
     /// this element (SoA row; see the module-level layout contract).
     pub cnforce_x: Vec<[f64; 4]>,
@@ -140,12 +152,9 @@ impl HydroState {
             pressure: vec![0.0; ne],
             cs2: vec![0.0; ne],
             volume: vec![0.0; ne],
-            length: vec![0.0; ne],
             q: vec![0.0; ne],
-            div_u: vec![0.0; ne],
-            edge_q: vec![[0.0; 4]; ne],
+            edge_q: Vec::new(),
             cnmass: vec![[0.0; 4]; ne],
-            cnvol: vec![[0.0; 4]; ne],
             cnforce_x: vec![[0.0; 4]; ne],
             cnforce_y: vec![[0.0; 4]; ne],
             u: (0..nn).map(&u_of).collect(),
@@ -160,12 +169,10 @@ impl HydroState {
             let ein = ein_of(e);
             admit_element(e, vol, rho, ein)?;
             st.volume[e] = vol;
-            st.length[e] = char_length(&c);
             st.rho[e] = rho;
             st.ein[e] = ein;
             st.mass[e] = rho * vol;
             let cv = corner_volumes(&c);
-            st.cnvol[e] = cv;
             for c in 0..4 {
                 st.cnmass[e][c] = rho * cv[c];
             }
@@ -173,11 +180,12 @@ impl HydroState {
             st.pressure[e] = p;
             st.cs2[e] = cs2;
         }
+        let cnmass = st.cnmass.as_flattened();
         for n in 0..nn {
             st.nd_mass[n] = mesh
                 .elements_of_node(n)
                 .iter()
-                .map(|&(e, c)| st.cnmass[e as usize][c as usize])
+                .map(|&id| cnmass[id as usize])
                 .sum();
         }
         Ok(st)
@@ -232,13 +240,14 @@ impl HydroState {
         owns: impl Fn(usize) -> bool,
     ) -> f64 {
         let mut s = NeumaierSum::new();
+        let cnmass = self.cnmass.as_flattened();
         for n in 0..range.n_active_nd {
             if !owns(n) {
                 continue;
             }
             let mut m = 0.0;
-            for &(e, c) in mesh.elements_of_node(n) {
-                m += self.cnmass[e as usize][c as usize];
+            for &id in mesh.elements_of_node(n) {
+                m += cnmass[id as usize];
             }
             s.add(0.5 * m * self.u[n].norm2());
         }

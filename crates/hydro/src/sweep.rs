@@ -3,9 +3,10 @@
 //!
 //! A kernel writes a few per-entity output arrays — its *columns* — and
 //! entity `i`'s outputs depend on nothing another entity writes in the
-//! same kernel (§IV-B's "trivially parallelisable"). So how the index
-//! range is traversed is not the kernel's business, and it is written
-//! here once:
+//! same kernel (§IV-B's "trivially parallelisable"). A reduction that
+//! writes nothing sweeps one read-only column instead (`getdt` sweeps
+//! the element→node table). So how the index range is traversed is not
+//! the kernel's business, and it is written here once:
 //!
 //! * **serial or threaded** ([`Threading`]): a zipped walk over the
 //!   columns (no per-entity bounds checks), or the same walk at the
@@ -64,7 +65,9 @@ impl<'a> Pass<'a> {
 }
 
 /// A tuple of equally long `&mut` slices: the per-entity outputs of one
-/// kernel. Implemented for tuples of one to eight slices.
+/// kernel. Implemented for tuples of one to eight slices, and for one
+/// shared slice (a reduction's per-entity input, when it writes
+/// nothing).
 pub trait Columns: Sized + Send {
     /// One `&mut` per column: entity `i`'s outputs.
     type Row;
@@ -117,6 +120,19 @@ columns!(A a, B b, C c, D d, E e);
 columns!(A a, B b, C c, D d, E e, F f);
 columns!(A a, B b, C c, D d, E e, F f, G g);
 columns!(A a, B b, C c, D d, E e, F f, G g, H h);
+
+impl<'a, T: Sync> Columns for &'a [T] {
+    type Row = &'a T;
+    fn n_rows(&self) -> usize {
+        self.len()
+    }
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        <[T]>::split_at(self, mid)
+    }
+    fn rows(self) -> impl Iterator<Item = Self::Row> {
+        self.iter()
+    }
+}
 
 /// Run `body(i, row)` for every entity `i` of `pass`, where `row` holds
 /// the `&mut` entries `i` of `columns`.

@@ -3,14 +3,20 @@
 //! `getq` and `getforce` always run back to back on unchanged positions
 //! and velocities, and both are per-element: `getq` reads its
 //! neighbours only through the cell-velocity table precomputed *before*
-//! the sweep, and `getforce` reads only its own element's `edge_q`. So
-//! one pass gathers the element's corners, node velocities, centroid and
-//! sound speed once, derives the face kinematics (`du`, `dx`, `du·dx`,
-//! `|du|`) once, and produces `edge_q`, `q` and the corner forces in the
-//! same iteration. [`viscforce`] is that pass — the only viscosity/force
-//! code a production step runs. The public [`getq`](crate::getq::getq)
-//! and [`getforce`](crate::getforce::getforce) kernels are thin drivers
-//! over the same per-element pieces defined here.
+//! the sweep, and `getforce` reads only its own element's edge
+//! viscosities. So one pass gathers the element's corners, node
+//! velocities, centroid and sound speed once, derives the face
+//! kinematics (`du`, `dx`, `du·dx`, `|du|`) once, and produces `q` and
+//! the corner forces in the same iteration. The four edge viscosities
+//! go from the viscosity half to the force half in a local, and the
+//! corner volumes of the sub-zonal pressure are the areas of the
+//! sub-zone quads it builds from the gathered corners anyway: neither
+//! is stored. [`viscforce`]
+//! is that pass — the only viscosity/force code a production step runs.
+//! The public [`getq`](crate::getq::getq) and
+//! [`getforce`](crate::getforce::getforce) kernels are thin drivers over
+//! the same per-element pieces defined here, handing the edge
+//! viscosities over in `HydroState::edge_q`.
 //!
 //! ## Four lanes, one exit
 //!
@@ -38,7 +44,7 @@
 //! the overlapped executor's viscosity-phase boundary set serves the
 //! fused sweep.
 
-use bookleaf_mesh::geometry::{area_gradient, quad_centroid};
+use bookleaf_mesh::geometry::{area_gradient, quad_area, quad_centroid};
 use bookleaf_mesh::{Mesh, STENCIL_BOUNDARY};
 use bookleaf_util::constants::ZERO_CUT;
 use bookleaf_util::Vec2;
@@ -372,7 +378,6 @@ pub(crate) struct HourglassInputs<'a> {
     pub(crate) cs: f64,
     pub(crate) volume: f64,
     pub(crate) cnmass: &'a [f64; 4],
-    pub(crate) cnvol: &'a [f64; 4],
 }
 
 /// Add the hourglass-control forces: the Hancock filter and the
@@ -410,7 +415,14 @@ pub(crate) fn hourglass(
     if hg.zeta_subzonal > 0.0 {
         let corners = &g.x;
         for c in 0..4 {
-            let cv = el.cnvol[c];
+            // Sub-zone quad v = (x_c, m_next, centre, m_prev): its area
+            // is the corner volume (`geometry::corner_volumes`, the same
+            // expression on the same corners), computed here, the one
+            // place it is read.
+            let m_next = corners[c].midpoint(corners[(c + 1) % 4]);
+            let m_prev = corners[(c + 3) % 4].midpoint(corners[c]);
+            let v = [corners[c], m_next, centre, m_prev];
+            let cv = quad_area(&v);
             if cv <= 0.0 {
                 continue;
             }
@@ -419,12 +431,8 @@ pub(crate) fn hourglass(
             if dp == 0.0 {
                 continue;
             }
-            // Sub-zone quad v = (x_c, m_next, centre, m_prev) and the
-            // shoelace gradients g_k = ∂A/∂v_k = ½ R(v_{k+1} − v_{k−1})
+            // The shoelace gradients g_k = ∂A/∂v_k = ½ R(v_{k+1} − v_{k−1})
             // with R(w) = (w.y, −w.x).
-            let m_next = corners[c].midpoint(corners[(c + 1) % 4]);
-            let m_prev = corners[(c + 3) % 4].midpoint(corners[c]);
-            let v = [corners[c], m_next, centre, m_prev];
             let rot = |w: Vec2| Vec2::new(w.y, -w.x);
             let grad = [
                 rot(v[1] - v[3]) * 0.5,
@@ -464,12 +472,14 @@ pub struct ViscForce {
     pub dt: f64,
 }
 
-/// Compute `edge_q`, `q` and the corner forces of the owned elements in
+/// Compute `q` and the corner forces of the owned elements in
 /// `elements` — bitwise identical to [`getq`](crate::getq::getq)
-/// followed by [`getforce`](crate::getforce::getforce). Elements outside
-/// the pass keep their previous values. `cells` names the cell-velocity
-/// table entries (over all local elements, ghosts included) to compute
-/// first: at least the swept elements and their face neighbours —
+/// followed by [`getforce`](crate::getforce::getforce), without storing
+/// the edge viscosities they hand over (each element's four stay in a
+/// local). Elements outside the pass keep their previous values.
+/// `cells` names the cell-velocity table entries (over all local
+/// elements, ghosts included) to compute first: at least the swept
+/// elements and their face neighbours —
 /// `Pass::All` for a whole or interior sweep,
 /// `Pass::Only(OverlapSets::boundary_cells)` for the boundary pass.
 ///
@@ -493,7 +503,7 @@ pub fn viscforce(
     // shorter than the range panics here and not mid-sweep. The sweep
     // hands the body `e`, not a proof that `e < n`: each of these reads
     // keeps its (never taken) bounds check, as does every gather — two
-    // dozen compare-and-branch pairs in the release body. Only the four
+    // dozen compare-and-branch pairs in the release body. Only the three
     // written columns arrive zipped. `x`, `u` and `nd_mass` stay
     // full-length — they are gathered through node ids. The topology
     // rows are taken here, once, not through the mesh per element.
@@ -504,7 +514,6 @@ pub fn viscforce(
     let pressure = &state.pressure[..n];
     let nd_mass = &state.nd_mass;
     let cnmass = &state.cnmass[..n];
-    let cnvol = &state.cnvol[..n];
     let volume = &state.volume[..n];
     let ViscForce {
         q: coeffs,
@@ -512,14 +521,13 @@ pub fn viscforce(
         dt,
     } = visc;
     let columns = (
-        &mut state.edge_q[..n],
         &mut state.q[..n],
         &mut state.cnforce_x[..n],
         &mut state.cnforce_y[..n],
     );
 
     with_cell_velocities(mesh, u, threading, cells, |cell_u| {
-        sweep(threading, elements, columns, |e, (edge_q, q, fx, fy)| {
+        sweep(threading, elements, columns, |e, (q, fx, fy)| {
             let g = Gathered::new(elnd[e], x, u);
             let centre = quad_centroid(&g.x);
             let cs = sound_speed(cs2[e]);
@@ -535,11 +543,11 @@ pub fn viscforce(
                     cell_u,
                     coeffs,
                 };
-                (*edge_q, *q) = edge_q_lanes(&g, &faces, &du_mag, centre, &inputs);
+                let edge_q;
+                (edge_q, *q) = edge_q_lanes(&g, &faces, &du_mag, centre, &inputs);
                 let masses = g.nd.map(|nd| nd_mass[nd]);
-                viscous_pairs(&mut force, &faces, &du_mag, edge_q, &masses, dt);
+                viscous_pairs(&mut force, &faces, &du_mag, &edge_q, &masses, dt);
             } else {
-                *edge_q = [0.0; 4];
                 *q = 0.0;
             }
             let el = HourglassInputs {
@@ -548,7 +556,6 @@ pub fn viscforce(
                 cs,
                 volume: volume[e],
                 cnmass: &cnmass[e],
-                cnvol: &cnvol[e],
             };
             hourglass(&mut force, &g, centre, &el, hg);
             store_force(&force, fx, fy);
@@ -605,12 +612,11 @@ mod tests {
         rows.iter().map(|r| r.map(f64::to_bits)).collect()
     }
 
-    /// `edge_q`, `q`, `cnforce_x`, `cnforce_y` as bit patterns.
-    type Outputs = (Vec<[u64; 4]>, Vec<u64>, Vec<[u64; 4]>, Vec<[u64; 4]>);
+    /// `q`, `cnforce_x`, `cnforce_y` as bit patterns.
+    type Outputs = (Vec<u64>, Vec<[u64; 4]>, Vec<[u64; 4]>);
 
     fn outputs(st: &HydroState) -> Outputs {
         (
-            bits4(&st.edge_q),
             st.q.iter().map(|q| q.to_bits()).collect(),
             bits4(&st.cnforce_x),
             bits4(&st.cnforce_y),
@@ -661,14 +667,12 @@ mod tests {
             [&|_| Vec2::ZERO, &|i| nodes[i] - Vec2::new(0.5, 0.5)];
         for u_of in velocities {
             let mut st = HydroState::new(&mesh, &mat, |_| 1.0, |_| 2.5, u_of).unwrap();
-            // Poison the outputs: the exit must still write zeros.
+            // Poison the output: the exit must still write zeros.
             st.q.fill(3.5);
-            st.edge_q.fill([3.5; 4]);
             assert_all_shapes_agree(&mesh, &st, 1e-2, HourglassControl::default());
             let sweep = sweep_of(1e-2, HourglassControl::default());
             viscforce_all(&mesh, &mut st, sweep, Threading::Serial);
             assert!(st.q.iter().all(|&q| q == 0.0));
-            assert!(st.edge_q.iter().flatten().all(|&q| q == 0.0));
         }
     }
 
@@ -692,10 +696,15 @@ mod tests {
             )
             .unwrap();
             assert_all_shapes_agree(&mesh, &st, 1e-3, HourglassControl::default());
-            let mut out = st.clone();
-            let sweep = sweep_of(1e-3, HourglassControl::default());
-            viscforce_all(&mesh, &mut out, sweep, Threading::Serial);
             if n == 1 {
+                let mut out = st.clone();
+                getq(
+                    &mesh,
+                    &mut out,
+                    LocalRange::whole(&mesh),
+                    QCoeffs::default(),
+                    Threading::Serial,
+                );
                 assert!(out.edge_q[0].iter().all(|&q| q > 0.0), "{:?}", out.edge_q);
             }
         }
@@ -743,7 +752,7 @@ mod tests {
         let sweep = sweep_of(1e-2, HourglassControl::default());
         viscforce_all(&mesh, &mut out, sweep, Threading::Serial);
         assert!(out.q.iter().any(|&q| q > 0.0));
-        assert!(out.edge_q.iter().flatten().all(|q| q.is_finite()));
+        assert!(out.q.iter().all(|q| q.is_finite()));
         assert!(out.cnforce_x.iter().flatten().all(|f| f.is_finite()));
     }
 
@@ -806,7 +815,6 @@ mod tests {
             for listed in [false, true] {
                 let mut st = st0.clone();
                 st.q.fill(poison);
-                st.edge_q.fill([poison; 4]);
                 st.cnforce_x.fill([poison; 4]);
                 st.cnforce_y.fill([poison; 4]);
                 let (elements, table) = if listed {
@@ -816,7 +824,7 @@ mod tests {
                 };
                 viscforce(&mesh, &mut st, range, sweep, th, elements, table);
                 for e in 0..mesh.n_elements() {
-                    let rows = [st.edge_q[e], st.cnforce_x[e], st.cnforce_y[e]];
+                    let rows = [st.cnforce_x[e], st.cnforce_y[e]];
                     if mask[e] == listed {
                         assert_ne!(st.q[e], poison, "{th:?}: element {e} was skipped");
                         assert!(rows.iter().flatten().all(|&v| v != poison), "element {e}");

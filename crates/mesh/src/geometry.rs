@@ -17,11 +17,12 @@
 //!   area exactly;
 //! * the **characteristic length** used by the CFL condition.
 //!
-//! The three the EOS chain computes per element per sweep — area, corner
-//! volumes, characteristic length — are written once, over `N` quads at
-//! a time ([`CornerLanes`], [`Lanes`]): lane `l` of every intermediate
-//! is quad `l`'s scalar expression, so the scalar functions are the
-//! `N = 1` case and a quad's bits do not depend on its lane-mates.
+//! The area, which the fused EOS chain sweeps two quads at a time, is
+//! written once over `N` quads ([`CornerLanes`], [`Lanes`]): lane `l` of
+//! every intermediate is quad `l`'s scalar expression, so [`quad_area`]
+//! is the `N = 1` case and a quad's bits do not depend on its
+//! lane-mates. Corner volumes and the characteristic length are read
+//! one element at a time, where `viscforce` and `getdt` compute them.
 
 use bookleaf_util::{Lanes, Vec2};
 
@@ -109,76 +110,46 @@ pub fn area_gradient(c: &[Vec2; NCORN]) -> [Vec2; NCORN] {
 /// Corner `i`'s sub-zone is the quad (cornerᵢ, midpoint(i,i+1), centroid,
 /// midpoint(i−1,i)). For straight-sided quads the four sub-zones tile the
 /// element exactly.
+#[inline]
 #[must_use]
 pub fn corner_volumes(c: &[Vec2; NCORN]) -> [f64; NCORN] {
-    corner_volumes_lanes(&c.into()).map(|v| v.0[0])
-}
-
-/// [`corner_volumes`] of `N` quads, corner by corner: entry `i` holds
-/// every quad's sub-zone at its corner `i`.
-#[inline(always)]
-#[must_use]
-pub fn corner_volumes_lanes<const N: usize>(c: &CornerLanes<N>) -> [Lanes<N>; NCORN] {
-    let (x, y) = (&c.x, &c.y);
-    let centre = |v: &[Lanes<N>; NCORN]| 0.25 * (v[0] + v[1] + v[2] + v[3]);
-    let (ctr_x, ctr_y) = (centre(x), centre(y));
+    let centre = quad_centroid(c);
     std::array::from_fn(|i| {
-        let ip = (i + 1) % NCORN;
-        let im = (i + 3) % NCORN;
-        quad_area_lanes(&CornerLanes {
-            x: [x[i], 0.5 * (x[i] + x[ip]), ctr_x, 0.5 * (x[im] + x[i])],
-            y: [y[i], 0.5 * (y[i] + y[ip]), ctr_y, 0.5 * (y[im] + y[i])],
-        })
+        let (next, prev) = (c[(i + 1) % NCORN], c[(i + 3) % NCORN]);
+        quad_area(&[c[i], c[i].midpoint(next), centre, prev.midpoint(c[i])])
     })
 }
 
 /// Characteristic length for the CFL condition: element area divided by
 /// the longest edge. For a square of side `h` this gives `h`; for
 /// squashed or distorted elements it shrinks conservatively, which is the
-/// behaviour the time-step control needs.
+/// behaviour the time-step control needs. A degenerate quad (longest
+/// edge zero) gets length zero, by a select on the finished quotient.
 ///
 /// The longest edge is found among the *squared* lengths and rooted
 /// once: `sqrt` is monotone and correctly rounded, so
 /// `sqrt(max(aᵢ)) == max(sqrt(aᵢ))` bit for bit — one `sqrt` per
 /// element instead of four (NaN edges are skipped by the fold either
 /// way).
+#[inline]
 #[must_use]
 pub fn char_length(c: &[Vec2; NCORN]) -> f64 {
-    char_length_lanes(&c.into()).0[0]
-}
-
-/// [`char_length`] of `N` quads. A degenerate quad (longest edge zero)
-/// gets length zero by a per-lane select on the finished quotient, so
-/// its lane-mates are not held up by it.
-#[inline(always)]
-#[must_use]
-pub fn char_length_lanes<const N: usize>(c: &CornerLanes<N>) -> Lanes<N> {
-    let (x, y) = (&c.x, &c.y);
-    let area = quad_area_lanes(c).map(f64::abs);
     let longest = (0..NCORN)
-        .map(|i| {
-            let (dx, dy) = (x[i] - x[(i + 1) % NCORN], y[i] - y[(i + 1) % NCORN]);
-            dx * dx + dy * dy
-        })
-        .fold(Lanes::splat(0.0), |longest, edge| {
-            longest.zip(edge, f64::max)
-        })
-        .map(f64::sqrt);
-    (area / longest).zip(
-        longest,
-        |length, longest| {
-            if longest == 0.0 {
-                0.0
-            } else {
-                length
-            }
-        },
-    )
+        .map(|i| (c[i] - c[(i + 1) % NCORN]).norm2())
+        .fold(0.0, f64::max)
+        .sqrt();
+    let length = quad_area(c).abs() / longest;
+    if longest == 0.0 {
+        0.0
+    } else {
+        length
+    }
 }
 
 /// Velocity divergence integrated over the element, divided by the area:
 /// the discrete ∇·u used by the viscosity limiter and the divergence
 /// time-step control. `u` holds the four corner velocities.
+#[inline]
 #[must_use]
 pub fn velocity_divergence(c: &[Vec2; NCORN], u: &[Vec2; NCORN]) -> f64 {
     // dA/dt = Σᵢ ∂A/∂xᵢ · uᵢ ; ∇·u = (dA/dt)/A.
@@ -218,8 +189,8 @@ mod tests {
     }
 
     /// Area, corner volumes and characteristic length in their textbook
-    /// `Vec2` forms — the independent anchor the lane functions (and so
-    /// the scalar ones, their `N = 1` case) are held to bit for bit.
+    /// `Vec2` forms — the independent anchor the area's lanes and the
+    /// scalar functions are held to bit for bit.
     fn textbook(c: &[Vec2; 4]) -> (f64, [f64; 4], f64) {
         let area = |c: &[Vec2; 4]| {
             0.5 * ((c[0].x * c[1].y - c[1].x * c[0].y)
@@ -292,20 +263,11 @@ mod tests {
                 let lane_quad = |l: usize| (first + l * 7) % quads.len();
                 let elnd: [[u32; 4]; N] =
                     std::array::from_fn(|l| std::array::from_fn(|c| (4 * lane_quad(l) + c) as u32));
-                let c = CornerLanes::<N>::gather(&nodal, &elnd);
-                let (area, corner, length) = (
-                    quad_area_lanes(&c),
-                    corner_volumes_lanes(&c),
-                    char_length_lanes(&c),
-                );
+                let area = quad_area_lanes(&CornerLanes::<N>::gather(&nodal, &elnd));
                 for l in 0..N {
                     let what = format!("quad {} in lane {l} of {N}", lane_quad(l));
-                    let (want_area, want_corner, want_length) = textbook(&quads[lane_quad(l)]);
+                    let (want_area, ..) = textbook(&quads[lane_quad(l)]);
                     assert!(same(area.0[l], want_area), "{what}: area");
-                    assert!(same(length.0[l], want_length), "{what}: length");
-                    for i in 0..4 {
-                        assert!(same(corner[i].0[l], want_corner[i]), "{what}: corner {i}");
-                    }
                 }
             }
         }

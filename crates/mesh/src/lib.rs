@@ -12,8 +12,9 @@
 //!
 //! * [`Mesh`] — node coordinates, owned by whoever holds the mesh, over
 //!   an immutable, shared [`Topology`]: element→node, element→element
-//!   across faces (one packed `u32` row per element), CSR node→element,
-//!   boundary conditions and per-element region ids;
+//!   across faces (one packed `u32` row per element), CSR node→corner
+//!   (one `u32` flat corner id per item), boundary conditions and
+//!   per-element region ids;
 //! * [`generation`] — deck-driven mesh generation (rectangular regions,
 //!   the Saltzmann distorted mesh);
 //! * [`geometry`] — quadrilateral geometry kernels (areas, corner
@@ -34,7 +35,7 @@ mod topology;
 
 pub use generation::{generate_rect, rect_parts, saltzmann_distort, RectSpec};
 pub use submesh::{neighbour_union, OverlapSets, SubMesh, SubMeshPlan};
-pub use topology::{Mesh, Neighbor, NodeBc, Topology, STENCIL_BOUNDARY};
+pub use topology::{split_corner, Mesh, Neighbor, NodeBc, Topology, STENCIL_BOUNDARY};
 
 /// Number of corners / faces of a quadrilateral element.
 pub const NCORN: usize = bookleaf_util::constants::NCORN;

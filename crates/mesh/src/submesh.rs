@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 
 use bookleaf_util::{BookLeafError, Result};
 
-use crate::topology::{Mesh, Topology, STENCIL_BOUNDARY};
+use crate::topology::{split_corner, Mesh, Topology, STENCIL_BOUNDARY};
 use crate::NCORN;
 
 /// One direction of a per-neighbour exchange schedule: the local indices
@@ -148,7 +148,7 @@ impl SubMesh {
                 self.mesh
                     .elements_of_node(n as usize)
                     .iter()
-                    .any(|&(e, _)| el_recv[e as usize])
+                    .any(|&id| el_recv[split_corner(id).0])
             })
             .collect();
 
@@ -164,8 +164,8 @@ impl SubMesh {
                 let n = n as usize;
                 // Send nodes are owned, and owned nodes are active.
                 remap_pre_nd[n] = true;
-                for &(e, _) in self.mesh.elements_of_node(n) {
-                    remap_pre_el[e as usize] = true;
+                for &id in self.mesh.elements_of_node(n) {
+                    remap_pre_el[split_corner(id).0] = true;
                 }
             }
         }
@@ -299,8 +299,8 @@ impl SubMeshPlan {
         // Node owner = min rank among adjacent elements.
         let mut nd_owner_g = vec![u32::MAX; global.n_nodes()];
         for (n, o) in nd_owner_g.iter_mut().enumerate() {
-            for &(e, _) in global.elements_of_node(n) {
-                *o = (*o).min(owner[e as usize] as u32);
+            for &id in global.elements_of_node(n) {
+                *o = (*o).min(owner[split_corner(id).0] as u32);
             }
         }
 
@@ -342,9 +342,10 @@ impl SubMeshPlan {
                 el_g2l[e as usize] = 0;
             }
             for &n in &d.nds {
-                for &(e, _) in global.elements_of_node(n as usize) {
-                    if std::mem::replace(&mut el_g2l[e as usize], 0) == ABSENT {
-                        d.els.push(e);
+                for &id in global.elements_of_node(n as usize) {
+                    let e = split_corner(id).0;
+                    if std::mem::replace(&mut el_g2l[e], 0) == ABSENT {
+                        d.els.push(e as u32);
                     }
                 }
             }
@@ -424,9 +425,10 @@ impl SubMeshPlan {
             let mut ndel = Vec::with_capacity(d.els.len() * NCORN);
             ndel_off.push(0);
             for &n in &d.nds {
-                for &(e, c) in global.elements_of_node(n as usize) {
-                    if el_g2l[e as usize] != ABSENT {
-                        ndel.push((el_g2l[e as usize], c));
+                for &id in global.elements_of_node(n as usize) {
+                    let (e, c) = split_corner(id);
+                    if el_g2l[e] != ABSENT {
+                        ndel.push(el_g2l[e] * NCORN as u32 + c as u32);
                     }
                 }
                 ndel_off.push(ndel.len() as u32);
@@ -559,7 +561,8 @@ mod tests {
             let local_els: std::collections::HashSet<u32> = s.el_l2g.iter().copied().collect();
             for ln in 0..s.n_active_nd {
                 let g = s.nd_l2g[ln] as usize;
-                for &(e, _) in m.elements_of_node(g) {
+                for &id in m.elements_of_node(g) {
+                    let e = split_corner(id).0 as u32;
                     assert!(
                         local_els.contains(&e),
                         "rank {}: element {e} adjacent to active node {g} missing",
@@ -732,8 +735,8 @@ mod tests {
             // Interior nodes: adjacency entirely owned.
             for n in 0..s.n_active_nd {
                 if !nd_boundary[n] {
-                    for &(e, _) in s.mesh.elements_of_node(n) {
-                        assert!(s.owns_element(e as usize));
+                    for &id in s.mesh.elements_of_node(n) {
+                        assert!(s.owns_element(split_corner(id).0));
                     }
                 }
             }
@@ -747,8 +750,8 @@ mod tests {
             for ex in &s.nd_exchange {
                 for &n in &ex.send {
                     assert!(remap_pre_nd[n as usize]);
-                    for &(e, _) in s.mesh.elements_of_node(n as usize) {
-                        assert!(remap_pre_el[e as usize]);
+                    for &id in s.mesh.elements_of_node(n as usize) {
+                        assert!(remap_pre_el[split_corner(id).0]);
                     }
                 }
             }

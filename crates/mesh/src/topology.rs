@@ -13,10 +13,12 @@
 //!   [`STENCIL_BOUNDARY`] for a face on the boundary: one packed `u32`
 //!   per face, the table the kernels stream. [`Topology::neighbors`]
 //!   reads a row as typed [`Neighbor`]s.
-//! * Node→element adjacency is CSR: for node `n`, the elements touching it
-//!   (with the corner index `n` occupies in each) are
-//!   `ndel[ndel_off[n]..ndel_off[n+1]]`. Valence is arbitrary — this is
-//!   what makes the mesh *unstructured*.
+//! * Node→element adjacency is CSR: for node `n`, the corners it
+//!   occupies are `ndel[ndel_off[n]..ndel_off[n+1]]`, each one `u32`
+//!   *flat corner id* `4e + c` — corner `c` of element `e`, which is also
+//!   the corner's index in any `[f64; 4]` row field viewed
+//!   `as_flattened()` ([`split_corner`] takes it apart). Valence is
+//!   arbitrary — this is what makes the mesh *unstructured*.
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -28,8 +30,21 @@ use crate::NCORN;
 /// Sentinel in [`Topology::face_stencil`] rows marking a boundary face.
 pub const STENCIL_BOUNDARY: u32 = u32::MAX;
 
-/// CSR node→element adjacency: offsets, then (element, corner) items.
-type NodeAdjacency = (Vec<u32>, Vec<(u32, u8)>);
+/// CSR node→element adjacency: offsets, then flat corner ids.
+type NodeAdjacency = (Vec<u32>, Vec<u32>);
+
+/// The most elements a mesh may have: every flat corner id `4e + c`, and
+/// the corner count `4 · n_elements` that ends the CSR offsets, must fit
+/// a `u32`.
+const MAX_ELEMENTS: usize = (u32::MAX / NCORN as u32) as usize;
+
+/// The element and the corner within it that a flat corner id `4e + c`
+/// of [`Topology::elements_of_node`] names.
+#[inline(always)]
+#[must_use]
+pub fn split_corner(id: u32) -> (usize, usize) {
+    (id as usize / NCORN, id as usize % NCORN)
+}
 
 /// What lies across a face of an element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,8 +123,10 @@ pub struct Topology {
     pub(crate) stencil: Vec<[u32; NCORN]>,
     /// CSR offsets for node→element adjacency (length `nnodes + 1`).
     pub ndel_off: Vec<u32>,
-    /// CSR items: (element id, corner index this node occupies).
-    pub ndel: Vec<(u32, u8)>,
+    /// CSR items: the flat corner id `4e + c` of each corner the node
+    /// occupies, in ascending element order — of the global mesh's ids,
+    /// in a sub-mesh — which is the order every nodal sum runs in.
+    pub ndel: Vec<u32>,
     /// Kinematic boundary condition per node.
     pub node_bc: Vec<NodeBc>,
     /// Region (material) id per element.
@@ -152,10 +169,12 @@ impl Topology {
         self.elnd.len()
     }
 
-    /// Elements adjacent to node `n`: `(element, corner)` pairs.
+    /// The corners node `n` occupies, as flat corner ids `4e + c` in
+    /// the [`Topology::ndel`] order: index a row field `as_flattened()`
+    /// with one directly, or take it apart with [`split_corner`].
     #[inline]
     #[must_use]
-    pub fn elements_of_node(&self, n: usize) -> &[(u32, u8)] {
+    pub fn elements_of_node(&self, n: usize) -> &[u32] {
         &self.ndel[self.ndel_off[n] as usize..self.ndel_off[n + 1] as usize]
     }
 
@@ -257,8 +276,9 @@ impl Topology {
             return Err(BookLeafError::MeshTopology("ndel CSR tail mismatch".into()));
         }
         for n in 0..n_nodes {
-            for &(e, c) in self.elements_of_node(n) {
-                if self.elnd[e as usize][c as usize] != n as u32 {
+            for &id in self.elements_of_node(n) {
+                let (e, c) = split_corner(id);
+                if self.elnd.get(e).is_none_or(|quad| quad[c] != n as u32) {
                     return Err(BookLeafError::MeshTopology(format!(
                         "ndel entry ({e},{c}) does not point back to node {n}"
                     )));
@@ -285,10 +305,22 @@ impl Topology {
     }
 }
 
-/// Check `elnd` (node ids in range, no face joining a node to itself)
-/// and build the CSR node→element adjacency from it. Each node's items
-/// come out in ascending (element, corner) order.
+/// Refuse more than [`MAX_ELEMENTS`] elements.
+fn check_element_count(elements: usize) -> Result<()> {
+    if elements > MAX_ELEMENTS {
+        return Err(BookLeafError::MeshTooLarge {
+            elements,
+            max: MAX_ELEMENTS,
+        });
+    }
+    Ok(())
+}
+
+/// Check `elnd` (no more than [`MAX_ELEMENTS`], node ids in range, no
+/// face joining a node to itself) and build the CSR node→element
+/// adjacency from it. Each node's items come out ascending.
 fn build_ndel(n_nodes: usize, elnd: &[[u32; NCORN]]) -> Result<NodeAdjacency> {
+    check_element_count(elnd.len())?;
     for (e, quad) in elnd.iter().enumerate() {
         for f in 0..NCORN {
             let a = quad[f];
@@ -315,14 +347,12 @@ fn build_ndel(n_nodes: usize, elnd: &[[u32; NCORN]]) -> Result<NodeAdjacency> {
         counts[i] += counts[i - 1];
     }
     let offsets = counts;
-    let mut items = vec![(0u32, 0u8); *offsets.last().unwrap_or(&0) as usize];
+    let mut items = vec![0u32; *offsets.last().unwrap_or(&0) as usize];
     let mut cursor = offsets.clone();
-    for (e, quad) in elnd.iter().enumerate() {
-        for (c, &n) in quad.iter().enumerate() {
-            let slot = cursor[n as usize] as usize;
-            items[slot] = (e as u32, c as u8);
-            cursor[n as usize] += 1;
-        }
+    for (id, &n) in elnd.as_flattened().iter().enumerate() {
+        let slot = cursor[n as usize] as usize;
+        items[slot] = id as u32;
+        cursor[n as usize] += 1;
     }
     Ok((offsets, items))
 }
@@ -338,7 +368,7 @@ fn build_ndel(n_nodes: usize, elnd: &[[u32; NCORN]]) -> Result<NodeAdjacency> {
 fn build_stencil(
     elnd: &[[u32; NCORN]],
     ndel_off: &[u32],
-    ndel: &[(u32, u8)],
+    ndel: &[u32],
 ) -> Result<Vec<[u32; NCORN]>> {
     let mut stencil = vec![[STENCIL_BOUNDARY; NCORN]; elnd.len()];
     for (e, (quad, faces)) in elnd.iter().zip(&mut stencil).enumerate() {
@@ -346,11 +376,12 @@ fn build_stencil(
             let a = quad[f];
             let b = quad[(f + 1) % NCORN];
             let around_a = ndel_off[a as usize] as usize..ndel_off[a as usize + 1] as usize;
-            for &(e2, c2) in &ndel[around_a] {
-                let other = &elnd[e2 as usize];
-                let c2 = c2 as usize;
+            for &id in &ndel[around_a] {
+                let (e2, c2) = split_corner(id);
+                let other = &elnd[e2];
                 let shares_face =
                     other[(c2 + 1) % NCORN] == b || other[(c2 + NCORN - 1) % NCORN] == b;
+                let e2 = e2 as u32;
                 if e2 as usize == e || !shares_face || *across == e2 {
                     continue;
                 }
@@ -497,13 +528,37 @@ mod tests {
         // Node 1 belongs to both elements.
         let adj = m.elements_of_node(1);
         assert_eq!(adj.len(), 2);
-        // Node 4 too, at corners 2 (el 0) and 3 (el 1).
-        let adj4: Vec<_> = m.elements_of_node(4).to_vec();
-        assert!(adj4.contains(&(0, 2)));
-        assert!(adj4.contains(&(1, 3)));
+        // Node 4 too, at corners 2 (el 0) and 3 (el 1): flat ids
+        // 4·0 + 2 and 4·1 + 3, in element order.
+        assert_eq!(m.elements_of_node(4), [2, 7]);
+        let corners: Vec<_> = m
+            .elements_of_node(4)
+            .iter()
+            .map(|&id| split_corner(id))
+            .collect();
+        assert_eq!(corners, [(0, 2), (1, 3)]);
         // Corner nodes belong to exactly one element.
         assert_eq!(m.elements_of_node(0).len(), 1);
         assert_eq!(m.elements_of_node(2).len(), 1);
+    }
+
+    #[test]
+    fn a_mesh_whose_corner_ids_overflow_a_u32_is_refused() {
+        // 2^30 - 1 elements fit (the last corner id is u32::MAX, the
+        // corner count 2^32 - 4); one more does not. `Topology::from_raw`
+        // checks the count before it builds anything, so the check is
+        // tested on the count alone: such a mesh's `elnd` is 16 GiB.
+        assert_eq!(MAX_ELEMENTS, (1 << 30) - 1);
+        assert_eq!(4 * MAX_ELEMENTS + 3, u32::MAX as usize);
+        let too_many = MAX_ELEMENTS + 1;
+        assert_eq!(
+            check_element_count(too_many),
+            Err(BookLeafError::MeshTooLarge {
+                elements: too_many,
+                max: MAX_ELEMENTS
+            })
+        );
+        assert_eq!(check_element_count(MAX_ELEMENTS), Ok(()));
     }
 
     #[test]

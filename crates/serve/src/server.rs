@@ -533,6 +533,7 @@ fn classify_run_error(err: &BookLeafError) -> (u16, &'static str, &'static str, 
     match err {
         BookLeafError::Deck(_)
         | BookLeafError::MeshTopology(_)
+        | BookLeafError::MeshTooLarge { .. }
         | BookLeafError::Partition(_)
         | BookLeafError::EmptyExecutor { .. } => {
             (400, "Bad Request", "deck", RunOutcome::Unrelated)

@@ -403,6 +403,8 @@ pub enum BookLeafError {
     InvalidState { element: usize, what: String },
     /// Mesh construction or connectivity invariants were violated.
     MeshTopology(String),
+    /// A mesh of more elements than its `u32` corner ids can number.
+    MeshTooLarge { elements: usize, max: usize },
     /// An input deck was missing, unreadable, inconsistent or out of
     /// range (typed detail).
     Deck(DeckError),
@@ -465,6 +467,12 @@ impl fmt::Display for BookLeafError {
                 )
             }
             BookLeafError::MeshTopology(msg) => write!(f, "mesh topology error: {msg}"),
+            BookLeafError::MeshTooLarge { elements, max } => {
+                write!(
+                    f,
+                    "mesh of {elements} elements: at most {max} are supported"
+                )
+            }
             BookLeafError::Deck(e) => write!(f, "invalid input deck: {e}"),
             BookLeafError::Partition(msg) => write!(f, "partitioning error: {msg}"),
             BookLeafError::Checkpoint(e) => write!(f, "{e}"),

@@ -1,18 +1,19 @@
-//! Bitwise equivalence of the two fused sweeps against the kernels they
-//! fuse: the EOS sweep against the unfused
-//! `getgeom → getrho → getein → getpc` chain, and the viscosity–force
-//! sweep against `getq` then `getforce` and the kept reference shapes
-//! (end of this file).
+//! Bitwise equivalence of the two fused sweeps against the kept
+//! reference shapes of the kernels they fuse (`bookleaf::hydro::reference`,
+//! the one independent arithmetic): the EOS sweep against the
+//! `getgeom → getrho → getein → getpc` chain as four scalar loops, and
+//! the viscosity–force sweep against the pre-hoist `getq` and the
+//! pre-SoA `getforce` (end of this file).
 //!
 //! The fused sweep's contract (see `bookleaf::hydro::eos_fused`) is that
-//! it produces *bitwise identical* state to running the four kernels in
+//! it produces *bitwise identical* state to running the four stages in
 //! sequence — fusion may only change how the arrays are streamed, never
 //! the arithmetic. This suite pins that contract:
 //!
 //! * the full chain, on every standard deck, serial and rayon;
 //! * the corrector form (`ein_from`) against restore-then-advance;
 //! * every one of the 16 stage-subset masks against the matching
-//!   kernel subsequence, on owned ranges of 0, 1, 2, 3, an odd and an
+//!   stage subsequence, on owned ranges of 0, 1, 2, 3, an odd and an
 //!   even number of elements (the sweep takes two per row);
 //! * a property test over randomised valid states;
 //! * the error path on a tangled mesh (same error value, both routes).
@@ -20,13 +21,10 @@
 use bookleaf::core::decks::{self, Deck};
 use bookleaf::core::Simulation;
 use bookleaf::eos::MaterialTable;
-use bookleaf::hydro::getein::{getein, WorkVelocity};
-use bookleaf::hydro::getforce::{getforce, HourglassControl};
-use bookleaf::hydro::getgeom::getgeom;
-use bookleaf::hydro::getpc::getpc;
-use bookleaf::hydro::getq::{getq, QCoeffs};
-use bookleaf::hydro::getrho::getrho;
-use bookleaf::hydro::reference::{getforce_reference, getq_reference};
+use bookleaf::hydro::getein::WorkVelocity;
+use bookleaf::hydro::getforce::HourglassControl;
+use bookleaf::hydro::getq::QCoeffs;
+use bookleaf::hydro::reference::{eos_chain_reference, getforce_reference, getq_reference};
 use bookleaf::hydro::{
     eos_fused, viscforce, EosStages, FusedEos, HydroState, LocalRange, Pass, Threading, ViscForce,
 };
@@ -36,9 +34,44 @@ use proptest::prelude::*;
 
 const DT: f64 = 1e-6;
 
-/// A mid-flow state on `deck`: geometry, density, pressure, viscosity
-/// and corner forces populated, `ubar` distinct from `u`, so every
-/// chain stage sees realistic, non-trivial inputs.
+/// Geometry, density and pressure re-derived (the reference's stages
+/// but the energy's), then viscosity and corner forces, and `ubar`
+/// distinct from `u`: every chain stage then sees realistic,
+/// non-trivial inputs.
+fn prime(mesh: &Mesh, materials: &MaterialTable, st: &mut HydroState) {
+    let range = LocalRange::whole(mesh);
+    let stages = EosStages {
+        ein: false,
+        ..EosStages::all()
+    };
+    eos_chain_reference(
+        mesh,
+        materials,
+        st,
+        range,
+        sweep(stages, WorkVelocity::Current, None),
+    )
+    .expect("chain");
+    let visc = ViscForce {
+        q: QCoeffs::default(),
+        hourglass: HourglassControl::default(),
+        dt: DT,
+    };
+    viscforce(
+        mesh,
+        st,
+        range,
+        visc,
+        Threading::Serial,
+        Pass::All,
+        Pass::All,
+    );
+    for i in 0..st.n_nodes() {
+        st.ubar[i] = Vec2::new(0.5 * st.u[i].x, 0.5 * st.u[i].y);
+    }
+}
+
+/// A mid-flow state on `deck` (see [`prime`]).
 fn prepared(deck: &Deck) -> (Mesh, MaterialTable, HydroState, LocalRange) {
     let mesh = deck.mesh.clone();
     let mut st = HydroState::new(
@@ -49,20 +82,23 @@ fn prepared(deck: &Deck) -> (Mesh, MaterialTable, HydroState, LocalRange) {
         |nd| deck.u[nd],
     )
     .expect("state");
+    prime(&mesh, &deck.materials, &mut st);
     let range = LocalRange::whole(&mesh);
-    let th = Threading::Serial;
-    getgeom(&mesh, &mut st, range, th).expect("geom");
-    getrho(&mut st, range, th).expect("rho");
-    getpc(&mesh, &deck.materials, &mut st, range, th);
-    getq(&mesh, &mut st, range, QCoeffs::default(), th);
-    getforce(&mesh, &mut st, range, HourglassControl::default(), DT, th);
-    for i in 0..st.n_nodes() {
-        st.ubar[i] = Vec2::new(0.5 * st.u[i].x, 0.5 * st.u[i].y);
-    }
     (mesh, deck.materials.clone(), st, range)
 }
 
-/// The unfused kernel subsequence selected by `stages`.
+/// One sweep of the chain over `DT`.
+fn sweep(stages: EosStages, which: WorkVelocity, ein_from: Option<&[f64]>) -> FusedEos<'_> {
+    FusedEos {
+        dt: DT,
+        which,
+        ein_from,
+        stages,
+    }
+}
+
+/// The reference chain: the stage subsequence `stages` selects, from
+/// the live energies.
 fn run_chain(
     mesh: &Mesh,
     materials: &MaterialTable,
@@ -70,20 +106,8 @@ fn run_chain(
     range: LocalRange,
     stages: EosStages,
     which: WorkVelocity,
-    th: Threading,
 ) {
-    if stages.geom {
-        getgeom(mesh, st, range, th).expect("geom");
-    }
-    if stages.rho {
-        getrho(st, range, th).expect("rho");
-    }
-    if stages.ein {
-        getein(mesh, st, range, DT, which, th);
-    }
-    if stages.pc {
-        getpc(mesh, materials, st, range, th);
-    }
+    eos_chain_reference(mesh, materials, st, range, sweep(stages, which, None)).expect("chain");
 }
 
 #[allow(clippy::too_many_arguments)] // mirrors the full eos_fused surface
@@ -102,12 +126,7 @@ fn run_fused(
         materials,
         st,
         range,
-        FusedEos {
-            dt: DT,
-            which,
-            ein_from,
-            stages,
-        },
+        sweep(stages, which, ein_from),
         th,
     )
     .expect("fused");
@@ -115,9 +134,8 @@ fn run_fused(
 
 /// Every output array of the chain, compared bit for bit.
 fn assert_bits_eq(a: &HydroState, b: &HydroState, what: &str) {
-    let scalars: [(&str, &[f64], &[f64]); 6] = [
+    let scalars: [(&str, &[f64], &[f64]); 5] = [
         ("volume", &a.volume, &b.volume),
-        ("length", &a.length, &b.length),
         ("rho", &a.rho, &b.rho),
         ("ein", &a.ein, &b.ein),
         ("pressure", &a.pressure, &b.pressure),
@@ -130,17 +148,6 @@ fn assert_bits_eq(a: &HydroState, b: &HydroState, what: &str) {
                 x.to_bits(),
                 y.to_bits(),
                 "{what}: {name}[{i}] {x:e} vs {y:e}"
-            );
-        }
-    }
-    for (i, (x, y)) in a.cnvol.iter().zip(&b.cnvol).enumerate() {
-        for c in 0..4 {
-            assert_eq!(
-                x[c].to_bits(),
-                y[c].to_bits(),
-                "{what}: cnvol[{i}][{c}] {:e} vs {:e}",
-                x[c],
-                y[c]
             );
         }
     }
@@ -174,7 +181,7 @@ fn full_chain_matches_on_every_standard_deck() {
                     None,
                     th,
                 );
-                run_chain(&mesh, &mat, &mut b, range, EosStages::all(), which, th);
+                run_chain(&mesh, &mat, &mut b, range, EosStages::all(), which);
                 assert_bits_eq(&a, &b, &format!("{name} {th:?} {which:?}"));
             }
         }
@@ -217,7 +224,6 @@ fn corrector_ein_from_matches_restore_then_advance() {
             range,
             EosStages::all(),
             WorkVelocity::TimeCentred,
-            th,
         );
         assert_bits_eq(&a, &b, name);
     }
@@ -249,10 +255,8 @@ fn every_stage_subset_matches_its_kernel_subsequence() {
                     let mut a = st0.clone();
                     let mut b = st0.clone();
                     run_fused(&mesh, &mat, &mut a, range, stages, which, ein_from, th);
-                    if let (true, Some(saved)) = (stages.ein, ein_from) {
-                        b.ein[..n_owned_el].copy_from_slice(&saved[..n_owned_el]);
-                    }
-                    run_chain(&mesh, &mat, &mut b, range, stages, which, th);
+                    let chain = sweep(stages, which, ein_from);
+                    eos_chain_reference(&mesh, &mat, &mut b, range, chain).expect("chain");
                     let source = if ein_from.is_some() { "saved" } else { "live" };
                     assert_bits_eq(
                         &a,
@@ -274,23 +278,11 @@ fn tangled_mesh_reports_the_same_error_on_both_routes() {
     mesh.nodes[nd] = mesh.nodes[mesh.elnd[0][0] as usize] - Vec2::new(0.05, 0.05);
     let th = Threading::Serial;
 
-    let mut a = st0.clone();
-    let fused_err = eos_fused(
-        &mesh,
-        &mat,
-        &mut a,
-        range,
-        FusedEos {
-            dt: DT,
-            which: WorkVelocity::Current,
-            ein_from: None,
-            stages: EosStages::all(),
-        },
-        th,
-    )
-    .expect_err("tangled mesh must fail");
-    let mut b = st0.clone();
-    let chain_err = getgeom(&mesh, &mut b, range, th).expect_err("tangled mesh must fail");
+    let full = sweep(EosStages::all(), WorkVelocity::Current, None);
+    let fused_err = eos_fused(&mesh, &mat, &mut st0.clone(), range, full, th)
+        .expect_err("tangled mesh must fail");
+    let chain_err = eos_chain_reference(&mesh, &mat, &mut st0.clone(), range, full)
+        .expect_err("tangled mesh must fail");
     assert_eq!(format!("{fused_err:?}"), format!("{chain_err:?}"));
 }
 
@@ -321,22 +313,14 @@ proptest! {
             ),
         ).unwrap();
         let range = LocalRange::whole(&mesh);
-        let th = Threading::Serial;
-        getgeom(&mesh, &mut st, range, th).unwrap();
-        getrho(&mut st, range, th).unwrap();
-        getpc(&mesh, &mat, &mut st, range, th);
-        getq(&mesh, &mut st, range, QCoeffs::default(), th);
-        getforce(&mesh, &mut st, range, HourglassControl::default(), DT, th);
-        for i in 0..st.n_nodes() {
-            st.ubar[i] = Vec2::new(0.5 * st.u[i].x, 0.5 * st.u[i].y);
-        }
+        prime(&mesh, &mat, &mut st);
         for th in [Threading::Serial, Threading::Rayon] {
             let mut a = st.clone();
             let mut b = st.clone();
             run_fused(&mesh, &mat, &mut a, range, EosStages::all(),
                       WorkVelocity::Current, None, th);
             run_chain(&mesh, &mat, &mut b, range, EosStages::all(),
-                      WorkVelocity::Current, th);
+                      WorkVelocity::Current);
             assert_bits_eq(&a, &b, &format!("random {th:?}"));
         }
     }
@@ -344,13 +328,12 @@ proptest! {
 
 // ------------------------------------------- viscosity–force sweep
 
-/// `edge_q`, `q`, `cnforce_x`, `cnforce_y` as bit patterns.
-type ViscForceBits = (Vec<[u64; 4]>, Vec<u64>, Vec<[u64; 4]>, Vec<[u64; 4]>);
+/// `q`, `cnforce_x`, `cnforce_y` as bit patterns.
+type ViscForceBits = (Vec<u64>, Vec<[u64; 4]>, Vec<[u64; 4]>);
 
 fn viscforce_bits(st: &HydroState) -> ViscForceBits {
     let rows = |rows: &[[f64; 4]]| rows.iter().map(|r| r.map(f64::to_bits)).collect();
     (
-        rows(&st.edge_q),
         st.q.iter().map(|q| q.to_bits()).collect(),
         rows(&st.cnforce_x),
         rows(&st.cnforce_y),
@@ -387,7 +370,7 @@ fn end_of_run_states() -> Vec<(&'static str, Mesh, HydroState, f64)> {
 }
 
 #[test]
-fn viscforce_matches_getq_then_getforce_and_reference_on_every_deck() {
+fn viscforce_matches_the_reference_on_every_deck() {
     for (name, mesh, st0, dt) in end_of_run_states() {
         let range = LocalRange::whole(&mesh);
         let sweep = ViscForce {
@@ -395,24 +378,12 @@ fn viscforce_matches_getq_then_getforce_and_reference_on_every_deck() {
             hourglass: HourglassControl::default(),
             dt,
         };
-        // The state must exercise both sides of the element exit.
-        let mut probe = st0.clone();
-        getq(&mesh, &mut probe, range, sweep.q, Threading::Serial);
-        let shocked = probe.q.iter().filter(|&&q| q > 0.0).count();
-        assert!(shocked > 0, "{name}: no viscosity anywhere");
-
         for th in [Threading::Serial, Threading::Rayon] {
             let mut fused = st0.clone();
             viscforce(&mesh, &mut fused, range, sweep, th, Pass::All, Pass::All);
-
-            let mut sequence = st0.clone();
-            getq(&mesh, &mut sequence, range, sweep.q, th);
-            getforce(&mesh, &mut sequence, range, sweep.hourglass, dt, th);
-            assert_eq!(
-                viscforce_bits(&fused),
-                viscforce_bits(&sequence),
-                "{name} {th:?}: fused vs getq+getforce"
-            );
+            // The state must exercise both sides of the element exit.
+            let shocked = fused.q.iter().filter(|&&q| q > 0.0).count();
+            assert!(shocked > 0, "{name}: no viscosity anywhere");
 
             let mut reference = st0.clone();
             getq_reference(&mesh, &mut reference, range, sweep.q);

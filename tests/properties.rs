@@ -91,7 +91,6 @@ proptest! {
             st.volume[e] = bookleaf::mesh::geometry::quad_area(&c);
             st.rho[e] = st.mass[e] / st.volume[e];
             let cv = bookleaf::mesh::geometry::corner_volumes(&c);
-            st.cnvol[e] = cv;
             for k in 0..4 {
                 st.cnmass[e][k] = st.rho[e] * cv[k];
             }

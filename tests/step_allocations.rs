@@ -1,11 +1,13 @@
-//! A steady-state Lagrangian step allocates nothing, and neither does
-//! the Eulerian remap after it.
+//! A steady-state Lagrangian step allocates nothing — its dt reduction
+//! included — and neither does the Eulerian remap after it.
 //!
 //! Every buffer a step needs beyond the state itself (start-of-step
 //! positions and energies, the cell-velocity table, the scatter's nodal
 //! sums) lives in the thread's scratch and is reused, so after one
 //! warm-up step the allocator is not called again — with or without
-//! boundary lists, gather or scatter. The remap works in that same
+//! boundary lists, gather or scatter. The dt proposal is one reduction
+//! sweep that computes each element's length and divergence on the fly,
+//! with no buffer at all. The remap works in that same
 //! scratch (idle between steps) and targets the reference mesh it
 //! already holds. A counting `#[global_allocator]` pins both — and that
 //! rendering a deck's canonical text (to hash it or to write it) makes
@@ -18,6 +20,7 @@ use std::fmt::Write as _;
 use bookleaf::ale::{AleMode, AleOptions, Remapper};
 use bookleaf::core::InputDeck;
 use bookleaf::eos::{EosSpec, MaterialTable};
+use bookleaf::hydro::getdt::{getdt, DtControls};
 use bookleaf::hydro::{
     lagstep_timed, AccMode, HaloOps, HydroState, LagOptions, LocalRange, Phase, Threading,
 };
@@ -127,6 +130,8 @@ fn a_warm_serial_step_performs_no_heap_allocation() {
                 ..LagOptions::default()
             };
             let mut step = || {
+                let dt = DtControls::default();
+                getdt(&mesh, &state, range, &dt, Some(1e-3), Threading::Serial).unwrap();
                 lagstep_timed(
                     &mut mesh, &mat, &mut state, range, 1e-3, &opts, &mut hooks, &timers,
                 )

@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 
 use bookleaf::mesh::submesh::ExchangeList;
 use bookleaf::mesh::{
-    generate_rect, saltzmann_distort, Mesh, Neighbor, RectSpec, SubMesh, SubMeshPlan,
+    generate_rect, saltzmann_distort, split_corner, Mesh, Neighbor, RectSpec, SubMesh, SubMeshPlan,
     STENCIL_BOUNDARY,
 };
 use bookleaf::partition::{partition, Strategy};
@@ -109,7 +109,12 @@ fn expected_entities(global: &Mesh, owner: &[usize], r: usize) -> Expected {
         .collect();
     let ghost: BTreeSet<u32> = active
         .iter()
-        .flat_map(|&n| global.elements_of_node(n as usize).iter().map(|&(e, _)| e))
+        .flat_map(|&n| {
+            global
+                .elements_of_node(n as usize)
+                .iter()
+                .map(|&id| split_corner(id).0 as u32)
+        })
         .filter(|e| !owned.contains(e))
         .collect();
     let outer: BTreeSet<u32> = ghost
@@ -174,7 +179,7 @@ fn every_child_matches_the_oracle() {
             global
                 .elements_of_node(n as usize)
                 .iter()
-                .map(|&(e, _)| owner[e as usize])
+                .map(|&id| owner[split_corner(id).0])
                 .min()
                 .unwrap()
         };
@@ -223,11 +228,11 @@ fn every_child_matches_the_oracle() {
                 "{what}: face rows"
             );
             assert_eq!(sub.mesh.ndel_off, oracle.ndel_off, "{what}: ndel_off");
-            // Each node's elements in *global* element-id order.
+            // Each node's corners in *global* element-id order.
             let mut ndel = oracle.ndel.clone();
             for n in 0..oracle.n_nodes() {
                 let (lo, hi) = (oracle.ndel_off[n] as usize, oracle.ndel_off[n + 1] as usize);
-                ndel[lo..hi].sort_by_key(|&(e, _)| want.el_l2g[e as usize]);
+                ndel[lo..hi].sort_by_key(|&id| want.el_l2g[split_corner(id).0]);
             }
             assert_eq!(sub.mesh.ndel, ndel, "{what}: ndel");
 
@@ -281,7 +286,11 @@ fn overlap_masks(sub: &SubMesh) -> [Vec<bool>; 4] {
         })
         .collect();
     // An active node is boundary when it touches a received element.
-    let around = |n: usize| mesh.elements_of_node(n).iter().map(|&(e, _)| e as usize);
+    let around = |n: usize| {
+        mesh.elements_of_node(n)
+            .iter()
+            .map(|&id| split_corner(id).0)
+    };
     let nd_boundary = (0..sub.n_active_nd)
         .map(|n| around(n).any(|e| el_recv[e]))
         .collect();
