@@ -1,10 +1,11 @@
 //! Interleaved A/B of the production kernels against the reference
-//! shapes this codebase keeps (`bookleaf_hydro::reference` and the
-//! standalone EOS-chain kernels), serial, on the Noh deck at the largest
-//! mesh `--meshes` lists:
+//! shapes this codebase keeps (`bookleaf_hydro::reference`, and the EOS
+//! chain's stages one sweep at a time), serial, on the Noh deck at the
+//! largest mesh `--meshes` lists:
 //!
 //! * `eos_fused_vs_chain` — the fused `getgeom→getrho→getein→getpc`
-//!   sweep against the four separate kernels;
+//!   sweep against the same sweep run four times, one stage on each
+//!   time (the unfused chain's four passes over the mesh);
 //! * `getforce_soa_vs_reference` — the stride-1 SoA force assembly
 //!   against the interleaved-layout reference;
 //! * `getq_hoisted_vs_reference` — the viscosity kernel with the
@@ -36,12 +37,9 @@ use std::time::Instant;
 use bookleaf_bench::schema::{validate_kernels_json, KERNELS_SCHEMA};
 use bookleaf_core::{decks, Simulation};
 use bookleaf_eos::MaterialTable;
-use bookleaf_hydro::getein::{getein, WorkVelocity};
+use bookleaf_hydro::getein::WorkVelocity;
 use bookleaf_hydro::getforce::{getforce, HourglassControl};
-use bookleaf_hydro::getgeom::getgeom;
-use bookleaf_hydro::getpc::getpc;
 use bookleaf_hydro::getq::{getq, QCoeffs};
-use bookleaf_hydro::getrho::getrho;
 use bookleaf_hydro::reference::{getforce_reference, getq_reference};
 use bookleaf_hydro::{
     eos_fused, viscforce, EosStages, FusedEos, HydroState, LocalRange, Pass, Threading, ViscForce,
@@ -49,6 +47,26 @@ use bookleaf_hydro::{
 use bookleaf_mesh::Mesh;
 
 const DT: f64 = 1e-6;
+
+/// The EOS sweep of `stages`: the predictor's energy update over `DT`.
+fn eos_sweep(stages: EosStages) -> FusedEos<'static> {
+    FusedEos {
+        dt: DT,
+        which: WorkVelocity::Current,
+        ein_from: None,
+        stages,
+    }
+}
+
+/// The chain's stage `i` alone (0 geometry, 1 density, 2 energy, 3 EoS).
+fn one_stage(i: usize) -> EosStages {
+    EosStages {
+        geom: i == 0,
+        rho: i == 1,
+        ein: i == 2,
+        pc: i == 3,
+    }
+}
 
 /// The fused sweep with the coefficients `getq` + `getforce` are timed
 /// with.
@@ -101,10 +119,8 @@ fn prepared_state(n: usize) -> (Mesh, MaterialTable, HydroState) {
         |nd| deck.u[nd],
     )
     .expect("state");
+    // `HydroState::new` computed the volumes, densities and EoS.
     let range = LocalRange::whole(&mesh);
-    getgeom(&mesh, &mut st, range, Threading::Serial).expect("geom");
-    getrho(&mut st, range, Threading::Serial).expect("rho");
-    getpc(&mesh, &deck.materials, &mut st, range, Threading::Serial);
     getq(&mesh, &mut st, range, QCoeffs::default(), Threading::Serial);
     getforce(
         &mesh,
@@ -175,32 +191,21 @@ fn measure_speedups(mesh_n: usize, samples: usize) -> Vec<Speedup> {
     let n = mesh.n_elements();
     let th = Threading::Serial;
 
-    // Fused EOS sweep vs the four-kernel chain (same state, same bits).
+    // Fused EOS sweep vs its four one-stage sweeps (same state, same
+    // bits).
     let (chain_s, fused_s) = time_pair_best(
         n,
         samples,
         || {
             let st = &mut *st.borrow_mut();
-            getgeom(&mesh, st, range, th).expect("geom");
-            getrho(st, range, th).expect("rho");
-            getein(&mesh, st, range, DT, WorkVelocity::Current, th);
-            getpc(&mesh, &materials, st, range, th);
+            for i in 0..4 {
+                let stage = eos_sweep(one_stage(i));
+                eos_fused(&mesh, &materials, st, range, stage, th).expect("stage");
+            }
         },
         || {
-            eos_fused(
-                &mesh,
-                &materials,
-                &mut st.borrow_mut(),
-                range,
-                FusedEos {
-                    dt: DT,
-                    which: WorkVelocity::Current,
-                    ein_from: None,
-                    stages: EosStages::all(),
-                },
-                th,
-            )
-            .expect("fused");
+            let all = eos_sweep(EosStages::all());
+            eos_fused(&mesh, &materials, &mut st.borrow_mut(), range, all, th).expect("fused");
         },
     );
 

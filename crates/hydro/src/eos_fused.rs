@@ -28,24 +28,25 @@
 //!
 //! ## Bitwise contract
 //!
-//! The fused sweep produces *bitwise identical* state to the unfused
-//! chain (which remains in the crate as the reference implementation):
+//! Under any stage mask the sweep's state is *bitwise identical* to the
+//! reference chain's, [`eos_chain_reference`](crate::reference::eos_chain_reference)
+//! (one scalar loop per stage; `tests/eos_fusion_equivalence.rs` runs
+//! all sixteen masks):
 //!
 //! - lane `l` of every intermediate is element `l`'s scalar expression,
-//!   in the same evaluation order as its unfused counterpart (the
-//!   geometry functions *are* the unfused ones: `quad_area` and friends
-//!   are the `N = 1` case of the lane functions called here), so an
+//!   in the reference's evaluation order (`quad_area` and friends are
+//!   the `N = 1` case of the lane functions called here), so an
 //!   element's bits do not depend on which lane, or which row width, it
 //!   went through;
 //! - there are no floating-point reductions across elements — only the
 //!   `&&` of "no element failed" — so any traversal
 //!   [`mod@crate::sweep`] makes of the rows yields the same bits;
-//! - `getpc`'s body is the per-element
-//!   `spec(region).pressure_cs2(rho, ein)` — exactly the call made
-//!   here, lane by lane.
+//! - the EoS is `spec(region).pressure_cs2(rho, ein)`, lane by lane;
+//!   this sweep and the reference are the only code that evaluates it
+//!   (`scripts/one_chain.sh`).
 //!
-//! The only observable difference is the **error path**: the unfused
-//! chain stops at the first failing kernel (a tangled mesh aborts before
+//! The only observable difference is the **error path**: the reference
+//! stops at the first failing stage (a tangled mesh aborts before
 //! density is touched), while the fused sweep completes the pass and
 //! *then* reports the first failure with the same error value and
 //! precedence (tangling before invalid density), found by a scalar
@@ -55,11 +56,10 @@
 //!
 //! ## Chain subsets
 //!
-//! [`EosStages`] lets callers fuse any contiguous or non-contiguous
-//! subset of the chain; a disabled stage reads whatever its state array
-//! currently holds, exactly as the unfused kernel sequence would. The
-//! equivalence suite exercises all sixteen masks against the unfused
-//! kernels.
+//! [`EosStages`] turns any subset of the stages on; a disabled stage's
+//! outputs are read from the state as they stand. A step runs all four;
+//! [`getgeom`](crate::getgeom::getgeom) and [`getpc`](crate::getpc::getpc)
+//! are this sweep with one stage on.
 
 use bookleaf_eos::MaterialTable;
 use bookleaf_mesh::geometry::{quad_area_lanes, CornerLanes};
@@ -67,7 +67,6 @@ use bookleaf_mesh::Mesh;
 use bookleaf_util::{BookLeafError, Lanes, Result, Vec2};
 
 use crate::getein::WorkVelocity;
-use crate::getgeom::{first_tangled, untangled};
 use crate::state::{HydroState, LocalRange};
 use crate::sweep::{sweep_reduce, Columns, Pass};
 use crate::Threading;
@@ -75,7 +74,7 @@ use crate::Threading;
 /// Which stages of the `getgeom → getrho → getein → getpc` chain the
 /// fused sweep executes. A disabled stage's outputs are left untouched
 /// and its inputs are read from the current state arrays — the same
-/// dataflow as skipping that kernel in the unfused sequence.
+/// dataflow as skipping that stage's loop in the reference chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EosStages {
     /// Recompute the volume.
@@ -89,6 +88,14 @@ pub struct EosStages {
 }
 
 impl EosStages {
+    /// No stage: the base of a one-stage mask, `{ pc: true, ..NONE }`.
+    pub(crate) const NONE: EosStages = EosStages {
+        geom: false,
+        rho: false,
+        ein: false,
+        pc: false,
+    };
+
     /// The full chain (the production configuration).
     #[must_use]
     pub fn all() -> Self {
@@ -98,12 +105,6 @@ impl EosStages {
             ein: true,
             pc: true,
         }
-    }
-}
-
-impl Default for EosStages {
-    fn default() -> Self {
-        EosStages::all()
     }
 }
 
@@ -117,8 +118,8 @@ pub struct FusedEos<'a> {
     pub which: WorkVelocity,
     /// Energy source: `None` advances `state.ein` in place (predictor);
     /// `Some(ein0)` integrates from the saved start-of-step energies
-    /// (corrector), replacing the unfused path's restore-then-advance
-    /// `copy_from_slice` with a single fused read.
+    /// (corrector), in place of restoring the energies and then
+    /// advancing them.
     pub ein_from: Option<&'a [f64]>,
     /// Which chain stages run.
     pub stages: EosStages,
@@ -126,7 +127,7 @@ pub struct FusedEos<'a> {
 
 /// Run the fused EOS chain over the owned range.
 ///
-/// Errors mirror the unfused chain: the first tangled element is
+/// Errors mirror the reference chain: the first tangled element is
 /// reported as [`BookLeafError::NegativeVolume`]; failing that, the
 /// first non-finite or negative density as
 /// [`BookLeafError::InvalidState`].
@@ -181,8 +182,8 @@ pub fn eos_fused(
     let last_ok = chain.sweep::<1>(n - n % 2, last, threading);
 
     if !(pairs_ok && last_ok) {
-        // Locate the offender with the unfused chain's precedence:
-        // tangling (getgeom) is reported before invalid density (getrho).
+        // Locate the offender with the reference chain's precedence:
+        // tangling (geom) is reported before invalid density (rho).
         if stages.geom {
             first_tangled(&state.volume[..n])?;
         }
@@ -232,12 +233,12 @@ impl Chain<'_> {
     /// `l` is element `first + i * N + l`.
     ///
     /// The closure is the one body of the chain. Each stage is the
-    /// per-element expression of its unfused kernel, in that kernel's
+    /// per-element expression of its reference loop, in that loop's
     /// order, on `N` lanes; the EOS itself is evaluated lane by lane
     /// (regions differ). The written columns arrive zipped; each read
     /// column costs one bounds check per row, each gathered node one per
-    /// lane. Returns "no element failed", as `getgeom`'s and `getrho`'s
-    /// sweeps do.
+    /// lane. Returns "no element failed": every volume [`untangled`] and
+    /// every density finite and non-negative, of the stages that ran.
     fn sweep<const N: usize>(&self, first: usize, outs: Outs<'_>, threading: Threading) -> bool {
         let (v, r, ei, p, c2) = outs;
         let els = first..first + v.len();
@@ -299,15 +300,34 @@ impl Chain<'_> {
     }
 }
 
+/// The per-element test of the geometry stage: a positive volume. A
+/// NaN volume — a NaN node coordinate — is neither `> 0` nor `<= 0`,
+/// and is tangled.
+#[inline(always)]
+fn untangled(volume: f64) -> bool {
+    volume > 0.0
+}
+
+/// The first element that fails [`untangled`], as the error that names
+/// it (a serial rescan, off the hot path).
+pub(crate) fn first_tangled(volume: &[f64]) -> Result<()> {
+    match volume.iter().position(|&v| !untangled(v)) {
+        Some(element) => Err(BookLeafError::NegativeVolume {
+            element,
+            volume: volume[element],
+        }),
+        None => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::getein::getein;
-    use crate::getgeom::getgeom;
-    use crate::getpc::getpc;
-    use crate::getrho::getrho;
+    use crate::reference::eos_chain_reference;
     use bookleaf_eos::EosSpec;
+    use bookleaf_mesh::geometry::area_gradient;
     use bookleaf_mesh::{generate_rect, RectSpec};
+    use bookleaf_util::approx_eq;
 
     fn setup(n: usize) -> (Mesh, MaterialTable, HydroState) {
         let mesh = generate_rect(&RectSpec::unit_square(n), |c| u32::from(c.x > 0.5)).unwrap();
@@ -343,42 +363,13 @@ mod tests {
         (mesh, mat, st)
     }
 
-    /// The unfused kernel subsequence `stages` selects; with a saved
-    /// energy source, the restore-then-advance idiom of the unfused
-    /// corrector.
-    fn run_chain(
-        mesh: &Mesh,
-        mat: &MaterialTable,
-        st: &mut HydroState,
-        range: LocalRange,
-        sweep: FusedEos<'_>,
-        th: Threading,
-    ) -> Result<()> {
-        let stages = sweep.stages;
-        if stages.geom {
-            getgeom(mesh, st, range, th)?;
-        }
-        if stages.rho {
-            getrho(st, range, th)?;
-        }
-        if stages.ein {
-            if let Some(src) = sweep.ein_from {
-                let n = range.n_owned_el;
-                st.ein[..n].copy_from_slice(&src[..n]);
-            }
-            getein(mesh, st, range, sweep.dt, sweep.which, th);
-        }
-        if stages.pc {
-            getpc(mesh, mat, st, range, th);
-        }
-        Ok(())
-    }
-
-    /// The chain's five output arrays, whole (ghost entries too), as
-    /// bit patterns.
-    fn output_bits(st: &HydroState) -> Vec<u64> {
-        let scalars = [&st.volume, &st.rho, &st.ein, &st.pressure, &st.cs2];
-        scalars.into_iter().flatten().map(|v| v.to_bits()).collect()
+    /// A unit square of `n`² elements of one ideal gas at rest, unit
+    /// density, energy 2.5.
+    fn at_rest(n: usize) -> (Mesh, MaterialTable, HydroState) {
+        let mesh = generate_rect(&RectSpec::unit_square(n), |_| 0).unwrap();
+        let mat = MaterialTable::single(EosSpec::ideal_gas(1.4));
+        let st = HydroState::new(&mesh, &mat, |_| 1.0, |_| 2.5, |_| Vec2::ZERO).unwrap();
+        (mesh, mat, st)
     }
 
     /// The predictor's sweep: every stage, the live energies.
@@ -391,60 +382,140 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_range_mask_source_and_driver_matches_the_unfused_chain() {
-        // 25 elements: an odd whole range, and owned ranges that end in
-        // the first row, mid-row and on a row boundary of the pair sweep.
-        let (mesh, mat, st0) = setup(5);
-        let ein0: Vec<f64> = st0.ein.iter().map(|e| e * 1.25).collect();
-        crate::sweep::tests::under_every_driver(|th, driver| {
-            for n_owned_el in [0, 1, 2, 3, 24, 25] {
-                let range = LocalRange {
-                    n_owned_el,
-                    n_active_nd: mesh.n_nodes(),
-                };
-                for bits in 0u8..16 {
-                    for (ein_from, which) in [
-                        (None, WorkVelocity::Current),
-                        (Some(&ein0[..]), WorkVelocity::TimeCentred),
-                    ] {
-                        let sweep = FusedEos {
-                            dt: 1e-3,
-                            which,
-                            ein_from,
-                            stages: EosStages {
-                                geom: bits & 1 != 0,
-                                rho: bits & 2 != 0,
-                                ein: bits & 4 != 0,
-                                pc: bits & 8 != 0,
-                            },
-                        };
-                        let mut a = st0.clone();
-                        let mut b = st0.clone();
-                        run_chain(&mesh, &mat, &mut a, range, sweep, th).unwrap();
-                        eos_fused(&mesh, &mat, &mut b, range, sweep, th).unwrap();
-                        assert_eq!(
-                            output_bits(&a),
-                            output_bits(&b),
-                            "{driver}, {n_owned_el} owned, mask {bits:04b}, {which:?}"
-                        );
-                    }
-                }
-            }
-        });
+    /// The density stage alone.
+    fn rho_only() -> FusedEos<'static> {
+        let stages = EosStages {
+            rho: true,
+            ..EosStages::NONE
+        };
+        FusedEos { stages, ..full() }
+    }
+
+    /// The energy stage alone, over `dt` with velocity `which`.
+    fn ein_only(dt: f64, which: WorkVelocity) -> FusedEos<'static> {
+        let stages = EosStages {
+            ein: true,
+            ..EosStages::NONE
+        };
+        FusedEos {
+            dt,
+            which,
+            stages,
+            ..full()
+        }
+    }
+
+    /// One fused sweep over the whole mesh, serially.
+    fn run(
+        mesh: &Mesh,
+        mat: &MaterialTable,
+        st: &mut HydroState,
+        sweep: FusedEos<'_>,
+    ) -> Result<()> {
+        eos_fused(
+            mesh,
+            mat,
+            st,
+            LocalRange::whole(mesh),
+            sweep,
+            Threading::Serial,
+        )
     }
 
     #[test]
-    fn the_error_is_the_unfused_chains_wherever_in_a_row_the_offender_sits() {
+    fn density_tracks_volume_change() {
+        let (mesh, mat, mut st) = at_rest(2);
+        // Halve every volume: density must double.
+        for v in &mut st.volume {
+            *v *= 0.5;
+        }
+        run(&mesh, &mat, &mut st, rho_only()).unwrap();
+        assert!(st.rho.iter().all(|&r| approx_eq(r, 2.0, 1e-12)));
+    }
+
+    #[test]
+    fn non_finite_density_rejected() {
+        let (mesh, mat, mut st) = at_rest(2);
+        st.volume[1] = 0.0;
+        let err = run(&mesh, &mat, &mut st, rho_only()).unwrap_err();
+        assert!(
+            matches!(err, BookLeafError::InvalidState { element: 1, .. }),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn expansion_reduces_internal_energy_as_pdv() {
+        // Single unit element at pressure P with outward velocity u = x:
+        // dV/dt = 2V, so m dε/dt = -P dV/dt.
+        let (mesh, mat, mut st) = at_rest(1);
+        let p = 1.0;
+        let g = area_gradient(&mesh.corners(0));
+        for c in 0..4 {
+            let f = g[c] * p;
+            (st.cnforce_x[0][c], st.cnforce_y[0][c]) = (f.x, f.y);
+        }
+        // u = position (pure expansion about the origin).
+        st.u.copy_from_slice(&mesh.nodes);
+        let dt = 1e-3;
+        let e0 = st.ein[0];
+        run(&mesh, &mat, &mut st, ein_only(dt, WorkVelocity::Current)).unwrap();
+        // dV/dt = Σ g·u = 2A = 2 (unit square). m = 1.
+        let expect = e0 - dt * p * 2.0;
+        assert!(
+            approx_eq(st.ein[0], expect, 1e-12),
+            "{} vs {expect}",
+            st.ein[0]
+        );
+    }
+
+    #[test]
+    fn compression_heats() {
+        let (mesh, mat, mut st) = at_rest(1);
+        let g = area_gradient(&mesh.corners(0));
+        for c in 0..4 {
+            (st.cnforce_x[0][c], st.cnforce_y[0][c]) = (g[c].x, g[c].y);
+        }
+        for n in 0..mesh.n_nodes() {
+            st.u[n] = -mesh.nodes[n]; // converging flow
+        }
+        let e0 = st.ein[0];
+        run(&mesh, &mat, &mut st, ein_only(1e-3, WorkVelocity::Current)).unwrap();
+        assert!(st.ein[0] > e0);
+    }
+
+    #[test]
+    fn time_centred_uses_ubar() {
+        let (mesh, mat, mut st) = at_rest(1);
+        st.cnforce_x[0] = [1.0; 4];
+        st.cnforce_y[0] = [0.0; 4];
+        // u says "no work", ubar says "work".
+        st.ubar.fill(Vec2::new(1.0, 0.0));
+        let e0 = st.ein[0];
+        let mut st2 = st.clone();
+        run(&mesh, &mat, &mut st, ein_only(0.1, WorkVelocity::Current)).unwrap();
+        assert_eq!(st.ein[0], e0);
+        run(
+            &mesh,
+            &mat,
+            &mut st2,
+            ein_only(0.1, WorkVelocity::TimeCentred),
+        )
+        .unwrap();
+        // work = Σ F·ubar = 4 * 1 = 4; dε = -0.1 * 4 / m (m = 1).
+        assert!(approx_eq(st2.ein[0], e0 - 0.4, 1e-12));
+    }
+
+    #[test]
+    fn the_error_is_the_references_wherever_in_a_row_the_offender_sits() {
         // Nine elements: rows (0, 1) … (6, 7) and the odd last one, 8.
         let (mesh, mat, st0) = setup(3);
         let range = LocalRange::whole(&mesh);
-        let th = Threading::Serial;
         let sweep = full();
         let errors = |mesh: &Mesh, st: &HydroState| {
             let (mut a, mut b) = (st.clone(), st.clone());
-            let chain = run_chain(mesh, &mat, &mut a, range, sweep, th).unwrap_err();
-            let fused = eos_fused(mesh, &mat, &mut b, range, sweep, th).unwrap_err();
+            let chain = eos_chain_reference(mesh, &mat, &mut a, range, sweep).unwrap_err();
+            let fused = run(mesh, &mat, &mut b, sweep).unwrap_err();
             assert_eq!(format!("{fused:?}"), format!("{chain:?}"));
             fused
         };
@@ -488,29 +559,18 @@ mod tests {
     #[test]
     fn a_nan_node_is_a_tangle_not_a_pass() {
         let (mut mesh, mat, st0) = setup(3);
-        let range = LocalRange::whole(&mesh);
         mesh.nodes[10].x = f64::NAN;
         let first = (0..mesh.n_elements())
             .find(|&e| mesh.elnd[e].contains(&10))
             .unwrap();
         let geom_only = EosStages {
             geom: true,
-            rho: false,
-            ein: false,
-            pc: false,
+            ..EosStages::NONE
         };
         // The full chain's density is NaN too: the tangle still comes first.
         for stages in [geom_only, EosStages::all()] {
             let sweep = FusedEos { stages, ..full() };
-            let err = eos_fused(
-                &mesh,
-                &mat,
-                &mut st0.clone(),
-                range,
-                sweep,
-                Threading::Serial,
-            )
-            .unwrap_err();
+            let err = run(&mesh, &mat, &mut st0.clone(), sweep).unwrap_err();
             assert!(
                 matches!(err, BookLeafError::NegativeVolume { element, volume }
                     if element == first && volume.is_nan()),

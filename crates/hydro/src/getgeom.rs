@@ -1,17 +1,16 @@
-//! `getgeom`: update element geometry after node motion.
-//!
-//! Recomputes every owned element's volume (signed area) — the one
-//! piece of geometry another kernel reads. A non-positive volume means
-//! the mesh tangled — a fatal error in the reference code too. (Corner
+//! `getgeom`: update element volumes after node motion — the geometry
+//! stage of [`fn@eos_fused`], run alone. A non-positive volume means
+//! the mesh tangled, a fatal error in the reference code too. (Corner
 //! volumes and the CFL length are computed where they are read, by
 //! `viscforce` and `getdt`.)
 
-use bookleaf_mesh::geometry::quad_area;
+use bookleaf_eos::MaterialTable;
 use bookleaf_mesh::Mesh;
-use bookleaf_util::{BookLeafError, Result};
+use bookleaf_util::Result;
 
+use crate::eos_fused::{eos_fused, EosStages, FusedEos};
+use crate::getein::WorkVelocity;
 use crate::state::{HydroState, LocalRange};
-use crate::sweep::{sweep_reduce, Pass};
 use crate::Threading;
 
 /// Recompute the volumes of the owned range. Returns the first tangled
@@ -22,51 +21,26 @@ pub fn getgeom(
     range: LocalRange,
     threading: Threading,
 ) -> Result<()> {
-    let n = range.n_owned_el;
-    let (elnd, x) = (&mesh.elnd[..n], &mesh.nodes);
-    let ok = sweep_reduce(
-        threading,
-        Pass::All,
-        (&mut state.volume[..n],),
-        true,
-        |a, b| a && b,
-        |e, (volume,)| {
-            *volume = quad_area(&elnd[e].map(|n| x[n as usize]));
-            untangled(*volume)
+    let geom = FusedEos {
+        dt: 0.0,
+        which: WorkVelocity::Current,
+        ein_from: None,
+        stages: EosStages {
+            geom: true,
+            ..EosStages::NONE
         },
-    );
-
-    if !ok {
-        first_tangled(&state.volume[..n])?;
-    }
-    Ok(())
-}
-
-/// The sweeps' per-element test: a positive volume. A NaN volume — a
-/// NaN node coordinate — is neither `> 0` nor `<= 0`, and is tangled.
-#[inline(always)]
-pub(crate) fn untangled(volume: f64) -> bool {
-    volume > 0.0
-}
-
-/// The first element that fails [`untangled`], as the error that names
-/// it (a serial rescan, off the hot path).
-pub(crate) fn first_tangled(volume: &[f64]) -> Result<()> {
-    match volume.iter().position(|&v| !untangled(v)) {
-        Some(element) => Err(BookLeafError::NegativeVolume {
-            element,
-            volume: volume[element],
-        }),
-        None => Ok(()),
-    }
+    };
+    // The pc stage is off, so no material is looked up; an empty table does not allocate.
+    let no_materials = MaterialTable::new(Vec::new());
+    eos_fused(mesh, &no_materials, state, range, geom, threading)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bookleaf_eos::{EosSpec, MaterialTable};
+    use bookleaf_eos::EosSpec;
     use bookleaf_mesh::{generate_rect, RectSpec};
-    use bookleaf_util::{approx_eq, Vec2};
+    use bookleaf_util::{approx_eq, BookLeafError, Vec2};
 
     fn setup(n: usize) -> (Mesh, HydroState) {
         let mesh = generate_rect(&RectSpec::unit_square(n), |_| 0).unwrap();
@@ -87,20 +61,6 @@ mod tests {
         let v: f64 = st.volume.iter().sum();
         assert!(approx_eq(v, 2.0, 1e-12));
         assert!(st.volume.iter().all(|&v| approx_eq(v, 0.5, 1e-12)));
-    }
-
-    #[test]
-    fn serial_and_rayon_agree() {
-        let (mut mesh, mut st_a) = setup(6);
-        for (i, p) in mesh.nodes.iter_mut().enumerate() {
-            p.x += 0.001 * (i as f64).sin();
-            p.y += 0.001 * (i as f64).cos();
-        }
-        let mut st_b = st_a.clone();
-        let range = LocalRange::whole(&mesh);
-        getgeom(&mesh, &mut st_a, range, Threading::Serial).unwrap();
-        getgeom(&mesh, &mut st_b, range, Threading::Rayon).unwrap();
-        assert_eq!(st_a.volume, st_b.volume);
     }
 
     #[test]

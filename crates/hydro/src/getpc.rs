@@ -1,14 +1,14 @@
-//! `getpc`: evaluate the EoS for pressure and sound speed.
-//!
-//! A thin, threadable wrapper over [`bookleaf_eos::MaterialTable`]; the
-//! paper's Table II lists it as the cheapest kernel (1–2 % of runtime on
-//! CPUs, more on GPUs where each launch pays fixed overheads).
+//! `getpc`: pressure and sound speed from the EoS — the EoS stage of
+//! [`fn@eos_fused`], run alone. The paper's Table II lists it as the
+//! cheapest kernel (1–2 % of runtime on CPUs, more on GPUs where each
+//! launch pays fixed overheads).
 
 use bookleaf_eos::MaterialTable;
 use bookleaf_mesh::Mesh;
 
+use crate::eos_fused::{eos_fused, EosStages, FusedEos};
+use crate::getein::WorkVelocity;
 use crate::state::{HydroState, LocalRange};
-use crate::sweep::{sweep, Pass};
 use crate::Threading;
 
 /// Evaluate pressure and cs² over the owned range.
@@ -19,12 +19,17 @@ pub fn getpc(
     range: LocalRange,
     threading: Threading,
 ) {
-    let n = range.n_owned_el;
-    let (rho, ein, region) = (&state.rho[..n], &state.ein[..n], &mesh.region[..n]);
-    let columns = (&mut state.pressure[..n], &mut state.cs2[..n]);
-    sweep(threading, Pass::All, columns, |e, (pressure, cs2)| {
-        (*pressure, *cs2) = materials.spec(region[e]).pressure_cs2(rho[e], ein[e]);
-    });
+    let pc = FusedEos {
+        dt: 0.0,
+        which: WorkVelocity::Current,
+        ein_from: None,
+        stages: EosStages {
+            pc: true,
+            ..EosStages::NONE
+        },
+    };
+    eos_fused(mesh, materials, state, range, pc, threading)
+        .expect("the EoS stage reports no error");
 }
 
 #[cfg(test)]
@@ -82,32 +87,6 @@ mod tests {
                 assert_eq!(st.pressure[e], 0.0, "void element {e}");
             }
         }
-    }
-
-    #[test]
-    fn serial_matches_rayon() {
-        let (mesh, mat, mut a) = setup();
-        for e in 0..a.n_elements() {
-            a.rho[e] = 1.0 + 0.01 * e as f64;
-            a.ein[e] = 2.0 + 0.02 * e as f64;
-        }
-        let mut b = a.clone();
-        getpc(
-            &mesh,
-            &mat,
-            &mut a,
-            LocalRange::whole(&mesh),
-            Threading::Serial,
-        );
-        getpc(
-            &mesh,
-            &mat,
-            &mut b,
-            LocalRange::whole(&mesh),
-            Threading::Rayon,
-        );
-        assert_eq!(a.pressure, b.pressure);
-        assert_eq!(a.cs2, b.cs2);
     }
 
     #[test]

@@ -266,7 +266,7 @@ fn step<H: HaloOps>(
     state.ubar[..range.n_active_nd].copy_from_slice(&state.u[..range.n_active_nd]);
     move_nodes(mesh, state, range, 0.5 * dt);
     // The EOS chain (`getgeom → getrho → getein → getpc`) runs as one
-    // fused sweep, bitwise identical to the four standalone kernels.
+    // fused sweep, bitwise identical to `reference::eos_chain_reference`.
     timers.time(KernelId::EosFused, || {
         eos_fused(
             mesh,

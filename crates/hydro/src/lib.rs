@@ -28,11 +28,11 @@
 //! | `getforce`   | [`getforce`] | element: corner forces — pressure, viscosity, hourglass |
 //! | (both)       | [`mod@viscforce`] | element: the two above fused — what a step runs |
 //! | `getacc`     | [`getacc`]   | node: mass and force gather, acceleration, BCs, velocity |
-//! | `getgeom`    | [`getgeom`]  | element: volume |
-//! | `getrho`     | [`getrho`]   | element: density from Lagrangian mass |
-//! | `getein`     | [`getein`]   | element: compatible internal-energy update |
-//! | `getpc`      | [`getpc`]    | element: EoS evaluation |
-//! | (last four)  | [`mod@eos_fused`] | element: the chain fused — what a step runs |
+//! | `getgeom`    | [`getgeom`]  | element: volume (the chain's first stage, alone) |
+//! | `getrho`     | [`mod@eos_fused`] | element: density from Lagrangian mass (a stage of the chain) |
+//! | `getein`     | [`mod@eos_fused`] | element: compatible internal-energy update (a stage of the chain) |
+//! | `getpc`      | [`getpc`]    | element: EoS evaluation (the chain's last stage, alone) |
+//! | (last four)  | [`mod@eos_fused`] | element: the chain, one body for any subset of its stages — what a step runs |
 //!
 //! [`lagstep()`] composes them into the predictor–corrector step, with
 //! halo exchanges at exactly the two points the paper identifies
@@ -59,14 +59,13 @@
 //! ## Kernel fusion rules
 //!
 //! Bodies that are per-element independent on the same inputs fuse by
-//! concatenation into one sweep. The four EOS-chain kernels
+//! concatenation into one sweep. The EOS chain's four stages
 //! (`getgeom → getrho → getein → getpc`) have no floating-point
 //! reductions and read nothing another element writes, so
-//! [`fn@eos_fused`] runs them back to back per element, *bitwise
-//! identical* to the chain of four sweeps; the unfused kernels remain
-//! the reference implementation, and an [`EosStages`] mask fuses any
-//! subset of the chain, a disabled stage reading current state exactly
-//! as the skipped kernel sequence would.
+//! [`fn@eos_fused`] runs them back to back per element. It is the only
+//! code that does their work — [`getgeom`] and [`getpc`] are it with one
+//! [`EosStages`] stage on — and is bitwise identical to the four scalar
+//! loops of [`reference::eos_chain_reference`].
 //!
 //! `getq` and `getforce` cannot join *that* sweep: nodes move between
 //! the viscosity/force phase and the EOS chain, and (in the corrector)
@@ -111,7 +110,6 @@ pub mod getforce;
 pub mod getgeom;
 pub mod getpc;
 pub mod getq;
-pub mod getrho;
 pub mod lagstep;
 pub mod reference;
 pub mod state;

@@ -21,10 +21,9 @@ use bookleaf_mesh::{Mesh, Neighbor};
 use bookleaf_util::constants::ZERO_CUT;
 use bookleaf_util::{BookLeafError, Result, Vec2};
 
-use crate::eos_fused::FusedEos;
+use crate::eos_fused::{first_tangled, FusedEos};
 use crate::getein::WorkVelocity;
 use crate::getforce::HourglassControl;
-use crate::getgeom::first_tangled;
 use crate::getq::{monotonic_limiter, QCoeffs};
 use crate::state::{HydroState, LocalRange};
 

@@ -37,6 +37,8 @@ use bookleaf_mesh::geometry::{corner_volumes, quad_area};
 use bookleaf_mesh::Mesh;
 use bookleaf_util::{BookLeafError, NeumaierSum, Result, Vec2};
 
+use crate::{getpc::getpc, Threading};
+
 /// Which prefix of the local arrays this rank owns and computes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LocalRange {
@@ -176,10 +178,9 @@ impl HydroState {
             for c in 0..4 {
                 st.cnmass[e][c] = rho * cv[c];
             }
-            let (p, cs2) = materials.spec(mesh.region[e]).pressure_cs2(rho, ein);
-            st.pressure[e] = p;
-            st.cs2[e] = cs2;
         }
+        let whole = LocalRange::whole(mesh);
+        getpc(mesh, materials, &mut st, whole, Threading::Serial);
         let cnmass = st.cnmass.as_flattened();
         for n in 0..nn {
             st.nd_mass[n] = mesh

@@ -58,12 +58,13 @@ struct Collective {
     failed: Vec<AtomicBool>,
 }
 
-#[derive(Default)]
 struct CollState {
     generation: u64,
     arrived: usize,
-    acc_min: f64,
-    acc_sum: f64,
+    /// Each rank's contribution to the current generation, by rank: the
+    /// last arrival combines them in rank order, so the result does not
+    /// depend on the order the ranks arrived in.
+    partials: Vec<f64>,
     /// Result of the most recently completed generation. A rank cannot be
     /// more than one generation ahead of any other (the wait below blocks
     /// it), so a single slot is enough.
@@ -74,8 +75,10 @@ impl Collective {
     fn new(n_ranks: usize) -> Self {
         Collective {
             lock: Mutex::new(CollState {
-                acc_min: f64::INFINITY,
-                ..Default::default()
+                generation: 0,
+                arrived: 0,
+                partials: vec![0.0; n_ranks],
+                last_result: (0.0, 0.0),
             }),
             cv: Condvar::new(),
             n_ranks,
@@ -84,7 +87,8 @@ impl Collective {
     }
 
     /// Combined barrier + reduction: every rank contributes `value`; all
-    /// receive `(min, sum)` of the contributions — or
+    /// receive `(min, sum)` of the contributions, combined in rank order
+    /// (the sum from `0.0`), whatever order the ranks arrive in — or
     /// [`CommError::CollectiveTimeout`] if some rank never arrives
     /// within `timeout` (it died or hung).
     fn reduce(
@@ -95,16 +99,17 @@ impl Collective {
     ) -> std::result::Result<(f64, f64), CommError> {
         let mut st = self.lock.lock().expect("collective poisoned");
         let gen = st.generation;
-        st.acc_min = st.acc_min.min(value);
-        st.acc_sum += value;
+        st.partials[rank] = value;
         st.arrived += 1;
         if st.arrived == self.n_ranks {
-            // Last arrival: publish and reset for the next generation.
-            let out = (st.acc_min, st.acc_sum);
+            // Last arrival: publish and reset for the next generation
+            // (every slot is written again before the next one ends).
+            let out = st
+                .partials
+                .iter()
+                .fold((f64::INFINITY, 0.0), |(min, sum), &v| (min.min(v), sum + v));
             st.generation += 1;
             st.arrived = 0;
-            st.acc_min = f64::INFINITY;
-            st.acc_sum = 0.0;
             st.last_result = out;
             self.cv.notify_all();
             return Ok(out);
@@ -742,6 +747,35 @@ mod tests {
         for (mn, sm) in out {
             assert_eq!(mn, 1.0);
             assert_eq!(sm, 15.0);
+        }
+    }
+
+    #[test]
+    fn a_sum_is_combined_in_rank_order_whatever_the_arrival_order() {
+        // Summed as they arrive, reversed, these give 0.0: 1 - 1e16
+        // rounds to -1e16. In rank order they give 1.0.
+        let values = [1e16, 1.0, -1e16, 1.0];
+        for order in [[0, 1, 2, 3], [3, 2, 1, 0]] {
+            let coll = Arc::new(Collective::new(values.len()));
+            let mut threads = Vec::new();
+            for (admitted, &rank) in order.iter().enumerate() {
+                let c = Arc::clone(&coll);
+                let timeout = Duration::from_secs(60);
+                threads.push(std::thread::spawn(move || {
+                    c.reduce(rank, values[rank], timeout).unwrap().1
+                }));
+                // Admit the next rank only once this one has arrived
+                // (the last arrival completes the generation instead).
+                if admitted + 1 < order.len() {
+                    while coll.lock.lock().unwrap().arrived <= admitted {
+                        std::thread::yield_now();
+                    }
+                }
+            }
+            for t in threads {
+                let sum = t.join().unwrap();
+                assert_eq!(sum.to_bits(), 1.0f64.to_bits(), "arrival order {order:?}");
+            }
         }
     }
 

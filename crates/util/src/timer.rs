@@ -34,8 +34,9 @@ pub enum KernelId {
     /// Pressure / sound-speed EoS evaluation.
     GetPc,
     /// The fused `getgeom→getrho→getein→getpc` element sweep (one pass
-    /// over corner coordinates and masses; the unfused kernels above
-    /// remain the reference implementation).
+    /// over corner coordinates and masses) — the only code that does
+    /// the four stages' work, so their buckets above read zero in a
+    /// step; the device models still cost them one by one.
     EosFused,
     /// The fused `getq`+`getforce` element sweep — what a production
     /// step runs, so `GetQ` and `GetForce` above read zero there; the
