@@ -128,7 +128,7 @@ impl LocalPiston {
     }
 
     /// Apply the piston to `u` and `ubar`.
-    pub fn apply(&self, state: &mut HydroState) {
+    fn apply(&self, state: &mut HydroState) {
         for &n in &self.nodes {
             state.u[n as usize] = self.velocity;
             state.ubar[n as usize] = self.velocity;

@@ -240,12 +240,6 @@ impl ObserverSet {
         self.observers.is_empty()
     }
 
-    /// Number of observers registered.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.observers.len()
-    }
-
     /// Union of the registered observers' needs.
     #[must_use]
     pub fn needs(&self) -> ObserverNeeds {
@@ -594,7 +588,6 @@ mod tests {
             Box::new(ConservationTracer::new()),
             Box::new(DtHistory::new()),
         ]);
-        assert_eq!(set.len(), 2);
         assert!(set.needs().global_energy);
         assert!(!set.needs().comm_stats);
     }

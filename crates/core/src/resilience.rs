@@ -43,10 +43,11 @@
 //!     .final_time(0.1)
 //!     .build()
 //!     .unwrap();
-//! let policy = RecoveryPolicy::new("ckpt_dir")
-//!     .checkpoint_every_steps(25)
-//!     .max_retries(3)
-//!     .reshape(ReshapePolicy::Halve);
+//! let policy = RecoveryPolicy {
+//!     checkpoint_every_steps: 25,
+//!     reshape: ReshapePolicy::Halve,
+//!     ..RecoveryPolicy::new("ckpt_dir")
+//! };
 //! let report = sim.run_resilient(&policy).unwrap();
 //! for event in &report.recovery.events {
 //!     println!("survived: {}", event.error);
@@ -162,7 +163,7 @@ impl CheckpointStore {
     /// sorted ascending by step. Files that do not match this store's
     /// naming scheme are ignored (the directory may be shared).
     #[must_use]
-    pub fn list(&self) -> Vec<(u64, PathBuf)> {
+    fn list(&self) -> Vec<(u64, PathBuf)> {
         let Ok(entries) = std::fs::read_dir(&self.dir) else {
             return Vec::new();
         };
@@ -201,7 +202,7 @@ impl ReshapePolicy {
     /// The executor shape a retry should use, given the one that
     /// failed.
     #[must_use]
-    pub fn apply(self, current: ExecutorKind) -> ExecutorKind {
+    fn apply(self, current: ExecutorKind) -> ExecutorKind {
         match self {
             ReshapePolicy::Keep => current,
             ReshapePolicy::To(kind) => kind,
@@ -241,13 +242,6 @@ pub struct RecoveryPolicy {
     pub backoff: Duration,
     /// Executor reshaping applied on each retry.
     pub reshape: ReshapePolicy,
-    /// Wall-clock deadline for the whole supervised run. `None`
-    /// (default) never fires. When set, it is merged (earliest wins)
-    /// into [`crate::RunConfig::deadline`] for the duration of the
-    /// supervision, and the retry backoff becomes deadline-aware: a
-    /// backoff that would sleep past the deadline returns a typed
-    /// [`BookLeafError::DeadlineExceeded`] immediately instead.
-    pub deadline: Option<std::time::Instant>,
 }
 
 impl RecoveryPolicy {
@@ -263,51 +257,7 @@ impl RecoveryPolicy {
             max_retries: 3,
             backoff: Duration::from_millis(10),
             reshape: ReshapePolicy::Keep,
-            deadline: None,
         }
-    }
-
-    /// Set the retention budget.
-    #[must_use]
-    pub fn keep(mut self, keep: usize) -> Self {
-        self.keep = keep;
-        self
-    }
-
-    /// Set the segment length in steps.
-    #[must_use]
-    pub fn checkpoint_every_steps(mut self, steps: usize) -> Self {
-        self.checkpoint_every_steps = steps;
-        self
-    }
-
-    /// Set the retry budget.
-    #[must_use]
-    pub fn max_retries(mut self, retries: usize) -> Self {
-        self.max_retries = retries;
-        self
-    }
-
-    /// Set the base backoff.
-    #[must_use]
-    pub fn backoff(mut self, backoff: Duration) -> Self {
-        self.backoff = backoff;
-        self
-    }
-
-    /// Set the reshape policy.
-    #[must_use]
-    pub fn reshape(mut self, reshape: ReshapePolicy) -> Self {
-        self.reshape = reshape;
-        self
-    }
-
-    /// Set a wall-clock deadline for the whole supervised run (see the
-    /// [`RecoveryPolicy::deadline`] field).
-    #[must_use]
-    pub fn deadline(mut self, at: std::time::Instant) -> Self {
-        self.deadline = Some(at);
-        self
     }
 }
 
@@ -355,12 +305,6 @@ impl RecoveryLog {
     pub fn retries(&self) -> usize {
         self.events.len()
     }
-
-    /// Did the run complete without absorbing any fault?
-    #[must_use]
-    pub fn clean(&self) -> bool {
-        self.events.is_empty()
-    }
 }
 
 impl Simulation {
@@ -385,24 +329,15 @@ impl Simulation {
     ///
     /// The last attempt's error once the retry budget is exhausted, or
     /// any checkpoint-store I/O error (failing to write a rewind point
-    /// is itself a fault the supervisor cannot absorb). When
-    /// [`RecoveryPolicy::deadline`] (or the simulation's own
-    /// [`crate::RunConfig::deadline`]) is set, a segment that outlives
+    /// is itself a fault the supervisor cannot absorb). When the
+    /// simulation's [`crate::RunConfig::deadline`] is set (see
+    /// [`crate::SimulationBuilder::deadline`]), a segment that outlives
     /// it — or a retry backoff that would sleep past it — returns a
     /// typed [`BookLeafError::DeadlineExceeded`] instead of running or
     /// sleeping on.
     pub fn run_resilient(&mut self, policy: &RecoveryPolicy) -> Result<RunReport> {
         let store = CheckpointStore::new(&policy.dir, "auto", policy.keep);
         let base_attempt = self.typhon.attempt;
-        // Merge the policy deadline into the run config (earliest
-        // wins): the running segments abort symmetrically on it, and
-        // the backoff below refuses to sleep past it.
-        let base_deadline = self.config().deadline;
-        let deadline = match (base_deadline, policy.deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.config_mut().deadline = deadline;
         let mut log = RecoveryLog::default();
         let mut failures = 0usize;
         // The rewind target that predates the first segment boundary:
@@ -430,7 +365,6 @@ impl Simulation {
                     last_good = Some(ckpt);
                     if self.complete() {
                         self.typhon.attempt = base_attempt;
-                        self.config_mut().deadline = base_deadline;
                         report.recovery = log;
                         return Ok(report);
                     }
@@ -438,7 +372,6 @@ impl Simulation {
                 Err(err) => {
                     if failures >= policy.max_retries {
                         self.typhon.attempt = base_attempt;
-                        self.config_mut().deadline = base_deadline;
                         return Err(err);
                     }
                     let target = last_good.as_ref().unwrap_or(&initial);
@@ -463,10 +396,9 @@ impl Simulation {
                         .checked_mul(1 << exp)
                         .unwrap_or(Duration::from_secs(5))
                         .min(Duration::from_secs(5));
-                    if let Some(at) = deadline {
+                    if let Some(at) = self.config().deadline {
                         if std::time::Instant::now() + delay >= at {
                             self.typhon.attempt = base_attempt;
-                            self.config_mut().deadline = base_deadline;
                             return Err(BookLeafError::DeadlineExceeded {
                                 step: self.cursor().steps,
                             });
@@ -545,6 +477,7 @@ mod tests {
     fn backoff_never_sleeps_past_the_deadline() {
         use bookleaf_typhon::FaultPlan;
         let dir = tmp_dir("deadline");
+        let deadline = std::time::Instant::now() + Duration::from_millis(50);
         let mut sim = Simulation::builder()
             .deck(decks::noh(8))
             .executor(ExecutorKind::FlatMpi { ranks: 2 })
@@ -552,15 +485,16 @@ mod tests {
             .max_steps(10)
             .fault_plan(FaultPlan::new(7).kill(3, 1))
             .comm_timeout(Duration::from_millis(300))
+            .deadline(deadline)
             .build()
             .unwrap();
         // A backoff of a minute against a deadline milliseconds away:
         // the supervisor must return the typed error immediately
         // instead of sleeping.
-        let policy = RecoveryPolicy::new(&dir)
-            .max_retries(3)
-            .backoff(Duration::from_secs(60))
-            .deadline(std::time::Instant::now() + Duration::from_millis(50));
+        let policy = RecoveryPolicy {
+            backoff: Duration::from_secs(60),
+            ..RecoveryPolicy::new(&dir)
+        };
         let t0 = std::time::Instant::now();
         let err = sim.run_resilient(&policy).unwrap_err();
         assert!(
@@ -571,8 +505,8 @@ mod tests {
             t0.elapsed() < Duration::from_secs(30),
             "must not sleep the full backoff"
         );
-        // Supervision must restore the run's own (unset) deadline.
-        assert!(sim.config().deadline.is_none());
+        // Supervision leaves the run's deadline as the builder set it.
+        assert_eq!(sim.config().deadline, Some(deadline));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -651,9 +585,12 @@ mod tests {
             .final_time(0.05)
             .build()
             .unwrap();
-        let policy = RecoveryPolicy::new(&dir).checkpoint_every_steps(7);
+        let policy = RecoveryPolicy {
+            checkpoint_every_steps: 7,
+            ..RecoveryPolicy::new(&dir)
+        };
         let report = supervised.run_resilient(&policy).unwrap();
-        assert!(report.recovery.clean());
+        assert!(report.recovery.events.is_empty());
         assert_eq!(report.recovery.steps_replayed, 0);
         assert!((report.time - 0.05).abs() < 1e-12);
         // Segmented execution with checkpoint round-trips must not

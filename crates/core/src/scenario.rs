@@ -154,7 +154,7 @@ pub enum Shape {
 impl Shape {
     /// Whether the shape contains point `p` (boundary inclusive).
     #[must_use]
-    pub fn contains(&self, p: Vec2) -> bool {
+    fn contains(&self, p: Vec2) -> bool {
         match *self {
             Shape::Rect { x0, y0, x1, y1 } => p.x >= x0 && p.x <= x1 && p.y >= y0 && p.y <= y1,
             Shape::Circle { cx, cy, r } => (p - Vec2::new(cx, cy)).norm() <= r,
@@ -320,7 +320,7 @@ impl GenericSpec {
     /// consistency — the grammar's one `check` (see [`crate::input`])
     /// over this spec's flat form. Mesh-dependent checks (element
     /// coverage, shadowed regions) happen in [`GenericSpec::build`].
-    pub fn validate(&self) -> Result<(), DeckError> {
+    fn validate(&self) -> Result<(), DeckError> {
         crate::input::check_generic(self)
     }
 

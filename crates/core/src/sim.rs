@@ -43,7 +43,6 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use bookleaf_ale::AleOptions;
-use bookleaf_hydro::getdt::DtControls;
 use bookleaf_hydro::HydroState;
 use bookleaf_mesh::Mesh;
 use bookleaf_typhon::{CommStats, FaultPlan, TyphonOptions};
@@ -88,7 +87,6 @@ pub struct SimulationBuilder {
     executor: Option<ExecutorKind>,
     final_time: Option<f64>,
     max_steps: Option<usize>,
-    dt: Option<DtControls>,
     ale: Option<Option<AleOptions>>,
     overlap: Option<bool>,
     observers: Vec<Box<dyn Observer>>,
@@ -163,12 +161,6 @@ impl SimulationBuilder {
     /// Hard cap on steps.
     pub fn max_steps(mut self, n: usize) -> Self {
         self.max_steps = Some(n);
-        self
-    }
-
-    /// Time-step controls.
-    pub fn dt(mut self, dt: DtControls) -> Self {
-        self.dt = Some(dt);
         self
     }
 
@@ -291,9 +283,6 @@ impl SimulationBuilder {
         }
         if let Some(n) = self.max_steps {
             config.max_steps = n;
-        }
-        if let Some(dt) = self.dt {
-            config.dt = dt;
         }
         if let Some(ale) = self.ale {
             config.ale = ale;
@@ -758,7 +747,7 @@ impl Simulation {
 mod tests {
     use super::*;
     use crate::decks;
-    use crate::observer::{ConservationTracer, DtHistory, Shared};
+    use crate::observer::{ConservationTracer, Shared};
     use bookleaf_ale::AleMode;
     use bookleaf_util::KernelId;
 
@@ -1194,27 +1183,6 @@ mod tests {
             matches!(err, BookLeafError::Deck(DeckError::Text { line: 3, .. })),
             "{err}"
         );
-    }
-
-    #[test]
-    fn observers_fire_and_share_state() {
-        let tracer = Shared::new(ConservationTracer::new());
-        let dts = Shared::new(DtHistory::new());
-        let mut sim = Simulation::builder()
-            .deck(decks::sod(20, 2))
-            .final_time(0.01)
-            .observer(tracer.clone())
-            .observer(dts.clone())
-            .build()
-            .unwrap();
-        let s = sim.run().unwrap();
-        // One energy sample at run begin plus one per step.
-        assert_eq!(tracer.with(|t| t.samples().len()), s.steps + 1);
-        assert!(tracer.with(|t| t.max_drift()) < 1e-9);
-        assert_eq!(dts.with(|d| d.samples().len()), s.steps);
-        // The recorded dts integrate to the simulated time.
-        let sum: f64 = dts.with(|d| d.samples().iter().map(|s| s.dt).sum());
-        assert!((sum - s.time).abs() < 1e-12);
     }
 
     #[test]

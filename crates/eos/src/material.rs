@@ -26,18 +26,6 @@ impl MaterialTable {
         MaterialTable { specs: vec![spec] }
     }
 
-    /// Number of materials.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// True when the table is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
-
     /// EoS for region `r`.
     ///
     /// # Panics
@@ -70,7 +58,8 @@ mod tests {
     #[test]
     fn two_material_table() {
         let t = MaterialTable::new(vec![EosSpec::ideal_gas(1.4), EosSpec::ideal_gas(1.2)]);
-        assert_eq!(t.len(), 2);
+        assert!(t.check_regions(&[0, 1]).is_ok());
+        assert!(t.check_regions(&[2]).is_err());
         let p0 = t.spec(0).pressure(1.0, 1.0);
         let p1 = t.spec(1).pressure(1.0, 1.0);
         assert!(approx_eq(p0, 0.4, 1e-14));
@@ -87,7 +76,6 @@ mod tests {
     #[test]
     fn empty_table_reports() {
         let t = MaterialTable::new(vec![]);
-        assert!(t.is_empty());
         assert!(t.check_regions(&[0]).is_err());
     }
 }

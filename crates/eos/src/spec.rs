@@ -53,7 +53,7 @@ impl EosSpec {
     /// Pressure from density and specific internal energy.
     #[inline(always)]
     #[must_use]
-    pub fn pressure(&self, rho: f64, ein: f64) -> f64 {
+    pub(crate) fn pressure(&self, rho: f64, ein: f64) -> f64 {
         match *self {
             EosSpec::IdealGas { gamma } => (gamma - 1.0) * rho * ein,
             EosSpec::Tait { p0, rho0, gamma } => p0 * ((rho / rho0).powf(gamma) - 1.0),

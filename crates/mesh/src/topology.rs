@@ -227,7 +227,7 @@ impl Topology {
     /// Check every connectivity invariant against `node_bc.len()` nodes.
     /// Cheap enough to run in tests and after partitioning; not called
     /// per time step.
-    pub fn validate(&self) -> Result<()> {
+    fn validate(&self) -> Result<()> {
         let n_nodes = self.node_bc.len();
         // Element node references in range.
         for (e, quad) in self.elnd.iter().enumerate() {

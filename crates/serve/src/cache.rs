@@ -54,8 +54,6 @@ pub struct DeckCache {
 struct Inner {
     map: HashMap<u64, Deck>,
     order: VecDeque<u64>,
-    hits: u64,
-    misses: u64,
 }
 
 impl DeckCache {
@@ -77,13 +75,10 @@ impl DeckCache {
     pub fn get_or_build(&self, input: &InputDeck) -> Result<(Deck, bool), DeckError> {
         let key = deck_cache_key(input);
         {
-            let mut inner = self.inner.lock().expect("deck cache poisoned");
+            let inner = self.inner.lock().expect("deck cache poisoned");
             if let Some(deck) = inner.map.get(&key) {
-                let deck = deck.clone();
-                inner.hits += 1;
-                return Ok((deck, true));
+                return Ok((deck.clone(), true));
             }
-            inner.misses += 1;
         }
         // Build outside the lock: mesh generation is the expensive part
         // and must not serialize unrelated tenants.
@@ -101,23 +96,10 @@ impl DeckCache {
         Ok((deck, false))
     }
 
-    /// `(hits, misses)` so far.
-    #[must_use]
-    pub fn stats(&self) -> (u64, u64) {
-        let inner = self.inner.lock().expect("deck cache poisoned");
-        (inner.hits, inner.misses)
-    }
-
     /// Number of decks currently cached.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().expect("deck cache poisoned").map.len()
-    }
-
-    /// Is the cache empty?
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -161,7 +143,5 @@ mod tests {
         assert!(!cache.get_or_build(&sod).unwrap().1);
         assert_eq!(cache.len(), 2);
         assert!(!cache.get_or_build(&noh).unwrap().1, "noh was evicted");
-        let (hits, misses) = cache.stats();
-        assert_eq!((hits, misses), (1, 4));
     }
 }

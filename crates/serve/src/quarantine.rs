@@ -39,7 +39,7 @@ impl QuarantinePolicy {
     /// the tenant has had since its last healthy run): `base · 2^level`,
     /// capped.
     #[must_use]
-    pub fn window(&self, level: u32) -> Duration {
+    fn window(&self, level: u32) -> Duration {
         self.base
             .checked_mul(1u32 << level.min(16))
             .unwrap_or(self.cap)

@@ -77,15 +77,15 @@ impl std::str::FromStr for FaultKind {
 /// One scheduled fault: fires for `rank` at the top of `step`, on
 /// recovery attempt `attempt` only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultEntry {
+struct FaultEntry {
     /// Recovery attempt this entry belongs to (`0` = the first run).
-    pub attempt: usize,
+    attempt: usize,
     /// Simulation step (as announced via `RankCtx::begin_step`).
-    pub step: usize,
+    step: usize,
     /// The rank the fault acts on.
-    pub rank: usize,
+    rank: usize,
     /// What happens.
-    pub kind: FaultKind,
+    kind: FaultKind,
 }
 
 /// A deterministic fault schedule. See the module docs for semantics.
@@ -167,18 +167,6 @@ impl FaultPlan {
     #[must_use]
     pub fn kill(self, step: usize, rank: usize) -> Self {
         self.with(FaultKind::Kill, step, rank)
-    }
-
-    /// True when the plan schedules nothing at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The scheduled entries, in insertion order.
-    #[must_use]
-    pub fn entries(&self) -> &[FaultEntry] {
-        &self.entries
     }
 
     /// The fault (if any) scheduled for `(attempt, step, rank)`. A kill

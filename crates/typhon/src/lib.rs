@@ -36,7 +36,7 @@ pub mod plan;
 pub mod runtime;
 pub mod stats;
 
-pub use fault::{FaultEntry, FaultKind, FaultPlan};
+pub use fault::{FaultKind, FaultPlan};
 pub use plan::{Binding, Entity, FieldMut, HaloPlan, PendingPhase};
 pub use runtime::{RankCtx, Typhon, TyphonOptions};
 pub use stats::{CommStats, PhaseStats};

@@ -422,22 +422,39 @@ mod tests {
             }
         }
 
+        /// The bindings of a phase whose fields take `widths` doubles
+        /// per entry, in that order: width 2 is the node `Vec2` field,
+        /// 1, 4 and 8 the element scalar, `Corner4` and `CornerPair`
+        /// fields. Each width at most once.
+        fn bindings(&mut self, widths: &[usize]) -> Vec<Binding<'_>> {
+            let (mut nd, mut sc, mut c4) =
+                (Some(&mut self.nd), Some(&mut self.sc), Some(&mut self.c4));
+            let mut pair = Some((&mut self.cx, &mut self.cy));
+            widths
+                .iter()
+                .map(|w| match w {
+                    2 => (Entity::Node, FieldMut::Vec2(nd.take().unwrap())),
+                    1 => (Entity::Element, FieldMut::Scalar(sc.take().unwrap())),
+                    4 => (Entity::Element, FieldMut::Corner4(c4.take().unwrap())),
+                    8 => {
+                        let (cx, cy) = pair.take().unwrap();
+                        (Entity::Element, FieldMut::CornerPair(cx, cy))
+                    }
+                    w => panic!("no field takes {w} doubles per entry"),
+                })
+                .collect()
+        }
+
+        fn is_zero(&self) -> bool {
+            self.nd.iter().all(|v| *v == Vec2::ZERO)
+                && self.sc.iter().all(|&v| v == 0.0)
+                && [&self.c4, &self.cx, &self.cy]
+                    .iter()
+                    .all(|f| f.iter().flatten().all(|&v| v == 0.0))
+        }
+
         fn exchange(&mut self, plan: &HaloPlan, ctx: &RankCtx) {
-            exchange(
-                plan,
-                ctx,
-                "state",
-                &mut [
-                    (Entity::Node, FieldMut::Vec2(&mut self.nd)),
-                    (Entity::Element, FieldMut::Scalar(&mut self.sc)),
-                    (Entity::Element, FieldMut::Corner4(&mut self.c4)),
-                    (
-                        Entity::Element,
-                        FieldMut::CornerPair(&mut self.cx, &mut self.cy),
-                    ),
-                ],
-            )
-            .unwrap();
+            exchange(plan, ctx, "state", &mut self.bindings(&[2, 1, 4, 8])).unwrap();
         }
     }
 
@@ -513,46 +530,64 @@ mod tests {
         .unwrap();
     }
 
-    /// A peer payload one double short or one double long is a typed
-    /// `Malformed` naming the peer, the tag and both lengths — never a
-    /// panic — and nothing of it is unpacked.
+    /// A peer payload of any length but the one the phase's bindings
+    /// take along the link's recv lists — every length from empty to
+    /// twice that, for each field width and for a two-binding phase —
+    /// is a typed `Malformed` naming the peer, the tag and both lengths
+    /// (never a panic), and nothing of it is unpacked. The right length
+    /// unpacks as sent.
     #[test]
     fn payload_of_the_wrong_length_is_malformed() {
         let subs = two_stripes();
-        for delta in [-1, 1] {
-            let out = Typhon::run(2, |ctx| {
-                let sub = &subs[ctx.rank()];
-                if ctx.rank() == 1 {
-                    // The peer draws the phase's tag and sends on it what
-                    // an element scalar phase would, one double off.
-                    let tag = ctx.next_tag();
-                    let len = sub.el_exchange[0].send.len();
-                    let len = len.checked_add_signed(delta).unwrap();
-                    ctx.send(0, tag, vec![7.0; len]).unwrap();
-                    ctx.barrier().unwrap(); // alive until rank 0 is done
-                    return None;
-                }
-                let plan = plan_of(sub);
-                let mut sc = vec![-1.0; sub.mesh.n_elements()];
-                let mut fields = [(Entity::Element, FieldMut::Scalar(&mut sc))];
-                let pending = plan.post(ctx, "p", &fields).unwrap();
-                let err = plan.complete(ctx, pending, &mut fields).unwrap_err();
-                ctx.barrier().unwrap();
-                Some((err, sc.iter().all(|&v| v == -1.0)))
-            })
-            .unwrap();
-            let (err, untouched) = out[0].clone().unwrap();
-            let expected = subs[0].el_exchange[0].recv.len();
-            assert_eq!(
-                err,
-                CommError::Malformed {
-                    from: 1,
-                    tag: 0, // the first tag either rank draws
-                    expected,
-                    got: expected.checked_add_signed(delta).unwrap(),
-                }
+        for widths in [&[1][..], &[2], &[4], &[8], &[1, 2]] {
+            let expected = doubles(
+                &plan_of(&subs[0]).links[0].recv,
+                &StateFields::zeros(&subs[0]).bindings(widths),
             );
-            assert!(untouched, "a malformed payload was unpacked");
+            for len in 0..=2 * expected {
+                let payload: Vec<f64> = (1..=len).map(|i| i as f64).collect();
+                let out = Typhon::run(2, |ctx| {
+                    let sub = &subs[ctx.rank()];
+                    if ctx.rank() == 1 {
+                        // The peer draws the phase's tag and sends on it
+                        // `len` doubles.
+                        let tag = ctx.next_tag();
+                        ctx.send(0, tag, payload.clone()).unwrap();
+                        ctx.barrier().unwrap(); // alive until rank 0 is done
+                        return None;
+                    }
+                    let plan = plan_of(sub);
+                    let mut f = StateFields::zeros(sub);
+                    let mut fields = f.bindings(widths);
+                    let pending = plan.post(ctx, "p", &fields).unwrap();
+                    let result = plan.complete(ctx, pending, &mut fields);
+                    let mut unpacked = Vec::new();
+                    for (entity, field) in &fields {
+                        pack(&mut unpacked, &plan.links[0].recv[*entity as usize], field);
+                    }
+                    drop(fields);
+                    ctx.barrier().unwrap();
+                    Some((result, unpacked, f.is_zero()))
+                })
+                .unwrap();
+                let (result, unpacked, untouched) = out[0].clone().unwrap();
+                if len == expected {
+                    assert_eq!(result, Ok(()), "{widths:?}");
+                    assert_eq!(unpacked, payload, "{widths:?}: unpacked other than sent");
+                } else {
+                    assert_eq!(
+                        result,
+                        Err(CommError::Malformed {
+                            from: 1,
+                            tag: 0, // the first tag either rank draws
+                            expected,
+                            got: len,
+                        }),
+                        "{widths:?}"
+                    );
+                    assert!(untouched, "{widths:?}: a payload of {len} was unpacked");
+                }
+            }
         }
     }
 

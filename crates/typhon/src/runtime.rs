@@ -176,22 +176,6 @@ impl Default for TyphonOptions {
     }
 }
 
-impl TyphonOptions {
-    /// Replace the receive/collective deadline.
-    #[must_use]
-    pub fn timeout(mut self, recv_timeout: Duration) -> Self {
-        self.recv_timeout = recv_timeout;
-        self
-    }
-
-    /// Evaluate the fault schedule against a recovery attempt index.
-    #[must_use]
-    pub fn on_attempt(mut self, attempt: usize) -> Self {
-        self.attempt = attempt;
-        self
-    }
-}
-
 /// Per-rank handle used inside the rank closure.
 ///
 /// One thread drives a rank's context at a time: the rank's own thread,
@@ -246,13 +230,6 @@ impl RankCtx {
     #[must_use]
     pub fn n_ranks(&self) -> usize {
         self.n_ranks
-    }
-
-    /// The receive/collective deadline this team runs under.
-    #[inline]
-    #[must_use]
-    pub fn recv_timeout(&self) -> Duration {
-        self.recv_timeout
     }
 
     /// Announce the top of simulation step `step`: advances the fault
@@ -1083,10 +1060,10 @@ mod tests {
     /// healthy traffic, short enough to keep the suite fast.
     fn fast(plan: FaultPlan) -> TyphonOptions {
         TyphonOptions {
+            recv_timeout: Duration::from_millis(250),
             fault_plan: Some(Arc::new(plan)),
             ..TyphonOptions::default()
         }
-        .timeout(Duration::from_millis(250))
     }
 
     #[test]
@@ -1202,7 +1179,10 @@ mod tests {
         // the channel disconnect visible in its own recv) then sends.
         let out = Typhon::run_with(
             2,
-            TyphonOptions::default().timeout(Duration::from_millis(100)),
+            TyphonOptions {
+                recv_timeout: Duration::from_millis(100),
+                ..TyphonOptions::default()
+            },
             |ctx| {
                 if ctx.rank() == 1 {
                     return Ok(());
@@ -1305,7 +1285,10 @@ mod tests {
         let round = |attempt: usize| {
             Typhon::run_with(
                 2,
-                fast(plan.clone()).on_attempt(attempt),
+                TyphonOptions {
+                    attempt,
+                    ..fast(plan.clone())
+                },
                 |ctx| -> std::result::Result<f64, CommError> {
                     ctx.begin_step(0)?;
                     let tag = ctx.next_tag();

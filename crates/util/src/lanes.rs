@@ -35,14 +35,14 @@ impl<const N: usize> Lanes<N> {
     /// `f` of each lane.
     #[inline(always)]
     #[must_use]
-    pub fn map(self, f: impl Fn(f64) -> f64) -> Self {
+    fn map(self, f: impl Fn(f64) -> f64) -> Self {
         Lanes(self.0.map(f))
     }
 
     /// `f` of each lane of `self` and the same lane of `other`.
     #[inline(always)]
     #[must_use]
-    pub fn zip(self, other: Self, f: impl Fn(f64, f64) -> f64) -> Self {
+    fn zip(self, other: Self, f: impl Fn(f64, f64) -> f64) -> Self {
         Lanes(from_fn(|l| f(self.0[l], other.0[l])))
     }
 }

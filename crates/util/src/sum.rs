@@ -54,12 +54,6 @@ impl NeumaierSum {
     pub fn value(&self) -> f64 {
         self.sum + self.comp
     }
-
-    /// Merge another accumulator into this one (for parallel reduction).
-    pub fn merge(&mut self, other: &NeumaierSum) {
-        self.add(other.sum);
-        self.add(other.comp);
-    }
 }
 
 #[cfg(test)]
@@ -74,20 +68,6 @@ mod tests {
         s.add(1.0);
         s.add(-1e100);
         assert_eq!(s.value(), 2.0);
-    }
-
-    #[test]
-    fn neumaier_merge_matches_sequential() {
-        let v: Vec<f64> = (0..1000).map(|i| (i as f64).sin() * 1e8).collect();
-        let mut whole = NeumaierSum::new();
-        whole.add_slice(&v);
-        let (a, b) = v.split_at(500);
-        let mut left = NeumaierSum::new();
-        left.add_slice(a);
-        let mut right = NeumaierSum::new();
-        right.add_slice(b);
-        left.merge(&right);
-        assert!((whole.value() - left.value()).abs() <= 1e-6);
     }
 
     #[test]

@@ -83,13 +83,6 @@ impl Vec2 {
     pub fn distance(self, other: Vec2) -> f64 {
         (self - other).norm()
     }
-
-    /// True when both components are finite.
-    #[inline]
-    #[must_use]
-    pub fn is_finite(self) -> bool {
-        self.x.is_finite() && self.y.is_finite()
-    }
 }
 
 impl Add for Vec2 {
@@ -232,12 +225,5 @@ mod tests {
     fn scalar_mul_commutes() {
         let v = Vec2::new(1.5, -2.5);
         assert_eq!(2.0 * v, v * 2.0);
-    }
-
-    #[test]
-    fn is_finite_detects_nan() {
-        assert!(Vec2::new(1.0, 2.0).is_finite());
-        assert!(!Vec2::new(f64::NAN, 2.0).is_finite());
-        assert!(!Vec2::new(1.0, f64::INFINITY).is_finite());
     }
 }

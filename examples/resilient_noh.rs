@@ -44,11 +44,13 @@ fn main() {
         .build()
         .expect("valid deck");
 
-    let policy = RecoveryPolicy::new(&dir)
-        .checkpoint_every_steps(SEGMENT)
-        .keep(2)
-        .max_retries(3)
-        .reshape(ReshapePolicy::Halve);
+    let policy = RecoveryPolicy {
+        keep: 2,
+        checkpoint_every_steps: SEGMENT,
+        max_retries: 3,
+        reshape: ReshapePolicy::Halve,
+        ..RecoveryPolicy::new(&dir)
+    };
 
     let report = sim.run_resilient(&policy).expect("supervised run");
 

@@ -11,11 +11,11 @@
 #
 #   * any `bookleaf_hydro::sweep::Run<..>::walk` / `::fork`
 #     instantiation (the loops every kernel body is inlined into), or
-#   * any closure symbol of `eos_fused`, `getdt`, `getgeom`, `getpc`,
-#     `viscforce`, `getacc` (a body the inliner left out of line), or of
-#     the remap's sweeps in `bookleaf_ale`: `compute_fluxes`,
-#     `remap_elements`, `remap_nodes` and the mass-weighted
-#     cell-velocity sweep of `Remapper::remap`
+#   * any closure symbol of `eos_fused`, `getdt`, `viscforce`, `getacc`
+#     (a body the inliner left out of line), or of the remap's sweeps
+#     in `bookleaf_ale`: `compute_fluxes`, `remap_elements`,
+#     `remap_nodes` and the mass-weighted cell-velocity sweep of
+#     `Remapper::remap`
 #
 # contains a `call` to a `bookleaf_*` function that is neither a closure
 # nor part of `bookleaf_hydro::sweep` itself (`Run::walk` under `fork`,
@@ -44,7 +44,7 @@ found=$(objdump -d --no-show-raw-insn -C "$bin" | awk '
         sub(/^[0-9a-f]+ </, "", caller)
         sub(/>:$/, "", caller)
         hot = caller ~ /^bookleaf_hydro::sweep::Run<.*>::(walk|fork)$/ ||
-            caller ~ /^bookleaf_hydro::(eos_fused|getdt|getgeom|getpc|viscforce|getacc)::.*\{\{closure\}\}/ ||
+            caller ~ /^bookleaf_hydro::(eos_fused|getdt|viscforce|getacc)::.*\{\{closure\}\}/ ||
             caller ~ /^bookleaf_ale::(advect::compute_fluxes|remap::remap_elements|remap::remap_nodes|remap::Remapper::remap)(<.*>)?::\{\{closure\}\}/
         next
     }

@@ -5,38 +5,42 @@
 # Items are the `pub` `fn` / `struct` / `enum` / `trait` / `const` /
 # `static` / `type` (a `pub fn` inside an `impl` included) above a
 # file's first `#[cfg(test)]` (the cut `scripts/loc.sh` uses) under
-# `crates/{util,mesh,partition,typhon,hydro,ale,eos,core,serve}/src`. An
-# item is *reached* when its name appears as a word in the non-test,
-# non-comment, non-string code of another product file or of
-# `src/bin/bookleaf.rs`; `pub use` / `pub mod` statements reach nothing.
-# An item's path is its crate, its file's module path and, for a method,
-# its type: `hydro::state::HydroState::new`.
+# `crates/{util,mesh,partition,typhon,hydro,ale,eos,core,serve}/src`,
+# named `<crate>::<module path>[::<type>]::<name>`. rustc decides who
+# calls an item: a copy of the workspace in `target/reach/` marks item n
+# `#[deprecated(note = "REACH n")]`, and `cargo check` of the nine
+# crates and the CLI warns at each use (test code is not compiled; a
+# field or variant use carries its type's note). An item is *reached*
+# by such a warning in another product file or in `src/bin/bookleaf.rs`
+# outside a `pub use` / `pub mod` statement. `allow(deprecated)` in
+# product code would hide uses, so it fails the script.
 #
 # `SURFACE.txt` holds one line per unreached item, `<path> <reason>`,
 # the reason one word of: tests bench benchmark examples reference
-# signature. Blank lines and `#` lines are skipped. Fails, naming the
-# lines, on an item neither reached nor listed, and on a listed item
-# that no longer exists or is now reached. Run from anywhere:
-#
-#   scripts/reach.sh
+# signature; blank and `#` lines are skipped. Fails, naming the lines,
+# on an item neither reached nor listed, and on a listed item that no
+# longer exists or is now reached. Run from anywhere: `scripts/reach.sh`.
 set -eu
 cd "$(dirname "$0")/.."
 
-files=$(for c in util mesh partition typhon hydro ale eos core serve; do
-    find "crates/$c/src" -name '*.rs'
-done | sort)
+crates="util mesh partition typhon hydro ale eos core serve"
+files=$(find $(printf 'crates/%s/src ' $crates) -name '*.rs' | sort)
 surface=SURFACE.txt
 [ -f "$surface" ] || surface=/dev/null
+out=$(pwd)/target/reach
+rm -rf "$out/ws" && mkdir -p "$out/ws"
+cp -R Cargo.toml Cargo.lock rust-toolchain.toml crates shims src "$out/ws"
+check="cd '$out/ws' && CARGO_TARGET_DIR='$out/target' RUSTFLAGS=--cap-lints=warn cargo check \
+    --offline --color never --message-format=short $(printf -- '-p bookleaf-%s ' $crates) \
+    -p bookleaf --bin bookleaf > '$out/check' 2>&1"
 
-awk -v surface="$surface" '
+awk -v surface="$surface" -v ws="$out/ws" -v check="$check" -v census="$out/check" '
 # code(LINE) -> LINE with comments removed and the contents of string
 # and char literals blanked; block comments and strings carry over
 # from line to line (`blk`, `str`).
 function code(line,    out, n, i, c, c2, j) {
-    out = ""
     n = length(line)
-    i = 1
-    while (i <= n) {
+    for (i = 1; i <= n;) {
         c = substr(line, i, 1)
         c2 = substr(line, i, 2)
         if (blk > 0) {
@@ -106,37 +110,27 @@ FILENAME == surface {
     }
     next
 }
-
 FNR == 1 {
-    cut = 0; blk = 0; str = 0; in_use = 0
+    if (dst != "") close(dst)
+    cut = 0; blk = 0; str = 0; in_use = ""
     depth = 0; top = 0; pending = ""
     product = (FILENAME ~ /^crates\//)
+    dst = product ? ws "/" FILENAME : ""
     modpath = FILENAME
     sub(/^crates\//, "", modpath)
     sub(/\/src\//, "/", modpath)
     sub(/(\/lib|\/mod)?\.rs$/, "", modpath)
     gsub(/\//, "::", modpath)
+    scanned[FILENAME] = 1
 }
 /^[[:space:]]*#\[cfg\(test\)\]/ { cut = 1 }
-cut { next }
+cut { if (product) print > dst; next }
 
 {
     line = code($0)
-
-    # words, except those of `pub use` / `pub mod` statements
-    if (line ~ /^[[:space:]]*pub[[:space:]]+(use|mod)[[:space:]]/) in_use = 1
-    if (!in_use) {
-        rest = line
-        while (match(rest, /[A-Za-z_][A-Za-z0-9_]*/)) {
-            w = substr(rest, RSTART, RLENGTH)
-            rest = substr(rest, RSTART + RLENGTH)
-            if ((w, FILENAME) in seen) continue
-            seen[w, FILENAME] = 1
-            if (!(w in first)) first[w] = FILENAME
-            else if (first[w] != FILENAME) many[w] = 1
-        }
-    }
-    if (in_use && (line ~ /[;{]/)) in_use = 0
+    if (line ~ /allow\([^)]*deprecated/) blind = blind FILENAME ":" FNR ": allow(deprecated) hides uses from reach.sh\n"
+    if (match(line, /^[[:space:]]*pub[[:space:]]+(use|mod)[[:space:]]/)) in_use = substr(line, RSTART, RLENGTH) ~ /use/ ? ";" : "[;{]"
+    if (in_use != "") { pubuse[FILENAME ":" FNR] = 1; if (line ~ in_use) in_use = "" }
 
     if (!product) next
 
@@ -150,15 +144,16 @@ cut { next }
         name = substr(s, RSTART, RLENGTH)
         sub(/.*[[:space:]]/, "", name)
     }
+    mark = ""
     if (name != "" && name != "fn") {
         path = modpath
         for (k = 1; k <= top; k++) path = path "::" frame[k]
-        path = path "::" name
-        item[++nitems] = path
-        iname[nitems] = name
+        mark = "#[deprecated(note = \"REACH " ++nitems "\")] "
+        item[nitems] = path "::" name
         ifile[nitems] = FILENAME
         iwhere[nitems] = FILENAME ":" FNR
     }
+    print mark $0 > dst
 
     if (s ~ /^(unsafe[[:space:]]+)?impl([[:space:]<]|$)/) pending = impl_type(s)
     else if (match(s, /^(pub(\([a-z]+\))?[[:space:]]+)?mod[[:space:]]+[A-Za-z_][A-Za-z0-9_]*[[:space:]]*\{/)) {
@@ -177,17 +172,22 @@ cut { next }
         }
     }
 }
-
 END {
-    status = 0
+    if (blind) { printf "%s", blind > "/dev/stderr"; exit 1 }
+    if (system(check)) { system("cat \047" census "\047 >&2"); exit 1 }
+    # `<file>:<line>:<col>: warning: use of deprecated ...: REACH <n>`
+    while ((getline l < census) > 0) {
+        if (!match(l, /: REACH [0-9]+$/)) continue
+        k = substr(l, RSTART + 8) + 0
+        split(l, at, ":")
+        if ((at[1] in scanned) && at[1] != ifile[k] && !((at[1] ":" at[2]) in pubuse))
+            hit[item[k]] = reached[k] = 1
+    }
     for (k = 1; k <= nitems; k++) {
-        p = item[k]; w = iname[k]
-        reached = (w in many) || ((w in first) && first[w] != ifile[k])
-        if (reached) hit[p] = 1
+        p = item[k]
         exists[p] = 1
-        if (!reached && !(p in listed) && !(p in told)) {
-            told[p] = 1
-            if (!status) print "reach: pub items nothing in the product reaches and SURFACE.txt does not list (call them, make them private, delete them, or list them with a reason):" > "/dev/stderr"
+        if (!(k in reached) && !(p in listed) && !told[p]++) {
+            if (!status) print "reach: pub items nothing in the product calls and SURFACE.txt does not list (call them, make them private, delete them, or list them with a reason):" > "/dev/stderr"
             print iwhere[k] ": " p > "/dev/stderr"
             status = 1
         }

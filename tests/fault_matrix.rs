@@ -132,10 +132,12 @@ fn recovery_log_is_identical_across_two_runs_of_the_same_schedule() {
             .comm_timeout(FAST)
             .build()
             .unwrap();
-        let policy = RecoveryPolicy::new(dir)
-            .checkpoint_every_steps(4)
-            .max_retries(2)
-            .reshape(ReshapePolicy::Halve);
+        let policy = RecoveryPolicy {
+            checkpoint_every_steps: 4,
+            max_retries: 2,
+            reshape: ReshapePolicy::Halve,
+            ..RecoveryPolicy::new(dir)
+        };
         sim.run_resilient(&policy).unwrap()
     };
     let (da, db) = (dir_for("a"), dir_for("b"));
@@ -175,10 +177,12 @@ fn elastic_recovery_from_rank_death_matches_the_uninterrupted_run() {
         .comm_timeout(FAST)
         .build()
         .unwrap();
-    let policy = RecoveryPolicy::new(&dir)
-        .checkpoint_every_steps(5)
-        .max_retries(2)
-        .reshape(ReshapePolicy::Halve);
+    let policy = RecoveryPolicy {
+        checkpoint_every_steps: 5,
+        max_retries: 2,
+        reshape: ReshapePolicy::Halve,
+        ..RecoveryPolicy::new(&dir)
+    };
     let report = supervised.run_resilient(&policy).unwrap();
     assert_eq!(report.steps, 14);
     assert_eq!(report.recovery.retries(), 1);
@@ -252,10 +256,12 @@ fn retry_budget_exhaustion_returns_the_typed_error() {
         .comm_timeout(FAST)
         .build()
         .unwrap();
-    let policy = RecoveryPolicy::new(&dir)
-        .checkpoint_every_steps(10)
-        .max_retries(2)
-        .backoff(Duration::from_millis(1));
+    let policy = RecoveryPolicy {
+        checkpoint_every_steps: 10,
+        max_retries: 2,
+        backoff: Duration::from_millis(1),
+        ..RecoveryPolicy::new(&dir)
+    };
     let err = sim.run_resilient(&policy).unwrap_err();
     assert!(matches!(err, BookLeafError::CommFault(_)), "{err:?}");
     let _ = std::fs::remove_dir_all(&dir);
@@ -335,10 +341,12 @@ fn elastic_recovery_onto_one_rank_runs_whole() {
             .comm_timeout(FAST)
             .build()
             .unwrap();
-        let policy = RecoveryPolicy::new(&dir)
-            .checkpoint_every_steps(4)
-            .max_retries(1)
-            .reshape(ReshapePolicy::Halve);
+        let policy = RecoveryPolicy {
+            checkpoint_every_steps: 4,
+            max_retries: 1,
+            reshape: ReshapePolicy::Halve,
+            ..RecoveryPolicy::new(&dir)
+        };
         let report = sim.run_resilient(&policy).unwrap();
         assert_eq!(report.steps, 12);
         assert_eq!(report.recovery.retries(), 1, "{two:?}");

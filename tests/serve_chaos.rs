@@ -5,7 +5,7 @@
 //! concurrent healthy tenants must stay bitwise identical to unloaded
 //! runs.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bookleaf::serve::quarantine::QuarantinePolicy;
 use bookleaf::serve::{client, state_crc, ResourceLimits, ServeConfig, Server};
@@ -342,23 +342,37 @@ fn admission_rejections_are_line_anchored_and_typed() {
 
 #[test]
 fn overload_sheds_with_typed_503_instead_of_queueing() {
+    let read_timeout = Duration::from_secs(10);
     let server = chaos_server(|c| {
         c.workers = 1;
         c.queue_depth = 1;
-        c.read_timeout = Duration::from_millis(500);
+        c.read_timeout = read_timeout;
     });
     let addr = server.addr();
-    // Two idle connections: one occupies the worker (blocked reading
-    // until the read deadline), one fills the queue.
-    let _idle_a = std::net::TcpStream::connect(addr).unwrap();
-    std::thread::sleep(Duration::from_millis(50));
-    let _idle_b = std::net::TcpStream::connect(addr).unwrap();
-    std::thread::sleep(Duration::from_millis(50));
-    // The third connection must be shed immediately.
-    let resp = client::get_health(addr, Duration::from_secs(2)).unwrap();
-    assert_eq!(resp.status, 503, "{}", resp.text());
+    // Silent connections pin the one worker (blocked reading until the
+    // read deadline) and fill the one queue slot. Which of them the
+    // worker holds and which are shed depends on scheduling, so probe
+    // after each: a probe that is queued instead of shed times out on
+    // the client and keeps the slot, and the next probe finds it full.
+    let mut idle = Vec::new();
+    let (resp, waited) = loop {
+        assert!(idle.len() < 8, "no probe was shed");
+        idle.push(std::net::TcpStream::connect(addr).unwrap());
+        let sent = Instant::now();
+        if let Ok(resp) = client::get_health(addr, Duration::from_millis(500)) {
+            if resp.status == 503 {
+                break (resp, sent.elapsed());
+            }
+        }
+    };
     assert_eq!(str_field(&body_json(&resp), "kind"), "overloaded");
+    assert!(
+        waited < read_timeout / 4,
+        "the shed answer took {waited:?}: it queued behind the pinned worker"
+    );
     assert!(server.shed_count() >= 1);
+    // Release the worker before shutting down.
+    drop(idle);
     server.shutdown();
 }
 

@@ -6,8 +6,8 @@
 use bookleaf::core::decks;
 use bookleaf::util::approx_eq;
 use bookleaf::{
-    ConservationTracer, Deck, ExecutorKind, Observer, RunConfig, RunReport, Shared, Simulation,
-    StepPhase, StepView,
+    ConservationTracer, Deck, DtHistory, ExecutorKind, Observer, RunConfig, RunReport, Shared,
+    Simulation, StepPhase, StepView,
 };
 
 /// Counts every hook invocation (all ranks), recording where it fired.
@@ -473,4 +473,25 @@ fn an_empty_executor_shape_is_refused_by_the_builder_and_the_cli() {
             "{flags:?}: {stderr}"
         );
     }
+}
+
+#[test]
+fn observers_fire_and_share_state() {
+    let tracer = Shared::new(ConservationTracer::new());
+    let dts = Shared::new(DtHistory::new());
+    let mut sim = Simulation::builder()
+        .deck(decks::sod(20, 2))
+        .final_time(0.01)
+        .observer(tracer.clone())
+        .observer(dts.clone())
+        .build()
+        .unwrap();
+    let s = sim.run().unwrap();
+    // One energy sample at run begin plus one per step.
+    assert_eq!(tracer.with(|t| t.samples().len()), s.steps + 1);
+    assert!(tracer.with(|t| t.max_drift()) < 1e-9);
+    assert_eq!(dts.with(|d| d.samples().len()), s.steps);
+    // The recorded dts integrate to the simulated time.
+    let sum: f64 = dts.with(|d| d.samples().iter().map(|s| s.dt).sum());
+    assert!((sum - s.time).abs() < 1e-12);
 }
