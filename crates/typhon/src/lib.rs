@@ -6,14 +6,15 @@
 //! top of MPI.
 //!
 //! This Rust port reproduces Typhon's semantics on a single machine: each
-//! "MPI rank" is an OS thread owning a disjoint mesh partition, and
-//! point-to-point messages travel over `std::sync::mpsc` channels. The
+//! "MPI rank" is an OS thread owning a disjoint mesh partition, and a
+//! point-to-point message is handed over through the team's shared
+//! mailboxes (one lock and one condition variable per team). The
 //! *communication structure* — who sends what to whom, and when — is
 //! identical to the MPI original; only the transport differs: a team
-//! lives in one process, where a channel does what an MPI point-to-point
-//! call does without a launcher or an MPI library to link. Multi-node
-//! wire costs are recovered by the cluster model of the `bookleaf-bench`
-//! paper-figure crate.
+//! lives in one process, where a shared mailbox does what an MPI
+//! point-to-point call does without a launcher or an MPI library to
+//! link. Multi-node wire costs are recovered by the cluster model of the
+//! `bookleaf-bench` paper-figure crate.
 //!
 //! ## Pieces
 //!

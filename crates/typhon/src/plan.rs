@@ -55,7 +55,7 @@
 //! wall time the ticket stayed open is recorded as
 //! `overlap_window_seconds`. Each post consumes a tag, so every rank
 //! must issue its posts in the same global order; completes may drain
-//! in any order (out-of-order payloads park in the mailbox).
+//! in any order (a payload waits in its receiver's mailbox until taken).
 
 use std::time::Instant;
 

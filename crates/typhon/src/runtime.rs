@@ -1,21 +1,24 @@
 //! The rank team: threads, point-to-point messaging, collectives.
 //!
 //! [`Typhon::run`] spawns one thread per rank, hands each a [`RankCtx`],
-//! and joins them, propagating panics as typed errors. Message passing is
-//! tag-matched (out-of-order arrivals are parked in a local mailbox, as an
-//! MPI implementation would) and collectives use a generation-counted
-//! shared cell so they can be called any number of times.
+//! and joins them, propagating panics as typed errors. Everything a rank
+//! can wait for is one team state behind one lock: per rank, the
+//! messages sent to it and not yet received (in send order, matched by
+//! source and tag, as an MPI implementation matches them); the
+//! generation-counted collective, so collectives can be called any
+//! number of times; and per rank, a *failed* and an *exited* mark. Every
+//! blocking operation waits on that lock's one condition variable.
 //!
 //! ## Resilience contract
 //!
 //! Every blocking operation is bounded: receives and collectives carry a
 //! deadline ([`TyphonOptions::recv_timeout`]) and surface expiry as a
 //! typed [`CommError`], never a hang. Every payload travels with a
-//! CRC-32 checksum, verified on arrival, so in-flight corruption —
-//! injected by a [`FaultPlan`] or real — surfaces as
-//! [`CommError::Corrupt`] instead of silently wrong physics. A rank
-//! killed by its fault schedule returns [`CommError::Killed`] from its
-//! next operation and simply exits; its peers observe the death as
+//! CRC-32 checksum, verified by the receive that takes the message, so
+//! in-flight corruption — injected by a [`FaultPlan`] or real — surfaces
+//! there as [`CommError::Corrupt`] instead of silently wrong physics. A
+//! rank killed by its fault schedule returns [`CommError::Killed`] from
+//! its next operation and simply exits; its peers observe the death as
 //! `RecvTimeout` / `CollectiveTimeout` / `RankUnreachable` within one
 //! timeout window. All error payloads are deterministic (ranks, tags,
 //! steps — no wall-clock durations), so two runs of the same fault
@@ -24,14 +27,15 @@
 //! A rank that has been handed an error is **failed**, and the team
 //! knows it at once: a send to a failed rank, and a receive from one
 //! whose deadline expires, both report [`CommError::RankUnreachable`].
-//! What a survivor reports therefore does not depend on whether the
-//! failed rank's thread had already exited (closing its channel) when
-//! the survivor next reached for it.
+//! A rank whose closure has returned or unwound is **exited**, and a
+//! send to it is `RankUnreachable` too. What a survivor reports
+//! therefore does not depend on whether the failed rank's thread had
+//! already exited when the survivor next reached for it.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use bookleaf_util::{crc32_f64s, BookLeafError, CommError, Result};
@@ -45,20 +49,16 @@ struct Message {
     tag: u64,
     payload: Vec<f64>,
     /// CRC-32 of the payload's bit pattern, computed at send time and
-    /// verified at the first pull from the channel.
+    /// verified by the receive that takes the message.
     checksum: u32,
 }
 
-/// Shared state for barriers and reductions (one per team).
-struct Collective {
-    lock: Mutex<CollState>,
-    cv: Condvar,
-    n_ranks: usize,
-    /// Per rank: set the moment any of its operations returns an error.
-    failed: Vec<AtomicBool>,
-}
-
-struct CollState {
+/// Everything a team's ranks wait for, behind [`Team`]'s one lock.
+struct TeamState {
+    /// Per destination rank: the messages sent to it that no receive has
+    /// taken yet, in send order.
+    pending: Vec<VecDeque<Message>>,
+    /// Collective generation, advanced by each one's last arrival.
     generation: u64,
     arrived: usize,
     /// Each rank's contribution to the current generation, by rank: the
@@ -66,42 +66,87 @@ struct CollState {
     /// depend on the order the ranks arrived in.
     partials: Vec<f64>,
     /// Result of the most recently completed generation. A rank cannot be
-    /// more than one generation ahead of any other (the wait below blocks
-    /// it), so a single slot is enough.
+    /// more than one generation ahead of any other (the wait blocks it),
+    /// so a single slot is enough.
     last_result: (f64, f64),
+    /// Per rank: set the moment any of its operations returns an error.
+    failed: Vec<bool>,
+    /// Per rank: set when its closure has returned or unwound.
+    exited: Vec<bool>,
 }
 
-impl Collective {
-    fn new(n_ranks: usize) -> Self {
-        Collective {
-            lock: Mutex::new(CollState {
+impl TeamState {
+    /// Remove and return the first message to `to` from `from` under
+    /// `tag`.
+    fn take(&mut self, to: usize, from: usize, tag: u64) -> Option<Message> {
+        let list = &mut self.pending[to];
+        let i = list.iter().position(|m| m.from == from && m.tag == tag)?;
+        list.remove(i)
+    }
+
+    /// Whether a send to `rank` can be delivered: it has neither failed
+    /// nor exited.
+    fn reachable(&self, rank: usize) -> bool {
+        !self.failed[rank] && !self.exited[rank]
+    }
+}
+
+/// The state one team shares: [`TeamState`], its lock, and the one
+/// condition variable every blocking operation waits on.
+struct Team {
+    state: Mutex<TeamState>,
+    cv: Condvar,
+    /// Deadline of every wait ([`TyphonOptions::recv_timeout`]).
+    timeout: Duration,
+}
+
+impl Team {
+    fn new(n_ranks: usize, timeout: Duration) -> Self {
+        Team {
+            state: Mutex::new(TeamState {
+                pending: (0..n_ranks).map(|_| VecDeque::new()).collect(),
                 generation: 0,
                 arrived: 0,
                 partials: vec![0.0; n_ranks],
                 last_result: (0.0, 0.0),
+                failed: vec![false; n_ranks],
+                exited: vec![false; n_ranks],
             }),
             cv: Condvar::new(),
-            n_ranks,
-            failed: (0..n_ranks).map(|_| AtomicBool::new(false)).collect(),
+            timeout,
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, TeamState> {
+        self.state.lock().expect("team state poisoned")
+    }
+
+    /// Wait while `blocked` holds, up to the team's deadline. std checks
+    /// `blocked` before each wait and reports a timeout only with it
+    /// still holding, so a wakeup that races the deadline is never lost:
+    /// on return, `blocked` is false unless the deadline expired.
+    fn wait<'a>(
+        &self,
+        st: MutexGuard<'a, TeamState>,
+        blocked: impl FnMut(&mut TeamState) -> bool,
+    ) -> MutexGuard<'a, TeamState> {
+        self.cv
+            .wait_timeout_while(st, self.timeout, blocked)
+            .expect("team state poisoned")
+            .0
     }
 
     /// Combined barrier + reduction: every rank contributes `value`; all
     /// receive `(min, sum)` of the contributions, combined in rank order
     /// (the sum from `0.0`), whatever order the ranks arrive in — or
-    /// [`CommError::CollectiveTimeout`] if some rank never arrives
-    /// within `timeout` (it died or hung).
-    fn reduce(
-        &self,
-        rank: usize,
-        value: f64,
-        timeout: Duration,
-    ) -> std::result::Result<(f64, f64), CommError> {
-        let mut st = self.lock.lock().expect("collective poisoned");
+    /// [`CommError::CollectiveTimeout`], and `rank` is failed, if some
+    /// rank never arrives within the deadline (it died or hung).
+    fn reduce(&self, rank: usize, value: f64) -> std::result::Result<(f64, f64), CommError> {
+        let mut st = self.lock();
         let gen = st.generation;
         st.partials[rank] = value;
         st.arrived += 1;
-        if st.arrived == self.n_ranks {
+        if st.arrived == st.partials.len() {
             // Last arrival: publish and reset for the next generation
             // (every slot is written again before the next one ends).
             let out = st
@@ -111,30 +156,17 @@ impl Collective {
             st.generation += 1;
             st.arrived = 0;
             st.last_result = out;
+            drop(st);
             self.cv.notify_all();
             return Ok(out);
         }
-        // std reports a timeout only with the condition still holding, so
-        // a last arrival that races the deadline is never lost.
-        let (st, wait) = self
-            .cv
-            .wait_timeout_while(st, timeout, |s| s.generation == gen)
-            .expect("collective poisoned");
-        if wait.timed_out() {
-            self.failed[rank].store(true, Ordering::SeqCst);
+        let mut st = self.wait(st, |s| s.generation == gen);
+        if st.generation == gen {
+            st.failed[rank] = true;
             return Err(CommError::CollectiveTimeout { rank });
         }
         Ok(st.last_result)
     }
-}
-
-/// A rank's receive side: its channel, and the messages drawn from it
-/// that no receive has asked for yet.
-struct Inbox {
-    rx: Receiver<Message>,
-    /// Out-of-order messages parked by (source rank, tag). Parked
-    /// payloads have already passed checksum verification.
-    parked: HashMap<(usize, u64), VecDeque<Vec<f64>>>,
 }
 
 /// Cap on pooled payload buffers per rank: enough for every in-flight
@@ -181,18 +213,14 @@ impl Default for TyphonOptions {
 /// One thread drives a rank's context at a time: the rank's own thread,
 /// or — for a hybrid rank, which steps inside `pool.install` — whichever
 /// pool thread runs that step. The context is `Sync` only so it can
-/// cross into the pool; its locks are never contended, which is what
-/// lets a blocking receive hold the inbox while it waits, and its
+/// cross into the pool; its own locks are never contended, and its
 /// counters (`phase`, `step`) are `Relaxed` atomics that publish nothing.
+/// A blocking receive or collective waits on the team's lock, never on
+/// one of the context's own.
 pub struct RankCtx {
     rank: usize,
     n_ranks: usize,
-    /// One channel end per rank of the team, this one's own included.
-    senders: Vec<Sender<Message>>,
-    /// Mutex rather than RefCell because the context must be `Sync`; a
-    /// std `Receiver` is not.
-    inbox: Mutex<Inbox>,
-    collective: Arc<Collective>,
+    team: Arc<Team>,
     /// Next phase tag, drawn by [`RankCtx::next_tag`].
     phase: AtomicU64,
     stats: Mutex<CommStats>,
@@ -202,8 +230,6 @@ pub struct RankCtx {
     /// the pools balanced, so steady-state halo traffic allocates
     /// nothing.
     pool: Mutex<Vec<Vec<f64>>>,
-    /// Receive/collective deadline (from [`TyphonOptions`]).
-    recv_timeout: Duration,
     /// Shared fault schedule, if any.
     fault: Option<Arc<FaultPlan>>,
     /// Recovery attempt the schedule is evaluated against.
@@ -258,12 +284,8 @@ impl RankCtx {
 
     /// Mark this rank failed — it is about to be handed `error`.
     fn fail(&self, error: CommError) -> CommError {
-        self.collective.failed[self.rank].store(true, Ordering::SeqCst);
+        self.team.lock().failed[self.rank] = true;
         error
-    }
-
-    fn has_failed(&self, rank: usize) -> bool {
-        self.collective.failed[rank].load(Ordering::SeqCst)
     }
 
     /// `Err(Killed)` once this rank's scheduled death has fired.
@@ -314,7 +336,7 @@ impl RankCtx {
         phase: Option<&'static str>,
     ) -> std::result::Result<(), CommError> {
         self.check_killed()?;
-        if self.has_failed(to) {
+        if !self.team.lock().reachable(to) {
             return Err(self.fail(CommError::RankUnreachable { to }));
         }
         {
@@ -349,14 +371,21 @@ impl RankCtx {
             }
             Some(FaultKind::Kill) | None => {}
         }
-        self.senders[to]
-            .send(Message {
-                from: self.rank,
-                tag,
-                payload,
-                checksum,
-            })
-            .map_err(|_| self.fail(CommError::RankUnreachable { to }))
+        let msg = Message {
+            from: self.rank,
+            tag,
+            payload,
+            checksum,
+        };
+        let mut st = self.team.lock();
+        if !st.reachable(to) {
+            drop(st);
+            return Err(self.fail(CommError::RankUnreachable { to }));
+        }
+        st.pending[to].push_back(msg);
+        drop(st);
+        self.team.cv.notify_all();
+        Ok(())
     }
 
     /// A cleared payload buffer with at least `capacity` reserved, drawn
@@ -406,6 +435,13 @@ impl RankCtx {
         self.pool.lock().expect("buffer pool poisoned").len()
     }
 
+    /// Number of messages sent to this rank and not yet received
+    /// (accounting tests only).
+    #[cfg(test)]
+    pub(crate) fn pending_len(&self) -> usize {
+        self.team.lock().pending[self.rank].len()
+    }
+
     /// Return a finished payload buffer (typically one produced by
     /// [`RankCtx::recv`]) to this rank's recycle pool. Empty and
     /// oversized buffers are dropped instead, keeping the pool's
@@ -420,60 +456,35 @@ impl RankCtx {
         }
     }
 
-    /// Verify an arrival's checksum — a mismatch is in-flight
-    /// corruption — then hand its payload back if it is the one asked
-    /// for, or park it.
-    fn accept(
-        &self,
-        inbox: &mut Inbox,
-        msg: Message,
-        from: usize,
-        tag: u64,
-    ) -> std::result::Result<Option<Vec<f64>>, CommError> {
+    /// Verify a taken message's checksum — a mismatch is in-flight
+    /// corruption — and hand back its payload.
+    fn open(&self, msg: Message) -> std::result::Result<Vec<f64>, CommError> {
         if crc32_f64s(&msg.payload) != msg.checksum {
             return Err(self.fail(CommError::Corrupt {
                 from: msg.from,
                 tag: msg.tag,
             }));
         }
-        if msg.from == from && msg.tag == tag {
-            return Ok(Some(msg.payload));
-        }
-        inbox
-            .parked
-            .entry((msg.from, msg.tag))
-            .or_default()
-            .push_back(msg.payload);
-        Ok(None)
+        Ok(msg.payload)
     }
 
-    /// Non-blocking receive from `from` under `tag`: the matching
-    /// payload if it has already been delivered (parked or in the
-    /// channel), `None` otherwise. Messages for other `(source, tag)`
-    /// pairs encountered while draining the channel are parked, exactly
-    /// as the blocking receive does. Corruption of *any* drained message
-    /// (matching or stranger) surfaces here.
+    /// Non-blocking receive from `from` under `tag`: the first matching
+    /// payload already delivered, `None` if there is none. Messages for
+    /// other `(source, tag)` pairs stay where they are. A corrupt
+    /// message surfaces as [`CommError::Corrupt`] from the receive that
+    /// takes it, this one included.
     pub fn try_recv(
         &self,
         from: usize,
         tag: u64,
     ) -> std::result::Result<Option<Vec<f64>>, CommError> {
         self.check_killed()?;
-        let mut inbox = self.inbox.lock().expect("inbox poisoned");
-        let parked = inbox.parked.get_mut(&(from, tag));
-        if let Some(payload) = parked.and_then(VecDeque::pop_front) {
-            return Ok(Some(payload));
-        }
-        while let Ok(msg) = inbox.rx.try_recv() {
-            if let Some(payload) = self.accept(&mut inbox, msg, from, tag)? {
-                return Ok(Some(payload));
-            }
-        }
-        Ok(None)
+        let msg = self.team.lock().take(self.rank, from, tag);
+        msg.map(|m| self.open(m)).transpose()
     }
 
-    /// Blocking receive from `from` under `tag`. Out-of-order messages
-    /// are parked until asked for. Bounded: returns
+    /// Blocking receive from `from` under `tag`: the first matching
+    /// payload, in send order. Bounded: returns
     /// [`CommError::RecvTimeout`] when no matching message arrives
     /// within the team's deadline.
     pub fn recv(&self, from: usize, tag: u64) -> std::result::Result<Vec<f64>, CommError> {
@@ -503,32 +514,24 @@ impl RankCtx {
         if let Some(payload) = self.try_recv(from, tag)? {
             return Ok(payload);
         }
-        // Nobody else drives this context, so the inbox stays locked
-        // across the wait.
-        let mut inbox = self.inbox.lock().expect("inbox poisoned");
         let start = Instant::now();
-        let deadline = start + self.recv_timeout;
-        let payload = loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let msg = match inbox.rx.recv_timeout(remaining) {
-                Ok(msg) => msg,
-                // An expired deadline on a failed sender is its death,
-                // not a late message.
-                Err(RecvTimeoutError::Timeout) if self.has_failed(from) => {
-                    return Err(self.fail(CommError::RankUnreachable { to: from }));
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(self.fail(CommError::RecvTimeout { from, tag }));
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(self.fail(CommError::Disconnected { rank: self.rank }));
-                }
-            };
-            if let Some(payload) = self.accept(&mut inbox, msg, from, tag)? {
-                break payload;
-            }
+        let mut msg = None;
+        let st = self.team.wait(self.team.lock(), |s| {
+            msg = s.take(self.rank, from, tag);
+            msg.is_none()
+        });
+        let failed = st.failed[from];
+        drop(st);
+        let Some(msg) = msg else {
+            // An expired deadline on a failed sender is its death, not a
+            // late message.
+            return Err(self.fail(if failed {
+                CommError::RankUnreachable { to: from }
+            } else {
+                CommError::RecvTimeout { from, tag }
+            }));
         };
-        drop(inbox);
+        let payload = self.open(msg)?;
         let waited = start.elapsed().as_secs_f64();
         let mut s = self.stats.lock().expect("comm stats poisoned");
         s.recv_wait_seconds += waited;
@@ -552,27 +555,21 @@ impl RankCtx {
     pub fn allreduce_min(&self, value: f64) -> std::result::Result<f64, CommError> {
         self.check_killed()?;
         self.stats.lock().expect("comm stats poisoned").collectives += 1;
-        Ok(self
-            .collective
-            .reduce(self.rank, value, self.recv_timeout)?
-            .0)
+        Ok(self.team.reduce(self.rank, value)?.0)
     }
 
     /// Global sum across all ranks (used by diagnostics and tests).
     pub fn allreduce_sum(&self, value: f64) -> std::result::Result<f64, CommError> {
         self.check_killed()?;
         self.stats.lock().expect("comm stats poisoned").collectives += 1;
-        Ok(self
-            .collective
-            .reduce(self.rank, value, self.recv_timeout)?
-            .1)
+        Ok(self.team.reduce(self.rank, value)?.1)
     }
 
     /// Barrier.
     pub fn barrier(&self) -> std::result::Result<(), CommError> {
         self.check_killed()?;
         self.stats.lock().expect("comm stats poisoned").collectives += 1;
-        self.collective.reduce(self.rank, 0.0, self.recv_timeout)?;
+        self.team.reduce(self.rank, 0.0)?;
         Ok(())
     }
 
@@ -609,27 +606,18 @@ impl Typhon {
         if n_ranks == 0 {
             return Err(BookLeafError::EmptyExecutor { field: "ranks" });
         }
-        let (senders, receivers): (Vec<_>, Vec<_>) = (0..n_ranks).map(|_| channel()).unzip();
-        let collective = Arc::new(Collective::new(n_ranks));
+        let team = Arc::new(Team::new(n_ranks, options.recv_timeout));
 
         let results: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = receivers
-                .into_iter()
-                .enumerate()
-                .map(|(rank, rx)| {
+            let handles: Vec<_> = (0..n_ranks)
+                .map(|rank| {
                     let ctx = RankCtx {
                         rank,
                         n_ranks,
-                        senders: senders.clone(),
-                        inbox: Mutex::new(Inbox {
-                            rx,
-                            parked: HashMap::new(),
-                        }),
-                        collective: Arc::clone(&collective),
+                        team: Arc::clone(&team),
                         phase: AtomicU64::new(0),
                         stats: Mutex::new(CommStats::default()),
                         pool: Mutex::new(Vec::new()),
-                        recv_timeout: options.recv_timeout,
                         fault: options.fault_plan.clone(),
                         attempt: options.attempt,
                         step: AtomicUsize::new(0),
@@ -637,10 +625,17 @@ impl Typhon {
                         killed_at: Mutex::new(None),
                     };
                     let f = &f;
-                    scope.spawn(move || f(&ctx))
+                    scope.spawn(move || {
+                        let out = catch_unwind(AssertUnwindSafe(|| f(&ctx)));
+                        ctx.team.lock().exited[rank] = true;
+                        out
+                    })
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join()).collect()
+            handles
+                .into_iter()
+                .map(|h| h.join().and_then(|out| out))
+                .collect()
         });
 
         let mut out = Vec::with_capacity(n_ranks);
@@ -733,18 +728,17 @@ mod tests {
         // rounds to -1e16. In rank order they give 1.0.
         let values = [1e16, 1.0, -1e16, 1.0];
         for order in [[0, 1, 2, 3], [3, 2, 1, 0]] {
-            let coll = Arc::new(Collective::new(values.len()));
+            let team = Arc::new(Team::new(values.len(), Duration::from_secs(60)));
             let mut threads = Vec::new();
             for (admitted, &rank) in order.iter().enumerate() {
-                let c = Arc::clone(&coll);
-                let timeout = Duration::from_secs(60);
+                let t = Arc::clone(&team);
                 threads.push(std::thread::spawn(move || {
-                    c.reduce(rank, values[rank], timeout).unwrap().1
+                    t.reduce(rank, values[rank]).unwrap().1
                 }));
                 // Admit the next rank only once this one has arrived
                 // (the last arrival completes the generation instead).
                 if admitted + 1 < order.len() {
-                    while coll.lock.lock().unwrap().arrived <= admitted {
+                    while team.lock().arrived <= admitted {
                         std::thread::yield_now();
                     }
                 }
@@ -1025,18 +1019,40 @@ mod tests {
                     "no such message yet"
                 );
                 ctx.barrier().unwrap();
-                // Both messages are in; asking for tag 9 first drains
-                // tag 5 into the mailbox.
+                // Both messages are in; asking for tag 9 first leaves
+                // tag 5 in the mailbox.
                 let nine = ctx.try_recv(0, 9).unwrap().expect("tag 9 delivered");
                 let five = ctx
                     .try_recv(0, 5)
                     .unwrap()
-                    .expect("tag 5 parked in mailbox");
+                    .expect("tag 5 left in the mailbox");
                 nine[0] * 10.0 + five[0]
             }
         })
         .unwrap();
         assert_eq!(out[1], 95.0);
+    }
+
+    #[test]
+    fn a_mailbox_keeps_nothing_it_has_handed_out() {
+        // All to all, received in a fixed rank order, so a later
+        // neighbour's message often arrives before an earlier one's.
+        let out = Typhon::run(4, |ctx| {
+            let peers = || (0..4).filter(|&r| r != ctx.rank());
+            for _ in 0..300 {
+                let tag = ctx.next_tag();
+                for to in peers() {
+                    ctx.send(to, tag, vec![ctx.rank() as f64]).unwrap();
+                }
+                for from in peers() {
+                    assert_eq!(ctx.recv(from, tag).unwrap(), [from as f64]);
+                }
+            }
+            ctx.barrier().unwrap();
+            ctx.pending_len()
+        })
+        .unwrap();
+        assert_eq!(out, [0; 4]);
     }
 
     #[test]
@@ -1055,6 +1071,9 @@ mod tests {
     // ---- fault injection ------------------------------------------------
 
     use crate::fault::FaultPlan;
+    use crate::plan::{Entity, FieldMut, HaloPlan};
+    use bookleaf_mesh::submesh::ExchangeList;
+    use proptest::prelude::*;
 
     /// Short deadline for tests that *expect* a timeout: long enough for
     /// healthy traffic, short enough to keep the suite fast.
@@ -1103,6 +1122,78 @@ mod tests {
         })
         .unwrap();
         assert_eq!(out[1], Err(CommError::Corrupt { from: 0, tag: 0 }));
+    }
+
+    /// Put a frame from rank 1 under `tag` into rank 0's mailbox, as
+    /// rank 1's send would, with whatever checksum it is given.
+    fn deliver(ctx: &RankCtx, tag: u64, payload: Vec<f64>, checksum: u32) {
+        let msg = Message {
+            from: 1,
+            tag,
+            payload,
+            checksum,
+        };
+        ctx.team.lock().pending[0].push_back(msg);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+        /// Every single-bit flip of a frame — any bit of any payload
+        /// double, or of its checksum — comes out of `recv` and out of
+        /// `HaloPlan::complete` as `Corrupt` naming the sender and the
+        /// tag, and unpacks nothing. The frame unflipped unpacks exactly.
+        #[test]
+        fn every_single_bit_flip_of_a_frame_is_corrupt(len in 0usize..64, scale in -1e6f64..1e6) {
+            let sent: Vec<f64> = (0..len).map(|i| scale * (i + 1) as f64 / 7.0).collect();
+            let crc = crc32_f64s(&sent);
+            // (payload bit flipped, checksum): each payload bit, each
+            // checksum bit, then the frame as sent.
+            let frames: Vec<(Option<usize>, u32)> = (0..64 * len)
+                .map(|b| (Some(b), crc))
+                .chain((0..32).map(|b| (None, crc ^ (1 << b))))
+                .chain([(None, crc)])
+                .collect();
+            let link = ExchangeList {
+                rank: 1,
+                send: Vec::new(),
+                recv: (0..len as u32).collect(),
+            };
+            let plan = HaloPlan::new(vec![link], Vec::new());
+            Typhon::run(2, |ctx| {
+                for &(flip, checksum) in frames.iter().filter(|_| ctx.rank() == 0) {
+                    let mut payload = sent.clone();
+                    if let Some(b) = flip {
+                        let x = &mut payload[b / 64];
+                        *x = f64::from_bits(x.to_bits() ^ (1 << (b % 64)));
+                    }
+                    // Once through `recv`, under a tag of its own...
+                    let tag = ctx.next_tag();
+                    deliver(ctx, tag, payload.clone(), checksum);
+                    let received = ctx.recv(1, tag);
+                    // ...and once through `complete`, under the tag its
+                    // `post` draws next.
+                    deliver(ctx, tag + 1, payload, checksum);
+                    let mut field = vec![0.0; len];
+                    let mut fields = [(Entity::Element, FieldMut::Scalar(&mut field))];
+                    let pending = plan.post(ctx, "p", &fields).unwrap();
+                    let completed = plan.complete(ctx, pending, &mut fields);
+                    if flip.is_none() && checksum == crc {
+                        assert_eq!(received, Ok(sent.clone()));
+                        assert_eq!(completed, Ok(()));
+                        assert_eq!(field, sent);
+                    } else {
+                        let at = format!("flip {flip:?}, checksum {checksum:#x} of {crc:#x}");
+                        assert_eq!(received, Err(CommError::Corrupt { from: 1, tag }), "{at}");
+                        let corrupt = CommError::Corrupt { from: 1, tag: tag + 1 };
+                        assert_eq!(completed, Err(corrupt), "{at}");
+                        assert!(field.iter().all(|&v| v == 0.0), "{at}: unpacked");
+                    }
+                }
+                ctx.barrier().unwrap();
+            })
+            .unwrap();
+        }
     }
 
     #[test]
@@ -1175,31 +1266,23 @@ mod tests {
 
     #[test]
     fn send_to_dead_rank_is_unreachable() {
-        // Rank 1 exits immediately; rank 0 waits for it to be gone (via
-        // the channel disconnect visible in its own recv) then sends.
-        let out = Typhon::run_with(
-            2,
-            TyphonOptions {
-                recv_timeout: Duration::from_millis(100),
-                ..TyphonOptions::default()
-            },
-            |ctx| {
-                if ctx.rank() == 1 {
-                    return Ok(());
+        // Rank 1 exits immediately; rank 0 sends until a send sees it
+        // gone, however late its thread gets there (10 s liveness cap).
+        let out = Typhon::run(2, |ctx| {
+            if ctx.rank() == 1 {
+                return Ok(());
+            }
+            let cap = Instant::now() + Duration::from_secs(10);
+            loop {
+                let sent = ctx.send(1, 1, vec![1.0]);
+                if sent.is_err() || Instant::now() > cap {
+                    return sent;
                 }
-                // Wait out the receive deadline: by then rank 1 has exited
-                // and dropped its receiver.
-                let _ = ctx.recv(1, 0);
-                match ctx.send(1, 1, vec![1.0]) {
-                    Err(CommError::RankUnreachable { to: 1 }) => Ok(()),
-                    other => Err(CommError::Disconnected {
-                        rank: other.is_ok() as usize,
-                    }),
-                }
-            },
-        )
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        })
         .unwrap();
-        assert_eq!(out[0], Ok(()));
+        assert_eq!(out[0], Err(CommError::RankUnreachable { to: 1 }));
     }
 
     #[test]

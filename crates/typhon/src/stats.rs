@@ -12,10 +12,9 @@
 //!
 //! * **`recv_wait_seconds`** — time a rank spent *blocked* in a receive
 //!   because the matching message had not arrived yet. Receives that
-//!   find their payload already delivered (mailbox or channel) record
-//!   exactly `0.0` and never touch a clock, so the measurement is free
-//!   when nobody waits. This is the latency the overlapped exchange
-//!   exists to hide.
+//!   find their payload already in their mailbox record exactly `0.0`
+//!   and never touch a clock, so the measurement is free when nobody
+//!   waits. This is the latency the overlapped exchange exists to hide.
 //! * **`overlap_window_seconds`** — for split-phase executions (see
 //!   [`crate::plan::HaloPlan::post`]), the wall time between posting a
 //!   phase's sends and starting to complete its receives: the window in

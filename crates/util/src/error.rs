@@ -202,17 +202,11 @@ pub enum CommError {
         /// Doubles actually received.
         got: usize,
     },
-    /// The peer rank is gone: a send to it could not be delivered, or a
-    /// receive from it expired after it had failed.
+    /// The peer rank is gone: a send to it found it failed or exited,
+    /// or a receive from it expired after it had failed.
     RankUnreachable {
         /// The unreachable rank.
         to: usize,
-    },
-    /// The team's channels disconnected while this rank was receiving
-    /// (every peer exited — typically after another rank failed).
-    Disconnected {
-        /// The rank reporting the disconnect.
-        rank: usize,
     },
 }
 
@@ -248,9 +242,6 @@ impl fmt::Display for CommError {
             }
             CommError::RankUnreachable { to } => {
                 write!(f, "rank {to} unreachable (hung up)")
-            }
-            CommError::Disconnected { rank } => {
-                write!(f, "team disconnected while rank {rank} was receiving")
             }
         }
     }

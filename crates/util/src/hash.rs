@@ -14,8 +14,9 @@
 /// and `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero
 /// bytes, so sixteen input bytes fold into the running value with
 /// sixteen independent lookups instead of sixteen dependent ones
-/// (16 KB, L1-resident).
-const CRC_TABLES: [[u32; 256]; 16] = {
+/// (16 KB, L1-resident). A `static`, not a `const`: an unoptimised
+/// build copies a `const` array at every lookup.
+static CRC_TABLES: [[u32; 256]; 16] = {
     let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {

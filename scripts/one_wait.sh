@@ -1,0 +1,39 @@
+#!/bin/sh
+# One wait: a Typhon team's mailboxes, its collective and its failure
+# marks are one state behind one lock, and every blocking receive or
+# collective waits through one helper on that lock's condition
+# variable. Fails, naming the lines, if `crates/typhon/src` above a
+# file's first `#[cfg(test)]` (the cut `scripts/loc.sh` uses) names
+# `mpsc` or `Receiver`, calls `recv_timeout(`, or has any number of
+# `wait_timeout_while(` call sites but exactly one. Run from anywhere:
+#
+#   scripts/one_wait.sh
+set -eu
+cd "$(dirname "$0")/.."
+
+files=$(find crates/typhon/src -name '*.rs' | sort)
+above() {
+    # above PATTERN -> "file:line: text" for each non-test line matching it
+    awk -v pat="$1" '
+        FNR == 1 { in_test = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
+        !in_test && $0 ~ pat { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+    ' $files
+}
+
+status=0
+found=$(above 'mpsc|Receiver|recv_timeout\(')
+if [ -n "$found" ]; then
+    echo "one_wait: a channel or a channel wait in typhon:" >&2
+    echo "$found" >&2
+    status=1
+fi
+waits=$(above 'wait_timeout_while\(')
+n=$(printf '%s' "$waits" | grep -c . || true)
+if [ "$n" -ne 1 ]; then
+    echo "one_wait: $n wait_timeout_while( call sites in typhon, want exactly 1:" >&2
+    [ -z "$waits" ] || echo "$waits" >&2
+    status=1
+fi
+[ "$status" -eq 0 ] && echo "one_wait: ok"
+exit "$status"
