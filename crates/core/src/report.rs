@@ -44,7 +44,7 @@ pub struct RunReport {
     /// survived to produce this report: one event per fault, plus retry
     /// and replay accounting. Empty for plain `run()` calls and for
     /// resilient runs that never hit a fault. Deliberately free of
-    /// wall-clock data, so two runs of the same seeded fault schedule
+    /// wall-clock data, so two runs of the same fault schedule
     /// carry identical logs.
     pub recovery: RecoveryLog,
 }

@@ -20,8 +20,8 @@
 //!   [`bookleaf_util::CommError`], a sentinel
 //!   [`bookleaf_util::BookLeafError::Unhealthy`] abort — rewinds to the
 //!   last good checkpoint, optionally **reshapes** the executor (a dead
-//!   node means fewer ranks: [`ReshapePolicy::Halve`]), backs off, and
-//!   retries within a bounded budget. A rewind rebuilds the engine
+//!   node means fewer ranks: [`ReshapePolicy::Halve`]) and retries at
+//!   once, within a bounded budget. A rewind rebuilds the engine
 //!   through the same constructor and the same [`crate::Snapshot`] installer a
 //!   builder resume uses, so elastic recovery falls out of the portable
 //!   restart state: a 4-rank segment's checkpoint continues unchanged
@@ -30,7 +30,7 @@
 //! Everything the supervisor records ([`RecoveryLog`],
 //! [`RecoveryEvent`]) is a pure function of the run and its fault
 //! schedule — rank ids, scheduled steps, typed error text; no
-//! wall-clock values — so two executions of the same seeded
+//! wall-clock values — so two executions of the same
 //! [`bookleaf_typhon::FaultPlan`] produce byte-identical recovery logs.
 //! That determinism is what the CI fault matrix pins.
 //!
@@ -55,7 +55,6 @@
 //! ```
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use bookleaf_util::{BookLeafError, CheckpointError, CommError, Result};
 
@@ -236,18 +235,13 @@ pub struct RecoveryPolicy {
     /// How many failed attempts the supervisor absorbs before giving
     /// up and returning the last error.
     pub max_retries: usize,
-    /// Base backoff slept before a retry; doubles per consecutive
-    /// failure, capped at five seconds. Pure supervision — it never
-    /// appears in the recovery log.
-    pub backoff: Duration,
     /// Executor reshaping applied on each retry.
     pub reshape: ReshapePolicy,
 }
 
 impl RecoveryPolicy {
     /// A policy checkpointing into `dir`, with defaults: keep 2,
-    /// checkpoint every 50 steps, 3 retries, 10 ms base backoff, no
-    /// reshaping.
+    /// checkpoint every 50 steps, 3 retries, no reshaping.
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         RecoveryPolicy {
@@ -255,7 +249,6 @@ impl RecoveryPolicy {
             keep: 2,
             checkpoint_every_steps: 50,
             max_retries: 3,
-            backoff: Duration::from_millis(10),
             reshape: ReshapePolicy::Keep,
         }
     }
@@ -265,7 +258,7 @@ impl RecoveryPolicy {
 ///
 /// Every field is deterministic — attempt indices, step counts, the
 /// typed error's text, the chosen executor — so logs from two runs of
-/// the same seeded fault schedule compare equal.
+/// the same fault schedule compare equal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryEvent {
     /// The attempt index that failed (the builder's starting attempt
@@ -311,8 +304,10 @@ impl Simulation {
     /// Run to the configured final time under supervision: segmented
     /// execution with checkpoints at segment boundaries, and — on any
     /// typed failure — rewind to the last good checkpoint, optional
-    /// executor reshape, bounded backoff, and retry within
-    /// `policy.max_retries`.
+    /// executor reshape, and an immediate retry within
+    /// `policy.max_retries`. Nothing waits between attempts: a rewind
+    /// restores the state the retry needs, and what a retry could
+    /// wait for (a peer, a message) is waited on where it is received.
     ///
     /// The returned report's [`RunReport::recovery`] log records every
     /// absorbed fault deterministically (see [`RecoveryLog`]). A
@@ -332,9 +327,9 @@ impl Simulation {
     /// is itself a fault the supervisor cannot absorb). When the
     /// simulation's [`crate::RunConfig::deadline`] is set (see
     /// [`crate::SimulationBuilder::deadline`]), a segment that outlives
-    /// it — or a retry backoff that would sleep past it — returns a
-    /// typed [`BookLeafError::DeadlineExceeded`] instead of running or
-    /// sleeping on.
+    /// it returns a typed [`BookLeafError::DeadlineExceeded`], which
+    /// ends supervision at once: a deadline does not un-expire, so a
+    /// retry could only fail the same way.
     pub fn run_resilient(&mut self, policy: &RecoveryPolicy) -> Result<RunReport> {
         let store = CheckpointStore::new(&policy.dir, "auto", policy.keep);
         let base_attempt = self.typhon.attempt;
@@ -370,7 +365,8 @@ impl Simulation {
                     }
                 }
                 Err(err) => {
-                    if failures >= policy.max_retries {
+                    let expired = matches!(err, BookLeafError::DeadlineExceeded { .. });
+                    if expired || failures >= policy.max_retries {
                         self.typhon.attempt = base_attempt;
                         return Err(err);
                     }
@@ -386,25 +382,6 @@ impl Simulation {
                         error: err.to_string(),
                         retry_executor,
                     });
-                    // Bounded exponential backoff: pure supervision
-                    // wall time, never recorded anywhere. A backoff
-                    // that would sleep past the deadline gives up now
-                    // with the typed error the sleep would earn anyway.
-                    let exp = u32::try_from(failures.min(8)).unwrap_or(8);
-                    let delay = policy
-                        .backoff
-                        .checked_mul(1 << exp)
-                        .unwrap_or(Duration::from_secs(5))
-                        .min(Duration::from_secs(5));
-                    if let Some(at) = self.config().deadline {
-                        if std::time::Instant::now() + delay >= at {
-                            self.typhon.attempt = base_attempt;
-                            return Err(BookLeafError::DeadlineExceeded {
-                                step: self.cursor().steps,
-                            });
-                        }
-                    }
-                    std::thread::sleep(delay);
                     failures += 1;
                     self.config_mut().executor = retry_executor;
                     self.rewind_to(&target.snap)?;
@@ -474,8 +451,9 @@ mod tests {
     }
 
     #[test]
-    fn backoff_never_sleeps_past_the_deadline() {
+    fn an_expired_deadline_ends_supervision_at_once() {
         use bookleaf_typhon::FaultPlan;
+        use std::time::Duration;
         let dir = tmp_dir("deadline");
         let deadline = std::time::Instant::now() + Duration::from_millis(50);
         let mut sim = Simulation::builder()
@@ -483,18 +461,15 @@ mod tests {
             .executor(ExecutorKind::FlatMpi { ranks: 2 })
             .final_time(1.0)
             .max_steps(10)
-            .fault_plan(FaultPlan::new(7).kill(3, 1))
+            .fault_plan(FaultPlan::new().kill(3, 1))
             .comm_timeout(Duration::from_millis(300))
             .deadline(deadline)
             .build()
             .unwrap();
-        // A backoff of a minute against a deadline milliseconds away:
-        // the supervisor must return the typed error immediately
-        // instead of sleeping.
-        let policy = RecoveryPolicy {
-            backoff: Duration::from_secs(60),
-            ..RecoveryPolicy::new(&dir)
-        };
+        // The kill's timeout outlives the deadline, so the retry (with
+        // budget to spare) meets an expired deadline: the supervisor
+        // returns that typed error instead of retrying it.
+        let policy = RecoveryPolicy::new(&dir);
         let t0 = std::time::Instant::now();
         let err = sim.run_resilient(&policy).unwrap_err();
         assert!(
@@ -503,7 +478,7 @@ mod tests {
         );
         assert!(
             t0.elapsed() < Duration::from_secs(30),
-            "must not sleep the full backoff"
+            "supervision must not wait on an expired deadline"
         );
         // Supervision leaves the run's deadline as the builder set it.
         assert_eq!(sim.config().deadline, Some(deadline));

@@ -627,12 +627,7 @@ impl Simulation {
     /// checkpointed and return a typed
     /// [`CheckpointError::DeckMismatch`].
     pub fn checkpoint(&self) -> Result<Checkpoint> {
-        let Some(problem) = self
-            .deck
-            .spec
-            .clone()
-            .or_else(|| self.input.as_ref().map(|i| i.problem.clone()))
-        else {
+        let Some(problem) = self.deck.spec.clone() else {
             return Err(CheckpointError::DeckMismatch {
                 message: "this deck was assembled by hand and carries no problem spec, \
                           so a resumed run could not rebuild it; construct the deck \

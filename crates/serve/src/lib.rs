@@ -87,13 +87,15 @@
 //!
 //! [`server::Server::drain`] stops admissions (`503 draining`) and
 //! flips a flag every in-flight run observes at its next segment
-//! boundary (at most `drain_check_steps` steps away): the run
-//! checkpoints through a [`bookleaf_core::CheckpointStore`] of its own
-//! and its tenant receives `202`
-//! with a resumable handle. Submitting the handle back via `X-Resume`
-//! — to this or any other server sharing the drain directory —
-//! continues the run bitwise-identically to one that was never
-//! interrupted (segmenting stops only at step boundaries).
+//! boundary (at most ten steps away): the run checkpoints through a
+//! [`bookleaf_core::CheckpointStore`] of its own and its tenant
+//! receives `202` with a resumable handle. `drain` returns once no
+//! connection is queued and no worker holds a request, or at its
+//! timeout: it waits on a condition variable of the queue's, as the
+//! workers do for work, and neither polls. Submitting the handle back
+//! via `X-Resume` — to this or any other server sharing the drain
+//! directory — continues the run bitwise-identically to one that was
+//! never interrupted (segmenting stops only at step boundaries).
 //!
 //! # Caching
 //!

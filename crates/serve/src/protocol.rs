@@ -288,7 +288,11 @@ pub fn parse_request(
     })
 }
 
-/// Write a complete fixed-length response frame.
+/// Write a complete fixed-length response frame in one write. Written in
+/// pieces, the later ones can wait for the peer's acknowledgement of the
+/// first (Nagle's algorithm), and an early answer (a `503` sent before
+/// the request is read) loses them when the late request resets the
+/// closed socket.
 pub fn write_response(
     w: &mut impl Write,
     status: u16,
@@ -296,15 +300,16 @@ pub fn write_response(
     extra_headers: &[(&str, &str)],
     body: &str,
 ) -> std::io::Result<()> {
-    write!(
-        w,
+    let mut frame = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n",
         body.len()
-    )?;
+    );
     for (name, value) in extra_headers {
-        write!(w, "{name}: {value}\r\n")?;
+        frame.push_str(&format!("{name}: {value}\r\n"));
     }
-    write!(w, "\r\n{body}")?;
+    frame.push_str("\r\n");
+    frame.push_str(body);
+    w.write_all(frame.as_bytes())?;
     w.flush()
 }
 
@@ -400,9 +405,21 @@ mod tests {
 
     #[test]
     fn response_frames_are_well_formed() {
-        let mut out = Vec::new();
+        /// Records each write it is handed.
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut out = Writes(Vec::new());
         write_response(&mut out, 200, "OK", &[("Retry-After", "1")], "{}").unwrap();
-        let text = String::from_utf8(out).unwrap();
+        assert_eq!(out.0.len(), 1, "a frame is one write");
+        let text = String::from_utf8(out.0.concat()).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 2\r\n"));
         assert!(text.contains("Retry-After: 1\r\n"));

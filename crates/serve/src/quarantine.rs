@@ -95,7 +95,8 @@ pub enum RunOutcome {
     Unrelated,
 }
 
-#[derive(Debug, Default)]
+/// A tenant's standing; the ledger drops a tenant back at the default.
+#[derive(Debug, Default, PartialEq)]
 struct TenantState {
     in_flight: usize,
     consecutive_failures: u32,
@@ -156,10 +157,13 @@ impl TenantLedger {
     }
 
     /// Record the outcome of an admitted request, releasing its
-    /// in-flight slot and updating the tenant's health standing.
+    /// in-flight slot and updating the tenant's health standing. A
+    /// tenant left at default standing leaves the ledger.
     pub fn finish(&self, tenant: &str, outcome: RunOutcome) {
         let mut tenants = self.tenants.lock().expect("tenant ledger poisoned");
-        let state = tenants.entry(tenant.to_string()).or_default();
+        let Some(state) = tenants.get_mut(tenant) else {
+            return;
+        };
         state.in_flight = state.in_flight.saturating_sub(1);
         match outcome {
             RunOutcome::Healthy => {
@@ -179,6 +183,9 @@ impl TenantLedger {
                     state.consecutive_failures = 0;
                 }
             }
+        }
+        if *state == TenantState::default() {
+            tenants.remove(tenant);
         }
     }
 }
@@ -241,8 +248,8 @@ mod tests {
         let ledger = TenantLedger::new(fast_policy(), 4);
         let standing = |ledger: &TenantLedger| {
             let tenants = ledger.tenants.lock().unwrap();
-            let state = &tenants["m"];
-            (state.quarantine_level, state.quarantined_until)
+            let state = tenants.get("m");
+            state.map_or((0, None), |s| (s.quarantine_level, s.quarantined_until))
         };
         // Fail a full streak, return the level it left and wait the
         // quarantine out.
@@ -278,6 +285,33 @@ mod tests {
             ledger.finish("typo", RunOutcome::Unrelated);
         }
         assert!(!quarantined(&ledger, "typo"));
+    }
+
+    #[test]
+    fn tenants_at_default_standing_leave_the_ledger() {
+        let ledger = TenantLedger::new(fast_policy(), 4);
+        for i in 0..1000 {
+            let tenant = format!("typo-{i}");
+            ledger.admit(&tenant).unwrap();
+            let outcome = if i % 2 == 0 {
+                RunOutcome::Unrelated
+            } else {
+                RunOutcome::Healthy
+            };
+            ledger.finish(&tenant, outcome);
+        }
+        assert!(ledger.tenants.lock().unwrap().is_empty());
+        // A streak, or a quarantine, is standing worth keeping.
+        ledger.admit("streak").unwrap();
+        ledger.finish("streak", RunOutcome::HealthFailure);
+        for _ in 0..2 {
+            ledger.admit("mallory").unwrap();
+            ledger.finish("mallory", RunOutcome::HealthFailure);
+        }
+        assert!(quarantined(&ledger, "mallory"));
+        let tenants = ledger.tenants.lock().unwrap();
+        assert_eq!(tenants["streak"].consecutive_failures, 1);
+        assert_eq!(tenants.len(), 2);
     }
 
     #[test]

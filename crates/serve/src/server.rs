@@ -7,7 +7,7 @@
 //! connections, parses frames under a socket read deadline, runs
 //! admission control, and executes simulations in bounded segments so
 //! every in-flight run observes the drain flag within
-//! `drain_check_steps` steps. Data-parallel kernels of concurrent
+//! `DRAIN_CHECK_STEPS` (ten) steps. Data-parallel kernels of concurrent
 //! requests share one work-stealing pool ([`rayon::ThreadPool`]).
 //!
 //! Defense in depth, per request: typed [`ResourceLimits`] at deck
@@ -35,54 +35,100 @@ use crate::limits::{admit_deck, ResourceLimits};
 use crate::protocol::{json_escape, parse_request, write_response, ProtocolError, Request};
 use crate::quarantine::{AdmitError, QuarantinePolicy, RunOutcome, TenantLedger};
 
+/// Steps a run executes between two looks at the drain flag.
+const DRAIN_CHECK_STEPS: usize = 10;
+
 // ---------------------------------------------------------------------------
 // Bounded queue (a std channel has one consumer; the workers are many).
 
-/// A fixed-capacity MPMC queue on `Mutex<VecDeque>` + `Condvar`:
-/// `try_push` never blocks (shedding is the caller's job), `pop` waits
-/// with a bounded timeout so workers notice shutdown.
+/// A fixed-capacity MPMC queue that also counts the items its consumers
+/// hold, behind one lock: `try_push` never blocks (shedding is the
+/// caller's job), `pop` blocks until it hands out an item or the queue
+/// closes, and `wait_idle` until nothing is queued or held. Nothing
+/// polls. Each wait has its own condition variable, so a push wakes one
+/// worker and only the last `done` wakes a drain.
 struct BoundedQueue<T> {
-    inner: Mutex<VecDeque<T>>,
+    state: Mutex<QueueState<T>>,
     capacity: usize,
     ready: Condvar,
+    idle: Condvar,
+}
+
+struct QueueState<T> {
+    items: VecDeque<T>,
+    /// Items popped and not yet marked [`BoundedQueue::done`].
+    active: usize,
+    closed: bool,
 }
 
 impl<T> BoundedQueue<T> {
     fn new(capacity: usize) -> Self {
         BoundedQueue {
-            inner: Mutex::new(VecDeque::new()),
+            state: Mutex::new(QueueState {
+                items: VecDeque::new(),
+                active: 0,
+                closed: false,
+            }),
             capacity: capacity.max(1),
             ready: Condvar::new(),
+            idle: Condvar::new(),
         }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState<T>> {
+        self.state.lock().expect("queue poisoned")
     }
 
     /// Push unless full; a full queue hands the item back for shedding.
     fn try_push(&self, item: T) -> Result<(), T> {
-        let mut q = self.inner.lock().expect("queue poisoned");
-        if q.len() >= self.capacity {
+        let mut st = self.lock();
+        if st.items.len() >= self.capacity {
             return Err(item);
         }
-        q.push_back(item);
-        drop(q);
+        st.items.push_back(item);
+        drop(st);
         self.ready.notify_one();
         Ok(())
     }
 
-    fn pop_timeout(&self, timeout: Duration) -> Option<T> {
-        let q = self.inner.lock().expect("queue poisoned");
-        let (mut q, _) = self
-            .ready
-            .wait_timeout_while(q, timeout, |q| q.is_empty())
-            .expect("queue poisoned");
-        q.pop_front()
+    /// The oldest item, counted active until its [`BoundedQueue::done`];
+    /// `None` once the queue is closed.
+    fn pop(&self) -> Option<T> {
+        let waiting = |st: &mut QueueState<T>| st.items.is_empty() && !st.closed;
+        let st = self.ready.wait_while(self.lock(), waiting);
+        let mut st = st.expect("queue poisoned");
+        if st.closed {
+            return None;
+        }
+        st.active += 1;
+        st.items.pop_front()
     }
 
-    fn len(&self) -> usize {
-        self.inner.lock().expect("queue poisoned").len()
+    /// A popped item is finished with.
+    fn done(&self) {
+        let mut st = self.lock();
+        st.active -= 1;
+        if st.active == 0 && st.items.is_empty() {
+            self.idle.notify_all();
+        }
     }
 
-    fn wake_all(&self) {
+    /// Wait, at most `timeout`, until nothing is queued or active.
+    fn wait_idle(&self, timeout: Duration) {
+        let busy = |st: &mut QueueState<T>| !st.items.is_empty() || st.active > 0;
+        let idle = self.idle.wait_timeout_while(self.lock(), timeout, busy);
+        drop(idle.expect("queue poisoned"));
+    }
+
+    /// Stop handing out items: every `pop`, blocked or later, returns
+    /// `None`.
+    fn close(&self) {
+        self.lock().closed = true;
         self.ready.notify_all();
+    }
+
+    fn is_closed(&self) -> bool {
+        self.lock().closed
     }
 }
 
@@ -113,8 +159,6 @@ pub struct ServeConfig {
     pub quarantine: QuarantinePolicy,
     /// Where drain checkpoints are written and resume handles resolved.
     pub drain_dir: PathBuf,
-    /// Steps between drain-flag checks while a run executes.
-    pub drain_check_steps: usize,
     /// Parsed-deck cache capacity (decks, FIFO eviction).
     pub cache_entries: usize,
     /// Threads in the shared work-stealing kernel pool.
@@ -137,7 +181,6 @@ impl Default for ServeConfig {
             allow_fault_injection: false,
             quarantine: QuarantinePolicy::default(),
             drain_dir: std::env::temp_dir().join("bookleaf_serve_drain"),
-            drain_check_steps: 10,
             cache_entries: 32,
             pool_threads: 2,
             read_timeout: Duration::from_secs(5),
@@ -153,11 +196,9 @@ struct Shared {
     config: ServeConfig,
     queue: BoundedQueue<TcpStream>,
     draining: AtomicBool,
-    shutdown: AtomicBool,
     ledger: TenantLedger,
     cache: DeckCache,
     pool: rayon::ThreadPool,
-    active: AtomicUsize,
     drained: AtomicUsize,
     shed: AtomicUsize,
     seq: AtomicU64,
@@ -189,9 +230,7 @@ impl Server {
             cache: DeckCache::new(config.cache_entries),
             queue: BoundedQueue::new(config.queue_depth),
             draining: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
             pool,
-            active: AtomicUsize::new(0),
             drained: AtomicUsize::new(0),
             shed: AtomicUsize::new(0),
             seq: AtomicU64::new(0),
@@ -237,13 +276,7 @@ impl Server {
     /// number of requests that drained to checkpoints.
     pub fn drain(&self, timeout: Duration) -> usize {
         self.shared.draining.store(true, Ordering::SeqCst);
-        let start = Instant::now();
-        while start.elapsed() < timeout {
-            if self.shared.active.load(Ordering::SeqCst) == 0 && self.shared.queue.len() == 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        self.shared.queue.wait_idle(timeout);
         self.shared.drained.load(Ordering::SeqCst)
     }
 
@@ -260,11 +293,10 @@ impl Server {
     }
 
     fn stop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.draining.store(true, Ordering::SeqCst);
+        self.shared.queue.close();
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
-        self.shared.queue.wake_all();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -282,7 +314,7 @@ impl Drop for Server {
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     for conn in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shared.queue.is_closed() {
             break;
         }
         let Ok(stream) = conn else { continue };
@@ -312,16 +344,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Some(stream) = shared.queue.pop_timeout(Duration::from_millis(50)) else {
-            continue;
-        };
-        shared.active.fetch_add(1, Ordering::SeqCst);
+    while let Some(stream) = shared.queue.pop() {
         handle_connection(shared, &stream);
-        shared.active.fetch_sub(1, Ordering::SeqCst);
+        shared.queue.done();
     }
 }
 
@@ -809,7 +834,7 @@ fn execute(
             builder = builder.deadline(at);
         }
         if let Some((kind, step, rank)) = params.fault {
-            builder = builder.fault_plan(FaultPlan::new(0xB00C).with(kind, step, rank));
+            builder = builder.fault_plan(FaultPlan::new().with(kind, step, rank));
         }
         if params.stream_steps {
             if let Ok(clone) = stream.try_clone() {
@@ -883,7 +908,7 @@ fn at_request_boundary(op: impl FnOnce() -> RunEnd) -> RunEnd {
     })
 }
 
-/// The segment loop: run `drain_check_steps` at a time, checkpointing
+/// The segment loop: run `DRAIN_CHECK_STEPS` at a time, checkpointing
 /// out with a resumable handle the moment the server starts draining.
 fn run_supervised(shared: &Arc<Shared>, tenant: &str, mut sim: Simulation) -> RunEnd {
     shared.pool.install(|| loop {
@@ -914,7 +939,7 @@ fn run_supervised(shared: &Arc<Shared>, tenant: &str, mut sim: Simulation) -> Ru
                 time: ckpt.snap.time,
             };
         }
-        match sim.run_segment(shared.config.drain_check_steps.max(1)) {
+        match sim.run_segment(DRAIN_CHECK_STEPS) {
             Err(err) => return RunEnd::Failed(err),
             Ok(report) => {
                 if sim.complete() {
@@ -973,11 +998,12 @@ mod tests {
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
         assert_eq!(q.try_push(3), Err(3));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some(1));
+        assert_eq!(q.pop(), Some(1));
         q.try_push(3).unwrap();
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some(2));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some(3));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), None);
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), Some(3));
+        q.close();
+        assert_eq!(q.pop(), None);
     }
 
     /// The digest of a distributed run reads the restart state its team

@@ -14,10 +14,12 @@
 //! * [`FaultKind::Drop`] — the rank's next outgoing message is consumed
 //!   and never delivered; the receiver's deadline expires with
 //!   `CommError::RecvTimeout`;
-//! * [`FaultKind::Delay`] — the rank's next send is held back for a
-//!   short, seed-derived (but bounded and deterministic-in-duration)
-//!   time. A delay alone never fails a run; it exercises the overlap
-//!   and timeout machinery;
+//! * [`FaultKind::Delay`] — the rank's next message is delivered
+//!   *held*: a non-blocking receive does not see it, and the first
+//!   blocking receive that looks for it takes it. Nothing waits on a
+//!   clock for it, so a delay alone never fails a run, whatever the
+//!   timeout; it exercises the overlap path that falls back from a
+//!   missed poll to a wait;
 //! * [`FaultKind::Kill`] — the rank dies at the top of the scheduled
 //!   step: [`crate::RankCtx::begin_step`] returns `CommError::Killed`,
 //!   and every later communication attempt on that rank does too. Peers
@@ -37,7 +39,8 @@ pub enum FaultKind {
     Corrupt,
     /// Swallow the next outgoing message.
     Drop,
-    /// Hold the next outgoing message back briefly.
+    /// Deliver the next outgoing message held: invisible to a
+    /// non-blocking receive, taken by the first blocking one.
     Delay,
     /// Terminate the rank at the top of the scheduled step.
     Kill,
@@ -100,29 +103,14 @@ struct FaultEntry {
 /// fault-free one.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    seed: u64,
     entries: Vec<FaultEntry>,
 }
 
-/// SplitMix64: the standard 64-bit finalizer, used to derive per-entry
-/// jitter (delay durations). Pure and portable.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl FaultPlan {
-    /// An empty plan (injects nothing). The seed feeds delay-duration
-    /// derivation for any `Delay` entries added later.
+    /// An empty plan (injects nothing).
     #[must_use]
-    pub fn new(seed: u64) -> Self {
-        FaultPlan {
-            seed,
-            entries: Vec::new(),
-        }
+    pub fn new() -> Self {
+        FaultPlan::default()
     }
 
     /// Schedule `kind` for `rank` at `step`, attempt 0.
@@ -184,16 +172,6 @@ impl FaultPlan {
         }
         hit
     }
-
-    /// Deterministic delay duration for a `Delay` fault at
-    /// `(attempt, step, rank)`: 1–16 ms derived from the seed. Bounded
-    /// well below any sane receive timeout, so a delay alone never
-    /// converts into a failure.
-    #[must_use]
-    pub fn delay_for(&self, attempt: usize, step: usize, rank: usize) -> std::time::Duration {
-        let h = splitmix64(self.seed ^ (attempt as u64) << 40 ^ (step as u64) << 20 ^ rank as u64);
-        std::time::Duration::from_millis(1 + h % 16)
-    }
 }
 
 #[cfg(test)]
@@ -219,8 +197,8 @@ mod tests {
 
     #[test]
     fn plan_is_a_pure_function_of_its_inputs() {
-        let a = FaultPlan::new(7).corrupt(3, 1).kill(9, 0);
-        let b = FaultPlan::new(7).corrupt(3, 1).kill(9, 0);
+        let a = FaultPlan::new().corrupt(3, 1).kill(9, 0);
+        let b = FaultPlan::new().corrupt(3, 1).kill(9, 0);
         assert_eq!(a, b);
         assert_eq!(a.action(0, 3, 1), Some(FaultKind::Corrupt));
         assert_eq!(b.action(0, 3, 1), Some(FaultKind::Corrupt));
@@ -231,26 +209,16 @@ mod tests {
 
     #[test]
     fn attempt_scoping_retargets_the_last_entry() {
-        let p = FaultPlan::new(0).with(FaultKind::Drop, 5, 2).on_attempt(1);
+        let p = FaultPlan::new().with(FaultKind::Drop, 5, 2).on_attempt(1);
         assert_eq!(p.action(0, 5, 2), None);
         assert_eq!(p.action(1, 5, 2), Some(FaultKind::Drop));
     }
 
     #[test]
     fn kill_wins_over_point_faults_at_the_same_spot() {
-        let p = FaultPlan::new(0).corrupt(4, 1).kill(4, 1);
+        let p = FaultPlan::new().corrupt(4, 1).kill(4, 1);
         assert_eq!(p.action(0, 4, 1), Some(FaultKind::Kill));
-        let p = FaultPlan::new(0).kill(4, 1).corrupt(4, 1);
+        let p = FaultPlan::new().kill(4, 1).corrupt(4, 1);
         assert_eq!(p.action(0, 4, 1), Some(FaultKind::Kill));
-    }
-
-    #[test]
-    fn delay_durations_are_deterministic_and_bounded() {
-        let p = FaultPlan::new(123).delay(2, 0);
-        let d1 = p.delay_for(0, 2, 0);
-        let d2 = p.delay_for(0, 2, 0);
-        assert_eq!(d1, d2);
-        assert!(d1 >= std::time::Duration::from_millis(1));
-        assert!(d1 <= std::time::Duration::from_millis(17));
     }
 }

@@ -27,7 +27,7 @@
 //!   posted with are its layout. Per-phase traffic is accounted;
 //! * [`stats`] — per-rank communication counters (messages, doubles
 //!   moved, per-phase breakdowns) consumed by the performance models;
-//! * [`fault`] — deterministic fault injection: a seeded [`FaultPlan`]
+//! * [`fault`] — deterministic fault injection: a [`FaultPlan`]
 //!   schedule that corrupts, drops, delays or kills at precise
 //!   `(attempt, step, rank)` points, every failure surfacing as a typed
 //!   `CommError` within one bounded timeout window.

@@ -34,7 +34,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -51,6 +51,10 @@ struct Message {
     /// CRC-32 of the payload's bit pattern, computed at send time and
     /// verified by the receive that takes the message.
     checksum: u32,
+    /// Sent under a `Delay` fault: a non-blocking receive leaves it
+    /// (and what follows it under the same source and tag) where it is,
+    /// so only a blocking receive takes it.
+    held: bool,
 }
 
 /// Everything a team's ranks wait for, behind [`Team`]'s one lock.
@@ -77,10 +81,13 @@ struct TeamState {
 
 impl TeamState {
     /// Remove and return the first message to `to` from `from` under
-    /// `tag`.
-    fn take(&mut self, to: usize, from: usize, tag: u64) -> Option<Message> {
+    /// `tag`; a held one only if `blocking`.
+    fn take(&mut self, to: usize, from: usize, tag: u64, blocking: bool) -> Option<Message> {
         let list = &mut self.pending[to];
         let i = list.iter().position(|m| m.from == from && m.tag == tag)?;
+        if list[i].held && !blocking {
+            return None;
+        }
         list.remove(i)
     }
 
@@ -214,7 +221,7 @@ impl Default for TyphonOptions {
 /// or — for a hybrid rank, which steps inside `pool.install` — whichever
 /// pool thread runs that step. The context is `Sync` only so it can
 /// cross into the pool; its own locks are never contended, and its
-/// counters (`phase`, `step`) are `Relaxed` atomics that publish nothing.
+/// phase counter is a `Relaxed` atomic that publishes nothing.
 /// A blocking receive or collective waits on the team's lock, never on
 /// one of the context's own.
 pub struct RankCtx {
@@ -234,8 +241,6 @@ pub struct RankCtx {
     fault: Option<Arc<FaultPlan>>,
     /// Recovery attempt the schedule is evaluated against.
     attempt: usize,
-    /// Current simulation step, advanced by [`RankCtx::begin_step`].
-    step: AtomicUsize,
     /// One-shot point fault armed for this rank's next send.
     armed: Mutex<Option<FaultKind>>,
     /// `Some(step)` once this rank's kill fired: every subsequent
@@ -264,7 +269,6 @@ impl RankCtx {
     /// rank's next send. Ranks not running a stepped simulation never
     /// need to call this.
     pub fn begin_step(&self, step: usize) -> std::result::Result<(), CommError> {
-        self.step.store(step, Ordering::Relaxed);
         self.check_killed()?;
         if let Some(plan) = &self.fault {
             match plan.action(self.attempt, step, self.rank) {
@@ -352,6 +356,7 @@ impl RankCtx {
         // Checksum the *true* payload; injected corruption mutates it
         // afterwards so the receiver's verification must fail.
         let mut checksum = crc32_f64s(&payload);
+        let mut held = false;
         match self.armed.lock().expect("armed fault poisoned").take() {
             Some(FaultKind::Corrupt) => {
                 if let Some(first) = payload.first_mut() {
@@ -363,12 +368,7 @@ impl RankCtx {
                 }
             }
             Some(FaultKind::Drop) => return Ok(()), // lost in flight
-            Some(FaultKind::Delay) => {
-                if let Some(plan) = &self.fault {
-                    let step = self.step.load(Ordering::Relaxed);
-                    std::thread::sleep(plan.delay_for(self.attempt, step, self.rank));
-                }
-            }
+            Some(FaultKind::Delay) => held = true,
             Some(FaultKind::Kill) | None => {}
         }
         let msg = Message {
@@ -376,6 +376,7 @@ impl RankCtx {
             tag,
             payload,
             checksum,
+            held,
         };
         let mut st = self.team.lock();
         if !st.reachable(to) {
@@ -429,19 +430,6 @@ impl RankCtx {
         }
     }
 
-    /// Number of buffers currently pooled (accounting tests only).
-    #[cfg(test)]
-    pub(crate) fn pool_len(&self) -> usize {
-        self.pool.lock().expect("buffer pool poisoned").len()
-    }
-
-    /// Number of messages sent to this rank and not yet received
-    /// (accounting tests only).
-    #[cfg(test)]
-    pub(crate) fn pending_len(&self) -> usize {
-        self.team.lock().pending[self.rank].len()
-    }
-
     /// Return a finished payload buffer (typically one produced by
     /// [`RankCtx::recv`]) to this rank's recycle pool. Empty and
     /// oversized buffers are dropped instead, keeping the pool's
@@ -469,22 +457,19 @@ impl RankCtx {
     }
 
     /// Non-blocking receive from `from` under `tag`: the first matching
-    /// payload already delivered, `None` if there is none. Messages for
-    /// other `(source, tag)` pairs stay where they are. A corrupt
-    /// message surfaces as [`CommError::Corrupt`] from the receive that
-    /// takes it, this one included.
-    pub fn try_recv(
-        &self,
-        from: usize,
-        tag: u64,
-    ) -> std::result::Result<Option<Vec<f64>>, CommError> {
+    /// payload already delivered, `None` if there is none or it is held
+    /// (a `Delay` fault). Messages for other `(source, tag)` pairs stay
+    /// where they are. A corrupt message surfaces as
+    /// [`CommError::Corrupt`] from the receive that takes it, this one
+    /// included.
+    fn try_recv(&self, from: usize, tag: u64) -> std::result::Result<Option<Vec<f64>>, CommError> {
         self.check_killed()?;
-        let msg = self.team.lock().take(self.rank, from, tag);
+        let msg = self.team.lock().take(self.rank, from, tag, false);
         msg.map(|m| self.open(m)).transpose()
     }
 
     /// Blocking receive from `from` under `tag`: the first matching
-    /// payload, in send order. Bounded: returns
+    /// payload, in send order, held or not. Bounded: returns
     /// [`CommError::RecvTimeout`] when no matching message arrives
     /// within the team's deadline.
     pub fn recv(&self, from: usize, tag: u64) -> std::result::Result<Vec<f64>, CommError> {
@@ -517,7 +502,7 @@ impl RankCtx {
         let start = Instant::now();
         let mut msg = None;
         let st = self.team.wait(self.team.lock(), |s| {
-            msg = s.take(self.rank, from, tag);
+            msg = s.take(self.rank, from, tag, true);
             msg.is_none()
         });
         let failed = st.failed[from];
@@ -620,7 +605,6 @@ impl Typhon {
                         pool: Mutex::new(Vec::new()),
                         fault: options.fault_plan.clone(),
                         attempt: options.attempt,
-                        step: AtomicUsize::new(0),
                         armed: Mutex::new(None),
                         killed_at: Mutex::new(None),
                     };
@@ -1087,7 +1071,7 @@ mod tests {
 
     #[test]
     fn corrupt_fault_surfaces_at_the_receiver() {
-        let plan = FaultPlan::new(1).corrupt(0, 0);
+        let plan = FaultPlan::new().corrupt(0, 0);
         let out = Typhon::run_with(2, fast(plan), |ctx| {
             ctx.begin_step(0)?;
             let tag = ctx.next_tag();
@@ -1109,7 +1093,7 @@ mod tests {
 
     #[test]
     fn corrupt_fault_on_empty_payload_still_detected() {
-        let plan = FaultPlan::new(1).corrupt(0, 0);
+        let plan = FaultPlan::new().corrupt(0, 0);
         let out = Typhon::run_with(2, fast(plan), |ctx| {
             ctx.begin_step(0)?;
             let tag = ctx.next_tag();
@@ -1132,6 +1116,7 @@ mod tests {
             tag,
             payload,
             checksum,
+            held: false,
         };
         ctx.team.lock().pending[0].push_back(msg);
     }
@@ -1198,7 +1183,7 @@ mod tests {
 
     #[test]
     fn dropped_message_times_out_typed() {
-        let plan = FaultPlan::new(2).with(FaultKind::Drop, 0, 0);
+        let plan = FaultPlan::new().with(FaultKind::Drop, 0, 0);
         let out = Typhon::run_with(2, fast(plan), |ctx| {
             ctx.begin_step(0)?;
             let tag = ctx.next_tag();
@@ -1215,7 +1200,7 @@ mod tests {
 
     #[test]
     fn delayed_message_still_arrives() {
-        let plan = FaultPlan::new(3).delay(0, 0);
+        let plan = FaultPlan::new().delay(0, 0);
         let out = Typhon::run_with(2, fast(plan), |ctx| {
             ctx.begin_step(0)?;
             let tag = ctx.next_tag();
@@ -1231,8 +1216,37 @@ mod tests {
     }
 
     #[test]
+    fn a_delayed_message_is_held_for_the_first_blocking_receive() {
+        let options = TyphonOptions {
+            recv_timeout: Duration::from_secs(3600),
+            ..fast(FaultPlan::new().delay(0, 0))
+        };
+        type Seen = (Option<Vec<f64>>, Vec<f64>, Option<Vec<f64>>);
+        let out = Typhon::run_with(2, options, |ctx| -> std::result::Result<Seen, CommError> {
+            ctx.begin_step(0)?;
+            if ctx.rank() == 0 {
+                // The delay is armed for the first send only; the second
+                // shares its source and tag.
+                ctx.send(1, 7, vec![1.0])?;
+                ctx.send(1, 7, vec![2.0])?;
+                ctx.barrier()?;
+                return Ok((None, Vec::new(), None));
+            }
+            // After the barrier both messages are in the mailbox, yet a
+            // poll sees neither: the held one is first in send order.
+            ctx.barrier()?;
+            let polled = ctx.try_recv(0, 7)?;
+            let first = ctx.recv(0, 7)?;
+            let second = ctx.try_recv(0, 7)?;
+            Ok((polled, first, second))
+        })
+        .unwrap();
+        assert_eq!(out[1], Ok((None, vec![1.0], Some(vec![2.0]))));
+    }
+
+    #[test]
     fn killed_rank_and_peers_all_fail_typed() {
-        let plan = FaultPlan::new(4).kill(1, 1);
+        let plan = FaultPlan::new().kill(1, 1);
         let out = Typhon::run_with(2, fast(plan), |ctx| -> std::result::Result<(), CommError> {
             for step in 0..3 {
                 ctx.begin_step(step)?;
@@ -1288,7 +1302,7 @@ mod tests {
     #[test]
     fn fault_errors_are_identical_across_runs() {
         let run = || {
-            let plan = FaultPlan::new(7).corrupt(0, 0).kill(2, 1);
+            let plan = FaultPlan::new().corrupt(0, 0).kill(2, 1);
             Typhon::run_with(
                 2,
                 fast(plan),
@@ -1326,7 +1340,7 @@ mod tests {
             let (tx, rx) = std::sync::mpsc::channel::<()>();
             let rx = std::sync::Mutex::new(rx);
             let wait = || rx.lock().unwrap().recv().unwrap();
-            let plan = FaultPlan::new(9).corrupt(0, 0);
+            let plan = FaultPlan::new().corrupt(0, 0);
             let out = Typhon::run_with(2, fast(plan), |ctx| {
                 ctx.begin_step(0)?;
                 if ctx.rank() == 1 {
@@ -1364,7 +1378,7 @@ mod tests {
 
     #[test]
     fn attempt_scoped_fault_does_not_refire() {
-        let plan = FaultPlan::new(5).with(FaultKind::Drop, 0, 0);
+        let plan = FaultPlan::new().with(FaultKind::Drop, 0, 0);
         let round = |attempt: usize| {
             Typhon::run_with(
                 2,
@@ -1388,7 +1402,7 @@ mod tests {
 
     #[test]
     fn operations_after_kill_keep_failing() {
-        let plan = FaultPlan::new(6).kill(0, 0);
+        let plan = FaultPlan::new().kill(0, 0);
         let out = Typhon::run_with(1, fast(plan), |ctx| {
             let first = ctx.begin_step(0);
             let second = ctx.send(0, 0, vec![1.0]);
@@ -1405,6 +1419,16 @@ mod tests {
     }
 
     impl RankCtx {
+        /// Number of buffers currently pooled.
+        pub(crate) fn pool_len(&self) -> usize {
+            self.pool.lock().expect("buffer pool poisoned").len()
+        }
+
+        /// Number of messages sent to this rank and not yet received.
+        pub(crate) fn pending_len(&self) -> usize {
+            self.team.lock().pending[self.rank].len()
+        }
+
         /// Helper for the panic test: something innocuous that does not
         /// block on the panicking peer.
         fn barrier_free_work(&self) -> f64 {

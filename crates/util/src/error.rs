@@ -156,7 +156,7 @@ impl From<CheckpointError> for BookLeafError {
 /// `FaultPlan` or real — surfaces as one of these variants, never as a
 /// hang or a panic. All fields are deterministic (rank ids, tags,
 /// scheduled steps — no wall-clock durations), so two runs of the same
-/// seeded fault schedule produce byte-identical error values and the
+/// fault schedule produce byte-identical error values and the
 /// recovery log built from them is reproducible.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
@@ -431,8 +431,8 @@ pub enum BookLeafError {
     /// abort is symmetric: the rank that notices the expiry proposes a
     /// negative dt through the per-step reduction every rank already
     /// performs, so the whole team returns this error at the same step.
-    /// Also returned by supervised retries whose backoff would sleep
-    /// past the deadline.
+    /// A supervised run is not retried after it: the deadline stays
+    /// expired.
     DeadlineExceeded {
         /// The 0-based step about to execute when the deadline fired.
         step: usize,

@@ -30,7 +30,7 @@ fn main() {
 
     // The fault schedule is pure data: (attempt, step, rank) -> fault.
     // Attempt 0 only, so the post-recovery replay does not re-trip it.
-    let plan = FaultPlan::new(2018).kill(KILL_AT, 2);
+    let plan = FaultPlan::new().kill(KILL_AT, 2);
 
     let mut sim = Simulation::builder()
         .deck(decks::noh(24))

@@ -1,34 +1,54 @@
 #!/bin/sh
-# One wait: a Typhon team's mailboxes, its collective and its failure
-# marks are one state behind one lock, and every blocking receive or
-# collective waits through one helper on that lock's condition
-# variable. Fails, naming the lines, if `crates/typhon/src` above a
-# file's first `#[cfg(test)]` (the cut `scripts/loc.sh` uses) names
-# `mpsc` or `Receiver`, calls `recv_timeout(`, or has any number of
-# `wait_timeout_while(` call sites but exactly one. Run from anywhere:
+# Waits are on state, not on clocks. A Typhon team's mailboxes, its
+# collective and its failure marks are one state behind one lock, and
+# every blocking receive or collective waits through one helper on that
+# lock's condition variable; nothing in the product sleeps and hopes.
+# Fails, naming the lines, if above a file's first `#[cfg(test)]` (the
+# cut `scripts/loc.sh` uses)
+#
+#   * any of the nine product crates (util mesh partition typhon hydro
+#     ale eos core serve) calls `thread::sleep(`;
+#   * `crates/typhon/src` names `mpsc` or `Receiver`, calls
+#     `recv_timeout(`, or has any number of `wait_timeout_while(` call
+#     sites but exactly one.
+#
+# Run from anywhere:
 #
 #   scripts/one_wait.sh
 set -eu
 cd "$(dirname "$0")/.."
 
-files=$(find crates/typhon/src -name '*.rs' | sort)
 above() {
-    # above PATTERN -> "file:line: text" for each non-test line matching it
-    awk -v pat="$1" '
+    # above PATTERN FILE... -> "file:line: text" for each non-test line
+    # matching it
+    pat=$1
+    shift
+    awk -v pat="$pat" '
         FNR == 1 { in_test = 0 }
         /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
         !in_test && $0 ~ pat { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
-    ' $files
+    ' "$@"
 }
 
+product=$(for c in util mesh partition typhon hydro ale eos core serve; do
+    find "crates/$c/src" -name '*.rs'
+done | sort)
+typhon=$(find crates/typhon/src -name '*.rs' | sort)
+
 status=0
-found=$(above 'mpsc|Receiver|recv_timeout\(')
+found=$(above 'thread::sleep\(' $product)
+if [ -n "$found" ]; then
+    echo "one_wait: a sleep in product code:" >&2
+    echo "$found" >&2
+    status=1
+fi
+found=$(above 'mpsc|Receiver|recv_timeout\(' $typhon)
 if [ -n "$found" ]; then
     echo "one_wait: a channel or a channel wait in typhon:" >&2
     echo "$found" >&2
     status=1
 fi
-waits=$(above 'wait_timeout_while\(')
+waits=$(above 'wait_timeout_while\(' $typhon)
 n=$(printf '%s' "$waits" | grep -c . || true)
 if [ "$n" -ne 1 ]; then
     echo "one_wait: $n wait_timeout_while( call sites in typhon, want exactly 1:" >&2

@@ -54,7 +54,7 @@ const FAST: Duration = Duration::from_millis(300);
 fn every_fault_class_surfaces_as_a_typed_error_in_both_frames() {
     for ale in [false, true] {
         for kind in [FaultKind::Corrupt, FaultKind::Drop, FaultKind::Kill] {
-            let plan = FaultPlan::new(11).with(kind, 3, 1);
+            let plan = FaultPlan::new().with(kind, 3, 1);
             let err = noh4(ale)
                 .fault_plan(plan)
                 .comm_timeout(FAST)
@@ -78,7 +78,7 @@ fn blocking_schedule_fails_just_as_typed_as_the_overlapped_one() {
     for overlap in [true, false] {
         let err = noh4(false)
             .overlap(overlap)
-            .fault_plan(FaultPlan::new(5).corrupt(2, 2))
+            .fault_plan(FaultPlan::new().corrupt(2, 2))
             .comm_timeout(FAST)
             .build()
             .unwrap()
@@ -99,10 +99,16 @@ fn delays_are_survivable_and_bitwise_invisible() {
             sim.run().unwrap();
             sim.state().rho.clone()
         };
-        // Several delays, spread over ranks and steps, on the default
-        // (generous) timeout: latency must never change an answer.
-        let plan = FaultPlan::new(77).delay(2, 0).delay(4, 3).delay(7, 1);
-        let mut sim = noh4(ale).fault_plan(plan).build().unwrap();
+        // Several delays, spread over ranks and steps, under a timeout
+        // of an hour: a delayed message is held for the receiver's first
+        // blocking receive, so it arrives without a deadline's help, and
+        // latency must never change an answer.
+        let plan = FaultPlan::new().delay(2, 0).delay(4, 3).delay(7, 1);
+        let mut sim = noh4(ale)
+            .fault_plan(plan)
+            .comm_timeout(Duration::from_secs(3600))
+            .build()
+            .unwrap();
         let report = sim.run().unwrap();
         assert_eq!(report.steps, 12);
         for (e, (a, b)) in clean.iter().zip(&sim.state().rho).enumerate() {
@@ -126,7 +132,7 @@ fn recovery_log_is_identical_across_two_runs_of_the_same_schedule() {
         // Kill rank 0 at step 6: the supervisor itself sees the typed
         // `Killed {rank: 0, step: 6}`, which also exercises the
         // steps-replayed accounting.
-        let plan = FaultPlan::new(21).kill(6, 0);
+        let plan = FaultPlan::new().kill(6, 0);
         let mut sim = noh4(false)
             .fault_plan(plan)
             .comm_timeout(FAST)
@@ -173,7 +179,7 @@ fn elastic_recovery_from_rank_death_matches_the_uninterrupted_run() {
     // checkpoint and finishes on 2 ranks.
     let mut supervised = noh4(false)
         .max_steps(14)
-        .fault_plan(FaultPlan::new(42).kill(8, 3))
+        .fault_plan(FaultPlan::new().kill(8, 3))
         .comm_timeout(FAST)
         .build()
         .unwrap();
@@ -245,7 +251,7 @@ fn retry_budget_exhaustion_returns_the_typed_error() {
     let _ = std::fs::remove_dir_all(&dir);
     // A kill rescheduled on every attempt the budget allows: the
     // supervisor must give up with the typed error, not loop forever.
-    let plan = FaultPlan::new(9)
+    let plan = FaultPlan::new()
         .kill(3, 1)
         .kill(3, 1)
         .on_attempt(1)
@@ -259,7 +265,6 @@ fn retry_budget_exhaustion_returns_the_typed_error() {
     let policy = RecoveryPolicy {
         checkpoint_every_steps: 10,
         max_retries: 2,
-        backoff: Duration::from_millis(1),
         ..RecoveryPolicy::new(&dir)
     };
     let err = sim.run_resilient(&policy).unwrap_err();
@@ -296,7 +301,7 @@ fn a_fault_plan_is_inert_on_one_rank() {
             ] {
                 let mut sim = noh4(ale)
                     .executor(executor)
-                    .fault_plan(FaultPlan::new(11).with(kind, 3, 0))
+                    .fault_plan(FaultPlan::new().with(kind, 3, 0))
                     .comm_timeout(FAST)
                     .build()
                     .unwrap();
@@ -337,7 +342,7 @@ fn elastic_recovery_onto_one_rank_runs_whole() {
     ] {
         let mut sim = noh4(false)
             .executor(two)
-            .fault_plan(FaultPlan::new(3).kill(6, 1).kill(8, 0).on_attempt(1))
+            .fault_plan(FaultPlan::new().kill(6, 1).kill(8, 0).on_attempt(1))
             .comm_timeout(FAST)
             .build()
             .unwrap();

@@ -428,7 +428,6 @@ fn drain_checkpoints_inflight_and_resume_is_bitwise() {
     let dir = drain_dir.clone();
     let server = chaos_server(move |c| {
         c.drain_dir = dir;
-        c.drain_check_steps = 10;
     });
     let addr = server.addr();
     let inflight = runs.map(|(tenant, deck)| {
