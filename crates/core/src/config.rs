@@ -43,9 +43,8 @@ pub enum ExecutorKind {
 /// The sweep inspects the rank-local state (NaN/Inf in ρ, ε, q, u;
 /// non-positive mass/volume), min-reduces an encoded verdict across the
 /// team so **every rank aborts together with the same diagnosis**, and
-/// checks the already-global quantities (the reduced dt against
-/// `dt_floor`; total-energy drift against `drift_tol`) without extra
-/// communication beyond the drift check's sum.
+/// checks total-energy drift against `drift_tol` with one extra sum. A
+/// collapsing dt is `getdt`'s: it fails each proposal below `dt_min`.
 ///
 /// The sentinel is read-only: an enabled sentinel on a healthy run is
 /// bitwise identical to a disabled one. It is deliberately *not* part
@@ -56,11 +55,6 @@ pub enum ExecutorKind {
 pub struct SentinelConfig {
     /// Sweep every `every` steps; `0` disables the sentinel entirely.
     pub every: usize,
-    /// Abort when the globally-reduced dt falls below this floor
-    /// (checked before the step executes). The default `0.0` never
-    /// fires — `getdt`'s own `dt_min` collapse error remains the first
-    /// line of defence; the floor catches slow decay spirals earlier.
-    pub dt_floor: f64,
     /// Abort when the relative total-energy drift from the run's start
     /// exceeds this tolerance. `None` (default) skips the check — it
     /// costs one extra sum-reduction per sweep in distributed runs.
@@ -71,7 +65,6 @@ impl Default for SentinelConfig {
     fn default() -> Self {
         SentinelConfig {
             every: 1,
-            dt_floor: 0.0,
             drift_tol: None,
         }
     }
@@ -159,7 +152,6 @@ mod tests {
         assert!(c.final_time > 0.0);
         assert!(c.overlap, "overlapped halo exchange is the default");
         assert!(c.sentinel.enabled(), "sentinel sweeps by default");
-        assert_eq!(c.sentinel.dt_floor, 0.0);
         assert!(c.sentinel.drift_tol.is_none());
         assert!(c.deadline.is_none(), "no wall-clock deadline by default");
     }

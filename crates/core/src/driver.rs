@@ -65,7 +65,7 @@ pub(crate) fn local_energy<T: Team>(
 /// global one. It receives the 0-based index of the step about to
 /// execute — the point where a rank announces progress to the comm
 /// layer — and it is fallible, because that announcement is where a
-/// scheduled rank death fires and where a collective can time out
+/// scheduled rank death fires and where a collective can fail
 /// against a dead peer. The kernels run `team`'s halo schedule against
 /// `team.boundary()`.
 ///
@@ -80,8 +80,9 @@ pub(crate) fn local_energy<T: Team>(
 /// checks are min-reduced into one team-wide verdict, so **all ranks
 /// abort together** with the same typed [`BookLeafError::Unhealthy`]
 /// diagnosis; the conservation-drift check compares the global energy
-/// with `energy_ref`, the trajectory's starting energy; the reduced dt
-/// is checked against the configured floor before each step executes.
+/// with `energy_ref`, the trajectory's starting energy. A collapsing dt
+/// needs no sentinel: `getdt` fails each rank's proposal below
+/// `dt_min` with a typed `TimestepCollapse` before it is reduced.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_loop<T: Team>(
     mesh: &mut Mesh,
@@ -141,19 +142,6 @@ pub(crate) fn run_loop<T: Team>(
         let mut dt = timers.time(KernelId::Comms, || team.begin_step(steps, local_dt))?;
         if dt < 0.0 {
             return Err(BookLeafError::DeadlineExceeded { step: steps });
-        }
-        // Dt-collapse floor: checked on the *pre-clamp* reduced dt (the
-        // final-step truncation below legitimately produces a tiny dt).
-        // The reduced dt is identical on every rank, so the abort is
-        // symmetric without further communication.
-        if sentry {
-            let floor = config.sentinel.dt_floor;
-            if dt < floor {
-                return Err(BookLeafError::Unhealthy {
-                    step: steps,
-                    diagnosis: HealthDiagnosis::DtFloor { dt, floor },
-                });
-            }
         }
         dt = dt.min(config.final_time - t);
 
@@ -323,7 +311,7 @@ fn sentinel_check<T: Team>(
 /// comm counters, and the global energy. The energy reduction is
 /// collective, so whether it runs depends only on the team-shared
 /// observer needs and the hook point — never on anything rank-local —
-/// and it is what makes this fallible: it can time out against a dead
+/// and it is what makes this fallible: it can fail against a dead
 /// rank. Step begin asks for no energy; phase hooks ask for nothing,
 /// because they fire a different number of times on remapping and
 /// non-remapping steps.
@@ -448,37 +436,6 @@ mod sentinel_tests {
                 index: 5
             }
         );
-    }
-
-    #[test]
-    fn dt_floor_aborts_with_a_typed_diagnosis() {
-        let deck = decks::sod(16, 2);
-        let config = RunConfig {
-            final_time: 0.05,
-            sentinel: SentinelConfig {
-                dt_floor: 1.0, // every hydro dt is far below this
-                ..SentinelConfig::default()
-            },
-            ..RunConfig::default()
-        };
-        let err = Simulation::builder()
-            .deck(deck)
-            .config(config)
-            .build()
-            .unwrap()
-            .run()
-            .unwrap_err();
-        match err {
-            bookleaf_util::BookLeafError::Unhealthy {
-                step,
-                diagnosis: HealthDiagnosis::DtFloor { dt, floor },
-            } => {
-                assert_eq!(step, 0, "the floor trips before the first step runs");
-                assert!(dt < floor);
-                assert_eq!(floor, 1.0);
-            }
-            other => panic!("expected DtFloor, got {other:?}"),
-        }
     }
 
     #[test]

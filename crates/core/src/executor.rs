@@ -50,7 +50,7 @@ use bookleaf_hydro::{HydroState, LocalRange, Threading};
 use bookleaf_mesh::{Mesh, SubMesh, SubMeshPlan};
 use bookleaf_partition::{partition, Strategy};
 use bookleaf_typhon::{CommStats, HaloPlan, Typhon, TyphonOptions};
-use bookleaf_util::{BookLeafError, Result, TimerReport};
+use bookleaf_util::{BookLeafError, CommError, Result, TimerReport};
 
 use crate::config::{ExecutorKind, RunConfig};
 use crate::decks::Deck;
@@ -398,10 +398,25 @@ pub(crate) fn run_team(
     })?;
     let wall_seconds = start.elapsed().as_secs_f64();
 
-    let mut segments = results.into_iter();
-    let mut team = segments.next().expect("a team has at least one rank")?;
+    // A failed team reports the cause, not its echo: the lowest rank's
+    // error that is not a symptom of another rank's loss (a wait that can
+    // never end, a send to a gone rank), else the lowest rank's.
+    use CommError::{CollectiveTimeout, RankUnreachable, RecvTimeout};
+    let echo = |e: &BookLeafError| {
+        matches!(
+            e,
+            BookLeafError::CommFault(
+                RecvTimeout { .. } | CollectiveTimeout { .. } | RankUnreachable { .. }
+            )
+        )
+    };
+    let (segments, errors): (Vec<_>, Vec<_>) = results.into_iter().partition(Result::is_ok);
+    if let Some(cause) = errors.into_iter().filter_map(Result::err).min_by_key(echo) {
+        return Err(cause);
+    }
+    let mut segments = segments.into_iter().flatten();
+    let mut team = segments.next().expect("a team has at least one rank");
     for segment in segments {
-        let segment = segment?;
         team.timers = team.timers.max(&segment.timers);
         team.comm = team.comm.merged(&segment.comm);
         team.energy_end += segment.energy_end;

@@ -58,7 +58,7 @@ use crate::decks::Deck;
 /// loop calls the collectives at identical points on every rank (gated
 /// only by the team-shared configuration, the observers' needs and the
 /// step counter), which is what keeps them deadlock-free; they are
-/// fallible because a collective can time out against a dead rank.
+/// fallible because a collective can fail against a dead rank.
 pub trait Team: HaloOps {
     /// This rank's id.
     fn rank(&self) -> usize {

@@ -40,7 +40,6 @@
 
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 use bookleaf_ale::AleOptions;
 use bookleaf_hydro::HydroState;
@@ -91,7 +90,6 @@ pub struct SimulationBuilder {
     overlap: Option<bool>,
     observers: Vec<Box<dyn Observer>>,
     fault_plan: Option<FaultPlan>,
-    comm_timeout: Option<Duration>,
     deadline: Option<std::time::Instant>,
 }
 
@@ -196,16 +194,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Deadline for every blocking receive and collective in
-    /// distributed runs (default 60 s — generous enough that healthy
-    /// runs never trip it, bounded enough that a dead rank surfaces as
-    /// a typed timeout instead of a hang). Fault-injection tests drop
-    /// it to keep failure paths fast.
-    pub fn comm_timeout(mut self, timeout: Duration) -> Self {
-        self.comm_timeout = Some(timeout);
-        self
-    }
-
     /// Wall-clock deadline for the run (see [`RunConfig::deadline`]):
     /// once `at` passes, the run aborts symmetrically on every rank
     /// with a typed [`BookLeafError::DeadlineExceeded`], checked once
@@ -296,13 +284,10 @@ impl SimulationBuilder {
 
         deck.validate()?;
         let engine = Engine::new(&deck, &config, resume_snap.as_ref())?;
-        let mut typhon = TyphonOptions::default();
-        if let Some(plan) = self.fault_plan {
-            typhon.fault_plan = Some(Arc::new(plan));
-        }
-        if let Some(timeout) = self.comm_timeout {
-            typhon.recv_timeout = timeout;
-        }
+        let typhon = TyphonOptions {
+            fault_plan: self.fault_plan.map(Arc::new),
+            ..TyphonOptions::default()
+        };
         Ok(Simulation {
             deck,
             input,

@@ -33,14 +33,15 @@
 //!
 //! `POST /run` request headers (all optional):
 //!
-//! | Header              | Meaning                                         |
-//! |---------------------|-------------------------------------------------|
-//! | `X-Tenant`          | tenant identity for quotas/quarantine (`anon`)  |
-//! | `X-Deadline-Ms`     | wall-clock budget; can only shorten the default |
-//! | `X-Comm-Timeout-Ms` | comm wait bound; can only shorten the default   |
-//! | `X-Fault-Inject`    | `<kind>:<step>:<rank>` chaos fault (if allowed) |
-//! | `X-Stream`          | `1`: stream one line per step (serial decks)    |
-//! | `X-Resume`          | resume a drain checkpoint handle, empty body    |
+//! | Header           | Meaning                                         |
+//! |------------------|-------------------------------------------------|
+//! | `X-Tenant`       | tenant identity for quotas/quarantine (`anon`)  |
+//! | `X-Deadline-Ms`  | wall-clock budget; can only shorten the default |
+//! | `X-Fault-Inject` | `<kind>:<step>:<rank>` chaos fault (if allowed) |
+//! | `X-Stream`       | `1`: stream one line per step (serial decks)    |
+//! | `X-Resume`       | resume a drain checkpoint handle, empty body    |
+//!
+//! Any other header is ignored.
 //!
 //! Responses are JSON: `{"status":"ok",...}` with the run report
 //! digest (steps, bit-exact `time_bits`/`energy_end_bits`, a
@@ -74,8 +75,8 @@
 //!
 //! Each admitted run gets a wall-clock deadline (enforced
 //! symmetrically inside the step loop — every rank agrees on the
-//! abort), the per-step health sentinel, bounded comm timeouts, and a
-//! panic boundary. Failures are classified: deck typos are harmless,
+//! abort), the per-step health sentinel, comm faults that surface as
+//! soon as a team is stuck, and a panic boundary. Failures are classified: deck typos are harmless,
 //! but *health* failures (sentinel aborts, comm faults, panics, blown
 //! deadlines) count against the tenant, and
 //! [`quarantine::QuarantinePolicy::threshold`] consecutive ones

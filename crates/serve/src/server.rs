@@ -13,7 +13,7 @@
 //! Defense in depth, per request: typed [`ResourceLimits`] at deck
 //! validation, a wall-clock deadline enforced symmetrically inside the
 //! hydro loop, the health sentinel on every step, comm faults surfacing
-//! as typed errors under bounded timeouts, panics caught at the request
+//! as typed errors as soon as a team is stuck, panics caught at the request
 //! boundary, and repeated health failures quarantining the tenant.
 
 use std::collections::VecDeque;
@@ -149,9 +149,6 @@ pub struct ServeConfig {
     /// Default per-request wall-clock deadline (a tenant's
     /// `X-Deadline-Ms` can only shorten it). `None` = no default.
     pub default_deadline: Option<Duration>,
-    /// Bounded comm-layer wait for distributed runs — the no-hang
-    /// guarantee under injected faults.
-    pub comm_timeout: Duration,
     /// Honour `X-Fault-Inject` headers (chaos testing); when `false`
     /// the header earns a typed `403`.
     pub allow_fault_injection: bool,
@@ -177,7 +174,6 @@ impl Default for ServeConfig {
             queue_depth: 32,
             limits: ResourceLimits::default(),
             default_deadline: Some(Duration::from_secs(60)),
-            comm_timeout: Duration::from_secs(2),
             allow_fault_injection: false,
             quarantine: QuarantinePolicy::default(),
             drain_dir: std::env::temp_dir().join("bookleaf_serve_drain"),
@@ -435,7 +431,6 @@ fn handle_connection(shared: &Arc<Shared>, stream: &TcpStream) {
 struct RunParams {
     tenant: String,
     deadline: Option<Instant>,
-    comm_timeout: Duration,
     fault: Option<(FaultKind, usize, usize)>,
     stream_steps: bool,
     resume_handle: Option<String>,
@@ -460,13 +455,6 @@ fn parse_params(req: &Request, config: &ServeConfig) -> Result<RunParams, Protoc
             .map_err(|_| bad_header("x-deadline-ms", "must be an integer millisecond count"))?;
         let requested = Duration::from_millis(ms);
         deadline_in = Some(deadline_in.map_or(requested, |d| d.min(requested)));
-    }
-    let mut comm_timeout = config.comm_timeout;
-    if let Some(v) = req.header("x-comm-timeout-ms") {
-        let ms: u64 = v
-            .parse()
-            .map_err(|_| bad_header("x-comm-timeout-ms", "must be an integer millisecond count"))?;
-        comm_timeout = comm_timeout.min(Duration::from_millis(ms.max(1)));
     }
     let fault = match req.header("x-fault-inject") {
         None => None,
@@ -514,7 +502,6 @@ fn parse_params(req: &Request, config: &ServeConfig) -> Result<RunParams, Protoc
     Ok(RunParams {
         tenant,
         deadline: deadline_in.map(|d| Instant::now() + d),
-        comm_timeout,
         fault,
         stream_steps,
         resume_handle,
@@ -829,7 +816,6 @@ fn execute(
             cached = hit;
             builder = builder.deck(deck).config(input.run_config());
         }
-        builder = builder.comm_timeout(params.comm_timeout);
         if let Some(at) = params.deadline {
             builder = builder.deadline(at);
         }

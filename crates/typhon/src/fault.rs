@@ -12,19 +12,21 @@
 //!   bit-flipped *after* its checksum is computed, so the receiver's
 //!   verification fails with `CommError::Corrupt`;
 //! * [`FaultKind::Drop`] — the rank's next outgoing message is consumed
-//!   and never delivered; the receiver's deadline expires with
-//!   `CommError::RecvTimeout`;
+//!   and never delivered; once the team is stuck, the receiver gets
+//!   `CommError::RecvTimeout`, or `CommError::RankUnreachable` if the
+//!   sender has failed or exited by then;
 //! * [`FaultKind::Delay`] — the rank's next message is delivered
 //!   *held*: a non-blocking receive does not see it, and the first
-//!   blocking receive that looks for it takes it. Nothing waits on a
-//!   clock for it, so a delay alone never fails a run, whatever the
-//!   timeout; it exercises the overlap path that falls back from a
-//!   missed poll to a wait;
+//!   blocking receive that looks for it takes it. It satisfies that
+//!   receive, so a team holding it is never stuck and a delay alone
+//!   never fails a run; it exercises the overlap path that falls back
+//!   from a missed poll to a wait;
 //! * [`FaultKind::Kill`] — the rank dies at the top of the scheduled
 //!   step: [`crate::RankCtx::begin_step`] returns `CommError::Killed`,
 //!   and every later communication attempt on that rank does too. Peers
-//!   observe the death as `RecvTimeout` / `CollectiveTimeout` /
-//!   `RankUnreachable` — bounded, typed, never a hang.
+//!   observe the death at once, by rule: a receive from it or a send to
+//!   it is `RankUnreachable`, a collective `CollectiveTimeout` — typed,
+//!   never a hang.
 //!
 //! Point faults (`Corrupt`/`Drop`/`Delay`) are *one-shot per schedule
 //! entry*: armed when the rank enters the scheduled step, consumed by

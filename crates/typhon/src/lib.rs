@@ -30,7 +30,8 @@
 //! * [`fault`] — deterministic fault injection: a [`FaultPlan`]
 //!   schedule that corrupts, drops, delays or kills at precise
 //!   `(attempt, step, rank)` points, every failure surfacing as a typed
-//!   `CommError` within one bounded timeout window.
+//!   `CommError` at once, by rule: a team sees when no rank can progress
+//!   and ends every wait.
 
 pub mod fault;
 pub mod plan;

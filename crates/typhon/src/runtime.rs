@@ -6,31 +6,33 @@
 //! messages sent to it and not yet received (in send order, matched by
 //! source and tag, as an MPI implementation matches them); the
 //! generation-counted collective, so collectives can be called any
-//! number of times; and per rank, a *failed* and an *exited* mark. Every
-//! blocking operation waits on that lock's one condition variable.
+//! number of times; and per rank, a *failed* and an *exited* mark and
+//! what it is blocked on, if anything. Every blocking operation waits on
+//! that lock's one condition variable.
 //!
 //! ## Resilience contract
 //!
-//! Every blocking operation is bounded: receives and collectives carry a
-//! deadline ([`TyphonOptions::recv_timeout`]) and surface expiry as a
-//! typed [`CommError`], never a hang. Every payload travels with a
-//! CRC-32 checksum, verified by the receive that takes the message, so
-//! in-flight corruption — injected by a [`FaultPlan`] or real — surfaces
-//! there as [`CommError::Corrupt`] instead of silently wrong physics. A
-//! rank killed by its fault schedule returns [`CommError::Killed`] from
-//! its next operation and simply exits; its peers observe the death as
-//! `RecvTimeout` / `CollectiveTimeout` / `RankUnreachable` within one
-//! timeout window. All error payloads are deterministic (ranks, tags,
-//! steps — no wall-clock durations), so two runs of the same fault
-//! schedule fail identically.
+//! No blocking operation hangs. A team is **stuck** when every rank has
+//! exited or waits for what its mailbox or the collective cannot give:
+//! no rank is left running to send or to arrive. Every waiter then
+//! returns at once with a typed [`CommError`] chosen by rule, not by a
+//! clock: a receive from a failed or exited rank gets
+//! [`CommError::RankUnreachable`], any other receive
+//! [`CommError::RecvTimeout`], a collective
+//! [`CommError::CollectiveTimeout`]. A computing rank is running, so a
+//! slow peer never looks stuck; a 60 s backstop bounds a wait only for a
+//! rank that never comes back to communicate. Every payload carries a
+//! CRC-32 checksum, verified by the receive that takes it, so in-flight
+//! corruption — injected by a [`FaultPlan`] or real — surfaces there as
+//! [`CommError::Corrupt`]. A rank killed by its fault schedule returns
+//! [`CommError::Killed`] from its next operation and exits. Error
+//! payloads are ranks, tags and steps, never durations, so two runs of
+//! the same fault schedule fail identically.
 //!
-//! A rank that has been handed an error is **failed**, and the team
-//! knows it at once: a send to a failed rank, and a receive from one
-//! whose deadline expires, both report [`CommError::RankUnreachable`].
-//! A rank whose closure has returned or unwound is **exited**, and a
-//! send to it is `RankUnreachable` too. What a survivor reports
-//! therefore does not depend on whether the failed rank's thread had
-//! already exited when the survivor next reached for it.
+//! A rank that has been handed an error is **failed**; one whose
+//! closure has returned or unwound is **exited**. A send to either is
+//! `RankUnreachable` at once, so what a survivor reports does not depend
+//! on whether the failed rank's thread had exited yet.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -77,6 +79,20 @@ struct TeamState {
     failed: Vec<bool>,
     /// Per rank: set when its closure has returned or unwound.
     exited: Vec<bool>,
+    /// Per rank: what it waits for in [`Team::wait`]; `None` while it runs.
+    blocked: Vec<Option<Wait>>,
+    /// Once no rank can progress (never cleared): per rank, whether it
+    /// had failed or exited then — what a receive the stuck team ends
+    /// reads, not `failed`, which the other ended waits are setting.
+    stuck: Option<Vec<bool>>,
+}
+
+/// What a rank blocked in [`Team::wait`] waits for: a message from
+/// `from` under `tag`, held or not, or the end of generation `gen`.
+#[derive(Clone, Copy)]
+enum Wait {
+    Recv { from: usize, tag: u64 },
+    Collective { gen: u64 },
 }
 
 impl TeamState {
@@ -96,19 +112,30 @@ impl TeamState {
     fn reachable(&self, rank: usize) -> bool {
         !self.failed[rank] && !self.exited[rank]
     }
+
+    /// Whether `rank`'s `wait` can end now; a held message counts.
+    fn satisfiable(&self, rank: usize, wait: Wait) -> bool {
+        match wait {
+            Wait::Recv { from, tag } => self.pending[rank]
+                .iter()
+                .any(|m| m.from == from && m.tag == tag),
+            Wait::Collective { gen } => self.generation != gen,
+        }
+    }
 }
+
+/// The longest wait, for a rank that never comes back to communicate.
+const BACKSTOP: Duration = Duration::from_secs(60);
 
 /// The state one team shares: [`TeamState`], its lock, and the one
 /// condition variable every blocking operation waits on.
 struct Team {
     state: Mutex<TeamState>,
     cv: Condvar,
-    /// Deadline of every wait ([`TyphonOptions::recv_timeout`]).
-    timeout: Duration,
 }
 
 impl Team {
-    fn new(n_ranks: usize, timeout: Duration) -> Self {
+    fn new(n_ranks: usize) -> Self {
         Team {
             state: Mutex::new(TeamState {
                 pending: (0..n_ranks).map(|_| VecDeque::new()).collect(),
@@ -118,9 +145,10 @@ impl Team {
                 last_result: (0.0, 0.0),
                 failed: vec![false; n_ranks],
                 exited: vec![false; n_ranks],
+                blocked: vec![None; n_ranks],
+                stuck: None,
             }),
             cv: Condvar::new(),
-            timeout,
         }
     }
 
@@ -128,26 +156,46 @@ impl Team {
         self.state.lock().expect("team state poisoned")
     }
 
-    /// Wait while `blocked` holds, up to the team's deadline. std checks
-    /// `blocked` before each wait and reports a timeout only with it
-    /// still holding, so a wakeup that races the deadline is never lost:
-    /// on return, `blocked` is false unless the deadline expired.
+    /// Mark the team stuck, and wake every waiter, if no rank can ever
+    /// progress: each has exited or is blocked on a wait its mailbox or
+    /// the generation cannot satisfy. Only a running rank sends or
+    /// arrives, and none is left.
+    fn settle(&self, st: &mut TeamState) {
+        let n = st.exited.len();
+        let stuck =
+            (0..n).all(|r| st.exited[r] || st.blocked[r].is_some_and(|w| !st.satisfiable(r, w)));
+        if stuck && st.stuck.is_none() {
+            st.stuck = Some((0..n).map(|r| !st.reachable(r)).collect());
+            self.cv.notify_all();
+        }
+    }
+
+    /// Wait, registered as `rank` blocked on `on`, until `on` can end,
+    /// the team is stuck, or [`BACKSTOP`] has passed — `on` first, so a
+    /// wait that can end does even in a stuck team.
     fn wait<'a>(
         &self,
-        st: MutexGuard<'a, TeamState>,
-        blocked: impl FnMut(&mut TeamState) -> bool,
+        mut st: MutexGuard<'a, TeamState>,
+        rank: usize,
+        on: Wait,
     ) -> MutexGuard<'a, TeamState> {
-        self.cv
-            .wait_timeout_while(st, self.timeout, blocked)
-            .expect("team state poisoned")
-            .0
+        st.blocked[rank] = Some(on);
+        self.settle(&mut st);
+        let blocked = |s: &mut TeamState| !s.satisfiable(rank, on) && s.stuck.is_none();
+        let (mut st, _) = self
+            .cv
+            .wait_timeout_while(st, BACKSTOP, blocked)
+            .expect("team state poisoned");
+        st.blocked[rank] = None;
+        st
     }
 
     /// Combined barrier + reduction: every rank contributes `value`; all
     /// receive `(min, sum)` of the contributions, combined in rank order
     /// (the sum from `0.0`), whatever order the ranks arrive in — or
     /// [`CommError::CollectiveTimeout`], and `rank` is failed, if some
-    /// rank never arrives within the deadline (it died or hung).
+    /// rank can never arrive (the team is stuck) or does not within the
+    /// backstop.
     fn reduce(&self, rank: usize, value: f64) -> std::result::Result<(f64, f64), CommError> {
         let mut st = self.lock();
         let gen = st.generation;
@@ -167,7 +215,7 @@ impl Team {
             self.cv.notify_all();
             return Ok(out);
         }
-        let mut st = self.wait(st, |s| s.generation == gen);
+        let mut st = self.wait(st, rank, Wait::Collective { gen });
         if st.generation == gen {
             st.failed[rank] = true;
             return Err(CommError::CollectiveTimeout { rank });
@@ -188,14 +236,9 @@ const BUFFER_POOL_CAP: usize = 64;
 /// (`BUFFER_POOL_CAP × 512 KB = 32 MB` per rank), not just in count.
 const BUFFER_POOL_MAX_DOUBLES: usize = 64 * 1024;
 
-/// Team-wide execution options: timeouts and the fault schedule.
-#[derive(Clone, Debug)]
+/// Team-wide execution options: the fault schedule.
+#[derive(Clone, Debug, Default)]
 pub struct TyphonOptions {
-    /// Deadline for every blocking receive and collective. Generous by
-    /// default — a healthy step never waits seconds — so real deadlocks
-    /// and dead ranks surface as typed timeouts instead of hangs, while
-    /// slow-but-alive peers are never false-flagged.
-    pub recv_timeout: Duration,
     /// Deterministic fault schedule shared by every rank; `None`
     /// injects nothing.
     pub fault_plan: Option<Arc<FaultPlan>>,
@@ -203,16 +246,6 @@ pub struct TyphonOptions {
     /// supervised re-run after rewind increments this, so attempt-0
     /// faults do not re-fire forever).
     pub attempt: usize,
-}
-
-impl Default for TyphonOptions {
-    fn default() -> Self {
-        TyphonOptions {
-            recv_timeout: Duration::from_secs(60),
-            fault_plan: None,
-            attempt: 0,
-        }
-    }
 }
 
 /// Per-rank handle used inside the rank closure.
@@ -237,10 +270,8 @@ pub struct RankCtx {
     /// the pools balanced, so steady-state halo traffic allocates
     /// nothing.
     pool: Mutex<Vec<Vec<f64>>>,
-    /// Shared fault schedule, if any.
-    fault: Option<Arc<FaultPlan>>,
-    /// Recovery attempt the schedule is evaluated against.
-    attempt: usize,
+    /// The fault schedule and the attempt it is evaluated against.
+    options: TyphonOptions,
     /// One-shot point fault armed for this rank's next send.
     armed: Mutex<Option<FaultKind>>,
     /// `Some(step)` once this rank's kill fired: every subsequent
@@ -270,8 +301,8 @@ impl RankCtx {
     /// need to call this.
     pub fn begin_step(&self, step: usize) -> std::result::Result<(), CommError> {
         self.check_killed()?;
-        if let Some(plan) = &self.fault {
-            match plan.action(self.attempt, step, self.rank) {
+        if let Some(plan) = &self.options.fault_plan {
+            match plan.action(self.options.attempt, step, self.rank) {
                 Some(FaultKind::Kill) => {
                     *self.killed_at.lock().expect("kill state poisoned") = Some(step);
                     return Err(self.fail(CommError::Killed {
@@ -469,9 +500,9 @@ impl RankCtx {
     }
 
     /// Blocking receive from `from` under `tag`: the first matching
-    /// payload, in send order, held or not. Bounded: returns
-    /// [`CommError::RecvTimeout`] when no matching message arrives
-    /// within the team's deadline.
+    /// payload, in send order, held or not. If the team is stuck with
+    /// none delivered, [`CommError::RankUnreachable`] when `from` has
+    /// failed or exited, else [`CommError::RecvTimeout`].
     pub fn recv(&self, from: usize, tag: u64) -> std::result::Result<Vec<f64>, CommError> {
         self.recv_tracked(from, tag, None)
     }
@@ -500,17 +531,17 @@ impl RankCtx {
             return Ok(payload);
         }
         let start = Instant::now();
-        let mut msg = None;
-        let st = self.team.wait(self.team.lock(), |s| {
-            msg = s.take(self.rank, from, tag, true);
-            msg.is_none()
-        });
-        let failed = st.failed[from];
+        let on = Wait::Recv { from, tag };
+        let mut st = self.team.wait(self.team.lock(), self.rank, on);
+        let msg = st.take(self.rank, from, tag, true);
+        let gone = st
+            .stuck
+            .as_ref()
+            .map_or(!st.reachable(from), |gone| gone[from]);
         drop(st);
         let Some(msg) = msg else {
-            // An expired deadline on a failed sender is its death, not a
-            // late message.
-            return Err(self.fail(if failed {
+            // A sender that has failed or exited is gone, not late.
+            return Err(self.fail(if gone {
                 CommError::RankUnreachable { to: from }
             } else {
                 CommError::RecvTimeout { from, tag }
@@ -535,8 +566,8 @@ impl RankCtx {
     }
 
     /// Global minimum across all ranks (BookLeaf's single per-step
-    /// reduction, used for the time step). Bounded: a peer that never
-    /// contributes surfaces as [`CommError::CollectiveTimeout`].
+    /// reduction, used for the time step). A peer that can never
+    /// contribute surfaces as [`CommError::CollectiveTimeout`].
     pub fn allreduce_min(&self, value: f64) -> std::result::Result<f64, CommError> {
         self.check_killed()?;
         self.stats.lock().expect("comm stats poisoned").collectives += 1;
@@ -571,8 +602,8 @@ pub struct Typhon;
 impl Typhon {
     /// Run `f` on `n_ranks` rank threads and collect the per-rank results
     /// in rank order. Panics inside a rank are converted into
-    /// [`BookLeafError::RankPanic`]. Default [`TyphonOptions`]: generous
-    /// timeout, no fault injection.
+    /// [`BookLeafError::RankPanic`]. Default [`TyphonOptions`]: no fault
+    /// injection.
     pub fn run<R, F>(n_ranks: usize, f: F) -> Result<Vec<R>>
     where
         R: Send,
@@ -581,8 +612,8 @@ impl Typhon {
         Self::run_with(n_ranks, TyphonOptions::default(), f)
     }
 
-    /// [`Typhon::run`] with explicit [`TyphonOptions`] — timeouts and a
-    /// deterministic fault schedule.
+    /// [`Typhon::run`] with explicit [`TyphonOptions`] — a deterministic
+    /// fault schedule.
     pub fn run_with<R, F>(n_ranks: usize, options: TyphonOptions, f: F) -> Result<Vec<R>>
     where
         R: Send,
@@ -591,7 +622,7 @@ impl Typhon {
         if n_ranks == 0 {
             return Err(BookLeafError::EmptyExecutor { field: "ranks" });
         }
-        let team = Arc::new(Team::new(n_ranks, options.recv_timeout));
+        let team = Arc::new(Team::new(n_ranks));
 
         let results: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..n_ranks)
@@ -603,15 +634,16 @@ impl Typhon {
                         phase: AtomicU64::new(0),
                         stats: Mutex::new(CommStats::default()),
                         pool: Mutex::new(Vec::new()),
-                        fault: options.fault_plan.clone(),
-                        attempt: options.attempt,
+                        options: options.clone(),
                         armed: Mutex::new(None),
                         killed_at: Mutex::new(None),
                     };
                     let f = &f;
                     scope.spawn(move || {
                         let out = catch_unwind(AssertUnwindSafe(|| f(&ctx)));
-                        ctx.team.lock().exited[rank] = true;
+                        let mut st = ctx.team.lock();
+                        st.exited[rank] = true;
+                        ctx.team.settle(&mut st);
                         out
                     })
                 })
@@ -712,7 +744,7 @@ mod tests {
         // rounds to -1e16. In rank order they give 1.0.
         let values = [1e16, 1.0, -1e16, 1.0];
         for order in [[0, 1, 2, 3], [3, 2, 1, 0]] {
-            let team = Arc::new(Team::new(values.len(), Duration::from_secs(60)));
+            let team = Arc::new(Team::new(values.len()));
             let mut threads = Vec::new();
             for (admitted, &rank) in order.iter().enumerate() {
                 let t = Arc::clone(&team);
@@ -1059,20 +1091,35 @@ mod tests {
     use bookleaf_mesh::submesh::ExchangeList;
     use proptest::prelude::*;
 
-    /// Short deadline for tests that *expect* a timeout: long enough for
-    /// healthy traffic, short enough to keep the suite fast.
-    fn fast(plan: FaultPlan) -> TyphonOptions {
+    /// Options that run `plan`.
+    fn planned(plan: FaultPlan) -> TyphonOptions {
         TyphonOptions {
-            recv_timeout: Duration::from_millis(250),
             fault_plan: Some(Arc::new(plan)),
             ..TyphonOptions::default()
         }
     }
 
     #[test]
+    fn ranks_that_each_receive_first_are_stuck_at_once() {
+        // Each rank receives from the other before it would send:
+        // nothing can ever arrive, and the team sees that without a
+        // clock, long before the backstop.
+        let start = Instant::now();
+        let out = Typhon::run(2, |ctx| ctx.recv(1 - ctx.rank(), 0)).unwrap();
+        assert_eq!(
+            out,
+            [
+                Err(CommError::RecvTimeout { from: 1, tag: 0 }),
+                Err(CommError::RecvTimeout { from: 0, tag: 0 }),
+            ]
+        );
+        assert!(start.elapsed() < Duration::from_secs(10));
+    }
+
+    #[test]
     fn corrupt_fault_surfaces_at_the_receiver() {
         let plan = FaultPlan::new().corrupt(0, 0);
-        let out = Typhon::run_with(2, fast(plan), |ctx| {
+        let out = Typhon::run_with(2, planned(plan), |ctx| {
             ctx.begin_step(0)?;
             let tag = ctx.next_tag();
             if ctx.rank() == 0 {
@@ -1094,7 +1141,7 @@ mod tests {
     #[test]
     fn corrupt_fault_on_empty_payload_still_detected() {
         let plan = FaultPlan::new().corrupt(0, 0);
-        let out = Typhon::run_with(2, fast(plan), |ctx| {
+        let out = Typhon::run_with(2, planned(plan), |ctx| {
             ctx.begin_step(0)?;
             let tag = ctx.next_tag();
             if ctx.rank() == 0 {
@@ -1183,25 +1230,43 @@ mod tests {
 
     #[test]
     fn dropped_message_times_out_typed() {
-        let plan = FaultPlan::new().with(FaultKind::Drop, 0, 0);
-        let out = Typhon::run_with(2, fast(plan), |ctx| {
-            ctx.begin_step(0)?;
-            let tag = ctx.next_tag();
-            if ctx.rank() == 0 {
+        // Rank 1 waits for a message that was lost. If its sender then
+        // waits in a barrier, nobody is gone: the receive times out, and
+        // so does the barrier. If the sender exits instead, the receive
+        // finds it gone.
+        for sender_waits in [true, false] {
+            let plan = FaultPlan::new().with(FaultKind::Drop, 0, 0);
+            let out = Typhon::run_with(2, planned(plan), |ctx| {
+                ctx.begin_step(0)?;
+                let tag = ctx.next_tag();
+                if ctx.rank() == 1 {
+                    return ctx.recv(0, tag).map(|p| p[0]);
+                }
                 ctx.send(1, tag, vec![42.0])?;
+                if sender_waits {
+                    ctx.barrier()?;
+                }
                 Ok(0.0)
+            })
+            .unwrap();
+            if sender_waits {
+                assert_eq!(
+                    out,
+                    [
+                        Err(CommError::CollectiveTimeout { rank: 0 }),
+                        Err(CommError::RecvTimeout { from: 0, tag: 0 }),
+                    ]
+                );
             } else {
-                ctx.recv(0, tag).map(|p| p[0])
+                assert_eq!(out, [Ok(0.0), Err(CommError::RankUnreachable { to: 0 })]);
             }
-        })
-        .unwrap();
-        assert_eq!(out[1], Err(CommError::RecvTimeout { from: 0, tag: 0 }));
+        }
     }
 
     #[test]
     fn delayed_message_still_arrives() {
         let plan = FaultPlan::new().delay(0, 0);
-        let out = Typhon::run_with(2, fast(plan), |ctx| {
+        let out = Typhon::run_with(2, planned(plan), |ctx| {
             ctx.begin_step(0)?;
             let tag = ctx.next_tag();
             if ctx.rank() == 0 {
@@ -1217,10 +1282,7 @@ mod tests {
 
     #[test]
     fn a_delayed_message_is_held_for_the_first_blocking_receive() {
-        let options = TyphonOptions {
-            recv_timeout: Duration::from_secs(3600),
-            ..fast(FaultPlan::new().delay(0, 0))
-        };
+        let options = planned(FaultPlan::new().delay(0, 0));
         type Seen = (Option<Vec<f64>>, Vec<f64>, Option<Vec<f64>>);
         let out = Typhon::run_with(2, options, |ctx| -> std::result::Result<Seen, CommError> {
             ctx.begin_step(0)?;
@@ -1247,71 +1309,70 @@ mod tests {
     #[test]
     fn killed_rank_and_peers_all_fail_typed() {
         let plan = FaultPlan::new().kill(1, 1);
-        let out = Typhon::run_with(2, fast(plan), |ctx| -> std::result::Result<(), CommError> {
-            for step in 0..3 {
-                ctx.begin_step(step)?;
-                let tag = ctx.next_tag();
-                let peer = 1 - ctx.rank();
-                ctx.send(peer, tag, vec![step as f64])?;
-                ctx.recv(peer, tag)?;
-                ctx.allreduce_min(step as f64)?;
-            }
-            Ok(())
-        })
+        let out = Typhon::run_with(
+            2,
+            planned(plan),
+            |ctx| -> std::result::Result<(), CommError> {
+                for step in 0..3 {
+                    ctx.begin_step(step)?;
+                    let tag = ctx.next_tag();
+                    let peer = 1 - ctx.rank();
+                    ctx.send(peer, tag, vec![step as f64])?;
+                    ctx.recv(peer, tag)?;
+                    ctx.allreduce_min(step as f64)?;
+                }
+                Ok(())
+            },
+        )
         .unwrap();
         assert_eq!(
             out[1],
             Err(CommError::Killed { rank: 1, step: 1 }),
             "the killed rank learns of its own death at the step top"
         );
-        // The survivor fails *typed and bounded* — at the recv or the
-        // collective, depending on timing — never hangs, never panics.
-        let survivor = out[0].clone().unwrap_err();
-        assert!(
-            matches!(
-                survivor,
-                CommError::RecvTimeout { from: 1, .. }
-                    | CommError::CollectiveTimeout { rank: 0 }
-                    | CommError::RankUnreachable { to: 1 }
-            ),
-            "unexpected survivor error: {survivor:?}"
-        );
-    }
-
-    #[test]
-    fn send_to_dead_rank_is_unreachable() {
-        // Rank 1 exits immediately; rank 0 sends until a send sees it
-        // gone, however late its thread gets there (10 s liveness cap).
-        let out = Typhon::run(2, |ctx| {
-            if ctx.rank() == 1 {
-                return Ok(());
-            }
-            let cap = Instant::now() + Duration::from_secs(10);
-            loop {
-                let sent = ctx.send(1, 1, vec![1.0]);
-                if sent.is_err() || Instant::now() > cap {
-                    return sent;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        })
-        .unwrap();
+        // The survivor finds rank 1 gone: at its send if rank 1 has
+        // already failed, else at the receive after it, once rank 1 has
+        // exited and the team is stuck.
         assert_eq!(out[0], Err(CommError::RankUnreachable { to: 1 }));
     }
 
     #[test]
+    fn send_to_dead_rank_is_unreachable() {
+        // Rank 1 exits at once. Nothing can satisfy rank 0's receive from
+        // it, so the receive ends as soon as rank 1 has exited, finding it
+        // gone; the send after it does too.
+        let out = Typhon::run(2, |ctx| {
+            if ctx.rank() == 1 {
+                return None;
+            }
+            let received = ctx.recv(1, 1).map(drop);
+            Some((received, ctx.send(1, 1, vec![1.0])))
+        })
+        .unwrap();
+        let gone = Err(CommError::RankUnreachable { to: 1 });
+        assert_eq!(out[0], Some((gone.clone(), gone)));
+    }
+
+    #[test]
     fn fault_errors_are_identical_across_runs() {
+        // Two pairs, 0-1 and 2-3, swap a message per step. Rank 0's
+        // step-1 message is dropped, so both of the first pair end up
+        // waiting for what never comes; rank 2 corrupts its step-1
+        // message and is killed at step 2.
         let run = || {
-            let plan = FaultPlan::new().corrupt(0, 0).kill(2, 1);
+            let plan = FaultPlan::new()
+                .with(FaultKind::Drop, 1, 0)
+                .corrupt(1, 2)
+                .kill(2, 2);
             Typhon::run_with(
-                2,
-                fast(plan),
+                4,
+                planned(plan),
                 |ctx| -> std::result::Result<f64, CommError> {
                     let mut acc = 0.0;
                     for step in 0..4 {
                         ctx.begin_step(step)?;
                         let tag = ctx.next_tag();
-                        let peer = 1 - ctx.rank();
+                        let peer = ctx.rank() ^ 1;
                         ctx.send(peer, tag, vec![step as f64])?;
                         acc += ctx.recv(peer, tag)?[0];
                     }
@@ -1320,28 +1381,34 @@ mod tests {
             )
             .unwrap()
         };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "same fault schedule must fail byte-identically");
-        assert_eq!(a[1], Err(CommError::Corrupt { from: 0, tag: 0 }));
-        // Rank 1 is failed from the moment its receive returns, whether
-        // or not its thread has exited by rank 0's next send: at that
-        // send, or at the receive after it, rank 0 learns the same thing.
-        assert_eq!(a[0], Err(CommError::RankUnreachable { to: 1 }));
+        let first = run();
+        assert_eq!(
+            first,
+            [
+                Err(CommError::RecvTimeout { from: 1, tag: 2 }),
+                Err(CommError::RecvTimeout { from: 0, tag: 1 }),
+                Err(CommError::Killed { rank: 2, step: 2 }),
+                Err(CommError::Corrupt { from: 2, tag: 1 }),
+            ]
+        );
+        for repeat in 1..20 {
+            assert_eq!(run(), first, "repeat {repeat}");
+        }
     }
 
     #[test]
     fn survivor_learns_of_a_failed_peer_whoever_gets_there_first() {
         // Rank 0's first message is corrupt, so rank 1 fails at its first
         // receive. Either rank 0 sends again before that happens (and
-        // its next receive expires on a failed peer), or after (and the
-        // send itself is refused): a signal forces each order in turn.
+        // its next receive finds a failed peer once the team is stuck),
+        // or after (and the send itself is refused): a signal forces each
+        // order in turn.
         for send_before_failure in [true, false] {
             let (tx, rx) = std::sync::mpsc::channel::<()>();
             let rx = std::sync::Mutex::new(rx);
             let wait = || rx.lock().unwrap().recv().unwrap();
             let plan = FaultPlan::new().corrupt(0, 0);
-            let out = Typhon::run_with(2, fast(plan), |ctx| {
+            let out = Typhon::run_with(2, planned(plan), |ctx| {
                 ctx.begin_step(0)?;
                 if ctx.rank() == 1 {
                     ctx.send(0, 0, vec![1.0])?;
@@ -1384,7 +1451,7 @@ mod tests {
                 2,
                 TyphonOptions {
                     attempt,
-                    ..fast(plan.clone())
+                    ..planned(plan.clone())
                 },
                 |ctx| -> std::result::Result<f64, CommError> {
                     ctx.begin_step(0)?;
@@ -1396,14 +1463,15 @@ mod tests {
             )
             .unwrap()
         };
-        assert_eq!(round(0)[1], Err(CommError::RecvTimeout { from: 0, tag: 0 }));
+        // Rank 0's message is lost and rank 0 exits: rank 1 finds it gone.
+        assert_eq!(round(0)[1], Err(CommError::RankUnreachable { to: 0 }));
         assert_eq!(round(1)[1], Ok(1.0), "attempt 1 must run clean");
     }
 
     #[test]
     fn operations_after_kill_keep_failing() {
         let plan = FaultPlan::new().kill(0, 0);
-        let out = Typhon::run_with(1, fast(plan), |ctx| {
+        let out = Typhon::run_with(1, planned(plan), |ctx| {
             let first = ctx.begin_step(0);
             let second = ctx.send(0, 0, vec![1.0]);
             let third = ctx.allreduce_min(1.0).map(|_| ());

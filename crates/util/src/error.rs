@@ -150,14 +150,14 @@ impl From<CheckpointError> for BookLeafError {
 
 /// A typed point-to-point / collective communication failure.
 ///
-/// The typhon layer bounds every blocking operation (receives and
-/// collectives carry deadlines) and checksums every payload, so a dead
-/// rank, a dropped message or in-flight corruption — injected by a
-/// `FaultPlan` or real — surfaces as one of these variants, never as a
-/// hang or a panic. All fields are deterministic (rank ids, tags,
-/// scheduled steps — no wall-clock durations), so two runs of the same
-/// fault schedule produce byte-identical error values and the
-/// recovery log built from them is reproducible.
+/// Typhon checksums every payload and ends at once every wait nothing can
+/// satisfy any more, so a dead rank, a dropped message or in-flight
+/// corruption — injected by a `FaultPlan` or real — surfaces as one of
+/// these variants, chosen by rule, never as a hang or a panic (a 60 s
+/// backstop covers a rank that never comes back to communicate). All
+/// fields are deterministic (rank ids, tags, scheduled steps), so two
+/// runs of the same fault schedule produce byte-identical error values
+/// and the recovery log built from them is reproducible.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
     /// This rank was killed by its fault schedule: the first
@@ -169,17 +169,15 @@ pub enum CommError {
         /// The step the kill was scheduled at.
         step: usize,
     },
-    /// A receive's deadline expired with no matching message — the
-    /// peer is dead, the message was dropped, or it is later than the
-    /// configured timeout allows.
+    /// A receive nothing can satisfy, from a peer that has neither
+    /// failed nor exited: the message was dropped, or the peer waits too.
     RecvTimeout {
         /// Rank the message was expected from.
         from: usize,
         /// Tag of the missing message.
         tag: u64,
     },
-    /// A collective's deadline expired: at least one rank never
-    /// contributed (died or hung before the reduction).
+    /// A collective that can never complete: some rank will not arrive.
     CollectiveTimeout {
         /// The rank reporting the timeout.
         rank: usize,
@@ -202,8 +200,8 @@ pub enum CommError {
         /// Doubles actually received.
         got: usize,
     },
-    /// The peer rank is gone: a send to it found it failed or exited,
-    /// or a receive from it expired after it had failed.
+    /// The peer rank has failed or exited: a send to it, or a receive
+    /// from it that nothing can satisfy.
     RankUnreachable {
         /// The unreachable rank.
         to: usize,
@@ -320,7 +318,7 @@ impl fmt::Display for HealthField {
 /// [`BookLeafError::Unhealthy`].
 ///
 /// Field diagnoses name the offending field and the element/node index
-/// on the reporting rank; the dt and conservation diagnoses carry the
+/// on the reporting rank; the conservation diagnosis carries the
 /// globally-reduced values (identical on every rank by construction).
 #[derive(Debug, Clone, PartialEq)]
 pub enum HealthDiagnosis {
@@ -343,13 +341,6 @@ pub enum HealthDiagnosis {
         /// Element index local to `rank`.
         index: usize,
     },
-    /// The globally-reduced time step fell below the sentinel floor.
-    DtFloor {
-        /// The reduced dt.
-        dt: f64,
-        /// The configured floor.
-        floor: f64,
-    },
     /// Total energy drifted beyond the configured tolerance.
     ConservationDrift {
         /// Relative drift from the run's starting energy.
@@ -367,9 +358,6 @@ impl fmt::Display for HealthDiagnosis {
             }
             HealthDiagnosis::NonPositive { rank, field, index } => {
                 write!(f, "non-positive {field} at index {index} on rank {rank}")
-            }
-            HealthDiagnosis::DtFloor { dt, floor } => {
-                write!(f, "dt {dt:.6e} collapsed below sentinel floor {floor:.6e}")
             }
             HealthDiagnosis::ConservationDrift { drift, tol } => {
                 write!(

@@ -12,8 +12,6 @@
 //! Exits non-zero if recovery fails or the recovered trajectory
 //! diverges.
 
-use std::time::Duration;
-
 use bookleaf::core::{decks, RecoveryPolicy, ReshapePolicy};
 use bookleaf::typhon::FaultPlan;
 use bookleaf::{ExecutorKind, Simulation};
@@ -38,9 +36,6 @@ fn main() {
         .final_time(0.3)
         .max_steps(STEPS)
         .fault_plan(plan)
-        // Injected deaths should surface in milliseconds here, not the
-        // production-grade 60 s deadline.
-        .comm_timeout(Duration::from_millis(500))
         .build()
         .expect("valid deck");
 

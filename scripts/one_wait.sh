@@ -1,16 +1,20 @@
 #!/bin/sh
 # Waits are on state, not on clocks. A Typhon team's mailboxes, its
-# collective and its failure marks are one state behind one lock, and
-# every blocking receive or collective waits through one helper on that
-# lock's condition variable; nothing in the product sleeps and hopes.
+# collective, its failure marks and what each rank is blocked on are one
+# state behind one lock, and every blocking receive or collective waits
+# through one helper on that lock's condition variable; the team sees
+# when no rank can progress and ends every wait at once, so no caller
+# sets a comm deadline and nothing in the product sleeps and hopes.
 # Fails, naming the lines, if above a file's first `#[cfg(test)]` (the
 # cut `scripts/loc.sh` uses)
 #
 #   * any of the nine product crates (util mesh partition typhon hydro
-#     ale eos core serve) calls `thread::sleep(`;
-#   * `crates/typhon/src` names `mpsc` or `Receiver`, calls
-#     `recv_timeout(`, or has any number of `wait_timeout_while(` call
-#     sites but exactly one.
+#     ale eos core serve) calls `thread::sleep(`, or names a comm
+#     timeout knob: `comm_timeout`, `recv_timeout` or `comm-timeout`, in
+#     any case (so the `X-Comm-Timeout-Ms` header, and a channel's
+#     `recv_timeout(` wait, too);
+#   * `crates/typhon/src` names `mpsc` or `Receiver`, or has any number
+#     of `wait_timeout_while(` call sites but exactly one.
 #
 # Run from anywhere:
 #
@@ -19,14 +23,21 @@ set -eu
 cd "$(dirname "$0")/.."
 
 above() {
-    # above PATTERN FILE... -> "file:line: text" for each non-test line
-    # matching it
+    # above [-i] PATTERN FILE... -> "file:line: text" for each non-test
+    # line matching PATTERN (with -i, in any case)
+    icase=0
+    if [ "$1" = -i ]; then
+        icase=1
+        shift
+    fi
     pat=$1
     shift
-    awk -v pat="$pat" '
+    awk -v pat="$pat" -v icase="$icase" '
         FNR == 1 { in_test = 0 }
         /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
-        !in_test && $0 ~ pat { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+        !in_test && (icase ? tolower($0) ~ tolower(pat) : $0 ~ pat) {
+            printf "%s:%d: %s\n", FILENAME, FNR, $0
+        }
     ' "$@"
 }
 
@@ -42,9 +53,15 @@ if [ -n "$found" ]; then
     echo "$found" >&2
     status=1
 fi
-found=$(above 'mpsc|Receiver|recv_timeout\(' $typhon)
+found=$(above -i 'comm_timeout|recv_timeout|comm-timeout' $product)
 if [ -n "$found" ]; then
-    echo "one_wait: a channel or a channel wait in typhon:" >&2
+    echo "one_wait: a comm timeout knob in product code:" >&2
+    echo "$found" >&2
+    status=1
+fi
+found=$(above 'mpsc|Receiver' $typhon)
+if [ -n "$found" ]; then
+    echo "one_wait: a channel in typhon:" >&2
     echo "$found" >&2
     status=1
 fi

@@ -148,19 +148,11 @@ fn healthy_tenants_bitwise_identical_under_concurrent_chaos() {
                 0 => (POISON, vec![("X-Tenant", "mallory")]),
                 1 => (
                     DIST_NOH,
-                    vec![
-                        ("X-Tenant", "mallory"),
-                        ("X-Fault-Inject", "corrupt:2:0"),
-                        ("X-Comm-Timeout-Ms", "500"),
-                    ],
+                    vec![("X-Tenant", "mallory"), ("X-Fault-Inject", "corrupt:2:0")],
                 ),
                 _ => (
                     DIST_NOH,
-                    vec![
-                        ("X-Tenant", "mallory"),
-                        ("X-Fault-Inject", "kill:3:1"),
-                        ("X-Comm-Timeout-Ms", "500"),
-                    ],
+                    vec![("X-Tenant", "mallory"), ("X-Fault-Inject", "kill:3:1")],
                 ),
             };
             let resp = client::post_run(addr, deck, &headers, T).expect("bounded response");
