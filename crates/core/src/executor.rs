@@ -50,7 +50,7 @@ use bookleaf_hydro::{HydroState, LocalRange, Threading};
 use bookleaf_mesh::{Mesh, SubMesh, SubMeshPlan};
 use bookleaf_partition::{partition, Strategy};
 use bookleaf_typhon::{CommStats, HaloPlan, Typhon, TyphonOptions};
-use bookleaf_util::{BookLeafError, CommError, Result, TimerReport};
+use bookleaf_util::{BookLeafError, Result, TimerReport};
 
 use crate::config::{ExecutorKind, RunConfig};
 use crate::decks::Deck;
@@ -399,17 +399,8 @@ pub(crate) fn run_team(
     let wall_seconds = start.elapsed().as_secs_f64();
 
     // A failed team reports the cause, not its echo: the lowest rank's
-    // error that is not a symptom of another rank's loss (a wait that can
-    // never end, a send to a gone rank), else the lowest rank's.
-    use CommError::{CollectiveTimeout, RankUnreachable, RecvTimeout};
-    let echo = |e: &BookLeafError| {
-        matches!(
-            e,
-            BookLeafError::CommFault(
-                RecvTimeout { .. } | CollectiveTimeout { .. } | RankUnreachable { .. }
-            )
-        )
-    };
+    // error that is not a peer-loss symptom, else the lowest rank's.
+    let echo = |e: &BookLeafError| matches!(e, BookLeafError::CommFault(c) if c.is_peer_loss());
     let (segments, errors): (Vec<_>, Vec<_>) = results.into_iter().partition(Result::is_ok);
     if let Some(cause) = errors.into_iter().filter_map(Result::err).min_by_key(echo) {
         return Err(cause);

@@ -482,10 +482,16 @@ mod tests {
         // budget to spare), and the retry meets the expired deadline: it
         // returns that typed error instead of retrying it.
         let policy = RecoveryPolicy::new(&dir);
+        let t0 = std::time::Instant::now();
         let err = sim.run_resilient(&policy).unwrap_err();
         assert!(
             matches!(err, BookLeafError::DeadlineExceeded { .. }),
             "{err}"
+        );
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(30),
+            "the kill must surface at once and supervision must not wait \
+             on an expired deadline"
         );
         assert_eq!(starts.with(|s| s.0), 4, "two attempts of two ranks");
         // Supervision leaves the run's deadline as the builder set it.

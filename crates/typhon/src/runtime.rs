@@ -19,9 +19,12 @@
 //! clock: a receive from a failed or exited rank gets
 //! [`CommError::RankUnreachable`], any other receive
 //! [`CommError::RecvTimeout`], a collective
-//! [`CommError::CollectiveTimeout`]. A computing rank is running, so a
-//! slow peer never looks stuck; a 60 s backstop bounds a wait only for a
-//! rank that never comes back to communicate. Every payload carries a
+//! [`CommError::CollectiveTimeout`]. A computing rank is running, so the
+//! team never calls a slow peer stuck. A private 60 s backstop on each
+//! wait is a safety net should the team miss a transition to stuck; it
+//! would also fail the waiters of a peer computing that long between two
+//! communication calls, and it cannot bound a rank that never returns
+//! ([`Typhon::run_with`] joins every rank). Every payload carries a
 //! CRC-32 checksum, verified by the receive that takes it, so in-flight
 //! corruption — injected by a [`FaultPlan`] or real — surfaces there as
 //! [`CommError::Corrupt`]. A rank killed by its fault schedule returns
@@ -82,8 +85,7 @@ struct TeamState {
     /// Per rank: what it waits for in [`Team::wait`]; `None` while it runs.
     blocked: Vec<Option<Wait>>,
     /// Once no rank can progress (never cleared): per rank, whether it
-    /// had failed or exited then — what a receive the stuck team ends
-    /// reads, not `failed`, which the other ended waits are setting.
+    /// had failed or exited then — a receive reads this, not the live marks.
     stuck: Option<Vec<bool>>,
 }
 
@@ -124,7 +126,8 @@ impl TeamState {
     }
 }
 
-/// The longest wait, for a rank that never comes back to communicate.
+/// The longest one wait lasts: a safety net should the team miss a
+/// transition to stuck (see the module docs for what it does not bound).
 const BACKSTOP: Duration = Duration::from_secs(60);
 
 /// The state one team shares: [`TeamState`], its lock, and the one
@@ -156,10 +159,8 @@ impl Team {
         self.state.lock().expect("team state poisoned")
     }
 
-    /// Mark the team stuck, and wake every waiter, if no rank can ever
-    /// progress: each has exited or is blocked on a wait its mailbox or
-    /// the generation cannot satisfy. Only a running rank sends or
-    /// arrives, and none is left.
+    /// Mark the team stuck, and wake every waiter, if no rank is left
+    /// running to send or arrive: each has exited or waits in vain.
     fn settle(&self, st: &mut TeamState) {
         let n = st.exited.len();
         let stuck =
@@ -194,8 +195,7 @@ impl Team {
     /// receive `(min, sum)` of the contributions, combined in rank order
     /// (the sum from `0.0`), whatever order the ranks arrive in — or
     /// [`CommError::CollectiveTimeout`], and `rank` is failed, if some
-    /// rank can never arrive (the team is stuck) or does not within the
-    /// backstop.
+    /// rank can never arrive (the team is stuck).
     fn reduce(&self, rank: usize, value: f64) -> std::result::Result<(f64, f64), CommError> {
         let mut st = self.lock();
         let gen = st.generation;

@@ -154,10 +154,10 @@ impl From<CheckpointError> for BookLeafError {
 /// satisfy any more, so a dead rank, a dropped message or in-flight
 /// corruption — injected by a `FaultPlan` or real — surfaces as one of
 /// these variants, chosen by rule, never as a hang or a panic (a 60 s
-/// backstop covers a rank that never comes back to communicate). All
-/// fields are deterministic (rank ids, tags, scheduled steps), so two
-/// runs of the same fault schedule produce byte-identical error values
-/// and the recovery log built from them is reproducible.
+/// backstop on each wait is a safety net should the team miss being
+/// stuck). All fields are deterministic (rank ids, tags, scheduled
+/// steps), so two runs of the same fault schedule produce byte-identical
+/// error values and the recovery log built from them is reproducible.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
     /// This rank was killed by its fault schedule: the first
@@ -242,6 +242,20 @@ impl fmt::Display for CommError {
                 write!(f, "rank {to} unreachable (hung up)")
             }
         }
+    }
+}
+
+impl CommError {
+    /// A symptom of another rank's loss, not a cause: a wait nothing can
+    /// satisfy, or a peer that has failed or exited.
+    #[must_use]
+    pub fn is_peer_loss(&self) -> bool {
+        matches!(
+            self,
+            CommError::RecvTimeout { .. }
+                | CommError::CollectiveTimeout { .. }
+                | CommError::RankUnreachable { .. }
+        )
     }
 }
 
