@@ -252,19 +252,33 @@ impl<T: Team> Rank<T> {
         })
     }
 
-    /// Write this rank's owned entities, and the cursor, into `snap`.
-    pub(crate) fn gather(&self, snap: &mut Snapshot) {
-        snap.gather(
-            &self.mesh,
-            &self.state,
-            self.range,
-            |e| self.l2g.el(e),
-            |n| self.l2g.nd(n),
-            |n| self.team.owns_node(n),
+    /// Hand this rank's owned entities, and the cursor, over to the
+    /// team's restart state `gathered`, a snapshot of `counts` (global
+    /// nodes, elements) that the first rank to get here starts.
+    /// The rank is used up: all it holds beside its restart fields is
+    /// dropped before it waits for the lock, and each of those fields
+    /// as soon as it is written ([`Snapshot::gather`]).
+    pub(crate) fn gather(self, gathered: &Mutex<Option<Snapshot>>, counts: (usize, usize)) {
+        let Rank {
+            mesh,
+            state,
+            range,
+            l2g,
+            remapper,
+            team,
+            cursor,
+        } = self;
+        drop(remapper);
+        let piece = Snapshot::take(mesh, state, cursor);
+        let mut gathered = gathered.lock().expect("gathering does not panic");
+        gathered.get_or_insert_with(Snapshot::default).gather(
+            piece,
+            counts,
+            range,
+            |e| l2g.el(e),
+            |n| l2g.nd(n),
+            |n| team.owns_node(n),
         );
-        snap.time = self.cursor.t;
-        snap.steps = self.cursor.steps as u64;
-        snap.dt_prev = self.cursor.dt_prev;
     }
 }
 
@@ -339,15 +353,19 @@ pub(crate) fn run_team(
 ) -> Result<(Segment, Snapshot)> {
     let ranks = shape(config.executor).0;
     assert!(ranks >= 2, "a rank team of {ranks}: one rank runs whole");
-    let owner = partition(&deck.mesh, ranks, Strategy::Rcb)?;
-    // Each rank takes its submesh (and works on that mesh) when it starts.
-    let subs: Vec<Mutex<Option<SubMesh>>> = SubMeshPlan::build(&deck.mesh, &owner, ranks)?
-        .into_iter()
-        .map(|sub| Mutex::new(Some(sub)))
-        .collect();
-    // The restart state the team leaves, allocated by the first rank to
+    // Each rank takes its submesh (and works on that mesh) when it
+    // starts; the partition is dropped once the plan is built.
+    let plan = SubMeshPlan::build(
+        &deck.mesh,
+        &partition(&deck.mesh, ranks, Strategy::Rcb)?,
+        ranks,
+    )?;
+    let subs: Vec<Mutex<Option<SubMesh>>> =
+        plan.into_iter().map(|sub| Mutex::new(Some(sub))).collect();
+    // The restart state the team leaves, started by the first rank to
     // finish: while the ranks step, only their own pieces are live.
     let gathered: Mutex<Option<Snapshot>> = Mutex::new(None);
+    let counts = (deck.mesh.n_nodes(), deck.mesh.n_elements());
     let rank_config = rank_config(config);
 
     let start = Instant::now();
@@ -388,10 +406,10 @@ pub(crate) fn run_team(
             };
             let mut rank = Rank::new(deck, &rank_config, piece, halo, resume)?;
             let segment = rank.run(deck, &rank_config, observers, energy_ref)?;
-            let mut gathered = gathered.lock().expect("gathering does not panic");
-            rank.gather(gathered.get_or_insert_with(|| {
-                Snapshot::sized(deck.mesh.n_nodes(), deck.mesh.n_elements())
-            }));
+            // This thread exits after the gather, so nothing steps on it
+            // again: its step scratch goes first.
+            drop(bookleaf_hydro::lend_scratch(std::mem::take));
+            rank.gather(&gathered, counts);
             Ok(segment)
         };
         installed(rank_pool(config.executor)?.as_ref(), body)

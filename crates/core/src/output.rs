@@ -7,7 +7,9 @@
 //! * [`Snapshot`] is the restart state: the one in-memory carrier every
 //!   pause and continuation goes through — the payload of a checkpoint,
 //!   what a rank team consumes and hands back, what a supervised retry
-//!   rewinds to. It has exactly one byte format, the checkpoint's.
+//!   rewinds to. It has exactly one byte format, the checkpoint's, which
+//!   is written from a borrowed view of it or of a live run
+//!   (`RestartView`).
 //! * [`Checkpoint`] is the first-class restart artefact: the state
 //!   snapshot **plus the originating [`InputDeck`]**, behind a
 //!   magic+version header and guarded by a trailing CRC-32. A
@@ -55,6 +57,19 @@
 //! `derived_state_is_a_pure_function_of_the_restart_fields` in
 //! `tests/hybrid_determinism.rs`.
 //!
+//! **How a checkpoint is written.** In one pass, from the restart state
+//! where it already is: a `RestartView` borrows the cursor and the
+//! eight field slices from a [`Snapshot`] or from a live whole-mesh
+//! pair, and the writer encodes them little-endian, a run at a time,
+//! into a fixed 64 KiB staging buffer. Each full buffer is folded into
+//! a running CRC ([`bookleaf_util::Crc32`]) and then written, and the
+//! CRC follows the last of them as the trailer. Nothing is copied
+//! first and the file is never held whole, so a checkpoint costs a
+//! write and 64 KiB: `Simulation::checkpoint_to` streams the one rank's
+//! live pair or the snapshot a team left, [`Checkpoint::write_to`] a
+//! checkpoint's snapshot, and [`Checkpoint::to_bytes`] is the same
+//! writer into memory. The byte table above is what it writes.
+//!
 //! **Versioning policy.** The version integer identifies the byte
 //! layout above. Any change to the layout — field added, removed,
 //! reordered, re-typed — must bump [`CHECKPOINT_VERSION`] and teach the
@@ -74,7 +89,7 @@ use bookleaf_eos::MaterialTable;
 use bookleaf_hydro::{HydroState, LocalRange, Threading};
 use bookleaf_mesh::geometry::quad_area;
 use bookleaf_mesh::Mesh;
-use bookleaf_util::{crc32, BookLeafError, CheckpointError, Result, Vec2};
+use bookleaf_util::{crc32, BookLeafError, CheckpointError, Crc32, Result, Vec2};
 
 use crate::driver::LoopState;
 use crate::input::{InputDeck, MAX_MESH_DIM};
@@ -140,7 +155,8 @@ const MAX_ENTITIES: usize = (MAX_MESH_DIM + 1) * (MAX_MESH_DIM + 1);
 
 /// A binary snapshot of everything a restart needs: the cross-step
 /// solver state (see the module docs for why exactly these fields).
-#[derive(Debug, Clone, PartialEq)]
+/// The default is empty: no entity, no field allocated yet.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Snapshot {
     /// Simulated time.
     pub time: f64,
@@ -170,75 +186,181 @@ pub struct Snapshot {
     pub cnmass: Vec<[f64; 4]>,
 }
 
-impl Snapshot {
-    /// Capture the solver state: `Snapshot::gather` of the whole mesh.
-    #[must_use]
-    pub fn capture(
-        mesh: &Mesh,
-        state: &HydroState,
-        time: f64,
-        steps: u64,
-        dt_prev: Option<f64>,
-    ) -> Self {
-        let mut snap = Snapshot {
-            time,
-            steps,
-            dt_prev,
-            ..Snapshot::sized(mesh.n_nodes(), mesh.n_elements())
-        };
-        snap.gather(mesh, state, LocalRange::whole(mesh), |e| e, |n| n, |_| true);
-        snap
-    }
+/// The restart state, borrowed: the loop cursor and the eight restart
+/// fields, in file order — the one list of them. [`Snapshot::capture`]
+/// copies a view and the checkpoint writer streams one; a rank's piece
+/// moves into a team's snapshot field by field in the same order
+/// ([`Snapshot::gather`]). A [`Snapshot`] lends a view
+/// ([`Snapshot::view`]), and so does a live whole-mesh pair
+/// ([`RestartView::live`]), so a checkpoint of either is written
+/// without copying the state first.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RestartView<'a> {
+    cursor: LoopState,
+    nodes: &'a [Vec2],
+    u: &'a [Vec2],
+    nd_mass: &'a [f64],
+    mass: &'a [f64],
+    rho: &'a [f64],
+    ein: &'a [f64],
+    q: &'a [f64],
+    cnmass: &'a [[f64; 4]],
+}
 
-    /// An all-zero snapshot of `n_nodes` nodes and `n_elements`
-    /// elements, for [`Snapshot::gather`] to fill.
-    pub(crate) fn sized(n_nodes: usize, n_elements: usize) -> Self {
-        Snapshot {
-            time: 0.0,
-            steps: 0,
-            dt_prev: None,
-            nodes: vec![Vec2::ZERO; n_nodes],
-            u: vec![Vec2::ZERO; n_nodes],
-            nd_mass: vec![0.0; n_nodes],
-            mass: vec![0.0; n_elements],
-            rho: vec![0.0; n_elements],
-            ein: vec![0.0; n_elements],
-            q: vec![0.0; n_elements],
-            cnmass: vec![[0.0; 4]; n_elements],
+impl<'a> RestartView<'a> {
+    /// The restart fields of a live whole-mesh pair at `cursor`.
+    pub(crate) fn live(mesh: &'a Mesh, state: &'a HydroState, cursor: LoopState) -> Self {
+        RestartView {
+            cursor,
+            nodes: &mesh.nodes,
+            u: &state.u,
+            nd_mass: &state.nd_mass,
+            mass: &state.mass,
+            rho: &state.rho,
+            ein: &state.ein,
+            q: &state.q,
+            cnmass: &state.cnmass,
         }
     }
 
-    /// The inverse of [`Snapshot::install`], and the **one** place live
-    /// state becomes restart state: write the owned entities of
-    /// `(mesh, state)` — elements below `range.n_owned_el`, active nodes
-    /// `owns_node` selects — at their global ids `el(e)` / `nd(n)`. The
-    /// whole mesh gathers through the identity maps
-    /// ([`Snapshot::capture`]); the ranks of a team each gather their
+    /// Serialised body length in bytes.
+    fn body_len(&self) -> usize {
+        body_len(self.nodes.len(), self.mass.len())
+    }
+
+    /// Stream the versioned body.
+    fn write_body<W: Write>(&self, w: &mut Staged<W>) -> io::Result<()> {
+        let le = |v: &f64| v.to_le_bytes();
+        let c = self.cursor;
+        w.put(&[c.t], le)?;
+        w.put(&[c.steps as u64], |n| n.to_le_bytes())?;
+        w.put(&[u8::from(c.dt_prev.is_some())], |b| [*b])?;
+        w.put(&[c.dt_prev.unwrap_or(0.0)], le)?;
+        let counts = [self.nodes.len() as u64, self.mass.len() as u64];
+        w.put(&counts, |n| n.to_le_bytes())?;
+        for vs in [self.nodes, self.u] {
+            w.put(vs, |v| {
+                let mut pair = [0; 16];
+                pair[..8].copy_from_slice(&v.x.to_le_bytes());
+                pair[8..].copy_from_slice(&v.y.to_le_bytes());
+                pair
+            })?;
+        }
+        let cnmass = self.cnmass.as_flattened();
+        for field in [self.nd_mass, self.mass, self.rho, self.ein, self.q, cnmass] {
+            w.put(field, le)?;
+        }
+        Ok(())
+    }
+}
+
+impl Snapshot {
+    /// Capture the restart state `view` lends: an owned copy.
+    pub(crate) fn capture(view: RestartView<'_>) -> Self {
+        let c = view.cursor;
+        Snapshot {
+            time: c.t,
+            steps: c.steps as u64,
+            dt_prev: c.dt_prev,
+            nodes: view.nodes.to_vec(),
+            u: view.u.to_vec(),
+            nd_mass: view.nd_mass.to_vec(),
+            mass: view.mass.to_vec(),
+            rho: view.rho.to_vec(),
+            ein: view.ein.to_vec(),
+            q: view.q.to_vec(),
+            cnmass: view.cnmass.to_vec(),
+        }
+    }
+
+    /// This snapshot, borrowed as a [`RestartView`].
+    pub(crate) fn view(&self) -> RestartView<'_> {
+        RestartView {
+            cursor: self.cursor(),
+            nodes: &self.nodes,
+            u: &self.u,
+            nd_mass: &self.nd_mass,
+            mass: &self.mass,
+            rho: &self.rho,
+            ein: &self.ein,
+            q: &self.q,
+            cnmass: &self.cnmass,
+        }
+    }
+
+    /// A rank's piece of the restart state, in its local order: the
+    /// restart fields of `(mesh, state)` moved out — nothing is copied —
+    /// with the `cursor`. Everything else the pair holds is dropped
+    /// here, so the piece is all that is left of it.
+    pub(crate) fn take(mesh: Mesh, state: HydroState, cursor: LoopState) -> Self {
+        Snapshot {
+            time: cursor.t,
+            steps: cursor.steps as u64,
+            dt_prev: cursor.dt_prev,
+            nodes: mesh.nodes,
+            u: state.u,
+            nd_mass: state.nd_mass,
+            mass: state.mass,
+            rho: state.rho,
+            ein: state.ein,
+            q: state.q,
+            cnmass: state.cnmass,
+        }
+    }
+
+    /// The inverse of [`Snapshot::install`], and the **one** place a
+    /// rank's live state becomes the team's restart state: move the
+    /// owned entities of `piece` (a [`Snapshot::take`] of the rank's
+    /// pair) — elements below `range.n_owned_el`, active nodes
+    /// `owns_node` selects — to their global ids `el(e)` / `nd(n)` in
+    /// this snapshot of `n_nodes` nodes and `n_elements` elements, and
+    /// take the piece's cursor. The ranks of a team each gather their
     /// piece into the team's one snapshot, and between them write every
-    /// entity exactly once. The cursor fields are the caller's to stamp.
+    /// entity exactly once. Field by field: each global field is
+    /// allocated when first written (the team's snapshot starts as
+    /// [`Snapshot::default`]), and each of the piece's is dropped as
+    /// soon as it is written, so the team's restart state grows as the
+    /// rank's shrinks.
     pub(crate) fn gather(
         &mut self,
-        mesh: &Mesh,
-        state: &HydroState,
+        piece: Snapshot,
+        (n_nodes, n_elements): (usize, usize),
         range: LocalRange,
         el: impl Fn(usize) -> usize,
         nd: impl Fn(usize) -> usize,
         owns_node: impl Fn(usize) -> bool,
     ) {
-        for e in 0..range.n_owned_el {
-            let g = el(e);
-            self.mass[g] = state.mass[e];
-            self.rho[g] = state.rho[e];
-            self.ein[g] = state.ein[e];
-            self.q[g] = state.q[e];
-            self.cnmass[g] = state.cnmass[e];
+        /// Write `local[l]` at `global[g]` for each `(l, g)` of `ids`,
+        /// `global` allocated at `len` entries first if it is not yet;
+        /// `local` is dropped on return.
+        fn scatter<T: Copy + Default>(
+            global: &mut Vec<T>,
+            len: usize,
+            local: Vec<T>,
+            ids: impl Iterator<Item = (usize, usize)>,
+        ) {
+            if global.is_empty() {
+                *global = vec![T::default(); len];
+            }
+            for (l, g) in ids {
+                global[g] = local[l];
+            }
         }
-        for n in (0..range.n_active_nd).filter(|&n| owns_node(n)) {
-            let g = nd(n);
-            self.nodes[g] = mesh.nodes[n];
-            self.u[g] = state.u[n];
-            self.nd_mass[g] = state.nd_mass[n];
-        }
+        let nodes = || {
+            (0..range.n_active_nd)
+                .filter(|&n| owns_node(n))
+                .map(|n| (n, nd(n)))
+        };
+        let elements = || (0..range.n_owned_el).map(|e| (e, el(e)));
+        (self.time, self.steps, self.dt_prev) = (piece.time, piece.steps, piece.dt_prev);
+        scatter(&mut self.nodes, n_nodes, piece.nodes, nodes());
+        scatter(&mut self.u, n_nodes, piece.u, nodes());
+        scatter(&mut self.nd_mass, n_nodes, piece.nd_mass, nodes());
+        scatter(&mut self.mass, n_elements, piece.mass, elements());
+        scatter(&mut self.rho, n_elements, piece.rho, elements());
+        scatter(&mut self.ein, n_elements, piece.ein, elements());
+        scatter(&mut self.q, n_elements, piece.q, elements());
+        scatter(&mut self.cnmass, n_elements, piece.cnmass, elements());
     }
 
     /// Node count of the captured state.
@@ -317,37 +439,6 @@ impl Snapshot {
         Ok(())
     }
 
-    /// Serialised body length in bytes.
-    fn body_len(&self) -> usize {
-        body_len(self.nodes.len(), self.mass.len())
-    }
-
-    /// Append the versioned body.
-    fn write_body(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.time.to_le_bytes());
-        out.extend_from_slice(&self.steps.to_le_bytes());
-        out.push(u8::from(self.dt_prev.is_some()));
-        out.extend_from_slice(&self.dt_prev.unwrap_or(0.0).to_le_bytes());
-        out.extend_from_slice(&(self.nodes.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(self.mass.len() as u64).to_le_bytes());
-        for vs in [&self.nodes, &self.u] {
-            for v in vs.iter() {
-                out.extend_from_slice(&v.x.to_le_bytes());
-                out.extend_from_slice(&v.y.to_le_bytes());
-            }
-        }
-        for field in [&self.nd_mass, &self.mass, &self.rho, &self.ein, &self.q] {
-            for v in field.iter() {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        for cm in &self.cnmass {
-            for v in cm {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-    }
-
     /// Parse a body from `cur`, consuming it exactly to the end.
     fn read_body(cur: &mut Cursor<'_>) -> std::result::Result<Snapshot, CheckpointError> {
         let time = cur.f64("time")?;
@@ -424,6 +515,83 @@ fn body_len(n_nodes: usize, n_elements: usize) -> usize {
     BODY_HEADER_LEN + 40 * n_nodes + 64 * n_elements
 }
 
+/// Bytes the checkpoint writer encodes ahead of its sink.
+const STAGE_BYTES: usize = 64 * 1024;
+
+/// A sink behind a fixed staging buffer and a running CRC: how a
+/// checkpoint is written in one pass. Values are encoded little-endian
+/// into the buffer a run at a time; each full buffer is folded into the
+/// CRC, then written. The CRC is the file's trailer, so nothing is
+/// written twice and nothing waits for the whole file.
+struct Staged<W: Write> {
+    out: W,
+    crc: Crc32,
+    buf: Box<[u8]>,
+    len: usize,
+}
+
+impl<W: Write> Staged<W> {
+    fn new(out: W) -> Self {
+        Staged {
+            out,
+            crc: Crc32::new(),
+            buf: vec![0; STAGE_BYTES].into_boxed_slice(),
+            len: 0,
+        }
+    }
+
+    /// Append `values`, each encoded as the `N` bytes `le` makes of it.
+    fn put<T, const N: usize>(
+        &mut self,
+        mut values: &[T],
+        le: impl Fn(&T) -> [u8; N],
+    ) -> io::Result<()> {
+        while !values.is_empty() {
+            let room = (self.buf.len() - self.len) / N;
+            if room == 0 {
+                self.flush()?;
+                continue;
+            }
+            let (run, rest) = values.split_at(room.min(values.len()));
+            let staged = &mut self.buf[self.len..self.len + N * run.len()];
+            for (bytes, v) in staged.chunks_exact_mut(N).zip(run) {
+                bytes.copy_from_slice(&le(v));
+            }
+            self.len += N * run.len();
+            values = rest;
+        }
+        Ok(())
+    }
+
+    /// Fold what is staged into the CRC and write it out.
+    fn flush(&mut self) -> io::Result<()> {
+        let staged = &self.buf[..self.len];
+        self.crc.update(staged);
+        self.out.write_all(staged)?;
+        self.len = 0;
+        Ok(())
+    }
+
+    /// Write what is staged, then the CRC of everything put.
+    fn finish(mut self) -> io::Result<()> {
+        self.flush()?;
+        self.out.write_all(&self.crc.finish().to_le_bytes())
+    }
+}
+
+/// Write the checkpoint of `deck_text` and `view` to `out`: the
+/// version-1 byte format, in one pass.
+fn write_checkpoint(out: impl Write, deck_text: &str, view: RestartView<'_>) -> io::Result<()> {
+    let mut w = Staged::new(out);
+    w.put(&[*CHECKPOINT_MAGIC], |magic| *magic)?;
+    w.put(&[CHECKPOINT_VERSION, deck_text.len() as u32], |n| {
+        n.to_le_bytes()
+    })?;
+    w.put(deck_text.as_bytes(), |b| [*b])?;
+    view.write_body(&mut w)?;
+    w.finish()
+}
+
 // ---------------------------------------------------------------------------
 // The checkpoint container.
 
@@ -444,18 +612,14 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Serialise to the version-1 byte format (with trailing CRC-32).
+    /// Serialise to the version-1 byte format (with trailing CRC-32):
+    /// the one-pass writer of [`Checkpoint::write_to`], into memory.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let deck_text = self.input.to_string();
-        let mut out = Vec::with_capacity(8 + 4 + 4 + deck_text.len() + self.snap.body_len() + 4);
-        out.extend_from_slice(CHECKPOINT_MAGIC);
-        out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(deck_text.len() as u32).to_le_bytes());
-        out.extend_from_slice(deck_text.as_bytes());
-        self.snap.write_body(&mut out);
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
+        let view = self.snap.view();
+        let mut out = Vec::with_capacity(8 + 4 + 4 + deck_text.len() + view.body_len() + 4);
+        write_checkpoint(&mut out, &deck_text, view).expect("writing to a Vec does not fail");
         out
     }
 
@@ -527,10 +691,21 @@ impl Checkpoint {
     /// therefore never leaves a truncated file at `path` — either the
     /// old checkpoint survives intact or the new one is complete. Every
     /// failure surfaces as a typed [`CheckpointError::Io`] naming the
-    /// path involved, and the temporary is cleaned up on error.
+    /// path involved, and the temporary is cleaned up on error. The
+    /// bytes stream from the snapshot in one pass (see the module docs):
+    /// the file is never held in memory whole.
     pub fn write_to(&self, path: impl AsRef<Path>) -> std::result::Result<(), CheckpointError> {
-        use std::io::Write as _;
-        let path = path.as_ref();
+        Checkpoint::stream_to(path.as_ref(), &self.input, self.snap.view())
+    }
+
+    /// [`Checkpoint::write_to`] of the checkpoint `input` and `view`
+    /// make, without either being owned by a [`Checkpoint`]: how a
+    /// simulation writes its live restart state.
+    pub(crate) fn stream_to(
+        path: &Path,
+        input: &InputDeck,
+        view: RestartView<'_>,
+    ) -> std::result::Result<(), CheckpointError> {
         let mut tmp_name = path.as_os_str().to_os_string();
         tmp_name.push(".tmp");
         let tmp = std::path::PathBuf::from(tmp_name);
@@ -540,7 +715,7 @@ impl Checkpoint {
         };
         let write_tmp = || -> std::io::Result<()> {
             let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(&self.to_bytes())?;
+            write_checkpoint(&mut file, &input.to_string(), view)?;
             // Flush to the medium before the rename publishes the file:
             // rename is atomic in the namespace, fsync makes the
             // content durable first.
@@ -629,9 +804,6 @@ impl<'a> Cursor<'a> {
     }
 }
 
-// The CRC-32 implementation lives in `bookleaf_util::hash`, shared with
-// the typhon message-payload checksums.
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -673,7 +845,14 @@ mod tests {
             time: 0.25,
             steps: 7,
             dt_prev: Some(1e-3),
-            ..Snapshot::sized(nn, ne)
+            nodes: vec![Vec2::ZERO; nn],
+            u: vec![Vec2::ZERO; nn],
+            nd_mass: vec![0.0; nn],
+            mass: vec![0.0; ne],
+            rho: vec![0.0; ne],
+            ein: vec![0.0; ne],
+            q: vec![0.0; ne],
+            cnmass: vec![[0.0; 4]; ne],
         };
         // Nodes stay within a twentieth of a cell of the mesh's own, so
         // every piece installs without tangling.
@@ -693,7 +872,7 @@ mod tests {
 
         for ranks in [2, 3, 4] {
             let owner = partition(&deck.mesh, ranks, Strategy::Rcb).unwrap();
-            let mut gathered = Snapshot::sized(nn, ne);
+            let mut gathered = Snapshot::default();
             let (mut el_writers, mut nd_writers) = (vec![0; ne], vec![0; nn]);
             for mut sub in SubMeshPlan::build(&deck.mesh, &owner, ranks).unwrap() {
                 let (el_l2g, nd_l2g) = (&sub.el_l2g, &sub.nd_l2g);
@@ -730,12 +909,15 @@ mod tests {
                     n_active_nd: sub.n_active_nd,
                 };
                 let owns = |n: usize| sub.owns_node(n);
-                gathered.gather(&sub.mesh, &state, range, el, nd, owns);
+                let piece = || Snapshot::take(sub.mesh.clone(), state.clone(), cursor);
+                gathered.gather(piece(), (nn, ne), range, el, nd, owns);
                 // What this rank alone writes: everything else stays NaN.
-                let mut alone = Snapshot::sized(nn, ne);
-                alone.rho.fill(f64::NAN);
-                alone.nd_mass.fill(f64::NAN);
-                alone.gather(&sub.mesh, &state, range, el, nd, owns);
+                let mut alone = Snapshot {
+                    rho: vec![f64::NAN; ne],
+                    nd_mass: vec![f64::NAN; nn],
+                    ..Snapshot::default()
+                };
+                alone.gather(piece(), (nn, ne), range, el, nd, owns);
                 for (e, rho) in alone.rho.iter().enumerate() {
                     el_writers[e] += usize::from(!rho.is_nan());
                 }
@@ -745,11 +927,9 @@ mod tests {
             }
             assert!(el_writers.iter().all(|&w| w == 1), "{ranks} ranks");
             assert!(nd_writers.iter().all(|&w| w == 1), "{ranks} ranks");
-            // The cursor fields are the caller's to stamp.
-            (gathered.time, gathered.steps, gathered.dt_prev) = (0.25, 7, Some(1e-3));
             let bytes = |snap: &Snapshot| {
                 let mut out = Vec::new();
-                snap.write_body(&mut out);
+                write_checkpoint(&mut out, "", snap.view()).unwrap();
                 out
             };
             assert_eq!(bytes(&gathered), bytes(&original), "{ranks} ranks");
@@ -781,7 +961,12 @@ mod tests {
     fn sample_checkpoint() -> Checkpoint {
         let input = InputDeck::new(crate::input::ProblemSpec::Sod { nx: 8, ny: 2 });
         let (mesh, st) = sample();
-        let snap = Snapshot::capture(&mesh, &st, 0.25, 17, Some(2e-4));
+        let cursor = LoopState {
+            t: 0.25,
+            steps: 17,
+            dt_prev: Some(2e-4),
+        };
+        let snap = Snapshot::capture(RestartView::live(&mesh, &st, cursor));
         Checkpoint { input, snap }
     }
 
@@ -801,6 +986,60 @@ mod tests {
             // The writer is deterministic.
             assert_eq!(back.to_bytes(), bytes);
         }
+    }
+
+    /// The one-pass writer makes the bytes a whole-file encoder makes —
+    /// the format as the module docs lay it out, CRC over the lot — for
+    /// a state many staging buffers long, behind a deck text whose
+    /// length leaves every field unaligned in the buffer.
+    #[test]
+    fn the_streamed_bytes_are_the_format() {
+        let deck = decks::noh(100);
+        let state = HydroState::new(
+            &deck.mesh,
+            &deck.materials,
+            |e| deck.rho[e] + e as f64 * 1e-3,
+            |e| deck.ein[e],
+            |n| deck.u[n],
+        )
+        .unwrap();
+        let cursor = LoopState {
+            t: 0.5,
+            steps: 3,
+            dt_prev: Some(1e-4),
+        };
+        let snap = Snapshot::capture(RestartView::live(&deck.mesh, &state, cursor));
+        let deck_text = "name = odd\n".repeat(999);
+        let mut streamed = Vec::new();
+        write_checkpoint(&mut streamed, &deck_text, snap.view()).unwrap();
+
+        let mut whole = Vec::new();
+        whole.extend_from_slice(CHECKPOINT_MAGIC);
+        whole.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+        whole.extend_from_slice(&(deck_text.len() as u32).to_le_bytes());
+        whole.extend_from_slice(deck_text.as_bytes());
+        whole.extend_from_slice(&snap.time.to_le_bytes());
+        whole.extend_from_slice(&snap.steps.to_le_bytes());
+        whole.push(1);
+        whole.extend_from_slice(&1e-4f64.to_le_bytes());
+        whole.extend_from_slice(&(snap.n_nodes() as u64).to_le_bytes());
+        whole.extend_from_slice(&(snap.n_elements() as u64).to_le_bytes());
+        for v in snap.nodes.iter().chain(&snap.u) {
+            whole.extend_from_slice(&v.x.to_le_bytes());
+            whole.extend_from_slice(&v.y.to_le_bytes());
+        }
+        let scalars = [&snap.nd_mass, &snap.mass, &snap.rho, &snap.ein, &snap.q];
+        for v in scalars
+            .into_iter()
+            .flatten()
+            .chain(snap.cnmass.as_flattened())
+        {
+            whole.extend_from_slice(&v.to_le_bytes());
+        }
+        let crc = crc32(&whole);
+        whole.extend_from_slice(&crc.to_le_bytes());
+        assert!(whole.len() > 8 * STAGE_BYTES);
+        assert!(streamed == whole, "the streamed bytes differ");
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! * [`CheckpointStore`] — a directory of atomically-written
 //!   checkpoints with keep-the-newest-K retention and verified
 //!   readback. Every write goes through the tmp+fsync+rename path of
-//!   [`Checkpoint::write_to`], is re-read and CRC-verified before it
+//!   [`Checkpoint::write_to`], which streams the file in one pass from
+//!   the checkpoint's snapshot (a fixed staging buffer and a running
+//!   CRC, no whole-file buffer), is re-read and CRC-verified before it
 //!   counts, and prunes older files beyond the retention budget; a
 //!   checkpoint that fails its own readback is deleted and reported as
 //!   a warning ([`SaveOutcome::Rejected`]), never silently trusted.
@@ -94,7 +96,10 @@ pub enum SaveOutcome {
 /// fully re-parses the file (magic, version, CRC, shape against the
 /// embedded deck), and only then prunes older checkpoints down to the
 /// retention budget — a bad write can therefore never evict a good
-/// rewind point.
+/// rewind point. The write is one pass from the checkpoint's borrowed
+/// snapshot: its fields are encoded through a fixed 64 KiB staging
+/// buffer into the file as a running CRC folds them, so saving holds no
+/// copy of the state and no whole-file byte buffer.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     dir: PathBuf,

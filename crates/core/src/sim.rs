@@ -58,7 +58,7 @@ use crate::executor::{
 use crate::halo::{LocalPiston, SerialHooks};
 use crate::input::InputDeck;
 use crate::observer::{Observer, ObserverSet};
-use crate::output::{Checkpoint, Snapshot};
+use crate::output::{Checkpoint, RestartView, Snapshot};
 use crate::report::RunReport;
 
 /// Where the builder's deck comes from.
@@ -437,17 +437,19 @@ impl Engine {
         }
     }
 
-    /// The restart state at the cursor.
-    fn snapshot(&self, deck: &Deck, config: &RunConfig) -> Snapshot {
+    /// The restart state at the cursor, borrowed from whichever side
+    /// holds it: the one rank's live pair, the snapshot a team left, or
+    /// — a team that has never run — the view of the deck's initial
+    /// state (built now if nobody asked before).
+    fn restart(&self, deck: &Deck, config: &RunConfig) -> RestartView<'_> {
         if let Exec::Team(TeamExec {
             snap: Some(snap), ..
         }) = &self.exec
         {
-            return snap.clone();
+            return snap.view();
         }
         let (mesh, state) = self.global(deck, config);
-        let c = &self.cursor;
-        Snapshot::capture(mesh, state, c.t, c.steps as u64, c.dt_prev)
+        RestartView::live(mesh, state, self.cursor)
     }
 
     /// Continue from the cursor to `config`'s final time or step cap,
@@ -612,6 +614,14 @@ impl Simulation {
     /// checkpointed and return a typed
     /// [`CheckpointError::DeckMismatch`].
     pub fn checkpoint(&self) -> Result<Checkpoint> {
+        Ok(Checkpoint {
+            input: self.checkpoint_deck()?,
+            snap: Snapshot::capture(self.engine.restart(&self.deck, &self.config)),
+        })
+    }
+
+    /// The deck a checkpoint of this simulation embeds.
+    fn checkpoint_deck(&self) -> Result<InputDeck> {
         let Some(problem) = self.deck.spec.clone() else {
             return Err(CheckpointError::DeckMismatch {
                 message: "this deck was assembled by hand and carries no problem spec, \
@@ -624,7 +634,7 @@ impl Simulation {
         // Embed the *effective* configuration so the checkpoint is
         // self-contained: resuming without overrides continues exactly
         // this run (same final time, dt controls, ALE and executor).
-        let input = InputDeck {
+        Ok(InputDeck {
             problem,
             final_time: Some(self.config.final_time),
             max_steps: self.config.max_steps,
@@ -632,17 +642,17 @@ impl Simulation {
             dt: self.config.dt,
             ale: self.config.ale,
             executor: self.config.executor,
-        };
-        Ok(Checkpoint {
-            input,
-            snap: self.engine.snapshot(&self.deck, &self.config),
         })
     }
 
     /// Write [`Simulation::checkpoint`] to a file (see
-    /// [`crate::output`] for the on-disk format).
+    /// [`crate::output`] for the on-disk format), streamed from the
+    /// restart state this simulation holds — the one rank's live pair,
+    /// or the snapshot a team left — without copying it first.
     pub fn checkpoint_to(&self, path: impl Into<PathBuf>) -> Result<()> {
-        self.checkpoint()?.write_to(path.into())?;
+        let input = self.checkpoint_deck()?;
+        let view = self.engine.restart(&self.deck, &self.config);
+        Checkpoint::stream_to(&path.into(), &input, view)?;
         Ok(())
     }
 
@@ -1112,6 +1122,47 @@ mod tests {
             sim.rewind_to(&ckpt.snap).unwrap();
             shares(&sim, &format!("{executor:?} rewound"));
         }
+    }
+
+    /// A checkpoint streamed to a file is `checkpoint()?.to_bytes()`,
+    /// byte for byte, whichever side holds the restart state: the one
+    /// rank's live pair (serial, a hybrid rank of two threads, an
+    /// Eulerian remap), a team's snapshot, or — a team that has never
+    /// run — the view of the deck's initial state.
+    #[test]
+    fn a_streamed_checkpoint_file_is_the_checkpoint_bytes() {
+        let dir = std::env::temp_dir().join(format!("bookleaf_streamed_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("sim.ckpt");
+        let same_bytes = |sim: &Simulation, what: &str| {
+            sim.checkpoint_to(&path).unwrap();
+            let file = std::fs::read(&path).unwrap();
+            assert!(
+                file == sim.checkpoint().unwrap().to_bytes(),
+                "{what}: the file differs"
+            );
+        };
+        let flat2 = ExecutorKind::FlatMpi { ranks: 2 };
+        for executor in [
+            ExecutorKind::Serial,
+            flat2,
+            ExecutorKind::Hybrid {
+                ranks: 1,
+                threads_per_rank: 2,
+            },
+        ] {
+            let mut sim = distributed_noh(executor);
+            sim.run_segment(3).unwrap();
+            same_bytes(&sim, &format!("{executor:?}"));
+        }
+        same_bytes(&distributed_noh(flat2), "a team that has never run");
+        let mut eulerian = Simulation::builder()
+            .deck_str(include_str!("../../../examples/decks/sedov_ale.deck"))
+            .build()
+            .unwrap();
+        eulerian.run_segment(3).unwrap();
+        same_bytes(&eulerian, "the Eulerian sedov_ale deck");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Looking at the state between two segments is an observation: the

@@ -1,10 +1,11 @@
 //! Checksums shared across the workspace.
 //!
-//! One CRC-32 implementation serves both durable artefacts (the
-//! checkpoint codec in `bookleaf_core::output`) and in-flight message
-//! integrity (the typhon layer checksums every payload so injected or
-//! real corruption surfaces as a typed `CommError` instead of silently
-//! wrong physics).
+//! One CRC-32 implementation — one table, one fold — serves both durable
+//! artefacts (the checkpoint codec in `bookleaf_core::output`, which
+//! streams a file through [`Crc32`] as it writes it) and in-flight
+//! message integrity (the typhon layer checksums every payload so
+//! injected or real corruption surfaces as a typed `CommError` instead
+//! of silently wrong physics).
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) — the same
 /// checksum gzip/zip use. Guarantees detection of any single burst of
@@ -77,29 +78,67 @@ fn word(bytes: &[u8]) -> u32 {
 }
 
 /// CRC-32 of `bytes` (IEEE, reflected). See [`crc32_f64s`] for the
-/// payload-of-doubles flavour the comm layer uses.
+/// payload-of-doubles flavour the comm layer uses, and [`Crc32`] for a
+/// byte string that arrives in pieces.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    let mut chunks = bytes.chunks_exact(16);
-    for chunk in &mut chunks {
-        let words = [
-            word(&chunk[0..4]),
-            word(&chunk[4..8]),
-            word(&chunk[8..12]),
-            word(&chunk[12..16]),
-        ];
-        c = fold16(c, words);
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
+}
+
+/// [`crc32`] of a byte string that arrives in pieces: the CRC of the
+/// concatenation, bit for bit, without building it. The running value
+/// is exact after every byte, so a piece may end anywhere; each piece
+/// folds in sixteen-byte steps and its last few bytes one at a time.
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32 {
+    /// The running (pre-inverted) value.
+    c: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self::new()
     }
-    let mut tail = chunks.remainder();
-    if tail.len() >= 8 {
-        c = fold8(c, word(&tail[0..4]), word(&tail[4..8]));
-        tail = &tail[8..];
+}
+
+impl Crc32 {
+    /// The CRC of nothing yet.
+    #[must_use]
+    pub fn new() -> Self {
+        Crc32 { c: 0xFFFF_FFFF }
     }
-    for &b in tail {
-        c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+
+    /// Append `bytes`.
+    pub fn update(&mut self, bytes: &[u8]) {
+        let mut c = self.c;
+        let mut chunks = bytes.chunks_exact(16);
+        for chunk in &mut chunks {
+            let words = [
+                word(&chunk[0..4]),
+                word(&chunk[4..8]),
+                word(&chunk[8..12]),
+                word(&chunk[12..16]),
+            ];
+            c = fold16(c, words);
+        }
+        let mut tail = chunks.remainder();
+        if tail.len() >= 8 {
+            c = fold8(c, word(&tail[0..4]), word(&tail[4..8]));
+            tail = &tail[8..];
+        }
+        for &b in tail {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        self.c = c;
     }
-    c ^ 0xFFFF_FFFF
+
+    /// The CRC of everything appended.
+    #[must_use]
+    pub fn finish(self) -> u32 {
+        self.c ^ 0xFFFF_FFFF
+    }
 }
 
 /// CRC-32 over the little-endian byte representation of a slice of
@@ -259,6 +298,77 @@ mod tests {
                     assert_eq!(crc.finish(), whole, "{n} doubles split at {i}, {j}");
                 }
             }
+        }
+    }
+
+    /// A byte string fed to [`Crc32`] in pieces is [`crc32`] of the
+    /// whole, wherever the pieces split it: at every one and two split
+    /// points of random strings around the sixteen- and eight-byte folds,
+    /// empty pieces included.
+    #[test]
+    fn streamed_bytes_match_one_shot_at_every_split() {
+        let mut x = 0xD1B5_4A32_D192_ED03u64;
+        for n in [0usize, 1, 7, 8, 15, 16, 17, 31, 33, 100] {
+            let bytes: Vec<u8> = (0..n)
+                .map(|_| {
+                    x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    (x >> 56) as u8
+                })
+                .collect();
+            let whole = crc32(&bytes);
+            assert_eq!(whole, crc32_bytewise(&bytes), "{n} bytes");
+            for i in 0..=n {
+                for j in i..=n {
+                    let mut crc = Crc32::new();
+                    for piece in [&bytes[..i], &bytes[i..j], &bytes[j..]] {
+                        crc.update(piece);
+                    }
+                    assert_eq!(crc.finish(), whole, "{n} bytes split at {i}, {j}");
+                }
+            }
+        }
+    }
+
+    /// The doubles' checksum is pinned to its values of record: typhon's
+    /// message checksums and the run digest (`state_crc`) feed it, so a
+    /// change to the shared fold must not move it. Each value is zlib's
+    /// CRC-32 of the doubles' little-endian bytes.
+    #[test]
+    fn f64_flavour_is_pinned() {
+        let values = [1.0f64, -0.0, f64::NAN, 3.5e-120, -7.25];
+        let pinned = [
+            0x0000_0000,
+            0xC7F8_13E9,
+            0xE0C7_4BEF,
+            0x4138_27EC,
+            0xD644_48B9,
+            0x2D0B_45D4,
+        ];
+        for (n, want) in pinned.into_iter().enumerate() {
+            assert_eq!(crc32_f64s(&values[..n]), want, "{n} doubles");
+        }
+        // The sequences `streamed_matches_one_shot_at_every_split` splits.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for (n, want) in [
+            (0usize, 0x0000_0000),
+            (1, 0x4588_0217),
+            (2, 0x87DC_8C54),
+            (7, 0x4713_6F7F),
+            (10, 0x6CD4_B7F9),
+            (33, 0xB20D_5108),
+        ] {
+            let values: Vec<f64> = (0..n)
+                .map(|_| {
+                    x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    f64::from_bits(x)
+                })
+                .collect();
+            assert_eq!(crc32_f64s(&values), want, "{n} random doubles");
+            let mut crc = Crc32F64s::new();
+            for piece in values.chunks(3) {
+                crc.update(piece);
+            }
+            assert_eq!(crc.finish(), want, "{n} random doubles, in threes");
         }
     }
 

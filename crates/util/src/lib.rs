@@ -19,7 +19,7 @@ pub mod vec2;
 pub use error::{
     BookLeafError, CheckpointError, CommError, DeckError, HealthDiagnosis, HealthField, Result,
 };
-pub use hash::{crc32, crc32_f64s, Crc32F64s};
+pub use hash::{crc32, crc32_f64s, Crc32, Crc32F64s};
 pub use lanes::Lanes;
 pub use sum::NeumaierSum;
 pub use timer::{KernelId, TimerRegistry, TimerReport};

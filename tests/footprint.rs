@@ -56,16 +56,23 @@ unsafe impl GlobalAlloc for Tracking {
 #[global_allocator]
 static GLOBAL: Tracking = Tracking;
 
-/// Peak of live heap bytes, above where it started, over deck build
-/// (`setup`) → `build()` → two steps → `state_crc`.
-fn peak_bytes(setup: impl FnOnce() -> SimulationBuilder) -> usize {
+/// Peak of live heap bytes, above where it started, while `work` runs.
+fn peak_of(work: impl FnOnce()) -> usize {
     let start = LIVE.load(Relaxed);
     PEAK.store(start, Relaxed);
-    let mut sim = setup().max_steps(2).build().unwrap();
-    let report = sim.run().unwrap();
-    assert_eq!(report.steps, 2);
-    std::hint::black_box(state_crc(&sim));
+    work();
     PEAK.load(Relaxed) - start
+}
+
+/// [`peak_of`] deck build (`setup`) → `build()` → two steps →
+/// `state_crc`.
+fn peak_bytes(setup: impl FnOnce() -> SimulationBuilder) -> usize {
+    peak_of(|| {
+        let mut sim = setup().max_steps(2).build().unwrap();
+        let report = sim.run().unwrap();
+        assert_eq!(report.steps, 2);
+        std::hint::black_box(state_crc(&sim));
+    })
 }
 
 /// [`peak_bytes`] of the 128² Noh deck under `executor`.
@@ -126,14 +133,18 @@ fn every_shape_peaks_within_its_pinned_bytes() {
         );
     }
     // Deck + two half-mesh ranks with their halo plans, then deck + the
-    // ranks' results + one snapshot: measured 0.955x (the spread is how
-    // far the two rank threads' lifetimes overlap); with a global pair
-    // alive beside the ranks and a capture of it before they start, the
-    // same sequence read 1.87x the serial peak of that time.
+    // ranks' restart fields + one snapshot, which grows field by field
+    // as the ranks' pieces are dropped (each rank frees its step scratch
+    // and derived fields before it gathers): measured 0.758x (the
+    // spread is how far the two rank threads' lifetimes overlap). While
+    // each rank's piece stayed whole until the team's snapshot was
+    // allocated whole, it read 0.955x; with a global pair alive beside
+    // the ranks and a capture of it before they start, the same sequence
+    // read 1.87x the serial peak of that time.
     let flat = noh(ExecutorKind::FlatMpi { ranks: 2 });
     let ratio = of_reference("flat x2", flat);
     assert!(
-        ratio <= 1.0,
+        ratio <= 0.85,
         "flat MPI x2 peaks at {ratio:.3}x the reference ({flat} B): \
          is a global state alive while the ranks run?"
     );
@@ -143,18 +154,45 @@ fn every_shape_peaks_within_its_pinned_bytes() {
     // the Lagrangian step's scratch, lent out. Measured 0.620x, the
     // serial Noh row's peak to within a few bytes: the remap adds
     // nothing above it.
-    let sedov = peak_bytes(|| {
+    let sedov_ale = || {
         Simulation::builder()
             .deck(decks::sedov(128))
             .ale(Some(AleOptions {
                 mode: AleMode::Eulerian,
                 frequency: 1,
             }))
-    });
+    };
+    let sedov = peak_bytes(sedov_ale);
     let ratio = of_reference("serial Sedov-ALE", sedov);
     assert!(
         ratio <= 0.65,
         "serial Sedov-ALE peaks at {ratio:.3}x the reference ({sedov} B): \
          does the remap keep work arrays of its own?"
+    );
+    // The same run writing a checkpoint after each of its two steps:
+    // the file streams from the live pair through a fixed staging
+    // buffer, so checkpointing holds nothing whole beside the run.
+    // Measured 0.585x, below the row above because this thread's step
+    // scratch, which that run sized, is already allocated (with the
+    // scratch freed first, the run reads 0.690x without checkpoints and
+    // 0.697x with them: the staging buffer and the deck text). While a
+    // checkpoint copied the restart state into a snapshot and encoded
+    // the file into one buffer before writing it, this row read 0.943x.
+    let path = std::env::temp_dir().join(format!("bookleaf_footprint_{}.ckpt", std::process::id()));
+    let checkpointed = peak_of(|| {
+        let mut sim = sedov_ale().max_steps(2).build().unwrap();
+        for _ in 0..2 {
+            sim.run_segment(1).unwrap();
+            sim.checkpoint_to(&path).unwrap();
+        }
+        std::hint::black_box(state_crc(&sim));
+    });
+    std::fs::remove_file(&path).unwrap();
+    let ratio = of_reference("serial Sedov-ALE, checkpointed", checkpointed);
+    assert!(
+        ratio <= 0.65,
+        "serial Sedov-ALE with checkpoints peaks at {ratio:.3}x the reference \
+         ({checkpointed} B): is the restart state copied, or the file \
+         encoded whole, before it is written?"
     );
 }
