@@ -24,7 +24,9 @@
 //! fixtures, equivalence suites) moves.
 //!
 //! A [`Deck`] itself stays the fully *resolved* form: mesh, material
-//! table, per-element/node initial fields, optional piston. Text decks
+//! table, per-element/node initial fields, optional piston. A run keeps
+//! only its [`Problem`] — the deck without the initial fields, which go
+//! to whatever paints a state from them and no further. Text decks
 //! (named or generic — the full grammar is in [`crate::input`]) resolve
 //! to a `Deck` via [`from_str`] + `InputDeck::build_deck`.
 
@@ -120,14 +122,70 @@ impl Deck {
         Ok(())
     }
 
-    /// Everything building this deck's initial state would refuse — a
-    /// tangled element, an unphysical density or energy — with the same
-    /// typed error and without building a state: the admission check of
-    /// the executors that never build the global one.
-    pub fn check_initial_state(&self) -> bookleaf_util::Result<()> {
+    /// Split this deck into the [`Problem`] a run reads throughout and
+    /// the initial fields it paints its state from once.
+    pub(crate) fn split(self) -> (Problem, InitialFields) {
+        let Deck {
+            name,
+            mesh,
+            materials,
+            rho,
+            ein,
+            u,
+            piston,
+            recommended_final_time: _,
+            spec,
+        } = self;
+        let problem = Problem {
+            name,
+            mesh,
+            materials,
+            piston,
+            spec,
+        };
+        (problem, InitialFields { rho, ein, u })
+    }
+}
+
+/// The part of a [`Deck`] a run reads for as long as it lives: what a
+/// [`crate::Simulation`] holds, and what [`crate::Simulation::deck`]
+/// returns. The deck's painted initial fields are not part of it — a
+/// run paints its state from them and drops them (see
+/// [`crate::Simulation::solution`] for the state it starts from).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Problem {
+    /// Problem name (for reports).
+    pub name: String,
+    /// The initial mesh: the shared topology, and the initial node
+    /// positions the Eulerian remap returns to and a rank team's pieces
+    /// are cut from.
+    pub mesh: Mesh,
+    /// Region-indexed EoS table.
+    pub materials: MaterialTable,
+    /// Optional driven wall.
+    pub piston: Option<PistonSpec>,
+    /// The [`ProblemSpec`] the deck was constructed from, if any: what a
+    /// checkpoint embeds to rebuild the problem ([`Deck::spec`]).
+    pub spec: Option<ProblemSpec>,
+}
+
+/// A deck's painted initial fields, in global element / node order:
+/// held only until a run has painted its state from them.
+pub(crate) struct InitialFields {
+    pub(crate) rho: Vec<f64>,
+    pub(crate) ein: Vec<f64>,
+    pub(crate) u: Vec<Vec2>,
+}
+
+impl InitialFields {
+    /// Everything painting these fields over `problem`'s mesh would
+    /// refuse — a tangled element, an unphysical density or energy —
+    /// with the same typed error and without building a state: the
+    /// admission check of the executors that never build the global one.
+    pub(crate) fn check(&self, problem: &Problem) -> bookleaf_util::Result<()> {
         bookleaf_hydro::HydroState::check_initial(
-            &self.mesh,
-            &self.materials,
+            &problem.mesh,
+            &problem.materials,
             |e| self.rho[e],
             |e| self.ein[e],
         )

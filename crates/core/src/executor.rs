@@ -1,14 +1,15 @@
 //! Execution: the one rank engine, and the rank teams of the paper's
 //! flat-MPI and hybrid models.
 //!
-//! `Rank` is one rank's work, written once: build the state of a
-//! piece of the deck's mesh (the whole mesh, or a `SubMesh`), install a
-//! restart [`Snapshot`] into it if there is one, run the shared loop to
-//! the configured stop, and gather the owned entities back into a
-//! snapshot. What it needs from the rest of the team comes through its
-//! [`Team`]. A run of one rank is a rank with nobody to talk to — the
-//! whole mesh, [`crate::halo::SerialHooks`], no Typhon, no partition, no
-//! gather — that [`crate::Simulation`] keeps alive between runs: the
+//! `Rank` is one rank's work, written once: build the state of a piece
+//! of the problem's mesh (the whole mesh, or a `SubMesh`) — painted from
+//! the deck's initial fields, or a restart [`Snapshot`] installed into
+//! it (`Origin`) — run the shared loop to the configured stop, and
+//! gather the owned entities back into a snapshot. What it needs from
+//! the rest of the team comes through its [`Team`]. A run of one rank
+//! is a rank with nobody to talk to — the whole mesh,
+//! [`crate::halo::SerialHooks`], no Typhon, no partition, no gather —
+//! that [`crate::Simulation`] keeps alive between runs: the
 //! serial executor, and the flat-MPI and hybrid shapes with `ranks: 1`
 //! (a hybrid rank of several threads steps inside its own pool, built
 //! once). `run_team` builds one rank per Typhon rank thread for two or
@@ -42,6 +43,7 @@
 //! energy accounting counts each owned element and owned node exactly
 //! once across the team.
 
+use std::borrow::Cow;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -53,7 +55,7 @@ use bookleaf_typhon::{CommStats, HaloPlan, Typhon, TyphonOptions};
 use bookleaf_util::{BookLeafError, Result, TimerReport};
 
 use crate::config::{ExecutorKind, RunConfig};
-use crate::decks::Deck;
+use crate::decks::{InitialFields, Problem};
 use crate::driver::{local_energy, run_loop, LoopState};
 use crate::halo::{LocalPiston, Team, TyphonHalo};
 use crate::observer::ObserverSet;
@@ -73,7 +75,29 @@ impl L2g {
     }
 }
 
-/// The piece of the deck's mesh one rank works on.
+/// Where a rank's state starts: the deck's initial fields, painted, or a
+/// restart snapshot, installed. Owned where a rank team keeps it between
+/// runs ([`crate::Simulation`]); a snapshot may be borrowed where one
+/// engine is built from it.
+pub(crate) enum Origin<'a> {
+    /// The deck's initial fields, before any run.
+    Fields(InitialFields),
+    /// A restart state: a checkpoint's, a rewind target, or the one a
+    /// rank team left.
+    Snapshot(Cow<'a, Snapshot>),
+}
+
+impl Origin<'_> {
+    /// This origin, owning its snapshot (copied if it was borrowed).
+    pub(crate) fn into_owned(self) -> Origin<'static> {
+        match self {
+            Origin::Fields(fields) => Origin::Fields(fields),
+            Origin::Snapshot(snap) => Origin::Snapshot(Cow::Owned(snap.into_owned())),
+        }
+    }
+}
+
+/// The piece of the problem's mesh one rank works on.
 pub(crate) struct Piece {
     mesh: Mesh,
     range: LocalRange,
@@ -82,7 +106,7 @@ pub(crate) struct Piece {
 
 impl Piece {
     /// The whole mesh: a serial run's piece — its own nodes on the
-    /// deck's (shared) topology.
+    /// problem's (shared) topology.
     pub(crate) fn whole(mesh: &Mesh) -> Piece {
         Piece {
             mesh: mesh.clone(),
@@ -91,56 +115,56 @@ impl Piece {
         }
     }
 
-    /// The deck's initial state on this piece.
-    fn initial_state(&self, deck: &Deck) -> Result<HydroState> {
-        let l2g = &self.l2g;
-        HydroState::new(
-            &self.mesh,
-            &deck.materials,
-            |e| deck.rho[l2g.el(e)],
-            |e| deck.ein[l2g.el(e)],
-            |n| deck.u[l2g.nd(n)],
-        )
-    }
-
-    /// Move the piece's mesh and `state` to `resume`, when there is one:
-    /// owned and ghost entities alike are read straight from the
-    /// (global) restart state through the piece's local→global maps,
+    /// This piece's state at `origin`, and the cursor it stands at: the
+    /// deck's initial fields painted through the piece's local→global
+    /// maps, or the snapshot's restart state installed into a state
+    /// sized for the piece — owned and ghost entities alike are read
+    /// straight from the (global) restart state through those maps,
     /// which is how a checkpoint of any executor shape repartitions onto
-    /// this one. Returns the cursor the state stands at.
-    fn resume(
+    /// this one ([`Snapshot::install`]).
+    fn state(
         &mut self,
-        state: &mut HydroState,
-        deck: &Deck,
+        problem: &Problem,
         config: &RunConfig,
-        resume: Option<&Snapshot>,
-    ) -> Result<LoopState> {
-        let Some(snap) = resume else {
-            return Ok(LoopState::default());
-        };
+        origin: &Origin<'_>,
+    ) -> Result<(HydroState, LoopState)> {
         let l2g = &self.l2g;
-        snap.install(
-            &mut self.mesh,
-            state,
-            &deck.materials,
-            config.lag.threading,
-            |e| l2g.el(e),
-            |n| l2g.nd(n),
-        )
+        match origin {
+            Origin::Fields(fields) => {
+                let state = HydroState::new(
+                    &self.mesh,
+                    &problem.materials,
+                    |e| fields.rho[l2g.el(e)],
+                    |e| fields.ein[l2g.el(e)],
+                    |n| fields.u[l2g.nd(n)],
+                )?;
+                Ok((state, LoopState::default()))
+            }
+            Origin::Snapshot(snap) => {
+                let mut state = HydroState::zeroed(&self.mesh);
+                let cursor = snap.install(
+                    &mut self.mesh,
+                    &mut state,
+                    &problem.materials,
+                    config.lag.threading,
+                    |e| l2g.el(e),
+                    |n| l2g.nd(n),
+                )?;
+                Ok((state, cursor))
+            }
+        }
     }
 }
 
-/// The whole mesh and its state at `snap` — the deck's initial state
-/// without one: the pair a whole-mesh rank would step, without building
-/// the rank (no remapper, no hooks).
+/// The whole mesh and its state at `origin`: the pair a whole-mesh rank
+/// would step, without building the rank (no remapper, no hooks).
 pub(crate) fn whole_state(
-    deck: &Deck,
+    problem: &Problem,
     config: &RunConfig,
-    snap: Option<&Snapshot>,
+    origin: &Origin<'_>,
 ) -> Result<(Mesh, HydroState)> {
-    let mut piece = Piece::whole(&deck.mesh);
-    let mut state = piece.initial_state(deck)?;
-    piece.resume(&mut state, deck, config, snap)?;
+    let mut piece = Piece::whole(&problem.mesh);
+    let (state, _) = piece.state(problem, config, origin)?;
     Ok((piece.mesh, state))
 }
 
@@ -173,22 +197,20 @@ pub(crate) struct Rank<T: Team> {
 }
 
 impl<T: Team> Rank<T> {
-    /// The deck's initial state on `piece` — or, with `resume`, the
-    /// snapshot's (see [`Piece::resume`]). The deck and the snapshot are
-    /// the caller's to have validated (`Simulation`'s builder does,
-    /// once).
+    /// The state of `piece` at `origin` (see [`Piece::state`]). The
+    /// deck and the snapshot are the caller's to have validated
+    /// (`Simulation`'s builder does, once).
     pub(crate) fn new(
-        deck: &Deck,
+        problem: &Problem,
         config: &RunConfig,
         mut piece: Piece,
         team: T,
-        resume: Option<&Snapshot>,
+        origin: &Origin<'_>,
     ) -> Result<Self> {
-        let mut state = piece.initial_state(deck)?;
         // Built before any restart state overwrites the node positions:
-        // the deck-initial ones are the Eulerian remap target.
+        // the initial ones are the Eulerian remap target.
         let remapper = config.ale.map(|opts| Remapper::new(&piece.mesh, opts));
-        let cursor = piece.resume(&mut state, deck, config, resume)?;
+        let (state, cursor) = piece.state(problem, config, origin)?;
         let Piece { mesh, range, l2g } = piece;
         Ok(Rank {
             mesh,
@@ -209,7 +231,7 @@ impl<T: Team> Rank<T> {
     /// order on every rank.
     pub(crate) fn run(
         &mut self,
-        deck: &Deck,
+        problem: &Problem,
         config: &RunConfig,
         observers: &ObserverSet,
         energy_ref: Option<f64>,
@@ -231,7 +253,7 @@ impl<T: Team> Rank<T> {
         };
         let timers = run_loop(
             mesh,
-            &deck.materials,
+            &problem.materials,
             state,
             range,
             config,
@@ -333,9 +355,8 @@ pub(crate) fn installed<R: Send>(
 }
 
 /// One run of a rank team of two or more: partition, spawn the ranks,
-/// let each build its piece (from the deck, or from `resume`), run the
-/// shared loop (observers firing per rank) and gather into the restart
-/// state the team leaves. The returned segment is the team's: timers
+/// let each build its piece at `origin`, run the shared loop (observers
+/// firing per rank) and gather into the restart state the team leaves. The returned segment is the team's: timers
 /// max over ranks (how an MPI code experiences time), comm counters
 /// merged, end energy summed in rank order, and a wall clock that also
 /// covers spawning the ranks and building their pieces. A team of one
@@ -344,10 +365,10 @@ pub(crate) fn installed<R: Send>(
 /// # Panics
 /// With fewer than two ranks.
 pub(crate) fn run_team(
-    deck: &Deck,
+    problem: &Problem,
     config: &RunConfig,
     observers: &ObserverSet,
-    resume: Option<&Snapshot>,
+    origin: &Origin<'_>,
     typhon: &TyphonOptions,
     energy_ref: Option<f64>,
 ) -> Result<(Segment, Snapshot)> {
@@ -356,8 +377,8 @@ pub(crate) fn run_team(
     // Each rank takes its submesh (and works on that mesh) when it
     // starts; the partition is dropped once the plan is built.
     let plan = SubMeshPlan::build(
-        &deck.mesh,
-        &partition(&deck.mesh, ranks, Strategy::Rcb)?,
+        &problem.mesh,
+        &partition(&problem.mesh, ranks, Strategy::Rcb)?,
         ranks,
     )?;
     let subs: Vec<Mutex<Option<SubMesh>>> =
@@ -365,7 +386,7 @@ pub(crate) fn run_team(
     // The restart state the team leaves, started by the first rank to
     // finish: while the ranks step, only their own pieces are live.
     let gathered: Mutex<Option<Snapshot>> = Mutex::new(None);
-    let counts = (deck.mesh.n_nodes(), deck.mesh.n_elements());
+    let counts = (problem.mesh.n_nodes(), problem.mesh.n_elements());
     let rank_config = rank_config(config);
 
     let start = Instant::now();
@@ -381,7 +402,7 @@ pub(crate) fn run_team(
             // lists into the rank's exchange plan (every halo phase then
             // moves as one message per neighbour), the mesh and maps
             // into its piece.
-            let piston = LocalPiston::of(deck, Some(&sub.nd_l2g));
+            let piston = LocalPiston::of(problem, Some(&sub.nd_l2g));
             let boundary = config.overlap.then(|| sub.overlap_sets());
             let SubMesh {
                 mesh,
@@ -404,8 +425,8 @@ pub(crate) fn run_team(
                 },
                 l2g: L2g(Some((el_l2g, nd_l2g))),
             };
-            let mut rank = Rank::new(deck, &rank_config, piece, halo, resume)?;
-            let segment = rank.run(deck, &rank_config, observers, energy_ref)?;
+            let mut rank = Rank::new(problem, &rank_config, piece, halo, origin)?;
+            let segment = rank.run(problem, &rank_config, observers, energy_ref)?;
             // This thread exits after the gather, so nothing steps on it
             // again: its step scratch goes first.
             drop(bookleaf_hydro::lend_scratch(std::mem::take));
@@ -548,7 +569,8 @@ mod tests {
     /// by the team machinery, and threads only where a rank has two.
     #[test]
     fn a_team_of_one_is_not_a_team() {
-        let deck = decks::sod(8, 2);
+        let (problem, fields) = decks::sod(8, 2).split();
+        let origin = Origin::Fields(fields);
         let (observers, typhon) = (ObserverSet::default(), TyphonOptions::default());
         for executor in [
             ExecutorKind::Serial,
@@ -563,7 +585,7 @@ mod tests {
                 ..RunConfig::default()
             };
             let spawned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_team(&deck, &config, &observers, None, &typhon, None).map(|_| ())
+                run_team(&problem, &config, &observers, &origin, &typhon, None).map(|_| ())
             }));
             assert!(spawned.is_err(), "{executor:?} ran as a team");
         }

@@ -51,7 +51,7 @@ use bookleaf_mesh::{Mesh, OverlapSets};
 use bookleaf_typhon::{Binding, CommStats, Entity, FieldMut, HaloPlan, PendingPhase, RankCtx};
 use bookleaf_util::{Result, Vec2};
 
-use crate::decks::Deck;
+use crate::decks::Problem;
 
 /// What the run loop needs from the rest of the team, on top of the
 /// halo schedule. Every default is the answer of a team of one. The
@@ -105,12 +105,12 @@ pub struct LocalPiston {
 }
 
 impl LocalPiston {
-    /// The deck's piston on a piece of its mesh whose local node `l` is
+    /// The problem's piston on a piece of its mesh whose local node `l` is
     /// global node `nd_l2g[l]` (`None`: the whole mesh). A piece none of
     /// the driven nodes land on gets an empty piston.
     #[must_use]
-    pub fn of(deck: &Deck, nd_l2g: Option<&[u32]>) -> Option<LocalPiston> {
-        let p = deck.piston.as_ref()?;
+    pub fn of(problem: &Problem, nd_l2g: Option<&[u32]>) -> Option<LocalPiston> {
+        let p = problem.piston.as_ref()?;
         let nodes = match nd_l2g {
             None => p.nodes.clone(),
             Some(l2g) => {

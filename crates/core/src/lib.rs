@@ -54,7 +54,7 @@ pub mod scenario;
 pub mod sim;
 
 pub use config::{ExecutorKind, RunConfig, SentinelConfig};
-pub use decks::Deck;
+pub use decks::{Deck, Problem};
 pub use driver::LoopState;
 pub use halo::Team;
 pub use input::{InputDeck, ProblemSpec};

@@ -66,9 +66,9 @@
 //! CRC follows the last of them as the trailer. Nothing is copied
 //! first and the file is never held whole, so a checkpoint costs a
 //! write and 64 KiB: `Simulation::checkpoint_to` streams the one rank's
-//! live pair or the snapshot a team left, [`Checkpoint::write_to`] a
-//! checkpoint's snapshot, and [`Checkpoint::to_bytes`] is the same
-//! writer into memory. The byte table above is what it writes.
+//! live pair or the snapshot a team left (and `CheckpointStore::save`
+//! writes through it), and [`Checkpoint::to_bytes`] is the same writer
+//! into memory. The byte table above is what it writes.
 //!
 //! **Versioning policy.** The version integer identifies the byte
 //! layout above. Any change to the layout — field added, removed,
@@ -86,7 +86,8 @@ use std::io::{self, Write};
 use std::path::Path;
 
 use bookleaf_eos::MaterialTable;
-use bookleaf_hydro::{HydroState, LocalRange, Threading};
+use bookleaf_hydro::getein::WorkVelocity;
+use bookleaf_hydro::{eos_fused, EosStages, FusedEos, HydroState, LocalRange, Threading};
 use bookleaf_mesh::geometry::quad_area;
 use bookleaf_mesh::Mesh;
 use bookleaf_util::{crc32, BookLeafError, CheckpointError, Crc32, Result, Vec2};
@@ -379,12 +380,16 @@ impl Snapshot {
     /// the loop cursor to continue from: local element `e` / node `n`
     /// takes the snapshot's `el(e)` / `nd(n)` (identity for the global
     /// mesh; a rank's local→global maps for its piece, ghosts included),
-    /// then geometry and the EoS are re-derived over the whole of `mesh`.
+    /// then geometry and the EoS are re-derived over the whole of `mesh`
+    /// in one [`eos_fused`] sweep (bitwise the two one-stage sweeps; a
+    /// tangled element is the same [`BookLeafError::NegativeVolume`]).
     /// The **one** place restart state becomes live state — builder
     /// resume, supervised rewind, a rank team's scatter and the global
-    /// view of a distributed run all come through here — so "a pause
-    /// at a step boundary moves no bits" is this function's property,
-    /// not each caller's. Shapes are the caller's to check.
+    /// view of a distributed run all come through here, into a
+    /// [`HydroState::zeroed`] state: nothing that starts from a snapshot
+    /// paints the deck's initial fields first — so "a pause at a step
+    /// boundary moves no bits" is this function's property, not each
+    /// caller's. Shapes are the caller's to check.
     pub(crate) fn install(
         &self,
         mesh: &mut Mesh,
@@ -408,9 +413,26 @@ impl Snapshot {
             state.u[n] = self.u[g];
             state.nd_mass[n] = self.nd_mass[g];
         }
-        let whole = LocalRange::whole(mesh);
-        bookleaf_hydro::getgeom::getgeom(mesh, state, whole, threading)?;
-        bookleaf_hydro::getpc::getpc(mesh, materials, state, whole, threading);
+        // Volume, then pressure and sound speed from it, in one sweep.
+        let derive = FusedEos {
+            dt: 0.0,
+            which: WorkVelocity::Current,
+            ein_from: None,
+            stages: EosStages {
+                geom: true,
+                rho: false,
+                ein: false,
+                pc: true,
+            },
+        };
+        eos_fused(
+            mesh,
+            materials,
+            state,
+            LocalRange::whole(mesh),
+            derive,
+            threading,
+        )?;
         Ok(self.cursor())
     }
 
@@ -613,7 +635,8 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// Serialise to the version-1 byte format (with trailing CRC-32):
-    /// the one-pass writer of [`Checkpoint::write_to`], into memory.
+    /// the one-pass writer a checkpoint file streams through, into
+    /// memory.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let deck_text = self.input.to_string();
@@ -685,22 +708,16 @@ impl Checkpoint {
         Ok(Checkpoint { input, snap })
     }
 
-    /// Write the checkpoint to `path` **atomically**: the bytes go to a
-    /// sibling `<path>.tmp` first, are fsynced, and the temporary is
-    /// renamed over the destination. A crash (or any failure) mid-write
-    /// therefore never leaves a truncated file at `path` — either the
-    /// old checkpoint survives intact or the new one is complete. Every
-    /// failure surfaces as a typed [`CheckpointError::Io`] naming the
-    /// path involved, and the temporary is cleaned up on error. The
-    /// bytes stream from the snapshot in one pass (see the module docs):
-    /// the file is never held in memory whole.
-    pub fn write_to(&self, path: impl AsRef<Path>) -> std::result::Result<(), CheckpointError> {
-        Checkpoint::stream_to(path.as_ref(), &self.input, self.snap.view())
-    }
-
-    /// [`Checkpoint::write_to`] of the checkpoint `input` and `view`
-    /// make, without either being owned by a [`Checkpoint`]: how a
-    /// simulation writes its live restart state.
+    /// Write the checkpoint `input` and `view` make to `path`
+    /// **atomically**: the bytes go to a sibling `<path>.tmp` first, are
+    /// fsynced, and the temporary is renamed over the destination. A
+    /// crash (or any failure) mid-write therefore never leaves a
+    /// truncated file at `path` — either the old checkpoint survives
+    /// intact or the new one is complete. Every failure surfaces as a
+    /// typed [`CheckpointError::Io`] naming the path involved, and the
+    /// temporary is cleaned up on error. The bytes stream from the
+    /// view in one pass (see the module docs): the file is never held
+    /// in memory whole.
     pub(crate) fn stream_to(
         path: &Path,
         input: &InputDeck,

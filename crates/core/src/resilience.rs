@@ -8,9 +8,10 @@
 //! * [`CheckpointStore`] — a directory of atomically-written
 //!   checkpoints with keep-the-newest-K retention and verified
 //!   readback. Every write goes through the tmp+fsync+rename path of
-//!   [`Checkpoint::write_to`], which streams the file in one pass from
-//!   the checkpoint's snapshot (a fixed staging buffer and a running
-//!   CRC, no whole-file buffer), is re-read and CRC-verified before it
+//!   [`Simulation::checkpoint_to`], which streams the file in one pass
+//!   from the restart state where the simulation holds it (a fixed
+//!   staging buffer and a running CRC, no copy of the state and no
+//!   whole-file buffer), is re-read and CRC-verified before it
 //!   counts, and prunes older files beyond the retention budget; a
 //!   checkpoint that fails its own readback is deleted and reported as
 //!   a warning ([`SaveOutcome::Rejected`]), never silently trusted.
@@ -92,14 +93,15 @@ pub enum SaveOutcome {
 ///
 /// Files are named `<prefix>_step<NNNNNNNNNN>.ckpt` (step number, zero
 /// padded so lexicographic order is step order). [`CheckpointStore::save`]
-/// writes through the atomic [`Checkpoint::write_to`] path, re-reads and
-/// fully re-parses the file (magic, version, CRC, shape against the
-/// embedded deck), and only then prunes older checkpoints down to the
-/// retention budget — a bad write can therefore never evict a good
-/// rewind point. The write is one pass from the checkpoint's borrowed
-/// snapshot: its fields are encoded through a fixed 64 KiB staging
-/// buffer into the file as a running CRC folds them, so saving holds no
-/// copy of the state and no whole-file byte buffer.
+/// writes a simulation's checkpoint through the atomic
+/// [`Simulation::checkpoint_to`] path, re-reads and fully re-parses the
+/// file (magic, version, CRC, shape against the embedded deck), and only
+/// then prunes older checkpoints down to the retention budget — a bad
+/// write can therefore never evict a good rewind point. The write is one
+/// pass from the restart state where the simulation holds it: its fields
+/// are encoded through a fixed 64 KiB staging buffer into the file as a
+/// running CRC folds them, so saving holds no copy of the state and no
+/// whole-file byte buffer.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     dir: PathBuf,
@@ -125,22 +127,24 @@ impl CheckpointStore {
             .join(format!("{}_step{step:010}.ckpt", self.prefix))
     }
 
-    /// Atomically write `ckpt`, verify it by reading it back, then
-    /// prune older checkpoints beyond the retention budget.
+    /// Atomically write `sim`'s checkpoint at its cursor, verify it by
+    /// reading it back, then prune older checkpoints beyond the
+    /// retention budget.
     ///
     /// # Errors
     ///
     /// [`CheckpointError::Io`] when the directory cannot be created or
-    /// the atomic write itself fails. A checkpoint that *writes* but
-    /// fails verification is not an error: the file is deleted and
-    /// [`SaveOutcome::Rejected`] reports why.
-    pub fn save(&self, ckpt: &Checkpoint) -> std::result::Result<SaveOutcome, CheckpointError> {
+    /// the atomic write itself fails, and whatever
+    /// [`Simulation::checkpoint_to`] refuses (a hand-assembled deck). A
+    /// checkpoint that *writes* but fails verification is not an error:
+    /// the file is deleted and [`SaveOutcome::Rejected`] reports why.
+    pub fn save(&self, sim: &Simulation) -> Result<SaveOutcome> {
         std::fs::create_dir_all(&self.dir).map_err(|e| CheckpointError::Io {
             path: self.dir.display().to_string(),
             message: e.to_string(),
         })?;
-        let path = self.path_for(ckpt.snap.steps);
-        ckpt.write_to(&path)?;
+        let path = self.path_for(sim.cursor().steps as u64);
+        sim.checkpoint_to(&path)?;
         // Trust nothing until the file on disk proves it can be resumed
         // from: full re-parse, not just a byte compare.
         if let Err(e) = Checkpoint::read_from(&path) {
@@ -354,16 +358,15 @@ impl Simulation {
             };
             match result {
                 Ok(mut report) => {
-                    let ckpt = self.checkpoint()?;
-                    match store.save(&ckpt)? {
+                    match store.save(self)? {
                         SaveOutcome::Written(_) => {}
                         SaveOutcome::Rejected { path, reason } => log.warnings.push(format!(
                             "segment checkpoint at step {} skipped: {} failed readback: {reason}",
-                            ckpt.snap.steps,
+                            self.cursor().steps,
                             path.display()
                         )),
                     }
-                    last_good = Some(ckpt);
+                    last_good = Some(self.checkpoint()?);
                     if self.complete() {
                         self.typhon.attempt = base_attempt;
                         report.recovery = log;
@@ -412,7 +415,7 @@ mod tests {
         dir
     }
 
-    fn noh_checkpoint(step: u64) -> Checkpoint {
+    fn noh_at(step: u64) -> Simulation {
         let mut sim = Simulation::builder()
             .deck(decks::noh(8))
             .final_time(1.0)
@@ -420,9 +423,7 @@ mod tests {
             .build()
             .unwrap();
         sim.run().unwrap();
-        let ckpt = sim.checkpoint().unwrap();
-        assert_eq!(ckpt.snap.steps, step);
-        ckpt
+        sim
     }
 
     #[test]
@@ -440,7 +441,7 @@ mod tests {
         let store = CheckpointStore::new(&dir, "auto", 2);
         for step in [2u64, 4, 6] {
             assert!(matches!(
-                store.save(&noh_checkpoint(step)).unwrap(),
+                store.save(&noh_at(step)).unwrap(),
                 SaveOutcome::Written(_)
             ));
         }
@@ -512,8 +513,11 @@ mod tests {
         // A directory squatting on the temporary path forces the
         // injected write failure.
         std::fs::create_dir_all(dir.join("blocked.ckpt.tmp")).unwrap();
-        let err = noh_checkpoint(2).write_to(&target).unwrap_err();
-        assert!(matches!(err, CheckpointError::Io { .. }), "{err}");
+        let err = noh_at(2).checkpoint_to(&target).unwrap_err();
+        assert!(
+            matches!(err, BookLeafError::Checkpoint(CheckpointError::Io { .. })),
+            "{err}"
+        );
         assert!(!target.exists(), "failed write must not publish a file");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -523,9 +527,9 @@ mod tests {
         let dir = tmp_dir("replace");
         std::fs::create_dir_all(&dir).unwrap();
         let target = dir.join("state.ckpt");
-        noh_checkpoint(2).write_to(&target).unwrap();
+        noh_at(2).checkpoint_to(&target).unwrap();
         let first = std::fs::read(&target).unwrap();
-        noh_checkpoint(4).write_to(&target).unwrap();
+        noh_at(4).checkpoint_to(&target).unwrap();
         let second = std::fs::read(&target).unwrap();
         assert_ne!(first, second);
         assert_eq!(Checkpoint::read_from(&target).unwrap().snap.steps, 4);

@@ -28,8 +28,10 @@
 //! hybrid rank inside its own pool of threads, built once). One of two
 //! or more ranks keeps only the restart [`Snapshot`] its rank team
 //! gathered (global order) — what the next team, a checkpoint and
-//! [`Simulation::solution`] read — and builds the global pair from it
-//! when first asked. The report is accumulated here, above the
+//! [`Simulation::solution`] read; the deck's initial fields until then
+//! — and builds the global pair from it when first asked. Either way
+//! the simulation itself holds the deck's [`Problem`], not its painted
+//! fields. The report is accumulated here, above the
 //! executors, so a continued run reports the same way under all of
 //! them.
 //!
@@ -38,6 +40,7 @@
 //! wholesale [`SimulationBuilder::config`], then the individual builder
 //! setters (`.executor(..)`, `.final_time(..)`, …).
 
+use std::borrow::Cow;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
@@ -50,10 +53,10 @@ use bookleaf_util::{BookLeafError, DeckError, Result, TimerReport, Vec2};
 use bookleaf_util::CheckpointError;
 
 use crate::config::{ExecutorKind, RunConfig};
-use crate::decks::Deck;
+use crate::decks::{Deck, Problem};
 use crate::driver::LoopState;
 use crate::executor::{
-    installed, rank_config, rank_pool, run_team, shape, whole_state, Piece, Rank,
+    installed, rank_config, rank_pool, run_team, shape, whole_state, Origin, Piece, Rank,
 };
 use crate::halo::{LocalPiston, SerialHooks};
 use crate::input::InputDeck;
@@ -283,13 +286,21 @@ impl SimulationBuilder {
         }
 
         deck.validate()?;
-        let engine = Engine::new(&deck, &config, resume_snap.as_ref())?;
+        // The simulation keeps the problem; the initial fields go to the
+        // engine, which paints from them (a one-rank engine, now) or
+        // holds them until its first team has run. A resumed run starts
+        // from the snapshot and never reads them.
+        let (problem, fields) = deck.split();
+        let origin = resume_snap.map_or(Origin::Fields(fields), |snap| {
+            Origin::Snapshot(Cow::Owned(snap))
+        });
+        let engine = Engine::new(&problem, &config, origin)?;
         let typhon = TyphonOptions {
             fault_plan: self.fault_plan.map(Arc::new),
             ..TyphonOptions::default()
         };
         Ok(Simulation {
-            deck,
+            problem,
             input,
             config,
             observers: ObserverSet::new(self.observers),
@@ -314,12 +325,12 @@ impl std::fmt::Debug for SimulationBuilder {
 /// running ranks holds no second, global `HydroState` unless someone
 /// asks to look at one.
 struct TeamExec {
-    /// The restart state the next team continues from: installed from a
-    /// checkpoint or left by the last team. `None` until then — a team
-    /// that has never run builds its ranks straight from the deck.
-    snap: Option<Snapshot>,
-    /// The global `(mesh, state)` view of `snap` (of the deck's initial
-    /// state while `snap` is `None`): built on the first
+    /// Where the next team starts: the deck's initial fields until a
+    /// team has gathered its snapshot (a failed first team leaves them,
+    /// so a retry starts where it did), then the restart state the last
+    /// team left — or a checkpoint's, installed.
+    origin: Origin<'static>,
+    /// The global `(mesh, state)` view of `origin`: built on the first
     /// [`Simulation::mesh`] / [`Simulation::state`] call, dropped when
     /// the next team starts.
     view: OnceLock<(Mesh, HydroState)>,
@@ -354,30 +365,36 @@ struct Engine {
     comm: CommStats,
 }
 
-/// The whole-mesh rank of `deck`, at `snap` when there is one, and the
-/// pool it steps in: the engine of every one-rank executor. The rank is
-/// built on the calling thread, as the serial engine's always was
-/// (built on a pool worker, the harness's in-process `build()` of Noh
-/// 251×261 read 19–21 ms instead of 6–8).
-fn whole_rank(deck: &Deck, config: &RunConfig, snap: Option<&Snapshot>) -> Result<Exec> {
+/// The whole-mesh rank of `problem` at `origin`, and the pool it steps
+/// in: the engine of every one-rank executor. The rank is built on the
+/// calling thread, as the serial engine's always was (built on a pool
+/// worker, the harness's in-process `build()` of Noh 251×261 read
+/// 19–21 ms instead of 6–8).
+fn whole_rank(problem: &Problem, config: &RunConfig, origin: &Origin<'_>) -> Result<Exec> {
     let hooks = SerialHooks {
-        piston: LocalPiston::of(deck, None),
+        piston: LocalPiston::of(problem, None),
     };
-    let rank = Rank::new(deck, config, Piece::whole(&deck.mesh), hooks, snap)?;
+    let rank = Rank::new(problem, config, Piece::whole(&problem.mesh), hooks, origin)?;
     let pool = rank_pool(config.executor)?;
     Ok(Exec::Serial { rank, pool })
 }
 
 impl Engine {
-    /// Build the engine `config.executor` asks for, at the deck's
-    /// initial state or — with `resume` — continuing from a snapshot.
-    /// The one constructor behind both the builder and a supervised
-    /// rewind. An unphysical deck or restart state is refused here with
-    /// the same typed error whichever executor was asked for.
-    fn new(deck: &Deck, config: &RunConfig, resume: Option<&Snapshot>) -> Result<Self> {
-        let mesh = &deck.mesh;
-        if let Some(snap) = resume {
-            if snap.n_nodes() != mesh.n_nodes() || snap.n_elements() != mesh.n_elements() {
+    /// Build the engine `config.executor` asks for, at `origin`: the
+    /// deck's initial fields, or a snapshot to continue from. The one
+    /// constructor behind both the builder and a supervised rewind. An
+    /// unphysical deck or restart state is refused here with the same
+    /// typed error whichever executor was asked for. A one-rank engine
+    /// paints or installs its state now, and `origin` is dropped on
+    /// return; a team keeps it (a borrowed snapshot copied) for its
+    /// first run.
+    fn new(problem: &Problem, config: &RunConfig, origin: Origin<'_>) -> Result<Self> {
+        let mesh = &problem.mesh;
+        let cursor = match &origin {
+            Origin::Fields(_) => LoopState::default(),
+            Origin::Snapshot(snap)
+                if snap.n_nodes() != mesh.n_nodes() || snap.n_elements() != mesh.n_elements() =>
+            {
                 return Err(CheckpointError::DeckMismatch {
                     message: format!(
                         "checkpoint carries {} nodes / {} elements but its deck builds a \
@@ -390,7 +407,8 @@ impl Engine {
                 }
                 .into());
             }
-        }
+            Origin::Snapshot(snap) => snap.cursor(),
+        };
         let exec = match shape(config.executor) {
             (0, _) => return Err(BookLeafError::EmptyExecutor { field: "ranks" }),
             (_, 0) => {
@@ -398,22 +416,22 @@ impl Engine {
                     field: "threads_per_rank",
                 })
             }
-            (1, _) => whole_rank(deck, config, resume)?,
+            (1, _) => whole_rank(problem, config, &origin)?,
             _ => {
                 // Everything building the whole-mesh rank would have
                 // refused, without building it.
-                deck.check_initial_state()?;
-                if let Some(snap) = resume {
-                    snap.check_geometry(mesh)?;
+                match &origin {
+                    Origin::Fields(fields) => fields.check(problem)?,
+                    Origin::Snapshot(snap) => snap.check_geometry(mesh)?,
                 }
                 Exec::Team(TeamExec {
-                    snap: resume.cloned(),
+                    origin: origin.into_owned(),
                     view: OnceLock::new(),
                 })
             }
         };
         Ok(Engine {
-            cursor: resume.map(Snapshot::cursor).unwrap_or_default(),
+            cursor,
             exec,
             energy_start: None,
             wall_seconds: 0.0,
@@ -424,12 +442,12 @@ impl Engine {
 
     /// The global `(mesh, state)`: the one rank's live pair, a team's
     /// view — built now if nobody asked before.
-    fn global(&self, deck: &Deck, config: &RunConfig) -> (&Mesh, &HydroState) {
+    fn global(&self, problem: &Problem, config: &RunConfig) -> (&Mesh, &HydroState) {
         match &self.exec {
             Exec::Serial { rank, .. } => (&rank.mesh, &rank.state),
             Exec::Team(team) => {
                 let (mesh, state) = team.view.get_or_init(|| {
-                    whole_state(deck, config, team.snap.as_ref())
+                    whole_state(problem, config, &team.origin)
                         .expect("Engine::new admitted the deck and every installed snapshot")
                 });
                 (mesh, state)
@@ -441,14 +459,15 @@ impl Engine {
     /// holds it: the one rank's live pair, the snapshot a team left, or
     /// — a team that has never run — the view of the deck's initial
     /// state (built now if nobody asked before).
-    fn restart(&self, deck: &Deck, config: &RunConfig) -> RestartView<'_> {
+    fn restart(&self, problem: &Problem, config: &RunConfig) -> RestartView<'_> {
         if let Exec::Team(TeamExec {
-            snap: Some(snap), ..
+            origin: Origin::Snapshot(snap),
+            ..
         }) = &self.exec
         {
             return snap.view();
         }
-        let (mesh, state) = self.global(deck, config);
+        let (mesh, state) = self.global(problem, config);
         RestartView::live(mesh, state, self.cursor)
     }
 
@@ -457,7 +476,7 @@ impl Engine {
     /// trajectory since the engine was built, whichever executor ran.
     fn run(
         &mut self,
-        deck: &Deck,
+        problem: &Problem,
         config: &RunConfig,
         observers: &ObserverSet,
         typhon: &TyphonOptions,
@@ -467,17 +486,16 @@ impl Engine {
             Exec::Serial { rank, pool } => {
                 let config = rank_config(config);
                 installed(pool.as_ref(), || {
-                    rank.run(deck, &config, observers, energy_ref)
+                    rank.run(problem, &config, observers, energy_ref)
                 })?
             }
             Exec::Team(team) => {
                 // The view shows the state this team is about to move
                 // on from, and the ranks need its memory more.
                 team.view.take();
-                let resume = team.snap.as_ref();
                 let (segment, snap) =
-                    run_team(deck, config, observers, resume, typhon, energy_ref)?;
-                team.snap = Some(snap);
+                    run_team(problem, config, observers, &team.origin, typhon, energy_ref)?;
+                team.origin = Origin::Snapshot(Cow::Owned(snap));
                 segment
             }
         };
@@ -486,7 +504,7 @@ impl Engine {
         self.timers = self.timers.add(&segment.timers);
         self.comm = self.comm.merged(&segment.comm);
         Ok(RunReport {
-            name: deck.name.to_string(),
+            name: problem.name.to_string(),
             executor: config.executor,
             ranks: segment.ranks,
             steps: self.cursor.steps,
@@ -523,7 +541,9 @@ impl std::fmt::Debug for Engine {
 }
 
 /// The solution fields of a [`Simulation`], in global element / node
-/// order (see [`Simulation::solution`]).
+/// order (see [`Simulation::solution`]): before any run, the state the
+/// run starts from — the deck's initial fields, or a resumed
+/// checkpoint's.
 #[derive(Debug, Clone, Copy)]
 pub struct SolutionFields<'a> {
     /// Density per element.
@@ -541,7 +561,7 @@ pub struct SolutionFields<'a> {
 /// API.
 #[derive(Debug)]
 pub struct Simulation {
-    deck: Deck,
+    problem: Problem,
     input: Option<InputDeck>,
     config: RunConfig,
     observers: ObserverSet,
@@ -575,7 +595,7 @@ impl Simulation {
     /// executor: a `run_segment` loop's last report is one `run`'s.
     pub fn run(&mut self) -> Result<RunReport> {
         self.engine
-            .run(&self.deck, &self.config, &self.observers, &self.typhon)
+            .run(&self.problem, &self.config, &self.observers, &self.typhon)
     }
 
     /// Has the run reached its goal — the configured final time or the
@@ -610,19 +630,19 @@ impl Simulation {
     /// [`SimulationBuilder::resume`] needs nothing but the file). Works
     /// under every executor — a distributed run hands out the restart
     /// state its team assembled — but requires a deck that carries a
-    /// problem spec ([`Deck::spec`]); hand-assembled decks cannot be
+    /// problem spec ([`Problem::spec`]); hand-assembled decks cannot be
     /// checkpointed and return a typed
     /// [`CheckpointError::DeckMismatch`].
     pub fn checkpoint(&self) -> Result<Checkpoint> {
         Ok(Checkpoint {
             input: self.checkpoint_deck()?,
-            snap: Snapshot::capture(self.engine.restart(&self.deck, &self.config)),
+            snap: Snapshot::capture(self.engine.restart(&self.problem, &self.config)),
         })
     }
 
     /// The deck a checkpoint of this simulation embeds.
     fn checkpoint_deck(&self) -> Result<InputDeck> {
-        let Some(problem) = self.deck.spec.clone() else {
+        let Some(problem) = self.problem.spec.clone() else {
             return Err(CheckpointError::DeckMismatch {
                 message: "this deck was assembled by hand and carries no problem spec, \
                           so a resumed run could not rebuild it; construct the deck \
@@ -651,13 +671,15 @@ impl Simulation {
     /// or the snapshot a team left — without copying it first.
     pub fn checkpoint_to(&self, path: impl Into<PathBuf>) -> Result<()> {
         let input = self.checkpoint_deck()?;
-        let view = self.engine.restart(&self.deck, &self.config);
+        let view = self.engine.restart(&self.problem, &self.config);
         Checkpoint::stream_to(&path.into(), &input, view)?;
         Ok(())
     }
 
-    /// The loop cursor: where the next `run` continues from.
-    pub(crate) fn cursor(&self) -> &LoopState {
+    /// The loop cursor: where the next `run` continues from (simulated
+    /// time, steps taken, the last step's dt).
+    #[must_use]
+    pub fn cursor(&self) -> &LoopState {
         &self.engine.cursor
     }
 
@@ -672,14 +694,21 @@ impl Simulation {
     /// it, including across the serial/distributed divide — continuing
     /// from `snap`.
     pub(crate) fn rewind_to(&mut self, snap: &Snapshot) -> Result<()> {
-        self.engine = Engine::new(&self.deck, &self.config, Some(snap))?;
+        self.engine = Engine::new(
+            &self.problem,
+            &self.config,
+            Origin::Snapshot(Cow::Borrowed(snap)),
+        )?;
         Ok(())
     }
 
-    /// The problem deck this simulation was built from.
+    /// The problem this simulation runs: its deck without the initial
+    /// fields (name, initial mesh, materials, piston, spec). The fields
+    /// are painted into the state and not kept; [`Simulation::solution`]
+    /// of a simulation that has not run shows them.
     #[must_use]
-    pub fn deck(&self) -> &Deck {
-        &self.deck
+    pub fn deck(&self) -> &Problem {
+        &self.problem
     }
 
     /// The parsed input-deck spec, when the deck came from text.
@@ -700,7 +729,7 @@ impl Simulation {
     /// distributed simulation nobody looks into never holds one.
     #[must_use]
     pub fn mesh(&self) -> &Mesh {
-        self.engine.global(&self.deck, &self.config).0
+        self.engine.global(&self.problem, &self.config).0
     }
 
     /// The current state (see [`Simulation::mesh`] for the semantics;
@@ -708,17 +737,16 @@ impl Simulation {
     /// geometry, pressure and sound speed from them).
     #[must_use]
     pub fn state(&self) -> &HydroState {
-        self.engine.global(&self.deck, &self.config).1
+        self.engine.global(&self.problem, &self.config).1
     }
 
     /// The solution at the cursor, borrowed from whichever side holds
-    /// it — the one rank's live state, the restart state a team left, or
-    /// the deck before any run. What a digest or a plot of a
-    /// distributed run needs without the global view
-    /// [`Simulation::state`] would build.
+    /// it — the one rank's live state, the restart state a team left or
+    /// was resumed at, or the deck's initial fields a team that has not
+    /// run keeps. What a digest or a plot of a distributed run needs
+    /// without the global view [`Simulation::state`] would build.
     #[must_use]
     pub fn solution(&self) -> SolutionFields<'_> {
-        let deck = &self.deck;
         let (rho, ein, u, nodes) = match &self.engine.exec {
             Exec::Serial { rank, .. } => (
                 &rank.state.rho,
@@ -726,8 +754,10 @@ impl Simulation {
                 &rank.state.u,
                 &rank.mesh.nodes,
             ),
-            Exec::Team(TeamExec { snap: Some(s), .. }) => (&s.rho, &s.ein, &s.u, &s.nodes),
-            Exec::Team(_) => (&deck.rho, &deck.ein, &deck.u, &deck.mesh.nodes),
+            Exec::Team(team) => match &team.origin {
+                Origin::Snapshot(s) => (&s.rho, &s.ein, &s.u, &s.nodes),
+                Origin::Fields(f) => (&f.rho, &f.ein, &f.u, &self.problem.mesh.nodes),
+            },
         };
         SolutionFields { rho, ein, u, nodes }
     }
@@ -1041,7 +1071,7 @@ mod tests {
     #[test]
     fn a_distributed_simulation_builds_its_global_view_only_on_request() {
         let mut sim = distributed_noh(ExecutorKind::FlatMpi { ranks: 2 });
-        assert_eq!(sim.solution().rho, &sim.deck().rho[..]);
+        assert_eq!(sim.solution().rho, decks::noh(10).rho);
         sim.run_segment(4).unwrap();
         let ckpt = sim.checkpoint().unwrap();
         assert_eq!(sim.solution().rho, &ckpt.snap.rho[..]);
@@ -1053,6 +1083,40 @@ mod tests {
         sim.run().unwrap();
         assert!(!view_built(&sim), "a stale view outlived the next team");
         assert_ne!(sim.state().rho, ckpt.snap.rho);
+    }
+
+    /// A simulation keeps the problem, not the deck's painted fields:
+    /// before any run its solution is those fields, bit for bit, under
+    /// every executor — a one-rank engine's painted state, a team's kept
+    /// fields — and a one-rank engine holds no copy of them beside it.
+    #[test]
+    fn the_solution_before_any_run_is_the_decks_painted_fields() {
+        let deck = decks::noh(10);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let node_bits = |v: &[Vec2]| bits(&v.iter().flat_map(|p| [p.x, p.y]).collect::<Vec<_>>());
+        for executor in [
+            ExecutorKind::Serial,
+            ExecutorKind::FlatMpi { ranks: 1 },
+            ExecutorKind::FlatMpi { ranks: 2 },
+            ExecutorKind::Hybrid {
+                ranks: 1,
+                threads_per_rank: 2,
+            },
+        ] {
+            let sim = distributed_noh(executor);
+            let start = sim.solution();
+            assert_eq!(bits(start.rho), bits(&deck.rho), "{executor:?}");
+            assert_eq!(bits(start.ein), bits(&deck.ein), "{executor:?}");
+            assert_eq!(node_bits(start.u), node_bits(&deck.u), "{executor:?}");
+            assert_eq!(
+                node_bits(start.nodes),
+                node_bits(&deck.mesh.nodes),
+                "{executor:?}"
+            );
+            if let Exec::Serial { rank, .. } = &sim.engine.exec {
+                assert!(std::ptr::eq(start.rho, &rank.state.rho[..]), "{executor:?}");
+            }
+        }
     }
 
     /// A serial simulation is one rank with nobody to talk to: the

@@ -147,23 +147,10 @@ impl HydroState {
         let ne = mesh.n_elements();
         let nn = mesh.n_nodes();
 
-        let mut st = HydroState {
-            mass: vec![0.0; ne],
-            rho: vec![0.0; ne],
-            ein: vec![0.0; ne],
-            pressure: vec![0.0; ne],
-            cs2: vec![0.0; ne],
-            volume: vec![0.0; ne],
-            q: vec![0.0; ne],
-            edge_q: Vec::new(),
-            cnmass: vec![[0.0; 4]; ne],
-            cnforce_x: vec![[0.0; 4]; ne],
-            cnforce_y: vec![[0.0; 4]; ne],
-            u: (0..nn).map(&u_of).collect(),
-            ubar: vec![Vec2::ZERO; nn],
-            nd_mass: vec![0.0; nn],
-        };
-
+        let mut st = HydroState::zeroed(mesh);
+        for (n, u) in st.u.iter_mut().enumerate() {
+            *u = u_of(n);
+        }
         for e in 0..ne {
             let c = mesh.corners(e);
             let vol = quad_area(&c);
@@ -190,6 +177,30 @@ impl HydroState {
                 .sum();
         }
         Ok(st)
+    }
+
+    /// A state sized for `mesh` with every field zero (and `edge_q`
+    /// empty): what a restart state is installed into.
+    #[must_use]
+    pub fn zeroed(mesh: &Mesh) -> HydroState {
+        let ne = mesh.n_elements();
+        let nn = mesh.n_nodes();
+        HydroState {
+            mass: vec![0.0; ne],
+            rho: vec![0.0; ne],
+            ein: vec![0.0; ne],
+            pressure: vec![0.0; ne],
+            cs2: vec![0.0; ne],
+            volume: vec![0.0; ne],
+            q: vec![0.0; ne],
+            edge_q: Vec::new(),
+            cnmass: vec![[0.0; 4]; ne],
+            cnforce_x: vec![[0.0; 4]; ne],
+            cnforce_y: vec![[0.0; 4]; ne],
+            u: vec![Vec2::ZERO; nn],
+            ubar: vec![Vec2::ZERO; nn],
+            nd_mass: vec![0.0; nn],
+        }
     }
 
     /// Every reason [`HydroState::new`] would refuse these inputs, as

@@ -899,30 +899,27 @@ fn at_request_boundary(op: impl FnOnce() -> RunEnd) -> RunEnd {
 fn run_supervised(shared: &Arc<Shared>, tenant: &str, mut sim: Simulation) -> RunEnd {
     shared.pool.install(|| loop {
         if shared.draining.load(Ordering::SeqCst) {
-            let ckpt = match sim.checkpoint() {
-                Ok(c) => c,
-                Err(err) => return RunEnd::Failed(err),
-            };
             let seq = shared.seq.fetch_add(1, Ordering::SeqCst);
             let prefix = format!("{}_{seq:06}", sanitize(tenant));
             let store = CheckpointStore::new(&shared.config.drain_dir, &prefix, 1);
-            let path = match store.save(&ckpt) {
+            let path = match store.save(&sim) {
                 Ok(SaveOutcome::Written(path)) => path,
                 Ok(SaveOutcome::Rejected { reason, .. }) => {
                     return RunEnd::Failed(BookLeafError::Checkpoint(CheckpointError::Corrupt {
                         what: reason,
                     }))
                 }
-                Err(e) => return RunEnd::Failed(BookLeafError::Checkpoint(e)),
+                Err(err) => return RunEnd::Failed(err),
             };
             let handle = path
                 .file_name()
                 .map(|n| n.to_string_lossy().into_owned())
                 .unwrap_or_default();
+            let cursor = sim.cursor();
             return RunEnd::Drained {
                 handle,
-                steps: ckpt.snap.steps,
-                time: ckpt.snap.time,
+                steps: cursor.steps as u64,
+                time: cursor.t,
             };
         }
         match sim.run_segment(DRAIN_CHECK_STEPS) {

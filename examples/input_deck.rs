@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The text deck reproduces the programmatic constructor exactly.
     let reference = decks::sod(40, 4);
     assert_eq!(sim.deck().mesh.nodes, reference.mesh.nodes);
-    assert_eq!(sim.deck().rho, reference.rho);
+    assert_eq!(sim.solution().rho, reference.rho);
     println!("deck matches decks::sod(40, 4) exactly");
     println!();
 
