@@ -77,8 +77,6 @@ pub struct Deck {
     pub u: Vec<Vec2>,
     /// Optional driven wall.
     pub piston: Option<PistonSpec>,
-    /// The standard end time for this problem.
-    pub recommended_final_time: f64,
     /// The [`ProblemSpec`] this deck was constructed from, when it came
     /// from a standard constructor or a generic scenario build.
     /// Checkpointing needs it to embed a rebuildable description of the
@@ -133,7 +131,6 @@ impl Deck {
             ein,
             u,
             piston,
-            recommended_final_time: _,
             spec,
         } = self;
         let problem = Problem {
@@ -203,14 +200,13 @@ pub const COLD: f64 = 1.0e-12;
 pub const SEDOV_ALPHA: f64 = 0.9839;
 
 /// Resolve a standard problem's generic spec and stamp the named
-/// [`ProblemSpec`] (with its standard end time) onto the result. The
+/// [`ProblemSpec`] onto the result. The
 /// generic builders are written so this is bitwise identical to the
 /// old hand-rolled constructors.
 fn named(generic: GenericSpec, spec: ProblemSpec) -> Deck {
     let mut deck = generic
         .build()
         .unwrap_or_else(|e| panic!("standard deck `{}` must build: {e}", spec.name()));
-    deck.recommended_final_time = spec.recommended_final_time();
     deck.spec = Some(spec);
     deck
 }

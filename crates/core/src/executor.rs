@@ -43,7 +43,6 @@
 //! energy accounting counts each owned element and owned node exactly
 //! once across the team.
 
-use std::borrow::Cow;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -76,25 +75,14 @@ impl L2g {
 }
 
 /// Where a rank's state starts: the deck's initial fields, painted, or a
-/// restart snapshot, installed. Owned where a rank team keeps it between
-/// runs ([`crate::Simulation`]); a snapshot may be borrowed where one
-/// engine is built from it.
-pub(crate) enum Origin<'a> {
+/// restart snapshot, installed. A rank team keeps it between runs
+/// ([`crate::Simulation`]); a one-rank engine drops it once built.
+pub(crate) enum Origin {
     /// The deck's initial fields, before any run.
     Fields(InitialFields),
-    /// A restart state: a checkpoint's, a rewind target, or the one a
-    /// rank team left.
-    Snapshot(Cow<'a, Snapshot>),
-}
-
-impl Origin<'_> {
-    /// This origin, owning its snapshot (copied if it was borrowed).
-    pub(crate) fn into_owned(self) -> Origin<'static> {
-        match self {
-            Origin::Fields(fields) => Origin::Fields(fields),
-            Origin::Snapshot(snap) => Origin::Snapshot(Cow::Owned(snap.into_owned())),
-        }
-    }
+    /// A restart state: a checkpoint's, a rewind target read from its
+    /// file, or the one a rank team left.
+    Snapshot(Snapshot),
 }
 
 /// The piece of the problem's mesh one rank works on.
@@ -126,7 +114,7 @@ impl Piece {
         &mut self,
         problem: &Problem,
         config: &RunConfig,
-        origin: &Origin<'_>,
+        origin: &Origin,
     ) -> Result<(HydroState, LoopState)> {
         let l2g = &self.l2g;
         match origin {
@@ -161,7 +149,7 @@ impl Piece {
 pub(crate) fn whole_state(
     problem: &Problem,
     config: &RunConfig,
-    origin: &Origin<'_>,
+    origin: &Origin,
 ) -> Result<(Mesh, HydroState)> {
     let mut piece = Piece::whole(&problem.mesh);
     let (state, _) = piece.state(problem, config, origin)?;
@@ -205,7 +193,7 @@ impl<T: Team> Rank<T> {
         config: &RunConfig,
         mut piece: Piece,
         team: T,
-        origin: &Origin<'_>,
+        origin: &Origin,
     ) -> Result<Self> {
         // Built before any restart state overwrites the node positions:
         // the initial ones are the Eulerian remap target.
@@ -368,7 +356,7 @@ pub(crate) fn run_team(
     problem: &Problem,
     config: &RunConfig,
     observers: &ObserverSet,
-    origin: &Origin<'_>,
+    origin: &Origin,
     typhon: &TyphonOptions,
     energy_ref: Option<f64>,
 ) -> Result<(Segment, Snapshot)> {

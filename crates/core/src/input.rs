@@ -236,8 +236,8 @@ impl ProblemSpec {
         }
     }
 
-    /// The problem's standard end time (matches the constructed deck's
-    /// `recommended_final_time`; pinned by a test). Generic scenarios
+    /// The problem's standard end time: the run's `final_time` when its
+    /// deck sets none ([`InputDeck::run_config`]). Generic scenarios
     /// have no standard end time — they must set `final_time`
     /// explicitly (enforced by [`InputDeck::validate`]) and report a
     /// placeholder `1.0` here.
@@ -330,14 +330,7 @@ impl InputDeck {
             ProblemSpec::Sedov { n } => decks::sedov(*n),
             ProblemSpec::Saltzmann { nx, ny } => decks::saltzmann(*nx, *ny),
             ProblemSpec::Underwater { n } => decks::underwater(*n),
-            ProblemSpec::Generic(g) => {
-                let mut deck = g.build_validated()?;
-                // validate() above guarantees an explicit final_time.
-                if let Some(t) = self.final_time {
-                    deck.recommended_final_time = t;
-                }
-                deck
-            }
+            ProblemSpec::Generic(g) => g.build_validated()?,
         })
     }
 
@@ -1757,25 +1750,6 @@ final_time = 0.1
             .parse::<InputDeck>()
             .unwrap_err();
         assert!(matches!(err, DeckError::Text { line: 5, .. }), "{err:?}");
-    }
-
-    #[test]
-    fn recommended_final_times_match_constructed_decks() {
-        for spec in [
-            ProblemSpec::Sod { nx: 4, ny: 2 },
-            ProblemSpec::Noh { n: 4 },
-            ProblemSpec::Sedov { n: 4 },
-            ProblemSpec::Saltzmann { nx: 4, ny: 2 },
-            ProblemSpec::Underwater { n: 4 },
-        ] {
-            let deck = InputDeck::new(spec.clone()).build_deck().unwrap();
-            assert_eq!(
-                deck.recommended_final_time,
-                spec.recommended_final_time(),
-                "{}",
-                spec.name()
-            );
-        }
     }
 
     // -----------------------------------------------------------------

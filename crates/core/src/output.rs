@@ -6,10 +6,11 @@
 //!   or VisIt — the standard way downstream users inspect hydro runs.
 //! * [`Snapshot`] is the restart state: the one in-memory carrier every
 //!   pause and continuation goes through — the payload of a checkpoint,
-//!   what a rank team consumes and hands back, what a supervised retry
-//!   rewinds to. It has exactly one byte format, the checkpoint's, which
-//!   is written from a borrowed view of it or of a live run
-//!   (`RestartView`).
+//!   what a rank team consumes and hands back. It has exactly one byte
+//!   format, the checkpoint's, which is written from a borrowed view of
+//!   it or of a live run (`RestartView`). A supervised retry rewinds to
+//!   the last file of it that its store verified, read back as a
+//!   `--resume` reads a serve drain's ([`Checkpoint::read_from`]).
 //! * [`Checkpoint`] is the first-class restart artefact: the state
 //!   snapshot **plus the originating [`InputDeck`]**, behind a
 //!   magic+version header and guarded by a trailing CRC-32. A
@@ -445,6 +446,24 @@ impl Snapshot {
         }
     }
 
+    /// Does this snapshot fit `mesh` (as many nodes and elements)? Asked
+    /// by a resumed or rewound engine, and by a checkpoint store's readback.
+    pub(crate) fn check_shape(&self, mesh: &Mesh) -> std::result::Result<(), CheckpointError> {
+        if self.n_nodes() == mesh.n_nodes() && self.n_elements() == mesh.n_elements() {
+            return Ok(());
+        }
+        Err(CheckpointError::DeckMismatch {
+            message: format!(
+                "checkpoint carries {} nodes / {} elements but its deck builds a \
+                 {}-node / {}-element mesh",
+                self.n_nodes(),
+                self.n_elements(),
+                mesh.n_nodes(),
+                mesh.n_elements()
+            ),
+        })
+    }
+
     /// Would [`Snapshot::install`] over `mesh`'s topology succeed? Its
     /// only failure is a tangled element, so this is that check — same
     /// element, same typed error — without a state to install into: how
@@ -647,9 +666,11 @@ impl Checkpoint {
     }
 
     /// Parse the byte format, verifying magic, version and CRC before
-    /// interpreting any field. Every failure is a typed
-    /// [`CheckpointError`]; no input can panic this parser (pinned by a
-    /// byte-flip property test).
+    /// interpreting any field, then that the deck text parses and the
+    /// body is as long as its counts need — without building the deck:
+    /// the state's shape is checked where its mesh is built. Every
+    /// failure is a typed [`CheckpointError`]; no input can panic this
+    /// parser (pinned by a byte-flip property test).
     pub fn from_bytes(bytes: &[u8]) -> std::result::Result<Checkpoint, CheckpointError> {
         if bytes.len() < 8 {
             return Err(CheckpointError::Truncated { what: "magic" });
@@ -688,21 +709,6 @@ impl Checkpoint {
         if cur.remaining() != 0 {
             return Err(CheckpointError::Corrupt {
                 what: format!("{} trailing bytes before the CRC", cur.remaining()),
-            });
-        }
-        let deck = input.build_deck().map_err(|e| CheckpointError::Corrupt {
-            what: format!("embedded deck does not build: {e}"),
-        })?;
-        if snap.n_nodes() != deck.mesh.n_nodes() || snap.n_elements() != deck.mesh.n_elements() {
-            return Err(CheckpointError::Corrupt {
-                what: format!(
-                    "state shape ({} nodes, {} elements) does not match the embedded \
-                     deck's mesh ({}, {})",
-                    snap.n_nodes(),
-                    snap.n_elements(),
-                    deck.mesh.n_nodes(),
-                    deck.mesh.n_elements()
-                ),
             });
         }
         Ok(Checkpoint { input, snap })
@@ -748,7 +754,7 @@ impl Checkpoint {
         })
     }
 
-    /// Read and parse a checkpoint file.
+    /// Read and parse a checkpoint file ([`Checkpoint::from_bytes`]).
     pub fn read_from(path: impl AsRef<Path>) -> std::result::Result<Checkpoint, CheckpointError> {
         let path = path.as_ref();
         let bytes = std::fs::read(path).map_err(|e| CheckpointError::Io {

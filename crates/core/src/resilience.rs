@@ -11,22 +11,24 @@
 //!   [`Simulation::checkpoint_to`], which streams the file in one pass
 //!   from the restart state where the simulation holds it (a fixed
 //!   staging buffer and a running CRC, no copy of the state and no
-//!   whole-file buffer), is re-read and CRC-verified before it
-//!   counts, and prunes older files beyond the retention budget; a
+//!   whole-file buffer), is re-read and verified before it counts, and
+//!   prunes older files beyond the retention budget; a
 //!   checkpoint that fails its own readback is deleted and reported as
 //!   a warning ([`SaveOutcome::Rejected`]), never silently trusted.
-//! * [`Simulation::run_resilient`] — the supervisor. It drives
-//!   [`Simulation::run_segment`] in segments of
+//! * [`Simulation::run_resilient`] — the supervisor. It saves the state
+//!   it was handed, drives [`Simulation::run_segment`] in segments of
 //!   `checkpoint_every_steps` (the same bitwise continuation contract
-//!   every executor honours, so supervision moves no bits), checkpoints
-//!   each segment boundary, and on any typed failure — an injected or real
+//!   every executor honours, so supervision moves no bits), saves each
+//!   segment boundary, and on any typed failure — an injected or real
 //!   [`bookleaf_util::CommError`] (a team reports its cause, at once: a
 //!   killed rank's `Killed`, not its waiting peers' errors), a sentinel
 //!   [`bookleaf_util::BookLeafError::Unhealthy`] abort — rewinds to the
-//!   last good checkpoint, optionally **reshapes** the executor (a dead
-//!   node means fewer ranks: [`ReshapePolicy::Halve`]) and retries at
-//!   once, within a bounded budget. A rewind rebuilds the engine
-//!   through the same constructor and the same [`crate::Snapshot`] installer a
+//!   last file it verified, optionally **reshapes** the executor (a
+//!   dead node means fewer ranks: [`ReshapePolicy::Halve`]) and retries
+//!   at once, within a bounded budget. It holds only that file's path:
+//!   a rewind reads it back ([`crate::Checkpoint::read_from`], as
+//!   `--resume` does a serve drain's file) and rebuilds the engine
+//!   through the same constructor and [`crate::Snapshot`] installer a
 //!   builder resume uses, so elastic recovery falls out of the portable
 //!   restart state: a 4-rank segment's checkpoint continues unchanged
 //!   on 2 ranks.
@@ -95,9 +97,10 @@ pub enum SaveOutcome {
 /// padded so lexicographic order is step order). [`CheckpointStore::save`]
 /// writes a simulation's checkpoint through the atomic
 /// [`Simulation::checkpoint_to`] path, re-reads and fully re-parses the
-/// file (magic, version, CRC, shape against the embedded deck), and only
-/// then prunes older checkpoints down to the retention budget — a bad
-/// write can therefore never evict a good rewind point. The write is one
+/// file (magic, version, CRC, deck text, shape against the saving run's
+/// mesh — the embedded deck is not built), and only then prunes older
+/// checkpoints down to the retention budget — a bad write can therefore
+/// never evict a good rewind point. The write is one
 /// pass from the restart state where the simulation holds it: its fields
 /// are encoded through a fixed 64 KiB staging buffer into the file as a
 /// running CRC folds them, so saving holds no copy of the state and no
@@ -146,8 +149,11 @@ impl CheckpointStore {
         let path = self.path_for(sim.cursor().steps as u64);
         sim.checkpoint_to(&path)?;
         // Trust nothing until the file on disk proves it can be resumed
-        // from: full re-parse, not just a byte compare.
-        if let Err(e) = Checkpoint::read_from(&path) {
+        // from: full re-parse, not just a byte compare, and the state's
+        // shape against the mesh this run steps.
+        let readback =
+            Checkpoint::read_from(&path).and_then(|ckpt| ckpt.snap.check_shape(&sim.deck().mesh));
+        if let Err(e) = readback {
             let _ = std::fs::remove_file(&path);
             return Ok(SaveOutcome::Rejected {
                 path,
@@ -274,9 +280,8 @@ pub struct RecoveryEvent {
     /// The attempt index that failed (the builder's starting attempt
     /// for the first failure, incrementing per retry).
     pub attempt: usize,
-    /// The step the retry rewound to (the last good checkpoint's step
-    /// count; the run's starting step when nothing was checkpointed
-    /// yet).
+    /// The step the retry rewound to: the last checkpoint file this run
+    /// verified (its starting state's until a segment boundary's is).
     pub from_step: usize,
     /// The typed error, rendered. [`bookleaf_util::CommError`] and the
     /// sentinel diagnoses carry no wall-clock fields, so this text is
@@ -297,7 +302,7 @@ pub struct RecoveryLog {
     /// and a failed team reports it, not the peer-loss errors its
     /// survivors saw; an error that names no step is not guessed at.
     pub steps_replayed: usize,
-    /// Non-fatal supervision warnings (e.g. a segment checkpoint that
+    /// Non-fatal supervision warnings (e.g. a checkpoint that
     /// failed its verification readback and was skipped).
     pub warnings: Vec<String>,
 }
@@ -312,8 +317,9 @@ impl RecoveryLog {
 
 impl Simulation {
     /// Run to the configured final time under supervision: segmented
-    /// execution with checkpoints at segment boundaries, and — on any
-    /// typed failure — rewind to the last good checkpoint, optional
+    /// execution with checkpoints at the start and at segment
+    /// boundaries, and — on any typed failure — rewind to the last
+    /// checkpoint file this run verified, optional
     /// executor reshape, and an immediate retry within
     /// `policy.max_retries`. Nothing waits between attempts: a rewind
     /// restores the state the retry needs, and what a retry could
@@ -328,13 +334,15 @@ impl Simulation {
     ///
     /// Requires a checkpointable deck (one built from a problem spec or
     /// an input deck — the same constraint as
-    /// [`Simulation::checkpoint`]).
+    /// [`Simulation::checkpoint_to`]).
     ///
     /// # Errors
     ///
     /// The last attempt's error once the retry budget is exhausted, or
-    /// any checkpoint-store I/O error (failing to write a rewind point
-    /// is itself a fault the supervisor cannot absorb). When the
+    /// any checkpoint-store I/O error (failing to write a rewind point,
+    /// the starting state's included, or to read one back is itself a
+    /// fault the supervisor cannot absorb). A failure before any file
+    /// was verified has nothing to rewind to and is returned as is. When the
     /// simulation's [`crate::RunConfig::deadline`] is set (see
     /// [`crate::SimulationBuilder::deadline`]), a segment that outlives
     /// it returns a typed [`BookLeafError::DeadlineExceeded`], which
@@ -345,29 +353,24 @@ impl Simulation {
         let base_attempt = self.typhon.attempt;
         let mut log = RecoveryLog::default();
         let mut failures = 0usize;
-        // The rewind target that predates the first segment boundary:
-        // the initial (or builder-resumed) state. Held in memory only —
-        // it is not a file the retention budget should count.
-        let initial = self.checkpoint()?;
-        let mut last_good: Option<Checkpoint> = None;
+        // The rewind target: the path of the last file this run verified.
+        // The directory is never listed: a shared one may hold newer
+        // files of another run. The state handed over is saved as a
+        // segment's end is, before the first segment runs.
+        let mut target = None;
+        let mut result: Result<Option<RunReport>> = Ok(None);
         loop {
-            self.typhon.attempt = base_attempt + failures;
-            let result = match policy.checkpoint_every_steps {
-                0 => self.run(),
-                every => self.run_segment(every),
-            };
             match result {
-                Ok(mut report) => {
+                Ok(report) => {
                     match store.save(self)? {
-                        SaveOutcome::Written(_) => {}
+                        SaveOutcome::Written(path) => target = Some(path),
                         SaveOutcome::Rejected { path, reason } => log.warnings.push(format!(
-                            "segment checkpoint at step {} skipped: {} failed readback: {reason}",
+                            "checkpoint at step {} skipped: {} failed readback: {reason}",
                             self.cursor().steps,
                             path.display()
                         )),
                     }
-                    last_good = Some(self.checkpoint()?);
-                    if self.complete() {
+                    if let Some(mut report) = report.filter(|_| self.complete()) {
                         self.typhon.attempt = base_attempt;
                         report.recovery = log;
                         return Ok(report);
@@ -375,12 +378,15 @@ impl Simulation {
                 }
                 Err(err) => {
                     let expired = matches!(err, BookLeafError::DeadlineExceeded { .. });
-                    if expired || failures >= policy.max_retries {
-                        self.typhon.attempt = base_attempt;
-                        return Err(err);
-                    }
-                    let target = last_good.as_ref().unwrap_or(&initial);
-                    let from_step = target.snap.steps as usize;
+                    let path = match &target {
+                        Some(path) if !expired && failures < policy.max_retries => path,
+                        _ => {
+                            self.typhon.attempt = base_attempt;
+                            return Err(err);
+                        }
+                    };
+                    let snap = Checkpoint::read_from(path)?.snap;
+                    let from_step = snap.steps as usize;
                     if let BookLeafError::CommFault(CommError::Killed { step, .. }) = &err {
                         log.steps_replayed += step.saturating_sub(from_step);
                     }
@@ -393,9 +399,15 @@ impl Simulation {
                     });
                     failures += 1;
                     self.config_mut().executor = retry_executor;
-                    self.rewind_to(&target.snap)?;
+                    self.rewind_to(snap)?;
                 }
             }
+            self.typhon.attempt = base_attempt + failures;
+            result = match policy.checkpoint_every_steps {
+                0 => self.run(),
+                every => self.run_segment(every),
+            }
+            .map(Some);
         }
     }
 }

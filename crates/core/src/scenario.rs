@@ -328,11 +328,6 @@ impl GenericSpec {
     /// mesh, assign regions (first match wins, at undistorted
     /// centroids), apply the skew and boundary overrides, fill the
     /// initial fields and build the [`MaterialTable`].
-    ///
-    /// The returned deck's `recommended_final_time` is a placeholder
-    /// `1.0` — generic decks carry no standard end time, and the text
-    /// path requires an explicit `final_time` (see
-    /// [`crate::input::InputDeck::validate`]).
     pub fn build(&self) -> Result<Deck, DeckError> {
         self.validate()?;
         self.build_validated()
@@ -527,7 +522,6 @@ impl GenericSpec {
             ein,
             u,
             piston,
-            recommended_final_time: 1.0,
             spec: Some(ProblemSpec::Generic(Box::new(self.clone()))),
         })
     }

@@ -40,17 +40,14 @@
 //! wholesale [`SimulationBuilder::config`], then the individual builder
 //! setters (`.executor(..)`, `.final_time(..)`, …).
 
-use std::borrow::Cow;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 use bookleaf_ale::AleOptions;
 use bookleaf_hydro::HydroState;
 use bookleaf_mesh::Mesh;
 use bookleaf_typhon::{CommStats, FaultPlan, TyphonOptions};
-use bookleaf_util::{BookLeafError, DeckError, Result, TimerReport, Vec2};
-
-use bookleaf_util::CheckpointError;
+use bookleaf_util::{BookLeafError, CheckpointError, DeckError, Result, TimerReport, Vec2};
 
 use crate::config::{ExecutorKind, RunConfig};
 use crate::decks::{Deck, Problem};
@@ -218,44 +215,36 @@ impl SimulationBuilder {
             }
             .into());
         };
-        let mut resume_snap: Option<Snapshot> = None;
-        let (deck, input) = match source {
-            DeckSource::Built(deck) => (*deck, None),
-            DeckSource::Input(input) => (input.build_deck()?, Some(*input)),
-            DeckSource::Text(text) => {
-                let input: InputDeck = text.parse::<InputDeck>()?;
-                (input.build_deck()?, Some(input))
-            }
-            DeckSource::Resume(ckpt) => {
-                let Checkpoint { input, snap } = *ckpt;
-                let deck = input.build_deck()?;
-                resume_snap = Some(snap);
-                (deck, Some(input))
-            }
+        // Every source but a built deck resolves to an input deck (and,
+        // to resume, the snapshot it continues from), whose deck is built
+        // once, below; a deck file names itself in the errors of both.
+        let mut file = None;
+        let (input, resume_snap) = match source {
+            DeckSource::Built(deck) => (Err(deck), None),
+            DeckSource::Input(input) => (Ok(*input), None),
+            DeckSource::Text(text) => (Ok(text.parse::<InputDeck>()?), None),
+            DeckSource::Resume(ckpt) => (Ok(ckpt.input), Some(ckpt.snap)),
             DeckSource::ResumeFile(path) => {
                 let ckpt = Checkpoint::read_from(&path)?;
-                let deck = ckpt.input.build_deck()?;
-                resume_snap = Some(ckpt.snap);
-                (deck, Some(ckpt.input))
+                (Ok(ckpt.input), Some(ckpt.snap))
             }
             DeckSource::File(path) => {
                 let text = std::fs::read_to_string(&path).map_err(|e| DeckError::Config {
                     message: format!("cannot read deck file {}: {e}", path.display()),
                 })?;
-                // Keep errors typed (and line-anchored where the parser
-                // anchored them), but name the file they belong to.
-                let anchor = |e: DeckError| match e {
-                    DeckError::Text { line, message } => DeckError::Text {
-                        line,
-                        message: format!("{}: {message}", path.display()),
-                    },
-                    DeckError::Config { message } => DeckError::Config {
-                        message: format!("{}: {message}", path.display()),
-                    },
-                    other => other,
-                };
-                let input = text.parse::<InputDeck>().map_err(anchor)?;
-                let deck = input.build_deck().map_err(anchor)?;
+                let input = text
+                    .parse::<InputDeck>()
+                    .map_err(|e| in_file(Some(&path), e))?;
+                file = Some(path);
+                (Ok(input), None)
+            }
+        };
+        let (deck, input) = match input {
+            Err(deck) => (*deck, None),
+            Ok(input) => {
+                let deck = input
+                    .build_deck()
+                    .map_err(|e| in_file(file.as_deref(), e))?;
                 (deck, Some(input))
             }
         };
@@ -291,9 +280,7 @@ impl SimulationBuilder {
         // holds them until its first team has run. A resumed run starts
         // from the snapshot and never reads them.
         let (problem, fields) = deck.split();
-        let origin = resume_snap.map_or(Origin::Fields(fields), |snap| {
-            Origin::Snapshot(Cow::Owned(snap))
-        });
+        let origin = resume_snap.map_or(Origin::Fields(fields), Origin::Snapshot);
         let engine = Engine::new(&problem, &config, origin)?;
         let typhon = TyphonOptions {
             fault_plan: self.fault_plan.map(Arc::new),
@@ -307,6 +294,23 @@ impl SimulationBuilder {
             engine,
             typhon,
         })
+    }
+}
+
+/// `e`, still typed (and line-anchored where the parser anchored it),
+/// naming the deck file it belongs to, if it came from one.
+fn in_file(path: Option<&Path>, e: DeckError) -> DeckError {
+    let Some(path) = path else { return e };
+    let named = |message| format!("{}: {message}", path.display());
+    match e {
+        DeckError::Text { line, message } => DeckError::Text {
+            line,
+            message: named(message),
+        },
+        DeckError::Config { message } => DeckError::Config {
+            message: named(message),
+        },
+        other => other,
     }
 }
 
@@ -329,7 +333,7 @@ struct TeamExec {
     /// team has gathered its snapshot (a failed first team leaves them,
     /// so a retry starts where it did), then the restart state the last
     /// team left — or a checkpoint's, installed.
-    origin: Origin<'static>,
+    origin: Origin,
     /// The global `(mesh, state)` view of `origin`: built on the first
     /// [`Simulation::mesh`] / [`Simulation::state`] call, dropped when
     /// the next team starts.
@@ -370,7 +374,7 @@ struct Engine {
 /// calling thread, as the serial engine's always was (built on a pool
 /// worker, the harness's in-process `build()` of Noh 251×261 read
 /// 19–21 ms instead of 6–8).
-fn whole_rank(problem: &Problem, config: &RunConfig, origin: &Origin<'_>) -> Result<Exec> {
+fn whole_rank(problem: &Problem, config: &RunConfig, origin: &Origin) -> Result<Exec> {
     let hooks = SerialHooks {
         piston: LocalPiston::of(problem, None),
     };
@@ -384,30 +388,19 @@ impl Engine {
     /// deck's initial fields, or a snapshot to continue from. The one
     /// constructor behind both the builder and a supervised rewind. An
     /// unphysical deck or restart state is refused here with the same
-    /// typed error whichever executor was asked for. A one-rank engine
-    /// paints or installs its state now, and `origin` is dropped on
-    /// return; a team keeps it (a borrowed snapshot copied) for its
-    /// first run.
-    fn new(problem: &Problem, config: &RunConfig, origin: Origin<'_>) -> Result<Self> {
+    /// typed error whichever executor was asked for — a snapshot that
+    /// does not fit the problem's mesh is a
+    /// [`CheckpointError::DeckMismatch`]. A one-rank engine paints or
+    /// installs its state now, and `origin` is dropped on return; a team
+    /// keeps it for its first run.
+    fn new(problem: &Problem, config: &RunConfig, origin: Origin) -> Result<Self> {
         let mesh = &problem.mesh;
         let cursor = match &origin {
             Origin::Fields(_) => LoopState::default(),
-            Origin::Snapshot(snap)
-                if snap.n_nodes() != mesh.n_nodes() || snap.n_elements() != mesh.n_elements() =>
-            {
-                return Err(CheckpointError::DeckMismatch {
-                    message: format!(
-                        "checkpoint carries {} nodes / {} elements but its deck builds a \
-                         {}-node / {}-element mesh",
-                        snap.n_nodes(),
-                        snap.n_elements(),
-                        mesh.n_nodes(),
-                        mesh.n_elements()
-                    ),
-                }
-                .into());
+            Origin::Snapshot(snap) => {
+                snap.check_shape(mesh)?;
+                snap.cursor()
             }
-            Origin::Snapshot(snap) => snap.cursor(),
         };
         let exec = match shape(config.executor) {
             (0, _) => return Err(BookLeafError::EmptyExecutor { field: "ranks" }),
@@ -425,7 +418,7 @@ impl Engine {
                     Origin::Snapshot(snap) => snap.check_geometry(mesh)?,
                 }
                 Exec::Team(TeamExec {
-                    origin: origin.into_owned(),
+                    origin,
                     view: OnceLock::new(),
                 })
             }
@@ -495,7 +488,7 @@ impl Engine {
                 team.view.take();
                 let (segment, snap) =
                     run_team(problem, config, observers, &team.origin, typhon, energy_ref)?;
-                team.origin = Origin::Snapshot(Cow::Owned(snap));
+                team.origin = Origin::Snapshot(snap);
                 segment
             }
         };
@@ -693,12 +686,8 @@ impl Simulation {
     /// *current* configured executor — the supervisor may have reshaped
     /// it, including across the serial/distributed divide — continuing
     /// from `snap`.
-    pub(crate) fn rewind_to(&mut self, snap: &Snapshot) -> Result<()> {
-        self.engine = Engine::new(
-            &self.problem,
-            &self.config,
-            Origin::Snapshot(Cow::Borrowed(snap)),
-        )?;
+    pub(crate) fn rewind_to(&mut self, snap: Snapshot) -> Result<()> {
+        self.engine = Engine::new(&self.problem, &self.config, Origin::Snapshot(snap))?;
         Ok(())
     }
 
@@ -1183,7 +1172,7 @@ mod tests {
                 .build()
                 .unwrap();
             shares(&resumed, &format!("{executor:?} resumed"));
-            sim.rewind_to(&ckpt.snap).unwrap();
+            sim.rewind_to(ckpt.snap).unwrap();
             shares(&sim, &format!("{executor:?} rewound"));
         }
     }

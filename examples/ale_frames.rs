@@ -16,7 +16,11 @@ use bookleaf::Simulation;
 
 fn run(ale: Option<AleOptions>) -> (Simulation, f64) {
     let deck = decks::sod(150, 3);
-    let t = deck.recommended_final_time;
+    let t = deck
+        .spec
+        .as_ref()
+        .expect("a standard deck carries its spec")
+        .recommended_final_time();
     let mut sim = Simulation::builder()
         .deck(deck)
         .final_time(t)

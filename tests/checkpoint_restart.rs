@@ -522,7 +522,8 @@ fn future_versions_are_rejected_with_both_versions_named() {
 #[test]
 fn snapshot_not_matching_its_deck_is_rejected() {
     // Pair a Sod snapshot with a Noh deck by hand; the builder must
-    // refuse with a typed mismatch, whatever path the checkpoint took.
+    // refuse with the one typed mismatch, whatever path the checkpoint
+    // took: in memory, or through its bytes and a file.
     let sod = Simulation::builder()
         .deck(decks::sod(8, 2))
         .build()
@@ -539,14 +540,28 @@ fn snapshot_not_matching_its_deck_is_rejected() {
         input: noh.input,
         snap: sod.snap,
     };
-    let err = Simulation::builder()
+    // Decoding the bytes builds no deck, so they decode: the shape is
+    // refused where the deck is built, by the resume.
+    let bytes = franken.to_bytes();
+    assert_eq!(Checkpoint::from_bytes(&bytes).unwrap(), franken);
+    let path = tmp("franken.ckpt");
+    std::fs::write(&path, &bytes).unwrap();
+    let from_memory = Simulation::builder()
         .resume_from(franken)
         .build()
         .unwrap_err();
-    assert!(
-        err.to_string().contains("nodes"),
-        "expected a shape mismatch, got: {err}"
-    );
+    let from_file = Simulation::builder().resume(&path).build().unwrap_err();
+    std::fs::remove_file(&path).unwrap();
+    for err in [&from_memory, &from_file] {
+        assert!(
+            matches!(
+                err,
+                bookleaf::util::BookLeafError::Checkpoint(CheckpointError::DeckMismatch { .. })
+            ) && err.to_string().contains("nodes"),
+            "expected a shape mismatch, got: {err}"
+        );
+    }
+    assert_eq!(from_memory.to_string(), from_file.to_string());
 }
 
 /// A generic-vocabulary deck carries its full `ProblemSpec` through the
@@ -628,7 +643,6 @@ fn hand_built_decks_cannot_be_checkpointed() {
         ein: vec![1.0; mesh.n_elements()],
         u: vec![Vec2::ZERO; mesh.n_nodes()],
         piston: None,
-        recommended_final_time: 0.1,
         spec: None,
         mesh,
     };

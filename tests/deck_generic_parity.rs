@@ -56,11 +56,6 @@ fn assert_decks_bitwise_equal(name: &str, a: &Deck, b: &Deck) {
     assert_eq!(a.mesh.node_bc, b.mesh.node_bc, "{name}: node BCs");
     assert_eq!(a.materials, b.materials, "{name}: material table");
     assert_eq!(a.piston, b.piston, "{name}: piston");
-    assert_eq!(
-        a.recommended_final_time.to_bits(),
-        b.recommended_final_time.to_bits(),
-        "{name}: final time"
-    );
     assert_eq!(a.mesh.nodes.len(), b.mesh.nodes.len(), "{name}: node count");
     for (n, (pa, pb)) in a.mesh.nodes.iter().zip(&b.mesh.nodes).enumerate() {
         assert_eq!(pa.x.to_bits(), pb.x.to_bits(), "{name}: node {n} x");

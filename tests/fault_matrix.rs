@@ -130,9 +130,24 @@ fn recovery_log_is_identical_across_two_runs_of_the_same_schedule() {
         };
         sim.run_resilient(&policy).unwrap()
     };
-    let (da, db) = (dir_for("a"), dir_for("b"));
-    let a = run(&da);
-    let b = run(&db);
+    // Run `b` shares run `a`'s directory, and finds there the newest
+    // checkpoints `a` kept — newer than the step-4 file `b` rewinds to.
+    // The supervisor rewinds to what it verified in this run, not to
+    // the newest file it can find.
+    let dir = dir_for("ab");
+    let a = run(&dir);
+    let stale: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.starts_with("auto_step") && name.ends_with(".ckpt"))
+        .collect();
+    assert!(
+        stale
+            .iter()
+            .any(|name| name.as_str() > "auto_step0000000004.ckpt"),
+        "run `a` left no file newer than the rewind target: {stale:?}"
+    );
+    let b = run(&dir);
     assert_eq!(
         a.recovery, b.recovery,
         "recovery logs must be byte-identical"
@@ -146,8 +161,7 @@ fn recovery_log_is_identical_across_two_runs_of_the_same_schedule() {
     // The kill named its step, so the replay is accounted: 6 - 4 = 2.
     assert_eq!(a.recovery.steps_replayed, 2);
     assert_eq!(a.steps, 12);
-    let _ = std::fs::remove_dir_all(&da);
-    let _ = std::fs::remove_dir_all(&db);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The killer test: rank death mid-Noh, elastic recovery 4 → 2 ranks,
