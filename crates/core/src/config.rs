@@ -36,8 +36,8 @@ pub enum ExecutorKind {
     },
 }
 
-/// Health-sentinel controls: the cheap per-step validity sweep that
-/// turns silent corruption into a typed
+/// Health-sentinel controls: the cheap validity sweep after every step
+/// that turns silent corruption into a typed
 /// [`bookleaf_util::BookLeafError::Unhealthy`] abort.
 ///
 /// The sweep inspects the rank-local state (NaN/Inf in ρ, ε, q, u;
@@ -46,15 +46,14 @@ pub enum ExecutorKind {
 /// checks total-energy drift against `drift_tol` with one extra sum. A
 /// collapsing dt is `getdt`'s: it fails each proposal below `dt_min`.
 ///
-/// The sentinel is read-only: an enabled sentinel on a healthy run is
-/// bitwise identical to a disabled one. It is deliberately *not* part
-/// of the text input-deck format (and therefore not embedded in
-/// checkpoints): it configures the harness around a run, not the
-/// problem.
+/// The sentinel is read-only: a sentinel that is on is bitwise
+/// invisible on a healthy run. It is deliberately *not* part of the
+/// text input-deck format (and therefore not embedded in checkpoints):
+/// it configures the harness around a run, not the problem.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SentinelConfig {
-    /// Sweep every `every` steps; `0` disables the sentinel entirely.
-    pub every: usize,
+    /// Sweep after every step; `false` turns the sentinel off entirely.
+    pub on: bool,
     /// Abort when the relative total-energy drift from the run's start
     /// exceeds this tolerance. `None` (default) skips the check — it
     /// costs one extra sum-reduction per sweep in distributed runs.
@@ -64,7 +63,7 @@ pub struct SentinelConfig {
 impl Default for SentinelConfig {
     fn default() -> Self {
         SentinelConfig {
-            every: 1,
+            on: true,
             drift_tol: None,
         }
     }
@@ -75,15 +74,9 @@ impl SentinelConfig {
     #[must_use]
     pub fn disabled() -> Self {
         SentinelConfig {
-            every: 0,
+            on: false,
             ..SentinelConfig::default()
         }
-    }
-
-    /// Does the sentinel run at all?
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.every > 0
     }
 }
 
@@ -110,7 +103,7 @@ pub struct RunConfig {
     /// A/B measurement.
     pub overlap: bool,
     /// Health-sentinel controls (per-step validity sweep). On by
-    /// default with `every = 1`; never rendered into deck text.
+    /// default; never rendered into deck text.
     pub sentinel: SentinelConfig,
     /// Wall-clock deadline for the run; `None` (default) never fires.
     /// When the deadline expires mid-run, the rank that notices
@@ -151,7 +144,7 @@ mod tests {
         assert!(c.ale.is_none());
         assert!(c.final_time > 0.0);
         assert!(c.overlap, "overlapped halo exchange is the default");
-        assert!(c.sentinel.enabled(), "sentinel sweeps by default");
+        assert!(c.sentinel.on, "sentinel sweeps by default");
         assert!(c.sentinel.drift_tol.is_none());
         assert!(c.deadline.is_none(), "no wall-clock deadline by default");
     }
@@ -159,6 +152,6 @@ mod tests {
     #[test]
     fn disabled_sentinel_never_sweeps() {
         let s = SentinelConfig::disabled();
-        assert!(!s.enabled());
+        assert!(!s.on);
     }
 }

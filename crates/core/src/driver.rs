@@ -31,7 +31,7 @@ use bookleaf_util::{
 
 use crate::config::RunConfig;
 use crate::halo::Team;
-use crate::observer::{ObserverNeeds, ObserverSet, StepPhase, StepView};
+use crate::observer::{ObserverNeeds, ObserverSet, StepView};
 
 /// Mutable loop bookkeeping, persisted across `run_loop` calls so
 /// drivers can resume (restart files, incremental advancement).
@@ -43,6 +43,15 @@ pub struct LoopState {
     pub steps: usize,
     /// Previous dt (None before the first step).
     pub dt_prev: Option<f64>,
+}
+
+impl LoopState {
+    /// Has the run reached its goal — `config`'s final time or step
+    /// cap? The one stopping rule: the loop steps while this is false,
+    /// and every caller that loops on segments asks it too.
+    pub(crate) fn done(&self, config: &RunConfig) -> bool {
+        self.t >= config.final_time - 1e-15 || self.steps >= config.max_steps
+    }
 }
 
 /// This rank's share of the global energy: its owned elements, and the
@@ -69,20 +78,20 @@ pub(crate) fn local_energy<T: Team>(
 /// against a dead peer. The kernels run `team`'s halo schedule against
 /// `team.boundary()`.
 ///
-/// With observers registered, their hooks fire at run begin/end, step
-/// begin/end and after each phase. Observers are read-only, so a
-/// watched run is bitwise identical to an unwatched one. When they ask
-/// for the global energy, every rank issues the extra `reduce_sum` at
-/// the same loop points — the symmetry that makes the collective safe.
+/// With observers registered, their hooks fire at run begin, at every
+/// step end and at run end. Observers are read-only, so a watched run
+/// is bitwise identical to an unwatched one. When they ask for the
+/// global energy, every rank issues the extra `reduce_sum` at the same
+/// loop points — the symmetry that makes the collective safe.
 ///
-/// With `config.sentinel` enabled, the health sweep runs after every
-/// `config.sentinel.every`-th step: rank-local NaN/Inf and positivity
-/// checks are min-reduced into one team-wide verdict, so **all ranks
-/// abort together** with the same typed [`BookLeafError::Unhealthy`]
-/// diagnosis; the conservation-drift check compares the global energy
-/// with `energy_ref`, the trajectory's starting energy. A collapsing dt
-/// needs no sentinel: `getdt` fails each rank's proposal below
-/// `dt_min` with a typed `TimestepCollapse` before it is reduced.
+/// With `config.sentinel` on, the health sweep runs after every step:
+/// rank-local NaN/Inf and positivity checks are min-reduced into one
+/// team-wide verdict, so **all ranks abort together** with the same
+/// typed [`BookLeafError::Unhealthy`] diagnosis; the conservation-drift
+/// check compares the global energy with `energy_ref`, the trajectory's
+/// starting energy. A collapsing dt needs no sentinel: `getdt` fails
+/// each rank's proposal below `dt_min` with a typed `TimestepCollapse`
+/// before it is reduced.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_loop<T: Team>(
     mesh: &mut Mesh,
@@ -97,33 +106,25 @@ pub(crate) fn run_loop<T: Team>(
     energy_ref: f64,
 ) -> Result<TimerReport> {
     let timers = TimerRegistry::new();
-    let mut t = cursor.t;
-    let mut steps = cursor.steps;
-    let mut dt_prev = cursor.dt_prev;
+    let mut at = *cursor;
 
     let watched = !observers.is_empty();
     let needs = observers.needs();
-    let mid_step = ObserverNeeds::default();
-    let at_step_begin = ObserverNeeds {
-        comm_stats: needs.comm_stats,
-        ..mid_step
-    };
-    let sentry = config.sentinel.enabled();
 
     if watched {
-        let dt = dt_prev.unwrap_or(0.0);
-        let view = step_view(team, needs, steps, t, dt, mesh, state, range)?;
+        let dt = at.dt_prev.unwrap_or(0.0);
+        let view = step_view(team, needs, at.steps, at.t, dt, mesh, state, range)?;
         observers.each(|o| o.run_begin(&view));
     }
 
-    while t < config.final_time - 1e-15 && steps < config.max_steps {
+    while !at.done(config) {
         let proposal = timers.time(KernelId::GetDt, || {
             getdt(
                 mesh,
                 state,
                 range,
                 &config.dt,
-                dt_prev,
+                at.dt_prev,
                 config.lag.threading,
             )
         })?;
@@ -139,16 +140,11 @@ pub(crate) fn run_loop<T: Team>(
                 local_dt = -1.0;
             }
         }
-        let mut dt = timers.time(KernelId::Comms, || team.begin_step(steps, local_dt))?;
+        let mut dt = timers.time(KernelId::Comms, || team.begin_step(at.steps, local_dt))?;
         if dt < 0.0 {
-            return Err(BookLeafError::DeadlineExceeded { step: steps });
+            return Err(BookLeafError::DeadlineExceeded { step: at.steps });
         }
-        dt = dt.min(config.final_time - t);
-
-        if watched {
-            let view = step_view(team, at_step_begin, steps, t, dt, mesh, state, range)?;
-            observers.each(|o| o.step_begin(&view));
-        }
+        dt = dt.min(config.final_time - at.t);
 
         lagstep_timed(
             mesh,
@@ -160,13 +156,9 @@ pub(crate) fn run_loop<T: Team>(
             team,
             &timers,
         )?;
-        if watched {
-            let view = step_view(team, mid_step, steps, t + dt, dt, mesh, state, range)?;
-            observers.each(|o| o.phase_end(StepPhase::Lagrangian, &view));
-        }
 
         if let (Some(remapper), true) = (remapper, config.ale.is_some()) {
-            if remapper.due(steps) {
+            if remapper.due(at.steps) {
                 // The post-remap exchange is posted and completed inside
                 // the remap itself, around its deferred sweep, so its
                 // cost lands in the ALE bucket; the wait that could not
@@ -183,33 +175,29 @@ pub(crate) fn run_loop<T: Team>(
                     getpc(mesh, materials, state, whole, config.lag.threading);
                     Ok(())
                 })?;
-                if watched {
-                    let view = step_view(team, mid_step, steps, t + dt, dt, mesh, state, range)?;
-                    observers.each(|o| o.phase_end(StepPhase::Remap, &view));
-                }
             }
         }
 
-        t += dt;
-        dt_prev = Some(dt);
-        steps += 1;
+        at.t += dt;
+        at.dt_prev = Some(dt);
+        at.steps += 1;
 
-        // Health sweep: gated purely by the team-shared config and the
-        // step counter, so every rank reduces (or skips) together.
-        if sentry && steps.is_multiple_of(config.sentinel.every) {
-            sentinel_check(team, config, energy_ref, steps - 1, mesh, state, range)?;
+        // Health sweep: gated purely by the team-shared config, so every
+        // rank reduces (or skips) together.
+        if config.sentinel.on {
+            sentinel_check(team, config, energy_ref, at.steps - 1, mesh, state, range)?;
         }
 
         if watched {
-            let view = step_view(team, needs, steps - 1, t, dt, mesh, state, range)?;
+            let view = step_view(team, needs, at.steps - 1, at.t, dt, mesh, state, range)?;
             observers.each(|o| o.step_end(&view));
         }
     }
-    *cursor = LoopState { t, steps, dt_prev };
+    *cursor = at;
 
     if watched {
-        let dt = dt_prev.unwrap_or(0.0);
-        let view = step_view(team, needs, steps, t, dt, mesh, state, range)?;
+        let dt = at.dt_prev.unwrap_or(0.0);
+        let view = step_view(team, needs, at.steps, at.t, dt, mesh, state, range)?;
         observers.each(|o| o.run_end(&view));
     }
     Ok(timers.report())
@@ -312,9 +300,7 @@ fn sentinel_check<T: Team>(
 /// collective, so whether it runs depends only on the team-shared
 /// observer needs and the hook point — never on anything rank-local —
 /// and it is what makes this fallible: it can fail against a dead
-/// rank. Step begin asks for no energy; phase hooks ask for nothing,
-/// because they fire a different number of times on remapping and
-/// non-remapping steps.
+/// rank.
 #[allow(clippy::too_many_arguments)]
 fn step_view<'a, T: Team>(
     team: &T,

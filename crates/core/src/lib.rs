@@ -34,8 +34,8 @@
 //!   format (the one carrier of restart state: `Snapshot::install` and
 //!   its inverse `Snapshot::gather`);
 //! * [`resilience`] — deterministic fault drills and supervised elastic
-//!   recovery: retention-managed [`CheckpointStore`]s with atomic
-//!   writes and verified readback, and [`Simulation::run_resilient`]
+//!   recovery: [`CheckpointStore`]s with atomic writes and verified
+//!   readback that keep the one file they last verified, and [`Simulation::run_resilient`]
 //!   (rewind to the last good checkpoint, reshape the executor, retry
 //!   within a budget — with a deterministic [`RecoveryLog`] on the
 //!   report).
@@ -60,7 +60,7 @@ pub use halo::Team;
 pub use input::{InputDeck, ProblemSpec};
 pub use observer::{
     ConservationTracer, DtHistory, DtSample, EnergySample, FrameDumper, Observer, ObserverNeeds,
-    ObserverSet, ProgressLogger, Shared, StepPhase, StepView,
+    ObserverSet, ProgressLogger, Shared, StepView,
 };
 pub use output::{write_vtk, Checkpoint, Snapshot, CHECKPOINT_VERSION};
 pub use report::RunReport;

@@ -2,15 +2,15 @@
 //! executor.
 //!
 //! A [`Simulation`](crate::Simulation) carries a set of [`Observer`]s.
-//! The run loop fires them at fixed points — run begin/end, step
-//! begin/end, and after each phase (Lagrangian half-steps done, ALE
-//! remap done) — with a read-only [`StepView`] of the clock, the mesh
-//! and state, and (on request) communication counters and the global
-//! energy. The same hooks fire under the serial, flat-MPI and hybrid
-//! executors, so diagnostics written once work everywhere; under the
-//! distributed executors every *rank* fires the hooks with its local
-//! partition view (`view.rank`/`view.n_ranks` tell an observer where it
-//! is, and rank-0 gating is the usual idiom for global diagnostics).
+//! The run loop fires them at three points — run begin, the end of
+//! every step, run end — with a read-only [`StepView`] of the clock,
+//! the mesh and state, and (on request) communication counters and the
+//! global energy. The same hooks fire under the serial, flat-MPI and
+//! hybrid executors, so diagnostics written once work everywhere;
+//! under the distributed executors every *rank* fires the hooks with
+//! its local partition view (`view.rank`/`view.n_ranks` tell an
+//! observer where it is, and rank-0 gating is the usual idiom for
+//! global diagnostics).
 //!
 //! Observers are strictly read-only: they can never perturb the
 //! physics, so a run with observers is bitwise identical to one
@@ -48,8 +48,7 @@ pub struct ObserverNeeds {
     /// partition counted once) at each step end — one extra
     /// `allreduce_sum` per step in distributed runs.
     pub global_energy: bool,
-    /// Snapshot this rank's [`CommStats`] into step-begin/step-end
-    /// views.
+    /// Snapshot this rank's [`CommStats`] into every view.
     pub comm_stats: bool,
 }
 
@@ -64,21 +63,12 @@ impl ObserverNeeds {
     }
 }
 
-/// The two phases of a step an observer can hook between.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepPhase {
-    /// The predictor–corrector Lagrangian half-steps finished.
-    Lagrangian,
-    /// The ALE remap finished (fires only on steps that remap).
-    Remap,
-}
-
 /// Read-only view handed to every observer hook.
 ///
 /// `mesh`/`state`/`range` are this rank's partition (the whole problem
-/// for the serial executor). `step` is the 0-based index of the step
-/// the hook belongs to; for `step_begin` `time` is the step's start
-/// time, for `phase_end`/`step_end` it is the step's end time.
+/// for the serial executor). At run begin/end `step` is the cursor's
+/// step count and `time` its time; at `step_end` `step` is the 0-based
+/// index of the step that finished and `time` that step's end time.
 pub struct StepView<'a> {
     /// 0-based step index.
     pub step: usize,
@@ -96,12 +86,11 @@ pub struct StepView<'a> {
     pub rank: usize,
     /// Team size (1 for serial).
     pub n_ranks: usize,
-    /// This rank's communication counters so far; present at step
-    /// begin/end (and run begin/end) when some observer asked via
-    /// [`ObserverNeeds::comm_stats`].
+    /// This rank's communication counters so far; present when some
+    /// observer asked via [`ObserverNeeds::comm_stats`].
     pub comm: Option<CommStats>,
-    /// Global total energy; present at step end (and run begin/end)
-    /// when some observer asked via [`ObserverNeeds::global_energy`].
+    /// Global total energy; present when some observer asked via
+    /// [`ObserverNeeds::global_energy`].
     /// Identical on every rank.
     pub global_energy: Option<f64>,
 }
@@ -120,12 +109,6 @@ pub trait Observer: Send {
     /// The run is about to start (or resume); `view.step` is the
     /// cursor's step count (0 for a fresh run).
     fn run_begin(&mut self, _view: &StepView<'_>) {}
-
-    /// A step is about to execute with the already-reduced `view.dt`.
-    fn step_begin(&mut self, _view: &StepView<'_>) {}
-
-    /// A phase of the current step finished.
-    fn phase_end(&mut self, _phase: StepPhase, _view: &StepView<'_>) {}
 
     /// The step finished; `view.time` includes the step's dt.
     fn step_end(&mut self, _view: &StepView<'_>) {}
@@ -181,12 +164,6 @@ impl<O: Observer> Observer for Shared<O> {
     fn run_begin(&mut self, view: &StepView<'_>) {
         self.with(|o| o.run_begin(view));
     }
-    fn step_begin(&mut self, view: &StepView<'_>) {
-        self.with(|o| o.step_begin(view));
-    }
-    fn phase_end(&mut self, phase: StepPhase, view: &StepView<'_>) {
-        self.with(|o| o.phase_end(phase, view));
-    }
     fn step_end(&mut self, view: &StepView<'_>) {
         self.with(|o| o.step_end(view));
     }
@@ -195,7 +172,7 @@ impl<O: Observer> Observer for Shared<O> {
     }
 }
 
-/// The simulation's observer collection, shareable across rank threads.
+/// The simulation's observer collection, borrowed by every rank thread.
 ///
 /// Each observer sits behind its own mutex; ranks fire hooks in
 /// registration order, locking one observer at a time, so per-observer
@@ -205,7 +182,7 @@ impl<O: Observer> Observer for Shared<O> {
 /// instead of panicking too.
 #[derive(Default)]
 pub struct ObserverSet {
-    observers: Vec<Arc<Mutex<Box<dyn Observer>>>>,
+    observers: Vec<Mutex<Box<dyn Observer>>>,
     needs: ObserverNeeds,
 }
 
@@ -226,10 +203,7 @@ impl ObserverSet {
             .iter()
             .fold(ObserverNeeds::default(), |acc, o| acc.union(o.needs()));
         ObserverSet {
-            observers: observers
-                .into_iter()
-                .map(|o| Arc::new(Mutex::new(o)))
-                .collect(),
+            observers: observers.into_iter().map(Mutex::new).collect(),
             needs,
         }
     }

@@ -1,20 +1,20 @@
-//! Resilient execution: retention-managed checkpoint stores and
-//! supervised elastic recovery.
+//! Resilient execution: verified checkpoint stores and supervised
+//! elastic recovery.
 //!
 //! A long hydro run dies for mundane reasons — a node is drained, a NIC
 //! flakes, a rank is OOM-killed. This module turns those deaths from
 //! lost runs into bounded replays, built on two pieces:
 //!
-//! * [`CheckpointStore`] — a directory of atomically-written
-//!   checkpoints with keep-the-newest-K retention and verified
-//!   readback. Every write goes through the tmp+fsync+rename path of
+//! * [`CheckpointStore`] — atomically-written checkpoints with verified
+//!   readback, keeping the one file it last verified. Every write goes
+//!   through the tmp+fsync+rename path of
 //!   [`Simulation::checkpoint_to`], which streams the file in one pass
 //!   from the restart state where the simulation holds it (a fixed
 //!   staging buffer and a running CRC, no copy of the state and no
-//!   whole-file buffer), is re-read and verified before it counts, and
-//!   prunes older files beyond the retention budget; a
-//!   checkpoint that fails its own readback is deleted and reported as
-//!   a warning ([`SaveOutcome::Rejected`]), never silently trusted.
+//!   whole-file buffer), and is re-read and verified before it counts;
+//!   only then is the file it replaces deleted. A checkpoint that fails
+//!   its own readback is deleted and reported as a warning
+//!   ([`SaveOutcome::Rejected`]), never silently trusted.
 //! * [`Simulation::run_resilient`] — the supervisor. It saves the state
 //!   it was handed, drives [`Simulation::run_segment`] in segments of
 //!   `checkpoint_every_steps` (the same bitwise continuation contract
@@ -25,9 +25,10 @@
 //!   [`bookleaf_util::BookLeafError::Unhealthy`] abort — rewinds to the
 //!   last file it verified, optionally **reshapes** the executor (a
 //!   dead node means fewer ranks: [`ReshapePolicy::Halve`]) and retries
-//!   at once, within a bounded budget. It holds only that file's path:
-//!   a rewind reads it back ([`crate::Checkpoint::read_from`], as
-//!   `--resume` does a serve drain's file) and rebuilds the engine
+//!   at once, within a bounded budget. It asks its store for that
+//!   file's path: a rewind reads it back
+//!   ([`crate::Checkpoint::read_from`], as `--resume` does a serve
+//!   drain's file) and rebuilds the engine
 //!   through the same constructor and [`crate::Snapshot`] installer a
 //!   builder resume uses, so elastic recovery falls out of the portable
 //!   restart state: a 4-rank segment's checkpoint continues unchanged
@@ -60,7 +61,7 @@
 //! }
 //! ```
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use bookleaf_util::{BookLeafError, CheckpointError, CommError, Result};
 
@@ -70,7 +71,7 @@ use crate::report::RunReport;
 use crate::sim::Simulation;
 
 // ---------------------------------------------------------------------------
-// CheckpointStore: atomic writes, retention, verified readback.
+// CheckpointStore: atomic writes, verified readback, one file kept.
 
 /// What a [`CheckpointStore::save`] did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,38 +91,46 @@ pub enum SaveOutcome {
     },
 }
 
-/// A directory of checkpoints with atomic writes, verified readback and
-/// keep-the-newest-K retention.
+/// Checkpoints in a directory with atomic writes and verified readback,
+/// keeping the one file this store last verified.
 ///
 /// Files are named `<prefix>_step<NNNNNNNNNN>.ckpt` (step number, zero
 /// padded so lexicographic order is step order). [`CheckpointStore::save`]
 /// writes a simulation's checkpoint through the atomic
 /// [`Simulation::checkpoint_to`] path, re-reads and fully re-parses the
 /// file (magic, version, CRC, deck text, shape against the saving run's
-/// mesh — the embedded deck is not built), and only then prunes older
-/// checkpoints down to the retention budget — a bad write can therefore
-/// never evict a good rewind point. The write is one
+/// mesh — the embedded deck is not built), and only then deletes the
+/// file it last verified — a bad write can therefore never evict a good
+/// rewind point. The store never lists its directory: it deletes only
+/// the file it replaced, so a shared directory keeps every other run's
+/// files. The write is one
 /// pass from the restart state where the simulation holds it: its fields
 /// are encoded through a fixed 64 KiB staging buffer into the file as a
 /// running CRC folds them, so saving holds no copy of the state and no
 /// whole-file byte buffer.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CheckpointStore {
     dir: PathBuf,
     prefix: String,
-    keep: usize,
+    /// The file the last verified save wrote.
+    last: Option<PathBuf>,
 }
 
 impl CheckpointStore {
-    /// A store rooted at `dir` (created on first save), keeping the
-    /// newest `keep` checkpoints (clamped to at least 1).
+    /// A store rooted at `dir` (created on first save), naming its
+    /// files after `prefix`.
     #[must_use]
-    pub fn new(dir: impl Into<PathBuf>, prefix: impl Into<String>, keep: usize) -> Self {
+    pub fn new(dir: impl Into<PathBuf>, prefix: impl Into<String>) -> Self {
         CheckpointStore {
             dir: dir.into(),
             prefix: prefix.into(),
-            keep: keep.max(1),
+            last: None,
         }
+    }
+
+    /// The file the last verified save wrote, if any save verified.
+    pub(crate) fn last(&self) -> Option<&Path> {
+        self.last.as_deref()
     }
 
     /// The file path a given step's checkpoint lives at.
@@ -131,8 +140,8 @@ impl CheckpointStore {
     }
 
     /// Atomically write `sim`'s checkpoint at its cursor, verify it by
-    /// reading it back, then prune older checkpoints beyond the
-    /// retention budget.
+    /// reading it back, then delete the file the previous verified save
+    /// wrote (unless this save wrote the same path).
     ///
     /// # Errors
     ///
@@ -141,7 +150,7 @@ impl CheckpointStore {
     /// [`Simulation::checkpoint_to`] refuses (a hand-assembled deck). A
     /// checkpoint that *writes* but fails verification is not an error:
     /// the file is deleted and [`SaveOutcome::Rejected`] reports why.
-    pub fn save(&self, sim: &Simulation) -> Result<SaveOutcome> {
+    pub fn save(&mut self, sim: &Simulation) -> Result<SaveOutcome> {
         std::fs::create_dir_all(&self.dir).map_err(|e| CheckpointError::Io {
             path: self.dir.display().to_string(),
             message: e.to_string(),
@@ -160,41 +169,14 @@ impl CheckpointStore {
                 reason: e.to_string(),
             });
         }
-        // Only a verified write earns the right to evict older files.
-        // Newest-first, a file survives while the keep-K count has room;
-        // the just-written file always survives.
-        let mut kept = 0usize;
-        for (_, old) in self.list().into_iter().rev() {
-            if old == path || kept < self.keep {
-                kept += 1;
-            } else {
+        // Only a verified write earns the right to evict the file it
+        // replaces.
+        if let Some(old) = self.last.replace(path.clone()) {
+            if old != path {
                 let _ = std::fs::remove_file(&old);
             }
         }
         Ok(SaveOutcome::Written(path))
-    }
-
-    /// Every checkpoint file currently in the store, as `(step, path)`
-    /// sorted ascending by step. Files that do not match this store's
-    /// naming scheme are ignored (the directory may be shared).
-    #[must_use]
-    fn list(&self) -> Vec<(u64, PathBuf)> {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return Vec::new();
-        };
-        let mut out: Vec<(u64, PathBuf)> = entries
-            .flatten()
-            .filter_map(|entry| {
-                let name = entry.file_name().into_string().ok()?;
-                let stem = name
-                    .strip_prefix(&self.prefix)?
-                    .strip_prefix("_step")?
-                    .strip_suffix(".ckpt")?;
-                Some((stem.parse::<u64>().ok()?, entry.path()))
-            })
-            .collect();
-        out.sort();
-        out
     }
 }
 
@@ -209,8 +191,6 @@ pub enum ReshapePolicy {
     /// Halve the rank count on each retry (never below one rank) —
     /// the "a node died, run on what's left" policy.
     Halve,
-    /// Switch to this exact executor for every retry.
-    To(ExecutorKind),
 }
 
 impl ReshapePolicy {
@@ -220,7 +200,6 @@ impl ReshapePolicy {
     fn apply(self, current: ExecutorKind) -> ExecutorKind {
         match self {
             ReshapePolicy::Keep => current,
-            ReshapePolicy::To(kind) => kind,
             ReshapePolicy::Halve => match current {
                 ExecutorKind::Serial => ExecutorKind::Serial,
                 ExecutorKind::FlatMpi { ranks } => ExecutorKind::FlatMpi {
@@ -243,8 +222,6 @@ impl ReshapePolicy {
 pub struct RecoveryPolicy {
     /// Directory the supervisor's [`CheckpointStore`] writes into.
     pub dir: PathBuf,
-    /// Retention budget for segment checkpoints (newest K survive).
-    pub keep: usize,
     /// Segment length: checkpoint every this many steps. `0` means a
     /// single unsegmented attempt (still retried from the start).
     pub checkpoint_every_steps: usize,
@@ -256,13 +233,12 @@ pub struct RecoveryPolicy {
 }
 
 impl RecoveryPolicy {
-    /// A policy checkpointing into `dir`, with defaults: keep 2,
-    /// checkpoint every 50 steps, 3 retries, no reshaping.
+    /// A policy checkpointing into `dir`, with defaults: checkpoint
+    /// every 50 steps, 3 retries, no reshaping.
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         RecoveryPolicy {
             dir: dir.into(),
-            keep: 2,
             checkpoint_every_steps: 50,
             max_retries: 3,
             reshape: ReshapePolicy::Keep,
@@ -349,26 +325,24 @@ impl Simulation {
     /// ends supervision at once: a deadline does not un-expire, so a
     /// retry could only fail the same way.
     pub fn run_resilient(&mut self, policy: &RecoveryPolicy) -> Result<RunReport> {
-        let store = CheckpointStore::new(&policy.dir, "auto", policy.keep);
+        // The rewind target is the store's last verified file: never a
+        // listing of the directory, which may hold newer files of
+        // another run. The state handed over is saved as a segment's end
+        // is, before the first segment runs.
+        let mut store = CheckpointStore::new(&policy.dir, "auto");
         let base_attempt = self.typhon.attempt;
         let mut log = RecoveryLog::default();
         let mut failures = 0usize;
-        // The rewind target: the path of the last file this run verified.
-        // The directory is never listed: a shared one may hold newer
-        // files of another run. The state handed over is saved as a
-        // segment's end is, before the first segment runs.
-        let mut target = None;
         let mut result: Result<Option<RunReport>> = Ok(None);
         loop {
             match result {
                 Ok(report) => {
-                    match store.save(self)? {
-                        SaveOutcome::Written(path) => target = Some(path),
-                        SaveOutcome::Rejected { path, reason } => log.warnings.push(format!(
+                    if let SaveOutcome::Rejected { path, reason } = store.save(self)? {
+                        log.warnings.push(format!(
                             "checkpoint at step {} skipped: {} failed readback: {reason}",
                             self.cursor().steps,
                             path.display()
-                        )),
+                        ));
                     }
                     if let Some(mut report) = report.filter(|_| self.complete()) {
                         self.typhon.attempt = base_attempt;
@@ -378,7 +352,7 @@ impl Simulation {
                 }
                 Err(err) => {
                     let expired = matches!(err, BookLeafError::DeadlineExceeded { .. });
-                    let path = match &target {
+                    let path = match store.last() {
                         Some(path) if !expired && failures < policy.max_retries => path,
                         _ => {
                             self.typhon.attempt = base_attempt;
@@ -440,7 +414,7 @@ mod tests {
 
     #[test]
     fn store_names_are_step_ordered() {
-        let store = CheckpointStore::new("/tmp/x", "auto", 2);
+        let store = CheckpointStore::new("/tmp/x", "auto");
         let a = store.path_for(7);
         let b = store.path_for(1234);
         assert!(a.to_string_lossy() < b.to_string_lossy());
@@ -448,24 +422,31 @@ mod tests {
     }
 
     #[test]
-    fn retention_keeps_exactly_the_newest_k_valid_files() {
-        let dir = tmp_dir("retention");
-        let store = CheckpointStore::new(&dir, "auto", 2);
+    fn a_verified_save_deletes_only_the_file_it_replaces() {
+        let dir = tmp_dir("replace_last");
+        std::fs::create_dir_all(&dir).unwrap();
+        // Another run's file, named as this store would name its own.
+        let foreign = dir.join("auto_step0000000001.ckpt");
+        std::fs::write(&foreign, b"another run's checkpoint").unwrap();
+        let mut store = CheckpointStore::new(&dir, "auto");
         for step in [2u64, 4, 6] {
             assert!(matches!(
                 store.save(&noh_at(step)).unwrap(),
                 SaveOutcome::Written(_)
             ));
         }
-        let listed = store.list();
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
         assert_eq!(
-            listed.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
-            vec![4, 6],
-            "K = 2 must keep exactly the two newest"
+            names,
+            ["auto_step0000000001.ckpt", "auto_step0000000006.ckpt"],
+            "the foreign file and the last verified save, nothing else"
         );
-        for (step, path) in &listed {
-            assert_eq!(Checkpoint::read_from(path).unwrap().snap.steps, *step);
-        }
+        let last = store.last().expect("a verified save");
+        assert_eq!(Checkpoint::read_from(last).unwrap().snap.steps, 6);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -573,10 +554,6 @@ mod tests {
                 ranks: 2,
                 threads_per_rank: 2
             }
-        );
-        assert_eq!(
-            ReshapePolicy::To(ExecutorKind::Serial).apply(four),
-            ExecutorKind::Serial
         );
     }
 

@@ -559,8 +559,8 @@ pub struct Simulation {
     config: RunConfig,
     observers: ObserverSet,
     engine: Engine,
-    /// Comm-layer options for distributed runs: receive/collective
-    /// deadline, fault schedule, recovery-attempt index.
+    /// Comm-layer options for distributed runs: fault schedule,
+    /// recovery-attempt index.
     pub(crate) typhon: TyphonOptions,
 }
 
@@ -595,8 +595,7 @@ impl Simulation {
     /// step cap — according to the loop cursor?
     #[must_use]
     pub fn complete(&self) -> bool {
-        let c = self.cursor();
-        c.t >= self.config.final_time - 1e-15 || c.steps >= self.config.max_steps
+        self.cursor().done(&self.config)
     }
 
     /// [`Simulation::run`] for at most `steps` more steps (at least

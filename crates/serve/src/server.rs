@@ -901,7 +901,7 @@ fn run_supervised(shared: &Arc<Shared>, tenant: &str, mut sim: Simulation) -> Ru
         if shared.draining.load(Ordering::SeqCst) {
             let seq = shared.seq.fetch_add(1, Ordering::SeqCst);
             let prefix = format!("{}_{seq:06}", sanitize(tenant));
-            let store = CheckpointStore::new(&shared.config.drain_dir, &prefix, 1);
+            let mut store = CheckpointStore::new(&shared.config.drain_dir, &prefix);
             let path = match store.save(&sim) {
                 Ok(SaveOutcome::Written(path)) => path,
                 Ok(SaveOutcome::Rejected { reason, .. }) => {

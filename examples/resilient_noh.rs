@@ -40,7 +40,6 @@ fn main() {
         .expect("valid deck");
 
     let policy = RecoveryPolicy {
-        keep: 2,
         checkpoint_every_steps: SEGMENT,
         max_retries: 3,
         reshape: ReshapePolicy::Halve,

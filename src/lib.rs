@@ -90,6 +90,6 @@ pub use bookleaf_validate as validate;
 pub use bookleaf_core::{
     Checkpoint, ConservationTracer, Deck, DtHistory, ExecutorKind, FrameDumper, GenericSpec,
     InputDeck, Observer, ProblemSpec, ProgressLogger, RunConfig, RunReport, Shared, Simulation,
-    SimulationBuilder, StepPhase, StepView, CHECKPOINT_VERSION,
+    SimulationBuilder, StepView, CHECKPOINT_VERSION,
 };
 pub use bookleaf_util::CheckpointError;
